@@ -77,7 +77,9 @@ __all__ = [
     "StepCompleted",
     "SweepFinished",
     "campaign_cell_key",
+    "campaign_finished",
     "event_from_dict",
+    "read_event_log",
 ]
 
 
@@ -245,6 +247,25 @@ class CampaignFinished(Event):
         if payload is not None:
             data["result"] = payload
         return data
+
+
+def campaign_finished(
+    campaign: str, index: int, backend: str, outcome, cell_key: str | None
+) -> CampaignFinished:
+    """The :class:`CampaignFinished` of ``outcome`` as emitted by ``backend``
+    (live or replayed; the outcome is re-labelled with that backend)."""
+    outcome.backend = backend
+    processes = outcome.result.processes
+    return CampaignFinished(
+        campaign=campaign,
+        index=index,
+        backend=backend,
+        n_steps=len(processes),
+        converged_steps=sum(1 for process in processes if process.converged),
+        wall_seconds=outcome.wall_seconds,
+        outcome=outcome,
+        cell_key=cell_key,
+    )
 
 
 @dataclass(frozen=True)
@@ -444,6 +465,30 @@ def event_from_dict(data: dict) -> Event:
             wall_seconds=kwargs.get("wall_seconds", 0.0),
         )
     return cls(**kwargs)
+
+
+def read_event_log(path: str | Path) -> tuple[list, int]:
+    """Every well-formed event of a JSONL log in order, plus the number of
+    lines skipped.
+
+    The one reader behind resume logs, spool ledgers and the daemon's
+    manifest: a crash can truncate the final line mid-write, and a
+    readable prefix is exactly what recovery is for, so lines that do
+    not decode or do not describe a known event are counted, not fatal.
+    Raises ``FileNotFoundError`` when there is no log at all.
+    """
+    events = []
+    n_malformed = 0
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                events.append(event_from_dict(json.loads(line)))
+            except ValueError:
+                n_malformed += 1
+    return events, n_malformed
 
 
 class EventBus:

@@ -21,12 +21,23 @@ Failed campaigns (:class:`~repro.api.events.CampaignFailed` lines) are
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.api.events import CampaignFinished, event_from_dict
+from repro.api.events import (
+    CampaignFinished,
+    CampaignSkipped,
+    campaign_finished,
+    read_event_log,
+)
 
-__all__ = ["ResumeError", "ResumeLog", "discover_latest_log", "load_events"]
+__all__ = [
+    "ResumeError",
+    "ResumeLog",
+    "discover_latest_log",
+    "load_events",
+    "replay_events",
+    "resume_outcome",
+]
 
 
 class ResumeError(ValueError):
@@ -127,19 +138,10 @@ class ResumeLog:
     @classmethod
     def load(cls, path: str | Path) -> "ResumeLog":
         path = Path(path)
-        if not path.exists():
-            raise ResumeError(f"resume log {path} does not exist")
-        events = []
-        n_malformed = 0
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(event_from_dict(json.loads(line)))
-                except ValueError:
-                    n_malformed += 1
+        try:
+            events, n_malformed = read_event_log(path)
+        except FileNotFoundError:
+            raise ResumeError(f"resume log {path} does not exist") from None
         if not events and n_malformed:
             raise ResumeError(
                 f"resume log {path} contains no parseable events "
@@ -172,3 +174,34 @@ class ResumeLog:
             f"ResumeLog({str(self.path)!r}, {len(self.events)} events, "
             f"{self.n_completed} completed campaign(s))"
         )
+
+
+def resume_outcome(resume, cell_key: str):
+    """The ``CampaignOutcome`` ``resume`` records for ``cell_key``, or
+    ``None`` — ``resume`` being a :class:`ResumeLog` (or any object with
+    ``outcome_for``), a ``cell_key -> outcome`` mapping, or ``None``."""
+    if resume is None:
+        return None
+    if hasattr(resume, "outcome_for"):
+        return resume.outcome_for(cell_key)
+    if isinstance(resume, dict):
+        return resume.get(cell_key)
+    raise TypeError(
+        "resume must be a ResumeLog (or any object with outcome_for) or a "
+        f"cell_key->outcome mapping, got {type(resume).__name__}"
+    )
+
+
+def replay_events(campaign, index, backend, outcome, cell_key, resume):
+    """The event block that stands in for re-executing a recorded campaign:
+    a :class:`~repro.api.events.CampaignSkipped` marker, then the replayed
+    :class:`~repro.api.events.CampaignFinished` carrying ``outcome``."""
+    yield CampaignSkipped(
+        campaign=campaign,
+        index=index,
+        backend=backend,
+        n_steps=len(outcome.result.processes),
+        resumed_from=str(getattr(resume, "path", "") or ""),
+        cell_key=cell_key,
+    )
+    yield campaign_finished(campaign, index, backend, outcome, cell_key)

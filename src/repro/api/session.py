@@ -65,12 +65,12 @@ from repro.api.events import (
     CacheStats,
     CampaignFailed,
     CampaignFinished,
-    CampaignSkipped,
     CampaignStarted,
     SweepFinished,
+    campaign_finished,
 )
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan, TuningPlan
-from repro.api.resume import ResumeLog
+from repro.api.resume import ResumeLog, replay_events, resume_outcome
 
 
 @dataclass
@@ -140,8 +140,7 @@ class TuningSession:
     histories) are resolved lazily per plan and memoised process-wide via
     :mod:`repro.experiments.context`, so interleaved runs of many plans
     share everything pure.  Pass ``pretrained=`` to inject an existing
-    artifact (tests and notebooks), and ``manager=`` to share caches
-    across a ``process`` backend's workers.
+    artifact (tests and notebooks).
 
     Long-lived hosts (the :mod:`repro.daemon` control plane) additionally
     pass ``caches=`` — one :class:`~repro.service.cache.TuningCacheSet`
@@ -155,11 +154,8 @@ class TuningSession:
     the session set untouched.
     """
 
-    def __init__(
-        self, *, pretrained=None, manager=None, caches=None, shm_store=None
-    ) -> None:
+    def __init__(self, *, pretrained=None, caches=None, shm_store=None) -> None:
         self._pretrained_override = pretrained
-        self._manager = manager
         self._caches = caches
         self._shm_store = shm_store
 
@@ -261,14 +257,6 @@ class TuningSession:
             return resume
         return ResumeLog.load(resume)
 
-    @staticmethod
-    def _resume_outcome(resume, cell_key):
-        if resume is None:
-            return None
-        if isinstance(resume, dict):
-            return resume.get(cell_key)
-        return resume.outcome_for(cell_key)
-
     def _stream_tuning(self, plan: TuningPlan, resume=None):
         """The single-query lifecycle (identical to the legacy ``tune``)."""
         from repro.experiments.campaigns import iter_campaign
@@ -286,31 +274,14 @@ class TuningSession:
         scale = self._scale_for(plan)
         query = resolve_query(plan.query, plan.engine)
         cell_key = plan.cell_keys()[0]
-        recorded = self._resume_outcome(resume, cell_key)
+        recorded = resume_outcome(resume, cell_key)
         if recorded is not None:
             # The log already holds this campaign: replay it bit-identically
             # without touching engines, tuners or the pretrained artifact.
-            recorded.backend = "inline"
-            yield stamped(CampaignSkipped(
-                campaign=query.name,
-                index=0,
-                backend="inline",
-                n_steps=len(recorded.result.processes),
-                resumed_from=str(getattr(resume, "path", "") or ""),
-                cell_key=cell_key,
-            ))
-            yield stamped(CampaignFinished(
-                campaign=query.name,
-                index=0,
-                backend="inline",
-                n_steps=len(recorded.result.processes),
-                converged_steps=sum(
-                    1 for p in recorded.result.processes if p.converged
-                ),
-                wall_seconds=recorded.wall_seconds,
-                outcome=recorded,
-                cell_key=cell_key,
-            ))
+            for event in replay_events(
+                query.name, 0, "inline", recorded, cell_key, resume
+            ):
+                yield stamped(event)
             yield stamped(CacheStats(stats={}))
             return SessionResult(
                 plan=plan,
@@ -372,16 +343,7 @@ class TuningSession:
         outcome = CampaignOutcome(
             spec_name=query.name, result=result, wall_seconds=wall, backend="inline"
         )
-        yield stamped(CampaignFinished(
-            campaign=query.name,
-            index=0,
-            backend="inline",
-            n_steps=len(result.processes),
-            converged_steps=sum(1 for p in result.processes if p.converged),
-            wall_seconds=wall,
-            outcome=outcome,
-            cell_key=cell_key,
-        ))
+        yield stamped(campaign_finished(query.name, 0, "inline", outcome, cell_key))
         stats = caches.stats() if caches is not None else {}
         yield stamped(CacheStats(stats=stats))
         return SessionResult(
@@ -410,55 +372,42 @@ class TuningSession:
             )
             for token, rates in plan.rates_for()
         ]
-        # A fully resumed cell replays without executing anything, so it
-        # needs neither the pre-trained artifact (baseline fleets never do)
-        # nor a process-backend manager: skipping both keeps e.g. a
-        # recorded 30-cell sweep from training a model or forking 30
-        # manager servers just to replay its log.
-        will_execute = any(
-            self._resume_outcome(resume, spec.cell_key) is None for spec in specs
-        )
-        needs_model = is_streamtune and will_execute
-        pretrained = self._pretrained_for(plan, scale) if needs_model else None
-        manager = self._manager
-        own_manager = False
-        if plan.backend == "process" and manager is None and will_execute:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            own_manager = True
+        # The snapshot loads first: a stale or corrupt ``cache_path`` must
+        # fail before a model is trained, not after.
         own_caches = (
             self._load_caches(plan.cache_path) if plan.cache_path is not None else None
         )
         caches = own_caches if own_caches is not None else self._caches
+        # A fully resumed cell replays without executing anything, so it
+        # does not need the pre-trained artifact (baseline fleets never
+        # do): a recorded 30-cell sweep replays without training a model.
+        needs_model = is_streamtune and any(
+            resume_outcome(resume, spec.cell_key) is None for spec in specs
+        )
+        pretrained = self._pretrained_for(plan, scale) if needs_model else None
         outcomes: dict[int, object] = {}
         failures: list = []
         stats: dict = {}
-        try:
-            service = TuningService(
-                pretrained,
-                backend=plan.backend,
-                max_workers=plan.workers,
-                prioritize_backpressure=plan.prioritize_backpressure,
-                manager=manager,
-                caches=caches,
-                shm_store=self._shm_store,
-            )
-            for event in service.stream(
-                specs, trace_shards=plan.trace_shards, resume=resume
-            ):
-                if isinstance(event, CampaignFinished):
-                    outcomes[event.index] = event.outcome
-                elif isinstance(event, CampaignFailed):
-                    failures.append(event)
-                elif isinstance(event, CacheStats):
-                    stats = event.stats
-                yield event
-            if own_caches is not None:
-                own_caches.save(plan.cache_path)
-        finally:
-            if own_manager:
-                manager.shutdown()
+        service = TuningService(
+            pretrained,
+            backend=plan.backend,
+            max_workers=plan.workers,
+            prioritize_backpressure=plan.prioritize_backpressure,
+            caches=caches,
+            shm_store=self._shm_store,
+        )
+        for event in service.stream(
+            specs, trace_shards=plan.trace_shards, resume=resume
+        ):
+            if isinstance(event, CampaignFinished):
+                outcomes[event.index] = event.outcome
+            elif isinstance(event, CampaignFailed):
+                failures.append(event)
+            elif isinstance(event, CacheStats):
+                stats = event.stats
+            yield event
+        if own_caches is not None:
+            own_caches.save(plan.cache_path)
         if failures:
             # Raised only after the stream drained: surviving campaigns
             # completed (and were recorded), ready for a --resume retry.
@@ -537,12 +486,9 @@ class AsyncTuningSession:
             ...
     """
 
-    def __init__(
-        self, *, pretrained=None, manager=None, caches=None, shm_store=None
-    ) -> None:
+    def __init__(self, *, pretrained=None, caches=None, shm_store=None) -> None:
         self._session = TuningSession(
-            pretrained=pretrained, manager=manager, caches=caches,
-            shm_store=shm_store,
+            pretrained=pretrained, caches=caches, shm_store=shm_store
         )
         #: Result of the most recently exhausted :meth:`stream` iteration.
         self.last_result: "SessionResult | SweepResult | None" = None

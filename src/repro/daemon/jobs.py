@@ -32,7 +32,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.api.events import JobStateChanged, JobSubmitted, event_from_dict
+from repro.api.events import JobStateChanged, JobSubmitted, read_event_log
 from repro.api.plans import plan_from_dict
 from repro.api.resume import ResumeLog
 
@@ -242,16 +242,7 @@ class JobStore:
         if not self.manifest_path.exists():
             return []
         with self._lock:
-            events = []
-            with self.manifest_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        events.append(event_from_dict(json.loads(line)))
-                    except ValueError:
-                        continue
+            events, _ = read_event_log(self.manifest_path)
             for event in events:
                 self._manifest_seq = max(self._manifest_seq, event.seq + 1)
                 if isinstance(event, JobSubmitted):

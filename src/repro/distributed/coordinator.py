@@ -31,13 +31,8 @@ hang.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import shutil
-import subprocess
-import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -46,11 +41,13 @@ from repro.api.events import (
     CacheStats,
     CampaignFailed,
     CampaignFinished,
-    CampaignSkipped,
     SweepFinished,
-    event_from_dict,
+    read_event_log,
 )
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan
+from repro.api.resume import replay_events, resume_outcome
+from repro.api.session import SessionResult, SweepResult, TuningSession
+from repro.distributed.fleet import WorkerFleet
 from repro.distributed.spool import DEFAULT_TTL_SECONDS, Spool, SpoolCell
 from repro.faults.plane import fire as _fire
 
@@ -160,17 +157,9 @@ class DistributedSession:
 
     # -- the TuningSession-shaped surface -------------------------------
 
-    def run(self, plan, *, bus=None, resume=None):
-        stream = self.stream(plan, bus=bus, resume=resume)
-        while True:
-            try:
-                next(stream)
-            except StopIteration as stop:
-                return stop.value
+    run = TuningSession.run     # the session's own drain, over our stream
 
     def stream(self, plan, *, bus=None, resume=None):
-        from repro.api.session import TuningSession
-
         inner = self._stream(plan, TuningSession._coerce_resume(resume))
         if bus is None:
             return inner
@@ -205,7 +194,7 @@ class DistributedSession:
         replayed = {
             cell.id: outcome
             for cell in cells
-            if (outcome := self._resume_outcome(resume, cell.cell_key)) is not None
+            if (outcome := resume_outcome(resume, cell.cell_key)) is not None
         }
         pending = [cell for cell in cells if cell.id not in replayed]
         spool.seed(pending)
@@ -213,36 +202,31 @@ class DistributedSession:
         outcomes: dict[int, object] = {}      # cell.index -> CampaignOutcome
         failures: list = []
         scenario_stats: dict = {}             # per-scenario cache counters
-        workers: list = []
+        fleet = WorkerFleet(root, ttl_seconds=self.ttl_seconds, fsync=self.fsync)
+        churn: list = []
         fleet_dead = False
-        churn_stop = threading.Event()
-        churn_thread = None
         try:
             if pending:
-                workers = self._spawn_local_workers(root, plan)
-                entries = self._churn_entries(plan)
-                if entries and workers:
+                fleet.spawn(self._local_worker_count(plan))
+                if len(fleet):
                     # Infrastructure chaos: kill/respawn local agents at
                     # done-count thresholds.  Results stay bit-identical
                     # (lease reclaim re-runs interrupted cells), so the
                     # in-process backends rightly ignore these entries.
-                    churn_thread = threading.Thread(
-                        target=self._churn_loop,
-                        args=(spool, root, workers, entries, churn_stop),
-                        name="worker-churn",
-                        daemon=True,
-                    )
-                    churn_thread.start()
+                    churn = self._churn_entries(plan)
             last_sign_of_life = time.time()
             for position, cell in enumerate(cells):
                 if cell.id in replayed:
-                    yield from self._replay(
-                        stamped, cell, replayed[cell.id], resume, outcomes
-                    )
+                    outcomes[cell.index] = replayed[cell.id]
+                    for event in replay_events(
+                        cell.campaign, cell.fleet_index, "distributed",
+                        replayed[cell.id], cell.cell_key, resume,
+                    ):
+                        yield stamped(event, cell)
                 else:
                     if not fleet_dead:
                         payload, last_sign_of_life = self._await_done(
-                            spool, cell, workers, last_sign_of_life
+                            spool, cell, fleet, churn, last_sign_of_life
                         )
                         fleet_dead = payload is None
                     if fleet_dead:
@@ -273,10 +257,7 @@ class DistributedSession:
                     if stats is not None:
                         yield stamped(CacheStats(stats=stats), cell)
         finally:
-            churn_stop.set()
-            if churn_thread is not None:
-                churn_thread.join()
-            self._drain_local_workers(workers, healthy=not fleet_dead)
+            fleet.drain(terminate=fleet_dead)
             if not fleet_dead:
                 # A worker killed between mark_done and release leaves a
                 # lease on a *done* cell — debris no claimant ever
@@ -303,45 +284,15 @@ class DistributedSession:
 
     # -- per-cell emission ----------------------------------------------
 
-    @staticmethod
-    def _resume_outcome(resume, cell_key):
-        if resume is None:
-            return None
-        if isinstance(resume, dict):
-            return resume.get(cell_key)
-        return resume.outcome_for(cell_key)
-
-    def _replay(self, stamped, cell, recorded, resume, outcomes):
-        """Re-emit a resume-log campaign without spooling anything."""
-        recorded.backend = "distributed"
-        outcomes[cell.index] = recorded
-        yield stamped(CampaignSkipped(
-            campaign=cell.campaign,
-            index=cell.fleet_index,
-            backend="distributed",
-            n_steps=len(recorded.result.processes),
-            resumed_from=str(getattr(resume, "path", "") or ""),
-            cell_key=cell.cell_key,
-        ), cell)
-        yield stamped(CampaignFinished(
-            campaign=cell.campaign,
-            index=cell.fleet_index,
-            backend="distributed",
-            n_steps=len(recorded.result.processes),
-            converged_steps=sum(
-                1 for p in recorded.result.processes if p.converged
-            ),
-            wall_seconds=recorded.wall_seconds,
-            outcome=recorded,
-            cell_key=cell.cell_key,
-        ), cell)
-
     def _emit_cell(
         self, stamped, spool, cell, payload, outcomes, failures, scenario_stats
     ):
         """Stream the authoritative attempt's ledger, restamped."""
-        ledger = spool.ledgers_dir / payload["ledger"]
-        for event in self._ledger_events(ledger):
+        try:
+            events, _ = read_event_log(spool.ledgers_dir / payload["ledger"])
+        except FileNotFoundError:
+            events = []
+        for event in events:
             if isinstance(event, CacheStats):
                 # Per-cell stats merge into one per-scenario report —
                 # a fleet shares caches per worker, not per campaign.
@@ -357,43 +308,25 @@ class DistributedSession:
                 failures.append(event)
             yield event
 
-    @staticmethod
-    def _ledger_events(ledger: Path):
-        """Parse one attempt ledger, tolerating a crash-truncated tail."""
-        try:
-            lines = ledger.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            return []
-        events = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(event_from_dict(json.loads(line)))
-            except ValueError:
-                continue
-        return events
-
     # -- waiting on the fleet -------------------------------------------
 
-    def _await_done(self, spool, cell, workers, last_sign_of_life):
+    def _await_done(self, spool, cell, fleet, churn, last_sign_of_life):
         """Block until ``cell`` completes; (payload, liveness) or (None, _).
 
         A ``None`` payload means the fleet went silent: no fresh worker
         heartbeat or lease, no running local worker and no new
-        completion for ``stall_seconds``.
+        completion for ``stall_seconds``.  Every poll also executes the
+        ``churn`` kill schedule entries that have come due.
         """
         while True:
             _fire("coordinator.poll.delay")
+            for _, slot in fleet.kill_due(spool, churn):
+                fleet.respawn(slot)
             payload = spool.done_payload(cell.id)
             now = time.time()
             if payload is not None:
                 return payload, now
-            if (
-                spool.has_live_activity()
-                or any(proc.poll() is None for proc, _ in workers)
-            ):
+            if spool.has_live_activity() or fleet.alive():
                 last_sign_of_life = now
             elif now - last_sign_of_life > self.stall_seconds:
                 return None, last_sign_of_life
@@ -410,42 +343,6 @@ class DistributedSession:
         # spool must staff itself.
         has_named_spool = plan.spool_dir is not None or self.spool_dir is not None
         return 0 if has_named_spool else 2
-
-    def _spawn_one(self, root: Path, index: int, *, respawn: bool = False):
-        """Start one ``repro worker`` subprocess draining ``root``.
-
-        A respawned worker appends to the slot's log so the kill/restart
-        history of a churned slot reads as one continuous transcript.
-        """
-        import repro
-
-        env = os.environ.copy()
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + os.pathsep + existing if existing else src
-        log = open(
-            root / f"worker-{index}.log",
-            "a" if respawn else "w",
-            encoding="utf-8",
-        )
-        command = [
-            sys.executable, "-m", "repro.cli", "worker", str(root),
-            "--exit-when-done",
-            "--ttl", str(self.ttl_seconds),
-        ]
-        if not self.fsync:
-            command.append("--no-fsync")
-        return (
-            subprocess.Popen(
-                command, stdout=log, stderr=subprocess.STDOUT, env=env
-            ),
-            log,
-        )
-
-    def _spawn_local_workers(self, root: Path, plan) -> list:
-        """Start ``repro worker`` subprocesses draining ``root``."""
-        count = self._local_worker_count(plan)
-        return [self._spawn_one(root, index) for index in range(count)]
 
     # -- worker churn ----------------------------------------------------
 
@@ -466,44 +363,10 @@ class DistributedSession:
         }
         return sorted(entries)
 
-    def _churn_loop(self, spool, root, workers, entries, stop) -> None:
-        remaining = list(entries)
-        while remaining and not stop.is_set():
-            done = len(spool.done_ids())
-            while remaining and done >= remaining[0][0]:
-                _, slot = remaining.pop(0)
-                self._kill_and_respawn(root, workers, slot)
-            stop.wait(timeout=self.poll_seconds)
-
-    def _kill_and_respawn(self, root, workers, slot: int) -> None:
-        index = slot % len(workers)
-        proc, log = workers[index]
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        log.close()
-        workers[index] = self._spawn_one(root, index, respawn=True)
-
-    def _drain_local_workers(self, workers, *, healthy: bool) -> None:
-        """Let ``--exit-when-done`` agents finish, then insist."""
-        for proc, _ in workers:
-            if not healthy:
-                proc.terminate()
-        for proc, _ in workers:
-            try:
-                proc.wait(timeout=2 * self.ttl_seconds if healthy else 5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        for _, log in workers:
-            log.close()
-
     # -- results --------------------------------------------------------
 
     @staticmethod
     def _campaign_result(plan, cells, outcomes, wall):
-        from repro.api.session import SessionResult
-
         return SessionResult(
             plan=plan,
             outcomes=[outcomes[cell.index] for cell in cells],
@@ -513,8 +376,6 @@ class DistributedSession:
 
     @staticmethod
     def _sweep_result(plan, cells, outcomes, wall):
-        from repro.api.session import SessionResult, SweepResult
-
         results = []
         for fleet in plan.expand():
             label = plan.scenario_label(fleet)

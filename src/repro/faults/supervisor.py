@@ -25,10 +25,7 @@ seeds must render the identical view.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -278,6 +275,7 @@ class FleetSupervisor:
         the report carries the verdict (raising would lose it)."""
         from repro.api.events import EventBus, JsonlRecorder
         from repro.distributed.coordinator import DistributedSession, plan_cells
+        from repro.distributed.fleet import WorkerFleet
         from repro.distributed.spool import Spool
 
         say = progress if progress is not None else (lambda message: None)
@@ -321,34 +319,37 @@ class FleetSupervisor:
             target=drive, name="soak-coordinator", daemon=True
         )
         coordinator.start()
-        fleet = [self._spawn(root, slot, respawn=False) for slot in range(self.workers)]
+        fleet = WorkerFleet(
+            root,
+            ttl_seconds=self.ttl_seconds,
+            fsync=self.fsync,
+            fault_plan=self.fault_plan,
+        )
+        fleet.spawn(self.workers)
         say(f"soak: {self.workers} workers on {len(cells)} cells at {root}")
 
         kills: list = []
-        pending = list(report.schedule)
+        pending = [(trigger.after_done, trigger.slot) for trigger in report.schedule]
         try:
             while coordinator.is_alive():
-                done = len(spool.done_ids())
-                while pending and done >= pending[0].after_done:
-                    trigger = pending.pop(0)
-                    self._kill(fleet, trigger.slot)
-                    kills.append(trigger)
+                for after_done, slot in fleet.kill_due(spool, pending):
+                    kills.append(KillTrigger(after_done, slot))
                     say(
-                        f"soak: killed worker slot {trigger.slot} after "
-                        f"{trigger.after_done} done cell(s)"
+                        f"soak: killed worker slot {slot} after "
+                        f"{after_done} done cell(s)"
                     )
-                    self._respawn(root, fleet, trigger.slot, report)
+                    self._respawn(fleet, slot, report)
                 if not spool.all_done():
-                    self._respawn_dead(root, fleet, spool, report)
+                    self._respawn_dead(fleet, report)
                 coordinator.join(timeout=self.poll_seconds)
             # The tail of the schedule may not have been observed before
             # the last cells completed; flush it so ``kills == schedule``
             # holds in every episode (the report must be replayable).
-            for trigger in pending:
-                self._kill(fleet, trigger.slot)
-                kills.append(trigger)
+            for after_done, slot in pending:
+                fleet.kill(slot)
+                kills.append(KillTrigger(after_done, slot))
         finally:
-            self._drain(fleet)
+            fleet.drain(terminate=True)
         report.kills = tuple(kills)
 
         error = outcome.get("error")
@@ -404,74 +405,22 @@ class FleetSupervisor:
             load_event_log(reference_path), load_event_log(record_path)
         )
 
-    # -- the fleet ------------------------------------------------------
+    # -- the restart policy ---------------------------------------------
 
-    def _spawn(self, root: Path, slot: int, *, respawn: bool):
-        import repro
-
-        env = os.environ.copy()
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + os.pathsep + existing if existing else src
-        log = open(
-            root / f"soak-worker-{slot}.log",
-            "a" if respawn else "w",
-            encoding="utf-8",
-        )
-        command = [
-            sys.executable, "-m", "repro.cli", "worker", str(root),
-            "--exit-when-done",
-            "--ttl", str(self.ttl_seconds),
-        ]
-        if not self.fsync:
-            command.append("--no-fsync")
-        if self.fault_plan is not None:
-            command += ["--fault-plan", str(self.fault_plan)]
-        return (
-            subprocess.Popen(
-                command, stdout=log, stderr=subprocess.STDOUT, env=env
-            ),
-            log,
-        )
-
-    @staticmethod
-    def _kill(fleet, slot: int) -> None:
-        proc, _ = fleet[slot % len(fleet)]
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-    def _respawn(self, root: Path, fleet, slot: int, report: SoakReport) -> None:
+    def _respawn(self, fleet, slot: int, report: SoakReport) -> bool:
+        """Restart ``slot``'s dead worker if its budget allows, after the
+        policy's backoff; says whether it did."""
         index = slot % len(fleet)
         prior = report.restarts.get(index, 0)
         if prior >= self.restart.max_restarts:
-            return
+            return False
         time.sleep(self.restart.delay(prior))
-        _, log = fleet[index]
-        log.close()
-        fleet[index] = self._spawn(root, index, respawn=True)
+        fleet.respawn(index)
         report.restarts[index] = prior + 1
+        return True
 
-    def _respawn_dead(self, root: Path, fleet, spool, report: SoakReport) -> None:
+    def _respawn_dead(self, fleet, report: SoakReport) -> None:
         """Respawn workers that died *unplanned* (an injected crash)."""
-        for index, (proc, _) in enumerate(fleet):
-            if proc.poll() is None:
-                continue
-            prior = report.restarts.get(index, 0)
-            if prior >= self.restart.max_restarts:
-                continue
-            self._respawn(root, fleet, index, report)
-            report.unplanned_respawns += 1
-
-    def _drain(self, fleet) -> None:
-        for proc, _ in fleet:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc, _ in fleet:
-            try:
-                proc.wait(timeout=2 * self.ttl_seconds)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        for _, log in fleet:
-            log.close()
+        for index in range(len(fleet)):
+            if not fleet.alive(index) and self._respawn(fleet, index, report):
+                report.unplanned_respawns += 1

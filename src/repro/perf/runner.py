@@ -26,9 +26,10 @@ The hot paths:
   plus ``campaign_service_fullcore``, the same fleet on the process
   backend over every available core;
 * ``shared_cache_fanout_*`` — shipping the warm cache sections to
-  :data:`FANOUT_WORKERS` workers: the legacy plane (one pickled copy of
-  every numpy payload per worker) vs the shared-memory plane (one
-  published copy, per-worker descriptor pickling + attach);
+  :data:`FANOUT_WORKERS` workers: the pickled reference (one copy of
+  every numpy payload per worker — the transport the service no longer
+  has, kept here as the ratio's denominator) vs the shared-memory plane
+  (one published copy, per-worker descriptor pickling + attach);
 * ``daemon_*`` — :data:`DAEMON_JOBS` tiny ds2 jobs through the ``repro
   serve`` control plane (HTTP submission, queue, fsynced ledgers,
   followed event streams) vs the same jobs inline through one session —
@@ -417,8 +418,8 @@ FANOUT_WORKERS = 8
 def _bench_fanout_pickled(fixtures: PerfFixtures):
     import pickle
 
-    # The legacy plane: the pool initializer pickled every warm section
-    # into every worker — per-worker deep copies of the numpy payloads.
+    # The reference: pickle every warm section into every worker —
+    # per-worker deep copies of the numpy payloads.
     results = []
     for _ in range(FANOUT_WORKERS):
         payload = pickle.dumps(

@@ -20,7 +20,7 @@ Architecture (see each module for depth):
   distilled operating points, operator embeddings) through bounded
   concurrency-safe LRU caches, and persists them between service runs via
   versioned snapshots (``TuningCacheSet.save`` / ``load``);
-  :class:`SharedGEDCache` is the thread/process-safe pairwise-GED store
+  :class:`SharedGEDCache` is the thread-safe pairwise-GED store
   behind cluster assignment.
 * :mod:`repro.service.prewarm` — service-level cache pre-warming: shared
   pure entries (assignments, warm-up datasets, distilled rows,

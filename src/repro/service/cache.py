@@ -2,19 +2,16 @@
 
 Three layers:
 
-* :class:`ConcurrentLRUCache` — a bounded ``get_or_compute`` cache safe
-  under threads (a plain lock + ordered dict) or processes (pass a
-  ``multiprocessing.Manager`` dict/lock pair as backing store; eviction is
-  then insertion-ordered rather than strictly least-recently-used, since a
-  proxied mapping cannot be reordered cheaply).
+* :class:`ConcurrentLRUCache` — a bounded ``get_or_compute`` LRU cache
+  safe under threads (a plain lock + ordered dict); it pickles as a
+  snapshot under a fresh lock, so a process worker starts from a copy.
 * :class:`TuningCacheSet` — the kind-routed facade the tuner consults
   (``assign`` / ``warmup`` / ``distill`` / ``embed`` sections, one cache
   each) via ``get_or_compute(kind, key, builder)``.
 * :class:`SharedGEDCache` — a :class:`repro.ged.search.GEDCache`-compatible
   wrapper that funnels pairwise GED distances and threshold verifications
   through a concurrency-safe store, so one service run never computes the
-  same graph pair twice even across campaigns (and, with manager-backed
-  storage, across worker processes).
+  same graph pair twice even across campaigns.
 
 All cached values are pure functions of their key, so a cache hit is
 *bit-identical* to a recomputation — concurrent campaigns stay exactly
@@ -26,7 +23,6 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import OrderedDict
-from collections.abc import MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +32,6 @@ from repro.ged.bounds import combined_bound
 from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.search import BOUND_SLACK, nearest_center
 from repro.ged.view import as_view
-
-_LOCAL_RLOCK_TYPE = type(threading.RLock())
-
-#: Reserved mapping slot holding the insertion counter of proxy-backed
-#: caches (a manager dict cannot be reordered, so entries carry explicit
-#: insertion sequence numbers and this key carries the next one).
-_SEQ_KEY = "\x00__lru_seq__"
-
 
 class SnapshotError(ValueError):
     """A :meth:`TuningCacheSet.load` snapshot is unreadable or incompatible.
@@ -56,14 +44,7 @@ class SnapshotError(ValueError):
 
 
 class ConcurrentLRUCache:
-    """A bounded key/value cache with ``get_or_compute`` semantics.
-
-    With the default backing (``OrderedDict`` + ``threading.RLock``) the
-    cache is a classic thread-safe LRU.  For cross-process sharing pass a
-    manager-proxied ``mapping`` and ``lock``; entries are then evicted in
-    insertion order (proxies cannot move keys) which is close enough for
-    the service's access patterns, where hot keys are written once and
-    read many times.
+    """A bounded, thread-safe LRU cache with ``get_or_compute`` semantics.
 
     Builders run *outside* the lock: two racing workers may both compute a
     missing entry, but builders are pure functions of the key, so both
@@ -71,47 +52,32 @@ class ConcurrentLRUCache:
     an expensive miss from serialising every other worker's hits.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 65536,
-        mapping: MutableMapping | None = None,
-        lock=None,
-    ) -> None:
+    def __init__(self, maxsize: int = 65536) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self._data: MutableMapping = OrderedDict() if mapping is None else mapping
-        self._reorderable = mapping is None
-        self._lock = threading.RLock() if lock is None else lock
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
-    def _size(self) -> int:
-        """Entry count, excluding the proxy branch's counter slot."""
-        if self._reorderable:
-            return len(self._data)
-        return len(self._data) - (1 if _SEQ_KEY in self._data else 0)
-
     def __len__(self) -> int:
         with self._lock:
-            return self._size()
+            return len(self._data)
 
-    # A process-local RLock cannot be pickled; manager proxies can.  When a
-    # cache with local backing travels to a worker (e.g. inside a pickled
-    # pretrained artifact on spawn-based platforms), the worker receives a
-    # snapshot of the data under a fresh lock of its own.
+    # An RLock cannot be pickled.  When a cache travels to a worker (e.g.
+    # inside a pickled pretrained artifact on spawn-based platforms), the
+    # worker receives a snapshot of the data under a fresh lock of its own.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        if isinstance(self._lock, _LOCAL_RLOCK_TYPE):
-            state["_lock"] = None
-        if isinstance(self._data, OrderedDict):
+        del state["_lock"]
+        with self._lock:
             state["_data"] = OrderedDict(self._data)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self._lock is None:
-            self._lock = threading.RLock()
+        self._lock = threading.RLock()
         # A pickled copy starts its own accounting: carrying the parent's
         # hit/miss counters into a worker would double-count the parent's
         # warm-up traffic in every worker-emitted CacheStats event (fold
@@ -120,52 +86,20 @@ class ConcurrentLRUCache:
         self.misses = 0
 
     def get(self, key, default=None):
-        # Lookup via KeyError rather than an identity sentinel: a
-        # manager-proxied mapping round-trips ``get``'s default through
-        # pickle, so a sentinel would come back as a *different* object and
-        # misses would masquerade as hits.
         with self._lock:
             try:
                 value = self._data[key]
             except KeyError:
                 return default
-            if self._reorderable:
-                self._data.move_to_end(key)
-                return value
-            return value[1]
+            self._data.move_to_end(key)
+            return value
 
     def put(self, key, value) -> None:
         with self._lock:
-            if self._reorderable:
-                self._data[key] = value
-                self._data.move_to_end(key)
-            else:
-                # Proxied entries carry explicit insertion sequence numbers
-                # (the proxy cannot be reordered); the counter lives in the
-                # shared mapping itself, so workers sharing the mapping and
-                # its lock agree on insertion order.
-                counter = self._data.get(_SEQ_KEY, 0) + 1
-                self._data[_SEQ_KEY] = counter
-                self._data[key] = (counter, value)
-            while self._size() > self.maxsize:
-                self._evict_one()
-
-    def _evict_one(self) -> None:
-        if self._reorderable:
-            self._data.popitem(last=False)
-            return
-        # Proxied mapping: evict the entry with the smallest insertion
-        # sequence — the true oldest insertion, deterministically, instead
-        # of whatever key the proxy's iteration order surfaced first.
-        # Runs under the shared lock, so it cannot race a concurrent put.
-        oldest_key, oldest_seq = None, None
-        for key, entry in self._data.items():
-            if key == _SEQ_KEY:
-                continue
-            if oldest_seq is None or entry[0] < oldest_seq:
-                oldest_key, oldest_seq = key, entry[0]
-        if oldest_key is not None:
-            del self._data[oldest_key]
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
 
     def get_or_compute(self, key, builder):
         """Return the cached value for ``key``, computing it on a miss."""
@@ -176,31 +110,17 @@ class ConcurrentLRUCache:
                 self.misses += 1
             else:
                 self.hits += 1
-                if self._reorderable:
-                    self._data.move_to_end(key)
-                    return value
-                return value[1]
+                self._data.move_to_end(key)
+                return value
         value = builder()
         self.put(key, value)
         return value
 
     def items_snapshot(self) -> list[tuple]:
-        """Every ``(key, value)`` pair, oldest insertion first.
-
-        The one sanctioned way to iterate a cache's entries: proxy-backed
-        caches store wrapped ``(seq, value)`` entries plus a counter slot,
-        and this unwraps both, so snapshot persistence and worker shipping
-        see identical shapes on every backing."""
+        """Every ``(key, value)`` pair, least recently used first — what
+        snapshot persistence and worker shipping iterate."""
         with self._lock:
-            if self._reorderable:
-                return list(self._data.items())
-            entries = [
-                (key, entry)
-                for key, entry in self._data.items()
-                if key != _SEQ_KEY
-            ]
-        entries.sort(key=lambda pair: pair[1][0])
-        return [(key, entry[1]) for key, entry in entries]
+            return list(self._data.items())
 
     def clear(self) -> None:
         with self._lock:
@@ -210,7 +130,9 @@ class ConcurrentLRUCache:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"size": self._size(), "hits": self.hits, "misses": self.misses}
+            return {
+                "size": len(self._data), "hits": self.hits, "misses": self.misses
+            }
 
 
 def merge_cache_stats(*stats: "dict[str, dict[str, int]]") -> dict:
@@ -251,28 +173,12 @@ CACHE_SECTIONS: dict[str, int] = {
 class TuningCacheSet:
     """Kind-routed cache facade shared by every campaign of a service run."""
 
-    def __init__(
-        self,
-        sections: dict[str, int] | None = None,
-        mapping_factory=None,
-        lock_factory=None,
-    ) -> None:
-        """``mapping_factory``/``lock_factory`` create the backing store per
-        section — pass ``manager.dict`` / ``manager.RLock`` for a
-        process-shared cache set, or leave ``None`` for thread-local ones.
-        """
+    def __init__(self, sections: dict[str, int] | None = None) -> None:
         sections = dict(CACHE_SECTIONS if sections is None else sections)
         self._caches = {
-            kind: ConcurrentLRUCache(
-                maxsize=size,
-                mapping=mapping_factory() if mapping_factory is not None else None,
-                lock=lock_factory() if lock_factory is not None else None,
-            )
+            kind: ConcurrentLRUCache(maxsize=size)
             for kind, size in sections.items()
         }
-        #: v2-snapshot warm-up entries awaiting re-keying — see
-        #: :meth:`adopt_legacy_warmup`.
-        self._legacy_warmup: list[tuple] = []
 
     def get_or_compute(self, kind: str, key, builder):
         cache = self._caches.get(kind)
@@ -300,17 +206,11 @@ class TuningCacheSet:
     # entry returns bit-identically what a recomputation would.
 
     #: On-disk snapshot format version; bump on incompatible layout change.
-    #: v2: ``distill``/``embed`` sections are keyed by the cross-query
-    #: structure signature and ``embed`` stores the embedding matrix alone.
     #: v3: numpy payloads are stored as ``(dtype, shape, bytes)`` records —
-    #: loadable straight into shared-memory segments — and the ``warmup``
-    #: section is keyed by the cluster *history signature* rather than the
-    #: pretrain-run-local cluster id.  v2 snapshots migrate in place on
-    #: load (see :meth:`adopt_legacy_warmup`); v1 snapshots predate the
-    #: cross-query keying and cannot be migrated.
+    #: loadable straight into shared-memory segments — ``distill``/``embed``
+    #: are keyed by the cross-query structure signature and ``warmup`` by
+    #: the cluster *history signature*.  Other versions are rejected.
     SNAPSHOT_VERSION = 3
-    #: Oldest version :meth:`load` can migrate to the current layout.
-    SNAPSHOT_MIGRATABLE_FROM = 2
     _SNAPSHOT_FORMAT = "repro.service.TuningCacheSet"
 
     @staticmethod
@@ -408,18 +308,12 @@ class TuningCacheSet:
         are decoded, so a process fleet warmed from a snapshot publishes
         descriptors without ever holding a second copy.
 
-        Version-2 snapshots are migrated in place: their ``warmup``
-        entries were keyed by the pretrain-run-local cluster id, which
-        only the pretrained artifact can translate to the v3 history
-        signature — they are staged and re-keyed when the service calls
-        :meth:`adopt_legacy_warmup`.  Everything else loads directly.
-
         Raises :class:`SnapshotError` (a ``ValueError``) with the file
-        named when the bytes are not a snapshot at all, a targeted
-        "cannot be migrated" error for pre-v2 layouts, and — for unknown
-        versions — a message naming *both* the snapshot's version and the
-        version this build reads, checked before any section entry is
-        touched so an incompatible layout never fails deep in unpickling.
+        named when the bytes are not a snapshot at all, and — for any
+        version but :attr:`SNAPSHOT_VERSION` — a message naming *both* the
+        snapshot's version and the version this build reads, checked
+        before any section entry is touched so an incompatible layout
+        never fails deep in unpickling.
         """
         path = Path(path)
         try:
@@ -439,15 +333,9 @@ class TuningCacheSet:
         ):
             raise SnapshotError(f"{path} is not a TuningCacheSet snapshot")
         version = payload.get("version")
-        if not isinstance(version, int) or version > cls.SNAPSHOT_VERSION:
+        if version != cls.SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"{path} has snapshot version {version!r}; this build reads "
-                f"version {cls.SNAPSHOT_VERSION} — regenerate the cache file"
-            )
-        if version < cls.SNAPSHOT_MIGRATABLE_FROM:
-            raise SnapshotError(
-                f"{path} has snapshot version {version!r}, which predates "
-                f"the cross-query cache keying and cannot be migrated to "
                 f"version {cls.SNAPSHOT_VERSION} — regenerate the cache file"
             )
         sections = payload["sections"]
@@ -457,7 +345,7 @@ class TuningCacheSet:
         # With a shared store, every numpy payload of the snapshot lands
         # in one arena segment (one disk->shm copy, one worker mapping).
         views: dict[int, object] = {}
-        if shared is not None and version >= 3:
+        if shared is not None:
             records = []
             positions = []
             for kind, meta in sections.items():
@@ -471,43 +359,11 @@ class TuningCacheSet:
                 views[position] = view
         for kind, meta in sections.items():
             section = caches._caches[kind]
-            for key, value in meta["entries"]:
-                if version >= 3:
-                    value = cls._decode_snapshot_value(
-                        value, matrix=views.get(id(value))
-                    )
-                elif kind == "warmup":
-                    # v2 warmup keys carry a cluster id this process
-                    # cannot interpret; stage for adopt_legacy_warmup.
-                    caches._legacy_warmup.append((key, value))
-                    continue
-                section.put(key, value)
+            for key, record in meta["entries"]:
+                section.put(key, cls._decode_snapshot_value(
+                    record, matrix=views.get(id(record))
+                ))
         return caches
-
-    def adopt_legacy_warmup(self, signature_of) -> int:
-        """Re-key staged v2 ``warmup`` entries into the live section.
-
-        ``signature_of(cluster_id) -> signature`` is the translation only
-        a pretrained artifact can provide (v2 keyed warm-up datasets by
-        the pretrain-run-local cluster id; v3 keys them by the cluster's
-        history signature so any run with the same history hits).  Entries
-        whose cluster no longer exists are dropped — a stale entry served
-        under a wrong key would be worse than a cache miss.  Returns the
-        number of entries adopted.
-        """
-        staged, self._legacy_warmup = self._legacy_warmup, []
-        adopted = 0
-        section = self._caches.get("warmup")
-        for key, value in staged:
-            try:
-                cluster, rows, seed, batch = key
-                new_key = (signature_of(cluster), rows, seed, batch)
-            except Exception:  # noqa: BLE001 — unknown cluster/odd key: drop
-                continue
-            if section is not None:
-                section.put(new_key, value)
-                adopted += 1
-        return adopted
 
 
 class SharedGEDCache:
@@ -521,15 +377,10 @@ class SharedGEDCache:
     returns exactly the float the first computation produced.
     """
 
-    def __init__(
-        self,
-        costs: EditCosts = DEFAULT_COSTS,
-        exact_store: ConcurrentLRUCache | None = None,
-        bound_store: ConcurrentLRUCache | None = None,
-    ) -> None:
+    def __init__(self, costs: EditCosts = DEFAULT_COSTS) -> None:
         self.costs = costs
-        self._exact = exact_store if exact_store is not None else ConcurrentLRUCache()
-        self._bounds = bound_store if bound_store is not None else ConcurrentLRUCache()
+        self._exact = ConcurrentLRUCache()
+        self._bounds = ConcurrentLRUCache()
 
     @property
     def hits(self) -> int:

@@ -63,15 +63,16 @@ from repro.api.events import (
     CacheStats,
     CampaignFailed,
     CampaignFinished,
-    CampaignSkipped,
     CampaignStarted,
     Reconfigured,
     StepCompleted,
+    campaign_finished,
 )
+from repro.api.resume import replay_events, resume_outcome
 from repro.core.pretrain import PretrainedStreamTune
 from repro.core.tuner import StreamTuneTuner
 from repro.experiments.campaigns import CampaignResult, iter_campaign
-from repro.service.cache import CACHE_SECTIONS, SharedGEDCache, TuningCacheSet
+from repro.service.cache import SharedGEDCache, TuningCacheSet
 from repro.service.prewarm import RESUME_DEMAND, prewarm_caches
 from repro.service.scheduler import BackpressureScheduler, CampaignSpec, FifoScheduler
 
@@ -352,57 +353,34 @@ _WORKER: dict = {}
 def _init_worker(
     pretrained: PretrainedStreamTune | None,
     fit_dedup: bool,
-    shared_sections: dict | None = None,
-    backend: str = "process",
-    warm_entries: dict | None = None,
-    shm_payload: dict | None = None,
+    shm_payload: dict,
 ) -> None:
     """Per-process initialiser: install the model and fresh local caches.
 
     The pretrained artifact arrives once per worker (pickled or inherited
-    via fork), not once per campaign.  ``shared_sections`` carries the
-    manager-backed stores (cluster assignment — GED entries travel inside
-    ``pretrained.clustering``'s shared cache) that are cheap enough to
-    share across every worker.
-
-    Warm cache entries arrive over one of two planes:
-
-    * ``shm_payload`` — the shared-memory plane (the default on the
-      process backend): ``kind -> [(key, descriptor)]`` where numpy-heavy
-      payloads are :class:`~repro.service.shm.SharedArrayRef` descriptors
-      into parent-owned segments.  The worker attaches read-only views
-      over the parent's pages — zero-copy, so N workers hold one copy of
-      every embedding matrix, warm-up dataset and distilled row set.
-    * ``warm_entries`` — the legacy pickled plane (``kind ->
-      [(key, value)]``), kept for callers that cannot share memory.
+    via fork), not once per campaign; GED entries travel inside
+    ``pretrained.clustering``'s shared cache.  Warm cache entries arrive
+    as ``shm_payload``: ``kind -> [(key, descriptor)]`` where numpy-heavy
+    payloads are :class:`~repro.service.shm.SharedArrayRef` descriptors
+    into parent-owned segments.  The worker attaches read-only views over
+    the parent's pages — zero-copy, so N workers hold one copy of every
+    embedding matrix, warm-up dataset and distilled row set.
     """
-    _WORKER["pretrained"] = pretrained
+    from repro.service.shm import SharedArrayStore, attach_sections
+
     caches = TuningCacheSet()
-    for kind, cache in (shared_sections or {}).items():
-        caches._caches[kind] = cache
-    for kind, entries in (warm_entries or {}).items():
-        section = caches._caches.get(kind)
-        if section is None:
-            continue
+    # The worker's store only attaches (never unlinks): it lives for the
+    # worker's lifetime in _WORKER so its mappings — and the views cached
+    # below — stay valid across every campaign the worker runs.
+    store = SharedArrayStore()
+    for kind, entries in attach_sections(shm_payload, store).items():
+        section = caches.section(kind)
         for key, value in entries:
             section.put(key, value)
-    if shm_payload:
-        from repro.service.shm import SharedArrayStore, attach_sections
-
-        # The worker's store only attaches (never unlinks): it lives for
-        # the worker's lifetime in _WORKER so its mappings — and the views
-        # cached below — stay valid across every campaign the worker runs.
-        store = SharedArrayStore()
-        _WORKER["shm_store"] = store
-        for kind, entries in attach_sections(shm_payload, store).items():
-            section = caches._caches.get(kind)
-            if section is None:
-                continue
-            for key, value in entries:
-                section.put(key, value)
-    _WORKER["caches"] = caches
-    _WORKER["fit_dedup"] = fit_dedup
-    _WORKER["backend"] = backend
+    _WORKER.update(
+        pretrained=pretrained, caches=caches, fit_dedup=fit_dedup,
+        backend="process", shm_store=store,
+    )
 
 
 def _started_event_for(
@@ -455,30 +433,33 @@ def _collect_worker_entries(barrier, known: dict, timeout: float) -> dict:
     return entries
 
 
-def _run_in_worker(spec: CampaignSpec, unit: "_Unit", relay) -> None:
-    """Execute one unit in a worker process, relaying through ``relay``.
+def _run_unit(spec: CampaignSpec, unit: "_Unit", relay, state=None) -> None:
+    """Execute one unit on a pool worker, relaying through ``relay``.
 
-    Every terminal state crosses the manager-backed relay queue as data:
-    ``("event", unit, event)`` for live mid-campaign events,
-    ``("done", unit, outcome)`` on success, ``("error", unit, payload)``
-    on a raised exception.  A worker killed outright posts nothing — the
-    consumer's liveness check turns its broken future into a failure.
+    The one unit-runner of both pools: a thread worker is handed the
+    service's ``state`` (model, caches, flags), a process worker reads
+    what :func:`_init_worker` installed in ``_WORKER``.  Every terminal
+    state crosses the relay queue as data: ``("event", unit, event)`` for
+    live mid-campaign events, ``("done", unit, outcome)`` on success,
+    ``("error", unit, payload)`` on a raised exception.  A worker killed
+    outright posts nothing — the consumer's liveness check turns its
+    broken future into a failure.
     """
+    state = _WORKER if state is None else state
     sink = None
     try:
         if unit.live:
-            backend = _WORKER.get("backend", "process")
             relay.put((
                 "event",
                 unit,
-                _started_event_for(spec, unit.spec_index, 1, backend),
+                _started_event_for(spec, unit.spec_index, 1, state["backend"]),
             ))
             sink = lambda event: relay.put(("event", unit, event))  # noqa: E731
         outcome = execute_campaign(
             spec,
-            _WORKER["pretrained"],
-            _WORKER["caches"],
-            _WORKER["fit_dedup"],
+            state["pretrained"],
+            state["caches"],
+            state["fit_dedup"],
             sink=sink,
             keep_from=unit.keep_from,
             stop_at=unit.stop_at,
@@ -516,8 +497,6 @@ class TuningService:
         max_workers: int | None = None,
         prioritize_backpressure: bool = True,
         fit_dedup: bool = True,
-        share_ged_cache: bool = True,
-        manager=None,
         caches: TuningCacheSet | None = None,
         prewarm: "bool | str" = "auto",
         start_method: str | None = None,
@@ -526,19 +505,16 @@ class TuningService:
     ) -> None:
         """``backend`` selects the worker pool: ``thread`` (default; shares
         every cache section in-process), ``process`` (one Python per
-        worker; pass a started ``multiprocessing.Manager`` as ``manager``
-        to share the GED/assignment stores across workers too), or
-        ``sequential`` (no pool — the reference path concurrency must
-        reproduce bit-for-bit).
+        worker, each with local cache sections warmed from the parent's
+        over shared memory), or ``sequential`` (no pool — the reference
+        path concurrency must reproduce bit-for-bit).
 
         ``pretrained`` may be ``None`` when every campaign tunes with a
         history-free baseline method (ds2, conttune, oracle); StreamTune
-        campaigns then fail with a clear error.
-
-        ``share_ged_cache=True`` replaces the pretrained clustering's
-        private :class:`~repro.ged.search.GEDCache` with a
-        :class:`SharedGEDCache` seeded from the existing entries — an exact
-        upgrade (same values, now concurrency-safe and shared).
+        campaigns then fail with a clear error.  A given artifact's
+        clustering has its private :class:`~repro.ged.search.GEDCache`
+        replaced by a :class:`SharedGEDCache` seeded from the existing
+        entries — an exact upgrade (same values, now concurrency-safe).
 
         ``caches`` injects a pre-populated :class:`TuningCacheSet` (for
         example one loaded from a ``TuningCacheSet.load`` snapshot) so
@@ -599,65 +575,22 @@ class TuningService:
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
         self.scheduler = BackpressureScheduler() if prioritize_backpressure else FifoScheduler()
         self.fit_dedup = fit_dedup
-        self._manager = manager
-        if share_ged_cache and pretrained is not None:
+        if pretrained is not None:
             self._install_shared_ged_cache()
         self.prewarm = prewarm
         #: Sections newly computed by the most recent stream's pre-warm.
         self.last_prewarm: dict[str, int] = {}
-        self.caches = caches if caches is not None else self._make_cache_set()
-        if self.pretrained is not None and getattr(
-            self.caches, "_legacy_warmup", None
-        ):
-            # A v2 snapshot's warm-up entries were keyed by cluster id;
-            # only now — with the pretrained artifact in hand — can they
-            # be re-keyed to v3 history signatures and served.
-            from repro.core.finetune import cluster_history_signature
-
-            self.caches.adopt_legacy_warmup(
-                lambda cluster: cluster_history_signature(self.pretrained, cluster)
-            )
+        self.caches = caches if caches is not None else TuningCacheSet()
         #: Unit -> worker future of the stream currently draining (empty
         #: outside a stream); introspection for liveness tests/diagnostics.
         self._active_futures: dict = {}
-
-    # -- construction helpers ------------------------------------------
-
-    def _make_cache_set(self) -> TuningCacheSet:
-        caches = TuningCacheSet()
-        if self.backend == "process" and self._manager is not None:
-            # Only the tiny cross-worker-profitable section goes through
-            # the manager (IPC per access); bulky numpy-laden sections stay
-            # local — the parent's copies hold pre-warmed entries that ship
-            # to workers once via the pool initializer (_init_worker).
-            from repro.service.cache import ConcurrentLRUCache
-
-            caches._caches["assign"] = ConcurrentLRUCache(
-                maxsize=CACHE_SECTIONS["assign"],
-                mapping=self._manager.dict(),
-                lock=self._manager.RLock(),
-            )
-        return caches
 
     def _install_shared_ged_cache(self) -> None:
         clustering = self.pretrained.clustering
         old = getattr(clustering, "cache", None)
         if isinstance(old, SharedGEDCache):
             return
-        if self.backend == "process" and self._manager is not None:
-            from repro.service.cache import ConcurrentLRUCache
-
-            shared = SharedGEDCache(
-                costs=old.costs,
-                exact_store=ConcurrentLRUCache(
-                    mapping=self._manager.dict(), lock=self._manager.RLock()
-                ),
-                bound_store=ConcurrentLRUCache(
-                    mapping=self._manager.dict(), lock=self._manager.RLock()
-                ),
-            )
-        else:
-            shared = SharedGEDCache(costs=old.costs)
+        shared = SharedGEDCache(costs=old.costs)
         # Exact migration: seed the shared store with every distance the
         # clustering phase already paid for.
         for key, value in getattr(old, "_exact", {}).items():
@@ -698,18 +631,8 @@ class TuningService:
         return _started_event_for(spec, index, n_shards, self.backend)
 
     def _finished_event(self, spec, index, outcome) -> CampaignFinished:
-        outcome.backend = self.backend
-        return CampaignFinished(
-            campaign=spec.name,
-            index=index,
-            backend=self.backend,
-            n_steps=len(outcome.result.processes),
-            converged_steps=sum(
-                1 for process in outcome.result.processes if process.converged
-            ),
-            wall_seconds=outcome.wall_seconds,
-            outcome=outcome,
-            cell_key=spec.cell_key,
+        return campaign_finished(
+            spec.name, index, self.backend, outcome, spec.cell_key
         )
 
     def _failed_event(self, spec, index, payload: _FailurePayload) -> CampaignFailed:
@@ -755,28 +678,6 @@ class TuningService:
                     f"campaign {spec.name!r} tunes with {spec.tuner!r} but the "
                     "service has no pre-trained artifact (pass pretrained=...)"
                 )
-
-    def _resumed_outcomes(self, specs, resume) -> dict[int, CampaignOutcome]:
-        """Spec indices a resume source already covers, with their
-        recorded outcomes (matched by deterministic ``cell_key``)."""
-        if resume is None:
-            return {}
-        if hasattr(resume, "outcome_for"):
-            lookup = resume.outcome_for
-        elif isinstance(resume, dict):
-            lookup = resume.get
-        else:
-            raise TypeError(
-                "resume must be a ResumeLog (or any object with "
-                f"outcome_for) or a cell_key->outcome mapping, got "
-                f"{type(resume).__name__}"
-            )
-        outcomes = {}
-        for index, spec in enumerate(specs):
-            outcome = lookup(spec.cell_key)
-            if outcome is not None:
-                outcomes[index] = outcome
-        return outcomes
 
     def run(
         self,
@@ -835,7 +736,13 @@ class TuningService:
             raise ValueError(f"trace_shards must be a positive integer, got {trace_shards!r}")
         specs = list(specs)
         self._check_specs(specs)
-        resumed = self._resumed_outcomes(specs, resume)
+        # Spec indices the resume source already covers, with their
+        # recorded outcomes (matched by deterministic ``cell_key``).
+        resumed = {
+            index: outcome
+            for index, spec in enumerate(specs)
+            if (outcome := resume_outcome(resume, spec.cell_key)) is not None
+        }
         self._check_executable(
             [spec for index, spec in enumerate(specs) if index not in resumed]
         )
@@ -848,19 +755,13 @@ class TuningService:
             return event
 
         if specs:
-            resumed_from = str(getattr(resume, "path", "") or "")
             for index in sorted(resumed):
                 spec = specs[index]
-                outcome = resumed[index]
-                yield stamped(CampaignSkipped(
-                    campaign=spec.name,
-                    index=index,
-                    backend=self.backend,
-                    n_steps=len(outcome.result.processes),
-                    resumed_from=resumed_from,
-                    cell_key=spec.cell_key,
-                ))
-                yield stamped(self._finished_event(spec, index, outcome))
+                for event in replay_events(
+                    spec.name, index, self.backend, resumed[index],
+                    spec.cell_key, resume,
+                ):
+                    yield stamped(event)
             units = self._plan_units(specs, trace_shards, skip=set(resumed))
             if units or resumed:
                 # Resumed-only fleets still warm (no pool spins up for
@@ -923,12 +824,10 @@ class TuningService:
             min_demand=min_demand,
         )
 
-    def _warm_entries(self, exclude=frozenset()) -> dict:
+    def _section_entries(self) -> dict:
         """Per-section ``[(key, value), ...]`` snapshots for worker pools."""
         entries: dict = {}
         for kind in ("assign", "warmup", "distill", "embed"):
-            if kind in exclude:
-                continue
             try:
                 cache = self.caches.section(kind)
             except KeyError:
@@ -971,36 +870,19 @@ class TuningService:
                     spec, unit.spec_index, merged, unit.n_shards
                 )
 
-    def _run_unit_threaded(self, spec, unit: _Unit, events) -> None:
-        """One thread-backend worker: same relay protocol as a process."""
-        sink = None
-        try:
-            if unit.live:
-                events.put((
-                    "event", unit, self._started_event(spec, unit.spec_index, 1)
-                ))
-                sink = lambda event: events.put(("event", unit, event))  # noqa: E731
-            outcome = execute_campaign(
-                spec,
-                self.pretrained,
-                self.caches,
-                self.fit_dedup,
-                sink=sink,
-                keep_from=unit.keep_from,
-                stop_at=unit.stop_at,
-            )
-        except BaseException as error:  # noqa: BLE001 — relayed as data
-            events.put(("error", unit, _failure_payload(error)))
-            return
-        events.put(("done", unit, outcome))
-
     def _stream_threaded(self, specs, units):
         events: queue.SimpleQueue = queue.SimpleQueue()
+        state = {
+            "pretrained": self.pretrained,
+            "caches": self.caches,
+            "fit_dedup": self.fit_dedup,
+            "backend": self.backend,
+        }
         pool = ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             futures = {
                 unit: pool.submit(
-                    self._run_unit_threaded, specs[unit.spec_index], unit, events
+                    _run_unit, specs[unit.spec_index], unit, events, state
                 )
                 for unit in units
             }
@@ -1014,18 +896,10 @@ class TuningService:
         from repro.service.shm import SharedArrayStore, publish_sections
 
         context = multiprocessing.get_context(self.start_method)
-        manager = self._manager
-        own_manager = False
-        if manager is None:
-            # The relay queue needs a manager even when the caches are
-            # worker-local; own one for the duration of the stream.
-            manager = context.Manager()
-            own_manager = True
-        shared_sections = None
-        if self._manager is not None:
-            # Manager-backed sections are proxy objects and pickle
-            # cleanly to workers; thread-local sections would not.
-            shared_sections = {"assign": self.caches.section("assign")}
+        # The relay queue and the collection barrier live in a manager
+        # this stream owns: a put is an RPC the manager has already
+        # applied when it returns, so it survives the worker's os._exit.
+        manager = context.Manager()
         # Warm entries cross the pool border as shared-memory descriptors:
         # the parent publishes each numpy-heavy payload into one segment
         # and workers attach read-only views — one copy for the whole
@@ -1035,38 +909,29 @@ class TuningService:
         # store's own atexit hook guarantee the segments are unlinked.
         store = self._shm_store if self._shm_store is not None else SharedArrayStore()
         own_store = store is not self._shm_store
-        warm_entries = self._warm_entries(exclude=set(shared_sections or ()))
-        shm_payload = publish_sections(warm_entries, store)
+        shm_payload = publish_sections(self._section_entries(), store)
         relay = manager.Queue()
         pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=context,
             initializer=_init_worker,
-            initargs=(
-                self.pretrained, self.fit_dedup, shared_sections,
-                self.backend, None, shm_payload,
-            ),
+            initargs=(self.pretrained, self.fit_dedup, shm_payload),
         )
         try:
             futures = {
-                unit: pool.submit(
-                    _run_in_worker, specs[unit.spec_index], unit, relay
-                )
+                unit: pool.submit(_run_unit, specs[unit.spec_index], unit, relay)
                 for unit in units
             }
             yield from self._drain(specs, futures, relay.get)
             if self.collect_worker_caches:
-                self._collect_from_workers(
-                    pool, manager, exclude=set(shared_sections or ())
-                )
+                self._collect_from_workers(pool, manager)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
             if own_store:
                 store.close()
-            if own_manager:
-                manager.shutdown()
+            manager.shutdown()
 
-    def _collect_from_workers(self, pool, manager, exclude=frozenset()) -> None:
+    def _collect_from_workers(self, pool, manager) -> None:
         """Merge worker-locally computed cache entries into the parent.
 
         Runs after a successful drain, while the pool's workers are idle:
@@ -1084,8 +949,6 @@ class TuningService:
             return
         known: dict[str, set] = {}
         for kind in ("assign", "warmup", "distill", "embed"):
-            if kind in exclude:
-                continue
             try:
                 section = self.caches.section(kind)
             except KeyError:

@@ -105,6 +105,37 @@ class TestTuningSessionCampaigns:
         )
         assert _steps(sequential) == _steps(threaded)
 
+    def test_backend_identity_process_then_thread_on_one_session(
+        self, tiny_pretrained
+    ):
+        # Regression: a process plan used to leave proxies of a Manager it
+        # had already shut down inside the pre-trained artifact, so the
+        # next StreamTune plan (here: the sweep's second cell, then a
+        # thread plan over new queries) died with BrokenPipeError.
+        from repro.api import SweepPlan
+
+        grid = dict(
+            queries=("q1", "q5"),
+            tuners=("streamtune",),
+            rate_traces=((3, 7), (4, 2)),
+            scale="smoke",
+            seed=41,
+        )
+        session = TuningSession(pretrained=tiny_pretrained)
+        reference = TuningSession(pretrained=tiny_pretrained)
+        swept = session.run(SweepPlan(backend="process", workers=2, **grid))
+        expected = reference.run(SweepPlan(backend="sequential", **grid))
+        assert len(swept.results) == 2
+        assert [_steps(cell) for cell in swept.results] == [
+            _steps(cell) for cell in expected.results
+        ]
+        threaded = session.run(
+            _smoke_plan(queries=("q2", "q3"), backend="thread", workers=2)
+        )
+        assert _steps(threaded) == _steps(
+            reference.run(_smoke_plan(queries=("q2", "q3")))
+        )
+
     def test_rates_per_query_traces(self, tiny_pretrained):
         plan = _smoke_plan(rates=(3, 7, 4, 2), rates_per_query=True)
         result = TuningSession(pretrained=tiny_pretrained).run(plan)

@@ -138,10 +138,17 @@ class TestValidationExitCodes:
         err = self._assert_one_line_error(capsys, code)
         assert "CampaignPlan" in err and "sweep" in err
 
-    def test_stale_cache_snapshot_is_one_line(self, tmp_path, capsys):
+    def test_stale_cache_snapshot_is_one_line(self, tmp_path, capsys, monkeypatch):
         import json as json_module
         import pickle
 
+        import repro.experiments.context as context
+
+        # The snapshot is rejected before any model is trained.
+        built = []
+        monkeypatch.setattr(
+            context, "pretrained_model", lambda *args: built.append(args)
+        )
         snapshot = tmp_path / "stale.pkl"
         snapshot.write_bytes(
             pickle.dumps(
@@ -167,6 +174,7 @@ class TestValidationExitCodes:
         code = main(["run-plan", str(path)])
         err = self._assert_one_line_error(capsys, code)
         assert "999" in err and "version" in err
+        assert built == []
 
     def test_tune_bad_rates_exit_code(self, capsys):
         code = main(["tune", "--model", "m", "--query", "q1", "--rates", "3,,7"])

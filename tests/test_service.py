@@ -457,14 +457,16 @@ class TestFaultTolerance:
         # sentinel (the hang case) must resolve via the liveness check.
         from repro.api.events import CampaignFailed, CampaignFinished
 
-        original = TuningService._run_unit_threaded
+        import repro.service.tuning as tuning
 
-        def leaky(self, spec, unit, events):
+        original = tuning._run_unit
+
+        def leaky(spec, unit, relay, state=None):
             if spec.name == "nexmark_q1_flink":
                 return              # dies silently: no event, no sentinel
-            original(self, spec, unit, events)
+            original(spec, unit, relay, state)
 
-        monkeypatch.setattr(TuningService, "_run_unit_threaded", leaky)
+        monkeypatch.setattr(tuning, "_run_unit", leaky)
         service = TuningService(None, backend="thread", max_workers=2)
         service.poll_seconds = 0.05
         service.sentinel_grace = 0.2
@@ -484,7 +486,7 @@ class TestFaultTolerance:
 
         import repro.service.tuning as tuning
 
-        monkeypatch.setattr(tuning, "_run_in_worker", _exit_without_reporting)
+        monkeypatch.setattr(tuning, "_run_unit", _exit_without_reporting)
         service = TuningService(None, backend="process", max_workers=1)
         service.poll_seconds = 0.05
         events = list(service.stream(self._specs()[:1]))   # must terminate

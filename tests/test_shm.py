@@ -2,8 +2,8 @@
 
 Covers :mod:`repro.service.shm` (descriptor publication, zero-copy
 attach, parent-owned lifecycle, leak-free exits), the v3 snapshot layout
-with its v2 migration, worker counter isolation, deterministic proxied
-eviction, and bit-identical campaign results across start methods.
+(older versions are rejected), worker counter isolation, LRU eviction,
+and bit-identical campaign results across start methods.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from repro.service.shm import (
     publish_sections,
 )
 from repro.workloads import nexmark_query
-
-V2_FIXTURE = Path(__file__).parent / "data" / "cache_snapshot_v2.pkl"
 
 
 def shm_segments() -> list[str]:
@@ -290,7 +288,7 @@ class TestCounterIsolation:
 
 
 # ----------------------------------------------------------------------
-# S3: deterministic eviction on proxy-backed mappings
+# S3: eviction order
 # ----------------------------------------------------------------------
 
 class TestProxiedEviction:
@@ -303,56 +301,9 @@ class TestProxiedEviction:
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
 
-    def test_manager_backed_cache_evicts_oldest_insertion(self):
-        with multiprocessing.Manager() as manager:
-            cache = ConcurrentLRUCache(
-                maxsize=3, mapping=manager.dict(), lock=manager.RLock()
-            )
-            for key in ("a", "b", "c"):
-                cache.put(key, key.upper())
-            cache.put("d", "D")                # evicts a (oldest insertion)
-            assert cache.get("a") is None
-            assert [k for k, _ in cache.items_snapshot()] == ["b", "c", "d"]
-            cache.put("e", "E")                # then b
-            assert cache.get("b") is None
-            assert cache.get("c") == "C"
-            assert len(cache) == 3
-
-    def test_manager_backed_eviction_under_thread_contention(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with multiprocessing.Manager() as manager:
-            cache = ConcurrentLRUCache(
-                maxsize=8, mapping=manager.dict(), lock=manager.RLock()
-            )
-
-            def hammer(base):
-                for i in range(20):
-                    cache.put((base, i), i)
-
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(pool.map(hammer, range(4)))
-            # Size invariant held through 80 racing inserts, and the
-            # survivors are exactly the 8 newest insertion sequences.
-            assert len(cache) == 8
-            snapshot = cache.items_snapshot()
-            assert len(snapshot) == 8
-
-    def test_items_snapshot_matches_across_backings(self):
-        local = ConcurrentLRUCache(maxsize=8)
-        with multiprocessing.Manager() as manager:
-            proxied = ConcurrentLRUCache(
-                maxsize=8, mapping=manager.dict(), lock=manager.RLock()
-            )
-            for cache in (local, proxied):
-                cache.put("x", 1)
-                cache.put("y", 2)
-            assert local.items_snapshot() == proxied.items_snapshot()
-            assert local.stats()["size"] == proxied.stats()["size"] == 2
-
 
 # ----------------------------------------------------------------------
-# S2 + tentpole: v3 snapshots, shared-memory loading, v2 migration
+# S2 + tentpole: v3 snapshots, shared-memory loading
 # ----------------------------------------------------------------------
 
 class TestSnapshotV3:
@@ -393,39 +344,22 @@ class TestSnapshotV3:
             assert ref.name == store.segment_names[0]
         assert shm_segments() == []
 
-    def test_v2_snapshot_migrates_in_place(self, tiny_pretrained):
-        loaded = TuningCacheSet.load(V2_FIXTURE)
-        # Non-warmup sections load directly...
-        assert loaded.section("assign").get(("sig-a",)) == 0
-        assert loaded.section("embed").get((0, "sig-a", ((0, 1.5),))) is not None
-        # ...warmup entries stage until a pretrained artifact translates
-        # their cluster ids (one of the two names a vanished cluster).
-        assert len(loaded._legacy_warmup) == 2
-        service = TuningService(
-            tiny_pretrained, backend="sequential", caches=loaded
-        )
-        assert service.caches._legacy_warmup == []
-        key = warmup_cache_key(tiny_pretrained, 0, 300, 17, True)
-        assert loaded.section("warmup").get(key) is not None
-        assert loaded.section("warmup").stats()["size"] == 1  # stale one dropped
-
-    def test_v1_snapshot_is_a_targeted_migration_error(self, tmp_path):
-        stale = tmp_path / "ancient.pkl"
+    def _stale_snapshot(self, tmp_path, version: int) -> Path:
+        stale = tmp_path / f"v{version}.pkl"
         stale.write_bytes(pickle.dumps({
             "format": "repro.service.TuningCacheSet",
-            "version": 1,
+            "version": version,
             "sections": {},
         }))
-        with pytest.raises(SnapshotError, match="cannot be migrated"):
-            TuningCacheSet.load(stale)
+        return stale
 
-    def test_adopt_legacy_warmup_counts_adoptions(self):
-        loaded = TuningCacheSet.load(V2_FIXTURE)
-        adopted = loaded.adopt_legacy_warmup(lambda cluster: {0: "sig-0"}[cluster])
-        assert adopted == 1                   # cluster 99 dropped
-        assert loaded.section("warmup").get(("sig-0", 300, 17, True)) is not None
-        # Staging is consumed: a second adoption has nothing to do.
-        assert loaded.adopt_legacy_warmup(lambda cluster: "x") == 0
+    def test_v2_snapshot_is_rejected_naming_both_versions(self, tmp_path):
+        with pytest.raises(SnapshotError, match="version 2.*version 3.*regenerate"):
+            TuningCacheSet.load(self._stale_snapshot(tmp_path, 2))
+
+    def test_v1_snapshot_is_a_targeted_migration_error(self, tmp_path):
+        with pytest.raises(SnapshotError, match="version 1.*version 3.*regenerate"):
+            TuningCacheSet.load(self._stale_snapshot(tmp_path, 1))
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +451,7 @@ class TestProcessFleetSharedPlane:
         def _die_without_reporting(spec, unit, relay):
             os._exit(13)
 
-        monkeypatch.setattr(tuning, "_run_in_worker", _die_without_reporting)
+        monkeypatch.setattr(tuning, "_run_unit", _die_without_reporting)
         service = TuningService(tiny_pretrained, backend="process", max_workers=1)
         service.poll_seconds = 0.05
         events = list(service.stream([_spec("q1")]))   # must terminate
