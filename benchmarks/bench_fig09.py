@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import context, fig9_overhead as fig9
 from repro.experiments.campaigns import campaign
-from repro.workloads.rates import periodic_multipliers
+from repro.scenarios.library import periodic_multipliers
 
 
 @pytest.mark.parametrize("method", ["DS2", "ContTune", "StreamTune"])

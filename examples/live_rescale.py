@@ -16,7 +16,8 @@ settling accounting differs.
 Run:  python examples/live_rescale.py
 """
 
-from repro import FlinkCluster, HistoryGenerator, StreamTuneTuner, pretrain
+from repro.core import HistoryGenerator, StreamTuneTuner, pretrain
+from repro.engines import FlinkCluster
 from repro.engines.base import LIVE_SETTLING_MINUTES, STABILIZATION_MINUTES
 from repro.workloads import nexmark_queries, nexmark_query, pqp_query_set
 

@@ -16,20 +16,12 @@ Run:  python examples/nexmark_flink_tuning.py
 
 import numpy as np
 
-from repro import (
-    ContTuneTuner,
-    DS2Tuner,
-    FlinkCluster,
-    HistoryGenerator,
-    OracleTuner,
-    StreamTuneTuner,
-    nexmark_queries,
-    pqp_query_set,
-    pretrain,
-)
+from repro.baselines import ContTuneTuner, DS2Tuner, OracleTuner
+from repro.core import HistoryGenerator, StreamTuneTuner, pretrain
+from repro.engines import FlinkCluster
+from repro.scenarios.library import periodic_multipliers
 from repro.utils.tables import format_table
-from repro.workloads import nexmark_query
-from repro.workloads.rates import periodic_multipliers
+from repro.workloads import nexmark_queries, nexmark_query, pqp_query_set
 
 
 def run_campaign(engine, tuner, query, multipliers):

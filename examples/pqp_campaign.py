@@ -13,16 +13,11 @@ and costs.  This example
 Run:  python examples/pqp_campaign.py
 """
 
-from repro import (
-    FlinkCluster,
-    HistoryGenerator,
-    OracleTuner,
-    StreamTuneTuner,
-    nexmark_queries,
-    pqp_query_set,
-    pretrain,
-)
+from repro.baselines import OracleTuner
+from repro.core import HistoryGenerator, StreamTuneTuner, pretrain
+from repro.engines import FlinkCluster
 from repro.utils.tables import format_table
+from repro.workloads import nexmark_queries, pqp_query_set
 
 
 def main() -> None:

@@ -16,16 +16,11 @@ Run:  python examples/timely_comparison.py
 
 import numpy as np
 
-from repro import (
-    DS2Tuner,
-    HistoryGenerator,
-    StreamTuneTuner,
-    TimelyCluster,
-    nexmark_queries,
-    pretrain,
-)
+from repro.baselines import DS2Tuner
+from repro.core import HistoryGenerator, StreamTuneTuner, pretrain
+from repro.engines import TimelyCluster
 from repro.utils.tables import format_table
-from repro.workloads import nexmark_query
+from repro.workloads import nexmark_queries, nexmark_query
 
 
 def main() -> None:

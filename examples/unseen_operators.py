@@ -19,7 +19,7 @@ representations as future work.  This example runs that study:
 Run:  python examples/unseen_operators.py
 """
 
-from repro import FlinkCluster, HistoryGenerator, nexmark_queries, pqp_query_set, pretrain
+from repro.core import HistoryGenerator, pretrain
 from repro.dataflow.embeddings import (
     OperatorTaxonomy,
     SemanticFeatureEncoder,
@@ -27,6 +27,7 @@ from repro.dataflow.embeddings import (
     interpolate_properties,
 )
 from repro.dataflow.features import FeatureEncoder
+from repro.engines import FlinkCluster
 from repro.experiments.ablations import (
     HELDOUT_TYPE,
     _contains_heldout,
@@ -35,6 +36,7 @@ from repro.experiments.ablations import (
     ranking_auc,
 )
 from repro.experiments.scale import SMOKE
+from repro.workloads import nexmark_queries, pqp_query_set
 
 
 def main() -> None:

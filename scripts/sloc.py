@@ -8,6 +8,10 @@ reduction and adding them is not growth.
 
     python scripts/sloc.py src                 # per file, then the total
     python scripts/sloc.py src/repro/service/tuning.py
+    python scripts/sloc.py --max 16333 src     # exit 1 above the ceiling
+
+``--max N`` is the ratchet CI runs: the total may not exceed N, and a PR
+that deletes code lowers N in the same diff.
 """
 
 from __future__ import annotations
@@ -64,6 +68,12 @@ def _python_files(target: Path) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
+    ceiling = None
+    if argv[:1] == ["--max"]:
+        if len(argv) < 2 or not argv[1].isdigit():
+            print("--max needs a non-negative integer", file=sys.stderr)
+            return 2
+        ceiling, argv = int(argv[1]), argv[2:]
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
@@ -74,6 +84,13 @@ def main(argv: list[str]) -> int:
             total += n
             print(f"{n:7d}  {path}")
     print(f"{total:7d}  total")
+    if ceiling is not None and total > ceiling:
+        print(
+            f"{total} code lines exceed the ceiling of {ceiling}; delete "
+            "code, or raise --max in the same diff and say why",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -8,8 +8,7 @@ door:
                                     :class:`repro.api.CampaignPlan` (a fleet);
                                     both round-trip through dicts/JSON/TOML
                                     (:func:`repro.api.load_plan`)
-* execute a plan                  — :class:`repro.api.TuningSession` (sync),
-                                    :class:`repro.api.AsyncTuningSession` (awaitable)
+* execute a plan                  — :class:`repro.api.TuningSession`
 * extend by name                  — the :data:`repro.api.ENGINES` /
                                     :data:`repro.api.TUNERS` /
                                     :data:`repro.api.WORKLOADS` /
@@ -25,14 +24,9 @@ The building blocks underneath (importable directly when you need them):
 * paper experiments               — :mod:`repro.experiments`
 
 See ``examples/quickstart.py`` for the 60-second tour.
-
-Importing the legacy classes from this top-level package
-(``from repro import StreamTuneTuner``) still works but emits a
-:class:`DeprecationWarning`; import from the canonical module instead.
 """
 
 from repro.api import (
-    AsyncTuningSession,
     CampaignPlan,
     EventBus,
     SessionResult,
@@ -46,33 +40,7 @@ from repro.api import (
 
 __version__ = "2.1.0"
 
-#: Legacy top-level re-exports, kept working through a lazy deprecation
-#: shim: name -> (module, attribute).
-_DEPRECATED_EXPORTS = {
-    "ClusterTopology": ("repro.engines", "ClusterTopology"),
-    "ContTuneTuner": ("repro.baselines", "ContTuneTuner"),
-    "DS2Tuner": ("repro.baselines", "DS2Tuner"),
-    "ExecutionRecord": ("repro.core", "ExecutionRecord"),
-    "FlinkCluster": ("repro.engines", "FlinkCluster"),
-    "HistoryGenerator": ("repro.core", "HistoryGenerator"),
-    "LogicalDataflow": ("repro.dataflow", "LogicalDataflow"),
-    "OperatorSpec": ("repro.dataflow", "OperatorSpec"),
-    "OperatorTaxonomy": ("repro.dataflow.embeddings", "OperatorTaxonomy"),
-    "OperatorType": ("repro.dataflow", "OperatorType"),
-    "OracleTuner": ("repro.baselines", "OracleTuner"),
-    "PretrainedStreamTune": ("repro.core", "PretrainedStreamTune"),
-    "SchedulingAwareTimely": ("repro.engines", "SchedulingAwareTimely"),
-    "SemanticFeatureEncoder": ("repro.dataflow.embeddings", "SemanticFeatureEncoder"),
-    "StreamTuneTuner": ("repro.core", "StreamTuneTuner"),
-    "TimelyCluster": ("repro.engines", "TimelyCluster"),
-    "ZeroTuneTuner": ("repro.baselines", "ZeroTuneTuner"),
-    "nexmark_queries": ("repro.workloads", "nexmark_queries"),
-    "pqp_query_set": ("repro.workloads", "pqp_query_set"),
-    "pretrain": ("repro.core", "pretrain"),
-}
-
 __all__ = [
-    "AsyncTuningSession",
     "CampaignPlan",
     "EventBus",
     "SessionResult",
@@ -83,29 +51,5 @@ __all__ = [
     "__version__",
     "load_plan",
     "save_plan",
-    *sorted(_DEPRECATED_EXPORTS),
 ]
 
-
-def __getattr__(name: str):
-    """Resolve legacy top-level names lazily, with a deprecation nudge."""
-    try:
-        module_name, attribute = _DEPRECATED_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"importing {name} from 'repro' is deprecated; import it from "
-        f"'{module_name}' (or drive the pipeline through 'repro.api')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value       # cache: warn once per process per name
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_EXPORTS))

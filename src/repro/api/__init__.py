@@ -12,9 +12,8 @@ Everything the repo can do is reachable through three layers:
   round-trip through dicts, JSON and TOML and validate eagerly with
   actionable errors.
 * **sessions** (:mod:`repro.api.session`) — :class:`TuningSession`
-  executes a plan over the existing engines/tuners/service,
-  bit-identically to the legacy entry points; :class:`AsyncTuningSession`
-  is the awaitable facade over the same machinery.
+  executes a plan over the engines/tuners/service and is the only way
+  in: the CLI, the daemon and the fleet workers all run plans through it.
 
 Quick start::
 
@@ -90,7 +89,6 @@ from repro.api.plans import (
     save_plan,
 )
 from repro.api.session import (
-    AsyncTuningSession,
     SessionResult,
     SweepResult,
     TuningSession,
@@ -119,7 +117,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AsyncTuningSession",
     "CacheStats",
     "CampaignFailed",
     "CampaignFinished",

@@ -5,10 +5,9 @@ dicts, JSON and TOML, so a tuning scenario is a config entry rather than
 a code fork:
 
 * :class:`TuningPlan` — one query driven through a rate trace by one
-  tuning method (the ``repro tune`` lifecycle).
+  tuning method, inline.
 * :class:`CampaignPlan` — a fleet of queries executed concurrently
-  through the :class:`~repro.service.TuningService` (the
-  ``repro serve-campaigns`` lifecycle).
+  through the :class:`~repro.service.TuningService`.
 * :class:`SweepPlan` — a parameter grid (engines x tuners x rate traces
   x chaos schedules, each over the same query fleet) that expands into
   one :class:`CampaignPlan` per cell (the ``repro sweep`` and

@@ -1,16 +1,14 @@
-"""Plan execution: the :class:`TuningSession` facade and its async twin.
+"""Plan execution: the :class:`TuningSession` facade.
 
-A session turns a declarative plan into the exact computation the legacy
-entry points performed:
+A session turns a declarative plan into a computation:
 
-* a :class:`~repro.api.plans.TuningPlan` reproduces the ``repro tune``
-  lifecycle — one engine, one tuner, one rate trace — bit-identically;
-* a :class:`~repro.api.plans.CampaignPlan` reproduces the
-  ``repro serve-campaigns`` lifecycle over the concurrent
-  :class:`~repro.service.TuningService`, with the same per-campaign
-  seeding, so sequential/thread/process backends (and the async facade)
-  all return bit-identical :class:`~repro.baselines.api.TuningResult`
-  step sequences;
+* a :class:`~repro.api.plans.TuningPlan` runs the single-query
+  lifecycle — one engine, one tuner, one rate trace — inline;
+* a :class:`~repro.api.plans.CampaignPlan` runs the fleet lifecycle over
+  the concurrent :class:`~repro.service.TuningService`, seeded per
+  campaign, so sequential/thread/process backends all return
+  bit-identical :class:`~repro.baselines.api.TuningResult` step
+  sequences;
 * a :class:`~repro.api.plans.SweepPlan` runs its grid cells in order,
   each as a campaign, and returns one :class:`SweepResult`.
 
@@ -19,8 +17,6 @@ Execution is **streaming**: :meth:`TuningSession.stream` yields the typed
 them out through an :class:`~repro.api.events.EventBus`), and the
 blocking :meth:`TuningSession.run` is a thin wrapper that drains the
 stream — so observing a run can never change its results.
-:class:`AsyncTuningSession` exposes the same stream as an async iterator
-(``async for event in session.stream(plan)``).
 
 Execution is also **resumable** and **fault-tolerant**: ``run``/``stream``
 accept ``resume=`` (a recorded JSONL log path or a parsed
@@ -48,7 +44,6 @@ snapshot so even separate *processes* never repeat a pure computation.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -149,9 +144,8 @@ class TuningSession:
     entries back in on drain) — and ``shm_store=`` — one caller-owned
     :class:`~repro.service.shm.SharedArrayStore` the process backend
     publishes warm payloads through, instead of creating and unlinking an
-    arena per run.  A plan carrying its own ``cache_path`` keeps its
-    legacy semantics: it loads and saves its private snapshot, leaving
-    the session set untouched.
+    arena per run.  A plan carrying its own ``cache_path`` loads and
+    saves its private snapshot, leaving the session set untouched.
     """
 
     def __init__(self, *, pretrained=None, caches=None, shm_store=None) -> None:
@@ -172,6 +166,12 @@ class TuningSession:
         if plan.model is not None:
             from repro.core.persistence import load_pretrained
 
+            if not (Path(plan.model) / "meta.json").is_file():
+                raise PlanError(
+                    f"model: {plan.model} is not a pre-trained artifact "
+                    "directory (no meta.json in it); write one with "
+                    "`repro pretrain --output`"
+                )
             return load_pretrained(plan.model)
         from repro.experiments.context import pretrained_model
 
@@ -258,7 +258,7 @@ class TuningSession:
         return ResumeLog.load(resume)
 
     def _stream_tuning(self, plan: TuningPlan, resume=None):
-        """The single-query lifecycle (identical to the legacy ``tune``)."""
+        """The single-query lifecycle: one engine, one tuner, inline."""
         from repro.experiments.campaigns import iter_campaign
         from repro.service.tuning import CampaignOutcome, _step_events
 
@@ -352,7 +352,7 @@ class TuningSession:
         )
 
     def _stream_campaign(self, plan: CampaignPlan, resume=None):
-        """The fleet lifecycle (identical to legacy ``serve-campaigns``)."""
+        """The fleet lifecycle: every query a campaign on the service."""
         from repro.service import CampaignExecutionError, CampaignSpec, TuningService
 
         started = time.perf_counter()
@@ -470,83 +470,3 @@ class TuningSession:
         if Path(cache_path).exists():
             return TuningCacheSet.load(cache_path)
         return TuningCacheSet()
-
-
-class AsyncTuningSession:
-    """Awaitable facade over :class:`TuningSession`.
-
-    ``await session.run(plan)`` executes the plan on a worker thread —
-    the service's own pool (thread/process backend) keeps doing the heavy
-    lifting, the event loop stays responsive, and results are the same
-    objects the sync session returns.  ``run_all`` drives many plans
-    concurrently with an ``asyncio.gather``, and ``stream`` surfaces the
-    worker pool's event stream as an async iterator::
-
-        async for event in session.stream(plan):
-            ...
-    """
-
-    def __init__(self, *, pretrained=None, caches=None, shm_store=None) -> None:
-        self._session = TuningSession(
-            pretrained=pretrained, caches=caches, shm_store=shm_store
-        )
-        #: Result of the most recently exhausted :meth:`stream` iteration.
-        self.last_result: "SessionResult | SweepResult | None" = None
-
-    async def run(self, plan, *, bus=None, resume=None) -> SessionResult:
-        return await asyncio.to_thread(
-            self._session.run, plan, bus=bus, resume=resume
-        )
-
-    async def run_all(self, plans) -> list[SessionResult]:
-        return list(await asyncio.gather(*(self.run(plan) for plan in plans)))
-
-    async def stream(self, plan, *, bus=None, resume=None):
-        """Async-iterate the plan's event stream.
-
-        The sync stream runs on a worker thread; events hop to the event
-        loop through an ``asyncio.Queue``.  After exhaustion the stream's
-        :class:`SessionResult`/:class:`SweepResult` is available on
-        :attr:`last_result`.  Abandoning the iteration early (``break`` /
-        ``aclose``) closes the underlying sync stream, which cancels
-        work not yet dispatched; only units already running are awaited.
-        """
-        import threading
-
-        loop = asyncio.get_running_loop()
-        events: asyncio.Queue = asyncio.Queue()
-        stopping = threading.Event()
-        _END = object()
-
-        def produce():
-            stream = self._session.stream(plan, bus=bus, resume=resume)
-            try:
-                while True:
-                    if stopping.is_set():
-                        # Consumer walked away: run the generator's
-                        # cleanup (pool shutdown w/ cancel_futures) from
-                        # the thread that owns it, then stop producing.
-                        stream.close()
-                        return
-                    try:
-                        event = next(stream)
-                    except StopIteration as stop:
-                        loop.call_soon_threadsafe(events.put_nowait, (_END, stop.value))
-                        return
-                    loop.call_soon_threadsafe(events.put_nowait, ("event", event))
-            except BaseException as error:  # noqa: BLE001 — re-raised below
-                loop.call_soon_threadsafe(events.put_nowait, ("error", error))
-
-        producer = loop.run_in_executor(None, produce)
-        try:
-            while True:
-                tag, payload = await events.get()
-                if tag is _END:
-                    self.last_result = payload
-                    return
-                if tag == "error":
-                    raise payload
-                yield payload
-        finally:
-            stopping.set()
-            await producer

@@ -1,9 +1,11 @@
 """Command-line interface for the StreamTune reproduction.
 
-Every subcommand is a thin shell over :mod:`repro.api`: flags build a
-declarative :class:`~repro.api.TuningPlan` / :class:`~repro.api.CampaignPlan`
-(or load one from a config file) and a :class:`~repro.api.TuningSession`
-executes it.  Component names — engines, prediction layers, queries —
+Every tuning run is a plan file executed by a
+:class:`~repro.api.TuningSession`: ``run-plan`` loads a
+:class:`~repro.api.TuningPlan` / :class:`~repro.api.CampaignPlan` /
+:class:`~repro.api.SweepPlan` (the plan's ``model`` field points at a
+``pretrain`` artifact), and the other subcommands are shells over the
+same session.  Component names — engines, prediction layers, queries —
 resolve through the ``repro.api`` registries, so a newly registered
 component is immediately available to every subcommand.
 
@@ -11,8 +13,7 @@ Subcommands mirror the library's lifecycle::
 
     python -m repro.cli history   --engine flink --records 3000 --output history.jsonl
     python -m repro.cli pretrain  --history history.jsonl --output model_dir
-    python -m repro.cli tune      --model model_dir --query q5 --rates 3,10,5
-    python -m repro.cli serve-campaigns --queries q1,q2,q5 --rates 3,7,4,2
+    python -m repro.cli run-plan  tuning.toml          # one query: kind = "tuning"
     python -m repro.cli run-plan  campaign.toml --follow
     python -m repro.cli sweep     sweep.toml --record events.jsonl
     python -m repro.cli matrix    examples/matrix_smoke.toml --output BENCH_MATRIX.json
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.api import (
     ENGINES,
-    MODELS,
-    CampaignPlan,
     EventBus,
     JsonlRecorder,
     PlanError,
@@ -50,8 +50,8 @@ from repro.api import (
     discover_latest_log,
     load_plan,
     replace,
-    resolve_query,
 )
+from repro.api.plans import PLAN_BACKENDS
 from repro.service import CampaignExecutionError
 from repro.service.cache import SnapshotError
 from repro.core.history import HistoryGenerator
@@ -60,37 +60,6 @@ from repro.core.pretrain import pretrain
 from repro.experiments.context import corpus
 from repro.experiments.scale import resolve_scale
 from repro.utils.tables import format_table
-
-
-def _resolve_query(name: str, engine_name: str):
-    """Back-compat alias for :func:`repro.api.resolve_query`."""
-    return resolve_query(name, engine_name)
-
-
-def _parse_rates(raw: str) -> tuple[float, ...]:
-    """Parse a comma-separated multiplier list, failing fast when garbled."""
-    tokens = [token.strip() for token in raw.split(",")]
-    if any(not token for token in tokens):
-        raise PlanError(
-            f"--rates {raw!r} is malformed: empty entry in the "
-            "comma-separated list"
-        )
-    try:
-        return tuple(float(token) for token in tokens)
-    except ValueError:
-        raise PlanError(
-            f"--rates {raw!r} is malformed: every entry must be a number"
-        ) from None
-
-
-def _parse_queries(raw: str) -> tuple[str, ...]:
-    tokens = tuple(token.strip() for token in raw.split(","))
-    if any(not token for token in tokens):
-        raise PlanError(
-            f"--queries {raw!r} is malformed: empty entry in the "
-            "comma-separated list"
-        )
-    return tokens
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +82,11 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_pretrain(args: argparse.Namespace) -> int:
+    if not Path(args.history).is_file():
+        raise PlanError(
+            f"--history {args.history} does not exist; write one with "
+            "`repro history --output`"
+        )
     records = load_history(args.history)
     scale = resolve_scale(args.scale)
     engine = build_engine(args.engine, seed=scale.seed)
@@ -133,7 +107,7 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# online lifecycle: tune one query / serve a fleet / run a plan file
+# online lifecycle: run a plan file
 # ----------------------------------------------------------------------
 
 def _print_tuning_result(outcome) -> None:
@@ -186,41 +160,6 @@ def _print_campaign_outcomes(session_result) -> None:
             for kind, values in stats.items()
         )
         print(f"cache hits/misses — {summary}")
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    plan = TuningPlan(
-        query=args.query,
-        rates=_parse_rates(args.rates),
-        engine=args.engine,
-        layer=args.layer,
-        model=args.model,
-        scale=args.scale,
-        seed=args.seed,
-        cache_path=args.cache_path,
-    )
-    result = TuningSession().run(plan)
-    _print_tuning_result(result.outcomes[0])
-    return 0
-
-
-def _cmd_serve_campaigns(args: argparse.Namespace) -> int:
-    plan = CampaignPlan(
-        queries=_parse_queries(args.queries),
-        rates=_parse_rates(args.rates),
-        rates_per_query=args.rates_per_query,
-        engine=args.engine,
-        backend=args.backend,
-        workers=args.workers,
-        layer=args.layer,
-        prioritize_backpressure=not args.no_priority,
-        model=args.model,
-        scale=args.scale,
-        seed=args.seed,
-        cache_path=args.cache_path,
-    )
-    _print_campaign_outcomes(TuningSession().run(plan))
-    return 0
 
 
 def _event_bus(args: argparse.Namespace) -> tuple[EventBus | None, JsonlRecorder | None]:
@@ -278,8 +217,6 @@ def _resume_log(plan, args: argparse.Namespace) -> ResumeLog | None:
     if path is None:
         return None
     if path == "auto":
-        from pathlib import Path
-
         record = getattr(args, "record", None)
         directory = Path(record).parent if record else Path(".")
         path = discover_latest_log(
@@ -707,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     engine_names = ENGINES.names()
-    layer_names = MODELS.names()
 
     history = sub.add_parser("history", help="generate an execution history")
     history.add_argument("--engine", choices=engine_names, default="flink")
@@ -726,64 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--seed", type=int, default=7)
     pre.add_argument("--scale", default=None)
     pre.set_defaults(func=_cmd_pretrain)
-
-    tune = sub.add_parser("tune", help="tune a query through rate changes")
-    tune.add_argument("--model", required=True, help="directory from `pretrain`")
-    tune.add_argument(
-        "--query",
-        required=True,
-        help="nexmark name (q1..q8) or PQP '<template>/<index>'",
-    )
-    tune.add_argument("--rates", default="3,10,5", help="comma-separated xWu multipliers")
-    tune.add_argument("--engine", choices=engine_names, default="flink")
-    tune.add_argument("--layer", choices=layer_names, default="svm")
-    tune.add_argument("--seed", type=int, default=17)
-    tune.add_argument("--scale", default=None)
-    tune.add_argument(
-        "--cache-path", default=None,
-        help="persist the tuning cache set to this snapshot file",
-    )
-    tune.set_defaults(func=_cmd_tune)
-
-    serve = sub.add_parser(
-        "serve-campaigns",
-        help="tune many queries concurrently through the tuning service",
-    )
-    serve.add_argument(
-        "--queries",
-        required=True,
-        help="comma-separated query names (nexmark q1..q8 or '<template>/<index>')",
-    )
-    serve.add_argument(
-        "--model", default=None, help="directory from `pretrain` (default: build at --scale)"
-    )
-    serve.add_argument("--rates", default="3,7,4,2", help="comma-separated xWu multipliers")
-    serve.add_argument(
-        "--rates-per-query",
-        action="store_true",
-        help="split --rates into one equal chunk per query (its length must "
-        "then be a multiple of the query count) instead of sharing the trace",
-    )
-    serve.add_argument("--engine", choices=engine_names, default="flink")
-    serve.add_argument(
-        "--backend",
-        choices=("sequential", "thread", "process", "distributed"),
-        default="thread",
-    )
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument("--layer", choices=layer_names, default="svm")
-    serve.add_argument(
-        "--no-priority",
-        action="store_true",
-        help="dispatch in submission order instead of backpressure-first",
-    )
-    serve.add_argument("--seed", type=int, default=17)
-    serve.add_argument("--scale", default=None)
-    serve.add_argument(
-        "--cache-path", default=None,
-        help="persist the service cache set to this snapshot file",
-    )
-    serve.set_defaults(func=_cmd_serve_campaigns)
 
     def add_stream_flags(command) -> None:
         command.add_argument(
@@ -805,18 +683,53 @@ def build_parser() -> argparse.ArgumentParser:
                  "directory, else the working directory)",
         )
 
+    def add_plan_flags(command) -> None:
+        command.add_argument(
+            "--backend", choices=PLAN_BACKENDS, default=None,
+            help="override the plan's worker-pool backend",
+        )
+        command.add_argument("--workers", type=int, default=None)
+        command.add_argument("--scale", default=None, help="override the plan's scale")
+
+    def add_fleet_flags(
+        command, *, ttl=None, stall_seconds=False, spool_dir=None, fault_plan=False
+    ) -> None:
+        """The spool/lease options of a fleet command: ``ttl`` is the
+        command's ``--ttl`` default and ``spool_dir`` its ``--spool-dir``
+        help; an option whose argument is omitted is not declared."""
+        if ttl is not None:
+            command.add_argument(
+                "--ttl", type=float, default=ttl, metavar="SECONDS",
+                help="lease time-to-live; a worker silent this long is presumed "
+                     "dead and its cells are reclaimed (default: %(default)s)",
+            )
+        if stall_seconds:
+            command.add_argument(
+                "--stall-seconds", type=float, default=None, metavar="SECONDS",
+                help="declare the fleet dead after this long with no live worker "
+                     "and no completions (default: 4x --ttl)",
+            )
+        command.add_argument(
+            "--no-fsync", action="store_true",
+            help="skip the per-event fsync of ledgers (faster, loses "
+                 "crash-durability of the tail)",
+        )
+        if spool_dir is not None:
+            command.add_argument(
+                "--spool-dir", default=None, metavar="DIR", help=spool_dir
+            )
+        if fault_plan:
+            command.add_argument(
+                "--fault-plan", default=None, metavar="PATH",
+                help="deterministic failpoint plan (.json/.toml) activated in "
+                     "every worker agent — fault-injection testing only",
+            )
+
     run_plan = sub.add_parser(
         "run-plan", help="execute a TuningPlan/CampaignPlan/SweepPlan config file"
     )
     run_plan.add_argument("plan", help="path to a .json or .toml plan file")
-    run_plan.add_argument(
-        "--backend",
-        choices=("sequential", "thread", "process", "distributed"),
-        default=None,
-        help="override the plan's worker-pool backend",
-    )
-    run_plan.add_argument("--workers", type=int, default=None)
-    run_plan.add_argument("--scale", default=None, help="override the plan's scale")
+    add_plan_flags(run_plan)
     add_stream_flags(run_plan)
     run_plan.set_defaults(func=_cmd_run_plan)
 
@@ -825,14 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a SweepPlan scenario grid (engines x tuners x rate traces)",
     )
     sweep.add_argument("plan", help="path to a .json or .toml sweep-plan file")
-    sweep.add_argument(
-        "--backend",
-        choices=("sequential", "thread", "process", "distributed"),
-        default=None,
-        help="override the sweep's worker-pool backend",
-    )
-    sweep.add_argument("--workers", type=int, default=None)
-    sweep.add_argument("--scale", default=None, help="override the sweep's scale")
+    add_plan_flags(sweep)
     add_stream_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -842,14 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
              "traces x chaos) and write a machine-readable summary report",
     )
     matrix.add_argument("plan", help="path to a .json or .toml sweep-plan file")
-    matrix.add_argument(
-        "--backend",
-        choices=("sequential", "thread", "process", "distributed"),
-        default=None,
-        help="override the matrix's worker-pool backend",
-    )
-    matrix.add_argument("--workers", type=int, default=None)
-    matrix.add_argument("--scale", default=None, help="override the matrix's scale")
+    add_plan_flags(matrix)
     matrix.add_argument(
         "--output", default="BENCH_MATRIX.json", metavar="PATH",
         help="summary report target (default: %(default)s)",
@@ -865,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
              "a shared work spool (see `dispatch`)",
     )
     worker.add_argument("spool", help="the spool directory to drain")
-    worker.add_argument(
-        "--ttl", type=float, default=DEFAULT_TTL_SECONDS, metavar="SECONDS",
-        help="lease time-to-live; a worker silent this long is presumed "
-             "dead and its cells are reclaimed (default: %(default)s)",
-    )
     worker.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
         help="idle delay between spool scans (default: %(default)s)",
@@ -887,16 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None,
         help="stable identity in leases/ledgers (default: <host>-<pid>)",
     )
-    worker.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip the per-event fsync of cell ledgers (faster, loses "
-             "crash-durability of the tail)",
-    )
-    worker.add_argument(
-        "--fault-plan", default=None, metavar="PATH",
-        help="activate a deterministic failpoint plan (.json/.toml) in "
-             "this agent — fault-injection testing only",
-    )
+    add_fleet_flags(worker, ttl=DEFAULT_TTL_SECONDS, fault_plan=True)
     worker.set_defaults(func=_cmd_worker)
 
     dispatch = sub.add_parser(
@@ -906,29 +791,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument("plan", help="path to a .json or .toml plan file")
     dispatch.add_argument(
-        "--spool-dir", default=None, metavar="DIR",
-        help="shared work spool a standing fleet of `repro worker` agents "
-             "is draining (default: an ephemeral local spool staffed by "
-             "--local-workers subprocesses)",
-    )
-    dispatch.add_argument(
         "--local-workers", type=int, default=None, metavar="N",
         help="spawn N local worker agents on this spool (default: the "
              "plan's `workers`, else 2 for an ephemeral spool, 0 for a "
              "--spool-dir fleet)",
     )
-    dispatch.add_argument(
-        "--ttl", type=float, default=DEFAULT_TTL_SECONDS, metavar="SECONDS",
-        help="lease time-to-live for crash detection (default: %(default)s)",
-    )
-    dispatch.add_argument(
-        "--stall-seconds", type=float, default=None, metavar="SECONDS",
-        help="declare the fleet dead after this long with no live worker "
-             "and no completions (default: 4x --ttl)",
-    )
-    dispatch.add_argument(
-        "--no-fsync", action="store_true",
-        help="run local workers without per-event ledger fsync",
+    add_fleet_flags(
+        dispatch, ttl=DEFAULT_TTL_SECONDS, stall_seconds=True,
+        spool_dir="shared work spool a standing fleet of `repro worker` agents "
+                  "is draining (default: an ephemeral local spool staffed by "
+                  "--local-workers subprocesses)",
     )
     add_stream_flags(dispatch)
     dispatch.set_defaults(func=_cmd_dispatch)
@@ -971,21 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-slot restart budget (default: %(default)s)",
     )
     soak.add_argument(
-        "--ttl", type=float, default=2.0, metavar="SECONDS",
-        help="lease time-to-live; short, so killed workers' cells are "
-             "reclaimed quickly (default: %(default)s)",
-    )
-    soak.add_argument(
-        "--stall-seconds", type=float, default=None, metavar="SECONDS",
-        help="declare the fleet dead after this long with no live worker "
-             "and no completions (default: 4x --ttl)",
-    )
-    soak.add_argument(
-        "--spool-dir", default=None, metavar="DIR",
-        help="keep the spool (ledgers, logs, done markers) here instead "
-             "of an ephemeral temp directory",
-    )
-    soak.add_argument(
         "--record", default=None, metavar="PATH",
         help="write the merged distributed event stream to this JSONL file",
     )
@@ -994,17 +851,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full soak report (JSON) here",
     )
     soak.add_argument(
-        "--fault-plan", default=None, metavar="PATH",
-        help="failpoint plan (.json/.toml) activated inside every worker",
-    )
-    soak.add_argument(
         "--no-reference", action="store_true",
         help="skip the in-process sequential reference run and the "
              "bit-identity check",
     )
-    soak.add_argument(
-        "--no-fsync", action="store_true",
-        help="run workers without per-event ledger fsync",
+    # A short lease, so killed workers' cells are reclaimed quickly.
+    add_fleet_flags(
+        soak, ttl=2.0, stall_seconds=True, fault_plan=True,
+        spool_dir="keep the spool (ledgers, logs, done markers) here instead "
+                  "of an ephemeral temp directory",
     )
     soak.add_argument(
         "--json", action="store_true",
@@ -1089,16 +944,11 @@ def build_parser() -> argparse.ArgumentParser:
              "their events bit-identically, interrupted jobs re-run only "
              "their missing cells",
     )
-    serve_cmd.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip the per-event fsync of ledgers (faster, loses "
-             "crash-durability of the tail)",
-    )
-    serve_cmd.add_argument(
-        "--spool-dir", default=None, metavar="DIR",
-        help="shared work spool for backend=\"distributed\" plans: jobs "
-             "without their own spool_dir execute across the worker "
-             "agents draining DIR",
+    add_fleet_flags(
+        serve_cmd,
+        spool_dir="shared work spool for backend=\"distributed\" plans: jobs "
+                  "without their own spool_dir execute across the worker "
+                  "agents draining DIR",
     )
     serve_cmd.set_defaults(func=_cmd_serve)
 

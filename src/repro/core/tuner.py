@@ -100,8 +100,13 @@ class StreamTuneTuner(ParallelismTuner):
         their key.  ``fit_dedup=True`` collapses the (heavily duplicated)
         training multiset into weighted unique rows before fitting, for
         model kinds whose ``fit`` accepts ``sample_weight`` (others fall
-        back to the duplicated-row fit); the optimised objective is
-        mathematically identical.  ``batch_encode=True`` builds warm-up
+        back to the duplicated-row fit).  The weighted objective is
+        mathematically the duplicated-row one, but the path is not the
+        same computation: :meth:`_fit_model_weighted` also warm-starts the
+        solver and loosens its tolerances (``ftol 1e-7 / gtol 1e-4 /
+        platt_tol 1e-7``), which can move a tuning decision — the two
+        values are different tuners, not a speed switch (ROADMAP item 2a).
+        ``batch_encode=True`` builds warm-up
         datasets through the block-diagonal batched GNN inference of
         :mod:`repro.gnn.batch` (one encoder pass per record batch).
         """
@@ -123,23 +128,6 @@ class StreamTuneTuner(ParallelismTuner):
         self._dedup_supported: bool | None = None
         self._states: dict[str, QueryTuningState] = {}
         self._state_lock = threading.Lock()
-        self._model_seed = seed
-
-    # ------------------------------------------------------------------
-    # per-query state (compatibility views kept for callers and tests)
-    # ------------------------------------------------------------------
-
-    @property
-    def _cluster_of(self) -> dict[str, int]:
-        return {job: state.cluster for job, state in self._states.items()}
-
-    @property
-    def _dataset_of(self) -> dict[str, PredictionDataset]:
-        return {job: state.dataset for job, state in self._states.items()}
-
-    @property
-    def _feedback_of(self) -> dict[str, PredictionDataset]:
-        return {job: state.feedback for job, state in self._states.items()}
 
     def _cached(self, kind: str, key: tuple, builder):
         if self.caches is None:

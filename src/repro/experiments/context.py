@@ -29,9 +29,9 @@ METHOD_NAMES = ("DS2", "ContTune", "StreamTune", "ZeroTune", "Oracle")
 _CACHE: dict = {}
 
 #: Reentrant because builders nest (pretraining builds the history first);
-#: held across the build so concurrent sessions (AsyncTuningSession.run_all
-#: drives this module from worker threads) share one artifact instead of
-#: each paying the minutes-scale construction.
+#: held across the build so sessions on different threads (the daemon's
+#: executor, fleet workers) share one artifact instead of each paying the
+#: minutes-scale construction.
 _CACHE_LOCK = threading.RLock()
 
 
@@ -44,7 +44,8 @@ def _cached(key, builder):
 
 def clear_cache() -> None:
     """Drop every cached artifact (tests use this for isolation)."""
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,8 @@ from repro.engines.base import STABILIZATION_MINUTES
 from repro.experiments import context
 from repro.experiments.campaigns import averaged, campaign, run_campaign
 from repro.experiments.scale import ExperimentScale, resolve_scale
+from repro.scenarios.library import BASIC_CYCLE
 from repro.utils.tables import format_table
-from repro.workloads.rates import BASIC_CYCLE
 from repro.workloads.pqp import pqp_queries
 
 GROUPS = ("q1", "q2", "q3", "q5", "q8", "linear", "2-way-join", "3-way-join")

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Evaluation groups driven end to end by the campaign benchmarks —
-#: the same workload ``benchmarks/bench_service.py`` runs.
+#: Evaluation groups driven end to end by the campaign benchmarks.
 SMOKE_GROUPS = ("q1", "q3", "linear", "2-way-join")
 FULL_GROUPS = ("q1", "q2", "q3", "q5", "q8", "linear", "2-way-join", "3-way-join")
 
@@ -62,7 +61,7 @@ def build_fixtures(smoke: bool = True) -> PerfFixtures:
     from repro.core.finetune import build_warmup_dataset
     from repro.experiments import context
     from repro.experiments.scale import resolve_scale
-    from repro.workloads.rates import periodic_multipliers
+    from repro.scenarios.library import periodic_multipliers
 
     scale = resolve_scale("smoke")
     pretrained = context.pretrained_model("flink", scale)

@@ -19,8 +19,9 @@ The hot paths:
   rows vs the materialised duplicate-row multiset;
 * ``gnn_encode_*`` — bulk operator-embedding requests through
   :mod:`repro.gnn.batch` vs one encoder pass per sample;
-* ``campaign_*`` — the end-to-end smoke service campaign (the
-  ``bench_service.py --smoke`` workload): the seed repository's
+* ``campaign_*`` — the end-to-end service campaign over the fixture
+  fleet (``benchmarks/e2e`` is the end-to-end instrument; this pair
+  keeps only the ratio): the seed repository's
   sequential per-query path vs the concurrent service with shared
   caches, pre-warming, bound-pruned assignment and weighted fitting —
   plus ``campaign_service_fullcore``, the same fleet on the process
@@ -176,7 +177,7 @@ def _bench_gnn_per_sample(fixtures: PerfFixtures):
 
 
 # ----------------------------------------------------------------------
-# end-to-end smoke campaign (the bench_service.py --smoke workload)
+# end-to-end smoke campaign
 # ----------------------------------------------------------------------
 
 def _bench_campaign_baseline(fixtures: PerfFixtures):

@@ -42,9 +42,11 @@ Quick start::
     specs = [CampaignSpec(query=q, multipliers=(3, 7, 4, 2)) for q in queries]
     outcomes = service.run(specs)          # input order, deterministic
 
-Benchmark: ``python benchmarks/bench_service.py`` compares an 8-query
-concurrent campaign against the plain sequential loop (same seeds) and
-checks backend-identity; ``--smoke`` runs a seconds-scale variant for CI.
+Benchmark: ``python benchmarks/e2e/run.py --all`` times the inline
+single-query path (``tune_cold``) next to this service on two worker
+threads (``fleet_thread``, which also checks thread == sequential);
+``tests/test_determinism.py::TestServiceDeterminism`` asserts backend
+identity.
 """
 
 from repro.service.cache import (

@@ -50,7 +50,6 @@ def prewarm_caches(
     pretrained,
     caches,
     specs,
-    fit_dedup: bool = True,
     demands=None,
     min_demand: int = 1,
 ) -> dict[str, int]:
@@ -128,8 +127,9 @@ def prewarm_caches(
         # Same signature-based key the tuner consults (the cluster *id*
         # stays out of the key — it is a pretrain-run-local artifact — but
         # the builder still needs it to reach the right encoder/history).
+        # ``True``: service tuners always encode warm-ups batched.
         warmup_key = warmup_cache_key(
-            pretrained, cluster, spec.warmup_rows, spec.seed, fit_dedup
+            pretrained, cluster, spec.warmup_rows, spec.seed, True
         )
         warmup_demand[warmup_key] = warmup_demand.get(warmup_key, 0) + demand
         warmup_cluster[warmup_key] = cluster

@@ -143,7 +143,6 @@ def _build_campaign_tuner(
     engine,
     pretrained: PretrainedStreamTune | None,
     caches: TuningCacheSet | None,
-    fit_dedup: bool,
 ):
     """The campaign's tuner: StreamTune through the shared caches, or any
     history-free registry method built from the spec alone."""
@@ -166,10 +165,12 @@ def _build_campaign_tuner(
             warmup_rows=spec.warmup_rows,
             seed=spec.seed,
             caches=caches,
-            fit_dedup=fit_dedup,
-            # Optimised fitting and batched warm-up encoding travel together:
-            # both deviate from the seed path only in float-level ulps.
-            batch_encode=fit_dedup,
+            # The service always fits weighted + warm-started and encodes
+            # warm-ups batched.  Not a float-level detail: the weighted fit
+            # also runs the solver at looser tolerances than the inline
+            # path's duplicated-row fit, and on some traces that moves a
+            # tuning decision (ROADMAP item 2a has the measurement).
+            fit_dedup=True, batch_encode=True,
             **spec.tuner_overrides,
         )
     from repro.api.components import TunerResources, build_tuner
@@ -205,7 +206,6 @@ def execute_campaign(
     spec: CampaignSpec,
     pretrained: PretrainedStreamTune | None,
     caches: TuningCacheSet | None,
-    fit_dedup: bool = True,
     *,
     sink=None,
     keep_from: int = 0,
@@ -224,7 +224,7 @@ def execute_campaign(
     """
     started = time.perf_counter()
     engine = spec.make_engine()
-    tuner = _build_campaign_tuner(spec, engine, pretrained, caches, fit_dedup)
+    tuner = _build_campaign_tuner(spec, engine, pretrained, caches)
     multipliers = (
         spec.multipliers if stop_at is None else spec.multipliers[:stop_at]
     )
@@ -352,7 +352,6 @@ _WORKER: dict = {}
 
 def _init_worker(
     pretrained: PretrainedStreamTune | None,
-    fit_dedup: bool,
     shm_payload: dict,
 ) -> None:
     """Per-process initialiser: install the model and fresh local caches.
@@ -378,8 +377,7 @@ def _init_worker(
         for key, value in entries:
             section.put(key, value)
     _WORKER.update(
-        pretrained=pretrained, caches=caches, fit_dedup=fit_dedup,
-        backend="process", shm_store=store,
+        pretrained=pretrained, caches=caches, backend="process", shm_store=store,
     )
 
 
@@ -437,7 +435,7 @@ def _run_unit(spec: CampaignSpec, unit: "_Unit", relay, state=None) -> None:
     """Execute one unit on a pool worker, relaying through ``relay``.
 
     The one unit-runner of both pools: a thread worker is handed the
-    service's ``state`` (model, caches, flags), a process worker reads
+    service's ``state`` (model, caches, backend), a process worker reads
     what :func:`_init_worker` installed in ``_WORKER``.  Every terminal
     state crosses the relay queue as data: ``("event", unit, event)`` for
     live mid-campaign events, ``("done", unit, outcome)`` on success,
@@ -459,7 +457,6 @@ def _run_unit(spec: CampaignSpec, unit: "_Unit", relay, state=None) -> None:
             spec,
             state["pretrained"],
             state["caches"],
-            state["fit_dedup"],
             sink=sink,
             keep_from=unit.keep_from,
             stop_at=unit.stop_at,
@@ -496,7 +493,6 @@ class TuningService:
         backend: str = "thread",
         max_workers: int | None = None,
         prioritize_backpressure: bool = True,
-        fit_dedup: bool = True,
         caches: TuningCacheSet | None = None,
         prewarm: "bool | str" = "auto",
         start_method: str | None = None,
@@ -574,7 +570,6 @@ class TuningService:
         self.collect_worker_caches = collect_worker_caches
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
         self.scheduler = BackpressureScheduler() if prioritize_backpressure else FifoScheduler()
-        self.fit_dedup = fit_dedup
         if pretrained is not None:
             self._install_shared_ged_cache()
         self.prewarm = prewarm
@@ -819,7 +814,6 @@ class TuningService:
             self.pretrained,
             self.caches,
             specs,
-            fit_dedup=self.fit_dedup,
             demands=demands,
             min_demand=min_demand,
         )
@@ -851,7 +845,6 @@ class TuningService:
                     spec,
                     self.pretrained,
                     self.caches,
-                    self.fit_dedup,
                     keep_from=unit.keep_from,
                     stop_at=unit.stop_at,
                 )
@@ -875,7 +868,6 @@ class TuningService:
         state = {
             "pretrained": self.pretrained,
             "caches": self.caches,
-            "fit_dedup": self.fit_dedup,
             "backend": self.backend,
         }
         pool = ThreadPoolExecutor(max_workers=self.max_workers)
@@ -915,7 +907,7 @@ class TuningService:
             max_workers=self.max_workers,
             mp_context=context,
             initializer=_init_worker,
-            initargs=(self.pretrained, self.fit_dedup, shm_payload),
+            initargs=(self.pretrained, shm_payload),
         )
         try:
             futures = {

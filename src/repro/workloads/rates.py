@@ -5,18 +5,17 @@ multipliers ``[3, 7, 4, 2, 1, 10, 8, 5, 6, 9]`` (in units of Wu), replicated
 to a sequence of 20, with six permutations generated per query — 120 source
 rate changes in total.
 
-The pattern generator now lives in :mod:`repro.scenarios.library` as the
-``periodic`` family of the ``TRACES`` registry; :data:`BASIC_CYCLE` and
-:func:`periodic_multipliers` stay importable from here for back-compat
-(lazily, so the workload layer does not pull in the scenario plane just
-to look up Table II units).
+The pattern generator lives in :mod:`repro.scenarios.library` as the
+``periodic`` family of the ``TRACES`` registry (``BASIC_CYCLE``,
+``periodic_multipliers``); this module holds the Table II units and the
+per-query :class:`RateSchedule` built from that pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BASIC_CYCLE", "RateSchedule", "periodic_multipliers", "rate_units"]
+__all__ = ["RateSchedule", "rate_units"]
 
 #: Table II — source rate units Wu in records/s, keyed by
 #: (workload, query, engine) -> {source name: Wu}.
@@ -45,15 +44,6 @@ def rate_units(workload: str, query: str, engine: str) -> dict[str, float]:
         raise KeyError(
             f"no Table II rate units for {workload}/{query} on {engine}"
         ) from None
-
-
-def __getattr__(name: str):
-    # Lazy back-compat re-exports of the relocated §V-A generator.
-    if name in ("BASIC_CYCLE", "periodic_multipliers"):
-        from repro.scenarios import library
-
-        return getattr(library, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,12 @@
-"""Tests for TuningSession / AsyncTuningSession and the CLI plan shell."""
+"""Tests for TuningSession and the CLI plan shell."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
 
 from repro.api import (
-    AsyncTuningSession,
     CampaignPlan,
     PlanError,
     SessionResult,
@@ -74,7 +72,7 @@ class TestTuningSessionCampaigns:
         session_result = TuningSession(pretrained=tiny_pretrained).run(plan)
 
         # The pre-redesign path: hand-built specs straight into the service
-        # (exactly what the old `serve-campaigns` command did).
+        # (exactly what the fleet lifecycle runs).
         specs = [
             CampaignSpec(
                 query=nexmark_query(name, "flink"),
@@ -170,33 +168,6 @@ class TestTuningSessionCampaigns:
         assert captured["model_kind"] == "isotonic"
 
 
-class TestAsyncSession:
-    def test_async_results_identical_to_sync(self, tiny_pretrained):
-        plan = _smoke_plan(backend="thread", workers=2)
-        sync_result = TuningSession(pretrained=tiny_pretrained).run(plan)
-
-        async def drive():
-            session = AsyncTuningSession(pretrained=tiny_pretrained)
-            return await session.run(plan)
-
-        async_result = asyncio.run(drive())
-        assert _steps(async_result) == _steps(sync_result)
-        assert [o.spec_name for o in async_result.outcomes] == [
-            o.spec_name for o in sync_result.outcomes
-        ]
-
-    def test_run_all_gathers_in_order(self, tiny_pretrained):
-        plans = [_smoke_plan(), _smoke_plan(queries=("q5",))]
-
-        async def drive():
-            session = AsyncTuningSession(pretrained=tiny_pretrained)
-            return await session.run_all(plans)
-
-        results = asyncio.run(drive())
-        assert len(results) == 2
-        assert results[1].outcomes[0].spec_name == "nexmark_q5_flink"
-
-
 class TestCachePersistence:
     def test_snapshot_round_trip(self, tmp_path):
         caches = TuningCacheSet()
@@ -246,31 +217,35 @@ class TestCachePersistence:
 
 
 class TestCliPlanShell:
-    def test_serve_campaigns_rates_not_multiple_fails_fast(self, capsys):
+    """``serve_campaigns`` in a test name means the fleet lifecycle: a
+    campaign plan file through ``run-plan``."""
+
+    @staticmethod
+    def _run_campaign_file(tmp_path, **fields):
         from repro.cli import main
 
-        code = main([
-            "serve-campaigns", "--queries", "q1,q5",
-            "--rates", "3,7,4", "--rates-per-query",
-            "--backend", "sequential", "--scale", "smoke",
-        ])
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({"scale": "smoke", **fields}))
+        return main(["run-plan", str(path), "--backend", "sequential"])
+
+    def test_serve_campaigns_rates_not_multiple_fails_fast(self, tmp_path, capsys):
+        code = self._run_campaign_file(
+            tmp_path, queries=["q1", "q5"], rates=[3, 7, 4], rates_per_query=True
+        )
         assert code == 2
         err = capsys.readouterr().err
         assert "3 multipliers" in err and "2 queries" in err and "multiple" in err
 
-    def test_serve_campaigns_malformed_rates_fails_fast(self, capsys):
-        from repro.cli import main
+    def test_serve_campaigns_malformed_rates_fails_fast(self, tmp_path, capsys):
+        # `3,,7` as a shell would have passed it, and with the hole spelled out
+        for rates in ("3,,7", [3, None, 7]):
+            assert self._run_campaign_file(tmp_path, queries=["q1"], rates=rates) == 2
+            err = capsys.readouterr().err
+            assert "rates must be a sequence of numbers" in err
+            assert "Traceback" not in err
 
-        code = main([
-            "serve-campaigns", "--queries", "q1", "--rates", "3,,7",
-        ])
-        assert code == 2
-        assert "malformed" in capsys.readouterr().err
-
-    def test_serve_campaigns_unknown_query_fails_fast(self, capsys):
-        from repro.cli import main
-
-        code = main(["serve-campaigns", "--queries", "q1,q9", "--rates", "3"])
+    def test_serve_campaigns_unknown_query_fails_fast(self, tmp_path, capsys):
+        code = self._run_campaign_file(tmp_path, queries=["q1", "q9"], rates=[3])
         assert code == 2
         assert "q9" in capsys.readouterr().err
 
@@ -428,44 +403,6 @@ class TestSweepExecution:
         )
         direct = TuningSession(pretrained=tiny_pretrained).run(_smoke_plan())
         assert _steps(sweep.results[0]) == _steps(direct)
-
-
-class TestAsyncStreaming:
-    def test_early_exit_does_not_hang(self, tiny_pretrained):
-        plan = _smoke_plan(backend="thread", workers=2)
-
-        async def drive():
-            session = AsyncTuningSession(pretrained=tiny_pretrained)
-            async for event in session.stream(plan):
-                return event.kind          # abandon after the first event
-
-        import time
-
-        started = time.perf_counter()
-        first = asyncio.run(drive())
-        assert first == "CampaignStarted"
-        # generously below a full-fleet drain, which takes seconds
-        assert time.perf_counter() - started < 30
-
-    def test_async_stream_yields_same_events(self, tiny_pretrained):
-        plan = _smoke_plan()
-        sync_events = list(TuningSession(pretrained=tiny_pretrained).stream(plan))
-
-        async def drive():
-            session = AsyncTuningSession(pretrained=tiny_pretrained)
-            collected = []
-            async for event in session.stream(plan):
-                collected.append(event)
-            return collected, session.last_result
-
-        async_events, result = asyncio.run(drive())
-        assert [e.kind for e in async_events] == [e.kind for e in sync_events]
-        assert [getattr(e, "campaign", None) for e in async_events] == [
-            getattr(e, "campaign", None) for e in sync_events
-        ]
-        assert result is not None and _steps(result) == _steps(
-            TuningSession(pretrained=tiny_pretrained).run(plan)
-        )
 
 
 class TestSessionSharedCaches:

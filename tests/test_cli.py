@@ -1,10 +1,26 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface.
+
+Every tuning run is ``run-plan`` on a plan file; the cases named
+``tune`` cover the single-query lifecycle, i.e. a ``kind = "tuning"``
+plan written to ``tmp_path``.
+"""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.cli import _resolve_query, build_parser, main
+from repro.api import TuningPlan, load_plan, resolve_query, save_plan
+from repro.cli import build_parser, main
+
+
+def _tuning_plan_file(tmp_path, **fields):
+    """Write a JSON TuningPlan file (a fresh one per call), unvalidated,
+    and return its path."""
+    path = tmp_path / f"tuning-{len(list(tmp_path.iterdir()))}.json"
+    path.write_text(json.dumps({"kind": "tuning", "scale": "smoke", **fields}))
+    return path
 
 
 class TestParser:
@@ -19,24 +35,52 @@ class TestParser:
         assert args.records == 50
         assert args.engine == "flink"
 
-    def test_tune_args(self):
-        args = build_parser().parse_args(
-            ["tune", "--model", "m", "--query", "q5", "--rates", "2,9"]
-        )
-        assert args.rates == "2,9"
-        assert args.layer == "svm"
+    def test_tune_args(self, tmp_path):
+        """What `tune` took as flags is a tuning plan file's fields."""
+        path = _tuning_plan_file(tmp_path, model="m", query="q5", rates=[2, 9])
+        args = build_parser().parse_args(["run-plan", str(path)])
+        assert args.func.__name__ == "_cmd_run_plan"
+        plan = load_plan(args.plan)
+        assert isinstance(plan, TuningPlan)
+        assert plan.rates == (2.0, 9.0)
+        assert plan.model == "m"
+        assert plan.layer == "svm"
 
-    def test_tune_accepts_isotonic_layer(self):
-        args = build_parser().parse_args(
-            ["tune", "--model", "m", "--query", "q2", "--layer", "isotonic"]
-        )
-        assert args.layer == "isotonic"
+    def test_tune_accepts_isotonic_layer(self, tmp_path):
+        path = _tuning_plan_file(tmp_path, query="q2", layer="isotonic")
+        assert load_plan(path).layer == "isotonic"
 
-    def test_tune_rejects_unknown_layer(self):
+    def test_tune_rejects_unknown_layer(self, tmp_path, capsys):
+        path = _tuning_plan_file(tmp_path, query="q2", layer="forest")
+        assert main(["run-plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "forest" in err
+        # the message lists what would have been accepted
+        assert "svm" in err and "isotonic" in err
+
+    def test_plan_flags_parse_identically(self):
+        """--backend/--workers/--scale are declared once for the three
+        plan-running commands."""
+        flags = ["--backend", "process", "--workers", "3", "--scale", "smoke"]
+        parsed = [
+            build_parser().parse_args([command, "plan.toml", *flags])
+            for command in ("run-plan", "sweep", "matrix")
+        ]
+        for args in parsed:
+            assert (args.backend, args.workers, args.scale) == ("process", 3, "smoke")
+        defaults = [
+            build_parser().parse_args([command, "plan.toml"])
+            for command in ("run-plan", "sweep", "matrix")
+        ]
+        for args in defaults:
+            assert (args.backend, args.workers, args.scale) == (None, None, None)
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["tune", "--model", "m", "--query", "q2", "--layer", "forest"]
-            )
+            build_parser().parse_args(["matrix", "plan.toml", "--backend", "gpu"])
+
+    def test_legacy_subcommands_are_gone(self):
+        for command in ("tune", "serve-campaigns"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_ablations_subcommand(self):
         args = build_parser().parse_args(["ablations", "--scale", "smoke"])
@@ -46,14 +90,14 @@ class TestParser:
 
 class TestQueryResolution:
     def test_nexmark(self):
-        assert _resolve_query("q5", "flink").name == "nexmark_q5_flink"
+        assert resolve_query("q5", "flink").name == "nexmark_q5_flink"
 
     def test_pqp(self):
-        assert _resolve_query("2-way-join/3", "flink").name.startswith("pqp_2way")
+        assert resolve_query("2-way-join/3", "flink").name.startswith("pqp_2way")
 
     def test_unknown(self):
         with pytest.raises(KeyError):
-            _resolve_query("4-way/0", "flink")
+            resolve_query("4-way/0", "flink")
 
 
 class TestEndToEnd:
@@ -76,10 +120,11 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "pre-trained 2 cluster encoder(s)" in out
 
-        assert main([
-            "tune", "--model", str(model_dir),
-            "--query", "q1", "--rates", "3,8",
-        ]) == 0
+        plan_path = tmp_path / "tune.toml"
+        save_plan(
+            TuningPlan(query="q1", rates=(3, 8), model=str(model_dir)), plan_path
+        )
+        assert main(["run-plan", str(plan_path)]) == 0
         out = capsys.readouterr().out
         assert "StreamTune tuning" in out
         assert "converged" in out
@@ -176,9 +221,68 @@ class TestValidationExitCodes:
         assert "999" in err and "version" in err
         assert built == []
 
-    def test_tune_bad_rates_exit_code(self, capsys):
-        code = main(["tune", "--model", "m", "--query", "q1", "--rates", "3,,7"])
-        self._assert_one_line_error(capsys, code)
+    def test_tune_bad_rates_exit_code(self, tmp_path, capsys):
+        # `3,,7`: an empty entry is a TOML syntax error ...
+        path = tmp_path / "tune.toml"
+        path.write_text('kind = "tuning"\nquery = "q1"\nrates = [3,,7]\n')
+        err = self._assert_one_line_error(capsys, main(["run-plan", str(path)]))
+        assert "not valid TOML" in err
+        # ... and the string a shell would have passed is not a trace.
+        path = _tuning_plan_file(tmp_path, query="q1", rates="3,,7")
+        err = self._assert_one_line_error(capsys, main(["run-plan", str(path)]))
+        assert "rates" in err and "3,,7" in err
+
+    @pytest.mark.parametrize("error_class", [
+        "missing-plan-file", "unknown-component", "missing-model-dir",
+        "missing-history-file", "stale-cache-snapshot", "missing-resume-log",
+        "bad-perf-tolerance", "unreachable-daemon", "missing-fault-plan",
+    ])
+    def test_operator_errors_exit_2_with_one_line(
+        self, error_class, tmp_path, capsys
+    ):
+        """One case per error class `main()` turns into exit code 2."""
+        import pickle
+
+        ds2 = tmp_path / "ds2.json"
+        ds2.write_text(json.dumps({
+            "queries": ["q1"], "rates": [3], "tuner": "ds2",
+            "backend": "sequential", "scale": "smoke",
+        }))
+        stale = tmp_path / "stale.pkl"
+        stale.write_bytes(pickle.dumps({
+            "format": "repro.service.TuningCacheSet", "version": 999,
+            "sections": {},
+        }))
+        missing = str(tmp_path / "no" / "such")
+        argv, expected = {
+            "missing-plan-file": (["run-plan", missing + ".toml"], missing),
+            "unknown-component": (
+                ["run-plan", str(_tuning_plan_file(tmp_path, query="q1", engine="storm"))],
+                "storm",
+            ),
+            "missing-model-dir": (
+                ["run-plan", str(_tuning_plan_file(tmp_path, query="q1", model=missing))],
+                missing,
+            ),
+            "missing-history-file": (
+                ["pretrain", "--history", missing, "--output", str(tmp_path / "m")],
+                missing,
+            ),
+            "stale-cache-snapshot": (
+                ["run-plan", str(_tuning_plan_file(
+                    tmp_path, query="q1", cache_path=str(stale)
+                ))],
+                "999",
+            ),
+            "missing-resume-log": (["run-plan", str(ds2), "--resume", missing], missing),
+            "bad-perf-tolerance": (["perf", "--smoke", "--tolerance", "2"], "tolerance"),
+            "unreachable-daemon": (["jobs", "--url", "http://127.0.0.1:1"], "127.0.0.1:1"),
+            "missing-fault-plan": (
+                ["worker", str(tmp_path / "spool"), "--fault-plan", missing], missing
+            ),
+        }[error_class]
+        err = self._assert_one_line_error(capsys, main(argv))
+        assert expected in err
 
 
 class TestSweepCommand:

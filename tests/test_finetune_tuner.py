@@ -135,16 +135,16 @@ class TestStreamTuneTuner:
             query.rates_at(3),
         )
         tuner.tune(deployment, query.rates_at(3))
-        first = len(tuner._feedback_of[query.flow.name])
+        first = len(tuner._states[query.flow.name].feedback)
         tuner.tune(deployment, query.rates_at(7))
-        assert len(tuner._feedback_of[query.flow.name]) > first
+        assert len(tuner._states[query.flow.name].feedback) > first
 
     def test_prepare_idempotent(self, setup):
         engine, tuner, query = setup
         tuner.prepare(query)
-        dataset = tuner._dataset_of[query.flow.name]
+        dataset = tuner._states[query.flow.name].dataset
         tuner.prepare(query)
-        assert tuner._dataset_of[query.flow.name] is dataset
+        assert tuner._states[query.flow.name].dataset is dataset
 
     def test_unprepared_query_lazily_initialised(self, setup, tiny_pretrained):
         engine, _, query = setup

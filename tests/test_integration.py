@@ -5,16 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import (
-    ContTuneTuner,
-    DS2Tuner,
-    FlinkCluster,
-    OracleTuner,
-    StreamTuneTuner,
-    TimelyCluster,
-    ZeroTuneTuner,
-)
-from repro.core import HistoryGenerator, pretrain
+from repro.baselines import ContTuneTuner, DS2Tuner, OracleTuner, ZeroTuneTuner
+from repro.core import HistoryGenerator, StreamTuneTuner, pretrain
+from repro.engines import FlinkCluster, TimelyCluster
 from repro.workloads import nexmark_queries, nexmark_query
 
 

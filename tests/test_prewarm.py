@@ -38,7 +38,7 @@ class TestPrewarmCaches:
     def test_populates_every_section(self, tiny_pretrained):
         caches = TuningCacheSet()
         specs = [_spec("q1"), _spec("q5")]
-        stats = prewarm_caches(tiny_pretrained, caches, specs, fit_dedup=True)
+        stats = prewarm_caches(tiny_pretrained, caches, specs)
         assert stats["assign"] >= 1
         assert stats["warmup"] >= 1
         assert stats["distill"] >= 2      # one per (structure, rate)

@@ -33,7 +33,7 @@ from repro.api import (
 )
 from repro.api.components import ENGINE_FAMILIES
 from repro.scenarios import ChaosInjector
-from repro.scenarios.library import BASIC_CYCLE, periodic_multipliers
+from repro.scenarios.library import periodic_multipliers
 
 #: Every non-inline family with params that exercise its seeded path.
 FAMILY_CASES = [
@@ -66,12 +66,6 @@ class TestTraceFamilies:
         spec = TraceSpec(family="periodic", seed=3)
         legacy = periodic_multipliers(seed=3)
         assert spec.materialize() == tuple(float(x) for x in legacy)
-
-    def test_relocated_generator_still_importable_from_workloads(self):
-        from repro.workloads import rates as workload_rates
-
-        assert workload_rates.periodic_multipliers is periodic_multipliers
-        assert workload_rates.BASIC_CYCLE == BASIC_CYCLE == (3, 7, 4, 2, 1, 10, 8, 5, 6, 9)
 
     @pytest.mark.parametrize("family,params,seed", FAMILY_CASES)
     def test_equal_specs_materialize_bit_identically(self, family, params, seed):

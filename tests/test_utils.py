@@ -84,3 +84,31 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(["a", "b"], [])
         assert "a" in text
+
+
+class TestSlocRatchet:
+    """``scripts/sloc.py --max N``: the line-count ceiling CI enforces."""
+
+    @pytest.fixture()
+    def sloc(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "scripts" / "sloc.py"
+        spec = importlib.util.spec_from_file_location("sloc_script", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_ceiling_passes_at_and_fails_above(self, sloc, tmp_path, capsys):
+        source = tmp_path / "three.py"
+        source.write_text('"""Docstring."""\n\n# comment\na = 1\nb = 2\nc = (\n    3)\n')
+        assert sloc.count_sloc(source.read_text()) == 4
+        assert sloc.main(["--max", "4", str(source)]) == 0
+        assert sloc.main(["--max", "3", str(source)]) == 1
+        assert "exceed the ceiling of 3" in capsys.readouterr().err
+        assert sloc.main([str(source)]) == 0          # no ceiling: informational
+
+    def test_ceiling_must_be_a_number(self, sloc, capsys):
+        assert sloc.main(["--max", "src"]) == 2
+        assert sloc.main(["--max"]) == 2

@@ -14,13 +14,9 @@ from repro.workloads.pqp import (
     pqp_queries,
     pqp_query_set,
 )
+from repro.scenarios.library import BASIC_CYCLE, periodic_multipliers
 from repro.workloads.query import StreamingQuery
-from repro.workloads.rates import (
-    BASIC_CYCLE,
-    RateSchedule,
-    periodic_multipliers,
-    rate_units,
-)
+from repro.workloads.rates import RateSchedule, rate_units
 
 
 class TestRateUnits:
