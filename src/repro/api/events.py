@@ -12,7 +12,7 @@ just writing the events down:
   with a per-campaign ``step_index`` that increases monotonically;
 * :class:`ChaosInjected` — a scheduled chaos effect (operator loss or
   latency spike from the plan's :class:`~repro.scenarios.ChaosSpec`) was
-  applied, emitted before the affected step's tuning process runs;
+  applied, emitted ahead of the affected step's event block;
 * :class:`Reconfigured` — one per stop-and-restart redeployment inside a
   step, emitted before its step's :class:`StepCompleted`;
 * :class:`CampaignFinished` — a campaign's last tuning process finished
@@ -33,7 +33,7 @@ just writing the events down:
   manifest is an event ledger like any ``--record`` log.
 
 Every event carries a stream-wide monotonic ``seq`` (re-stamped at the
-consumer, so merged shard/worker streams never interleave out of order),
+consumer, so merged worker streams never interleave out of order),
 the ``scenario`` label of the sweep grid cell that produced it (when any),
 and — for campaign-scoped events — a deterministic ``cell_key`` derived
 from the campaign's (query, engine, tuner, rate trace, seed) via
@@ -163,7 +163,6 @@ class CampaignStarted(Event):
     tuner: str = "streamtune"
     backend: str = "sequential"
     n_steps: int = 0                   # rate changes this campaign will tune
-    shards: int = 1                    # trace shards the campaign is split into
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,8 @@ class ChaosInjected(Event):
     """A scheduled chaos effect was applied before/at a trace step.
 
     Emitted by campaigns whose plan carries a
-    :class:`~repro.scenarios.ChaosSpec`, right before the affected step's
-    tuning process runs (and before that step's :class:`StepCompleted`).
+    :class:`~repro.scenarios.ChaosSpec`, ahead of the affected step's
+    :class:`Reconfigured` / :class:`StepCompleted` block.
     ``effect`` is ``"operator-loss"`` (``operator``/``count`` say what
     failed), ``"latency-spike"`` (``seconds`` says by how much the
     step's telemetry stretched) or ``"trace-dropout"`` (``factor`` says
@@ -546,8 +545,7 @@ class ProgressPrinter:
         if isinstance(event, CampaignStarted):
             self._write(
                 f"> {event.campaign}: {event.n_steps} rate change(s) via "
-                f"{event.tuner}@{event.engine} ({event.backend}"
-                + (f", {event.shards} shards)" if event.shards > 1 else ")"),
+                f"{event.tuner}@{event.engine} ({event.backend})",
                 event.scenario,
             )
         elif isinstance(event, StepCompleted):

@@ -379,10 +379,6 @@ class CampaignPlan:
     scale: str | None = None
     seed: int = 17
     cache_path: str | None = None
-    #: Split every campaign's rate trace into this many contiguous shards,
-    #: each dispatched as its own worker unit; merged results stay
-    #: bit-identical to the unsharded run (shards replay their prefix).
-    trace_shards: int = 1
     #: Shared work-spool directory for the ``distributed`` backend: the
     #: coordinator seeds cells there and worker agents on any host claim
     #: them.  ``None`` with backend="distributed" means an ephemeral
@@ -445,12 +441,11 @@ class CampaignPlan:
                 f"baselines consult no tuning cache); remove it or drop "
                 f"tuner={self.tuner!r}"
             )
-        if not isinstance(self.trace_shards, int) or isinstance(
-            self.trace_shards, bool
-        ) or self.trace_shards < 1:
+        if self.cache_path is not None and self.backend == "distributed":
             raise PlanError(
-                f"trace_shards must be a positive integer, got "
-                f"{self.trace_shards!r}"
+                "cache_path does not apply to the distributed backend (worker "
+                "agents keep their own caches; the coordinator neither loads "
+                "nor saves a snapshot); remove it or pick an in-process backend"
             )
         _check_scale(self.scale)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -544,7 +539,6 @@ class SweepPlan:
     model: str | None = None
     scale: str | None = None
     seed: int = 17
-    trace_shards: int = 1
     #: Shared work spool for the ``distributed`` backend (see
     #: :class:`CampaignPlan.spool_dir`); passed through to every cell.
     spool_dir: str | None = None
@@ -681,7 +675,6 @@ class SweepPlan:
                             "model": self.model,
                             "scale": self.scale,
                             "seed": self.seed,
-                            "trace_shards": self.trace_shards,
                             "spool_dir": self.spool_dir,
                             "chaos": chaos,
                         }

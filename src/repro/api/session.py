@@ -259,8 +259,7 @@ class TuningSession:
 
     def _stream_tuning(self, plan: TuningPlan, resume=None):
         """The single-query lifecycle: one engine, one tuner, inline."""
-        from repro.experiments.campaigns import iter_campaign
-        from repro.service.tuning import CampaignOutcome, _step_events
+        from repro.service.tuning import CampaignOutcome, campaign_events
 
         started = time.perf_counter()
         seq = 0
@@ -316,25 +315,16 @@ class TuningSession:
             n_steps=len(plan.rates),
             cell_key=cell_key,
         ))
-        # The canonical campaign loop, one event block per tuning process.
-        injected: list = []   # ChaosInjected events buffered per step
-        iterator = iter_campaign(
-            engine, tuner, query, list(plan.rates),
-            chaos=plan.chaos, chaos_sink=injected.append,
+        events = campaign_events(
+            engine, tuner, query, plan.rates, chaos=plan.chaos, cell_key=cell_key
         )
         while True:
             try:
-                index, multiplier, process = next(iterator)
+                event = next(events)
             except StopIteration as stop:
                 result = stop.value
                 break
-            for event in injected:
-                yield stamped(dataclasses.replace(event, cell_key=cell_key))
-            injected.clear()
-            for event in _step_events(
-                query.name, len(plan.rates), index, multiplier, process
-            ):
-                yield stamped(event)
+            yield stamped(event)
         if caches is not None:
             caches.save(plan.cache_path)
         elif params.get("caches") is not None:
@@ -396,9 +386,7 @@ class TuningSession:
             caches=caches,
             shm_store=self._shm_store,
         )
-        for event in service.stream(
-            specs, trace_shards=plan.trace_shards, resume=resume
-        ):
+        for event in service.stream(specs, resume=resume):
             if isinstance(event, CampaignFinished):
                 outcomes[event.index] = event.outcome
             elif isinstance(event, CampaignFailed):

@@ -46,6 +46,11 @@ from repro.utils.timer import Timer
 from repro.workloads.query import StreamingQuery
 
 
+#: Warm-up dataset size of a default tuner; service pre-warming keys its
+#: warm-up entries with the same value, so they hit.
+DEFAULT_WARMUP_ROWS = 300
+
+
 @dataclass
 class QueryTuningState:
     """Everything the tuner accumulates for one query.
@@ -79,7 +84,7 @@ class StreamTuneTuner(ParallelismTuner):
         pretrained: PretrainedStreamTune,
         model_kind: str = "svm",
         max_iterations: int = 8,
-        warmup_rows: int = 300,
+        warmup_rows: int = DEFAULT_WARMUP_ROWS,
         probability_threshold: float | None = 0.35,
         max_class_imbalance: float = 3.0,
         seed: int = 17,

@@ -58,11 +58,11 @@ def _derived_plan(plan: CampaignPlan, token: str, rates) -> dict:
     """The single-campaign plan one cell executes, as a plain dict.
 
     The derived plan runs on the ``sequential`` backend (one campaign
-    needs no pool) and drops fleet-only machinery: ``cache_path`` stays
-    with the coordinator's host, the spool must not recurse, and trace
-    sharding is pointless inside a single sequential campaign.  Its
-    ``cell_keys()[0]`` equals the parent's key for this campaign — seed
-    and engine-seed conventions are the plan's own.
+    needs no pool) and drops fleet-only machinery: the spool must not
+    recurse (a distributed plan carries no ``cache_path`` — plan
+    validation rejects the combination).  Its ``cell_keys()[0]`` equals
+    the parent's key for this campaign — seed and engine-seed conventions
+    are the plan's own.
     """
     return CampaignPlan(
         queries=(token,),

@@ -102,8 +102,9 @@ def iter_campaign(
     A generator yielding ``(index, multiplier, process)`` after each
     source-rate change and returning the full :class:`CampaignResult`
     (via ``StopIteration.value``).  Every execution path — the blocking
-    :func:`run_campaign`, the streaming session, the service's campaign
-    workers — drives this one loop, so they cannot drift apart.
+    :func:`run_campaign`, and the session and service through
+    :func:`repro.service.tuning.campaign_events` — drives this one loop,
+    so they cannot drift apart.
 
     ``chaos`` is an optional :class:`~repro.scenarios.ChaosSpec`: its
     scheduled effects are injected deterministically before each step's
@@ -188,78 +189,3 @@ def averaged(results: list[CampaignResult], attribute: str) -> float:
     """Mean of a CampaignResult property across a query group."""
     values = [getattr(result, attribute) for result in results]
     return float(np.mean(values))
-
-
-def service_campaigns(
-    engine_name: str,
-    groups: list[str],
-    scale: ExperimentScale,
-    backend: str = "thread",
-    max_workers: int | None = None,
-    on_event=None,
-) -> dict[str, list[CampaignResult]]:
-    """StreamTune campaigns for many query groups via the tuning service.
-
-    The concurrent counterpart of calling :func:`campaign` per group: every
-    query of every group becomes one :class:`~repro.service.CampaignSpec`
-    and the whole fleet runs through a single
-    :class:`~repro.service.TuningService` (shared GED/embedding caches,
-    backpressure-first dispatch).  The fleet executes through the
-    service's event stream; ``on_event`` (any callable or an
-    :class:`~repro.api.events.EventBus`'s ``publish``) observes campaigns
-    as they complete instead of waiting for the barrier.  Results are
-    cached under dedicated ``service-campaign`` keys — the service's
-    deduplicated fitting path is deterministic but not bit-identical to
-    the sequential figures grid, so the two grids never mix.
-    """
-    from repro.api.events import CampaignFailed, CampaignFinished
-    from repro.service import CampaignExecutionError, CampaignSpec, TuningService
-
-    key = ("service-campaign", engine_name, tuple(groups), scale.name, backend)
-    if key in context._CACHE:
-        return context._CACHE[key]
-
-    evaluation = context.evaluation_queries(engine_name, scale)
-    multipliers = tuple(
-        periodic_multipliers(n_permutations=scale.n_permutations, seed=scale.seed)[
-            : scale.n_rate_changes
-        ]
-    )
-    specs = []
-    for group in groups:
-        for query in evaluation[group]:
-            specs.append(
-                CampaignSpec(
-                    query=query,
-                    multipliers=multipliers,
-                    engine=engine_name,
-                    engine_seed=scale.seed,
-                    seed=scale.seed + 4,
-                )
-            )
-    service = TuningService(
-        context.pretrained_model(engine_name, scale),
-        backend=backend,
-        max_workers=max_workers,
-    )
-    outcomes = {}
-    outcomes_by_index = {}
-    failures = []
-    for event in service.stream(specs):
-        if on_event is not None:
-            on_event(event)
-        if isinstance(event, CampaignFinished):
-            outcomes[event.campaign] = event.outcome
-            outcomes_by_index[event.index] = event.outcome
-        elif isinstance(event, CampaignFailed):
-            failures.append(event)
-    if failures:
-        # The experiment grid is only cacheable when complete; surface the
-        # failure (with its worker traceback) instead of a partial grid.
-        raise CampaignExecutionError(failures, outcomes_by_index)
-    results: dict[str, list[CampaignResult]] = {
-        group: [outcomes[query.name].result for query in evaluation[group]]
-        for group in groups
-    }
-    context._CACHE[key] = results
-    return results

@@ -68,7 +68,6 @@ from repro.service.tuning import (
     CampaignOutcome,
     TuningService,
     execute_campaign,
-    shard_bounds,
 )
 
 __all__ = [
@@ -86,5 +85,4 @@ __all__ = [
     "TuningService",
     "execute_campaign",
     "prewarm_caches",
-    "shard_bounds",
 ]

@@ -19,14 +19,14 @@ the wall-clock changes.  Three situations profit:
 * **thread backend** — builders run outside the cache lock (so an
   expensive miss never serialises hits), which lets two workers racing on
   the same cold key both pay for it; pre-warming keys demanded by more
-  than one work unit removes the duplicated work;
+  than one campaign removes the duplicated work;
 * **resume** — a resumed fleet's completed cells never re-execute, but
   their pure entries are exactly what the missing cells (and the
   ``cache_path`` snapshot written afterwards) want warm; pre-warming from
   the completed cells' specs restores them without re-running campaigns.
 
 ``min_demand`` encodes the backend policy: an entry is only pre-warmed
-when the number of work units that will consult it reaches the threshold
+when the number of campaigns that will consult it reaches the threshold
 (resume-covered campaigns count as :data:`RESUME_DEMAND`, i.e. always).
 """
 
@@ -39,6 +39,7 @@ from repro.core.finetune import (
     shared_structure_key,
     warmup_cache_key,
 )
+from repro.core.tuner import DEFAULT_WARMUP_ROWS
 
 #: Effective demand of a resume-covered campaign's entries: always worth
 #: warming (the next snapshot must reflect completed cells), regardless of
@@ -55,12 +56,13 @@ def prewarm_caches(
 ) -> dict[str, int]:
     """Populate ``caches`` with the pure entries ``specs`` will consult.
 
-    ``demands`` carries one weight per spec (how many work units will
-    consult its entries; defaults to 1 each); an expensive entry is
-    computed only when the demand summed over the specs sharing it reaches
-    ``min_demand``.  Cluster assignments are always resolved (they are
-    cheap, bound-pruned, and prerequisites for every other key).  Returns
-    the number of *newly computed* entries per section.
+    ``demands`` carries one weight per spec (1 for a campaign that will
+    run, :data:`RESUME_DEMAND` for a resume-covered one; defaults to 1
+    each); an expensive entry is computed only when the demand summed
+    over the specs sharing it reaches ``min_demand``.  Cluster assignments
+    are always resolved (they are cheap, bound-pruned, and prerequisites
+    for every other key).  Returns the number of *newly computed* entries
+    per section.
     """
     stats = {"assign": 0, "warmup": 0, "distill": 0, "embed": 0}
     if pretrained is None or caches is None:
@@ -127,9 +129,10 @@ def prewarm_caches(
         # Same signature-based key the tuner consults (the cluster *id*
         # stays out of the key — it is a pretrain-run-local artifact — but
         # the builder still needs it to reach the right encoder/history).
-        # ``True``: service tuners always encode warm-ups batched.
+        # Service tuners keep the default warm-up size and always encode
+        # warm-ups batched (``True``).
         warmup_key = warmup_cache_key(
-            pretrained, cluster, spec.warmup_rows, spec.seed, True
+            pretrained, cluster, DEFAULT_WARMUP_ROWS, spec.seed, True
         )
         warmup_demand[warmup_key] = warmup_demand.get(warmup_key, 0) + demand
         warmup_cluster[warmup_key] = cluster

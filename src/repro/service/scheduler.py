@@ -16,7 +16,7 @@ scheduling stays a pure latency decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engines.base import EngineCluster
 from repro.workloads.query import StreamingQuery
@@ -37,9 +37,6 @@ class CampaignSpec:
     #: built per campaign from the registry.
     tuner: str = "streamtune"
     model_kind: str = "svm"
-    max_iterations: int = 8
-    warmup_rows: int = 300
-    tuner_overrides: dict = field(default_factory=dict, hash=False, compare=False)
     #: Optional :class:`~repro.scenarios.ChaosSpec` executed alongside
     #: the campaign (``None`` = clean run).  Frozen and hashable, so it
     #: participates in spec identity and pickles into workers.

@@ -18,9 +18,12 @@ Execution is **observable**: :meth:`TuningService.stream` yields typed
 :mod:`repro.api.events` as campaigns progress — live per-step on the
 thread *and* process backends (process workers relay events through a
 ``multiprocessing.Manager`` queue), per completed campaign on the
-sequential backend and for sharded traces — and :meth:`TuningService.run`
-is a thin wrapper that drains the stream and returns outcomes in input
-order, so the legacy blocking call stays bit-identical.
+sequential backend — and :meth:`TuningService.run` is a thin wrapper that
+drains the stream and returns outcomes in input order, so the legacy
+blocking call stays bit-identical.  A campaign is the unit of work on
+every backend: Algorithm 2's fine-tuning set T accumulates along the rate
+trace, so a trace runs serially inside its campaign and the parallelism
+is across campaigns.
 
 Execution is also **fault-tolerant** and **resumable**:
 
@@ -39,14 +42,6 @@ Execution is also **fault-tolerant** and **resumable**:
   are not re-executed — a :class:`~repro.api.events.CampaignSkipped`
   marker plus the replayed :class:`~repro.api.events.CampaignFinished`
   (bit-identical recorded result) enter the stream instead.
-
-A campaign's rate trace can additionally be **sharded** across workers
-(``trace_shards``): each shard replays the trace prefix on a fresh
-engine/tuner (deterministic, so the replayed state matches the unsharded
-run exactly) and keeps only its own contiguous chunk; the merged result
-is bit-identical to the unsharded campaign.  Replay work shrinks as the
-shared caches warm, which is what makes sharding profitable on long
-traces.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ import queue
 import time
 import traceback as traceback_module
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api.events import (
     CacheStats,
@@ -87,11 +82,6 @@ class CampaignOutcome:
     result: CampaignResult
     wall_seconds: float
     backend: str
-    #: :class:`~repro.api.events.ChaosInjected` events of the recorded
-    #: chunk, in execution order.  Kept on the outcome so backends that
-    #: replay a finished campaign (sequential, sharded) emit the same
-    #: stream a live worker does.
-    chaos_events: list = field(default_factory=list)
 
 
 class CampaignExecutionError(RuntimeError):
@@ -161,8 +151,6 @@ def _build_campaign_tuner(
             engine,
             pretrained,
             model_kind=model_kind,
-            max_iterations=spec.max_iterations,
-            warmup_rows=spec.warmup_rows,
             seed=spec.seed,
             caches=caches,
             # The service always fits weighted + warm-started and encodes
@@ -171,11 +159,10 @@ def _build_campaign_tuner(
             # path's duplicated-row fit, and on some traces that moves a
             # tuning decision (ROADMAP item 2a has the measurement).
             fit_dedup=True, batch_encode=True,
-            **spec.tuner_overrides,
         )
     from repro.api.components import TunerResources, build_tuner
 
-    return build_tuner(spec.tuner, engine, TunerResources(), **spec.tuner_overrides)
+    return build_tuner(spec.tuner, engine, TunerResources())
 
 
 def _step_events(campaign: str, n_steps: int, step_index: int, multiplier, process):
@@ -202,144 +189,69 @@ def _step_events(campaign: str, n_steps: int, step_index: int, multiplier, proce
     )
 
 
+def campaign_events(
+    engine, tuner, query, multipliers, *, chaos=None, cell_key: str | None = None
+):
+    """One campaign as typed events, a block per tuning process.
+
+    The one translation of :func:`iter_campaign` into the stream: after
+    each source-rate change the step's
+    :class:`~repro.api.events.ChaosInjected` events (stamped with
+    ``cell_key``), then its :class:`Reconfigured` / :class:`StepCompleted`
+    block.  Returns the :class:`CampaignResult` (``StopIteration.value``).
+    Event construction never touches the tuner, so observing a campaign
+    cannot change its results.
+    """
+    injected: list = []
+    iterator = iter_campaign(
+        engine, tuner, query, list(multipliers),
+        chaos=chaos, chaos_sink=injected.append,
+    )
+    while True:
+        try:
+            index, multiplier, process = next(iterator)
+        except StopIteration as stop:
+            return stop.value
+        for event in injected:
+            yield dataclasses.replace(event, cell_key=cell_key)
+        injected.clear()
+        yield from _step_events(
+            query.name, len(multipliers), index, multiplier, process
+        )
+
+
 def execute_campaign(
     spec: CampaignSpec,
     pretrained: PretrainedStreamTune | None,
     caches: TuningCacheSet | None,
     *,
     sink=None,
-    keep_from: int = 0,
-    stop_at: int | None = None,
 ) -> CampaignOutcome:
     """Run one campaign end to end (the unit of work a worker executes).
 
-    ``keep_from``/``stop_at`` select a contiguous shard of the rate trace:
-    the campaign executes multipliers ``[0:stop_at)`` — replaying the
-    prefix so tuner/engine state at ``keep_from`` matches the unsharded
-    run bit-for-bit — and records only ``[keep_from:stop_at)``.  ``sink``
-    receives a :class:`~repro.api.events.Reconfigured` /
-    :class:`~repro.api.events.StepCompleted` block after each recorded
-    tuning process (event construction never touches the tuner, so
-    observing a campaign cannot change its results).
+    ``sink`` receives the campaign's :func:`campaign_events` as they
+    happen.
     """
     started = time.perf_counter()
     engine = spec.make_engine()
     tuner = _build_campaign_tuner(spec, engine, pretrained, caches)
-    multipliers = (
-        spec.multipliers if stop_at is None else spec.multipliers[:stop_at]
-    )
-    chaos_sink = None
-    chaos_events: list = []
-    if spec.chaos is not None:
-        def chaos_sink(event):
-            # Shards replay their trace prefix silently — chaos included —
-            # so only the recorded chunk's injections reach the stream
-            # (live) and the outcome (for backends that replay it).
-            if event.step_index >= keep_from:
-                chaos_events.append(event)
-                if sink is not None:
-                    sink(event)
-    iterator = iter_campaign(
-        engine, tuner, spec.query, list(multipliers),
-        chaos=spec.chaos, chaos_sink=chaos_sink,
+    events = campaign_events(
+        engine, tuner, spec.query, spec.multipliers,
+        chaos=spec.chaos, cell_key=spec.cell_key,
     )
     while True:
         try:
-            index, multiplier, process = next(iterator)
+            event = next(events)
         except StopIteration as stop:
-            executed = stop.value
+            result = stop.value
             break
-        if index < keep_from:
-            continue
         if sink is not None:
-            for event in _step_events(
-                spec.name, len(spec.multipliers), index, multiplier, process
-            ):
-                sink(event)
-    # The shard's view: only the kept chunk of the executed trace.
-    result = CampaignResult(query_name=spec.query.name, method=tuner.name)
-    result.multipliers = executed.multipliers[keep_from:]
-    result.processes = executed.processes[keep_from:]
+            sink(event)
     return CampaignOutcome(
         spec_name=spec.name,
         result=result,
         wall_seconds=time.perf_counter() - started,
         backend="worker",
-        chaos_events=chaos_events,
-    )
-
-
-# ----------------------------------------------------------------------
-# trace sharding
-# ----------------------------------------------------------------------
-
-def shard_bounds(n_steps: int, n_shards: int) -> list[tuple[int, int]]:
-    """Split ``n_steps`` into at most ``n_steps`` contiguous chunks.
-
-    Never emits an empty or degenerate shard: when ``n_shards`` exceeds
-    ``n_steps`` the shard count clamps down, and ``n_steps == 0`` yields
-    no shards at all (there is no work to split).  Earlier chunks take the
-    remainder so sizes differ by at most one.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    if n_steps == 0:
-        return []
-    n_shards = min(n_shards, n_steps)
-    base, extra = divmod(n_steps, n_shards)
-    bounds = []
-    start = 0
-    for index in range(n_shards):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-@dataclass(frozen=True)
-class _Unit:
-    """One worker work item: a contiguous shard of one campaign's trace."""
-
-    spec_index: int
-    shard_index: int
-    n_shards: int
-    keep_from: int
-    stop_at: int
-
-    @property
-    def live(self) -> bool:
-        """Whole-campaign units can emit step events live; shards cannot
-        (their steps would interleave out of order)."""
-        return self.n_shards == 1
-
-
-def _merge_outcomes(
-    spec: CampaignSpec, parts: dict[int, CampaignOutcome], backend: str
-) -> CampaignOutcome:
-    """Concatenate shard outcomes (shard order) into one campaign outcome."""
-    if len(parts) == 1:
-        return parts[0]
-    result = CampaignResult(
-        query_name=spec.query.name, method=parts[0].result.method
-    )
-    chaos_events: list = []
-    for shard_index in sorted(parts):
-        part = parts[shard_index].result
-        result.multipliers.extend(part.multipliers)
-        result.processes.extend(part.processes)
-        chaos_events.extend(getattr(parts[shard_index], "chaos_events", []))
-    walls = [part.wall_seconds for part in parts.values()]
-    return CampaignOutcome(
-        spec_name=spec.name,
-        result=result,
-        chaos_events=chaos_events,
-        # On a pool the campaign is as slow as its slowest shard; on the
-        # sequential backend shards run one after another, so the honest
-        # figure is their sum (prefix replay included).
-        wall_seconds=sum(walls) if backend == "sequential" else max(walls),
-        backend=backend,
     )
 
 
@@ -381,9 +293,7 @@ def _init_worker(
     )
 
 
-def _started_event_for(
-    spec: CampaignSpec, index: int, n_shards: int, backend: str
-) -> CampaignStarted:
+def _started_event_for(spec: CampaignSpec, index: int, backend: str) -> CampaignStarted:
     return CampaignStarted(
         campaign=spec.name,
         index=index,
@@ -391,7 +301,6 @@ def _started_event_for(
         tuner=spec.tuner,
         backend=backend,
         n_steps=len(spec.multipliers),
-        shards=n_shards,
         cell_key=spec.cell_key,
     )
 
@@ -431,40 +340,35 @@ def _collect_worker_entries(barrier, known: dict, timeout: float) -> dict:
     return entries
 
 
-def _run_unit(spec: CampaignSpec, unit: "_Unit", relay, state=None) -> None:
-    """Execute one unit on a pool worker, relaying through ``relay``.
+def _run_unit(spec: CampaignSpec, index: int, relay, state=None) -> None:
+    """Execute campaign ``index``, relaying everything through ``relay``.
 
-    The one unit-runner of both pools: a thread worker is handed the
-    service's ``state`` (model, caches, backend), a process worker reads
-    what :func:`_init_worker` installed in ``_WORKER``.  Every terminal
-    state crosses the relay queue as data: ``("event", unit, event)`` for
-    live mid-campaign events, ``("done", unit, outcome)`` on success,
-    ``("error", unit, payload)`` on a raised exception.  A worker killed
-    outright posts nothing — the consumer's liveness check turns its
-    broken future into a failure.
+    The one unit-runner of every backend: the sequential loop and a
+    thread worker are handed the service's ``state`` (model, caches,
+    backend), a process worker reads what :func:`_init_worker` installed
+    in ``_WORKER``.  Every terminal state crosses the relay queue as
+    data: ``("event", index, event)`` for the campaign's
+    :class:`CampaignStarted` and its live mid-campaign events,
+    ``("done", index, outcome)`` on success, ``("error", index,
+    payload)`` on a raised exception.  A worker killed outright posts
+    nothing — the consumer's liveness check turns its broken future into
+    a failure.
     """
     state = _WORKER if state is None else state
-    sink = None
     try:
-        if unit.live:
-            relay.put((
-                "event",
-                unit,
-                _started_event_for(spec, unit.spec_index, 1, state["backend"]),
-            ))
-            sink = lambda event: relay.put(("event", unit, event))  # noqa: E731
+        relay.put(("event", index, _started_event_for(spec, index, state["backend"])))
         outcome = execute_campaign(
             spec,
             state["pretrained"],
             state["caches"],
-            sink=sink,
-            keep_from=unit.keep_from,
-            stop_at=unit.stop_at,
+            sink=lambda event: relay.put(("event", index, event)),
         )
     except BaseException as error:  # noqa: BLE001 — relayed as data
-        relay.put(("error", unit, _failure_payload(error)))
+        if state["backend"] == "sequential" and not isinstance(error, Exception):
+            raise               # no pool border here: Ctrl-C / SystemExit stop the run
+        relay.put(("error", index, _failure_payload(error)))
         return
-    relay.put(("done", unit, outcome))
+    relay.put(("done", index, outcome))
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +401,6 @@ class TuningService:
         prewarm: "bool | str" = "auto",
         start_method: str | None = None,
         shm_store=None,
-        collect_worker_caches: bool = True,
     ) -> None:
         """``backend`` selects the worker pool: ``thread`` (default; shares
         every cache section in-process), ``process`` (one Python per
@@ -521,7 +424,7 @@ class TuningService:
         :mod:`repro.service.prewarm`): ``"auto"`` (default) warms every
         entry on the ``process`` backend (worker-local caches would
         otherwise recompute them per worker), entries demanded by more
-        than one work unit on the ``thread`` backend, and — on every
+        than one campaign on the ``thread`` backend, and — on every
         backend — the entries of resume-covered campaigns; ``True`` warms
         everything, ``False`` disables pre-warming.  Pre-warmed entries
         come from the exact builders the tuner would run on a miss, so
@@ -540,14 +443,13 @@ class TuningService:
         the caller then owns its lifecycle.  ``None`` (default) creates
         and closes a store per process-backend stream.
 
-        ``collect_worker_caches`` (default ``True``) snapshots each
-        process-backend worker's locally computed cache entries back into
-        the parent's :class:`TuningCacheSet` when the fleet drains, so a
-        ``cache_path`` snapshot — or a long-lived daemon's cache plane —
-        keeps what workers learned instead of only what the parent
-        pre-warmed.  Collection is additive and best-effort: results are
-        bit-identical with it on or off, and a broken pool simply skips
-        it.
+        When a process-backend fleet drains, each worker's locally
+        computed cache entries are snapshotted back into the parent's
+        :class:`TuningCacheSet`, so a ``cache_path`` snapshot — or a
+        long-lived daemon's cache plane — keeps what workers learned
+        instead of only what the parent pre-warmed.  Collection is
+        additive and best-effort: it never changes results, and a broken
+        pool simply skips it.
         """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -567,7 +469,6 @@ class TuningService:
         self.backend = backend
         self.start_method = start_method
         self._shm_store = shm_store
-        self.collect_worker_caches = collect_worker_caches
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
         self.scheduler = BackpressureScheduler() if prioritize_backpressure else FifoScheduler()
         if pretrained is not None:
@@ -576,7 +477,7 @@ class TuningService:
         #: Sections newly computed by the most recent stream's pre-warm.
         self.last_prewarm: dict[str, int] = {}
         self.caches = caches if caches is not None else TuningCacheSet()
-        #: Unit -> worker future of the stream currently draining (empty
+        #: Spec index -> worker future of the stream currently draining (empty
         #: outside a stream); introspection for liveness tests/diagnostics.
         self._active_futures: dict = {}
 
@@ -595,67 +496,15 @@ class TuningService:
     # -- execution ------------------------------------------------------
 
     def _plan_units(
-        self,
-        specs: list[CampaignSpec],
-        trace_shards: int,
-        skip: frozenset | set = frozenset(),
-    ) -> list[_Unit]:
-        """Work units in dispatch order: scheduler order over campaigns,
-        shard order within a campaign.  ``skip`` holds spec indices a
-        resume log already covers — they are neither probed nor planned.
+        self, specs: list[CampaignSpec], skip: frozenset | set = frozenset()
+    ) -> list[int]:
+        """Spec indices in dispatch (scheduler) order.  ``skip`` holds the
+        indices a resume log already covers — they are neither probed nor
+        planned.
         """
         active = [index for index in range(len(specs)) if index not in skip]
         order = self.scheduler.order([specs[index] for index in active])
-        units = []
-        for position in order:
-            spec_index = active[position]
-            bounds = shard_bounds(len(specs[spec_index].multipliers), trace_shards)
-            for shard_index, (keep_from, stop_at) in enumerate(bounds):
-                units.append(
-                    _Unit(
-                        spec_index=spec_index,
-                        shard_index=shard_index,
-                        n_shards=len(bounds),
-                        keep_from=keep_from,
-                        stop_at=stop_at,
-                    )
-                )
-        return units
-
-    def _started_event(self, spec, index, n_shards) -> CampaignStarted:
-        return _started_event_for(spec, index, n_shards, self.backend)
-
-    def _finished_event(self, spec, index, outcome) -> CampaignFinished:
-        return campaign_finished(
-            spec.name, index, self.backend, outcome, spec.cell_key
-        )
-
-    def _failed_event(self, spec, index, payload: _FailurePayload) -> CampaignFailed:
-        return CampaignFailed(
-            campaign=spec.name,
-            index=index,
-            backend=self.backend,
-            error_type=payload.error_type,
-            error_message=payload.error_message,
-            traceback=payload.traceback,
-            cell_key=spec.cell_key,
-        )
-
-    def _replay_campaign(self, spec, index, outcome, n_shards):
-        """The full event block of a completed campaign (steps re-derived
-        from the recorded result — identical to live emission)."""
-        yield self._started_event(spec, index, n_shards)
-        chaos_by_step: dict[int, list] = {}
-        for event in getattr(outcome, "chaos_events", []):
-            chaos_by_step.setdefault(event.step_index, []).append(event)
-        for step_index, (multiplier, process) in enumerate(
-            zip(outcome.result.multipliers, outcome.result.processes)
-        ):
-            yield from chaos_by_step.get(step_index, ())
-            yield from _step_events(
-                spec.name, len(spec.multipliers), step_index, multiplier, process
-            )
-        yield self._finished_event(spec, index, outcome)
+        return [active[position] for position in order]
 
     @staticmethod
     def _check_specs(specs: list[CampaignSpec]) -> None:
@@ -677,7 +526,6 @@ class TuningService:
     def run(
         self,
         specs: list[CampaignSpec],
-        trace_shards: int = 1,
         resume=None,
     ) -> list[CampaignOutcome]:
         """Execute every campaign; outcomes are returned in *input* order.
@@ -692,7 +540,7 @@ class TuningService:
         """
         outcomes: dict[int, CampaignOutcome] = {}
         failures: list[CampaignFailed] = []
-        for event in self.stream(specs, trace_shards=trace_shards, resume=resume):
+        for event in self.stream(specs, resume=resume):
             if isinstance(event, CampaignFinished):
                 outcomes[event.index] = event.outcome
             elif isinstance(event, CampaignFailed):
@@ -704,7 +552,6 @@ class TuningService:
     def stream(
         self,
         specs: list[CampaignSpec],
-        trace_shards: int = 1,
         resume=None,
     ):
         """Execute every campaign, yielding typed events as work completes.
@@ -714,12 +561,12 @@ class TuningService:
         events in monotonically increasing ``step_index`` order — by
         either its :class:`CampaignFinished` or, if its worker died, its
         :class:`CampaignFailed`; then one final :class:`CacheStats`.
-        Unsharded campaigns emit their step events live as each tuning
-        process completes on both the thread backend (in-process queue)
-        and the process backend (manager-backed relay queue); sharded
-        campaigns and the sequential backend emit a campaign's block when
-        it completes.  ``seq`` is stamped monotonically at the consumer,
-        so merged shard/worker streams never interleave out of order.
+        Campaigns emit their step events live as each tuning process
+        completes on both the thread backend (in-process queue) and the
+        process backend (manager-backed relay queue); the sequential
+        backend emits a campaign's block when it completes.  ``seq`` is
+        stamped monotonically at the consumer, so merged worker streams
+        never interleave out of order.
 
         ``resume`` (a :class:`~repro.api.resume.ResumeLog` or a
         ``cell_key -> CampaignOutcome`` mapping) replays campaigns already
@@ -727,8 +574,6 @@ class TuningService:
         recorded :class:`CampaignFinished` — bit-identical result, no
         re-execution — before the remaining campaigns dispatch.
         """
-        if not isinstance(trace_shards, int) or trace_shards < 1:
-            raise ValueError(f"trace_shards must be a positive integer, got {trace_shards!r}")
         specs = list(specs)
         self._check_specs(specs)
         # Spec indices the resume source already covers, with their
@@ -757,13 +602,12 @@ class TuningService:
                     spec.cell_key, resume,
                 ):
                     yield stamped(event)
-            units = self._plan_units(specs, trace_shards, skip=set(resumed))
-            if units or resumed:
-                # Resumed-only fleets still warm (no pool spins up for
-                # them below): their completed cells' pure entries belong
-                # in this service's cache set — and any snapshot taken
-                # from it — not just their recorded results.
-                self._prewarm_for(specs, units, resumed)
+            units = self._plan_units(specs, skip=set(resumed))
+            # Resumed-only fleets still warm (no pool spins up for them
+            # below): their completed cells' pure entries belong in this
+            # service's cache set — and any snapshot taken from it — not
+            # just their recorded results.
+            self._prewarm_for(specs, resumed)
             if units:
                 if self.backend == "sequential":
                     emitter = self._stream_sequential(specs, units)
@@ -790,25 +634,20 @@ class TuningService:
             return 2            # only de-duplicate concurrent cold misses
         return RESUME_DEMAND    # sequential: resume-covered entries only
 
-    def _prewarm_for(self, specs, units, resumed) -> None:
+    def _prewarm_for(self, specs, resumed) -> None:
         """Populate the shared caches before the fleet dispatches.
 
-        A key's demand is the number of work units that will consult it
-        (shards replay their prefix, so every shard counts); campaigns a
-        resume log already covers carry :data:`RESUME_DEMAND` — their pure
-        entries warm the missing cells and the next ``cache_path``
-        snapshot without re-executing anything.
+        A key's demand is the number of campaigns that will consult it;
+        campaigns a resume log already covers carry :data:`RESUME_DEMAND`
+        — their pure entries warm the missing cells and the next
+        ``cache_path`` snapshot without re-executing anything.
         """
         min_demand = self._prewarm_min_demand()
         if min_demand is None:
             self.last_prewarm = {}
             return
-        unit_counts: dict[int, int] = {}
-        for unit in units:
-            unit_counts[unit.spec_index] = unit_counts.get(unit.spec_index, 0) + 1
         demands = [
-            RESUME_DEMAND if index in resumed else unit_counts.get(index, 0)
-            for index in range(len(specs))
+            RESUME_DEMAND if index in resumed else 1 for index in range(len(specs))
         ]
         self.last_prewarm = prewarm_caches(
             self.pretrained,
@@ -833,50 +672,31 @@ class TuningService:
 
     # -- backend-specific emitters -------------------------------------
 
-    def _stream_sequential(self, specs, units):
-        parts: dict[int, dict[int, CampaignOutcome]] = {}
-        failed: set[int] = set()
-        for unit in units:
-            if unit.spec_index in failed:
-                continue            # a sibling shard already failed this campaign
-            spec = specs[unit.spec_index]
-            try:
-                outcome = execute_campaign(
-                    spec,
-                    self.pretrained,
-                    self.caches,
-                    keep_from=unit.keep_from,
-                    stop_at=unit.stop_at,
-                )
-            except Exception as error:
-                failed.add(unit.spec_index)
-                yield self._started_event(spec, unit.spec_index, unit.n_shards)
-                yield self._failed_event(
-                    spec, unit.spec_index, _failure_payload(error)
-                )
-                continue
-            shard_parts = parts.setdefault(unit.spec_index, {})
-            shard_parts[unit.shard_index] = outcome
-            if len(shard_parts) == unit.n_shards:
-                merged = _merge_outcomes(spec, shard_parts, self.backend)
-                yield from self._replay_campaign(
-                    spec, unit.spec_index, merged, unit.n_shards
-                )
-
-    def _stream_threaded(self, specs, units):
-        events: queue.SimpleQueue = queue.SimpleQueue()
-        state = {
+    def _worker_state(self) -> dict:
+        """What :func:`_run_unit` needs when it runs in this process."""
+        return {
             "pretrained": self.pretrained,
             "caches": self.caches,
             "backend": self.backend,
         }
+
+    def _stream_sequential(self, specs, units):
+        relay: queue.SimpleQueue = queue.SimpleQueue()
+        state = self._worker_state()
+        started: set[int] = set()
+        for index in units:
+            _run_unit(specs[index], index, relay, state)
+            while not relay.empty():
+                yield from self._absorb(specs, started, relay.get())
+
+    def _stream_threaded(self, specs, units):
+        events: queue.SimpleQueue = queue.SimpleQueue()
+        state = self._worker_state()
         pool = ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             futures = {
-                unit: pool.submit(
-                    _run_unit, specs[unit.spec_index], unit, events, state
-                )
-                for unit in units
+                index: pool.submit(_run_unit, specs[index], index, events, state)
+                for index in units
             }
             yield from self._drain(specs, futures, events.get)
         finally:
@@ -911,12 +731,11 @@ class TuningService:
         )
         try:
             futures = {
-                unit: pool.submit(_run_unit, specs[unit.spec_index], unit, relay)
-                for unit in units
+                index: pool.submit(_run_unit, specs[index], index, relay)
+                for index in units
             }
             yield from self._drain(specs, futures, relay.get)
-            if self.collect_worker_caches:
-                self._collect_from_workers(pool, manager)
+            self._collect_from_workers(pool, manager)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
             if own_store:
@@ -978,7 +797,7 @@ class TuningService:
                     section.put(key, value)
 
     def _drain(self, specs, futures: dict, get_event):
-        """Yield worker-relayed events until every submitted unit resolves.
+        """Yield worker-relayed events until every submitted campaign resolves.
 
         The single consumer loop behind the thread and process backends.
         Blocking on the relay queue is bounded (``poll_seconds``): every
@@ -988,35 +807,29 @@ class TuningService:
         hanging the stream, and the surviving workers keep streaming.
         """
         self._active_futures = dict(futures)
-        parts: dict[int, dict[int, CampaignOutcome]] = {}
-        failed: set[int] = set()
         started: set[int] = set()
-        pending: set[_Unit] = set(futures)
-        silent_since: dict[_Unit, float] = {}
+        pending: set[int] = set(futures)
+        silent_since: dict[int, float] = {}
         try:
             while pending:
                 try:
                     item = get_event(timeout=self.poll_seconds)
                 except queue.Empty:
-                    for unit in list(pending):
-                        future = futures[unit]
+                    for index in list(pending):
+                        future = futures[index]
                         if not future.done():
                             continue
                         error = future.exception()
                         if error is not None:
-                            pending.discard(unit)
-                            yield from self._absorb(
-                                specs, parts, failed, started,
-                                ("error", unit, _failure_payload(error)),
-                            )
-                            continue
-                        # Future completed but its sentinel has not been
-                        # seen: on the process backend the relay item may
-                        # still be in IPC flight, so allow a grace window
-                        # before declaring the sentinel lost.
-                        first_seen = silent_since.setdefault(unit, time.monotonic())
-                        if time.monotonic() - first_seen >= self.sentinel_grace:
-                            pending.discard(unit)
+                            payload = _failure_payload(error)
+                        else:
+                            # Future completed but its sentinel has not been
+                            # seen: on the process backend the relay item may
+                            # still be in IPC flight, so allow a grace window
+                            # before declaring the sentinel lost.
+                            first_seen = silent_since.setdefault(index, time.monotonic())
+                            if time.monotonic() - first_seen < self.sentinel_grace:
+                                continue
                             payload = _FailurePayload(
                                 error_type="RuntimeError",
                                 error_message=(
@@ -1024,51 +837,46 @@ class TuningService:
                                 ),
                                 traceback="",
                             )
-                            yield from self._absorb(
-                                specs, parts, failed, started,
-                                ("error", unit, payload),
-                            )
+                        pending.discard(index)
+                        yield from self._absorb(
+                            specs, started, ("error", index, payload)
+                        )
                     continue
-                kind, unit, payload = item
-                if kind == "event":
-                    if unit.spec_index in failed:
-                        continue
-                    if isinstance(payload, CampaignStarted):
-                        started.add(unit.spec_index)
-                    yield payload
-                    continue
-                if unit not in pending:
-                    continue        # late duplicate after a synthesized failure
-                pending.discard(unit)
-                yield from self._absorb(specs, parts, failed, started, item)
+                kind, index, _ = item
+                if index not in pending:
+                    continue        # late item after a synthesized failure
+                if kind != "event":
+                    pending.discard(index)
+                yield from self._absorb(specs, started, item)
         finally:
             self._active_futures = {}
 
-    def _absorb(self, specs, parts, failed, started, item):
-        """Fold one terminal worker item into the per-campaign state."""
-        kind, unit, payload = item
-        spec = specs[unit.spec_index]
-        if kind == "error":
-            if unit.spec_index in failed:
-                return              # campaign already reported failed
-            failed.add(unit.spec_index)
-            if unit.spec_index not in started:
-                yield self._started_event(spec, unit.spec_index, unit.n_shards)
-            yield self._failed_event(spec, unit.spec_index, payload)
-            return
-        if unit.spec_index in failed:
-            return                  # a sibling shard already failed the campaign
-        shard_parts = parts.setdefault(unit.spec_index, {})
-        shard_parts[unit.shard_index] = payload
-        if len(shard_parts) < unit.n_shards:
-            return
-        merged = _merge_outcomes(spec, shard_parts, self.backend)
-        if unit.live:
-            # Started and steps were emitted live by the worker.
-            yield self._finished_event(spec, unit.spec_index, merged)
+    def _absorb(self, specs, started: set, item):
+        """Turn one relayed item into stream events — the one place a
+        finished unit becomes :class:`CampaignFinished` and a failure
+        becomes :class:`CampaignStarted` (if not yet sent) +
+        :class:`CampaignFailed`, on every backend."""
+        kind, index, payload = item
+        spec = specs[index]
+        if kind == "event":
+            if isinstance(payload, CampaignStarted):
+                started.add(index)
+            yield payload
+        elif kind == "done":
+            yield campaign_finished(
+                spec.name, index, self.backend, payload, spec.cell_key
+            )
         else:
-            yield from self._replay_campaign(
-                spec, unit.spec_index, merged, unit.n_shards
+            if index not in started:
+                yield _started_event_for(spec, index, self.backend)
+            yield CampaignFailed(
+                campaign=spec.name,
+                index=index,
+                backend=self.backend,
+                error_type=payload.error_type,
+                error_message=payload.error_message,
+                traceback=payload.traceback,
+                cell_key=spec.cell_key,
             )
 
     def cache_stats(self) -> dict[str, dict[str, int]]:

@@ -421,9 +421,9 @@ def test_service_stream_contract(tiny_pretrained, backend):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_seq_monotonic_across_merged_shard_streams(tiny_pretrained, backend):
-    # Two campaigns, each split into two shards, finishing concurrently:
-    # the consumer re-stamps seq, so the merged stream must be strictly
-    # monotonic from 0 no matter how worker completions interleave.
+    # Two campaigns running concurrently on their own workers: the
+    # consumer re-stamps seq, so the merged stream must be strictly
+    # monotonic from 0 no matter how worker events interleave.
     from repro.service import CampaignSpec, TuningService
     from repro.workloads import nexmark_query
 
@@ -436,15 +436,15 @@ def test_seq_monotonic_across_merged_shard_streams(tiny_pretrained, backend):
         )
         for name in ("q1", "q5")
     ]
-    service = TuningService(tiny_pretrained, backend=backend, max_workers=4)
-    events = list(service.stream(specs, trace_shards=2))
+    service = TuningService(tiny_pretrained, backend=backend, max_workers=2)
+    events = list(service.stream(specs))
     assert [event.seq for event in events] == list(range(len(events)))
     _contract(events, [spec.name for spec in specs], expected_steps=3)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_step_events_are_live_mid_campaign(tiny_pretrained, backend):
-    # The acceptance contract: an unsharded campaign's StepCompleted
+    # The acceptance contract: a campaign's StepCompleted
     # events reach the consumer while its worker is still executing the
     # rest of the trace — not replayed after CampaignFinished.  At the
     # moment the first of three steps arrives, the campaign's worker

@@ -354,7 +354,8 @@ class TestSweepPlan:
 class TestCampaignPlanTunerAndShards:
     def test_defaults(self):
         plan = CampaignPlan(queries=("q1",), scale="smoke")
-        assert plan.tuner == "streamtune" and plan.trace_shards == 1
+        assert plan.tuner == "streamtune" and plan.backend == "thread"
+        assert plan.cache_path is None
 
     def test_baseline_tuner_accepted(self):
         plan = CampaignPlan(queries=("q1",), tuner="ds2", scale="smoke")
@@ -371,11 +372,11 @@ class TestCampaignPlanTunerAndShards:
                 cache_path="x.pkl", scale="smoke",
             )
 
-    def test_bad_trace_shards_rejected(self):
-        for bad in (0, -1, 1.5, True):
-            with pytest.raises(PlanError, match="trace_shards"):
-                CampaignPlan(queries=("q1",), trace_shards=bad, scale="smoke")
-
-    def test_trace_shards_round_trips(self):
-        plan = CampaignPlan(queries=("q1",), trace_shards=3, scale="smoke")
-        assert CampaignPlan.from_dict(plan.to_dict()).trace_shards == 3
+    def test_cache_path_on_the_distributed_backend_rejected(self):
+        # The coordinator neither loads nor saves a snapshot: accepting
+        # the field would silently ignore it.
+        with pytest.raises(PlanError, match="cache_path.*distributed"):
+            CampaignPlan(
+                queries=("q1",), backend="distributed", cache_path="x.pkl",
+                scale="smoke",
+            )

@@ -337,18 +337,6 @@ class TestSessionStreaming:
         finished = [e for e in events if isinstance(e, CampaignFinished)]
         assert len(finished) == 1 and finished[0].outcome is not None
 
-    def test_trace_shards_results_identical(self, tiny_pretrained):
-        unsharded = TuningSession(pretrained=tiny_pretrained).run(
-            _smoke_plan(rates=(3, 7, 4))
-        )
-        sharded = TuningSession(pretrained=tiny_pretrained).run(
-            _smoke_plan(rates=(3, 7, 4), backend="thread", workers=4, trace_shards=3)
-        )
-        assert _steps(sharded) == _steps(unsharded)
-        assert [o.spec_name for o in sharded.outcomes] == [
-            o.spec_name for o in unsharded.outcomes
-        ]
-
 
 class TestSweepExecution:
     def _sweep_plan(self, **overrides):

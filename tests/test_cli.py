@@ -163,6 +163,28 @@ class TestValidationExitCodes:
         err = self._assert_one_line_error(capsys, code)
         assert "ratez" in err
 
+    def test_run_plan_trace_shards_is_an_unknown_field(self, tmp_path, capsys):
+        # Trace sharding is gone: a plan file that still sets it fails at
+        # load time, naming the field and listing the valid ones.
+        path = tmp_path / "plan.toml"
+        path.write_text('kind = "campaign"\nqueries = ["q1"]\ntrace_shards = 2\n')
+        code = main(["run-plan", str(path)])
+        err = self._assert_one_line_error(capsys, code)
+        assert "trace_shards" in err and "valid fields" in err
+        assert "cache_path" in err
+
+    def test_cache_path_rejected_on_the_distributed_backend(self, tmp_path, capsys):
+        # The override re-validates the plan, so the flag cannot smuggle
+        # in a combination the plan file itself could not state.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "queries": ["q1"], "rates": [3], "backend": "sequential",
+            "scale": "smoke", "cache_path": str(tmp_path / "caches.pkl"),
+        }))
+        code = main(["run-plan", str(path), "--backend", "distributed"])
+        err = self._assert_one_line_error(capsys, code)
+        assert "cache_path" in err and "distributed" in err
+
     def test_run_plan_unknown_query(self, tmp_path, capsys):
         import json as json_module
 

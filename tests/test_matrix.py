@@ -113,6 +113,26 @@ class TestChaosThroughTheStream:
         chaotic = scenarios["ds2@flink-faulty/x3-7-4+loss@1x1"]
         assert _step_maps(clean.outcomes[0]) != _step_maps(chaotic.outcomes[0])
 
+    @pytest.mark.parametrize("backend", ["inline", "sequential", "thread"])
+    def test_chaos_events_carry_the_cell_key_on_every_path(self, backend):
+        # One translation of a campaign into events: the same chaos
+        # campaign stamps its cell_key inline and on the service.
+        from repro.api import CampaignPlan, TuningPlan
+
+        shared = dict(
+            engine="flink-faulty", tuner="ds2", rates=(3.0, 7.0, 4.0),
+            chaos={"operator_loss": [{"step": 1}]}, scale="smoke", seed=17,
+        )
+        if backend == "inline":
+            plan = TuningPlan(query="q1", **shared)
+        else:
+            plan = CampaignPlan(queries=("q1",), backend=backend, **shared)
+        events = list(TuningSession().stream(plan))
+        injected = [e for e in events if isinstance(e, ChaosInjected)]
+        assert [(e.step_index, e.cell_key) for e in injected] == [
+            (1, plan.cell_keys()[0])
+        ]
+
     def test_chaos_events_round_trip_through_a_record_log(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with JsonlRecorder(path) as recorder:

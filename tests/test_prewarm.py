@@ -133,23 +133,29 @@ class TestServicePrewarmIdentity:
         assert [_steps(a) for a in on] == [_steps(b) for b in off]
 
     def test_thread_auto_warms_only_shared_keys(self, tiny_pretrained):
-        # Distinct single-shard campaigns share no expensive key, so the
+        # Distinct campaigns share no expensive key, so the
         # auto policy warms nothing heavy on the thread backend...
         service = TuningService(tiny_pretrained, backend="thread")
         service.run([_spec("q1"), _spec("q5")])
         assert service.last_prewarm["distill"] == 0
         assert service.last_prewarm["embed"] == 0
 
-    def test_thread_auto_warms_sharded_campaigns(self, tiny_pretrained):
-        # ...but a sharded trace makes every shard demand the same keys.
-        service = TuningService(tiny_pretrained, backend="thread", max_workers=4)
-        sharded = service.run([_spec("q1", multipliers=(3, 7, 4))], trace_shards=3)
+    def test_thread_auto_warms_keys_two_campaigns_share(self, tiny_pretrained):
+        # ...but two structurally identical campaigns demand the same keys.
+        import dataclasses
+
+        spec = _spec("q1", multipliers=(3, 7, 4))
+        twin = dataclasses.replace(
+            spec, query=dataclasses.replace(spec.query, name="q1_twin")
+        )
+        service = TuningService(tiny_pretrained, backend="thread", max_workers=2)
+        shared = service.run([spec, twin])
         assert service.last_prewarm["embed"] >= 1
         assert service.last_prewarm["warmup"] >= 1
         reference = TuningService(
             tiny_pretrained, backend="sequential", prewarm=False
-        ).run([_spec("q1", multipliers=(3, 7, 4))])
-        assert _steps(sharded[0]) == _steps(reference[0])
+        ).run([spec])
+        assert _steps(shared[0]) == _steps(shared[1]) == _steps(reference[0])
 
     def test_prewarm_true_forces_everything(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="sequential", prewarm=True)

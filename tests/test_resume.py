@@ -169,6 +169,35 @@ class TestServiceResume:
             assert replayed[index].result == original.result
             assert replayed[index].wall_seconds == original.wall_seconds
 
+    def test_log_recorded_before_shards_was_dropped_still_resumes(self, tmp_path):
+        # Logs written while CampaignStarted still carried ``shards``
+        # stay loadable: unknown keys are dropped on the way in.
+        from repro.api import event_from_dict
+        from repro.api.events import CampaignStarted
+
+        specs = _ds2_specs()
+        path = tmp_path / "events.jsonl"
+        with JsonlRecorder(path) as recorder:
+            outcomes = {}
+            for event in TuningService(None, backend="sequential").stream(specs):
+                recorder(event)
+                if event.kind == "CampaignFinished":
+                    outcomes[event.index] = event.outcome
+        lines = []
+        for line in path.read_text().splitlines():
+            data = json.loads(line)
+            if data["event"] == "CampaignStarted":
+                data["shards"] = 1
+                assert isinstance(event_from_dict(data), CampaignStarted)
+            lines.append(json.dumps(data))
+        path.write_text("\n".join(lines) + "\n")
+        resumed = TuningService(None, backend="sequential").run(
+            specs, resume=ResumeLog.load(path)
+        )
+        assert [o.result for o in resumed] == [
+            outcomes[index].result for index in range(len(specs))
+        ]
+
     def test_partial_resume_executes_only_the_missing_campaign(self, tmp_path):
         from repro.api.events import CampaignSkipped, CampaignStarted
 

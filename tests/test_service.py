@@ -191,155 +191,6 @@ class TestTuningService:
         assert service.caches.section("warmup").stats()["misses"] == warm_misses
 
 
-class TestServiceCampaigns:
-    def test_grid_runs_and_caches(self, tiny_pretrained, monkeypatch):
-        from repro.experiments import context
-        from repro.experiments.campaigns import service_campaigns
-        from repro.experiments.scale import SMOKE
-        from dataclasses import replace
-
-        scale = replace(SMOKE, name="svc-test", n_rate_changes=2)
-        monkeypatch.setattr(
-            context, "pretrained_model", lambda engine, s: tiny_pretrained
-        )
-        results = service_campaigns(
-            "flink", ["q1", "q5"], scale, backend="thread", max_workers=2
-        )
-        assert set(results) == {"q1", "q5"}
-        for group, campaigns in results.items():
-            assert len(campaigns) == 1
-            assert campaigns[0].n_processes == 2
-            assert campaigns[0].method == "StreamTune"
-        # Cached under a service-specific key, not the figures grid.
-        key = ("service-campaign", "flink", ("q1", "q5"), "svc-test", "thread")
-        assert context._CACHE[key] is results
-        assert ("campaign", "flink", "StreamTune", "q1", "svc-test") not in context._CACHE
-        again = service_campaigns(
-            "flink", ["q1", "q5"], scale, backend="thread", max_workers=2
-        )
-        assert again is results
-        del context._CACHE[key]
-
-
-class TestShardBounds:
-    def test_even_split(self):
-        from repro.service import shard_bounds
-
-        assert shard_bounds(4, 2) == [(0, 2), (2, 4)]
-        assert shard_bounds(6, 3) == [(0, 2), (2, 4), (4, 6)]
-
-    def test_remainder_goes_to_early_shards(self):
-        from repro.service import shard_bounds
-
-        assert shard_bounds(5, 2) == [(0, 3), (3, 5)]
-        assert shard_bounds(7, 3) == [(0, 3), (3, 5), (5, 7)]
-
-    def test_more_shards_than_steps_clamps(self):
-        from repro.service import shard_bounds
-
-        assert shard_bounds(2, 5) == [(0, 1), (1, 2)]
-        assert shard_bounds(1, 1) == [(0, 1)]
-
-    def test_never_emits_empty_or_degenerate_shards(self):
-        # Regression: n_shards > n_steps must clamp to at most n_steps
-        # non-empty shards, never pad with empty ones.
-        from repro.service import shard_bounds
-
-        for n_steps in range(0, 9):
-            for n_shards in range(1, 12):
-                bounds = shard_bounds(n_steps, n_shards)
-                assert len(bounds) == min(n_steps, n_shards)
-                assert all(stop > start for start, stop in bounds)
-
-    def test_zero_steps_yields_no_shards(self):
-        from repro.service import shard_bounds
-
-        assert shard_bounds(0, 1) == []
-        assert shard_bounds(0, 7) == []
-
-    def test_single_shard_is_identity(self):
-        from repro.service import shard_bounds
-
-        for n_steps in range(1, 9):
-            assert shard_bounds(n_steps, 1) == [(0, n_steps)]
-
-    def test_bounds_cover_exactly(self):
-        from repro.service import shard_bounds
-
-        for n_steps in range(1, 12):
-            for n_shards in range(1, 6):
-                bounds = shard_bounds(n_steps, n_shards)
-                covered = [i for start, stop in bounds for i in range(start, stop)]
-                assert covered == list(range(n_steps))
-                assert all(stop > start for start, stop in bounds)
-
-    def test_invalid_inputs(self):
-        from repro.service import shard_bounds
-
-        with pytest.raises(ValueError):
-            shard_bounds(-1, 1)
-        with pytest.raises(ValueError):
-            shard_bounds(3, 0)
-
-
-class TestTraceSharding:
-    def _spec(self, multipliers=(3, 7, 4)):
-        return CampaignSpec(
-            query=nexmark_query("q1", "flink"),
-            multipliers=tuple(float(m) for m in multipliers),
-            engine_seed=31,
-            seed=41,
-        )
-
-    @staticmethod
-    def _steps(outcome):
-        return [
-            [step.parallelisms for step in process.steps]
-            for process in outcome.result.processes
-        ]
-
-    @pytest.mark.parametrize("backend", ["sequential", "thread"])
-    def test_merged_results_bit_identical(self, tiny_pretrained, backend):
-        spec = self._spec()
-        reference = TuningService(tiny_pretrained, backend="sequential").run([spec])[0]
-        service = TuningService(tiny_pretrained, backend=backend, max_workers=4)
-        sharded = service.run([spec], trace_shards=3)[0]
-        assert sharded.result.multipliers == reference.result.multipliers
-        assert self._steps(sharded) == self._steps(reference)
-        assert sharded.backend == backend
-
-    def test_sharded_stream_contract(self, tiny_pretrained):
-        from repro.api.events import CampaignFinished, CampaignStarted, StepCompleted
-
-        service = TuningService(tiny_pretrained, backend="thread", max_workers=4)
-        events = list(service.stream([self._spec()], trace_shards=2))
-        started = [e for e in events if isinstance(e, CampaignStarted)]
-        finished = [e for e in events if isinstance(e, CampaignFinished)]
-        assert len(started) == 1 and len(finished) == 1
-        assert started[0].shards == 2
-        steps = [e for e in events if isinstance(e, StepCompleted)]
-        assert [e.step_index for e in steps] == [0, 1, 2]
-
-    def test_execute_campaign_shard_keeps_only_its_chunk(self, tiny_pretrained):
-        from repro.service import execute_campaign
-
-        spec = self._spec()
-        whole = execute_campaign(spec, tiny_pretrained, TuningCacheSet())
-        tail = execute_campaign(
-            spec, tiny_pretrained, TuningCacheSet(), keep_from=1, stop_at=3
-        )
-        assert tail.result.multipliers == [7.0, 4.0]
-        assert self._steps(tail) == self._steps(whole)[1:]
-
-    def test_bad_trace_shards_rejected(self, tiny_pretrained):
-        service = TuningService(tiny_pretrained, backend="sequential")
-        with pytest.raises(ValueError, match="trace_shards"):
-            list(service.stream(self._specs_one(), trace_shards=0))
-
-    def _specs_one(self):
-        return [self._spec((3,))]
-
-
 class TestBaselineCampaigns:
     def _spec(self, tuner):
         return CampaignSpec(
@@ -443,14 +294,93 @@ class TestFaultTolerance:
         # the surviving campaign's outcome was not lost
         assert [o.spec_name for o in error.outcomes.values()] == ["nexmark_q5_flink"]
 
-    def test_sharded_campaign_fails_once(self, monkeypatch):
-        from repro.api.events import CampaignFailed
+    def _poison_step(self, monkeypatch, step, victim="nexmark_q1_flink"):
+        """The victim's tuner raises inside its ``step``-th tuning process."""
+        import itertools
 
-        self._poison(monkeypatch)
-        service = TuningService(None, backend="thread", max_workers=4)
-        events = list(service.stream(self._specs(), trace_shards=2))
+        import repro.service.tuning as tuning
+
+        original = tuning._build_campaign_tuner
+
+        def build(spec, *args, **kwargs):
+            tuner = original(spec, *args, **kwargs)
+            if spec.name == victim:
+                tune, calls = tuner.tune, itertools.count()
+
+                def exploding(*tune_args, **tune_kwargs):
+                    if next(calls) == step:
+                        raise RuntimeError("worker exploded mid-trace")
+                    return tune(*tune_args, **tune_kwargs)
+
+                tuner.tune = exploding
+            return tuner
+
+        monkeypatch.setattr(tuning, "_build_campaign_tuner", build)
+
+    def test_mid_trace_failure_streams_identically_on_every_backend(
+        self, monkeypatch
+    ):
+        # One emitter behind every backend: a campaign that dies in its
+        # step-1 tuning process has already streamed CampaignStarted and
+        # step 0, then fails — on the sequential loop as on a pool.
+        from repro.api.events import CampaignFailed, CampaignStarted, StepCompleted
+
+        self._poison_step(monkeypatch, step=1)
+        blocks = {}
+        for backend in ("sequential", "thread"):
+            service = TuningService(None, backend=backend, max_workers=2)
+            events = list(service.stream(self._specs()))
+            assert [e.seq for e in events] == list(range(len(events)))
+            victim = [
+                e for e in events
+                if getattr(e, "campaign", None) == "nexmark_q1_flink"
+            ]
+            assert isinstance(victim[0], CampaignStarted)
+            assert isinstance(victim[-1], CampaignFailed)
+            steps = [e for e in victim if isinstance(e, StepCompleted)]
+            assert [e.step_index for e in steps] == [0]
+            blocks[backend] = [
+                (e.kind, getattr(e, "step_index", None), getattr(e, "parallelisms", None))
+                for e in victim
+            ]
+        assert blocks["sequential"] == blocks["thread"]
+
+    def test_keyboard_interrupt_stops_a_sequential_run(self, monkeypatch):
+        # No pool border on the sequential backend: Ctrl-C must stop the
+        # run, not be reported as one campaign's failure.
+        import repro.service.tuning as tuning
+
+        def interrupted(spec, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tuning, "execute_campaign", interrupted)
+        service = TuningService(None, backend="sequential")
+        with pytest.raises(KeyboardInterrupt):
+            list(service.stream(self._specs()))
+
+    def test_pool_worker_relays_any_base_exception(self, monkeypatch):
+        # ...while a pool worker relays even a BaseException as data, so
+        # one bad campaign fails alone.
+        from repro.api.events import CampaignFailed, CampaignFinished
+
+        import repro.service.tuning as tuning
+
+        original = tuning.execute_campaign
+
+        def exiting(spec, *args, **kwargs):
+            if spec.name == "nexmark_q1_flink":
+                raise SystemExit(3)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(tuning, "execute_campaign", exiting)
+        service = TuningService(None, backend="thread", max_workers=2)
+        events = list(service.stream(self._specs()))
         failed = [e for e in events if isinstance(e, CampaignFailed)]
-        assert [e.campaign for e in failed] == ["nexmark_q1_flink"]
+        assert [(e.campaign, e.error_type) for e in failed] == [
+            ("nexmark_q1_flink", "SystemExit")
+        ]
+        finished = [e for e in events if isinstance(e, CampaignFinished)]
+        assert [e.campaign for e in finished] == ["nexmark_q5_flink"]
 
     def test_silent_worker_death_does_not_hang_the_stream(self, monkeypatch):
         # Satellite regression: a worker that exits without posting its
@@ -568,14 +498,6 @@ class TestWorkerCacheCollection:
         )
         service.run(self._specs())
         assert service.caches.section("warmup").stats()["size"] >= 1
-
-    def test_collection_can_be_disabled(self, tiny_pretrained):
-        service = TuningService(
-            tiny_pretrained, backend="process", max_workers=2, prewarm=False,
-            collect_worker_caches=False,
-        )
-        service.run(self._specs())
-        assert service.caches.section("warmup").stats()["size"] == 0
 
     def test_collected_entries_warm_the_next_process_run(self, tiny_pretrained):
         service = TuningService(
