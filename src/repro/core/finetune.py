@@ -137,7 +137,6 @@ def warmup_cache_key(
     cluster: int,
     max_rows: int,
     seed: int | None,
-    batch_encode: bool,
 ) -> tuple:
     """The cross-run cache identity of one warm-up dataset.
 
@@ -145,12 +144,7 @@ def warmup_cache_key(
     are an artifact of one pretraining run's cluster ordering, while the
     signature names the actual inputs of the computation.
     """
-    return (
-        cluster_history_signature(pretrained, cluster),
-        max_rows,
-        seed,
-        batch_encode,
-    )
+    return (cluster_history_signature(pretrained, cluster), max_rows, seed)
 
 
 def agnostic_embeddings(
@@ -229,14 +223,10 @@ def distill_rows(
     return rows
 
 
-def rows_from_record(
-    pretrained: PretrainedStreamTune,
-    encoder,
-    record: ExecutionRecord,
+def _labelled_rows(
+    pretrained: PretrainedStreamTune, record: ExecutionRecord, sample, embeddings
 ) -> PredictionDataset:
-    """Encode one record into M_f training rows (labelled operators only)."""
-    sample = pretrained.sample_for(record)
-    embeddings = encoder.encode(sample, parallelism_aware=False)
+    """``[h_v, p_norm]`` rows of one encoded record's labelled operators."""
     rows = PredictionDataset()
     for index, name in enumerate(sample.node_names):
         label = record.labels.get(name, -1)
@@ -249,13 +239,23 @@ def rows_from_record(
     return rows
 
 
+def rows_from_record(
+    pretrained: PretrainedStreamTune,
+    encoder,
+    record: ExecutionRecord,
+) -> PredictionDataset:
+    """Encode one record into M_f training rows (labelled operators only)."""
+    sample = pretrained.sample_for(record)
+    embeddings = encoder.encode(sample, parallelism_aware=False)
+    return _labelled_rows(pretrained, record, sample, embeddings)
+
+
 def build_warmup_dataset(
     pretrained: PretrainedStreamTune,
     cluster: int,
     max_rows: int = 600,
     n_distill_records: int = 8,
     seed: int | None = None,
-    batch_encode: bool = False,
 ) -> PredictionDataset:
     """Algorithm 2, line 3: sample the cluster's history into T.
 
@@ -263,48 +263,32 @@ def build_warmup_dataset(
     over the parallelism grid of up to ``n_distill_records`` sampled
     dataflows densify the parallelism axis.
 
-    ``batch_encode=True`` embeds the selected records through the
-    block-diagonal batching of :mod:`repro.gnn.batch` (one encoder pass per
-    batch instead of one per record).  Row selection and ordering are
-    unchanged; values are numerically equivalent but may differ from the
-    per-record path in the last floating-point ulp.
+    The selected records are embedded through the block-diagonal batching
+    of :mod:`repro.gnn.batch` — one encoder pass per batch instead of one
+    per record; rows equal :func:`rows_from_record`'s up to the last
+    floating-point ulp.
     """
+    from repro.gnn.batch import encode_samples
+
     if not 0 <= cluster < pretrained.n_clusters:
         raise ValueError(f"cluster {cluster} out of range")
     rng = seeded_rng(seed)
     encoder = pretrained.encoders[cluster]
     members = list(pretrained.records_by_cluster[cluster])
     order = rng.permutation(len(members))
+    chosen: list[ExecutionRecord] = []
+    n_rows = 0
+    for index in order:
+        record = members[index]
+        chosen.append(record)
+        n_rows += sum(1 for label in record.labels.values() if label >= 0)
+        if n_rows >= max_rows:
+            break
+    samples = [pretrained.sample_for(record) for record in chosen]
+    embedded = encode_samples(encoder, samples, parallelism_aware=False)
     dataset = PredictionDataset()
-    if batch_encode:
-        from repro.gnn.batch import encode_samples
-
-        chosen: list[ExecutionRecord] = []
-        n_rows = 0
-        for index in order:
-            record = members[index]
-            chosen.append(record)
-            n_rows += sum(1 for label in record.labels.values() if label >= 0)
-            if n_rows >= max_rows:
-                break
-        samples = [pretrained.sample_for(record) for record in chosen]
-        embedded = encode_samples(encoder, samples, parallelism_aware=False)
-        for record, sample, embeddings in zip(chosen, samples, embedded):
-            for node_index, name in enumerate(sample.node_names):
-                label = record.labels.get(name, -1)
-                if label < 0:
-                    continue
-                p_norm = pretrained.feature_encoder.normalize_parallelism(
-                    record.parallelisms[name], pretrained.max_parallelism
-                )
-                dataset.append(
-                    np.concatenate([embeddings[node_index], [p_norm]]), label
-                )
-    else:
-        for index in order:
-            dataset.extend(rows_from_record(pretrained, encoder, members[index]))
-            if len(dataset) >= max_rows:
-                break
+    for record, sample, embeddings in zip(chosen, samples, embedded):
+        dataset.extend(_labelled_rows(pretrained, record, sample, embeddings))
     for index in order[:n_distill_records]:
         record = members[index]
         dataset.extend(

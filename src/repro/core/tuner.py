@@ -68,8 +68,8 @@ class QueryTuningState:
     cluster: int
     dataset: PredictionDataset
     feedback: PredictionDataset = field(default_factory=PredictionDataset)
-    #: Previous SVM solution for this query; warm-starts the next refit on
-    #: the deduplicated fitting path (same seed => same RFF feature space).
+    #: Previous SVM solution for this query; warm-starts the next weighted
+    #: refit (same seed => same RFF feature space).
     warm_theta: np.ndarray | None = None
 
 
@@ -89,8 +89,7 @@ class StreamTuneTuner(ParallelismTuner):
         max_class_imbalance: float = 3.0,
         seed: int = 17,
         caches=None,
-        fit_dedup: bool = False,
-        batch_encode: bool = False,
+        loose_tolerances: bool = False,
     ) -> None:
         """``probability_threshold`` below 0.5 biases recommendations
         conservatively: an operator must be *clearly* safe before its degree
@@ -102,18 +101,17 @@ class StreamTuneTuner(ParallelismTuner):
         :class:`repro.service.cache.TuningCacheSet`); the tuner consults it
         for warm-up datasets, distilled operating points and
         parallelism-agnostic embeddings, all of which are pure functions of
-        their key.  ``fit_dedup=True`` collapses the (heavily duplicated)
-        training multiset into weighted unique rows before fitting, for
-        model kinds whose ``fit`` accepts ``sample_weight`` (others fall
-        back to the duplicated-row fit).  The weighted objective is
-        mathematically the duplicated-row one, but the path is not the
-        same computation: :meth:`_fit_model_weighted` also warm-starts the
-        solver and loosens its tolerances (``ftol 1e-7 / gtol 1e-4 /
-        platt_tol 1e-7``), which can move a tuning decision — the two
-        values are different tuners, not a speed switch (ROADMAP item 2a).
-        ``batch_encode=True`` builds warm-up
-        datasets through the block-diagonal batched GNN inference of
-        :mod:`repro.gnn.batch` (one encoder pass per record batch).
+        their key.
+
+        Model kinds whose ``fit`` takes ``sample_weight`` (svm, the
+        default) are fitted on weighted unique rows and warm-started from
+        the query's previous solution (:meth:`_fit_model_weighted`); the
+        xgboost / isotonic / nn ablation layers take none and are fitted
+        on the materialised row multiset (:meth:`_fit_model`).
+        ``loose_tolerances=True`` additionally runs the weighted fit's
+        solver at ``ftol 1e-7 / gtol 1e-4 / platt_tol 1e-7`` instead of
+        its defaults; that moves tuning decisions, and only the service
+        passes it (ROADMAP item 2a).
         """
         super().__init__(engine)
         if max_iterations < 1:
@@ -128,9 +126,11 @@ class StreamTuneTuner(ParallelismTuner):
         self.observed_weight = 10
         self.seed = seed
         self.caches = caches
-        self.fit_dedup = fit_dedup
-        self.batch_encode = batch_encode
-        self._dedup_supported: bool | None = None
+        self.loose_tolerances = loose_tolerances
+        # Chosen by capability, not by option: see the docstring above.
+        self._weighted_fit = _supports_sample_weight(
+            make_prediction_model(model_kind, seed=seed)
+        )
         self._states: dict[str, QueryTuningState] = {}
         self._state_lock = threading.Lock()
 
@@ -138,18 +138,6 @@ class StreamTuneTuner(ParallelismTuner):
         if self.caches is None:
             return builder()
         return self.caches.get_or_compute(kind, key, builder)
-
-    def _weighted_fit_supported(self) -> bool:
-        """Whether ``model_kind`` can consume weighted unique rows.
-
-        Model kinds without ``sample_weight`` support (the xgboost /
-        isotonic / nn ablation layers) silently fall back to the
-        duplicated-row fit, so ``fit_dedup=True`` is always safe to pass.
-        """
-        if self._dedup_supported is None:
-            probe = make_prediction_model(self.model_kind, seed=self.seed)
-            self._dedup_supported = _supports_sample_weight(probe)
-        return self._dedup_supported
 
     def _build_state(self, flow) -> QueryTuningState:
         cluster = self._cached(
@@ -164,18 +152,13 @@ class StreamTuneTuner(ParallelismTuner):
         dataset = self._cached(
             "warmup",
             warmup_cache_key(
-                self.pretrained,
-                cluster,
-                self.warmup_rows,
-                self.seed,
-                self.batch_encode,
+                self.pretrained, cluster, self.warmup_rows, self.seed
             ),
             lambda: build_warmup_dataset(
                 self.pretrained,
                 cluster,
                 max_rows=self.warmup_rows,
                 seed=self.seed,
-                batch_encode=self.batch_encode,
             ),
         )
         return QueryTuningState(job_key=flow.name, cluster=cluster, dataset=dataset)
@@ -246,7 +229,7 @@ class StreamTuneTuner(ParallelismTuner):
                     self.operating_point_weight if not feedback else
                     max(1, self.operating_point_weight // 2)
                 )
-                if self.fit_dedup and self._weighted_fit_supported():
+                if self._weighted_fit:
                     model = self._fit_model_weighted(
                         operating_point, feedback, dataset, prior_weight, state
                     )
@@ -375,14 +358,13 @@ class StreamTuneTuner(ParallelismTuner):
         absorb(operating_point, float(prior_weight))
         absorb(feedback, float(self.observed_weight))
         absorb(warmup, 1.0)
-        if not rows:
-            raise ValueError("cannot fit on an empty dataset")
         label_array = np.asarray(labels, dtype=np.int64)
         weight_array = np.asarray(weights, dtype=np.float64)
         positive = label_array == 1
         w_pos = float(weight_array[positive].sum())
         w_neg = float(weight_array[~positive].sum())
         if w_pos == 0.0 or w_neg == 0.0:
+            # Single-class T — an empty one included — as in _fit_model.
             return _ConstantModel(1.0 if w_pos else 0.0)
         # Fractional minority reweighting replaces the sampled oversampling
         # of the duplicate-row path: scale the minority class up to the
@@ -398,10 +380,11 @@ class StreamTuneTuner(ParallelismTuner):
         kwargs = {}
         if state.warm_theta is not None and _supports_theta0(model):
             kwargs["theta0"] = state.warm_theta
-        if hasattr(model, "platt_tol"):
-            model.platt_tol = 1e-7
-        if hasattr(model, "solver_options"):
-            model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
+        if self.loose_tolerances:
+            if hasattr(model, "platt_tol"):
+                model.platt_tol = 1e-7
+            if hasattr(model, "solver_options"):
+                model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
         fitted = model.fit(
             np.stack(rows), label_array, sample_weight=weight_array, **kwargs
         )

@@ -91,10 +91,10 @@ def encode_samples(
     O(total²), so unbounded packing would swamp the saved dispatch
     overhead); each batch costs one encoder pass.  The default cap sits at
     the empirical crossover for this model's dataflow-sized graphs — the
-    ``gnn_encode_*`` / ``warmup_dataset_*`` benchmarks of ``repro perf``
-    measure it: around 64–128 nodes the batched pass is ~2x the per-sample
-    loop, while multi-hundred-node dense blocks fall *behind* it (the
-    O(total²) zero blocks outweigh the saved dispatch).
+    ``gnn_encode_*`` benchmarks of ``repro perf`` measure it: around
+    64–128 nodes the batched pass is ~2x the per-sample loop, while
+    multi-hundred-node dense blocks fall *behind* it (the O(total²) zero
+    blocks outweigh the saved dispatch).
     """
     if max_batch_nodes < 1:
         raise ValueError("max_batch_nodes must be >= 1")

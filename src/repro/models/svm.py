@@ -12,11 +12,12 @@ probability).
 
 Offline substitution: scikit-learn is unavailable, so the kernel trick is
 realised with **random Fourier features** (Rahimi & Recht) approximating an
-RBF kernel on ``h``, and the primal is solved by projected subgradient
-descent (the projection ``w_p <- min(w_p, 0)`` after every step keeps the
-iterate feasible).  Probabilities come from Platt-style scaling of the
-margin with a positivity-constrained slope, which preserves monotonicity
-in p.
+RBF kernel on ``h``, and the primal — squared hinge, so it is smooth — is
+solved by L-BFGS-B with ``w_p <= 0`` as a box bound.  ``epochs`` is the
+solver's ``maxiter``: a fit that exhausts it returns that iterate, not an
+optimum, and ``n_iterations_`` / ``stop_message_`` say which happened.
+Probabilities come from Platt-style scaling of the margin with a
+positivity-constrained slope, which preserves monotonicity in p.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class MonotonicSVM:
         self._rng = seeded_rng(seed)
         self._fitted = False
         self.solution_theta: np.ndarray | None = None
+        #: How the last fit's solver stopped (``minimize``'s ``nit`` and
+        #: ``message``); ``None`` before the first fit.
+        self.n_iterations_: int | None = None
+        self.stop_message_: str | None = None
         self._feature_mean: np.ndarray | None = None
         self._feature_scale: np.ndarray | None = None
         self._rff_weights: np.ndarray | None = None
@@ -213,6 +218,8 @@ class MonotonicSVM:
             options=options,
         )
         self.solution_theta = solution.x.copy()
+        self.n_iterations_ = int(solution.nit)
+        self.stop_message_ = str(solution.message)
         self._w_embed = solution.x[:dim]
         self._w_parallelism = float(min(solution.x[dim], 0.0))
         self._bias = float(solution.x[dim + 1])

@@ -49,7 +49,7 @@ class PerfFixtures:
     fit_features: np.ndarray            # unique rows (weighted fit)
     fit_labels: np.ndarray
     fit_weights: np.ndarray
-    fit_features_dup: np.ndarray        # materialised multiset (seed-path fit)
+    fit_features_dup: np.ndarray        # materialised multiset (the _fit_model layers)
     fit_labels_dup: np.ndarray
     #: Warm cache sections (``kind -> [(key, value)]``) a process fleet
     #: ships to workers — the payload of the shared-cache fan-out pair.
@@ -83,9 +83,7 @@ def build_fixtures(smoke: bool = True) -> PerfFixtures:
     encoder = pretrained.encoders[0]
 
     warmup_rows = 400 if smoke else 600
-    warmup = build_warmup_dataset(
-        pretrained, 0, max_rows=150, seed=17, batch_encode=True
-    )
+    warmup = build_warmup_dataset(pretrained, 0, max_rows=150, seed=17)
     if not warmup.has_both_classes():
         raise RuntimeError(
             "perf fixture warm-up dataset is single-class; the SVM fit "

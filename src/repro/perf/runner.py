@@ -13,17 +13,19 @@ The hot paths:
 
 * ``ged_assign_*`` — GED cluster assignment (Algorithm 2 line 1) with
   admissible-bound pruning vs the exhaustive per-center A*-LSa search;
-* ``warmup_dataset_*`` — warm-up dataset construction (Algorithm 2
-  line 3) with block-diagonal batched GNN encoding vs per-record passes;
+* ``warmup_dataset_batched`` — warm-up dataset construction (Algorithm 2
+  line 3) through block-diagonal batched GNN encoding (timed alone: the
+  per-record path it replaced is gone);
 * ``svm_fit_*`` — the monotone prediction layer's fit on weighted unique
   rows vs the materialised duplicate-row multiset;
 * ``gnn_encode_*`` — bulk operator-embedding requests through
   :mod:`repro.gnn.batch` vs one encoder pass per sample;
 * ``campaign_*`` — the end-to-end service campaign over the fixture
   fleet (``benchmarks/e2e`` is the end-to-end instrument; this pair
-  keeps only the ratio): the seed repository's
-  sequential per-query path vs the concurrent service with shared
-  caches, pre-warming, bound-pruned assignment and weighted fitting —
+  keeps only the ratio): the inline sequential per-query path vs the
+  concurrent service.  Both fit weighted and warm-started, so the ratio
+  prices shared caches, pre-warming and the service's looser solver
+  tolerances, not the fit path —
   plus ``campaign_service_fullcore``, the same fleet on the process
   backend over every available core;
 * ``shared_cache_fanout_*`` — shipping the warm cache sections to
@@ -109,19 +111,6 @@ def _bench_warmup_batched(fixtures: PerfFixtures):
         fixtures.warmup_cluster,
         max_rows=fixtures.warmup_rows,
         seed=17,
-        batch_encode=True,
-    )
-
-
-def _bench_warmup_per_record(fixtures: PerfFixtures):
-    from repro.core.finetune import build_warmup_dataset
-
-    return build_warmup_dataset(
-        fixtures.pretrained,
-        fixtures.warmup_cluster,
-        max_rows=fixtures.warmup_rows,
-        seed=17,
-        batch_encode=False,
     )
 
 
@@ -493,14 +482,6 @@ BENCHMARKS: tuple[Benchmark, ...] = (
         smoke_repeats=4,
     ),
     Benchmark(
-        name="warmup_dataset_per_record",
-        hot_path="warmup-dataset",
-        description="warm-up dataset with one encoder pass per record",
-        run=_bench_warmup_per_record,
-        repeats=5,
-        smoke_repeats=4,
-    ),
-    Benchmark(
         name="svm_fit_weighted",
         hot_path="svm-fit",
         description="monotone SVM fit on weighted unique rows",
@@ -579,7 +560,7 @@ BENCHMARKS: tuple[Benchmark, ...] = (
     Benchmark(
         name="campaign_sequential_baseline",
         hot_path="service-campaign",
-        description="seed-path sequential per-query campaign (no caches)",
+        description="inline sequential per-query campaign (no caches)",
         run=_bench_campaign_baseline,
         repeats=2,
         smoke_repeats=1,
@@ -653,7 +634,6 @@ BENCHMARKS: tuple[Benchmark, ...] = (
 #: >1 means the optimisation pays off.
 RATIO_DEFINITIONS: dict[str, tuple[str, str]] = {
     "ged_assign_speedup": ("ged_assign_exhaustive", "ged_assign_pruned"),
-    "warmup_batch_speedup": ("warmup_dataset_per_record", "warmup_dataset_batched"),
     "svm_dedup_speedup": ("svm_fit_duplicated", "svm_fit_weighted"),
     "gnn_batch_speedup": ("gnn_encode_per_sample", "gnn_encode_batched"),
     "service_speedup": ("campaign_sequential_baseline", "campaign_service"),

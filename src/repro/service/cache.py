@@ -314,6 +314,11 @@ class TuningCacheSet:
         snapshot's version and the version this build reads, checked
         before any section entry is touched so an incompatible layout
         never fails deep in unpickling.
+
+        A v3 snapshot written before ``warmup`` keys lost their fourth
+        (encoding-path) element still loads: its 4-tuple warm-up keys
+        match no 3-tuple lookup, so they are never served and age out of
+        the section's LRU bound — stale-free without a version bump.
         """
         path = Path(path)
         try:

@@ -129,10 +129,9 @@ def prewarm_caches(
         # Same signature-based key the tuner consults (the cluster *id*
         # stays out of the key — it is a pretrain-run-local artifact — but
         # the builder still needs it to reach the right encoder/history).
-        # Service tuners keep the default warm-up size and always encode
-        # warm-ups batched (``True``).
+        # Service tuners keep the default warm-up size.
         warmup_key = warmup_cache_key(
-            pretrained, cluster, DEFAULT_WARMUP_ROWS, spec.seed, True
+            pretrained, cluster, DEFAULT_WARMUP_ROWS, spec.seed
         )
         warmup_demand[warmup_key] = warmup_demand.get(warmup_key, 0) + demand
         warmup_cluster[warmup_key] = cluster
@@ -150,15 +149,13 @@ def prewarm_caches(
     for warmup_key, demand in warmup_demand.items():
         if demand < min_demand:
             continue
-        _, max_rows, seed, batch_encode = warmup_key
+        _, max_rows, seed = warmup_key
         cluster = warmup_cluster[warmup_key]
         compute(
             "warmup",
             warmup_key,
-            lambda c=cluster, r=max_rows, s=seed, b=batch_encode: (
-                build_warmup_dataset(
-                    pretrained, c, max_rows=r, seed=s, batch_encode=b
-                )
+            lambda c=cluster, r=max_rows, s=seed: (
+                build_warmup_dataset(pretrained, c, max_rows=r, seed=s)
             ),
         )
 

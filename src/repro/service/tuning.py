@@ -153,12 +153,11 @@ def _build_campaign_tuner(
             model_kind=model_kind,
             seed=spec.seed,
             caches=caches,
-            # The service always fits weighted + warm-started and encodes
-            # warm-ups batched.  Not a float-level detail: the weighted fit
-            # also runs the solver at looser tolerances than the inline
-            # path's duplicated-row fit, and on some traces that moves a
-            # tuning decision (ROADMAP item 2a has the measurement).
-            fit_dedup=True, batch_encode=True,
+            # The one thing the service's fit does that the inline path's
+            # does not: looser solver tolerances.  They move tuning
+            # decisions on some traces, so adopting the defaults here is a
+            # separate, measured step (ROADMAP item 2a).
+            loose_tolerances=True,
         )
     from repro.api.components import TunerResources, build_tuner
 

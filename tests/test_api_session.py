@@ -202,6 +202,28 @@ class TestCachePersistence:
         with pytest.raises(ValueError, match="version"):
             TuningCacheSet.load(stale)
 
+    def test_snapshot_with_four_tuple_warmup_keys_loads_and_never_hits(
+        self, tiny_pretrained, tmp_path
+    ):
+        # What a v3 snapshot written before PR 19 holds: warm-up keys with
+        # a trailing encoding-path flag.  It loads without error, and the
+        # stale-shaped entry is not what a run gets back.
+        from repro.core.finetune import warmup_cache_key
+        from repro.core.tuner import DEFAULT_WARMUP_ROWS
+
+        path = tmp_path / "parent-written.pkl"
+        stale = object()
+        old = TuningCacheSet()
+        for cluster in range(tiny_pretrained.n_clusters):
+            key = warmup_cache_key(tiny_pretrained, cluster, DEFAULT_WARMUP_ROWS, 41)
+            old.get_or_compute("warmup", key + (True,), lambda: stale)
+        old.save(path)
+        result = TuningSession(pretrained=tiny_pretrained).run(
+            _smoke_plan(queries=("q1",), rates=(3,), cache_path=str(path))
+        )
+        assert result.cache_stats["warmup"]["hits"] == 0
+        assert result.cache_stats["warmup"]["misses"] == 1
+
     def test_session_cache_path_warms_next_run(self, tiny_pretrained, tmp_path):
         path = tmp_path / "service-caches.pkl"
         plan = _smoke_plan(cache_path=str(path))
@@ -407,6 +429,16 @@ class TestSessionSharedCaches:
         # a daemon starts warm.
         assert caches.section("warmup").stats()["misses"] == warm_misses
         assert _steps(first) == _steps(second)
+
+    def test_campaign_then_tuning_plan_share_one_warmup_entry(self, tiny_pretrained):
+        # The service and the inline tuner ask for the same warm-up key, so
+        # a daemon's second job for a query starts warm whatever its kind.
+        caches = TuningCacheSet()
+        session = TuningSession(pretrained=tiny_pretrained, caches=caches)
+        session.run(_smoke_plan(queries=("q1",), rates=(3,)))
+        assert caches.section("warmup").stats()["misses"] == 1
+        session.run(TuningPlan(query="q1", rates=(3,), scale="smoke", seed=41))
+        assert caches.section("warmup").stats()["misses"] == 1
 
     def test_plan_cache_path_keeps_private_snapshot_semantics(
         self, tiny_pretrained, tmp_path

@@ -1,7 +1,7 @@
 """Determinism regressions: same seed => identical tuning trajectories.
 
-Covers the plain tuner, the deduplicated/warm-started service fitting
-path, and the concurrent service (per-campaign seeding must make results
+Covers the tuner at its default and at the service's solver tolerances,
+and the concurrent service (per-campaign seeding must make results
 independent of worker interleaving and dispatch order).
 """
 
@@ -23,10 +23,12 @@ def _step_trace(result):
     ]
 
 
-def _run_once(pretrained, seed: int, fit_dedup: bool):
+def _run_once(pretrained, seed: int, loose_tolerances: bool):
     query = nexmark_query("q5", "flink")
     engine = FlinkCluster(seed=seed)
-    tuner = StreamTuneTuner(engine, pretrained, seed=seed, fit_dedup=fit_dedup)
+    tuner = StreamTuneTuner(
+        engine, pretrained, seed=seed, loose_tolerances=loose_tolerances
+    )
     tuner.prepare(query)
     deployment = engine.deploy(
         query.flow, dict.fromkeys(query.flow.operator_names, 1), query.rates_at(3)
@@ -36,18 +38,18 @@ def _run_once(pretrained, seed: int, fit_dedup: bool):
     return [_step_trace(result) for result in results]
 
 
-@pytest.mark.parametrize("fit_dedup", [False, True])
-def test_same_seed_reproduces_step_sequences(tiny_pretrained, fit_dedup):
-    first = _run_once(tiny_pretrained, seed=123, fit_dedup=fit_dedup)
-    second = _run_once(tiny_pretrained, seed=123, fit_dedup=fit_dedup)
+@pytest.mark.parametrize("loose_tolerances", [False, True])
+def test_same_seed_reproduces_step_sequences(tiny_pretrained, loose_tolerances):
+    first = _run_once(tiny_pretrained, seed=123, loose_tolerances=loose_tolerances)
+    second = _run_once(tiny_pretrained, seed=123, loose_tolerances=loose_tolerances)
     assert first == second
 
 
 def test_different_engine_seeds_diverge_eventually(tiny_pretrained):
     # Sanity check that the trace actually depends on the seed (otherwise
     # the reproducibility assertion above would be vacuous).
-    first = _run_once(tiny_pretrained, seed=123, fit_dedup=False)
-    second = _run_once(tiny_pretrained, seed=321, fit_dedup=False)
+    first = _run_once(tiny_pretrained, seed=123, loose_tolerances=False)
+    second = _run_once(tiny_pretrained, seed=321, loose_tolerances=False)
     assert first != second
 
 

@@ -12,7 +12,7 @@ from repro.core.finetune import (
     distill_rows,
     rows_from_record,
 )
-from repro.core.tuner import StreamTuneTuner, _ConstantModel
+from repro.core.tuner import QueryTuningState, StreamTuneTuner, _ConstantModel
 from repro.engines.flink import FlinkCluster
 from repro.workloads.nexmark import nexmark_query
 
@@ -159,6 +159,19 @@ class TestStreamTuneTuner:
     def test_invalid_max_iterations(self, tiny_pretrained):
         with pytest.raises(ValueError):
             StreamTuneTuner(FlinkCluster(seed=1), tiny_pretrained, max_iterations=0)
+
+    def test_empty_training_set_degrades_to_a_constant_model(self, setup):
+        # A cluster whose sampled records carry only -1 labels leaves T
+        # empty; the weighted fit must answer like _fit_model does.
+        _, tuner, _ = setup
+        empty = PredictionDataset()
+        state = QueryTuningState(job_key="job", cluster=0, dataset=empty)
+        for model in (
+            tuner._fit_model(empty, job_key="job"),
+            tuner._fit_model_weighted(empty, empty, empty, 4, state),
+        ):
+            assert isinstance(model, _ConstantModel)
+            assert list(model.predict_proba(np.zeros((2, 3)))) == [0.0, 0.0]
 
     def test_rebalance_caps_imbalance(self, setup):
         engine, tuner, _ = setup

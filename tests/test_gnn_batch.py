@@ -5,11 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.finetune import build_warmup_dataset, distill_rows
+from repro.core.finetune import (
+    PredictionDataset,
+    build_warmup_dataset,
+    distill_rows,
+    rows_from_record,
+)
 from repro.dataflow.features import FeatureEncoder
 from repro.gnn.batch import encode_samples, merge_samples
 from repro.gnn.data import build_sample
 from repro.gnn.model import BottleneckGNN, EncoderConfig
+from repro.utils.rng import seeded_rng
 from tests.conftest import build_diamond_flow, build_linear_flow, build_window_flow
 
 
@@ -110,10 +116,27 @@ class TestGridProbing:
 
 class TestWarmupBatchEncode:
     def test_batched_warmup_equivalent_to_sequential(self, tiny_pretrained):
-        sequential = build_warmup_dataset(tiny_pretrained, 0, max_rows=80, seed=9)
-        batched = build_warmup_dataset(
-            tiny_pretrained, 0, max_rows=80, seed=9, batch_encode=True
-        )
+        # The per-record reference: one encoder pass per sampled record in
+        # build_warmup_dataset's own seeded order up to max_rows, then the
+        # distilled rows of its first 8 records.
+        encoder = tiny_pretrained.encoders[0]
+        members = tiny_pretrained.records_by_cluster[0]
+        order = seeded_rng(9).permutation(len(members))
+        sequential = PredictionDataset()
+        for index in order:
+            sequential.extend(
+                rows_from_record(tiny_pretrained, encoder, members[index])
+            )
+            if len(sequential) >= 80:
+                break
+        for index in order[:8]:
+            record = members[index]
+            sequential.extend(
+                distill_rows(
+                    tiny_pretrained, encoder, record.flow, record.source_rates
+                )
+            )
+        batched = build_warmup_dataset(tiny_pretrained, 0, max_rows=80, seed=9)
         assert len(batched) == len(sequential)
         assert batched.labels == sequential.labels
         np.testing.assert_allclose(

@@ -79,6 +79,17 @@ class TestMonotonicSVM:
         order = np.argsort(margins)
         assert np.all(np.diff(probs[order]) >= -1e-12)
 
+    def test_reports_how_the_solver_stopped(self):
+        X, y = threshold_dataset()
+        model = MonotonicSVM()
+        assert model.n_iterations_ is None and model.stop_message_ is None
+        model.fit(X, y)
+        assert 0 < model.n_iterations_ <= model.epochs
+        # epochs is L-BFGS-B's maxiter: a starved fit says so.
+        starved = MonotonicSVM(epochs=3).fit(X, y)
+        assert starved.n_iterations_ == 3
+        assert "ITERATIONS REACHED LIMIT" in starved.stop_message_
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MonotonicSVM().predict(np.ones((1, 3)))

@@ -39,10 +39,13 @@ class TestRegistry:
             assert slow != fast, ratio
 
     def test_every_hot_path_has_a_ratio(self):
-        # Each optimised hot path ships with the measurement backing it.
+        # Each optimised hot path ships with the measurement backing it —
+        # except the one whose replaced path no longer exists to time.
+        timed_alone = {"warmup_dataset_batched"}
         ratio_benches = {name for pair in RATIO_DEFINITIONS.values() for name in pair}
+        assert not timed_alone & ratio_benches
         for bench in BENCHMARKS:
-            assert bench.name in ratio_benches, bench.name
+            assert bench.name in ratio_benches | timed_alone, bench.name
 
     def test_repeats_are_positive(self):
         for bench in BENCHMARKS:

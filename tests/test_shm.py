@@ -380,10 +380,8 @@ class TestWarmupSignature:
         ) != cluster_history_signature(tiny_pretrained, 1)
 
     def test_warmup_cache_key_carries_no_cluster_id(self, tiny_pretrained):
-        key = warmup_cache_key(tiny_pretrained, 0, 300, 17, True)
-        assert key == (
-            cluster_history_signature(tiny_pretrained, 0), 300, 17, True
-        )
+        key = warmup_cache_key(tiny_pretrained, 0, 300, 17)
+        assert key == (cluster_history_signature(tiny_pretrained, 0), 300, 17)
 
 
 # ----------------------------------------------------------------------
