@@ -17,7 +17,7 @@ Subcommands mirror the library's lifecycle::
     python -m repro.cli run-plan  campaign.toml --follow
     python -m repro.cli sweep     sweep.toml --record events.jsonl
     python -m repro.cli matrix    examples/matrix_smoke.toml --output BENCH_MATRIX.json
-    python -m repro.cli perf      --smoke
+    python -m repro.cli perf
     python -m repro.cli experiments --scale smoke
 
 ``history`` and ``pretrain`` persist their outputs, so a tuned model can
@@ -624,12 +624,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.only:
         only = [token.strip() for token in args.only.split(",") if token.strip()]
     return run_perf(
-        smoke=args.smoke,
         only=only,
         output=args.output,
         baseline_path=args.baseline,
         tolerance=args.tolerance,
-        gate_absolute=args.gate_absolute,
         update_baseline=args.update_baseline,
     )
 
@@ -868,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.set_defaults(func=_cmd_soak)
 
-    from repro.perf.report import BENCH_FILENAME
+    from repro.perf.report import BASELINE_PATH, REPORT_PATH
 
     perf = sub.add_parser(
         "perf",
@@ -876,29 +874,18 @@ def build_parser() -> argparse.ArgumentParser:
              "speedup ratios against the committed baseline",
     )
     perf.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized fixtures (fewer queries/rows/repeats, same benchmark "
-             "names)",
+        "--output", default=REPORT_PATH, metavar="PATH",
+        help="machine-readable report target (default: %(default)s)",
     )
     perf.add_argument(
-        "--output", default=BENCH_FILENAME, metavar="PATH",
-        help="machine-readable report target (default: %(default)s at the "
-             "repo root)",
-    )
-    perf.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline report to gate against (default: "
-             "benchmarks/perf_baseline.json when present)",
+        "--baseline", default=BASELINE_PATH, metavar="PATH",
+        help="baseline report to gate against; a missing file is an "
+             "error, not a skipped gate (default: %(default)s)",
     )
     perf.add_argument(
         "--tolerance", type=float, default=0.25,
         help="allowed fractional drop of a speedup ratio before the gate "
              "fails (default: %(default)s)",
-    )
-    perf.add_argument(
-        "--gate-absolute", action="store_true",
-        help="additionally gate raw per-benchmark seconds (same-host "
-             "comparisons only)",
     )
     perf.add_argument(
         "--update-baseline", action="store_true",

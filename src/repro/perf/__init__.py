@@ -1,20 +1,23 @@
-"""``repro.perf`` — named hot-path microbenchmarks with a regression gate.
+"""``repro.perf`` — paired hot-path microbenchmarks with a regression gate.
 
-The fleet's performance claims are measured, recorded and guarded here:
+The micro and wait-bound ratios one host can claim are measured,
+recorded and guarded here; end-to-end questions (what a campaign or a
+daemon job costs) belong to ``benchmarks/e2e``:
 
 * :mod:`repro.perf.fixtures` freezes the deterministic inputs;
 * :mod:`repro.perf.runner` names the hot paths — GED cluster assignment,
-  warm-up dataset construction, weighted SVM fits, batched GNN encoding,
-  the end-to-end smoke service campaign — and times each optimised path
-  next to the path it replaced;
-* :mod:`repro.perf.report` emits the machine-readable ``BENCH_PR8.json``
-  and compares its speedup *ratios* against the committed baseline
-  (``benchmarks/perf_baseline.json``), failing on regressions beyond the
-  tolerance.
+  weighted SVM fits, batched GNN encoding, shared-memory cache fan-out,
+  the failpoint fast path, spool fleet scale-out — and times each next
+  to the path it replaced or the configuration it is compared with;
+* :mod:`repro.perf.report` emits the machine-readable report and
+  compares its *ratios* against the committed baseline
+  (``benchmarks/perf_baseline.json``, recorded on the host named in its
+  header), failing on a regression beyond the tolerance or on a ratio
+  that only one of the two carries.
 
 Run it via the CLI::
 
-    python -m repro.cli perf --smoke                 # CI-sized, gated
+    python -m repro.cli perf                         # gated
     python -m repro.cli perf --update-baseline       # refresh the baseline
     python -m repro.cli perf --list                  # what gets timed
 """
@@ -26,8 +29,8 @@ from pathlib import Path
 from repro.perf.fixtures import PerfFixtures, build_fixtures
 from repro.perf.report import (
     BASELINE_PATH,
-    BENCH_FILENAME,
     PerfError,
+    REPORT_PATH,
     build_report,
     compare_reports,
     load_report,
@@ -46,11 +49,11 @@ from repro.perf.runner import (
 __all__ = [
     "BASELINE_PATH",
     "BENCHMARKS",
-    "BENCH_FILENAME",
     "Benchmark",
     "PerfError",
     "PerfFixtures",
     "RATIO_DEFINITIONS",
+    "REPORT_PATH",
     "benchmark_names",
     "build_fixtures",
     "build_report",
@@ -65,12 +68,10 @@ __all__ = [
 
 
 def run_perf(
-    smoke: bool = False,
     only: "list[str] | None" = None,
-    output: str = BENCH_FILENAME,
-    baseline_path: "str | None" = None,
+    output: str = REPORT_PATH,
+    baseline_path: str = BASELINE_PATH,
     tolerance: float = 0.25,
-    gate_absolute: bool = False,
     update_baseline: bool = False,
     echo=print,
 ) -> int:
@@ -88,8 +89,7 @@ def run_perf(
     if only is not None:
         if update_baseline:
             # A partial baseline would contain only the selected pair's
-            # ratios, and the gate iterates the baseline's ratios — every
-            # unselected hot path would silently stop being gated.
+            # ratios; every later full run would fail the gate on the rest.
             raise PerfError(
                 "--update-baseline cannot be combined with --only: the "
                 "baseline must cover every gated ratio"
@@ -102,39 +102,28 @@ def run_perf(
             )
     # Resolve the gate's baseline before any (expensive) timing happens,
     # so operator mistakes fail in milliseconds, not after a full run.
-    resolved_baseline = Path(
-        baseline_path if baseline_path is not None else BASELINE_PATH
-    )
+    resolved_baseline = Path(baseline_path)
     gating = not update_baseline and only is None
-    baseline = None
-    if gating:
-        if resolved_baseline.exists():
-            baseline = load_report(resolved_baseline)
-            if bool(baseline.get("smoke")) != smoke:
-                # Smoke and full fixtures are different workloads; their
-                # ratios are not comparable, so gating across them would
-                # produce spurious passes/failures.
-                raise PerfError(
-                    f"{resolved_baseline} is a "
-                    f"{'smoke' if baseline.get('smoke') else 'full'} baseline "
-                    f"but this is a {'smoke' if smoke else 'full'} run — "
-                    "match --smoke, point --baseline at a matching report, "
-                    "or refresh it with --update-baseline"
-                )
-        elif baseline_path is not None:
-            raise PerfError(f"perf baseline {resolved_baseline} does not exist")
+    if gating and not resolved_baseline.exists():
+        # Never "gate skipped": run from another directory, the default
+        # path would otherwise disarm the gate with exit 0.
+        raise PerfError(
+            f"perf baseline {resolved_baseline} does not exist — point "
+            "--baseline at one or record it with --update-baseline"
+        )
+    baseline = load_report(resolved_baseline) if gating else None
 
     try:
-        echo(f"building perf fixtures ({'smoke' if smoke else 'full'}) ...")
-        fixtures = build_fixtures(smoke=smoke)
+        echo("building perf fixtures ...")
+        fixtures = build_fixtures()
         echo("timing hot paths:")
-        results = run_benchmarks(fixtures, smoke=smoke, only=only, echo=echo)
+        results = run_benchmarks(fixtures, only=only, echo=echo)
     except ValueError as error:
         raise PerfError(str(error)) from None
     ratios = compute_ratios(results)
     for name, value in sorted(ratios.items()):
         echo(f"  {name:<30} {value:9.2f}x")
-    report = build_report(results, ratios, smoke=smoke)
+    report = build_report(results, ratios)
     written = write_report(report, output)
     echo(f"wrote {written}")
 
@@ -142,23 +131,18 @@ def run_perf(
         write_report(report, resolved_baseline)
         echo(f"updated baseline {resolved_baseline}")
         return 0
-    if only is not None:
+    if baseline is None:
         # A partial run cannot be gated: pairs that did not run would
         # read as regressions.  The report is still written.
         echo("--only selects a subset; regression gate skipped")
         return 0
-    if baseline is None:
-        echo(f"no baseline at {resolved_baseline}; regression gate skipped")
-        return 0
-    violations = compare_reports(
-        report, baseline, tolerance=tolerance, gate_absolute=gate_absolute
-    )
+    violations = compare_reports(report, baseline, tolerance=tolerance)
     if violations:
         for violation in violations:
-            echo(f"REGRESSION: {violation}")
+            echo(f"VIOLATION: {violation}")
         echo(
-            f"perf gate FAILED: {len(violations)} regression(s) beyond "
-            f"{tolerance:.0%} of {resolved_baseline}"
+            f"perf gate FAILED: {len(violations)} violation(s) against "
+            f"{resolved_baseline} at {tolerance:.0%}"
         )
         return 1
     echo(

@@ -1,17 +1,13 @@
 """Frozen deterministic fixtures for the hot-path benchmarks.
 
 Every benchmark in :mod:`repro.perf.runner` times a computation over the
-fixtures built here, and everything is pinned — seeds, query sets, rate
-traces, row counts — so two perf runs (on the same machine and build)
-time the *same* computation.  The expensive artifacts (the smoke-scale
-pre-trained model and its history) come from
+fixtures built here, and everything is pinned — seeds, flow sets, row
+counts — so two perf runs (on the same machine and build) time the
+*same* computation.  There is one fixture size, the one the committed
+baseline was recorded at.  The expensive artifact (the smoke-scale
+pre-trained model and its history) comes from
 :mod:`repro.experiments.context`'s process-wide memo, exactly like the
-benchmarks under ``benchmarks/``, so a perf session pays for pre-training
-once no matter how many benchmarks run.
-
-``smoke=True`` shrinks the workload (fewer queries, shorter traces, fewer
-rows) to CI scale; the benchmark *names* stay identical, so smoke and
-full reports compare against the same baseline schema.
+benchmarks under ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -19,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Evaluation groups driven end to end by the campaign benchmarks.
-SMOKE_GROUPS = ("q1", "q3", "linear", "2-way-join")
-FULL_GROUPS = ("q1", "q2", "q3", "q5", "q8", "linear", "2-way-join", "3-way-join")
 
 #: Weight each unique training row carries in the duplicated-vs-weighted
 #: SVM fit comparison (the duplicated path materialises the multiset).
@@ -33,19 +25,10 @@ FIT_MULTIPLICITY = 8
 class PerfFixtures:
     """Everything the benchmark suite times against."""
 
-    smoke: bool
-    scale: object                       # ExperimentScale
-    pretrained: object                  # PretrainedStreamTune
-    queries: list                       # smoke-campaign StreamingQuery fleet
-    multipliers: list                   # campaign rate trace
     assign_flows: list                  # dataflows to cluster-assign
     centers: list                       # the clustering's center graphs
     encoder: object                     # cluster-0 BottleneckGNN
     samples: list                       # GraphSample batch for encoding
-    warmup_cluster: int
-    #: Row budget of the warm-up *benchmark* (large enough that the
-    #: encoding share is visible next to the distillation cost).
-    warmup_rows: int
     fit_features: np.ndarray            # unique rows (weighted fit)
     fit_labels: np.ndarray
     fit_weights: np.ndarray
@@ -56,33 +39,22 @@ class PerfFixtures:
     fanout_entries: dict
 
 
-def build_fixtures(smoke: bool = True) -> PerfFixtures:
+def build_fixtures() -> PerfFixtures:
     """Assemble the fixture set (deterministic; memoised artifacts)."""
     from repro.core.finetune import build_warmup_dataset
     from repro.experiments import context
     from repro.experiments.scale import resolve_scale
-    from repro.scenarios.library import periodic_multipliers
 
-    scale = resolve_scale("smoke")
-    pretrained = context.pretrained_model("flink", scale)
-
-    evaluation = context.evaluation_queries("flink", scale)
-    groups = SMOKE_GROUPS if smoke else FULL_GROUPS
-    queries = [evaluation[group][0] for group in groups]
-    n_rate_changes = 2 if smoke else 8
-    multipliers = list(
-        periodic_multipliers(n_permutations=1, seed=scale.seed)[:n_rate_changes]
-    )
+    pretrained = context.pretrained_model("flink", resolve_scale("smoke"))
 
     corpus = context.corpus("flink")
-    assign_flows = [query.flow for query in corpus[: 16 if smoke else 48]]
+    assign_flows = [query.flow for query in corpus[:16]]
     centers = list(pretrained.clustering.center_graphs)
 
-    records = pretrained.records_by_cluster[0][: 16 if smoke else 48]
+    records = pretrained.records_by_cluster[0][:16]
     samples = [pretrained.sample_for(record) for record in records]
     encoder = pretrained.encoders[0]
 
-    warmup_rows = 400 if smoke else 600
     warmup = build_warmup_dataset(pretrained, 0, max_rows=150, seed=17)
     if not warmup.has_both_classes():
         raise RuntimeError(
@@ -107,17 +79,10 @@ def build_fixtures(smoke: bool = True) -> PerfFixtures:
     }
 
     return PerfFixtures(
-        smoke=smoke,
-        scale=scale,
-        pretrained=pretrained,
-        queries=queries,
-        multipliers=multipliers,
         assign_flows=assign_flows,
         centers=centers,
         encoder=encoder,
         samples=samples,
-        warmup_cluster=0,
-        warmup_rows=warmup_rows,
         fit_features=features,
         fit_labels=labels,
         fit_weights=weights,

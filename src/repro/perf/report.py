@@ -1,18 +1,21 @@
 """Machine-readable perf reports and the baseline regression gate.
 
-A perf run emits one JSON document (``BENCH_PR8.json`` at the repo root
-by default) holding per-hot-path timings plus the dimensionless speedup
-ratios of :data:`repro.perf.runner.RATIO_DEFINITIONS` — the repository's
-performance trajectory, one file per PR.
+A perf run emits one JSON document (an untracked ``perf_report.json`` in
+the working directory by default) holding per-hot-path timings plus the
+dimensionless ratios of :data:`repro.perf.runner.RATIO_DEFINITIONS`.
+The one committed report is the baseline,
+``benchmarks/perf_baseline.json``, written by a single
+``--update-baseline`` run so its header (``platform``, ``cpu_count``)
+names the host every one of its ratios was measured on.
 
-The regression gate compares the *ratios* of a fresh run against the
-committed baseline (``benchmarks/perf_baseline.json``): a ratio that
+The regression gate compares the *ratios* of a fresh run against that
+baseline: the two must carry the same set of ratios, and a ratio that
 fell more than ``tolerance`` (default 25%) below its baseline value
-fails the gate.  Ratios rather than raw seconds, deliberately — absolute
-wall-clock moves with the host (laptop vs CI runner), while "pruned
-assignment is N× the exhaustive search" is a property of the code.  Raw
-seconds are still recorded for trend reading, and ``gate_absolute=True``
-additionally gates them for same-host comparisons.
+fails the gate.  Ratios rather than raw seconds, because a ratio's two
+sides share the run's load; but a ratio still moves with the host
+(cache sizes, core count, BLAS), so it is only compared with a baseline
+recorded on the same host — re-baseline when the host changes.  Raw
+seconds are recorded for trend reading and never gated.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import sys
 import time
 from pathlib import Path
 
-#: Default report target, at the repository root (the perf trajectory).
-BENCH_FILENAME = "BENCH_PR8.json"
+#: Default report target (untracked; the committed report is the baseline).
+REPORT_PATH = "perf_report.json"
 #: Default committed baseline the gate compares against.
 BASELINE_PATH = "benchmarks/perf_baseline.json"
 #: Report schema marker.
@@ -37,13 +40,11 @@ class PerfError(ValueError):
     """A perf report or baseline is unusable; the message says why."""
 
 
-def build_report(results: dict, ratios: dict, smoke: bool) -> dict:
+def build_report(results: dict, ratios: dict) -> dict:
     """The JSON document for one perf run."""
     return {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
-        "bench": "PR8",
-        "smoke": smoke,
         "created_unix": time.time(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
@@ -74,25 +75,28 @@ def load_report(path: "str | Path") -> dict:
 
 
 def compare_reports(
-    current: dict,
-    baseline: dict,
-    tolerance: float = 0.25,
-    gate_absolute: bool = False,
+    current: dict, baseline: dict, tolerance: float = 0.25
 ) -> list[str]:
     """Regression messages (empty when the gate passes).
 
-    Every speedup ratio present in both reports must stay within
-    ``tolerance`` of its baseline value (a drop beyond it is a
-    regression; improvements always pass).  With ``gate_absolute`` the
-    per-benchmark median seconds are gated the same way — only
-    meaningful when both reports come from comparable hosts.
+    The two reports must carry the same ratios — one the baseline lacks
+    is as much a violation as one the current run lacks, or a defined
+    ratio would go ungated until somebody noticed — and each must stay
+    within ``tolerance`` of its baseline value (a drop beyond it is a
+    regression; improvements always pass).
     """
     if not 0 <= tolerance < 1:
         raise PerfError(f"tolerance must be in [0, 1), got {tolerance!r}")
     violations: list[str] = []
+    ratios = current.get("ratios", {})
     base_ratios = baseline.get("ratios", {})
+    for name in sorted(set(ratios) - set(base_ratios)):
+        violations.append(
+            f"ratio {name} is not in the baseline (current run: "
+            f"{ratios[name]:.2f}x); record it with --update-baseline"
+        )
     for name, base_value in sorted(base_ratios.items()):
-        value = current.get("ratios", {}).get(name)
+        value = ratios.get(name)
         if value is None:
             violations.append(
                 f"ratio {name} is missing from the current run "
@@ -105,18 +109,4 @@ def compare_reports(
                 f"ratio {name} regressed: {value:.2f}x < {floor:.2f}x "
                 f"(baseline {base_value:.2f}x - {tolerance:.0%})"
             )
-    if gate_absolute:
-        base_benches = baseline.get("benchmarks", {})
-        for name, base_result in sorted(base_benches.items()):
-            result = current.get("benchmarks", {}).get(name)
-            if result is None:
-                continue
-            ceiling = base_result["seconds"] * (1.0 + tolerance)
-            if result["seconds"] > ceiling:
-                violations.append(
-                    f"benchmark {name} regressed: {result['seconds'] * 1000:.1f} ms "
-                    f"> {ceiling * 1000:.1f} ms "
-                    f"(baseline {base_result['seconds'] * 1000:.1f} ms "
-                    f"+ {tolerance:.0%})"
-                )
     return violations

@@ -297,7 +297,7 @@ class TestValidationExitCodes:
                 "999",
             ),
             "missing-resume-log": (["run-plan", str(ds2), "--resume", missing], missing),
-            "bad-perf-tolerance": (["perf", "--smoke", "--tolerance", "2"], "tolerance"),
+            "bad-perf-tolerance": (["perf", "--tolerance", "2"], "tolerance"),
             "unreachable-daemon": (["jobs", "--url", "http://127.0.0.1:1"], "127.0.0.1:1"),
             "missing-fault-plan": (
                 ["worker", str(tmp_path / "spool"), "--fault-plan", missing], missing

@@ -2,18 +2,21 @@
 
 The heavy fixture construction (smoke-scale pre-training) is exercised by
 the perf-smoke CI job, not here — these tests pin the harness semantics:
-benchmark/ratio registry consistency, timing mechanics on synthetic
-benchmarks, report round-trips, and the gate's regression arithmetic.
+benchmark/ratio registry consistency (against the committed baseline
+too), timing mechanics on synthetic benchmarks, report round-trips, and
+the gate's regression arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.perf import (
+    BASELINE_PATH,
     BENCHMARKS,
     RATIO_DEFINITIONS,
     Benchmark,
@@ -26,6 +29,10 @@ from repro.perf import (
     time_benchmark,
     write_report,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
 class TestRegistry:
     def test_names_are_unique(self):
         names = benchmark_names()
@@ -39,18 +46,22 @@ class TestRegistry:
             assert slow != fast, ratio
 
     def test_every_hot_path_has_a_ratio(self):
-        # Each optimised hot path ships with the measurement backing it —
-        # except the one whose replaced path no longer exists to time.
-        timed_alone = {"warmup_dataset_batched"}
+        # Every benchmark is one side of a gated pair: a timing nothing
+        # compares is a number nobody can regress.
         ratio_benches = {name for pair in RATIO_DEFINITIONS.values() for name in pair}
-        assert not timed_alone & ratio_benches
         for bench in BENCHMARKS:
-            assert bench.name in ratio_benches | timed_alone, bench.name
+            assert bench.name in ratio_benches, bench.name
+
+    def test_committed_baseline_covers_exactly_the_defined_ratios(self):
+        # The gate is set equality between a run and the baseline; this
+        # pins the committed file to the registry without timing anything.
+        baseline = load_report(REPO_ROOT / BASELINE_PATH)
+        assert set(baseline["ratios"]) == set(RATIO_DEFINITIONS)
+        assert set(baseline["benchmarks"]) == set(benchmark_names())
 
     def test_repeats_are_positive(self):
         for bench in BENCHMARKS:
             assert bench.repeats >= 1
-            assert bench.smoke_repeats >= 1
 
 
 class TestTiming:
@@ -61,23 +72,16 @@ class TestTiming:
             description="records its invocations",
             run=lambda fixtures: calls.append(fixtures),
             repeats=4,
-            smoke_repeats=2,
         )
 
     def test_time_benchmark_repeats_and_reports(self):
         calls: list = []
-        result = time_benchmark(self._counting_benchmark(calls), "fx", smoke=False)
+        result = time_benchmark(self._counting_benchmark(calls), "fx")
         assert len(calls) == 4
         assert calls == ["fx"] * 4
         assert result["repeats"] == 4
         assert 0 <= result["min_seconds"] <= result["seconds"] <= result["max_seconds"]
         assert result["hot_path"] == "test"
-
-    def test_smoke_uses_smoke_repeats(self):
-        calls: list = []
-        result = time_benchmark(self._counting_benchmark(calls), None, smoke=True)
-        assert len(calls) == 2
-        assert result["repeats"] == 2
 
     def test_compute_ratios_skips_incomplete_pairs(self):
         results = {
@@ -89,18 +93,17 @@ class TestTiming:
         assert ratios == {"ged_assign_speedup": 4.0}
 
 
-def _report(ratios, benchmarks=None, smoke=True):
-    return build_report(benchmarks or {}, ratios, smoke=smoke)
+def _report(ratios):
+    return build_report({}, ratios)
 
 
 class TestReportRoundTrip:
     def test_write_and_load(self, tmp_path):
-        report = _report({"service_speedup": 3.0})
+        report = _report({"ged_assign_speedup": 3.0})
         path = write_report(report, tmp_path / "bench.json")
         loaded = load_report(path)
-        assert loaded["ratios"] == {"service_speedup": 3.0}
+        assert loaded["ratios"] == {"ged_assign_speedup": 3.0}
         assert loaded["format"] == "repro.perf"
-        assert loaded["bench"] == "PR8"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(PerfError, match="does not exist"):
@@ -150,13 +153,16 @@ class TestRegressionGate:
         assert len(violations) == 1
         assert "missing" in violations[0]
 
-    def test_absolute_gate_is_opt_in(self):
-        baseline = _report({}, benchmarks={"b": {"seconds": 1.0}})
-        current = _report({}, benchmarks={"b": {"seconds": 10.0}})
-        assert compare_reports(current, baseline) == []
-        violations = compare_reports(current, baseline, gate_absolute=True)
+    def test_unbaselined_ratio_is_a_violation(self):
+        # A defined ratio the baseline never recorded must not ride
+        # along ungated behind "perf gate ok".
+        name = next(iter(RATIO_DEFINITIONS))
+        baseline = _report({"a_speedup": 4.0})
+        current = _report({"a_speedup": 4.0, name: 7.0})
+        violations = compare_reports(current, baseline)
         assert len(violations) == 1
-        assert "benchmark b regressed" in violations[0]
+        assert name in violations[0]
+        assert "not in the baseline" in violations[0]
 
     def test_bad_tolerance_rejected(self):
         report = _report({})
@@ -175,14 +181,14 @@ class TestPerfCli:
         # A partial baseline would hollow out the gate for every
         # unselected ratio; the combination is refused outright.
         code = main([
-            "perf", "--smoke", "--only", "svm_fit_weighted", "--update-baseline",
+            "perf", "--only", "svm_fit_weighted", "--update-baseline",
         ])
         assert code == 2
         assert "--only" in capsys.readouterr().err
 
     def test_unknown_only_exits_two(self, capsys):
         # Validated before fixtures are built: instant, one line.
-        code = main(["perf", "--smoke", "--only", "no_such_bench"])
+        code = main(["perf", "--only", "no_such_bench"])
         assert code == 2
         err = capsys.readouterr().err
         assert "no_such_bench" in err
@@ -192,7 +198,7 @@ class TestPerfCli:
         # Validated before any fixture construction: the failure is
         # immediate and one line, never a traceback after a full timing run.
         code = main([
-            "perf", "--smoke", "--baseline", str(tmp_path / "missing.json"),
+            "perf", "--baseline", str(tmp_path / "missing.json"),
         ])
         assert code == 2
         err = capsys.readouterr().err
@@ -200,18 +206,27 @@ class TestPerfCli:
         assert err.count("\n") == 1
 
     def test_bad_tolerance_exits_two(self, capsys):
-        code = main(["perf", "--smoke", "--tolerance", "1.5"])
+        code = main(["perf", "--tolerance", "1.5"])
         assert code == 2
         assert "tolerance" in capsys.readouterr().err
 
-    def test_smoke_full_baseline_mismatch_exits_two(self, tmp_path, capsys):
-        # Smoke and full fixtures are different workloads: gating one
-        # against the other's baseline is refused before any timing runs.
-        baseline = write_report(
-            _report({"service_speedup": 3.0}, smoke=False),
-            tmp_path / "full_baseline.json",
-        )
-        code = main(["perf", "--smoke", "--baseline", str(baseline)])
+    def test_missing_default_baseline_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Run from a directory without benchmarks/perf_baseline.json: the
+        # gate must refuse, never print "gate skipped" and exit 0.
+        monkeypatch.chdir(tmp_path)
+        code = main(["perf"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "full baseline" in err and "smoke run" in err
+        assert err.startswith("repro: error:")
+        assert BASELINE_PATH in err and "--update-baseline" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "perf_report.json").exists()
+
+    @pytest.mark.parametrize("option", ["--smoke", "--gate-absolute"])
+    def test_removed_options_are_unknown(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", option])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err
