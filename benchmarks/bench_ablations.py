@@ -70,7 +70,7 @@ def test_encoder_ablation(benchmark, scale):
     # What the tuner consumes is the ranking: both encoders must order
     # bottleneck configurations above safe ones on the unseen kind.  (The
     # *calibration* comparison is an honest negative result — Table I's
-    # shared features already transfer; see EXPERIMENTS.md.)
+    # shared features already transfer.)
     for row in rows:
         assert row.heldout_auc >= 0.6, row
     assert (

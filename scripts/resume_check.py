@@ -21,20 +21,21 @@ import json
 import sys
 from pathlib import Path
 
+# The determinism view (which payload fields count, how campaigns are
+# keyed) lives in the library, shared with distributed_check.py and the
+# soak supervisor; this script is the thin CI shell.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-def _lines(path: Path) -> list[dict]:
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
+from repro.faults.invariants import (  # noqa: E402 — after the path bootstrap
+    _results_by_key,
+    load_event_log,
+)
 
 
 def _truncate(args: argparse.Namespace) -> int:
     kept = []
     finished = 0
-    for record in _lines(Path(args.source)):
+    for record in load_event_log(args.source):
         kept.append(record)
         if record["event"] == "CampaignFinished":
             finished = 1
@@ -50,26 +51,9 @@ def _truncate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _deterministic_result(record: dict) -> dict:
-    result = json.loads(json.dumps(record["result"]))   # deep copy
-    for process in result["processes"]:
-        for step in process["steps"]:
-            step.pop("recommendation_seconds", None)
-    return result
-
-
-def _results_by_key(records: list[dict]) -> dict[str, dict]:
-    results = {}
-    for record in records:
-        if record["event"] == "CampaignFinished":
-            key = f"{record.get('scenario') or ''}/{record.get('cell_key') or record['campaign']}"
-            results[key] = _deterministic_result(record)
-    return results
-
-
 def _compare(args: argparse.Namespace) -> int:
-    full = _lines(Path(args.full))
-    resumed = _lines(Path(args.resumed))
+    full = load_event_log(args.full)
+    resumed = load_event_log(args.resumed)
     failures = []
 
     n_skipped = sum(1 for r in resumed if r["event"] == "CampaignSkipped")

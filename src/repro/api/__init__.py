@@ -47,7 +47,6 @@ from repro.api.registry import (
 from repro.api.components import (  # importing populates the registries
     TunerResources,
     build_engine,
-    build_prediction_model,
     build_tuner,
     engine_family,
     resolve_query,
@@ -76,7 +75,6 @@ from repro.api.resume import (
     ResumeError,
     ResumeLog,
     discover_latest_log,
-    load_events,
 )
 from repro.api.plans import (
     CampaignPlan,
@@ -160,13 +158,11 @@ __all__ = [
     "UnknownComponentError",
     "WORKLOADS",
     "build_engine",
-    "build_prediction_model",
     "build_tuner",
     "campaign_cell_key",
     "discover_latest_log",
     "engine_family",
     "event_from_dict",
-    "load_events",
     "load_plan",
     "plan_from_dict",
     "replace",

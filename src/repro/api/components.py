@@ -193,12 +193,6 @@ def engine_family(name: str) -> str:
     return entry.family or entry.name
 
 
-#: Engine registry name -> workload family, derived from the registry
-#: entries (kept as a mapping for back-compat; :func:`engine_family` is
-#: the lookup to use).
-ENGINE_FAMILIES = {name: engine_family(name) for name in ENGINES.names()}
-
-
 # ----------------------------------------------------------------------
 # tuners
 # ----------------------------------------------------------------------
@@ -455,7 +449,3 @@ def _build_mlp(seed=11):
 
     return MLPClassifier(seed=seed)
 
-
-def build_prediction_model(kind: str, seed: int = 11):
-    """Resolve + construct a fine-tuning prediction layer by name."""
-    return MODELS.create(kind, seed=seed)

@@ -10,8 +10,8 @@ a code fork:
   through the :class:`~repro.service.TuningService`.
 * :class:`SweepPlan` — a parameter grid (engines x tuners x rate traces
   x chaos schedules, each over the same query fleet) that expands into
-  one :class:`CampaignPlan` per cell (the ``repro sweep`` and
-  ``repro matrix`` lifecycles).
+  one :class:`CampaignPlan` per cell (``repro run-plan`` on a sweep file
+  and the ``repro matrix`` lifecycle).
 
 Rate traces come in two spellings everywhere a plan accepts them: a raw
 multiplier list (back-compat — cell keys stay byte-identical), or a named
@@ -267,6 +267,24 @@ def _check_chaos_executes(chaos, engine: str, n_steps: int, field_name: str = "c
         )
 
 
+def _campaign_spec(plan, token: str, rates, engine_seed: int):
+    """The :class:`~repro.service.CampaignSpec` of one (query, trace) of a
+    tuning or campaign plan — the one place plan fields become a
+    campaign.  Imported lazily: validation never needs the service."""
+    from repro.service.scheduler import CampaignSpec
+
+    return CampaignSpec(
+        query=resolve_query(token, plan.engine),
+        multipliers=rates,
+        engine=plan.engine,
+        engine_seed=engine_seed,
+        seed=plan.seed,
+        tuner=plan.tuner,
+        model_kind=plan.layer,
+        chaos=plan.chaos,
+    )
+
+
 # ----------------------------------------------------------------------
 # the plans
 # ----------------------------------------------------------------------
@@ -320,29 +338,22 @@ class TuningPlan:
         object.__setattr__(self, "chaos", _as_chaos(self.chaos))
         _check_chaos_executes(self.chaos, self.engine, len(self.rates))
 
-    def cell_keys(self) -> list[str]:
-        """The deterministic campaign identity this plan will stamp on its
-        events (one entry — a tuning plan is a single campaign); a
-        recorded log whose keys match can stand in for re-execution."""
-        from repro.api.events import campaign_cell_key
+    def specs(self) -> list:
+        """The one campaign this plan runs, as a
+        :class:`~repro.service.CampaignSpec` (a tuning plan is a single
+        campaign)."""
         from repro.experiments.scale import resolve_scale
 
-        is_streamtune, model_suffix = streamtune_variant(self.tuner)
-        query = resolve_query(self.query, self.engine)
-        return [
-            campaign_cell_key(
-                query.name,
-                self.engine,
-                self.tuner,
-                self.rates,
-                self.seed,
-                layer=(model_suffix or self.layer) if is_streamtune else None,
-                # The inline tuning lifecycle seeds its engine from the
-                # scale, not the plan seed (unlike campaign fleets).
-                engine_seed=resolve_scale(self.scale).seed,
-                chaos=self.chaos.label() if self.chaos is not None else None,
-            )
-        ]
+        # The inline tuning lifecycle seeds its engine from the scale,
+        # not the plan seed (unlike campaign fleets).
+        engine_seed = resolve_scale(self.scale).seed
+        return [_campaign_spec(self, self.query, self.rates, engine_seed)]
+
+    def cell_keys(self) -> list[str]:
+        """The deterministic campaign identity this plan will stamp on its
+        events (one entry); a recorded log whose keys match can stand in
+        for re-execution."""
+        return [spec.cell_key for spec in self.specs()]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_plan_fields_dict(self)}
@@ -478,25 +489,20 @@ class CampaignPlan:
             for i, token in enumerate(self.queries)
         ]
 
+    def specs(self) -> list:
+        """One :class:`~repro.service.CampaignSpec` per fleet campaign, in
+        plan order — what the service, the spool and ``cell_keys`` all
+        expand this plan to."""
+        return [
+            # Fleet campaigns seed their engines from the plan seed.
+            _campaign_spec(self, token, rates, self.seed)
+            for token, rates in self.rates_for()
+        ]
+
     def cell_keys(self) -> list[str]:
         """Deterministic campaign identities, one per fleet campaign, in
         plan order — what ``--resume`` matches recorded logs against."""
-        from repro.api.events import campaign_cell_key
-
-        is_streamtune, model_suffix = streamtune_variant(self.tuner)
-        return [
-            campaign_cell_key(
-                resolve_query(token, self.engine).name,
-                self.engine,
-                self.tuner,
-                rates,
-                self.seed,
-                layer=(model_suffix or self.layer) if is_streamtune else None,
-                engine_seed=self.seed,   # fleet campaigns seed engines per plan
-                chaos=self.chaos.label() if self.chaos is not None else None,
-            )
-            for token, rates in self.rates_for()
-        ]
+        return [spec.cell_key for spec in self.specs()]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_plan_fields_dict(self)}
@@ -688,7 +694,7 @@ class SweepPlan:
     def cell_keys(self) -> list[str]:
         """Deterministic campaign identities across the whole grid, in
         grid order — every campaign a full sweep run would record."""
-        return [key for cell in self.expand() for key in cell.cell_keys()]
+        return [spec.cell_key for cell in self.expand() for spec in cell.specs()]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **_plan_fields_dict(self)}

@@ -34,7 +34,6 @@ __all__ = [
     "ResumeError",
     "ResumeLog",
     "discover_latest_log",
-    "load_events",
     "replay_events",
     "resume_outcome",
 ]
@@ -87,16 +86,6 @@ def discover_latest_log(
             f"{directory} (run with --record first, or name the log explicitly)"
         )
     return candidates[-1]
-
-
-def load_events(path: str | Path) -> list:
-    """Parse every well-formed event line of a JSONL log, in order.
-
-    Lines that do not decode or do not describe a known event are
-    skipped — a crash can truncate the final line mid-write, and a
-    readable prefix is exactly what resuming is for.
-    """
-    return ResumeLog.load(path).events
 
 
 class ResumeLog:

@@ -49,18 +49,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.api.components import (
-    TunerResources,
-    build_engine,
-    build_tuner,
-    resolve_query,
-    streamtune_variant,
-)
+from repro.api.components import TunerResources, build_tuner
 from repro.api.events import (
     CacheStats,
     CampaignFailed,
     CampaignFinished,
-    CampaignStarted,
     SweepFinished,
     campaign_finished,
 )
@@ -259,7 +252,11 @@ class TuningSession:
 
     def _stream_tuning(self, plan: TuningPlan, resume=None):
         """The single-query lifecycle: one engine, one tuner, inline."""
-        from repro.service.tuning import CampaignOutcome, campaign_events
+        from repro.service.tuning import (
+            CampaignOutcome,
+            _started_event_for,
+            campaign_events,
+        )
 
         started = time.perf_counter()
         seq = 0
@@ -270,15 +267,14 @@ class TuningSession:
             seq += 1
             return event
 
-        scale = self._scale_for(plan)
-        query = resolve_query(plan.query, plan.engine)
-        cell_key = plan.cell_keys()[0]
+        (spec,) = plan.specs()
+        cell_key = spec.cell_key
         recorded = resume_outcome(resume, cell_key)
         if recorded is not None:
             # The log already holds this campaign: replay it bit-identically
             # without touching engines, tuners or the pretrained artifact.
             for event in replay_events(
-                query.name, 0, "inline", recorded, cell_key, resume
+                spec.name, 0, "inline", recorded, cell_key, resume
             ):
                 yield stamped(event)
             yield stamped(CacheStats(stats={}))
@@ -288,35 +284,22 @@ class TuningSession:
                 wall_seconds=recorded.wall_seconds,
                 backend="inline",
             )
-        engine = build_engine(plan.engine, seed=scale.seed)
+        engine = spec.make_engine()
         params = {}
         caches = None
-        is_streamtune, model_suffix = streamtune_variant(plan.tuner)
-        if is_streamtune:
-            params = {"seed": plan.seed}
-            if model_suffix is None:
-                # A 'streamtune-<model>' spelling carries its own layer;
-                # build_tuner turns the suffix into model_kind.
-                params["model_kind"] = plan.layer
+        if spec.is_streamtune:
+            params = {"seed": spec.seed, "model_kind": spec.layer}
             if plan.cache_path is not None:
                 caches = self._load_caches(plan.cache_path)
                 params["caches"] = caches
             elif self._caches is not None:
                 params["caches"] = self._caches
-        tuner = build_tuner(
-            plan.tuner, engine, self._resources_for(plan, scale), **params
-        )
-        yield stamped(CampaignStarted(
-            campaign=query.name,
-            index=0,
-            engine=plan.engine,
-            tuner=plan.tuner,
-            backend="inline",
-            n_steps=len(plan.rates),
-            cell_key=cell_key,
-        ))
+        resources = self._resources_for(plan, self._scale_for(plan))
+        tuner = build_tuner(spec.tuner, engine, resources, **params)
+        yield stamped(_started_event_for(spec, 0, "inline"))
         events = campaign_events(
-            engine, tuner, query, plan.rates, chaos=plan.chaos, cell_key=cell_key
+            engine, tuner, spec.query, spec.multipliers,
+            chaos=spec.chaos, cell_key=cell_key,
         )
         while True:
             try:
@@ -331,9 +314,9 @@ class TuningSession:
             caches = params["caches"]   # session-owned: report stats, no save
         wall = time.perf_counter() - started
         outcome = CampaignOutcome(
-            spec_name=query.name, result=result, wall_seconds=wall, backend="inline"
+            spec_name=spec.name, result=result, wall_seconds=wall, backend="inline"
         )
-        yield stamped(campaign_finished(query.name, 0, "inline", outcome, cell_key))
+        yield stamped(campaign_finished(spec.name, 0, "inline", outcome, cell_key))
         stats = caches.stats() if caches is not None else {}
         yield stamped(CacheStats(stats=stats))
         return SessionResult(
@@ -343,25 +326,10 @@ class TuningSession:
 
     def _stream_campaign(self, plan: CampaignPlan, resume=None):
         """The fleet lifecycle: every query a campaign on the service."""
-        from repro.service import CampaignExecutionError, CampaignSpec, TuningService
+        from repro.service import CampaignExecutionError, TuningService
 
         started = time.perf_counter()
-        scale = self._scale_for(plan)
-        is_streamtune, model_suffix = streamtune_variant(plan.tuner)
-        model_kind = model_suffix if model_suffix else plan.layer
-        specs = [
-            CampaignSpec(
-                query=resolve_query(token, plan.engine),
-                multipliers=rates,
-                engine=plan.engine,
-                engine_seed=plan.seed,
-                seed=plan.seed,
-                tuner=plan.tuner,
-                model_kind=model_kind,
-                chaos=plan.chaos,
-            )
-            for token, rates in plan.rates_for()
-        ]
+        specs = plan.specs()
         # The snapshot loads first: a stale or corrupt ``cache_path`` must
         # fail before a model is trained, not after.
         own_caches = (
@@ -371,10 +339,12 @@ class TuningSession:
         # A fully resumed cell replays without executing anything, so it
         # does not need the pre-trained artifact (baseline fleets never
         # do): a recorded 30-cell sweep replays without training a model.
-        needs_model = is_streamtune and any(
+        needs_model = specs[0].is_streamtune and any(
             resume_outcome(resume, spec.cell_key) is None for spec in specs
         )
-        pretrained = self._pretrained_for(plan, scale) if needs_model else None
+        pretrained = (
+            self._pretrained_for(plan, self._scale_for(plan)) if needs_model else None
+        )
         outcomes: dict[int, object] = {}
         failures: list = []
         stats: dict = {}

@@ -15,17 +15,17 @@ Subcommands mirror the library's lifecycle::
     python -m repro.cli pretrain  --history history.jsonl --output model_dir
     python -m repro.cli run-plan  tuning.toml          # one query: kind = "tuning"
     python -m repro.cli run-plan  campaign.toml --follow
-    python -m repro.cli sweep     sweep.toml --record events.jsonl
+    python -m repro.cli run-plan  sweep.toml --record events.jsonl
     python -m repro.cli matrix    examples/matrix_smoke.toml --output BENCH_MATRIX.json
     python -m repro.cli perf
     python -m repro.cli experiments --scale smoke
 
 ``history`` and ``pretrain`` persist their outputs, so a tuned model can
 be built once and reused across tuning sessions (the paper's
-offline/online split).  ``run-plan`` and ``sweep`` execute through the
-streaming session: ``--follow`` prints one line per execution event as
-campaigns progress and ``--record`` writes the full typed event stream
-to a JSONL file.
+offline/online split).  ``run-plan`` executes through the streaming
+session: ``--follow`` prints one line per execution event as campaigns
+progress and ``--record`` writes the full typed event stream to a JSONL
+file.
 """
 
 from __future__ import annotations
@@ -288,19 +288,6 @@ def _cmd_run_plan(args: argparse.Namespace) -> int:
         _print_sweep_result(result)
     else:
         _print_campaign_outcomes(result)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan)
-    if not isinstance(plan, SweepPlan):
-        raise PlanError(
-            f"{args.plan} holds a {type(plan).__name__} (kind "
-            f"{plan.kind!r}); the sweep command needs kind = \"sweep\" — "
-            "use run-plan for single plans"
-        )
-    plan = _apply_plan_overrides(plan, args)
-    _print_sweep_result(_run_with_events(plan, args))
     return 0
 
 
@@ -594,12 +581,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    import os
-
-    os.environ["REPRO_SCALE"] = args.scale or "default"
     from repro.experiments.__main__ import main as run_all
 
-    return run_all()
+    return run_all(resolve_scale(args.scale))
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
@@ -730,15 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_plan_flags(run_plan)
     add_stream_flags(run_plan)
     run_plan.set_defaults(func=_cmd_run_plan)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a SweepPlan scenario grid (engines x tuners x rate traces)",
-    )
-    sweep.add_argument("plan", help="path to a .json or .toml sweep-plan file")
-    add_plan_flags(sweep)
-    add_stream_flags(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
 
     matrix = sub.add_parser(
         "matrix",
@@ -993,7 +968,9 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_cmd.set_defaults(func=_cmd_jobs)
 
     experiments = sub.add_parser("experiments", help="run every paper experiment")
-    experiments.add_argument("--scale", default="default")
+    experiments.add_argument(
+        "--scale", default=None, help="scale preset (default: $REPRO_SCALE, else 'default')"
+    )
     experiments.set_defaults(func=_cmd_experiments)
 
     ablate = sub.add_parser(

@@ -8,22 +8,10 @@ elbow method (§V-A) for choosing the number of clusters.
 from repro.clustering.center import similarity_center
 from repro.clustering.kmeans import ClusteringResult, GEDKMeans
 from repro.clustering.elbow import choose_k_elbow
-from repro.clustering.quality import (
-    ClusterSummaryRow,
-    cluster_summary,
-    mean_silhouette,
-    silhouette_scores,
-    within_cluster_dispersion,
-)
 
 __all__ = [
-    "ClusterSummaryRow",
     "ClusteringResult",
     "GEDKMeans",
     "choose_k_elbow",
-    "cluster_summary",
-    "mean_silhouette",
-    "silhouette_scores",
     "similarity_center",
-    "within_cluster_dispersion",
 ]

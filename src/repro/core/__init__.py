@@ -4,9 +4,7 @@
 * :mod:`repro.core.history` — execution-history records and generation,
 * :mod:`repro.core.pretrain` — GED clustering + per-cluster GNN encoders,
 * :mod:`repro.core.finetune` — warm-up datasets for the prediction layer,
-* :mod:`repro.core.tuner` — Algorithm 2 online parallelism tuning,
-* :mod:`repro.core.support` — pre-training support (operating-region)
-  diagnostics for deployment pre-flight checks.
+* :mod:`repro.core.tuner` — Algorithm 2 online parallelism tuning.
 """
 
 from repro.core.labeling import (
@@ -18,12 +16,6 @@ from repro.core.labeling import (
 from repro.core.history import ExecutionRecord, HistoryGenerator
 from repro.core.pretrain import PretrainedStreamTune, pretrain
 from repro.core.finetune import PredictionDataset, build_warmup_dataset
-from repro.core.support import (
-    SupportProfile,
-    SupportVerdict,
-    cluster_support_profiles,
-    preflight_check,
-)
 from repro.core.tuner import StreamTuneTuner
 from repro.core.persistence import (
     load_history,
@@ -39,16 +31,12 @@ __all__ = [
     "PredictionDataset",
     "PretrainedStreamTune",
     "StreamTuneTuner",
-    "SupportProfile",
-    "SupportVerdict",
     "build_warmup_dataset",
-    "cluster_support_profiles",
     "label_operators",
     "label_operators_flink",
     "label_operators_timely",
     "load_history",
     "load_pretrained",
-    "preflight_check",
     "pretrain",
     "save_history",
     "save_pretrained",

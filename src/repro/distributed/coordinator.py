@@ -36,7 +36,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.api.components import resolve_query
 from repro.api.events import (
     CacheStats,
     CampaignFailed,
@@ -95,15 +94,14 @@ def plan_cells(plan: "CampaignPlan | SweepPlan") -> list[SpoolCell]:
         )
     cells: list[SpoolCell] = []
     for scenario, fleet in fleets:
-        keys = fleet.cell_keys()
-        for fleet_index, (token, rates) in enumerate(fleet.rates_for()):
+        for fleet_index, (token, spec) in enumerate(zip(fleet.queries, fleet.specs())):
             cells.append(SpoolCell(
                 index=len(cells),
-                cell_key=keys[fleet_index],
-                campaign=resolve_query(token, fleet.engine).name,
-                plan=_derived_plan(fleet, token, rates),
+                cell_key=spec.cell_key,
+                campaign=spec.name,
+                plan=_derived_plan(fleet, token, spec.multipliers),
                 scenario=scenario,
-                n_steps=len(rates),
+                n_steps=len(spec.multipliers),
                 fleet_index=fleet_index,
             ))
     return cells

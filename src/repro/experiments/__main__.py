@@ -36,12 +36,12 @@ EXPERIMENTS = (
 )
 
 
-def main() -> int:
-    scale = resolve_scale()
+def main(scale=None) -> int:
+    scale = scale or resolve_scale()
     print(f"# StreamTune reproduction - all experiments (scale: {scale.name})\n")
     for label, runner in EXPERIMENTS:
         print(f"\n{'=' * 70}\n## {label}\n{'=' * 70}")
-        runner()
+        runner(scale)
     return 0
 
 

@@ -454,7 +454,7 @@ def run_encoder_ablation(
     threshold search depends on ranking, and an interesting *negative*
     result is possible — Table I's shared features (window config, tuple
     widths, rates) may already carry most of the transfer, leaving little
-    headroom for the semantic block (see EXPERIMENTS.md).
+    headroom for the semantic block.
     """
     scale = scale or resolve_scale()
     records = _ablation_history(scale)

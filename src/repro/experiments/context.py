@@ -23,9 +23,6 @@ from repro.engines import EngineCluster
 from repro.experiments.scale import ExperimentScale
 from repro.workloads import StreamingQuery, nexmark_queries, pqp_query_set
 
-#: Methods available to campaign-based experiments.
-METHOD_NAMES = ("DS2", "ContTune", "StreamTune", "ZeroTune", "Oracle")
-
 _CACHE: dict = {}
 
 #: Reentrant because builders nest (pretraining builds the history first);
@@ -136,8 +133,8 @@ def pretrained_model(engine_name: str, scale: ExperimentScale) -> PretrainedStre
 def make_tuner(method: str, engine: EngineCluster, scale: ExperimentScale):
     """Instantiate a tuning method bound to ``engine``.
 
-    ``method`` is any :data:`repro.api.TUNERS` registry name (one of
-    :data:`METHOD_NAMES`), or ``StreamTune-<model>`` for the Fig. 11a
+    ``method`` is any :data:`repro.api.TUNERS` registry name (DS2,
+    ContTune, StreamTune, ZeroTune, Oracle), or ``StreamTune-<model>`` for the Fig. 11a
     prediction-layer ablation (svm/xgboost/nn).  The registry factories
     pull whatever shared artifacts they need — the pre-trained model for
     StreamTune, history records for ZeroTune — lazily from this module's

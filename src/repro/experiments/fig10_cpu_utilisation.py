@@ -40,8 +40,8 @@ def run(scale: ExperimentScale | None = None) -> list[Fig10Series]:
     return series
 
 
-def main() -> list[Fig10Series]:
-    series = run()
+def main(scale: ExperimentScale | None = None) -> list[Fig10Series]:
+    series = run(scale)
     for item in series:
         marks = set(item.rate_change_marks)
         rows = [

@@ -120,8 +120,8 @@ def run_fig11b(scale: ExperimentScale | None = None) -> list[Fig11bRow]:
     return rows
 
 
-def main() -> tuple[list[Fig11aRow], list[Fig11bRow]]:
-    rows_a = run_fig11a()
+def main(scale: ExperimentScale | None = None) -> tuple[list[Fig11aRow], list[Fig11bRow]]:
+    rows_a = run_fig11a(scale)
     print(
         format_table(
             ["query", "prediction layer", "avg reconfigs (measured)", "paper"],
@@ -137,7 +137,7 @@ def main() -> tuple[list[Fig11aRow], list[Fig11bRow]]:
             title="Fig. 11a - Effect of Classification Models",
         )
     )
-    rows_b = run_fig11b()
+    rows_b = run_fig11b(scale)
     print()
     print(
         format_table(

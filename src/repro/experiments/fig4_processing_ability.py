@@ -126,8 +126,8 @@ def run(scale: ExperimentScale | None = None) -> Fig4Result:
     )
 
 
-def main() -> Fig4Result:
-    result = run()
+def main(scale: ExperimentScale | None = None) -> Fig4Result:
+    result = run(scale)
     rows = [
         (
             p,

@@ -53,8 +53,8 @@ def run(scale: ExperimentScale | None = None) -> Fig5Result:
     return Fig5Result(corpus_percentages=corpus_pct, history_percentages=history_pct)
 
 
-def main() -> Fig5Result:
-    result = run()
+def main(scale: ExperimentScale | None = None) -> Fig5Result:
+    result = run(scale)
     rows = [
         (
             n,

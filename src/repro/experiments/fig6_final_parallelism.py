@@ -71,8 +71,8 @@ def run(scale: ExperimentScale | None = None) -> list[Fig6Row]:
     return rows
 
 
-def main() -> list[Fig6Row]:
-    rows = run()
+def main(scale: ExperimentScale | None = None) -> list[Fig6Row]:
+    rows = run(scale)
     table = [
         (
             row.group,

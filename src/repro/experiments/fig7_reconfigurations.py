@@ -101,8 +101,8 @@ def run_fig7b(scale: ExperimentScale | None = None) -> Fig7bResult:
     return Fig7bResult(multipliers=tuple(BASIC_CYCLE), tuning_minutes=minutes)
 
 
-def main() -> tuple[list[Fig7aRow], Fig7bResult]:
-    rows = run_fig7a()
+def main(scale: ExperimentScale | None = None) -> tuple[list[Fig7aRow], Fig7bResult]:
+    rows = run_fig7a(scale)
     table = [
         (
             row.group,
@@ -119,7 +119,7 @@ def main() -> tuple[list[Fig7aRow], Fig7bResult]:
             title="Fig. 7a - Average Reconfigurations per Tuning Process (Flink)",
         )
     )
-    case = run_fig7b()
+    case = run_fig7b(scale)
     case_rows = [
         (m, f"{minutes:.1f}")
         for m, minutes in zip(case.multipliers, case.tuning_minutes)

@@ -100,8 +100,8 @@ def run_latency_cdfs(scale: ExperimentScale | None = None) -> list[Fig8LatencyRo
     return rows
 
 
-def main() -> tuple[list[Fig8aRow], list[Fig8LatencyRow]]:
-    rows = run_fig8a()
+def main(scale: ExperimentScale | None = None) -> tuple[list[Fig8aRow], list[Fig8LatencyRow]]:
+    rows = run_fig8a(scale)
     table = [
         (
             row.group,
@@ -118,7 +118,7 @@ def main() -> tuple[list[Fig8aRow], list[Fig8LatencyRow]]:
             title="Fig. 8a - Final Parallelism at 10xWu (Timely Dataflow)",
         )
     )
-    latency_rows = run_latency_cdfs()
+    latency_rows = run_latency_cdfs(scale)
     table = [
         (row.group, row.method)
         + tuple(f"{row.percentiles[p]:.2f}" for p in PERCENTILES)

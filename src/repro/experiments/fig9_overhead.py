@@ -77,8 +77,8 @@ def run_fig9b(scale: ExperimentScale | None = None) -> list[Fig9bRow]:
     return rows
 
 
-def main() -> tuple[list[Fig9aRow], list[Fig9bRow]]:
-    rows_a = run_fig9a()
+def main(scale: ExperimentScale | None = None) -> tuple[list[Fig9aRow], list[Fig9bRow]]:
+    rows_a = run_fig9a(scale)
     print(
         format_table(
             ["query", "method", "avg recommendation time (s)"],
@@ -89,7 +89,7 @@ def main() -> tuple[list[Fig9aRow], list[Fig9bRow]]:
             title="Fig. 9a - Online Recommendation Time",
         )
     )
-    rows_b = run_fig9b()
+    rows_b = run_fig9b(scale)
     print()
     print(
         format_table(

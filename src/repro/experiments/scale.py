@@ -5,7 +5,7 @@ The paper's campaigns are long (120 source-rate changes per query, up to
 each experiment accepts an :class:`ExperimentScale`:
 
 * ``smoke``   — seconds; sanity in CI and pytest-benchmark runs,
-* ``default`` — minutes on a laptop; the scale EXPERIMENTS.md reports,
+* ``default`` — minutes on a laptop,
 * ``paper``   — the §V-A numbers (hours in this simulator).
 """
 

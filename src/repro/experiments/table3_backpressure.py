@@ -58,8 +58,8 @@ def run(scale: ExperimentScale | None = None) -> list[Table3Row]:
     return rows
 
 
-def main() -> list[Table3Row]:
-    rows = run()
+def main(scale: ExperimentScale | None = None) -> list[Table3Row]:
+    rows = run(scale)
     table = [
         (
             row.method,

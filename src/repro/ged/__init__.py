@@ -12,7 +12,6 @@ from repro.ged.costs import EditCosts
 from repro.ged.view import GraphView
 from repro.ged.exact import exact_ged
 from repro.ged.astar_lsa import astar_lsa_ged, verify_within_threshold
-from repro.ged.beam import beam_ged, beam_within
 from repro.ged.bounds import (
     combined_bound,
     degree_sequence_bound,
@@ -26,8 +25,6 @@ __all__ = [
     "GEDCache",
     "GraphView",
     "astar_lsa_ged",
-    "beam_ged",
-    "beam_within",
     "combined_bound",
     "degree_sequence_bound",
     "exact_ged",

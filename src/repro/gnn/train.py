@@ -21,10 +21,6 @@ class TrainingReport:
     accuracies: list[float] = field(default_factory=list)
 
     @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
-    @property
     def final_accuracy(self) -> float:
         return self.accuracies[-1] if self.accuracies else float("nan")
 

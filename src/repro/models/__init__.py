@@ -9,12 +9,6 @@ neural network deliberately lacks the constraint (the Fig. 11a ablation).
 """
 
 from repro.models.base import MonotonicityReport, check_monotonicity
-from repro.models.calibration import (
-    PlattCalibrator,
-    brier_score,
-    expected_calibration_error,
-    reliability_table,
-)
 from repro.models.svm import MonotonicSVM
 from repro.models.gbdt import MonotonicGBDT
 from repro.models.isotonic import IsotonicKNN
@@ -27,12 +21,8 @@ __all__ = [
     "MonotonicGBDT",
     "MonotonicSVM",
     "MonotonicityReport",
-    "PlattCalibrator",
-    "brier_score",
     "check_monotonicity",
-    "expected_calibration_error",
     "min_feasible_parallelism",
-    "reliability_table",
 ]
 
 

@@ -206,10 +206,10 @@ class TuningCacheSet:
     # entry returns bit-identically what a recomputation would.
 
     #: On-disk snapshot format version; bump on incompatible layout change.
-    #: v3: numpy payloads are stored as ``(dtype, shape, bytes)`` records —
-    #: loadable straight into shared-memory segments — ``distill``/``embed``
-    #: are keyed by the cross-query structure signature and ``warmup`` by
-    #: the cluster *history signature*.  Other versions are rejected.
+    #: v3: numpy payloads are stored as ``(dtype, shape, bytes)`` records,
+    #: ``distill``/``embed`` are keyed by the cross-query structure
+    #: signature and ``warmup`` by the cluster *history signature*.  Other
+    #: versions are rejected.
     SNAPSHOT_VERSION = 3
     _SNAPSHOT_FORMAT = "repro.service.TuningCacheSet"
 
@@ -217,9 +217,8 @@ class TuningCacheSet:
     def _encode_snapshot_value(value):
         """One cache value -> a self-describing snapshot record.
 
-        Numpy payloads become ``(dtype, shape, bytes)`` so the loader can
-        land them directly in shared-memory segments; anything else is
-        kept as-is (the surrounding pickle handles it).
+        Numpy payloads become ``(dtype, shape, bytes)``; anything else
+        is kept as-is (the surrounding pickle handles it).
         """
         from repro.core.finetune import PredictionDataset
 
@@ -242,29 +241,17 @@ class TuningCacheSet:
         return ("pickled", value)
 
     @staticmethod
-    def _decode_snapshot_value(record, matrix=None):
-        """Inverse of :meth:`_encode_snapshot_value`.
-
-        ``matrix`` injects a pre-materialized array for the record's
-        numpy payload (the shared-memory load path batches a snapshot's
-        payloads into one arena via ``SharedArrayStore.materialize_all``
-        and hands each view back here); ``None`` decodes from the
-        record's own bytes.
-        """
+    def _decode_snapshot_value(record):
+        """Inverse of :meth:`_encode_snapshot_value`."""
         from repro.core.finetune import PredictionDataset
 
         kind = record[0]
         if kind == "array":
             _, dtype, shape, data = record
-            if matrix is not None:
-                return matrix
             return np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
         if kind == "dataset":
             _, dtype, shape, data, labels = record
-            if matrix is None:
-                matrix = np.frombuffer(
-                    data, dtype=np.dtype(dtype)
-                ).reshape(shape).copy()
+            matrix = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
             dataset = PredictionDataset()
             dataset.features = [matrix[index] for index in range(len(labels))]
             dataset.labels = [int(label) for label in labels]
@@ -300,13 +287,8 @@ class TuningCacheSet:
         temp.replace(path)
 
     @classmethod
-    def load(cls, path: str | Path, shared=None) -> "TuningCacheSet":
+    def load(cls, path: str | Path) -> "TuningCacheSet":
         """Rebuild a cache set from a :meth:`save` snapshot.
-
-        ``shared`` (a :class:`repro.service.shm.SharedArrayStore`) routes
-        the numpy payloads straight into shared-memory segments as they
-        are decoded, so a process fleet warmed from a snapshot publishes
-        descriptors without ever holding a second copy.
 
         Raises :class:`SnapshotError` (a ``ValueError``) with the file
         named when the bytes are not a snapshot at all, and — for any
@@ -347,27 +329,10 @@ class TuningCacheSet:
         caches = cls(
             sections={kind: meta["maxsize"] for kind, meta in sections.items()}
         )
-        # With a shared store, every numpy payload of the snapshot lands
-        # in one arena segment (one disk->shm copy, one worker mapping).
-        views: dict[int, object] = {}
-        if shared is not None:
-            records = []
-            positions = []
-            for kind, meta in sections.items():
-                for key, record in meta["entries"]:
-                    if record[0] in ("array", "dataset"):
-                        positions.append(id(record))
-                        records.append((record[3], record[1], record[2]))
-            for position, view in zip(
-                positions, shared.materialize_all(records)
-            ):
-                views[position] = view
         for kind, meta in sections.items():
             section = caches._caches[kind]
             for key, record in meta["entries"]:
-                section.put(key, cls._decode_snapshot_value(
-                    record, matrix=views.get(id(record))
-                ))
+                section.put(key, cls._decode_snapshot_value(record))
         return caches
 
 

@@ -36,6 +36,7 @@ class CampaignSpec:
     #: method that needs no execution history (ds2, conttune, oracle) is
     #: built per campaign from the registry.
     tuner: str = "streamtune"
+    #: Requested prediction layer; :attr:`layer` is what a run uses.
     model_kind: str = "svm"
     #: Optional :class:`~repro.scenarios.ChaosSpec` executed alongside
     #: the campaign (``None`` = clean run).  Frozen and hashable, so it
@@ -55,6 +56,16 @@ class CampaignSpec:
         return streamtune_variant(self.tuner)[0]
 
     @property
+    def layer(self) -> "str | None":
+        """The prediction layer this campaign tunes with: the suffix of a
+        ``streamtune-<model>`` spelling, else ``model_kind``; ``None`` for
+        the baselines, which carry no model."""
+        from repro.api.components import streamtune_variant
+
+        is_streamtune, model_suffix = streamtune_variant(self.tuner)
+        return (model_suffix or self.model_kind) if is_streamtune else None
+
+    @property
     def name(self) -> str:
         return self.query.name
 
@@ -62,19 +73,17 @@ class CampaignSpec:
     def cell_key(self) -> str:
         """Deterministic campaign identity stamped on this campaign's
         events; a resumed run matches recorded campaigns by this key."""
-        from repro.api.components import streamtune_variant
         from repro.api.events import campaign_cell_key
 
-        is_streamtune, model_suffix = streamtune_variant(self.tuner)
         return campaign_cell_key(
             self.query.name,
             self.engine,
             self.tuner,
             self.multipliers,
             self.seed,
-            # The prediction layer changes streamtune results; baselines
-            # carry no model, so their keys stay layer-free.
-            layer=(model_suffix or self.model_kind) if is_streamtune else None,
+            # The prediction layer changes streamtune results, so it is
+            # part of their identity; baseline keys stay layer-free.
+            layer=self.layer,
             engine_seed=self.engine_seed,
             chaos=self.chaos.label() if self.chaos is not None else None,
         )

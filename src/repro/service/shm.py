@@ -120,9 +120,9 @@ class SharedArrayStore:
         self._owned: dict[str, shared_memory.SharedMemory] = {}
         self._attached: dict[str, shared_memory.SharedMemory] = {}
         #: id(array) -> ref for arrays this store already backs, so
-        #: publishing a snapshot-materialized value is free (no second
-        #: copy, same segment).  Holds strong references deliberately:
-        #: the arrays' buffers live in our segments.
+        #: publishing one again is free (no second copy, same segment).
+        #: Holds strong references deliberately: the arrays' buffers
+        #: live in our segments.
         self._ref_of: dict[int, SharedArrayRef] = {}
         self._keepalive: dict[int, np.ndarray] = {}
         self._owner_pid = os.getpid()
@@ -145,9 +145,8 @@ class SharedArrayStore:
     def share(self, array: np.ndarray) -> SharedArrayRef:
         """Publish ``array`` into shared memory; returns its descriptor.
 
-        An array this store already backs (a previous ``share`` or a
-        snapshot ``materialize``) is returned by reference — same
-        segment, no copy.
+        An array this store already backs (a previous ``share``) is
+        returned by reference — same segment, no copy.
         """
         return self.share_all([array])[0]
 
@@ -198,54 +197,6 @@ class SharedArrayStore:
                 refs[position] = ref
         return refs
 
-    def materialize(self, data: bytes, dtype: str, shape: tuple) -> np.ndarray:
-        """Build a read-only shared array directly from raw bytes.
-
-        The snapshot loader uses this to land cache payloads straight in
-        shared segments — one copy from disk to ``/dev/shm``, and the
-        returned view is already publishable (``share`` dedupes it).
-        """
-        return self.materialize_all([(data, dtype, shape)])[0]
-
-    def materialize_all(
-        self, records: "list[tuple[bytes, str, tuple]]"
-    ) -> "list[np.ndarray]":
-        """Materialize many ``(data, dtype, shape)`` records into one arena.
-
-        The bulk form of :meth:`materialize`: a whole snapshot's payloads
-        land in a single segment, so the fleet that later publishes them
-        attaches one mapping per worker.
-        """
-        if self._closed:
-            raise ValueError("cannot materialize into a closed SharedArrayStore")
-        if not records:
-            return []
-        offsets = []
-        total = 0
-        for data, _, _ in records:
-            total = -(-total // self._ALIGN) * self._ALIGN
-            offsets.append(total)
-            total += len(data)
-        segment = self._new_segment(total)
-        name = segment.name.lstrip("/")
-        views = []
-        for (data, dtype, shape), offset in zip(records, offsets):
-            source = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape)
-            view = np.ndarray(
-                source.shape, dtype=source.dtype, buffer=segment.buf, offset=offset
-            )
-            view[...] = source
-            view.flags.writeable = False
-            ref = SharedArrayRef(
-                name=name,
-                dtype=str(source.dtype),
-                shape=tuple(source.shape),
-                offset=offset,
-            )
-            self._remember(view, ref)
-            views.append(view)
-        return views
-
     def _remember(self, array: np.ndarray, ref: SharedArrayRef) -> None:
         self._ref_of[id(array)] = ref
         self._keepalive[id(array)] = array
@@ -290,9 +241,9 @@ class SharedArrayStore:
         and only in the creating process — a fork-inherited store closes
         its mappings but leaves the parent's segments alone.
 
-        Views handed out by :meth:`materialize`/:meth:`attach` are
-        INVALID after close — numpy releases its buffer export eagerly,
-        so nothing pins the mapping and reading a stale view is
+        Views handed out by :meth:`attach` are INVALID after close —
+        numpy releases its buffer export eagerly, so nothing pins the
+        mapping and reading a stale view is
         undefined behaviour (the same contract as ``SharedMemory``
         itself).  Close only once every consumer is done.
         """

@@ -136,21 +136,16 @@ def _build_campaign_tuner(
 ):
     """The campaign's tuner: StreamTune through the shared caches, or any
     history-free registry method built from the spec alone."""
-    from repro.api.components import streamtune_variant
-
-    is_streamtune, model_suffix = streamtune_variant(spec.tuner)
-    if is_streamtune:
+    if spec.is_streamtune:
         if pretrained is None:
             raise ValueError(
                 f"campaign {spec.name!r} tunes with {spec.tuner!r} but the "
                 "service has no pre-trained artifact (pass pretrained=...)"
             )
-        # The 'streamtune-<model>' spelling carries its own layer.
-        model_kind = model_suffix if model_suffix else spec.model_kind
         return StreamTuneTuner(
             engine,
             pretrained,
-            model_kind=model_kind,
+            model_kind=spec.layer,
             seed=spec.seed,
             caches=caches,
             # The one thing the service's fit does that the inline path's
@@ -437,8 +432,8 @@ class TuningService:
 
         ``shm_store`` injects the :class:`~repro.service.shm.
         SharedArrayStore` the process backend publishes warm numpy
-        payloads through (for example one a snapshot was materialized
-        into, so publication is descriptor-only with no further copy);
+        payloads through (a long-lived host's arena, so a payload it
+        already backs is published by descriptor with no further copy);
         the caller then owns its lifecycle.  ``None`` (default) creates
         and closes a store per process-backend stream.
 

@@ -3,7 +3,7 @@
 Every stochastic component in the library (history generation, measurement
 noise, model initialisation, clustering restarts) draws from an explicitly
 seeded :class:`numpy.random.Generator`.  Experiments are therefore exactly
-reproducible from their seed, which EXPERIMENTS.md records.
+reproducible from their seed.
 """
 
 from __future__ import annotations

@@ -7,15 +7,12 @@ rate changes in total.
 
 The pattern generator lives in :mod:`repro.scenarios.library` as the
 ``periodic`` family of the ``TRACES`` registry (``BASIC_CYCLE``,
-``periodic_multipliers``); this module holds the Table II units and the
-per-query :class:`RateSchedule` built from that pattern.
+``periodic_multipliers``); this module holds the Table II units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["RateSchedule", "rate_units"]
+__all__ = ["rate_units"]
 
 #: Table II — source rate units Wu in records/s, keyed by
 #: (workload, query, engine) -> {source name: Wu}.
@@ -44,31 +41,3 @@ def rate_units(workload: str, query: str, engine: str) -> dict[str, float]:
         raise KeyError(
             f"no Table II rate units for {workload}/{query} on {engine}"
         ) from None
-
-
-@dataclass(frozen=True)
-class RateSchedule:
-    """A concrete schedule of source-rate maps for one query."""
-
-    query_name: str
-    steps: tuple[dict[str, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    @classmethod
-    def for_query(
-        cls,
-        query,
-        n_permutations: int = 6,
-        seed: int | None = None,
-    ) -> "RateSchedule":
-        """Build the periodic schedule for a :class:`StreamingQuery`."""
-        from repro.scenarios.library import periodic_multipliers
-
-        multipliers = periodic_multipliers(n_permutations=n_permutations, seed=seed)
-        steps = tuple(query.rates_at(m) for m in multipliers)
-        return cls(query_name=query.name, steps=steps)

@@ -15,7 +15,6 @@ from repro.api import (
     TunerResources,
     UnknownComponentError,
     build_engine,
-    build_prediction_model,
     build_tuner,
     resolve_query,
 )
@@ -207,7 +206,7 @@ class TestModelRegistry:
         "kind,cls", [("svm", MonotonicSVM), ("gbdt", MonotonicGBDT)]
     )
     def test_build_by_name(self, kind, cls):
-        assert isinstance(build_prediction_model(kind, seed=3), cls)
+        assert isinstance(MODELS.create(kind, seed=3), cls)
 
     def test_legacy_factory_routes_through_registry(self):
         model = make_prediction_model("xgboost", seed=4)

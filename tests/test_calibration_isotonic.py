@@ -1,4 +1,4 @@
-"""Tests for the calibration wrapper and the isotonic k-NN model."""
+"""Tests for the isotonic k-NN model."""
 
 from __future__ import annotations
 
@@ -9,13 +9,6 @@ from hypothesis import strategies as st
 
 from repro.models import make_prediction_model
 from repro.models.base import check_monotonicity
-from repro.models.calibration import (
-    PlattCalibrator,
-    brier_score,
-    expected_calibration_error,
-    fit_platt,
-    reliability_table,
-)
 from repro.models.isotonic import IsotonicKNN, pav_antitonic, step_interpolate
 from repro.utils.rng import seeded_rng
 
@@ -191,103 +184,3 @@ def test_isotonic_probability_never_rises_with_parallelism(p_query, p_higher, se
     prob_low = model.predict_proba(np.concatenate([embedding, [low]]))[0]
     prob_high = model.predict_proba(np.concatenate([embedding, [high]]))[0]
     assert prob_high <= prob_low + 1e-9
-
-
-class TestPlattScaling:
-    def test_recovers_a_known_sigmoid(self):
-        rng = seeded_rng(5)
-        scores = rng.normal(size=4000)
-        true_prob = 1.0 / (1.0 + np.exp(-(2.0 * scores - 0.5)))
-        labels = (rng.uniform(size=4000) < true_prob).astype(np.float64)
-        params = fit_platt(scores, labels)
-        assert params.slope == pytest.approx(2.0, rel=0.15)
-        assert params.intercept == pytest.approx(-0.5, abs=0.15)
-
-    def test_slope_is_kept_positive(self):
-        """Anti-correlated labels cannot flip the calibration map."""
-        scores = np.linspace(-2, 2, 100)
-        labels = (scores < 0).astype(np.float64)   # inverted relationship
-        params = fit_platt(scores, labels)
-        assert params.slope > 0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            fit_platt(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            fit_platt(np.ones(3), np.array([0.0, 2.0, 1.0]))
-        with pytest.raises(ValueError):
-            fit_platt(np.ones((2, 2)), np.ones((2, 2)))
-
-    def test_calibrator_improves_svm_calibration(self):
-        features, labels = threshold_dataset(n=400, seed=8)
-        split = 300
-        base = make_prediction_model("svm", seed=1).fit(
-            features[:split], labels[:split]
-        )
-        calibrated = PlattCalibrator(base).fit(features[:split], labels[:split])
-        raw_ece = expected_calibration_error(
-            base.predict_proba(features[split:]), labels[split:], n_bins=6
-        )
-        cal_ece = expected_calibration_error(
-            calibrated.predict_proba(features[split:]), labels[split:], n_bins=6
-        )
-        assert cal_ece <= raw_ece + 0.05
-
-    def test_calibrated_model_stays_monotone(self):
-        features, labels = threshold_dataset(seed=9)
-        base = make_prediction_model("svm", seed=1).fit(features, labels)
-        calibrated = PlattCalibrator(base).fit(features, labels)
-        report = check_monotonicity(calibrated, features[:30])
-        assert report.is_monotone
-
-    def test_predict_before_fit_raises(self):
-        base = make_prediction_model("svm", seed=1)
-        with pytest.raises(RuntimeError, match="fit"):
-            PlattCalibrator(base).predict_proba(np.zeros((1, 4)))
-
-    def test_predict_is_thresholded_proba(self):
-        features, labels = threshold_dataset(seed=10)
-        base = make_prediction_model("gbdt", seed=1).fit(features, labels)
-        calibrated = PlattCalibrator(base).fit(features, labels)
-        probabilities = calibrated.predict_proba(features[:20])
-        assert np.array_equal(
-            calibrated.predict(features[:20]), (probabilities >= 0.5).astype(int)
-        )
-
-
-class TestReliabilityMetrics:
-    def test_brier_score_perfect_and_worst(self):
-        labels = np.array([1.0, 0.0])
-        assert brier_score(np.array([1.0, 0.0]), labels) == pytest.approx(0.0)
-        assert brier_score(np.array([0.0, 1.0]), labels) == pytest.approx(1.0)
-
-    def test_brier_input_validation(self):
-        with pytest.raises(ValueError):
-            brier_score(np.ones(2), np.ones(3))
-        with pytest.raises(ValueError):
-            brier_score(np.ones(0), np.ones(0))
-
-    def test_reliability_table_covers_all_samples(self):
-        rng = seeded_rng(2)
-        probabilities = rng.uniform(size=200)
-        labels = (rng.uniform(size=200) < probabilities).astype(np.float64)
-        table = reliability_table(probabilities, labels, n_bins=10)
-        assert sum(b.n_samples for b in table) == 200
-        assert len(table) == 10
-
-    def test_probability_one_lands_in_last_bin(self):
-        table = reliability_table(np.array([1.0]), np.array([1.0]), n_bins=4)
-        assert table[-1].n_samples == 1
-
-    def test_ece_zero_for_perfectly_calibrated_bins(self):
-        probabilities = np.array([0.2] * 5 + [0.8] * 5)
-        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 0], dtype=np.float64)
-        assert expected_calibration_error(probabilities, labels, n_bins=5) == (
-            pytest.approx(0.0)
-        )
-
-    def test_ece_validation(self):
-        with pytest.raises(ValueError):
-            expected_calibration_error(np.ones(0), np.ones(0))
-        with pytest.raises(ValueError):
-            reliability_table(np.ones(1), np.ones(1), n_bins=0)

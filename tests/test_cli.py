@@ -59,18 +59,18 @@ class TestParser:
         assert "svm" in err and "isotonic" in err
 
     def test_plan_flags_parse_identically(self):
-        """--backend/--workers/--scale are declared once for the three
+        """--backend/--workers/--scale are declared once for the two
         plan-running commands."""
         flags = ["--backend", "process", "--workers", "3", "--scale", "smoke"]
         parsed = [
             build_parser().parse_args([command, "plan.toml", *flags])
-            for command in ("run-plan", "sweep", "matrix")
+            for command in ("run-plan", "matrix")
         ]
         for args in parsed:
             assert (args.backend, args.workers, args.scale) == ("process", 3, "smoke")
         defaults = [
             build_parser().parse_args([command, "plan.toml"])
-            for command in ("run-plan", "sweep", "matrix")
+            for command in ("run-plan", "matrix")
         ]
         for args in defaults:
             assert (args.backend, args.workers, args.scale) == (None, None, None)
@@ -78,7 +78,7 @@ class TestParser:
             build_parser().parse_args(["matrix", "plan.toml", "--backend", "gpu"])
 
     def test_legacy_subcommands_are_gone(self):
-        for command in ("tune", "serve-campaigns"):
+        for command in ("tune", "serve-campaigns", "sweep"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
 
@@ -194,16 +194,17 @@ class TestValidationExitCodes:
         err = self._assert_one_line_error(capsys, code)
         assert "q99" in err
 
-    def test_sweep_rejects_non_sweep_plan(self, tmp_path, capsys):
+    def test_matrix_rejects_non_sweep_plan(self, tmp_path, capsys):
         import json as json_module
 
         path = tmp_path / "plan.json"
         path.write_text(
             json_module.dumps({"queries": ["q1"], "scale": "smoke"})
         )
-        code = main(["sweep", str(path)])
+        code = main(["matrix", str(path), "--output", str(tmp_path / "m.json")])
         err = self._assert_one_line_error(capsys, code)
         assert "CampaignPlan" in err and "sweep" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_stale_cache_snapshot_is_one_line(self, tmp_path, capsys, monkeypatch):
         import json as json_module
@@ -339,7 +340,7 @@ class TestSweepCommand:
         )
         record = tmp_path / "events.jsonl"
         code = main([
-            "sweep", str(self._sweep_file(tmp_path)),
+            "run-plan", str(self._sweep_file(tmp_path)),
             "--follow", "--record", str(record),
         ])
         assert code == 0
@@ -415,3 +416,36 @@ class TestRunPlanStreaming:
         assert kinds[0] == "CampaignStarted"
         assert kinds[-1] == "CacheStats"
         assert kinds.count("CampaignFinished") == 1
+
+
+class TestExperimentsScale:
+    """``repro experiments`` resolves its scale like
+    ``python -m repro.experiments``: ``--scale``, else ``$REPRO_SCALE``."""
+
+    @pytest.fixture()
+    def ran_at(self, monkeypatch):
+        import repro.experiments.__main__ as experiments_main
+
+        scales = []
+        monkeypatch.setattr(
+            experiments_main, "EXPERIMENTS",
+            (("stub", lambda scale=None: scales.append(scale)),),
+        )
+        return scales
+
+    def test_environment_variable_is_honoured(self, ran_at, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        assert main(["experiments"]) == 0
+        assert [scale.name for scale in ran_at] == ["smoke"]
+        assert "scale: smoke" in capsys.readouterr().out
+
+    def test_flag_wins_and_leaves_the_environment_alone(
+        self, ran_at, monkeypatch, capsys
+    ):
+        import os
+
+        monkeypatch.setenv("REPRO_SCALE", "default")
+        assert main(["experiments", "--scale", "smoke"]) == 0
+        assert [scale.name for scale in ran_at] == ["smoke"]
+        assert "scale: smoke" in capsys.readouterr().out
+        assert os.environ["REPRO_SCALE"] == "default"

@@ -520,11 +520,11 @@ class TestDistributedSession:
 
 class TestPacedEngine:
     def test_registered_with_flink_family(self):
-        from repro.api.components import ENGINE_FAMILIES
+        from repro.api.components import engine_family
         from repro.api.registry import ENGINES
 
         assert "flink-paced" in ENGINES.names()
-        assert ENGINE_FAMILIES["flink-paced"] == "flink"
+        assert engine_family("flink-paced") == "flink"
 
     def test_bit_identical_to_plain_flink(self):
         plan = tiny_plan(queries=("q1",), rates=(3.0,))

@@ -8,7 +8,6 @@ it.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import StreamTuneTuner, pretrain
@@ -155,28 +154,3 @@ def timely_pretrained_tiny():
         records, max_parallelism=engine.max_parallelism,
         n_clusters=1, epochs=4, seed=9,
     )
-
-
-class TestCalibratedLayerInSearch:
-    def test_calibrated_svm_drives_binary_search(self, tiny_pretrained):
-        """A Platt-calibrated monotone model plugs into the same
-        min-feasible-parallelism search the tuner uses."""
-        from repro.core.finetune import build_warmup_dataset
-        from repro.models import MonotonicSVM, PlattCalibrator
-        from repro.models.search import min_feasible_parallelism
-
-        dataset = build_warmup_dataset(tiny_pretrained, 0, max_rows=200, seed=3)
-        features, labels = dataset.matrices()
-        if len(np.unique(labels)) < 2:
-            pytest.skip("warm-up sample is single-class at this tiny scale")
-        base = MonotonicSVM(seed=2).fit(features, labels)
-        calibrated = PlattCalibrator(base).fit(features, labels)
-        normalize = tiny_pretrained.feature_encoder.normalize_parallelism
-        embedding = features[0, :-1]
-        degree = min_feasible_parallelism(
-            calibrated,
-            embedding,
-            100,
-            lambda p: normalize(p, tiny_pretrained.max_parallelism),
-        )
-        assert 1 <= degree <= 100

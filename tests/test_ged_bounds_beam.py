@@ -1,7 +1,7 @@
-"""Tests for GED lower bounds, beam-search upper bounds, and prefiltering.
+"""Tests for GED lower bounds and prefiltering.
 
-The critical invariant chain:  lower bound <= exact GED <= beam bound,
-for every pair — exercised against exact values on small random DAGs.
+The critical invariant:  lower bound <= exact GED, for every pair —
+exercised against exact values on small random DAGs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from repro.dataflow.graph import LogicalDataflow
 from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.ged import (
-    beam_ged,
-    beam_within,
     combined_bound,
     degree_sequence_bound,
     exact_ged,
@@ -107,56 +105,14 @@ class TestPrefilter:
             prefilter_indices(linear_flow, [linear_flow], -1.0)
 
 
-class TestBeamGED:
-    def test_zero_on_identical_graphs(self, diamond_flow):
-        assert beam_ged(diamond_flow, diamond_flow) == 0.0
-
-    def test_rejects_bad_width(self, linear_flow):
-        with pytest.raises(ValueError):
-            beam_ged(linear_flow, linear_flow, beam_width=0)
-
-    @pytest.mark.parametrize("seed_pair", [(1, 2), (3, 9), (5, 11), (7, 20)])
-    def test_beam_upper_bounds_exact(self, seed_pair):
-        a = random_chain_flow(seed_pair[0])
-        b = random_chain_flow(seed_pair[1])
-        exact = exact_ged(a, b)
-        for width in (1, 4, 16):
-            assert beam_ged(a, b, beam_width=width) >= exact - 1e-9
-
-    @pytest.mark.parametrize("seed_pair", [(1, 2), (3, 9), (5, 11)])
-    def test_wide_beam_reaches_exact(self, seed_pair):
-        a = random_chain_flow(seed_pair[0])
-        b = random_chain_flow(seed_pair[1])
-        assert beam_ged(a, b, beam_width=256) == pytest.approx(exact_ged(a, b))
-
-    def test_widening_never_hurts(self):
-        a = random_chain_flow(21)
-        b = random_chain_flow(34)
-        bounds = [beam_ged(a, b, beam_width=w) for w in (1, 2, 8, 64)]
-        assert all(x >= y - 1e-9 for x, y in zip(bounds, bounds[1:]))
-
-    def test_beam_within_certifies_only_yes(self, linear_flow, diamond_flow):
-        exact = exact_ged(linear_flow, diamond_flow)
-        assert beam_within(linear_flow, diamond_flow, exact + 10, beam_width=64) is True
-        # Below the true distance the beam can never certify membership.
-        assert beam_within(linear_flow, diamond_flow, exact - 1, beam_width=64) is None
-
-    def test_beam_within_validates_threshold(self, linear_flow):
-        with pytest.raises(ValueError):
-            beam_within(linear_flow, linear_flow, -0.5)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     seed_a=st.integers(min_value=0, max_value=60),
     seed_b=st.integers(min_value=0, max_value=60),
 )
 def test_bound_sandwich_property(seed_a, seed_b):
-    """lower bound <= exact <= beam bound, on arbitrary DAG pairs."""
+    """lower bound <= exact, on arbitrary DAG pairs."""
     a = random_chain_flow(seed_a, max_middle=3)
     b = random_chain_flow(seed_b, max_middle=3)
     exact = exact_ged(a, b)
-    lower = combined_bound(a, b)
-    upper = beam_ged(a, b, beam_width=8)
-    assert lower <= exact + 1e-9
-    assert exact <= upper + 1e-9
+    assert combined_bound(a, b) <= exact + 1e-9

@@ -9,6 +9,7 @@ process backends.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.api import (
     SweepPlan,
     TuningPlan,
     TuningSession,
+    load_plan,
 )
 from repro.service import CampaignSpec, TuningService
 from repro.workloads import nexmark_query
@@ -337,6 +339,34 @@ class TestSweepResume:
 # ----------------------------------------------------------------------
 
 class TestPlanResume:
+    def test_cell_key_bytes_are_pinned(self):
+        # Literal keys captured at 272569b, before the plans expanded
+        # through CampaignSpec: a ledger recorded then must still resume.
+        tuning = TuningPlan(
+            query="q5", rates=(3, 10, 5), layer="xgboost", scale="smoke", seed=23
+        )
+        assert tuning.cell_keys() == [
+            "flink:streamtune:nexmark_q5_flink:x3.0-10.0-5.0:lxgboost:s23:e20250711"
+        ]
+        campaign = CampaignPlan(
+            queries=("q1", "q5"), rates=(3, 7, 4, 2),
+            tuner="streamtune-xgboost", scale="smoke",
+        )
+        assert campaign.cell_keys() == [
+            "flink:streamtune-xgboost:nexmark_q1_flink:x3.0-7.0-4.0-2.0:lxgboost:s17:e17",
+            "flink:streamtune-xgboost:nexmark_q5_flink:x3.0-7.0-4.0-2.0:lxgboost:s17:e17",
+        ]
+        matrix = load_plan(
+            Path(__file__).resolve().parent.parent / "examples" / "matrix_smoke.toml"
+        )
+        assert matrix.cell_keys()[3] == (
+            "flink-faulty:streamtune:nexmark_q1_flink:x9.0-9.0-2.0:lsvm:s17:e17"
+            ":closs@1x1"
+        )
+        assert matrix.cell_keys()[4] == (
+            "flink-faulty:ds2:nexmark_q1_flink:x3.0-7.0-4.0:s17:e17"
+        )
+
     def test_cell_keys_match_the_stamped_events(self, tmp_path):
         plan = CampaignPlan(
             queries=("q1", "q5"), rates=(3.0, 7.0), tuner="ds2",

@@ -121,15 +121,6 @@ class TestSharedArrayStore:
             assert first == second
             assert len(store.segment_names) == 1
 
-    def test_materialized_array_publishes_for_free(self):
-        source = np.random.default_rng(5).normal(size=(6, 2))
-        with SharedArrayStore() as store:
-            view = store.materialize(source.tobytes(), str(source.dtype), source.shape)
-            np.testing.assert_array_equal(view, source)
-            ref = store.share(view)           # already backed: same segment
-            assert len(store.segment_names) == 1
-            assert ref.name == store.segment_names[0]
-
     def test_close_unlinks_owned_segments_and_is_idempotent(self):
         store = SharedArrayStore()
         store.share(np.zeros(16))
@@ -163,7 +154,7 @@ class TestSharedArrayStore:
         # unmaps regardless (the view is invalid afterwards — same
         # contract as SharedMemory itself).
         store = SharedArrayStore()
-        view = store.materialize(np.arange(4.0).tobytes(), "float64", (4,))
+        view = store.attach(store.share(np.arange(4.0)))
         copied = np.array(view)               # read before close: fine
         store.close()
         assert shm_segments() == []           # name gone regardless
@@ -328,21 +319,6 @@ class TestSnapshotV3:
         for mine, theirs in zip(original.features, warm.features):
             assert mine.tobytes() == theirs.tobytes()
         assert loaded.section("assign").get(("sig",)) == 1
-
-    def test_load_into_shared_store_materializes_one_arena(self, tmp_path):
-        caches = self._populated()
-        path = tmp_path / "caches.pkl"
-        caches.save(path)
-        with SharedArrayStore() as store:
-            loaded = TuningCacheSet.load(path, shared=store)
-            assert len(store.segment_names) == 1
-            embedded = loaded.section("embed").get(("e", 0))
-            assert not embedded.flags.writeable
-            assert embedded.tobytes() == caches.section("embed").get(("e", 0)).tobytes()
-            # Publishing a materialized value reuses its segment.
-            ref = store.share(embedded)
-            assert ref.name == store.segment_names[0]
-        assert shm_segments() == []
 
     def _stale_snapshot(self, tmp_path, version: int) -> Path:
         stale = tmp_path / f"v{version}.pkl"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,19 +87,26 @@ class TestFormatTable:
         assert "a" in text
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script(name: str):
+    """Import ``scripts/<name>.py`` (the CI helpers are not a package)."""
+    import importlib.util
+
+    path = REPO_ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestSlocRatchet:
     """``scripts/sloc.py --max N``: the line-count ceiling CI enforces."""
 
     @pytest.fixture()
     def sloc(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "scripts" / "sloc.py"
-        spec = importlib.util.spec_from_file_location("sloc_script", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return _load_script("sloc")
 
     def test_ceiling_passes_at_and_fails_above(self, sloc, tmp_path, capsys):
         source = tmp_path / "three.py"
@@ -112,3 +120,58 @@ class TestSlocRatchet:
     def test_ceiling_must_be_a_number(self, sloc, capsys):
         assert sloc.main(["--max", "src"]) == 2
         assert sloc.main(["--max"]) == 2
+
+
+class TestReach:
+    """``scripts/reach.py``: every module has an importer other than its
+    own package ``__init__`` — the audit CI's lint job runs on ``src/``."""
+
+    @pytest.fixture()
+    def reach(self):
+        return _load_script("reach")
+
+    @staticmethod
+    def _package(tmp_path, files: dict) -> Path:
+        root = tmp_path / "pkg"
+        for relative, source in files.items():
+            path = root / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        return root
+
+    def test_committed_tree_is_fully_reached(self, reach, capsys):
+        assert reach.main([str(REPO_ROOT / "src" / "repro")]) == 0
+        assert "is reached" in capsys.readouterr().out
+
+    def test_module_only_its_own_init_imports_is_flagged(
+        self, reach, tmp_path, capsys
+    ):
+        root = self._package(tmp_path, {
+            "__init__.py": "",
+            "cli.py": "from pkg.sub import used\n",
+            "sub/__init__.py": (
+                "from pkg.sub.kept import used\n"
+                "from pkg.sub.orphan import unused\n"
+            ),
+            "sub/kept.py": "used = 1\n",
+            "sub/orphan.py": "unused = 2\n",
+        })
+        assert reach.main([str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.split() == ["pkg.sub.orphan"]
+        assert "1 module(s)" in captured.err
+
+    def test_reexported_name_and_lazy_relative_imports_reach(self, reach, tmp_path):
+        root = self._package(tmp_path, {
+            "__init__.py": "from pkg.sub import used\n",     # chained re-export
+            "__main__.py": "from pkg import used\n",
+            "sub/__init__.py": "from .kept import used\n",
+            "sub/kept.py": "def used():\n    from . import lazy\n",
+            "sub/lazy.py": "",
+        })
+        assert reach.unreached(root) == []
+        assert reach.main([str(root)]) == 0
+
+    def test_needs_one_package_directory(self, reach, tmp_path, capsys):
+        assert reach.main([]) == 2
+        assert reach.main([str(tmp_path / "missing")]) == 2

@@ -16,7 +16,7 @@ from repro.workloads.pqp import (
 )
 from repro.scenarios.library import BASIC_CYCLE, periodic_multipliers
 from repro.workloads.query import StreamingQuery
-from repro.workloads.rates import RateSchedule, rate_units
+from repro.workloads.rates import rate_units
 
 
 class TestRateUnits:
@@ -66,10 +66,11 @@ class TestPeriodicPattern:
             periodic_multipliers(n_permutations=0)
 
     def test_schedule_for_query(self):
+        # A query's schedule is the pattern scaled by its Table II units.
         query = nexmark_query("q1", "flink")
-        schedule = RateSchedule.for_query(query, n_permutations=1)
-        assert len(schedule) == 20
-        assert schedule.steps[0] == {"src_bids": 3 * 700_000.0}
+        multipliers = periodic_multipliers(n_permutations=1)
+        assert len(multipliers) == 20
+        assert query.rates_at(multipliers[0]) == {"src_bids": 3 * 700_000.0}
 
 
 class TestNexmark:
