@@ -18,7 +18,7 @@ Subcommands mirror the library's lifecycle::
     python -m repro.cli run-plan  sweep.toml --record events.jsonl
     python -m repro.cli matrix    examples/matrix_smoke.toml --output BENCH_MATRIX.json
     python -m repro.cli perf
-    python -m repro.cli experiments --scale smoke
+    python -m repro.cli experiments --scale smoke --output paper.json
 
 ``history`` and ``pretrain`` persist their outputs, so a tuned model can
 be built once and reused across tuning sessions (the paper's
@@ -583,14 +583,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.__main__ import main as run_all
 
-    return run_all(resolve_scale(args.scale))
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
-
-    ablations.main(resolve_scale(args.scale))
-    return 0
+    return run_all(resolve_scale(args.scale), args.output)
 
 
 # ----------------------------------------------------------------------
@@ -967,17 +960,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs_cmd.set_defaults(func=_cmd_jobs)
 
-    experiments = sub.add_parser("experiments", help="run every paper experiment")
+    experiments = sub.add_parser(
+        "experiments",
+        help="run every paper experiment and ablation once and judge its "
+             "claims (exit 1 unless the paper is reproduced)",
+    )
     experiments.add_argument(
         "--scale", default=None, help="scale preset (default: $REPRO_SCALE, else 'default')"
     )
-    experiments.set_defaults(func=_cmd_experiments)
-
-    ablate = sub.add_parser(
-        "ablations", help="run the extended ablations (DESIGN.md §6, paper §VII)"
+    experiments.add_argument(
+        "--output", default=None, metavar="PATH",
+        help="also write the judged claims as a repro.paper/v1 report",
     )
-    ablate.add_argument("--scale", default="smoke")
-    ablate.set_defaults(func=_cmd_ablations)
+    experiments.set_defaults(func=_cmd_experiments)
     return parser
 
 

@@ -79,7 +79,8 @@ def pretrain(
     explicit value to pin it (1 = the §VII global-encoder bypass).
     ``fuse_per_step=True`` injects parallelism at every message-passing
     step (the literal Eq. 3 reading) instead of once after the readout —
-    the FUSE-placement ablation of DESIGN.md §5b.
+    the FUSE-placement ablation
+    (:func:`repro.experiments.ablations.run_fuse_ablation`).
     """
     if not records:
         raise ValueError("cannot pre-train on an empty history")

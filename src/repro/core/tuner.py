@@ -111,7 +111,7 @@ class StreamTuneTuner(ParallelismTuner):
         ``loose_tolerances=True`` additionally runs the weighted fit's
         solver at ``ftol 1e-7 / gtol 1e-4 / platt_tol 1e-7`` instead of
         its defaults; that moves tuning decisions, and only the service
-        passes it (ROADMAP item 2a).
+        passes it (ROADMAP item 3).
         """
         super().__init__(engine)
         if max_iterations < 1:

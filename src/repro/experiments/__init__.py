@@ -1,7 +1,10 @@
 """Paper experiment harness: one module per table/figure.
 
-Every module exposes ``run(scale) -> rows`` and ``main()`` which prints the
-same rows/series the paper reports.  Modules share expensive artifacts
+Every module exposes ``run*(scale) -> rows``, ``main(scale)`` which prints
+the same rows/series the paper reports and returns them, and
+``claims(result, scale)`` which states the paper's shape claims on those
+rows once (:mod:`repro.experiments.claims`; ``python -m repro.experiments``
+judges them).  Modules share expensive artifacts
 (histories, pre-trained encoders, tuning campaigns) through
 :mod:`repro.experiments.context`, so running several experiments in one
 process pays the pre-training cost once.

@@ -1,8 +1,9 @@
-"""Extended ablations beyond the paper's Fig. 11 (DESIGN.md §6).
+"""Extended ablations beyond the paper's Fig. 11.
 
 The paper ablates the prediction layer (Fig. 11a) and the similarity-center
-search (Fig. 11b).  DESIGN.md calls out four further load-bearing choices
-that this module quantifies, plus the §VII unseen-operator study:
+search (Fig. 11b).  This module quantifies four further load-bearing design
+choices the paper does not itself ablate, plus the §VII unseen-operator
+study:
 
 * :func:`run_fuse_ablation` — FUSE placement: parallelism injected once
   after the readout (default) versus at every message-passing step (the
@@ -17,10 +18,11 @@ that this module quantifies, plus the §VII unseen-operator study:
 * :func:`run_encoder_ablation` — one-hot versus semantic (embedding-based)
   operator features on an operator kind *held out* of pre-training.
 
-Every study returns plain dataclass rows and has a ``format_*`` printer,
-mirroring the per-figure experiment modules.  All use deliberately small
-sub-scales: ablations compare variants under identical budgets, so the
-budget itself only needs to be large enough to separate them.
+Every study returns plain dataclass rows; :func:`main` prints one table per
+study and :func:`claims` states what each must show.  All use deliberately
+small sub-scales: ablations compare variants under identical budgets, so
+the budget itself only needs to be large enough to separate them — and the
+claims are deliberately loose for the same reason.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.dataflow.features import FeatureEncoder
 from repro.dataflow.operators import OperatorType
 from repro.experiments import context
 from repro.experiments.campaigns import run_campaign
+from repro.experiments.claims import Claim
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
@@ -493,96 +496,102 @@ def run_encoder_ablation(
 
 
 # ----------------------------------------------------------------------
-# printers
+# claims and printers
 # ----------------------------------------------------------------------
+
+def claims(results: dict[str, list], scale: ExperimentScale) -> list[Claim]:
+    """What each study must show, on the rows :func:`main` returns."""
+    rows: list[Claim] = []
+
+    def variants(study: str, field: str, designed) -> dict:
+        found = {getattr(row, field): row for row in results[study]}
+        rows.append(Claim(f"ablations/{study}/variants-as-designed",
+                          len(set(found) ^ set(designed)), "==", 0))
+        return found
+
+    for variant, row in variants("fuse", "variant", ("post-readout", "per-step")).items():
+        rows += [
+            Claim(f"ablations/fuse/train-accuracy>=0.5/{variant}",
+                  row.train_accuracy, ">=", 0.5),
+            Claim(f"ablations/fuse/train-accuracy<=1/{variant}",
+                  row.train_accuracy, "<=", 1.0),
+        ]
+    clustered = {row.n_clusters > 1: row for row in results["clustering"]}
+    warmup = variants("warmup", "warmup_rows", (0, 300))
+    threshold = variants("threshold", "threshold", THRESHOLDS)
+    zoo = variants("zoo", "model_kind", ("svm", "xgboost", "isotonic", "nn"))
+    encoder = variants("encoder", "encoder", ("one-hot", "semantic"))
+    return rows + [
+        Claim("ablations/clustering/two-variants", len(results["clustering"]), "==", 2),
+        # Both variants must tune successfully; clustering should not be
+        # dramatically worse than the global bypass on its own history.
+        Claim("ablations/clustering/clustered>=global-0.15",
+              clustered[True].holdout_accuracy, ">=",
+              clustered[False].holdout_accuracy - 0.15),
+        # The warm-up should never hurt convergence badly.
+        Claim("ablations/warmup/with<=without+1.5", warmup[300].avg_reconfigurations,
+              "<=", warmup[0].avg_reconfigurations + 1.5),
+        # More conservative thresholds can only need >= as much
+        # parallelism (within one task of noise).
+        Claim("ablations/threshold/conservative>=permissive-1",
+              threshold[THRESHOLDS[0]].final_parallelism, ">=",
+              threshold[THRESHOLDS[-1]].final_parallelism - 1),
+        # The unconstrained NN must not beat every monotone model on
+        # backpressure avoidance (the paper's Fig. 11a story).
+        Claim("ablations/zoo/nn>=best-monotone", zoo["nn"].backpressure_events, ">=",
+              min(zoo[kind].backpressure_events for kind in ("svm", "xgboost", "isotonic"))),
+        Claim("ablations/encoder/heldout-operators>0",
+              encoder["semantic"].n_heldout_operators, ">", 0),
+        # What the tuner consumes is the ranking: both encoders must order
+        # bottleneck configurations above safe ones on the unseen kind.
+        # (The *calibration* comparison is an honest negative result —
+        # Table I's shared features already transfer.)
+        Claim("ablations/encoder/semantic>=one-hot-0.3", encoder["semantic"].heldout_auc,
+              ">=", encoder["one-hot"].heldout_auc - 0.3),
+    ] + [
+        Claim(f"ablations/encoder/heldout-auc>=0.6/{name}", row.heldout_auc, ">=", 0.6)
+        for name, row in encoder.items()
+    ]
+
+
+#: One row per study: result key, runner, table title, headers, row cells.
+STUDIES = (
+    ("fuse", run_fuse_ablation, "Ablation - FUSE placement (Eq. 3 reading)",
+     ["FUSE placement", "train acc", "holdout acc", "train (s)"],
+     lambda r: (r.variant, f"{r.train_accuracy:.3f}", f"{r.holdout_accuracy:.3f}",
+                f"{r.train_seconds:.1f}")),
+    ("clustering", run_clustering_ablation, "Ablation - GED clustering vs global encoder (SVII)",
+     ["variant", "k", "holdout acc", "avg reconfigs", "backpressure"],
+     lambda r: (r.variant, r.n_clusters, f"{r.holdout_accuracy:.3f}",
+                f"{r.avg_reconfigurations:.2f}", r.backpressure_events)),
+    ("warmup", run_warmup_ablation, "Ablation - warm-up dataset",
+     ["variant", "rows", "avg reconfigs", "backpressure", "final ||ism"],
+     lambda r: (r.variant, r.warmup_rows, f"{r.avg_reconfigurations:.2f}",
+                r.backpressure_events, f"{r.final_parallelism:.0f}")),
+    ("threshold", run_threshold_sweep, "Ablation - decision-threshold sensitivity",
+     ["threshold", "final ||ism", "avg reconfigs", "backpressure"],
+     lambda r: (f"{r.threshold:.2f}", f"{r.final_parallelism:.0f}",
+                f"{r.avg_reconfigurations:.2f}", r.backpressure_events)),
+    ("zoo", run_model_zoo, "Ablation - prediction-layer zoo (Fig. 11a extended)",
+     ["model", "monotone", "avg reconfigs", "backpressure"],
+     lambda r: (r.model_kind, "yes" if r.monotone else "no",
+                f"{r.avg_reconfigurations:.2f}", r.backpressure_events)),
+    ("encoder", run_encoder_ablation,
+     "Ablation - unseen operator kind (SVII): one-hot vs semantic",
+     ["features", "holdout acc", "holdout BCE", "holdout AUC", "# operators"],
+     lambda r: (r.encoder, f"{r.heldout_accuracy:.3f}", f"{r.heldout_bce:.3f}",
+                f"{r.heldout_auc:.3f}", r.n_heldout_operators)),
+)
+
 
 def main(scale: ExperimentScale | None = None) -> dict[str, list]:
     """Run every extended ablation and print one table per study."""
     scale = scale or resolve_scale()
     results: dict[str, list] = {}
-
-    results["fuse"] = run_fuse_ablation(scale)
-    print(
-        format_table(
-            ["FUSE placement", "train acc", "holdout acc", "train (s)"],
-            [
-                (r.variant, f"{r.train_accuracy:.3f}", f"{r.holdout_accuracy:.3f}",
-                 f"{r.train_seconds:.1f}")
-                for r in results["fuse"]
-            ],
-            title="Ablation - FUSE placement (Eq. 3 reading)",
-        )
-    )
-
-    results["clustering"] = run_clustering_ablation(scale)
-    print()
-    print(
-        format_table(
-            ["variant", "k", "holdout acc", "avg reconfigs", "backpressure"],
-            [
-                (r.variant, r.n_clusters, f"{r.holdout_accuracy:.3f}",
-                 f"{r.avg_reconfigurations:.2f}", r.backpressure_events)
-                for r in results["clustering"]
-            ],
-            title="Ablation - GED clustering vs global encoder (SVII)",
-        )
-    )
-
-    results["warmup"] = run_warmup_ablation(scale)
-    print()
-    print(
-        format_table(
-            ["variant", "rows", "avg reconfigs", "backpressure", "final ||ism"],
-            [
-                (r.variant, r.warmup_rows, f"{r.avg_reconfigurations:.2f}",
-                 r.backpressure_events, f"{r.final_parallelism:.0f}")
-                for r in results["warmup"]
-            ],
-            title="Ablation - warm-up dataset",
-        )
-    )
-
-    results["threshold"] = run_threshold_sweep(scale)
-    print()
-    print(
-        format_table(
-            ["threshold", "final ||ism", "avg reconfigs", "backpressure"],
-            [
-                (f"{r.threshold:.2f}", f"{r.final_parallelism:.0f}",
-                 f"{r.avg_reconfigurations:.2f}", r.backpressure_events)
-                for r in results["threshold"]
-            ],
-            title="Ablation - decision-threshold sensitivity",
-        )
-    )
-
-    results["zoo"] = run_model_zoo(scale)
-    print()
-    print(
-        format_table(
-            ["model", "monotone", "avg reconfigs", "backpressure"],
-            [
-                (r.model_kind, "yes" if r.monotone else "no",
-                 f"{r.avg_reconfigurations:.2f}", r.backpressure_events)
-                for r in results["zoo"]
-            ],
-            title="Ablation - prediction-layer zoo (Fig. 11a extended)",
-        )
-    )
-
-    results["encoder"] = run_encoder_ablation(scale)
-    print()
-    print(
-        format_table(
-            ["features", "holdout acc", "holdout BCE", "holdout AUC", "# operators"],
-            [
-                (r.encoder, f"{r.heldout_accuracy:.3f}", f"{r.heldout_bce:.3f}",
-                 f"{r.heldout_auc:.3f}", r.n_heldout_operators)
-                for r in results["encoder"]
-            ],
-            title="Ablation - unseen operator kind (SVII): one-hot vs semantic",
-        )
-    )
+    for key, run, title, headers, cells in STUDIES:
+        results[key] = run(scale)
+        print(format_table(headers, [cells(row) for row in results[key]], title=title))
+        print()
     return results
 
 

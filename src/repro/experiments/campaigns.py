@@ -185,7 +185,37 @@ def campaign(
     return results
 
 
-def averaged(results: list[CampaignResult], attribute: str) -> float:
-    """Mean of a CampaignResult property across a query group."""
-    values = [getattr(result, attribute) for result in results]
-    return float(np.mean(values))
+def average_reconfigurations(results: list[CampaignResult]) -> float:
+    """Mean reconfigurations per tuning process across a query group."""
+    return float(np.mean([result.average_reconfigurations for result in results]))
+
+
+def average_recommendation_seconds(results: list[CampaignResult]) -> float:
+    """Mean online recommendation time per process across a query group."""
+    return float(np.mean([result.average_recommendation_seconds for result in results]))
+
+
+def final_parallelism(results: list[CampaignResult]) -> float:
+    """Mean final total parallelism at 10 x Wu across a query group."""
+    return sum(result.final_parallelism_at(10) for result in results) / len(results)
+
+
+@dataclass(frozen=True)
+class GridRow:
+    """One (group, method) cell of a campaign-grid figure: what this
+    repository measured and, where the paper prints one, its value."""
+
+    group: str
+    method: str
+    measured: float
+    paper: float | None
+
+
+def grid_rows(engine_name: str, cells, scale: ExperimentScale, measure, paper) -> list[GridRow]:
+    """``measure(campaigns)`` for every ``(group, method)`` of ``cells``;
+    ``paper`` maps the cells the paper prints a value for to that value."""
+    return [
+        GridRow(group, method, measure(campaign(engine_name, method, group, scale)),
+                paper.get((group, method)))
+        for group, method in cells
+    ]

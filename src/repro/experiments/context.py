@@ -23,6 +23,11 @@ from repro.engines import EngineCluster
 from repro.experiments.scale import ExperimentScale
 from repro.workloads import StreamingQuery, nexmark_queries, pqp_query_set
 
+#: The evaluation groups :func:`evaluation_queries` derives, in the paper's
+#: plotting order — the one spelling every figure module imports.
+PQP_GROUPS = ("linear", "2-way-join", "3-way-join")
+FLINK_GROUPS = ("q1", "q2", "q3", "q5", "q8") + PQP_GROUPS
+
 _CACHE: dict = {}
 
 #: Reentrant because builders nest (pretraining builds the history first);

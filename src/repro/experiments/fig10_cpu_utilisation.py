@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.campaigns import campaign
+from repro.experiments.claims import Claim
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 
@@ -38,6 +39,24 @@ def run(scale: ExperimentScale | None = None) -> list[Fig10Series]:
             )
         )
     return series
+
+
+def claims(series: list[Fig10Series], scale: ExperimentScale) -> list[Claim]:
+    """One step or more and exactly one mark per rate change, utilisation
+    inside [0, 1], and a trace that genuinely moves as rates change and
+    tuning explores."""
+    n = scale.n_rate_changes
+    rows = []
+    for item in series:
+        trace, group = item.utilisation, item.group
+        rows += [
+            Claim(f"fig10/steps>=rate-changes/{group}", len(trace), ">=", n),
+            Claim(f"fig10/marks==rate-changes/{group}", len(item.rate_change_marks), "==", n),
+            Claim(f"fig10/min-utilisation>=0/{group}", min(trace), ">=", 0.0),
+            Claim(f"fig10/max-utilisation<=1/{group}", max(trace), "<=", 1.0),
+            Claim(f"fig10/utilisation-range>0.1/{group}", max(trace) - min(trace), ">", 0.1),
+        ]
+    return rows
 
 
 def main(scale: ExperimentScale | None = None) -> list[Fig10Series]:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.clustering.center import similarity_center
-from repro.experiments.campaigns import averaged, campaign
+from repro.experiments.campaigns import GridRow, average_reconfigurations, grid_rows
+from repro.experiments.claims import Claim, Deviation
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.rng import seeded_rng
 from repro.utils.tables import format_table
@@ -44,14 +45,6 @@ TAU = 5.0
 
 
 @dataclass(frozen=True)
-class Fig11aRow:
-    group: str
-    method: str
-    measured_avg_reconfigurations: float
-    paper_value: float | None
-
-
-@dataclass(frozen=True)
 class Fig11bRow:
     n_graphs: int
     direct_seconds: float
@@ -64,23 +57,10 @@ class Fig11bRow:
         return 100.0 * (1.0 - self.lsa_seconds / self.direct_seconds)
 
 
-def run_fig11a(scale: ExperimentScale | None = None) -> list[Fig11aRow]:
+def run_fig11a(scale: ExperimentScale | None = None) -> list[GridRow]:
     scale = scale or resolve_scale()
-    rows = []
-    for group in ABLATION_GROUPS:
-        for method in ABLATION_METHODS:
-            results = campaign("flink", method, group, scale)
-            rows.append(
-                Fig11aRow(
-                    group=group,
-                    method=method,
-                    measured_avg_reconfigurations=averaged(
-                        results, "average_reconfigurations"
-                    ),
-                    paper_value=PAPER_FIG11A.get((group, method)),
-                )
-            )
-    return rows
+    cells = [(group, method) for group in ABLATION_GROUPS for method in ABLATION_METHODS]
+    return grid_rows("flink", cells, scale, average_reconfigurations, PAPER_FIG11A)
 
 
 def _center_dataset(n_graphs: int, seed: int) -> list:
@@ -120,20 +100,50 @@ def run_fig11b(scale: ExperimentScale | None = None) -> list[Fig11bRow]:
     return rows
 
 
-def main(scale: ExperimentScale | None = None) -> tuple[list[Fig11aRow], list[Fig11bRow]]:
+DEVIATIONS = {
+    "fig11b/lsa-reduction>50%/20-dags": Deviation(
+        "LSa 15.9 - 21.6 % faster than direct GED over three runs (12.8 % in one parent run)",
+        since="b711015 or earlier (wall-clock; 19.8 % there)", strict=False,
+    ),
+}
+
+
+def claims(
+    result: tuple[list[GridRow], list[Fig11bRow]], scale: ExperimentScale
+) -> list[Claim]:
+    """The monotone layers beat the unconstrained NN — the short smoke
+    campaigns resolve this against the *best* monotone layer only (the two
+    are statistically tied with each other), larger scales must reproduce
+    the full ordering — and LSa is dramatically faster than direct GED."""
+    rows_a, rows_b = result
+    by_key = {(r.group, r.method): r.measured for r in rows_a}
+    nn, svm, xgb = (
+        float(np.mean([by_key[group, method] for group in ABLATION_GROUPS]))
+        for method in ABLATION_METHODS
+    )
+    beyond_smoke = ("default", "paper")
+    return [
+        Claim("fig11a/nn>=min(svm,xgboost)", nn, ">=", min(svm, xgb)),
+        Claim("fig11a/nn>=svm", nn, ">=", svm, scales=beyond_smoke),
+        Claim("fig11a/nn>=xgboost", nn, ">=", xgb, scales=beyond_smoke),
+    ] + [
+        Claim(f"fig11b/lsa<direct/{r.n_graphs}-dags", r.lsa_seconds, "<", r.direct_seconds,
+              seeded=False)
+        for r in rows_b
+    ] + [
+        Claim(f"fig11b/lsa-reduction>50%/{r.n_graphs}-dags", r.reduction_percent, ">", 50.0,
+              seeded=False)
+        for r in rows_b
+    ]
+
+
+def main(scale: ExperimentScale | None = None) -> tuple[list[GridRow], list[Fig11bRow]]:
     rows_a = run_fig11a(scale)
     print(
         format_table(
             ["query", "prediction layer", "avg reconfigs (measured)", "paper"],
-            [
-                (
-                    r.group,
-                    r.method.split("-")[1].upper(),
-                    f"{r.measured_avg_reconfigurations:.2f}",
-                    f"{r.paper_value:.2f}" if r.paper_value is not None else "-",
-                )
-                for r in rows_a
-            ],
+            [(r.group, r.method.split("-")[1].upper(), f"{r.measured:.2f}",
+              "-" if r.paper is None else f"{r.paper:.2f}") for r in rows_a],
             title="Fig. 11a - Effect of Classification Models",
         )
     )

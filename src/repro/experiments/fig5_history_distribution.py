@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.experiments import context
+from repro.experiments.claims import Claim
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 
@@ -51,6 +52,18 @@ def run(scale: ExperimentScale | None = None) -> Fig5Result:
         for n in PAPER_DISTRIBUTION
     }
     return Fig5Result(corpus_percentages=corpus_pct, history_percentages=history_pct)
+
+
+def claims(result: Fig5Result, scale: ExperimentScale) -> list[Claim]:
+    """The corpus has the published ratios; the history tracks the corpus."""
+    corpus, history = result.corpus_percentages, result.history_percentages
+    return [
+        Claim(f"fig5/|corpus-paper|<=0.01/{n}-nodes", abs(corpus[n] - paper), "<=", 0.01)
+        for n, paper in PAPER_DISTRIBUTION.items()
+    ] + [
+        Claim(f"fig5/|history-corpus|<=5.0/{n}-nodes", abs(history[n] - corpus[n]), "<=", 5.0)
+        for n in PAPER_DISTRIBUTION
+    ]
 
 
 def main(scale: ExperimentScale | None = None) -> Fig5Result:

@@ -4,22 +4,19 @@ For every evaluated query the paper reports the total operator parallelism
 each method settles on once the source rate reaches 10 Wu.  ZeroTune is
 PQP-only (its zero-shot model family was built for that workload).
 
-Expected shape: StreamTune <= ContTune <= DS2 << ZeroTune, with the gap
-widening on structurally complex queries (Q5, PQP joins).
+The paper's shape: StreamTune <= ContTune <= DS2 << ZeroTune, with the gap
+widening on structurally complex queries (Q5, PQP joins); :func:`claims`
+states the part of it a run is held to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments import context
-from repro.experiments.campaigns import averaged, campaign
+from repro.experiments.campaigns import GridRow, final_parallelism, grid_rows
+from repro.experiments.claims import Claim
+from repro.experiments.context import FLINK_GROUPS, PQP_GROUPS
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 
-#: Query groups in the paper's plotting order.
-FLINK_GROUPS = ("q1", "q2", "q3", "q5", "q8", "linear", "2-way-join", "3-way-join")
-PQP_GROUPS = ("linear", "2-way-join", "3-way-join")
 METHODS = ("DS2", "ContTune", "StreamTune")
 
 #: Paper's reported totals for reference (Fig. 6 bar labels).
@@ -38,54 +35,38 @@ PAPER_FIG6 = {
 }
 
 
-@dataclass(frozen=True)
-class Fig6Row:
-    group: str
-    method: str
-    measured_total: float
-    paper_total: int | None
-
-
-def run(scale: ExperimentScale | None = None) -> list[Fig6Row]:
+def run(scale: ExperimentScale | None = None) -> list[GridRow]:
     scale = scale or resolve_scale()
-    rows: list[Fig6Row] = []
-    for group in FLINK_GROUPS:
-        methods = METHODS + (("ZeroTune",) if group in PQP_GROUPS else ())
-        for method in methods:
-            results = campaign("flink", method, group, scale)
-            total = averaged(
-                results, "average_reconfigurations"
-            )  # touch to materialise
-            del total
-            measured = sum(
-                result.final_parallelism_at(10) for result in results
-            ) / len(results)
-            rows.append(
-                Fig6Row(
-                    group=group,
-                    method=method,
-                    measured_total=measured,
-                    paper_total=PAPER_FIG6.get((group, method)),
-                )
-            )
-    return rows
-
-
-def main(scale: ExperimentScale | None = None) -> list[Fig6Row]:
-    rows = run(scale)
-    table = [
-        (
-            row.group,
-            row.method,
-            f"{row.measured_total:.1f}",
-            row.paper_total if row.paper_total is not None else "-",
-        )
-        for row in rows
+    cells = [
+        (group, method)
+        for group in FLINK_GROUPS
+        for method in METHODS + (("ZeroTune",) if group in PQP_GROUPS else ())
     ]
+    return grid_rows("flink", cells, scale, final_parallelism, PAPER_FIG6)
+
+
+def claims(rows: list[GridRow], scale: ExperimentScale) -> list[Claim]:
+    """StreamTune never needs more resources than DS2 (within noise), and
+    ZeroTune dwarfs everyone on PQP."""
+    total = {(row.group, row.method): row.measured for row in rows}
+    return [
+        Claim(f"fig6/streamtune<=1.35*ds2/{g}",
+              total[g, "StreamTune"], "<=", 1.35 * total[g, "DS2"])
+        for g in FLINK_GROUPS
+    ] + [
+        Claim(f"fig6/zerotune>1.3*streamtune/{g}",
+              total[g, "ZeroTune"], ">", 1.3 * total[g, "StreamTune"])
+        for g in PQP_GROUPS
+    ]
+
+
+def main(scale: ExperimentScale | None = None) -> list[GridRow]:
+    rows = run(scale)
     print(
         format_table(
             ["query", "method", "final parallelism (measured)", "paper"],
-            table,
+            [(r.group, r.method, f"{r.measured:.1f}", "-" if r.paper is None else r.paper)
+             for r in rows],
             title="Fig. 6 - Final Parallelism at 10xWu (Flink)",
         )
     )

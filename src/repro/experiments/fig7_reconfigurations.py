@@ -15,16 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core import StreamTuneTuner
 from repro.engines.base import STABILIZATION_MINUTES
 from repro.experiments import context
-from repro.experiments.campaigns import averaged, campaign, run_campaign
+from repro.experiments.campaigns import (
+    GridRow,
+    average_reconfigurations,
+    grid_rows,
+    run_campaign,
+)
+from repro.experiments.claims import Claim
+from repro.experiments.context import FLINK_GROUPS
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.scenarios.library import BASIC_CYCLE
 from repro.utils.tables import format_table
 from repro.workloads.pqp import pqp_queries
 
-GROUPS = ("q1", "q2", "q3", "q5", "q8", "linear", "2-way-join", "3-way-join")
 METHODS = ("DS2", "ContTune", "StreamTune")
 
 #: Fig. 7a reference values.
@@ -44,14 +52,6 @@ PAPER_FIG7A = {
 
 
 @dataclass(frozen=True)
-class Fig7aRow:
-    group: str
-    method: str
-    measured_avg_reconfigurations: float
-    paper_value: float | None
-
-
-@dataclass(frozen=True)
 class Fig7bResult:
     multipliers: tuple[int, ...]
     tuning_minutes: tuple[float, ...]
@@ -61,23 +61,10 @@ class Fig7bResult:
         return sum(self.tuning_minutes) / len(self.tuning_minutes)
 
 
-def run_fig7a(scale: ExperimentScale | None = None) -> list[Fig7aRow]:
+def run_fig7a(scale: ExperimentScale | None = None) -> list[GridRow]:
     scale = scale or resolve_scale()
-    rows = []
-    for group in GROUPS:
-        for method in METHODS:
-            results = campaign("flink", method, group, scale)
-            rows.append(
-                Fig7aRow(
-                    group=group,
-                    method=method,
-                    measured_avg_reconfigurations=averaged(
-                        results, "average_reconfigurations"
-                    ),
-                    paper_value=PAPER_FIG7A.get((group, method)),
-                )
-            )
-    return rows
+    cells = [(group, method) for group in FLINK_GROUPS for method in METHODS]
+    return grid_rows("flink", cells, scale, average_reconfigurations, PAPER_FIG7A)
 
 
 def run_fig7b(scale: ExperimentScale | None = None) -> Fig7bResult:
@@ -101,21 +88,35 @@ def run_fig7b(scale: ExperimentScale | None = None) -> Fig7bResult:
     return Fig7bResult(multipliers=tuple(BASIC_CYCLE), tuning_minutes=minutes)
 
 
-def main(scale: ExperimentScale | None = None) -> tuple[list[Fig7aRow], Fig7bResult]:
-    rows = run_fig7a(scale)
-    table = [
-        (
-            row.group,
-            row.method,
-            f"{row.measured_avg_reconfigurations:.2f}",
-            f"{row.paper_value:.2f}" if row.paper_value is not None else "-",
-        )
-        for row in rows
+def claims(
+    result: tuple[list[GridRow], Fig7bResult], scale: ExperimentScale
+) -> list[Claim]:
+    """DS2 reconfigures more than StreamTune on average, StreamTune beats
+    ContTune on the complex PQP templates, and a tuning process — inference
+    plus the stabilisation waits — takes tens of minutes (paper: 10-40)."""
+    rows, case = result
+    by_key = {(r.group, r.method): r.measured for r in rows}
+
+    def mean(method: str, groups=FLINK_GROUPS) -> float:
+        return float(np.mean([by_key[group, method] for group in groups]))
+
+    joins = ("2-way-join", "3-way-join")
+    return [
+        Claim("fig7a/mean-ds2>=mean-streamtune", mean("DS2"), ">=", mean("StreamTune")),
+        Claim("fig7a/streamtune<=1.25*conttune/pqp-joins",
+              mean("StreamTune", joins), "<=", 1.25 * mean("ContTune", joins)),
+        Claim("fig7b/min-tuning-minutes>=5", min(case.tuning_minutes), ">=", 5.0, seeded=False),
+        Claim("fig7b/max-tuning-minutes<=90", max(case.tuning_minutes), "<=", 90.0, seeded=False),
     ]
+
+
+def main(scale: ExperimentScale | None = None) -> tuple[list[GridRow], Fig7bResult]:
+    rows = run_fig7a(scale)
     print(
         format_table(
             ["query", "method", "avg reconfigs (measured)", "paper"],
-            table,
+            [(r.group, r.method, f"{r.measured:.2f}", "-" if r.paper is None else f"{r.paper:.2f}")
+             for r in rows],
             title="Fig. 7a - Average Reconfigurations per Tuning Process (Flink)",
         )
     )

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments import context
-from repro.experiments.campaigns import campaign
+from repro.experiments.campaigns import GridRow, campaign, final_parallelism, grid_rows
+from repro.experiments.claims import Claim, Deviation
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 
@@ -37,38 +38,16 @@ PERCENTILES = (10, 25, 50, 75, 90, 99)
 
 
 @dataclass(frozen=True)
-class Fig8aRow:
-    group: str
-    method: str
-    measured_total: float
-    paper_total: int | None
-
-
-@dataclass(frozen=True)
 class Fig8LatencyRow:
     group: str
     method: str
     percentiles: dict[int, float]
 
 
-def run_fig8a(scale: ExperimentScale | None = None) -> list[Fig8aRow]:
+def run_fig8a(scale: ExperimentScale | None = None) -> list[GridRow]:
     scale = scale or resolve_scale()
-    rows = []
-    for group in GROUPS:
-        for method in METHODS:
-            results = campaign("timely", method, group, scale)
-            measured = sum(
-                result.final_parallelism_at(10) for result in results
-            ) / len(results)
-            rows.append(
-                Fig8aRow(
-                    group=group,
-                    method=method,
-                    measured_total=measured,
-                    paper_total=PAPER_FIG8A.get((group, method)),
-                )
-            )
-    return rows
+    cells = [(group, method) for group in GROUPS for method in METHODS]
+    return grid_rows("timely", cells, scale, final_parallelism, PAPER_FIG8A)
 
 
 def run_latency_cdfs(scale: ExperimentScale | None = None) -> list[Fig8LatencyRow]:
@@ -100,21 +79,46 @@ def run_latency_cdfs(scale: ExperimentScale | None = None) -> list[Fig8LatencyRo
     return rows
 
 
-def main(scale: ExperimentScale | None = None) -> tuple[list[Fig8aRow], list[Fig8LatencyRow]]:
-    rows = run_fig8a(scale)
-    table = [
-        (
-            row.group,
-            row.method,
-            f"{row.measured_total:.1f}",
-            row.paper_total if row.paper_total is not None else "-",
-        )
-        for row in rows
+DEVIATIONS = {
+    "fig8a/streamtune<=1.4*max(ds2,conttune)/q5": Deviation(
+        "StreamTune 24.0 > 1.4 x max(DS2 14.0, ContTune 14.0) = 19.6",
+        since="e383750 (PR 19; passes at b711015)", strict=True,
+    ),
+}
+
+
+def claims(
+    result: tuple[list[GridRow], list[Fig8LatencyRow]], scale: ExperimentScale
+) -> list[Claim]:
+    """StreamTune needs fewer resources on Timely, with the largest gap on
+    Q8 (paper: up to -83.3% vs DS2) — at small scales Q3/Q5 can tie, so the
+    per-group claim allows a margin while Q8's gap must be real — and its
+    median epoch latency stays far from the 200 s saturation cap (the
+    paper's CDFs overlap; our dead-band occupancy makes the gap wider but
+    bounded)."""
+    rows, latency_rows = result
+    total = {(r.group, r.method): r.measured for r in rows}
+    median = {(r.group, r.method): r.percentiles[50] for r in latency_rows}
+    return [
+        Claim(f"fig8a/streamtune<=1.4*max(ds2,conttune)/{g}",
+              total[g, "StreamTune"], "<=", 1.4 * max(total[g, "DS2"], total[g, "ContTune"]))
+        for g in GROUPS
+    ] + [
+        Claim("fig8a/streamtune<=0.7*ds2/q8",
+              total["q8", "StreamTune"], "<=", 0.7 * total["q8", "DS2"]),
+    ] + [
+        Claim(f"fig8b-d/streamtune-median-latency<60s/{g}", median[g, "StreamTune"], "<", 60.0)
+        for g in GROUPS
     ]
+
+
+def main(scale: ExperimentScale | None = None) -> tuple[list[GridRow], list[Fig8LatencyRow]]:
+    rows = run_fig8a(scale)
     print(
         format_table(
             ["query", "method", "final parallelism (measured)", "paper"],
-            table,
+            [(r.group, r.method, f"{r.measured:.1f}", "-" if r.paper is None else r.paper)
+             for r in rows],
             title="Fig. 8a - Final Parallelism at 10xWu (Timely Dataflow)",
         )
     )

@@ -15,23 +15,17 @@ from dataclasses import dataclass
 
 from repro.core import pretrain
 from repro.experiments import context
-from repro.experiments.campaigns import averaged, campaign
+from repro.experiments.campaigns import GridRow, average_recommendation_seconds, grid_rows
+from repro.experiments.claims import Claim
+from repro.experiments.context import PQP_GROUPS
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 
-PQP_GROUPS = ("linear", "2-way-join", "3-way-join")
 METHODS = ("StreamTune", "DS2", "ContTune")
 
 #: History sizes for the pre-training cost curve, scaled per preset.
 CURVE_FRACTIONS = (0.15, 0.3, 0.6, 1.0)
-
-
-@dataclass(frozen=True)
-class Fig9aRow:
-    group: str
-    method: str
-    avg_recommendation_seconds: float
 
 
 @dataclass(frozen=True)
@@ -40,22 +34,10 @@ class Fig9bRow:
     training_seconds: float
 
 
-def run_fig9a(scale: ExperimentScale | None = None) -> list[Fig9aRow]:
+def run_fig9a(scale: ExperimentScale | None = None) -> list[GridRow]:
     scale = scale or resolve_scale()
-    rows = []
-    for group in PQP_GROUPS:
-        for method in METHODS:
-            results = campaign("flink", method, group, scale)
-            rows.append(
-                Fig9aRow(
-                    group=group,
-                    method=method,
-                    avg_recommendation_seconds=averaged(
-                        results, "average_recommendation_seconds"
-                    ),
-                )
-            )
-    return rows
+    cells = [(group, method) for group in PQP_GROUPS for method in METHODS]
+    return grid_rows("flink", cells, scale, average_recommendation_seconds, paper={})
 
 
 def run_fig9b(scale: ExperimentScale | None = None) -> list[Fig9bRow]:
@@ -77,15 +59,32 @@ def run_fig9b(scale: ExperimentScale | None = None) -> list[Fig9bRow]:
     return rows
 
 
-def main(scale: ExperimentScale | None = None) -> tuple[list[Fig9aRow], list[Fig9bRow]]:
+def claims(
+    result: tuple[list[GridRow], list[Fig9bRow]], scale: ExperimentScale
+) -> list[Claim]:
+    """DS2's closed form is the cheapest online recommender everywhere, and
+    pre-training cost grows with the history (paper: super-linearly)."""
+    rows_a, rows_b = result
+    seconds = {(r.group, r.method): r.measured for r in rows_a}
+    sizes = [row.n_records for row in rows_b]
+    return [
+        Claim(f"fig9a/ds2<=streamtune/{g}",
+              seconds[g, "DS2"], "<=", seconds[g, "StreamTune"], seeded=False)
+        for g in PQP_GROUPS
+    ] + [
+        Claim("fig9b/history-sizes-ascending",
+              min(b - a for a, b in zip(sizes, sizes[1:])), ">=", 0),
+        Claim("fig9b/largest-history-trains-longest",
+              rows_b[-1].training_seconds, ">", rows_b[0].training_seconds, seeded=False),
+    ]
+
+
+def main(scale: ExperimentScale | None = None) -> tuple[list[GridRow], list[Fig9bRow]]:
     rows_a = run_fig9a(scale)
     print(
         format_table(
             ["query", "method", "avg recommendation time (s)"],
-            [
-                (r.group, r.method, f"{r.avg_recommendation_seconds:.3f}")
-                for r in rows_a
-            ],
+            [(r.group, r.method, f"{r.measured:.3f}") for r in rows_a],
             title="Fig. 9a - Online Recommendation Time",
         )
     )

@@ -4,7 +4,7 @@ The paper's campaigns are long (120 source-rate changes per query, up to
 15k pre-training DAGs).  The harness reproduces shape, not wall-clock, so
 each experiment accepts an :class:`ExperimentScale`:
 
-* ``smoke``   — seconds; sanity in CI and pytest-benchmark runs,
+* ``smoke``   — seconds per campaign; what CI's ``paper-claims`` job runs,
 * ``default`` — minutes on a laptop,
 * ``paper``   — the §V-A numbers (hours in this simulator).
 """

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.campaigns import campaign
+from repro.experiments.claims import Claim, Deviation
+from repro.experiments.context import FLINK_GROUPS, PQP_GROUPS
 from repro.experiments.scale import ExperimentScale, resolve_scale
 from repro.utils.tables import format_table
 
-GROUPS = ("q1", "q2", "q3", "q5", "q8", "linear", "2-way-join", "3-way-join")
-PQP_GROUPS = ("linear", "2-way-join", "3-way-join")
 METHODS = ("DS2", "ContTune", "ZeroTune", "StreamTune")
 
 #: Table III reference counts (120 tuning processes per query).
@@ -42,7 +42,7 @@ def run(scale: ExperimentScale | None = None) -> list[Table3Row]:
     scale = scale or resolve_scale()
     rows = []
     for method in METHODS:
-        for group in GROUPS:
+        for group in FLINK_GROUPS:
             if method == "ZeroTune" and group not in PQP_GROUPS:
                 continue
             results = campaign("flink", method, group, scale)
@@ -56,6 +56,36 @@ def run(scale: ExperimentScale | None = None) -> list[Table3Row]:
                 )
             )
     return rows
+
+
+DEVIATIONS = {
+    "table3/streamtune<=max(3,n//2)/q1": Deviation(
+        "StreamTune 6 backpressure events > max(3, 8 // 2) = 4",
+        since="e383750 (PR 19; passes at b711015)", strict=True,
+    ),
+}
+
+
+def claims(rows: list[Table3Row], scale: ExperimentScale) -> list[Claim]:
+    """ZeroTune over-provisions and so stays essentially backpressure-free;
+    StreamTune stays near zero per query (paper: exactly zero at the full
+    120-process scale; small scales see first-visit misses); the rate-based
+    DS2 triggers backpressure more overall."""
+    n = scale.n_rate_changes
+    events = {(row.method, row.group): row.measured_events for row in rows}
+
+    def total(method: str) -> int:
+        return sum(events[method, group] for group in FLINK_GROUPS)
+
+    return [
+        Claim(f"table3/zerotune<=max(3,n//3)/{g}", events["ZeroTune", g], "<=", max(3, n // 3))
+        for g in PQP_GROUPS
+    ] + [
+        Claim(f"table3/streamtune<=max(3,n//2)/{g}", events["StreamTune", g], "<=", max(3, n // 2))
+        for g in FLINK_GROUPS
+    ] + [
+        Claim("table3/total-streamtune<=total-ds2+2", total("StreamTune"), "<=", total("DS2") + 2),
+    ]
 
 
 def main(scale: ExperimentScale | None = None) -> list[Table3Row]:

@@ -15,7 +15,8 @@ recipe on the shared search core:
 The label-set bound here follows the LS family of bounds rather than the
 exact LSa anchoring of the original paper; it preserves the properties the
 paper relies on (admissibility, index-freeness, orders-of-magnitude pruning
-versus direct GED — see ``benchmarks/bench_fig11.py``).
+versus direct GED — the ``fig11b/*`` claims of
+:mod:`repro.experiments.fig11_ablation`).
 """
 
 from __future__ import annotations

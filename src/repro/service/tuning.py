@@ -151,7 +151,7 @@ def _build_campaign_tuner(
             # The one thing the service's fit does that the inline path's
             # does not: looser solver tolerances.  They move tuning
             # decisions on some traces, so adopting the defaults here is a
-            # separate, measured step (ROADMAP item 2a).
+            # separate, measured step (ROADMAP item 3).
             loose_tolerances=True,
         )
     from repro.api.components import TunerResources, build_tuner

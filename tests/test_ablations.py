@@ -1,8 +1,9 @@
 """Unit tests for the extended-ablation harness (smoke-scale plumbing).
 
-The heavy comparisons live in ``benchmarks/bench_ablations.py``; these
-tests pin the harness mechanics — splits, variant wiring, row shapes —
-on a miniature footprint so the suite stays fast.
+The heavy comparisons are the ``ablations/*`` claims ``repro experiments``
+judges (:func:`repro.experiments.ablations.claims`); these tests pin the
+harness mechanics — splits, variant wiring, row shapes — on a miniature
+footprint so the suite stays fast.
 """
 
 from __future__ import annotations

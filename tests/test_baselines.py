@@ -138,6 +138,55 @@ class TestContTune:
         with pytest.raises(ValueError):
             ContTuneTuner(FlinkCluster(seed=1), alpha=-1.0)
 
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_never_redeploys_at_or_below_a_known_bad_degree(self, seed, monkeypatch):
+        """ContTune's conservative-exploration guarantee (arXiv 2309.12239),
+        which the paper's ContTune comparisons rest on: within one tuning
+        process, once a step left operator *v* backpressured (Algorithm 1
+        label 1) at degree *p*, no later step deploys *v* at <= *p* —
+        the floor goes on before ``stabilize``, which must not undo it.
+        Only the engine's parallelism cap excuses a repeat of *p*.
+        """
+        from repro.baselines import conttune
+        from repro.experiments import context
+        from repro.experiments.scale import SMOKE
+        from repro.scenarios.library import periodic_multipliers
+
+        blamed: list[dict[str, int]] = []
+        label_operators = conttune.label_operators
+
+        def spy(flow, telemetry, engine_name):
+            labels = label_operators(flow, telemetry, engine_name)
+            blamed.append({
+                name: telemetry[name].parallelism
+                for name, label in labels.items() if label == 1
+            })
+            return labels
+
+        monkeypatch.setattr(conttune, "label_operators", spy)
+        n_checked = 0
+        for group, queries in context.evaluation_queries("flink", SMOKE).items():
+            query = queries[0]
+            engine = FlinkCluster(seed=seed)
+            tuner = ContTuneTuner(engine)
+            tuner.prepare(query)
+            deployment = cold_deployment(engine, query)
+            for multiplier in periodic_multipliers(n_permutations=1, seed=seed):
+                blamed.clear()
+                steps = tuner.tune(deployment, query.rates_at(multiplier)).steps
+                backpressured = [i for i, step in enumerate(steps) if step.backpressure_after]
+                assert len(backpressured) == len(blamed)
+                for index, bad in zip(backpressured, blamed):
+                    for name, degree in bad.items():
+                        if degree >= engine.max_parallelism:
+                            continue
+                        for later in steps[index + 1:]:
+                            n_checked += 1
+                            assert later.parallelisms[name] > degree, (
+                                group, multiplier, name, degree, later.parallelisms
+                            )
+        assert n_checked >= 10, "the campaigns barely exercised the guarantee"
+
 
 class TestZeroTune:
     @pytest.fixture

@@ -82,10 +82,17 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
 
-    def test_ablations_subcommand(self):
-        args = build_parser().parse_args(["ablations", "--scale", "smoke"])
-        assert args.scale == "smoke"
-        assert args.func.__name__ == "_cmd_ablations"
+    def test_experiments_output_option(self, capsys):
+        """``experiments`` takes the report path; the ablations run inside
+        it, so the ``ablations`` subcommand is gone (argparse exit 2)."""
+        args = build_parser().parse_args(["experiments", "--output", "paper.json"])
+        assert (args.scale, args.output) == (None, "paper.json")
+        assert args.func.__name__ == "_cmd_experiments"
+        assert build_parser().parse_args(["experiments"]).output is None
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["ablations", "--scale", "smoke"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'ablations'" in capsys.readouterr().err
 
 
 class TestQueryResolution:
@@ -426,11 +433,11 @@ class TestExperimentsScale:
     def ran_at(self, monkeypatch):
         import repro.experiments.__main__ as experiments_main
 
+        from types import SimpleNamespace
+
         scales = []
-        monkeypatch.setattr(
-            experiments_main, "EXPERIMENTS",
-            (("stub", lambda scale=None: scales.append(scale)),),
-        )
+        stub = SimpleNamespace(main=scales.append, claims=lambda result, scale: [])
+        monkeypatch.setattr(experiments_main, "EXPERIMENTS", (("stub", stub),))
         return scales
 
     def test_environment_variable_is_honoured(self, ran_at, monkeypatch, capsys):
