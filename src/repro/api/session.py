@@ -133,8 +133,9 @@ class TuningSession:
     Long-lived hosts (the :mod:`repro.daemon` control plane) additionally
     pass ``caches=`` — one :class:`~repro.service.cache.TuningCacheSet`
     every plan this session runs shares, so the second job starts warm
-    where the first left off (process-backend fleets fold worker-learned
-    entries back in on drain) — and ``shm_store=`` — one caller-owned
+    where the first left off (a process-backend fleet's pre-warm puts
+    every entry its workers consult into it before dispatch) — and
+    ``shm_store=`` — one caller-owned
     :class:`~repro.service.shm.SharedArrayStore` the process backend
     publishes warm payloads through, instead of creating and unlinking an
     arena per run.  A plan carrying its own ``cache_path`` loads and

@@ -62,6 +62,47 @@ class PredictionDataset:
         return 0 < self.n_positive < len(self.labels)
 
 
+def value_to_arrays(value) -> tuple[str, list[np.ndarray]]:
+    """A cached pure value as ``(kind, arrays)``.
+
+    The one statement of how warm values leave the process: the cache
+    snapshot writes the arrays as ``(dtype, shape, bytes)`` records, the
+    shared-memory plane as segment descriptors.  ``"array"`` is a bare
+    matrix (``embed``); ``"dataset"`` a :class:`PredictionDataset` as its
+    stacked feature matrix and int64 labels (``warmup``/``distill``);
+    anything else — scalars, an empty or ragged dataset — is
+    ``"pickled"`` with no arrays: the carrier pickles the value itself.
+    """
+    if isinstance(value, np.ndarray):
+        return "array", [value]
+    if isinstance(value, PredictionDataset) and value.labels:
+        try:
+            return "dataset", list(value.matrices())
+        except ValueError:              # ragged rows do not stack
+            pass
+    return "pickled", []
+
+
+def value_from_arrays(kind: str, arrays):
+    """Inverse of :func:`value_to_arrays` for the array-carrying kinds.
+
+    A dataset's rows are views into the one feature matrix — cached pure
+    values are never mutated, and every row carries exactly the bytes
+    that were encoded.  ``arrays`` is consumed only once ``kind`` is
+    known, so a carrier may pass a lazy iterable.
+    """
+    if kind == "array":
+        (array,) = arrays
+        return array
+    if kind == "dataset":
+        features, labels = arrays
+        dataset = PredictionDataset()
+        dataset.features = [features[index] for index in range(len(labels))]
+        dataset.labels = [int(label) for label in labels]
+        return dataset
+    raise ValueError(f"unknown cache value kind {kind!r}")
+
+
 #: Geometric grid of parallelism degrees probed during distillation.
 DISTILLATION_GRID = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 60)
 

@@ -31,7 +31,6 @@ encoder's bottleneck surface extends to it (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,19 +257,6 @@ class SemanticFeatureEncoder(FeatureEncoder):
         return np.concatenate([semantic, base[one_hot_block:]])
 
 
-def property_distance_matrix(taxonomy: OperatorTaxonomy) -> tuple[np.ndarray, list[str]]:
-    """Pairwise Euclidean distances between all registered kinds.
-
-    Returns the symmetric distance matrix and the kind order — handy for
-    inspecting the semantic layout (e.g. confirming ``flat_map`` sits next
-    to ``map`` and far from ``window_join``).
-    """
-    kinds = taxonomy.kinds
-    vectors = np.stack([taxonomy.vector_for(kind) for kind in kinds])
-    deltas = vectors[:, None, :] - vectors[None, :, :]
-    return np.sqrt((deltas**2).sum(axis=2)), kinds
-
-
 def interpolate_properties(
     taxonomy: OperatorTaxonomy,
     weights: dict[str, float],
@@ -325,9 +311,3 @@ def embedding_generalisation_gap(
         "gap": one_hot_loss - semantic_loss,
         "n_heldout": float(len(labels)),
     }
-
-
-def log_odds(probability: float) -> float:
-    """Numerically safe logit, used by diagnostics in this module's tests."""
-    clipped = min(max(probability, 1e-9), 1 - 1e-9)
-    return math.log(clipped / (1 - clipped))

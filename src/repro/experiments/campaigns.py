@@ -131,7 +131,7 @@ def iter_campaign(
             # Trace dropouts rewrite the workload itself: the tuner, the
             # recorded multipliers and the events all see the post-outage
             # rate, identically on every backend.
-            multiplier = injector.effective_multiplier(index, multiplier)
+            multiplier = chaos.effective_multiplier(index, multiplier)
         process = tuner.tune(deployment, query.rates_at(multiplier))
         if injector is not None:
             injector.end_step(engine)

@@ -11,7 +11,7 @@ similarity search (Definition 1).
 from repro.ged.costs import EditCosts
 from repro.ged.view import GraphView
 from repro.ged.exact import exact_ged
-from repro.ged.astar_lsa import astar_lsa_ged, verify_within_threshold
+from repro.ged.astar_lsa import astar_lsa_ged
 from repro.ged.bounds import (
     combined_bound,
     degree_sequence_bound,
@@ -31,5 +31,4 @@ __all__ = [
     "label_multiset_bound",
     "prefilter_indices",
     "similarity_search",
-    "verify_within_threshold",
 ]

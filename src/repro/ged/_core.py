@@ -170,13 +170,3 @@ def ged_search(
             push(g + step, i + 1, used_mask | (1 << w), mapping + (w,))
 
     return None
-
-
-def trivial_upper_bound(view1: GraphView, view2: GraphView, costs: EditCosts) -> float:
-    """Delete-everything/insert-everything upper bound (sanity checks)."""
-    return (
-        view1.n_nodes * costs.node_delete
-        + view1.n_edges * costs.edge_delete
-        + view2.n_nodes * costs.node_insert
-        + view2.n_edges * costs.edge_insert
-    )

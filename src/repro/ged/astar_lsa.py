@@ -43,15 +43,3 @@ def astar_lsa_ged(
         threshold=threshold,
         max_expansions=max_expansions,
     )
-
-
-def verify_within_threshold(
-    graph1: LogicalDataflow | GraphView,
-    graph2: LogicalDataflow | GraphView,
-    threshold: float,
-    costs: EditCosts = DEFAULT_COSTS,
-) -> bool:
-    """Definition 1 verification: is ged(g1, g2) <= threshold?"""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    return astar_lsa_ged(graph1, graph2, costs=costs, threshold=threshold) is not None

@@ -92,20 +92,6 @@ def train_bottleneck_gnn(
     return model, report
 
 
-def evaluate_accuracy(model: BottleneckGNN, samples: list[GraphSample]) -> float:
-    """Labelled-operator accuracy of ``model`` over ``samples``."""
-    n_correct = 0
-    n_total = 0
-    for sample in samples:
-        if sample.n_labelled == 0:
-            continue
-        probs = model.predict_probabilities(sample, parallelism_aware=True)
-        predictions = (probs > 0.5)[sample.mask]
-        n_correct += int((predictions == (sample.labels[sample.mask] == 1)).sum())
-        n_total += sample.n_labelled
-    return n_correct / max(n_total, 1)
-
-
 def _scale_gradients(model: BottleneckGNN, factor: float) -> None:
     for parameter in model.parameters():
         parameter.grad *= factor

@@ -87,16 +87,3 @@ def min_feasible_parallelism(
         else:
             high = mid
     return low
-
-
-def feasibility_profile(
-    model,
-    embedding: np.ndarray,
-    p_max: int,
-    normalize,
-) -> np.ndarray:
-    """Bottleneck probability for every p in [1, p_max] (diagnostics)."""
-    rows = np.stack(
-        [np.concatenate([embedding, [normalize(p)]]) for p in range(1, p_max + 1)]
-    )
-    return model.predict_proba(rows)

@@ -258,6 +258,20 @@ class ChaosSpec:
         steps += [entry.step for entry in self.trace_dropout]
         return max(steps, default=-1)
 
+    def effective_multiplier(self, step_index: int, multiplier: float) -> float:
+        """The rate multiplier the tuner sees at ``step_index``.
+
+        Trace dropouts compound (two schedules hitting one step multiply)
+        and rewrite the workload *before* tuning — so the recommendation,
+        the recorded ``result.multipliers``, the cell's events and the
+        service's cache pre-warm all agree on what actually arrived, on
+        every backend.
+        """
+        for drop in self.trace_dropout:
+            if drop.step == step_index:
+                multiplier *= drop.factor
+        return multiplier
+
     def required_traits(self) -> frozenset:
         """Engine registry traits this schedule needs to execute."""
         traits = set()
@@ -402,19 +416,6 @@ class ChaosInjector:
                 factor=drop.factor,
             ))
         return events
-
-    def effective_multiplier(self, step_index: int, multiplier: float) -> float:
-        """The rate multiplier the tuner should see at ``step_index``.
-
-        Trace dropouts compound (two schedules hitting one step multiply)
-        and rewrite the workload *before* tuning — so the recommendation,
-        the recorded ``result.multipliers`` and the cell's events all
-        agree on what actually arrived, on every backend.
-        """
-        for drop in self.spec.trace_dropout:
-            if drop.step == step_index:
-                multiplier *= drop.factor
-        return multiplier
 
     def end_step(self, engine) -> None:
         """Restore any per-step effect (latency spikes end with the step)."""

@@ -27,9 +27,11 @@ Architecture (see each module for depth):
   embeddings) are computed once in the parent — bulk encoder requests
   coalescing through :mod:`repro.gnn.batch` — before the fleet
   dispatches, shipped to ``process``-backend workers in the pool
-  initializer, and restored from a resume log's completed cells.
+  initializer (the only direction warm entries travel: nothing is
+  collected back), and restored from a resume log's completed cells.
 * :mod:`repro.service.tuning` — :class:`TuningService` executes campaigns
-  over a ``sequential`` / ``thread`` / ``process`` worker pool.  Every
+  over a ``sequential`` / ``thread`` / ``process`` worker pool, every
+  backend streaming its campaigns' events live.  Every
   campaign owns its engine and tuner (per-campaign seeding), all share the
   caches, and results are bit-identical across backends and dispatch
   orders because every cached value is a pure function of its key.

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.finetune import value_from_arrays, value_to_arrays
 from repro.ged.astar_lsa import astar_lsa_ged
 from repro.ged.bounds import combined_bound
 from repro.ged.costs import DEFAULT_COSTS, EditCosts
@@ -217,48 +218,31 @@ class TuningCacheSet:
     def _encode_snapshot_value(value):
         """One cache value -> a self-describing snapshot record.
 
-        Numpy payloads become ``(dtype, shape, bytes)``; anything else
-        is kept as-is (the surrounding pickle handles it).
+        The first array of :func:`~repro.core.finetune.value_to_arrays`
+        becomes ``dtype, shape, bytes``, any further one (a dataset's
+        labels) a plain list; a ``"pickled"`` value is kept as-is (the
+        surrounding pickle handles it).
         """
-        from repro.core.finetune import PredictionDataset
-
-        if isinstance(value, np.ndarray):
-            source = np.ascontiguousarray(value)
-            return ("array", str(source.dtype), tuple(source.shape),
-                    source.tobytes())
-        if isinstance(value, PredictionDataset) and value.labels:
-            try:
-                features = np.ascontiguousarray(np.stack(value.features))
-            except ValueError:
-                return ("pickled", value)
-            return (
-                "dataset",
-                str(features.dtype),
-                tuple(features.shape),
-                features.tobytes(),
-                [int(label) for label in value.labels],
-            )
-        return ("pickled", value)
+        kind, arrays = value_to_arrays(value)
+        if kind == "pickled":
+            return (kind, value)
+        head = np.ascontiguousarray(arrays[0])
+        return (
+            kind,
+            str(head.dtype),
+            tuple(head.shape),
+            head.tobytes(),
+            *(extra.tolist() for extra in arrays[1:]),
+        )
 
     @staticmethod
     def _decode_snapshot_value(record):
         """Inverse of :meth:`_encode_snapshot_value`."""
-        from repro.core.finetune import PredictionDataset
-
-        kind = record[0]
-        if kind == "array":
-            _, dtype, shape, data = record
-            return np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
-        if kind == "dataset":
-            _, dtype, shape, data, labels = record
-            matrix = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
-            dataset = PredictionDataset()
-            dataset.features = [matrix[index] for index in range(len(labels))]
-            dataset.labels = [int(label) for label in labels]
-            return dataset
-        if kind == "pickled":
+        if record[0] == "pickled":
             return record[1]
-        raise SnapshotError(f"unknown snapshot value record {kind!r}")
+        kind, dtype, shape, data, *extras = record
+        head = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
+        return value_from_arrays(kind, [head, *extras])
 
     def save(self, path: str | Path) -> None:
         """Write a versioned snapshot of every section's entries.
@@ -291,7 +275,8 @@ class TuningCacheSet:
         """Rebuild a cache set from a :meth:`save` snapshot.
 
         Raises :class:`SnapshotError` (a ``ValueError``) with the file
-        named when the bytes are not a snapshot at all, and — for any
+        named when the bytes are not a snapshot at all or its layout is
+        damaged (nothing is returned half-filled), and — for any
         version but :attr:`SNAPSHOT_VERSION` — a message naming *both* the
         snapshot's version and the version this build reads, checked
         before any section entry is touched so an incompatible layout
@@ -325,14 +310,23 @@ class TuningCacheSet:
                 f"{path} has snapshot version {version!r}; this build reads "
                 f"version {cls.SNAPSHOT_VERSION} — regenerate the cache file"
             )
-        sections = payload["sections"]
-        caches = cls(
-            sections={kind: meta["maxsize"] for kind, meta in sections.items()}
-        )
-        for kind, meta in sections.items():
-            section = caches._caches[kind]
-            for key, record in meta["entries"]:
-                section.put(key, cls._decode_snapshot_value(record))
+        # ``cache_path`` is outside input: a right-versioned file whose
+        # layout is damaged (no ``sections``, a truncated array record, an
+        # unhashable key) is the same one-line error, not a traceback.
+        try:
+            sections = payload["sections"]
+            caches = cls(
+                sections={kind: meta["maxsize"] for kind, meta in sections.items()}
+            )
+            for kind, meta in sections.items():
+                section = caches._caches[kind]
+                for key, record in meta["entries"]:
+                    section.put(key, cls._decode_snapshot_value(record))
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
+            raise SnapshotError(
+                f"{path} is a damaged TuningCacheSet snapshot "
+                f"({type(error).__name__}: {error}) — regenerate the cache file"
+            ) from None
         return caches
 
 

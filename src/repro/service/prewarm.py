@@ -15,7 +15,9 @@ the wall-clock changes.  Three situations profit:
 
 * **process backend** — worker-local cache sections mean each worker
   would otherwise recompute every entry it touches; pre-warmed sections
-  ship to workers once, in the pool initializer;
+  ship to workers once, in the pool initializer.  Nothing travels back,
+  so the pre-warm must cover every key a campaign consults — including
+  the rate a ``chaos.trace_dropout`` step actually arrives at;
 * **thread backend** — builders run outside the cache lock (so an
   expensive miss never serialises hits), which lets two workers racing on
   the same cold key both pay for it; pre-warming keys demanded by more
@@ -136,7 +138,11 @@ def prewarm_caches(
         warmup_demand[warmup_key] = warmup_demand.get(warmup_key, 0) + demand
         warmup_cluster[warmup_key] = cluster
         seen: set = set()
-        for multiplier in spec.multipliers:
+        for step, multiplier in enumerate(spec.multipliers):
+            if spec.chaos is not None:
+                # The tuner is consulted at the rate that arrives: a
+                # trace dropout rewrites the step's multiplier.
+                multiplier = spec.chaos.effective_multiplier(step, multiplier)
             rates = spec.query.rates_at(multiplier)
             key = shared_structure_key(spec.query.flow, cluster, rates)
             if key in seen:

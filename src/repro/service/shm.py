@@ -43,6 +43,8 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from repro.core.finetune import value_from_arrays, value_to_arrays
+
 #: Every segment this module creates carries this prefix, so operators
 #: (and the CI leak check) can audit ``/dev/shm`` with one glob.
 SEGMENT_PREFIX = "reprocache"
@@ -290,103 +292,49 @@ class SharedArrayStore:
 
 
 # ----------------------------------------------------------------------
-# cache-section codec: live values <-> descriptor payloads
+# cache sections <-> descriptor payloads
 # ----------------------------------------------------------------------
 #
-# Cache sections hold three shapes of value: bare embedding matrices
-# (``embed``), PredictionDatasets (``warmup``/``distill`` — a list of
-# equal-width float64 rows plus int labels), and small scalars
-# (``assign`` cluster ids).  The first two are the numpy-heavy payloads
-# the shared plane exists for; anything else rides along pickled.
-
-def encode_value(value, store: SharedArrayStore) -> tuple:
-    """One cache value -> a descriptor tuple that pickles in O(bytes of
-    the descriptor), not O(bytes of the value)."""
-    from repro.core.finetune import PredictionDataset
-
-    if isinstance(value, np.ndarray):
-        return ("array", store.share(value))
-    if isinstance(value, PredictionDataset) and value.labels:
-        try:
-            features = np.stack(value.features)
-        except ValueError:
-            return ("pickled", pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-        labels = np.asarray(value.labels, dtype=np.int64)
-        return ("dataset", store.share(features), store.share(labels))
-    return ("pickled", pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-
-
-def decode_value(encoded: tuple, store: SharedArrayStore):
-    """The worker-side inverse of :func:`encode_value` (zero-copy)."""
-    from repro.core.finetune import PredictionDataset
-
-    kind = encoded[0]
-    if kind == "array":
-        return store.attach(encoded[1])
-    if kind == "dataset":
-        features = store.attach(encoded[1])
-        labels = store.attach(encoded[2])
-        dataset = PredictionDataset()
-        # Row views into the one shared matrix: the dataset is read-only
-        # by contract (cached pure values are never mutated), and every
-        # row carries exactly the parent's bytes.
-        dataset.features = [features[index] for index in range(len(labels))]
-        dataset.labels = [int(label) for label in labels]
-        return dataset
-    if kind == "pickled":
-        return pickle.loads(encoded[1])
-    raise ValueError(f"unknown shared-cache encoding {kind!r}")
-
+# :func:`repro.core.finetune.value_to_arrays` says which values carry
+# arrays (``embed`` matrices, ``warmup``/``distill`` datasets); here each
+# array becomes a :class:`SharedArrayRef` and anything else (``assign``
+# cluster ids) rides along pickled.
 
 def publish_sections(entries: dict, store: SharedArrayStore) -> dict:
     """``kind -> [(key, value)]`` -> ``kind -> [(key, encoded)]``.
 
-    The result is what crosses the pool initializer: descriptors for the
-    numpy payloads, pickled bytes for the rest.  Every numpy payload of
-    the publication is packed into one arena segment
+    The result is what crosses the pool initializer: ``(value kind,
+    *descriptors)`` for the numpy payloads, ``("pickled", bytes)`` for
+    the rest — pickling in O(bytes of the descriptor), not of the value.
+    Every array of the publication is packed into one arena segment
     (:meth:`SharedArrayStore.share_all`), so each worker attaches a
     single mapping regardless of entry count.
     """
-    from repro.core.finetune import PredictionDataset
-
-    arrays: list[np.ndarray] = []
-
-    def enlist(array: np.ndarray) -> int:
-        arrays.append(array)
-        return len(arrays) - 1
-
-    plans: dict = {}
-    for kind, items in entries.items():
-        kind_plans = []
-        for key, value in items:
-            if isinstance(value, np.ndarray):
-                plan = ("array", enlist(value))
-            elif isinstance(value, PredictionDataset) and value.labels:
-                try:
-                    features = np.stack(value.features)
-                except ValueError:
-                    plan = ("pickled", pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-                else:
-                    labels = np.asarray(value.labels, dtype=np.int64)
-                    plan = ("dataset", enlist(features), enlist(labels))
-            else:
-                plan = ("pickled", pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-            kind_plans.append((key, plan))
-        plans[kind] = kind_plans
-
-    refs = store.share_all(arrays)
-    payload: dict = {}
-    for kind, kind_plans in plans.items():
-        encoded = []
-        for key, plan in kind_plans:
-            if plan[0] == "array":
-                encoded.append((key, ("array", refs[plan[1]])))
-            elif plan[0] == "dataset":
-                encoded.append((key, ("dataset", refs[plan[1]], refs[plan[2]])))
-            else:
-                encoded.append((key, plan))
-        payload[kind] = encoded
+    encoded = [
+        (kind, key, value, *value_to_arrays(value))
+        for kind, items in entries.items()
+        for key, value in items
+    ]
+    refs = iter(
+        store.share_all([array for *_, parts in encoded for array in parts])
+    )
+    payload: dict = {kind: [] for kind in entries}
+    for kind, key, value, value_kind, parts in encoded:
+        if value_kind == "pickled":
+            body = [pickle.dumps(value, pickle.HIGHEST_PROTOCOL)]
+        else:
+            body = [next(refs) for _ in parts]
+        payload[kind].append((key, (value_kind, *body)))
     return payload
+
+
+def decode_value(encoded: tuple, store: SharedArrayStore):
+    """One :func:`publish_sections` entry back to a value whose arrays
+    are zero-copy views of the parent's pages."""
+    kind, *body = encoded
+    if kind == "pickled":
+        return pickle.loads(body[0])
+    return value_from_arrays(kind, map(store.attach, body))
 
 
 def attach_sections(payload: dict, store: SharedArrayStore) -> dict:

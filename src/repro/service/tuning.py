@@ -15,10 +15,10 @@ parallelism-agnostic embeddings — flow through one shared
   *when* a campaign runs, never what it computes.
 
 Execution is **observable**: :meth:`TuningService.stream` yields typed
-:mod:`repro.api.events` as campaigns progress — live per-step on the
-thread *and* process backends (process workers relay events through a
-``multiprocessing.Manager`` queue), per completed campaign on the
-sequential backend — and :meth:`TuningService.run` is a thin wrapper that
+:mod:`repro.api.events` as campaigns progress — live per-step on every
+backend (the sequential loop yields them as they happen; process workers
+relay them through a ``multiprocessing.Manager`` queue, the one object
+that manager holds) — and :meth:`TuningService.run` is a thin wrapper that
 drains the stream and returns outcomes in input order, so the legacy
 blocking call stays bit-identical.  A campaign is the unit of work on
 every backend: Algorithm 2's fine-tuning set T accumulates along the rate
@@ -218,29 +218,19 @@ def execute_campaign(
     spec: CampaignSpec,
     pretrained: PretrainedStreamTune | None,
     caches: TuningCacheSet | None,
-    *,
-    sink=None,
-) -> CampaignOutcome:
+):
     """Run one campaign end to end (the unit of work a worker executes).
 
-    ``sink`` receives the campaign's :func:`campaign_events` as they
-    happen.
+    A generator of the campaign's :func:`campaign_events` as they happen;
+    returns the :class:`CampaignOutcome` (``StopIteration.value``).
     """
     started = time.perf_counter()
     engine = spec.make_engine()
     tuner = _build_campaign_tuner(spec, engine, pretrained, caches)
-    events = campaign_events(
+    result = yield from campaign_events(
         engine, tuner, spec.query, spec.multipliers,
         chaos=spec.chaos, cell_key=spec.cell_key,
     )
-    while True:
-        try:
-            event = next(events)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        if sink is not None:
-            sink(event)
     return CampaignOutcome(
         spec_name=spec.name,
         result=result,
@@ -299,70 +289,42 @@ def _started_event_for(spec: CampaignSpec, index: int, backend: str) -> Campaign
     )
 
 
-def _collect_worker_entries(barrier, known: dict, timeout: float) -> dict:
-    """Snapshot this worker's locally computed cache entries.
+def _unit_items(spec: CampaignSpec, index: int, state=None):
+    """Campaign ``index``'s lifecycle as relay items, live.
 
-    One collection task runs per worker process after the fleet drains;
-    the manager-backed ``barrier`` holds every task until all workers
-    have claimed one, so no worker can serve two tasks (and none can be
-    skipped).  ``known`` maps section kind to the keys the parent
-    already holds — those entries shipped *to* the worker in the first
-    place, so only the worker's own computations travel back.  A broken
-    barrier (dead sibling worker) degrades gracefully: this worker still
-    returns what it has.
+    The one unit-runner of every backend: the sequential loop and a
+    thread worker hand over the service's ``state`` (model, caches,
+    backend), a process worker reads what :func:`_init_worker` installed
+    in ``_WORKER``.  Every terminal state is data: ``("event", index,
+    event)`` for the campaign's :class:`CampaignStarted` and each of its
+    events as it happens, then ``("done", index, outcome)`` on success or
+    ``("error", index, payload)`` on a raised exception.
     """
-    try:
-        barrier.wait(timeout)
-    except Exception:  # noqa: BLE001 — best-effort collection by design
-        pass
-    caches = _WORKER.get("caches")
-    if caches is None:
-        return {}
-    entries: dict = {}
-    for kind, known_keys in known.items():
+    state = _WORKER if state is None else state
+    yield ("event", index, _started_event_for(spec, index, state["backend"]))
+    events = None
+    while True:
         try:
-            section = caches.section(kind)
-        except KeyError:
-            continue
-        fresh = [
-            (key, value)
-            for key, value in section.items_snapshot()
-            if key not in known_keys
-        ]
-        if fresh:
-            entries[kind] = fresh
-    return entries
+            if events is None:  # inside the try: whatever stands in for it may raise
+                events = execute_campaign(spec, state["pretrained"], state["caches"])
+            event = next(events)
+        except StopIteration as stop:
+            yield ("done", index, stop.value)
+            return
+        except BaseException as error:  # noqa: BLE001 — relayed as data
+            if state["backend"] == "sequential" and not isinstance(error, Exception):
+                raise           # no pool border here: Ctrl-C / SystemExit stop the run
+            yield ("error", index, _failure_payload(error))
+            return
+        yield ("event", index, event)
 
 
 def _run_unit(spec: CampaignSpec, index: int, relay, state=None) -> None:
-    """Execute campaign ``index``, relaying everything through ``relay``.
-
-    The one unit-runner of every backend: the sequential loop and a
-    thread worker are handed the service's ``state`` (model, caches,
-    backend), a process worker reads what :func:`_init_worker` installed
-    in ``_WORKER``.  Every terminal state crosses the relay queue as
-    data: ``("event", index, event)`` for the campaign's
-    :class:`CampaignStarted` and its live mid-campaign events,
-    ``("done", index, outcome)`` on success, ``("error", index,
-    payload)`` on a raised exception.  A worker killed outright posts
-    nothing — the consumer's liveness check turns its broken future into
-    a failure.
-    """
-    state = _WORKER if state is None else state
-    try:
-        relay.put(("event", index, _started_event_for(spec, index, state["backend"])))
-        outcome = execute_campaign(
-            spec,
-            state["pretrained"],
-            state["caches"],
-            sink=lambda event: relay.put(("event", index, event)),
-        )
-    except BaseException as error:  # noqa: BLE001 — relayed as data
-        if state["backend"] == "sequential" and not isinstance(error, Exception):
-            raise               # no pool border here: Ctrl-C / SystemExit stop the run
-        relay.put(("error", index, _failure_payload(error)))
-        return
-    relay.put(("done", index, outcome))
+    """A pool worker's task: relay :func:`_unit_items` as they happen.  A
+    worker killed outright posts nothing — the consumer's liveness check
+    turns its broken future into a failure."""
+    for item in _unit_items(spec, index, state):
+        relay.put(item)
 
 
 # ----------------------------------------------------------------------
@@ -379,11 +341,6 @@ class TuningService:
     #: sentinel arriving before the sentinel is declared lost and the
     #: campaign failed (covers relay-queue latency on the process backend).
     sentinel_grace = 5.0
-    #: How long the post-drain worker-cache collection barrier (and each
-    #: collection future) may wait before collection is abandoned —
-    #: collection is best-effort: a timeout loses cache entries, never
-    #: results.
-    collect_timeout = 30.0
 
     def __init__(
         self,
@@ -392,7 +349,6 @@ class TuningService:
         max_workers: int | None = None,
         prioritize_backpressure: bool = True,
         caches: TuningCacheSet | None = None,
-        prewarm: "bool | str" = "auto",
         start_method: str | None = None,
         shm_store=None,
     ) -> None:
@@ -414,15 +370,14 @@ class TuningService:
         warm-up datasets, distilled rows and embeddings survive between
         service runs; ``None`` builds a fresh set for this service.
 
-        ``prewarm`` controls service-level cache pre-warming (see
-        :mod:`repro.service.prewarm`): ``"auto"`` (default) warms every
-        entry on the ``process`` backend (worker-local caches would
-        otherwise recompute them per worker), entries demanded by more
-        than one campaign on the ``thread`` backend, and — on every
-        backend — the entries of resume-covered campaigns; ``True`` warms
-        everything, ``False`` disables pre-warming.  Pre-warmed entries
-        come from the exact builders the tuner would run on a miss, so
-        results are bit-identical either way.
+        Before a fleet dispatches, the service pre-warms ``caches`` (see
+        :mod:`repro.service.prewarm`): every entry on the ``process``
+        backend (worker-local caches would otherwise recompute them per
+        worker), entries demanded by more than one campaign on the
+        ``thread`` backend, and — on every backend — the entries of
+        resume-covered campaigns.  Pre-warmed entries come from the exact
+        builders the tuner would run on a miss, so results are
+        bit-identical to a cold run.
 
         ``start_method`` pins the process backend's multiprocessing start
         method (``"fork"``, ``"spawn"`` or ``"forkserver"``; ``None``
@@ -437,20 +392,14 @@ class TuningService:
         the caller then owns its lifecycle.  ``None`` (default) creates
         and closes a store per process-backend stream.
 
-        When a process-backend fleet drains, each worker's locally
-        computed cache entries are snapshotted back into the parent's
-        :class:`TuningCacheSet`, so a ``cache_path`` snapshot — or a
-        long-lived daemon's cache plane — keeps what workers learned
-        instead of only what the parent pre-warmed.  Collection is
-        additive and best-effort: it never changes results, and a broken
-        pool simply skips it.
+        Warm entries travel one way, parent to workers: the process
+        backend's pre-warm covers every key its campaigns consult, so the
+        parent's :class:`TuningCacheSet` — and a ``cache_path`` snapshot
+        or a long-lived daemon's cache plane taken from it — already holds
+        everything a worker would have computed.
         """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if prewarm not in (True, False, "auto"):
-            raise ValueError(
-                f"prewarm must be True, False or 'auto', got {prewarm!r}"
-            )
         if start_method is not None:
             import multiprocessing
 
@@ -467,7 +416,6 @@ class TuningService:
         self.scheduler = BackpressureScheduler() if prioritize_backpressure else FifoScheduler()
         if pretrained is not None:
             self._install_shared_ged_cache()
-        self.prewarm = prewarm
         #: Sections newly computed by the most recent stream's pre-warm.
         self.last_prewarm: dict[str, int] = {}
         self.caches = caches if caches is not None else TuningCacheSet()
@@ -556,11 +504,11 @@ class TuningService:
         either its :class:`CampaignFinished` or, if its worker died, its
         :class:`CampaignFailed`; then one final :class:`CacheStats`.
         Campaigns emit their step events live as each tuning process
-        completes on both the thread backend (in-process queue) and the
-        process backend (manager-backed relay queue); the sequential
-        backend emits a campaign's block when it completes.  ``seq`` is
-        stamped monotonically at the consumer, so merged worker streams
-        never interleave out of order.
+        completes on every backend: the sequential loop yields them as
+        the campaign produces them, thread workers relay through an
+        in-process queue and process workers through a manager-backed
+        one.  ``seq`` is stamped monotonically at the consumer, so merged
+        worker streams never interleave out of order.
 
         ``resume`` (a :class:`~repro.api.resume.ResumeLog` or a
         ``cell_key -> CampaignOutcome`` mapping) replays campaigns already
@@ -615,18 +563,12 @@ class TuningService:
 
     # -- pre-warming ----------------------------------------------------
 
-    def _prewarm_min_demand(self) -> int | None:
-        """The key-demand threshold of this backend's pre-warm policy, or
-        ``None`` when pre-warming is disabled outright."""
-        if self.prewarm is False or self.pretrained is None:
-            return None
-        if self.prewarm is True:
-            return 1
-        if self.backend == "process":
-            return 1            # worker-local caches duplicate everything
-        if self.backend == "thread":
-            return 2            # only de-duplicate concurrent cold misses
-        return RESUME_DEMAND    # sequential: resume-covered entries only
+    #: The key-demand threshold of each backend's pre-warm policy.
+    _PREWARM_MIN_DEMAND = {
+        "process": 1,                   # worker-local caches duplicate everything
+        "thread": 2,                    # only de-duplicate concurrent cold misses
+        "sequential": RESUME_DEMAND,    # resume-covered entries only
+    }
 
     def _prewarm_for(self, specs, resumed) -> None:
         """Populate the shared caches before the fleet dispatches.
@@ -636,10 +578,6 @@ class TuningService:
         — their pure entries warm the missing cells and the next
         ``cache_path`` snapshot without re-executing anything.
         """
-        min_demand = self._prewarm_min_demand()
-        if min_demand is None:
-            self.last_prewarm = {}
-            return
         demands = [
             RESUME_DEMAND if index in resumed else 1 for index in range(len(specs))
         ]
@@ -648,7 +586,7 @@ class TuningService:
             self.caches,
             specs,
             demands=demands,
-            min_demand=min_demand,
+            min_demand=self._PREWARM_MIN_DEMAND[self.backend],
         )
 
     def _section_entries(self) -> dict:
@@ -675,26 +613,34 @@ class TuningService:
         }
 
     def _stream_sequential(self, specs, units):
-        relay: queue.SimpleQueue = queue.SimpleQueue()
         state = self._worker_state()
         started: set[int] = set()
         for index in units:
-            _run_unit(specs[index], index, relay, state)
-            while not relay.empty():
-                yield from self._absorb(specs, started, relay.get())
+            for item in _unit_items(specs[index], index, state):
+                yield from self._absorb(specs, started, item)
 
-    def _stream_threaded(self, specs, units):
-        events: queue.SimpleQueue = queue.SimpleQueue()
-        state = self._worker_state()
-        pool = ThreadPoolExecutor(max_workers=self.max_workers)
+    def _stream_pool(self, specs, units, pool, relay, *state):
+        """Submit every unit to ``pool`` and drain ``relay`` until each
+        resolves; the pool is shut down however the stream ends.  ``state``
+        is what a thread worker's :func:`_run_unit` runs on (a process
+        worker has its own from :func:`_init_worker`)."""
         try:
             futures = {
-                index: pool.submit(_run_unit, specs[index], index, events, state)
+                index: pool.submit(_run_unit, specs[index], index, relay, *state)
                 for index in units
             }
-            yield from self._drain(specs, futures, events.get)
+            yield from self._drain(specs, futures, relay.get)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+
+    def _stream_threaded(self, specs, units):
+        return self._stream_pool(
+            specs,
+            units,
+            ThreadPoolExecutor(max_workers=self.max_workers),
+            queue.SimpleQueue(),
+            self._worker_state(),
+        )
 
     def _stream_processes(self, specs, units):
         import multiprocessing
@@ -702,9 +648,9 @@ class TuningService:
         from repro.service.shm import SharedArrayStore, publish_sections
 
         context = multiprocessing.get_context(self.start_method)
-        # The relay queue and the collection barrier live in a manager
-        # this stream owns: a put is an RPC the manager has already
-        # applied when it returns, so it survives the worker's os._exit.
+        # The relay queue lives in a manager this stream owns: a put is an
+        # RPC the manager has already applied when it returns, so it
+        # survives the worker's os._exit.
         manager = context.Manager()
         # Warm entries cross the pool border as shared-memory descriptors:
         # the parent publishes each numpy-heavy payload into one segment
@@ -714,81 +660,22 @@ class TuningService:
         # drain loop turned a killed worker into a CampaignFailed) and the
         # store's own atexit hook guarantee the segments are unlinked.
         store = self._shm_store if self._shm_store is not None else SharedArrayStore()
-        own_store = store is not self._shm_store
-        shm_payload = publish_sections(self._section_entries(), store)
-        relay = manager.Queue()
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(self.pretrained, shm_payload),
-        )
         try:
-            futures = {
-                index: pool.submit(_run_unit, specs[index], index, relay)
-                for index in units
-            }
-            yield from self._drain(specs, futures, relay.get)
-            self._collect_from_workers(pool, manager)
+            relay = manager.Queue()
+            pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=context,
+                initializer=_init_worker,
+                initargs=(
+                    self.pretrained,
+                    publish_sections(self._section_entries(), store),
+                ),
+            )
+            yield from self._stream_pool(specs, units, pool, relay)
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            if own_store:
+            if store is not self._shm_store:
                 store.close()
             manager.shutdown()
-
-    def _collect_from_workers(self, pool, manager) -> None:
-        """Merge worker-locally computed cache entries into the parent.
-
-        Runs after a successful drain, while the pool's workers are idle:
-        one :func:`_collect_worker_entries` task per live worker,
-        synchronised on a manager barrier so each worker answers exactly
-        once.  Only keys the parent does not already hold travel back
-        (the worker filters against the parent's snapshot), and the first
-        worker to return a key wins — entries are pure, so duplicates are
-        bit-identical anyway.  Any failure (broken pool after a killed
-        worker, barrier timeout, dead manager) abandons collection
-        silently: it can lose cache entries, never results.
-        """
-        n_workers = len(getattr(pool, "_processes", None) or {})
-        if not n_workers:
-            return
-        known: dict[str, set] = {}
-        for kind in ("assign", "warmup", "distill", "embed"):
-            try:
-                section = self.caches.section(kind)
-            except KeyError:
-                continue
-            known[kind] = {key for key, _ in section.items_snapshot()}
-        if not known:
-            return
-        try:
-            barrier = manager.Barrier(n_workers)
-            collectors = [
-                pool.submit(
-                    _collect_worker_entries, barrier, known, self.collect_timeout
-                )
-                for _ in range(n_workers)
-            ]
-        except Exception:  # noqa: BLE001 — broken pool/manager: skip collection
-            return
-        deadline = time.monotonic() + self.collect_timeout + self.sentinel_grace
-        for future in collectors:
-            try:
-                entries = future.result(
-                    timeout=max(0.0, deadline - time.monotonic())
-                )
-            except Exception:  # noqa: BLE001 — a lost worker loses only entries
-                continue
-            for kind in sorted(entries):
-                seen = known.get(kind)
-                if seen is None:
-                    continue
-                section = self.caches.section(kind)
-                for key, value in entries[kind]:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    section.put(key, value)
 
     def _drain(self, specs, futures: dict, get_event):
         """Yield worker-relayed events until every submitted campaign resolves.

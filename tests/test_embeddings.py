@@ -15,8 +15,6 @@ from repro.dataflow.embeddings import (
     SemanticFeatureEncoder,
     embedding_generalisation_gap,
     interpolate_properties,
-    log_odds,
-    property_distance_matrix,
 )
 from repro.dataflow.features import FeatureEncoder
 from repro.dataflow.operators import OperatorSpec, OperatorType
@@ -105,13 +103,6 @@ class TestOperatorTaxonomy:
         taxonomy = OperatorTaxonomy()
         with pytest.raises(ValueError, match="no candidate"):
             taxonomy.nearest_known("map", among=["map"])
-
-    def test_distance_matrix_is_symmetric_with_zero_diagonal(self):
-        taxonomy = OperatorTaxonomy()
-        matrix, kinds = property_distance_matrix(taxonomy)
-        assert matrix.shape == (len(kinds), len(kinds))
-        assert np.allclose(matrix, matrix.T)
-        assert np.allclose(np.diag(matrix), 0.0)
 
 
 class TestInterpolateProperties:
@@ -236,16 +227,6 @@ class TestGeneralisationGap:
         )
         assert np.isfinite(report["one_hot_bce"])
         assert np.isfinite(report["semantic_bce"])
-
-
-class TestLogOdds:
-    def test_symmetry(self):
-        assert log_odds(0.5) == pytest.approx(0.0)
-        assert log_odds(0.9) == pytest.approx(-log_odds(0.1))
-
-    def test_clipping_keeps_finite(self):
-        assert np.isfinite(log_odds(0.0))
-        assert np.isfinite(log_odds(1.0))
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from repro.gnn.loss import bce_with_logits, sigmoid
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.gnn.mpnn import FuseLayer, MessagePassingLayer, normalized_adjacency
 from repro.gnn.optim import Adam
-from repro.gnn.train import evaluate_accuracy, train_bottleneck_gnn
+from repro.gnn.train import train_bottleneck_gnn
 from repro.dataflow.features import FeatureEncoder
 from repro.utils.rng import seeded_rng
 from tests.conftest import build_diamond_flow
@@ -227,7 +227,6 @@ class TestTraining:
             seed=4,
         )
         assert report.final_accuracy > 0.85
-        assert evaluate_accuracy(model, samples) > 0.85
 
     def test_requires_labelled_samples(self):
         sample = toy_sample(labels=(-1,) * 6)

@@ -15,7 +15,7 @@ from repro.models import (
 )
 from repro.models.base import validate_training_inputs
 from repro.models.gp import GaussianProcess1D
-from repro.models.search import feasibility_profile, min_feasible_parallelism
+from repro.models.search import min_feasible_parallelism
 
 
 def threshold_dataset(seed=5, n=500, dim=4):
@@ -223,12 +223,6 @@ class TestMinFeasibleSearch:
     def test_invalid_p_max(self):
         with pytest.raises(ValueError):
             min_feasible_parallelism(self.StepModel(0.5), np.zeros(1), 0, lambda p: p)
-
-    def test_feasibility_profile_shape(self):
-        model = self.StepModel(cut=0.3)
-        profile = feasibility_profile(model, np.zeros(1), 20, lambda p: p / 20)
-        assert profile.shape == (20,)
-        assert np.all(np.diff(profile) <= 1e-12)
 
 
 class TestGaussianProcess:

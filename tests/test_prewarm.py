@@ -117,19 +117,44 @@ class TestPrewarmCaches:
             cached, agnostic_embeddings(tiny_pretrained, encoder, flow, rates)
         )
 
+    def test_trace_dropout_warms_the_rate_that_arrives(self, tiny_pretrained):
+        # A dropout rewrites step 1's multiplier (7 -> 1.75) before the
+        # tuner sees it, so that — not the planned rate — is the key the
+        # campaign consults: 2 queries x 3 effective rates, all served.
+        import dataclasses
+
+        from repro.scenarios import ChaosSpec
+
+        chaos = ChaosSpec(trace_dropout=({"step": 1, "factor": 0.25},))
+        specs = [
+            dataclasses.replace(_spec(name, multipliers=(3, 7, 4)), chaos=chaos)
+            for name in ("q1", "q5")
+        ]
+        caches = TuningCacheSet()
+        warmed = prewarm_caches(tiny_pretrained, caches, specs)
+        assert (warmed["distill"], warmed["embed"]) == (6, 6)
+        before = caches.stats()
+        TuningService(tiny_pretrained, backend="sequential", caches=caches).run(specs)
+        after = caches.stats()
+        for kind in ("distill", "embed"):
+            assert after[kind]["misses"] == before[kind]["misses"]
+            assert after[kind]["size"] == 6
+            assert after[kind]["hits"] > before[kind]["hits"]
+
 
 class TestServicePrewarmIdentity:
     @pytest.mark.parametrize("backend", ["sequential", "thread"])
     def test_results_identical_with_and_without_prewarm(
         self, tiny_pretrained, backend
     ):
+        # A fully pre-warmed cache set against the cold reference (the
+        # sequential policy warms nothing without a resume log).
         specs = [_spec("q1"), _spec("q5")]
-        off = TuningService(
-            tiny_pretrained, backend=backend, prewarm=False
-        ).run(specs)
-        on = TuningService(
-            tiny_pretrained, backend=backend, prewarm=True
-        ).run(specs)
+        off = TuningService(tiny_pretrained, backend="sequential").run(specs)
+        caches = TuningCacheSet()
+        warmed = prewarm_caches(tiny_pretrained, caches, specs)
+        assert warmed["warmup"] >= 1 and warmed["embed"] >= 2
+        on = TuningService(tiny_pretrained, backend=backend, caches=caches).run(specs)
         assert [_steps(a) for a in on] == [_steps(b) for b in off]
 
     def test_thread_auto_warms_only_shared_keys(self, tiny_pretrained):
@@ -152,16 +177,8 @@ class TestServicePrewarmIdentity:
         shared = service.run([spec, twin])
         assert service.last_prewarm["embed"] >= 1
         assert service.last_prewarm["warmup"] >= 1
-        reference = TuningService(
-            tiny_pretrained, backend="sequential", prewarm=False
-        ).run([spec])
+        reference = TuningService(tiny_pretrained, backend="sequential").run([spec])
         assert _steps(shared[0]) == _steps(shared[1]) == _steps(reference[0])
-
-    def test_prewarm_true_forces_everything(self, tiny_pretrained):
-        service = TuningService(tiny_pretrained, backend="sequential", prewarm=True)
-        service.run([_spec("q1")])
-        assert service.last_prewarm["warmup"] >= 1
-        assert service.last_prewarm["embed"] >= 1
 
     def test_sequential_auto_stays_cold(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="sequential")
@@ -204,19 +221,6 @@ class TestResumeAwareWarming:
         }
         assert _steps(finished[1]) == _steps(full[1])
 
-    def test_prewarm_false_disables_resume_warming(self, tiny_pretrained):
-        specs = [_spec("q1"), _spec("q5")]
-        service = TuningService(tiny_pretrained, backend="sequential")
-        full = {}
-        for event in service.stream(specs):
-            if isinstance(event, CampaignFinished):
-                full[event.index] = event.outcome
-        cold = TuningService(
-            tiny_pretrained, backend="sequential", prewarm=False
-        )
-        list(cold.stream(specs, resume={specs[0].cell_key: full[0]}))
-        assert cold.last_prewarm == {}
-
     def test_resume_demand_constant_is_large(self):
         assert RESUME_DEMAND >= 1_000_000
 
@@ -237,19 +241,13 @@ class TestResumeAwareWarming:
         assert resumed.last_prewarm["warmup"] >= 1
         assert resumed.caches.section("embed").stats()["size"] >= 1
 
-    def test_invalid_prewarm_value_rejected(self, tiny_pretrained):
-        with pytest.raises(ValueError, match="prewarm"):
-            TuningService(tiny_pretrained, prewarm="off")
-
 
 class TestProcessBackendShipping:
     def test_process_results_identical_and_workers_start_warm(
         self, tiny_pretrained
     ):
         specs = [_spec("q1", multipliers=(3,))]
-        reference = TuningService(
-            tiny_pretrained, backend="sequential", prewarm=False
-        ).run(specs)
+        reference = TuningService(tiny_pretrained, backend="sequential").run(specs)
         service = TuningService(
             tiny_pretrained, backend="process", max_workers=2
         )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.search import feasibility_profile, min_feasible_parallelism
+from repro.models.search import min_feasible_parallelism
 
 
 def _identity_normalize(p: int) -> float:
@@ -134,11 +134,3 @@ def test_invalid_p_max_rejected():
     model = ArrayPredictor(np.array([True]))
     with pytest.raises(ValueError):
         min_feasible_parallelism(model, np.zeros(2), 0, _identity_normalize)
-
-
-def test_feasibility_profile_matches_predictor():
-    array = _monotone_array(10, 4)
-    model = ArrayPredictor(array)
-    profile = feasibility_profile(model, np.zeros(2), 10, _identity_normalize)
-    assert profile.shape == (10,)
-    assert np.array_equal(profile >= 0.5, array)

@@ -345,6 +345,29 @@ class TestFaultTolerance:
             ]
         assert blocks["sequential"] == blocks["thread"]
 
+    def test_sequential_stream_is_live(self, monkeypatch):
+        # The sequential loop yields a campaign's events as they happen:
+        # the consumer sees step 0 complete while the engine still has
+        # step 1 to measure, not one burst at campaign end.
+        from repro.api.events import StepCompleted
+        from repro.engines.base import EngineCluster
+
+        journal = []
+        measure = EngineCluster.measure
+
+        def journalled(engine, deployment):
+            journal.append("measure")
+            return measure(engine, deployment)
+
+        monkeypatch.setattr(EngineCluster, "measure", journalled)
+        service = TuningService(None, backend="sequential")
+        for event in service.stream(self._specs()[:1]):
+            if isinstance(event, StepCompleted):
+                journal.append("step")
+        assert journal.count("step") == 2
+        last_measure = len(journal) - 1 - journal[::-1].index("measure")
+        assert journal.index("step") < last_measure
+
     def test_keyboard_interrupt_stops_a_sequential_run(self, monkeypatch):
         # No pool border on the sequential backend: Ctrl-C must stop the
         # run, not be reported as one campaign's failure.
@@ -466,6 +489,55 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError, match="broken.pkl"):
             TuningCacheSet.load(broken)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda payload: payload.pop("sections"), id="no-sections"),
+            pytest.param(
+                lambda payload: payload["sections"]["embed"]["entries"].append(
+                    (("e", 1), ("array", "float64", (2, 2), b"\x00" * 7))
+                ),
+                id="truncated-array-record",
+            ),
+            pytest.param(
+                lambda payload: payload["sections"]["embed"]["entries"].append(
+                    (("e", 1), ("mystery",))
+                ),
+                id="unknown-record-kind",
+            ),
+            pytest.param(
+                lambda payload: payload["sections"]["embed"].pop("maxsize"),
+                id="no-maxsize",
+            ),
+            pytest.param(
+                lambda payload: payload["sections"]["embed"]["entries"].append(
+                    (["unhashable"], ("pickled", 1))
+                ),
+                id="unhashable-key",
+            ),
+        ],
+    )
+    def test_damaged_layout_is_a_clear_error(self, tmp_path, damage):
+        # cache_path is outside input: a right-versioned pickle whose
+        # layout is damaged names the file instead of raising a bare
+        # KeyError / numpy ValueError from inside the loader.
+        import pickle
+
+        import numpy as np
+
+        from repro.service import SnapshotError
+
+        caches = TuningCacheSet()
+        caches.section("embed").put(("e", 0), np.zeros((2, 2)))
+        saved = tmp_path / "ok.pkl"
+        caches.save(saved)
+        payload = pickle.loads(saved.read_bytes())
+        damage(payload)
+        damaged = tmp_path / "damaged.pkl"
+        damaged.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SnapshotError, match="damaged.pkl"):
+            TuningCacheSet.load(damaged)
+
     def test_non_pickle_bytes_are_a_clear_error(self, tmp_path):
         from repro.service import SnapshotError
 
@@ -473,40 +545,3 @@ class TestSnapshotErrors:
         garbage.write_bytes(b"definitely not a pickle")
         with pytest.raises(SnapshotError, match="not a TuningCacheSet"):
             TuningCacheSet.load(garbage)
-
-
-class TestWorkerCacheCollection:
-    """Process workers snapshot fresh cache entries back to the parent."""
-
-    def _specs(self):
-        return [
-            CampaignSpec(
-                query=nexmark_query(name, "flink"),
-                multipliers=(3, 7),
-                engine_seed=31,
-                seed=41,
-            )
-            for name in ("q1", "q5")
-        ]
-
-    def test_process_workers_report_entries_back(self, tiny_pretrained):
-        # prewarm=False so the parent computes nothing itself: a warm-up
-        # dataset can then only appear in the parent plane via the
-        # post-drain worker collection.
-        service = TuningService(
-            tiny_pretrained, backend="process", max_workers=2, prewarm=False
-        )
-        service.run(self._specs())
-        assert service.caches.section("warmup").stats()["size"] >= 1
-
-    def test_collected_entries_warm_the_next_process_run(self, tiny_pretrained):
-        service = TuningService(
-            tiny_pretrained, backend="process", max_workers=2, prewarm=False
-        )
-        service.run(self._specs())
-        first_size = service.caches.section("warmup").stats()["size"]
-        assert first_size >= 1
-        # The next run ships the collected entries to its (fresh) workers,
-        # which then compute no new warm-up datasets to report back.
-        service.run(self._specs())
-        assert service.caches.section("warmup").stats()["size"] == first_size

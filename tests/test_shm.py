@@ -22,6 +22,7 @@ import pytest
 from repro.core.finetune import (
     PredictionDataset,
     cluster_history_signature,
+    value_to_arrays,
     warmup_cache_key,
 )
 from repro.service import CampaignSpec, TuningService
@@ -37,7 +38,6 @@ from repro.service.shm import (
     SharedArrayStore,
     attach_sections,
     decode_value,
-    encode_value,
     publish_sections,
 )
 from repro.workloads import nexmark_query
@@ -187,45 +187,60 @@ class TestSharedArrayStore:
 # value codec + section publication
 # ----------------------------------------------------------------------
 
+def _ragged_dataset() -> PredictionDataset:
+    ds = PredictionDataset()
+    ds.features = [np.zeros(3), np.zeros(5)]   # unstackable
+    ds.labels = [0, 1]
+    return ds
+
+
+def _same_value(mine, theirs) -> bool:
+    """Bit-for-bit equality of two cache values."""
+    if isinstance(mine, np.ndarray):
+        return mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    if isinstance(mine, PredictionDataset):
+        return (
+            isinstance(theirs, PredictionDataset)
+            and mine.labels == theirs.labels
+            and len(mine.features) == len(theirs.features)
+            and all(map(_same_value, mine.features, theirs.features))
+        )
+    return mine == theirs
+
+
 class TestSectionCodec:
-    def test_array_roundtrip(self):
-        source = np.random.default_rng(7).normal(size=(4, 6))
+    @pytest.mark.parametrize(
+        "make, kind",
+        [
+            pytest.param(
+                lambda: np.random.default_rng(7).normal(size=(4, 6)), "array",
+                id="array",
+            ),
+            pytest.param(lambda: _dataset(21), "dataset", id="dataset"),
+            pytest.param(_ragged_dataset, "pickled", id="ragged-dataset"),
+            pytest.param(lambda: {"cluster": 3}, "pickled", id="scalar"),
+        ],
+    )
+    def test_codec_roundtrip(self, make, kind, tmp_path):
+        # One codec (core.finetune.value_to_arrays), two carriers: the
+        # cache snapshot and the shared-memory plane both return exactly
+        # the bytes that went in.
+        value = make()
+        assert value_to_arrays(value)[0] == kind
+        caches = TuningCacheSet()
+        caches.section("embed").put(("k",), value)
+        caches.save(tmp_path / "caches.pkl")
+        loaded = TuningCacheSet.load(tmp_path / "caches.pkl")
+        assert _same_value(value, loaded.section("embed").get(("k",)))
         with SharedArrayStore() as store:
-            encoded = encode_value(source, store)
-            assert encoded[0] == "array"
+            payload = publish_sections({"embed": [(("k",), value)]}, store)
+            assert payload["embed"][0][1][0] == kind
             worker = SharedArrayStore()
-            back = decode_value(encoded, worker)
-            assert back.tobytes() == source.tobytes()
+            ((key, back),) = attach_sections(payload, worker)["embed"]
+            assert key == ("k",)
+            assert _same_value(value, back)
             worker.close()
-
-    def test_dataset_roundtrip_bit_identical(self):
-        ds = _dataset(21)
-        with SharedArrayStore() as store:
-            encoded = encode_value(ds, store)
-            assert encoded[0] == "dataset"
-            worker = SharedArrayStore()
-            back = decode_value(encoded, worker)
-            assert isinstance(back, PredictionDataset)
-            assert back.labels == ds.labels
-            for mine, theirs in zip(ds.features, back.features):
-                assert mine.tobytes() == theirs.tobytes()
-            worker.close()
-
-    def test_ragged_dataset_falls_back_to_pickle(self):
-        ds = PredictionDataset()
-        ds.features = [np.zeros(3), np.zeros(5)]   # unstackable
-        ds.labels = [0, 1]
-        with SharedArrayStore() as store:
-            encoded = encode_value(ds, store)
-            assert encoded[0] == "pickled"
-            back = decode_value(encoded, store)
-            assert [f.shape for f in back.features] == [(3,), (5,)]
-
-    def test_non_numpy_values_ride_pickled(self):
-        with SharedArrayStore() as store:
-            encoded = encode_value({"cluster": 3}, store)
-            assert encoded[0] == "pickled"
-            assert decode_value(encoded, store) == {"cluster": 3}
+        assert shm_segments() == []
 
     def test_unknown_encoding_rejected(self):
         with SharedArrayStore() as store:
@@ -320,6 +335,32 @@ class TestSnapshotV3:
             assert mine.tobytes() == theirs.tobytes()
         assert loaded.section("assign").get(("sig",)) == 1
 
+    def test_snapshot_written_by_the_parent_commit_loads_with_no_miss(self):
+        # tests/data/cache_snapshot_v3.pkl was saved by the commit before
+        # the value codec moved next to PredictionDataset; format v3 did
+        # not change, so every entry is served, bit-identical.
+        loaded = TuningCacheSet.load(
+            Path(__file__).parent / "data" / "cache_snapshot_v3.pkl"
+        )
+        expected = {
+            "assign": {("sig",): 1},
+            "embed": {("e", 0): np.random.default_rng(1).normal(size=(4, 3))},
+            "warmup": {("w", 300, 17): _dataset(41)},
+            "distill": {("d", 0): _dataset(42), ("d", 1): _ragged_dataset()},
+        }
+
+        def missed():
+            raise AssertionError("a recorded entry was not served")
+
+        for kind, entries in expected.items():
+            for key, value in entries.items():
+                assert _same_value(value, loaded.get_or_compute(kind, key, missed))
+        stats = loaded.stats()
+        assert {kind: stats[kind]["size"] for kind in expected} == {
+            kind: len(entries) for kind, entries in expected.items()
+        }
+        assert all(section["misses"] == 0 for section in stats.values())
+
     def _stale_snapshot(self, tmp_path, version: int) -> Path:
         stale = tmp_path / f"v{version}.pkl"
         stale.write_bytes(pickle.dumps({
@@ -367,9 +408,7 @@ class TestWarmupSignature:
 class TestProcessFleetSharedPlane:
     def test_process_results_bit_identical_and_leak_free(self, tiny_pretrained):
         specs = [_spec("q1")]
-        reference = TuningService(
-            tiny_pretrained, backend="sequential", prewarm=False
-        ).run(specs)
+        reference = TuningService(tiny_pretrained, backend="sequential").run(specs)
         service = TuningService(tiny_pretrained, backend="process", max_workers=2)
         outcomes = service.run(specs)
         assert _steps(outcomes[0]) == _steps(reference[0])
@@ -380,9 +419,9 @@ class TestProcessFleetSharedPlane:
     def test_start_methods_agree_bit_for_bit(self, tiny_pretrained, start_method):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
-        reference = TuningService(
-            tiny_pretrained, backend="sequential", prewarm=False
-        ).run([_spec("q1")])
+        reference = TuningService(tiny_pretrained, backend="sequential").run(
+            [_spec("q1")]
+        )
         service = TuningService(
             tiny_pretrained,
             backend="process",

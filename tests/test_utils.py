@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.utils.rng import seeded_rng, spawn_rng, stable_hash
+from repro.utils.rng import seeded_rng, stable_hash
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
 
@@ -28,20 +28,6 @@ class TestSeededRng:
         a = seeded_rng(None).integers(0, 1_000_000, size=5)
         b = seeded_rng(None).integers(0, 1_000_000, size=5)
         assert np.array_equal(a, b)
-
-    def test_spawn_rng_is_deterministic(self):
-        parent1 = seeded_rng(9)
-        parent2 = seeded_rng(9)
-        child1 = spawn_rng(parent1, "metrics")
-        child2 = spawn_rng(parent2, "metrics")
-        assert child1.integers(1e9) == child2.integers(1e9)
-
-    def test_spawn_rng_key_separates_streams(self):
-        parent = seeded_rng(9)
-        child_a = spawn_rng(parent, "a")
-        parent_again = seeded_rng(9)
-        child_b = spawn_rng(parent_again, "b")
-        assert child_a.integers(1e9) != child_b.integers(1e9)
 
 
 class TestStableHash:
