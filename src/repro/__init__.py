@@ -11,7 +11,6 @@ door:
 * execute a plan                  — :class:`repro.api.TuningSession`
 * extend by name                  — the :data:`repro.api.ENGINES` /
                                     :data:`repro.api.TUNERS` /
-                                    :data:`repro.api.WORKLOADS` /
                                     :data:`repro.api.MODELS` registries
 
 The building blocks underneath (importable directly when you need them):

@@ -3,10 +3,11 @@
 Everything the repo can do is reachable through three layers:
 
 * **registries** (:mod:`repro.api.registry`, populated by
-  :mod:`repro.api.components`) — engines, tuners, workloads and
-  prediction models self-register by name with typed parameter specs;
-  adding a scenario component means one ``@REGISTRY.register`` block,
-  not edits to the CLI, the experiments and the service.
+  :mod:`repro.api.components`) — engines, tuners and prediction models
+  register under one name each, with a typed spec for the few
+  parameters a caller sets; adding one means one ``REGISTRY.register``
+  call, not edits to the CLI, the experiments and the service.  Query
+  tokens (``q5``, ``linear/3``) are a fixed grammar, not a registry.
 * **plans** (:mod:`repro.api.plans`) — :class:`TuningPlan` (one query)
   and :class:`CampaignPlan` (a fleet), frozen dataclasses that
   round-trip through dicts, JSON and TOML and validate eagerly with
@@ -36,7 +37,6 @@ from repro.api.registry import (
     ENGINES,
     MODELS,
     TUNERS,
-    WORKLOADS,
     ComponentEntry,
     ParamSpec,
     REQUIRED,
@@ -156,7 +156,6 @@ __all__ = [
     "TuningPlan",
     "TuningSession",
     "UnknownComponentError",
-    "WORKLOADS",
     "build_engine",
     "build_tuner",
     "campaign_cell_key",

@@ -1,11 +1,15 @@
-"""Built-in component registrations for the four registries.
+"""Built-in component registrations for the three registries.
 
-Everything the repo can construct by name lives here: the simulated
-engine clusters, the tuning methods (StreamTune plus every baseline),
-the workload families, and the monotone prediction-layer models.  Each
-entry declares its parameter surface as :class:`~repro.api.registry.ParamSpec`
-rows, so a plan file (or a CLI flag) is validated before anything is
-built and an unknown name fails with the full list of alternatives.
+Everything the repo constructs by name lives here: the simulated engine
+clusters, the tuning methods (StreamTune plus every baseline) and the
+monotone prediction-layer models — the names a plan's ``engine``,
+``tuner`` and ``layer`` fields carry, so an unknown one fails at load
+time with the full list of alternatives.  Each entry declares as
+:class:`~repro.api.registry.ParamSpec` rows only what a caller sets
+(``seed``, and StreamTune's ``model_kind``); a component's other
+constructor arguments are the constants its class defaults to.  Query
+tokens are not a registry but a fixed grammar, written once in
+:func:`parse_query_token`.
 
 Tuner factories receive ``(engine, resources, **params)``:``resources``
 is a :class:`TunerResources` that lazily supplies the shared artifacts a
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.api.registry import ENGINES, MODELS, TUNERS, WORKLOADS, ParamSpec, REQUIRED
+from repro.api.registry import ENGINES, MODELS, TUNERS, ParamSpec, UnknownComponentError
 from repro.baselines.conttune import ContTuneTuner
 from repro.baselines.ds2 import DS2Tuner
 from repro.baselines.oracle import OracleTuner
@@ -28,151 +32,29 @@ from repro.baselines.zerotune import ZeroTuneTuner
 from repro.core.tuner import StreamTuneTuner
 from repro.engines.faults import FaultInjectingFlink
 from repro.engines.flink import FlinkCluster
-from repro.engines.paced import DEFAULT_TELEMETRY_SECONDS, PacedFlink
+from repro.engines.paced import PacedFlink
 from repro.engines.scheduler import SchedulingAwareTimely
 from repro.engines.timely import TimelyCluster
 from repro.workloads.nexmark import NEXMARK_QUERY_NAMES, nexmark_query
-from repro.workloads.pqp import PQP_TEMPLATES, pqp_queries
+from repro.workloads.pqp import PQP_TEMPLATES, pqp_queries, pqp_template_size
 
 
 # ----------------------------------------------------------------------
 # engines
 # ----------------------------------------------------------------------
 
-_SEED = ParamSpec("seed", int, None, help="engine RNG seed (None = unseeded)")
-_NOISE = ParamSpec("noise_std", float, None, help="measurement noise std fraction")
+# The cluster classes are their own factories: every one takes ``seed=``.
+_SEED = (ParamSpec("seed", int, None, help="engine RNG seed (None = unseeded)"),)
 
-
-def _flink_kwargs(seed, task_managers, slots_per_task_manager, noise_std) -> dict:
-    kwargs = {"seed": seed}
-    if task_managers is not None:
-        kwargs["task_managers"] = task_managers
-    if slots_per_task_manager is not None:
-        kwargs["slots_per_task_manager"] = slots_per_task_manager
-    if noise_std is not None:
-        kwargs["noise_std"] = noise_std
-    return kwargs
-
-
-@ENGINES.register(
-    "flink",
-    params=(
-        _SEED,
-        ParamSpec("task_managers", int, None, help="TaskManagers in the cluster"),
-        ParamSpec("slots_per_task_manager", int, None, help="slots per TaskManager"),
-        _NOISE,
-    ),
-)
-def _build_flink(
-    seed=None, task_managers=None, slots_per_task_manager=None, noise_std=None
-):
-    """Simulated Apache Flink cluster (50 TaskManagers x 2 slots)."""
-    return FlinkCluster(**_flink_kwargs(seed, task_managers, slots_per_task_manager, noise_std))
-
-
-@ENGINES.register(
-    "flink-faulty",
-    aliases=("faulty-flink",),
-    family="flink",
-    traits=("faults",),
-    params=(
-        _SEED,
-        ParamSpec("task_managers", int, None),
-        ParamSpec("slots_per_task_manager", int, None),
-        _NOISE,
-    ),
-)
-def _build_faulty_flink(
-    seed=None, task_managers=None, slots_per_task_manager=None, noise_std=None
-):
-    """Flink cluster whose operator instances can be failed and healed."""
-    return FaultInjectingFlink(
-        **_flink_kwargs(seed, task_managers, slots_per_task_manager, noise_std)
-    )
-
-
-@ENGINES.register(
-    "flink-paced",
-    aliases=("paced-flink",),
-    family="flink",
-    traits=("paced",),
-    params=(
-        _SEED,
-        ParamSpec("task_managers", int, None),
-        ParamSpec("slots_per_task_manager", int, None),
-        _NOISE,
-        ParamSpec(
-            "telemetry_seconds",
-            float,
-            DEFAULT_TELEMETRY_SECONDS,
-            help="wall-clock metric-window latency per measurement",
-        ),
-    ),
-)
-def _build_paced_flink(
-    seed=None,
-    task_managers=None,
-    slots_per_task_manager=None,
-    noise_std=None,
-    telemetry_seconds=DEFAULT_TELEMETRY_SECONDS,
-):
-    """Flink whose telemetry costs wall-clock time (bit-identical results)."""
-    return PacedFlink(
-        telemetry_seconds=telemetry_seconds,
-        **_flink_kwargs(seed, task_managers, slots_per_task_manager, noise_std),
-    )
-
-
-def _timely_kwargs(seed, workers, max_parallelism, noise_std) -> dict:
-    kwargs = {"seed": seed}
-    if workers is not None:
-        kwargs["workers"] = workers
-    if max_parallelism is not None:
-        kwargs["max_parallelism"] = max_parallelism
-    if noise_std is not None:
-        kwargs["noise_std"] = noise_std
-    return kwargs
-
-
-@ENGINES.register(
-    "timely",
-    params=(
-        _SEED,
-        ParamSpec("workers", int, None, help="Timely worker threads"),
-        ParamSpec("max_parallelism", int, None, help="per-operator degree ceiling"),
-        _NOISE,
-    ),
-)
-def _build_timely(seed=None, workers=None, max_parallelism=None, noise_std=None):
-    """Simulated Timely Dataflow deployment (ten workers)."""
-    return TimelyCluster(**_timely_kwargs(seed, workers, max_parallelism, noise_std))
-
-
-@ENGINES.register(
-    "timely-scheduled",
-    aliases=("scheduling-timely",),
-    family="timely",
-    params=(
-        _SEED,
-        ParamSpec("workers", int, None),
-        ParamSpec("max_parallelism", int, None),
-        _NOISE,
-        ParamSpec(
-            "strategy",
-            str,
-            "spread",
-            help="task placement strategy",
-            choices=("spread", "pack"),
-        ),
-    ),
-)
-def _build_timely_scheduled(
-    seed=None, workers=None, max_parallelism=None, noise_std=None, strategy="spread"
-):
-    """Timely cluster whose processing ability reflects task placement."""
-    return SchedulingAwareTimely(
-        strategy=strategy, **_timely_kwargs(seed, workers, max_parallelism, noise_std)
-    )
+ENGINES.register("flink", params=_SEED)(FlinkCluster)
+ENGINES.register(
+    "flink-faulty", params=_SEED, family="flink", traits=("faults",)
+)(FaultInjectingFlink)
+ENGINES.register(
+    "flink-paced", params=_SEED, family="flink", traits=("paced",)
+)(PacedFlink)
+ENGINES.register("timely", params=_SEED)(TimelyCluster)
+ENGINES.register("timely-scheduled", params=_SEED, family="timely")(SchedulingAwareTimely)
 
 
 def build_engine(name: str, **params):
@@ -181,7 +63,7 @@ def build_engine(name: str, **params):
 
 
 def engine_family(name: str) -> str:
-    """The workload family of an engine name (aliases resolved).
+    """The workload family of an engine name.
 
     Each engine variant declares the base engine whose Table II rate
     units, query corpus and pretrained artifacts it serves via its
@@ -205,7 +87,8 @@ class TunerResources:
     artifact; ``history`` returns the first ``n`` execution records;
     ``scale`` carries the experiment preset whose seed offsets the
     legacy construction ladder hard-coded (StreamTune ``scale.seed + 4``,
-    ZeroTune ``scale.seed + 3``).  Factories pull only what they need, so
+    ZeroTune ``scale.seed + 3``) and ZeroTune's epoch / history-size
+    presets.  Factories pull only what they need, so
     building a DS2 baseline never triggers a pre-training run.
     """
 
@@ -229,10 +112,13 @@ class TunerResources:
             )
         return self.history(limit)
 
-    def _scale_attr(self, attribute: str, fallback):
+    def require_scale(self, method: str):
         if self.scale is None:
-            return fallback
-        return getattr(self.scale, attribute)
+            raise ValueError(
+                f"tuner {method!r} takes its seed and presets from an experiment "
+                "scale, but these resources supply none"
+            )
+        return self.scale
 
 
 @TUNERS.register(
@@ -240,88 +126,51 @@ class TunerResources:
     params=(
         ParamSpec("model_kind", str, "svm", help="prediction-layer model name"),
         ParamSpec("seed", int, None, help="tuner seed (None = scale.seed + 4)"),
-        ParamSpec("max_iterations", int, None),
-        ParamSpec("warmup_rows", int, None),
     ),
     allow_extra=True,
 )
 def _build_streamtune(
-    engine, resources: TunerResources, model_kind="svm", seed=None,
-    max_iterations=None, warmup_rows=None, **overrides
+    engine, resources: TunerResources, model_kind="svm", seed=None, **overrides
 ):
     """The paper's system: pre-trained encoder + monotone fine-tuned layer."""
     MODELS.entry(model_kind)  # fail fast with the model alternatives listed
-    kwargs = dict(overrides)
-    if max_iterations is not None:
-        kwargs["max_iterations"] = max_iterations
-    if warmup_rows is not None:
-        kwargs["warmup_rows"] = warmup_rows
     if seed is None:
-        seed = resources._scale_attr("seed", 20250711) + 4
+        seed = resources.require_scale("streamtune").seed + 4
     return StreamTuneTuner(
         engine,
         resources.require_pretrained("streamtune"),
         model_kind=model_kind,
         seed=seed,
-        **kwargs,
+        **overrides,
     )
 
 
-@TUNERS.register(
-    "ds2", params=(ParamSpec("max_iterations", int, None),)
-)
-def _build_ds2(engine, resources=None, max_iterations=None):
+@TUNERS.register("ds2")
+def _build_ds2(engine, resources):
     """DS2 rate-based scaling controller (OSDI'18 baseline)."""
-    del resources
-    if max_iterations is None:
-        return DS2Tuner(engine)
-    return DS2Tuner(engine, max_iterations=max_iterations)
+    return DS2Tuner(engine)
 
 
-@TUNERS.register(
-    "conttune",
-    params=(
-        ParamSpec("alpha", float, None, help="GP exploration padding"),
-        ParamSpec("max_iterations", int, None),
-    ),
-)
-def _build_conttune(engine, resources=None, alpha=None, max_iterations=None):
+@TUNERS.register("conttune")
+def _build_conttune(engine, resources):
     """ContTune Big-Small GP tuner (VLDB'23 baseline)."""
-    del resources
-    kwargs = {}
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    if max_iterations is not None:
-        kwargs["max_iterations"] = max_iterations
-    return ContTuneTuner(engine, **kwargs)
+    return ContTuneTuner(engine)
 
 
 @TUNERS.register("oracle")
-def _build_oracle(engine, resources=None):
+def _build_oracle(engine, resources):
     """Ground-truth optimal parallelism (upper bound, sees the simulator)."""
-    del resources
     return OracleTuner(engine)
 
 
-@TUNERS.register(
-    "zerotune",
-    needs_history=True,
-    params=(
-        ParamSpec("epochs", int, None, help="cost-model epochs (None = scale preset)"),
-        ParamSpec("n_history", int, None, help="history records (None = scale preset)"),
-        ParamSpec("seed", int, None, help="tuner seed (None = scale.seed + 3)"),
-    ),
-)
-def _build_zerotune(engine, resources: TunerResources, epochs=None, n_history=None, seed=None):
-    """ZeroTune zero-shot cost model (ICDE'24 baseline)."""
-    if epochs is None:
-        epochs = resources._scale_attr("zerotune_epochs", 8)
-    if n_history is None:
-        n_history = resources._scale_attr("zerotune_history", 1200)
-    if seed is None:
-        seed = resources._scale_attr("seed", 20250711) + 3
-    records = resources.require_history("zerotune", n_history)
-    return ZeroTuneTuner(engine, records, epochs=epochs, seed=seed)
+@TUNERS.register("zerotune", needs_history=True)
+def _build_zerotune(engine, resources: TunerResources):
+    """ZeroTune zero-shot cost model (ICDE'24 baseline), at the scale's presets."""
+    scale = resources.require_scale("zerotune")
+    records = resources.require_history("zerotune", scale.zerotune_history)
+    return ZeroTuneTuner(
+        engine, records, epochs=scale.zerotune_epochs, seed=scale.seed + 3
+    )
 
 
 def streamtune_variant(method: str) -> "tuple[bool, str | None]":
@@ -356,59 +205,57 @@ def build_tuner(method: str, engine, resources: TunerResources | None = None, **
 
 
 # ----------------------------------------------------------------------
-# workloads
+# query tokens
 # ----------------------------------------------------------------------
 
-@WORKLOADS.register(
-    "nexmark",
-    params=(
-        ParamSpec("name", str, REQUIRED, help="query name, q1..q8", choices=NEXMARK_QUERY_NAMES),
-        ParamSpec("engine", str, "flink", help="engine whose rate units to bind"),
-    ),
-)
-def _build_nexmark(name, engine="flink"):
-    """Nexmark benchmark queries bound to Table II rate units."""
-    return nexmark_query(name, engine)
+def parse_query_token(token) -> "tuple[str | None, str | int]":
+    """The query-token grammar of plans and the CLI, written once.
 
-
-@WORKLOADS.register(
-    "pqp",
-    params=(
-        ParamSpec("template", str, REQUIRED, help="PQP template", choices=PQP_TEMPLATES),
-        ParamSpec("index", int, 0, help="query index within the template"),
-    ),
-)
-def _build_pqp(template, index=0):
-    """ZeroTune's parallel-query-plan synthetic workload (Flink only)."""
-    queries = pqp_queries(template)
-    if not 0 <= index < len(queries):
+    Two spellings: a Nexmark name (``q5``, any case) parses to ``(None,
+    name)``, a PQP ``<template>/<index>`` pair (``2-way-join/3``) to
+    ``(template, index)``.  Builds nothing, so plan validation calls it
+    eagerly.  An unknown name raises
+    :class:`~repro.api.registry.UnknownComponentError` listing the
+    alternatives; anything else malformed a :class:`ValueError`.
+    """
+    if not isinstance(token, str) or not token.strip():
+        raise ValueError(f"query tokens must be non-empty strings, got {token!r}")
+    token = token.strip()
+    if "/" not in token:
+        if token.lower() not in NEXMARK_QUERY_NAMES:
+            raise UnknownComponentError(
+                "query token",
+                token,
+                NEXMARK_QUERY_NAMES + tuple(f"{name}/<index>" for name in PQP_TEMPLATES),
+            )
+        return None, token.lower()
+    template, _, index = token.rpartition("/")
+    if template not in PQP_TEMPLATES:
+        raise UnknownComponentError("PQP template", template, PQP_TEMPLATES)
+    try:
+        index = int(index)
+    except ValueError:
         raise ValueError(
-            f"workload 'pqp': template {template!r} has {len(queries)} queries, "
-            f"index {index} is out of range"
+            f"malformed query token {token!r}: expected '<template>/<index>' "
+            "with an integer index"
+        ) from None
+    size = pqp_template_size(template)
+    if not 0 <= index < size:
+        raise ValueError(
+            f"query token {token!r}: index {index} is out of range, template "
+            f"{template!r} has {size} queries (0..{size - 1})"
         )
-    return queries[index]
+    return template, index
 
 
 def resolve_query(token: str, engine: str = "flink"):
-    """Resolve a CLI/plan query token into a :class:`StreamingQuery`.
-
-    Two spellings, matching the original CLI: a Nexmark name (``q5``) or
-    a PQP ``<template>/<index>`` pair (``2-way-join/3``).  Unknown names
-    raise :class:`~repro.api.registry.UnknownComponentError` listing the
-    alternatives.
-    """
-    token = token.strip()
-    if "/" in token:
-        template, _, index = token.rpartition("/")
-        try:
-            index_value = int(index)
-        except ValueError:
-            raise ValueError(
-                f"malformed PQP query token {token!r}: expected '<template>/<index>' "
-                f"with an integer index (templates: {', '.join(PQP_TEMPLATES)})"
-            ) from None
-        return WORKLOADS.create("pqp", template=template, index=index_value)
-    return WORKLOADS.create("nexmark", name=token.lower(), engine=engine_family(engine))
+    """Build the :class:`StreamingQuery` a CLI/plan query token names
+    (:func:`parse_query_token` is the grammar); a Nexmark query binds the
+    rate units of ``engine``'s family."""
+    template, name_or_index = parse_query_token(token)
+    if template is None:
+        return nexmark_query(name_or_index, engine_family(engine))
+    return pqp_queries(template)[name_or_index]
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +273,7 @@ def _build_svm(seed=11):
     return MonotonicSVM(seed=seed)
 
 
-@MODELS.register("xgboost", aliases=("gbdt",), params=(_MODEL_SEED,))
+@MODELS.register("xgboost", params=(_MODEL_SEED,))
 def _build_gbdt(seed=11):
     """Gradient-boosted trees with a monotone constraint on p."""
     from repro.models.gbdt import MonotonicGBDT
@@ -434,7 +281,7 @@ def _build_gbdt(seed=11):
     return MonotonicGBDT(seed=seed)
 
 
-@MODELS.register("isotonic", aliases=("knn",), params=(_MODEL_SEED,))
+@MODELS.register("isotonic", params=(_MODEL_SEED,))
 def _build_isotonic(seed=11):
     """k-NN probabilities made monotone by isotonic regression."""
     from repro.models.isotonic import IsotonicKNN
@@ -442,7 +289,7 @@ def _build_isotonic(seed=11):
     return IsotonicKNN(seed=seed)
 
 
-@MODELS.register("nn", aliases=("mlp",), params=(_MODEL_SEED,))
+@MODELS.register("nn", params=(_MODEL_SEED,))
 def _build_mlp(seed=11):
     """Plain MLP without the monotone constraint (Fig. 11a ablation)."""
     from repro.models.mlp import MLPClassifier

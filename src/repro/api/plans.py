@@ -22,8 +22,9 @@ time.  Plans may also carry a ``chaos`` schedule
 spikes keyed to trace steps.
 
 Validation is *eager*: constructing a plan checks every name against its
-registry (engine, tuner, prediction model, query tokens), every numeric
-field against its domain, and the ``rates``/``queries`` shape — so a bad
+registry (engine, tuner, prediction model), every query token against the
+token grammar, every numeric field against its domain, and the
+``rates``/``queries`` shape — so a bad
 config file fails at load time with an error that says what to fix, not
 deep inside a worker pool.
 """
@@ -37,10 +38,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.api.components import resolve_query  # noqa: F401  (re-exported)
-from repro.api.components import streamtune_variant
+from repro.api.components import parse_query_token, streamtune_variant
 from repro.api.registry import ENGINES, MODELS, TUNERS, UnknownComponentError
-from repro.workloads.nexmark import NEXMARK_QUERY_NAMES
-from repro.workloads.pqp import PQP_TEMPLATES, pqp_template_size
 
 #: Worker-pool backends a campaign may request: the in-process pools of
 #: :data:`repro.service.tuning.BACKENDS` plus the multi-host
@@ -55,34 +54,10 @@ class PlanError(ValueError):
 
 def _check_query_token(token: str) -> None:
     """Validate a query token without building the (expensive) query."""
-    if not isinstance(token, str) or not token.strip():
-        raise PlanError(f"query tokens must be non-empty strings, got {token!r}")
-    token = token.strip()
-    if "/" in token:
-        template, _, index = token.rpartition("/")
-        if template not in PQP_TEMPLATES:
-            raise PlanError(
-                f"unknown PQP template {template!r} in query token {token!r} "
-                f"(templates: {', '.join(PQP_TEMPLATES)})"
-            )
-        if not index.lstrip("-").isdigit():
-            raise PlanError(
-                f"malformed query token {token!r}: the part after '/' must be "
-                "an integer index"
-            )
-        size = pqp_template_size(template)
-        if not 0 <= int(index) < size:
-            raise PlanError(
-                f"query token {token!r}: template {template!r} has {size} "
-                f"queries, so the index must be in 0..{size - 1}"
-            )
-        return
-    if token.lower() not in NEXMARK_QUERY_NAMES:
-        raise PlanError(
-            f"unknown query token {token!r}: expected a Nexmark name "
-            f"({', '.join(NEXMARK_QUERY_NAMES)}) or '<template>/<index>' with "
-            f"a PQP template ({', '.join(PQP_TEMPLATES)})"
-        )
+    try:
+        parse_query_token(token)
+    except ValueError as error:
+        raise PlanError(str(error)) from None
 
 
 def _check_registry(kind_label: str, registry, name: str) -> None:
@@ -285,12 +260,96 @@ def _campaign_spec(plan, token: str, rates, engine_seed: int):
     )
 
 
+def _check_run_fields(plan, check_tuner) -> None:
+    """What a tuning and a campaign plan validate alike, normalizing
+    ``rates`` / ``trace`` in place: the rate trace (a raw list, or a spec
+    that materializes into one), the engine / tuner / layer names, the
+    scale, the seed, and a ``cache_path`` only beside a tuner with caches."""
+    raw, trace = _split_rates(plan.rates, plan.trace)
+    object.__setattr__(plan, "trace", trace)
+    if trace is not None:
+        rates = _resolve_trace(raw, trace, type(plan).rates)
+    else:
+        rates = _as_rates(raw)
+    object.__setattr__(plan, "rates", rates)
+    _check_registry("engine", ENGINES, plan.engine)
+    check_tuner(plan.tuner)
+    _check_registry("layer", MODELS, plan.layer)
+    _check_scale(plan.scale)
+    if not isinstance(plan.seed, int) or isinstance(plan.seed, bool):
+        raise PlanError(f"seed must be an integer, got {plan.seed!r}")
+    if plan.cache_path is not None and not streamtune_variant(plan.tuner)[0]:
+        raise PlanError(
+            f"cache_path only applies to the streamtune tuner (the "
+            f"baselines consult no tuning cache); remove it or drop "
+            f"tuner={plan.tuner!r}"
+        )
+
+
+def _listify(value):
+    if isinstance(value, tuple):
+        return [_listify(item) for item in value]
+    if hasattr(value, "to_dict"):        # TraceSpec / ChaosSpec fields
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {key: _listify(item) for key, item in value.items()}
+    return value
+
+
+class _Plan:
+    """What the three plan kinds share: the lossless dict / JSON round
+    trip and the cell keys of the campaigns they expand to.  Each kind is
+    a frozen dataclass with a ``kind`` string and a ``specs()`` expansion."""
+
+    def cell_keys(self) -> list[str]:
+        """The deterministic identity of every campaign this plan runs, in
+        plan (for a sweep: grid) order — what it stamps on its events, and
+        what ``--resume`` matches a recorded log against."""
+        return [spec.cell_key for spec in self.specs()]
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            **{spec.name: _listify(getattr(self, spec.name)) for spec in fields(self)},
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise PlanError(
+                f"a {cls.__name__} must be a mapping, got {type(data).__name__}"
+            )
+        data = dict(data)
+        declared_kind = data.pop("kind", None)
+        if declared_kind is not None and declared_kind != cls.kind:
+            raise PlanError(
+                f"this document declares kind {declared_kind!r} but was loaded as "
+                f"a {cls.__name__} (kind {cls.kind!r})"
+            )
+        known = {spec.name for spec in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise PlanError(
+                f"{cls.__name__} does not understand field(s) "
+                f"{', '.join(map(repr, unknown))} (valid fields: "
+                f"{', '.join(sorted(known))})"
+            )
+        return cls(**data)
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
 # ----------------------------------------------------------------------
 # the plans
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TuningPlan:
+class TuningPlan(_Plan):
     """One query, one tuning method, one source-rate trace."""
 
     query: str
@@ -313,28 +372,7 @@ class TuningPlan:
 
     def __post_init__(self) -> None:
         _check_query_token(self.query)
-        raw, trace = _split_rates(self.rates, self.trace)
-        object.__setattr__(self, "trace", trace)
-        if trace is not None:
-            rates = _resolve_trace(raw, trace, type(self).rates)
-        else:
-            rates = _as_rates(raw)
-        object.__setattr__(self, "rates", rates)
-        _check_registry("engine", ENGINES, self.engine)
-        _check_tuner(self.tuner)
-        _check_registry("layer", MODELS, self.layer)
-        _check_scale(self.scale)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise PlanError(f"seed must be an integer, got {self.seed!r}")
-        if (
-            self.cache_path is not None
-            and not streamtune_variant(self.tuner)[0]
-        ):
-            raise PlanError(
-                f"cache_path only applies to the streamtune tuner (the "
-                f"baselines consult no tuning cache); remove it or drop "
-                f"tuner={self.tuner!r}"
-            )
+        _check_run_fields(self, _check_tuner)
         object.__setattr__(self, "chaos", _as_chaos(self.chaos))
         _check_chaos_executes(self.chaos, self.engine, len(self.rates))
 
@@ -349,43 +387,19 @@ class TuningPlan:
         engine_seed = resolve_scale(self.scale).seed
         return [_campaign_spec(self, self.query, self.rates, engine_seed)]
 
-    def cell_keys(self) -> list[str]:
-        """The deterministic campaign identity this plan will stamp on its
-        events (one entry); a recorded log whose keys match can stand in
-        for re-execution."""
-        return [spec.cell_key for spec in self.specs()]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **_plan_fields_dict(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TuningPlan":
-        return _plan_from_dict(cls, data)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TuningPlan":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class CampaignPlan:
+class CampaignPlan(_Plan):
     """A fleet of queries tuned concurrently through the service."""
 
     queries: tuple[str, ...]
+    #: The one rate trace every query of the fleet runs.
     rates: tuple[float, ...] = (3.0, 7.0, 4.0, 2.0)
-    #: When True, ``rates`` is a flattened per-query list: its length must
-    #: be a multiple of ``len(queries)`` and each query receives its own
-    #: contiguous chunk.  When False every query shares the full trace.
-    rates_per_query: bool = False
     engine: str = "flink"
     tuner: str = "streamtune"
     backend: str = "thread"
     workers: int | None = None
     layer: str = "svm"
-    prioritize_backpressure: bool = True
     model: str | None = None
     scale: str | None = None
     seed: int = 17
@@ -416,24 +430,7 @@ class CampaignPlan:
             raise PlanError("queries must contain at least one query token")
         for token in self.queries:
             _check_query_token(token)
-        raw, trace = _split_rates(self.rates, self.trace)
-        object.__setattr__(self, "trace", trace)
-        if trace is not None:
-            rates = _resolve_trace(raw, trace, type(self).rates)
-        else:
-            rates = _as_rates(raw)
-        object.__setattr__(self, "rates", rates)
-        if self.rates_per_query and len(self.rates) % len(self.queries) != 0:
-            raise PlanError(
-                f"rates has {len(self.rates)} multipliers for "
-                f"{len(self.queries)} queries; with rates_per_query the count "
-                f"must be a multiple of the query count (e.g. "
-                f"{len(self.queries)} or {2 * len(self.queries)}), so each "
-                "query gets an equal chunk"
-            )
-        _check_registry("engine", ENGINES, self.engine)
-        _check_campaign_tuner(self.tuner)
-        _check_registry("layer", MODELS, self.layer)
+        _check_run_fields(self, _check_campaign_tuner)
         if self.backend not in PLAN_BACKENDS:
             raise PlanError(
                 f"backend must be one of {', '.join(PLAN_BACKENDS)}, got "
@@ -443,84 +440,34 @@ class CampaignPlan:
             not isinstance(self.workers, int) or self.workers < 1
         ):
             raise PlanError(f"workers must be a positive integer, got {self.workers!r}")
-        if (
-            self.cache_path is not None
-            and not streamtune_variant(self.tuner)[0]
-        ):
-            raise PlanError(
-                f"cache_path only applies to the streamtune tuner (the "
-                f"baselines consult no tuning cache); remove it or drop "
-                f"tuner={self.tuner!r}"
-            )
         if self.cache_path is not None and self.backend == "distributed":
             raise PlanError(
                 "cache_path does not apply to the distributed backend (worker "
                 "agents keep their own caches; the coordinator neither loads "
                 "nor saves a snapshot); remove it or pick an in-process backend"
             )
-        _check_scale(self.scale)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise PlanError(f"seed must be an integer, got {self.seed!r}")
         if self.spool_dir is not None and not isinstance(self.spool_dir, str):
             raise PlanError(
                 f"spool_dir must be a directory path string, got "
                 f"{self.spool_dir!r}"
             )
         object.__setattr__(self, "chaos", _as_chaos(self.chaos))
-        _check_chaos_executes(
-            self.chaos,
-            self.engine,
-            min(len(rates) for _, rates in self.rates_for()),
-        )
-
-    def rates_for(self) -> list[tuple[str, tuple[float, ...]]]:
-        """The rate trace each query token runs, as (token, multipliers).
-
-        A list of pairs rather than a dict so an accidentally duplicated
-        query token still yields one spec per entry — the service then
-        rejects the duplicate with its own clear error instead of one
-        campaign silently vanishing.
-        """
-        if not self.rates_per_query:
-            return [(token, self.rates) for token in self.queries]
-        chunk = len(self.rates) // len(self.queries)
-        return [
-            (token, self.rates[i * chunk : (i + 1) * chunk])
-            for i, token in enumerate(self.queries)
-        ]
+        _check_chaos_executes(self.chaos, self.engine, len(self.rates))
 
     def specs(self) -> list:
         """One :class:`~repro.service.CampaignSpec` per fleet campaign, in
         plan order — what the service, the spool and ``cell_keys`` all
-        expand this plan to."""
+        expand this plan to.  A duplicated query token yields a spec per
+        entry, so the service rejects it instead of a campaign vanishing."""
         return [
             # Fleet campaigns seed their engines from the plan seed.
-            _campaign_spec(self, token, rates, self.seed)
-            for token, rates in self.rates_for()
+            _campaign_spec(self, token, self.rates, self.seed)
+            for token in self.queries
         ]
-
-    def cell_keys(self) -> list[str]:
-        """Deterministic campaign identities, one per fleet campaign, in
-        plan order — what ``--resume`` matches recorded logs against."""
-        return [spec.cell_key for spec in self.specs()]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **_plan_fields_dict(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignPlan":
-        return _plan_from_dict(cls, data)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignPlan":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(_Plan):
     """A scenario grid: engines x tuners x rate traces over one query fleet.
 
     Each grid cell expands into a :class:`CampaignPlan` running every
@@ -537,11 +484,9 @@ class SweepPlan:
     #: One entry per rate trace: a raw multiplier list, or a named
     #: ``{family, params, seed}`` trace spec — mixed freely.
     rate_traces: tuple = ((3.0, 7.0, 4.0, 2.0),)
-    rates_per_query: bool = False
     backend: str = "thread"
     workers: int | None = None
     layer: str = "svm"
-    prioritize_backpressure: bool = True
     model: str | None = None
     scale: str | None = None
     seed: int = 17
@@ -636,9 +581,8 @@ class SweepPlan:
                 "chaos contains duplicate schedules; each grid-axis entry "
                 "must be unique"
             )
-        # Delegate the remaining field checks (and rates_per_query shape,
-        # per trace) to the cells themselves: a SweepPlan is valid exactly
-        # when every expanded CampaignPlan is.
+        # Delegate the remaining field checks to the cells themselves: a
+        # SweepPlan is valid exactly when every expanded CampaignPlan is.
         self.expand()
 
     @property
@@ -671,13 +615,11 @@ class SweepPlan:
                     for chaos in chaos_axis:
                         kwargs = {
                             "queries": self.queries,
-                            "rates_per_query": self.rates_per_query,
                             "engine": engine,
                             "tuner": tuner,
                             "backend": self.backend,
                             "workers": self.workers,
                             "layer": self.layer,
-                            "prioritize_backpressure": self.prioritize_backpressure,
                             "model": self.model,
                             "scale": self.scale,
                             "seed": self.seed,
@@ -691,64 +633,14 @@ class SweepPlan:
                         cells.append(CampaignPlan(**kwargs))
         return cells
 
-    def cell_keys(self) -> list[str]:
-        """Deterministic campaign identities across the whole grid, in
-        grid order — every campaign a full sweep run would record."""
-        return [spec.cell_key for cell in self.expand() for spec in cell.specs()]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **_plan_fields_dict(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepPlan":
-        return _plan_from_dict(cls, data)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepPlan":
-        return cls.from_dict(json.loads(text))
+    def specs(self) -> list:
+        """Every campaign a full sweep run executes, in grid order."""
+        return [spec for cell in self.expand() for spec in cell.specs()]
 
 
 # ----------------------------------------------------------------------
 # dict / file round-tripping
 # ----------------------------------------------------------------------
-
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(item) for item in value]
-    if hasattr(value, "to_dict"):        # TraceSpec / ChaosSpec fields
-        return value.to_dict()
-    if isinstance(value, dict):
-        return {key: _listify(item) for key, item in value.items()}
-    return value
-
-
-def _plan_fields_dict(plan) -> dict:
-    return {spec.name: _listify(getattr(plan, spec.name)) for spec in fields(plan)}
-
-
-def _plan_from_dict(cls, data: dict):
-    if not isinstance(data, dict):
-        raise PlanError(f"a {cls.__name__} must be a mapping, got {type(data).__name__}")
-    data = dict(data)
-    declared_kind = data.pop("kind", None)
-    if declared_kind is not None and declared_kind != cls.kind:
-        raise PlanError(
-            f"this document declares kind {declared_kind!r} but was loaded as "
-            f"a {cls.__name__} (kind {cls.kind!r})"
-        )
-    known = {spec.name for spec in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise PlanError(
-            f"{cls.__name__} does not understand field(s) "
-            f"{', '.join(map(repr, unknown))} (valid fields: "
-            f"{', '.join(sorted(known))})"
-        )
-    return cls(**data)
-
 
 def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
     """Build any plan type from a dict, inferring the kind.
@@ -788,46 +680,49 @@ def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
     )
 
 
-def _toml_module():
-    """The available TOML parser: stdlib ``tomllib`` (3.11+) or ``tomli``."""
+def _toml_loads():
+    """``loads`` of the available TOML parser: stdlib ``tomllib`` (3.11+)
+    or ``tomli``; :class:`ModuleNotFoundError` when there is neither."""
     try:
         import tomllib
-
-        return tomllib
     except ModuleNotFoundError:
-        try:
-            import tomli
+        import tomli as tomllib
+    return tomllib.loads
 
-            return tomli
+
+def read_config(path: str | Path, error=PlanError, what: str = "plan") -> dict:
+    """Decode a ``.json`` or ``.toml`` file a user handed us — plans here,
+    fault plans in :func:`repro.faults.load_fault_plan`.  A missing file,
+    an unknown suffix, undecodable text and a missing TOML parser are all
+    an ``error`` naming the file, never a traceback."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} file {path} does not exist")
+    suffix = path.suffix.lower()
+    if suffix == ".json":
+        loads, syntax = json.loads, "JSON"
+    elif suffix == ".toml":
+        try:
+            loads, syntax = _toml_loads(), "TOML"
         except ModuleNotFoundError:
-            raise PlanError(
-                "reading TOML plans needs Python 3.11+ (tomllib) or the "
-                "'tomli' package; on this interpreter use a JSON plan instead"
+            raise error(
+                f"reading a TOML {what} needs Python 3.11+ (tomllib) or the "
+                f"'tomli' package; on this interpreter write {path} as JSON"
             ) from None
+    else:
+        raise error(
+            f"unsupported {what} file suffix {suffix!r} for {path} "
+            "(expected .json or .toml)"
+        )
+    try:
+        return loads(path.read_text(encoding="utf-8"))
+    except ValueError as decode_error:  # JSONDecodeError, TOMLDecodeError, bad UTF-8
+        raise error(f"{path} is not valid {syntax}: {decode_error}") from None
 
 
 def load_plan(path: str | Path) -> "TuningPlan | CampaignPlan | SweepPlan":
     """Load a plan from a ``.json`` or ``.toml`` file."""
-    path = Path(path)
-    if not path.exists():
-        raise PlanError(f"plan file {path} does not exist")
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
-            raise PlanError(f"{path} is not valid JSON: {error}") from None
-    elif suffix == ".toml":
-        toml = _toml_module()
-        try:
-            data = toml.loads(path.read_text())
-        except toml.TOMLDecodeError as error:
-            raise PlanError(f"{path} is not valid TOML: {error}") from None
-    else:
-        raise PlanError(
-            f"unsupported plan file suffix {suffix!r} for {path} "
-            "(expected .json or .toml)"
-        )
+    data = read_config(path)
     try:
         return plan_from_dict(data)
     except PlanError as error:

@@ -1,14 +1,14 @@
 """Named component registries with typed parameter specs.
 
-The repo grew four parallel construction idioms — ``make_engine`` /
-``make_tuner`` ladders in :mod:`repro.experiments.context`, the
-``make_prediction_model`` factory, ``CampaignSpec.make_engine`` and the
-CLI's hand-rolled query resolution.  Registries collapse all of them into
-one pattern (PDSP-Bench exposes workloads/engines the same way): a
-component self-registers under a name (plus aliases) together with a
-typed :class:`ParamSpec` list, and every consumer resolves it through
-:meth:`Registry.create`, which validates arguments *before* construction
-and turns an unknown name into an error that lists the alternatives.
+Engines, tuning methods and prediction models are built by name
+(PDSP-Bench names its engines the same way): a component registers under
+one name — one spelling, so one ``cell_key`` — together with the typed
+:class:`ParamSpec` rows of what a caller can set, and every consumer
+resolves it through :meth:`Registry.create`, which validates arguments
+*before* construction and turns an unknown name into an error that lists
+the alternatives.  A row exists only for a parameter some caller sets;
+the same machinery type-checks the ``params`` table a plan file hands a
+trace family (:data:`repro.scenarios.TRACES`).
 
 Built-in components are registered by :mod:`repro.api.components`, which
 ``repro.api`` imports eagerly — ``from repro.api import ENGINES`` always
@@ -16,9 +16,7 @@ sees a populated registry.  Third parties extend the system the same way::
 
     from repro.api import ENGINES, ParamSpec
 
-    @ENGINES.register("myengine", params=(ParamSpec("seed", int, None),))
-    def _build(seed=None):
-        return MyEngineCluster(seed=seed)
+    ENGINES.register("myengine", params=(ParamSpec("seed", int, None),))(MyEngineCluster)
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ class ParamSpec:
     annotation: type
     default: Any = REQUIRED
     help: str = ""
-    choices: tuple = ()
 
     @property
     def required(self) -> bool:
@@ -89,13 +86,6 @@ class ParamSpec:
                 f"{kind} {component!r}: parameter {self.name!r} expects "
                 f"{self.annotation.__name__}, got {type(value).__name__} ({value!r})"
             )
-        if self.choices and value not in self.choices:
-            # An out-of-choices value is an unknown *name*, not a type
-            # error — raise the lookup error so callers get the same
-            # did-you-mean treatment as a registry miss.
-            raise UnknownComponentError(
-                f"{kind} {component!r} {self.name}", str(value), tuple(map(str, self.choices))
-            )
         return value
 
 
@@ -106,8 +96,6 @@ class ComponentEntry:
     name: str
     factory: Callable
     params: tuple[ParamSpec, ...] = ()
-    aliases: tuple[str, ...] = ()
-    summary: str = ""
     #: Extra keyword arguments beyond ``params`` are forwarded verbatim
     #: when True (used by components that proxy ``**overrides`` through).
     allow_extra: bool = False
@@ -138,7 +126,6 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: dict[str, ComponentEntry] = {}
-        self._aliases: dict[str, str] = {}
 
     # -- registration ---------------------------------------------------
 
@@ -147,39 +134,25 @@ class Registry:
         name: str,
         *,
         params: tuple[ParamSpec, ...] = (),
-        aliases: tuple[str, ...] = (),
-        summary: str = "",
         allow_extra: bool = False,
         needs_history: bool = False,
         family: str = "",
         traits: tuple[str, ...] = (),
     ):
-        """Decorator: register ``factory`` under ``name`` (+ ``aliases``)."""
+        """Decorator: register ``factory`` (a function or a class) under ``name``."""
 
         def decorate(factory: Callable) -> Callable:
-            if name in self._entries or name in self._aliases:
+            if name in self._entries:
                 raise RegistryError(f"{self.kind} {name!r} is already registered")
-            doc = summary
-            if not doc and factory.__doc__:
-                doc = factory.__doc__.strip().splitlines()[0]
-            entry = ComponentEntry(
+            self._entries[name] = ComponentEntry(
                 name=name,
                 factory=factory,
                 params=tuple(params),
-                aliases=tuple(aliases),
-                summary=doc,
                 allow_extra=allow_extra,
                 needs_history=needs_history,
                 family=family,
                 traits=tuple(traits),
             )
-            self._entries[name] = entry
-            for alias in aliases:
-                if alias in self._entries or alias in self._aliases:
-                    raise RegistryError(
-                        f"{self.kind} alias {alias!r} is already registered"
-                    )
-                self._aliases[alias] = name
             return factory
 
         return decorate
@@ -187,21 +160,17 @@ class Registry:
     # -- resolution -----------------------------------------------------
 
     def names(self) -> tuple[str, ...]:
-        """Canonical component names, sorted."""
+        """Registered component names, sorted."""
         return tuple(sorted(self._entries))
 
     def __contains__(self, name: str) -> bool:
-        key = name.lower()
-        return key in self._entries or key in self._aliases
+        return name.lower() in self._entries
 
     def entry(self, name: str) -> ComponentEntry:
-        key = name.lower()
-        key = self._aliases.get(key, key)
         try:
-            return self._entries[key]
+            return self._entries[name.lower()]
         except KeyError:
-            known = tuple(sorted(set(self._entries) | set(self._aliases)))
-            raise UnknownComponentError(self.kind, name, known) from None
+            raise UnknownComponentError(self.kind, name, self.names()) from None
 
     def validate_kwargs(self, name: str, kwargs: dict) -> dict:
         """Type-check ``kwargs`` against the entry's specs (no construction)."""
@@ -237,24 +206,10 @@ class Registry:
         entry = self.entry(name)
         return entry.factory(*args, **self.validate_kwargs(name, kwargs))
 
-    def describe(self) -> str:
-        """Human-readable listing (used by docs and ``--help`` epilogs)."""
-        lines = []
-        for name in self.names():
-            entry = self._entries[name]
-            alias_note = f" (aliases: {', '.join(entry.aliases)})" if entry.aliases else ""
-            lines.append(f"{name}{alias_note}: {entry.summary}")
-            for spec in entry.params:
-                default = "required" if spec.required else f"default {spec.default!r}"
-                lines.append(
-                    f"  - {spec.name} ({spec.annotation.__name__}, {default})"
-                    + (f": {spec.help}" if spec.help else "")
-                )
-        return "\n".join(lines)
 
-
-#: The four component families of the paper's pipeline.
+#: The three component families of the paper's pipeline that are built
+#: by name (query tokens are a fixed grammar:
+#: :func:`repro.api.components.parse_query_token`).
 ENGINES = Registry("engine")
 TUNERS = Registry("tuner")
-WORKLOADS = Registry("workload")
 MODELS = Registry("prediction model")

@@ -353,7 +353,6 @@ class TuningSession:
             pretrained,
             backend=plan.backend,
             max_workers=plan.workers,
-            prioritize_backpressure=plan.prioritize_backpressure,
             caches=caches,
             shm_store=self._shm_store,
         )

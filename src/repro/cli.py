@@ -305,14 +305,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "a benchmark matrix is a sweep grid with a summary report"
         )
     plan = _apply_plan_overrides(plan, args)
-    session = None
-    if plan.backend == "distributed":
-        # Same execution path as `dispatch`, defaults only: an ephemeral
-        # local spool staffed by subprocess workers.
-        from repro.distributed import DistributedSession
-
-        session = DistributedSession()
-    result = _run_with_events(plan, args, session=session)
+    result = _run_with_events(plan, args)
     report = matrix_report(result, backend=plan.backend)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -20,9 +20,8 @@ The metric families:
   .MetricsAggregator` view of everything executed by this process;
 * ``repro_cache_hits_total`` / ``repro_cache_misses_total`` /
   ``repro_cache_size`` ``{section=...}`` and
-  ``repro_cache_hit_ratio{section=...}`` — the shared cache plane,
-  merged across workers via
-  :func:`~repro.service.cache.merge_cache_stats`;
+  ``repro_cache_hit_ratio{section=...}`` — the daemon's shared cache
+  plane (:meth:`~repro.service.cache.TuningCacheSet.stats`);
 * ``repro_uptime_seconds`` — seconds since the daemon started serving.
 """
 
@@ -86,7 +85,7 @@ def render_metrics(snapshot: dict) -> str:
     - ``campaigns_finished`` / ``campaigns_failed`` / ``steps`` /
       ``reconfigurations`` / ``events``: process-lifetime counters;
     - ``cache_stats``: ``{section: {hits, misses, size}}`` (the
-      ``merge_cache_stats`` shape);
+      ``TuningCacheSet.stats`` shape);
     - ``uptime_seconds``: float.
 
     Output is deterministic: label sets render sorted.

@@ -292,8 +292,6 @@ class TuningDaemon:
     # -- observability --------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        from repro.service.cache import merge_cache_stats
-
         counts = self.metrics.counts
         return {
             "jobs": self.store.counts_by_state(),
@@ -304,7 +302,7 @@ class TuningDaemon:
             "steps": sum(self.metrics.steps.values()),
             "reconfigurations": sum(self.metrics.reconfigurations.values()),
             "events": self.metrics.n_events,
-            "cache_stats": merge_cache_stats(self.caches.stats()),
+            "cache_stats": self.caches.stats(),
             "uptime_seconds": (
                 time.monotonic() - self._started_at
                 if self._started_at is not None else 0.0

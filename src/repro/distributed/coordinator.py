@@ -53,7 +53,7 @@ from repro.faults.plane import fire as _fire
 __all__ = ["DistributedSession", "plan_cells"]
 
 
-def _derived_plan(plan: CampaignPlan, token: str, rates) -> dict:
+def _derived_plan(plan: CampaignPlan, token: str) -> dict:
     """The single-campaign plan one cell executes, as a plain dict.
 
     The derived plan runs on the ``sequential`` backend (one campaign
@@ -65,18 +65,16 @@ def _derived_plan(plan: CampaignPlan, token: str, rates) -> dict:
     """
     return CampaignPlan(
         queries=(token,),
-        rates=tuple(rates),
+        rates=plan.rates,
         engine=plan.engine,
         tuner=plan.tuner,
         backend="sequential",
         layer=plan.layer,
-        prioritize_backpressure=plan.prioritize_backpressure,
         model=plan.model,
         scale=plan.scale,
         seed=plan.seed,
         # Chaos travels with the cell (it shapes results and the cell
-        # key); the trace spec does not — rates are already materialized
-        # per campaign here, possibly to a per-query chunk of the trace.
+        # key); the trace spec does not — rates are already materialized.
         chaos=plan.chaos,
     ).to_dict()
 
@@ -99,7 +97,7 @@ def plan_cells(plan: "CampaignPlan | SweepPlan") -> list[SpoolCell]:
                 index=len(cells),
                 cell_key=spec.cell_key,
                 campaign=spec.name,
-                plan=_derived_plan(fleet, token, spec.multipliers),
+                plan=_derived_plan(fleet, token),
                 scenario=scenario,
                 n_steps=len(spec.multipliers),
                 fleet_index=fleet_index,

@@ -37,7 +37,6 @@ same hit numbers every run) must be given.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -285,33 +284,10 @@ class FaultPlan:
         return cls(rules=data.get("rules") or (), seed=data.get("seed", 0))
 
 
-def _toml_module():
-    try:
-        import tomllib
-        return tomllib
-    except ModuleNotFoundError:                     # pragma: no cover
-        try:
-            import tomli
-            return tomli
-        except ModuleNotFoundError:
-            raise FaultError(
-                "reading TOML fault plans needs Python 3.11+ (tomllib) or "
-                "the 'tomli' package; use a JSON plan instead"
-            ) from None
-
-
 def load_fault_plan(path: "str | Path") -> FaultPlan:
     """Load a :class:`FaultPlan` from a ``.json`` or ``.toml`` file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FaultError(f"fault plan file not found: {path}") from None
-    if path.suffix.lower() == ".toml":
-        data = _toml_module().loads(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise FaultError(f"fault plan {path} is not valid JSON: {error}") from None
-    return FaultPlan.from_dict(data)
+    # Imported here: this package's root imports the stdlib only, so that
+    # repro.api.events and the spool can mark their sites without a cycle.
+    from repro.api.plans import read_config
+
+    return FaultPlan.from_dict(read_config(path, FaultError, "fault plan"))

@@ -221,7 +221,6 @@ def _ramp(rng, n_steps=None, start=1.0, stop=10.0):
 
 @TRACES.register(
     "sinusoid-noise",
-    aliases=("sinusoid",),
     params=(
         _N_STEPS,
         ParamSpec("mean", float, 5.0, help="carrier mean rate (x Wu)"),

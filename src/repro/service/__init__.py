@@ -62,7 +62,6 @@ from repro.service.scheduler import (
     BackpressureScheduler,
     CampaignPriority,
     CampaignSpec,
-    FifoScheduler,
 )
 from repro.service.tuning import (
     BACKENDS,
@@ -80,7 +79,6 @@ __all__ = [
     "CampaignPriority",
     "CampaignSpec",
     "ConcurrentLRUCache",
-    "FifoScheduler",
     "SharedGEDCache",
     "SnapshotError",
     "TuningCacheSet",

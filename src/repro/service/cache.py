@@ -81,8 +81,9 @@ class ConcurrentLRUCache:
         self._lock = threading.RLock()
         # A pickled copy starts its own accounting: carrying the parent's
         # hit/miss counters into a worker would double-count the parent's
-        # warm-up traffic in every worker-emitted CacheStats event (fold
-        # worker counters back with :func:`merge_cache_stats` instead).
+        # warm-up traffic in every worker-emitted CacheStats event (a
+        # fleet's per-cell counters are summed by the coordinator's
+        # ``_merge_stats``).
         self.hits = 0
         self.misses = 0
 
@@ -134,30 +135,6 @@ class ConcurrentLRUCache:
             return {
                 "size": len(self._data), "hits": self.hits, "misses": self.misses
             }
-
-
-def merge_cache_stats(*stats: "dict[str, dict[str, int]]") -> dict:
-    """Fold per-process cache stats into one fleet-wide view.
-
-    Worker-emitted :class:`~repro.api.events.CacheStats` payloads count
-    only the worker's own traffic (pickled caches zero their counters on
-    arrival); the fleet totals are therefore a *sum* of hits and misses
-    across the parent and every worker.  Sizes do not add — workers hold
-    copies (or views) of the same entries, not partitions — so the merged
-    size is the largest observed.
-    """
-    merged: dict[str, dict[str, int]] = {}
-    for stat in stats:
-        for section, counters in stat.items():
-            into = merged.setdefault(
-                section, {"size": 0, "hits": 0, "misses": 0}
-            )
-            for field, value in counters.items():
-                if field == "size":
-                    into["size"] = max(into["size"], value)
-                else:
-                    into[field] = into.get(field, 0) + value
-    return merged
 
 
 #: Cache sections the tuner consults, with per-section capacity defaults.

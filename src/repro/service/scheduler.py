@@ -148,10 +148,3 @@ class BackpressureScheduler:
             key=lambda index: priorities[index].sort_key,
             reverse=True,
         )
-
-
-class FifoScheduler:
-    """Submission-order dispatch (the no-prioritisation baseline)."""
-
-    def order(self, specs: list[CampaignSpec]) -> list[int]:
-        return list(range(len(specs)))

@@ -69,7 +69,7 @@ from repro.core.tuner import StreamTuneTuner
 from repro.experiments.campaigns import CampaignResult, iter_campaign
 from repro.service.cache import SharedGEDCache, TuningCacheSet
 from repro.service.prewarm import RESUME_DEMAND, prewarm_caches
-from repro.service.scheduler import BackpressureScheduler, CampaignSpec, FifoScheduler
+from repro.service.scheduler import BackpressureScheduler, CampaignSpec
 
 BACKENDS = ("sequential", "thread", "process")
 
@@ -347,7 +347,6 @@ class TuningService:
         pretrained: PretrainedStreamTune | None,
         backend: str = "thread",
         max_workers: int | None = None,
-        prioritize_backpressure: bool = True,
         caches: TuningCacheSet | None = None,
         start_method: str | None = None,
         shm_store=None,
@@ -413,7 +412,6 @@ class TuningService:
         self.start_method = start_method
         self._shm_store = shm_store
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
-        self.scheduler = BackpressureScheduler() if prioritize_backpressure else FifoScheduler()
         if pretrained is not None:
             self._install_shared_ged_cache()
         #: Sections newly computed by the most recent stream's pre-warm.
@@ -440,12 +438,15 @@ class TuningService:
     def _plan_units(
         self, specs: list[CampaignSpec], skip: frozenset | set = frozenset()
     ) -> list[int]:
-        """Spec indices in dispatch (scheduler) order.  ``skip`` holds the
-        indices a resume log already covers — they are neither probed nor
-        planned.
+        """Spec indices in dispatch order: backpressured campaigns first.
+        ``skip`` holds the indices a resume log already covers — they are
+        neither probed nor planned; fewer than two pending campaigns have
+        no order to find, so nothing is probed for them either.
         """
         active = [index for index in range(len(specs)) if index not in skip]
-        order = self.scheduler.order([specs[index] for index in active])
+        if len(active) < 2:
+            return active
+        order = BackpressureScheduler().order([specs[index] for index in active])
         return [active[position] for position in order]
 
     @staticmethod

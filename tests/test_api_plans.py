@@ -61,6 +61,16 @@ class TestTuningPlanValidation:
         with pytest.raises(PlanError, match="streamtune"):
             TuningPlan(query="q1", tuner="autoscale")
 
+    def test_retired_alias_spellings_fail_naming_the_canonical(self):
+        # One spelling per component: "paced-flink" used to run the same
+        # campaign under a different cell_key, so --resume missed it.
+        with pytest.raises(PlanError, match="flink-paced"):
+            TuningPlan(query="q1", engine="paced-flink")
+        with pytest.raises(PlanError, match="xgboost"):
+            TuningPlan(query="q1", layer="gbdt")
+        with pytest.raises(PlanError, match="xgboost"):
+            TuningPlan(query="q1", tuner="streamtune-gbdt")
+
     def test_ablation_tuner_spelling_accepted(self):
         assert TuningPlan(query="q1", tuner="streamtune-xgboost").tuner
 
@@ -106,10 +116,8 @@ class TestCampaignPlanValidation:
     def test_defaults_validate(self):
         plan = CampaignPlan(queries=("q1", "q5"))
         assert plan.backend == "thread"
-        assert plan.rates_for() == [
-            ("q1", (3.0, 7.0, 4.0, 2.0)),
-            ("q5", (3.0, 7.0, 4.0, 2.0)),
-        ]
+        # Every query of the fleet runs the one trace.
+        assert [spec.multipliers for spec in plan.specs()] == [(3.0, 7.0, 4.0, 2.0)] * 2
 
     def test_queries_string_rejected_with_hint(self):
         with pytest.raises(PlanError, match="split"):
@@ -127,14 +135,6 @@ class TestCampaignPlanValidation:
         with pytest.raises(PlanError, match="workers"):
             CampaignPlan(queries=("q1",), workers=0)
 
-    def test_rates_per_query_requires_multiple(self):
-        with pytest.raises(PlanError) as exc_info:
-            CampaignPlan(queries=("q1", "q5"), rates=(3, 7, 4), rates_per_query=True)
-        message = str(exc_info.value)
-        assert "3 multipliers" in message
-        assert "2 queries" in message
-        assert "multiple" in message
-
     def test_cache_path_with_process_backend_accepted(self):
         # Historically rejected (worker-local cache sets left the parent's
         # snapshot empty); the service now snapshots worker sections back
@@ -144,12 +144,6 @@ class TestCampaignPlanValidation:
         )
         assert plan.cache_path == "caches.pkl"
         assert plan.backend == "process"
-
-    def test_rates_per_query_chunks_in_order(self):
-        plan = CampaignPlan(
-            queries=("q1", "q5"), rates=(3, 7, 4, 2), rates_per_query=True
-        )
-        assert plan.rates_for() == [("q1", (3.0, 7.0)), ("q5", (4.0, 2.0))]
 
 
 class TestRoundTrips:

@@ -134,12 +134,6 @@ class TestTuningSessionCampaigns:
             reference.run(_smoke_plan(queries=("q2", "q3")))
         )
 
-    def test_rates_per_query_traces(self, tiny_pretrained):
-        plan = _smoke_plan(rates=(3, 7, 4, 2), rates_per_query=True)
-        result = TuningSession(pretrained=tiny_pretrained).run(plan)
-        assert result.outcomes[0].result.multipliers == [3.0, 7.0]
-        assert result.outcomes[1].result.multipliers == [4.0, 2.0]
-
     def test_run_rejects_non_plans(self, tiny_pretrained):
         with pytest.raises(PlanError, match="TuningPlan, "):
             TuningSession(pretrained=tiny_pretrained).run({"queries": ["q1"]})
@@ -249,14 +243,6 @@ class TestCliPlanShell:
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps({"scale": "smoke", **fields}))
         return main(["run-plan", str(path), "--backend", "sequential"])
-
-    def test_serve_campaigns_rates_not_multiple_fails_fast(self, tmp_path, capsys):
-        code = self._run_campaign_file(
-            tmp_path, queries=["q1", "q5"], rates=[3, 7, 4], rates_per_query=True
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "3 multipliers" in err and "2 queries" in err and "multiple" in err
 
     def test_serve_campaigns_malformed_rates_fails_fast(self, tmp_path, capsys):
         # `3,,7` as a shell would have passed it, and with the hole spelled out

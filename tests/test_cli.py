@@ -180,6 +180,22 @@ class TestValidationExitCodes:
         assert "trace_shards" in err and "valid fields" in err
         assert "cache_path" in err
 
+    @pytest.mark.parametrize("kind,axis", [("campaign", ""), ("sweep", 'tuners = ["ds2"]\n')])
+    @pytest.mark.parametrize(
+        "retired", ["prioritize_backpressure = true", "rates_per_query = false"]
+    )
+    def test_run_plan_retired_option_is_an_unknown_field(
+        self, retired, kind, axis, tmp_path, capsys
+    ):
+        # Each had one production value; a file that still spells it (even
+        # at that value) is told which fields exist instead.
+        path = tmp_path / "plan.toml"
+        path.write_text(f'kind = "{kind}"\nqueries = ["q1"]\n{axis}{retired}\n')
+        code = main(["run-plan", str(path)])
+        err = self._assert_one_line_error(capsys, code)
+        assert retired.split()[0] in err and "valid fields" in err
+        assert "spool_dir" in err
+
     def test_cache_path_rejected_on_the_distributed_backend(self, tmp_path, capsys):
         # The override re-validates the plan, so the flag cannot smuggle
         # in a combination the plan file itself could not state.
@@ -266,6 +282,7 @@ class TestValidationExitCodes:
         "missing-plan-file", "unknown-component", "missing-model-dir",
         "missing-history-file", "stale-cache-snapshot", "missing-resume-log",
         "bad-perf-tolerance", "unreachable-daemon", "missing-fault-plan",
+        "malformed-fault-plan",
     ])
     def test_operator_errors_exit_2_with_one_line(
         self, error_class, tmp_path, capsys
@@ -284,6 +301,8 @@ class TestValidationExitCodes:
             "sections": {},
         }))
         missing = str(tmp_path / "no" / "such")
+        bad_toml = tmp_path / "faults.toml"
+        bad_toml.write_text("seed = = 7\n")
         argv, expected = {
             "missing-plan-file": (["run-plan", missing + ".toml"], missing),
             "unknown-component": (
@@ -309,6 +328,10 @@ class TestValidationExitCodes:
             "unreachable-daemon": (["jobs", "--url", "http://127.0.0.1:1"], "127.0.0.1:1"),
             "missing-fault-plan": (
                 ["worker", str(tmp_path / "spool"), "--fault-plan", missing], missing
+            ),
+            "malformed-fault-plan": (
+                ["worker", str(tmp_path / "spool"), "--fault-plan", str(bad_toml)],
+                "faults.toml is not valid TOML",
             ),
         }[error_class]
         err = self._assert_one_line_error(capsys, main(argv))

@@ -86,13 +86,13 @@ class TestServiceDeterminism:
         second = service.run(self._specs())
         assert self._traces(first) == self._traces(second)
 
-    def test_dispatch_order_does_not_change_results(self, tiny_pretrained):
+    def test_dispatch_order_does_not_change_results(self, tiny_pretrained, monkeypatch):
         prioritized = TuningService(
-            tiny_pretrained, backend="thread", max_workers=2,
-            prioritize_backpressure=True,
-        ).run(self._specs())
-        fifo = TuningService(
-            tiny_pretrained, backend="thread", max_workers=2,
-            prioritize_backpressure=False,
-        ).run(self._specs())
-        assert self._traces(prioritized) == self._traces(fifo)
+            tiny_pretrained, backend="thread", max_workers=2
+        )
+        order = prioritized._plan_units(self._specs())
+        backwards = TuningService(tiny_pretrained, backend="thread", max_workers=2)
+        monkeypatch.setattr(backwards, "_plan_units", lambda specs, skip: order[::-1])
+        assert self._traces(prioritized.run(self._specs())) == self._traces(
+            backwards.run(self._specs())
+        )

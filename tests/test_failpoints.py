@@ -117,12 +117,16 @@ class TestFaultPlan:
         assert load_fault_plan(toml_path) == plan
 
     def test_load_names_a_missing_or_corrupt_file(self, tmp_path):
-        with pytest.raises(FaultError, match="not found"):
+        with pytest.raises(FaultError, match="absent.json does not exist"):
             load_fault_plan(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(FaultError, match="bad.json"):
-            load_fault_plan(bad)
+        for name, text, syntax in (
+            ("bad.json", "{not json", "JSON"),
+            ("bad.toml", "seed = = 7", "TOML"),
+        ):
+            bad = tmp_path / name
+            bad.write_text(text, encoding="utf-8")
+            with pytest.raises(FaultError, match=f"{name} is not valid {syntax}"):
+                load_fault_plan(bad)
 
     def test_label_is_compact_and_deterministic(self):
         assert FaultPlan().label() == "none"

@@ -172,9 +172,7 @@ class TestFactory:
     @pytest.mark.parametrize("kind,cls", [
         ("svm", MonotonicSVM),
         ("xgboost", MonotonicGBDT),
-        ("gbdt", MonotonicGBDT),
         ("nn", MLPClassifier),
-        ("mlp", MLPClassifier),
     ])
     def test_known_kinds(self, kind, cls):
         assert isinstance(make_prediction_model(kind), cls)

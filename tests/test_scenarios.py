@@ -57,9 +57,12 @@ class TestTraceFamilies:
             "sinusoid-noise", "adversarial",
         } <= names
 
-    def test_sinusoid_alias_resolves(self):
-        spec = TraceSpec(family="sinusoid", params={"n_steps": 4})
-        assert spec.family == "sinusoid-noise"
+    def test_retired_sinusoid_alias_is_rejected_naming_the_family(self):
+        # One spelling per family: a plan's cell keys hash the trace label.
+        with pytest.raises(ScenarioError, match="did you mean 'sinusoid-noise'"):
+            TraceSpec(family="sinusoid", params={"n_steps": 4})
+        with pytest.raises(PlanError, match="sinusoid-noise"):
+            TuningPlan(query="q1", trace={"family": "sinusoid"})
 
     def test_periodic_family_matches_legacy_generator(self):
         spec = TraceSpec(family="periodic", seed=3)

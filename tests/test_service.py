@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -10,7 +11,6 @@ from repro.service import (
     BackpressureScheduler,
     CampaignSpec,
     ConcurrentLRUCache,
-    FifoScheduler,
     TuningCacheSet,
     TuningService,
 )
@@ -123,13 +123,28 @@ class TestScheduler:
         scheduler = BackpressureScheduler()
         assert scheduler.order(specs) == scheduler.order(specs)
 
-    def test_fifo_preserves_submission_order(self):
-        specs = [_spec("q5", 10.0), _spec("q1", 0.01)]
-        assert FifoScheduler().order(specs) == [0, 1]
-
     def test_empty_multipliers_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(query=nexmark_query("q1", "flink"), multipliers=())
+
+    def test_one_pending_campaign_is_not_probed(self, monkeypatch):
+        # A spool cell is a one-campaign plan: an ordering of one needs no
+        # second engine, deployment and measurement.
+        built = []
+        make_engine = CampaignSpec.make_engine
+        monkeypatch.setattr(
+            CampaignSpec, "make_engine",
+            lambda spec: built.append(spec.name) or make_engine(spec),
+        )
+        specs = [
+            dataclasses.replace(_spec(name, 3.0), tuner="ds2") for name in ("q1", "q5")
+        ]
+        service = TuningService(None, backend="sequential")
+        service.run(specs[:1])
+        assert built == [specs[0].name]                 # the campaign's own engine
+        del built[:]
+        service.run(specs)
+        assert sorted(built) == sorted(spec.name for spec in specs * 2)  # + probes
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.service.cache import (
     ConcurrentLRUCache,
     SnapshotError,
     TuningCacheSet,
-    merge_cache_stats,
 )
 from repro.service.shm import (
     SEGMENT_PREFIX,
@@ -280,17 +279,6 @@ class TestCounterIsolation:
         worker = pickle.loads(pickle.dumps(cache))
         assert (worker.hits, worker.misses) == (0, 0)
         assert worker.get("a") == 1            # data still travelled
-
-    def test_merge_cache_stats_sums_traffic_and_maxes_size(self):
-        parent = {"warmup": {"size": 3, "hits": 10, "misses": 2}}
-        worker_a = {"warmup": {"size": 3, "hits": 4, "misses": 1}}
-        worker_b = {
-            "warmup": {"size": 2, "hits": 1, "misses": 0},
-            "embed": {"size": 5, "hits": 7, "misses": 3},
-        }
-        merged = merge_cache_stats(parent, worker_a, worker_b)
-        assert merged["warmup"] == {"size": 3, "hits": 15, "misses": 3}
-        assert merged["embed"] == {"size": 5, "hits": 7, "misses": 3}
 
 
 # ----------------------------------------------------------------------
