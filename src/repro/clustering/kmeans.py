@@ -87,16 +87,22 @@ class GEDKMeans:
         """Cluster ``graphs``: best of ``n_init`` random restarts."""
         if not graphs:
             raise ValueError("cannot cluster an empty dataset")
+        unique, weights, back_refs = self._deduplicate(graphs)
         best: ClusteringResult | None = None
         for _ in range(self.n_init):
-            candidate = self._fit_once(graphs)
+            candidate = self._fit_once(graphs, unique, weights, back_refs)
             if best is None or candidate.inertia < best.inertia:
                 best = candidate
         assert best is not None
         return best
 
-    def _fit_once(self, graphs: Sequence) -> ClusteringResult:
-        unique, weights, back_refs = self._deduplicate(graphs)
+    def _fit_once(
+        self,
+        graphs: Sequence,
+        unique: list,
+        weights: list[float],
+        back_refs: list[int],
+    ) -> ClusteringResult:
         k = min(self.n_clusters, len(unique))
 
         center_ids = list(

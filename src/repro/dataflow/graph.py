@@ -218,13 +218,34 @@ class LogicalDataflow:
     # structure / serde
     # ------------------------------------------------------------------
 
+    def _shape_memo(self, attribute: str, compute) -> str:
+        """``compute()``, memoised per (node count, edge count).
+
+        Dataflows are effectively immutable once validated; keying the memo
+        on the shape recomputes on growth, so a stale value never survives
+        incremental construction.
+        """
+        shape = (len(self._operators), self.n_edges)
+        memo = getattr(self, attribute, None)
+        if memo is not None and memo[0] == shape:
+            return memo[1]
+        value = compute()
+        setattr(self, attribute, (shape, value))
+        return value
+
     def structural_signature(self) -> str:
         """A canonical string identifying the labelled structure of the DAG.
 
         Two dataflows with the same signature are structurally identical up
         to node renaming *in topological position*; used as a cache key for
-        GED computations and for deduplicating history graphs.
+        GED computations and for deduplicating history graphs.  Memoised per
+        shape (:meth:`_shape_memo`).
         """
+        return self._shape_memo(
+            "_structural_signature", self._compute_structural_signature
+        )
+
+    def _compute_structural_signature(self) -> str:
         order = self.topological_order()
         index = {name: i for i, name in enumerate(order)}
         node_part = ",".join(self.operator(name).structural_label() for name in order)
@@ -246,14 +267,11 @@ class LogicalDataflow:
         for one query is exactly what a structurally identical query
         (however named) would have computed.
 
-        The result is memoised per (node count, edge count) — dataflows are
-        effectively immutable once validated, and recomputing on growth
-        keeps a stale memo from surviving incremental construction.
+        Memoised per shape (:meth:`_shape_memo`).
         """
-        shape = (len(self._operators), len(self.edges))
-        memo = getattr(self, "_tuning_signature", None)
-        if memo is not None and memo[0] == shape:
-            return memo[1]
+        return self._shape_memo("_tuning_signature", self._compute_tuning_signature)
+
+    def _compute_tuning_signature(self) -> str:
         order = self.topological_order()
         index = {name: i for i, name in enumerate(order)}
         nodes = []
@@ -264,9 +282,7 @@ class LogicalDataflow:
         edge_part = ",".join(
             sorted(f"{index[u]}>{index[v]}" for u, v in self.edges)
         )
-        signature = ";".join(nodes) + "|" + edge_part
-        self._tuning_signature = (shape, signature)
-        return signature
+        return ";".join(nodes) + "|" + edge_part
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` with ``label`` node attrs."""

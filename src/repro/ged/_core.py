@@ -10,12 +10,19 @@ or deletes it; edge costs are charged incrementally against previously
 processed nodes, so every state's ``g`` value is the exact cost of the
 partial edit script.  When all g1 nodes are processed, the remaining g2
 nodes and their incident edges are inserted.
+
+Each search computes what the heuristic reads once, in tables local to
+it: the g1 side (label counts and edge count of the unprocessed suffix)
+per depth, the g2 side (label counts, node count and edge count of the
+unused part) per ``used_mask``, and h itself per (depth, ``used_mask``).
+Every state gets the float a direct computation would give, so the
+expansion order is that of the direct computation.  Labels are integer
+ids, so a label multiset is a sequence of counts.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 
 from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.view import GraphView
@@ -51,60 +58,83 @@ def ged_search(
         range(n1),
         key=lambda u: (-len(view1.adjacency[u]), view1.labels[u]),
     )
+    label_ids = {
+        label: i
+        for i, label in enumerate(dict.fromkeys(view1.labels + view2.labels))
+    }
+    labels2 = [label_ids[label] for label in view2.labels]
 
     # Precomputations keyed by search depth i (nodes order[:i] processed).
-    suffix_labels: list[Counter] = [Counter() for _ in range(n1 + 1)]
-    for i in range(n1 - 1, -1, -1):
-        suffix_labels[i] = suffix_labels[i + 1].copy()
-        suffix_labels[i][view1.labels[order[i]]] += 1
-    processed_at: list[set[int]] = [set() for _ in range(n1 + 1)]
-    for i in range(1, n1 + 1):
-        processed_at[i] = processed_at[i - 1] | {order[i - 1]}
+    counts = [0] * len(label_ids)
+    suffix_counts = [tuple(counts)]
+    for u in reversed(order):
+        counts[label_ids[view1.labels[u]]] += 1
+        suffix_counts.append(tuple(counts))
+    suffix_counts.reverse()
+    depth = {u: i for i, u in enumerate(order)}
+    edge_depths = [max(depth[a], depth[b]) for a, b in view1.edges]
     remaining_g1_edges = [
-        sum(
-            1
-            for a, b in view1.edges
-            if a not in processed_at[i] or b not in processed_at[i]
-        )
-        for i in range(n1 + 1)
+        sum(1 for d in edge_depths if d >= i) for i in range(n1 + 1)
     ]
+    # Edge directions from order[i] to each earlier order[j], and the cost
+    # of deleting order[i] with its edges to them.
+    directions = [
+        [view1.direction(order[i], order[j]) for j in range(i)] for i in range(n1)
+    ]
+    delete_costs = []
+    for row in directions:
+        delete_cost = costs.node_delete
+        for d1 in row:
+            if d1 != 0:
+                delete_cost += costs.edge_delete
+        delete_costs.append(delete_cost)
 
-    all_labels2 = Counter(view2.labels)
+    pair_costs = {
+        (d1, d2): costs.edge_pair_cost(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)
+    }
     min_edge_cost = min(costs.edge_insert, costs.edge_delete)
+    mask_facts: dict[int, tuple[list[int], int, int]] = {}
+
+    def unused_part(used_mask: int) -> tuple[list[int], int, int]:
+        """(label counts, node count, edge count) of g2 outside the mask."""
+        facts = mask_facts.get(used_mask)
+        if facts is None:
+            rem2 = [0] * len(label_ids)
+            for v, label in enumerate(labels2):
+                if not used_mask >> v & 1:
+                    rem2[label] += 1
+            r2 = n2 - bin(used_mask).count("1")
+            e2r = sum(
+                1
+                for a, b in view2.edges
+                if not (used_mask >> a & 1) or not (used_mask >> b & 1)
+            )
+            facts = mask_facts[used_mask] = (rem2, r2, e2r)
+        return facts
+
+    h_values: dict[tuple[int, int], float] = {}
 
     def heuristic(i: int, used_mask: int) -> float:
         if not use_label_set_bound:
             return 0.0
-        rem1 = suffix_labels[i]
-        r1 = n1 - i
-        rem2 = all_labels2.copy()
-        r2 = n2
-        for v in range(n2):
-            if used_mask >> v & 1:
-                rem2[view2.labels[v]] -= 1
-                r2 -= 1
-        matchable = sum(min(rem1[label], rem2[label]) for label in rem1)
-        m = min(r1, r2)
-        node_h = (
-            (m - matchable) * costs.node_substitute
-            + (r1 - m) * costs.node_delete
-            + (r2 - m) * costs.node_insert
-        )
-        e2r = sum(
-            1
-            for a, b in view2.edges
-            if not (used_mask >> a & 1) or not (used_mask >> b & 1)
-        )
-        edge_h = abs(remaining_g1_edges[i] - e2r) * min_edge_cost
-        return node_h + edge_h
+        h = h_values.get((i, used_mask))
+        if h is None:
+            rem2, r2, e2r = unused_part(used_mask)
+            r1 = n1 - i
+            matchable = sum(map(min, suffix_counts[i], rem2))
+            m = min(r1, r2)
+            node_h = (
+                (m - matchable) * costs.node_substitute
+                + (r1 - m) * costs.node_delete
+                + (r2 - m) * costs.node_insert
+            )
+            edge_h = abs(remaining_g1_edges[i] - e2r) * min_edge_cost
+            h = h_values[i, used_mask] = node_h + edge_h
+        return h
 
     def completion_cost(used_mask: int) -> float:
-        unused = n2 - bin(used_mask).count("1")
-        cost = unused * costs.node_insert
-        for a, b in view2.edges:
-            if not (used_mask >> a & 1) or not (used_mask >> b & 1):
-                cost += costs.edge_insert
-        return cost
+        _, unused, e2r = unused_part(used_mask)
+        return unused * costs.node_insert + e2r * costs.edge_insert
 
     # State: (f, tie, g, i, used_mask, mapping-tuple).  The transition into
     # depth n1 folds the completion cost (inserting unused g2 nodes and
@@ -144,29 +174,22 @@ def ged_search(
             raise SearchBudgetExceeded(
                 f"GED search exceeded {max_expansions} expansions"
             )
-        u = order[i]
-        label_u = view1.labels[u]
+        label_u = view1.labels[order[i]]
+        row = directions[i]
 
         # Option 1: delete u (and its edges to already-processed nodes).
-        delete_cost = costs.node_delete
-        for j in range(i):
-            if view1.direction(u, order[j]) != 0:
-                delete_cost += costs.edge_delete
-        push(g + delete_cost, i + 1, used_mask, mapping + (-1,))
+        push(g + delete_costs[i], i + 1, used_mask, mapping + (-1,))
 
         # Option 2: map u onto every unused g2 node.
         for w in range(n2):
             if used_mask >> w & 1:
                 continue
             step = 0.0 if view2.labels[w] == label_u else costs.node_substitute
-            for j in range(i):
-                d1 = view1.direction(u, order[j])
-                partner = mapping[j]
-                if partner == -1:
-                    if d1 != 0:
-                        step += costs.edge_delete
-                else:
-                    step += costs.edge_pair_cost(d1, view2.direction(w, partner))
+            # A deleted partner (-1) has no edges: its slot costs
+            # edge_pair_cost(d1, 0), the deletion of any g1 edge.
+            adjacent = view2.adjacency[w]
+            for d1, partner in zip(row, mapping):
+                step += pair_costs[d1, adjacent.get(partner, 0)]
             push(g + step, i + 1, used_mask | (1 << w), mapping + (w,))
 
     return None

@@ -22,7 +22,7 @@ Two classic bounds are provided, both admissible (never exceed true GED):
 from __future__ import annotations
 
 import math
-from collections import Counter
+from itertools import zip_longest
 
 from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.view import GraphView, as_view
@@ -38,10 +38,12 @@ def label_multiset_bound(
     deletions/insertions.  Edges: every unit of edge-count difference
     needs at least one edge insert or delete.
     """
-    labels1 = Counter(view1.labels)
-    labels2 = Counter(view2.labels)
+    labels2 = view2.label_counts
     n1, n2 = view1.n_nodes, view2.n_nodes
-    matchable = sum(min(labels1[label], labels2[label]) for label in labels1)
+    matchable = sum(
+        min(count, labels2.get(label, 0))
+        for label, count in view1.label_counts.items()
+    )
     mapped = min(n1, n2)
     node_bound = (
         (mapped - matchable) * costs.node_substitute
@@ -60,14 +62,6 @@ def label_multiset_bound(
     return node_bound + edge_bound
 
 
-def _total_degrees(view: GraphView) -> list[int]:
-    degrees = [0] * view.n_nodes
-    for a, b in view.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    return sorted(degrees, reverse=True)
-
-
 def degree_sequence_bound(
     view1: GraphView, view2: GraphView, costs: EditCosts = DEFAULT_COSTS
 ) -> float:
@@ -81,12 +75,9 @@ def degree_sequence_bound(
     the total variation, which keeps the bound admissible for whatever
     node mapping the optimal script uses.
     """
-    degrees1 = _total_degrees(view1)
-    degrees2 = _total_degrees(view2)
-    size = max(len(degrees1), len(degrees2))
-    degrees1 += [0] * (size - len(degrees1))
-    degrees2 += [0] * (size - len(degrees2))
-    variation = sum(abs(a - b) for a, b in zip(degrees1, degrees2))
+    variation = sum(
+        abs(a - b) for a, b in zip_longest(view1.degrees, view2.degrees, fillvalue=0)
+    )
     min_edge_cost = min(costs.edge_insert, costs.edge_delete)
     return math.ceil(variation / 2) * min_edge_cost
 

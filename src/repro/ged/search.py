@@ -128,8 +128,9 @@ class GEDCache:
             return False
         value = astar_lsa_ged(a, b, costs=self.costs, threshold=threshold)
         if value is None:
+            # The search proves only ``ged > threshold + BOUND_SLACK``.
             previous = self._lower_bounds.get(key, 0.0)
-            self._lower_bounds[key] = max(previous, threshold + 1.0)
+            self._lower_bounds[key] = max(previous, threshold + BOUND_SLACK)
             return False
         self._exact[key] = value
         return True

@@ -9,6 +9,7 @@ touches only small tuples and dicts.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.dataflow.graph import LogicalDataflow
@@ -20,13 +21,17 @@ class GraphView:
 
     ``adjacency[u]`` maps a neighbour ``v`` to +1 (edge u->v) or -1
     (edge v->u); absent entries mean no edge.  DAGs have no 2-cycles, so a
-    single signed entry per pair is sufficient.
+    single signed entry per pair is sufficient.  ``label_counts`` (the
+    label multiset) and ``degrees`` (total degrees, sorted descending) are
+    what the cheap lower bounds of :mod:`repro.ged.bounds` compare.
     """
 
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[dict[int, int], ...]
     signature: str
+    label_counts: dict[str, int]
+    degrees: tuple[int, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -55,6 +60,8 @@ class GraphView:
             edges=edges,
             adjacency=tuple(adjacency),
             signature=flow.structural_signature(),
+            label_counts=Counter(labels),
+            degrees=tuple(sorted((len(row) for row in adjacency), reverse=True)),
         )
 
 

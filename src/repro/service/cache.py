@@ -370,7 +370,7 @@ class SharedGEDCache:
         value = astar_lsa_ged(a, b, costs=self.costs, threshold=threshold)
         if value is None:
             previous = self._bounds.get(key, 0.0)
-            self._bounds.put(key, max(previous, threshold + 1.0))
+            self._bounds.put(key, max(previous, threshold + BOUND_SLACK))
             return False
         self._exact.put(key, value)
         return True

@@ -112,9 +112,13 @@ class TestBasicProperties:
 
 class TestAgreementAndBounds:
     @settings(max_examples=25, deadline=None)
-    @given(small_dags(), small_dags())
-    def test_exact_equals_lsa(self, a, b):
-        assert exact_ged(a, b) == pytest.approx(astar_lsa_ged(a, b))
+    @given(small_dags(), small_dags(), st.floats(min_value=0.0, max_value=8.0))
+    def test_exact_equals_lsa(self, a, b, threshold):
+        exact = exact_ged(a, b)
+        assert astar_lsa_ged(a, b) == exact
+        verified = astar_lsa_ged(a, b, threshold=threshold)
+        assert (verified is not None) == (exact <= threshold + 1e-9)
+        assert verified in (None, exact)
 
     @settings(max_examples=25, deadline=None)
     @given(small_dags(), small_dags())
@@ -171,3 +175,5 @@ class TestSearchMechanics:
         assert view.n_edges == 5
         assert view.direction(0, 1) in (-1, 1)
         assert view.direction(0, 4) == 0  # src and sink not adjacent
+        assert view.label_counts == {"source": 1, "filter": 2, "join": 1, "sink": 1}
+        assert view.degrees == (3, 2, 2, 2, 1)

@@ -78,6 +78,18 @@ class TestCacheBitIdentity:
                 assert shared.distance(x, y) == plain.distance(x, y)
         assert shared.misses == before
 
+    @pytest.mark.parametrize("cache_class", [GEDCache, SharedGEDCache])
+    def test_failed_verification_caches_an_admissible_bound(self, corpus, cache_class):
+        # GED 6.0, and the cheap bound (5.0) sends both thresholds to search.
+        a, b = corpus[0].flow, corpus[18].flow
+        assert exact_ged(a, b) == 6.0
+        cache = cache_class()
+        assert not cache.within(a, b, 5.5)
+        # The failed search proves only ged > 5.5: a looser threshold must
+        # still be verified, as on a fresh cache.
+        assert cache.within(a, b, 6.2)
+        assert not cache.within(a, b, 5.5)
+
     def test_shared_cache_within_agrees_with_distance(self):
         a, b = build_linear_flow(), build_window_flow()
         shared = SharedGEDCache()

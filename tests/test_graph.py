@@ -151,6 +151,22 @@ class TestStructure:
         clone.add_operator(op("extra"))
         assert "extra" not in diamond_flow
 
+    @pytest.mark.parametrize("method", ["structural_signature", "tuning_signature"])
+    def test_signature_memo_refreshes_on_growth(self, method):
+        flow = build_linear_flow()
+
+        def fresh() -> str:
+            return getattr(LogicalDataflow.from_dict(flow.to_dict()), method)()
+
+        first = getattr(flow, method)()
+        assert getattr(flow, method)() == first == fresh()
+        flow.add_operator(op("extra"))
+        grown = getattr(flow, method)()
+        assert grown != first and grown == fresh()
+        flow.connect("filter", "extra")
+        connected = getattr(flow, method)()
+        assert connected != grown and connected == fresh()
+
     def test_to_networkx(self, diamond_flow):
         graph = diamond_flow.to_networkx()
         assert graph.number_of_nodes() == len(diamond_flow)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro.clustering.kmeans import GEDKMeans
 from repro.core.history import ExecutionRecord, HistoryGenerator
 from repro.core.pretrain import pretrain
 from repro.engines.flink import FlinkCluster
@@ -101,6 +104,34 @@ class TestPretrain:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             pretrain([], max_parallelism=100)
+
+    def test_final_fit_reuses_the_elbow_cache(self, tiny_history, monkeypatch):
+        """The elbow already ran the final fit's k-means on the same cache:
+        the final fit computes no GED, and clusters as a cold-cache fit."""
+        # ``repro.core`` re-exports the function under the module's name.
+        pretrain_module = importlib.import_module("repro.core.pretrain")
+        misses = []
+
+        class RecordingKMeans(GEDKMeans):
+            def fit(self, graphs):
+                before = self.cache.misses
+                result = super().fit(graphs)
+                misses.append((before, self.cache.misses))
+                return result
+
+        monkeypatch.setattr(pretrain_module, "GEDKMeans", RecordingKMeans)
+        records = tiny_history[:120]
+        artifact = pretrain(records, max_parallelism=100, epochs=1, seed=3)
+        [(before, after)] = misses
+        assert before > 0 and after == before
+
+        cold = GEDKMeans(artifact.n_clusters, seed=3).fit([r.flow for r in records])
+        warm = artifact.clustering
+        assert warm.assignments == cold.assignments
+        assert [g.structural_signature() for g in warm.center_graphs] == [
+            g.structural_signature() for g in cold.center_graphs
+        ]
+        assert (warm.inertia, warm.n_iterations) == (cold.inertia, cold.n_iterations)
 
     def test_global_encoder_bypass(self, tiny_history):
         """§VII fallback: n_clusters=1 trains a single global encoder."""
