@@ -9,23 +9,36 @@ speaks:
   append-only ledger of :class:`~repro.api.events.JobSubmitted` and
   :class:`~repro.api.events.JobStateChanged` events — the submissions
   themselves (full plan payload included) and every state transition,
-  fsynced per line so a killed daemon can reconstruct its job table;
+  fsynced as written (a submission and its ``queued`` line share one
+  write) so a killed daemon can reconstruct its job table;
 * each job's **ledger** (``<job_id>.jsonl``) is the JSONL event log of
   its execution, written by a per-event-fsynced
   :class:`~repro.api.events.JsonlRecorder` — exactly the format
   ``--record`` produces, so it doubles as the job's
   :class:`~repro.api.resume.ResumeLog`.
 
+A job keeps in memory only what a live job needs.  Its event lines are
+buffered while it runs and released when it turns terminal: from then on
+its ledger is the one copy, read by :meth:`JobStore.event_lines` — for a
+job this daemon finished and for one a previous life finished alike.  Its
+cell count is taken once, at submission.  Expanding its plan
+(``cell_keys()`` there, ``specs()`` in the session) resolves PQP queries
+through :func:`~repro.workloads.pqp.pqp_queries`, which builds each
+template once per process and hands every job the same query objects;
+they are read-only by contract, and nothing here or in the session writes
+to a query, its flow or its ``rate_units``.
+
 :meth:`JobStore.recover` is the restart path (``repro serve --resume
 auto``): it replays the manifest, marks jobs whose recorded state is
 terminal as replayed (their ledgers serve ``GET /v1/jobs/{id}/events``
-bit-identically), and re-queues interrupted jobs with their partial
-ledger as the resume source — so the restarted daemon executes exactly
-the cells the kill lost.
+bit-identically, read when asked for), and re-queues interrupted jobs
+with their partial ledger as the resume source — so the restarted daemon
+executes exactly the cells the kill lost.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -49,35 +62,42 @@ class Job:
     """One submitted plan and its live, in-memory execution view.
 
     ``events`` buffers the job's serialized event lines (identical bytes
-    to its on-disk ledger) for ``GET /v1/jobs/{id}/events``;
-    ``condition`` wakes followers streaming those lines live.  All
-    mutation goes through the owning :class:`JobStore`, under the store
-    lock.
+    to its on-disk ledger) while it is live and is ``None`` once it is
+    terminal; read lines through :meth:`JobStore.event_lines`, which
+    serves a terminal job from its ledger.  ``condition`` wakes
+    followers streaming those lines live.  All mutation goes through the
+    owning :class:`JobStore`, under the store lock.
     """
 
     def __init__(
         self,
         job_id: str,
         plan,
-        plan_data: dict,
         tenant: str = "default",
         priority: int = 0,
         ledger_path: Path | None = None,
         submitted_at: float = 0.0,
+        n_cells: int = 0,
     ) -> None:
         self.id = job_id
         self.plan = plan
-        self.plan_data = dict(plan_data)
         self.tenant = tenant
         self.priority = priority
         self.ledger_path = Path(ledger_path) if ledger_path else None
+        #: Campaigns the plan runs, counted once at submission (the
+        #: ``JobSubmitted.n_cells`` the manifest records).
+        self.n_cells = n_cells
         self.state = "queued"
         self.error = ""
         self.submitted_at = submitted_at
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        #: Serialized event lines (no trailing newline), ledger-identical.
-        self.events: list[str] = []
+        #: Serialized event lines (no trailing newline), ledger-identical,
+        #: while the job is live; ``None`` once it is terminal.
+        self.events: list[str] | None = []
+        #: Lines recorded; ``None`` for a replayed job until
+        #: :attr:`n_events` first counts its ledger.
+        self._n_events: int | None = 0
         self.condition = threading.Condition()
         #: Set on recovery when the terminal state was replayed from a
         #: previous daemon life rather than executed by this one.
@@ -90,8 +110,12 @@ class Job:
         return self.state in TERMINAL_STATES
 
     @property
-    def n_cells(self) -> int:
-        return len(self.plan.cell_keys())
+    def n_events(self) -> int:
+        """Event lines recorded; a replayed job counts its ledger on the
+        first read."""
+        if self._n_events is None:
+            self._n_events = len(JobStore._ledger_lines(self))
+        return self._n_events
 
     def to_dict(self) -> dict:
         """The job's API view (``GET /v1/jobs/{id}``)."""
@@ -103,7 +127,7 @@ class Job:
             "error": self.error,
             "plan_kind": self.plan.kind,
             "n_cells": self.n_cells,
-            "n_events": len(self.events),
+            "n_events": self.n_events,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
@@ -130,14 +154,16 @@ class JobStore:
 
     # -- durable manifest append ---------------------------------------
 
-    def _append_manifest(self, event) -> None:
-        import dataclasses
-
-        event = dataclasses.replace(event, seq=self._manifest_seq)
-        self._manifest_seq += 1
-        line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
+    def _append_manifest(self, *events) -> None:
+        """Append ``events`` under consecutive ``seq`` numbers with one
+        write and one fsync."""
+        lines = []
+        for event in events:
+            event = dataclasses.replace(event, seq=self._manifest_seq)
+            self._manifest_seq += 1
+            lines.append(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         with open(self.manifest_path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+            handle.write("".join(lines))
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
@@ -147,41 +173,49 @@ class JobStore:
     def submit(
         self, plan, plan_data: dict, tenant: str = "default", priority: int = 0
     ) -> Job:
-        """Create a job for an already-validated plan and record it."""
+        """Create a job for an already-validated plan and record it.
+
+        ``plan_data`` goes into the manifest as submitted; the job keeps
+        the parsed ``plan`` and its cell count, taken here once."""
+        n_cells = len(plan.cell_keys())
         with self._lock:
             job_id = f"j{self._next_id:06d}"
             self._next_id += 1
             job = Job(
                 job_id,
                 plan,
-                plan_data,
                 tenant=tenant,
                 priority=priority,
                 ledger_path=self.root / f"{job_id}.jsonl",
                 submitted_at=time.time(),
+                n_cells=n_cells,
             )
             self._jobs[job_id] = job
             self._order.append(job_id)
             self.submitted_per_tenant[tenant] = (
                 self.submitted_per_tenant.get(tenant, 0) + 1
             )
-            self._append_manifest(JobSubmitted(
-                job=job.id,
-                tenant=tenant,
-                priority=priority,
-                plan_kind=plan.kind,
-                n_cells=job.n_cells,
-                ledger=job.ledger_path.name,
-                plan=dict(plan_data),
-                submitted_at=job.submitted_at,
-            ))
-            self._append_manifest(JobStateChanged(
-                job=job.id, state="queued", at=job.submitted_at,
-            ))
+            self._append_manifest(
+                JobSubmitted(
+                    job=job.id,
+                    tenant=tenant,
+                    priority=priority,
+                    plan_kind=plan.kind,
+                    n_cells=n_cells,
+                    ledger=job.ledger_path.name,
+                    plan=dict(plan_data),
+                    submitted_at=job.submitted_at,
+                ),
+                JobStateChanged(job=job.id, state="queued", at=job.submitted_at),
+            )
         return job
 
     def mark(self, job: Job, state: str, error: str = "") -> None:
-        """Transition ``job`` (durably) and wake its followers."""
+        """Transition ``job`` (durably) and wake its followers.
+
+        A terminal transition releases the job's line buffer: its ledger
+        is complete by then (the daemon closes the recorder first), and
+        :meth:`event_lines` reads it from there on."""
         if state not in JOB_STATES:
             raise ValueError(
                 f"state must be one of {JOB_STATES}, got {state!r}"
@@ -198,12 +232,14 @@ class JobStore:
                 job.started_at = now
             elif state in TERMINAL_STATES:
                 job.finished_at = now
+                job.events = None
             job.condition.notify_all()
 
     def append_event(self, job: Job, line: str) -> None:
         """Buffer one serialized event line and wake live followers."""
         with job.condition:
             job.events.append(line)
+            job._n_events += 1
             job.condition.notify_all()
 
     # -- the read path --------------------------------------------------
@@ -223,14 +259,24 @@ class JobStore:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
+    def event_lines(self, job: Job, start: int = 0) -> list[str]:
+        """The job's serialized event lines from index ``start`` on: its
+        buffer while it is live, its ledger once it is terminal —
+        finished by this daemon or replayed from a previous life alike."""
+        with job.condition:
+            if job.events is not None:
+                return job.events[start:]
+        return self._ledger_lines(job)[start:]
+
     # -- restart recovery ----------------------------------------------
 
     def recover(self) -> list[Job]:
         """Rebuild the job table from the manifest; return jobs to re-run.
 
         * a job whose recorded state is terminal is **replayed**: its
-          ledger lines load into the event buffer verbatim, so clients
-          re-reading ``/events`` get bit-identical bytes;
+          ledger is left on disk and :meth:`event_lines` serves it when
+          asked, so clients re-reading ``/events`` get bit-identical
+          bytes;
         * a job recorded ``queued``/``running`` (the kill interrupted it)
           is returned for re-queueing, carrying its partial ledger as a
           :class:`~repro.api.resume.ResumeLog` when one parses — the
@@ -253,13 +299,13 @@ class JobStore:
                     job = Job(
                         event.job,
                         plan,
-                        event.plan,
                         tenant=event.tenant,
                         priority=event.priority,
                         ledger_path=self.root / (
                             event.ledger or f"{event.job}.jsonl"
                         ),
                         submitted_at=event.submitted_at,
+                        n_cells=event.n_cells,
                     )
                     self._jobs[job.id] = job
                     self._order.append(job.id)
@@ -285,7 +331,8 @@ class JobStore:
                 job = self._jobs[job_id]
                 if job.terminal:
                     job.replayed = True
-                    job.events = self._ledger_lines(job)
+                    job.events = None
+                    job._n_events = None
                     continue
                 job.resume = self._ledger_resume(job)
                 job.state = "queued"

@@ -249,17 +249,19 @@ class TuningDaemon:
             )
 
         bus = EventBus(recorder, buffer_line, self.metrics)
+        state, error = "finished", ""
         try:
             self.session.run(job.plan, bus=bus, resume=job.resume)
-        except CampaignExecutionError as error:
-            self.store.mark(job, "failed", error=str(error))
-        except Exception as error:  # noqa: BLE001 — job isolation: the
+        except CampaignExecutionError as failure:
+            state, error = "failed", str(failure)
+        except Exception as failure:  # noqa: BLE001 — job isolation: the
             # daemon outlives any single plan's failure.
-            self.store.mark(job, "failed", error=f"{type(error).__name__}: {error}")
-        else:
-            self.store.mark(job, "finished")
+            state, error = "failed", f"{type(failure).__name__}: {failure}"
         finally:
+            # Before the terminal mark: a terminal job is served from its
+            # ledger, so the file must be complete by then.
             recorder.close()
+        self.store.mark(job, state, error=error)
 
     # -- submissions ----------------------------------------------------
 
@@ -461,9 +463,9 @@ def _make_handler(daemon: TuningDaemon):
                 return
             follow = query.get("follow", ["0"])[0] not in ("0", "", "false")
             if not follow:
-                with job.condition:
-                    lines = list(job.events)
-                body = "".join(line + "\n" for line in lines)
+                body = "".join(
+                    line + "\n" for line in daemon.store.event_lines(job)
+                )
                 self._text(200, body, "application/x-ndjson")
                 return
             # Live stream: chunked NDJSON until the job goes terminal.
@@ -475,13 +477,15 @@ def _make_handler(daemon: TuningDaemon):
             try:
                 while True:
                     with job.condition:
-                        while len(job.events) <= sent and not job.terminal:
+                        while not job.terminal and job.n_events <= sent:
                             job.condition.wait(timeout=_POLL_SECONDS)
                             if daemon._stop.is_set() and not job.terminal:
                                 break
-                        fresh = job.events[sent:]
                         terminal = job.terminal
                         stopping = daemon._stop.is_set()
+                    # Read after ``terminal``: a job seen terminal is read
+                    # from its ledger, which holds every line by then.
+                    fresh = daemon.store.event_lines(job, sent)
                     for line in fresh:
                         # An injected ConnectionResetError lands in the
                         # handler below exactly like a real mid-stream
@@ -495,7 +499,7 @@ def _make_handler(daemon: TuningDaemon):
                     sent += len(fresh)
                     if fresh:
                         self.wfile.flush()
-                    if (terminal or stopping) and sent >= len(job.events):
+                    if terminal or (stopping and sent >= job.n_events):
                         break
                 self.wfile.write(b"0\r\n\r\n")
             except (BrokenPipeError, ConnectionResetError):

@@ -32,6 +32,8 @@ parallelism for 2-way/3-way joins into the 30-60 range.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.dataflow.graph import LogicalDataflow
@@ -253,9 +255,22 @@ def pqp_template_size(template: str) -> int:
 
 
 def pqp_queries(template: str, seed: int = _PQP_SEED) -> list[StreamingQuery]:
-    """Generate the paper's query set for one PQP template (Flink only)."""
+    """Generate the paper's query set for one PQP template (Flink only).
+
+    Each ``(template, seed)`` is built once per process: the list is new
+    on every call, the queries in it are shared.  That is safe because a
+    validated flow is never mutated and nothing writes a query's
+    ``rate_units``; a caller that wants to change either copies it first
+    (``flow.copy()``, ``dict(rate_units)``).  The template's flows share
+    one seeded RNG stream, so one index cannot be built alone.
+    """
     if template not in PQP_TEMPLATES:
         raise KeyError(f"unknown PQP template {template!r}; have {PQP_TEMPLATES}")
+    return list(_build_template(template, seed))
+
+
+@functools.lru_cache(maxsize=None)
+def _build_template(template: str, seed: int) -> tuple[StreamingQuery, ...]:
     units = rate_units("pqp", template, "flink")
     rng = seeded_rng(seed + stable_hash(template, 10_000))
     queries: list[StreamingQuery] = []
@@ -275,7 +290,7 @@ def pqp_queries(template: str, seed: int = _PQP_SEED) -> list[StreamingQuery]:
                 engine="flink",
             )
         )
-    return queries
+    return tuple(queries)
 
 
 def pqp_query_set(seed: int = _PQP_SEED) -> dict[str, list[StreamingQuery]]:

@@ -200,8 +200,8 @@ class TestJobStore:
         assert [job.id for job in to_requeue] == [hung.id, queued.id]
         replayed = recovered.get(done.id)
         assert replayed.state == "finished" and replayed.replayed
-        # Bit-identical: the buffer holds the ledger's exact lines.
-        assert replayed.events == [ledger_line]
+        # Bit-identical: the accessor serves the ledger's exact lines.
+        assert recovered.event_lines(replayed) == [ledger_line]
         for job in to_requeue:
             assert job.state == "queued" and not job.replayed
         assert recovered.get(hung.id).tenant == "bob"
@@ -212,6 +212,61 @@ class TestJobStore:
         assert recovered.submitted_per_tenant == {
             "alice": 1, "bob": 1, "default": 2,
         }
+
+    def test_submission_is_one_manifest_write(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        store = JobStore(tmp_path)
+        job = store.submit(_tiny_plan(), _tiny_plan_data(), "alice", 3)
+        assert len(synced) == 1
+        lines = store.manifest_path.read_text().splitlines()
+        events = [event_from_dict(json.loads(line)) for line in lines]
+        assert [(event.kind, event.seq) for event in events] == [
+            ("JobSubmitted", 0), ("JobStateChanged", 1),
+        ]
+        assert events[0].n_cells == job.n_cells == 1
+        recovered = JobStore(tmp_path, fsync=False)
+        assert [j.id for j in recovered.recover()] == [job.id]
+        assert recovered.get(job.id).to_dict() == job.to_dict()
+
+    def test_terminal_job_releases_its_buffer_for_the_ledger(self, tmp_path):
+        store = JobStore(tmp_path, fsync=False)
+        job = store.submit(_tiny_plan(), _tiny_plan_data())
+        store.mark(job, "running")
+        lines = [
+            json.dumps(StepCompleted(campaign="c", step_index=i).to_dict(), sort_keys=True)
+            for i in range(3)
+        ]
+        job.ledger_path.write_text("".join(line + "\n" for line in lines))
+        for line in lines:
+            store.append_event(job, line)
+        assert store.event_lines(job, 1) == lines[1:]
+        store.mark(job, "finished")
+        assert job.events is None
+        assert job.n_events == job.to_dict()["n_events"] == 3
+        assert store.event_lines(job) == lines
+        assert store.event_lines(job, 2) == lines[2:]
+
+    def test_recover_reads_no_ledger_until_asked(self, tmp_path, monkeypatch):
+        store = JobStore(tmp_path, fsync=False)
+        done = store.submit(_tiny_plan(), _tiny_plan_data())
+        line = json.dumps(StepCompleted(campaign="c").to_dict(), sort_keys=True)
+        done.ledger_path.write_text(line + "\n")
+        store.mark(done, "running")
+        store.mark(done, "finished")
+        reads = []
+        ledger_lines = JobStore._ledger_lines
+        monkeypatch.setattr(JobStore, "_ledger_lines", staticmethod(
+            lambda job: reads.append(job.id) or ledger_lines(job)
+        ))
+        recovered = JobStore(tmp_path, fsync=False)
+        assert recovered.recover() == []
+        assert reads == []
+        replayed = recovered.get(done.id)
+        assert replayed.events is None
+        assert replayed.to_dict()["n_events"] == replayed.n_events == 1
+        assert recovered.event_lines(replayed) == [line]
+        assert reads == [done.id, done.id]   # one count, one read
 
     def test_recover_tolerates_truncated_manifest_tail(self, tmp_path):
         store = JobStore(tmp_path, fsync=False)

@@ -10,6 +10,7 @@ interrupted jobs execute only their missing cells.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import signal
@@ -74,6 +75,76 @@ class TestSubmitFollowFinish:
         ledger = tmp_path / "ledger" / "j000001.jsonl"
         assert lines == ledger.read_text().splitlines()
         assert [json.loads(line) for line in lines] == followed
+
+    def test_finished_job_is_served_from_its_ledger(self, daemon, monkeypatch):
+        client = _client(daemon)
+        job_id = client.submit_plan(TINY_PLAN)["job"]
+        deadline = time.monotonic() + 30
+        while client.job(job_id)["state"] != "finished":
+            assert time.monotonic() < deadline, "job hung"
+            time.sleep(0.02)
+        stored = daemon.store.get(job_id)
+        assert stored.events is None            # no line buffer once finished
+        ledger = stored.ledger_path.read_bytes()
+        with client._request("GET", f"/v1/jobs/{job_id}/events", stream=True) as response:
+            assert response.read() == ledger
+        # The status view reads counts taken while the job ran: no plan
+        # expansion, so no query is resolved.
+        import repro.api.components as components
+        import repro.api.plans as plans
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a status read resolved a query")
+
+        monkeypatch.setattr(components, "resolve_query", refuse)
+        monkeypatch.setattr(plans, "resolve_query", refuse)
+        status = client.job(job_id)
+        assert status["n_cells"] == 1
+        assert status["n_events"] == len(ledger.splitlines())
+        assert [job["n_events"] for job in client.jobs()] == [status["n_events"]]
+
+    def test_follow_across_the_terminal_transition_is_the_ledger(self, daemon):
+        client = _client(daemon)
+        release = threading.Event()
+        append = daemon.store.append_event
+
+        def held(job, line):
+            append(job, line)
+            release.wait(timeout=30)    # the run pauses after each event
+
+        daemon.store.append_event = held
+        job_id = client.submit_plan(TINY_PLAN)["job"]
+        response = client._request(
+            "GET", f"/v1/jobs/{job_id}/events?follow=1", stream=True, timeout=30
+        )
+        with response:
+            first = response.readline()          # streamed from the live buffer
+            assert first and not daemon.store.get(job_id).terminal
+            release.set()
+            body = first + response.read()
+        stored = daemon.store.get(job_id)
+        assert stored.state == "finished" and stored.events is None
+        assert body == stored.ledger_path.read_bytes()
+
+    def test_jobs_on_one_template_build_it_once(self, daemon, monkeypatch):
+        import repro.workloads.pqp as pqp
+
+        build = pqp._build_template.__wrapped__
+        built = []
+
+        def counted(template, seed):
+            built.append(template)
+            return build(template, seed)
+
+        monkeypatch.setattr(
+            pqp, "_build_template", functools.lru_cache(maxsize=None)(counted)
+        )
+        client = _client(daemon)
+        for _ in range(5):
+            job = client.submit_plan({**TINY_PLAN, "query": "3-way-join/0"})
+            list(client.follow(job["job"]))
+            assert client.job(job["job"])["state"] == "finished"
+        assert built == ["3-way-join"]
 
     def test_jobs_listing_and_filters(self, daemon):
         client = _client(daemon)
@@ -162,6 +233,10 @@ class TestHttpErrors:
         final = client.job(job["job"])
         assert final["state"] == "failed"
         assert final["error"]
+        # It failed before its first event: there is nothing to serve.
+        assert final["n_events"] == 0
+        assert client.event_lines(job["job"]) == []
+        assert list(client.follow(job["job"])) == []
         # The daemon is still alive and serving.
         assert client.health()["status"] == "ok"
         next_job = client.submit_plan(TINY_PLAN)

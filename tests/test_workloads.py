@@ -9,8 +9,10 @@ import pytest
 from repro.dataflow.operators import OperatorType, WindowType
 from repro.workloads.nexmark import NEXMARK_QUERY_NAMES, nexmark_queries, nexmark_query
 from repro.workloads.pqp import (
+    _PQP_SEED,
     PQP_TEMPLATES,
     TEMPLATE_SIZES,
+    _build_template,
     pqp_queries,
     pqp_query_set,
 )
@@ -163,6 +165,54 @@ class TestPQP:
     def test_unknown_template(self):
         with pytest.raises(KeyError):
             pqp_queries("4-way-join")
+
+
+class TestPQPMemo:
+    """A template is built once per process; its queries are shared."""
+
+    def test_resolve_query_returns_the_identical_object(self):
+        from repro.api import resolve_query
+
+        query = resolve_query("3-way-join/4")
+        assert resolve_query("3-way-join/4") is query
+        assert pqp_queries("3-way-join")[4] is query
+
+    def test_each_call_returns_a_new_list(self):
+        first = pqp_queries("linear")
+        second = pqp_queries("linear")
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        first.append(None)
+        again = pqp_queries("linear")
+        assert len(again) == TEMPLATE_SIZES["linear"] and None not in again
+
+    @pytest.mark.parametrize("seed", [_PQP_SEED, 4242])
+    def test_memoised_queries_equal_a_fresh_build(self, seed):
+        for template in PQP_TEMPLATES:
+            memoised = pqp_queries(template, seed=seed)
+            fresh = _build_template.__wrapped__(template, seed)
+            assert not any(a is b for a, b in zip(memoised, fresh))
+            assert [q.flow.tuning_signature() for q in memoised] == [
+                q.flow.tuning_signature() for q in fresh
+            ]
+            assert [q.rate_units for q in memoised] == [q.rate_units for q in fresh]
+
+    def test_campaigns_leave_a_memoised_query_unchanged(self, tiny_pretrained):
+        from repro.api import resolve_query
+        from repro.baselines import DS2Tuner
+        from repro.core import StreamTuneTuner
+        from repro.engines import FlinkCluster
+        from repro.experiments.campaigns import run_campaign
+
+        query = resolve_query("2-way-join/1")
+        flow, units = query.flow.to_dict(), dict(query.rate_units)
+        for make in (DS2Tuner, lambda e: StreamTuneTuner(e, tiny_pretrained, seed=7)):
+            engine = FlinkCluster(seed=3)
+            run_campaign(engine, make(engine), query, [3, 7])
+        assert resolve_query("2-way-join/1") is query
+        assert query.flow.to_dict() == flow
+        assert query.rate_units == units
 
 
 class TestStreamingQuery:
