@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -610,47 +611,81 @@ class ProgressPrinter:
 class JsonlRecorder:
     """Write every event to ``path`` as one JSON object per line.
 
-    The file opens lazily on the first event (truncating any previous
-    log — one recorder, one run) and flushes per line, so a crash
-    mid-run leaves a readable prefix.  ``fsync=True`` additionally
-    fsyncs per line: the interpreter flush only hands the line to the
-    OS page cache, which a SIGKILL survives but a power loss (or an
-    eager container teardown) does not — a daemon whose ledger *is* the
-    recovery source pays the sync so every recorded event is durable the
-    moment a client can observe it.  Usable as a context manager;
-    otherwise call :meth:`close` (or let the interpreter do it).
+    The file opens lazily on the first write (truncating any previous
+    log — one recorder, one run).  Lines are committed a block at a
+    time: a :class:`Reconfigured` or :class:`ChaosInjected` line waits
+    for the event that closes its tuning process's block (the step's
+    :class:`StepCompleted`, which the stream yields right behind it),
+    every other event commits at once, and :meth:`close` commits what is
+    left.  A commit is one write and one flush, so a crash mid-run
+    leaves a readable prefix that ends on a block boundary.
+    ``fsync=True`` adds one fsync per commit: the flush only hands the
+    block to the OS page cache, which a SIGKILL survives but a power
+    loss (or an eager container teardown) does not — a daemon whose
+    ledger *is* the recovery source pays the sync so every recorded
+    event is durable the moment a client can observe it.  ``on_commit``
+    is called with each committed block's lines (no newlines) once they
+    are durable; a block whose write or sync fails is cut back off the
+    file and never reaches it.  Usable as a context manager; otherwise
+    call :meth:`close` (or let the interpreter do it).
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = False) -> None:
+    def __init__(self, path: str | Path, *, fsync: bool = False, on_commit=None) -> None:
         self.path = Path(path)
         self.fsync = fsync
+        self.on_commit = on_commit
         self._handle = None
+        self._pending: list[str] = []
         self.n_events = 0
 
-    def __call__(self, event: Event) -> None:
+    def _open(self):
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "w", encoding="utf-8")
-        line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
+            self._handle = open(self.path, "wb")
+        return self._handle
+
+    def __call__(self, event: Event) -> None:
+        line = json.dumps(event.to_dict(), sort_keys=True)
         torn = _fault_trip("ledger.write.torn-tail")
         if torn is not None:
             # Cooperative torn-tail injection: persist only a prefix of
             # the line, then die mid-write — the exact artifact a crash
             # during write() leaves, which every ledger reader (resume,
             # coordinator merge) must tolerate.
-            self._handle.write(line[: max(1, len(line) // 2)])
+            head = "".join(pending + "\n" for pending in self._pending)
+            self._open().write((head + line[: max(1, len(line) // 2)]).encode())
             self._handle.flush()
             hard_exit(torn.exit_code)
-        self._handle.write(line)
-        self._handle.flush()
-        if self.fsync:
-            import os
+        self._pending.append(line)
+        if not isinstance(event, (Reconfigured, ChaosInjected)):
+            self._commit()
 
-            _fault_fire("ledger.fsync.crash-before")
-            os.fsync(self._handle.fileno())
-        self.n_events += 1
+    def _commit(self) -> None:
+        """Write, flush (and fsync) the pending block, then hand it to
+        ``on_commit``."""
+        if not self._pending:
+            return
+        lines, self._pending = self._pending, []
+        handle = self._open()
+        start = handle.tell()
+        try:
+            handle.write("".join(line + "\n" for line in lines).encode())
+            handle.flush()
+            if self.fsync:
+                _fault_fire("ledger.fsync.crash-before")
+                os.fsync(handle.fileno())
+        except OSError:
+            # Never published: cut the block back off, so the file holds
+            # exactly the lines ``on_commit`` has seen.
+            handle.seek(start)
+            handle.truncate()
+            raise
+        self.n_events += len(lines)
+        if self.on_commit is not None:
+            self.on_commit(lines)
 
     def close(self) -> None:
+        self._commit()
         if self._handle is not None:
             self._handle.close()
             self._handle = None

@@ -12,10 +12,12 @@ speaks:
   fsynced as written (a submission and its ``queued`` line share one
   write) so a killed daemon can reconstruct its job table;
 * each job's **ledger** (``<job_id>.jsonl``) is the JSONL event log of
-  its execution, written by a per-event-fsynced
-  :class:`~repro.api.events.JsonlRecorder` — exactly the format
-  ``--record`` produces, so it doubles as the job's
-  :class:`~repro.api.resume.ResumeLog`.
+  its execution, written by a :class:`~repro.api.events.JsonlRecorder`
+  that fsyncs once per event block (a step's ``Reconfigured`` lines
+  and the ``StepCompleted`` that closes them share one write) —
+  exactly the format ``--record`` produces, so it doubles as the job's
+  :class:`~repro.api.resume.ResumeLog`.  A block reaches the job's
+  line buffer, and so its followers, only once it is synced.
 
 A job keeps in memory only what a live job needs.  Its event lines are
 buffered while it runs and released when it turns terminal: from then on
@@ -235,11 +237,12 @@ class JobStore:
                 job.events = None
             job.condition.notify_all()
 
-    def append_event(self, job: Job, line: str) -> None:
-        """Buffer one serialized event line and wake live followers."""
+    def append_event(self, job: Job, lines: list[str]) -> None:
+        """Buffer one committed block of serialized event lines and wake
+        live followers once."""
         with job.condition:
-            job.events.append(line)
-            job._n_events += 1
+            job.events.extend(lines)
+            job._n_events += len(lines)
             job.condition.notify_all()
 
     # -- the read path --------------------------------------------------

@@ -26,11 +26,14 @@ knob is the *plan's* backend (thread/process fleets), not competing
 sessions fighting over cores.
 
 Durability: every accepted submission and state transition is fsynced
-into the store manifest, and every job event is fsynced into the job's
-own JSONL ledger *before* followers see it — so a SIGKILL loses at most
-the in-flight campaign, and ``repro serve --resume auto`` restarts by
-replaying finished jobs bit-identically and re-running only the cells
-the kill lost (the partial ledger is the resume log).
+into the store manifest, and a job's events are fsynced into its own
+JSONL ledger one block at a time (a step's ``Reconfigured`` lines travel
+with the ``StepCompleted`` that closes them) *before* followers see
+them — so a SIGKILL loses at most the in-flight campaign, and ``repro
+serve --resume auto`` restarts by replaying finished jobs bit-identically
+and re-running only the cells the kill lost (the partial ledger is the
+resume log).  Connections are HTTP/1.1 keep-alive with Nagle off: a
+client pays one connection for a job's submit, follow and status reads.
 
 Shutdown (SIGTERM/SIGINT or ``POST /v1/shutdown``) drains the in-flight
 job through the service's crash-safe drain loop, leaves queued jobs in
@@ -238,29 +241,26 @@ class TuningDaemon:
         from repro.service import CampaignExecutionError
 
         self.store.mark(job, "running")
-        recorder = JsonlRecorder(job.ledger_path, fsync=self.fsync)
-
-        def buffer_line(event) -> None:
-            # The exact bytes the recorder just fsynced (same dump call),
-            # so live followers and post-restart replays read identical
-            # lines.
-            self.store.append_event(
-                job, json.dumps(event.to_dict(), sort_keys=True)
-            )
-
-        bus = EventBus(recorder, buffer_line, self.metrics)
+        # Followers get each block's lines from the recorder once they are
+        # synced: the bytes on disk, never a line the ledger lacks.
+        recorder = JsonlRecorder(
+            job.ledger_path, fsync=self.fsync,
+            on_commit=lambda lines: self.store.append_event(job, lines),
+        )
+        bus = EventBus(recorder, self.metrics)
         state, error = "finished", ""
         try:
-            self.session.run(job.plan, bus=bus, resume=job.resume)
+            try:
+                self.session.run(job.plan, bus=bus, resume=job.resume)
+            finally:
+                # Before the terminal mark: a terminal job is served from
+                # its ledger, so the file must be complete by then.
+                recorder.close()
         except CampaignExecutionError as failure:
             state, error = "failed", str(failure)
         except Exception as failure:  # noqa: BLE001 — job isolation: the
             # daemon outlives any single plan's failure.
             state, error = "failed", f"{type(failure).__name__}: {failure}"
-        finally:
-            # Before the terminal mark: a terminal job is served from its
-            # ledger, so the file must be complete by then.
-            recorder.close()
         self.store.mark(job, state, error=error)
 
     # -- submissions ----------------------------------------------------
@@ -324,6 +324,9 @@ def _make_handler(daemon: TuningDaemon):
         # encoding for the live event stream.
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        # A response is a header write and a body write; with Nagle on,
+        # the body waits for the client's delayed ACK of the headers.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # noqa: A003 — quiet by design
             pass
@@ -386,8 +389,11 @@ def _make_handler(daemon: TuningDaemon):
 
         def do_POST(self) -> None:  # noqa: N802 — http.server API
             url = urlsplit(self.path)
+            # Read first, whatever the answer: an unread body would be
+            # parsed as the connection's next request.
+            body = self._read_body()
             if url.path == "/v1/plans":
-                self._submit_plan(url)
+                self._submit_plan(url, body)
             elif url.path == "/v1/shutdown":
                 daemon.request_stop()
                 self._json(202, {"status": "draining"})
@@ -396,7 +402,7 @@ def _make_handler(daemon: TuningDaemon):
 
         # -- route bodies -----------------------------------------------
 
-        def _submit_plan(self, url) -> None:
+        def _submit_plan(self, url, body: bytes) -> None:
             query = parse_qs(url.query)
             tenant = query.get("tenant", ["default"])[0]
             try:
@@ -404,7 +410,6 @@ def _make_handler(daemon: TuningDaemon):
             except ValueError:
                 self._error(400, "priority must be an integer")
                 return
-            body = self._read_body()
             content_type = (self.headers.get("Content-Type") or "").lower()
             try:
                 if "toml" in content_type:
@@ -486,23 +491,23 @@ def _make_handler(daemon: TuningDaemon):
                     # Read after ``terminal``: a job seen terminal is read
                     # from its ledger, which holds every line by then.
                     fresh = daemon.store.event_lines(job, sent)
-                    for line in fresh:
-                        # An injected ConnectionResetError lands in the
-                        # handler below exactly like a real mid-stream
-                        # hang-up: the follower drops, the job survives.
+                    if fresh:
+                        # One chunk per batch.  An injected
+                        # ConnectionResetError lands in the handler below
+                        # exactly like a real mid-stream hang-up: the
+                        # follower drops, the job survives.
                         _fire("daemon.server.stream.drop")
-                        payload = (line + "\n").encode()
+                        payload = "".join(line + "\n" for line in fresh).encode()
                         self.wfile.write(
-                            f"{len(payload):X}\r\n".encode()
-                            + payload + b"\r\n"
+                            f"{len(payload):X}\r\n".encode() + payload + b"\r\n"
                         )
                     sent += len(fresh)
-                    if fresh:
-                        self.wfile.flush()
                     if terminal or (stopping and sent >= job.n_events):
                         break
                 self.wfile.write(b"0\r\n\r\n")
             except (BrokenPipeError, ConnectionResetError):
-                pass  # the follower hung up; the job keeps running
+                # The follower hung up; the job keeps running.  The body
+                # ended mid-chunk, so the connection carries nothing more.
+                self.close_connection = True
 
     return Handler

@@ -20,6 +20,7 @@ import pytest
 
 from repro.api.events import JsonlRecorder, StepCompleted, event_from_dict
 from repro.api.plans import TuningPlan
+from repro.api.resume import ResumeLog
 from repro.daemon import (
     JobStore,
     QueueDraining,
@@ -178,7 +179,7 @@ class TestJobStore:
 
         thread = threading.Thread(target=follower)
         thread.start()
-        store.append_event(job, '{"kind": "StepCompleted"}')
+        store.append_event(job, ['{"kind": "StepCompleted"}'])
         thread.join(timeout=5.0)
         assert seen == ['{"kind": "StepCompleted"}']
 
@@ -238,8 +239,7 @@ class TestJobStore:
             for i in range(3)
         ]
         job.ledger_path.write_text("".join(line + "\n" for line in lines))
-        for line in lines:
-            store.append_event(job, line)
+        store.append_event(job, lines)
         assert store.event_lines(job, 1) == lines[1:]
         store.mark(job, "finished")
         assert job.events is None
@@ -304,7 +304,7 @@ class TestJobStore:
 
 
 # ----------------------------------------------------------------------
-# JsonlRecorder durability (fsync per event)
+# JsonlRecorder durability (fsync per block)
 # ----------------------------------------------------------------------
 
 class TestRecorderDurability:
@@ -345,6 +345,82 @@ class TestRecorderDurability:
             (tmp_path / "plain.jsonl").read_bytes()
             == (tmp_path / "sync.jsonl").read_bytes()
         )
+
+    def test_a_job_pays_one_ledger_fsync_per_block(self, tmp_path, monkeypatch):
+        from repro.daemon import TuningDaemon
+
+        daemon = TuningDaemon(port=0, ledger_dir=tmp_path, use_shm=False)
+        plan_data = {
+            "kind": "tuning", "query": "q8", "rates": [3.0, 7.0, 4.0, 2.0],
+            "tuner": "ds2", "scale": "smoke",
+        }
+        jobs: list = []
+        synced: list[str] = []
+        durable = [0]              # ledger lines covered by earlier fsyncs
+        real_fsync = os.fsync
+
+        def spy(fd):
+            inode = os.fstat(fd).st_ino
+            if inode == os.stat(daemon.store.manifest_path).st_ino:
+                synced.append("manifest")
+            else:
+                (job,) = jobs
+                assert inode == os.stat(job.ledger_path).st_ino
+                synced.append("ledger")
+                # The block being synced is not in the buffer yet; every
+                # line before it is.
+                on_disk = job.ledger_path.read_text().splitlines()
+                assert job.events == on_disk[: durable[0]]
+                durable[0] = len(on_disk)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        jobs.append(daemon.submit(plan_data))
+        daemon._run_job(jobs[0])
+        lines = jobs[0].ledger_path.read_text().splitlines()
+        kinds = [json.loads(line)["event"] for line in lines]
+        assert len(lines) == 13 and kinds.count("Reconfigured") == 6
+        # CampaignStarted, four step blocks, CampaignFinished, CacheStats.
+        assert synced.count("ledger") == 7
+        # Submission + queued, running, finished.
+        assert synced.count("manifest") == 3
+        assert durable[0] == jobs[0].n_events == 13
+
+    def test_sigkill_mid_block_leaves_a_resumable_prefix(self, tmp_path):
+        """A kill while a step's Reconfigured lines are pending loses that
+        block and nothing before it."""
+        ledger = tmp_path / "ledger.jsonl"
+        script = (
+            "import os, sys\n"
+            "from repro.api import EventBus, JsonlRecorder, plan_from_dict\n"
+            "from repro.api.session import TuningSession\n"
+            "recorder = JsonlRecorder(sys.argv[1], fsync=True)\n"
+            "seen = []\n"
+            "def kill_mid_block(event):\n"
+            "    seen.append(event.kind)\n"
+            "    if 'CampaignFinished' in seen and event.kind == 'Reconfigured':\n"
+            "        os.kill(os.getpid(), 9)\n"
+            "plan = plan_from_dict({'kind': 'campaign', 'queries': ['q1', 'q5'],\n"
+            "    'rates': [3.0, 5.0], 'tuner': 'ds2', 'backend': 'sequential',\n"
+            "    'scale': 'smoke', 'seed': 17})\n"
+            "TuningSession().run(plan, bus=EventBus(recorder, kill_mid_block))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.run(
+            [sys.executable, "-c", script, str(ledger)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert process.returncode == -signal.SIGKILL
+        kinds = [
+            json.loads(line)["event"] for line in ledger.read_text().splitlines()
+        ]
+        # The second campaign started; its first block never committed.
+        assert kinds.count("CampaignStarted") == 2
+        assert kinds[-1] == "CampaignStarted"
+        log = ResumeLog.load(ledger)
+        assert log.n_malformed_lines == 0 and log.n_completed == 1
 
 
 # ----------------------------------------------------------------------

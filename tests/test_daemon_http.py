@@ -108,9 +108,9 @@ class TestSubmitFollowFinish:
         release = threading.Event()
         append = daemon.store.append_event
 
-        def held(job, line):
-            append(job, line)
-            release.wait(timeout=30)    # the run pauses after each event
+        def held(job, lines):
+            append(job, lines)
+            release.wait(timeout=30)    # the run pauses after each block
 
         daemon.store.append_event = held
         job_id = client.submit_plan(TINY_PLAN)["job"]
@@ -125,6 +125,36 @@ class TestSubmitFollowFinish:
         stored = daemon.store.get(job_id)
         assert stored.state == "finished" and stored.events is None
         assert body == stored.ledger_path.read_bytes()
+
+    def test_a_failed_ledger_sync_publishes_nothing_of_its_block(self, daemon):
+        from repro.faults import FaultPlan, FaultRule, activate, deactivate
+
+        # The second ledger sync is the first step's block: Reconfigured
+        # lines plus the StepCompleted that closes them.
+        activate(FaultPlan(rules=[FaultRule(
+            site="ledger.fsync.crash-before", effect="error", hits=(2,),
+        )]))
+        try:
+            client = _client(daemon)
+            job_id = client.submit_plan(TINY_PLAN)["job"]
+            followed = list(client.follow(job_id))
+        finally:
+            deactivate()
+        assert client.job(job_id)["state"] == "finished"
+        stored = daemon.store.get(job_id)
+        lines = daemon.store.event_lines(stored)
+        for events in (followed, [json.loads(line) for line in lines]):
+            assert [
+                (event["event"], event.get("step_index")) for event in events
+            ] == [
+                ("CampaignStarted", None),
+                ("Reconfigured", 1), ("StepCompleted", 1),
+                ("CampaignFinished", None), ("CacheStats", None),
+            ]
+        assert [json.loads(line) for line in lines] == followed
+        assert "".join(line + "\n" for line in lines).encode() == (
+            stored.ledger_path.read_bytes()
+        )
 
     def test_jobs_on_one_template_build_it_once(self, daemon, monkeypatch):
         import repro.workloads.pqp as pqp
@@ -184,6 +214,118 @@ class TestSubmitFollowFinish:
             if line.startswith("repro_uptime_seconds ")
         ]
         assert len(uptime) == 1 and float(uptime[0].split()[1]) >= 0.0
+
+
+class TestKeepAlive:
+    @staticmethod
+    def _count_accepts(daemon) -> list:
+        accepted = []
+        accept = daemon._httpd.get_request
+
+        def counted():
+            request = accept()
+            accepted.append(request[1])
+            return request
+
+        daemon._httpd.get_request = counted
+        return accepted
+
+    def test_a_job_costs_one_connection(self, daemon):
+        accepted = self._count_accepts(daemon)
+        client = _client(daemon)
+        job_id = client.submit_plan(TINY_PLAN)["job"]
+        assert list(client.follow(job_id))
+        assert client.job(job_id)["state"] == "finished"
+        assert len(accepted) == 1
+
+    def test_a_refused_post_leaves_the_connection_usable(self, daemon):
+        accepted = self._count_accepts(daemon)
+        client = _client(daemon)
+        body = json.dumps(TINY_PLAN).encode()
+        for path, status in (("/v2/nothing", 404), ("/v1/plans?priority=high", 400)):
+            with pytest.raises(DaemonClientError) as excinfo:
+                client._request("POST", path, body=body)
+            assert excinfo.value.status == status
+            # The refused body was read, not left to be parsed as the
+            # next request on the kept-alive connection.
+            assert client.health()["status"] == "ok"
+        assert len(accepted) == 1
+
+    def test_concurrent_callers_never_share_a_connection(self, daemon):
+        client = _client(daemon)
+        job_ids = [client.submit_plan(TINY_PLAN)["job"] for _ in range(4)]
+        answers: list = []
+        interval = sys.getswitchinterval()
+
+        def caller(index: int) -> None:
+            for _ in range(25):
+                job_id = job_ids[index % len(job_ids)]
+                answers.append(client.job(job_id)["job"] == job_id)
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(index,)) for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # A connection handed to two callers at once would cross answers
+        # or raise; every caller read its own job.
+        assert answers == [True] * 200
+        client.close()
+        assert client.health()["status"] == "ok"
+
+    def test_half_read_follow_then_job(self, daemon):
+        client = _client(daemon)
+        job_id = client.submit_plan(TINY_PLAN)["job"]
+        stream = client.follow(job_id)
+        assert next(stream)["event"] == "CampaignStarted"
+        # The stream still holds its connection: this one is another.
+        assert client.job(job_id)["job"] == job_id
+        stream.close()          # abandoned mid-body: closed, not kept
+        assert list(client.follow(job_id))[-1]["event"] == "CacheStats"
+        assert client.job(job_id)["state"] == "finished"
+
+    def test_same_client_outlives_a_dropped_stream(self, daemon):
+        from repro.faults import FaultPlan, FaultRule, activate, deactivate
+
+        client = _client(daemon)
+        activate(FaultPlan(rules=[FaultRule(
+            site="daemon.server.stream.drop", effect="error", hits=(1,),
+            error="ConnectionResetError",
+        )]))
+        try:
+            job_id = client.submit_plan(TINY_PLAN)["job"]
+            with pytest.raises(DaemonClientError, match="broke off"):
+                list(client.follow(job_id))
+        finally:
+            deactivate()
+        assert client.job(job_id)["job"] == job_id
+        followed = list(client.follow(job_id))
+        assert followed[-1]["event"] == "CacheStats"
+        assert client.job(job_id)["n_events"] == len(followed)
+
+    def test_a_connection_close_client_gets_full_answers(self, daemon):
+        import urllib.request
+
+        client = _client(daemon)
+        job_id = client.submit_plan(TINY_PLAN)["job"]
+        followed = list(client.follow(job_id))
+        url = f"{daemon.url}/v1/jobs/{job_id}"
+        # urllib sends "Connection: close" on every request.
+        with urllib.request.urlopen(url + "/events?follow=1", timeout=30) as response:
+            streamed = response.read()
+        with urllib.request.urlopen(url + "/events", timeout=30) as response:
+            plain = response.read()
+        with urllib.request.urlopen(url, timeout=30) as response:
+            status = json.loads(response.read())
+        assert streamed == plain == daemon.store.get(job_id).ledger_path.read_bytes()
+        assert status["n_events"] == len(followed)
 
 
 class TestHttpErrors:

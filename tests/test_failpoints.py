@@ -281,29 +281,38 @@ class TestWiredSites:
         spool.heartbeat(cell.id, "w1")     # the stall was transient
 
     def test_daemon_client_conn_drop_is_retried(self, monkeypatch):
+        import http.client
         import random
 
         from repro.daemon.client import DaemonClient
 
         class FakeResponse:
-            def __enter__(self):
-                return self
+            status, reason = 200, "OK"
 
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
+            def read(self, amount=None):
                 return b'{"pong": true}'
+
+            def isclosed(self):
+                return True
 
         calls = []
 
-        def fake_urlopen(request, timeout=None):
-            calls.append(request.full_url)
-            return FakeResponse()
+        class FakeConnection:
+            sock = None
 
-        monkeypatch.setattr(
-            "urllib.request.urlopen", fake_urlopen
-        )
+            def __init__(self, host, port, timeout=None):
+                pass
+
+            def request(self, method, path, body=None, headers=None):
+                calls.append(path)
+
+            def getresponse(self):
+                return FakeResponse()
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(http.client, "HTTPConnection", FakeConnection)
         activate(FaultPlan(rules=[FaultRule(
             site="daemon.client.conn-drop", effect="error", hits=(1,),
             error="URLError",
@@ -317,4 +326,4 @@ class TestWiredSites:
         assert client._request("GET", "/ping") == {"pong": True}
         # The injected drop consumed attempt 1; the retry reached the
         # (faked) socket exactly once.
-        assert len(calls) == 1
+        assert calls == ["/ping"]
