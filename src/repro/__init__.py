@@ -34,7 +34,6 @@ from repro.api import (
     TuningPlan,
     TuningSession,
     load_plan,
-    save_plan,
 )
 
 __version__ = "2.1.0"
@@ -49,6 +48,5 @@ __all__ = [
     "TuningSession",
     "__version__",
     "load_plan",
-    "save_plan",
 ]
 

@@ -84,7 +84,6 @@ from repro.api.plans import (
     load_plan,
     plan_from_dict,
     replace,
-    save_plan,
 )
 from repro.api.session import (
     SessionResult,
@@ -166,5 +165,4 @@ __all__ = [
     "plan_from_dict",
     "replace",
     "resolve_query",
-    "save_plan",
 ]

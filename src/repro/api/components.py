@@ -33,7 +33,6 @@ from repro.core.tuner import StreamTuneTuner
 from repro.engines.faults import FaultInjectingFlink
 from repro.engines.flink import FlinkCluster
 from repro.engines.paced import PacedFlink
-from repro.engines.scheduler import SchedulingAwareTimely
 from repro.engines.timely import TimelyCluster
 from repro.workloads.nexmark import NEXMARK_QUERY_NAMES, nexmark_query
 from repro.workloads.pqp import PQP_TEMPLATES, pqp_queries, pqp_template_size
@@ -54,7 +53,6 @@ ENGINES.register(
     "flink-paced", params=_SEED, family="flink", traits=("paced",)
 )(PacedFlink)
 ENGINES.register("timely", params=_SEED)(TimelyCluster)
-ENGINES.register("timely-scheduled", params=_SEED, family="timely")(SchedulingAwareTimely)
 
 
 def build_engine(name: str, **params):

@@ -504,14 +504,6 @@ class EventBus:
         self._subscribers: list = list(subscribers)
         self.errors: list[tuple] = []
 
-    def subscribe(self, subscriber):
-        """Register ``subscriber`` and return it (usable as a decorator)."""
-        self._subscribers.append(subscriber)
-        return subscriber
-
-    def unsubscribe(self, subscriber) -> None:
-        self._subscribers.remove(subscriber)
-
     def publish(self, event: Event) -> None:
         for subscriber in list(self._subscribers):
             try:
@@ -738,14 +730,3 @@ class MetricsAggregator:
     @property
     def n_events(self) -> int:
         return sum(self.counts.values())
-
-    def summary(self) -> dict:
-        return {
-            "events": dict(self.counts),
-            "campaigns": len(self.wall_seconds),
-            "steps": sum(self.steps.values()),
-            "reconfigurations": sum(self.reconfigurations.values()),
-            "wall_seconds": dict(self.wall_seconds),
-            "failed_campaigns": len(self.failed_cell_keys),
-            "failed_cell_keys": list(self.failed_cell_keys),
-        }

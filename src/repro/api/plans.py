@@ -336,13 +336,6 @@ class _Plan:
             )
         return cls(**data)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
-
 
 # ----------------------------------------------------------------------
 # the plans
@@ -727,50 +720,6 @@ def load_plan(path: str | Path) -> "TuningPlan | CampaignPlan | SweepPlan":
         return plan_from_dict(data)
     except PlanError as error:
         raise PlanError(f"{path}: {error}") from None
-
-
-def save_plan(plan: "TuningPlan | CampaignPlan | SweepPlan", path: str | Path) -> None:
-    """Write a plan to ``.json`` or ``.toml`` (round-trips via :func:`load_plan`)."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        path.write_text(plan.to_json() + "\n")
-    elif suffix == ".toml":
-        path.write_text(_to_toml(plan.to_dict()))
-    else:
-        raise PlanError(
-            f"unsupported plan file suffix {suffix!r} for {path} "
-            "(expected .json or .toml)"
-        )
-
-
-def _to_toml(data: dict) -> str:
-    """Serialise a flat plan dict as TOML (``None`` fields are omitted)."""
-    lines = []
-    for key, value in data.items():
-        if value is None:
-            continue
-        lines.append(f"{key} = {_toml_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _toml_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)   # JSON string escaping is valid TOML
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(item) for item in value) + "]"
-    if isinstance(value, dict):
-        items = ", ".join(
-            f"{key} = {_toml_value(item)}"
-            for key, item in value.items()
-            if item is not None
-        )
-        return "{" + items + "}"   # inline table (trace / chaos specs)
-    raise PlanError(f"cannot serialise {value!r} to TOML")
 
 
 def replace(plan, **changes):

@@ -33,6 +33,12 @@ from repro.utils.timer import Timer
 #: Safety padding of the Big jump over the plain linear estimate.
 BIG_STEP_PADDING = 1.25
 
+#: Conservatism of the Small score ``mu - ALPHA * sigma`` (§V-A: 3).
+ALPHA = 3.0
+
+#: Observations an operator's GP needs before its posterior is trusted.
+MIN_OBSERVATIONS = 2
+
 
 class ContTuneTuner(ParallelismTuner):
     """Per-operator GP surrogate + Big-Small tuning."""
@@ -42,16 +48,10 @@ class ContTuneTuner(ParallelismTuner):
     def __init__(
         self,
         engine: EngineCluster,
-        alpha: float = 3.0,
         max_iterations: int = 6,
-        min_observations: int = 2,
     ) -> None:
         super().__init__(engine)
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        self.alpha = alpha
         self.max_iterations = max_iterations
-        self.min_observations = min_observations
         # (job name, operator name) -> list of (parallelism, per-instance rate)
         self._history: dict[tuple[str, str], list[tuple[int, float]]] = {}
 
@@ -125,9 +125,6 @@ class ContTuneTuner(ParallelismTuner):
                 (metrics.parallelism, rate_per_instance)
             )
 
-    def observation_count(self, job: str, operator: str) -> int:
-        return len(self._history.get((job, operator), []))
-
     # ------------------------------------------------------------------
     # Big-Small recommendation
     # ------------------------------------------------------------------
@@ -158,14 +155,14 @@ class ContTuneTuner(ParallelismTuner):
     ) -> int:
         if demand <= 0:
             return 1
-        if len(observations) < self.min_observations:
+        if len(observations) < MIN_OBSERVATIONS:
             return self._big_step(demand, current_p, metrics)
 
         ps = np.array([p for p, _ in observations], dtype=float)
         rates = np.array([r for _, r in observations], dtype=float)
         surrogate = GaussianProcess1D(length_scale=max(4.0, float(np.ptp(ps)) + 1.0)).fit(ps, rates)
         candidates = np.arange(1, self.engine.max_parallelism + 1, dtype=float)
-        conservative_rate = surrogate.lower_confidence_bound(candidates, self.alpha)
+        conservative_rate = surrogate.lower_confidence_bound(candidates, ALPHA)
         aggregate = candidates * np.maximum(conservative_rate, 0.0)
         feasible = np.nonzero(aggregate >= demand)[0]
         if len(feasible) == 0:

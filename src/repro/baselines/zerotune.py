@@ -65,6 +65,13 @@ class PooledRegressionGNN:
         )
 
 
+#: Random configurations scored per recommendation.
+N_CANDIDATES = 96
+
+#: Largest per-operator degree a candidate samples (capped by the engine).
+MAX_SAMPLED_PARALLELISM = 16
+
+
 class ZeroTuneTuner(ParallelismTuner):
     """Zero-shot cost model + candidate sampling."""
 
@@ -77,8 +84,6 @@ class ZeroTuneTuner(ParallelismTuner):
         feature_encoder: FeatureEncoder | None = None,
         hidden_dim: int = 32,
         epochs: int = 30,
-        n_candidates: int = 96,
-        max_sampled_parallelism: int = 16,
         seed: int = 23,
     ) -> None:
         super().__init__(engine)
@@ -88,8 +93,7 @@ class ZeroTuneTuner(ParallelismTuner):
         self.feature_encoder = feature_encoder or FeatureEncoder()
         self.hidden_dim = hidden_dim
         self.epochs = epochs
-        self.n_candidates = n_candidates
-        self.max_sampled_parallelism = min(max_sampled_parallelism, engine.max_parallelism)
+        self.max_sampled_parallelism = min(MAX_SAMPLED_PARALLELISM, engine.max_parallelism)
         self.seed = seed
         self._rng = seeded_rng(seed)
         self._model: PooledRegressionGNN | None = None
@@ -172,7 +176,7 @@ class ZeroTuneTuner(ParallelismTuner):
         names = flow.operator_names
         best_config = dict(deployment.parallelisms)
         best_cost = np.inf
-        for _ in range(self.n_candidates):
+        for _ in range(N_CANDIDATES):
             candidate = {
                 name: int(self._rng.integers(1, self.max_sampled_parallelism + 1))
                 for name in names

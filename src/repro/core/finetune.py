@@ -280,17 +280,6 @@ def _labelled_rows(
     return rows
 
 
-def rows_from_record(
-    pretrained: PretrainedStreamTune,
-    encoder,
-    record: ExecutionRecord,
-) -> PredictionDataset:
-    """Encode one record into M_f training rows (labelled operators only)."""
-    sample = pretrained.sample_for(record)
-    embeddings = encoder.encode(sample, parallelism_aware=False)
-    return _labelled_rows(pretrained, record, sample, embeddings)
-
-
 def build_warmup_dataset(
     pretrained: PretrainedStreamTune,
     cluster: int,
@@ -306,8 +295,8 @@ def build_warmup_dataset(
 
     The selected records are embedded through the block-diagonal batching
     of :mod:`repro.gnn.batch` — one encoder pass per batch instead of one
-    per record; rows equal :func:`rows_from_record`'s up to the last
-    floating-point ulp.
+    per record; rows equal a per-record ``encoder.encode`` pass's up to
+    the last floating-point ulp.
     """
     from repro.gnn.batch import encode_samples
 

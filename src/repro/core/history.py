@@ -90,7 +90,6 @@ class HistoryGenerator:
         self,
         engine: EngineCluster,
         parallelism_range: tuple[int, int] = HISTORY_PARALLELISM_RANGE,
-        rate_multiplier_range: tuple[float, float] = HISTORY_RATE_MULTIPLIER_RANGE,
         seed: int | None = None,
     ) -> None:
         low, high = parallelism_range
@@ -98,14 +97,11 @@ class HistoryGenerator:
             raise ValueError("invalid parallelism_range")
         self.engine = engine
         self.parallelism_range = (low, min(high, engine.max_parallelism))
-        self.rate_multiplier_range = rate_multiplier_range
         self._rng = seeded_rng(seed)
 
     def run_once(self, query: StreamingQuery) -> ExecutionRecord:
         """Deploy ``query`` at a random configuration and label it."""
-        multiplier = float(
-            self._rng.uniform(*self.rate_multiplier_range)
-        )
+        multiplier = float(self._rng.uniform(*HISTORY_RATE_MULTIPLIER_RANGE))
         source_rates = query.rates_at(multiplier)
         low, high = self.parallelism_range
         parallelisms = {

@@ -67,7 +67,6 @@ def pretrain(
     n_clusters: int | None = None,
     k_max: int = 6,
     tau: float = 5.0,
-    encoder_hidden: int = 32,
     n_message_passing: int = 2,
     epochs: int = 40,
     seed: int = 7,
@@ -123,7 +122,6 @@ def pretrain(
             )
         config = EncoderConfig(
             input_dim=labelled[0].features.shape[1],
-            hidden_dim=encoder_hidden,
             n_message_passing=n_message_passing,
             fuse_per_step=fuse_per_step,
             seed=seed + cluster,

@@ -50,6 +50,10 @@ from repro.workloads.query import StreamingQuery
 #: warm-up entries with the same value, so they hit.
 DEFAULT_WARMUP_ROWS = 300
 
+#: The minority class of T is oversampled (or reweighted) to at most this
+#: many majority rows per minority row before M_f is fitted.
+MAX_CLASS_IMBALANCE = 3.0
+
 
 @dataclass
 class QueryTuningState:
@@ -86,7 +90,6 @@ class StreamTuneTuner(ParallelismTuner):
         max_iterations: int = 8,
         warmup_rows: int = DEFAULT_WARMUP_ROWS,
         probability_threshold: float | None = 0.35,
-        max_class_imbalance: float = 3.0,
         seed: int = 17,
         caches=None,
         loose_tolerances: bool = False,
@@ -121,7 +124,6 @@ class StreamTuneTuner(ParallelismTuner):
         self.max_iterations = max_iterations
         self.warmup_rows = warmup_rows
         self.probability_threshold = probability_threshold
-        self.max_class_imbalance = max_class_imbalance
         self.operating_point_weight = 4
         self.observed_weight = 10
         self.seed = seed
@@ -303,7 +305,7 @@ class StreamTuneTuner(ParallelismTuner):
 
         Execution histories label far more operators 0 than 1 (most random
         deployments over-provision most operators), so the minority class
-        is oversampled to at most ``max_class_imbalance``:1 before fitting —
+        is oversampled to at most ``MAX_CLASS_IMBALANCE``:1 before fitting —
         otherwise every model family collapses to "never a bottleneck".
         """
         if not dataset.has_both_classes():
@@ -370,8 +372,8 @@ class StreamTuneTuner(ParallelismTuner):
         # of the duplicate-row path: scale the minority class up to the
         # allowed imbalance ratio exactly (no RNG needed).
         major, minor = max(w_pos, w_neg), min(w_pos, w_neg)
-        if major / minor > self.max_class_imbalance:
-            factor = (major / self.max_class_imbalance) / minor
+        if major / minor > MAX_CLASS_IMBALANCE:
+            factor = (major / MAX_CLASS_IMBALANCE) / minor
             minority = positive if w_pos < w_neg else ~positive
             weight_array = np.where(minority, weight_array * factor, weight_array)
         model = make_prediction_model(
@@ -399,9 +401,9 @@ class StreamTuneTuner(ParallelismTuner):
             return features, labels
         minority = positive if n_pos < n_neg else ~positive
         ratio = max(n_pos, n_neg) / min(n_pos, n_neg)
-        if ratio <= self.max_class_imbalance:
+        if ratio <= MAX_CLASS_IMBALANCE:
             return features, labels
-        n_extra = int(max(n_pos, n_neg) / self.max_class_imbalance) - min(n_pos, n_neg)
+        n_extra = int(max(n_pos, n_neg) / MAX_CLASS_IMBALANCE) - min(n_pos, n_neg)
         pool = np.nonzero(minority)[0]
         rng = seeded_rng(self.seed + stable_hash(job_key, 100_000))
         picks = rng.choice(pool, size=n_extra, replace=True)

@@ -218,12 +218,6 @@ class DaemonClient:
             except http.client.IncompleteRead:
                 raise DaemonClientError(f"the event stream of {job_id} broke off") from None
 
-    def metrics_text(self) -> str:
-        return self._text("/metrics")
-
-    def health(self) -> dict:
-        return self._request("GET", "/healthz")
-
     def shutdown(self) -> dict:
         """Ask the daemon to drain and exit (``POST /v1/shutdown``)."""
         return self._request("POST", "/v1/shutdown", body=b"")

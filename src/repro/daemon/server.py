@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -129,6 +130,11 @@ class TuningDaemon:
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._dispatcher: threading.Thread | None = None
+        #: Open handler connections -> the thread serving each.  The
+        #: server's handler threads are daemon threads, which it does not
+        #: track, so ``stop`` ends kept-alive connections from this map.
+        self._connections: dict = {}
+        self._connections_lock = threading.Lock()
         self._stopped = False
 
     # -- lifecycle ------------------------------------------------------
@@ -189,6 +195,17 @@ class TuningDaemon:
             self._dispatcher.join()
         if self._httpd is not None:
             self._httpd.shutdown()
+            # A kept-alive connection outlives the accept loop; shutting
+            # its socket down makes the handler read EOF and exit.
+            with self._connections_lock:
+                connections = list(self._connections.items())
+            for connection, _ in connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            for _, thread in connections:
+                thread.join(timeout=5.0)
             self._httpd.server_close()
         if self._http_thread is not None:
             self._http_thread.join(timeout=5.0)
@@ -330,6 +347,16 @@ def _make_handler(daemon: TuningDaemon):
 
         def log_message(self, fmt, *args):  # noqa: A003 — quiet by design
             pass
+
+        def setup(self) -> None:
+            super().setup()
+            with daemon._connections_lock:
+                daemon._connections[self.connection] = threading.current_thread()
+
+        def finish(self) -> None:
+            with daemon._connections_lock:
+                daemon._connections.pop(self.connection, None)
+            super().finish()
 
         # -- plumbing ---------------------------------------------------
 

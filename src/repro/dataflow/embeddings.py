@@ -206,15 +206,6 @@ class OperatorTaxonomy:
     def vector_for(self, kind: str) -> np.ndarray:
         return self.properties_for(kind).vector()
 
-    def similarity(self, kind_a: str, kind_b: str) -> float:
-        """Cosine similarity of two kinds' property vectors (in [0, 1])."""
-        a = self.vector_for(kind_a)
-        b = self.vector_for(kind_b)
-        norm = float(np.linalg.norm(a) * np.linalg.norm(b))
-        if norm == 0.0:
-            return 1.0 if kind_a == kind_b else 0.0
-        return float(np.dot(a, b) / norm)
-
     def nearest_known(self, kind: str, among: list[str] | None = None) -> str:
         """The behaviourally closest kind to ``kind`` among ``among``.
 
@@ -244,11 +235,6 @@ class SemanticFeatureEncoder(FeatureEncoder):
     def __init__(self, taxonomy: OperatorTaxonomy | None = None, **kwargs) -> None:
         super().__init__(**kwargs)
         self.taxonomy = taxonomy or OperatorTaxonomy()
-
-    @property
-    def dimension(self) -> int:
-        one_hot_block = len(self._OPERATOR_TYPES)
-        return super().dimension - one_hot_block + PROPERTY_DIMENSION
 
     def encode_operator(self, spec: OperatorSpec, source_rate: float = 0.0) -> np.ndarray:
         base = super().encode_operator(spec, source_rate)

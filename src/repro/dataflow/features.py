@@ -85,21 +85,6 @@ class FeatureEncoder:
         self.max_tuple_width = max_tuple_width
         self.max_source_rate = max_source_rate
 
-    @property
-    def dimension(self) -> int:
-        """Length of the encoded feature vector."""
-        categorical = (
-            len(self._OPERATOR_TYPES)
-            + len(self._WINDOW_TYPES)
-            + len(self._WINDOW_POLICIES)
-            + 3 * len(self._KEY_CLASSES)     # join key, aggregate class, aggregate key
-            + len(self._AGG_FUNCTIONS)
-            + len(self._DATA_TYPES)
-        )
-        numeric = 4                           # window len, slide len, width in, width out
-        dynamic = 1 + 2 * len(RATE_ENCODING_FREQUENCIES)   # source rate + sinusoids
-        return categorical + numeric + dynamic
-
     def encode_operator(self, spec: OperatorSpec, source_rate: float = 0.0) -> np.ndarray:
         """Encode a single operator; ``source_rate`` is the dynamic feature."""
         parts: list[float] = []

@@ -10,9 +10,8 @@ dictionaries for history persistence.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-import networkx as nx
 
 from repro.dataflow.operators import OperatorSpec, OperatorType
 
@@ -120,19 +119,6 @@ class LogicalDataflow:
     def sources(self) -> list[str]:
         """Names of source operators."""
         return [s.name for s in self if s.op_type is OperatorType.SOURCE]
-
-    def sinks(self) -> list[str]:
-        """Names of sink operators."""
-        return [s.name for s in self if s.op_type is OperatorType.SINK]
-
-    def first_level_downstream(self) -> list[str]:
-        """Operators directly fed by a source (paper §II-A)."""
-        seen: list[str] = []
-        for src in self.sources():
-            for succ in self._succ[src]:
-                if succ not in seen:
-                    seen.append(succ)
-        return seen
 
     def ancestors(self, name: str) -> set[str]:
         """All strict upstream ancestors of ``name``."""
@@ -284,14 +270,6 @@ class LogicalDataflow:
         )
         return ";".join(nodes) + "|" + edge_part
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` with ``label`` node attrs."""
-        graph = nx.DiGraph(name=self.name)
-        for spec in self:
-            graph.add_node(spec.name, label=spec.structural_label(), spec=spec)
-        graph.add_edges_from(self.edges)
-        return graph
-
     def copy(self, name: str | None = None) -> "LogicalDataflow":
         """Deep-enough copy (specs are frozen, so sharing them is safe)."""
         clone = LogicalDataflow(name or self.name)
@@ -315,22 +293,6 @@ class LogicalDataflow:
             flow.add_operator(OperatorSpec.from_dict(spec_data))
         for u, v in data["edges"]:
             flow.connect(u, v)
-        return flow
-
-    @classmethod
-    def from_specs(
-        cls,
-        name: str,
-        specs: Iterable[OperatorSpec],
-        edges: Iterable[tuple[str, str]],
-    ) -> "LogicalDataflow":
-        """Build and validate a dataflow in one call."""
-        flow = cls(name)
-        for spec in specs:
-            flow.add_operator(spec)
-        for u, v in edges:
-            flow.connect(u, v)
-        flow.validate()
         return flow
 
     def __repr__(self) -> str:

@@ -14,7 +14,7 @@ An :class:`OperatorSpec` carries
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class OperatorType(enum.Enum):
@@ -77,9 +77,6 @@ class DataType(enum.Enum):
     JOINED = "joined"
     AGGREGATED = "aggregated"
 
-
-# Operator types that carry window configuration.
-WINDOWED_TYPES = frozenset({OperatorType.WINDOW_JOIN, OperatorType.WINDOW_AGGREGATE})
 
 # Operator types that carry aggregation configuration.
 AGGREGATING_TYPES = frozenset({OperatorType.AGGREGATE, OperatorType.WINDOW_AGGREGATE})
@@ -156,17 +153,9 @@ class OperatorSpec:
         return self.op_type is OperatorType.SINK
 
     @property
-    def is_windowed(self) -> bool:
-        return self.op_type in WINDOWED_TYPES
-
-    @property
     def is_stateful(self) -> bool:
         """Stateful operators keep per-key state (joins, aggregates, windows)."""
         return self.op_type in (JOINING_TYPES | AGGREGATING_TYPES)
-
-    def renamed(self, name: str) -> "OperatorSpec":
-        """Return a copy of this spec under a different name."""
-        return replace(self, name=name)
 
     def structural_label(self) -> str:
         """Label used by GED node-substitution costs (operator type)."""

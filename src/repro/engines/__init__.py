@@ -21,33 +21,19 @@ from repro.engines.metrics import JobTelemetry, ObservedOperatorMetrics
 from repro.engines.base import Deployment, EngineCluster
 from repro.engines.flink import FlinkCluster
 from repro.engines.timely import MessagesEvent, TimelyCluster
-from repro.engines.scheduler import (
-    ClusterTopology,
-    Machine,
-    PlacementPlan,
-    SchedulingAwareTimely,
-    choose_strategy,
-    place_instances,
-)
 from repro.engines.faults import FaultInjectingFlink
 
 __all__ = [
-    "ClusterTopology",
     "Deployment",
     "EngineCluster",
     "FaultInjectingFlink",
     "FlinkCluster",
     "FlowResult",
     "JobTelemetry",
-    "Machine",
     "MessagesEvent",
     "ObservedOperatorMetrics",
     "OperatorFlow",
     "PerformanceModel",
-    "PlacementPlan",
-    "SchedulingAwareTimely",
     "TimelyCluster",
-    "choose_strategy",
-    "place_instances",
     "solve_flow",
 ]

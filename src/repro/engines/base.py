@@ -163,9 +163,9 @@ class EngineCluster(abc.ABC):
     def perf_for(self, deployment: Deployment) -> PerformanceModel:
         """Performance model in effect for ``deployment``.
 
-        The default is the cluster-wide model; scheduling-aware engines
-        override this to layer placement-induced contention on top
-        (see :mod:`repro.engines.scheduler`).
+        The default is the cluster-wide model; the fault-injecting
+        engine overrides this to degrade lost instances
+        (see :mod:`repro.engines.faults`).
         """
         del deployment
         return self.perf

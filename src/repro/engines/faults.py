@@ -91,19 +91,6 @@ class FaultInjectingFlink(FlinkCluster):
             )
         lost[operator_name] = already + count
 
-    def heal_instances(
-        self, deployment: Deployment, operator_name: str | None = None
-    ) -> None:
-        """Restore failed instances (one operator, or all when ``None``)."""
-        self._require_running(deployment)
-        lost = self._lost.get(deployment.job_id)
-        if not lost:
-            return
-        if operator_name is None:
-            lost.clear()
-        else:
-            lost.pop(operator_name, None)
-
     def lost_instances(self, deployment: Deployment) -> dict[str, int]:
         """Currently failed instance counts per operator (copy)."""
         return dict(self._lost.get(deployment.job_id, {}))

@@ -70,10 +70,6 @@ class FlowResult:
     def total_parallelism(self) -> int:
         return sum(op.parallelism for op in self.operators.values())
 
-    def sink_throughput(self, flow: LogicalDataflow) -> float:
-        """Total records/s arriving at sinks under the current throttle."""
-        return sum(self.operators[name].served_in for name in flow.sinks())
-
 
 def solve_flow(
     flow: LogicalDataflow,

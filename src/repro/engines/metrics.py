@@ -98,9 +98,6 @@ class JobTelemetry:
     def __getitem__(self, name: str) -> ObservedOperatorMetrics:
         return self.operators[name]
 
-    def backpressured_operators(self) -> list[str]:
-        return [m.name for m in self.operators.values() if m.is_backpressured]
-
 
 class MetricsChannel:
     """Stateful noisy observer shared by the engine adapters."""

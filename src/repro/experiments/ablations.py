@@ -149,8 +149,29 @@ def run_fuse_ablation(scale: ExperimentScale | None = None) -> list[FuseAblation
 
 
 # ----------------------------------------------------------------------
-# clustering versus global encoder
+# tuning studies: one campaign per variant
 # ----------------------------------------------------------------------
+
+def _campaign(
+    scale: ExperimentScale,
+    model: PretrainedStreamTune,
+    group: str,
+    seed_offset: int,
+    **tuner_params,
+):
+    """StreamTune on a fresh engine through the ablation rate changes, on
+    the first evaluation query of ``group``."""
+    engine = context.make_engine("flink", scale)
+    tuner = StreamTuneTuner(engine, model, seed=scale.seed + seed_offset, **tuner_params)
+    query = context.evaluation_queries("flink", scale)[group][0]
+    return run_campaign(engine, tuner, query, ABLATION_MULTIPLIERS[scale.name])
+
+
+def _global_encoder(scale: ExperimentScale, seed_offset: int) -> PretrainedStreamTune:
+    """One k = 1 encoder pre-trained on the ablation training split."""
+    train, _ = _holdout_split(_ablation_history(scale))
+    return _pretrain_variant(scale, train, n_clusters=1, seed_offset=seed_offset)
+
 
 @dataclass(frozen=True)
 class ClusteringAblationRow:
@@ -171,15 +192,11 @@ def run_clustering_ablation(
     """
     scale = scale or resolve_scale()
     train, holdout = _holdout_split(_ablation_history(scale))
-    query = context.evaluation_queries("flink", scale)["linear"][0]
-    multipliers = ABLATION_MULTIPLIERS[scale.name]
     rows = []
     clustered_k = scale.n_clusters or 3
     for variant, k in (("global (k=1)", 1), (f"clustered (k={clustered_k})", clustered_k)):
         model = _pretrain_variant(scale, train, n_clusters=k, seed_offset=2)
-        engine = context.make_engine("flink", scale)
-        tuner = StreamTuneTuner(engine, model, seed=scale.seed + 5)
-        result = run_campaign(engine, tuner, query, multipliers)
+        result = _campaign(scale, model, "linear", 5)
         rows.append(
             ClusteringAblationRow(
                 variant=variant,
@@ -191,10 +208,6 @@ def run_clustering_ablation(
         )
     return rows
 
-
-# ----------------------------------------------------------------------
-# warm-up dataset
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WarmupAblationRow:
@@ -212,32 +225,23 @@ def run_warmup_ablation(scale: ExperimentScale | None = None) -> list[WarmupAbla
     recommendations lean on the distilled prior alone.
     """
     scale = scale or resolve_scale()
-    train, _ = _holdout_split(_ablation_history(scale))
-    model = _pretrain_variant(scale, train, n_clusters=1, seed_offset=3)
-    query = context.evaluation_queries("flink", scale)["2-way-join"][0]
-    multipliers = ABLATION_MULTIPLIERS[scale.name]
+    model = _global_encoder(scale, 3)
     rows = []
     for variant, warmup_rows in (("no warm-up", 0), ("warm-up (default)", 300)):
-        engine = context.make_engine("flink", scale)
-        tuner = StreamTuneTuner(
-            engine, model, warmup_rows=warmup_rows, seed=scale.seed + 6
-        )
-        result = run_campaign(engine, tuner, query, multipliers)
+        result = _campaign(scale, model, "2-way-join", 6, warmup_rows=warmup_rows)
         rows.append(
             WarmupAblationRow(
                 variant=variant,
                 warmup_rows=warmup_rows,
                 avg_reconfigurations=result.average_reconfigurations,
                 backpressure_events=result.total_backpressure_events,
-                final_parallelism=result.final_parallelism_at(multipliers[-1]),
+                final_parallelism=result.final_parallelism_at(
+                    ABLATION_MULTIPLIERS[scale.name][-1]
+                ),
             )
         )
     return rows
 
-
-# ----------------------------------------------------------------------
-# decision-threshold sensitivity
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ThresholdRow:
@@ -254,31 +258,22 @@ def run_threshold_sweep(scale: ExperimentScale | None = None) -> list[ThresholdR
     degree, trading extra parallelism for backpressure robustness.
     """
     scale = scale or resolve_scale()
-    train, _ = _holdout_split(_ablation_history(scale))
-    model = _pretrain_variant(scale, train, n_clusters=1, seed_offset=4)
-    query = context.evaluation_queries("flink", scale)["linear"][0]
-    multipliers = ABLATION_MULTIPLIERS[scale.name]
+    model = _global_encoder(scale, 4)
     rows = []
     for threshold in THRESHOLDS:
-        engine = context.make_engine("flink", scale)
-        tuner = StreamTuneTuner(
-            engine, model, probability_threshold=threshold, seed=scale.seed + 7
-        )
-        result = run_campaign(engine, tuner, query, multipliers)
+        result = _campaign(scale, model, "linear", 7, probability_threshold=threshold)
         rows.append(
             ThresholdRow(
                 threshold=threshold,
-                final_parallelism=result.final_parallelism_at(multipliers[-1]),
+                final_parallelism=result.final_parallelism_at(
+                    ABLATION_MULTIPLIERS[scale.name][-1]
+                ),
                 avg_reconfigurations=result.average_reconfigurations,
                 backpressure_events=result.total_backpressure_events,
             )
         )
     return rows
 
-
-# ----------------------------------------------------------------------
-# prediction-layer zoo (Fig. 11a extended)
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ModelZooRow:
@@ -289,12 +284,10 @@ class ModelZooRow:
 
 
 def run_model_zoo(scale: ExperimentScale | None = None) -> list[ModelZooRow]:
-    """SVM / XGBoost / isotonic k-NN / plain NN as the fine-tuning layer."""
+    """SVM / XGBoost / isotonic k-NN / plain NN as the fine-tuning layer
+    (Fig. 11a extended)."""
     scale = scale or resolve_scale()
-    train, _ = _holdout_split(_ablation_history(scale))
-    model = _pretrain_variant(scale, train, n_clusters=1, seed_offset=5)
-    query = context.evaluation_queries("flink", scale)["q5"][0]
-    multipliers = ABLATION_MULTIPLIERS[scale.name]
+    model = _global_encoder(scale, 5)
     rows = []
     for model_kind, monotone in (
         ("svm", True),
@@ -302,11 +295,7 @@ def run_model_zoo(scale: ExperimentScale | None = None) -> list[ModelZooRow]:
         ("isotonic", True),
         ("nn", False),
     ):
-        engine = context.make_engine("flink", scale)
-        tuner = StreamTuneTuner(
-            engine, model, model_kind=model_kind, seed=scale.seed + 8
-        )
-        result = run_campaign(engine, tuner, query, multipliers)
+        result = _campaign(scale, model, "q5", 8, model_kind=model_kind)
         rows.append(
             ModelZooRow(
                 model_kind=model_kind,
@@ -361,9 +350,7 @@ def _contains_heldout(record: ExecutionRecord) -> bool:
     return any(spec.op_type is HELDOUT_TYPE for spec in record.flow)
 
 
-def heldout_evaluation_records(
-    scale: ExperimentScale, seed_offset: int = 77
-) -> list[ExecutionRecord]:
+def heldout_evaluation_records(scale: ExperimentScale) -> list[ExecutionRecord]:
     """Labelled stress runs of the held-out-kind queries.
 
     Random histories over-provision most operators, so held-out kinds are
@@ -416,7 +403,6 @@ def heldout_evaluation_records(
                     )
                 )
                 engine.stop(deployment)
-    del seed_offset   # the sweep is deterministic; kept for API stability
     return records
 
 

@@ -44,12 +44,6 @@ def _cached(key, builder):
         return _CACHE[key]
 
 
-def clear_cache() -> None:
-    """Drop every cached artifact (tests use this for isolation)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-
-
 # ----------------------------------------------------------------------
 # engines and query corpora
 # ----------------------------------------------------------------------
@@ -58,8 +52,7 @@ def make_engine(engine_name: str, scale: ExperimentScale) -> EngineCluster:
     """A fresh engine cluster (not cached: engines carry deployment state).
 
     Resolution goes through the :data:`repro.api.ENGINES` registry, so any
-    registered engine — including ``timely-scheduled`` and
-    ``flink-faulty`` — is available to every experiment by name.
+    registered engine — including ``flink-faulty`` — is available to every experiment by name.
     """
     return build_engine(engine_name, seed=scale.seed)
 
@@ -67,7 +60,7 @@ def make_engine(engine_name: str, scale: ExperimentScale) -> EngineCluster:
 def corpus(engine_name: str) -> list[StreamingQuery]:
     """The full training corpus for an engine (Fig. 5 distribution).
 
-    Engine *variants* (``flink-faulty``, ``timely-scheduled``) train on
+    Engine *variants* (``flink-faulty``, ``flink-paced``) train on
     their base family's corpus — same queries, same rate units.
     """
     family = engine_family(engine_name)

@@ -110,17 +110,6 @@ class FaultPlane:
             )
         return rng.random() < rule.probability
 
-    def snapshot(self) -> dict:
-        """Hit and firing counters so far (reports, tests)."""
-        with self._lock:
-            return {
-                "hits": dict(sorted(self._hits.items())),
-                "fired": {
-                    self.plan.rules[index].site: count
-                    for index, count in sorted(self._fired.items())
-                },
-            }
-
 
 _plane: "FaultPlane | None" = None
 _env_consulted = False
@@ -142,14 +131,6 @@ def deactivate() -> None:
     with _state_lock:
         _plane = None
         _env_consulted = True
-
-
-def _reset_for_env() -> None:
-    """Forget everything, re-arming lazy env activation (tests)."""
-    global _plane, _env_consulted
-    with _state_lock:
-        _plane = None
-        _env_consulted = False
 
 
 def active_plane() -> "FaultPlane | None":

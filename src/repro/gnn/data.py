@@ -37,9 +37,6 @@ class GraphSample:
     def n_labelled(self) -> int:
         return int(self.mask.sum())
 
-    def index_of(self, operator_name: str) -> int:
-        return self.node_names.index(operator_name)
-
 
 def build_sample(
     flow: LogicalDataflow,

@@ -8,7 +8,6 @@ binary search for the minimum feasible parallelism sound.  The plain
 neural network deliberately lacks the constraint (the Fig. 11a ablation).
 """
 
-from repro.models.base import MonotonicityReport, check_monotonicity
 from repro.models.svm import MonotonicSVM
 from repro.models.gbdt import MonotonicGBDT
 from repro.models.isotonic import IsotonicKNN
@@ -20,8 +19,6 @@ __all__ = [
     "MLPClassifier",
     "MonotonicGBDT",
     "MonotonicSVM",
-    "MonotonicityReport",
-    "check_monotonicity",
     "min_feasible_parallelism",
 ]
 

@@ -1,4 +1,4 @@
-"""Common contract and monotonicity checking for fine-tuning models.
+"""The common contract of the fine-tuning models.
 
 Every model consumes feature matrices whose **last column is the
 (normalised) parallelism degree** and exposes
@@ -6,76 +6,11 @@ Every model consumes feature matrices whose **last column is the
 * ``fit(X, y)`` with binary labels,
 * ``predict_proba(X) -> (n,)`` bottleneck probabilities,
 * ``predict(X) -> (n,)`` hard 0/1 decisions.
-
-:func:`check_monotonicity` empirically probes a fitted model along the
-parallelism axis — used by tests and by the Fig. 11a ablation to show the
-NN baseline violating the constraint the paper requires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
 import numpy as np
-
-
-@runtime_checkable
-class BinaryClassifier(Protocol):
-    """Structural type of all fine-tuning prediction layers."""
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "BinaryClassifier": ...
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray: ...
-
-    def predict(self, features: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Result of probing a model along the parallelism feature."""
-
-    n_probes: int
-    n_violations: int
-    max_violation: float    # largest probability increase along increasing p
-
-    @property
-    def is_monotone(self) -> bool:
-        return self.n_violations == 0
-
-
-def check_monotonicity(
-    model: BinaryClassifier,
-    base_features: np.ndarray,
-    parallelism_grid: np.ndarray | None = None,
-    tolerance: float = 1e-9,
-) -> MonotonicityReport:
-    """Probe ``model`` for violations of the monotonic constraint.
-
-    For each row of ``base_features`` (parallelism column ignored), sweep
-    the last feature over ``parallelism_grid`` and count increases of the
-    predicted bottleneck probability.
-    """
-    if base_features.ndim != 2 or base_features.shape[1] < 2:
-        raise ValueError("base_features must be 2-D with >= 2 columns")
-    if parallelism_grid is None:
-        parallelism_grid = np.linspace(0.0, 1.0, 21)
-    n_probes = 0
-    n_violations = 0
-    max_violation = 0.0
-    for row in base_features:
-        swept = np.tile(row, (len(parallelism_grid), 1))
-        swept[:, -1] = parallelism_grid
-        probabilities = model.predict_proba(swept)
-        deltas = np.diff(probabilities)
-        n_probes += len(deltas)
-        bad = deltas > tolerance
-        n_violations += int(bad.sum())
-        if bad.any():
-            max_violation = max(max_violation, float(deltas[bad].max()))
-    return MonotonicityReport(
-        n_probes=n_probes, n_violations=n_violations, max_violation=max_violation
-    )
 
 
 def validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

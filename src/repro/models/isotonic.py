@@ -156,7 +156,7 @@ class IsotonicKNN:
         self._median_distance: float = 1.0
 
     # ------------------------------------------------------------------
-    # BinaryClassifier protocol
+    # the model contract (repro.models.base)
     # ------------------------------------------------------------------
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "IsotonicKNN":

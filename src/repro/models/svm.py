@@ -310,8 +310,3 @@ class MonotonicSVM:
         max-margin separator; the class decision must use the margin.
         """
         return (self.decision_function(features) >= 0.0).astype(np.int64)
-
-    @property
-    def parallelism_weight(self) -> float:
-        """The constrained weight w_p (always <= 0 after fitting)."""
-        return self._w_parallelism

@@ -1,11 +1,9 @@
 """The trace library: named, seeded source-rate trace families.
 
 The paper evaluates on one load shape — the §V-A periodic pattern.  Real
-deployments see many more (the elasticity survey's catalogue: diurnal
-day/night curves, bursty flash crowds, linear ramps, noisy periodics),
-and an adaptive tuner must be stress-tested against all of them.  This
-module turns "a rate trace" from an anonymous float list into a named,
-reproducible artifact:
+deployments also see flash crowds, and an adaptive tuner must be
+stress-tested against them.  This module turns "a rate trace" from an
+anonymous float list into a named, reproducible artifact:
 
 * :data:`TRACES` — a :class:`~repro.api.registry.Registry` of trace
   *families* (the same machinery as ENGINES/TUNERS): each family is a
@@ -63,9 +61,9 @@ def periodic_multipliers(
     (120 at the paper's scale).  The first permutation is the identity so
     small campaigns still start with the canonical cycle.
     """
-    if n_permutations < 1:
-        raise ValueError("n_permutations must be >= 1")
-    return _periodic(seeded_rng(seed), n_permutations=n_permutations, cycle=cycle)
+    return TRACES.create(
+        "periodic", seeded_rng(seed), n_permutations=n_permutations, cycle=cycle
+    )
 
 
 # ----------------------------------------------------------------------
@@ -78,13 +76,6 @@ _N_STEPS = ParamSpec("n_steps", int, None, help="trace length in rate changes")
 def _check_steps(n_steps: int, family: str) -> None:
     if n_steps < 1:
         raise ScenarioError(f"trace family {family!r}: n_steps must be >= 1")
-
-
-def _check_band(low: float, high: float, family: str) -> None:
-    if not (math.isfinite(low) and low > 0):
-        raise ScenarioError(f"trace family {family!r}: low must be a positive finite number")
-    if not (math.isfinite(high) and high > low):
-        raise ScenarioError(f"trace family {family!r}: high must be finite and > low")
 
 
 @TRACES.register(
@@ -109,52 +100,18 @@ def _periodic_family(rng, n_permutations=6, cycle=None, n_steps=None):
     """The paper's §V-A periodic pattern (permuted, replicated cycles)."""
     if n_permutations < 1:
         raise ScenarioError("trace family 'periodic': n_permutations must be >= 1")
-    sequence = _periodic(
-        rng, n_permutations=n_permutations,
-        cycle=tuple(cycle) if cycle is not None else BASIC_CYCLE,
-    )
+    cycle = list(cycle) if cycle is not None else list(BASIC_CYCLE)
+    sequence: list[int] = []
+    for index in range(n_permutations):
+        if index == 0:
+            perm = cycle
+        else:
+            perm = [int(x) for x in rng.permutation(np.asarray(cycle))]
+        sequence.extend(perm + perm)
     if n_steps is not None:
         _check_steps(n_steps, "periodic")
         sequence = sequence[:n_steps]
     return sequence
-
-
-def _periodic(rng, n_permutations: int, cycle: tuple[int, ...]) -> list[int]:
-    sequence: list[int] = []
-    for index in range(n_permutations):
-        if index == 0:
-            perm = list(cycle)
-        else:
-            perm = [int(x) for x in rng.permutation(np.asarray(cycle))]
-        sequence.extend(perm + perm)
-    return sequence
-
-
-@TRACES.register(
-    "diurnal",
-    params=(
-        _N_STEPS,
-        ParamSpec("low", float, 1.0, help="overnight trough rate (x Wu)"),
-        ParamSpec("high", float, 8.0, help="midday peak rate (x Wu)"),
-        ParamSpec("period", int, None, help="steps per day (default n_steps)"),
-        ParamSpec("jitter", float, 0.0, help="relative gaussian jitter per step"),
-    ),
-)
-def _diurnal(rng, n_steps=None, low=1.0, high=8.0, period=None, jitter=0.0):
-    """Day/night sinusoid: trough at step 0, peak half a period later."""
-    n_steps = 24 if n_steps is None else n_steps
-    _check_steps(n_steps, "diurnal")
-    _check_band(low, high, "diurnal")
-    period = n_steps if period is None else period
-    if period < 2:
-        raise ScenarioError("trace family 'diurnal': period must be >= 2")
-    steps = np.arange(n_steps)
-    curve = low + (high - low) * 0.5 * (1.0 - np.cos(2.0 * np.pi * steps / period))
-    if jitter:
-        if not (math.isfinite(jitter) and 0 < jitter < 1):
-            raise ScenarioError("trace family 'diurnal': jitter must be in (0, 1)")
-        curve = curve * (1.0 + jitter * rng.standard_normal(n_steps))
-    return np.maximum(curve, low / 10.0)
 
 
 @TRACES.register(
@@ -171,7 +128,10 @@ def _bursty(rng, n_steps=None, base=2.0, spike=9.0, p_burst=0.2, burst_length=2)
     """Flash crowds: a steady base rate with seeded multi-step spikes."""
     n_steps = 16 if n_steps is None else n_steps
     _check_steps(n_steps, "bursty")
-    _check_band(base, spike, "bursty")
+    if not (math.isfinite(base) and base > 0):
+        raise ScenarioError("trace family 'bursty': base must be a positive finite number")
+    if not (math.isfinite(spike) and spike > base):
+        raise ScenarioError("trace family 'bursty': spike must be finite and > base")
     if not 0.0 <= p_burst <= 1.0:
         raise ScenarioError("trace family 'bursty': p_burst must be in [0, 1]")
     if burst_length < 1:
@@ -193,91 +153,6 @@ def _bursty(rng, n_steps=None, base=2.0, spike=9.0, p_burst=0.2, burst_length=2)
         # burst mid-trace (deterministic — the draws above already ran).
         for offset in range(min(burst_length, n_steps - n_steps // 2)):
             values[n_steps // 2 + offset] = spike
-    return values
-
-
-@TRACES.register(
-    "ramp",
-    params=(
-        _N_STEPS,
-        ParamSpec("start", float, 1.0, help="first step's rate (x Wu)"),
-        ParamSpec("stop", float, 10.0, help="last step's rate (x Wu)"),
-    ),
-)
-def _ramp(rng, n_steps=None, start=1.0, stop=10.0):
-    """Linear scale-up (or scale-down) from ``start`` to ``stop``."""
-    del rng
-    n_steps = 8 if n_steps is None else n_steps
-    _check_steps(n_steps, "ramp")
-    for name, value in (("start", start), ("stop", stop)):
-        if not (math.isfinite(value) and value > 0):
-            raise ScenarioError(
-                f"trace family 'ramp': {name} must be a positive finite number"
-            )
-    if n_steps == 1:
-        return [float(start)]
-    return np.linspace(start, stop, n_steps)
-
-
-@TRACES.register(
-    "sinusoid-noise",
-    params=(
-        _N_STEPS,
-        ParamSpec("mean", float, 5.0, help="carrier mean rate (x Wu)"),
-        ParamSpec("amplitude", float, 3.0, help="carrier amplitude"),
-        ParamSpec("period", int, 8, help="steps per carrier cycle"),
-        ParamSpec("noise_std", float, 0.4, help="additive gaussian noise std"),
-    ),
-)
-def _sinusoid_noise(rng, n_steps=None, mean=5.0, amplitude=3.0, period=8, noise_std=0.4):
-    """A sinusoid carrier with seeded additive measurement-like noise."""
-    n_steps = 16 if n_steps is None else n_steps
-    _check_steps(n_steps, "sinusoid-noise")
-    if not (math.isfinite(mean) and mean > 0):
-        raise ScenarioError("trace family 'sinusoid-noise': mean must be > 0")
-    if not (math.isfinite(amplitude) and 0 <= amplitude < mean):
-        raise ScenarioError(
-            "trace family 'sinusoid-noise': amplitude must satisfy "
-            "0 <= amplitude < mean (rates stay positive)"
-        )
-    if period < 2:
-        raise ScenarioError("trace family 'sinusoid-noise': period must be >= 2")
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise ScenarioError("trace family 'sinusoid-noise': noise_std must be >= 0")
-    steps = np.arange(n_steps)
-    carrier = mean + amplitude * np.sin(2.0 * np.pi * steps / period)
-    if noise_std:
-        carrier = carrier + noise_std * rng.standard_normal(n_steps)
-    floor = max((mean - amplitude) / 4.0, 1e-3)
-    return np.maximum(carrier, floor)
-
-
-@TRACES.register(
-    "adversarial",
-    params=(
-        _N_STEPS,
-        ParamSpec("low", float, 1.0, help="lowest rate visited"),
-        ParamSpec("high", float, 10.0, help="highest rate visited"),
-    ),
-)
-def _adversarial(rng, n_steps=None, low=1.0, high=10.0):
-    """Worst case for the predictor's cluster assignment: every step jumps
-    between the extremes of the rate band (maximal step-to-step variation,
-    so warm-up datasets from adjacent steps disagree as much as possible),
-    with the extreme pairing seeded-shuffled for reproducible variety."""
-    n_steps = 12 if n_steps is None else n_steps
-    _check_steps(n_steps, "adversarial")
-    _check_band(low, high, "adversarial")
-    grid = np.linspace(low, high, n_steps)
-    half = n_steps // 2
-    lows, highs = grid[:half], grid[half:][::-1]
-    order = rng.permutation(half)
-    values: list[float] = []
-    for position in order:
-        values.append(float(lows[position]))
-        values.append(float(highs[position]))
-    if n_steps % 2:
-        values.append(float(grid[half]))
     return values
 
 

@@ -8,7 +8,7 @@ parallelize best.  This module replaces those per-worker copies with
 ``multiprocessing.shared_memory``:
 
 * :class:`SharedArrayStore` owns the segments.  The **parent** publishes
-  each hot numpy payload into one segment (``share`` /
+  each hot numpy payload into one segment (``share_all`` /
   ``publish_sections``); what crosses the process border is a
   :class:`SharedArrayRef` — ``(segment name, dtype, shape)``, a few dozen
   bytes — instead of the payload itself.  **Workers** attach
@@ -144,14 +144,6 @@ class SharedArrayStore:
     #: Arena alignment of packed payloads (cache-line sized).
     _ALIGN = 64
 
-    def share(self, array: np.ndarray) -> SharedArrayRef:
-        """Publish ``array`` into shared memory; returns its descriptor.
-
-        An array this store already backs (a previous ``share``) is
-        returned by reference — same segment, no copy.
-        """
-        return self.share_all([array])[0]
-
     def share_all(self, arrays: "list[np.ndarray]") -> "list[SharedArrayRef]":
         """Publish many arrays, packed into one arena segment.
 
@@ -224,10 +216,6 @@ class SharedArrayStore:
         return view
 
     # -- lifecycle ------------------------------------------------------
-
-    @property
-    def segment_names(self) -> list[str]:
-        return sorted(self._owned) + sorted(self._attached)
 
     def __enter__(self) -> "SharedArrayStore":
         return self

@@ -16,8 +16,12 @@ and each ``-n`` worker process builds its own copy.
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import HistoryGenerator, pretrain
@@ -95,6 +99,94 @@ def build_window_flow(name: str = "window_flow") -> LogicalDataflow:
     )
     flow.validate()
     return flow
+
+
+def feature_dimension(encoder) -> int:
+    """The length of ``encoder``'s feature vector, counted block by block:
+    categorical one-hots (the semantic encoder swaps the operator-type
+    block for its property vector), four numeric features, and the source
+    rate with its sinusoids."""
+    from repro.dataflow.embeddings import PROPERTY_DIMENSION, SemanticFeatureEncoder
+    from repro.dataflow.features import RATE_ENCODING_FREQUENCIES
+
+    operator_block = len(encoder._OPERATOR_TYPES)
+    if isinstance(encoder, SemanticFeatureEncoder):
+        operator_block = PROPERTY_DIMENSION
+    categorical = (
+        operator_block
+        + len(encoder._WINDOW_TYPES)
+        + len(encoder._WINDOW_POLICIES)
+        + 3 * len(encoder._KEY_CLASSES)     # join key, aggregate class, aggregate key
+        + len(encoder._AGG_FUNCTIONS)
+        + len(encoder._DATA_TYPES)
+    )
+    return categorical + 4 + 1 + 2 * len(RATE_ENCODING_FREQUENCIES)
+
+
+def check_monotonicity(model, base_features, parallelism_grid=None, tolerance=1e-9):
+    """Probe ``model`` for violations of the monotonic constraint: sweep
+    each row's last (parallelism) feature over the grid (21 points of
+    [0, 1] by default) and count increases of the predicted bottleneck
+    probability."""
+    grid = np.linspace(0.0, 1.0, 21) if parallelism_grid is None else parallelism_grid
+    n_probes = n_violations = 0
+    for row in base_features:
+        swept = np.tile(row, (len(grid), 1))
+        swept[:, -1] = grid
+        deltas = np.diff(model.predict_proba(swept))
+        n_probes += len(deltas)
+        n_violations += int((deltas > tolerance).sum())
+    return MonotonicityReport(n_probes, n_violations)
+
+
+@dataclass(frozen=True)
+class MonotonicityReport:
+    n_probes: int
+    n_violations: int
+
+    @property
+    def is_monotone(self) -> bool:
+        return self.n_violations == 0
+
+
+def save_plan(plan, path) -> None:
+    """Write a plan to ``.json`` or ``.toml`` — the files ``load_plan``
+    reads (``None`` fields are omitted from TOML)."""
+    path = Path(path)
+    if path.suffix == ".json":
+        path.write_text(json.dumps(plan.to_dict(), indent=2) + "\n")
+        return
+    lines = [
+        f"{key} = {_toml_value(value)}"
+        for key, value in plan.to_dict().items()
+        if value is not None
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def rows_from_record(pretrained, encoder, record):
+    """One record's M_f training rows (labelled operators only), encoded
+    on its own — the per-record reference for the batched warm-up."""
+    from repro.core.finetune import _labelled_rows
+
+    sample = pretrained.sample_for(record)
+    embeddings = encoder.encode(sample, parallelism_aware=False)
+    return _labelled_rows(pretrained, record, sample, embeddings)
+
+
+def _toml_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value)   # JSON string escaping is valid TOML
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_toml_value(item) for item in value) + "]"
+    items = ", ".join(
+        f"{key} = {_toml_value(item)}" for key, item in value.items() if item is not None
+    )
+    return "{" + items + "}"   # inline table (trace / chaos specs)
 
 
 #: Cache-key kinds the experiment context legitimately persists between

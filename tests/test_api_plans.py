@@ -30,8 +30,8 @@ from repro.api import (
     load_plan,
     plan_from_dict,
     replace,
-    save_plan,
 )
+from tests.conftest import save_plan
 
 
 class TestTuningPlanValidation:
@@ -166,7 +166,7 @@ class TestRoundTrips:
 
     def test_json_round_trip_equality(self):
         plan = self._campaign()
-        assert CampaignPlan.from_json(plan.to_json()) == plan
+        assert CampaignPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
     def test_kind_inference(self):
         assert isinstance(plan_from_dict({"query": "q1"}), TuningPlan)

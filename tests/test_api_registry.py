@@ -18,7 +18,7 @@ from repro.api import (
     resolve_query,
 )
 from repro.baselines import ContTuneTuner, DS2Tuner, OracleTuner
-from repro.engines import FlinkCluster, SchedulingAwareTimely, TimelyCluster
+from repro.engines import FlinkCluster, TimelyCluster
 from repro.engines.faults import FaultInjectingFlink
 from repro.engines.paced import PacedFlink
 from repro.models import MonotonicGBDT, MonotonicSVM, make_prediction_model
@@ -99,7 +99,6 @@ class TestEngineRegistry:
         [
             ("flink", FlinkCluster),
             ("timely", TimelyCluster),
-            ("timely-scheduled", SchedulingAwareTimely),
             ("flink-faulty", FaultInjectingFlink),
             ("flink-paced", PacedFlink),
         ],
@@ -114,12 +113,6 @@ class TestEngineRegistry:
             assert tuple(spec.name for spec in ENGINES.entry(name).params) == ("seed",)
         with pytest.raises(RegistryError, match="accepted: seed"):
             build_engine("flink", seed=3, task_managers=4)
-
-    def test_timely_scheduled_builds_with_its_default_placement(self):
-        from repro.engines.scheduler import STRATEGIES
-
-        engine = build_engine("timely-scheduled", seed=3)
-        assert engine.strategy == "spread" and engine.strategy in STRATEGIES
 
     @pytest.mark.parametrize(
         "registry,retired,canonical",
@@ -202,10 +195,10 @@ class TestWorkloadRegistry:
         from repro.api import engine_family
 
         assert engine_family("flink-faulty") == "flink"
-        assert engine_family("timely-scheduled") == "timely"
+        assert engine_family("flink-paced") == "flink"
         # Variant engines bind the base family's rate units.
         assert resolve_query("q5", "flink-faulty").name == "nexmark_q5_flink"
-        assert resolve_query("q5", "timely-scheduled").name == "nexmark_q5_timely"
+        assert resolve_query("q5", "flink-paced").name == "nexmark_q5_flink"
 
 
 class TestModelRegistry:

@@ -327,7 +327,7 @@ class TestSessionStreaming:
         result = TuningSession(pretrained=tiny_pretrained).run(_smoke_plan(), bus=bus)
         assert metrics.counts["CampaignStarted"] == 2
         assert metrics.counts["CampaignFinished"] == 2
-        assert metrics.summary()["steps"] == 4
+        assert sum(metrics.steps.values()) == 4
         assert not bus.errors
         assert len(result.outcomes) == 2
 

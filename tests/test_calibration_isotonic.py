@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import make_prediction_model
-from repro.models.base import check_monotonicity
 from repro.models.isotonic import IsotonicKNN, pav_antitonic, step_interpolate
 from repro.utils.rng import seeded_rng
+from tests.conftest import check_monotonicity
 
 
 def threshold_dataset(

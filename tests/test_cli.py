@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from repro.api import TuningPlan, load_plan, resolve_query, save_plan
+from repro.api import TuningPlan, load_plan, resolve_query
 from repro.cli import build_parser, main
+from tests.conftest import save_plan
 
 
 def _tuning_plan_file(tmp_path, **fields):

@@ -53,7 +53,7 @@ def _client(daemon: TuningDaemon) -> DaemonClient:
 class TestSubmitFollowFinish:
     def test_submit_runs_streams_and_persists(self, daemon, tmp_path):
         client = _client(daemon)
-        assert client.health()["status"] == "ok"
+        assert client._request("GET", "/healthz")["status"] == "ok"
         job = client.submit_plan(TINY_PLAN, tenant="alice", priority=2)
         assert job["job"] == "j000001"
         assert job["tenant"] == "alice" and job["priority"] == 2
@@ -203,7 +203,7 @@ class TestSubmitFollowFinish:
         client = _client(daemon)
         job = client.submit_plan(TINY_PLAN, tenant="alice")
         list(client.follow(job["job"]))
-        text = client.metrics_text()
+        text = client._text("/metrics")
         assert 'repro_jobs_total{state="finished"} 1' in text
         assert 'repro_tenant_submitted_total{tenant="alice"} 1' in text
         assert "repro_campaigns_finished_total 1" in text
@@ -248,7 +248,7 @@ class TestKeepAlive:
             assert excinfo.value.status == status
             # The refused body was read, not left to be parsed as the
             # next request on the kept-alive connection.
-            assert client.health()["status"] == "ok"
+            assert client._request("GET", "/healthz")["status"] == "ok"
         assert len(accepted) == 1
 
     def test_concurrent_callers_never_share_a_connection(self, daemon):
@@ -278,7 +278,7 @@ class TestKeepAlive:
         # or raise; every caller read its own job.
         assert answers == [True] * 200
         client.close()
-        assert client.health()["status"] == "ok"
+        assert client._request("GET", "/healthz")["status"] == "ok"
 
     def test_half_read_follow_then_job(self, daemon):
         client = _client(daemon)
@@ -380,7 +380,7 @@ class TestHttpErrors:
         assert client.event_lines(job["job"]) == []
         assert list(client.follow(job["job"])) == []
         # The daemon is still alive and serving.
-        assert client.health()["status"] == "ok"
+        assert client._request("GET", "/healthz")["status"] == "ok"
         next_job = client.submit_plan(TINY_PLAN)
         list(client.follow(next_job["job"]))
         assert client.job(next_job["job"])["state"] == "finished"
@@ -414,7 +414,7 @@ class TestAdmissionAndShutdown:
             assert excinfo.value.status == 429
             # Other tenants are unaffected by alice's backlog.
             other = client.submit_plan(TINY_PLAN, tenant="bob")
-            text = client.metrics_text()
+            text = client._text("/metrics")
             assert 'repro_queue_depth{tenant="alice"} 1' in text
             assert 'repro_queue_depth{tenant="bob"} 1' in text
 
@@ -438,6 +438,24 @@ class TestAdmissionAndShutdown:
         finally:
             gate.set()
             daemon.stop()
+
+    def test_stop_closes_kept_alive_connections(self, tmp_path):
+        def handlers():
+            return {
+                thread for thread in threading.enumerate()
+                if "process_request_thread" in thread.name and thread.is_alive()
+            }
+
+        before = handlers()
+        daemon = TuningDaemon(port=0, ledger_dir=tmp_path / "ledger")
+        daemon.start()
+        client = DaemonClient(daemon.url, timeout=5.0, retries=0)
+        assert client._request("GET", "/healthz")["status"] == "ok"
+        assert handlers() - before         # the idle connection's handler
+        daemon.stop()
+        assert not handlers() - before
+        with pytest.raises(DaemonClientError):
+            client._request("GET", "/healthz")
 
     def test_stop_leaves_no_shm_segments(self, tmp_path):
         daemon = TuningDaemon(port=0, ledger_dir=tmp_path / "ledger")

@@ -674,7 +674,7 @@ class TestCliJson:
 
         monkeypatch.setattr(daemon_module, "DaemonClient", FakeClient)
         plan_file = tmp_path / "plan.json"
-        plan_file.write_text(tiny_plan().to_json())
+        plan_file.write_text(json.dumps(tiny_plan().to_dict()))
         assert main(["submit", str(plan_file), "--json", "--follow"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         parsed = [json.loads(line) for line in lines]
@@ -686,6 +686,6 @@ class TestCliJson:
         from repro.cli import main
 
         plan_file = tmp_path / "plan.json"
-        plan_file.write_text(TuningPlan(query="q1").to_json())
+        plan_file.write_text(json.dumps(TuningPlan(query="q1").to_dict()))
         assert main(["dispatch", str(plan_file)]) == 2
         assert "campaign and sweep" in capsys.readouterr().err

@@ -84,7 +84,7 @@ class TestFlinkBackpressureRule:
         )
         telemetry = engine.measure(deployment)
         assert not telemetry.has_backpressure
-        assert telemetry.backpressured_operators() == []
+        assert not any(m.is_backpressured for m in telemetry.operators.values())
 
     def test_small_overload_below_ten_percent_not_flagged(self, linear_flow):
         """theta > 0.9 keeps backPressuredTime under the 10% rule."""

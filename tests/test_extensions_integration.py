@@ -13,8 +13,9 @@ import pytest
 from repro.core import StreamTuneTuner, pretrain
 from repro.core.history import HistoryGenerator
 from repro.dataflow.embeddings import SemanticFeatureEncoder
-from repro.engines import ClusterTopology, FlinkCluster, SchedulingAwareTimely
+from repro.engines import FlinkCluster
 from repro.workloads import nexmark_queries, nexmark_query
+from tests.conftest import feature_dimension
 
 
 @pytest.fixture(scope="module")
@@ -95,62 +96,4 @@ class TestSemanticEncoderEndToEnd:
         assert isinstance(encoder, SemanticFeatureEncoder)
         query = nexmark_query("q1", "flink")
         matrix, _ = encoder.encode_dataflow(query.flow, query.rates_at(1))
-        assert matrix.shape[1] == encoder.dimension
-
-
-class TestSchedulingAwareEndToEnd:
-    def _tune_on(self, engine, query, pretrained, multiplier=4):
-        tuner = StreamTuneTuner(engine, pretrained, seed=25, max_iterations=6)
-        tuner.prepare(query)
-        deployment = engine.deploy(
-            query.flow,
-            dict.fromkeys(query.flow.operator_names, 1),
-            query.rates_at(1),
-        )
-        result = tuner.tune(deployment, query.rates_at(multiplier))
-        final = engine.measure(deployment)
-        total = deployment.total_parallelism()
-        engine.stop(deployment)
-        return result, final, total
-
-    def test_tuner_clears_backpressure_under_contention(self, timely_pretrained_tiny):
-        query = nexmark_query("q3", "timely")
-        engine = SchedulingAwareTimely(
-            topology=ClusterTopology.uniform(2, 32), strategy="spread", seed=19
-        )
-        result, final, _ = self._tune_on(engine, query, timely_pretrained_tiny)
-        assert result.steps
-        assert not final.has_backpressure
-
-    def test_compact_placement_never_needs_less_parallelism(
-        self, timely_pretrained_tiny
-    ):
-        """Feedback-driven tuning absorbs placement contention: the
-        compact strategy's final configuration is at least as large as
-        spread's (strictly larger once the topology is tight)."""
-        query = nexmark_query("q3", "timely")
-        totals = {}
-        for strategy in ("spread", "compact"):
-            engine = SchedulingAwareTimely(
-                topology=ClusterTopology.uniform(2, 6),
-                strategy=strategy,
-                seed=19,
-            )
-            _, final, total = self._tune_on(
-                engine, query, timely_pretrained_tiny, multiplier=3
-            )
-            totals[strategy] = total
-        assert totals["compact"] >= totals["spread"]
-
-
-@pytest.fixture(scope="module")
-def timely_pretrained_tiny():
-    from repro.engines import TimelyCluster
-
-    engine = TimelyCluster(seed=6)
-    corpus = nexmark_queries("timely")
-    records = HistoryGenerator(engine, seed=8).generate(corpus, 150)
-    return pretrain(
-        records, max_parallelism=engine.max_parallelism,
-        n_clusters=1, epochs=4, seed=9,
-    )
+        assert matrix.shape[1] == feature_dimension(encoder)

@@ -212,13 +212,13 @@ class TestFaultPlane:
         fire("worker.execute.crash")
         assert codes == [41]
 
-    def test_snapshot_reports_hits_and_firings(self):
+    def test_plane_counts_hits_and_firings(self):
         activate(FaultPlan(rules=[rule(hits=(2,))]))
         for _ in range(3):
             trip("worker.execute.crash")
-        snap = plane_module.active_plane().snapshot()
-        assert snap["hits"]["worker.execute.crash"] == 3
-        assert snap["fired"]["worker.execute.crash"] == 1
+        plane = plane_module.active_plane()
+        assert plane._hits == {"worker.execute.crash": 3}
+        assert plane._fired == {0: 1}
 
     def test_env_var_activates_lazily(self, tmp_path, monkeypatch):
         plan_path = tmp_path / "env-plan.json"
@@ -226,7 +226,9 @@ class TestFaultPlane:
             rules=[rule(hits=(1,), error="OSError")]
         ).to_dict()), encoding="utf-8")
         monkeypatch.setenv(ENV_FAULT_PLAN, str(plan_path))
-        plane_module._reset_for_env()
+        # Forget the active plane and re-arm the lazy env lookup.
+        monkeypatch.setattr(plane_module, "_plane", None)
+        monkeypatch.setattr(plane_module, "_env_consulted", False)
         with pytest.raises(OSError):
             fire("worker.execute.crash")
         # A second fire does not re-trigger (hits=[1] is spent).

@@ -69,20 +69,6 @@ class TestFaultLifecycle:
         assert faulty.ground_truth(deployment).has_backpressure
         assert faulty.lost_instances(deployment) == {"filter": 3}
 
-    def test_heal_restores_capacity(self, faulty, linear_flow):
-        deployment = deploy_linear(faulty, linear_flow)
-        faulty.fail_instances(deployment, "filter", 3)
-        faulty.heal_instances(deployment, "filter")
-        assert not faulty.ground_truth(deployment).has_backpressure
-        assert faulty.lost_instances(deployment) == {}
-
-    def test_heal_all(self, faulty, linear_flow):
-        deployment = deploy_linear(faulty, linear_flow)
-        faulty.fail_instances(deployment, "filter", 1)
-        faulty.fail_instances(deployment, "sink", 1)
-        faulty.heal_instances(deployment)
-        assert faulty.lost_instances(deployment) == {}
-
     def test_restart_reschedules_and_clears_faults(self, faulty, linear_flow):
         deployment = deploy_linear(faulty, linear_flow)
         faulty.fail_instances(deployment, "filter", 3)

@@ -17,7 +17,7 @@ from repro.dataflow.operators import (
     WindowPolicy,
     WindowType,
 )
-from tests.conftest import build_diamond_flow, build_linear_flow
+from tests.conftest import build_diamond_flow, build_linear_flow, feature_dimension
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def encoder() -> FeatureEncoder:
 class TestDimension:
     def test_dimension_matches_encoding(self, encoder):
         spec = OperatorSpec(name="x", op_type=OperatorType.MAP)
-        assert len(encoder.encode_operator(spec)) == encoder.dimension
+        assert len(encoder.encode_operator(spec)) == feature_dimension(encoder)
 
     def test_dimension_counts_rate_sinusoids(self, encoder):
         spec = OperatorSpec(name="x", op_type=OperatorType.MAP)
@@ -88,7 +88,7 @@ class TestNumericEncoding:
 
     def test_rate_scaling_monotone(self, encoder):
         spec = OperatorSpec(name="s", op_type=OperatorType.SOURCE)
-        rate_index = encoder.dimension - 1 - 2 * len(RATE_ENCODING_FREQUENCIES)
+        rate_index = feature_dimension(encoder) - 1 - 2 * len(RATE_ENCODING_FREQUENCIES)
         values = [
             encoder.encode_operator(spec, source_rate=r)[rate_index]
             for r in (0.0, 1e3, 1e5, 1e7)
@@ -108,12 +108,12 @@ class TestDataflowEncoding:
         flow = build_diamond_flow()
         matrix, order = encoder.encode_dataflow(flow, {"src": 1000.0})
         assert order == flow.topological_order()
-        assert matrix.shape == (len(flow), encoder.dimension)
+        assert matrix.shape == (len(flow), feature_dimension(encoder))
 
     def test_rate_feature_on_source_and_first_level(self, encoder):
         flow = build_diamond_flow()
         matrix, order = encoder.encode_dataflow(flow, {"src": 5e5})
-        rate_index = encoder.dimension - 1 - 2 * len(RATE_ENCODING_FREQUENCIES)
+        rate_index = feature_dimension(encoder) - 1 - 2 * len(RATE_ENCODING_FREQUENCIES)
         by_name = dict(zip(order, matrix))
         assert by_name["src"][rate_index] > 0
         assert by_name["left"][rate_index] > 0     # first-level downstream
@@ -124,7 +124,7 @@ class TestDataflowEncoding:
     def test_missing_rate_defaults_to_zero(self, encoder):
         flow = build_linear_flow()
         matrix, order = encoder.encode_dataflow(flow, {})
-        rate_index = encoder.dimension - 1 - 2 * len(RATE_ENCODING_FREQUENCIES)
+        rate_index = feature_dimension(encoder) - 1 - 2 * len(RATE_ENCODING_FREQUENCIES)
         assert matrix[order.index("src")][rate_index] == 0.0
 
 

@@ -10,11 +10,16 @@ from repro.core.finetune import (
     PredictionDataset,
     build_warmup_dataset,
     distill_rows,
-    rows_from_record,
 )
-from repro.core.tuner import QueryTuningState, StreamTuneTuner, _ConstantModel
+from repro.core.tuner import (
+    MAX_CLASS_IMBALANCE,
+    QueryTuningState,
+    StreamTuneTuner,
+    _ConstantModel,
+)
 from repro.engines.flink import FlinkCluster
 from repro.workloads.nexmark import nexmark_query
+from tests.conftest import rows_from_record
 
 
 class TestPredictionDataset:
@@ -181,7 +186,7 @@ class TestStreamTuneTuner:
         rebalanced_X, rebalanced_y = tuner._rebalance(features, labels, "job")
         n_pos = int(rebalanced_y.sum())
         n_neg = len(rebalanced_y) - n_pos
-        assert n_neg / n_pos <= tuner.max_class_imbalance + 1
+        assert n_neg / n_pos <= MAX_CLASS_IMBALANCE + 1
 
 
 class TestTuningResultAccounting:

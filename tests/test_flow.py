@@ -132,7 +132,7 @@ class TestResultHelpers:
         result = solve_flow(
             linear_flow, {"src": 10, "filter": 60, "sink": 10}, {"src": 1e5}, PERF
         )
-        assert result.sink_throughput(linear_flow) == pytest.approx(5e4, rel=1e-6)
+        assert result.operators["sink"].served_in == pytest.approx(5e4, rel=1e-6)
 
 
 class TestMonotonicityProperties:

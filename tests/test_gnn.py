@@ -14,7 +14,7 @@ from repro.gnn.optim import Adam
 from repro.gnn.train import train_bottleneck_gnn
 from repro.dataflow.features import FeatureEncoder
 from repro.utils.rng import seeded_rng
-from tests.conftest import build_diamond_flow
+from tests.conftest import build_diamond_flow, feature_dimension
 
 
 def toy_sample(seed=0, n=6, d=10, labels=(1, 0, -1, 1, 0, 1)) -> GraphSample:
@@ -248,8 +248,8 @@ class TestBuildSample:
         )
         assert sample.n_nodes == 5
         assert sample.n_labelled == 2
-        assert sample.labels[sample.index_of("join")] == 1
-        assert sample.labels[sample.index_of("left")] == 0
-        assert sample.labels[sample.index_of("sink")] == -1
-        assert sample.features.shape == (5, encoder.dimension)
+        assert sample.labels[sample.node_names.index("join")] == 1
+        assert sample.labels[sample.node_names.index("left")] == 0
+        assert sample.labels[sample.node_names.index("sink")] == -1
+        assert sample.features.shape == (5, feature_dimension(encoder))
         assert np.all(sample.parallelism == sample.parallelism[0])

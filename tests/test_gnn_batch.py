@@ -9,14 +9,18 @@ from repro.core.finetune import (
     PredictionDataset,
     build_warmup_dataset,
     distill_rows,
-    rows_from_record,
 )
 from repro.dataflow.features import FeatureEncoder
 from repro.gnn.batch import encode_samples, merge_samples
 from repro.gnn.data import build_sample
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.utils.rng import seeded_rng
-from tests.conftest import build_diamond_flow, build_linear_flow, build_window_flow
+from tests.conftest import (
+    build_diamond_flow,
+    build_linear_flow,
+    build_window_flow,
+    rows_from_record,
+)
 
 
 @pytest.fixture(scope="module")

@@ -81,12 +81,8 @@ class TestTraversal:
         assert set(diamond_flow.upstream("join")) == {"left", "right"}
         assert diamond_flow.downstream("src") == ["left", "right"]
 
-    def test_first_level_downstream(self, diamond_flow):
-        assert set(diamond_flow.first_level_downstream()) == {"left", "right"}
-
-    def test_sources_and_sinks(self, diamond_flow):
+    def test_sources(self, diamond_flow):
         assert diamond_flow.sources() == ["src"]
-        assert diamond_flow.sinks() == ["sink"]
 
 
 class TestValidation:
@@ -167,20 +163,10 @@ class TestStructure:
         connected = getattr(flow, method)()
         assert connected != grown and connected == fresh()
 
-    def test_to_networkx(self, diamond_flow):
-        graph = diamond_flow.to_networkx()
-        assert graph.number_of_nodes() == len(diamond_flow)
-        assert graph.number_of_edges() == diamond_flow.n_edges
-        assert graph.nodes["join"]["label"] == "join"
-
     def test_serde_round_trip(self, diamond_flow):
         restored = LogicalDataflow.from_dict(diamond_flow.to_dict())
         assert restored.structural_signature() == diamond_flow.structural_signature()
         assert restored.operator("join").selectivity == 0.5
-
-    def test_from_specs_validates(self):
-        with pytest.raises(DataflowError):
-            LogicalDataflow.from_specs("f", [op("a")], [])
 
     def test_len_contains_iter(self, linear_flow):
         assert len(linear_flow) == 3

@@ -125,4 +125,4 @@ class TestJobTelemetry:
             job_name="j", operators=observed, has_backpressure=False
         )
         assert telemetry["filter"].name == "filter"
-        assert telemetry.backpressured_operators() == []
+        assert not any(m.is_backpressured for m in telemetry.operators.values())

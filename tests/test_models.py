@@ -10,12 +10,12 @@ from repro.models import (
     MLPClassifier,
     MonotonicGBDT,
     MonotonicSVM,
-    check_monotonicity,
     make_prediction_model,
 )
 from repro.models.base import validate_training_inputs
 from repro.models.gp import GaussianProcess1D
 from repro.models.search import min_feasible_parallelism
+from tests.conftest import check_monotonicity
 
 
 def threshold_dataset(seed=5, n=500, dim=4):
@@ -57,7 +57,7 @@ class TestMonotonicSVM:
     def test_w_p_nonpositive(self):
         X, y = threshold_dataset()
         model = MonotonicSVM(seed=1).fit(X, y)
-        assert model.parallelism_weight <= 0.0
+        assert model._w_parallelism <= 0.0
 
     def test_monotone_along_parallelism(self):
         X, y = threshold_dataset()

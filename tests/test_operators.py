@@ -68,7 +68,6 @@ class TestValidation:
             sliding_length=10.0,
             aggregate_function=AggregateFunction.AVG,
         )
-        assert spec.is_windowed
         assert spec.is_stateful
 
 
@@ -105,13 +104,6 @@ class TestProperties:
 
     def test_structural_label_is_type(self):
         assert make_spec(op_type=OperatorType.JOIN, join_key_class=KeyClass.INT).structural_label() == "join"
-
-    def test_renamed_preserves_everything_else(self):
-        spec = make_spec(selectivity=0.3, cost_factor=2.0)
-        renamed = spec.renamed("other")
-        assert renamed.name == "other"
-        assert renamed.selectivity == spec.selectivity
-        assert renamed.cost_factor == spec.cost_factor
 
 
 class TestSerde:

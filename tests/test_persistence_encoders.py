@@ -25,6 +25,7 @@ from repro.dataflow.embeddings import (
 )
 from repro.dataflow.features import FeatureEncoder
 from repro.dataflow.operators import OperatorSpec, OperatorType
+from tests.conftest import feature_dimension
 
 
 class TestEncoderDictRoundTrip:
@@ -33,14 +34,14 @@ class TestEncoderDictRoundTrip:
         restored = encoder_from_dict(encoder_to_dict(original))
         assert type(restored) is FeatureEncoder
         assert restored.max_source_rate == original.max_source_rate
-        assert restored.dimension == original.dimension
+        assert feature_dimension(restored) == feature_dimension(original)
 
     def test_semantic_round_trip(self):
         original = SemanticFeatureEncoder(max_tuple_width=2048.0)
         restored = encoder_from_dict(encoder_to_dict(original))
         assert isinstance(restored, SemanticFeatureEncoder)
         assert restored.max_tuple_width == original.max_tuple_width
-        assert restored.dimension == original.dimension
+        assert feature_dimension(restored) == feature_dimension(original)
 
     def test_semantic_custom_kinds_survive(self):
         taxonomy = OperatorTaxonomy()
@@ -84,7 +85,8 @@ class TestArtifactRoundTrip:
         restored = load_pretrained(tmp_path / "model")
         assert isinstance(restored.feature_encoder, SemanticFeatureEncoder)
         assert (
-            restored.feature_encoder.dimension == artifact.feature_encoder.dimension
+            feature_dimension(restored.feature_encoder)
+            == feature_dimension(artifact.feature_encoder)
         )
         # The restored encoder must produce embeddings the restored GNN
         # accepts (input dimension agreement).

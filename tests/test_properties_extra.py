@@ -18,8 +18,8 @@ from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.engines.flink import FlinkCluster
 from repro.engines.flow import solve_flow
 from repro.engines.perf import PerformanceModel
-from repro.models import MonotonicGBDT, MonotonicSVM, check_monotonicity
-from tests.conftest import build_diamond_flow, build_linear_flow
+from repro.models import MonotonicGBDT, MonotonicSVM
+from tests.conftest import build_diamond_flow, build_linear_flow, check_monotonicity
 
 PERF = PerformanceModel()
 

@@ -28,20 +28,18 @@ from repro.api import (
     TuningPlan,
     engine_family,
     plan_from_dict,
-    save_plan,
     load_plan,
 )
 from repro.scenarios import ChaosInjector
 from repro.scenarios.library import periodic_multipliers
+from tests.conftest import save_plan
 
 #: Every non-inline family with params that exercise its seeded path.
 FAMILY_CASES = [
     ("periodic", {"n_permutations": 2}, 3),
-    ("diurnal", {"n_steps": 12, "jitter": 0.2}, 5),
+    ("periodic", {"n_permutations": 3, "cycle": [2, 9, 4], "n_steps": 10}, None),
     ("bursty", {"n_steps": 10}, 11),
-    ("ramp", {"n_steps": 6, "start": 2.0, "stop": 9.0}, None),
-    ("sinusoid-noise", {"n_steps": 10}, 7),
-    ("adversarial", {"n_steps": 9}, 13),
+    ("bursty", {"n_steps": 9, "base": 1.5, "spike": 8.0, "burst_length": 3}, 13),
 ]
 
 
@@ -52,17 +50,7 @@ FAMILY_CASES = [
 class TestTraceFamilies:
     def test_registry_lists_every_family(self):
         names = set(TRACES.names())
-        assert {
-            "inline", "periodic", "diurnal", "bursty", "ramp",
-            "sinusoid-noise", "adversarial",
-        } <= names
-
-    def test_retired_sinusoid_alias_is_rejected_naming_the_family(self):
-        # One spelling per family: a plan's cell keys hash the trace label.
-        with pytest.raises(ScenarioError, match="did you mean 'sinusoid-noise'"):
-            TraceSpec(family="sinusoid", params={"n_steps": 4})
-        with pytest.raises(PlanError, match="sinusoid-noise"):
-            TuningPlan(query="q1", trace={"family": "sinusoid"})
+        assert {"inline", "periodic", "bursty"} <= names
 
     def test_periodic_family_matches_legacy_generator(self):
         spec = TraceSpec(family="periodic", seed=3)
@@ -87,9 +75,8 @@ class TestTraceFamilies:
         "family,params",
         [
             ("bursty", {"n_steps": 16}),
-            ("adversarial", {"n_steps": 10}),
-            ("diurnal", {"n_steps": 16, "jitter": 0.3}),
-            ("sinusoid-noise", {"n_steps": 16}),
+            ("bursty", {"n_steps": 12, "p_burst": 0.5, "burst_length": 1}),
+            ("periodic", {"n_permutations": 3}),
         ],
     )
     def test_seed_drives_the_stochastic_families(self, family, params):
@@ -123,16 +110,17 @@ class TestTraceFamilies:
 
     def test_unknown_param_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="wavelength"):
-            TraceSpec(family="ramp", params={"wavelength": 3})
+            TraceSpec(family="bursty", params={"wavelength": 3})
 
     @pytest.mark.parametrize(
         "family,params,match",
         [
-            ("ramp", {"n_steps": 0}, "n_steps"),
-            ("diurnal", {"low": -1.0}, "low"),
-            ("diurnal", {"low": 5.0, "high": 2.0}, "high"),
+            ("periodic", {"n_steps": 0}, "n_steps"),
+            ("periodic", {"n_permutations": 0}, "n_permutations"),
+            ("bursty", {"n_steps": 0}, "n_steps"),
+            ("bursty", {"base": -1.0}, "base"),
+            ("bursty", {"base": 5.0, "spike": 2.0}, "spike"),
             ("bursty", {"p_burst": 1.5}, "p_burst"),
-            ("sinusoid-noise", {"mean": 2.0, "amplitude": 3.0}, "amplitude"),
         ],
     )
     def test_bad_params_fail_at_materialize_with_context(self, family, params, match):
@@ -158,7 +146,7 @@ class TestTraceSpecRoundTrip:
 
     def test_unknown_spec_field_rejected(self):
         with pytest.raises(ScenarioError, match="'flavor'"):
-            TraceSpec.from_dict({"family": "ramp", "flavor": "mild"})
+            TraceSpec.from_dict({"family": "bursty", "flavor": "mild"})
 
     def test_labels_are_unique_and_stable(self):
         specs = [TraceSpec(family=f, params=p, seed=s) for f, p, s in FAMILY_CASES]
@@ -169,18 +157,18 @@ class TestTraceSpecRoundTrip:
 
     @given(
         n_steps=st.integers(min_value=1, max_value=40),
-        start=st.floats(min_value=0.1, max_value=50, allow_nan=False),
-        stop=st.floats(min_value=0.1, max_value=50, allow_nan=False),
+        base=st.floats(min_value=0.1, max_value=50, allow_nan=False),
+        lift=st.floats(min_value=0.1, max_value=50, allow_nan=False),
     )
     @settings(max_examples=40, deadline=None)
-    def test_ramp_property_round_trip_and_bounds(self, n_steps, start, stop):
+    def test_bursty_property_round_trip_and_bounds(self, n_steps, base, lift):
+        spike = base + lift
         spec = TraceSpec(
-            family="ramp", params={"n_steps": n_steps, "start": start, "stop": stop}
+            family="bursty", params={"n_steps": n_steps, "base": base, "spike": spike}
         )
         rates = spec.materialize()
         assert len(rates) == n_steps
-        assert all(rate > 0 for rate in rates)
-        assert rates[0] == pytest.approx(start)
+        assert set(rates) <= {base, spike}
         clone = TraceSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone.materialize() == rates
 
@@ -212,13 +200,13 @@ class TestPlansWithTraces:
 
     def test_trace_spec_in_rates_materializes(self):
         plan = TuningPlan(
-            query="q1", rates={"family": "ramp", "params": {"n_steps": 4}},
+            query="q1", rates={"family": "periodic", "params": {"n_steps": 4}},
             tuner="ds2", scale="smoke",
         )
         assert plan.rates == TraceSpec(
-            family="ramp", params={"n_steps": 4}
+            family="periodic", params={"n_steps": 4}
         ).materialize()
-        assert plan.trace == TraceSpec(family="ramp", params={"n_steps": 4})
+        assert plan.trace == TraceSpec(family="periodic", params={"n_steps": 4})
 
     def test_non_finite_rates_rejected(self):
         for bad in (float("inf"), float("nan"), -1.0, 0.0):
@@ -407,7 +395,7 @@ class TestEngineFamilies:
     def test_variant_engines_keep_their_base_family(self):
         assert engine_family("flink-faulty") == "flink"
         assert engine_family("flink-paced") == "flink"
-        assert engine_family("timely-scheduled") == "timely"
+        assert engine_family("timely") == "timely"
 
     def test_traits_mark_chaos_capability(self):
         assert "faults" in ENGINES.entry("flink-faulty").traits

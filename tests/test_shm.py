@@ -81,7 +81,7 @@ class TestSharedArrayStore:
     def test_share_attach_roundtrip_is_bit_identical(self):
         source = np.random.default_rng(3).normal(size=(7, 5))
         with SharedArrayStore() as store:
-            ref = store.share(source)
+            ref = store.share_all([source])[0]
             worker = SharedArrayStore()
             view = worker.attach(ref)
             np.testing.assert_array_equal(view, source)
@@ -93,7 +93,7 @@ class TestSharedArrayStore:
     def test_descriptor_is_pickle_cheap(self):
         big = np.zeros((512, 512))
         with SharedArrayStore() as store:
-            ref = store.share(big)
+            ref = store.share_all([big])[0]
             shipped = pickle.dumps(ref, pickle.HIGHEST_PROTOCOL)
             assert len(shipped) < 512          # descriptor, not payload
             back = pickle.loads(shipped)
@@ -105,7 +105,7 @@ class TestSharedArrayStore:
         with SharedArrayStore() as store:
             refs = store.share_all(arrays)
             assert len({ref.name for ref in refs}) == 1
-            assert len(store.segment_names) == 1
+            assert len(store._owned) + len(store._attached) == 1
             worker = SharedArrayStore()
             for ref, source in zip(refs, arrays):
                 np.testing.assert_array_equal(worker.attach(ref), source)
@@ -115,20 +115,20 @@ class TestSharedArrayStore:
     def test_share_dedupes_by_identity(self):
         array = np.ones((3, 3))
         with SharedArrayStore() as store:
-            first = store.share(array)
-            second = store.share(array)
+            first = store.share_all([array])[0]
+            second = store.share_all([array])[0]
             assert first == second
-            assert len(store.segment_names) == 1
+            assert len(store._owned) + len(store._attached) == 1
 
     def test_close_unlinks_owned_segments_and_is_idempotent(self):
         store = SharedArrayStore()
-        store.share(np.zeros(16))
+        store.share_all([np.zeros(16)])
         assert shm_segments() != []
         store.close()
         assert shm_segments() == []
         store.close()                         # second close is a no-op
         with pytest.raises(ValueError, match="closed"):
-            store.share(np.zeros(4))
+            store.share_all([np.zeros(4)])
         with pytest.raises(ValueError, match="closed"):
             store.attach(SharedArrayRef("nope", "float64", (1,)))
 
@@ -136,7 +136,7 @@ class TestSharedArrayStore:
         from multiprocessing import shared_memory
 
         store = SharedArrayStore()
-        ref = store.share(np.arange(8.0))
+        ref = store.share_all([np.arange(8.0)])[0]
         try:
             # Simulate the fork-inherited copy: same state, foreign pid.
             store._owner_pid = os.getpid() + 1
@@ -153,7 +153,7 @@ class TestSharedArrayStore:
         # unmaps regardless (the view is invalid afterwards — same
         # contract as SharedMemory itself).
         store = SharedArrayStore()
-        view = store.attach(store.share(np.arange(4.0)))
+        view = store.attach(store.share_all([np.arange(4.0)])[0])
         copied = np.array(view)               # read before close: fine
         store.close()
         assert shm_segments() == []           # name gone regardless
@@ -167,7 +167,7 @@ class TestSharedArrayStore:
             import numpy as np
             from repro.service.shm import SharedArrayStore
             store = SharedArrayStore()
-            ref = store.share(np.zeros((64, 64)))
+            ref = store.share_all([np.zeros((64, 64))])[0]
             print(ref.name)
             """
         )
@@ -255,7 +255,7 @@ class TestSectionCodec:
         with SharedArrayStore() as store:
             payload = publish_sections(entries, store)
             # One arena for the whole publication.
-            assert len(store.segment_names) == 1
+            assert len(store._owned) + len(store._attached) == 1
             worker = SharedArrayStore()
             back = attach_sections(payload, worker)
             assert back["assign"] == [(("sig",), 2)]
@@ -433,7 +433,7 @@ class TestProcessFleetSharedPlane:
             )
             service.run([_spec("q1")])
             # The service must not have closed the injected store.
-            store.share(np.zeros(4))
+            store.share_all([np.zeros(4)])[0]
         finally:
             store.close()
         assert shm_segments() == []

@@ -110,19 +110,24 @@ class TestSlocRatchet:
 
 class TestReach:
     """``scripts/reach.py``: every module has an importer other than its
-    own package ``__init__`` — the audit CI's lint job runs on ``src/``."""
+    own package ``__init__``, and every name a reader other than its own
+    definition, an ``__init__`` re-export or a test — the audit CI's lint
+    job runs on ``src/``."""
 
     @pytest.fixture()
     def reach(self):
         return _load_script("reach")
 
     @staticmethod
-    def _package(tmp_path, files: dict) -> Path:
-        root = tmp_path / "pkg"
-        for relative, source in files.items():
-            path = root / relative
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(source)
+    def _package(tmp_path, files: dict, beside: dict | None = None) -> Path:
+        """``files`` under ``src/pkg``; ``beside`` relative to the checkout
+        root (``examples/``, ``tests/``, ...)."""
+        root = tmp_path / "src" / "pkg"
+        for base, entries in ((root, files), (tmp_path, beside or {})):
+            for relative, source in entries.items():
+                path = base / relative
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(source)
         return root
 
     def test_committed_tree_is_fully_reached(self, reach, capsys):
@@ -157,6 +162,91 @@ class TestReach:
         })
         assert reach.unreached(root) == []
         assert reach.main([str(root)]) == 0
+
+    def test_a_test_only_function_or_method_is_flagged(self, reach, tmp_path, capsys):
+        root = self._package(tmp_path, {
+            "__init__.py": "",
+            "cli.py": "from pkg.core import Engine, used\nused()\nEngine().run()\n",
+            "core.py": (
+                "def used():\n    pass\n\n\n"
+                "def unused():\n    pass\n\n\n"
+                "class Engine:\n"
+                "    def run(self):\n        pass\n\n"
+                "    def spare(self):\n        pass\n"
+            ),
+        }, beside={
+            "tests/test_core.py": (
+                "from pkg.core import Engine, unused\nunused()\nEngine().spare()\n"
+            ),
+            "benchmarks/e2e/test_harness.py": "from pkg.core import unused\n",
+        })
+        assert reach.unread(root) == ["pkg.core.Engine.spare", "pkg.core.unused"]
+        assert reach.main([str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.split() == ["pkg.core.Engine.spare", "pkg.core.unused"]
+        assert "2 name(s)" in captured.err
+
+    def test_recursion_and_init_reexports_are_not_reads(self, reach, tmp_path):
+        root = self._package(tmp_path, {
+            "__init__.py": "from pkg.core import walk\n\n__all__ = ['walk']\n",
+            "core.py": "def walk(n):\n    return walk(n - 1) if n else 0\n",
+        })
+        assert reach.unread(root) == ["pkg.__all__['walk']", "pkg.core.walk"]
+
+    def test_docstring_and_all_strings_are_not_reads_but_getattr_is(
+        self, reach, tmp_path
+    ):
+        root = self._package(tmp_path, {
+            "__init__.py": "__all__ = ['helper']\n",
+            "core.py": "def helper():\n    pass\n\n\ndef probe():\n    pass\n",
+            "cli.py": (
+                "import pkg.core\n\n\n"
+                "def main():\n"
+                "    'helper'\n"
+                "    return getattr(pkg.core, 'probe')()\n\n\n"
+                "main()\n"
+            ),
+        })
+        assert reach.unread(root) == ["pkg.__all__['helper']", "pkg.core.helper"]
+
+    def test_dunders_and_overrides_are_reached(self, reach, tmp_path):
+        root = self._package(tmp_path, {
+            "core.py": (
+                "import json\n\n\n"
+                "class Encoder(json.JSONEncoder):\n"
+                "    def default(self, o):\n        return str(o)\n\n"
+                "    def __repr__(self):\n        return 'Encoder()'\n\n\n"
+                "class Base:\n"
+                "    def size(self):\n        return 1\n\n\n"
+                "class Sub(Base):\n"
+                "    def size(self):\n        return super().size() + 1\n"
+            ),
+            "cli.py": "from pkg.core import Encoder, Sub\nEncoder()\nSub()\n",
+        })
+        # An override of a method the package itself defines is a method
+        # like any other: only its own body reads ``Sub.size``.
+        assert reach.unread(root) == ["pkg.core.Sub.size"]
+
+    def test_a_registered_string_only_a_test_names_is_flagged(self, reach, tmp_path):
+        root = self._package(tmp_path, {
+            "registry.py": (
+                "class Registry:\n"
+                "    def register(self, name):\n        return lambda factory: factory\n\n\n"
+                "THINGS = Registry()\n"
+            ),
+            "things.py": (
+                "from pkg.registry import THINGS\n\n\n"
+                "@THINGS.register('kept')\n"
+                "def _kept():\n    return 'kept'\n\n\n"
+                "@THINGS.register('orphan')\n"
+                "def _orphan():\n    return 'orphan'\n"
+            ),
+            "cli.py": "from pkg import things\nfrom pkg.registry import THINGS\n",
+        }, beside={
+            "examples/plan.toml": 'thing = "kept"\n',
+            "tests/test_things.py": "ORPHAN = 'orphan'\n",
+        })
+        assert reach.unread(root) == ["pkg.things: THINGS.register('orphan')"]
 
     def test_needs_one_package_directory(self, reach, tmp_path, capsys):
         assert reach.main([]) == 2
