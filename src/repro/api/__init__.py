@@ -96,7 +96,6 @@ from repro.api.session import (
 #: be a cycle hazard — and most API users never touch chaos specs.
 _SCENARIO_EXPORTS = {
     "ChaosSpec": "repro.scenarios.chaos",
-    "LatencySpike": "repro.scenarios.chaos",
     "OperatorLoss": "repro.scenarios.chaos",
     "ScenarioError": "repro.scenarios.library",
     "TRACES": "repro.scenarios.library",
@@ -129,7 +128,6 @@ __all__ = [
     "JobStateChanged",
     "JobSubmitted",
     "JsonlRecorder",
-    "LatencySpike",
     "MODELS",
     "MetricsAggregator",
     "OperatorLoss",

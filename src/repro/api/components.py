@@ -49,9 +49,7 @@ ENGINES.register("flink", params=_SEED)(FlinkCluster)
 ENGINES.register(
     "flink-faulty", params=_SEED, family="flink", traits=("faults",)
 )(FaultInjectingFlink)
-ENGINES.register(
-    "flink-paced", params=_SEED, family="flink", traits=("paced",)
-)(PacedFlink)
+ENGINES.register("flink-paced", params=_SEED, family="flink")(PacedFlink)
 ENGINES.register("timely", params=_SEED)(TimelyCluster)
 
 

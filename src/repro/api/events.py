@@ -11,7 +11,7 @@ just writing the events down:
 * :class:`StepCompleted` — one per tuning process (one source-rate change),
   with a per-campaign ``step_index`` that increases monotonically;
 * :class:`ChaosInjected` — a scheduled chaos effect (operator loss or
-  latency spike from the plan's :class:`~repro.scenarios.ChaosSpec`) was
+  trace dropout from the plan's :class:`~repro.scenarios.ChaosSpec`) was
   applied, emitted ahead of the affected step's event block;
 * :class:`Reconfigured` — one per stop-and-restart redeployment inside a
   step, emitted before its step's :class:`StepCompleted`;
@@ -193,9 +193,8 @@ class ChaosInjected(Event):
     :class:`~repro.scenarios.ChaosSpec`, ahead of the affected step's
     :class:`Reconfigured` / :class:`StepCompleted` block.
     ``effect`` is ``"operator-loss"`` (``operator``/``count`` say what
-    failed), ``"latency-spike"`` (``seconds`` says by how much the
-    step's telemetry stretched) or ``"trace-dropout"`` (``factor`` says
-    what fraction of the step's source rate survived the outage).
+    failed) or ``"trace-dropout"`` (``factor`` says what fraction of the
+    step's source rate survived the outage).
     """
 
     campaign: str = ""
@@ -203,7 +202,6 @@ class ChaosInjected(Event):
     effect: str = ""
     operator: str = ""
     count: int = 0
-    seconds: float = 0.0
     factor: float = 0.0
 
 
@@ -554,7 +552,7 @@ class ProgressPrinter:
             if event.effect == "operator-loss":
                 detail = f"lost {event.count} instance(s) of {event.operator}"
             else:
-                detail = f"telemetry +{event.seconds:g}s"
+                detail = f"source rate x{event.factor:g} survives"
             self._write(
                 f"  ! {event.campaign} step {event.step_index + 1}: chaos "
                 f"{event.effect} ({detail})",

@@ -18,8 +18,8 @@ multiplier list (back-compat — cell keys stay byte-identical), or a named
 ``{family, params, seed}`` spec resolved against the
 :data:`repro.scenarios.TRACES` registry and materialized at validation
 time.  Plans may also carry a ``chaos`` schedule
-(:class:`repro.scenarios.ChaosSpec`) of operator losses and latency
-spikes keyed to trace steps.
+(:class:`repro.scenarios.ChaosSpec`) of operator losses and trace
+dropouts keyed to trace steps.
 
 Validation is *eager*: constructing a plan checks every name against its
 registry (engine, tuner, prediction model), every query token against the
@@ -207,7 +207,7 @@ def _as_chaos(value, field_name: str = "chaos"):
         if not isinstance(value, dict):
             raise PlanError(
                 f"{field_name} must be a chaos spec table "
-                f"({{operator_loss, latency_spikes}}), got {value!r}"
+                f"({{operator_loss, trace_dropout}}), got {value!r}"
             )
         try:
             value = ChaosSpec.from_dict(value)
@@ -357,7 +357,7 @@ class TuningPlan(_Plan):
     #: Named rate-trace spec ({family, params, seed}); materializes into
     #: ``rates``.  Raw ``rates`` lists stay first-class (trace = None).
     trace: object = None
-    #: Deterministic fault / latency-spike schedule (ChaosSpec table);
+    #: Deterministic fault / source-outage schedule (ChaosSpec table);
     #: a no-op schedule normalizes to None.
     chaos: object = None
 
@@ -406,7 +406,7 @@ class CampaignPlan(_Plan):
     #: Named rate-trace spec ({family, params, seed}); materializes into
     #: ``rates``.  Raw ``rates`` lists stay first-class (trace = None).
     trace: object = None
-    #: Deterministic fault / latency-spike schedule (ChaosSpec table),
+    #: Deterministic fault / source-outage schedule (ChaosSpec table),
     #: applied to every campaign of the fleet; no-op normalizes to None.
     chaos: object = None
 
@@ -562,7 +562,7 @@ class SweepPlan(_Plan):
             if not isinstance(spec, dict):
                 raise PlanError(
                     f"chaos[{index}] must be a chaos spec table "
-                    f"({{operator_loss, latency_spikes}}), got {spec!r}"
+                    f"({{operator_loss, trace_dropout}}), got {spec!r}"
                 )
             try:
                 axis.append(ChaosSpec.from_dict(spec))

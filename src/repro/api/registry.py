@@ -108,9 +108,9 @@ class ComponentEntry:
     #: corpora and pretrained artifacts they share, so lookups never need
     #: a hand-maintained fallback map.
     family: str = ""
-    #: Capability tags ("faults", "paced", ...) consumed by plan
-    #: validation — e.g. a chaos schedule checks the engine it targets
-    #: actually supports the scheduled effects.
+    #: Capability tags (e.g. "faults") consumed by plan validation — a
+    #: chaos schedule checks the engine it targets actually supports the
+    #: scheduled effects.
     traits: tuple[str, ...] = ()
 
     def param(self, name: str) -> ParamSpec | None:

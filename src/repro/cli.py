@@ -400,11 +400,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     import json
 
-    from repro.faults.supervisor import (
-        ChurnSpec,
-        FleetSupervisor,
-        RestartPolicy,
-    )
+    from repro.faults.supervisor import ChurnSpec, FleetSupervisor
 
     plan = load_plan(args.plan)
     if isinstance(plan, TuningPlan):
@@ -416,14 +412,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     supervisor = FleetSupervisor(
         plan,
         workers=args.workers,
-        churn=ChurnSpec(
-            kills_per_worker=args.kills_per_worker,
-            min_gap_cells=args.min_gap_cells,
-            max_gap_cells=args.max_gap_cells,
-            warmup_cells=args.warmup_cells,
-            seed=args.seed,
-        ),
-        restart=RestartPolicy(max_restarts=args.max_restarts),
+        churn=ChurnSpec(kills_per_worker=args.kills_per_worker, seed=args.seed),
         ttl_seconds=args.ttl,
         stall_seconds=args.stall_seconds,
         spool_dir=args.spool_dir,
@@ -784,22 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="churn-schedule seed; the same seed replays the same kill "
              "schedule and report (default: %(default)s)",
-    )
-    soak.add_argument(
-        "--min-gap-cells", type=int, default=1, metavar="N",
-        help="minimum done-cell gap between kills (default: %(default)s)",
-    )
-    soak.add_argument(
-        "--max-gap-cells", type=int, default=6, metavar="N",
-        help="maximum done-cell gap between kills (default: %(default)s)",
-    )
-    soak.add_argument(
-        "--warmup-cells", type=int, default=1, metavar="N",
-        help="done cells before the first kill (default: %(default)s)",
-    )
-    soak.add_argument(
-        "--max-restarts", type=int, default=16, metavar="N",
-        help="per-slot restart budget (default: %(default)s)",
     )
     soak.add_argument(
         "--record", default=None, metavar="PATH",

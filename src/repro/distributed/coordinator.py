@@ -199,17 +199,10 @@ class DistributedSession:
         failures: list = []
         scenario_stats: dict = {}             # per-scenario cache counters
         fleet = WorkerFleet(root, ttl_seconds=self.ttl_seconds, fsync=self.fsync)
-        churn: list = []
         fleet_dead = False
         try:
             if pending:
                 fleet.spawn(self._local_worker_count(plan))
-                if len(fleet):
-                    # Infrastructure chaos: kill/respawn local agents at
-                    # done-count thresholds.  Results stay bit-identical
-                    # (lease reclaim re-runs interrupted cells), so the
-                    # in-process backends rightly ignore these entries.
-                    churn = self._churn_entries(plan)
             last_sign_of_life = time.time()
             for position, cell in enumerate(cells):
                 if cell.id in replayed:
@@ -222,7 +215,7 @@ class DistributedSession:
                 else:
                     if not fleet_dead:
                         payload, last_sign_of_life = self._await_done(
-                            spool, cell, fleet, churn, last_sign_of_life
+                            spool, cell, fleet, last_sign_of_life
                         )
                         fleet_dead = payload is None
                     if fleet_dead:
@@ -306,18 +299,15 @@ class DistributedSession:
 
     # -- waiting on the fleet -------------------------------------------
 
-    def _await_done(self, spool, cell, fleet, churn, last_sign_of_life):
+    def _await_done(self, spool, cell, fleet, last_sign_of_life):
         """Block until ``cell`` completes; (payload, liveness) or (None, _).
 
         A ``None`` payload means the fleet went silent: no fresh worker
         heartbeat or lease, no running local worker and no new
-        completion for ``stall_seconds``.  Every poll also executes the
-        ``churn`` kill schedule entries that have come due.
+        completion for ``stall_seconds``.
         """
         while True:
             _fire("coordinator.poll.delay")
-            for _, slot in fleet.kill_due(spool, churn):
-                fleet.respawn(slot)
             payload = spool.done_payload(cell.id)
             now = time.time()
             if payload is not None:
@@ -339,25 +329,6 @@ class DistributedSession:
         # spool must staff itself.
         has_named_spool = plan.spool_dir is not None or self.spool_dir is not None
         return 0 if has_named_spool else 2
-
-    # -- worker churn ----------------------------------------------------
-
-    @staticmethod
-    def _churn_entries(plan) -> list:
-        """``(after_cells, slot)`` kill thresholds from the plan's chaos.
-
-        Sweep fleets share one local worker pool, so their churn entries
-        union (deduped) over one schedule keyed to the *total* done-cell
-        count across the spool.
-        """
-        fleets = plan.expand() if isinstance(plan, SweepPlan) else [plan]
-        entries = {
-            (churn.after_cells, churn.slot)
-            for fleet in fleets
-            if fleet.chaos is not None
-            for churn in fleet.chaos.worker_churn
-        }
-        return sorted(entries)
 
     # -- results --------------------------------------------------------
 

@@ -19,11 +19,7 @@ __all__ = ["WorkerFleet"]
 
 
 class WorkerFleet:
-    """A fixed set of worker slots draining the spool at ``root``.
-
-    Slot numbers wrap (``slot % len(fleet)``), so a kill schedule written
-    for a wider fleet still lands on a live slot of a narrower one.
-    """
+    """A fixed set of worker slots draining the spool at ``root``."""
 
     def __init__(
         self,
@@ -79,36 +75,21 @@ class WorkerFleet:
 
     def alive(self, slot: int | None = None) -> bool:
         """Is ``slot``'s worker (default: any worker) still running?"""
-        slots = self._slots if slot is None else [self._slots[slot % len(self)]]
+        slots = self._slots if slot is None else [self._slots[slot]]
         return any(proc.poll() is None for proc, _ in slots)
 
     def kill(self, slot: int) -> None:
         """SIGKILL ``slot``'s worker (a no-op when it already exited)."""
-        proc, _ = self._slots[slot % len(self)]
+        proc, _ = self._slots[slot]
         if proc.poll() is None:
             proc.kill()
             proc.wait()
 
     def respawn(self, slot: int) -> None:
         """Replace ``slot``'s worker, killing it first when still running."""
-        index = slot % len(self)
-        self.kill(index)
-        self._slots[index][1].close()
-        self._slots[index] = self._launch(index, respawn=True)
-
-    def kill_due(self, spool, schedule: list):
-        """Kill every slot whose done-cell threshold the spool has reached.
-
-        ``schedule`` holds ``(after_done, slot)`` pairs sorted by
-        threshold; due entries are popped off its front and yielded one
-        at a time, *after* the kill, so the caller decides per kill
-        whether and when to :meth:`respawn`.  Thresholds count completed
-        cells, not seconds: the same schedule replays on any host speed.
-        """
-        while schedule and len(spool.done_ids()) >= schedule[0][0]:
-            after_done, slot = schedule.pop(0)
-            self.kill(slot)
-            yield after_done, slot
+        self.kill(slot)
+        self._slots[slot][1].close()
+        self._slots[slot] = self._launch(slot, respawn=True)
 
     def drain(self, *, terminate: bool) -> None:
         """Wait for every worker to exit, then insist.

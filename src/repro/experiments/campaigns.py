@@ -133,8 +133,6 @@ def iter_campaign(
             # rate, identically on every backend.
             multiplier = chaos.effective_multiplier(index, multiplier)
         process = tuner.tune(deployment, query.rates_at(multiplier))
-        if injector is not None:
-            injector.end_step(engine)
         result.multipliers.append(multiplier)
         result.processes.append(process)
         yield index, multiplier, process

@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.service.shm import SEGMENT_PREFIX
+
 __all__ = [
     "check_spool",
     "compare_event_streams",
@@ -36,7 +38,7 @@ __all__ = [
 _WALL_CLOCK_STEP_FIELDS = ("recommendation_seconds",)
 
 
-def shm_segments(prefix: str = "reprocache") -> list[str]:
+def shm_segments() -> list[str]:
     """Names of ``/dev/shm`` segments created by the cache plane.
 
     The supervisor snapshots this before an episode and asserts the
@@ -46,7 +48,7 @@ def shm_segments(prefix: str = "reprocache") -> list[str]:
     shm = Path("/dev/shm")
     if not shm.is_dir():
         return []
-    return sorted(path.name for path in shm.glob(f"{prefix}*"))
+    return sorted(path.name for path in shm.glob(f"{SEGMENT_PREFIX}*"))
 
 
 def load_event_log(path: "str | Path") -> list[dict]:

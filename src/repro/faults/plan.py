@@ -281,7 +281,7 @@ class FaultPlan:
                 f"fault plan does not understand field(s) "
                 f"{', '.join(map(repr, unknown))} (valid: rules, seed)"
             )
-        return cls(rules=data.get("rules") or (), seed=data.get("seed", 0))
+        return cls(rules=data.get("rules", ()), seed=data.get("seed", 0))
 
 
 def load_fault_plan(path: "str | Path") -> FaultPlan:

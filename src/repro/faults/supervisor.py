@@ -11,15 +11,16 @@ same seed produces the same kill schedule whatever the host's speed,
 and every kill is guaranteed to land while the fleet still has work
 (thresholds clamp below the final cell).
 
-Each SIGKILLed worker is respawned under a :class:`RestartPolicy`
-(deterministic capped exponential backoff, a per-slot restart budget),
-and after the episode the supervisor asserts the standing invariants of
-:mod:`repro.faults.invariants` — exactly-once completion, zero stale
-leases, no ``/dev/shm`` leaks, and (optionally) a merged event stream
-bit-identical to an in-process sequential reference run of the same
-plan.  The :class:`SoakReport`'s :meth:`~SoakReport.deterministic_view`
-excludes wall-clock and scheduling noise, so two runs with the same
-seeds must render the identical view.
+Each SIGKILLed worker is respawned after :func:`restart_delay`'s
+deterministic capped exponential backoff, within a per-slot budget of
+``MAX_RESTARTS`` restarts.  After the episode the supervisor asserts
+the standing invariants of :mod:`repro.faults.invariants` —
+exactly-once completion, zero stale leases, no ``/dev/shm`` leaks, and
+(optionally) a merged event stream bit-identical to an in-process
+sequential reference run of the same plan.  The :class:`SoakReport`'s
+:meth:`~SoakReport.deterministic_view` excludes wall-clock and
+scheduling noise, so two runs with the same seeds must render the
+identical view.
 """
 
 from __future__ import annotations
@@ -44,9 +45,26 @@ __all__ = [
     "ChurnSpec",
     "FleetSupervisor",
     "KillTrigger",
-    "RestartPolicy",
     "SoakReport",
 ]
+
+#: Done cells before the first kill, and the seeded gap (inclusive
+#: range) between consecutive kills.
+WARMUP_CELLS = 1
+MIN_GAP_CELLS = 1
+MAX_GAP_CELLS = 6
+#: Per-slot respawn budget, and the capped exponential restart backoff.
+MAX_RESTARTS = 16
+BACKOFF_BASE_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 1.0
+#: How often the supervisor checks the kill schedule and its workers.
+POLL_SECONDS = 0.05
+
+
+def restart_delay(prior_restarts: int) -> float:
+    """Backoff before restart number ``prior_restarts + 1`` (no jitter:
+    the soak report must replay bit-for-bit)."""
+    return min(BACKOFF_BASE_SECONDS * (2 ** prior_restarts), BACKOFF_CAP_SECONDS)
 
 
 @dataclass(frozen=True)
@@ -60,42 +78,28 @@ class KillTrigger:
         return {"after_done": self.after_done, "slot": self.slot}
 
 
-def _check_count(value, what: str, minimum: int = 0) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise FaultError(
-            f"churn {what} must be an integer >= {minimum}, got {value!r}"
-        )
-
-
 @dataclass(frozen=True)
 class ChurnSpec:
-    """A frozen, seeded worker-churn schedule (dict/JSON round-trip)."""
+    """A frozen, seeded worker-churn schedule."""
 
     kills_per_worker: int = 2
-    min_gap_cells: int = 1
-    max_gap_cells: int = 6
-    warmup_cells: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_count(self.kills_per_worker, "kills_per_worker")
-        _check_count(self.min_gap_cells, "min_gap_cells")
-        _check_count(self.max_gap_cells, "max_gap_cells")
-        _check_count(self.warmup_cells, "warmup_cells")
+        kills = self.kills_per_worker
+        if not isinstance(kills, int) or isinstance(kills, bool) or kills < 0:
+            raise FaultError(
+                f"churn kills_per_worker must be an integer >= 0, got {kills!r}"
+            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise FaultError(f"churn seed must be an integer, got {self.seed!r}")
-        if self.max_gap_cells < self.min_gap_cells:
-            raise FaultError(
-                f"churn max_gap_cells ({self.max_gap_cells}) must be >= "
-                f"min_gap_cells ({self.min_gap_cells})"
-            )
 
     def schedule(self, n_workers: int, n_cells: int) -> tuple:
         """The episode's kill triggers, sorted by done-count threshold.
 
         Every slot is killed exactly ``kills_per_worker`` times, in a
         seeded-shuffled order, at thresholds that advance by seeded gaps
-        from ``warmup_cells`` — and clamp to ``n_cells - 1`` so each
+        from ``WARMUP_CELLS`` — and clamp to ``n_cells - 1`` so each
         kill fires before the final cell completes (a kill scheduled
         after the episode ends would test nothing).
         """
@@ -110,60 +114,16 @@ class ChurnSpec:
         rng.shuffle(victims)
         ceiling = max(n_cells - 1, 0)
         triggers = []
-        threshold = self.warmup_cells
+        threshold = WARMUP_CELLS
         for slot in victims:
             triggers.append(
                 KillTrigger(after_done=min(threshold, ceiling), slot=slot)
             )
-            threshold += rng.randint(self.min_gap_cells, self.max_gap_cells)
+            threshold += rng.randint(MIN_GAP_CELLS, MAX_GAP_CELLS)
         return tuple(triggers)
 
     def to_dict(self) -> dict:
-        return {
-            "kills_per_worker": self.kills_per_worker,
-            "min_gap_cells": self.min_gap_cells,
-            "max_gap_cells": self.max_gap_cells,
-            "warmup_cells": self.warmup_cells,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChurnSpec":
-        if not isinstance(data, dict):
-            raise FaultError(
-                f"a churn spec must be a mapping, got {type(data).__name__}"
-            )
-        known = {spec.name for spec in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise FaultError(
-                f"churn spec does not understand field(s) "
-                f"{', '.join(map(repr, unknown))} (valid: "
-                f"{', '.join(sorted(known))})"
-            )
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Deterministic capped backoff for respawning killed workers."""
-
-    max_restarts: int = 16
-    backoff_base_seconds: float = 0.05
-    backoff_cap_seconds: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_count(self.max_restarts, "max_restarts")
-        if self.backoff_base_seconds <= 0 or self.backoff_cap_seconds <= 0:
-            raise FaultError("restart backoff seconds must be positive")
-
-    def delay(self, prior_restarts: int) -> float:
-        """Backoff before restart number ``prior_restarts + 1`` (no
-        jitter: the soak report must replay bit-for-bit)."""
-        return min(
-            self.backoff_base_seconds * (2 ** prior_restarts),
-            self.backoff_cap_seconds,
-        )
+        return {"kills_per_worker": self.kills_per_worker, "seed": self.seed}
 
 
 @dataclass
@@ -241,9 +201,7 @@ class FleetSupervisor:
         *,
         workers: int = 4,
         churn: "ChurnSpec | None" = None,
-        restart: "RestartPolicy | None" = None,
         ttl_seconds: float = 2.0,
-        poll_seconds: float = 0.05,
         stall_seconds: "float | None" = None,
         spool_dir: "str | Path | None" = None,
         fsync: bool = True,
@@ -254,9 +212,7 @@ class FleetSupervisor:
         self.plan = plan
         self.workers = workers
         self.churn = churn if churn is not None else ChurnSpec()
-        self.restart = restart if restart is not None else RestartPolicy()
         self.ttl_seconds = ttl_seconds
-        self.poll_seconds = poll_seconds
         self.stall_seconds = stall_seconds
         self.spool_dir = spool_dir
         self.fsync = fsync
@@ -301,7 +257,6 @@ class FleetSupervisor:
             spool_dir=root,
             local_workers=0,
             ttl_seconds=self.ttl_seconds,
-            poll_seconds=self.poll_seconds,
             stall_seconds=self.stall_seconds,
             fsync=self.fsync,
         )
@@ -328,26 +283,30 @@ class FleetSupervisor:
         fleet.spawn(self.workers)
         say(f"soak: {self.workers} workers on {len(cells)} cells at {root}")
 
+        # Thresholds count completed cells, not seconds: the same
+        # schedule replays on any host speed.
+        pending = list(report.schedule)
         kills: list = []
-        pending = [(trigger.after_done, trigger.slot) for trigger in report.schedule]
         try:
             while coordinator.is_alive():
-                for after_done, slot in fleet.kill_due(spool, pending):
-                    kills.append(KillTrigger(after_done, slot))
+                while pending and len(spool.done_ids()) >= pending[0].after_done:
+                    trigger = pending.pop(0)
+                    fleet.kill(trigger.slot)
+                    kills.append(trigger)
                     say(
-                        f"soak: killed worker slot {slot} after "
-                        f"{after_done} done cell(s)"
+                        f"soak: killed worker slot {trigger.slot} after "
+                        f"{trigger.after_done} done cell(s)"
                     )
-                    self._respawn(fleet, slot, report)
+                    self._respawn(fleet, trigger.slot, report)
                 if not spool.all_done():
                     self._respawn_dead(fleet, report)
-                coordinator.join(timeout=self.poll_seconds)
+                coordinator.join(timeout=POLL_SECONDS)
             # The tail of the schedule may not have been observed before
             # the last cells completed; flush it so ``kills == schedule``
             # holds in every episode (the report must be replayable).
-            for after_done, slot in pending:
-                fleet.kill(slot)
-                kills.append(KillTrigger(after_done, slot))
+            for trigger in pending:
+                fleet.kill(trigger.slot)
+                kills.append(trigger)
         finally:
             fleet.drain(terminate=True)
         report.kills = tuple(kills)
@@ -405,18 +364,17 @@ class FleetSupervisor:
             load_event_log(reference_path), load_event_log(record_path)
         )
 
-    # -- the restart policy ---------------------------------------------
+    # -- restarts -------------------------------------------------------
 
     def _respawn(self, fleet, slot: int, report: SoakReport) -> bool:
         """Restart ``slot``'s dead worker if its budget allows, after the
-        policy's backoff; says whether it did."""
-        index = slot % len(fleet)
-        prior = report.restarts.get(index, 0)
-        if prior >= self.restart.max_restarts:
+        backoff; says whether it did."""
+        prior = report.restarts.get(slot, 0)
+        if prior >= MAX_RESTARTS:
             return False
-        time.sleep(self.restart.delay(prior))
-        fleet.respawn(index)
-        report.restarts[index] = prior + 1
+        time.sleep(restart_delay(prior))
+        fleet.respawn(slot)
+        report.restarts[slot] = prior + 1
         return True
 
     def _respawn_dead(self, fleet, report: SoakReport) -> None:

@@ -3,7 +3,7 @@
 This package gives workload dynamics a first-class representation.
 :mod:`repro.scenarios.library` holds the ``TRACES`` registry of seeded
 deterministic rate-trace families and the frozen :class:`TraceSpec`;
-:mod:`repro.scenarios.chaos` adds deterministic fault / latency-spike
+:mod:`repro.scenarios.chaos` adds deterministic fault / source-outage
 schedules (:class:`ChaosSpec`) keyed to trace steps; and
 :mod:`repro.scenarios.matrix` renders a finished sweep into the standing
 ``BENCH_MATRIX.json`` benchmark report.
@@ -19,10 +19,8 @@ from repro.scenarios.library import (
 from repro.scenarios.chaos import (
     ChaosInjector,
     ChaosSpec,
-    LatencySpike,
     OperatorLoss,
     TraceDropout,
-    WorkerChurn,
 )
 from repro.scenarios.matrix import MATRIX_SCHEMA, matrix_determinism_view, matrix_report, validate_matrix_report
 
@@ -30,14 +28,12 @@ __all__ = [
     "BASIC_CYCLE",
     "ChaosInjector",
     "ChaosSpec",
-    "LatencySpike",
     "MATRIX_SCHEMA",
     "OperatorLoss",
     "ScenarioError",
     "TRACES",
     "TraceDropout",
     "TraceSpec",
-    "WorkerChurn",
     "matrix_determinism_view",
     "matrix_report",
     "periodic_multipliers",

@@ -1,10 +1,10 @@
-"""Chaos schedules: deterministic mid-campaign faults and latency spikes.
+"""Chaos schedules: deterministic mid-campaign faults and source outages.
 
 A :class:`ChaosSpec` describes *when* and *how* a campaign's engine
 misbehaves, keyed to rate-trace step indices — so sweeps can cross
 scenarios x chaos and a chaos cell is exactly as reproducible as a clean
-one.  Two effect kinds, executed through machinery the engines already
-have:
+one.  Both effect kinds change what the tuner decides — one cuts
+capacity, the other cuts load:
 
 * :class:`OperatorLoss` — before step ``step``, fail ``count`` instances
   of one operator (``operator=""`` picks the widest operator of the
@@ -12,21 +12,11 @@ have:
   ``faults`` trait (``flink-faulty``): the loss surfaces as degraded
   capacity -> backpressure, and the tuner's own stop-and-restart
   reconfiguration heals it, exactly like a real TaskManager loss.
-* :class:`LatencySpike` — during step ``step``, telemetry takes
-  ``seconds`` longer per measurement.  Needs the ``paced`` trait
-  (``flink-paced``); the spike stretches wall-clock only, never touching
-  the engine RNG, so results stay bit-identical to the unspiked run.
 * :class:`TraceDropout` — at step ``step``, the arriving rate multiplier
   is scaled by ``factor`` (a partial source outage: the workload itself
   drops, not the engine).  Needs no engine trait — the dropout rewrites
   the step's effective multiplier before the tuner sees it, identically
   on every backend.
-* :class:`WorkerChurn` — *infrastructure* chaos: once ``after_cells``
-  spool cells have completed, the distributed coordinator SIGKILLs and
-  respawns local worker slot ``slot``.  In-process backends ignore it
-  (there is no fleet to churn), and because lease reclaim re-runs
-  interrupted cells bit-identically, results never depend on it — only
-  the machinery under test does.
 
 Injections are surfaced as typed
 :class:`~repro.api.events.ChaosInjected` events through the campaign's
@@ -43,10 +33,8 @@ from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 __all__ = [
     "ChaosInjector",
     "ChaosSpec",
-    "LatencySpike",
     "OperatorLoss",
     "TraceDropout",
-    "WorkerChurn",
 ]
 
 from repro.scenarios.library import ScenarioError
@@ -91,31 +79,6 @@ class OperatorLoss:
 
 
 @dataclass(frozen=True)
-class LatencySpike:
-    """Stretch every telemetry wait of step ``step`` by ``seconds``."""
-
-    step: int
-    seconds: float = 0.05
-
-    def __post_init__(self) -> None:
-        _check_step(self.step, "latency_spikes")
-        seconds = self.seconds
-        if isinstance(seconds, int) and not isinstance(seconds, bool):
-            seconds = float(seconds)
-            object.__setattr__(self, "seconds", seconds)
-        if not isinstance(seconds, float) or not (
-            math.isfinite(seconds) and seconds > 0
-        ):
-            raise ScenarioError(
-                f"chaos latency_spikes: seconds must be a positive finite "
-                f"number, got {self.seconds!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return {"step": self.step, "seconds": self.seconds}
-
-
-@dataclass(frozen=True)
 class TraceDropout:
     """Scale step ``step``'s rate multiplier by ``factor`` (source outage)."""
 
@@ -138,36 +101,6 @@ class TraceDropout:
 
     def to_dict(self) -> dict:
         return {"step": self.step, "factor": self.factor}
-
-
-@dataclass(frozen=True)
-class WorkerChurn:
-    """Kill/respawn local worker ``slot`` after ``after_cells`` completions."""
-
-    after_cells: int
-    slot: int = 0
-
-    def __post_init__(self) -> None:
-        if (
-            not isinstance(self.after_cells, int)
-            or isinstance(self.after_cells, bool)
-            or self.after_cells < 1
-        ):
-            raise ScenarioError(
-                f"chaos worker_churn: after_cells must be a positive cell "
-                f"count, got {self.after_cells!r}"
-            )
-        if not isinstance(self.slot, int) or isinstance(self.slot, bool) or self.slot < 0:
-            raise ScenarioError(
-                f"chaos worker_churn: slot must be a non-negative worker "
-                f"index, got {self.slot!r}"
-            )
-
-    def to_dict(self) -> dict:
-        data: dict = {"after_cells": self.after_cells}
-        if self.slot:
-            data["slot"] = self.slot
-        return data
 
 
 def _entries(value, cls, what: str) -> tuple:
@@ -211,9 +144,7 @@ class ChaosSpec:
     """A deterministic schedule of engine misbehaviour for one campaign."""
 
     operator_loss: tuple = field(default=())
-    latency_spikes: tuple = field(default=())
     trace_dropout: tuple = field(default=())
-    worker_churn: tuple = field(default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -223,38 +154,18 @@ class ChaosSpec:
         )
         object.__setattr__(
             self,
-            "latency_spikes",
-            _entries(self.latency_spikes, LatencySpike, "latency_spikes"),
-        )
-        object.__setattr__(
-            self,
             "trace_dropout",
             _entries(self.trace_dropout, TraceDropout, "trace_dropout"),
-        )
-        object.__setattr__(
-            self,
-            "worker_churn",
-            _entries(self.worker_churn, WorkerChurn, "worker_churn"),
         )
 
     @property
     def is_noop(self) -> bool:
-        return not (
-            self.operator_loss
-            or self.latency_spikes
-            or self.trace_dropout
-            or self.worker_churn
-        )
+        return not (self.operator_loss or self.trace_dropout)
 
     @property
     def max_step(self) -> int:
-        """The largest trace step index the schedule references (-1: none).
-
-        Worker churn does not participate: its trigger is a done-cell
-        count, not a trace step, so it can never overrun the trace.
-        """
+        """The largest trace step index the schedule references (-1: none)."""
         steps = [entry.step for entry in self.operator_loss]
-        steps += [entry.step for entry in self.latency_spikes]
         steps += [entry.step for entry in self.trace_dropout]
         return max(steps, default=-1)
 
@@ -274,12 +185,7 @@ class ChaosSpec:
 
     def required_traits(self) -> frozenset:
         """Engine registry traits this schedule needs to execute."""
-        traits = set()
-        if self.operator_loss:
-            traits.add("faults")
-        if self.latency_spikes:
-            traits.add("paced")
-        return frozenset(traits)
+        return frozenset({"faults"} if self.operator_loss else ())
 
     def label(self) -> str:
         """Compact deterministic identity (participates in ``cell_key``)."""
@@ -289,24 +195,16 @@ class ChaosSpec:
         for loss in self.operator_loss:
             note = f"[{loss.operator}]" if loss.operator else ""
             parts.append(f"loss@{loss.step}x{loss.count}{note}")
-        for spike in self.latency_spikes:
-            parts.append(f"spike@{spike.step}x{spike.seconds:g}")
         for drop in self.trace_dropout:
             parts.append(f"drop@{drop.step}x{drop.factor:g}")
-        for churn in self.worker_churn:
-            parts.append(f"churn@{churn.after_cells}w{churn.slot}")
         return "+".join(parts)
 
     def to_dict(self) -> dict:
         data: dict = {}
         if self.operator_loss:
             data["operator_loss"] = [entry.to_dict() for entry in self.operator_loss]
-        if self.latency_spikes:
-            data["latency_spikes"] = [entry.to_dict() for entry in self.latency_spikes]
         if self.trace_dropout:
             data["trace_dropout"] = [entry.to_dict() for entry in self.trace_dropout]
-        if self.worker_churn:
-            data["worker_churn"] = [entry.to_dict() for entry in self.worker_churn]
         return data
 
     @classmethod
@@ -315,7 +213,7 @@ class ChaosSpec:
             raise ScenarioError(
                 f"a chaos spec must be a mapping, got {type(data).__name__}"
             )
-        valid = ("operator_loss", "latency_spikes", "trace_dropout", "worker_churn")
+        valid = ("operator_loss", "trace_dropout")
         unknown = sorted(set(data) - set(valid))
         if unknown:
             raise ScenarioError(
@@ -323,25 +221,20 @@ class ChaosSpec:
                 f"{', '.join(map(repr, unknown))} (valid: {', '.join(valid)})"
             )
         return cls(
-            operator_loss=data.get("operator_loss") or (),
-            latency_spikes=data.get("latency_spikes") or (),
-            trace_dropout=data.get("trace_dropout") or (),
-            worker_churn=data.get("worker_churn") or (),
+            operator_loss=data.get("operator_loss", ()),
+            trace_dropout=data.get("trace_dropout", ()),
         )
 
 
 class ChaosInjector:
     """Execute one campaign's :class:`ChaosSpec` against a live engine.
 
-    Stateful per campaign (it remembers the paced engine's base telemetry
-    latency between :meth:`begin_step` and :meth:`end_step`) but driven
-    purely by the deterministic schedule — injection never touches an
-    engine RNG.
+    Driven purely by the deterministic schedule — injection never
+    touches an engine RNG.
     """
 
     def __init__(self, spec: ChaosSpec) -> None:
         self.spec = spec
-        self._base_telemetry: float | None = None
 
     def begin_step(self, engine, deployment, step_index: int, campaign: str = ""):
         """Apply this step's scheduled effects; returns the typed events."""
@@ -386,26 +279,6 @@ class ChaosInjector:
                 operator=operator,
                 count=count,
             ))
-        for spike in self.spec.latency_spikes:
-            if spike.step != step_index:
-                continue
-            if not hasattr(engine, "telemetry_seconds"):
-                from repro.engines.base import EngineError
-
-                raise EngineError(
-                    f"chaos latency_spikes needs a paced engine (e.g. "
-                    f"flink-paced); {getattr(engine, 'name', type(engine).__name__)!r} "
-                    "has no telemetry latency to stretch"
-                )
-            if self._base_telemetry is None:
-                self._base_telemetry = engine.telemetry_seconds
-            engine.telemetry_seconds = self._base_telemetry + spike.seconds
-            events.append(ChaosInjected(
-                campaign=campaign,
-                step_index=step_index,
-                effect="latency-spike",
-                seconds=spike.seconds,
-            ))
         for drop in self.spec.trace_dropout:
             if drop.step != step_index:
                 continue
@@ -416,12 +289,6 @@ class ChaosInjector:
                 factor=drop.factor,
             ))
         return events
-
-    def end_step(self, engine) -> None:
-        """Restore any per-step effect (latency spikes end with the step)."""
-        if self._base_telemetry is not None:
-            engine.telemetry_seconds = self._base_telemetry
-            self._base_telemetry = None
 
     @staticmethod
     def _widest_operator(deployment) -> str:

@@ -205,7 +205,7 @@ class TraceSpec:
         params = self.params
         if isinstance(params, dict):
             items = params.items()
-        elif isinstance(params, (list, tuple)):
+        elif isinstance(params, tuple):     # the canonical frozen form
             items = [tuple(pair) for pair in params]
         else:
             raise ScenarioError(
@@ -284,6 +284,6 @@ class TraceSpec:
             raise ScenarioError("a trace spec needs a 'family' name")
         return cls(
             family=data["family"],
-            params=data.get("params") or {},
+            params=data.get("params", {}),
             seed=data.get("seed"),
         )

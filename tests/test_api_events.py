@@ -16,6 +16,7 @@ from repro.api.events import (
     CampaignFinished,
     CampaignSkipped,
     CampaignStarted,
+    ChaosInjected,
     EventBus,
     JsonlRecorder,
     MetricsAggregator,
@@ -344,6 +345,19 @@ class TestProgressPrinter:
         assert capsys.readouterr().err == ""
         ProgressPrinter(stream=sys.stderr, verbose=True)(event)
         assert "redeployed" in capsys.readouterr().err
+
+    def test_chaos_lines_name_what_each_effect_did(self, capsys):
+        import sys
+
+        printer = ProgressPrinter(stream=sys.stderr)
+        printer(ChaosInjected(campaign="c", step_index=1,
+                              effect="trace-dropout", factor=0.4))
+        printer(ChaosInjected(campaign="c", step_index=0,
+                              effect="operator-loss", operator="map", count=2))
+        dropout, loss = capsys.readouterr().err.strip().splitlines()
+        assert "chaos trace-dropout (source rate x0.4 survives)" in dropout
+        assert "telemetry" not in dropout
+        assert "chaos operator-loss (lost 2 instance(s) of map)" in loss
 
     def test_scenario_prefix(self, capsys):
         import sys

@@ -96,6 +96,23 @@ class TestParser:
         assert "invalid choice: 'ablations'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flag", ["--max-restarts", "--min-gap-cells", "--max-gap-cells",
+                 "--warmup-cells"],
+    )
+    def test_soak_schedule_knobs_are_constants(self, capsys, flag):
+        """The churn gaps, warm-up and restart budget are module
+        constants of the supervisor, not flags (argparse exit 2)."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["soak", "plan.toml", flag, "3"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["soak", "plan.toml", "--kills-per-worker", "1", "--seed", "7"]
+        )
+        assert (args.kills_per_worker, args.seed) == (1, 7)
+
+
 class TestQueryResolution:
     def test_nexmark(self):
         assert resolve_query("q5", "flink").name == "nexmark_q5_flink"

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.daemon import DaemonClient, DaemonClientError, TuningDaemon
+from repro.faults.invariants import shm_segments
 
 TINY_PLAN = {
     "kind": "tuning", "query": "q1", "rates": [3.0, 5.0],
@@ -464,12 +465,7 @@ class TestAdmissionAndShutdown:
         job = client.submit_plan(TINY_PLAN)
         list(client.follow(job["job"]))
         daemon.stop()
-        shm_dir = Path("/dev/shm")
-        if shm_dir.is_dir():
-            assert not [
-                path for path in shm_dir.iterdir()
-                if path.name.startswith("reprocache")
-            ]
+        assert shm_segments() == []
 
 
 class TestResumeAuto:

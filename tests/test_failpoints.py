@@ -128,6 +128,13 @@ class TestFaultPlan:
             with pytest.raises(FaultError, match=f"{name} is not valid {syntax}"):
                 load_fault_plan(bad)
 
+    @pytest.mark.parametrize("rules", [{}, "", 0, None])
+    def test_present_but_falsy_rules_are_rejected(self, rules):
+        # Only a *missing* rules key means "no rules": an empty table in
+        # a fault file must not become a plan that injects nothing.
+        with pytest.raises(FaultError, match="list of rule tables"):
+            FaultPlan.from_dict({"rules": rules})
+
     def test_label_is_compact_and_deterministic(self):
         assert FaultPlan().label() == "none"
         plan = FaultPlan(

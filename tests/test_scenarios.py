@@ -18,7 +18,6 @@ from repro.api import (
     ENGINES,
     CampaignPlan,
     ChaosSpec,
-    LatencySpike,
     OperatorLoss,
     PlanError,
     ScenarioError,
@@ -30,7 +29,7 @@ from repro.api import (
     plan_from_dict,
     load_plan,
 )
-from repro.scenarios import ChaosInjector
+from repro.scenarios import ChaosInjector, TraceDropout
 from repro.scenarios.library import periodic_multipliers
 from tests.conftest import save_plan
 
@@ -147,6 +146,13 @@ class TestTraceSpecRoundTrip:
     def test_unknown_spec_field_rejected(self):
         with pytest.raises(ScenarioError, match="'flavor'"):
             TraceSpec.from_dict({"family": "bursty", "flavor": "mild"})
+
+    @pytest.mark.parametrize("params", [[], "", 0])
+    def test_present_but_falsy_params_are_validated(self, params):
+        # Only a *missing* params key means "no params"; an empty list
+        # or string is a malformed file, not a default.
+        with pytest.raises(ScenarioError, match="params must be a mapping"):
+            TraceSpec.from_dict({"family": "bursty", "params": params})
 
     def test_labels_are_unique_and_stable(self):
         specs = [TraceSpec(family=f, params=p, seed=s) for f, p, s in FAMILY_CASES]
@@ -304,16 +310,17 @@ class TestChaosSpec:
         assert ChaosSpec().label() == "none"
         spec = ChaosSpec(
             operator_loss=({"step": 1, "count": 2},),
-            latency_spikes=({"step": 0, "seconds": 0.05},),
+            trace_dropout=({"step": 0, "factor": 0.5},),
         )
-        assert spec.label() == "loss@1x2+spike@0x0.05"
+        assert spec.label() == "loss@1x2+drop@0x0.5"
         assert spec.max_step == 1
-        assert spec.required_traits() == {"faults", "paced"}
+        assert spec.required_traits() == {"faults"}
+        assert ChaosSpec(trace_dropout=({"step": 3},)).required_traits() == set()
 
     def test_dict_round_trip(self):
         spec = ChaosSpec(
             operator_loss=(OperatorLoss(step=2, count=1, operator="sink"),),
-            latency_spikes=(LatencySpike(step=0, seconds=0.1),),
+            trace_dropout=(TraceDropout(step=0, factor=0.1),),
         )
         assert ChaosSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
@@ -324,13 +331,21 @@ class TestChaosSpec:
             ({"operator_loss": [{"step": 0, "count": 0}]}, "count"),
             ({"operator_loss": [{"count": 1}]}, "'step'"),
             ({"operator_loss": [{"step": 0, "node": "x"}]}, "'node'"),
-            ({"latency_spikes": [{"step": 0, "seconds": 0.0}]}, "seconds"),
-            ({"latency_spikes": "at step 3"}, "list"),
+            ({"trace_dropout": [{"step": 0, "factor": 1.0}]}, "factor"),
+            ({"trace_dropout": "at step 3"}, "list"),
+            # Present-but-falsy values are malformed, not "no entries".
+            ({"operator_loss": ""}, "list"),
+            ({"trace_dropout": {}}, "list"),
+            # Chaos that cannot move a decision has no field.
+            ({"latency_spikes": [{"step": 0, "seconds": 0.05}]},
+             r"does not understand field\(s\) 'latency_spikes'"),
+            ({"worker_churn": [{"after_cells": 30, "slot": 1}]},
+             r"does not understand field\(s\) 'worker_churn'"),
         ],
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):
-            ChaosSpec(**kwargs)
+            ChaosSpec.from_dict(kwargs)
 
 
 class TestChaosInjector:
@@ -361,26 +376,6 @@ class TestChaosInjector:
         injector = ChaosInjector(ChaosSpec(operator_loss=({"step": 1},)))
         assert injector.begin_step(engine, deployment, 0) == []
 
-    def test_latency_spike_restores_on_end_step(self):
-        from repro.api import build_engine, resolve_query
-
-        engine = build_engine("flink-paced", seed=7)
-        query = resolve_query("q1", "flink-paced")
-        deployment = engine.deploy(
-            query.flow,
-            dict.fromkeys(query.flow.operator_names, 1),
-            query.rates_at(3.0),
-        )
-        base = engine.telemetry_seconds
-        injector = ChaosInjector(
-            ChaosSpec(latency_spikes=({"step": 0, "seconds": 0.25},))
-        )
-        events = injector.begin_step(engine, deployment, 0)
-        assert events[0].effect == "latency-spike"
-        assert engine.telemetry_seconds == pytest.approx(base + 0.25)
-        injector.end_step(engine)
-        assert engine.telemetry_seconds == pytest.approx(base)
-
 
 # ----------------------------------------------------------------------
 # registry satellites: engine families and traits come from the registry
@@ -399,5 +394,5 @@ class TestEngineFamilies:
 
     def test_traits_mark_chaos_capability(self):
         assert "faults" in ENGINES.entry("flink-faulty").traits
-        assert "paced" in ENGINES.entry("flink-paced").traits
+        assert ENGINES.entry("flink-paced").traits == ()
         assert ENGINES.entry("flink").traits == ()

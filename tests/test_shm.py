@@ -25,6 +25,7 @@ from repro.core.finetune import (
     value_to_arrays,
     warmup_cache_key,
 )
+from repro.faults.invariants import shm_segments
 from repro.service import CampaignSpec, TuningService
 from repro.service.cache import (
     ConcurrentLRUCache,
@@ -40,13 +41,6 @@ from repro.service.shm import (
     publish_sections,
 )
 from repro.workloads import nexmark_query
-
-
-def shm_segments() -> list[str]:
-    root = Path("/dev/shm")
-    if not root.is_dir():
-        return []
-    return sorted(p.name for p in root.glob(f"{SEGMENT_PREFIX}*"))
 
 
 def _dataset(seed: int, rows: int = 5, dim: int = 3) -> PredictionDataset:
