@@ -65,6 +65,9 @@ class PooledRegressionGNN:
         )
 
 
+#: Hidden width of the cost model's encoder.
+HIDDEN_DIM = 32
+
 #: Random configurations scored per recommendation.
 N_CANDIDATES = 96
 
@@ -82,7 +85,6 @@ class ZeroTuneTuner(ParallelismTuner):
         engine: EngineCluster,
         records: list,
         feature_encoder: FeatureEncoder | None = None,
-        hidden_dim: int = 32,
         epochs: int = 30,
         seed: int = 23,
     ) -> None:
@@ -91,7 +93,6 @@ class ZeroTuneTuner(ParallelismTuner):
             raise ValueError("ZeroTune needs a non-empty execution history")
         self.records = records
         self.feature_encoder = feature_encoder or FeatureEncoder()
-        self.hidden_dim = hidden_dim
         self.epochs = epochs
         self.max_sampled_parallelism = min(MAX_SAMPLED_PARALLELISM, engine.max_parallelism)
         self.seed = seed
@@ -109,7 +110,7 @@ class ZeroTuneTuner(ParallelismTuner):
         samples, targets = self._training_set()
         config = EncoderConfig(
             input_dim=samples[0].features.shape[1],
-            hidden_dim=self.hidden_dim,
+            hidden_dim=HIDDEN_DIM,
             seed=self.seed,
         )
         model = PooledRegressionGNN(config)

@@ -3,7 +3,9 @@
 Each layer caches what its backward pass needs from the most recent
 forward call; the training loop therefore runs forward -> loss -> backward
 per graph before touching the next one (gradients accumulate across a
-mini-batch in the parameters' ``grad`` buffers).
+mini-batch in the parameters' ``grad`` buffers).  The first layer of a
+stack calls :meth:`Linear.accumulate`, which skips the input gradient
+nobody reads.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient buffer."""
+    """A trainable tensor with an accumulated gradient buffer.
+
+    An :class:`~repro.gnn.optim.Adam` built over a parameter rebinds both
+    arrays to views of its flat buffers; update them in place.
+    """
 
     def __init__(self, value: np.ndarray) -> None:
         self.value = np.asarray(value, dtype=np.float64)
@@ -21,9 +27,6 @@ class Parameter:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -44,10 +47,14 @@ class Linear:
         self._input = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def accumulate(self, grad_output: np.ndarray) -> None:
+        """Add the parameter gradients only; the input gradient is skipped."""
         assert self._input is not None, "backward before forward"
         self.weight.grad += self._input.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.accumulate(grad_output)
         return grad_output @ self.weight.value.T
 
     def parameters(self) -> list[Parameter]:

@@ -7,7 +7,47 @@ gradient alongside the loss.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class LossTarget:
+    """The labels side of the loss, fixed for a sample across epochs."""
+
+    index: np.ndarray       # positions of the labelled entries
+    targets: np.ndarray     # their labels as floats in {0, 1}
+    weights: np.ndarray     # ``pos_weight`` on positives, 1 elsewhere
+    total_weight: float
+    n_labelled: int
+
+
+def loss_target(labels: np.ndarray, mask: np.ndarray, pos_weight: float = 1.0) -> LossTarget:
+    """Prepare the constants :func:`apply_bce` needs for one label vector."""
+    if pos_weight <= 0:
+        raise ValueError("pos_weight must be positive")
+    index = np.flatnonzero(mask)
+    targets = labels[index].astype(np.float64)
+    weights = np.where(targets == 1.0, pos_weight, 1.0)
+    return LossTarget(index, targets, weights, float(weights.sum()), len(index))
+
+
+def apply_bce(logits: np.ndarray, target: LossTarget) -> tuple[float, np.ndarray]:
+    """Weighted mean BCE of ``logits`` against a prepared target, and its
+    gradient w.r.t. the logits (shaped like ``logits``)."""
+    flat = logits.reshape(-1)
+    grad = np.zeros_like(flat)
+    if target.n_labelled == 0:
+        return 0.0, grad.reshape(logits.shape)
+    z = flat[target.index]
+    y = target.targets
+    # log(1 + e^z) computed stably; BCE = max(z,0) - z*y + log(1+e^-|z|).
+    loss_terms = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    loss = float((target.weights * loss_terms).sum() / target.total_weight)
+    probs = 1.0 / (1.0 + np.exp(-z))
+    grad[target.index] = target.weights * (probs - y) / target.total_weight
+    return loss, grad.reshape(logits.shape)
 
 
 def bce_with_logits(
@@ -23,27 +63,11 @@ def bce_with_logits(
     positive examples (bottleneck labels are a small minority in execution
     histories, and an unweighted loss collapses to "never a bottleneck").
     Returns ``(loss, grad)`` with ``grad`` shaped like ``logits``; when
-    nothing is labelled the loss is 0 with a zero gradient.
+    nothing is labelled the loss is 0 with a zero gradient.  A caller that
+    scores the same labels repeatedly prepares them once with
+    :func:`loss_target` and calls :func:`apply_bce`.
     """
-    if pos_weight <= 0:
-        raise ValueError("pos_weight must be positive")
-    squeeze = logits.ndim == 2
-    flat = logits.reshape(-1)
-    n_labelled = int(mask.sum())
-    grad = np.zeros_like(flat)
-    if n_labelled == 0:
-        return 0.0, grad.reshape(logits.shape) if squeeze else grad
-
-    z = flat[mask]
-    y = labels[mask].astype(np.float64)
-    weights = np.where(y == 1.0, pos_weight, 1.0)
-    # log(1 + e^z) computed stably; BCE = max(z,0) - z*y + log(1+e^-|z|).
-    loss_terms = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    total_weight = float(weights.sum())
-    loss = float((weights * loss_terms).sum() / total_weight)
-    probs = 1.0 / (1.0 + np.exp(-z))
-    grad[mask] = weights * (probs - y) / total_weight
-    return loss, grad.reshape(logits.shape) if squeeze else grad
+    return apply_bce(logits, loss_target(labels, mask, pos_weight))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -107,7 +107,8 @@ class BottleneckEncoder:
             z = self.fuse_final.forward(z, sample.parallelism)
         return z
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate parameter gradients; the input features get none."""
         grad = grad_output
         if self._used_fuse:
             grad = self.fuse_final.backward(grad)
@@ -125,7 +126,7 @@ class BottleneckEncoder:
             grad_h = self.mp_layers[step].backward(grad_h)
         if grad_embed_skip is not None:
             grad_h = grad_h + grad_embed_skip
-        return self.embed.backward(self.embed_act.backward(grad_h))
+        self.embed.accumulate(self.embed_act.backward(grad_h))
 
     def parameters(self) -> list[Parameter]:
         params = self.embed.parameters()

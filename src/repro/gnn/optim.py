@@ -8,7 +8,17 @@ from repro.gnn.layers import Parameter
 
 
 class Adam:
-    """Standard Adam with optional decoupled weight decay."""
+    """Standard Adam with optional decoupled weight decay.
+
+    The optimiser owns its parameters' storage.  Construction copies every
+    parameter into one flat value buffer and one flat gradient buffer and
+    rebinds each ``Parameter.value``/``.grad`` to a reshaped view of its
+    slice, so the update, the weight decay, :meth:`zero_grad` and
+    :meth:`scale_gradients` are each a few whole-buffer numpy operations.
+    All of them are element-wise, so the result is bit-identical to
+    updating parameter by parameter.  Write into a parameter in place
+    (``grad[...] =``, ``+=``): rebinding ``value`` or ``grad`` detaches it.
+    """
 
     def __init__(
         self,
@@ -23,30 +33,40 @@ class Adam:
             raise ValueError("learning_rate must be positive")
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
             raise ValueError("betas must lie in [0, 1)")
-        self.parameters = list(parameters)
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [np.zeros_like(p.value) for p in self.parameters]
-        self._v = [np.zeros_like(p.value) for p in self.parameters]
+        total = sum(parameter.value.size for parameter in parameters)
+        self._values, self._grads = np.empty(total), np.empty(total)
+        offset = 0
+        for parameter in parameters:
+            stop = offset + parameter.value.size
+            self._values[offset:stop] = parameter.value.reshape(-1)
+            self._grads[offset:stop] = parameter.grad.reshape(-1)
+            parameter.value = self._values[offset:stop].reshape(parameter.shape)
+            parameter.grad = self._grads[offset:stop].reshape(parameter.shape)
+            offset = stop
+        self._m, self._v = np.zeros(total), np.zeros(total)
 
     def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
+        self._grads.fill(0.0)
+
+    def scale_gradients(self, factor: float) -> None:
+        """Multiply every accumulated gradient by ``factor``."""
+        self._grads *= factor
 
     def step(self) -> None:
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
-        for i, parameter in enumerate(self.parameters):
-            grad = parameter.grad
-            if self.weight_decay > 0:
-                parameter.value *= 1.0 - self.learning_rate * self.weight_decay
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad * grad
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            parameter.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        grad = self._grads
+        if self.weight_decay > 0:
+            self._values *= 1.0 - self.learning_rate * self.weight_decay
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
+        m_hat = self._m / bias1
+        v_hat = self._v / bias2
+        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

@@ -58,8 +58,9 @@ class MLPClassifier:
 
     def _backward(self, grad: np.ndarray) -> None:
         assert self._layers is not None
-        for layer in reversed(self._layers):
+        for layer in reversed(self._layers[1:]):
             grad = layer.backward(grad)
+        self._fc1.accumulate(grad)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "MLPClassifier":
         features, labels = validate_training_inputs(features, labels)

@@ -174,6 +174,35 @@ def rows_from_record(pretrained, encoder, record):
     return _labelled_rows(pretrained, record, sample, embeddings)
 
 
+class ReferenceAdam:
+    """Adam updated one array at a time, in the operation order the
+    whole-buffer :class:`repro.gnn.optim.Adam` must reproduce bit for bit.
+    Works on plain arrays, updated in place."""
+
+    def __init__(self, values, learning_rate, weight_decay=0.0,
+                 beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.values = values
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self._step = 0
+        self._m = [np.zeros_like(v) for v in values]
+        self._v = [np.zeros_like(v) for v in values]
+
+    def step(self, grads) -> None:
+        self._step += 1
+        bias1 = 1.0 - self.beta1 ** self._step
+        bias2 = 1.0 - self.beta2 ** self._step
+        for i, (value, grad) in enumerate(zip(self.values, grads)):
+            if self.weight_decay > 0:
+                value *= 1.0 - self.learning_rate * self.weight_decay
+            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
+            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad * grad
+            m_hat = self._m[i] / bias1
+            v_hat = self._v[i] / bias2
+            value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
 def _toml_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.gnn.optim import Adam
 from repro.gnn.train import train_bottleneck_gnn
 from repro.dataflow.features import FeatureEncoder
 from repro.utils.rng import seeded_rng
-from tests.conftest import build_diamond_flow, feature_dimension
+from tests.conftest import ReferenceAdam, build_diamond_flow, feature_dimension
 
 
 def toy_sample(seed=0, n=6, d=10, labels=(1, 0, -1, 1, 0, 1)) -> GraphSample:
@@ -81,8 +83,20 @@ class TestLayers:
     def test_parameter_zero_grad(self):
         p = Parameter(np.ones(3))
         p.grad += 5.0
-        p.zero_grad()
+        Adam([p]).zero_grad()
         assert np.array_equal(p.grad, np.zeros(3))
+
+    def test_accumulate_matches_backward(self):
+        rng = seeded_rng(2)
+        x = rng.normal(size=(5, 4))
+        grad_output = rng.normal(size=(5, 3))
+        full, partial = Linear(seeded_rng(3), 4, 3), Linear(seeded_rng(3), 4, 3)
+        for layer in (full, partial):
+            layer.forward(x)
+        full.backward(grad_output)
+        assert partial.accumulate(grad_output) is None
+        assert np.array_equal(partial.weight.grad, full.weight.grad)
+        assert np.array_equal(partial.bias.grad, full.bias.grad)
 
 
 class TestAdjacency:
@@ -195,6 +209,42 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([], beta1=1.0)
 
+    def test_empty_parameter_list_steps(self):
+        optimizer = Adam([], weight_decay=1e-4)
+        optimizer.zero_grad()
+        optimizer.scale_gradients(0.5)
+        optimizer.step()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_whole_buffer_step_is_bit_identical(self, weight_decay):
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3), (3,), (1,), (2, 5), (7,), (1, 1)]
+        initial = [rng.normal(size=shape) for shape in shapes]
+        parameters = [Parameter(value.copy()) for value in initial]
+        optimizer = Adam(parameters, learning_rate=5e-3, weight_decay=weight_decay)
+        reference = ReferenceAdam(
+            [value.copy() for value in initial], 5e-3, weight_decay=weight_decay
+        )
+        for _ in range(50):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            optimizer.zero_grad()
+            for parameter, grad in zip(parameters, grads):
+                parameter.grad += grad
+            optimizer.step()
+            reference.step(grads)
+            for parameter, expected in zip(parameters, reference.values):
+                assert parameter.value.tobytes() == expected.tobytes()
+
+    def test_rehomed_parameter_grad_writes_reach_step(self):
+        p = Parameter(np.array([[1.0, -2.0], [3.0, 0.5]]))
+        before = p.value.copy()
+        optimizer = Adam([p], learning_rate=0.1)
+        assert np.array_equal(p.value, before)
+        p.grad[...] = np.array([[1.0, 0.0], [0.0, -1.0]])
+        optimizer.step()
+        moved = p.value != before
+        assert moved.tolist() == [[True, False], [False, True]]
+
 
 class TestTraining:
     def test_loss_decreases(self):
@@ -223,10 +273,23 @@ class TestTraining:
             samples,
             config=EncoderConfig(input_dim=10, hidden_dim=12, seed=4),
             epochs=60,
-            learning_rate=1e-2,
             seed=4,
         )
         assert report.final_accuracy > 0.85
+
+    def test_tiny_pretrained_digest_is_pinned(self, tiny_pretrained):
+        """The encoders' parameters and the loss trajectories of the shared
+        smoke artifact, hashed: a training change that moves any bit of
+        them fails here."""
+        digest = hashlib.sha256()
+        for model in tiny_pretrained.encoders:
+            for parameter in model.parameters():
+                digest.update(np.ascontiguousarray(parameter.value).tobytes())
+        for report in tiny_pretrained.reports:
+            digest.update(np.asarray(report.losses, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "405da60519eb9665b0ed7b42cfa00720f781de8f8cf5aaf6de4ff14a39e78230"
+        )
 
     def test_requires_labelled_samples(self):
         sample = toy_sample(labels=(-1,) * 6)

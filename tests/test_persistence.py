@@ -16,6 +16,8 @@ from repro.core.persistence import (
 from repro.core.tuner import StreamTuneTuner
 from repro.engines.flink import FlinkCluster
 from repro.gnn.model import BottleneckGNN, EncoderConfig
+from repro.gnn.optim import Adam
+from repro.gnn.train import train_bottleneck_gnn
 from repro.workloads.nexmark import nexmark_query
 from tests.test_gnn import toy_sample
 
@@ -55,6 +57,26 @@ class TestModelPersistence:
         save_model(model, path)
         restored = load_model(path)
         assert np.array_equal(restored.predict_probabilities(sample), expected)
+
+    def test_trained_weights_round_trip_into_an_optimiser(self, tmp_path):
+        """Trained parameters are views of an optimiser's flat buffer;
+        ``load_model`` writes stored weights in place, and a new optimiser
+        over the loaded model re-homes them without changing a bit."""
+        config = EncoderConfig(input_dim=10, hidden_dim=8, seed=3)
+        model, _ = train_bottleneck_gnn([toy_sample(seed=s) for s in range(3)], config, epochs=2)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        restored = load_model(path)
+        expected = [p.value.copy() for p in model.parameters()]
+        for parameter, value in zip(restored.parameters(), expected):
+            assert parameter.value.tobytes() == value.tobytes()
+        Adam(restored.parameters())
+        for parameter, value in zip(restored.parameters(), expected):
+            assert parameter.value.tobytes() == value.tobytes()
+        sample = toy_sample()
+        assert np.array_equal(
+            restored.predict_probabilities(sample), model.predict_probabilities(sample)
+        )
 
     def test_config_round_trip(self, tmp_path):
         config = EncoderConfig(
