@@ -1,6 +1,6 @@
-"""Audit that every module and every name of a package has a reader.
+"""Audit that every module, name and parameter of a package has a reader.
 
-One run makes two audits of ``src/<package>``; both must pass.
+One run makes three audits of ``src/<package>``; all must pass.
 
 *Modules.*  A module is *reached* when a module other than its own
 package's ``__init__`` imports it — ``import pkg.mod``, ``from pkg
@@ -33,10 +33,33 @@ the readers.  Names match by identifier and are not resolved, so a
 same-named read anywhere reaches a definition: the audit can miss dead
 code but never flags live code.
 
-    python scripts/reach.py src/repro      # exit 1 naming each unreached module or name
+*Parameters.*  Audited is every parameter with a default (positional or
+keyword-only) of a top-level function or of a method of a top-level
+class (``__init__`` and ``__call__`` included), and every defaulted
+field of a ``@dataclass``.  The readers are the name audit's, plus the
+keys of their ``.toml``/``.json`` files.  A parameter is *set* when a
+reader calls its callable by identifier and passes it by keyword or far
+enough by position; an ``__init__`` parameter or a dataclass field is
+also set through a call of the class's name, of a subclass's name, of
+``cls(...)`` inside the class, of ``super().__init__(...)`` inside a
+subclass, and through ``dataclasses.replace(..., name=)``.  A string
+constant or a config key equal to the parameter's name sets it too.
+Every parameter of a callable counts as set when a reader reads the
+callable other than as a call's callee (passes it as a value, registers
+or stores it — annotations, ``isinstance`` and base-class lists aside),
+when a decorator other than the standard transparent ones wraps it, and
+when a call of it splats ``*args`` or ``**kwargs``; an instance call
+cannot be named, so every call sets ``__call__``.  Like the name audit
+this matches identifiers and resolves nothing: it can miss a dead knob
+(a registry that splats its options, e.g. ``ENGINES.create(name,
+**params)``, hides every parameter of what it builds) but never flags a
+live one.
 
-There is no allowlist: an unreached module or name is deleted, or gains
-its caller, in the same PR.
+    python scripts/reach.py src/repro      # exit 1 naming each unreached module, name or parameter
+
+There is no allowlist: an unreached module, name or parameter is
+deleted (a parameter may instead become a constant with its default), or
+gains its caller, in the same change.
 """
 
 from __future__ import annotations
@@ -44,6 +67,7 @@ from __future__ import annotations
 import ast
 import builtins
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -384,6 +408,290 @@ def unread(package_dir: Path) -> list[str]:
     return sorted(missing)
 
 
+# -- the parameter audit ----------------------------------------------------
+
+
+TRANSPARENT = frozenset({
+    "staticmethod", "classmethod", "property", "abstractmethod", "lru_cache",
+    "cache", "cached_property", "contextmanager",
+})
+
+
+def _identifier(node: ast.expr) -> str | None:
+    """The identifier a name or attribute ends in (for a call, its callee's)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_identifier(d) == "dataclass" for d in node.decorator_list)
+
+
+def _defaulted(args: ast.arguments, skip: int) -> list[tuple[str, int | None]]:
+    """``(name, position)`` of every defaulted parameter; ``skip`` leading
+    positional parameters (``self``/``cls``) are not counted in positions,
+    and a keyword-only parameter has none."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    found.extend(
+        (a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+    return found
+
+
+def _fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """``(name, defaulted)`` for each ``__init__`` field a dataclass body
+    declares, in order (``ClassVar`` and ``field(init=False)`` excluded)."""
+    found = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _identifier(value) == "field" and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and not k.value.value
+            for k in value.keywords
+        ):
+            continue
+        found.append((item.target.id, value is not None))
+    return found
+
+
+class _Sets(ast.NodeVisitor):
+    """One file's calls, the identifiers it reads as values (not as a
+    call's callee), and its non-docstring string constants."""
+
+    def __init__(self) -> None:
+        # (kind, identifier, n positional, keywords, splat, enclosing class)
+        self.calls: list[tuple[str, str, int, frozenset, bool, str | None]] = []
+        self.values: list[tuple[str, bool]] = []        # (identifier, bare Name)
+        self.strings: set[str] = set()
+        self._classes: list[str] = []
+        self._skip: set[int] = set()
+        self._quiet = 0             # inside a type position: loads are not values
+
+    def visit(self, node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Module)):
+            if ast.get_docstring(node, clean=False) is not None:
+                self._skip.add(id(node.body[0].value))
+        return super().visit(node)
+
+    def _quietly(self, nodes) -> None:
+        self._quiet += 1
+        for node in nodes:
+            if node is not None:
+                self.visit(node)
+        self._quiet -= 1
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._quietly([*node.bases, *node.keywords])
+        for decorator in node.decorator_list:
+            self.visit(decorator)
+        self._classes.append(node.name)
+        for item in node.body:
+            self.visit(item)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node) -> None:
+        arguments = node.args
+        every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                 arguments.vararg, arguments.kwarg]
+        self._quietly([a.annotation for a in every if a is not None] + [node.returns])
+        for child in [*node.decorator_list, *arguments.defaults,
+                      *[d for d in arguments.kw_defaults if d is not None], *node.body]:
+            self.visit(child)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._quietly([node.annotation])
+        for child in (node.target, node.value):
+            if child is not None:
+                self.visit(child)
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        self._quietly([node.type])
+        for child in node.body:
+            self.visit(child)
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        self._quietly([node.left, *node.comparators])
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        self._skip.add(id(func))
+        splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        )
+        keywords = frozenset(k.arg for k in node.keywords if k.arg is not None)
+        enclosing = self._classes[-1] if self._classes else None
+        if isinstance(func, ast.Name):
+            kind, name = ("cls" if func.id == "cls" else "name"), func.id
+        elif isinstance(func, ast.Attribute):
+            kind, name = "attr", func.attr
+            if func.attr == "__init__" and isinstance(func.value, ast.Call) and (
+                _identifier(func.value) == "super"
+            ):
+                kind = "super"
+            elif func.attr == "__class__":
+                kind = "cls"
+        elif isinstance(func, ast.Call) and _identifier(func) == "type":
+            kind, name = "cls", "type"
+        else:
+            kind, name = "other", ""
+        self.calls.append((kind, name, len(node.args), keywords, splat, enclosing))
+        if _identifier(node) in {"isinstance", "issubclass"}:
+            self.visit(func)
+            self._quietly([*node.args[1:], *node.keywords])
+            if node.args:
+                self.visit(node.args[0])
+            return
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load) and not self._quiet and id(node) not in self._skip:
+            self.values.append((node.id, True))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load) and not self._quiet and id(node) not in self._skip:
+            self.values.append((node.attr, False))
+        # The object an attribute is looked up on is not passed anywhere.
+        self._skip.add(id(node.value))
+        self.visit(node.value)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        # A callable imported under another name is called by that name.
+        self.values.extend((a.name, True) for a in node.names if a.asname)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and id(node) not in self._skip:
+            self.strings.add(node.value)
+
+
+def unset(package_dir: Path) -> list[str]:
+    """The defaulted parameters of ``package_dir`` that no reader sets."""
+    modules = _modules(package_dir)
+    trees = {name: ast.parse(path.read_text(encoding="utf-8")) for name, path in modules.items()}
+
+    # One entry per audited callable: its label, how a call reaches it
+    # (``kind`` and identifier), its defaulted (parameter, position)s and
+    # its definition.
+    entries: list[tuple[str, str, str, list[tuple[str, int | None]], ast.AST]] = []
+    bases: dict[str, set[str]] = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                entries.append((f"{module}.{node.name}", "function", node.name,
+                                _defaulted(node.args, 0), node))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases.setdefault(node.name, set()).update(
+                _identifier(b.value if isinstance(b, ast.Subscript) else b) for b in node.bases
+            )
+            if _is_dataclass(node):
+                fields = _fields(node)
+                kw_only = any(
+                    k.arg == "kw_only" and getattr(k.value, "value", False) is True
+                    for d in node.decorator_list if isinstance(d, ast.Call)
+                    for k in d.keywords
+                )
+                entries.append((f"{module}.{node.name}", "init", node.name, [
+                    (name, None if kw_only else position)
+                    for position, (name, defaulted) in enumerate(fields) if defaulted
+                ], node))
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(_identifier(d) == "staticmethod" for d in item.decorator_list)
+                kind = {"__init__": "init", "__call__": "any"}.get(item.name, "method")
+                entries.append((
+                    f"{module}.{node.name}.{item.name}", kind,
+                    node.name if kind == "init" else item.name,
+                    _defaulted(item.args, 0 if static else 1), item,
+                ))
+
+    def ancestors(name: str, seen: frozenset = frozenset()) -> set[str]:
+        found = set()
+        for base in bases.get(name, ()):
+            if base in bases and base not in seen:
+                found |= {base} | ancestors(base, seen | {base})
+        return found
+
+    descendants: dict[str, set[str]] = {}
+    for name in bases:
+        for base in ancestors(name):
+            descendants.setdefault(base, set()).add(name)
+
+    own = {path.resolve(): module for module, path in modules.items()}
+    calls, values, strings, config = [], set(), set(), ""
+    for path in _readers(package_dir):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix != ".py":
+            config += text + "\n"
+            continue
+        module = own.get(path.resolve())
+        sets = _Sets()
+        sets.visit(trees[module] if module is not None else ast.parse(text))
+        calls.extend(sets.calls)
+        values.update(sets.values)
+        strings |= sets.strings
+
+    by_callee: dict[str, list] = {}
+    by_class: dict[str, list] = {}      # cls(...) and super().__init__(...)
+    for kind, callee, n_args, keywords, splat, enclosing in calls:
+        setting = (n_args, keywords, splat)
+        if kind in {"name", "attr"}:
+            by_callee.setdefault(callee, []).append((kind, setting))
+        elif kind == "cls" and enclosing is not None:
+            for owner in {enclosing} | ancestors(enclosing) | descendants.get(enclosing, set()):
+                by_class.setdefault(owner, []).append(setting)
+        elif kind == "super" and enclosing is not None:
+            for owner in ancestors(enclosing):
+                by_class.setdefault(owner, []).append(setting)
+    replaced = {k for kind, callee, _, keywords, _, _ in calls if callee == "replace" for k in keywords}
+
+    missing = []
+    for label, kind, name, params, node in entries:
+        if kind == "any":
+            matching = [(n, k, s) for _, _, n, k, s, _ in calls]
+        elif kind == "init":
+            matching = list(by_class.get(name, []))
+            for sub in {name} | descendants.get(name, set()):
+                matching.extend(setting for _, setting in by_callee.get(sub, []))
+        else:
+            matching = [
+                setting for call_kind, setting in by_callee.get(name, [])
+                if kind == "function" or call_kind == "attr"
+            ]
+        names = {name} | (descendants.get(name, set()) if kind == "init" else set())
+        read = any(
+            (n, False) in values or (kind != "method" and (n, True) in values) for n in names
+        ) or any(
+            _identifier(d) not in TRANSPARENT | {"dataclass"}
+            for d in getattr(node, "decorator_list", ())
+        )
+        for param, position in params:
+            if read or param in strings or _config_key(config, param):
+                continue
+            if isinstance(node, ast.ClassDef) and param in replaced:
+                continue
+            if not any(
+                splat or param in keywords or (position is not None and position < n_args)
+                for n_args, keywords, splat in matching
+            ):
+                missing.append(f"{label}({param}=)")
+    return sorted(missing)
+
+
+def _config_key(text: str, name: str) -> bool:
+    """Whether ``name`` is a key in the ``.toml``/``.json`` text."""
+    return re.search(rf"(?m)(^|[{{,\s])[\"']?{re.escape(name)}[\"']?\s*[=:]", text) is not None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not Path(argv[0]).is_dir():
         print(__doc__, file=sys.stderr)
@@ -407,9 +715,18 @@ def main(argv: list[str]) -> int:
             "an __init__ re-export or tests; delete them or give them a caller",
             file=sys.stderr,
         )
-    if missing or unread_names:
+    unset_parameters = unset(package_dir)
+    for name in unset_parameters:
+        print(name)
+    if unset_parameters:
+        print(
+            f"{len(unset_parameters)} parameter(s) keep a default that only tests "
+            "override; make each a constant or delete it, or give it a caller",
+            file=sys.stderr,
+        )
+    if missing or unread_names or unset_parameters:
         return 1
-    print(f"every module and name under {package_dir} is reached")
+    print(f"every module, name and parameter under {package_dir} is reached")
     return 0
 
 

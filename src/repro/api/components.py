@@ -271,10 +271,11 @@ def _build_svm(seed=11):
 
 @MODELS.register("xgboost", params=(_MODEL_SEED,))
 def _build_gbdt(seed=11):
-    """Gradient-boosted trees with a monotone constraint on p."""
+    """Gradient-boosted trees with a monotone constraint on p (no RNG, so
+    the seed has nothing to draw)."""
     from repro.models.gbdt import MonotonicGBDT
 
-    return MonotonicGBDT(seed=seed)
+    return MonotonicGBDT()
 
 
 @MODELS.register("isotonic", params=(_MODEL_SEED,))

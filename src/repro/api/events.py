@@ -436,7 +436,9 @@ def event_from_dict(data: dict) -> Event:
     ``event_from_dict(event.to_dict()) == event`` (the ``outcome`` object
     is excluded from equality but is itself rebuilt from the ``result``
     payload when one was recorded).  Raises ``ValueError`` for missing or
-    unknown kinds — a resume log with foreign lines should fail loudly.
+    unknown kinds, and for a record (or ``result`` payload) of a known
+    kind that does not rebuild — a resume log with foreign lines should
+    fail loudly.
     """
     if not isinstance(data, dict):
         raise ValueError(f"an event record must be a mapping, got {type(data).__name__}")
@@ -455,14 +457,17 @@ def event_from_dict(data: dict) -> Event:
         if spec.metadata.get("serialise", True)
     }
     kwargs = {key: value for key, value in data.items() if key in known}
-    if cls is CampaignFinished and isinstance(data.get("result"), dict):
-        kwargs["outcome"] = _outcome_from_payload(
-            data["result"],
-            campaign=kwargs.get("campaign", ""),
-            backend=kwargs.get("backend", "sequential"),
-            wall_seconds=kwargs.get("wall_seconds", 0.0),
-        )
-    return cls(**kwargs)
+    try:
+        if cls is CampaignFinished and isinstance(data.get("result"), dict):
+            kwargs["outcome"] = _outcome_from_payload(
+                data["result"],
+                campaign=kwargs.get("campaign", ""),
+                backend=kwargs.get("backend", "sequential"),
+                wall_seconds=kwargs.get("wall_seconds", 0.0),
+            )
+        return cls(**kwargs)
+    except (KeyError, TypeError, AttributeError) as error:
+        raise ValueError(f"damaged {kind} record: {error!r}") from None
 
 
 def read_event_log(path: str | Path) -> tuple[list, int]:
@@ -520,13 +525,12 @@ class EventBus:
 class ProgressPrinter:
     """One human-readable line per event (``--follow`` in the CLI).
 
-    ``verbose=False`` (default) skips per-reconfiguration lines, which
-    dominate the stream but rarely matter when following a fleet.
+    Per-reconfiguration events print nothing: they dominate the stream
+    but rarely matter when following a fleet.
     """
 
-    def __init__(self, stream=None, verbose: bool = False) -> None:
+    def __init__(self, stream=None) -> None:
         self.stream = stream if stream is not None else sys.stderr
-        self.verbose = verbose
 
     def _write(self, line: str, scenario: str | None) -> None:
         prefix = f"[{scenario}] " if scenario else ""
@@ -558,14 +562,6 @@ class ProgressPrinter:
                 f"{event.effect} ({detail})",
                 event.scenario,
             )
-        elif isinstance(event, Reconfigured):
-            if self.verbose:
-                self._write(
-                    f"    ~ {event.campaign} step {event.step_index + 1} "
-                    f"iteration {event.iteration}: redeployed "
-                    f"{sum(event.parallelisms.values())} tasks",
-                    event.scenario,
-                )
         elif isinstance(event, CampaignFinished):
             self._write(
                 f"< {event.campaign} done: {event.converged_steps}/"

@@ -158,7 +158,7 @@ def _as_trace(value, field_name: str = "trace"):
     )
 
 
-def _split_rates(rates, trace, field_name: str = "rates"):
+def _split_rates(rates, trace):
     """Let the ``rates`` field itself carry a ``{family, ...}`` spec.
 
     Returns ``(raw_rates_or_None, trace_spec_or_None)`` — ``None`` raw
@@ -167,14 +167,13 @@ def _split_rates(rates, trace, field_name: str = "rates"):
     if isinstance(rates, dict) or _is_trace_spec(rates):
         if trace is not None:
             raise PlanError(
-                f"pass the trace spec through either {field_name!r} or "
-                "'trace', not both"
+                "pass the trace spec through either 'rates' or 'trace', not both"
             )
-        return None, _as_trace(rates, field_name)
+        return None, _as_trace(rates, "rates")
     return rates, _as_trace(trace)
 
 
-def _resolve_trace(raw, trace, default_rates, field_name: str = "rates"):
+def _resolve_trace(raw, trace, default_rates):
     """The concrete rate tuple of a plan whose ``trace`` spec is set."""
     from repro.scenarios.library import ScenarioError
 
@@ -184,19 +183,19 @@ def _resolve_trace(raw, trace, default_rates, field_name: str = "rates"):
         raise PlanError(f"trace: {error}") from None
     if raw is None:
         return materialized
-    rates = _as_rates(raw, field_name)
+    rates = _as_rates(raw)
     # An explicitly-spelled rate list must agree with the spec (the
     # field default is treated as "omitted" — dataclasses cannot tell).
     if rates != materialized and rates != default_rates:
         raise PlanError(
-            f"{field_name} disagrees with the trace spec: the spec "
-            f"materializes to {list(materialized)} but {field_name} says "
-            f"{list(rates)}; drop {field_name} and let the spec drive"
+            "rates disagrees with the trace spec: the spec "
+            f"materializes to {list(materialized)} but rates says "
+            f"{list(rates)}; drop rates and let the spec drive"
         )
     return materialized
 
 
-def _as_chaos(value, field_name: str = "chaos"):
+def _as_chaos(value):
     """Normalize a chaos field to a :class:`ChaosSpec`; no-ops to ``None``."""
     if value is None:
         return None
@@ -206,23 +205,23 @@ def _as_chaos(value, field_name: str = "chaos"):
     if not isinstance(value, ChaosSpec):
         if not isinstance(value, dict):
             raise PlanError(
-                f"{field_name} must be a chaos spec table "
+                "chaos must be a chaos spec table "
                 f"({{operator_loss, trace_dropout}}), got {value!r}"
             )
         try:
             value = ChaosSpec.from_dict(value)
         except ScenarioError as error:
-            raise PlanError(f"{field_name}: {error}") from None
+            raise PlanError(f"chaos: {error}") from None
     return None if value.is_noop else value
 
 
-def _check_chaos_executes(chaos, engine: str, n_steps: int, field_name: str = "chaos") -> None:
+def _check_chaos_executes(chaos, engine: str, n_steps: int) -> None:
     """Eagerly reject a chaos schedule this plan could never execute."""
     if chaos is None:
         return
     if chaos.max_step >= n_steps:
         raise PlanError(
-            f"{field_name} schedules an effect at trace step "
+            "chaos schedules an effect at trace step "
             f"{chaos.max_step}, but each campaign here runs only {n_steps} "
             f"step(s) (indices 0..{n_steps - 1}); shorten the schedule or "
             "lengthen the trace"
@@ -236,7 +235,7 @@ def _check_chaos_executes(chaos, engine: str, n_steps: int, field_name: str = "c
             if required <= set(ENGINES.entry(name).traits)
         )
         raise PlanError(
-            f"{field_name} needs engine capability "
+            "chaos needs engine capability "
             f"{', '.join(map(repr, missing))}, which engine {engine!r} does "
             f"not declare (capable: {', '.join(capable) or 'no registered engine'})"
         )

@@ -39,19 +39,17 @@ ALPHA = 3.0
 #: Observations an operator's GP needs before its posterior is trusted.
 MIN_OBSERVATIONS = 2
 
+#: Measure-and-recommend rounds per tuning process.
+MAX_ITERATIONS = 6
+
 
 class ContTuneTuner(ParallelismTuner):
     """Per-operator GP surrogate + Big-Small tuning."""
 
     name = "ContTune"
 
-    def __init__(
-        self,
-        engine: EngineCluster,
-        max_iterations: int = 6,
-    ) -> None:
+    def __init__(self, engine: EngineCluster) -> None:
         super().__init__(engine)
-        self.max_iterations = max_iterations
         # (job name, operator name) -> list of (parallelism, per-instance rate)
         self._history: dict[tuple[str, str], list[tuple[int, float]]] = {}
 
@@ -73,7 +71,7 @@ class ContTuneTuner(ParallelismTuner):
 
         telemetry = self.engine.measure(deployment)
         self._record_observations(deployment, telemetry)
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             with Timer() as timer:
                 recommendation = self._recommend(deployment, telemetry, target_rates)
                 for name, floor in floors.items():

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from repro.baselines._demand import propagate_target_demand
 from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
-from repro.engines.base import Deployment, EngineCluster
+from repro.engines.base import Deployment
 from repro.engines.metrics import JobTelemetry
 from repro.utils.timer import Timer
+
+#: Measure-and-rescale rounds per tuning process.
+MAX_ITERATIONS = 6
 
 
 class DS2Tuner(ParallelismTuner):
@@ -32,18 +35,12 @@ class DS2Tuner(ParallelismTuner):
 
     name = "DS2"
 
-    def __init__(self, engine: EngineCluster, max_iterations: int = 6) -> None:
-        super().__init__(engine)
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        self.max_iterations = max_iterations
-
     def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
         self.engine.set_source_rates(deployment, target_rates)
         result = TuningResult(query_name=deployment.flow.name, tuner_name=self.name)
 
         telemetry = self.engine.measure(deployment)
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             with Timer() as timer:
                 # The controller applies its recommendation as computed;
                 # useful-time noise keeps perturbing the estimate between

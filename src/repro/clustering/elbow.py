@@ -11,7 +11,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.clustering.center import DEFAULT_TAU
 from repro.clustering.kmeans import GEDKMeans
 from repro.ged.search import GEDCache
 
@@ -19,7 +18,6 @@ from repro.ged.search import GEDCache
 def choose_k_elbow(
     graphs: Sequence,
     k_max: int = 8,
-    tau: float = DEFAULT_TAU,
     seed: int | None = None,
     cache: GEDCache | None = None,
 ) -> tuple[int, list[float]]:
@@ -30,7 +28,7 @@ def choose_k_elbow(
     inertias: list[float] = []
     upper = min(k_max, len({g.structural_signature() for g in graphs}))
     for k in range(1, upper + 1):
-        result = GEDKMeans(k, tau=tau, seed=seed, cache=cache).fit(graphs)
+        result = GEDKMeans(k, seed=seed, cache=cache).fit(graphs)
         inertias.append(result.inertia)
     if len(inertias) <= 2:
         return len(inertias), inertias

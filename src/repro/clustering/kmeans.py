@@ -16,9 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.clustering.center import DEFAULT_TAU, similarity_center
+from repro.clustering.center import similarity_center
 from repro.ged.search import GEDCache
 from repro.utils.rng import seeded_rng
+
+#: Assignment/update rounds of one restart, and the random restarts a fit
+#: keeps the best of.
+MAX_ITERATIONS = 20
+N_INIT = 3
 
 
 @dataclass
@@ -64,32 +69,22 @@ class GEDKMeans:
     def __init__(
         self,
         n_clusters: int,
-        tau: float = DEFAULT_TAU,
-        max_iterations: int = 20,
-        n_init: int = 3,
         seed: int | None = None,
         cache: GEDCache | None = None,
     ) -> None:
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if n_init < 1:
-            raise ValueError("n_init must be >= 1")
         self.n_clusters = n_clusters
-        self.tau = tau
-        self.max_iterations = max_iterations
-        self.n_init = n_init
         self._rng = seeded_rng(seed)
         self.cache = cache if cache is not None else GEDCache()
 
     def fit(self, graphs: Sequence) -> ClusteringResult:
-        """Cluster ``graphs``: best of ``n_init`` random restarts."""
+        """Cluster ``graphs``: best of ``N_INIT`` random restarts."""
         if not graphs:
             raise ValueError("cannot cluster an empty dataset")
         unique, weights, back_refs = self._deduplicate(graphs)
         best: ClusteringResult | None = None
-        for _ in range(self.n_init):
+        for _ in range(N_INIT):
             candidate = self._fit_once(graphs, unique, weights, back_refs)
             if best is None or candidate.inertia < best.inertia:
                 best = candidate
@@ -110,7 +105,7 @@ class GEDKMeans:
         )
         assignments = [0] * len(unique)
         n_iterations = 0
-        for n_iterations in range(1, self.max_iterations + 1):
+        for n_iterations in range(1, MAX_ITERATIONS + 1):
             assignments = self._assign(unique, center_ids)
             new_center_ids = self._update_centers(
                 unique, weights, assignments, center_ids
@@ -187,7 +182,7 @@ class GEDKMeans:
             members = [unique[i] for i in member_ids]
             member_weights = [weights[i] for i in member_ids]
             local = similarity_center(
-                members, tau=self.tau, weights=member_weights, cache=self.cache
+                members, weights=member_weights, cache=self.cache
             )
             new_centers.append(member_ids[local])
         return new_centers

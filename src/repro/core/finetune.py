@@ -106,6 +106,9 @@ def value_from_arrays(kind: str, arrays):
 #: Geometric grid of parallelism degrees probed during distillation.
 DISTILLATION_GRID = (1, 2, 3, 4, 6, 8, 11, 16, 22, 32, 45, 60)
 
+#: How many sampled dataflows of a cluster the warm-up set distils.
+N_DISTILL_RECORDS = 8
+
 
 def shared_structure_key(flow, cluster: int, source_rates: dict[str, float]) -> tuple:
     """The cross-query cache identity of rate-conditioned pure values.
@@ -284,13 +287,12 @@ def build_warmup_dataset(
     pretrained: PretrainedStreamTune,
     cluster: int,
     max_rows: int = 600,
-    n_distill_records: int = 8,
     seed: int | None = None,
 ) -> PredictionDataset:
     """Algorithm 2, line 3: sample the cluster's history into T.
 
     Recorded rows (real Algorithm 1 labels) come first; GNN-distilled rows
-    over the parallelism grid of up to ``n_distill_records`` sampled
+    over the parallelism grid of up to ``N_DISTILL_RECORDS`` sampled
     dataflows densify the parallelism axis.
 
     The selected records are embedded through the block-diagonal batching
@@ -319,7 +321,7 @@ def build_warmup_dataset(
     dataset = PredictionDataset()
     for record, sample, embeddings in zip(chosen, samples, embedded):
         dataset.extend(_labelled_rows(pretrained, record, sample, embeddings))
-    for index in order[:n_distill_records]:
+    for index in order[:N_DISTILL_RECORDS]:
         record = members[index]
         dataset.extend(
             distill_rows(pretrained, encoder, record.flow, record.source_rates)

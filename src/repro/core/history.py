@@ -89,12 +89,9 @@ class HistoryGenerator:
     def __init__(
         self,
         engine: EngineCluster,
-        parallelism_range: tuple[int, int] = HISTORY_PARALLELISM_RANGE,
         seed: int | None = None,
     ) -> None:
-        low, high = parallelism_range
-        if not 1 <= low <= high:
-            raise ValueError("invalid parallelism_range")
+        low, high = HISTORY_PARALLELISM_RANGE
         self.engine = engine
         self.parallelism_range = (low, min(high, engine.max_parallelism))
         self._rng = seeded_rng(seed)

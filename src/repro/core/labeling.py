@@ -36,7 +36,6 @@ CPU_THRESHOLD = 0.60
 def label_operators_flink(
     flow: LogicalDataflow,
     telemetry: JobTelemetry,
-    cpu_threshold: float = CPU_THRESHOLD,
 ) -> dict[str, int]:
     """Algorithm 1, verbatim."""
     labels = dict.fromkeys(flow.operator_names, -1)          # line 1
@@ -53,7 +52,7 @@ def label_operators_flink(
     ]
     for name in deepest:                                     # lines 8-16
         for downstream in flow.downstream(name):
-            if telemetry[downstream].cpu_load > cpu_threshold:
+            if telemetry[downstream].cpu_load > CPU_THRESHOLD:
                 labels[downstream] = 1
             else:
                 labels[downstream] = 0
@@ -89,9 +88,8 @@ def label_operators(
     flow: LogicalDataflow,
     telemetry: JobTelemetry,
     engine_name: str,
-    cpu_threshold: float = CPU_THRESHOLD,
 ) -> dict[str, int]:
     """Dispatch to the engine-appropriate labelling strategy."""
     if engine_name == "timely":
         return label_operators_timely(flow, telemetry)
-    return label_operators_flink(flow, telemetry, cpu_threshold=cpu_threshold)
+    return label_operators_flink(flow, telemetry)

@@ -182,10 +182,7 @@ def load_pretrained(directory: str | Path) -> PretrainedStreamTune:
     for cluster in range(meta["n_clusters"]):
         encoders.append(load_model(directory / f"encoder_{cluster}.npz"))
         records_by_cluster.append(load_history(directory / f"records_{cluster}.jsonl"))
-        report = TrainingReport()
-        report.accuracies.append(meta["accuracies"][cluster])
-        report.losses.append(float("nan"))
-        reports.append(report)
+        reports.append(TrainingReport([float("nan")], [meta["accuracies"][cluster]]))
 
     all_records = [record for cluster in records_by_cluster for record in cluster]
     clustering = ClusteringResult(

@@ -24,6 +24,9 @@ from repro.gnn.data import GraphSample, build_sample
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.gnn.train import TrainingReport, train_bottleneck_gnn
 
+#: The largest k the elbow method tries.
+K_MAX = 6
+
 
 @dataclass
 class PretrainedStreamTune:
@@ -65,8 +68,6 @@ def pretrain(
     records: list[ExecutionRecord],
     max_parallelism: int,
     n_clusters: int | None = None,
-    k_max: int = 6,
-    tau: float = 5.0,
     n_message_passing: int = 2,
     epochs: int = 40,
     seed: int = 7,
@@ -75,8 +76,9 @@ def pretrain(
 ) -> PretrainedStreamTune:
     """Cluster the history and pre-train one encoder per cluster.
 
-    ``n_clusters=None`` selects k by the elbow method (§V-A); pass an
-    explicit value to pin it (1 = the §VII global-encoder bypass).
+    ``n_clusters=None`` selects k up to ``K_MAX`` by the elbow method
+    (§V-A); pass an explicit value to pin it (1 = the §VII global-encoder
+    bypass).
     ``fuse_per_step=True`` injects parallelism at every message-passing
     step (the literal Eq. 3 reading) instead of once after the readout —
     the FUSE-placement ablation
@@ -93,9 +95,9 @@ def pretrain(
     cache = GEDCache()
     if n_clusters is None:
         n_clusters, _ = choose_k_elbow(
-            flows, k_max=k_max, tau=tau, seed=seed, cache=cache
+            flows, k_max=K_MAX, seed=seed, cache=cache
         )
-    clustering = GEDKMeans(n_clusters, tau=tau, seed=seed, cache=cache).fit(flows)
+    clustering = GEDKMeans(n_clusters, seed=seed, cache=cache).fit(flows)
 
     encoders: list[BottleneckGNN] = []
     reports: list[TrainingReport] = []

@@ -71,10 +71,10 @@ class QueryTuningState:
     job_key: str
     cluster: int
     dataset: PredictionDataset
-    feedback: PredictionDataset = field(default_factory=PredictionDataset)
+    feedback: PredictionDataset = field(default_factory=PredictionDataset, init=False)
     #: Previous SVM solution for this query; warm-starts the next weighted
     #: refit (same seed => same RFF feature space).
-    warm_theta: np.ndarray | None = None
+    warm_theta: np.ndarray | None = field(default=None, init=False)
 
 
 class StreamTuneTuner(ParallelismTuner):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
 import threading
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -31,6 +30,11 @@ from repro.faults.plane import fire as _fire
 from repro.utils.retry import with_retries
 
 __all__ = ["DaemonClient", "DaemonClientError"]
+
+#: The socket timeout of a request, and the attempts a request makes when
+#: the daemon cannot be reached.
+TIMEOUT_SECONDS = 30.0
+ATTEMPTS = 3
 
 
 class DaemonClientError(RuntimeError):
@@ -44,20 +48,10 @@ class DaemonClientError(RuntimeError):
 class DaemonClient:
     """Talk to one daemon at ``url`` (e.g. ``http://127.0.0.1:8642``)."""
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = 30.0,
-        *,
-        retries: int = 3,
-        retry_rng: random.Random | None = None,
-    ) -> None:
+    def __init__(self, url: str) -> None:
         self._idle: http.client.HTTPConnection | None = None
         self._idle_lock = threading.Lock()
         self.url = url.rstrip("/")
-        self.timeout = timeout
-        self.retries = max(1, retries)
-        self.retry_rng = retry_rng
         parts = urlsplit(self.url)
         self._address = (parts.hostname, parts.port or 80)
         self._prefix = parts.path
@@ -98,7 +92,7 @@ class DaemonClient:
                 connection, self._idle = self._idle, None
             if connection is None:
                 connection = http.client.HTTPConnection(*self._address)
-            connection.timeout = self.timeout if timeout is None else timeout
+            connection.timeout = TIMEOUT_SECONDS if timeout is None else timeout
             if connection.sock is not None:
                 connection.sock.settimeout(connection.timeout)
             try:
@@ -117,8 +111,7 @@ class DaemonClient:
             response = with_retries(
                 attempt,
                 retryable=(OSError,),
-                attempts=self.retries,
-                rng=self.retry_rng,
+                attempts=ATTEMPTS,
             )
         except OSError as error:
             raise DaemonClientError(f"cannot reach daemon at {self.url}: {error}") from None

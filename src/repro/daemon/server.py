@@ -381,8 +381,19 @@ def _make_handler(daemon: TuningDaemon):
         def _error(self, status: int, message: str) -> None:
             self._json(status, {"error": message})
 
-        def _read_body(self) -> bytes:
-            length = int(self.headers.get("Content-Length") or 0)
+        def _read_body(self) -> bytes | None:
+            """The request body, or ``None`` after a 400 for a
+            ``Content-Length`` that is not a non-negative integer: where
+            the body ends is then unknown, so the connection closes
+            without reading it."""
+            raw = self.headers.get("Content-Length") or "0"
+            length = int(raw) if raw.strip().isdigit() else -1
+            if length < 0:
+                self._json(
+                    400, {"error": f"malformed Content-Length: {raw!r}"},
+                    headers=(("Connection", "close"),),
+                )
+                return None
             return self.rfile.read(length) if length else b""
 
         # -- routes -----------------------------------------------------
@@ -419,6 +430,8 @@ def _make_handler(daemon: TuningDaemon):
             # Read first, whatever the answer: an unread body would be
             # parsed as the connection's next request.
             body = self._read_body()
+            if body is None:
+                return
             if url.path == "/v1/plans":
                 self._submit_plan(url, body)
             elif url.path == "/v1/shutdown":

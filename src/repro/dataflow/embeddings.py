@@ -165,10 +165,8 @@ class OperatorTaxonomy:
     trained models.
     """
 
-    def __init__(self, properties: dict[str, OperatorProperties] | None = None) -> None:
+    def __init__(self) -> None:
         self._properties = dict(BUILTIN_PROPERTIES)
-        if properties:
-            self._properties.update(properties)
 
     def __contains__(self, kind: str) -> bool:
         return kind in self._properties
@@ -206,15 +204,13 @@ class OperatorTaxonomy:
     def vector_for(self, kind: str) -> np.ndarray:
         return self.properties_for(kind).vector()
 
-    def nearest_known(self, kind: str, among: list[str] | None = None) -> str:
-        """The behaviourally closest kind to ``kind`` among ``among``.
+    def nearest_known(self, kind: str) -> str:
+        """The behaviourally closest other registered kind to ``kind``.
 
         Used for analysis and for explaining transfer: an unseen kind's
         predictions will look most like its nearest neighbour's.
         """
-        candidates = [k for k in (among or self.kinds) if k != kind]
-        if not candidates:
-            raise ValueError("no candidate kinds to compare against")
+        candidates = [k for k in self.kinds if k != kind]
         target = self.vector_for(kind)
         return min(
             candidates,

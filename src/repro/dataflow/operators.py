@@ -213,11 +213,11 @@ def source(name: str, data_type: DataType = DataType.GENERIC, width: float = 64.
     )
 
 
-def sink(name: str, width: float = 32.0) -> OperatorSpec:
-    """Convenience constructor for a sink operator."""
+def sink(name: str) -> OperatorSpec:
+    """Convenience constructor for a sink operator of 32-byte tuples."""
     return OperatorSpec(
         name=name,
         op_type=OperatorType.SINK,
-        tuple_width_in=width,
-        tuple_width_out=width,
+        tuple_width_in=32.0,
+        tuple_width_out=32.0,
     )

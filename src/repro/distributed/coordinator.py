@@ -52,6 +52,9 @@ from repro.faults.plane import fire as _fire
 
 __all__ = ["DistributedSession", "plan_cells"]
 
+#: How often the coordinator checks the spool for a cell's completion.
+POLL_SECONDS = 0.05
+
 
 def _derived_plan(plan: CampaignPlan, token: str) -> dict:
     """The single-campaign plan one cell executes, as a plain dict.
@@ -135,14 +138,12 @@ class DistributedSession:
         spool_dir: "str | Path | None" = None,
         local_workers: int | None = None,
         ttl_seconds: float = DEFAULT_TTL_SECONDS,
-        poll_seconds: float = 0.05,
         stall_seconds: float | None = None,
         fsync: bool = True,
     ) -> None:
         self.spool_dir = spool_dir
         self.local_workers = local_workers
         self.ttl_seconds = ttl_seconds
-        self.poll_seconds = poll_seconds
         # Generous by default: a stall is declared only after several
         # missed lease TTLs, so slow worker start-up (interpreter +
         # numpy import is >1s) can never masquerade as fleet death.
@@ -316,7 +317,7 @@ class DistributedSession:
                 last_sign_of_life = now
             elif now - last_sign_of_life > self.stall_seconds:
                 return None, last_sign_of_life
-            time.sleep(self.poll_seconds)
+            time.sleep(POLL_SECONDS)
 
     # -- local worker fleet ---------------------------------------------
 

@@ -28,7 +28,6 @@ leaves a cell unfinished, and that is what lease reclaim re-runs.
 from __future__ import annotations
 
 import os
-import random
 import socket
 import threading
 import traceback
@@ -41,6 +40,10 @@ from repro.faults.plane import fire as _fire
 from repro.utils.retry import with_retries
 
 __all__ = ["WorkerAgent"]
+
+#: Lease heartbeats per lease TTL: a lease is refreshed four times before
+#: it could expire.
+HEARTBEATS_PER_TTL = 4.0
 
 
 def default_worker_id() -> str:
@@ -62,13 +65,10 @@ class WorkerAgent:
         spool: "Spool | str | Path",
         *,
         worker_id: str | None = None,
-        session=None,
         poll_seconds: float = 0.2,
         exit_when_done: bool = False,
         max_cells: int | None = None,
         fsync: bool = True,
-        heartbeat_seconds: float | None = None,
-        retry_rng: random.Random | None = None,
     ) -> None:
         self.spool = spool if isinstance(spool, Spool) else Spool(spool)
         self.worker_id = worker_id or default_worker_id()
@@ -76,13 +76,8 @@ class WorkerAgent:
         self.exit_when_done = exit_when_done
         self.max_cells = max_cells
         self.fsync = fsync
-        self.heartbeat_seconds = (
-            heartbeat_seconds
-            if heartbeat_seconds is not None
-            else self.spool.ttl_seconds / 4.0
-        )
-        self._retry_rng = retry_rng
-        self._session = session
+        self.heartbeat_seconds = self.spool.ttl_seconds / HEARTBEATS_PER_TTL
+        self._session = None
         self._stop = threading.Event()
         #: Cells this agent completed (published the done marker for).
         self.n_completed = 0
@@ -222,7 +217,6 @@ class WorkerAgent:
                     retryable=(OSError,),
                     attempts=4,
                     base=min(0.05, self.heartbeat_seconds / 4),
-                    rng=self._retry_rng,
                     deadline_seconds=self.spool.ttl_seconds / 2,
                 )
             except LeaseLost:

@@ -17,11 +17,8 @@ import numpy as np
 
 from repro.dataflow.graph import LogicalDataflow
 from repro.engines.flow import FlowResult, solve_flow
-from repro.engines.metrics import (
-    DEFAULT_NOISE_STD,
-    JobTelemetry,
-    MetricsChannel,
-)
+from repro.engines import metrics
+from repro.engines.metrics import JobTelemetry, MetricsChannel
 from repro.engines.perf import PerformanceModel
 from repro.utils.rng import seeded_rng
 
@@ -44,8 +41,8 @@ class Deployment:
     flow: LogicalDataflow
     parallelisms: dict[str, int]
     source_rates: dict[str, float]
-    n_reconfigurations: int = 0
-    sim_minutes: float = 0.0
+    n_reconfigurations: int = field(default=0, init=False)
+    sim_minutes: float = field(default=0.0, init=False)
     running: bool = True
     history: list[dict[str, int]] = field(default_factory=list)
 
@@ -74,7 +71,6 @@ class EngineCluster(abc.ABC):
         max_parallelism: int,
         speed_factor: float = 1.0,
         type_speed_factors: dict | None = None,
-        noise_std: float = DEFAULT_NOISE_STD,
         seed: int | None = None,
     ) -> None:
         if max_parallelism < 1:
@@ -83,7 +79,7 @@ class EngineCluster(abc.ABC):
         self.perf = PerformanceModel(
             speed_factor=speed_factor, type_speed_factors=type_speed_factors
         )
-        self._channel = MetricsChannel(seeded_rng(seed), noise_std=noise_std)
+        self._channel = MetricsChannel(seeded_rng(seed), noise_std=metrics.DEFAULT_NOISE_STD)
         self._job_ids = itertools.count(1)
         self._deployments: dict[int, Deployment] = {}
 

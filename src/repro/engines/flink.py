@@ -17,32 +17,25 @@ from repro.dataflow.graph import LogicalDataflow
 from repro.dataflow.operators import OperatorSpec
 from repro.engines.base import EngineCluster
 from repro.engines.flow import FlowResult
-from repro.engines.metrics import DEFAULT_NOISE_STD, ObservedOperatorMetrics
+from repro.engines.metrics import ObservedOperatorMetrics
 
 #: §V-B: backpressured time above 10% of the metric sum flags the operator.
 BACKPRESSURE_TIME_SHARE = 0.10
 
+#: §V-A: 50 TaskManagers with 2 slots each.
+TASK_MANAGERS = 50
+SLOTS_PER_TASK_MANAGER = 2
+
 
 class FlinkCluster(EngineCluster):
-    """Simulated Flink deployment (50 TaskManagers x 2 slots by default)."""
+    """Simulated Flink deployment (``TASK_MANAGERS`` x ``SLOTS_PER_TASK_MANAGER``)."""
 
     name = "flink"
 
-    def __init__(
-        self,
-        task_managers: int = 50,
-        slots_per_task_manager: int = 2,
-        noise_std: float = DEFAULT_NOISE_STD,
-        seed: int | None = None,
-    ) -> None:
-        if task_managers < 1 or slots_per_task_manager < 1:
-            raise ValueError("task_managers and slots_per_task_manager must be >= 1")
-        self.task_managers = task_managers
-        self.slots_per_task_manager = slots_per_task_manager
+    def __init__(self, seed: int | None = None) -> None:
         super().__init__(
-            max_parallelism=task_managers * slots_per_task_manager,
+            max_parallelism=TASK_MANAGERS * SLOTS_PER_TASK_MANAGER,
             speed_factor=1.0,
-            noise_std=noise_std,
             seed=seed,
         )
 

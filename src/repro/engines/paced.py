@@ -10,7 +10,7 @@ exactly the overlap a distributed fleet exploits: while one worker
 waits on a cluster's metrics, another worker's campaign can run.
 
 :class:`PacedFlink` restores that cost: :meth:`measure` sleeps
-``telemetry_seconds`` before observing.  The sleep never touches the
+``TELEMETRY_SECONDS`` before observing.  The sleep never touches the
 engine's RNG, so results are **bit-identical** to the plain ``flink``
 engine under the same seed — only the wall-clock changes.  The
 ``distributed_fleet_*`` perf benchmarks run on this engine so 1→N
@@ -24,14 +24,13 @@ import time
 
 from repro.engines.base import Deployment, JobTelemetry
 from repro.engines.flink import FlinkCluster
-from repro.engines.metrics import DEFAULT_NOISE_STD
 
-__all__ = ["PacedFlink", "DEFAULT_TELEMETRY_SECONDS"]
+__all__ = ["PacedFlink", "TELEMETRY_SECONDS"]
 
-#: Default simulated metric-window latency per measurement round.  Small
+#: Simulated metric-window latency per measurement round.  Small
 #: enough that smoke fleets stay fast, large enough to dominate a warm
 #: campaign's ~1ms of compute (so waits, not cores, bound throughput).
-DEFAULT_TELEMETRY_SECONDS = 0.02
+TELEMETRY_SECONDS = 0.02
 
 
 class PacedFlink(FlinkCluster):
@@ -39,28 +38,7 @@ class PacedFlink(FlinkCluster):
 
     name = "flink-paced"
 
-    def __init__(
-        self,
-        telemetry_seconds: float = DEFAULT_TELEMETRY_SECONDS,
-        task_managers: int = 50,
-        slots_per_task_manager: int = 2,
-        noise_std: float = DEFAULT_NOISE_STD,
-        seed: int | None = None,
-    ) -> None:
-        if telemetry_seconds < 0:
-            raise ValueError(
-                f"telemetry_seconds must be >= 0, got {telemetry_seconds}"
-            )
-        self.telemetry_seconds = telemetry_seconds
-        super().__init__(
-            task_managers=task_managers,
-            slots_per_task_manager=slots_per_task_manager,
-            noise_std=noise_std,
-            seed=seed,
-        )
-
     def measure(self, deployment: Deployment) -> JobTelemetry:
         """Wait out the metric window, then observe exactly like Flink."""
-        if self.telemetry_seconds > 0:
-            time.sleep(self.telemetry_seconds)
+        time.sleep(TELEMETRY_SECONDS)
         return super().measure(deployment)

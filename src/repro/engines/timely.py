@@ -38,8 +38,21 @@ from repro.dataflow.graph import LogicalDataflow
 from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.engines.base import Deployment, EngineCluster
 from repro.engines.flow import FlowResult
-from repro.engines.metrics import DEFAULT_NOISE_STD, JobTelemetry, ObservedOperatorMetrics
+from repro.engines.metrics import JobTelemetry, ObservedOperatorMetrics
 from repro.utils.rng import seeded_rng
+
+#: Worker threads of the cluster, and the largest degree one operator gets.
+WORKERS = 10
+MAX_PARALLELISM = 16
+
+#: The span one log-recorder interval and one latency epoch cover.
+MESSAGE_INTERVAL_SECONDS = 1.0
+EPOCH_SECONDS = 1.0
+
+#: Log-normal jitter of an epoch's ingest rate, and the latency that a
+#: saturated epoch is capped at (the paper's CDF plots truncate at ~100 s).
+RATE_JITTER_STD = 0.15
+LATENCY_CAP_SECONDS = 200.0
 
 #: §V-B detection threshold: consuming below 85% of the offered rate.
 INPUT_OUTPUT_RATE_THRESHOLD = 0.85
@@ -108,25 +121,15 @@ def aggregate_message_rates(
 
 
 class TimelyCluster(EngineCluster):
-    """Simulated Timely Dataflow deployment (ten workers by default)."""
+    """Simulated Timely Dataflow deployment (``WORKERS`` worker threads)."""
 
     name = "timely"
 
-    def __init__(
-        self,
-        workers: int = 10,
-        max_parallelism: int = 16,
-        noise_std: float = DEFAULT_NOISE_STD,
-        seed: int | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+    def __init__(self, seed: int | None = None) -> None:
         super().__init__(
-            max_parallelism=max_parallelism,
+            max_parallelism=MAX_PARALLELISM,
             speed_factor=TIMELY_SPEED_FACTOR,
             type_speed_factors=TIMELY_TYPE_SPEED_FACTORS,
-            noise_std=noise_std,
             seed=seed,
         )
         self._latency_rng = seeded_rng(seed if seed is None else seed + 7)
@@ -153,7 +156,7 @@ class TimelyCluster(EngineCluster):
         operators, which is the §V-F over-provisioning mechanism.
         """
         del spec, parallelism
-        return float(self.workers)
+        return float(WORKERS)
 
     def operator_backpressure_rule(
         self,
@@ -191,11 +194,7 @@ class TimelyCluster(EngineCluster):
     # log records (paper §V-B)
     # ------------------------------------------------------------------
 
-    def collect_message_events(
-        self,
-        deployment: Deployment,
-        interval_seconds: float = 1.0,
-    ) -> list[MessagesEvent]:
+    def collect_message_events(self, deployment: Deployment) -> list[MessagesEvent]:
         """Produce ``MessagesEvent`` log records for one interval.
 
         Record counts are the ground-truth served rates split across worker
@@ -205,8 +204,8 @@ class TimelyCluster(EngineCluster):
         truth = self.ground_truth(deployment)
         events: list[MessagesEvent] = []
         for name, op_flow in truth.operators.items():
-            total_in = op_flow.served_in * interval_seconds
-            total_out = op_flow.served_out * interval_seconds
+            total_in = op_flow.served_in * MESSAGE_INTERVAL_SECONDS
+            total_out = op_flow.served_out * MESSAGE_INTERVAL_SECONDS
             share = self._worker_shares()
             for worker, fraction in enumerate(share):
                 events.append(
@@ -215,13 +214,13 @@ class TimelyCluster(EngineCluster):
                         operator=name,
                         records_received=int(round(total_in * fraction)),
                         records_sent=int(round(total_out * fraction)),
-                        interval_seconds=interval_seconds,
+                        interval_seconds=MESSAGE_INTERVAL_SECONDS,
                     )
                 )
         return events
 
     def _worker_shares(self) -> np.ndarray:
-        raw = self._latency_rng.dirichlet(np.full(self.workers, 50.0))
+        raw = self._latency_rng.dirichlet(np.full(WORKERS, 50.0))
         return raw
 
     # ------------------------------------------------------------------
@@ -232,18 +231,14 @@ class TimelyCluster(EngineCluster):
         self,
         deployment: Deployment,
         n_epochs: int = 200,
-        epoch_seconds: float = 1.0,
-        rate_jitter_std: float = 0.15,
-        latency_cap_seconds: float = 200.0,
     ) -> np.ndarray:
         """Sample per-epoch processing latencies under the current config.
 
-        Each epoch ingests ``epoch_seconds`` of data whose instantaneous
+        Each epoch ingests ``EPOCH_SECONDS`` of data whose instantaneous
         rate jitters log-normally around the configured source rates.  The
         epoch drains at the pace of the most-utilised operator; near
         saturation, queueing amplifies latency as ``rho / (1 - rho)``.
-        Saturated epochs are capped at ``latency_cap_seconds`` (the paper's
-        CDF plots also truncate at ~100 s).
+        Saturated epochs are capped at ``LATENCY_CAP_SECONDS``.
         """
         truth = self.ground_truth(deployment)
         rho_base = max(
@@ -252,23 +247,23 @@ class TimelyCluster(EngineCluster):
         )
         latencies = np.empty(n_epochs)
         for i in range(n_epochs):
-            jitter = float(np.exp(self._latency_rng.normal(0.0, rate_jitter_std)))
+            jitter = float(np.exp(self._latency_rng.normal(0.0, RATE_JITTER_STD)))
             rho = rho_base * jitter
             if rho < 0.95:
-                latency = epoch_seconds * max(0.05, rho / (1.0 - rho))
+                latency = EPOCH_SECONDS * max(0.05, rho / (1.0 - rho))
             else:
                 # Mild overload (including the 85%-rule dead band, where
                 # rho can sit up to ~1.17 undetected) degrades gradually:
                 # the epoch finishes late by the backlog it accumulated,
                 # only deep overloads pin at the cap.
-                base = epoch_seconds * 0.95 / 0.05
+                base = EPOCH_SECONDS * 0.95 / 0.05
                 overload = max(0.0, rho - 1.0)
                 latency = min(
-                    latency_cap_seconds,
-                    base + latency_cap_seconds * min(1.0, overload / 0.3),
+                    LATENCY_CAP_SECONDS,
+                    base + LATENCY_CAP_SECONDS * min(1.0, overload / 0.3),
                 )
             overhead = float(np.exp(self._latency_rng.normal(-3.0, 0.3)))
-            latencies[i] = min(latency + overhead, latency_cap_seconds)
+            latencies[i] = min(latency + overhead, LATENCY_CAP_SECONDS)
         return latencies
 
     # ------------------------------------------------------------------

@@ -63,6 +63,10 @@ THRESHOLDS = (0.2, 0.35, 0.5)
 #: where §VII's semantic transfer can actually be observed.
 HELDOUT_TYPE = OperatorType.JOIN
 
+#: The share of the ablation history a pre-trained variant trains on; the
+#: rest is held out.
+TRAIN_FRACTION = 0.8
+
 
 def _ablation_history(scale: ExperimentScale) -> list[ExecutionRecord]:
     limit = ABLATION_HISTORY[scale.name]
@@ -70,9 +74,9 @@ def _ablation_history(scale: ExperimentScale) -> list[ExecutionRecord]:
 
 
 def _holdout_split(
-    records: list[ExecutionRecord], fraction: float = 0.8
+    records: list[ExecutionRecord],
 ) -> tuple[list[ExecutionRecord], list[ExecutionRecord]]:
-    cut = max(1, int(len(records) * fraction))
+    cut = max(1, int(len(records) * TRAIN_FRACTION))
     return records[:cut], records[cut:]
 
 

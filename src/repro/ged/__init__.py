@@ -8,7 +8,6 @@ search with label-set lower bounds and threshold pruning for fast
 similarity search (Definition 1).
 """
 
-from repro.ged.costs import EditCosts
 from repro.ged.view import GraphView
 from repro.ged.exact import exact_ged
 from repro.ged.astar_lsa import astar_lsa_ged
@@ -16,12 +15,10 @@ from repro.ged.bounds import (
     combined_bound,
     degree_sequence_bound,
     label_multiset_bound,
-    prefilter_indices,
 )
 from repro.ged.search import GEDCache, similarity_search
 
 __all__ = [
-    "EditCosts",
     "GEDCache",
     "GraphView",
     "astar_lsa_ged",
@@ -29,6 +26,5 @@ __all__ = [
     "degree_sequence_bound",
     "exact_ged",
     "label_multiset_bound",
-    "prefilter_indices",
     "similarity_search",
 ]

@@ -24,21 +24,15 @@ from __future__ import annotations
 
 import heapq
 
-from repro.ged.costs import DEFAULT_COSTS, EditCosts
+from repro.ged import costs
 from repro.ged.view import GraphView
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when a GED search exceeds its expansion budget."""
 
 
 def ged_search(
     view1: GraphView,
     view2: GraphView,
-    costs: EditCosts = DEFAULT_COSTS,
     use_label_set_bound: bool = True,
     threshold: float | None = None,
-    max_expansions: int | None = None,
 ) -> float | None:
     """Best-first GED between two graph views.
 
@@ -83,16 +77,16 @@ def ged_search(
     ]
     delete_costs = []
     for row in directions:
-        delete_cost = costs.node_delete
+        delete_cost = costs.NODE_DELETE
         for d1 in row:
             if d1 != 0:
-                delete_cost += costs.edge_delete
+                delete_cost += costs.EDGE_DELETE
         delete_costs.append(delete_cost)
 
     pair_costs = {
         (d1, d2): costs.edge_pair_cost(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)
     }
-    min_edge_cost = min(costs.edge_insert, costs.edge_delete)
+    min_edge_cost = min(costs.EDGE_INSERT, costs.EDGE_DELETE)
     mask_facts: dict[int, tuple[list[int], int, int]] = {}
 
     def unused_part(used_mask: int) -> tuple[list[int], int, int]:
@@ -124,9 +118,9 @@ def ged_search(
             matchable = sum(map(min, suffix_counts[i], rem2))
             m = min(r1, r2)
             node_h = (
-                (m - matchable) * costs.node_substitute
-                + (r1 - m) * costs.node_delete
-                + (r2 - m) * costs.node_insert
+                (m - matchable) * costs.NODE_SUBSTITUTE
+                + (r1 - m) * costs.NODE_DELETE
+                + (r2 - m) * costs.NODE_INSERT
             )
             edge_h = abs(remaining_g1_edges[i] - e2r) * min_edge_cost
             h = h_values[i, used_mask] = node_h + edge_h
@@ -134,7 +128,7 @@ def ged_search(
 
     def completion_cost(used_mask: int) -> float:
         _, unused, e2r = unused_part(used_mask)
-        return unused * costs.node_insert + e2r * costs.edge_insert
+        return unused * costs.NODE_INSERT + e2r * costs.EDGE_INSERT
 
     # State: (f, tie, g, i, used_mask, mapping-tuple).  The transition into
     # depth n1 folds the completion cost (inserting unused g2 nodes and
@@ -161,7 +155,6 @@ def ged_search(
         start_h = heuristic(0, 0)
         if threshold is None or start_h <= threshold + 1e-9:
             frontier.append((start_h, tie, 0.0, 0, 0, ()))
-    expansions = 0
 
     while frontier:
         f, _, g, i, used_mask, mapping = heapq.heappop(frontier)
@@ -169,11 +162,6 @@ def ged_search(
             return None
         if i == n1:
             return g
-        expansions += 1
-        if max_expansions is not None and expansions > max_expansions:
-            raise SearchBudgetExceeded(
-                f"GED search exceeded {max_expansions} expansions"
-            )
         label_u = view1.labels[order[i]]
         row = directions[i]
 
@@ -184,7 +172,7 @@ def ged_search(
         for w in range(n2):
             if used_mask >> w & 1:
                 continue
-            step = 0.0 if view2.labels[w] == label_u else costs.node_substitute
+            step = 0.0 if view2.labels[w] == label_u else costs.NODE_SUBSTITUTE
             # A deleted partner (-1) has no edges: its slot costs
             # edge_pair_cost(d1, 0), the deletion of any g1 edge.
             adjacent = view2.adjacency[w]

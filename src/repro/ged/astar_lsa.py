@@ -23,23 +23,15 @@ from __future__ import annotations
 
 from repro.dataflow.graph import LogicalDataflow
 from repro.ged._core import ged_search
-from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.view import GraphView, as_view
 
 
 def astar_lsa_ged(
     graph1: LogicalDataflow | GraphView,
     graph2: LogicalDataflow | GraphView,
-    costs: EditCosts = DEFAULT_COSTS,
     threshold: float | None = None,
-    max_expansions: int | None = None,
 ) -> float | None:
     """GED with label-set lower bounds; ``None`` if above ``threshold``."""
     return ged_search(
-        as_view(graph1),
-        as_view(graph2),
-        costs=costs,
-        use_label_set_bound=True,
-        threshold=threshold,
-        max_expansions=max_expansions,
+        as_view(graph1), as_view(graph2), use_label_set_bound=True, threshold=threshold
     )

@@ -15,8 +15,9 @@ Two classic bounds are provided, both admissible (never exceed true GED):
   edge edit perturbs at most two degree entries, so half the total
   variation lower-bounds the edge-edit count.
 
-:func:`combined_bound` takes the best of both, and
-:func:`prefilter_indices` applies it over a candidate set.
+:func:`combined_bound` takes the best of both; the GED caches of
+:mod:`repro.ged.search` and :mod:`repro.service.cache` put it in front of
+every threshold verification.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from repro.ged.costs import DEFAULT_COSTS, EditCosts
+from repro.ged import costs
 from repro.ged.view import GraphView, as_view
 
 
-def label_multiset_bound(
-    view1: GraphView, view2: GraphView, costs: EditCosts = DEFAULT_COSTS
-) -> float:
+def label_multiset_bound(view1: GraphView, view2: GraphView) -> float:
     """Label-multiset lower bound on GED.
 
     Nodes: at most ``min(n1, n2)`` nodes can be mapped; mapped nodes with
@@ -46,25 +45,23 @@ def label_multiset_bound(
     )
     mapped = min(n1, n2)
     node_bound = (
-        (mapped - matchable) * costs.node_substitute
-        + (n1 - mapped) * costs.node_delete
-        + (n2 - mapped) * costs.node_insert
+        (mapped - matchable) * costs.NODE_SUBSTITUTE
+        + (n1 - mapped) * costs.NODE_DELETE
+        + (n2 - mapped) * costs.NODE_INSERT
     )
     # ``matchable`` can exceed ``mapped`` only when one multiset dominates;
     # clamp so the substitution term never goes negative.
     node_bound = max(
         node_bound,
-        (n1 - mapped) * costs.node_delete + (n2 - mapped) * costs.node_insert,
+        (n1 - mapped) * costs.NODE_DELETE + (n2 - mapped) * costs.NODE_INSERT,
     )
     edge_bound = abs(view1.n_edges - view2.n_edges) * min(
-        costs.edge_insert, costs.edge_delete
+        costs.EDGE_INSERT, costs.EDGE_DELETE
     )
     return node_bound + edge_bound
 
 
-def degree_sequence_bound(
-    view1: GraphView, view2: GraphView, costs: EditCosts = DEFAULT_COSTS
-) -> float:
+def degree_sequence_bound(view1: GraphView, view2: GraphView) -> float:
     """Degree-sequence lower bound on the *edge-edit* portion of GED.
 
     Pad the shorter sorted (total-)degree sequence with zeros and take the
@@ -78,13 +75,11 @@ def degree_sequence_bound(
     variation = sum(
         abs(a - b) for a, b in zip_longest(view1.degrees, view2.degrees, fillvalue=0)
     )
-    min_edge_cost = min(costs.edge_insert, costs.edge_delete)
+    min_edge_cost = min(costs.EDGE_INSERT, costs.EDGE_DELETE)
     return math.ceil(variation / 2) * min_edge_cost
 
 
-def combined_bound(
-    graph1, graph2, costs: EditCosts = DEFAULT_COSTS
-) -> float:
+def combined_bound(graph1, graph2) -> float:
     """The tighter of the two bounds (both are admissible, so max is too).
 
     The node-indel part of the label bound and the edge part of the degree
@@ -94,27 +89,7 @@ def combined_bound(
     """
     view1, view2 = as_view(graph1), as_view(graph2)
     return max(
-        label_multiset_bound(view1, view2, costs),
-        degree_sequence_bound(view1, view2, costs),
+        label_multiset_bound(view1, view2),
+        degree_sequence_bound(view1, view2),
     )
 
-
-def prefilter_indices(
-    query,
-    dataset,
-    threshold: float,
-    costs: EditCosts = DEFAULT_COSTS,
-) -> list[int]:
-    """Indices of candidates whose lower bound does not rule them out.
-
-    The survivors still need verification (the bound may under-estimate);
-    the rejected ones are *guaranteed* to lie beyond ``threshold``.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    query_view = as_view(query)
-    return [
-        index
-        for index, graph in enumerate(dataset)
-        if combined_bound(query_view, as_view(graph), costs) <= threshold + 1e-9
-    ]

@@ -13,51 +13,27 @@ rather than syntactic sugar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: Costs of the six edit operations.  All are positive, and reversing an
+#: edge costs no more than deleting and re-inserting it, otherwise the
+#: operation is never optimal and GED is the 4-operation variant.
+NODE_INSERT = 1.0
+NODE_DELETE = 1.0
+NODE_SUBSTITUTE = 1.0   # operator type modification
+EDGE_INSERT = 1.0
+EDGE_DELETE = 1.0
+EDGE_REVERSE = 1.0      # edge direction modification
 
 
-@dataclass(frozen=True)
-class EditCosts:
-    """Costs of the six edit operations.  All must be positive."""
+def edge_pair_cost(direction_a: int, direction_b: int) -> float:
+    """Cost of reconciling one edge slot between two mapped node pairs.
 
-    node_insert: float = 1.0
-    node_delete: float = 1.0
-    node_substitute: float = 1.0   # operator type modification
-    edge_insert: float = 1.0
-    edge_delete: float = 1.0
-    edge_reverse: float = 1.0      # edge direction modification
-
-    def __post_init__(self) -> None:
-        values = (
-            self.node_insert,
-            self.node_delete,
-            self.node_substitute,
-            self.edge_insert,
-            self.edge_delete,
-            self.edge_reverse,
-        )
-        if any(v <= 0 for v in values):
-            raise ValueError("all edit costs must be positive")
-        if self.edge_reverse > self.edge_insert + self.edge_delete:
-            raise ValueError(
-                "edge_reverse must not exceed edge_delete + edge_insert, "
-                "otherwise the operation is never optimal and GED is "
-                "equivalent to the 4-operation variant"
-            )
-
-    def edge_pair_cost(self, direction_a: int, direction_b: int) -> float:
-        """Cost of reconciling one edge slot between two mapped node pairs.
-
-        ``direction_*`` encodes the edge between the pair in each graph:
-        0 = no edge, +1 = forward, -1 = backward.
-        """
-        if direction_a == direction_b:
-            return 0.0
-        if direction_a == 0:
-            return self.edge_insert
-        if direction_b == 0:
-            return self.edge_delete
-        return self.edge_reverse
-
-
-DEFAULT_COSTS = EditCosts()
+    ``direction_*`` encodes the edge between the pair in each graph:
+    0 = no edge, +1 = forward, -1 = backward.
+    """
+    if direction_a == direction_b:
+        return 0.0
+    if direction_a == 0:
+        return EDGE_INSERT
+    if direction_b == 0:
+        return EDGE_DELETE
+    return EDGE_REVERSE

@@ -9,24 +9,14 @@ from __future__ import annotations
 
 from repro.dataflow.graph import LogicalDataflow
 from repro.ged._core import ged_search
-from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.view import GraphView, as_view
 
 
 def exact_ged(
     graph1: LogicalDataflow | GraphView,
     graph2: LogicalDataflow | GraphView,
-    costs: EditCosts = DEFAULT_COSTS,
-    max_expansions: int | None = None,
 ) -> float:
     """Exact graph edit distance via uniform-cost search (no heuristic)."""
-    result = ged_search(
-        as_view(graph1),
-        as_view(graph2),
-        costs=costs,
-        use_label_set_bound=False,
-        threshold=None,
-        max_expansions=max_expansions,
-    )
+    result = ged_search(as_view(graph1), as_view(graph2), use_label_set_bound=False)
     assert result is not None  # unbounded search always terminates at a goal
     return result

@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from repro.dataflow.graph import LogicalDataflow
 from repro.ged.astar_lsa import astar_lsa_ged
 from repro.ged.bounds import combined_bound
-from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.exact import exact_ged
 from repro.ged.view import GraphView, as_view
 
@@ -46,7 +45,7 @@ def nearest_center(cache, graph, centers) -> int:
 
     ``cache`` is a :class:`GEDCache` or
     :class:`~repro.service.cache.SharedGEDCache` (anything with
-    ``distance``, ``costs`` and an ``_exact`` store with ``get``).
+    ``distance`` and an ``_exact`` store with ``get``).
     """
     if not centers:
         raise ValueError("nearest_center needs at least one center")
@@ -57,7 +56,7 @@ def nearest_center(cache, graph, centers) -> int:
         known = cache._exact.get(cache._key(query, view), None)
         bounds.append(
             known if known is not None
-            else combined_bound(query, view, cache.costs)
+            else combined_bound(query, view)
         )
     order = sorted(range(len(views)), key=lambda position: (bounds[position], position))
     best_index = -1
@@ -80,8 +79,7 @@ class GEDCache:
     queries stays correct.
     """
 
-    def __init__(self, costs: EditCosts = DEFAULT_COSTS) -> None:
-        self.costs = costs
+    def __init__(self) -> None:
         self._exact: dict[tuple[str, str], float] = {}
         self._lower_bounds: dict[tuple[str, str], float] = {}
         self.hits = 0
@@ -102,7 +100,7 @@ class GEDCache:
             self.hits += 1
             return self._exact[key]
         self.misses += 1
-        value = astar_lsa_ged(a, b, costs=self.costs)
+        value = astar_lsa_ged(a, b)
         assert value is not None
         self._exact[key] = value
         return value
@@ -121,12 +119,12 @@ class GEDCache:
         self.misses += 1
         # Cheap admissible pre-filter: ged >= combined_bound, so a bound
         # beyond the threshold decides the predicate without any search.
-        cheap = combined_bound(a, b, self.costs)
+        cheap = combined_bound(a, b)
         if cheap > threshold + BOUND_SLACK:
             previous = self._lower_bounds.get(key, 0.0)
             self._lower_bounds[key] = max(previous, cheap)
             return False
-        value = astar_lsa_ged(a, b, costs=self.costs, threshold=threshold)
+        value = astar_lsa_ged(a, b, threshold=threshold)
         if value is None:
             # The search proves only ``ged > threshold + BOUND_SLACK``.
             previous = self._lower_bounds.get(key, 0.0)
@@ -146,27 +144,17 @@ def similarity_search(
     threshold: float,
     cache: GEDCache | None = None,
     use_lsa: bool = True,
-    prefilter: bool = False,
 ) -> list[int]:
     """Indices of dataset graphs within GED ``threshold`` of ``query``.
 
     With ``use_lsa=False`` every pair is resolved by the direct exact GED
     baseline (no threshold pruning) — the slow path Fig. 11b compares
-    against.  ``prefilter=True`` runs the O(n) admissible lower bounds of
-    :mod:`repro.ged.bounds` first and verifies only the survivors (the
-    classic filter-and-verification arrangement of §IV-C).
+    against.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    if prefilter:
-        from repro.ged.bounds import prefilter_indices
-
-        candidates = prefilter_indices(query, dataset, threshold)
-    else:
-        candidates = range(len(dataset))
     matches: list[int] = []
-    for index in candidates:
-        graph = dataset[index]
+    for index, graph in enumerate(dataset):
         if use_lsa:
             if cache is not None:
                 hit = cache.within(query, graph, threshold)

@@ -24,6 +24,8 @@ import numpy as np
 
 from repro.gnn.data import GraphSample
 
+#: The most nodes :func:`encode_samples` packs into one batch.
+MAX_BATCH_NODES = 128
 
 @dataclass
 class BatchedSamples:
@@ -81,23 +83,20 @@ def encode_samples(
     encoder,
     samples: Sequence[GraphSample],
     parallelism_aware: bool = False,
-    max_batch_nodes: int = 128,
 ) -> list[np.ndarray]:
     """Parallelism-agnostic embeddings for many samples in few passes.
 
     ``encoder`` is a :class:`repro.gnn.model.BottleneckGNN` (or anything
     exposing ``encode``).  Samples are greedily packed into block-diagonal
-    batches of at most ``max_batch_nodes`` nodes (the dense block matrix is
+    batches of at most ``MAX_BATCH_NODES`` nodes (the dense block matrix is
     O(total²), so unbounded packing would swamp the saved dispatch
-    overhead); each batch costs one encoder pass.  The default cap sits at
+    overhead); each batch costs one encoder pass.  The cap sits at
     the empirical crossover for this model's dataflow-sized graphs — the
     ``gnn_encode_*`` benchmarks of ``repro perf`` measure it: around
     64–128 nodes the batched pass is ~2x the per-sample loop, while
     multi-hundred-node dense blocks fall *behind* it (the O(total²) zero
     blocks outweigh the saved dispatch).
     """
-    if max_batch_nodes < 1:
-        raise ValueError("max_batch_nodes must be >= 1")
     results: list[np.ndarray] = []
     chunk: list[GraphSample] = []
     chunk_nodes = 0
@@ -116,7 +115,7 @@ def encode_samples(
         chunk_nodes = 0
 
     for sample in samples:
-        if chunk and chunk_nodes + sample.n_nodes > max_batch_nodes:
+        if chunk and chunk_nodes + sample.n_nodes > MAX_BATCH_NODES:
             flush()
         chunk.append(sample)
         chunk_nodes += sample.n_nodes

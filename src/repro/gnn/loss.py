@@ -24,7 +24,11 @@ class LossTarget:
 
 
 def loss_target(labels: np.ndarray, mask: np.ndarray, pos_weight: float = 1.0) -> LossTarget:
-    """Prepare the constants :func:`apply_bce` needs for one label vector."""
+    """Prepare the constants :func:`apply_bce` needs for one label vector.
+
+    ``pos_weight`` multiplies the loss of positive examples (bottleneck
+    labels are a small minority in execution histories, and an unweighted
+    loss collapses to "never a bottleneck")."""
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
     index = np.flatnonzero(mask)
@@ -54,20 +58,17 @@ def bce_with_logits(
     logits: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
-    pos_weight: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Masked mean BCE and its gradient w.r.t. the logits.
 
     ``logits`` is (n,) or (n, 1); ``labels`` in {-1, 0, 1}; only entries
-    with ``mask`` True contribute.  ``pos_weight`` multiplies the loss of
-    positive examples (bottleneck labels are a small minority in execution
-    histories, and an unweighted loss collapses to "never a bottleneck").
-    Returns ``(loss, grad)`` with ``grad`` shaped like ``logits``; when
-    nothing is labelled the loss is 0 with a zero gradient.  A caller that
-    scores the same labels repeatedly prepares them once with
-    :func:`loss_target` and calls :func:`apply_bce`.
+    with ``mask`` True contribute.  Returns ``(loss, grad)`` with ``grad``
+    shaped like ``logits``; when nothing is labelled the loss is 0 with a
+    zero gradient.  A caller that scores the same labels repeatedly
+    prepares them once with :func:`loss_target` and calls
+    :func:`apply_bce`.
     """
-    return apply_bce(logits, loss_target(labels, mask, pos_weight))
+    return apply_bce(logits, loss_target(labels, mask))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

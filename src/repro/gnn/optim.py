@@ -6,6 +6,11 @@ import numpy as np
 
 from repro.gnn.layers import Parameter
 
+#: Adam's moment decay rates and the denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Standard Adam with optional decoupled weight decay.
@@ -24,19 +29,11 @@ class Adam:
         self,
         parameters: list[Parameter],
         learning_rate: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ValueError("betas must lie in [0, 1)")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._step = 0
         total = sum(parameter.value.size for parameter in parameters)
@@ -60,13 +57,13 @@ class Adam:
 
     def step(self) -> None:
         self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
+        bias1 = 1.0 - BETA1 ** self._step
+        bias2 = 1.0 - BETA2 ** self._step
         grad = self._grads
         if self.weight_decay > 0:
             self._values *= 1.0 - self.learning_rate * self.weight_decay
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad * grad
+        self._m = BETA1 * self._m + (1.0 - BETA1) * grad
+        self._v = BETA2 * self._v + (1.0 - BETA2) * grad * grad
         m_hat = self._m / bias1
         v_hat = self._v / bias2
-        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)

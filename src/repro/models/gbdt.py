@@ -24,9 +24,16 @@ import numpy as np
 
 from repro.gnn.loss import sigmoid
 from repro.models.base import validate_training_inputs
-from repro.utils.rng import seeded_rng
 
 _NO_GAIN = -np.inf
+#: Boosting rounds, tree depth, shrinkage, the L2 leaf penalty, the least
+#: child hessian and the least gain a split needs.
+N_ESTIMATORS = 60
+MAX_DEPTH = 3
+LEARNING_RATE = 0.25
+REG_LAMBDA = 1.0
+MIN_CHILD_WEIGHT = 1.0
+MIN_GAIN = 1e-6
 
 
 @dataclass
@@ -49,29 +56,7 @@ class _Node:
 class MonotonicGBDT:
     """Logistic-loss boosting, monotone non-increasing in the last feature."""
 
-    def __init__(
-        self,
-        n_estimators: int = 60,
-        max_depth: int = 3,
-        learning_rate: float = 0.25,
-        reg_lambda: float = 1.0,
-        min_child_weight: float = 1.0,
-        min_gain: float = 1e-6,
-        subsample: float = 1.0,
-        seed: int = 11,
-    ) -> None:
-        if n_estimators < 1 or max_depth < 1:
-            raise ValueError("n_estimators and max_depth must be >= 1")
-        if not 0 < subsample <= 1:
-            raise ValueError("subsample must lie in (0, 1]")
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.reg_lambda = reg_lambda
-        self.min_child_weight = min_child_weight
-        self.min_gain = min_gain
-        self.subsample = subsample
-        self._rng = seeded_rng(seed)
+    def __init__(self) -> None:
         self._trees: list[_Node] = []
         self._base_score = 0.0
         self._monotone_feature = -1      # resolved to a real index in fit()
@@ -89,31 +74,20 @@ class MonotonicGBDT:
         self._trees = []
 
         scores = np.full(len(labels), self._base_score)
-        for _ in range(self.n_estimators):
+        for _ in range(N_ESTIMATORS):
             probabilities = sigmoid(scores)
             gradients = probabilities - labels
             hessians = np.maximum(probabilities * (1.0 - probabilities), 1e-6)
-            if self.subsample < 1.0:
-                chosen = self._rng.random(len(labels)) < self.subsample
-                if not chosen.any():
-                    chosen[self._rng.integers(len(labels))] = True
-            else:
-                chosen = np.ones(len(labels), dtype=bool)
             tree = self._build_node(
-                features[chosen],
-                gradients[chosen],
-                hessians[chosen],
-                depth=0,
-                lower=-np.inf,
-                upper=np.inf,
+                features, gradients, hessians, depth=0, lower=-np.inf, upper=np.inf
             )
             self._trees.append(tree)
-            scores += self.learning_rate * self._predict_tree(tree, features)
+            scores += LEARNING_RATE * self._predict_tree(tree, features)
         self._fitted = True
         return self
 
     def _leaf_value(self, grad_sum: float, hess_sum: float, lower: float, upper: float) -> float:
-        raw = -grad_sum / (hess_sum + self.reg_lambda)
+        raw = -grad_sum / (hess_sum + REG_LAMBDA)
         return float(np.clip(raw, lower, upper))
 
     def _build_node(
@@ -127,13 +101,13 @@ class MonotonicGBDT:
     ) -> _Node:
         grad_sum = float(gradients.sum())
         hess_sum = float(hessians.sum())
-        node = _Node(value=self._leaf_value(grad_sum, hess_sum, lower, upper))
-        if depth >= self.max_depth or len(gradients) < 2:
-            return node
+        value = self._leaf_value(grad_sum, hess_sum, lower, upper)
+        if depth >= MAX_DEPTH or len(gradients) < 2:
+            return _Node(value)
 
         best = self._find_best_split(features, gradients, hessians, grad_sum, hess_sum, lower, upper)
         if best is None:
-            return node
+            return _Node(value)
 
         feature, threshold, gain = best
         del gain
@@ -153,17 +127,19 @@ class MonotonicGBDT:
             left_bounds = (lower, upper)
             right_bounds = (lower, upper)
 
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build_node(
-            features[go_left], gradients[go_left], hessians[go_left],
-            depth + 1, *left_bounds,
+        return _Node(
+            value,
+            feature,
+            threshold,
+            self._build_node(
+                features[go_left], gradients[go_left], hessians[go_left],
+                depth + 1, *left_bounds,
+            ),
+            self._build_node(
+                features[~go_left], gradients[~go_left], hessians[~go_left],
+                depth + 1, *right_bounds,
+            ),
         )
-        node.right = self._build_node(
-            features[~go_left], gradients[~go_left], hessians[~go_left],
-            depth + 1, *right_bounds,
-        )
-        return node
 
     def _find_best_split(
         self,
@@ -175,8 +151,8 @@ class MonotonicGBDT:
         lower: float,
         upper: float,
     ) -> tuple[int, float, float] | None:
-        parent_score = grad_sum * grad_sum / (hess_sum + self.reg_lambda)
-        best_gain = self.min_gain
+        parent_score = grad_sum * grad_sum / (hess_sum + REG_LAMBDA)
+        best_gain = MIN_GAIN
         best: tuple[int, float, float] | None = None
         for feature in range(features.shape[1]):
             column = features[:, feature]
@@ -190,11 +166,11 @@ class MonotonicGBDT:
                 left_grad, left_hess = float(grad_prefix[i]), float(hess_prefix[i])
                 right_grad = grad_sum - left_grad
                 right_hess = hess_sum - left_hess
-                if left_hess < self.min_child_weight or right_hess < self.min_child_weight:
+                if left_hess < MIN_CHILD_WEIGHT or right_hess < MIN_CHILD_WEIGHT:
                     continue
                 gain = (
-                    left_grad * left_grad / (left_hess + self.reg_lambda)
-                    + right_grad * right_grad / (right_hess + self.reg_lambda)
+                    left_grad * left_grad / (left_hess + REG_LAMBDA)
+                    + right_grad * right_grad / (right_hess + REG_LAMBDA)
                     - parent_score
                 )
                 if feature == self._monotone_feature:
@@ -222,7 +198,7 @@ class MonotonicGBDT:
         features = np.asarray(features, dtype=np.float64)
         scores = np.full(len(features), self._base_score)
         for tree in self._trees:
-            scores += self.learning_rate * self._predict_tree(tree, features)
+            scores += LEARNING_RATE * self._predict_tree(tree, features)
         return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

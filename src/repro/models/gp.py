@@ -11,21 +11,18 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+#: The observation noise variance as a share of the signal variance.
+NOISE_SHARE = 0.05
+
 
 class GaussianProcess1D:
     """GP regression on scalar inputs with an RBF kernel."""
 
-    def __init__(
-        self,
-        length_scale: float = 10.0,
-        signal_variance: float | None = None,
-        noise_variance: float | None = None,
-    ) -> None:
+    def __init__(self, length_scale: float = 10.0) -> None:
         if length_scale <= 0:
             raise ValueError("length_scale must be positive")
         self.length_scale = length_scale
-        self.signal_variance = signal_variance
-        self.noise_variance = noise_variance
+        self.signal_variance: float | None = None
         self._x: np.ndarray | None = None
         self._mean = 0.0
         self._chol = None
@@ -44,12 +41,9 @@ class GaussianProcess1D:
         self._x = x
         self._mean = float(y.mean())
         centered = y - self._mean
-        if self.signal_variance is None:
-            spread = float(centered.var())
-            self.signal_variance = max(spread, 1e-12 + 0.01 * self._mean**2)
-        if self.noise_variance is None:
-            self.noise_variance = 0.05 * self.signal_variance + 1e-12
-        k = self._kernel(x, x) + self.noise_variance * np.eye(len(x))
+        self.signal_variance = max(float(centered.var()), 1e-12 + 0.01 * self._mean**2)
+        noise_variance = NOISE_SHARE * self.signal_variance + 1e-12
+        k = self._kernel(x, x) + noise_variance * np.eye(len(x))
         self._chol = cho_factor(k, lower=True)
         self._alpha = cho_solve(self._chol, centered)
         return self

@@ -26,6 +26,16 @@ import numpy as np
 
 from repro.utils.rng import seeded_rng
 
+#: Neighbourhood size, capped at the training-set size.
+N_NEIGHBORS = 25
+#: Gaussian kernel bandwidth for neighbour weighting, in units of the
+#: median pairwise embedding distance (so it is scale-free).
+BANDWIDTH = 1.0
+#: Weight of two virtual anchor rows (bottleneck at p=0, clear at p=1 in
+#: normalised units) blended into every neighbourhood; keeps predictions
+#: defined and monotone when a neighbourhood is single-class.
+PRIOR_WEIGHT = 0.25
+
 
 def pav_antitonic(
     positions: np.ndarray,
@@ -115,39 +125,10 @@ class IsotonicKNN:
     last column of the feature matrix is the normalised parallelism, the
     rest is the (frozen) operator embedding.
 
-    Parameters
-    ----------
-    n_neighbors:
-        Neighbourhood size; capped at the training-set size.
-    bandwidth:
-        Gaussian kernel bandwidth for neighbour weighting, in units of
-        the median pairwise embedding distance (so the default is
-        scale-free).  ``None`` weights all neighbours equally.
-    prior_weight:
-        Weight of two virtual anchor rows (bottleneck at p=0, clear at
-        p=1 in normalised units) blended into every neighbourhood; keeps
-        predictions defined and monotone when a neighbourhood is
-        single-class.
-    seed:
-        Only used to break exact distance ties deterministically.
+    ``seed`` only breaks exact distance ties deterministically.
     """
 
-    def __init__(
-        self,
-        n_neighbors: int = 25,
-        bandwidth: float | None = 1.0,
-        prior_weight: float = 0.25,
-        seed: int = 11,
-    ) -> None:
-        if n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1")
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if prior_weight < 0:
-            raise ValueError("prior_weight must be >= 0")
-        self.n_neighbors = n_neighbors
-        self.bandwidth = bandwidth
-        self.prior_weight = prior_weight
+    def __init__(self, seed: int = 11) -> None:
         self.seed = seed
         self._embeddings: np.ndarray | None = None
         self._parallelisms: np.ndarray | None = None
@@ -207,24 +188,18 @@ class IsotonicKNN:
         scaled_train = self._embeddings / self._scale
         scaled_query = embedding / self._scale
         distances = np.sqrt(((scaled_train - scaled_query) ** 2).sum(axis=1))
-        k = min(self.n_neighbors, len(distances))
+        k = min(N_NEIGHBORS, len(distances))
         neighbour_idx = np.argpartition(distances, k - 1)[:k]
 
-        if self.bandwidth is None:
-            weights = np.ones(k)
-        else:
-            width = self.bandwidth * max(self._median_distance, 1e-12)
-            weights = np.exp(-0.5 * (distances[neighbour_idx] / width) ** 2)
-            weights = np.maximum(weights, 1e-12)
+        width = BANDWIDTH * max(self._median_distance, 1e-12)
+        weights = np.exp(-0.5 * (distances[neighbour_idx] / width) ** 2)
+        weights = np.maximum(weights, 1e-12)
 
-        positions = self._parallelisms[neighbour_idx]
-        values = self._labels[neighbour_idx]
-        if self.prior_weight > 0:
-            # Virtual anchors encode the physics: zero parallelism cannot
-            # keep up (bottleneck), the physical maximum is presumed safe.
-            positions = np.concatenate([positions, [0.0, 1.0]])
-            values = np.concatenate([values, [1.0, 0.0]])
-            weights = np.concatenate([weights, [self.prior_weight] * 2])
+        # Virtual anchors encode the physics: zero parallelism cannot keep
+        # up (bottleneck), the physical maximum is presumed safe.
+        positions = np.concatenate([self._parallelisms[neighbour_idx], [0.0, 1.0]])
+        values = np.concatenate([self._labels[neighbour_idx], [1.0, 0.0]])
+        weights = np.concatenate([weights, [PRIOR_WEIGHT] * 2])
 
         knots, fitted = pav_antitonic(positions, values, weights)
         return min(1.0, max(0.0, step_interpolate(p, knots, fitted)))

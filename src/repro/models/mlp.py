@@ -18,24 +18,19 @@ from repro.gnn.optim import Adam
 from repro.models.base import validate_training_inputs
 from repro.utils.rng import seeded_rng
 
+#: Training epochs, the Adam learning rate and the minibatch size.
+EPOCHS = 150
+LEARNING_RATE = 5e-3
+BATCH_SIZE = 64
+
 
 class MLPClassifier:
     """Two-hidden-layer MLP over [h_v, p] without monotonicity."""
 
-    def __init__(
-        self,
-        hidden_dim: int = 32,
-        epochs: int = 150,
-        learning_rate: float = 5e-3,
-        batch_size: int = 64,
-        seed: int = 11,
-    ) -> None:
+    def __init__(self, hidden_dim: int = 32, seed: int = 11) -> None:
         if hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
         self.hidden_dim = hidden_dim
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
         self.seed = seed
         self._layers: list | None = None
         self._rng = seeded_rng(seed)
@@ -66,12 +61,12 @@ class MLPClassifier:
         features, labels = validate_training_inputs(features, labels)
         self._build(features.shape[1])
         parameters = [p for layer in self._layers for p in layer.parameters()]
-        optimizer = Adam(parameters, learning_rate=self.learning_rate, weight_decay=1e-4)
+        optimizer = Adam(parameters, learning_rate=LEARNING_RATE, weight_decay=1e-4)
         mask = np.ones(len(labels), dtype=bool)
-        for _ in range(self.epochs):
+        for _ in range(EPOCHS):
             order = self._rng.permutation(len(labels))
-            for start in range(0, len(order), self.batch_size):
-                batch = order[start : start + self.batch_size]
+            for start in range(0, len(order), BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 optimizer.zero_grad()
                 logits = self._forward(features[batch])
                 _, grad = bce_with_logits(

@@ -13,7 +13,7 @@ probability).
 Offline substitution: scikit-learn is unavailable, so the kernel trick is
 realised with **random Fourier features** (Rahimi & Recht) approximating an
 RBF kernel on ``h``, and the primal — squared hinge, so it is smooth — is
-solved by L-BFGS-B with ``w_p <= 0`` as a box bound.  ``epochs`` is the
+solved by L-BFGS-B with ``w_p <= 0`` as a box bound.  ``EPOCHS`` is the
 solver's ``maxiter``: a fit that exhausts it returns that iterate, not an
 optimum, and ``n_iterations_`` / ``stop_message_`` say which happened.
 Probabilities come from Platt-style scaling of the margin with a
@@ -28,32 +28,22 @@ from repro.models.base import validate_training_inputs
 from repro.gnn.loss import sigmoid
 from repro.utils.rng import seeded_rng
 
+#: The regularisation C of Eq. 5, the RBF kernel's gamma (per typical
+#: pairwise distance) and the random Fourier feature count.
+C = 16.0
+GAMMA = 1.5
+N_FOURIER_FEATURES = 256
+#: The L-BFGS-B ``maxiter`` of one fit.
+EPOCHS = 200
+
 
 class MonotonicSVM:
     """Kernelised hinge-loss classifier, monotone non-increasing in p."""
 
-    def __init__(
-        self,
-        c: float = 16.0,
-        gamma: float = 1.5,
-        n_fourier_features: int = 256,
-        epochs: int = 200,
-        learning_rate: float = 0.05,
-        seed: int = 11,
-        platt_tol: float = 0.0,
-    ) -> None:
+    def __init__(self, seed: int = 11, platt_tol: float = 0.0) -> None:
         """``platt_tol`` > 0 stops the Platt-scaling loop once both gradient
         magnitudes fall below it (deterministic early exit); the default 0
         keeps the historical fixed-iteration behaviour bit-for-bit."""
-        if c <= 0 or gamma <= 0:
-            raise ValueError("c and gamma must be positive")
-        if n_fourier_features < 1:
-            raise ValueError("n_fourier_features must be >= 1")
-        self.c = c
-        self.gamma = gamma
-        self.n_fourier_features = n_fourier_features
-        self.epochs = epochs
-        self.learning_rate = learning_rate
         self.platt_tol = platt_tol
         #: Optional extra options merged into the L-BFGS-B ``options`` dict
         #: (e.g. ``{"ftol": 1e-7, "gtol": 1e-4}``).  The online tuning loop
@@ -85,7 +75,7 @@ class MonotonicSVM:
         """Random Fourier features approximating an RBF kernel on h."""
         assert self._rff_weights is not None and self._rff_offsets is not None
         projection = embeddings @ self._rff_weights + self._rff_offsets
-        return np.sqrt(2.0 / self.n_fourier_features) * np.cos(projection)
+        return np.sqrt(2.0 / N_FOURIER_FEATURES) * np.cos(projection)
 
     def _split(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Standardised embedding columns and the raw parallelism column.
@@ -148,10 +138,10 @@ class MonotonicSVM:
         n_embed = embeddings.shape[1]
         self._rff_weights = self._rng.normal(
             0.0,
-            np.sqrt(2.0 * self.gamma / n_embed),
-            size=(n_embed, self.n_fourier_features),
+            np.sqrt(2.0 * GAMMA / n_embed),
+            size=(n_embed, N_FOURIER_FEATURES),
         )
-        self._rff_offsets = self._rng.uniform(0.0, 2.0 * np.pi, self.n_fourier_features)
+        self._rff_offsets = self._rng.uniform(0.0, 2.0 * np.pi, N_FOURIER_FEATURES)
         lifted = self._lift(embeddings)
 
         y = 2.0 * labels - 1.0                      # {-1, +1}
@@ -171,8 +161,8 @@ class MonotonicSVM:
         # Primal smooth (squared-hinge) SVM solved by L-BFGS-B; the Eq. 5
         # sign constraint w_p <= 0 maps directly onto a box bound.  The
         # regulariser follows the usual SVM scaling lambda = 1 / (C n).
-        lam = 1.0 / (self.c * n)
-        dim = self.n_fourier_features
+        lam = 1.0 / (C * n)
+        dim = N_FOURIER_FEATURES
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             w_e = theta[:dim]
@@ -206,7 +196,7 @@ class MonotonicSVM:
             start = start.copy()
             start[dim] = min(start[dim], 0.0)
         bounds = [(None, None)] * dim + [(None, 0.0), (None, None)]
-        options = {"maxiter": self.epochs}
+        options = {"maxiter": EPOCHS}
         if self.solver_options:
             options.update(self.solver_options)
         solution = minimize(

@@ -73,7 +73,6 @@ def run_perf(
     baseline_path: str = BASELINE_PATH,
     tolerance: float = 0.25,
     update_baseline: bool = False,
-    echo=print,
 ) -> int:
     """The full perf session the ``repro perf`` subcommand drives.
 
@@ -114,38 +113,38 @@ def run_perf(
     baseline = load_report(resolved_baseline) if gating else None
 
     try:
-        echo("building perf fixtures ...")
+        print("building perf fixtures ...")
         fixtures = build_fixtures()
-        echo("timing hot paths:")
-        results = run_benchmarks(fixtures, only=only, echo=echo)
+        print("timing hot paths:")
+        results = run_benchmarks(fixtures, only=only, echo=print)
     except ValueError as error:
         raise PerfError(str(error)) from None
     ratios = compute_ratios(results)
     for name, value in sorted(ratios.items()):
-        echo(f"  {name:<30} {value:9.2f}x")
+        print(f"  {name:<30} {value:9.2f}x")
     report = build_report(results, ratios)
     written = write_report(report, output)
-    echo(f"wrote {written}")
+    print(f"wrote {written}")
 
     if update_baseline:
         write_report(report, resolved_baseline)
-        echo(f"updated baseline {resolved_baseline}")
+        print(f"updated baseline {resolved_baseline}")
         return 0
     if baseline is None:
         # A partial run cannot be gated: pairs that did not run would
         # read as regressions.  The report is still written.
-        echo("--only selects a subset; regression gate skipped")
+        print("--only selects a subset; regression gate skipped")
         return 0
     violations = compare_reports(report, baseline, tolerance=tolerance)
     if violations:
         for violation in violations:
-            echo(f"VIOLATION: {violation}")
-        echo(
+            print(f"VIOLATION: {violation}")
+        print(
             f"perf gate FAILED: {len(violations)} violation(s) against "
             f"{resolved_baseline} at {tolerance:.0%}"
         )
         return 1
-    echo(
+    print(
         f"perf gate ok: {len(baseline.get('ratios', {}))} ratio(s) within "
         f"{tolerance:.0%} of {resolved_baseline}"
     )

@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.finetune import value_from_arrays, value_to_arrays
 from repro.ged.astar_lsa import astar_lsa_ged
 from repro.ged.bounds import combined_bound
-from repro.ged.costs import DEFAULT_COSTS, EditCosts
 from repro.ged.search import BOUND_SLACK, nearest_center
 from repro.ged.view import as_view
 
@@ -318,8 +317,7 @@ class SharedGEDCache:
     returns exactly the float the first computation produced.
     """
 
-    def __init__(self, costs: EditCosts = DEFAULT_COSTS) -> None:
-        self.costs = costs
+    def __init__(self) -> None:
         self._exact = ConcurrentLRUCache()
         self._bounds = ConcurrentLRUCache()
 
@@ -343,7 +341,7 @@ class SharedGEDCache:
         key = self._key(a, b)
 
         def compute() -> float:
-            value = astar_lsa_ged(a, b, costs=self.costs)
+            value = astar_lsa_ged(a, b)
             assert value is not None
             return value
 
@@ -363,11 +361,11 @@ class SharedGEDCache:
         self._bounds.misses += 1
         # Cheap admissible pre-filter (see GEDCache.within): a lower bound
         # beyond the threshold settles the predicate without any search.
-        cheap = combined_bound(a, b, self.costs)
+        cheap = combined_bound(a, b)
         if cheap > threshold + BOUND_SLACK:
             self._bounds.put(key, max(bound or 0.0, cheap))
             return False
-        value = astar_lsa_ged(a, b, costs=self.costs, threshold=threshold)
+        value = astar_lsa_ged(a, b, threshold=threshold)
         if value is None:
             previous = self._bounds.get(key, 0.0)
             self._bounds.put(key, max(previous, threshold + BOUND_SLACK))

@@ -342,13 +342,18 @@ class TuningService:
     #: campaign failed (covers relay-queue latency on the process backend).
     sentinel_grace = 5.0
 
+    #: The process backend's multiprocessing start method (``None`` keeps
+    #: the platform default).  Results are bit-identical across start
+    #: methods: shared-memory descriptors attach by name, with no
+    #: fork-inherited state involved.
+    start_method: str | None = None
+
     def __init__(
         self,
         pretrained: PretrainedStreamTune | None,
         backend: str = "thread",
         max_workers: int | None = None,
         caches: TuningCacheSet | None = None,
-        start_method: str | None = None,
         shm_store=None,
     ) -> None:
         """``backend`` selects the worker pool: ``thread`` (default; shares
@@ -378,12 +383,6 @@ class TuningService:
         builders the tuner would run on a miss, so results are
         bit-identical to a cold run.
 
-        ``start_method`` pins the process backend's multiprocessing start
-        method (``"fork"``, ``"spawn"`` or ``"forkserver"``; ``None``
-        keeps the platform default).  Results are bit-identical across
-        start methods — shared-memory descriptors attach by name, with no
-        fork-inherited state involved.
-
         ``shm_store`` injects the :class:`~repro.service.shm.
         SharedArrayStore` the process backend publishes warm numpy
         payloads through (a long-lived host's arena, so a payload it
@@ -399,17 +398,8 @@ class TuningService:
         """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if start_method is not None:
-            import multiprocessing
-
-            allowed = multiprocessing.get_all_start_methods()
-            if start_method not in allowed:
-                raise ValueError(
-                    f"start_method must be one of {allowed}, got {start_method!r}"
-                )
         self.pretrained = pretrained
         self.backend = backend
-        self.start_method = start_method
         self._shm_store = shm_store
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
         if pretrained is not None:
@@ -426,7 +416,7 @@ class TuningService:
         old = getattr(clustering, "cache", None)
         if isinstance(old, SharedGEDCache):
             return
-        shared = SharedGEDCache(costs=old.costs)
+        shared = SharedGEDCache()
         # Exact migration: seed the shared store with every distance the
         # clustering phase already paid for.
         for key, value in getattr(old, "_exact", {}).items():

@@ -1,15 +1,11 @@
-"""Jittered exponential backoff, deterministic under a seeded RNG.
+"""Jittered exponential backoff.
 
 The distributed spool's lease heartbeats and the daemon client's HTTP
 calls both face the same problem: a transient failure (NFS hiccup,
 daemon restarting, socket refused) that resolves itself within a few
 hundred milliseconds, where failing on the first error turns a blip
-into a dead worker.  Both now share this helper.
-
-Determinism matters because the retry schedule participates in tests:
-``backoff_delays(..., rng=random.Random(seed))`` yields the exact same
-jittered schedule every run, so a test can assert the schedule (or the
-total sleep budget) without mocking time.
+into a dead worker.  Both now share this helper.  It sleeps and reads
+the clock through this module's ``time``, so a test can replace both.
 """
 
 from __future__ import annotations
@@ -22,21 +18,23 @@ __all__ = ["backoff_delays", "with_retries"]
 
 T = TypeVar("T")
 
+#: The longest backoff delay, and the uniform jitter every delay is scaled
+#: by (``[1 - JITTER, 1 + JITTER]``).
+MAX_DELAY = 2.0
+JITTER = 0.25
+
 
 def backoff_delays(
     *,
     base: float = 0.05,
     factor: float = 2.0,
-    max_delay: float = 2.0,
-    jitter: float = 0.25,
-    rng: random.Random | None = None,
+    jitter: float = JITTER,
 ) -> Iterator[float]:
     """Yield an endless jittered exponential backoff schedule.
 
-    Delay ``i`` is ``min(base * factor**i, max_delay)`` scaled by a
-    uniform jitter in ``[1 - jitter, 1 + jitter]``.  Pass a seeded
-    ``random.Random`` for a reproducible schedule; the default draws
-    from a fresh unseeded generator (fine for production, not tests).
+    Delay ``i`` is ``min(base * factor**i, MAX_DELAY)`` scaled by a
+    uniform jitter in ``[1 - jitter, 1 + jitter]`` drawn from a fresh
+    unseeded generator.
     """
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")
@@ -44,11 +42,11 @@ def backoff_delays(
         raise ValueError(f"factor must be >= 1, got {factor}")
     if not 0.0 <= jitter < 1.0:
         raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-    generator = rng if rng is not None else random.Random()
+    generator = random.Random()
     delay = base
     while True:
         yield delay * generator.uniform(1.0 - jitter, 1.0 + jitter)
-        delay = min(delay * factor, max_delay)
+        delay = min(delay * factor, MAX_DELAY)
 
 
 def with_retries(
@@ -58,24 +56,17 @@ def with_retries(
     attempts: int = 3,
     base: float = 0.05,
     factor: float = 2.0,
-    max_delay: float = 2.0,
-    jitter: float = 0.25,
-    rng: random.Random | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[BaseException, int, float], None] | None = None,
     deadline_seconds: float | None = None,
-    clock: Callable[[], float] = time.monotonic,
 ) -> T:
     """Run ``call``, retrying ``retryable`` exceptions with backoff.
 
     Only exceptions in ``retryable`` are retried — anything else
     propagates immediately (a daemon's *refusal* is an answer; only
     *unreachability* is transient).  After ``attempts`` total tries the
-    last exception propagates unchanged.  ``on_retry(error, attempt,
-    delay)`` fires before each sleep, for logging.
+    last exception propagates unchanged.
 
     ``deadline_seconds`` additionally caps *total* time: when the next
-    backoff sleep would end past ``clock() + deadline_seconds`` (measured
+    backoff sleep would end past ``time.monotonic() + deadline_seconds`` (measured
     from entry), the current exception propagates instead of sleeping.
     Attempt counts alone cannot bound wall-clock — a call that itself
     takes seconds to fail (a hung NFS mount) would outlive any budget the
@@ -88,20 +79,16 @@ def with_retries(
         raise ValueError(
             f"deadline_seconds must be positive, got {deadline_seconds}"
         )
-    deadline = None if deadline_seconds is None else clock() + deadline_seconds
-    delays = backoff_delays(
-        base=base, factor=factor, max_delay=max_delay, jitter=jitter, rng=rng
-    )
+    deadline = None if deadline_seconds is None else time.monotonic() + deadline_seconds
+    delays = backoff_delays(base=base, factor=factor, jitter=JITTER)
     for attempt in range(1, attempts + 1):
         try:
             return call()
-        except retryable as error:
+        except retryable:
             if attempt == attempts:
                 raise
             delay = next(delays)
-            if deadline is not None and clock() + delay > deadline:
+            if deadline is not None and time.monotonic() + delay > deadline:
                 raise
-            if on_retry is not None:
-                on_retry(error, attempt, delay)
-            sleep(delay)
+            time.sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover

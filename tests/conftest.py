@@ -251,6 +251,14 @@ def _isolate_module_singletons():
 
 
 @pytest.fixture
+def noiseless(monkeypatch):
+    """Engines built inside the test observe their metrics without noise."""
+    from repro.engines import metrics
+
+    monkeypatch.setattr(metrics, "DEFAULT_NOISE_STD", 0.0)
+
+
+@pytest.fixture
 def linear_flow() -> LogicalDataflow:
     return build_linear_flow()
 

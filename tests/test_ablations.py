@@ -18,14 +18,14 @@ from repro.experiments.scale import SMOKE
 
 def test_holdout_split_fractions():
     records = list(range(10))
-    train, holdout = ablations._holdout_split(records, fraction=0.8)
+    train, holdout = ablations._holdout_split(records)
     assert train == list(range(8))
     assert holdout == [8, 9]
 
 
 def test_holdout_split_never_empty_train():
     records = [1]
-    train, holdout = ablations._holdout_split(records, fraction=0.1)
+    train, holdout = ablations._holdout_split(records)
     assert train == [1]
     assert holdout == []
 

@@ -337,14 +337,12 @@ class TestProgressPrinter:
         assert len(err.strip().splitlines()) == 5
         assert "ds2" in err and "1h/2m" in err
 
-    def test_reconfigured_only_when_verbose(self, capsys):
+    def test_reconfigured_prints_nothing(self, capsys):
         event = Reconfigured(campaign="c", parallelisms={"a": 2})
         import sys
 
         ProgressPrinter(stream=sys.stderr)(event)
         assert capsys.readouterr().err == ""
-        ProgressPrinter(stream=sys.stderr, verbose=True)(event)
-        assert "redeployed" in capsys.readouterr().err
 
     def test_chaos_lines_name_what_each_effect_did(self, capsys):
         import sys

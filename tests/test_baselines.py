@@ -36,9 +36,9 @@ class TestOracle:
         assert result.converged
         assert not engine.ground_truth(deployment).has_backpressure
 
-    def test_oracle_is_minimal(self, q2):
+    def test_oracle_is_minimal(self, q2, noiseless):
         """Dropping any operator by one degree must re-saturate the job."""
-        engine = FlinkCluster(seed=11, noise_std=0.0)
+        engine = FlinkCluster(seed=11)
         tuner = OracleTuner(engine)
         deployment = cold_deployment(engine, q2)
         tuner.tune(deployment, q2.rates_at(10))
@@ -82,12 +82,8 @@ class TestDS2:
         low = tuner.tune(deployment, q2.rates_at(2)).final_total_parallelism
         assert low < high
 
-    def test_invalid_iterations(self):
-        with pytest.raises(ValueError):
-            DS2Tuner(FlinkCluster(seed=1), max_iterations=0)
-
-    def test_demand_propagation_uses_observed_selectivity(self, q2):
-        engine = FlinkCluster(seed=12, noise_std=0.0)
+    def test_demand_propagation_uses_observed_selectivity(self, q2, noiseless):
+        engine = FlinkCluster(seed=12)
         deployment = engine.deploy(
             q2.flow, {"src_bids": 2, "filter_auction": 30, "sink": 4},
             q2.rates_at(3),

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import make_prediction_model
+from repro.models import isotonic
 from repro.models.isotonic import IsotonicKNN, pav_antitonic, step_interpolate
 from repro.utils.rng import seeded_rng
 from tests.conftest import check_monotonicity
@@ -122,14 +125,15 @@ class TestIsotonicKNN:
         single = model.predict_proba(features[0])
         assert single.shape == (1,)
 
-    def test_prior_anchors_dominate_single_class_neighbourhoods(self):
+    def test_prior_anchors_dominate_single_class_neighbourhoods(self, monkeypatch):
         """An all-negative dataset still predicts bottleneck at p=0."""
+        monkeypatch.setattr(isotonic, "PRIOR_WEIGHT", 0.5)
         rng = seeded_rng(1)
         features = np.column_stack(
             [rng.uniform(size=(30, 2)), rng.uniform(0.5, 1.0, size=30)]
         )
         labels = np.zeros(30)
-        model = IsotonicKNN(prior_weight=0.5).fit(features, labels)
+        model = IsotonicKNN().fit(features, labels)
         at_zero = model.predict_proba(np.array([[0.5, 0.5, 0.0]]))[0]
         at_one = model.predict_proba(np.array([[0.5, 0.5, 1.0]]))[0]
         assert at_zero > at_one
@@ -137,14 +141,6 @@ class TestIsotonicKNN:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="before fit"):
             IsotonicKNN().predict_proba(np.zeros((1, 3)))
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            IsotonicKNN(n_neighbors=0)
-        with pytest.raises(ValueError):
-            IsotonicKNN(bandwidth=0.0)
-        with pytest.raises(ValueError):
-            IsotonicKNN(prior_weight=-1.0)
 
     def test_rejects_bad_fit_inputs(self):
         model = IsotonicKNN()
@@ -178,9 +174,10 @@ class TestIsotonicKNN:
 )
 def test_isotonic_probability_never_rises_with_parallelism(p_query, p_higher, seed):
     features, labels = threshold_dataset(n=120, seed=seed)
-    model = IsotonicKNN(n_neighbors=15, seed=3).fit(features, labels)
-    low, high = sorted([p_query, p_higher])
-    embedding = features[seed % len(features), :-1]
-    prob_low = model.predict_proba(np.concatenate([embedding, [low]]))[0]
-    prob_high = model.predict_proba(np.concatenate([embedding, [high]]))[0]
+    with mock.patch.object(isotonic, "N_NEIGHBORS", 15):
+        model = IsotonicKNN(seed=3).fit(features, labels)
+        low, high = sorted([p_query, p_higher])
+        embedding = features[seed % len(features), :-1]
+        prob_low = model.predict_proba(np.concatenate([embedding, [low]]))[0]
+        prob_high = model.predict_proba(np.concatenate([embedding, [high]]))[0]
     assert prob_high <= prob_low + 1e-9

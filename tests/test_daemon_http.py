@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -48,7 +49,7 @@ def daemon(tmp_path):
 
 
 def _client(daemon: TuningDaemon) -> DaemonClient:
-    return DaemonClient(daemon.url, timeout=30.0)
+    return DaemonClient(daemon.url)
 
 
 class TestSubmitFollowFinish:
@@ -346,6 +347,21 @@ class TestHttpErrors:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400_and_closes(self, daemon, length):
+        request = (
+            "POST /v1/plans HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        ).encode()
+        with socket.create_connection((daemon.host, daemon.port), timeout=5) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(4096):      # EOF: the daemon closed it
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert "Content-Length" in json.loads(body)["error"]
+
     def test_unknown_job_is_404(self, daemon):
         client = _client(daemon)
         for path in ("/v1/jobs/j999999", "/v1/jobs/j999999/events"):
@@ -450,7 +466,7 @@ class TestAdmissionAndShutdown:
         before = handlers()
         daemon = TuningDaemon(port=0, ledger_dir=tmp_path / "ledger")
         daemon.start()
-        client = DaemonClient(daemon.url, timeout=5.0, retries=0)
+        client = DaemonClient(daemon.url)
         assert client._request("GET", "/healthz")["status"] == "ok"
         assert handlers() - before         # the idle connection's handler
         daemon.stop()
@@ -528,7 +544,7 @@ class TestResumeAuto:
             )
             url = process.stdout.readline().strip()
             assert url.startswith("http://"), "daemon failed to start"
-            return process, DaemonClient(url, timeout=30.0)
+            return process, DaemonClient(url)
 
         process, client = spawn("")
         try:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import random
 import signal
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +26,7 @@ from repro.api.events import CampaignFailed, CampaignFinished, CampaignSkipped
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan, TuningPlan
 from repro.api.resume import ResumeError, ResumeLog, discover_latest_log
 from repro.api.session import TuningSession
+from repro.distributed import coordinator, worker
 from repro.distributed import (
     DistributedSession,
     LeaseLost,
@@ -35,6 +36,7 @@ from repro.distributed import (
     plan_cells,
 )
 from repro.service import CampaignExecutionError
+from repro.utils import retry
 from repro.utils.retry import backoff_delays, with_retries
 
 
@@ -330,16 +332,15 @@ class TestWorkerAgent:
         kinds = [json.loads(line)["event"] for line in lines if line.strip()]
         assert "CampaignFailed" in kinds
 
-    def test_lost_lease_abandons_the_attempt(self, tmp_path):
+    def test_lost_lease_abandons_the_attempt(self, tmp_path, monkeypatch):
         plan = tiny_plan(
             queries=("q1",), rates=(3.0, 5.0, 4.0), engine="flink-paced"
         )
         (cell,) = plan_cells(plan)
         spool = Spool(tmp_path / "spool", ttl_seconds=0.4)
         spool.seed([cell])
-        agent = WorkerAgent(
-            spool, worker_id="slowpoke", fsync=False, heartbeat_seconds=0.05
-        )
+        monkeypatch.setattr(worker, "HEARTBEATS_PER_TTL", 8.0)   # every 0.05 s
+        agent = WorkerAgent(spool, worker_id="slowpoke", fsync=False)
         assert spool.claim(cell.id, "slowpoke")
         # Steal the lease out from under the in-flight attempt, as a
         # reclaimer would after presumed death.
@@ -479,13 +480,13 @@ class TestDistributedSession:
         )] == ["CampaignSkipped", "CampaignFinished"] * 2
         assert_outcomes_identical(replayed, first)
 
-    def test_dead_fleet_fails_instead_of_hanging(self, tmp_path):
+    def test_dead_fleet_fails_instead_of_hanging(self, tmp_path, monkeypatch):
         plan = tiny_plan(
             backend="distributed", spool_dir=str(tmp_path / "spool")
         )
+        monkeypatch.setattr(coordinator, "POLL_SECONDS", 0.02)
         session = DistributedSession(
             local_workers=0, ttl_seconds=0.2, stall_seconds=0.5,
-            poll_seconds=0.02,
         )
         started = time.perf_counter()
         with pytest.raises(CampaignExecutionError) as excinfo:
@@ -536,40 +537,33 @@ class TestPacedEngine:
             plain.outcomes[0]
         )
 
-    def test_rejects_negative_pause(self):
-        from repro.engines.paced import PacedFlink
-
-        with pytest.raises(ValueError, match="telemetry_seconds"):
-            PacedFlink(telemetry_seconds=-0.1)
-
 
 # ----------------------------------------------------------------------
 # the retry helper (also exercised by DaemonClient)
 # ----------------------------------------------------------------------
 
 class TestRetryHelper:
-    def test_backoff_is_deterministic_under_seeded_rng(self):
-        first = [
-            delay for _, delay in zip(
-                range(5), backoff_delays(rng=random.Random(7))
-            )
-        ]
-        second = [
-            delay for _, delay in zip(
-                range(5), backoff_delays(rng=random.Random(7))
-            )
-        ]
-        assert first == second
+    def test_backoff_schedule_is_a_jittered_exponential_envelope(
+        self, monkeypatch
+    ):
+        delays = [delay for _, delay in zip(range(8), backoff_delays())]
+        for delay, undithered in zip(delays, [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]):
+            assert (1 - retry.JITTER) * undithered <= delay <= (1 + retry.JITTER) * undithered
         # Exponential envelope: each undithered delay doubles up to the cap.
+        monkeypatch.setattr(retry, "JITTER", 0.0)
         undithered = [
             delay for _, delay in zip(
-                range(8), backoff_delays(jitter=0.0)
+                range(8), backoff_delays(jitter=retry.JITTER)
             )
         ]
         assert undithered[:4] == [0.05, 0.1, 0.2, 0.4]
-        assert undithered[-1] == 2.0
+        assert undithered[-1] == retry.MAX_DELAY
 
-    def test_with_retries_retries_only_retryable_errors(self):
+    def test_with_retries_retries_only_retryable_errors(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(retry, "time", SimpleNamespace(
+            monotonic=time.monotonic, sleep=sleeps.append,
+        ))
         calls = []
 
         def flaky():
@@ -578,10 +572,8 @@ class TestRetryHelper:
                 raise OSError("transient")
             return "done"
 
-        sleeps = []
         assert with_retries(
             flaky, retryable=(OSError,), attempts=3,
-            rng=random.Random(1), sleep=sleeps.append,
         ) == "done"
         assert len(calls) == 3 and len(sleeps) == 2
 
@@ -589,19 +581,18 @@ class TestRetryHelper:
             raise ValueError("not retryable")
 
         with pytest.raises(ValueError):
-            with_retries(
-                poisoned, retryable=(OSError,), attempts=3, sleep=lambda _: None
-            )
+            with_retries(poisoned, retryable=(OSError,), attempts=3)
 
-    def test_with_retries_exhausts_and_reraises(self):
+    def test_with_retries_exhausts_and_reraises(self, monkeypatch):
+        monkeypatch.setattr(retry, "time", SimpleNamespace(
+            monotonic=time.monotonic, sleep=lambda _: None,
+        ))
+
         def always_broken():
             raise OSError("permanent")
 
         with pytest.raises(OSError, match="permanent"):
-            with_retries(
-                always_broken, retryable=(OSError,), attempts=3,
-                sleep=lambda _: None,
-            )
+            with_retries(always_broken, retryable=(OSError,), attempts=3)
 
 
 # ----------------------------------------------------------------------

@@ -91,15 +91,6 @@ class TestOperatorTaxonomy:
         assert taxonomy.nearest_known("flat_map") == "map"
         assert taxonomy.nearest_known("window_join") == "join"
 
-    def test_nearest_known_respects_candidate_restriction(self):
-        taxonomy = OperatorTaxonomy()
-        nearest = taxonomy.nearest_known("flat_map", among=["filter", "window_join"])
-        assert nearest == "filter"
-
-    def test_nearest_known_without_candidates_raises(self):
-        taxonomy = OperatorTaxonomy()
-        with pytest.raises(ValueError, match="no candidate"):
-            taxonomy.nearest_known("map", among=["map"])
 
 
 class TestInterpolateProperties:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.engines.base import STABILIZATION_MINUTES, EngineError
+from repro.engines import flink
 from repro.engines.flink import FlinkCluster
 from repro.engines.timely import (
     STATEFUL_SPIN_INFLATION,
     STATELESS_SPIN_INFLATION,
+    WORKERS,
     TimelyCluster,
     aggregate_message_rates,
 )
@@ -59,9 +61,11 @@ class TestLifecycle:
         with pytest.raises(EngineError, match="not running"):
             flink.measure(deployment)
 
-    def test_max_parallelism_from_slots(self):
-        assert FlinkCluster(task_managers=50, slots_per_task_manager=2).max_parallelism == 100
-        assert FlinkCluster(task_managers=10, slots_per_task_manager=4).max_parallelism == 40
+    def test_max_parallelism_from_slots(self, monkeypatch):
+        assert FlinkCluster().max_parallelism == 100
+        monkeypatch.setattr(flink, "TASK_MANAGERS", 10)
+        monkeypatch.setattr(flink, "SLOTS_PER_TASK_MANAGER", 4)
+        assert FlinkCluster().max_parallelism == 40
 
 
 class TestFlinkBackpressureRule:
@@ -86,9 +90,9 @@ class TestFlinkBackpressureRule:
         assert not telemetry.has_backpressure
         assert not any(m.is_backpressured for m in telemetry.operators.values())
 
-    def test_small_overload_below_ten_percent_not_flagged(self, linear_flow):
+    def test_small_overload_below_ten_percent_not_flagged(self, linear_flow, noiseless):
         """theta > 0.9 keeps backPressuredTime under the 10% rule."""
-        engine = FlinkCluster(seed=8, noise_std=0.0)
+        engine = FlinkCluster(seed=8)
         capacity = engine.perf.processing_ability(linear_flow.operator("filter"), 10)
         deployment = engine.deploy(
             linear_flow, {"src": 10, "filter": 10, "sink": 10},
@@ -106,8 +110,8 @@ class TestTimely:
         assert timely.busy_inflation(join_spec) == STATEFUL_SPIN_INFLATION
         assert timely.busy_inflation(filter_spec) == STATELESS_SPIN_INFLATION
 
-    def test_85_percent_rule_flags_bottleneck_itself(self, linear_flow):
-        engine = TimelyCluster(seed=5, noise_std=0.0)
+    def test_85_percent_rule_flags_bottleneck_itself(self, linear_flow, noiseless):
+        engine = TimelyCluster(seed=5)
         capacity = engine.perf.processing_ability(linear_flow.operator("filter"), 1)
         deployment = engine.deploy(
             linear_flow, {"src": 10, "filter": 1, "sink": 10},
@@ -117,8 +121,8 @@ class TestTimely:
         assert telemetry.has_backpressure
         assert telemetry["filter"].is_backpressured   # consumes < 85% of offer
 
-    def test_dead_band_below_85(self, linear_flow):
-        engine = TimelyCluster(seed=5, noise_std=0.0)
+    def test_dead_band_below_85(self, linear_flow, noiseless):
+        engine = TimelyCluster(seed=5)
         capacity = engine.perf.processing_ability(linear_flow.operator("filter"), 4)
         deployment = engine.deploy(
             linear_flow, {"src": 4, "filter": 4, "sink": 10},
@@ -136,7 +140,7 @@ class TestTimely:
         operators = {event.operator for event in events}
         assert operators == set(linear_flow.operator_names)
         workers = {event.worker for event in events}
-        assert workers == set(range(timely.workers))
+        assert workers == set(range(WORKERS))
 
     def test_aggregate_message_rates(self):
         from repro.engines.timely import MessagesEvent
@@ -178,9 +182,9 @@ class TestTimely:
 
 
 class TestJobLatencyMetric:
-    def test_latency_has_parallelism_knee(self, linear_flow):
+    def test_latency_has_parallelism_knee(self, linear_flow, noiseless):
         """Over-provisioning raises latency (the ZeroTune training signal)."""
-        engine = FlinkCluster(seed=8, noise_std=0.0)
+        engine = FlinkCluster(seed=8)
         lean = engine.deploy(
             linear_flow, {"src": 2, "filter": 10, "sink": 2}, {"src": 1e6}
         )
@@ -192,8 +196,8 @@ class TestJobLatencyMetric:
             > engine.measure(lean).job_latency_seconds
         )
 
-    def test_latency_pinned_under_backpressure(self, linear_flow):
-        engine = FlinkCluster(seed=8, noise_std=0.0)
+    def test_latency_pinned_under_backpressure(self, linear_flow, noiseless):
+        engine = FlinkCluster(seed=8)
         capacity = engine.perf.processing_ability(linear_flow.operator("filter"), 1)
         deployment = engine.deploy(
             linear_flow, {"src": 10, "filter": 1, "sink": 10}, {"src": 5 * capacity}

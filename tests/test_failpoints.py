@@ -291,7 +291,6 @@ class TestWiredSites:
 
     def test_daemon_client_conn_drop_is_retried(self, monkeypatch):
         import http.client
-        import random
 
         from repro.daemon.client import DaemonClient
 
@@ -326,9 +325,7 @@ class TestWiredSites:
             site="daemon.client.conn-drop", effect="error", hits=(1,),
             error="URLError",
         )]))
-        client = DaemonClient(
-            "http://127.0.0.1:9", retries=3, retry_rng=random.Random(1),
-        )
+        client = DaemonClient("http://127.0.0.1:9")
         monkeypatch.setattr(
             "repro.utils.retry.time.sleep", lambda _: None
         )

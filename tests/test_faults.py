@@ -11,8 +11,8 @@ from repro.engines.perf import PerformanceModel
 
 
 @pytest.fixture()
-def faulty():
-    return FaultInjectingFlink(seed=11, noise_std=0.0)
+def faulty(noiseless):
+    return FaultInjectingFlink(seed=11)
 
 
 def deploy_linear(engine, linear_flow, filter_p=6, rate_fraction=0.8):

@@ -1,4 +1,4 @@
-"""Tests for GED lower bounds and prefiltering.
+"""Tests for GED lower bounds and the prefilter they make.
 
 The critical invariant:  lower bound <= exact GED, for every pair —
 exercised against exact values on small random DAGs.
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from repro.dataflow.graph import LogicalDataflow
 from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.ged import (
+    GEDCache,
     combined_bound,
     degree_sequence_bound,
     exact_ged,
     label_multiset_bound,
-    prefilter_indices,
     similarity_search,
 )
 from repro.ged.view import as_view
@@ -88,7 +88,10 @@ class TestPrefilter:
     def test_rejections_are_sound(self, linear_flow):
         dataset = [random_chain_flow(seed) for seed in range(8)]
         tau = 3.0
-        survivors = set(prefilter_indices(linear_flow, dataset, tau))
+        survivors = {
+            index for index, graph in enumerate(dataset)
+            if combined_bound(linear_flow, graph) <= tau + 1e-9
+        }
         for index, graph in enumerate(dataset):
             if index not in survivors:
                 assert exact_ged(linear_flow, graph) > tau
@@ -97,12 +100,13 @@ class TestPrefilter:
         dataset = [random_chain_flow(seed) for seed in range(10)]
         tau = 4.0
         plain = similarity_search(linear_flow, dataset, tau)
-        filtered = similarity_search(linear_flow, dataset, tau, prefilter=True)
+        # A cache verifies only what the bounds do not already rule out.
+        filtered = similarity_search(linear_flow, dataset, tau, cache=GEDCache())
         assert plain == filtered
 
     def test_negative_threshold_rejected(self, linear_flow):
         with pytest.raises(ValueError):
-            prefilter_indices(linear_flow, [linear_flow], -1.0)
+            similarity_search(linear_flow, [linear_flow], -1.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ from repro.core.finetune import (
     distill_rows,
 )
 from repro.dataflow.features import FeatureEncoder
+from repro.gnn import batch as gnn_batch
 from repro.gnn.batch import encode_samples, merge_samples
 from repro.gnn.data import build_sample
 from repro.gnn.model import BottleneckGNN, EncoderConfig
@@ -77,16 +78,15 @@ class TestEncodeSamples:
             assert block.shape == solo.shape
             np.testing.assert_allclose(block, solo, rtol=1e-10, atol=1e-12)
 
-    def test_respects_max_batch_nodes(self, encoder_setup):
+    def test_respects_max_batch_nodes(self, encoder_setup, monkeypatch):
         model, samples = encoder_setup
         # Forcing one sample per batch degenerates to the per-sample path.
-        solo_batches = encode_samples(model, samples, max_batch_nodes=1)
+        monkeypatch.setattr(gnn_batch, "MAX_BATCH_NODES", 1)
+        solo_batches = encode_samples(model, samples)
         for sample, block in zip(samples, solo_batches):
             np.testing.assert_array_equal(
                 block, model.encode(sample, parallelism_aware=False)
             )
-        with pytest.raises(ValueError):
-            encode_samples(model, samples, max_batch_nodes=0)
 
 
 class TestGridProbing:

@@ -10,6 +10,7 @@ import pytest
 from repro.clustering.kmeans import GEDKMeans
 from repro.core.history import ExecutionRecord, HistoryGenerator
 from repro.core.pretrain import pretrain
+from repro.engines import flink
 from repro.engines.flink import FlinkCluster
 from repro.workloads.nexmark import nexmark_queries
 
@@ -58,12 +59,11 @@ class TestHistoryGenerator:
             generator.generate([], 10)
         with pytest.raises(ValueError):
             generator.generate(nexmark_queries("flink"), 0)
-        with pytest.raises(ValueError):
-            HistoryGenerator(FlinkCluster(seed=1), parallelism_range=(0, 5))
 
-    def test_range_capped_by_engine(self):
-        engine = FlinkCluster(task_managers=5, slots_per_task_manager=2, seed=1)
-        generator = HistoryGenerator(engine, parallelism_range=(1, 60), seed=2)
+    def test_range_capped_by_engine(self, monkeypatch):
+        monkeypatch.setattr(flink, "TASK_MANAGERS", 5)
+        engine = FlinkCluster(seed=1)
+        generator = HistoryGenerator(engine, seed=2)
         record = generator.run_once(nexmark_queries("flink")[0])
         assert max(record.parallelisms.values()) <= 10
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import labeling
 from repro.core.labeling import (
     CPU_THRESHOLD,
     label_operators,
@@ -87,14 +88,15 @@ class TestFlinkLabeling:
         labels = label_operators_flink(linear_flow, telemetry)
         assert labels["filter"] == 0
 
-    def test_custom_threshold(self, linear_flow):
+    def test_custom_threshold(self, linear_flow, monkeypatch):
+        monkeypatch.setattr(labeling, "CPU_THRESHOLD", 0.4)
         telemetry = telemetry_of(
             linear_flow,
             has_bp=True,
             src={"backpressured": True},
             filter={"cpu": 0.5},
         )
-        labels = label_operators_flink(linear_flow, telemetry, cpu_threshold=0.4)
+        labels = label_operators_flink(linear_flow, telemetry)
         assert labels["filter"] == 1
 
     def test_backpressure_without_flags_labels_nothing(self, linear_flow):
@@ -149,10 +151,10 @@ class TestDispatch:
 
 
 class TestEndToEndLabels:
-    def test_flink_pipeline_labels_real_bottleneck(self, linear_flow):
+    def test_flink_pipeline_labels_real_bottleneck(self, linear_flow, noiseless):
         from repro.engines.flink import FlinkCluster
 
-        engine = FlinkCluster(seed=3, noise_std=0.0)
+        engine = FlinkCluster(seed=3)
         capacity = engine.perf.processing_ability(linear_flow.operator("filter"), 1)
         deployment = engine.deploy(
             linear_flow, {"src": 10, "filter": 1, "sink": 10},
@@ -162,10 +164,10 @@ class TestEndToEndLabels:
         labels = label_operators(linear_flow, telemetry, "flink")
         assert labels["filter"] == 1
 
-    def test_timely_pipeline_labels_real_bottleneck(self, linear_flow):
+    def test_timely_pipeline_labels_real_bottleneck(self, linear_flow, noiseless):
         from repro.engines.timely import TimelyCluster
 
-        engine = TimelyCluster(seed=3, noise_std=0.0)
+        engine = TimelyCluster(seed=3)
         capacity = engine.perf.processing_ability(linear_flow.operator("filter"), 1)
         deployment = engine.deploy(
             linear_flow, {"src": 2, "filter": 1, "sink": 4},

@@ -8,6 +8,8 @@ noise extremes.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.engines.flink import FlinkCluster
 from repro.engines.flow import solve_flow
 from repro.engines.perf import PerformanceModel
-from repro.models import MonotonicGBDT, MonotonicSVM
+from repro.models import MonotonicGBDT, MonotonicSVM, gbdt, svm
 from tests.conftest import build_diamond_flow, build_linear_flow, check_monotonicity
 
 PERF = PerformanceModel()
@@ -118,7 +120,8 @@ class TestModelAdversarialMonotonicity:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(120, 3))
         y = rng.integers(0, 2, size=120)   # pure noise labels
-        model = MonotonicSVM(seed=seed, epochs=60).fit(X, y)
+        with mock.patch.object(svm, "EPOCHS", 60):
+            model = MonotonicSVM(seed=seed).fit(X, y)
         assert check_monotonicity(model, X[:15]).is_monotone
 
     @settings(max_examples=10, deadline=None)
@@ -127,7 +130,8 @@ class TestModelAdversarialMonotonicity:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(120, 3))
         y = rng.integers(0, 2, size=120)
-        model = MonotonicGBDT(seed=seed, n_estimators=20).fit(X, y)
+        with mock.patch.object(gbdt, "N_ESTIMATORS", 20):
+            model = MonotonicGBDT().fit(X, y)
         assert check_monotonicity(model, X[:15]).is_monotone
 
     def test_svm_monotone_on_anti_monotone_data(self):
@@ -140,10 +144,10 @@ class TestModelAdversarialMonotonicity:
 
 
 class TestNoiseExtremes:
-    def test_zero_noise_engine_is_deterministic(self, linear_flow):
+    def test_zero_noise_engine_is_deterministic(self, linear_flow, noiseless):
         results = []
         for _ in range(2):
-            engine = FlinkCluster(seed=9, noise_std=0.0)
+            engine = FlinkCluster(seed=9)
             deployment = engine.deploy(
                 linear_flow, {"src": 2, "filter": 10, "sink": 2}, {"src": 1e6}
             )
@@ -151,10 +155,12 @@ class TestNoiseExtremes:
             results.append(telemetry["filter"].input_rate)
         assert results[0] == results[1]
 
-    def test_heavy_noise_does_not_break_tuning(self, linear_flow):
+    def test_heavy_noise_does_not_break_tuning(self, linear_flow, monkeypatch):
         from repro.baselines import DS2Tuner
+        from repro.engines import metrics
 
-        engine = FlinkCluster(seed=9, noise_std=0.30)
+        monkeypatch.setattr(metrics, "DEFAULT_NOISE_STD", 0.30)
+        engine = FlinkCluster(seed=9)
         tuner = DS2Tuner(engine)
         deployment = engine.deploy(
             linear_flow, dict.fromkeys(linear_flow.operator_names, 1), {"src": 1e6}

@@ -24,6 +24,7 @@ from repro.api import (
     TuningSession,
     load_plan,
 )
+from repro.api.events import read_event_log
 from repro.service import CampaignSpec, TuningService
 from repro.workloads import nexmark_query
 
@@ -106,11 +107,26 @@ class TestResumeLog:
         torn = tmp_path / "torn.jsonl"
         text = path.read_text()
         lines = text.splitlines()
+        # Two lines of known kinds whose result payloads do not rebuild:
+        # one lacks the method, one has a step with an unknown field.
+        process = {"query_name": "q1", "tuner_name": "DS2", "converged": True,
+                   "steps": [{"bogus": 1}]}
+        damaged = [
+            {"event": "CampaignFinished", "cell_key": "k",
+             "result": {"query_name": "q1"}},
+            {"event": "CampaignFinished", "cell_key": "k2",
+             "result": {"query_name": "q1", "method": "ds2",
+                        "multipliers": [3.0], "processes": [process]}},
+        ]
         # cut the final line mid-write, as a crash would
-        torn.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
+        torn.write_text(
+            "\n".join([*lines[:-1], *map(json.dumps, damaged)]) + "\n"
+            + lines[-1][: len(lines[-1]) // 2]
+        )
         log = ResumeLog.load(torn)
-        assert log.n_malformed_lines == 1
+        assert log.n_malformed_lines == 3
         assert log.n_completed == 2          # finished lines were intact
+        assert read_event_log(torn)[1] == 3
 
     def test_failed_campaigns_are_retried_not_resumed(self, tmp_path):
         from repro.api.events import CampaignFailed

@@ -157,10 +157,6 @@ class TestGEDKMeans:
         with pytest.raises(ValueError):
             GEDKMeans(0)
         with pytest.raises(ValueError):
-            GEDKMeans(2, max_iterations=0)
-        with pytest.raises(ValueError):
-            GEDKMeans(2, n_init=0)
-        with pytest.raises(ValueError):
             GEDKMeans(2).fit([])
 
     def test_duplicates_share_assignment(self, flows):

@@ -21,12 +21,15 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import Spool, SpoolError, WorkerAgent
+from repro.distributed import worker as distributed_worker
 from repro.faults.invariants import (
     check_spool,
     compare_event_streams,
@@ -42,6 +45,7 @@ from repro.faults.supervisor import (
     SoakReport,
     restart_delay,
 )
+from repro.utils import retry
 from repro.utils.retry import with_retries
 from tests.test_distributed import make_cells, tiny_plan
 
@@ -326,7 +330,7 @@ class TestSpoolHygiene:
 # ----------------------------------------------------------------------
 
 class TestRetryDeadline:
-    def test_deadline_stops_before_the_attempt_budget(self):
+    def test_deadline_stops_before_the_attempt_budget(self, monkeypatch):
         clock = {"now": 0.0}
         sleeps = []
 
@@ -334,6 +338,10 @@ class TestRetryDeadline:
             sleeps.append(delay)
             clock["now"] += delay
 
+        monkeypatch.setattr(retry, "time", SimpleNamespace(
+            monotonic=lambda: clock["now"], sleep=sleep,
+        ))
+        monkeypatch.setattr(retry, "JITTER", 0.0)
         calls = []
 
         def always_fails():
@@ -345,10 +353,8 @@ class TestRetryDeadline:
                 always_fails,
                 retryable=(OSError,),
                 attempts=50,
-                base=0.1, jitter=0.0,
+                base=0.1,
                 deadline_seconds=1.0,
-                clock=lambda: clock["now"],
-                sleep=sleep,
             )
         # 0.1 + 0.2 + 0.4 = 0.7; the next 0.8 sleep would end past the
         # 1.0s deadline, so the error propagates after 4 attempts — far
@@ -382,14 +388,15 @@ class TestLeaseLostAbandonment:
             spool = Spool(root / "spool", ttl_seconds=5.0).ensure()
             cells = make_cells(4)
             spool.seed(cells)
-            agents = [
-                WorkerAgent(
-                    spool, worker_id=f"agent-{index}", poll_seconds=0.01,
-                    exit_when_done=True, fsync=False,
-                    heartbeat_seconds=0.02,
-                )
-                for index in range(3)
-            ]
+            # A heartbeat every 0.02 s against the 5 s TTL.
+            with mock.patch.object(distributed_worker, "HEARTBEATS_PER_TTL", 250.0):
+                agents = [
+                    WorkerAgent(
+                        spool, worker_id=f"agent-{index}", poll_seconds=0.01,
+                        exit_when_done=True, fsync=False,
+                    )
+                    for index in range(3)
+                ]
             rng = random.Random(seed)
             stop = threading.Event()
 

@@ -110,8 +110,9 @@ class TestSlocRatchet:
 
 class TestReach:
     """``scripts/reach.py``: every module has an importer other than its
-    own package ``__init__``, and every name a reader other than its own
-    definition, an ``__init__`` re-export or a test — the audit CI's lint
+    own package ``__init__``, every name a reader other than its own
+    definition, an ``__init__`` re-export or a test, and every defaulted
+    parameter a caller outside tests that sets it — the audit CI's lint
     job runs on ``src/``."""
 
     @pytest.fixture()
@@ -131,7 +132,11 @@ class TestReach:
         return root
 
     def test_committed_tree_is_fully_reached(self, reach, capsys):
-        assert reach.main([str(REPO_ROOT / "src" / "repro")]) == 0
+        package = REPO_ROOT / "src" / "repro"
+        assert reach.unreached(package) == []
+        assert reach.unread(package) == []
+        assert reach.unset(package) == []
+        assert reach.main([str(package)]) == 0
         assert "is reached" in capsys.readouterr().out
 
     def test_module_only_its_own_init_imports_is_flagged(
@@ -247,6 +252,82 @@ class TestReach:
             "tests/test_things.py": "ORPHAN = 'orphan'\n",
         })
         assert reach.unread(root) == ["pkg.things: THINGS.register('orphan')"]
+
+    def test_a_parameter_only_a_test_sets_is_flagged(self, reach, tmp_path, capsys):
+        root = self._package(tmp_path, {
+            "cli.py": "from pkg.core import Model, tune\ntune(1)\nModel(seed=2)\n",
+            "core.py": (
+                "def tune(x, rounds=3):\n    return x * rounds\n\n\n"
+                "class Model:\n"
+                "    def __init__(self, seed=1, *, epochs=5):\n"
+                "        self.seed, self.epochs = seed, epochs\n"
+            ),
+        }, beside={
+            "tests/test_core.py": (
+                "from pkg.core import Model, tune\ntune(1, rounds=9)\nModel(epochs=1)\n"
+            ),
+        })
+        flagged = ["pkg.core.Model.__init__(epochs=)", "pkg.core.tune(rounds=)"]
+        assert reach.unset(root) == flagged
+        assert reach.main([str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.split() == flagged
+        assert "2 parameter(s)" in captured.err
+
+    _KNOB = "def knob(x, size=1, other=2):\n    return size + other\n"
+    _CLASS = (
+        "class Knob:\n"
+        "    def __init__(self, size=1, other=2):\n"
+        "        self.size, self.other = size, other\n"
+    )
+
+    @pytest.mark.parametrize("core,caller,beside,flagged", [
+        # by keyword, and far enough by position
+        (_KNOB, "knob(1, size=2)\n", {}, "knob"),
+        (_KNOB, "knob(1, 2)\n", {}, "knob"),
+        # cls(...) inside the class
+        (_CLASS + "\n    @classmethod\n    def big(cls):\n        return cls(size=9)\n",
+         "Knob.big()\n", {}, "Knob.__init__"),
+        # super().__init__(...) in a subclass, and a call through a subclass
+        (_CLASS + "\n\nclass Big(Knob):\n"
+         "    def __init__(self):\n        super().__init__(size=9)\n",
+         "Big()\n", {}, "Knob.__init__"),
+        (_CLASS + "\n\nclass Big(Knob):\n    pass\n", "Big(9)\n", {}, "Knob.__init__"),
+        # a dataclass field through dataclasses.replace
+        ("import dataclasses\n\n\n@dataclasses.dataclass\n"
+         "class Knob:\n    size: int = 1\n    other: int = 2\n",
+         "import dataclasses\ndataclasses.replace(Knob(), size=9)\n", {}, "Knob"),
+        # a string constant, and a .toml/.json config key
+        (_KNOB, "knob(1)\nOPTIONS = ('size',)\n", {}, "knob"),
+        (_KNOB, "knob(1)\n", {"examples/plan.toml": "size = 9\n"}, "knob"),
+    ], ids=[
+        "keyword", "position", "cls", "super", "subclass", "replace", "string",
+        "config",
+    ])
+    def test_each_way_of_setting_a_parameter_counts(
+        self, reach, tmp_path, core, caller, beside, flagged
+    ):
+        root = self._package(tmp_path, {
+            "core.py": core, "cli.py": f"from pkg.core import *\n{caller}",
+        }, beside)
+        assert reach.unset(root) == [f"pkg.core.{flagged}(other=)"]
+
+    def test_a_splat_call_or_a_value_read_sets_every_parameter(self, reach, tmp_path):
+        root = self._package(tmp_path, {
+            "core.py": (
+                "def splatted(a=1, b=2):\n    return a + b\n\n\n"
+                "def passed(a=1):\n    return a\n\n\n"
+                "class Engine:\n"
+                "    def __init__(self, seed=None, noise=0.1):\n"
+                "        self.seed, self.noise = seed, noise\n"
+            ),
+            "cli.py": (
+                "from pkg.core import Engine, passed, splatted\n\n"
+                "OPTIONS = {}\nsplatted(**OPTIONS)\n"
+                "HANDLERS = [passed]\nREGISTRY = {'engine': Engine}\n"
+            ),
+        })
+        assert reach.unset(root) == []
 
     def test_needs_one_package_directory(self, reach, tmp_path, capsys):
         assert reach.main([]) == 2
