@@ -22,7 +22,7 @@ legacy ``make_tuner`` ladder encoded.  Methods that need none of it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.api.registry import ENGINES, MODELS, TUNERS, ParamSpec, UnknownComponentError
 from repro.baselines.conttune import ContTuneTuner
@@ -122,11 +122,11 @@ class TunerResources:
     params=(
         ParamSpec("model_kind", str, "svm", help="prediction-layer model name"),
         ParamSpec("seed", int, None, help="tuner seed (None = scale.seed + 4)"),
+        ParamSpec("caches", Any, None, help="lookaside cache set shared across campaigns"),
     ),
-    allow_extra=True,
 )
 def _build_streamtune(
-    engine, resources: TunerResources, model_kind="svm", seed=None, **overrides
+    engine, resources: TunerResources, model_kind="svm", seed=None, caches=None
 ):
     """The paper's system: pre-trained encoder + monotone fine-tuned layer."""
     MODELS.entry(model_kind)  # fail fast with the model alternatives listed
@@ -137,7 +137,7 @@ def _build_streamtune(
         resources.require_pretrained("streamtune"),
         model_kind=model_kind,
         seed=seed,
-        **overrides,
+        caches=caches,
     )
 
 

@@ -390,6 +390,8 @@ class CampaignPlan(_Plan):
     engine: str = "flink"
     tuner: str = "streamtune"
     backend: str = "thread"
+    #: Pool size; for the ``distributed`` backend, the local worker
+    #: agents that staff the spool (0: a standing fleet drains it).
     workers: int | None = None
     layer: str = "svm"
     model: str | None = None
@@ -428,10 +430,16 @@ class CampaignPlan(_Plan):
                 f"backend must be one of {', '.join(PLAN_BACKENDS)}, got "
                 f"{self.backend!r}"
             )
+        # Distributed workers are local agents, and a spool a standing
+        # fleet drains needs none.
+        least = 0 if self.backend == "distributed" else 1
         if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 1
+            not isinstance(self.workers, int) or self.workers < least
         ):
-            raise PlanError(f"workers must be a positive integer, got {self.workers!r}")
+            raise PlanError(
+                f"workers must be an integer >= {least} for the "
+                f"{self.backend} backend, got {self.workers!r}"
+            )
         if self.cache_path is not None and self.backend == "distributed":
             raise PlanError(
                 "cache_path does not apply to the distributed backend (worker "

@@ -96,9 +96,6 @@ class ComponentEntry:
     name: str
     factory: Callable
     params: tuple[ParamSpec, ...] = ()
-    #: Extra keyword arguments beyond ``params`` are forwarded verbatim
-    #: when True (used by components that proxy ``**overrides`` through).
-    allow_extra: bool = False
     #: True for tuners whose factory pulls an execution history from its
     #: resources; such methods cannot run as service campaigns (plan
     #: validation consults this flag instead of hardcoding names).
@@ -134,7 +131,6 @@ class Registry:
         name: str,
         *,
         params: tuple[ParamSpec, ...] = (),
-        allow_extra: bool = False,
         needs_history: bool = False,
         family: str = "",
         traits: tuple[str, ...] = (),
@@ -148,7 +144,6 @@ class Registry:
                 name=name,
                 factory=factory,
                 params=tuple(params),
-                allow_extra=allow_extra,
                 needs_history=needs_history,
                 family=family,
                 traits=tuple(traits),
@@ -179,9 +174,6 @@ class Registry:
         for key, value in kwargs.items():
             spec = entry.param(key)
             if spec is None:
-                if entry.allow_extra:
-                    validated[key] = value
-                    continue
                 accepted = ", ".join(s.name for s in entry.params) or "none"
                 raise RegistryError(
                     f"{self.kind} {entry.name!r} does not accept parameter "

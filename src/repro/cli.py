@@ -330,14 +330,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         from repro.faults import activate, load_fault_plan
 
         activate(load_fault_plan(args.fault_plan))
-    spool = Spool(args.spool, ttl_seconds=args.ttl)
     agent = WorkerAgent(
-        spool,
+        Spool(args.spool),
         worker_id=args.worker_id,
         poll_seconds=args.poll,
         exit_when_done=args.exit_when_done,
         max_cells=args.max_cells,
-        fsync=not args.no_fsync,
     )
 
     def drain(signum, frame) -> None:
@@ -349,8 +347,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, drain)
     signal.signal(signal.SIGINT, drain)
     print(
-        f"worker {agent.worker_id} draining spool {spool.root} "
-        f"(lease TTL {spool.ttl_seconds:g}s)",
+        f"worker {agent.worker_id} draining spool {args.spool}",
         file=sys.stderr,
     )
     completed = agent.run()
@@ -378,12 +375,11 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     overrides = {"backend": "distributed"}
     if args.spool_dir is not None:
         overrides["spool_dir"] = args.spool_dir
+    if args.local_workers is not None:
+        overrides["workers"] = args.local_workers
     plan = replace(plan, **overrides)
     session = DistributedSession(
-        local_workers=args.local_workers,
-        ttl_seconds=args.ttl,
-        stall_seconds=args.stall_seconds,
-        fsync=not args.no_fsync,
+        ttl_seconds=args.ttl, fsync=False if args.no_fsync else None
     )
     result = _run_with_events(plan, args, session=session)
     if isinstance(plan, SweepPlan):
@@ -414,7 +410,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         workers=args.workers,
         churn=ChurnSpec(kills_per_worker=args.kills_per_worker, seed=args.seed),
         ttl_seconds=args.ttl,
-        stall_seconds=args.stall_seconds,
         spool_dir=args.spool_dir,
         fsync=not args.no_fsync,
         fault_plan=args.fault_plan,
@@ -648,39 +643,38 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--workers", type=int, default=None)
         command.add_argument("--scale", default=None, help="override the plan's scale")
 
-    def add_fleet_flags(
-        command, *, ttl=None, stall_seconds=False, spool_dir=None, fault_plan=False
-    ) -> None:
-        """The spool/lease options of a fleet command: ``ttl`` is the
-        command's ``--ttl`` default and ``spool_dir`` its ``--spool-dir``
-        help; an option whose argument is omitted is not declared."""
-        if ttl is not None:
-            command.add_argument(
-                "--ttl", type=float, default=ttl, metavar="SECONDS",
-                help="lease time-to-live; a worker silent this long is presumed "
-                     "dead and its cells are reclaimed (default: %(default)s)",
-            )
-        if stall_seconds:
-            command.add_argument(
-                "--stall-seconds", type=float, default=None, metavar="SECONDS",
-                help="declare the fleet dead after this long with no live worker "
-                     "and no completions (default: 4x --ttl)",
-            )
+    from repro.distributed.spool import DEFAULT_TTL_SECONDS
+
+    def add_spool_flags(command, *, ttl: float | None, spool_dir: str) -> None:
+        """The options of a command that creates a spool: ``--ttl`` and
+        ``--no-fsync`` are recorded in it for every worker to read, and
+        an existing spool must already record them.  ``ttl`` is the
+        ``--ttl`` default (``None``: adopt the spool's) and ``spool_dir``
+        the ``--spool-dir`` help."""
+        default = (
+            "%(default)s" if ttl is not None
+            else f"what an existing spool records, else {DEFAULT_TTL_SECONDS:g}"
+        )
+        command.add_argument(
+            "--ttl", type=float, default=ttl, metavar="SECONDS",
+            help="lease time-to-live; a worker silent this long is presumed "
+                 f"dead and its cells are reclaimed (default: {default})",
+        )
         command.add_argument(
             "--no-fsync", action="store_true",
-            help="skip the per-event fsync of ledgers (faster, loses "
+            help="workers skip the per-event fsync of ledgers (faster, loses "
                  "crash-durability of the tail)",
         )
-        if spool_dir is not None:
-            command.add_argument(
-                "--spool-dir", default=None, metavar="DIR", help=spool_dir
-            )
-        if fault_plan:
-            command.add_argument(
-                "--fault-plan", default=None, metavar="PATH",
-                help="deterministic failpoint plan (.json/.toml) activated in "
-                     "every worker agent — fault-injection testing only",
-            )
+        command.add_argument(
+            "--spool-dir", default=None, metavar="DIR", help=spool_dir
+        )
+
+    def add_fault_plan_flag(command) -> None:
+        command.add_argument(
+            "--fault-plan", default=None, metavar="PATH",
+            help="deterministic failpoint plan (.json/.toml) activated in "
+                 "every worker agent — fault-injection testing only",
+        )
 
     run_plan = sub.add_parser(
         "run-plan", help="execute a TuningPlan/CampaignPlan/SweepPlan config file"
@@ -703,8 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_stream_flags(matrix)
     matrix.set_defaults(func=_cmd_matrix)
-
-    from repro.distributed.spool import DEFAULT_TTL_SECONDS
 
     worker = sub.add_parser(
         "worker",
@@ -729,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None,
         help="stable identity in leases/ledgers (default: <host>-<pid>)",
     )
-    add_fleet_flags(worker, ttl=DEFAULT_TTL_SECONDS, fault_plan=True)
+    add_fault_plan_flag(worker)
     worker.set_defaults(func=_cmd_worker)
 
     dispatch = sub.add_parser(
@@ -740,12 +732,13 @@ def build_parser() -> argparse.ArgumentParser:
     dispatch.add_argument("plan", help="path to a .json or .toml plan file")
     dispatch.add_argument(
         "--local-workers", type=int, default=None, metavar="N",
-        help="spawn N local worker agents on this spool (default: the "
-             "plan's `workers`, else 2 for an ephemeral spool, 0 for a "
-             "--spool-dir fleet)",
+        help="spawn N local worker agents on this spool, as the plan's "
+             "`workers` (default: the plan's, else 2 for an ephemeral "
+             "spool, 0 for a --spool-dir fleet)",
     )
-    add_fleet_flags(
-        dispatch, ttl=DEFAULT_TTL_SECONDS, stall_seconds=True,
+    add_spool_flags(
+        dispatch,
+        ttl=None,
         spool_dir="shared work spool a standing fleet of `repro worker` agents "
                   "is draining (default: an ephemeral local spool staffed by "
                   "--local-workers subprocesses)",
@@ -788,11 +781,13 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identity check",
     )
     # A short lease, so killed workers' cells are reclaimed quickly.
-    add_fleet_flags(
-        soak, ttl=2.0, stall_seconds=True, fault_plan=True,
+    add_spool_flags(
+        soak,
+        ttl=2.0,
         spool_dir="keep the spool (ledgers, logs, done markers) here instead "
                   "of an ephemeral temp directory",
     )
+    add_fault_plan_flag(soak)
     soak.add_argument(
         "--json", action="store_true",
         help="print the deterministic report view as JSON (the part that "
@@ -865,11 +860,16 @@ def build_parser() -> argparse.ArgumentParser:
              "their events bit-identically, interrupted jobs re-run only "
              "their missing cells",
     )
-    add_fleet_flags(
-        serve_cmd,
-        spool_dir="shared work spool for backend=\"distributed\" plans: jobs "
-                  "without their own spool_dir execute across the worker "
-                  "agents draining DIR",
+    serve_cmd.add_argument(
+        "--no-fsync", action="store_true",
+        help="skip the per-event fsync of the daemon's ledgers (faster, "
+             "loses crash-durability of the tail)",
+    )
+    serve_cmd.add_argument(
+        "--spool-dir", default=None, metavar="DIR",
+        help="shared work spool for backend=\"distributed\" plans: jobs "
+             "without their own spool_dir execute across the worker "
+             "agents draining DIR",
     )
     serve_cmd.set_defaults(func=_cmd_serve)
 

@@ -50,6 +50,9 @@ from repro.workloads.query import StreamingQuery
 #: warm-up entries with the same value, so they hit.
 DEFAULT_WARMUP_ROWS = 300
 
+#: Recommend/redeploy rounds of one tuning process before it settles.
+MAX_ITERATIONS = 8
+
 #: The minority class of T is oversampled (or reweighted) to at most this
 #: many majority rows per minority row before M_f is fitted.
 MAX_CLASS_IMBALANCE = 3.0
@@ -87,7 +90,6 @@ class StreamTuneTuner(ParallelismTuner):
         engine: EngineCluster,
         pretrained: PretrainedStreamTune,
         model_kind: str = "svm",
-        max_iterations: int = 8,
         warmup_rows: int = DEFAULT_WARMUP_ROWS,
         probability_threshold: float | None = 0.35,
         seed: int = 17,
@@ -117,11 +119,8 @@ class StreamTuneTuner(ParallelismTuner):
         passes it (ROADMAP item 3).
         """
         super().__init__(engine)
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         self.pretrained = pretrained
         self.model_kind = model_kind
-        self.max_iterations = max_iterations
         self.warmup_rows = warmup_rows
         self.probability_threshold = probability_threshold
         self.operating_point_weight = 4
@@ -205,7 +204,7 @@ class StreamTuneTuner(ParallelismTuner):
         # moves enough; with small T the floor guarantees it).
         floors: dict[str, int] = {}
         previous_recommendation: dict[str, int] | None = None
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             with Timer() as timer:
                 # M_f = the GNN's knowledge, monotonized and locally
                 # corrected: per-operator distillation at the target rates

@@ -24,7 +24,7 @@ import http.client
 import json
 import threading
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
 from repro.faults.plane import fire as _fire
 from repro.utils.retry import with_retries
@@ -157,20 +157,20 @@ class DaemonClient:
         else:
             body = json.dumps(plan).encode()
             content_type = "application/json"
-        query = f"?tenant={tenant}&priority={priority}"
+        query = urlencode({"tenant": tenant, "priority": priority})
         return self._request(
-            "POST", f"/v1/plans{query}", body=body, content_type=content_type
+            "POST", f"/v1/plans?{query}", body=body, content_type=content_type
         )
 
     def job(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/jobs/{job_id}")
 
     def jobs(self, tenant: str | None = None, state: str | None = None) -> list:
-        query = "&".join(
-            f"{key}={value}"
+        query = urlencode({
+            key: value
             for key, value in (("tenant", tenant), ("state", state))
             if value is not None
-        )
+        })
         suffix = f"?{query}" if query else ""
         return self._request("GET", f"/v1/jobs{suffix}")["jobs"]
 

@@ -5,7 +5,8 @@ three small parts sharing nothing but a directory:
 
 * :class:`~repro.distributed.spool.Spool` — the work spool: every
   campaign cell of a plan as a claimable JSON unit, with atomic
-  hard-link claims, heartbeat leases and exclusive completion markers;
+  hard-link claims, heartbeat leases and exclusive completion markers,
+  plus the settings (lease TTL, ledger fsync) every party reads from it;
 * :class:`~repro.distributed.worker.WorkerAgent` (``repro worker``) —
   a long-lived loop claiming cells and executing them through the
   ordinary :class:`~repro.api.session.TuningSession`, streaming typed

@@ -22,10 +22,10 @@ Failure model: a worker that dies mid-cell simply stops heartbeating;
 its lease expires and any surviving worker reclaims and re-runs the cell
 (bit-identical, so the retry is invisible in the results).  Only when
 the *whole* fleet goes silent — no fresh worker heartbeat, no fresh
-lease, no new completion for ``stall_seconds`` — does the coordinator
-synthesise a :class:`~repro.api.events.CampaignFailed` per remaining
-cell and finish the stream: a dead fleet is a failed campaign, never a
-hang.
+lease, no new completion for ``STALL_TTLS`` of the spool's lease TTLs
+— does the coordinator synthesise a
+:class:`~repro.api.events.CampaignFailed` per remaining cell and finish
+the stream: a dead fleet is a failed campaign, never a hang.
 """
 
 from __future__ import annotations
@@ -47,13 +47,18 @@ from repro.api.plans import CampaignPlan, PlanError, SweepPlan
 from repro.api.resume import replay_events, resume_outcome
 from repro.api.session import SessionResult, SweepResult, TuningSession
 from repro.distributed.fleet import WorkerFleet
-from repro.distributed.spool import DEFAULT_TTL_SECONDS, Spool, SpoolCell
+from repro.distributed.spool import Spool, SpoolCell
+from repro.experiments.scale import resolve_scale
 from repro.faults.plane import fire as _fire
 
 __all__ = ["DistributedSession", "plan_cells"]
 
 #: How often the coordinator checks the spool for a cell's completion.
 POLL_SECONDS = 0.05
+#: Lease TTLs of fleet-wide silence before the fleet is declared dead.
+#: Generous: slow worker start-up (interpreter + numpy import is >1s)
+#: must never masquerade as fleet death.
+STALL_TTLS = 4
 
 
 def _derived_plan(plan: CampaignPlan, token: str) -> dict:
@@ -64,7 +69,9 @@ def _derived_plan(plan: CampaignPlan, token: str) -> dict:
     recurse (a distributed plan carries no ``cache_path`` — plan
     validation rejects the combination).  Its ``cell_keys()[0]`` equals
     the parent's key for this campaign — seed and engine-seed conventions
-    are the plan's own.
+    are the plan's own.  The scale is resolved here, once: a worker on
+    another host must not read its own ``REPRO_SCALE`` and pretrain a
+    different artifact under the same cell key.
     """
     return CampaignPlan(
         queries=(token,),
@@ -74,7 +81,7 @@ def _derived_plan(plan: CampaignPlan, token: str) -> dict:
         backend="sequential",
         layer=plan.layer,
         model=plan.model,
-        scale=plan.scale,
+        scale=resolve_scale(plan.scale).name,
         seed=plan.seed,
         # Chaos travels with the cell (it shapes results and the cell
         # key); the trace spec does not — rates are already materialized.
@@ -123,33 +130,22 @@ def _merge_stats(total: dict, stats: dict) -> dict:
 class DistributedSession:
     """Run campaign/sweep plans across a fleet of worker agents.
 
-    ``spool_dir`` (or the plan's own ``spool_dir``) names the shared
-    directory a standing fleet watches; when neither is set the session
-    creates an ephemeral spool under the system temp directory, staffs
-    it with ``local_workers`` (default: the plan's ``workers``, else 2)
-    ``repro worker`` subprocesses, and removes it afterwards.
-    ``local_workers=0`` dispatches without spawning anything — some
-    other host's agents must drain the spool.
+    The plan's ``spool_dir`` names the shared directory a standing fleet
+    watches; without one the session creates an ephemeral spool under
+    the system temp directory and removes it afterwards.  The plan's
+    ``workers`` is how many local ``repro worker`` subprocesses staff the
+    spool (default: 2 for an ephemeral spool, 0 for a named one — some
+    other host's agents must drain it).
+
+    ``ttl_seconds`` and ``fsync`` are recorded in a new spool; on an
+    existing one they must match its record (:meth:`Spool.create`), and
+    left ``None`` they adopt it.
     """
 
     def __init__(
-        self,
-        *,
-        spool_dir: "str | Path | None" = None,
-        local_workers: int | None = None,
-        ttl_seconds: float = DEFAULT_TTL_SECONDS,
-        stall_seconds: float | None = None,
-        fsync: bool = True,
+        self, *, ttl_seconds: float | None = None, fsync: bool | None = None
     ) -> None:
-        self.spool_dir = spool_dir
-        self.local_workers = local_workers
         self.ttl_seconds = ttl_seconds
-        # Generous by default: a stall is declared only after several
-        # missed lease TTLs, so slow worker start-up (interpreter +
-        # numpy import is >1s) can never masquerade as fleet death.
-        self.stall_seconds = (
-            stall_seconds if stall_seconds is not None else 4 * ttl_seconds
-        )
         self.fsync = fsync
 
     # -- the TuningSession-shaped surface -------------------------------
@@ -169,11 +165,12 @@ class DistributedSession:
 
         started = time.perf_counter()
         cells = plan_cells(plan)
-        root = Path(
-            plan.spool_dir or self.spool_dir or tempfile.mkdtemp(prefix="repro-spool-")
+        root = Path(plan.spool_dir or tempfile.mkdtemp(prefix="repro-spool-"))
+        ephemeral = plan.spool_dir is None
+        spool = Spool.create(
+            root, ttl_seconds=self.ttl_seconds, fsync=self.fsync
         )
-        ephemeral = plan.spool_dir is None and self.spool_dir is None
-        spool = Spool(root, ttl_seconds=self.ttl_seconds).ensure()
+        stall_seconds = STALL_TTLS * spool.ttl_seconds
 
         seq = 0
         def stamped(event, cell):
@@ -199,7 +196,7 @@ class DistributedSession:
         outcomes: dict[int, object] = {}      # cell.index -> CampaignOutcome
         failures: list = []
         scenario_stats: dict = {}             # per-scenario cache counters
-        fleet = WorkerFleet(root, ttl_seconds=self.ttl_seconds, fsync=self.fsync)
+        fleet = WorkerFleet(spool)
         fleet_dead = False
         try:
             if pending:
@@ -216,7 +213,7 @@ class DistributedSession:
                 else:
                     if not fleet_dead:
                         payload, last_sign_of_life = self._await_done(
-                            spool, cell, fleet, last_sign_of_life
+                            spool, cell, fleet, last_sign_of_life, stall_seconds
                         )
                         fleet_dead = payload is None
                     if fleet_dead:
@@ -227,7 +224,7 @@ class DistributedSession:
                             error_type="WorkerLost",
                             error_message=(
                                 f"no live worker on spool {root} for "
-                                f"{self.stall_seconds:g}s; cell never completed"
+                                f"{stall_seconds:g}s; cell never completed"
                             ),
                             cell_key=cell.cell_key,
                         ), cell)
@@ -300,7 +297,7 @@ class DistributedSession:
 
     # -- waiting on the fleet -------------------------------------------
 
-    def _await_done(self, spool, cell, fleet, last_sign_of_life):
+    def _await_done(self, spool, cell, fleet, last_sign_of_life, stall_seconds):
         """Block until ``cell`` completes; (payload, liveness) or (None, _).
 
         A ``None`` payload means the fleet went silent: no fresh worker
@@ -315,21 +312,19 @@ class DistributedSession:
                 return payload, now
             if spool.has_live_activity() or fleet.alive():
                 last_sign_of_life = now
-            elif now - last_sign_of_life > self.stall_seconds:
+            elif now - last_sign_of_life > stall_seconds:
                 return None, last_sign_of_life
             time.sleep(POLL_SECONDS)
 
     # -- local worker fleet ---------------------------------------------
 
-    def _local_worker_count(self, plan) -> int:
-        if self.local_workers is not None:
-            return self.local_workers
+    @staticmethod
+    def _local_worker_count(plan) -> int:
         if plan.workers is not None:
             return plan.workers
         # A named spool implies a standing fleet elsewhere; an ephemeral
         # spool must staff itself.
-        has_named_spool = plan.spool_dir is not None or self.spool_dir is not None
-        return 0 if has_named_spool else 2
+        return 0 if plan.spool_dir is not None else 2
 
     # -- results --------------------------------------------------------
 

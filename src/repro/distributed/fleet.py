@@ -2,10 +2,11 @@
 
 :class:`WorkerFleet` is the one place that knows how to start a worker
 agent on a spool — command line, ``PYTHONPATH``, per-slot log file — and
-how to kill, replace and drain one.  The coordinator's ephemeral local
-fleets and the soak supervisor's churned fleets are both built on it;
-what differs between them (when to respawn, how often, what to report)
-stays with the caller.
+how to kill, replace and drain one.  Workers take the lease TTL and the
+ledger fsync from the spool itself, so the command line carries neither.
+The coordinator's ephemeral local fleets and the soak supervisor's
+churned fleets are both built on it; what differs between them (when to
+respawn, how often, what to report) stays with the caller.
 """
 
 from __future__ import annotations
@@ -15,23 +16,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.distributed.spool import Spool
+
 __all__ = ["WorkerFleet"]
 
 
 class WorkerFleet:
-    """A fixed set of worker slots draining the spool at ``root``."""
+    """A fixed set of worker slots draining ``spool``."""
 
     def __init__(
-        self,
-        root: "str | Path",
-        *,
-        ttl_seconds: float,
-        fsync: bool = True,
-        fault_plan: "str | Path | None" = None,
+        self, spool: Spool, *, fault_plan: "str | Path | None" = None
     ) -> None:
-        self.root = Path(root)
-        self.ttl_seconds = ttl_seconds
-        self.fsync = fsync
+        self.spool = spool
         self.fault_plan = fault_plan
         self._slots: list = []          # (Popen, open log file) per slot
 
@@ -48,17 +44,14 @@ class WorkerFleet:
         # A respawned worker appends to the slot's log so the kill/restart
         # history of a churned slot reads as one continuous transcript.
         log = open(
-            self.root / f"worker-{slot}.log",
+            self.spool.root / f"worker-{slot}.log",
             "a" if respawn else "w",
             encoding="utf-8",
         )
         command = [
-            sys.executable, "-m", "repro.cli", "worker", str(self.root),
+            sys.executable, "-m", "repro.cli", "worker", str(self.spool.root),
             "--exit-when-done",
-            "--ttl", str(self.ttl_seconds),
         ]
-        if not self.fsync:
-            command.append("--no-fsync")
         if self.fault_plan is not None:
             command += ["--fault-plan", str(self.fault_plan)]
         return (
@@ -104,7 +97,7 @@ class WorkerFleet:
                     proc.terminate()
         for proc, log in self._slots:
             try:
-                proc.wait(timeout=2 * self.ttl_seconds)
+                proc.wait(timeout=2 * self.spool.ttl_seconds)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()

@@ -11,6 +11,7 @@ bit-identical however many times the cell runs.
 
 Layout (all paths under one root)::
 
+    spool.json                      settings: lease TTL, ledger fsync
     cells/<cell_id>.json            the work unit (derived plan + key)
     leases/<cell_id>.lease          claim: owner id inside, heartbeat mtime
     ledgers/<cell_id>.<owner>.jsonl fsynced event ledger per attempt
@@ -31,6 +32,12 @@ honours):
   so when a presumed-dead worker and its reclaimer both finish, exactly
   one attempt becomes the authoritative result (the marker names the
   winning attempt's ledger file).
+
+The lease TTL is a protocol constant: a failure detector is only sound
+when every party uses the same timeout.  So whoever creates the spool
+(:meth:`Spool.create`) publishes it once in ``spool.json`` — with the
+ledger fsync setting — and every worker, reclaimer and stall check
+reads it from there; no party sets its own.
 
 Heartbeats are ``os.utime`` on the lease — a metadata write, no content
 race with readers.  Leases carry their owner id, so a worker whose lease
@@ -64,6 +71,10 @@ __all__ = [
 #: a quarter of this, so a lease survives several missed beats before a
 #: reclaim — slow NFS metadata writes must not look like death.
 DEFAULT_TTL_SECONDS = 15.0
+
+#: The settings file at a spool's root, and the format it declares.
+SETTINGS_FILE = "spool.json"
+SETTINGS_FORMAT = "repro.spool/v1"
 
 
 class SpoolError(RuntimeError):
@@ -164,30 +175,115 @@ def _write_durable(path: Path, text: str) -> None:
         os.fsync(handle.fileno())
 
 
-class Spool:
-    """One work spool rooted at a (possibly shared) directory."""
+def _publish_once(target: Path, payload: dict) -> bool:
+    """Publish ``payload`` at ``target`` unless a file is already there.
 
-    def __init__(
-        self, root: "str | Path", *, ttl_seconds: float = DEFAULT_TTL_SECONDS
-    ) -> None:
-        if ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
+    The content is fsynced to a private temp file first, then
+    ``os.link``\\ ed into place: readers never see a partial file, and
+    exactly one of several racing publishers wins (True).
+    """
+    tmp = target.parent / f".publish-{uuid.uuid4().hex}"
+    _write_durable(tmp, json.dumps(payload, sort_keys=True) + "\n")
+    try:
+        os.link(tmp, target)
+        return True
+    except FileExistsError:
+        return False
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+class Spool:
+    """One work spool rooted at a (possibly shared) directory.
+
+    Opening a spool reads nothing: its lease TTL and ledger fsync come
+    from ``spool.json`` when first needed, and only :meth:`create`
+    writes that file.
+    """
+
+    def __init__(self, root: "str | Path") -> None:
         self.root = Path(root)
-        self.ttl_seconds = ttl_seconds
         self.cells_dir = self.root / "cells"
         self.leases_dir = self.root / "leases"
         self.ledgers_dir = self.root / "ledgers"
         self.done_dir = self.root / "done"
         self.workers_dir = self.root / "workers"
         self._cell_cache: dict[str, SpoolCell] = {}
+        self._settings: dict | None = None
 
-    def ensure(self) -> "Spool":
+    @classmethod
+    def create(
+        cls,
+        root: "str | Path",
+        *,
+        ttl_seconds: float | None = None,
+        fsync: bool | None = None,
+    ) -> "Spool":
+        """Create the spool at ``root``, or join the one already there.
+
+        A new spool records ``ttl_seconds`` (default
+        :data:`DEFAULT_TTL_SECONDS`) and ``fsync`` (default on) in
+        ``spool.json``, published once like a done marker.  An existing
+        spool keeps what it recorded: a value left ``None`` adopts the
+        record, and a named value that differs from it raises
+        :class:`SpoolError` naming both — before anything is seeded.
+        """
+        if ttl_seconds is not None and ttl_seconds <= 0:
+            raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
+        spool = cls(root)
         for directory in (
-            self.cells_dir, self.leases_dir, self.ledgers_dir,
-            self.done_dir, self.workers_dir,
+            spool.cells_dir, spool.leases_dir, spool.ledgers_dir,
+            spool.done_dir, spool.workers_dir,
         ):
             directory.mkdir(parents=True, exist_ok=True)
-        return self
+        _publish_once(spool.root / SETTINGS_FILE, {
+            "format": SETTINGS_FORMAT,
+            "ttl_seconds": float(
+                DEFAULT_TTL_SECONDS if ttl_seconds is None else ttl_seconds
+            ),
+            "fsync": True if fsync is None else fsync,
+        })
+        recorded = spool.settings()
+        for key, value in (("ttl_seconds", ttl_seconds), ("fsync", fsync)):
+            if value is not None and value != recorded[key]:
+                raise SpoolError(
+                    f"spool {spool.root} records {key} = {recorded[key]!r}, "
+                    f"but this coordinator names {key} = {value!r}; name "
+                    "nothing to adopt the spool's value, or use a new spool"
+                )
+        return spool
+
+    def settings(self) -> dict | None:
+        """The settings the spool's creator recorded; ``None`` until it
+        has published them (the directory is not a spool yet)."""
+        if self._settings is None:     # published once: never changes
+            path = self.root / SETTINGS_FILE
+            try:
+                settings = _read_json(path, "spool settings")
+            except FileNotFoundError:
+                return None
+            if settings.get("format") != SETTINGS_FORMAT:
+                raise SpoolError(f"{path} is not a {SETTINGS_FORMAT} file")
+            self._settings = settings
+        return self._settings
+
+    def _recorded(self, key: str):
+        if self.settings() is None:
+            raise SpoolError(
+                f"{self.root} has no {SETTINGS_FILE}: no coordinator has "
+                "created a spool there yet"
+            )
+        return self._settings[key]
+
+    @property
+    def ttl_seconds(self) -> float:
+        """The lease/worker heartbeat time-to-live every party uses."""
+        return self._recorded("ttl_seconds")
+
+    @property
+    def fsync(self) -> bool:
+        """Whether workers fsync their event ledgers per event block."""
+        return self._recorded("fsync")
 
     # -- cells ----------------------------------------------------------
 
@@ -199,21 +295,12 @@ class Spool:
         the same plan (a coordinator restart, a second dispatcher) finds
         its cells already in place.
         """
-        self.ensure()
         seeded = 0
         for cell in cells:
             target = self.cells_dir / f"{cell.id}.json"
-            if target.exists():
-                continue
-            tmp = self.cells_dir / f".seed-{uuid.uuid4().hex}"
-            _write_durable(tmp, json.dumps(cell.to_dict(), sort_keys=True) + "\n")
-            try:
-                os.link(tmp, target)
+            # A concurrent seeder may win the link; same deterministic cell.
+            if not target.exists() and _publish_once(target, cell.to_dict()):
                 seeded += 1
-            except FileExistsError:
-                pass        # a concurrent seeder won; same deterministic cell
-            finally:
-                tmp.unlink(missing_ok=True)
         return seeded
 
     def cell(self, cell_id: str) -> SpoolCell:
@@ -328,20 +415,24 @@ class Spool:
         if self.lease_owner(cell_id) == owner:
             self._lease_path(cell_id).unlink(missing_ok=True)
 
+    def _heartbeat_ages(self, directory: Path, pattern: str):
+        """``(stem, heartbeat age)`` of every file matching ``pattern``."""
+        if not directory.is_dir():
+            return
+        now = time.time()
+        for path in directory.glob(pattern):
+            try:
+                yield path.stem, self._heartbeat_age(path.stat().st_mtime, now)
+            except FileNotFoundError:
+                continue                # released/stolen concurrently
+
     def stale_leases(self) -> list[str]:
         """Cell ids whose lease outlived its TTL (hygiene checks)."""
-        if not self.leases_dir.is_dir():
-            return []
-        now = time.time()
-        stale = []
-        for path in self.leases_dir.glob("*.lease"):
-            try:
-                age = self._heartbeat_age(path.stat().st_mtime, now)
-            except FileNotFoundError:
-                continue
-            if age > self.ttl_seconds:
-                stale.append(path.stem)
-        return sorted(stale)
+        return sorted(
+            cell_id
+            for cell_id, age in self._heartbeat_ages(self.leases_dir, "*.lease")
+            if age > self.ttl_seconds
+        )
 
     def leases(self) -> list[str]:
         """Cell ids currently under any lease (stale or fresh)."""
@@ -366,16 +457,7 @@ class Spool:
 
     def mark_done(self, cell_id: str, payload: dict) -> bool:
         """Publish the completion marker; False when another attempt won."""
-        done = self.done_dir / f"{cell_id}.json"
-        tmp = self.done_dir / f".done-{uuid.uuid4().hex}"
-        _write_durable(tmp, json.dumps(payload, sort_keys=True) + "\n")
-        try:
-            os.link(tmp, done)
-            return True
-        except FileExistsError:
-            return False
-        finally:
-            tmp.unlink(missing_ok=True)
+        return _publish_once(self.done_dir / f"{cell_id}.json", payload)
 
     def done_ids(self) -> set[str]:
         if not self.done_dir.is_dir():
@@ -404,7 +486,6 @@ class Spool:
 
     def worker_heartbeat(self, worker_id: str) -> None:
         """Record (or refresh) a worker's liveness file."""
-        self.workers_dir.mkdir(parents=True, exist_ok=True)
         path = self.workers_dir / f"{worker_id}.json"
         if path.exists():
             os.utime(path)
@@ -415,18 +496,11 @@ class Spool:
 
     def live_workers(self) -> list[str]:
         """Workers whose heartbeat is within the TTL."""
-        if not self.workers_dir.is_dir():
-            return []
-        now = time.time()
-        live = []
-        for path in self.workers_dir.glob("*.json"):
-            try:
-                age = self._heartbeat_age(path.stat().st_mtime, now)
-            except FileNotFoundError:
-                continue
-            if age <= self.ttl_seconds:
-                live.append(path.stem)
-        return sorted(live)
+        return sorted(
+            worker_id
+            for worker_id, age in self._heartbeat_ages(self.workers_dir, "*.json")
+            if age <= self.ttl_seconds
+        )
 
     def has_live_activity(self) -> bool:
         """Any fresh worker heartbeat *or* fresh lease?
@@ -435,17 +509,10 @@ class Spool:
         campaign refreshes its lease and worker file from the heartbeat
         thread, so "no fresh anything for a TTL" means the fleet is gone.
         """
-        if self.live_workers():
-            return True
-        now = time.time()
-        for path in self.leases_dir.glob("*.lease"):
-            try:
-                age = self._heartbeat_age(path.stat().st_mtime, now)
-            except FileNotFoundError:
-                continue
-            if age <= self.ttl_seconds:
-                return True
-        return False
+        return bool(self.live_workers()) or any(
+            age <= self.ttl_seconds
+            for _, age in self._heartbeat_ages(self.leases_dir, "*.lease")
+        )
 
     # -- hygiene --------------------------------------------------------
 

@@ -9,7 +9,10 @@ process, and results are bit-identical to any other backend — and
 streams the cell's typed events into a per-attempt fsynced JSONL ledger
 inside the spool.
 
-While a cell executes, a heartbeat thread refreshes the lease (and the
+The worker sets none of the spool's protocol values: the lease TTL and
+the ledger fsync are read from the spool's ``spool.json``, and a worker
+attached before its coordinator created the spool waits for it.  While
+a cell executes, a heartbeat thread refreshes the lease (and the
 worker's own liveness file) every quarter TTL, retrying transient
 filesystem errors with jittered exponential backoff
 (:func:`repro.utils.retry.with_retries`).  If the lease turns out to be
@@ -68,15 +71,12 @@ class WorkerAgent:
         poll_seconds: float = 0.2,
         exit_when_done: bool = False,
         max_cells: int | None = None,
-        fsync: bool = True,
     ) -> None:
         self.spool = spool if isinstance(spool, Spool) else Spool(spool)
         self.worker_id = worker_id or default_worker_id()
         self.poll_seconds = poll_seconds
         self.exit_when_done = exit_when_done
         self.max_cells = max_cells
-        self.fsync = fsync
-        self.heartbeat_seconds = self.spool.ttl_seconds / HEARTBEATS_PER_TTL
         self._session = None
         self._stop = threading.Event()
         #: Cells this agent completed (published the done marker for).
@@ -108,8 +108,13 @@ class WorkerAgent:
 
     def run(self) -> int:
         """Claim/execute until stopped; returns cells completed."""
-        self.spool.ensure()
         while not self._stop.is_set():
+            # A root whose creator has not published spool.json is not a
+            # spool yet: wait for it, as for an unseeded one, and never
+            # create it — its TTL is the creator's to choose.
+            if self.spool.settings() is None:
+                self._stop.wait(timeout=self.poll_seconds)
+                continue
             self.spool.worker_heartbeat(self.worker_id)
             progressed = False
             for cell_id in self.spool.pending_ids():
@@ -149,7 +154,7 @@ class WorkerAgent:
 
         _fire("worker.execute.crash")
         ledger = self.spool.ledger_path(cell.id, self.worker_id)
-        recorder = JsonlRecorder(ledger, fsync=self.fsync)
+        recorder = JsonlRecorder(ledger, fsync=self.spool.fsync)
         stop_beat = threading.Event()
         lost = threading.Event()
         beat = threading.Thread(
@@ -205,7 +210,8 @@ class WorkerAgent:
     def _heartbeat_loop(
         self, cell_id: str, stop: threading.Event, lost: threading.Event
     ) -> None:
-        while not stop.wait(timeout=self.heartbeat_seconds):
+        interval = self.spool.ttl_seconds / HEARTBEATS_PER_TTL
+        while not stop.wait(timeout=interval):
             try:
                 # Attempts bound the retry *count*; the deadline bounds
                 # its *wall-clock* — a slow-failing filesystem (every
@@ -216,7 +222,7 @@ class WorkerAgent:
                     lambda: self._beat(cell_id),
                     retryable=(OSError,),
                     attempts=4,
-                    base=min(0.05, self.heartbeat_seconds / 4),
+                    base=min(0.05, interval / 4),
                     deadline_seconds=self.spool.ttl_seconds / 2,
                 )
             except LeaseLost:

@@ -202,7 +202,6 @@ class FleetSupervisor:
         workers: int = 4,
         churn: "ChurnSpec | None" = None,
         ttl_seconds: float = 2.0,
-        stall_seconds: "float | None" = None,
         spool_dir: "str | Path | None" = None,
         fsync: bool = True,
         fault_plan: "str | Path | None" = None,
@@ -213,7 +212,6 @@ class FleetSupervisor:
         self.workers = workers
         self.churn = churn if churn is not None else ChurnSpec()
         self.ttl_seconds = ttl_seconds
-        self.stall_seconds = stall_seconds
         self.spool_dir = spool_dir
         self.fsync = fsync
         self.fault_plan = fault_plan
@@ -239,7 +237,11 @@ class FleetSupervisor:
         cells = plan_cells(self.plan)
         root = Path(self.spool_dir or tempfile.mkdtemp(prefix="repro-soak-"))
         ephemeral = self.spool_dir is None
-        spool = Spool(root, ttl_seconds=self.ttl_seconds).ensure()
+        # The supervisor creates the spool; its coordinator and every
+        # worker it spawns read the TTL and fsync from it.
+        spool = Spool.create(
+            root, ttl_seconds=self.ttl_seconds, fsync=self.fsync
+        )
         report = SoakReport(
             n_cells=len(cells),
             workers=self.workers,
@@ -253,18 +255,15 @@ class FleetSupervisor:
         record_path.parent.mkdir(parents=True, exist_ok=True)
         report.record_path = str(record_path)
         recorder = JsonlRecorder(record_path, fsync=False)
-        session = DistributedSession(
-            spool_dir=root,
-            local_workers=0,
-            ttl_seconds=self.ttl_seconds,
-            stall_seconds=self.stall_seconds,
-            fsync=self.fsync,
-        )
+        # Its own spool and no local workers: the supervisor staffs it.
+        plan = dataclasses.replace(self.plan, spool_dir=str(root), workers=None)
         outcome: dict = {}
 
         def drive() -> None:
             try:
-                outcome["result"] = session.run(self.plan, bus=EventBus(recorder))
+                outcome["result"] = DistributedSession().run(
+                    plan, bus=EventBus(recorder)
+                )
             except BaseException as error:  # noqa: BLE001 — the report
                 outcome["error"] = error    # carries it; never swallow
             finally:
@@ -274,12 +273,7 @@ class FleetSupervisor:
             target=drive, name="soak-coordinator", daemon=True
         )
         coordinator.start()
-        fleet = WorkerFleet(
-            root,
-            ttl_seconds=self.ttl_seconds,
-            fsync=self.fsync,
-            fault_plan=self.fault_plan,
-        )
+        fleet = WorkerFleet(spool, fault_plan=self.fault_plan)
         fleet.spawn(self.workers)
         say(f"soak: {self.workers} workers on {len(cells)} cells at {root}")
 

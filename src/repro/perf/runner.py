@@ -186,10 +186,10 @@ def _run_fleet(workers: int):
         engines=("flink-paced",),
         rate_traces=_FLEET_TRACES,
         backend="distributed",
+        workers=workers,
         scale="smoke",
     )
-    session = DistributedSession(local_workers=workers, fsync=False)
-    return session.run(plan)
+    return DistributedSession(fsync=False).run(plan)
 
 
 def _bench_fleet_1worker(fixtures: PerfFixtures):

@@ -189,6 +189,17 @@ class TestSubmitFollowFinish:
         assert len(client.jobs(state="finished")) == 2
         assert client.jobs(state="failed") == []
 
+    @pytest.mark.parametrize("tenant", ["team&priority=9", "a b", "x#y"])
+    def test_tenant_names_survive_the_query_string(self, daemon, tenant):
+        # A tenant holding '&', ' ' or '#' must reach the daemon as one
+        # value: neither a second parameter, an invalid URL nor a fragment.
+        client = _client(daemon)
+        job = client.submit_plan(TINY_PLAN, tenant=tenant)
+        list(client.follow(job["job"]))
+        (listed,) = client.jobs(tenant=tenant)
+        assert listed["job"] == job["job"]
+        assert (listed["tenant"], listed["priority"]) == (tenant, 0)
+
     def test_toml_submission(self, daemon, tmp_path):
         plan_file = tmp_path / "plan.toml"
         plan_file.write_text(

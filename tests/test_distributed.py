@@ -32,6 +32,7 @@ from repro.distributed import (
     LeaseLost,
     Spool,
     SpoolCell,
+    SpoolError,
     WorkerAgent,
     plan_cells,
 )
@@ -92,7 +93,7 @@ def make_cells(n: int, plan: CampaignPlan | None = None) -> list[SpoolCell]:
 
 class TestSpool:
     def test_seed_is_idempotent(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool")
         cells = make_cells(3)
         assert spool.seed(cells) == 3
         assert spool.seed(cells) == 0
@@ -102,7 +103,7 @@ class TestSpool:
         assert loaded == cells[1]
 
     def test_claim_is_exclusive(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool")
         (cell,) = make_cells(1)
         spool.seed([cell])
         assert spool.claim(cell.id, "alpha")
@@ -117,7 +118,7 @@ class TestSpool:
 
     def test_concurrent_claims_have_one_winner(self, tmp_path):
         """K threads race for one cell; exactly one claim succeeds."""
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool")
         (cell,) = make_cells(1)
         spool.seed([cell])
         barrier = threading.Barrier(8)
@@ -142,7 +143,7 @@ class TestSpool:
         assert spool.lease_owner(cell.id) == wins[0]
 
     def test_expired_lease_is_reclaimed(self, tmp_path):
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.2)
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.2)
         (cell,) = make_cells(1)
         spool.seed([cell])
         assert spool.claim(cell.id, "crashed-host")
@@ -153,7 +154,7 @@ class TestSpool:
         assert spool.lease_owner(cell.id) == "survivor"
 
     def test_heartbeat_keeps_lease_fresh_and_detects_loss(self, tmp_path):
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.4)
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.4)
         (cell,) = make_cells(1)
         spool.seed([cell])
         spool.claim(cell.id, "alpha")
@@ -172,7 +173,7 @@ class TestSpool:
             spool.heartbeat(cell.id, "alpha")
 
     def test_mark_done_has_one_winner(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool")
         (cell,) = make_cells(1)
         spool.seed([cell])
         assert spool.mark_done(cell.id, {"owner": "alpha"})
@@ -182,8 +183,7 @@ class TestSpool:
         assert spool.all_done()
 
     def test_worker_liveness(self, tmp_path):
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.3)
-        spool.ensure()
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.3)
         assert not spool.has_live_activity()
         spool.worker_heartbeat("agent-1")
         assert spool.live_workers() == ["agent-1"]
@@ -210,7 +210,7 @@ class TestLeaseContention:
         """Three agents race one spool; every cell completes exactly once."""
         plan = tiny_plan(queries=("q1", "q2", "q3", "q5"), rates=(3.0,))
         cells = plan_cells(plan)
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool", fsync=False)
         spool.seed(cells)
         agents = [
             WorkerAgent(
@@ -218,7 +218,6 @@ class TestLeaseContention:
                 worker_id=f"racer-{i}",
                 poll_seconds=0.01,
                 exit_when_done=True,
-                fsync=False,
             )
             for i in range(3)
         ]
@@ -248,7 +247,7 @@ class TestLeaseContention:
             queries=("q1", "q2", "q3"), rates=(3.0, 5.0),
             engine="flink-paced",
         )
-        spool = Spool(spool_root, ttl_seconds=1.0)
+        spool = Spool.create(spool_root, ttl_seconds=1.0, fsync=False)
         spool.seed(plan_cells(plan))
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -256,7 +255,7 @@ class TestLeaseContention:
         victim = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "worker", str(spool_root),
-                "--exit-when-done", "--ttl", "1.0", "--no-fsync",
+                "--exit-when-done",
             ],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -269,16 +268,135 @@ class TestLeaseContention:
         os.kill(victim.pid, signal.SIGKILL)
         victim.wait()
         survivor = WorkerAgent(
-            Spool(spool_root, ttl_seconds=1.0),
+            Spool(spool_root),
             worker_id="survivor",
             poll_seconds=0.05,
             exit_when_done=True,
-            fsync=False,
         )
         survivor.run()
         assert spool.all_done()
         for cell_id in spool.cell_ids():
             assert spool.done_payload(cell_id)["status"] == "ok"
+
+
+# ----------------------------------------------------------------------
+# spool settings: one lease TTL and one ledger fsync for every party
+# ----------------------------------------------------------------------
+
+def paced_cell_plan(**overrides) -> CampaignPlan:
+    """One 60-step flink-paced cell: several seconds of telemetry pauses,
+    so many lease heartbeats fall inside it."""
+    return tiny_plan(
+        queries=("q1",), rates=(3.0, 5.0) * 30, engine="flink-paced",
+        **overrides,
+    )
+
+
+def wait_for_lease(spool: Spool, timeout: float = 60.0) -> None:
+    deadline = time.time() + timeout
+    while time.time() < deadline and not spool.leases():
+        time.sleep(0.02)
+    assert spool.leases(), "no worker ever claimed a cell"
+
+
+class TestSpoolSettings:
+    def test_create_publishes_settings_once(self, tmp_path):
+        root = tmp_path / "spool"
+        Spool.create(root, ttl_seconds=0.3, fsync=False)
+        recorded = json.loads((root / "spool.json").read_text())
+        assert recorded == {
+            "format": "repro.spool/v1", "ttl_seconds": 0.3, "fsync": False,
+        }
+        fresh = Spool.create(tmp_path / "fresh")
+        assert (fresh.ttl_seconds, fresh.fsync) == (15.0, True)
+        # A reader only reads; it cannot tell the spool anything.
+        assert (Spool(root).ttl_seconds, Spool(root).fsync) == (0.3, False)
+        with pytest.raises(SpoolError, match="no coordinator has created"):
+            Spool(tmp_path / "nowhere").ttl_seconds
+
+    def test_a_conflicting_coordinator_fails_and_a_silent_one_adopts(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "spool"
+        Spool.create(root, ttl_seconds=0.3, fsync=False)
+        plan = tiny_plan(backend="distributed", spool_dir=str(root))
+        for session, named in (
+            (DistributedSession(ttl_seconds=1.0), r"0\.3.*1\.0"),
+            (DistributedSession(fsync=True), "False.*True"),
+        ):
+            with pytest.raises(SpoolError, match=named):
+                session.run(plan)
+        assert Spool(root).cell_ids() == []        # failed before seeding
+        assert json.loads((root / "spool.json").read_text())["ttl_seconds"] == 0.3
+        # Naming nothing adopts the record: with no worker attached the
+        # stall check fires after 4 x the recorded 0.3 s TTL.
+        monkeypatch.setattr(coordinator, "POLL_SECONDS", 0.02)
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            DistributedSession().run(plan)
+        (failure, _) = excinfo.value.failures
+        assert failure.error_type == "WorkerLost"
+        assert "for 1.2s" in failure.error_message
+
+    def test_a_worker_waits_for_the_spools_creator(self, tmp_path):
+        root = tmp_path / "spool"
+        agent = WorkerAgent(
+            Spool(root), worker_id="early", poll_seconds=0.02,
+            exit_when_done=True,
+        )
+        thread = threading.Thread(target=agent.run, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        assert not root.exists()        # it creates nothing, spool.json least
+        spool = Spool.create(root, fsync=False)
+        spool.seed(plan_cells(tiny_plan(queries=("q1",))))
+        thread.join(timeout=60)
+        assert agent.n_completed == 1 and spool.all_done()
+
+    def test_a_standing_worker_takes_the_spools_ttl(self, tmp_path):
+        """A coordinator at TTL 0.3 s and a worker that names none: the
+        worker heartbeats at the spool's pace, so the coordinator's stall
+        check never mistakes a long healthy cell for a dead fleet."""
+        root = tmp_path / "spool"
+        standing = WorkerAgent(
+            Spool(root), worker_id="standing", poll_seconds=0.05,
+            exit_when_done=True,
+        )
+        thread = threading.Thread(target=standing.run, daemon=True)
+        thread.start()
+        plan = paced_cell_plan(backend="distributed", spool_dir=str(root))
+        started = time.perf_counter()
+        result = DistributedSession(ttl_seconds=0.3, fsync=False).run(plan)
+        assert time.perf_counter() - started > 4 * 0.3   # outlived a stall window
+        thread.join(timeout=60)
+        assert len(result.outcomes) == 1
+        assert (standing.n_completed, standing.n_abandoned) == (1, 0)
+
+    def test_a_late_joiner_cannot_steal_a_live_lease(self, tmp_path):
+        """Two standing workers on one spool, the second joining a second
+        after the first claimed: both read the same TTL, so the live
+        lease is never reclaimed and nothing is abandoned."""
+        root = tmp_path / "spool"
+        spool = Spool.create(root, ttl_seconds=0.3, fsync=False)
+        spool.seed(plan_cells(paced_cell_plan()))
+        agents = [
+            WorkerAgent(
+                Spool(root), worker_id=name, poll_seconds=0.05,
+                exit_when_done=True,
+            )
+            for name in ("first", "late")
+        ]
+        threads = [
+            threading.Thread(target=agent.run, daemon=True) for agent in agents
+        ]
+        threads[0].start()
+        wait_for_lease(spool)
+        time.sleep(1.0)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert spool.all_done()
+        assert [agent.n_abandoned for agent in agents] == [0, 0]
+        assert [agent.n_completed for agent in agents] == [1, 0]
 
 
 # ----------------------------------------------------------------------
@@ -289,11 +407,9 @@ class TestWorkerAgent:
     def test_executes_cells_and_writes_ledgers(self, tmp_path):
         plan = tiny_plan()
         cells = plan_cells(plan)
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool", fsync=False)
         spool.seed(cells)
-        agent = WorkerAgent(
-            spool, worker_id="solo", exit_when_done=True, fsync=False
-        )
+        agent = WorkerAgent(spool, worker_id="solo", exit_when_done=True)
         assert agent.run() == len(cells)
         for cell in cells:
             payload = spool.done_payload(cell.id)
@@ -318,11 +434,9 @@ class TestWorkerAgent:
             model=str(tmp_path / "no-such-model"),
         )
         cells = plan_cells(plan)
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool", fsync=False)
         spool.seed(cells)
-        agent = WorkerAgent(
-            spool, worker_id="solo", exit_when_done=True, fsync=False
-        )
+        agent = WorkerAgent(spool, worker_id="solo", exit_when_done=True)
         agent.run()
         payload = spool.done_payload(cells[0].id)
         assert payload["status"] == "failed"
@@ -337,10 +451,10 @@ class TestWorkerAgent:
             queries=("q1",), rates=(3.0, 5.0, 4.0), engine="flink-paced"
         )
         (cell,) = plan_cells(plan)
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.4)
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.4, fsync=False)
         spool.seed([cell])
         monkeypatch.setattr(worker, "HEARTBEATS_PER_TTL", 8.0)   # every 0.05 s
-        agent = WorkerAgent(spool, worker_id="slowpoke", fsync=False)
+        agent = WorkerAgent(spool, worker_id="slowpoke")
         assert spool.claim(cell.id, "slowpoke")
         # Steal the lease out from under the in-flight attempt, as a
         # reclaimer would after presumed death.
@@ -401,6 +515,16 @@ class TestPlanCells:
         assert round_tripped.spool_dir == "/tmp/spool"
         with pytest.raises(PlanError, match="spool_dir"):
             tiny_plan(spool_dir=7)
+        # No local workers: a standing fleet drains the spool.
+        assert tiny_plan(backend="distributed", workers=0).workers == 0
+        with pytest.raises(PlanError, match="workers"):
+            tiny_plan(workers=0)
+
+    def test_cells_pin_the_coordinators_scale(self, monkeypatch):
+        # A worker on another host must not resolve REPRO_SCALE itself.
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        cells = plan_cells(tiny_plan(scale=None))
+        assert [cell.plan["scale"] for cell in cells] == ["smoke", "smoke"]
 
 
 # ----------------------------------------------------------------------
@@ -485,9 +609,7 @@ class TestDistributedSession:
             backend="distributed", spool_dir=str(tmp_path / "spool")
         )
         monkeypatch.setattr(coordinator, "POLL_SECONDS", 0.02)
-        session = DistributedSession(
-            local_workers=0, ttl_seconds=0.2, stall_seconds=0.5,
-        )
+        session = DistributedSession(ttl_seconds=0.2)
         started = time.perf_counter()
         with pytest.raises(CampaignExecutionError) as excinfo:
             session.run(plan)
@@ -502,13 +624,10 @@ class TestDistributedSession:
         spool_root = tmp_path / "spool"
         plan = tiny_plan(backend="distributed", spool_dir=str(spool_root))
         cells = plan_cells(plan)
-        spool = Spool(spool_root)
+        spool = Spool.create(spool_root, fsync=False)
         spool.seed(cells)
-        WorkerAgent(
-            spool, worker_id="pre", exit_when_done=True, fsync=False
-        ).run()
-        session = DistributedSession(local_workers=0, stall_seconds=2.0)
-        result = session.run(plan)
+        WorkerAgent(spool, worker_id="pre", exit_when_done=True).run()
+        result = DistributedSession().run(plan)
         sequential = TuningSession().run(
             dataclasses.replace(plan, backend="sequential", spool_dir=None)
         )

@@ -278,7 +278,7 @@ class TestWiredSites:
     def test_spool_heartbeat_stall_is_injectable(self, tmp_path):
         from tests.test_distributed import make_cells
 
-        spool = Spool(tmp_path / "spool")
+        spool = Spool.create(tmp_path / "spool")
         (cell,) = make_cells(1)
         spool.seed([cell])
         assert spool.claim(cell.id, "w1")

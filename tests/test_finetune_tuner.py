@@ -11,6 +11,7 @@ from repro.core.finetune import (
     build_warmup_dataset,
     distill_rows,
 )
+from repro.core import tuner as tuner_module
 from repro.core.tuner import (
     MAX_CLASS_IMBALANCE,
     QueryTuningState,
@@ -99,9 +100,10 @@ class TestConstantModel:
 
 class TestStreamTuneTuner:
     @pytest.fixture
-    def setup(self, tiny_pretrained):
+    def setup(self, tiny_pretrained, monkeypatch):
+        monkeypatch.setattr(tuner_module, "MAX_ITERATIONS", 6)
         engine = FlinkCluster(seed=31)
-        tuner = StreamTuneTuner(engine, tiny_pretrained, seed=32, max_iterations=6)
+        tuner = StreamTuneTuner(engine, tiny_pretrained, seed=32)
         query = nexmark_query("q2", "flink")
         return engine, tuner, query
 
@@ -160,10 +162,6 @@ class TestStreamTuneTuner:
         )
         result = tuner.tune(deployment, query.rates_at(2))
         assert result.steps
-
-    def test_invalid_max_iterations(self, tiny_pretrained):
-        with pytest.raises(ValueError):
-            StreamTuneTuner(FlinkCluster(seed=1), tiny_pretrained, max_iterations=0)
 
     def test_empty_training_set_degrades_to_a_constant_model(self, setup):
         # A cluster whose sampled records carry only -1 labels leaves T

@@ -144,7 +144,7 @@ class TestSoakReport:
 
 def completed_spool(root: Path, n: int = 2) -> Spool:
     """A spool where every cell completed cleanly (status ok, ledger)."""
-    spool = Spool(root, ttl_seconds=0.5).ensure()
+    spool = Spool.create(root, ttl_seconds=0.5)
     cells = make_cells(n)
     spool.seed(cells)
     for cell in cells:
@@ -260,7 +260,7 @@ class TestSpoolHygiene:
         # A lease mtime further ahead of our clock than any live
         # heartbeater plus skew could produce can never be refreshed —
         # it must be reclaimable, not fresh forever.
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.5).ensure()
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.5)
         (cell,) = make_cells(1)
         spool.seed([cell])
         assert spool.claim(cell.id, "w1")
@@ -274,7 +274,7 @@ class TestSpoolHygiene:
     def test_small_future_skew_is_fresh(self, tmp_path):
         # Skew within one TTL is plausible (NFS server clock ahead); the
         # lease stays fresh and the claim is refused.
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.5).ensure()
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.5)
         (cell,) = make_cells(1)
         spool.seed([cell])
         assert spool.claim(cell.id, "w1")
@@ -285,7 +285,7 @@ class TestSpoolHygiene:
         assert not spool.claim(cell.id, "w2")
 
     def test_far_future_worker_heartbeat_is_not_live(self, tmp_path):
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.5).ensure()
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.5)
         spool.worker_heartbeat("w1")
         assert spool.live_workers() == ["w1"]
         path = spool.workers_dir / "w1.json"
@@ -294,7 +294,7 @@ class TestSpoolHygiene:
         assert spool.live_workers() == []
 
     def test_corrupt_cell_file_names_the_file(self, tmp_path):
-        spool = Spool(tmp_path / "spool").ensure()
+        spool = Spool.create(tmp_path / "spool")
         (cell,) = make_cells(1)
         spool.seed([cell])
         path = spool.cells_dir / f"{cell.id}.json"
@@ -311,7 +311,7 @@ class TestSpoolHygiene:
             spool.done_payload(cell_id)
 
     def test_sweep_removes_only_done_cell_leases(self, tmp_path):
-        spool = Spool(tmp_path / "spool", ttl_seconds=0.5).ensure()
+        spool = Spool.create(tmp_path / "spool", ttl_seconds=0.5)
         cells = make_cells(2)
         spool.seed(cells)
         done, pending = cells
@@ -383,20 +383,23 @@ class TestLeaseLostAbandonment:
         """Three racing agents plus a reclaimer that force-steals live
         leases: every cell still completes exactly once with status ok,
         robbed attempts abandon cleanly, and no lease survives."""
+        # A heartbeat every 0.02 s against the 5 s TTL.
+        heartbeats = mock.patch.object(
+            distributed_worker, "HEARTBEATS_PER_TTL", 250.0
+        )
+        heartbeats.start()
         root = Path(tempfile.mkdtemp(prefix="repro-reclaim-"))
         try:
-            spool = Spool(root / "spool", ttl_seconds=5.0).ensure()
+            spool = Spool.create(root / "spool", ttl_seconds=5.0, fsync=False)
             cells = make_cells(4)
             spool.seed(cells)
-            # A heartbeat every 0.02 s against the 5 s TTL.
-            with mock.patch.object(distributed_worker, "HEARTBEATS_PER_TTL", 250.0):
-                agents = [
-                    WorkerAgent(
-                        spool, worker_id=f"agent-{index}", poll_seconds=0.01,
-                        exit_when_done=True, fsync=False,
-                    )
-                    for index in range(3)
-                ]
+            agents = [
+                WorkerAgent(
+                    spool, worker_id=f"agent-{index}", poll_seconds=0.01,
+                    exit_when_done=True,
+                )
+                for index in range(3)
+            ]
             rng = random.Random(seed)
             stop = threading.Event()
 
@@ -445,6 +448,7 @@ class TestLeaseLostAbandonment:
             spool.sweep_done_leases()
             assert check_spool(spool, len(cells)) == []
         finally:
+            heartbeats.stop()
             shutil.rmtree(root, ignore_errors=True)
 
 
