@@ -8,13 +8,15 @@ Everything the repo can do is reachable through three layers:
   parameters a caller sets; adding one means one ``REGISTRY.register``
   call, not edits to the CLI, the experiments and the service.  Query
   tokens (``q5``, ``linear/3``) are a fixed grammar, not a registry.
-* **plans** (:mod:`repro.api.plans`) — :class:`TuningPlan` (one query)
-  and :class:`CampaignPlan` (a fleet), frozen dataclasses that
-  round-trip through dicts, JSON and TOML and validate eagerly with
-  actionable errors.
+* **plans** (:mod:`repro.api.plans`) — :class:`TuningPlan` (one query),
+  :class:`CampaignPlan` (a fleet) and :class:`SweepPlan` (a grid of
+  fleets), frozen dataclasses that round-trip through dicts, JSON and
+  TOML and validate eagerly with actionable errors.
 * **sessions** (:mod:`repro.api.session`) — :class:`TuningSession`
-  executes a plan over the engines/tuners/service and is the only way
-  in: the CLI, the daemon and the fleet workers all run plans through it.
+  executes every plan as campaigns on the
+  :class:`~repro.service.TuningService` (a tuning plan is a one-campaign
+  ``sequential`` fleet) and is the only way in: the CLI, the daemon and
+  the fleet workers all run plans through it.
 
 Quick start::
 

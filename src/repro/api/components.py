@@ -22,7 +22,7 @@ legacy ``make_tuner`` ladder encoded.  Methods that need none of it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.api.registry import ENGINES, MODELS, TUNERS, ParamSpec, UnknownComponentError
 from repro.baselines.conttune import ContTuneTuner
@@ -119,25 +119,16 @@ class TunerResources:
 
 @TUNERS.register(
     "streamtune",
-    params=(
-        ParamSpec("model_kind", str, "svm", help="prediction-layer model name"),
-        ParamSpec("seed", int, None, help="tuner seed (None = scale.seed + 4)"),
-        ParamSpec("caches", Any, None, help="lookaside cache set shared across campaigns"),
-    ),
+    params=(ParamSpec("model_kind", str, "svm", help="prediction-layer model name"),),
 )
-def _build_streamtune(
-    engine, resources: TunerResources, model_kind="svm", seed=None, caches=None
-):
+def _build_streamtune(engine, resources: TunerResources, model_kind="svm"):
     """The paper's system: pre-trained encoder + monotone fine-tuned layer."""
     MODELS.entry(model_kind)  # fail fast with the model alternatives listed
-    if seed is None:
-        seed = resources.require_scale("streamtune").seed + 4
     return StreamTuneTuner(
         engine,
         resources.require_pretrained("streamtune"),
         model_kind=model_kind,
-        seed=seed,
-        caches=caches,
+        seed=resources.require_scale("streamtune").seed + 4,
     )
 
 

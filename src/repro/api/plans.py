@@ -5,7 +5,8 @@ dicts, JSON and TOML, so a tuning scenario is a config entry rather than
 a code fork:
 
 * :class:`TuningPlan` — one query driven through a rate trace by one
-  tuning method, inline.
+  tuning method: a one-campaign fleet on the service's ``sequential``
+  backend.
 * :class:`CampaignPlan` — a fleet of queries executed concurrently
   through the :class:`~repro.service.TuningService`.
 * :class:`SweepPlan` — a parameter grid (engines x tuners x rate traces
@@ -67,9 +68,23 @@ def _check_registry(kind_label: str, registry, name: str) -> None:
         raise PlanError(f"{kind_label}: {error}") from None
 
 
-def _check_tuner(name: str) -> None:
-    """Validate a tuner name, accepting the ``streamtune-<model>`` spelling."""
+def _check_campaign_tuner(name: str) -> None:
+    """Any registered method the service can host, accepting the
+    ``streamtune-<model>`` spelling.
+
+    The service builds every campaign's tuner from its spec alone, so
+    methods registered with ``needs_history=True`` (their factory pulls
+    an execution history from its resources, e.g. zerotune) cannot run
+    in a plan of any kind.
+    """
     if name in TUNERS:
+        if TUNERS.entry(name).needs_history:
+            raise PlanError(
+                f"tuner {TUNERS.entry(name).name!r} needs an execution history "
+                "at construction time, which the tuning service does not "
+                "carry, so no plan can run it; build it with "
+                "repro.experiments.context.make_tuner instead"
+            )
         return
     # The only dashed spelling is the legacy 'streamtune-<model>' ablation
     # form; its model suffix must itself resolve, so a bad config fails
@@ -78,23 +93,6 @@ def _check_tuner(name: str) -> None:
     if not is_streamtune or model_suffix is None:
         _check_registry("tuner", TUNERS, name)
     _check_registry(f"tuner {name!r} model suffix", MODELS, model_suffix)
-
-
-def _check_campaign_tuner(name: str) -> None:
-    """Campaign/sweep tuners: any registered method the service can host.
-
-    The service builds every campaign's tuner from its spec alone, so
-    methods registered with ``needs_history=True`` (their factory pulls
-    an execution history from its resources, e.g. zerotune) cannot run
-    as campaigns — a :class:`TuningPlan` per query can.
-    """
-    _check_tuner(name)
-    if name in TUNERS and TUNERS.entry(name).needs_history:
-        raise PlanError(
-            f"tuner {TUNERS.entry(name).name!r} needs an execution history "
-            "at construction time, which the tuning service does not carry; "
-            "run it through a TuningPlan (kind = \"tuning\") instead"
-        )
 
 
 def _check_scale(name: str | None) -> None:
@@ -241,7 +239,7 @@ def _check_chaos_executes(chaos, engine: str, n_steps: int) -> None:
         )
 
 
-def _campaign_spec(plan, token: str, rates, engine_seed: int):
+def _campaign_spec(plan, token: str, rates, engine_seed: int, loose_tolerances=True):
     """The :class:`~repro.service.CampaignSpec` of one (query, trace) of a
     tuning or campaign plan — the one place plan fields become a
     campaign.  Imported lazily: validation never needs the service."""
@@ -256,10 +254,11 @@ def _campaign_spec(plan, token: str, rates, engine_seed: int):
         tuner=plan.tuner,
         model_kind=plan.layer,
         chaos=plan.chaos,
+        loose_tolerances=loose_tolerances,
     )
 
 
-def _check_run_fields(plan, check_tuner) -> None:
+def _check_run_fields(plan) -> None:
     """What a tuning and a campaign plan validate alike, normalizing
     ``rates`` / ``trace`` in place: the rate trace (a raw list, or a spec
     that materializes into one), the engine / tuner / layer names, the
@@ -272,7 +271,7 @@ def _check_run_fields(plan, check_tuner) -> None:
         rates = _as_rates(raw)
     object.__setattr__(plan, "rates", rates)
     _check_registry("engine", ENGINES, plan.engine)
-    check_tuner(plan.tuner)
+    _check_campaign_tuner(plan.tuner)
     _check_registry("layer", MODELS, plan.layer)
     _check_scale(plan.scale)
     if not isinstance(plan.seed, int) or isinstance(plan.seed, bool):
@@ -342,7 +341,8 @@ class _Plan:
 
 @dataclass(frozen=True)
 class TuningPlan(_Plan):
-    """One query, one tuning method, one source-rate trace."""
+    """One query, one tuning method, one source-rate trace: a one-campaign
+    fleet on the service's ``sequential`` backend."""
 
     query: str
     rates: tuple[float, ...] = (3.0, 10.0, 5.0)
@@ -361,10 +361,13 @@ class TuningPlan(_Plan):
     chaos: object = None
 
     kind = "tuning"
+    # Not fields: a tuning plan always runs its one campaign in-process.
+    backend = "sequential"
+    workers = None
 
     def __post_init__(self) -> None:
         _check_query_token(self.query)
-        _check_run_fields(self, _check_tuner)
+        _check_run_fields(self)
         object.__setattr__(self, "chaos", _as_chaos(self.chaos))
         _check_chaos_executes(self.chaos, self.engine, len(self.rates))
 
@@ -374,10 +377,10 @@ class TuningPlan(_Plan):
         campaign)."""
         from repro.experiments.scale import resolve_scale
 
-        # The inline tuning lifecycle seeds its engine from the scale,
-        # not the plan seed (unlike campaign fleets).
+        # A tuning plan seeds its engine from the scale, not the plan seed
+        # (unlike campaign fleets), and fits M_f at the solver defaults.
         engine_seed = resolve_scale(self.scale).seed
-        return [_campaign_spec(self, self.query, self.rates, engine_seed)]
+        return [_campaign_spec(self, self.query, self.rates, engine_seed, loose_tolerances=False)]
 
 
 @dataclass(frozen=True)
@@ -424,7 +427,7 @@ class CampaignPlan(_Plan):
             raise PlanError("queries must contain at least one query token")
         for token in self.queries:
             _check_query_token(token)
-        _check_run_fields(self, _check_campaign_tuner)
+        _check_run_fields(self)
         if self.backend not in PLAN_BACKENDS:
             raise PlanError(
                 f"backend must be one of {', '.join(PLAN_BACKENDS)}, got "

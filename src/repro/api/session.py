@@ -2,13 +2,14 @@
 
 A session turns a declarative plan into a computation:
 
-* a :class:`~repro.api.plans.TuningPlan` runs the single-query
-  lifecycle — one engine, one tuner, one rate trace — inline;
 * a :class:`~repro.api.plans.CampaignPlan` runs the fleet lifecycle over
   the concurrent :class:`~repro.service.TuningService`, seeded per
   campaign, so sequential/thread/process backends all return
   bit-identical :class:`~repro.baselines.api.TuningResult` step
   sequences;
+* a :class:`~repro.api.plans.TuningPlan` — one engine, one tuner, one
+  rate trace — is the same lifecycle with one campaign on the
+  ``sequential`` backend;
 * a :class:`~repro.api.plans.SweepPlan` runs its grid cells in order,
   each as a campaign, and returns one :class:`SweepResult`.
 
@@ -49,16 +50,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.api.components import TunerResources, build_tuner
-from repro.api.events import (
-    CacheStats,
-    CampaignFailed,
-    CampaignFinished,
-    SweepFinished,
-    campaign_finished,
-)
+from repro.api.events import CacheStats, CampaignFailed, CampaignFinished, SweepFinished
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan, TuningPlan
-from repro.api.resume import ResumeLog, replay_events, resume_outcome
+from repro.api.resume import ResumeLog, resume_outcome
 
 
 @dataclass
@@ -124,8 +118,8 @@ class SweepResult:
 class TuningSession:
     """Execute declarative plans; the single front door to the pipeline.
 
-    Construction is cheap — expensive artifacts (pre-trained models,
-    histories) are resolved lazily per plan and memoised process-wide via
+    Construction is cheap — the expensive artifact (the pre-trained
+    model) is resolved lazily per plan and memoised process-wide via
     :mod:`repro.experiments.context`, so interleaved runs of many plans
     share everything pure.  Pass ``pretrained=`` to inject an existing
     artifact (tests and notebooks).
@@ -149,12 +143,7 @@ class TuningSession:
 
     # -- artifact resolution -------------------------------------------
 
-    def _scale_for(self, plan):
-        from repro.experiments.scale import resolve_scale
-
-        return resolve_scale(plan.scale)
-
-    def _pretrained_for(self, plan, scale):
+    def _pretrained_for(self, plan):
         if self._pretrained_override is not None:
             return self._pretrained_override
         if plan.model is not None:
@@ -168,17 +157,9 @@ class TuningSession:
                 )
             return load_pretrained(plan.model)
         from repro.experiments.context import pretrained_model
+        from repro.experiments.scale import resolve_scale
 
-        return pretrained_model(plan.engine, scale)
-
-    def _resources_for(self, plan, scale) -> TunerResources:
-        from repro.experiments.context import history
-
-        return TunerResources(
-            scale=scale,
-            pretrained=lambda: self._pretrained_for(plan, scale),
-            history=lambda limit: history(plan.engine, scale)[:limit],
-        )
+        return pretrained_model(plan.engine, resolve_scale(plan.scale))
 
     # -- execution ------------------------------------------------------
 
@@ -217,9 +198,7 @@ class TuningSession:
             from repro.distributed import DistributedSession
 
             inner = DistributedSession().stream(plan, resume=resume)
-        elif isinstance(plan, TuningPlan):
-            inner = self._stream_tuning(plan, resume)
-        elif isinstance(plan, CampaignPlan):
+        elif isinstance(plan, (TuningPlan, CampaignPlan)):
             inner = self._stream_campaign(plan, resume)
         elif isinstance(plan, SweepPlan):
             inner = self._stream_sweep(plan, resume)
@@ -251,81 +230,7 @@ class TuningSession:
             return resume
         return ResumeLog.load(resume)
 
-    def _stream_tuning(self, plan: TuningPlan, resume=None):
-        """The single-query lifecycle: one engine, one tuner, inline."""
-        from repro.service.tuning import (
-            CampaignOutcome,
-            _started_event_for,
-            campaign_events,
-        )
-
-        started = time.perf_counter()
-        seq = 0
-
-        def stamped(event):
-            nonlocal seq
-            event = dataclasses.replace(event, seq=seq)
-            seq += 1
-            return event
-
-        (spec,) = plan.specs()
-        cell_key = spec.cell_key
-        recorded = resume_outcome(resume, cell_key)
-        if recorded is not None:
-            # The log already holds this campaign: replay it bit-identically
-            # without touching engines, tuners or the pretrained artifact.
-            for event in replay_events(
-                spec.name, 0, "inline", recorded, cell_key, resume
-            ):
-                yield stamped(event)
-            yield stamped(CacheStats(stats={}))
-            return SessionResult(
-                plan=plan,
-                outcomes=[recorded],
-                wall_seconds=recorded.wall_seconds,
-                backend="inline",
-            )
-        engine = spec.make_engine()
-        params = {}
-        caches = None
-        if spec.is_streamtune:
-            params = {"seed": spec.seed, "model_kind": spec.layer}
-            if plan.cache_path is not None:
-                caches = self._load_caches(plan.cache_path)
-                params["caches"] = caches
-            elif self._caches is not None:
-                params["caches"] = self._caches
-        resources = self._resources_for(plan, self._scale_for(plan))
-        tuner = build_tuner(spec.tuner, engine, resources, **params)
-        yield stamped(_started_event_for(spec, 0, "inline"))
-        events = campaign_events(
-            engine, tuner, spec.query, spec.multipliers,
-            chaos=spec.chaos, cell_key=cell_key,
-        )
-        while True:
-            try:
-                event = next(events)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            yield stamped(event)
-        if caches is not None:
-            caches.save(plan.cache_path)
-        elif params.get("caches") is not None:
-            caches = params["caches"]   # session-owned: report stats, no save
-        wall = time.perf_counter() - started
-        outcome = CampaignOutcome(
-            spec_name=spec.name, result=result, wall_seconds=wall, backend="inline"
-        )
-        yield stamped(campaign_finished(spec.name, 0, "inline", outcome, cell_key))
-        stats = caches.stats() if caches is not None else {}
-        yield stamped(CacheStats(stats=stats))
-        return SessionResult(
-            plan=plan, outcomes=[outcome], wall_seconds=wall, backend="inline",
-            cache_stats=stats,
-        )
-
-    def _stream_campaign(self, plan: CampaignPlan, resume=None):
+    def _stream_campaign(self, plan: "TuningPlan | CampaignPlan", resume=None):
         """The fleet lifecycle: every query a campaign on the service."""
         from repro.service import CampaignExecutionError, TuningService
 
@@ -343,9 +248,7 @@ class TuningSession:
         needs_model = specs[0].is_streamtune and any(
             resume_outcome(resume, spec.cell_key) is None for spec in specs
         )
-        pretrained = (
-            self._pretrained_for(plan, self._scale_for(plan)) if needs_model else None
-        )
+        pretrained = self._pretrained_for(plan) if needs_model else None
         outcomes: dict[int, object] = {}
         failures: list = []
         stats: dict = {}

@@ -101,9 +101,10 @@ def iter_campaign(
 
     A generator yielding ``(index, multiplier, process)`` after each
     source-rate change and returning the full :class:`CampaignResult`
-    (via ``StopIteration.value``).  Every execution path — the blocking
-    :func:`run_campaign`, and the session and service through
-    :func:`repro.service.tuning.campaign_events` — drives this one loop,
+    (via ``StopIteration.value``).  Both execution paths — the blocking
+    :func:`run_campaign` the paper figures call, and every plan a session
+    runs, through the service's
+    :func:`repro.service.tuning.execute_campaign` — drive this one loop,
     so they cannot drift apart.
 
     ``chaos`` is an optional :class:`~repro.scenarios.ChaosSpec`: its

@@ -11,7 +11,7 @@ baseline recorded on the host named in that baseline's header.
 
 Every benchmark here is one half of a pair, and every pair is a micro
 or wait-bound ratio one host can claim.  End-to-end questions — what a
-campaign costs on the inline path vs the service, what the daemon's
+campaign costs alone vs in a threaded fleet, what the daemon's
 control plane adds — are ``benchmarks/e2e``'s (``tune_cold`` vs
 ``fleet_thread``, ``daemon_ds2``), which answers them with a noise
 study this harness does not have.

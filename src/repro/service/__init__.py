@@ -44,9 +44,10 @@ Quick start::
     specs = [CampaignSpec(query=q, multipliers=(3, 7, 4, 2)) for q in queries]
     outcomes = service.run(specs)          # input order, deterministic
 
-Benchmark: ``python benchmarks/e2e/run.py --all`` times the inline
-single-query path (``tune_cold``) next to this service on two worker
-threads (``fleet_thread``, which also checks thread == sequential);
+Benchmark: ``python benchmarks/e2e/run.py --all`` times single-query
+tuning plans, each a one-campaign sequential fleet (``tune_cold``), next
+to this service on two worker threads (``fleet_thread``, which also
+checks thread == sequential);
 ``tests/test_determinism.py::TestServiceDeterminism`` asserts backend
 identity.
 """

@@ -42,6 +42,10 @@ class CampaignSpec:
     #: the campaign (``None`` = clean run).  Frozen and hashable, so it
     #: participates in spec identity and pickles into workers.
     chaos: object = None
+    #: Fit M_f at the service's looser solver tolerances (campaign and
+    #: sweep cells); a tuning plan's one campaign keeps the solver
+    #: defaults.  Not part of :attr:`cell_key`.
+    loose_tolerances: bool = True
 
     def __post_init__(self) -> None:
         if not self.multipliers:

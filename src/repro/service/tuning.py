@@ -148,11 +148,10 @@ def _build_campaign_tuner(
             model_kind=spec.layer,
             seed=spec.seed,
             caches=caches,
-            # The one thing the service's fit does that the inline path's
-            # does not: looser solver tolerances.  They move tuning
-            # decisions on some traces, so adopting the defaults here is a
-            # separate, measured step (ROADMAP item 3).
-            loose_tolerances=True,
+            # Campaign and sweep cells fit at looser solver tolerances than
+            # a tuning plan; they move decisions on some traces, so one
+            # setting for both is a separate, measured step (ROADMAP item 2).
+            loose_tolerances=spec.loose_tolerances,
         )
     from repro.api.components import TunerResources, build_tuner
 
@@ -183,37 +182,6 @@ def _step_events(campaign: str, n_steps: int, step_index: int, multiplier, proce
     )
 
 
-def campaign_events(
-    engine, tuner, query, multipliers, *, chaos=None, cell_key: str | None = None
-):
-    """One campaign as typed events, a block per tuning process.
-
-    The one translation of :func:`iter_campaign` into the stream: after
-    each source-rate change the step's
-    :class:`~repro.api.events.ChaosInjected` events (stamped with
-    ``cell_key``), then its :class:`Reconfigured` / :class:`StepCompleted`
-    block.  Returns the :class:`CampaignResult` (``StopIteration.value``).
-    Event construction never touches the tuner, so observing a campaign
-    cannot change its results.
-    """
-    injected: list = []
-    iterator = iter_campaign(
-        engine, tuner, query, list(multipliers),
-        chaos=chaos, chaos_sink=injected.append,
-    )
-    while True:
-        try:
-            index, multiplier, process = next(iterator)
-        except StopIteration as stop:
-            return stop.value
-        for event in injected:
-            yield dataclasses.replace(event, cell_key=cell_key)
-        injected.clear()
-        yield from _step_events(
-            query.name, len(multipliers), index, multiplier, process
-        )
-
-
 def execute_campaign(
     spec: CampaignSpec,
     pretrained: PretrainedStreamTune | None,
@@ -221,22 +189,38 @@ def execute_campaign(
 ):
     """Run one campaign end to end (the unit of work a worker executes).
 
-    A generator of the campaign's :func:`campaign_events` as they happen;
-    returns the :class:`CampaignOutcome` (``StopIteration.value``).
+    The one translation of :func:`iter_campaign` into the stream, as it
+    happens: after each source-rate change the step's
+    :class:`~repro.api.events.ChaosInjected` events (stamped with the
+    spec's ``cell_key``), then its :class:`Reconfigured` /
+    :class:`StepCompleted` block.  Returns the :class:`CampaignOutcome`
+    (``StopIteration.value``).  Event construction never touches the
+    tuner, so observing a campaign cannot change its results.
     """
     started = time.perf_counter()
     engine = spec.make_engine()
     tuner = _build_campaign_tuner(spec, engine, pretrained, caches)
-    result = yield from campaign_events(
-        engine, tuner, spec.query, spec.multipliers,
-        chaos=spec.chaos, cell_key=spec.cell_key,
+    injected: list = []
+    iterator = iter_campaign(
+        engine, tuner, spec.query, list(spec.multipliers),
+        chaos=spec.chaos, chaos_sink=injected.append,
     )
-    return CampaignOutcome(
-        spec_name=spec.name,
-        result=result,
-        wall_seconds=time.perf_counter() - started,
-        backend="worker",
-    )
+    while True:
+        try:
+            index, multiplier, process = next(iterator)
+        except StopIteration as stop:
+            return CampaignOutcome(
+                spec_name=spec.name,
+                result=stop.value,
+                wall_seconds=time.perf_counter() - started,
+                backend="worker",
+            )
+        for event in injected:
+            yield dataclasses.replace(event, cell_key=spec.cell_key)
+        injected.clear()
+        yield from _step_events(
+            spec.name, len(spec.multipliers), index, multiplier, process
+        )
 
 
 # ----------------------------------------------------------------------
@@ -407,9 +391,6 @@ class TuningService:
         #: Sections newly computed by the most recent stream's pre-warm.
         self.last_prewarm: dict[str, int] = {}
         self.caches = caches if caches is not None else TuningCacheSet()
-        #: Spec index -> worker future of the stream currently draining (empty
-        #: outside a stream); introspection for liveness tests/diagnostics.
-        self._active_futures: dict = {}
 
     def _install_shared_ged_cache(self) -> None:
         clustering = self.pretrained.clustering
@@ -678,50 +659,42 @@ class TuningService:
         worker body — resolves as a :class:`CampaignFailed` instead of
         hanging the stream, and the surviving workers keep streaming.
         """
-        self._active_futures = dict(futures)
         started: set[int] = set()
         pending: set[int] = set(futures)
         silent_since: dict[int, float] = {}
-        try:
-            while pending:
-                try:
-                    item = get_event(timeout=self.poll_seconds)
-                except queue.Empty:
-                    for index in list(pending):
-                        future = futures[index]
-                        if not future.done():
+        while pending:
+            try:
+                item = get_event(timeout=self.poll_seconds)
+            except queue.Empty:
+                for index in list(pending):
+                    future = futures[index]
+                    if not future.done():
+                        continue
+                    error = future.exception()
+                    if error is not None:
+                        payload = _failure_payload(error)
+                    else:
+                        # Future completed but its sentinel has not been
+                        # seen: on the process backend the relay item may
+                        # still be in IPC flight, so allow a grace window
+                        # before declaring the sentinel lost.
+                        first_seen = silent_since.setdefault(index, time.monotonic())
+                        if time.monotonic() - first_seen < self.sentinel_grace:
                             continue
-                        error = future.exception()
-                        if error is not None:
-                            payload = _failure_payload(error)
-                        else:
-                            # Future completed but its sentinel has not been
-                            # seen: on the process backend the relay item may
-                            # still be in IPC flight, so allow a grace window
-                            # before declaring the sentinel lost.
-                            first_seen = silent_since.setdefault(index, time.monotonic())
-                            if time.monotonic() - first_seen < self.sentinel_grace:
-                                continue
-                            payload = _FailurePayload(
-                                error_type="RuntimeError",
-                                error_message=(
-                                    "worker exited without posting its result"
-                                ),
-                                traceback="",
-                            )
-                        pending.discard(index)
-                        yield from self._absorb(
-                            specs, started, ("error", index, payload)
+                        payload = _FailurePayload(
+                            error_type="RuntimeError",
+                            error_message="worker exited without posting its result",
+                            traceback="",
                         )
-                    continue
-                kind, index, _ = item
-                if index not in pending:
-                    continue        # late item after a synthesized failure
-                if kind != "event":
                     pending.discard(index)
-                yield from self._absorb(specs, started, item)
-        finally:
-            self._active_futures = {}
+                    yield from self._absorb(specs, started, ("error", index, payload))
+                continue
+            kind, index, _ = item
+            if index not in pending:
+                continue        # late item after a synthesized failure
+            if kind != "event":
+                pending.discard(index)
+            yield from self._absorb(specs, started, item)
 
     def _absorb(self, specs, started: set, item):
         """Turn one relayed item into stream events — the one place a

@@ -437,7 +437,7 @@ def test_seq_monotonic_across_merged_shard_streams(tiny_pretrained, backend):
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_step_events_are_live_mid_campaign(tiny_pretrained, backend):
+def test_step_events_are_live_mid_campaign(tiny_pretrained, backend, monkeypatch):
     # The acceptance contract: a campaign's StepCompleted
     # events reach the consumer while its worker is still executing the
     # rest of the trace — not replayed after CampaignFinished.  At the
@@ -452,15 +452,22 @@ def test_step_events_are_live_mid_campaign(tiny_pretrained, backend):
         engine_seed=41,
         seed=41,
     )
+    # The worker futures, as the stream's drain loop receives them.
+    futures: dict = {}
+    drain = TuningService._drain
+
+    def spying_drain(self, specs, submitted, get_event):
+        futures.update(submitted)
+        return drain(self, specs, submitted, get_event)
+
+    monkeypatch.setattr(TuningService, "_drain", spying_drain)
     service = TuningService(tiny_pretrained, backend=backend, max_workers=1)
     live_checks = []
     finished_seen = False
     for event in service.stream([spec]):
         if isinstance(event, StepCompleted) and event.step_index == 0:
             assert not finished_seen
-            live_checks.append(
-                any(not f.done() for f in service._active_futures.values())
-            )
+            live_checks.append(any(not f.done() for f in futures.values()))
         elif isinstance(event, CampaignFinished):
             finished_seen = True
     assert finished_seen

@@ -74,6 +74,29 @@ class TestTuningPlanValidation:
     def test_ablation_tuner_spelling_accepted(self):
         assert TuningPlan(query="q1", tuner="streamtune-xgboost").tuner
 
+    def test_history_needing_tuner_rejected(self):
+        # A tuning plan runs on the service too, which builds tuners from
+        # the spec alone and carries no execution history.
+        with pytest.raises(PlanError, match="zerotune.*execution history"):
+            TuningPlan(query="q5", tuner="zerotune")
+
+    def test_only_a_tuning_plan_fits_at_the_solver_defaults(self):
+        import dataclasses
+
+        (spec,) = TuningPlan(query="q5", scale="smoke").specs()
+        assert spec.loose_tolerances is False
+        campaign = CampaignPlan(queries=("q1", "q5"), scale="smoke")
+        sweep = SweepPlan(
+            queries=("q1", "q5"), tuners=("streamtune", "ds2"),
+            rate_traces=((3, 7), (4, 2)), scale="smoke",
+        )
+        fleet_specs = campaign.specs() + sweep.specs()
+        assert len(fleet_specs) == 10
+        assert all(spec.loose_tolerances for spec in fleet_specs)
+        # The flag is execution data, not campaign identity.
+        loose = dataclasses.replace(spec, loose_tolerances=True)
+        assert loose.cell_key == spec.cell_key
+
     def test_ablation_tuner_bad_model_suffix_fails_at_plan_time(self):
         with pytest.raises(PlanError, match="model suffix"):
             TuningPlan(query="q1", tuner="streamtune-forest")
@@ -287,7 +310,7 @@ class TestSweepPlan:
             self._sweep(tuners=("streamtune", "dsz"))
 
     def test_zerotune_rejected_with_guidance(self):
-        with pytest.raises(PlanError, match="zerotune.*TuningPlan"):
+        with pytest.raises(PlanError, match="zerotune.*make_tuner"):
             self._sweep(tuners=("zerotune",))
 
     def test_unknown_engine_named(self):

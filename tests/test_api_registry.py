@@ -21,6 +21,7 @@ from repro.baselines import ContTuneTuner, DS2Tuner, OracleTuner
 from repro.engines import FlinkCluster, TimelyCluster
 from repro.engines.faults import FaultInjectingFlink
 from repro.engines.paced import PacedFlink
+from repro.experiments.scale import SMOKE
 from repro.models import MonotonicGBDT, MonotonicSVM, make_prediction_model
 
 
@@ -141,20 +142,25 @@ class TestTunerRegistry:
         assert isinstance(build_tuner("Oracle", flink), OracleTuner)
 
     def test_streamtune_via_resources(self, flink, tiny_pretrained):
-        resources = TunerResources(pretrained=lambda: tiny_pretrained)
-        tuner = build_tuner("streamtune", flink, resources, seed=5)
+        resources = TunerResources(scale=SMOKE, pretrained=lambda: tiny_pretrained)
+        tuner = build_tuner("streamtune", flink, resources)
         assert tuner.name == "StreamTune"
-        assert tuner.seed == 5
+        assert tuner.seed == SMOKE.seed + 4
         assert tuner.model_kind == "svm"
 
     def test_streamtune_ablation_spelling_sets_model_kind(self, flink, tiny_pretrained):
-        resources = TunerResources(pretrained=lambda: tiny_pretrained)
-        tuner = build_tuner("StreamTune-xgboost", flink, resources, seed=5)
+        resources = TunerResources(scale=SMOKE, pretrained=lambda: tiny_pretrained)
+        tuner = build_tuner("StreamTune-xgboost", flink, resources)
         assert tuner.model_kind == "xgboost"
 
     def test_streamtune_without_pretrained_is_actionable(self, flink):
         with pytest.raises(ValueError, match="pre-trained"):
-            build_tuner("streamtune", flink, TunerResources(), seed=5)
+            build_tuner("streamtune", flink, TunerResources(scale=SMOKE))
+
+    def test_streamtune_sets_only_its_model_kind(self):
+        assert [spec.name for spec in TUNERS.entry("streamtune").params] == [
+            "model_kind"
+        ]
 
     def test_streamtune_rejects_unknown_layer_early(self, flink, tiny_pretrained):
         resources = TunerResources(pretrained=lambda: tiny_pretrained)

@@ -138,28 +138,27 @@ class TestTuningSessionCampaigns:
         with pytest.raises(PlanError, match="TuningPlan, "):
             TuningSession(pretrained=tiny_pretrained).run({"queries": ["q1"]})
 
-    def test_ablation_tuner_spelling_selects_the_model(self, tiny_pretrained):
+    def test_ablation_tuner_spelling_selects_the_model(self, tiny_pretrained, monkeypatch):
+        import repro.service.tuning as service_tuning
+
         plan = TuningPlan(
             query="q1", rates=(3,), tuner="streamtune-isotonic",
             scale="smoke", seed=5,
         )
         session = TuningSession(pretrained=tiny_pretrained)
         captured = {}
-        import repro.api.components as components
-
-        original = components.StreamTuneTuner
+        original = service_tuning.StreamTuneTuner
 
         class Spy(original):
             def __init__(self, *args, **kwargs):
                 captured["model_kind"] = kwargs.get("model_kind")
+                captured["loose_tolerances"] = kwargs.get("loose_tolerances")
                 super().__init__(*args, **kwargs)
 
-        components.StreamTuneTuner = Spy
-        try:
-            session.run(plan)
-        finally:
-            components.StreamTuneTuner = original
-        assert captured["model_kind"] == "isotonic"
+        # The service builds every campaign's tuner, a tuning plan's too.
+        monkeypatch.setattr(service_tuning, "StreamTuneTuner", Spy)
+        session.run(plan)
+        assert captured == {"model_kind": "isotonic", "loose_tolerances": False}
 
 
 class TestCachePersistence:
@@ -341,9 +340,50 @@ class TestSessionStreaming:
         assert [event.seq for event in events] == list(range(len(events)))
         steps = [e for e in events if isinstance(e, StepCompleted)]
         assert [e.step_index for e in steps] == [0, 1]
-        assert [e for e in events if isinstance(e, CampaignStarted)][0].backend == "inline"
+        assert [e for e in events if isinstance(e, CampaignStarted)][0].backend == "sequential"
         finished = [e for e in events if isinstance(e, CampaignFinished)]
         assert len(finished) == 1 and finished[0].outcome is not None
+
+    def test_tuning_plan_is_a_one_campaign_sequential_fleet(self, tiny_pretrained):
+        import dataclasses
+        import pickle
+
+        from repro.api import CampaignFinished
+
+        def timeless(event):
+            clocks = {"recommendation_seconds", "wall_seconds"}
+            return dataclasses.replace(
+                event,
+                **{spec.name: 0.0 for spec in dataclasses.fields(event)
+                   if spec.name in clocks},
+            )
+
+        def steps(events):
+            return [
+                (event.outcome.backend, [
+                    _canonical(step)
+                    for process in event.outcome.result.processes
+                    for step in process.steps
+                ])
+                for event in events if isinstance(event, CampaignFinished)
+            ]
+
+        # Each side gets its own copy of the artifact, so both start from
+        # the same GED cache and their CacheStats counters compare too.
+        def artifact():
+            return pickle.loads(pickle.dumps(tiny_pretrained))
+
+        plan = TuningPlan(query="q5", rates=(3, 8), scale="smoke", seed=5)
+        session_events = list(TuningSession(pretrained=artifact()).stream(plan))
+        service = TuningService(artifact(), backend="sequential")
+        service_events = list(service.stream(plan.specs()))
+        assert list(map(timeless, session_events)) == list(map(timeless, service_events))
+        assert steps(session_events) == steps(service_events)
+        assert steps(session_events)[0][0] == "sequential"
+        assert session_events[-1].kind == "CacheStats"
+        assert session_events[-1].stats["warmup"]["misses"] >= 1
+        result = TuningSession(pretrained=artifact()).run(plan)
+        assert result.backend == "sequential"
 
 
 class TestSweepExecution:
@@ -417,7 +457,7 @@ class TestSessionSharedCaches:
         assert _steps(first) == _steps(second)
 
     def test_campaign_then_tuning_plan_share_one_warmup_entry(self, tiny_pretrained):
-        # The service and the inline tuner ask for the same warm-up key, so
+        # A campaign and a tuning plan ask for the same warm-up key, so
         # a daemon's second job for a query starts warm whatever its kind.
         caches = TuningCacheSet()
         session = TuningSession(pretrained=tiny_pretrained, caches=caches)

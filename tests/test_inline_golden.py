@@ -1,9 +1,10 @@
-"""The inline tuner's decisions, pinned to committed step traces.
+"""A tuning plan's decisions, pinned to committed step traces.
 
-Every online fit stops at the solver's iteration limit (see
-``MonotonicSVM.stop_message_``), so M_f is an iterate, not an optimum, and
-a change of float summation order in the fit path can move a decision.
-"Same objective" therefore proves nothing about the tuner; these traces
+These traces pin the decisions of the default-tolerance ``TuningPlan``
+path: one campaign on the service's ``sequential`` backend, its M_f fitted
+at the solver's default tolerances (campaign and sweep cells fit at looser
+ones).  A change of float summation order in the fit path can move a
+decision, so "same objective" proves nothing about the tuner; these traces
 do.  ``tests/data/inline_step_traces.json`` says where each came from.
 """
 

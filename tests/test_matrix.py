@@ -116,7 +116,8 @@ class TestChaosThroughTheStream:
     @pytest.mark.parametrize("backend", ["inline", "sequential", "thread"])
     def test_chaos_events_carry_the_cell_key_on_every_path(self, backend):
         # One translation of a campaign into events: the same chaos
-        # campaign stamps its cell_key inline and on the service.
+        # campaign stamps its cell_key as a tuning plan ("inline") and
+        # as a campaign plan on each service backend.
         from repro.api import CampaignPlan, TuningPlan
 
         shared = dict(

@@ -422,8 +422,8 @@ class TestPlanResume:
         assert resumed.outcomes[0].wall_seconds == first.outcomes[0].wall_seconds
 
     def test_cross_plan_resume_is_conservative(self, tmp_path):
-        # The inline tuning lifecycle seeds its engine from the scale
-        # while a campaign fleet seeds it from the plan, so the same
+        # A tuning plan seeds its engine from the scale while a
+        # campaign fleet seeds it from the plan, so the same
         # (query, tuner, trace, seed) can still measure differently.
         # The cell keys encode that engine seed: a log recorded by one
         # plan kind must NOT resume the other — it re-executes instead
