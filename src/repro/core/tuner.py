@@ -338,6 +338,9 @@ class StreamTuneTuner(ParallelismTuner):
         the same query warm-start L-BFGS from the previous solution — every
         step is a pure function of the accumulated state, so results are
         reproducible run-to-run and independent of campaign interleaving.
+        Only :class:`~repro.models.MonotonicSVM` takes ``sample_weight``,
+        so the model fitted here always has ``theta0``, the solver knobs
+        and ``solution_theta``.
         """
         index_of: dict[tuple[bytes, int], int] = {}
         rows: list[np.ndarray] = []
@@ -378,18 +381,14 @@ class StreamTuneTuner(ParallelismTuner):
         model = make_prediction_model(
             self.model_kind, seed=self.seed + stable_hash(state.job_key, 1000)
         )
-        kwargs = {}
-        if state.warm_theta is not None and _supports_theta0(model):
-            kwargs["theta0"] = state.warm_theta
         if self.loose_tolerances:
-            if hasattr(model, "platt_tol"):
-                model.platt_tol = 1e-7
-            if hasattr(model, "solver_options"):
-                model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
+            model.platt_tol = 1e-7
+            model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
         fitted = model.fit(
-            np.stack(rows), label_array, sample_weight=weight_array, **kwargs
+            np.stack(rows), label_array, sample_weight=weight_array,
+            theta0=state.warm_theta,
         )
-        state.warm_theta = getattr(fitted, "solution_theta", None)
+        state.warm_theta = fitted.solution_theta
         return fitted
 
     def _rebalance(self, features: np.ndarray, labels: np.ndarray, job_key: str):
@@ -514,13 +513,6 @@ class StreamTuneTuner(ParallelismTuner):
 def _supports_sample_weight(model) -> bool:
     try:
         return "sample_weight" in inspect.signature(model.fit).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def _supports_theta0(model) -> bool:
-    try:
-        return "theta0" in inspect.signature(model.fit).parameters
     except (TypeError, ValueError):
         return False
 

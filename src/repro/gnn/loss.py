@@ -72,10 +72,14 @@ def bce_with_logits(
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=np.float64)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
-    return out
+    """Numerically stable logistic function.
+
+    ``exp`` only ever sees ``-|z|``, so it cannot overflow: a non-negative
+    ``z`` takes ``1 / (1 + e)``, a negative one ``e / (1 + e)``.  The
+    exponent is ``minimum(z, -z)`` rather than ``-abs(z)`` because
+    ``minimum`` returns a NaN as it came: a NaN input comes out with its
+    sign bit unchanged.
+    """
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)

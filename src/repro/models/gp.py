@@ -9,7 +9,6 @@ parallelism degree and acts on a conservative lower confidence bound
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 #: The observation noise variance as a share of the signal variance.
 NOISE_SHARE = 0.05
@@ -34,6 +33,10 @@ class GaussianProcess1D:
         return self.signal_variance * np.exp(-0.5 * (diff / self.length_scale) ** 2)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess1D":
+        # scipy is imported where it is used: at module level it would load
+        # with every ``import repro`` (through the ContTune baseline).
+        from scipy.linalg import cho_factor, cho_solve
+
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         if len(x) != len(y) or len(x) == 0:
@@ -50,6 +53,8 @@ class GaussianProcess1D:
 
     def predict(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at ``x_new``."""
+        from scipy.linalg import cho_solve
+
         if self._x is None:
             raise RuntimeError("GP is not fitted")
         x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)

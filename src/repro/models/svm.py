@@ -18,6 +18,17 @@ solver's ``maxiter``: a fit that exhausts it returns that iterate, not an
 optimum, and ``n_iterations_`` / ``stop_message_`` say which happened.
 Probabilities come from Platt-style scaling of the margin with a
 positivity-constrained slope, which preserves monotonicity in p.
+
+A fit pays its fixed costs once per distinct embedding, and its result is
+byte-identical to lifting every row.  The embedding h is
+parallelism-agnostic, so most training rows repeat another row's h with a
+different p.  Standardising and lifting are row-wise (one matrix product,
+then an elementwise ``cos``), so lifting only the distinct rows and
+gathering the result yields the same bytes.  The scores ``lifted @ w_e``
+and the gradient ``coeff @ lifted`` still run over every row, in the
+original order: a matrix-vector product's rounding depends on where a row
+sits, so scoring the distinct rows and gathering would move the last bit
+of the solution.
 """
 
 from __future__ import annotations
@@ -40,11 +51,11 @@ EPOCHS = 200
 class MonotonicSVM:
     """Kernelised hinge-loss classifier, monotone non-increasing in p."""
 
-    def __init__(self, seed: int = 11, platt_tol: float = 0.0) -> None:
-        """``platt_tol`` > 0 stops the Platt-scaling loop once both gradient
-        magnitudes fall below it (deterministic early exit); the default 0
-        keeps the historical fixed-iteration behaviour bit-for-bit."""
-        self.platt_tol = platt_tol
+    def __init__(self, seed: int = 11) -> None:
+        #: ``platt_tol`` > 0 stops the Platt-scaling loop once both gradient
+        #: magnitudes fall below it (deterministic early exit); the default 0
+        #: keeps the historical fixed-iteration behaviour bit-for-bit.
+        self.platt_tol = 0.0
         #: Optional extra options merged into the L-BFGS-B ``options`` dict
         #: (e.g. ``{"ftol": 1e-7, "gtol": 1e-4}``).  The online tuning loop
         #: thresholds a calibrated probability at ~0.35, so it can trade the
@@ -113,8 +124,12 @@ class MonotonicSVM:
         so successive refits of a tuning loop share the feature space); the
         online loop's refits change only a few feedback rows between fits,
         which makes the previous optimum an excellent starting point.
+
+        Every input is validated before the model is touched, so a fit
+        that raises leaves an already-fitted model as it was.
         """
         features, labels = validate_training_inputs(features, labels)
+        dim = N_FOURIER_FEATURES
         counts = None
         if sample_weight is not None:
             counts = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
@@ -122,6 +137,15 @@ class MonotonicSVM:
                 raise ValueError("sample_weight and labels disagree on count")
             if not (counts > 0).all():
                 raise ValueError("sample_weight entries must be positive")
+        start = np.zeros(dim + 2)
+        if theta0 is not None:
+            start = np.array(theta0, dtype=np.float64)
+            if start.shape != (dim + 2,):
+                raise ValueError(
+                    f"theta0 must have shape ({dim + 2},), got {start.shape}"
+                )
+            # Project into the feasible box so L-BFGS-B starts legal.
+            start[dim] = min(start[dim], 0.0)
         raw_embeddings = features[:, :-1]
         if counts is None:
             self._feature_mean = raw_embeddings.mean(axis=0)
@@ -132,17 +156,23 @@ class MonotonicSVM:
             var = (counts[:, None] * (raw_embeddings - mean) ** 2).sum(axis=0) / total
             self._feature_mean = mean
             self._feature_scale = np.maximum(np.sqrt(var), 1e-8)
-        embeddings, parallelism = self._split(features)
         # Normalise the kernel bandwidth by dimensionality so gamma means
         # "per typical pairwise distance" regardless of embedding width.
-        n_embed = embeddings.shape[1]
+        n_embed = raw_embeddings.shape[1]
         self._rff_weights = self._rng.normal(
             0.0,
             np.sqrt(2.0 * GAMMA / n_embed),
             size=(n_embed, N_FOURIER_FEATURES),
         )
         self._rff_offsets = self._rng.uniform(0.0, 2.0 * np.pi, N_FOURIER_FEATURES)
-        lifted = self._lift(embeddings)
+        # Lift each distinct embedding (grouped by its raw bytes) once and
+        # gather a row per training row; see the module docstring.
+        rows = np.ascontiguousarray(raw_embeddings)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * n_embed))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = (rows[first] - self._feature_mean) / self._feature_scale
+        lifted = self._lift(distinct)[inverse]
+        parallelism = features[:, -1]
 
         y = 2.0 * labels - 1.0                      # {-1, +1}
         n = len(y) if counts is None else float(counts.sum())
@@ -157,25 +187,32 @@ class MonotonicSVM:
         weight = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
         if counts is not None:
             weight = weight * counts
+        # The hinge gradient's -2 w y, folded once: y = +-1 only flips a
+        # sign, so (-2 w y) h rounds exactly as ((-2 w) h) y does.
+        neg2wy = -2.0 * weight * y
+        scratch = np.empty(len(y))
 
         # Primal smooth (squared-hinge) SVM solved by L-BFGS-B; the Eq. 5
         # sign constraint w_p <= 0 maps directly onto a box bound.  The
         # regulariser follows the usual SVM scaling lambda = 1 / (C n).
         lam = 1.0 / (C * n)
-        dim = N_FOURIER_FEATURES
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             w_e = theta[:dim]
             w_p = theta[dim]
-            b = theta[dim + 1]
-            scores = lifted @ w_e + w_p * parallelism + b
-            margin = 1.0 - y * scores
-            active = margin > 0.0
-            hinge = np.where(active, margin, 0.0)
-            value = 0.5 * lam * (w_e @ w_e + w_p * w_p) + float(
-                (weight * hinge**2).sum() / n
-            )
-            coeff = -2.0 * weight * hinge * y / n
+            # max(1 - y * score, 0), in place, in the operation order of
+            # 1.0 - y * (lifted @ w_e + w_p * parallelism + b).
+            hinge = lifted @ w_e
+            hinge += w_p * parallelism
+            hinge += theta[dim + 1]
+            hinge *= y
+            np.subtract(1.0, hinge, out=hinge)
+            np.maximum(hinge, 0.0, out=hinge)
+            loss = np.multiply(hinge, hinge, out=scratch)
+            loss *= weight
+            value = 0.5 * lam * (w_e @ w_e + w_p * w_p) + float(loss.sum() / n)
+            coeff = np.multiply(neg2wy, hinge, out=scratch)
+            coeff /= n
             grad = np.empty_like(theta)
             grad[:dim] = lam * w_e + coeff @ lifted
             grad[dim] = lam * w_p + float(coeff @ parallelism)
@@ -184,17 +221,6 @@ class MonotonicSVM:
 
         from scipy.optimize import minimize
 
-        if theta0 is None:
-            start = np.zeros(dim + 2)
-        else:
-            start = np.asarray(theta0, dtype=np.float64)
-            if start.shape != (dim + 2,):
-                raise ValueError(
-                    f"theta0 must have shape ({dim + 2},), got {start.shape}"
-                )
-            # Project into the feasible box so L-BFGS-B starts legal.
-            start = start.copy()
-            start[dim] = min(start[dim], 0.0)
         bounds = [(None, None)] * dim + [(None, 0.0), (None, None)]
         options = {"maxiter": EPOCHS}
         if self.solver_options:
@@ -226,13 +252,13 @@ class MonotonicSVM:
     ) -> None:
         """Fit p = sigmoid(a * margin + b0) with a >= 0 (keeps monotonicity)."""
         n = float(len(margins)) if counts is None else float(counts.sum())
-        multiplicity = np.ones_like(margins) if counts is None else counts
         a, b0 = 1.0, 0.0
         for _ in range(120):
-            z = a * margins + b0
-            p = sigmoid(z)
-            grad_a = float((multiplicity * (p - labels) * margins).sum() / n)
-            grad_b = float((multiplicity * (p - labels)).sum() / n)
+            residual = sigmoid(a * margins + b0) - labels
+            if counts is not None:
+                residual *= counts
+            grad_a = float((residual * margins).sum()) / n
+            grad_b = float(residual.sum()) / n
             if self.platt_tol > 0.0 and (
                 abs(grad_a) < self.platt_tol and abs(grad_b) < self.platt_tol
             ):

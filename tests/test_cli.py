@@ -497,3 +497,23 @@ class TestExperimentsScale:
         assert [scale.name for scale in ran_at] == ["smoke"]
         assert "scale: smoke" in capsys.readouterr().out
         assert os.environ["REPRO_SCALE"] == "default"
+
+
+def test_importing_the_cli_and_the_daemon_loads_no_scipy():
+    """scipy costs about half of ``import repro``, in every CLI command,
+    worker and daemon; only a model fit loads it, inside the fit."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys, repro.cli, repro.daemon; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout
+    assert out.strip() == "[]"

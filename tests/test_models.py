@@ -18,7 +18,7 @@ from repro.models import gbdt, gp, mlp, svm
 from repro.models.base import validate_training_inputs
 from repro.models.gp import GaussianProcess1D
 from repro.models.search import min_feasible_parallelism
-from tests.conftest import check_monotonicity
+from tests.conftest import check_monotonicity, masked_sigmoid, reference_svm_fit
 
 
 def threshold_dataset(seed=5, n=500, dim=4):
@@ -97,6 +97,84 @@ class TestMonotonicSVM:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MonotonicSVM().predict(np.ones((1, 3)))
+
+    def test_a_fit_that_raises_leaves_the_fitted_model_unchanged(self):
+        X, y = threshold_dataset()
+        model = MonotonicSVM(seed=1).fit(X, y)
+        before = model.predict_proba(X).tobytes()
+        theta = model.solution_theta.tobytes()
+        with pytest.raises(ValueError, match="theta0"):
+            model.fit(X, y, theta0=np.zeros(5))
+        with pytest.raises(ValueError, match="sample_weight"):
+            model.fit(X, y, sample_weight=np.zeros(len(y)))
+        assert model.predict_proba(X).tobytes() == before
+        assert model.solution_theta.tobytes() == theta
+        # The RFF draw did not advance either: a refit repeats a fresh one.
+        refit = model.fit(X, y).solution_theta
+        fresh = MonotonicSVM(seed=1)
+        fresh.fit(X, y)
+        assert refit.tobytes() == fresh.fit(X, y).solution_theta.tobytes()
+
+
+def repeated_embedding_dataset(n, seed=3, dim=6):
+    """``n`` rows over about n / 3 distinct embeddings, each repeated at
+    several parallelisms, with positive multiplicities."""
+    rng = np.random.default_rng(seed + n)
+    distinct = rng.normal(size=(max(2, n // 3), dim)) * rng.uniform(0.1, 4.0, dim)
+    h = distinct[rng.integers(0, len(distinct), n)]
+    p = rng.integers(1, 40, n).astype(np.float64)
+    y = (p < 10 + 8 * h[:, 0]).astype(int)
+    y[:2] = (0, 1)
+    return np.column_stack([h, p]), y, rng.integers(1, 9, n).astype(np.float64)
+
+
+class TestFitBitIdentity:
+    """The distinct-embedding fit reproduces the row-by-row reference
+    (``tests/conftest.py::reference_svm_fit``) byte for byte."""
+
+    @staticmethod
+    def assert_identical(n, weighted=True, theta0=None, loose=False):
+        X, y, w = repeated_embedding_dataset(n)
+        kwargs = {"sample_weight": w} if weighted else {}
+        models = [MonotonicSVM(seed=n), MonotonicSVM(seed=n)]
+        if loose:
+            for model in models:
+                model.platt_tol = 1e-7
+                model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
+        fitted = models[0].fit(X, y, theta0=theta0, **kwargs)
+        theta, scale, offset, nit, message = reference_svm_fit(
+            models[1], X, y, theta0=theta0, **kwargs
+        )
+        assert fitted.solution_theta.tobytes() == theta.tobytes()
+        assert (fitted._platt_scale, fitted._platt_offset) == (scale, offset)
+        assert (fitted.n_iterations_, fitted.stop_message_) == (nit, message)
+
+    @pytest.mark.parametrize("n", range(40, 48))
+    def test_weighted_repeated_embeddings_every_tail(self, n):
+        self.assert_identical(n)
+
+    @pytest.mark.parametrize("n", [7, 64, 301])
+    def test_unweighted(self, n):
+        self.assert_identical(n, weighted=False)
+
+    def test_warm_start(self):
+        theta0 = np.random.default_rng(0).normal(size=svm.N_FOURIER_FEATURES + 2)
+        self.assert_identical(120, theta0=theta0)
+
+    def test_loose_solver_options_with_platt_tol(self):
+        self.assert_identical(200, loose=True)
+
+    def test_sigmoid_equals_the_masked_form(self):
+        from repro.gnn.loss import sigmoid
+
+        special = np.array([
+            0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0,
+            745.0, -745.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310,
+        ])
+        draws = np.random.default_rng(1).normal(0.0, 30.0, 4099)
+        for z in (special, draws, np.array(-1.25), np.array(3.5)):
+            assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+            assert sigmoid(z).shape == z.shape
 
 
 
