@@ -223,7 +223,6 @@ def distill_rows(
     encoder,
     flow,
     source_rates: dict[str, float],
-    grid: tuple[int, ...] = DISTILLATION_GRID,
 ) -> PredictionDataset:
     """Probe the GNN across a parallelism grid and emit soft-label rows.
 
@@ -244,7 +243,7 @@ def distill_rows(
         max_parallelism=pretrained.max_parallelism,
     )
     embeddings = encoder.encode(sample, parallelism_aware=False)
-    degrees = [d for d in grid if d <= pretrained.max_parallelism]
+    degrees = [d for d in DISTILLATION_GRID if d <= pretrained.max_parallelism]
     p_norms = np.array(
         [
             pretrained.feature_encoder.normalize_parallelism(

@@ -68,7 +68,6 @@ def pretrain(
     records: list[ExecutionRecord],
     max_parallelism: int,
     n_clusters: int | None = None,
-    n_message_passing: int = 2,
     epochs: int = 40,
     seed: int = 7,
     feature_encoder: FeatureEncoder | None = None,
@@ -124,7 +123,6 @@ def pretrain(
             )
         config = EncoderConfig(
             input_dim=labelled[0].features.shape[1],
-            n_message_passing=n_message_passing,
             fuse_per_step=fuse_per_step,
             seed=seed + cluster,
         )

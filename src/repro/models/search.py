@@ -20,7 +20,6 @@ def min_feasible_parallelism(
     p_max: int,
     normalize,
     probability_threshold: float | None = None,
-    strict: bool = False,
 ) -> int:
     """Smallest parallelism the model does not classify as a bottleneck.
 
@@ -41,11 +40,6 @@ def min_feasible_parallelism(
     Because the predicate is precomputed once, the outcome is a pure
     function of the model's predictions: repeated calls with identical
     inputs return identical degrees even for non-monotone models.
-
-    ``strict=True`` validates the precomputed predicate and raises
-    :class:`ValueError` when the model is not monotone along the
-    parallelism axis (a bottleneck verdict reappearing after a
-    non-bottleneck one), instead of silently returning bisection's answer.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -67,12 +61,6 @@ def min_feasible_parallelism(
             bottleneck = model.predict(rows).astype(bool)
         else:
             bottleneck = model.predict_proba(rows) >= probability_threshold
-
-    if strict and np.any(bottleneck[1:] & ~bottleneck[:-1]):
-        raise ValueError(
-            "model is not monotone along the parallelism axis: a bottleneck "
-            "verdict reappears after a non-bottleneck one"
-        )
 
     def is_bottleneck(p: int) -> bool:
         return bool(bottleneck[p - 1])

@@ -29,6 +29,21 @@ and the gradient ``coeff @ lifted`` still run over every row, in the
 original order: a matrix-vector product's rounding depends on where a row
 sits, so scoring the distinct rows and gathering would move the last bit
 of the solution.
+
+:func:`_lbfgsb` drives L-BFGS-B in place of ``scipy.optimize.minimize``.
+It runs ``_minimize_lbfgsb``'s loop over the same reverse-communication
+routine (``scipy.optimize._lbfgsb.setulb``) with the same memory (10
+corrections), line-search limit (20), ``factr = ftol / eps``, box and
+start, and it evaluates the objective at exactly the points ``setulb``
+asks for, so the solution, the iteration count and the message are
+byte-identical.  What it drops is per-fit bounds parsing (``minimize``
+converts and loops over 258 bound tuples) and per-evaluation
+``ScalarFunction``/``MemoizeJac`` bookkeeping, which ran under the GIL.
+It has no evaluation-budget check: ``minimize``'s 15000 evaluations are
+never reached, because ``EPOCHS`` iterations of at most 20 line-search
+steps each stop first.  ``setulb`` is a private symbol (its signature is
+scipy >= 1.15's), so ``tests/conftest.py::reference_svm_fit``, which
+still calls ``minimize``, checks the driver against scipy byte for byte.
 """
 
 from __future__ import annotations
@@ -46,6 +61,40 @@ GAMMA = 1.5
 N_FOURIER_FEATURES = 256
 #: The L-BFGS-B ``maxiter`` of one fit.
 EPOCHS = 200
+#: The solver options a fit accepts, at scipy's L-BFGS-B defaults.
+SOLVER_DEFAULTS = {"ftol": 2.2204460492503131e-09, "gtol": 1e-5}
+
+
+def _lbfgsb(objective, x: np.ndarray, ftol: float, gtol: float) -> tuple[int, str]:
+    """Minimise ``objective`` (returning value and gradient) from ``x``, in
+    place, subject to ``x[-2] <= 0``, as ``minimize(method="L-BFGS-B")``
+    does; see the module docstring.  Returns the iteration count and
+    L-BFGS-B's stop message."""
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    n, m = len(x), 10
+    f, g, box, dsave = np.array(0.0), np.zeros(n), np.zeros(n), np.zeros(29)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    nbd, iwa, task, ln_task, lsave, isave = (
+        np.zeros(k, np.int32) for k in (n, 3 * n, 2, 2, 4, 44)
+    )
+    # Code 3 bounds x[-2] above by box[-2]; the zero vector serves as both
+    # bounds because code 0 (free) reads neither.
+    nbd[n - 2] = 3
+    factr, iterations = ftol / np.finfo(float).eps, 0
+    while True:
+        setulb(m, x, box, box, nbd, f, g, factr, gtol, wa, iwa, task,
+               lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:                   # FG: evaluate at x
+            f, g = objective(x)
+        elif task[0] == 1:                 # NEW_X: one iteration done
+            iterations += 1
+            if iterations >= EPOCHS:
+                task[:] = 5, 504           # STOP: iteration limit
+        else:
+            break
+    return iterations, f"{status_messages[task[0]]}: {task_messages[task[1]]}"
 
 
 class MonotonicSVM:
@@ -56,16 +105,17 @@ class MonotonicSVM:
         #: magnitudes fall below it (deterministic early exit); the default 0
         #: keeps the historical fixed-iteration behaviour bit-for-bit.
         self.platt_tol = 0.0
-        #: Optional extra options merged into the L-BFGS-B ``options`` dict
-        #: (e.g. ``{"ftol": 1e-7, "gtol": 1e-4}``).  The online tuning loop
-        #: thresholds a calibrated probability at ~0.35, so it can trade the
-        #: solver's last digits of objective precision for iterations.
+        #: Optional ``ftol``/``gtol`` overriding ``SOLVER_DEFAULTS`` (e.g.
+        #: ``{"ftol": 1e-7, "gtol": 1e-4}``); any other key is rejected.  The
+        #: online tuning loop thresholds a calibrated probability at ~0.35,
+        #: so it can trade the solver's last digits of objective precision
+        #: for iterations.
         self.solver_options: dict | None = None
         self._rng = seeded_rng(seed)
         self._fitted = False
         self.solution_theta: np.ndarray | None = None
-        #: How the last fit's solver stopped (``minimize``'s ``nit`` and
-        #: ``message``); ``None`` before the first fit.
+        #: How the last fit's solver stopped (its iteration count and
+        #: L-BFGS-B's message); ``None`` before the first fit.
         self.n_iterations_: int | None = None
         self.stop_message_: str | None = None
         self._feature_mean: np.ndarray | None = None
@@ -83,22 +133,16 @@ class MonotonicSVM:
     # ------------------------------------------------------------------
 
     def _lift(self, embeddings: np.ndarray) -> np.ndarray:
-        """Random Fourier features approximating an RBF kernel on h."""
-        assert self._rff_weights is not None and self._rff_offsets is not None
-        projection = embeddings @ self._rff_weights + self._rff_offsets
-        return np.sqrt(2.0 / N_FOURIER_FEATURES) * np.cos(projection)
-
-    def _split(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Standardised embedding columns and the raw parallelism column.
+        """Random Fourier features approximating an RBF kernel on h, given
+        standardised embeddings.
 
         The RBF kernel is distance-based: without per-column standardisation
         the GNN embedding's scale dominates gamma and the kernel saturates
         (every pair looks maximally distant), destroying generalisation.
         """
-        embeddings = features[:, :-1]
-        if self._feature_mean is not None:
-            embeddings = (embeddings - self._feature_mean) / self._feature_scale
-        return embeddings, features[:, -1]
+        assert self._rff_weights is not None and self._rff_offsets is not None
+        projection = embeddings @ self._rff_weights + self._rff_offsets
+        return np.sqrt(2.0 / N_FOURIER_FEATURES) * np.cos(projection)
 
     # ------------------------------------------------------------------
     # fitting
@@ -135,8 +179,8 @@ class MonotonicSVM:
             counts = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
             if len(counts) != len(labels):
                 raise ValueError("sample_weight and labels disagree on count")
-            if not (counts > 0).all():
-                raise ValueError("sample_weight entries must be positive")
+            if not ((counts > 0) & np.isfinite(counts)).all():
+                raise ValueError("sample_weight entries must be positive and finite")
         start = np.zeros(dim + 2)
         if theta0 is not None:
             start = np.array(theta0, dtype=np.float64)
@@ -144,8 +188,14 @@ class MonotonicSVM:
                 raise ValueError(
                     f"theta0 must have shape ({dim + 2},), got {start.shape}"
                 )
+            if not np.isfinite(start).all():
+                raise ValueError("theta0 must be finite")
             # Project into the feasible box so L-BFGS-B starts legal.
             start[dim] = min(start[dim], 0.0)
+        options = {**SOLVER_DEFAULTS, **(self.solver_options or {})}
+        if options.keys() != SOLVER_DEFAULTS.keys():
+            unknown = sorted(options.keys() - SOLVER_DEFAULTS.keys())
+            raise ValueError(f"unknown solver options {unknown}; known: ftol, gtol")
         raw_embeddings = features[:, :-1]
         if counts is None:
             self._feature_mean = raw_embeddings.mean(axis=0)
@@ -219,26 +269,11 @@ class MonotonicSVM:
             grad[dim + 1] = float(coeff.sum())
             return value, grad
 
-        from scipy.optimize import minimize
-
-        bounds = [(None, None)] * dim + [(None, 0.0), (None, None)]
-        options = {"maxiter": EPOCHS}
-        if self.solver_options:
-            options.update(self.solver_options)
-        solution = minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options=options,
-        )
-        self.solution_theta = solution.x.copy()
-        self.n_iterations_ = int(solution.nit)
-        self.stop_message_ = str(solution.message)
-        self._w_embed = solution.x[:dim]
-        self._w_parallelism = float(min(solution.x[dim], 0.0))
-        self._bias = float(solution.x[dim + 1])
+        self.n_iterations_, self.stop_message_ = _lbfgsb(objective, start, **options)
+        self.solution_theta = start.copy()
+        self._w_embed = start[:dim]
+        self._w_parallelism = float(min(start[dim], 0.0))
+        self._bias = float(start[dim + 1])
         self._fitted = True
         margins = lifted @ self._w_embed + self._w_parallelism * parallelism + self._bias
         self._fit_platt(margins, labels, counts)
@@ -278,10 +313,9 @@ class MonotonicSVM:
         if not self._fitted:
             raise RuntimeError("model is not fitted")
         features = np.asarray(features, dtype=np.float64)
-        embeddings, parallelism = self._split(features)
-        lifted = self._lift(embeddings)
+        lifted = self._lift((features[:, :-1] - self._feature_mean) / self._feature_scale)
         assert self._w_embed is not None
-        return lifted @ self._w_embed + self._w_parallelism * parallelism + self._bias
+        return lifted @ self._w_embed + self._w_parallelism * features[:, -1] + self._bias
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         margins = self.decision_function(features)
@@ -304,9 +338,7 @@ class MonotonicSVM:
         if not self._fitted:
             raise RuntimeError("model is not fitted")
         embedding = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
-        row = np.concatenate([embedding, [[0.0]]], axis=1)
-        lifted_embedding, _ = self._split(row)
-        lifted = self._lift(lifted_embedding)
+        lifted = self._lift((embedding - self._feature_mean) / self._feature_scale)
         assert self._w_embed is not None
         base = lifted @ self._w_embed
         return base + self._w_parallelism * np.asarray(parallelism_values) + self._bias

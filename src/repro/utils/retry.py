@@ -27,26 +27,23 @@ JITTER = 0.25
 def backoff_delays(
     *,
     base: float = 0.05,
-    factor: float = 2.0,
     jitter: float = JITTER,
 ) -> Iterator[float]:
     """Yield an endless jittered exponential backoff schedule.
 
-    Delay ``i`` is ``min(base * factor**i, MAX_DELAY)`` scaled by a
+    Delay ``i`` is ``min(base * 2**i, MAX_DELAY)`` scaled by a
     uniform jitter in ``[1 - jitter, 1 + jitter]`` drawn from a fresh
     unseeded generator.
     """
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")
-    if factor < 1.0:
-        raise ValueError(f"factor must be >= 1, got {factor}")
     if not 0.0 <= jitter < 1.0:
         raise ValueError(f"jitter must be in [0, 1), got {jitter}")
     generator = random.Random()
     delay = base
     while True:
         yield delay * generator.uniform(1.0 - jitter, 1.0 + jitter)
-        delay = min(delay * factor, MAX_DELAY)
+        delay = min(delay * 2.0, MAX_DELAY)
 
 
 def with_retries(
@@ -55,7 +52,6 @@ def with_retries(
     retryable: tuple[type[BaseException], ...],
     attempts: int = 3,
     base: float = 0.05,
-    factor: float = 2.0,
     deadline_seconds: float | None = None,
 ) -> T:
     """Run ``call``, retrying ``retryable`` exceptions with backoff.
@@ -80,7 +76,7 @@ def with_retries(
             f"deadline_seconds must be positive, got {deadline_seconds}"
         )
     deadline = None if deadline_seconds is None else time.monotonic() + deadline_seconds
-    delays = backoff_delays(base=base, factor=factor, jitter=JITTER)
+    delays = backoff_delays(base=base, jitter=JITTER)
     for attempt in range(1, attempts + 1):
         try:
             return call()

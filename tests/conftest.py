@@ -149,6 +149,26 @@ class MonotonicityReport:
         return self.n_violations == 0
 
 
+def strict_min_feasible_parallelism(model, embedding, p_max, normalize):
+    """:func:`repro.models.search.min_feasible_parallelism` on the class
+    decision, after checking that decision is monotone along the
+    parallelism axis: raises :class:`ValueError` when a bottleneck verdict
+    reappears after a non-bottleneck one, instead of returning
+    bisection's answer."""
+    from repro.models.search import min_feasible_parallelism
+
+    rows = np.empty((p_max, len(embedding) + 1))
+    rows[:, :-1] = embedding
+    rows[:, -1] = [normalize(p) for p in range(1, p_max + 1)]
+    bottleneck = model.predict(rows).astype(bool)
+    if np.any(bottleneck[1:] & ~bottleneck[:-1]):
+        raise ValueError(
+            "model is not monotone along the parallelism axis: a bottleneck "
+            "verdict reappears after a non-bottleneck one"
+        )
+    return min_feasible_parallelism(model, embedding, p_max, normalize)
+
+
 def save_plan(plan, path) -> None:
     """Write a plan to ``.json`` or ``.toml`` — the files ``load_plan``
     reads (``None`` fields are omitted from TOML)."""

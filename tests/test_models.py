@@ -115,6 +115,38 @@ class TestMonotonicSVM:
         fresh.fit(X, y)
         assert refit.tobytes() == fresh.fit(X, y).solution_theta.tobytes()
 
+    @staticmethod
+    def assert_rejected_untouched(model, X, y, match, **kwargs):
+        before = (model.predict_proba(X).tobytes(), model.solution_theta.tobytes())
+        state = model._rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            model.fit(X, y, **kwargs)
+        after = (model.predict_proba(X).tobytes(), model.solution_theta.tobytes())
+        assert after == before
+        assert model._rng.bit_generator.state == state
+
+    def test_an_infinite_sample_weight_is_rejected(self):
+        X, y = threshold_dataset()
+        model = MonotonicSVM(seed=1).fit(X, y)
+        weights = np.ones(len(y))
+        weights[7] = np.inf
+        self.assert_rejected_untouched(
+            model, X, y, "sample_weight", sample_weight=weights
+        )
+
+    def test_a_nan_theta0_is_rejected(self):
+        X, y = threshold_dataset()
+        model = MonotonicSVM(seed=1).fit(X, y)
+        theta0 = model.solution_theta.copy()
+        theta0[3] = np.nan
+        self.assert_rejected_untouched(model, X, y, "theta0", theta0=theta0)
+
+    def test_a_misspelt_solver_option_is_rejected(self):
+        X, y = threshold_dataset()
+        model = MonotonicSVM(seed=1).fit(X, y)
+        model.solver_options = {"ftol": 1e-7, "ftl": 1e-7}
+        self.assert_rejected_untouched(model, X, y, "'ftl'")
+
 
 def repeated_embedding_dataset(n, seed=3, dim=6):
     """``n`` rows over about n / 3 distinct embeddings, each repeated at
@@ -133,12 +165,17 @@ class TestFitBitIdentity:
     (``tests/conftest.py::reference_svm_fit``) byte for byte."""
 
     @staticmethod
-    def assert_identical(n, weighted=True, theta0=None, loose=False):
+    def assert_identical(n, weighted=True, theta0=None, loose=False,
+                         solver_options=None, rising=False):
+        """Fit both ways and compare; returns the reference's message."""
         X, y, w = repeated_embedding_dataset(n)
+        if rising:
+            y = (X[:, -1] > 20).astype(int)
         kwargs = {"sample_weight": w} if weighted else {}
         models = [MonotonicSVM(seed=n), MonotonicSVM(seed=n)]
-        if loose:
-            for model in models:
+        for model in models:
+            model.solver_options = solver_options
+            if loose:
                 model.platt_tol = 1e-7
                 model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
         fitted = models[0].fit(X, y, theta0=theta0, **kwargs)
@@ -148,6 +185,7 @@ class TestFitBitIdentity:
         assert fitted.solution_theta.tobytes() == theta.tobytes()
         assert (fitted._platt_scale, fitted._platt_offset) == (scale, offset)
         assert (fitted.n_iterations_, fitted.stop_message_) == (nit, message)
+        return theta, nit, message
 
     @pytest.mark.parametrize("n", range(40, 48))
     def test_weighted_repeated_embeddings_every_tail(self, n):
@@ -163,6 +201,22 @@ class TestFitBitIdentity:
 
     def test_loose_solver_options_with_platt_tol(self):
         self.assert_identical(200, loose=True)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_iteration_limit_stop(self, monkeypatch, epochs):
+        monkeypatch.setattr(svm, "EPOCHS", epochs)
+        _, nit, message = self.assert_identical(90)
+        assert nit == epochs
+        assert message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+    def test_active_parallelism_bound(self):
+        # Bottlenecks that rise with p pull w_p above 0: the bound holds it.
+        theta, _, _ = self.assert_identical(150, rising=True)
+        assert theta[svm.N_FOURIER_FEATURES] == 0.0
+
+    def test_relative_reduction_stop(self):
+        _, _, message = self.assert_identical(150, solver_options={"ftol": 1e-2})
+        assert message == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
 
     def test_sigmoid_equals_the_masked_form(self):
         from repro.gnn.loss import sigmoid

@@ -3,7 +3,8 @@
 For any *monotone* bottleneck predicate (bottleneck at low degrees, safe
 from some threshold on), :func:`min_feasible_parallelism` must return the
 exact threshold — the true minimum feasible degree.  For non-monotone
-predictors the result must be rejected under ``strict=True`` and handled
+predictors the result must be rejected by the strict search
+(``tests/conftest.py::strict_min_feasible_parallelism``) and handled
 deterministically otherwise.
 """
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.search import min_feasible_parallelism
+from tests.conftest import strict_min_feasible_parallelism
 
 
 def _identity_normalize(p: int) -> float:
@@ -64,10 +66,10 @@ def test_monotone_predictor_returns_true_minimum(p_max, data):
     )
     expected = min(threshold, p_max)  # all-bottleneck arrays cap at p_max
     assert result == expected
-    # strict mode accepts every monotone predicate
+    # the strict search accepts every monotone predicate
     assert (
-        min_feasible_parallelism(
-            model, np.zeros(3), p_max, _identity_normalize, strict=True
+        strict_min_feasible_parallelism(
+            model, np.zeros(3), p_max, _identity_normalize
         )
         == expected
     )
@@ -120,12 +122,12 @@ def test_strict_rejects_exactly_the_non_monotone_predicates(bottleneck):
     rising = bool(np.any(array[1:] & ~array[:-1]))
     if rising:
         with pytest.raises(ValueError, match="not monotone"):
-            min_feasible_parallelism(
-                model, np.zeros(2), len(array), _identity_normalize, strict=True
+            strict_min_feasible_parallelism(
+                model, np.zeros(2), len(array), _identity_normalize
             )
     else:
-        result = min_feasible_parallelism(
-            model, np.zeros(2), len(array), _identity_normalize, strict=True
+        result = strict_min_feasible_parallelism(
+            model, np.zeros(2), len(array), _identity_normalize
         )
         assert 1 <= result <= len(array)
 
