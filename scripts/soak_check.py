@@ -61,8 +61,6 @@ def _verify(args: argparse.Namespace) -> int:
     else:
         for failure in stream:
             failures.append(f"stream mismatch: {failure}")
-    if report.get("shm_leaked"):
-        failures.append(f"/dev/shm leak(s): {report['shm_leaked']}")
     statuses = report.get("statuses", {})
     bad = {cell: s for cell, s in statuses.items() if s != "ok"}
     if bad:

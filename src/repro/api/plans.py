@@ -43,10 +43,11 @@ from repro.api.components import parse_query_token, streamtune_variant
 from repro.api.registry import ENGINES, MODELS, TUNERS, UnknownComponentError
 
 #: Worker-pool backends a campaign may request: the in-process pools of
-#: :data:`repro.service.tuning.BACKENDS` plus the multi-host
-#: ``distributed`` executor (:mod:`repro.distributed`).  Kept literal
-#: here so plan validation never has to import the execution layers.
-PLAN_BACKENDS = ("sequential", "thread", "process", "distributed")
+#: :data:`repro.service.tuning.BACKENDS` plus the multi-process,
+#: multi-host ``distributed`` executor (:mod:`repro.distributed`).  Kept
+#: literal here so plan validation never has to import the execution
+#: layers.
+PLAN_BACKENDS = ("sequential", "thread", "distributed")
 
 
 class PlanError(ValueError):

@@ -4,7 +4,7 @@ A session turns a declarative plan into a computation:
 
 * a :class:`~repro.api.plans.CampaignPlan` runs the fleet lifecycle over
   the concurrent :class:`~repro.service.TuningService`, seeded per
-  campaign, so sequential/thread/process backends all return
+  campaign, so the sequential and thread backends both return
   bit-identical :class:`~repro.baselines.api.TuningResult` step
   sequences;
 * a :class:`~repro.api.plans.TuningPlan` — one engine, one tuner, one
@@ -127,19 +127,14 @@ class TuningSession:
     Long-lived hosts (the :mod:`repro.daemon` control plane) additionally
     pass ``caches=`` — one :class:`~repro.service.cache.TuningCacheSet`
     every plan this session runs shares, so the second job starts warm
-    where the first left off (a process-backend fleet's pre-warm puts
-    every entry its workers consult into it before dispatch) — and
-    ``shm_store=`` — one caller-owned
-    :class:`~repro.service.shm.SharedArrayStore` the process backend
-    publishes warm payloads through, instead of creating and unlinking an
-    arena per run.  A plan carrying its own ``cache_path`` loads and
-    saves its private snapshot, leaving the session set untouched.
+    where the first left off.  A plan carrying its own ``cache_path``
+    loads and saves its private snapshot, leaving the session set
+    untouched.
     """
 
-    def __init__(self, *, pretrained=None, caches=None, shm_store=None) -> None:
+    def __init__(self, *, pretrained=None, caches=None) -> None:
         self._pretrained_override = pretrained
         self._caches = caches
-        self._shm_store = shm_store
 
     # -- artifact resolution -------------------------------------------
 
@@ -257,7 +252,6 @@ class TuningSession:
             backend=plan.backend,
             max_workers=plan.workers,
             caches=caches,
-            shm_store=self._shm_store,
         )
         for event in service.stream(specs, resume=resume):
             if isinstance(event, CampaignFinished):

@@ -1,11 +1,9 @@
 """The ``repro serve`` daemon: a persistent HTTP control plane.
 
 One :class:`TuningDaemon` owns the expensive long-lived state — a
-:class:`~repro.api.session.TuningSession`, one shared
+:class:`~repro.api.session.TuningSession` and one shared
 :class:`~repro.service.cache.TuningCacheSet` every job warms for the
-next, and one :class:`~repro.service.shm.SharedArrayStore` arena for
-``process``-backend fleets — and exposes it through a stdlib
-``ThreadingHTTPServer``:
+next — and exposes it through a stdlib ``ThreadingHTTPServer``:
 
 =========================== ==========================================
 ``POST /v1/plans``          submit a plan (JSON or TOML body) -> job
@@ -22,7 +20,7 @@ next, and one :class:`~repro.service.shm.SharedArrayStore` arena for
 Submissions pass through :class:`~repro.daemon.queue.TenantQueue`
 admission (429 when a tenant's slice is full, 503 while draining) and a
 single dispatcher thread executes jobs one at a time — the concurrency
-knob is the *plan's* backend (thread/process fleets), not competing
+knob is the *plan's* backend (thread or distributed fleets), not competing
 sessions fighting over cores.
 
 Durability: every accepted submission and state transition is fsynced
@@ -37,8 +35,8 @@ client pays one connection for a job's submit, follow and status reads.
 
 Shutdown (SIGTERM/SIGINT or ``POST /v1/shutdown``) drains the in-flight
 job through the service's crash-safe drain loop, leaves queued jobs in
-the manifest for the next start, snapshots ``--cache-path`` if given,
-and closes the shared-memory arena so ``/dev/shm`` is left clean.
+the manifest for the next start and snapshots ``--cache-path`` if
+given.
 """
 
 from __future__ import annotations
@@ -92,6 +90,9 @@ class TuningDaemon:
         cache_path: str | None = None,
         resume: str | None = None,
         fsync: bool = True,
+        # Accepted and ignored: ``benchmarks/e2e/workloads.py`` passes
+        # ``use_shm=False``, so deleting the keyword would fail every
+        # ``daemon_ds2`` op; it goes once that harness stops passing it.
         use_shm: bool = True,
         spool_dir: "str | Path | None" = None,
     ) -> None:
@@ -114,16 +115,9 @@ class TuningDaemon:
             self.caches = TuningCacheSet.load(cache_path)
         else:
             self.caches = TuningCacheSet()
-        self.shm_store = None
-        if use_shm:
-            from repro.service.shm import SharedArrayStore
-
-            self.shm_store = SharedArrayStore()
         from repro.api.session import TuningSession
 
-        self.session = TuningSession(
-            caches=self.caches, shm_store=self.shm_store
-        )
+        self.session = TuningSession(caches=self.caches)
         self._admission = threading.Lock()
         self._stop = threading.Event()
         self._started_at: float | None = None
@@ -211,8 +205,6 @@ class TuningDaemon:
             self._http_thread.join(timeout=5.0)
         if self.cache_path is not None:
             self.caches.save(self.cache_path)
-        if self.shm_store is not None:
-            self.shm_store.close()
 
     def serve(self, on_ready=None) -> None:
         """Run until SIGTERM/SIGINT (or ``POST /v1/shutdown``), then drain.

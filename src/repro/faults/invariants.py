@@ -12,9 +12,6 @@ ad-hoc scripts all assert the same thing:
   names exists (:func:`check_spool`);
 * **no stale leases** — after sweeping done-cell debris, no lease
   outlives its TTL (:func:`check_spool`);
-* **no shared-memory leaks** — ``/dev/shm`` holds no cache-plane
-  segments beyond those present before the episode
-  (:func:`shm_segments`);
 * **bit-identity** — the merged distributed event stream equals the
   sequential reference, wall-clock fields aside
   (:func:`compare_event_streams`).
@@ -25,30 +22,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.service.shm import SEGMENT_PREFIX
-
 __all__ = [
     "check_spool",
     "compare_event_streams",
     "load_event_log",
-    "shm_segments",
 ]
 
 #: Payload fields that measure the host, not the computation.
 _WALL_CLOCK_STEP_FIELDS = ("recommendation_seconds",)
-
-
-def shm_segments() -> list[str]:
-    """Names of ``/dev/shm`` segments created by the cache plane.
-
-    The supervisor snapshots this before an episode and asserts the
-    after-set introduces nothing new: a SIGKILLed worker must not leak
-    its shared-memory cache segments past the coordinator's cleanup.
-    """
-    shm = Path("/dev/shm")
-    if not shm.is_dir():
-        return []
-    return sorted(path.name for path in shm.glob(f"{SEGMENT_PREFIX}*"))
 
 
 def load_event_log(path: "str | Path") -> list[dict]:

@@ -15,9 +15,9 @@ Each SIGKILLed worker is respawned after :func:`restart_delay`'s
 deterministic capped exponential backoff, within a per-slot budget of
 ``MAX_RESTARTS`` restarts.  After the episode the supervisor asserts
 the standing invariants of :mod:`repro.faults.invariants` —
-exactly-once completion, zero stale leases, no ``/dev/shm`` leaks, and
-(optionally) a merged event stream bit-identical to an in-process
-sequential reference run of the same plan.  The :class:`SoakReport`'s
+exactly-once completion, zero stale leases, and (optionally) a merged
+event stream bit-identical to an in-process sequential reference run of
+the same plan.  The :class:`SoakReport`'s
 :meth:`~SoakReport.deterministic_view` excludes wall-clock and
 scheduling noise, so two runs with the same seeds must render the
 identical view.
@@ -37,7 +37,6 @@ from repro.faults.invariants import (
     check_spool,
     compare_event_streams,
     load_event_log,
-    shm_segments,
 )
 from repro.faults.plan import FaultError
 
@@ -141,7 +140,6 @@ class SoakReport:
     invariant_failures: list = field(default_factory=list)
     #: ``None`` when no sequential reference was run.
     stream_failures: "list | None" = None
-    shm_leaked: list = field(default_factory=list)
     swept_leases: int = 0
     wall_seconds: float = 0.0
     record_path: str = ""
@@ -154,7 +152,6 @@ class SoakReport:
             self.error is None
             and not self.invariant_failures
             and not self.stream_failures
-            and not self.shm_leaked
             and len(self.kills) == len(self.schedule)
             and all(status == "ok" for status in self.statuses.values())
         )
@@ -174,7 +171,6 @@ class SoakReport:
             "statuses": dict(sorted(self.statuses.items())),
             "invariant_failures": list(self.invariant_failures),
             "stream_failures": self.stream_failures,
-            "shm_leaked": list(self.shm_leaked),
             "error": self.error,
             "ok": self.ok,
         }
@@ -249,8 +245,6 @@ class FleetSupervisor:
             schedule=self.churn.schedule(self.workers, len(cells)),
             restarts={slot: 0 for slot in range(self.workers)},
         )
-        shm_before = set(shm_segments())
-
         record_path = Path(record) if record else root / "soak-distributed.jsonl"
         record_path.parent.mkdir(parents=True, exist_ok=True)
         report.record_path = str(record_path)
@@ -318,7 +312,6 @@ class FleetSupervisor:
         stale = spool.stale_leases()
         if stale:
             report.invariant_failures.append(f"stale lease(s): {stale}")
-        report.shm_leaked = sorted(set(shm_segments()) - shm_before)
 
         if reference and report.error is None:
             report.stream_failures = self._compare_to_reference(

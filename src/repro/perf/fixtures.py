@@ -34,9 +34,6 @@ class PerfFixtures:
     fit_weights: np.ndarray
     fit_features_dup: np.ndarray        # materialised multiset (the _fit_model layers)
     fit_labels_dup: np.ndarray
-    #: Warm cache sections (``kind -> [(key, value)]``) a process fleet
-    #: ships to workers — the payload of the shared-cache fan-out pair.
-    fanout_entries: dict
 
 
 def build_fixtures() -> PerfFixtures:
@@ -66,18 +63,6 @@ def build_fixtures() -> PerfFixtures:
     features_dup = np.tile(features, (FIT_MULTIPLICITY, 1))
     labels_dup = np.tile(labels, FIT_MULTIPLICITY)
 
-    # The fan-out payload: real warm sections of the shape a pre-warmed
-    # process fleet ships — embedding matrices keyed per sample, plus the
-    # warm-up dataset (rows + labels) in the warmup section.
-    embed_entries = [
-        (("bench-embed", index), encoder.encode(sample, parallelism_aware=False))
-        for index, sample in enumerate(samples)
-    ]
-    fanout_entries = {
-        "embed": embed_entries,
-        "warmup": [(("bench-warmup", 0), warmup)],
-    }
-
     return PerfFixtures(
         assign_flows=assign_flows,
         centers=centers,
@@ -88,5 +73,4 @@ def build_fixtures() -> PerfFixtures:
         fit_weights=weights,
         fit_features_dup=features_dup,
         fit_labels_dup=labels_dup,
-        fanout_entries=fanout_entries,
     )

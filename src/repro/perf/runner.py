@@ -24,12 +24,6 @@ The hot paths:
   rows vs the materialised duplicate-row multiset;
 * ``gnn_encode_*`` — bulk operator-embedding requests through
   :mod:`repro.gnn.batch` vs one encoder pass per sample;
-* ``shared_cache_fanout_*`` — shipping the warm cache sections to
-  :data:`FANOUT_WORKERS` workers: the pickled reference (one copy of
-  every numpy payload per worker — the transport the service no longer
-  has, kept here as the ratio's denominator) vs the shared-memory plane
-  (one published copy, per-worker descriptor pickling + attach).  This
-  is the number the process backend can claim on a small host;
 * ``failpoint_fire_*`` — the failpoint plane's ``fire()`` on a spool
   hot-path site with no plane active (the production fast path) vs an
   armed never-triggering rule; the pair prices carrying injection
@@ -67,15 +61,14 @@ class Benchmark:
     repeats: int = 5
 
 
-#: Repeats for the numpy-bound fast sides (``svm_fit_weighted``) and
-#: pairs (``gnn_encode_*``, ``shared_cache_fanout_*``) whose best-of-5
-#: did not repeat on this shared 2-CPU host.  One quiet process times
-#: the weighted fit at 66-177 ms call to call, and a burst of neighbour
-#: load (which slows these paths 1.5-1.8x) outlasts a 20-40 ms window of
-#: 5-7 millisecond-long repeats, covering one side of a pair and none of
-#: the other: same-code runs read 13.4x against a 19.0x baseline, 1.14x
-#: against 2.00x and 5.76x against 7.55x.  25 repeats let the best-of
-#: statistic reach the quiet time.
+#: Repeats for the numpy-bound fast sides (``svm_fit_weighted``) and the
+#: pair (``gnn_encode_*``) whose best-of-5 did not repeat on this shared
+#: 2-CPU host.  One quiet process times the weighted fit at 66-177 ms
+#: call to call, and a burst of neighbour load (which slows these paths
+#: 1.5-1.8x) outlasts a 20-40 ms window of 5-7 millisecond-long repeats,
+#: covering one side of a pair and none of the other: same-code runs
+#: read 13.4x against a 19.0x baseline and 1.14x against 2.00x.  25
+#: repeats let the best-of statistic reach the quiet time.
 BURST_REPEATS = 25
 
 
@@ -241,64 +234,6 @@ def _bench_failpoint_active(fixtures: PerfFixtures):
     return FAILPOINT_CALLS
 
 
-# ----------------------------------------------------------------------
-# shared-cache fan-out: warm sections -> N workers
-# ----------------------------------------------------------------------
-
-#: Simulated fleet width of the fan-out pair.  Fixed (not ``cpu_count``)
-#: so the pair times the same fan-out whatever the host's core count.
-FANOUT_WORKERS = 8
-
-
-def _bench_fanout_pickled(fixtures: PerfFixtures):
-    import pickle
-
-    # The reference: pickle every warm section into every worker —
-    # per-worker deep copies of the numpy payloads.
-    results = []
-    for _ in range(FANOUT_WORKERS):
-        payload = pickle.dumps(
-            fixtures.fanout_entries, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        results.append(pickle.loads(payload))
-    return results
-
-
-def _bench_fanout_shm(fixtures: PerfFixtures):
-    import pickle
-
-    from repro.service.shm import (
-        SharedArrayStore,
-        attach_sections,
-        publish_sections,
-    )
-
-    # The shared plane: publish once in the parent, then each worker
-    # pickles only descriptors and attaches read-only views (measured
-    # here in-process: descriptor round-trip + segment attach is exactly
-    # the per-worker cost, wherever the worker lives).
-    results = []
-    with SharedArrayStore() as parent_store:
-        shipped = pickle.dumps(
-            publish_sections(fixtures.fanout_entries, parent_store),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        worker_stores = []
-        try:
-            for _ in range(FANOUT_WORKERS):
-                store = SharedArrayStore()
-                worker_stores.append(store)
-                results.append(attach_sections(pickle.loads(shipped), store))
-        finally:
-            results = [
-                {kind: len(entries) for kind, entries in sections.items()}
-                for sections in results
-            ]
-            for store in worker_stores:
-                store.close()
-    return results
-
-
 #: The registry, in execution order (micro paths first, the fleet pair
 #: last so its worker subprocesses cannot skew the micro timings).
 BENCHMARKS: tuple[Benchmark, ...] = (
@@ -342,26 +277,6 @@ BENCHMARKS: tuple[Benchmark, ...] = (
         hot_path="gnn-encoding",
         description="one encoder pass per sample",
         run=_bench_gnn_per_sample,
-        repeats=BURST_REPEATS,
-    ),
-    Benchmark(
-        name="shared_cache_fanout_pickled",
-        hot_path="shared-cache-fanout",
-        description=(
-            f"warm sections to {FANOUT_WORKERS} workers via per-worker "
-            "pickled copies"
-        ),
-        run=_bench_fanout_pickled,
-        repeats=BURST_REPEATS,
-    ),
-    Benchmark(
-        name="shared_cache_fanout_shm",
-        hot_path="shared-cache-fanout",
-        description=(
-            f"warm sections to {FANOUT_WORKERS} workers via shared-memory "
-            "descriptors + attach"
-        ),
-        run=_bench_fanout_shm,
         repeats=BURST_REPEATS,
     ),
     Benchmark(
@@ -413,9 +328,6 @@ RATIO_DEFINITIONS: dict[str, tuple[str, str]] = {
     "ged_assign_speedup": ("ged_assign_exhaustive", "ged_assign_pruned"),
     "svm_dedup_speedup": ("svm_fit_duplicated", "svm_fit_weighted"),
     "gnn_batch_speedup": ("gnn_encode_per_sample", "gnn_encode_batched"),
-    "shared_fanout_speedup": (
-        "shared_cache_fanout_pickled", "shared_cache_fanout_shm"
-    ),
     # 1 -> N worker agents on the same spool; the paced engine's waits
     # are the parallelisable resource, so the ratio approaches the
     # worker count as campaigns get longer (spawn cost amortises out).

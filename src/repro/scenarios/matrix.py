@@ -164,7 +164,7 @@ def validate_matrix_report(report: dict) -> dict:
 def matrix_determinism_view(report: dict) -> dict:
     """The backend-independent projection of a matrix report.
 
-    Two runs of the same plan on different backends (thread, process,
+    Two runs of the same plan on different backends (sequential, thread,
     distributed) must produce equal views — wall-clock and the backend
     tag are the only fields allowed to differ.
     """

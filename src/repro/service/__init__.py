@@ -24,14 +24,13 @@ Architecture (see each module for depth):
   behind cluster assignment.
 * :mod:`repro.service.prewarm` — service-level cache pre-warming: shared
   pure entries (assignments, warm-up datasets, distilled rows,
-  embeddings) are computed once in the parent — bulk encoder requests
-  coalescing through :mod:`repro.gnn.batch` — before the fleet
-  dispatches, shipped to ``process``-backend workers in the pool
-  initializer (the only direction warm entries travel: nothing is
-  collected back), and restored from a resume log's completed cells.
+  embeddings) are computed once before the fleet dispatches — bulk
+  encoder requests coalescing through :mod:`repro.gnn.batch` — and
+  restored from a resume log's completed cells.
 * :mod:`repro.service.tuning` — :class:`TuningService` executes campaigns
-  over a ``sequential`` / ``thread`` / ``process`` worker pool, every
-  backend streaming its campaigns' events live.  Every
+  in order (``sequential``) or over a ``thread`` worker pool, both
+  streaming their campaigns' events live; the multi-process executor is
+  the spool fleet of :mod:`repro.distributed`.  Every
   campaign owns its engine and tuner (per-campaign seeding), all share the
   caches, and results are bit-identical across backends and dispatch
   orders because every cached value is a pure function of its key.

@@ -4,7 +4,7 @@ Three layers:
 
 * :class:`ConcurrentLRUCache` — a bounded ``get_or_compute`` LRU cache
   safe under threads (a plain lock + ordered dict); it pickles as a
-  snapshot under a fresh lock, so a process worker starts from a copy.
+  snapshot under a fresh lock with zeroed hit/miss counters.
 * :class:`TuningCacheSet` — the kind-routed facade the tuner consults
   (``assign`` / ``warmup`` / ``distill`` / ``embed`` sections, one cache
   each) via ``get_or_compute(kind, key, builder)``.
@@ -65,9 +65,9 @@ class ConcurrentLRUCache:
         with self._lock:
             return len(self._data)
 
-    # An RLock cannot be pickled.  When a cache travels to a worker (e.g.
-    # inside a pickled pretrained artifact on spawn-based platforms), the
-    # worker receives a snapshot of the data under a fresh lock of its own.
+    # An RLock cannot be pickled.  A pickled cache (e.g. inside a copied
+    # pretrained artifact) is a snapshot of the data under a fresh lock of
+    # its own.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
@@ -78,11 +78,8 @@ class ConcurrentLRUCache:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
-        # A pickled copy starts its own accounting: carrying the parent's
-        # hit/miss counters into a worker would double-count the parent's
-        # warm-up traffic in every worker-emitted CacheStats event (a
-        # fleet's per-cell counters are summed by the coordinator's
-        # ``_merge_stats``).
+        # A pickled copy starts its own accounting: the copy's CacheStats
+        # count only the traffic it serves.
         self.hits = 0
         self.misses = 0
 
@@ -119,7 +116,7 @@ class ConcurrentLRUCache:
 
     def items_snapshot(self) -> list[tuple]:
         """Every ``(key, value)`` pair, least recently used first — what
-        snapshot persistence and worker shipping iterate."""
+        snapshot persistence iterates."""
         with self._lock:
             return list(self._data.items())
 
@@ -165,9 +162,6 @@ class TuningCacheSet:
             # service learns about them.
             return builder()
         return cache.get_or_compute(key, builder)
-
-    def section(self, kind: str) -> ConcurrentLRUCache:
-        return self._caches[kind]
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {kind: cache.stats() for kind, cache in self._caches.items()}

@@ -5,19 +5,13 @@ its campaigns will consult — cluster assignments (bound-pruned GED),
 warm-up datasets (whose record encodings coalesce through the
 block-diagonal batching of :mod:`repro.gnn.batch` inside
 :func:`~repro.core.finetune.build_warmup_dataset`), distilled operating
-points and parallelism-agnostic embeddings — in one pass in the parent,
-instead of letting each campaign (or, on the ``process`` backend, each
-*worker process*) dispatch the same requests independently.
+points and parallelism-agnostic embeddings — in one pass, instead of
+letting each campaign dispatch the same requests independently.
 
 Every entry is produced by the exact builder the tuner itself would call
 on a cache miss, so a pre-warmed run is bit-identical to a cold one; only
-the wall-clock changes.  Three situations profit:
+the wall-clock changes.  Two situations profit:
 
-* **process backend** — worker-local cache sections mean each worker
-  would otherwise recompute every entry it touches; pre-warmed sections
-  ship to workers once, in the pool initializer.  Nothing travels back,
-  so the pre-warm must cover every key a campaign consults — including
-  the rate a ``chaos.trace_dropout`` step actually arrives at;
 * **thread backend** — builders run outside the cache lock (so an
   expensive miss never serialises hits), which lets two workers racing on
   the same cold key both pay for it; pre-warming keys demanded by more

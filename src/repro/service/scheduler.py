@@ -40,7 +40,7 @@ class CampaignSpec:
     model_kind: str = "svm"
     #: Optional :class:`~repro.scenarios.ChaosSpec` executed alongside
     #: the campaign (``None`` = clean run).  Frozen and hashable, so it
-    #: participates in spec identity and pickles into workers.
+    #: participates in spec identity.
     chaos: object = None
     #: Fit M_f at the service's looser solver tolerances (campaign and
     #: sweep cells); a tuning plan's one campaign keeps the solver
@@ -54,7 +54,7 @@ class CampaignSpec:
     @property
     def is_streamtune(self) -> bool:
         # Resolved through the shared spelling parser (imported lazily,
-        # like make_engine, so pickled specs never import at unpickle time).
+        # like make_engine).
         from repro.api.components import streamtune_variant
 
         return streamtune_variant(self.tuner)[0]
@@ -93,9 +93,8 @@ class CampaignSpec:
         )
 
     def make_engine(self) -> EngineCluster:
-        # Resolved through the engine registry (imported lazily: specs are
-        # pickled into worker processes, and the registry population should
-        # happen on first use, not at unpickle time).
+        # Resolved through the engine registry (imported lazily: the
+        # registry population should happen on first use, not at import).
         from repro.api.components import build_engine
 
         return build_engine(self.engine, seed=self.engine_seed)

@@ -7,23 +7,23 @@ cluster assignment GEDs, warm-up datasets, distilled operating points,
 parallelism-agnostic embeddings — flow through one shared
 :class:`TuningCacheSet`.  Campaign results are therefore
 
-* **identical across backends**: ``sequential``, ``thread`` and
-  ``process`` runs of the same specs produce bit-identical
-  ``TuningResult`` step sequences (cache hits return exactly what a
-  recomputation would), and
+* **identical across backends**: ``sequential`` and ``thread`` runs of
+  the same specs produce bit-identical ``TuningResult`` step sequences
+  (cache hits return exactly what a recomputation would), and the
+  multi-process executor — the spool fleet of :mod:`repro.distributed` —
+  reproduces them too; and
 * **independent of scheduling**: the backpressure scheduler only decides
   *when* a campaign runs, never what it computes.
 
 Execution is **observable**: :meth:`TuningService.stream` yields typed
 :mod:`repro.api.events` as campaigns progress — live per-step on every
-backend (the sequential loop yields them as they happen; process workers
-relay them through a ``multiprocessing.Manager`` queue, the one object
-that manager holds) — and :meth:`TuningService.run` is a thin wrapper that
-drains the stream and returns outcomes in input order, so the legacy
-blocking call stays bit-identical.  A campaign is the unit of work on
-every backend: Algorithm 2's fine-tuning set T accumulates along the rate
-trace, so a trace runs serially inside its campaign and the parallelism
-is across campaigns.
+backend (the sequential loop yields them as they happen; thread workers
+relay them through an in-process queue) — and :meth:`TuningService.run`
+is a thin wrapper that drains the stream and returns outcomes in input
+order, so the legacy blocking call stays bit-identical.  A campaign is
+the unit of work on every backend: Algorithm 2's fine-tuning set T
+accumulates along the rate trace, so a trace runs serially inside its
+campaign and the parallelism is across campaigns.
 
 Execution is also **fault-tolerant** and **resumable**:
 
@@ -32,10 +32,8 @@ Execution is also **fault-tolerant** and **resumable**:
   the drain loop polls with a timeout and checks worker liveness, so a
   lost sentinel can never hang the stream.  A raised exception fails only
   its own campaign (the rest of the fleet keeps running on every
-  backend); a process worker killed outright (OOM, signal) breaks the
-  shared pool, so in-flight campaigns each surface their own
-  ``CampaignFailed`` too — completed campaigns keep their results and a
-  recorded log resumes the rest;
+  backend) — completed campaigns keep their results and a recorded log
+  resumes the rest;
 * ``stream(specs, resume=...)`` accepts a
   :class:`~repro.api.resume.ResumeLog` (or any ``cell_key -> outcome``
   mapping): campaigns whose deterministic ``cell_key`` is already recorded
@@ -51,7 +49,7 @@ import os
 import queue
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.api.events import (
@@ -71,7 +69,7 @@ from repro.service.cache import SharedGEDCache, TuningCacheSet
 from repro.service.prewarm import RESUME_DEMAND, prewarm_caches
 from repro.service.scheduler import BackpressureScheduler, CampaignSpec
 
-BACKENDS = ("sequential", "thread", "process")
+BACKENDS = ("sequential", "thread")
 
 
 @dataclass
@@ -111,7 +109,7 @@ class CampaignExecutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class _FailurePayload:
-    """A worker failure flattened to data that crosses process borders."""
+    """A worker failure flattened to data that crosses the relay queue."""
 
     error_type: str
     error_message: str
@@ -223,44 +221,6 @@ def execute_campaign(
         )
 
 
-# ----------------------------------------------------------------------
-# process-backend worker state
-# ----------------------------------------------------------------------
-
-_WORKER: dict = {}
-
-
-def _init_worker(
-    pretrained: PretrainedStreamTune | None,
-    shm_payload: dict,
-) -> None:
-    """Per-process initialiser: install the model and fresh local caches.
-
-    The pretrained artifact arrives once per worker (pickled or inherited
-    via fork), not once per campaign; GED entries travel inside
-    ``pretrained.clustering``'s shared cache.  Warm cache entries arrive
-    as ``shm_payload``: ``kind -> [(key, descriptor)]`` where numpy-heavy
-    payloads are :class:`~repro.service.shm.SharedArrayRef` descriptors
-    into parent-owned segments.  The worker attaches read-only views over
-    the parent's pages — zero-copy, so N workers hold one copy of every
-    embedding matrix, warm-up dataset and distilled row set.
-    """
-    from repro.service.shm import SharedArrayStore, attach_sections
-
-    caches = TuningCacheSet()
-    # The worker's store only attaches (never unlinks): it lives for the
-    # worker's lifetime in _WORKER so its mappings — and the views cached
-    # below — stay valid across every campaign the worker runs.
-    store = SharedArrayStore()
-    for kind, entries in attach_sections(shm_payload, store).items():
-        section = caches.section(kind)
-        for key, value in entries:
-            section.put(key, value)
-    _WORKER.update(
-        pretrained=pretrained, caches=caches, backend="process", shm_store=store,
-    )
-
-
 def _started_event_for(spec: CampaignSpec, index: int, backend: str) -> CampaignStarted:
     return CampaignStarted(
         campaign=spec.name,
@@ -273,18 +233,16 @@ def _started_event_for(spec: CampaignSpec, index: int, backend: str) -> Campaign
     )
 
 
-def _unit_items(spec: CampaignSpec, index: int, state=None):
+def _unit_items(spec: CampaignSpec, index: int, state: dict):
     """Campaign ``index``'s lifecycle as relay items, live.
 
     The one unit-runner of every backend: the sequential loop and a
     thread worker hand over the service's ``state`` (model, caches,
-    backend), a process worker reads what :func:`_init_worker` installed
-    in ``_WORKER``.  Every terminal state is data: ``("event", index,
-    event)`` for the campaign's :class:`CampaignStarted` and each of its
-    events as it happens, then ``("done", index, outcome)`` on success or
+    backend).  Every terminal state is data: ``("event", index, event)``
+    for the campaign's :class:`CampaignStarted` and each of its events as
+    it happens, then ``("done", index, outcome)`` on success or
     ``("error", index, payload)`` on a raised exception.
     """
-    state = _WORKER if state is None else state
     yield ("event", index, _started_event_for(spec, index, state["backend"]))
     events = None
     while True:
@@ -303,10 +261,10 @@ def _unit_items(spec: CampaignSpec, index: int, state=None):
         yield ("event", index, event)
 
 
-def _run_unit(spec: CampaignSpec, index: int, relay, state=None) -> None:
+def _run_unit(spec: CampaignSpec, index: int, relay, state: dict) -> None:
     """A pool worker's task: relay :func:`_unit_items` as they happen.  A
-    worker killed outright posts nothing — the consumer's liveness check
-    turns its broken future into a failure."""
+    task that dies outside the unit body posts nothing — the consumer's
+    liveness check turns its broken future into a failure."""
     for item in _unit_items(spec, index, state):
         relay.put(item)
 
@@ -323,14 +281,8 @@ class TuningService:
     poll_seconds = 0.2
     #: How long a completed worker future may go without its queued
     #: sentinel arriving before the sentinel is declared lost and the
-    #: campaign failed (covers relay-queue latency on the process backend).
+    #: campaign failed.
     sentinel_grace = 5.0
-
-    #: The process backend's multiprocessing start method (``None`` keeps
-    #: the platform default).  Results are bit-identical across start
-    #: methods: shared-memory descriptors attach by name, with no
-    #: fork-inherited state involved.
-    start_method: str | None = None
 
     def __init__(
         self,
@@ -338,13 +290,10 @@ class TuningService:
         backend: str = "thread",
         max_workers: int | None = None,
         caches: TuningCacheSet | None = None,
-        shm_store=None,
     ) -> None:
         """``backend`` selects the worker pool: ``thread`` (default; shares
-        every cache section in-process), ``process`` (one Python per
-        worker, each with local cache sections warmed from the parent's
-        over shared memory), or ``sequential`` (no pool — the reference
-        path concurrency must reproduce bit-for-bit).
+        every cache section in-process) or ``sequential`` (no pool — the
+        reference path concurrency must reproduce bit-for-bit).
 
         ``pretrained`` may be ``None`` when every campaign tunes with a
         history-free baseline method (ds2, conttune, oracle); StreamTune
@@ -359,32 +308,16 @@ class TuningService:
         service runs; ``None`` builds a fresh set for this service.
 
         Before a fleet dispatches, the service pre-warms ``caches`` (see
-        :mod:`repro.service.prewarm`): every entry on the ``process``
-        backend (worker-local caches would otherwise recompute them per
-        worker), entries demanded by more than one campaign on the
-        ``thread`` backend, and — on every backend — the entries of
-        resume-covered campaigns.  Pre-warmed entries come from the exact
-        builders the tuner would run on a miss, so results are
+        :mod:`repro.service.prewarm`): entries demanded by more than one
+        campaign on the ``thread`` backend and — on every backend — the
+        entries of resume-covered campaigns.  Pre-warmed entries come from
+        the exact builders the tuner would run on a miss, so results are
         bit-identical to a cold run.
-
-        ``shm_store`` injects the :class:`~repro.service.shm.
-        SharedArrayStore` the process backend publishes warm numpy
-        payloads through (a long-lived host's arena, so a payload it
-        already backs is published by descriptor with no further copy);
-        the caller then owns its lifecycle.  ``None`` (default) creates
-        and closes a store per process-backend stream.
-
-        Warm entries travel one way, parent to workers: the process
-        backend's pre-warm covers every key its campaigns consult, so the
-        parent's :class:`TuningCacheSet` — and a ``cache_path`` snapshot
-        or a long-lived daemon's cache plane taken from it — already holds
-        everything a worker would have computed.
         """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.pretrained = pretrained
         self.backend = backend
-        self._shm_store = shm_store
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
         if pretrained is not None:
             self._install_shared_ged_cache()
@@ -477,10 +410,9 @@ class TuningService:
         :class:`CampaignFailed`; then one final :class:`CacheStats`.
         Campaigns emit their step events live as each tuning process
         completes on every backend: the sequential loop yields them as
-        the campaign produces them, thread workers relay through an
-        in-process queue and process workers through a manager-backed
-        one.  ``seq`` is stamped monotonically at the consumer, so merged
-        worker streams never interleave out of order.
+        the campaign produces them and thread workers relay through an
+        in-process queue.  ``seq`` is stamped monotonically at the
+        consumer, so merged worker streams never interleave out of order.
 
         ``resume`` (a :class:`~repro.api.resume.ResumeLog` or a
         ``cell_key -> CampaignOutcome`` mapping) replays campaigns already
@@ -525,10 +457,8 @@ class TuningService:
             if units:
                 if self.backend == "sequential":
                     emitter = self._stream_sequential(specs, units)
-                elif self.backend == "thread":
-                    emitter = self._stream_threaded(specs, units)
                 else:
-                    emitter = self._stream_processes(specs, units)
+                    emitter = self._stream_threaded(specs, units)
                 for event in emitter:
                     yield stamped(event)
         yield stamped(CacheStats(stats=self.cache_stats()))
@@ -537,7 +467,6 @@ class TuningService:
 
     #: The key-demand threshold of each backend's pre-warm policy.
     _PREWARM_MIN_DEMAND = {
-        "process": 1,                   # worker-local caches duplicate everything
         "thread": 2,                    # only de-duplicate concurrent cold misses
         "sequential": RESUME_DEMAND,    # resume-covered entries only
     }
@@ -561,19 +490,6 @@ class TuningService:
             min_demand=self._PREWARM_MIN_DEMAND[self.backend],
         )
 
-    def _section_entries(self) -> dict:
-        """Per-section ``[(key, value), ...]`` snapshots for worker pools."""
-        entries: dict = {}
-        for kind in ("assign", "warmup", "distill", "embed"):
-            try:
-                cache = self.caches.section(kind)
-            except KeyError:
-                continue
-            items = cache.items_snapshot()
-            if items:
-                entries[kind] = items
-        return entries
-
     # -- backend-specific emitters -------------------------------------
 
     def _worker_state(self) -> dict:
@@ -591,73 +507,31 @@ class TuningService:
             for item in _unit_items(specs[index], index, state):
                 yield from self._absorb(specs, started, item)
 
-    def _stream_pool(self, specs, units, pool, relay, *state):
-        """Submit every unit to ``pool`` and drain ``relay`` until each
-        resolves; the pool is shut down however the stream ends.  ``state``
-        is what a thread worker's :func:`_run_unit` runs on (a process
-        worker has its own from :func:`_init_worker`)."""
+    def _stream_threaded(self, specs, units):
+        """Submit every unit to a thread pool and drain the relay queue
+        until each resolves; the pool is shut down however the stream
+        ends."""
+        pool = ThreadPoolExecutor(max_workers=self.max_workers)
+        relay = queue.SimpleQueue()
+        state = self._worker_state()
         try:
             futures = {
-                index: pool.submit(_run_unit, specs[index], index, relay, *state)
+                index: pool.submit(_run_unit, specs[index], index, relay, state)
                 for index in units
             }
             yield from self._drain(specs, futures, relay.get)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def _stream_threaded(self, specs, units):
-        return self._stream_pool(
-            specs,
-            units,
-            ThreadPoolExecutor(max_workers=self.max_workers),
-            queue.SimpleQueue(),
-            self._worker_state(),
-        )
-
-    def _stream_processes(self, specs, units):
-        import multiprocessing
-
-        from repro.service.shm import SharedArrayStore, publish_sections
-
-        context = multiprocessing.get_context(self.start_method)
-        # The relay queue lives in a manager this stream owns: a put is an
-        # RPC the manager has already applied when it returns, so it
-        # survives the worker's os._exit.
-        manager = context.Manager()
-        # Warm entries cross the pool border as shared-memory descriptors:
-        # the parent publishes each numpy-heavy payload into one segment
-        # and workers attach read-only views — one copy for the whole
-        # fleet, instead of a pickled copy per worker.  The store is
-        # parent-owned; the ``finally`` below (which runs even when the
-        # drain loop turned a killed worker into a CampaignFailed) and the
-        # store's own atexit hook guarantee the segments are unlinked.
-        store = self._shm_store if self._shm_store is not None else SharedArrayStore()
-        try:
-            relay = manager.Queue()
-            pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(
-                    self.pretrained,
-                    publish_sections(self._section_entries(), store),
-                ),
-            )
-            yield from self._stream_pool(specs, units, pool, relay)
-        finally:
-            if store is not self._shm_store:
-                store.close()
-            manager.shutdown()
-
     def _drain(self, specs, futures: dict, get_event):
         """Yield worker-relayed events until every submitted campaign resolves.
 
-        The single consumer loop behind the thread and process backends.
-        Blocking on the relay queue is bounded (``poll_seconds``): every
-        idle tick re-checks worker liveness, so a worker that died without
-        posting its sentinel — killed process, fatal error outside the
-        worker body — resolves as a :class:`CampaignFailed` instead of
-        hanging the stream, and the surviving workers keep streaming.
+        The consumer loop of the thread backend.  Blocking on the relay
+        queue is bounded (``poll_seconds``): every idle tick re-checks
+        worker liveness, so a worker that died without posting its
+        sentinel — a fatal error outside the worker body — resolves as a
+        :class:`CampaignFailed` instead of hanging the stream, and the
+        surviving workers keep streaming.
         """
         started: set[int] = set()
         pending: set[int] = set(futures)
@@ -675,9 +549,9 @@ class TuningService:
                         payload = _failure_payload(error)
                     else:
                         # Future completed but its sentinel has not been
-                        # seen: on the process backend the relay item may
-                        # still be in IPC flight, so allow a grace window
-                        # before declaring the sentinel lost.
+                        # seen: the worker may have posted it after this
+                        # poll timed out, so allow a grace window before
+                        # declaring the sentinel lost.
                         first_seen = silent_since.setdefault(index, time.monotonic())
                         if time.monotonic() - first_seen < self.sentinel_grace:
                             continue

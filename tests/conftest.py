@@ -184,6 +184,15 @@ def save_plan(plan, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def cached_entry(caches, kind: str, key):
+    """The entry ``caches`` holds under ``kind``/``key``; a miss fails the
+    test instead of computing anything."""
+    def missed():
+        raise AssertionError(f"no {kind} entry cached under {key!r}")
+
+    return caches.get_or_compute(kind, key, missed)
+
+
 def rows_from_record(pretrained, encoder, record):
     """One record's M_f training rows (labelled operators only), encoded
     on its own — the per-record reference for the batched warm-up."""

@@ -387,7 +387,7 @@ def _contract(events, expected_campaigns, expected_steps):
     return started, finished
 
 
-@pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
+@pytest.mark.parametrize("backend", ["sequential", "thread"])
 def test_service_stream_contract(tiny_pretrained, backend):
     from repro.service import CampaignSpec, TuningService
     from repro.workloads import nexmark_query
@@ -413,7 +413,7 @@ def test_service_stream_contract(tiny_pretrained, backend):
                for spec, event in zip(specs, sorted(started, key=lambda e: e.index)))
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_seq_monotonic_across_merged_shard_streams(tiny_pretrained, backend):
     # Two campaigns running concurrently on their own workers: the
     # consumer re-stamps seq, so the merged stream must be strictly
@@ -436,7 +436,7 @@ def test_seq_monotonic_across_merged_shard_streams(tiny_pretrained, backend):
     _contract(events, [spec.name for spec in specs], expected_steps=3)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_step_events_are_live_mid_campaign(tiny_pretrained, backend, monkeypatch):
     # The acceptance contract: a campaign's StepCompleted
     # events reach the consumer while its worker is still executing the

@@ -153,20 +153,14 @@ class TestCampaignPlanValidation:
     def test_unknown_backend(self):
         with pytest.raises(PlanError, match="sequential"):
             CampaignPlan(queries=("q1",), backend="fibers")
+        # The spool fleet is the one multi-process executor; the message
+        # names it.
+        with pytest.raises(PlanError, match="distributed, got 'process'"):
+            plan_from_dict({"queries": ["q1"], "backend": "process"})
 
     def test_bad_workers(self):
         with pytest.raises(PlanError, match="workers"):
             CampaignPlan(queries=("q1",), workers=0)
-
-    def test_cache_path_with_process_backend_accepted(self):
-        # Historically rejected (worker-local cache sets left the parent's
-        # snapshot empty); the service now snapshots worker sections back
-        # to the parent on pool shutdown, so the combination is supported.
-        plan = CampaignPlan(
-            queries=("q1",), backend="process", cache_path="caches.pkl"
-        )
-        assert plan.cache_path == "caches.pkl"
-        assert plan.backend == "process"
 
 
 class TestRoundTrips:

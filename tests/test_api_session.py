@@ -103,37 +103,6 @@ class TestTuningSessionCampaigns:
         )
         assert _steps(sequential) == _steps(threaded)
 
-    def test_backend_identity_process_then_thread_on_one_session(
-        self, tiny_pretrained
-    ):
-        # Regression: a process plan used to leave proxies of a Manager it
-        # had already shut down inside the pre-trained artifact, so the
-        # next StreamTune plan (here: the sweep's second cell, then a
-        # thread plan over new queries) died with BrokenPipeError.
-        from repro.api import SweepPlan
-
-        grid = dict(
-            queries=("q1", "q5"),
-            tuners=("streamtune",),
-            rate_traces=((3, 7), (4, 2)),
-            scale="smoke",
-            seed=41,
-        )
-        session = TuningSession(pretrained=tiny_pretrained)
-        reference = TuningSession(pretrained=tiny_pretrained)
-        swept = session.run(SweepPlan(backend="process", workers=2, **grid))
-        expected = reference.run(SweepPlan(backend="sequential", **grid))
-        assert len(swept.results) == 2
-        assert [_steps(cell) for cell in swept.results] == [
-            _steps(cell) for cell in expected.results
-        ]
-        threaded = session.run(
-            _smoke_plan(queries=("q2", "q3"), backend="thread", workers=2)
-        )
-        assert _steps(threaded) == _steps(
-            reference.run(_smoke_plan(queries=("q2", "q3")))
-        )
-
     def test_run_rejects_non_plans(self, tiny_pretrained):
         with pytest.raises(PlanError, match="TuningPlan, "):
             TuningSession(pretrained=tiny_pretrained).run({"queries": ["q1"]})
@@ -172,7 +141,7 @@ class TestCachePersistence:
         assert loaded.get_or_compute("assign", ("sig",), lambda: 99) == 3
         assert loaded.get_or_compute("embed", ("k",), lambda: None) == [1.0, 2.0]
         # counters are run-local accounting, not persisted state
-        assert loaded.section("warmup").stats()["misses"] == 0
+        assert loaded.stats()["warmup"]["misses"] == 0
 
     def test_snapshot_rejects_garbage_and_bad_version(self, tmp_path):
         import pickle
@@ -448,12 +417,12 @@ class TestSessionSharedCaches:
         caches = TuningCacheSet()
         session = TuningSession(pretrained=tiny_pretrained, caches=caches)
         first = session.run(_smoke_plan())
-        warm_misses = caches.section("warmup").stats()["misses"]
+        warm_misses = caches.stats()["warmup"]["misses"]
         assert warm_misses >= 1
         second = session.run(_smoke_plan())
         # The repeat run built no new warm-up datasets: the second job of
         # a daemon starts warm.
-        assert caches.section("warmup").stats()["misses"] == warm_misses
+        assert caches.stats()["warmup"]["misses"] == warm_misses
         assert _steps(first) == _steps(second)
 
     def test_campaign_then_tuning_plan_share_one_warmup_entry(self, tiny_pretrained):
@@ -462,9 +431,9 @@ class TestSessionSharedCaches:
         caches = TuningCacheSet()
         session = TuningSession(pretrained=tiny_pretrained, caches=caches)
         session.run(_smoke_plan(queries=("q1",), rates=(3,)))
-        assert caches.section("warmup").stats()["misses"] == 1
+        assert caches.stats()["warmup"]["misses"] == 1
         session.run(TuningPlan(query="q1", rates=(3,), scale="smoke", seed=41))
-        assert caches.section("warmup").stats()["misses"] == 1
+        assert caches.stats()["warmup"]["misses"] == 1
 
     def test_plan_cache_path_keeps_private_snapshot_semantics(
         self, tiny_pretrained, tmp_path
@@ -476,20 +445,4 @@ class TestSessionSharedCaches:
         session = TuningSession(pretrained=tiny_pretrained, caches=caches)
         session.run(_smoke_plan(cache_path=str(snapshot)))
         assert snapshot.exists()
-        assert caches.section("warmup").stats()["size"] == 0
-
-    def test_cache_path_with_process_backend_snapshots_worker_entries(
-        self, tiny_pretrained, tmp_path
-    ):
-        """The lifted restriction: worker-local cache sections snapshot
-        back to the parent on pool shutdown, so the saved file holds the
-        entries the workers computed."""
-        snapshot = tmp_path / "process.pkl"
-        plan = _smoke_plan(backend="process", workers=2, cache_path=str(snapshot))
-        result = TuningSession(pretrained=tiny_pretrained).run(plan)
-        assert [o.spec_name for o in result.outcomes] == [
-            "nexmark_q1_flink", "nexmark_q5_flink"
-        ]
-        assert snapshot.exists()
-        loaded = TuningCacheSet.load(snapshot)
-        assert loaded.section("warmup").stats()["size"] >= 1
+        assert caches.stats()["warmup"]["size"] == 0

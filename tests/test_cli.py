@@ -62,21 +62,22 @@ class TestParser:
     def test_plan_flags_parse_identically(self):
         """--backend/--workers/--scale are declared once for the two
         plan-running commands."""
-        flags = ["--backend", "process", "--workers", "3", "--scale", "smoke"]
+        flags = ["--backend", "thread", "--workers", "3", "--scale", "smoke"]
         parsed = [
             build_parser().parse_args([command, "plan.toml", *flags])
             for command in ("run-plan", "matrix")
         ]
         for args in parsed:
-            assert (args.backend, args.workers, args.scale) == ("process", 3, "smoke")
+            assert (args.backend, args.workers, args.scale) == ("thread", 3, "smoke")
         defaults = [
             build_parser().parse_args([command, "plan.toml"])
             for command in ("run-plan", "matrix")
         ]
         for args in defaults:
             assert (args.backend, args.workers, args.scale) == (None, None, None)
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["matrix", "plan.toml", "--backend", "gpu"])
+        for backend in ("gpu", "process"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["matrix", "plan.toml", "--backend", backend])
 
     def test_legacy_subcommands_are_gone(self):
         for command in ("tune", "serve-campaigns", "sweep"):

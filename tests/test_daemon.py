@@ -349,7 +349,7 @@ class TestRecorderDurability:
     def test_a_job_pays_one_ledger_fsync_per_block(self, tmp_path, monkeypatch):
         from repro.daemon import TuningDaemon
 
-        daemon = TuningDaemon(port=0, ledger_dir=tmp_path, use_shm=False)
+        daemon = TuningDaemon(port=0, ledger_dir=tmp_path)
         plan_data = {
             "kind": "tuning", "query": "q8", "rates": [3.0, 7.0, 4.0, 2.0],
             "tuner": "ds2", "scale": "smoke",

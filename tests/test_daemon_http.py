@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.daemon import DaemonClient, DaemonClientError, TuningDaemon
-from repro.faults.invariants import shm_segments
 
 TINY_PLAN = {
     "kind": "tuning", "query": "q1", "rates": [3.0, 5.0],
@@ -484,15 +483,6 @@ class TestAdmissionAndShutdown:
         assert not handlers() - before
         with pytest.raises(DaemonClientError):
             client._request("GET", "/healthz")
-
-    def test_stop_leaves_no_shm_segments(self, tmp_path):
-        daemon = TuningDaemon(port=0, ledger_dir=tmp_path / "ledger")
-        daemon.start()
-        client = _client(daemon)
-        job = client.submit_plan(TINY_PLAN)
-        list(client.follow(job["job"]))
-        daemon.stop()
-        assert shm_segments() == []
 
 
 class TestResumeAuto:

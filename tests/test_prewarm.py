@@ -16,6 +16,7 @@ from repro.service import CampaignSpec, TuningService, prewarm_caches
 from repro.service.cache import TuningCacheSet
 from repro.service.prewarm import RESUME_DEMAND
 from repro.workloads import nexmark_query
+from tests.conftest import cached_entry
 
 
 def _spec(name: str, multipliers=(3, 7), seed: int = 41) -> CampaignSpec:
@@ -44,7 +45,7 @@ class TestPrewarmCaches:
         assert stats["distill"] >= 2      # one per (structure, rate)
         assert stats["embed"] >= 2
         for kind in ("assign", "warmup", "distill", "embed"):
-            assert caches.section(kind).stats()["size"] >= 1
+            assert caches.stats()[kind]["size"] >= 1
 
     def test_second_pass_computes_nothing(self, tiny_pretrained):
         caches = TuningCacheSet()
@@ -73,7 +74,7 @@ class TestPrewarmCaches:
         # The summed demand cannot reach the threshold: nothing is touched,
         # not even assignment.
         assert stats == {"assign": 0, "warmup": 0, "distill": 0, "embed": 0}
-        assert caches.section("assign").stats()["size"] == 0
+        assert caches.stats()["assign"]["size"] == 0
 
     def test_baseline_specs_are_ignored(self, tiny_pretrained):
         caches = TuningCacheSet()
@@ -110,8 +111,7 @@ class TestPrewarmCaches:
         cluster = tiny_pretrained.assign_cluster(flow)
         rates = spec.query.rates_at(3.0)
         key = shared_structure_key(flow, cluster, rates)
-        cached = caches.section("embed").get(key)
-        assert cached is not None
+        cached = cached_entry(caches, "embed", key)
         encoder = tiny_pretrained.encoders[cluster]
         np.testing.assert_array_equal(
             cached, agnostic_embeddings(tiny_pretrained, encoder, flow, rates)
@@ -211,8 +211,8 @@ class TestResumeAwareWarming:
             key = shared_structure_key(
                 flow, cluster, specs[0].query.rates_at(multiplier)
             )
-            assert resumed_service.caches.section("distill").get(key) is not None
-            assert resumed_service.caches.section("embed").get(key) is not None
+            cached_entry(resumed_service.caches, "distill", key)
+            cached_entry(resumed_service.caches, "embed", key)
         assert resumed_service.last_prewarm["warmup"] >= 1
 
         # ...and the missing campaign's results are bit-identical.
@@ -239,21 +239,4 @@ class TestResumeAwareWarming:
         events = list(resumed.stream(specs, resume={specs[0].cell_key: full[0]}))
         assert any(isinstance(e, CampaignSkipped) for e in events)
         assert resumed.last_prewarm["warmup"] >= 1
-        assert resumed.caches.section("embed").stats()["size"] >= 1
-
-
-class TestProcessBackendShipping:
-    def test_process_results_identical_and_workers_start_warm(
-        self, tiny_pretrained
-    ):
-        specs = [_spec("q1", multipliers=(3,))]
-        reference = TuningService(tiny_pretrained, backend="sequential").run(specs)
-        service = TuningService(
-            tiny_pretrained, backend="process", max_workers=2
-        )
-        outcomes = service.run(specs)
-        # Auto policy on the process backend warms everything the fleet
-        # will touch before the pool spins up.
-        assert service.last_prewarm["warmup"] >= 1
-        assert service.last_prewarm["embed"] >= 1
-        assert _steps(outcomes[0]) == _steps(reference[0])
+        assert resumed.caches.stats()["embed"]["size"] >= 1

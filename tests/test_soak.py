@@ -34,7 +34,6 @@ from repro.faults.invariants import (
     check_spool,
     compare_event_streams,
     load_event_log,
-    shm_segments,
 )
 from repro.faults.plan import FaultError
 from repro.faults.supervisor import (
@@ -120,7 +119,6 @@ class TestSoakReport:
         assert not self.report(kills=()).ok
         assert not self.report(statuses={"a": "ok", "b": "failed"}).ok
         assert not self.report(invariant_failures=["cell never done"]).ok
-        assert not self.report(shm_leaked=["reprocache-x"]).ok
         # No reference run (None) is fine; recorded mismatches are not.
         assert self.report(stream_failures=None).ok
         assert not self.report(stream_failures=["payload differs"]).ok
@@ -228,27 +226,6 @@ class TestCompareEventStreams:
         candidate = [self.finished("q1", 1, "distributed", value=2.0)]
         failures = compare_event_streams(reference, candidate)
         assert failures == ["result payload differs for /q1"]
-
-
-class TestShmSegments:
-    def test_returns_sorted_names(self):
-        segments = shm_segments()
-        assert segments == sorted(segments)
-
-    def test_lists_a_published_segment_until_close(self):
-        import numpy as np
-
-        from repro.service.shm import SharedArrayStore
-
-        before = set(shm_segments())
-        store = SharedArrayStore()
-        try:
-            ref = store.share_all([np.arange(8.0)])[0]
-            assert ref.name in shm_segments()
-        finally:
-            store.close()
-        assert ref.name not in shm_segments()
-        assert set(shm_segments()) <= before
 
 
 # ----------------------------------------------------------------------
