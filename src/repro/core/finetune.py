@@ -294,10 +294,10 @@ def build_warmup_dataset(
     over the parallelism grid of up to ``N_DISTILL_RECORDS`` sampled
     dataflows densify the parallelism axis.
 
-    The selected records are embedded through the block-diagonal batching
-    of :mod:`repro.gnn.batch` — one encoder pass per batch instead of one
-    per record; rows equal a per-record ``encoder.encode`` pass's up to
-    the last floating-point ulp.
+    The selected records are embedded as one padded pack
+    (:mod:`repro.gnn.batch`) — one encoder pass instead of one per
+    record; rows equal a per-record ``encoder.encode`` pass's byte for
+    byte, because padding adds only exact zeros to each graph's products.
     """
     from repro.gnn.batch import encode_samples
 

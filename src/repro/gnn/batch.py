@@ -1,82 +1,65 @@
-"""Batched GNN inference over many graph samples at once.
+"""Padded minibatches: many graph samples as one stack of arrays.
 
-The message-passing layers operate on an ``(n, n)`` aggregation matrix and
-an ``(n, d)`` feature matrix; since dataflow DAGs have no cross-graph
-edges, a *batch* of samples is just one big graph whose aggregation matrix
-is block-diagonal.  Stacking ``k`` samples therefore turns ``k`` encoder
-forward passes into one — the warm-up dataset construction of
-:mod:`repro.core.finetune` and the service layer's bulk embedding requests
-use this to amortise the per-call Python and BLAS dispatch overhead.
+The layers of :mod:`repro.gnn.layers` take a leading batch axis, so a
+batch of ``B`` samples is their arrays zero-padded to a common node count
+``n_max`` and stacked: features ``(B, n_max, d)``, aggregation matrices
+``(B, n_max, n_max)``, degrees ``(B, n_max)``, plus each graph's node
+count.  Pre-training packs a cluster once and gathers each minibatch from
+the pack; the warm-up dataset of :mod:`repro.core.finetune` and the
+service layer's bulk embedding requests encode a whole pack in one pass.
 
-The batched result is numerically equivalent to per-sample encoding (the
-extra off-block coefficients are exact zeros), though the larger matrix
-shapes may change BLAS accumulation order in the last ulp; callers that
-require bit-identical results to the per-sample path should keep using
-:meth:`BottleneckGNN.encode` sample by sample.
+A pass over the pack is byte-identical to one pass per sample.  Each
+product is still one BLAS GEMM per graph, and a GEMM accumulates every
+output element along its inner dimension in order, so the extra padding
+rows change no real row and the padding columns of an aggregation matrix
+add exact zeros after the real terms.  Padding rows never feed a real
+row: their aggregation weights are zero.  The exception is a one-node
+graph packed with wider ones: on its own, its products are matrix-vector
+products, which BLAS rounds differently, so it agrees only to the last
+ulp.  No corpus dataflow has a single operator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.gnn.data import GraphSample
 
-#: The most nodes :func:`encode_samples` packs into one batch.
-MAX_BATCH_NODES = 128
 
-@dataclass
-class BatchedSamples:
-    """Several :class:`GraphSample` objects merged into one block graph."""
+class PaddedGraphs(NamedTuple):
+    """Graph samples zero-padded to one node count, stacked on axis 0.
 
-    merged: GraphSample
-    offsets: list[int]          # start row of each sample, plus total length
+    The encoder reads it as it reads one :class:`GraphSample`."""
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.offsets) - 1
+    features: np.ndarray      # (B, n_max, d)
+    agg_in: np.ndarray        # (B, n_max, n_max)
+    agg_out: np.ndarray       # (B, n_max, n_max)
+    parallelism: np.ndarray   # (B, n_max)
+    sizes: np.ndarray         # (B,) node count of each graph
 
-    def split(self, matrix: np.ndarray) -> list[np.ndarray]:
-        """Slice a per-node result matrix back into per-sample blocks."""
-        return [
-            matrix[self.offsets[i]:self.offsets[i + 1]]
-            for i in range(self.n_samples)
-        ]
+    def take(self, index: np.ndarray) -> PaddedGraphs:
+        """The graphs at ``index``, in that order, at the same padding."""
+        return PaddedGraphs(*(array[index] for array in self))
 
 
-def merge_samples(samples: Sequence[GraphSample]) -> BatchedSamples:
-    """Assemble the block-diagonal batch graph of ``samples``."""
+def pad_samples(samples: Sequence[GraphSample]) -> PaddedGraphs:
+    """Pack ``samples`` padded to the widest of them."""
     if not samples:
-        raise ValueError("cannot batch zero samples")
-    sizes = [sample.n_nodes for sample in samples]
-    total = sum(sizes)
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    features = np.concatenate([sample.features for sample in samples], axis=0)
-    agg_in = np.zeros((total, total))
-    agg_out = np.zeros((total, total))
-    for sample, start in zip(samples, offsets):
-        stop = start + sample.n_nodes
-        agg_in[start:stop, start:stop] = sample.agg_in
-        agg_out[start:stop, start:stop] = sample.agg_out
-    merged = GraphSample(
-        name="batch:" + ",".join(sample.name for sample in samples),
-        node_names=[
-            f"{index}:{name}"
-            for index, sample in enumerate(samples)
-            for name in sample.node_names
-        ],
-        features=features,
-        agg_in=agg_in,
-        agg_out=agg_out,
-        parallelism=np.concatenate([sample.parallelism for sample in samples]),
-        labels=np.concatenate([sample.labels for sample in samples]),
-        mask=np.concatenate([sample.mask for sample in samples]),
-    )
-    return BatchedSamples(merged=merged, offsets=offsets)
+        raise ValueError("cannot pack zero samples")
+    sizes = np.array([sample.n_nodes for sample in samples])
+    width, n = int(sizes.max()), len(samples)
+    features = np.zeros((n, width, samples[0].features.shape[1]))
+    agg_in, agg_out = np.zeros((n, width, width)), np.zeros((n, width, width))
+    parallelism = np.zeros((n, width))
+    for index, (sample, size) in enumerate(zip(samples, sizes)):
+        features[index, :size] = sample.features
+        agg_in[index, :size, :size] = sample.agg_in
+        agg_out[index, :size, :size] = sample.agg_out
+        parallelism[index, :size] = sample.parallelism
+    return PaddedGraphs(features, agg_in, agg_out, parallelism, sizes)
 
 
 def encode_samples(
@@ -84,40 +67,15 @@ def encode_samples(
     samples: Sequence[GraphSample],
     parallelism_aware: bool = False,
 ) -> list[np.ndarray]:
-    """Parallelism-agnostic embeddings for many samples in few passes.
+    """Node embeddings of many samples in one encoder pass.
 
     ``encoder`` is a :class:`repro.gnn.model.BottleneckGNN` (or anything
-    exposing ``encode``).  Samples are greedily packed into block-diagonal
-    batches of at most ``MAX_BATCH_NODES`` nodes (the dense block matrix is
-    O(total²), so unbounded packing would swamp the saved dispatch
-    overhead); each batch costs one encoder pass.  The cap sits at
-    the empirical crossover for this model's dataflow-sized graphs — the
-    ``gnn_encode_*`` benchmarks of ``repro perf`` measure it: around
-    64–128 nodes the batched pass is ~2x the per-sample loop, while
-    multi-hundred-node dense blocks fall *behind* it (the O(total²) zero
-    blocks outweigh the saved dispatch).
+    exposing ``encode``).  Each result equals ``encoder.encode(sample)``
+    byte for byte (see the module docstring for one-node graphs).  The
+    pack costs ``len(samples) * n_max**2`` per aggregation matrix.
     """
-    results: list[np.ndarray] = []
-    chunk: list[GraphSample] = []
-    chunk_nodes = 0
-
-    def flush() -> None:
-        nonlocal chunk, chunk_nodes
-        if not chunk:
-            return
-        if len(chunk) == 1:
-            results.append(encoder.encode(chunk[0], parallelism_aware))
-        else:
-            batch = merge_samples(chunk)
-            merged = encoder.encode(batch.merged, parallelism_aware)
-            results.extend(batch.split(merged))
-        chunk = []
-        chunk_nodes = 0
-
-    for sample in samples:
-        if chunk and chunk_nodes + sample.n_nodes > MAX_BATCH_NODES:
-            flush()
-        chunk.append(sample)
-        chunk_nodes += sample.n_nodes
-    flush()
-    return results
+    if not samples:
+        return []
+    pack = pad_samples(samples)
+    embedded = encoder.encode(pack, parallelism_aware)
+    return [rows[:size] for rows, size in zip(embedded, pack.sizes)]

@@ -44,14 +44,22 @@ def apply_bce(logits: np.ndarray, target: LossTarget) -> tuple[float, np.ndarray
     grad = np.zeros_like(flat)
     if target.n_labelled == 0:
         return 0.0, grad.reshape(logits.shape)
-    z = flat[target.index]
-    y = target.targets
+    terms, grad[target.index] = bce_terms(
+        flat[target.index], target.targets, target.weights, target.total_weight
+    )
+    return float(terms.sum() / target.total_weight), grad.reshape(logits.shape)
+
+
+def bce_terms(
+    z: np.ndarray, targets: np.ndarray, weights: np.ndarray, total_weight
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted BCE of each labelled logit in ``z``, and the gradient of
+    the loss w.r.t. it.  Element-wise, so the labelled logits of many
+    graphs can be scored in one call (``total_weight`` per entry)."""
     # log(1 + e^z) computed stably; BCE = max(z,0) - z*y + log(1+e^-|z|).
-    loss_terms = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    loss = float((target.weights * loss_terms).sum() / target.total_weight)
+    loss_terms = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     probs = 1.0 / (1.0 + np.exp(-z))
-    grad[target.index] = target.weights * (probs - y) / target.total_weight
-    return loss, grad.reshape(logits.shape)
+    return weights * loss_terms, weights * (probs - targets) / total_weight
 
 
 def bce_with_logits(

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gnn.batch import PaddedGraphs
 from repro.gnn.data import GraphSample
 from repro.gnn.layers import Linear, Parameter, ReLU
 from repro.gnn.loss import sigmoid
@@ -89,7 +90,9 @@ class BottleneckEncoder:
         self.fuse_final = FuseLayer(rng, config.embedding_dim)
         self._used_fuse = False
 
-    def forward(self, sample: GraphSample, parallelism_aware: bool) -> np.ndarray:
+    def forward(
+        self, sample: GraphSample | PaddedGraphs, parallelism_aware: bool
+    ) -> np.ndarray:
         """Node embeddings; FUSE is applied only on the aware path."""
         e = self.embed_act.forward(self.embed.forward(sample.features))
         h = e
@@ -99,7 +102,7 @@ class BottleneckEncoder:
             if per_step:
                 h = self.fuse_layers[step].forward(h, sample.parallelism)
         if self.config.jumping_knowledge:
-            z = np.concatenate([e, h], axis=1)
+            z = np.concatenate([e, h], axis=-1)
         else:
             z = h
         self._used_fuse = parallelism_aware
@@ -114,8 +117,8 @@ class BottleneckEncoder:
             grad = self.fuse_final.backward(grad)
         hidden = self.config.hidden_dim
         if self.config.jumping_knowledge:
-            grad_embed_skip = grad[:, :hidden]
-            grad_h = grad[:, hidden:]
+            grad_embed_skip = grad[..., :hidden]
+            grad_h = grad[..., hidden:]
         else:
             grad_embed_skip = None
             grad_h = grad
@@ -150,8 +153,9 @@ class PredictionHead:
         self.act = ReLU()
         self.fc2 = Linear(rng, head_hidden_dim, 1)
 
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        return self.fc2.forward(self.act.forward(self.fc1.forward(h)))
+    def forward(self, h: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+        """``sizes`` are a padded batch's node counts (see :class:`Linear`)."""
+        return self.fc2.forward(self.act.forward(self.fc1.forward(h)), sizes)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return self.fc1.backward(self.act.backward(self.fc2.backward(grad_output)))
@@ -168,10 +172,13 @@ class BottleneckGNN:
         self.encoder = BottleneckEncoder(config)
         self.head = PredictionHead(rng, config.embedding_dim, config.head_hidden_dim)
 
-    def forward(self, sample: GraphSample, parallelism_aware: bool = True) -> np.ndarray:
-        """Bottleneck logits, shape (n, 1)."""
+    def forward(
+        self, sample: GraphSample | PaddedGraphs, parallelism_aware: bool = True
+    ) -> np.ndarray:
+        """Bottleneck logits, shape (n, 1); (B, n_max, 1) for a padded
+        batch, zero on its padding rows."""
         h = self.encoder.forward(sample, parallelism_aware)
-        return self.head.forward(h)
+        return self.head.forward(h, sample.sizes if isinstance(sample, PaddedGraphs) else None)
 
     def backward(self, grad_logits: np.ndarray) -> None:
         grad_h = self.head.backward(grad_logits)
@@ -181,7 +188,9 @@ class BottleneckGNN:
         """Per-operator bottleneck probabilities, shape (n,)."""
         return sigmoid(self.forward(sample, parallelism_aware).reshape(-1))
 
-    def encode(self, sample: GraphSample, parallelism_aware: bool = False) -> np.ndarray:
+    def encode(
+        self, sample: GraphSample | PaddedGraphs, parallelism_aware: bool = False
+    ) -> np.ndarray:
         """Node embeddings — the fine-tuning features h_v (agnostic path)."""
         return self.encoder.forward(sample, parallelism_aware)
 
@@ -192,30 +201,27 @@ class BottleneckGNN:
 
         Returns shape ``(len(parallelism_grid), n_nodes)``: row ``i`` equals
         ``predict_probabilities`` with every node's (normalised) degree set
-        to ``parallelism_grid[i]``.  With the default fuse-after-readout
-        architecture the message-passing readout is independent of the
-        degree, so the expensive encoder runs **once** and only the FUSE
-        layer and head are re-applied per grid point — the distillation
-        loop's grid probe drops from ``len(grid)`` encoder passes to one.
-        ``fuse_per_step`` models fall back to a full forward per degree.
+        to ``parallelism_grid[i]``, byte for byte.  The grid points run as
+        one batch of copies of ``sample``, none padded.  With the default
+        fuse-after-readout architecture the message-passing readout is
+        independent of the degree, so the expensive encoder runs **once**
+        and only the FUSE layer and head see the batch — the distillation
+        loop's grid probe costs one encoder pass.  ``fuse_per_step``
+        models run the whole forward on the batch.
         """
-        grid = np.asarray(parallelism_grid, dtype=np.float64)
+        n, points = sample.n_nodes, len(parallelism_grid)
+        degrees = np.repeat(np.asarray(parallelism_grid, dtype=np.float64)[:, None], n, axis=1)
         if self.config.fuse_per_step:
-            rows = []
-            original = sample.parallelism
-            try:
-                for p_norm in grid:
-                    sample.parallelism = np.full(sample.n_nodes, p_norm)
-                    rows.append(self.predict_probabilities(sample, parallelism_aware=True))
-            finally:
-                sample.parallelism = original
-            return np.stack(rows)
-        z = self.encoder.forward(sample, parallelism_aware=False)
-        rows = []
-        for p_norm in grid:
-            fused = self.encoder.fuse_final.forward(z, np.full(sample.n_nodes, p_norm))
-            rows.append(sigmoid(self.head.forward(fused).reshape(-1)))
-        return np.stack(rows)
+            graphs = (sample.features, sample.agg_in, sample.agg_out)
+            copies = (np.broadcast_to(array, (points,) + array.shape) for array in graphs)
+            pack = PaddedGraphs(*copies, degrees, np.full(points, n))
+            fused = self.encoder.forward(pack, parallelism_aware=True)
+        else:
+            z = self.encoder.forward(sample, parallelism_aware=False)
+            fused = self.encoder.fuse_final.forward(np.broadcast_to(z, (points,) + z.shape), degrees)
+        # No copy is padded, so the head's products run at the graph's own
+        # row count and need no per-graph slicing.
+        return sigmoid(self.head.forward(fused)[..., 0])
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.head.parameters()

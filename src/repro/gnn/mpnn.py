@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gnn.layers import Linear, Parameter, ReLU, glorot
+from repro.gnn.layers import Linear, Parameter, ReLU, bias_gradient, glorot, weight_gradient
 
 
 class MessagePassingLayer:
-    """One directed mean-aggregation message-passing step."""
+    """One directed mean-aggregation message-passing step.
+
+    Rank-generic like :mod:`repro.gnn.layers`: a padded minibatch carries
+    zero rows and columns in its aggregation matrices, so a padding node
+    sends nothing to a real one and receives a zero gradient."""
 
     def __init__(self, rng: np.random.Generator, hidden_dim: int) -> None:
         self.w_self = Parameter(glorot(rng, hidden_dim, hidden_dim))
@@ -37,7 +41,8 @@ class MessagePassingLayer:
         agg_in: np.ndarray,
         agg_out: np.ndarray,
     ) -> np.ndarray:
-        """``agg_in``/``agg_out`` are row-normalised n x n aggregation mats."""
+        """``agg_in``/``agg_out`` are row-normalised n x n aggregation mats
+        (one per graph on a batch)."""
         m_in = agg_in @ h
         m_out = agg_out @ h
         z = (
@@ -54,13 +59,13 @@ class MessagePassingLayer:
         assert self._cache is not None, "backward before forward"
         h, m_in, m_out, agg_in, agg_out, mask = self._cache
         dz = np.where(mask, grad_output, 0.0)
-        self.w_self.grad += h.T @ dz
-        self.w_in.grad += m_in.T @ dz
-        self.w_out.grad += m_out.T @ dz
-        self.bias.grad += dz.sum(axis=0)
+        self.w_self.grad += weight_gradient(h, dz)
+        self.w_in.grad += weight_gradient(m_in, dz)
+        self.w_out.grad += weight_gradient(m_out, dz)
+        self.bias.grad += bias_gradient(dz)
         dh = dz @ self.w_self.value.T
-        dh += agg_in.T @ (dz @ self.w_in.value.T)
-        dh += agg_out.T @ (dz @ self.w_out.value.T)
+        dh += agg_in.swapaxes(-1, -2) @ (dz @ self.w_in.value.T)
+        dh += agg_out.swapaxes(-1, -2) @ (dz @ self.w_out.value.T)
         return dh
 
     def parameters(self) -> list[Parameter]:
@@ -75,16 +80,17 @@ class FuseLayer:
         self._relu = ReLU()
 
     def forward(self, h: np.ndarray, parallelism: np.ndarray) -> np.ndarray:
-        """``parallelism`` is an (n, 1) column of normalised degrees."""
-        if parallelism.ndim == 1:
-            parallelism = parallelism[:, None]
-        fused = np.concatenate([h, parallelism], axis=1)
+        """``parallelism`` holds the normalised degree of each row of ``h``,
+        as a trailing column or without it."""
+        if parallelism.ndim < h.ndim:
+            parallelism = parallelism[..., None]
+        fused = np.concatenate([h, parallelism], axis=-1)
         return self._relu.forward(self._linear.forward(fused))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Returns the gradient w.r.t. h (the parallelism column is input)."""
         grad_fused = self._linear.backward(self._relu.backward(grad_output))
-        return grad_fused[:, :-1]
+        return grad_fused[..., :-1]
 
     def parameters(self) -> list[Parameter]:
         return self._linear.parameters()

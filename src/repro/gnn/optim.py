@@ -19,10 +19,12 @@ class Adam:
     parameter into one flat value buffer and one flat gradient buffer and
     rebinds each ``Parameter.value``/``.grad`` to a reshaped view of its
     slice, so the update, the weight decay, :meth:`zero_grad` and
-    :meth:`scale_gradients` are each a few whole-buffer numpy operations.
-    All of them are element-wise, so the result is bit-identical to
-    updating parameter by parameter.  Write into a parameter in place
-    (``grad[...] =``, ``+=``): rebinding ``value`` or ``grad`` detaches it.
+    :meth:`scale_gradients` are each a few whole-buffer numpy operations,
+    written in place into preallocated buffers.  All of them are
+    element-wise and keep each element's operation order, so the result is
+    bit-identical to updating parameter by parameter, out of place.  Write
+    into a parameter in place (``grad[...] =``, ``+=``): rebinding
+    ``value`` or ``grad`` detaches it.
     """
 
     def __init__(
@@ -47,6 +49,7 @@ class Adam:
             parameter.grad = self._grads[offset:stop].reshape(parameter.shape)
             offset = stop
         self._m, self._v = np.zeros(total), np.zeros(total)
+        self._scratch, self._update = np.empty(total), np.empty(total)
 
     def zero_grad(self) -> None:
         self._grads.fill(0.0)
@@ -59,11 +62,17 @@ class Adam:
         self._step += 1
         bias1 = 1.0 - BETA1 ** self._step
         bias2 = 1.0 - BETA2 ** self._step
-        grad = self._grads
+        grad, scratch, update = self._grads, self._scratch, self._update
         if self.weight_decay > 0:
             self._values *= 1.0 - self.learning_rate * self.weight_decay
-        self._m = BETA1 * self._m + (1.0 - BETA1) * grad
-        self._v = BETA2 * self._v + (1.0 - BETA2) * grad * grad
-        m_hat = self._m / bias1
-        v_hat = self._v / bias2
-        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        # m = BETA1 * m + (1 - BETA1) * grad
+        self._m *= BETA1
+        self._m += np.multiply(grad, 1.0 - BETA1, out=scratch)
+        # v = BETA2 * v + (1 - BETA2) * grad * grad
+        self._v *= BETA2
+        self._v += np.multiply(np.multiply(grad, 1.0 - BETA2, out=scratch), grad, out=scratch)
+        # values -= learning_rate * (m / bias1) / (sqrt(v / bias2) + EPSILON)
+        denominator = np.sqrt(np.divide(self._v, bias2, out=scratch), out=scratch)
+        denominator += EPSILON
+        np.multiply(np.divide(self._m, bias1, out=update), self.learning_rate, out=update)
+        self._values -= np.divide(update, denominator, out=update)

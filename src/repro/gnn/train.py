@@ -1,11 +1,21 @@
-"""Pre-training loop for the per-cluster bottleneck GNNs (paper §IV-A)."""
+"""Pre-training loop for the per-cluster bottleneck GNNs (paper §IV-A).
+
+Each optimiser step runs one forward and one backward over a padded
+minibatch (:mod:`repro.gnn.batch`); the layers keep every per-graph
+product and sum in the per-graph loop's order, so the trained parameters,
+losses and accuracies are byte-identical to running forward -> loss ->
+backward graph by graph.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.gnn.batch import pad_samples
 from repro.gnn.data import GraphSample
-from repro.gnn.loss import apply_bce, loss_target
+from repro.gnn.loss import bce_terms, loss_target
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.gnn.optim import Adam
 from repro.utils.rng import seeded_rng
@@ -49,8 +59,9 @@ def train_bottleneck_gnn(
     The loss auto-balances: positives are weighted by the
     negative/positive ratio of the labelled corpus (capped at
     ``MAX_POS_WEIGHT``), since bottleneck labels are rare in
-    randomly-provisioned histories.  Each sample's loss constants are
-    prepared once, before the first epoch.
+    randomly-provisioned histories.  Each sample's loss constants, and
+    the padded pack every minibatch is gathered from, are prepared once,
+    before the first epoch.
     """
     labelled = [s for s in samples if s.n_labelled > 0]
     if not labelled:
@@ -69,6 +80,15 @@ def train_bottleneck_gnn(
     optimizer = Adam(model.parameters(), learning_rate=LEARNING_RATE, weight_decay=WEIGHT_DECAY)
     rng = seeded_rng(seed + 99)
     report = TrainingReport()
+    pack = pad_samples(labelled)
+    # The loss constants in the pack's node coordinates: a batch's
+    # labelled entries, gathered with one mask, come out graph by graph.
+    labelled_at = np.zeros(pack.parallelism.shape, dtype=bool)
+    y, weights, total = (np.ones(pack.parallelism.shape) for _ in range(3))
+    for row, target in enumerate(targets):
+        labelled_at[row, target.index] = True
+        y[row, target.index], weights[row, target.index] = target.targets, target.weights
+        total[row] = target.total_weight
 
     for _ in range(epochs):
         order = rng.permutation(len(labelled))
@@ -77,14 +97,20 @@ def train_bottleneck_gnn(
         for start in range(0, len(order), BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
             optimizer.zero_grad()
-            for sample_index in batch:
-                target = targets[sample_index]
-                logits = model.forward(labelled[sample_index], parallelism_aware=True)
-                loss, grad = apply_bce(logits, target)
-                model.backward(grad)
+            logits = model.forward(pack.take(batch), parallelism_aware=True)
+            at = labelled_at[batch]
+            z, batch_y = logits[..., 0][at], y[batch][at]
+            terms, grad = bce_terms(z, batch_y, weights[batch][at], total[batch][at])
+            grads = np.zeros_like(logits)
+            grads[..., 0][at] = grad
+            n_correct += int(((z > 0) == (batch_y == 1.0)).sum())
+            # Each graph's mean loss is its own sum, as the per-graph loop took it.
+            stop = 0
+            for target in (targets[index] for index in batch):
+                begin, stop = stop, stop + target.n_labelled
+                loss = float(terms[begin:stop].sum() / target.total_weight)
                 epoch_loss += loss * target.n_labelled
-                predictions = logits.reshape(-1)[target.index] > 0
-                n_correct += int((predictions == (target.targets == 1.0)).sum())
+            model.backward(grads)
             optimizer.scale_gradients(1.0 / len(batch))
             optimizer.step()
         report.losses.append(epoch_loss / n_total)

@@ -2,8 +2,8 @@
 
 Before a fleet dispatches, the service can compute every pure cache entry
 its campaigns will consult — cluster assignments (bound-pruned GED),
-warm-up datasets (whose record encodings coalesce through the
-block-diagonal batching of :mod:`repro.gnn.batch` inside
+warm-up datasets (whose record encodings coalesce into one padded
+pack of :mod:`repro.gnn.batch` inside
 :func:`~repro.core.finetune.build_warmup_dataset`), distilled operating
 points and parallelism-agnostic embeddings — in one pass, instead of
 letting each campaign dispatch the same requests independently.

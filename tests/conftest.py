@@ -334,6 +334,64 @@ def reference_svm_fit(model, features, labels, sample_weight=None, theta0=None):
     return solution.x.copy(), a, b0, int(solution.nit), str(solution.message)
 
 
+def reference_gnn_train(samples, config=None, epochs=40, seed=7):
+    """Pre-train the straightforward way: forward -> loss -> backward one
+    graph at a time, each graph's gradients added by ``+=`` into the
+    minibatch's buffers.  This is the operation order the padded-minibatch
+    :func:`repro.gnn.train.train_bottleneck_gnn` must reproduce byte for
+    byte.  Returns ``(model, report)``."""
+    from repro.gnn.loss import apply_bce, loss_target
+    from repro.gnn.model import BottleneckGNN, EncoderConfig
+    from repro.gnn.optim import Adam
+    from repro.gnn.train import (
+        BATCH_SIZE,
+        LEARNING_RATE,
+        MAX_POS_WEIGHT,
+        WEIGHT_DECAY,
+        TrainingReport,
+    )
+    from repro.utils.rng import seeded_rng
+
+    labelled = [s for s in samples if s.n_labelled > 0]
+    if not labelled:
+        raise ValueError("no labelled samples to train on")
+    n_pos = sum(int((s.labels[s.mask] == 1).sum()) for s in labelled)
+    n_neg = sum(int((s.labels[s.mask] == 0).sum()) for s in labelled)
+    if n_pos == 0:
+        pos_weight = 1.0
+    else:
+        pos_weight = float(min(max(n_neg / n_pos, 1.0), MAX_POS_WEIGHT))
+    targets = [loss_target(s.labels, s.mask, pos_weight) for s in labelled]
+    n_total = sum(target.n_labelled for target in targets)
+    if config is None:
+        config = EncoderConfig(input_dim=labelled[0].features.shape[1], seed=seed)
+    model = BottleneckGNN(config)
+    optimizer = Adam(model.parameters(), learning_rate=LEARNING_RATE, weight_decay=WEIGHT_DECAY)
+    rng = seeded_rng(seed + 99)
+    report = TrainingReport()
+
+    for _ in range(epochs):
+        order = rng.permutation(len(labelled))
+        epoch_loss = 0.0
+        n_correct = 0
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
+            optimizer.zero_grad()
+            for sample_index in batch:
+                target = targets[sample_index]
+                logits = model.forward(labelled[sample_index], parallelism_aware=True)
+                loss, grad = apply_bce(logits, target)
+                model.backward(grad)
+                epoch_loss += loss * target.n_labelled
+                predictions = logits.reshape(-1)[target.index] > 0
+                n_correct += int((predictions == (target.targets == 1.0)).sum())
+            optimizer.scale_gradients(1.0 / len(batch))
+            optimizer.step()
+        report.losses.append(epoch_loss / n_total)
+        report.accuracies.append(n_correct / n_total)
+    return model, report
+
+
 def _toml_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,18 @@ class TestZeroTune:
     def test_requires_history(self):
         with pytest.raises(ValueError):
             ZeroTuneTuner(FlinkCluster(seed=1), [])
+
+    def test_fit_is_pinned(self, zerotune):
+        """The cost model trains one graph per step through the layers'
+        2-D path; its parameters, hashed, must not move by a bit."""
+        _, tuner = zerotune
+        tuner.fit()
+        digest = hashlib.sha256()
+        for parameter in tuner._model.parameters():
+            digest.update(np.ascontiguousarray(parameter.value).tobytes())
+        assert digest.hexdigest() == (
+            "1aca07b45c176ed6e736ea9cb6841eaf0c5f0064e90e8e32c5e31d395164fa97"
+        )
 
     def test_fit_idempotent(self, zerotune):
         _, tuner = zerotune

@@ -16,7 +16,12 @@ from repro.gnn.optim import Adam
 from repro.gnn.train import train_bottleneck_gnn
 from repro.dataflow.features import FeatureEncoder
 from repro.utils.rng import seeded_rng
-from tests.conftest import ReferenceAdam, build_diamond_flow, feature_dimension
+from tests.conftest import (
+    ReferenceAdam,
+    build_diamond_flow,
+    feature_dimension,
+    reference_gnn_train,
+)
 
 
 def toy_sample(seed=0, n=6, d=10, labels=(1, 0, -1, 1, 0, 1)) -> GraphSample:
@@ -293,6 +298,70 @@ class TestTraining:
         sample = toy_sample(labels=(-1,) * 6)
         with pytest.raises(ValueError, match="labelled"):
             train_bottleneck_gnn([sample])
+
+
+def random_sample(rng, n, d=10, labelled_share=0.6) -> GraphSample:
+    """A random connected DAG of ``n`` nodes with random features, degrees
+    and labels (about ``labelled_share`` of them labelled)."""
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    edges += [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(n // 3)]
+    agg_in, agg_out = normalized_adjacency(n, edges)
+    labels = np.where(rng.uniform(size=n) < labelled_share, rng.integers(0, 2, size=n), -1)
+    return GraphSample(
+        name=f"random{n}",
+        node_names=[str(i) for i in range(n)],
+        features=rng.normal(size=(n, d)),
+        agg_in=agg_in,
+        agg_out=agg_out,
+        parallelism=rng.uniform(0, 1, size=n),
+        labels=labels,
+        mask=labels >= 0,
+    )
+
+
+def mixed_cluster(n_samples, seed=0) -> list[GraphSample]:
+    """2-node graphs next to graphs of 8+ nodes; the big ones are fully
+    labelled, so some graphs carry 8+ labelled operators."""
+    rng = np.random.default_rng(seed)
+    sizes = [2, 9, 3, 12, 2, 8, 5, 10, 2, 4, 11, 6, 2, 9, 7, 3, 13][:n_samples]
+    return [random_sample(rng, n, labelled_share=1.0 if n >= 8 else 0.6) for n in sizes]
+
+
+class TestBatchedTrainingBitIdentity:
+    """``train_bottleneck_gnn`` runs one forward/backward per padded
+    minibatch; it must equal the per-graph loop of
+    :func:`tests.conftest.reference_gnn_train` byte for byte."""
+
+    def assert_byte_equal(self, samples, config, epochs=6, seed=3):
+        model, report = train_bottleneck_gnn(samples, config=config, epochs=epochs, seed=seed)
+        reference, expected = reference_gnn_train(samples, config=config, epochs=epochs, seed=seed)
+        for parameter, want in zip(model.parameters(), reference.parameters()):
+            assert parameter.value.tobytes() == want.value.tobytes()
+        assert np.array(report.losses).tobytes() == np.array(expected.losses).tobytes()
+        assert report.accuracies == expected.accuracies
+
+    def test_mixed_sizes_and_wide_label_sets(self):
+        samples = mixed_cluster(16)
+        assert min(s.n_nodes for s in samples) == 2
+        assert max(s.n_labelled for s in samples) >= 8
+        self.assert_byte_equal(samples, EncoderConfig(input_dim=10, seed=1))
+
+    def test_each_graph_sums_its_own_loss(self):
+        # One batch whose 9 labelled entries span numpy's 8-element
+        # pairwise block next to graphs with 5 and 6: a loss summed over a
+        # padded row would be associated differently from the per-graph sum.
+        rng = np.random.default_rng(3)
+        samples = [random_sample(rng, n, labelled_share=1.0) for n in (6, 9, 5)]
+        self.assert_byte_equal(samples, EncoderConfig(input_dim=10, seed=1), epochs=25)
+
+    def test_fuse_per_step(self):
+        samples = mixed_cluster(16, seed=1)
+        self.assert_byte_equal(samples, EncoderConfig(input_dim=10, fuse_per_step=True, seed=2))
+
+    def test_short_final_batch(self):
+        samples = mixed_cluster(13, seed=2)
+        assert len(samples) % 8 == 5
+        self.assert_byte_equal(samples, EncoderConfig(input_dim=10, seed=4))
 
 
 class TestBuildSample:

@@ -1,4 +1,4 @@
-"""Batched GNN inference: block-diagonal packing and grid probing."""
+"""Batched GNN inference: padded packing and grid probing."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from repro.core.finetune import (
     distill_rows,
 )
 from repro.dataflow.features import FeatureEncoder
-from repro.gnn import batch as gnn_batch
-from repro.gnn.batch import encode_samples, merge_samples
+from repro.gnn.batch import encode_samples
 from repro.gnn.data import build_sample
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.utils.rng import seeded_rng
@@ -45,30 +44,6 @@ def encoder_setup():
     return BottleneckGNN(config), samples
 
 
-class TestMergeSamples:
-    def test_offsets_and_shapes(self, encoder_setup):
-        _, samples = encoder_setup
-        batch = merge_samples(samples)
-        total = sum(sample.n_nodes for sample in samples)
-        assert batch.merged.n_nodes == total
-        assert batch.offsets == [0, 3, 8, 11]
-        assert batch.merged.agg_in.shape == (total, total)
-
-    def test_block_diagonal_no_cross_edges(self, encoder_setup):
-        _, samples = encoder_setup
-        batch = merge_samples(samples)
-        agg = batch.merged.agg_in + batch.merged.agg_out
-        for i, start in enumerate(batch.offsets[:-1]):
-            stop = batch.offsets[i + 1]
-            outside = agg[start:stop, :].copy()
-            outside[:, start:stop] = 0.0
-            assert not outside.any()
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            merge_samples([])
-
-
 class TestEncodeSamples:
     def test_matches_per_sample_encoding(self, encoder_setup):
         model, samples = encoder_setup
@@ -76,17 +51,7 @@ class TestEncodeSamples:
         for sample, block in zip(samples, batched):
             solo = model.encode(sample, parallelism_aware=False)
             assert block.shape == solo.shape
-            np.testing.assert_allclose(block, solo, rtol=1e-10, atol=1e-12)
-
-    def test_respects_max_batch_nodes(self, encoder_setup, monkeypatch):
-        model, samples = encoder_setup
-        # Forcing one sample per batch degenerates to the per-sample path.
-        monkeypatch.setattr(gnn_batch, "MAX_BATCH_NODES", 1)
-        solo_batches = encode_samples(model, samples)
-        for sample, block in zip(samples, solo_batches):
-            np.testing.assert_array_equal(
-                block, model.encode(sample, parallelism_aware=False)
-            )
+            np.testing.assert_array_equal(block, solo)
 
 
 class TestGridProbing:
@@ -143,11 +108,8 @@ class TestWarmupBatchEncode:
         batched = build_warmup_dataset(tiny_pretrained, 0, max_rows=80, seed=9)
         assert len(batched) == len(sequential)
         assert batched.labels == sequential.labels
-        np.testing.assert_allclose(
-            np.stack(batched.features),
-            np.stack(sequential.features),
-            rtol=1e-9,
-            atol=1e-11,
+        np.testing.assert_array_equal(
+            np.stack(batched.features), np.stack(sequential.features)
         )
 
     def test_distill_rows_unchanged_by_grid_batching(self, tiny_pretrained):
