@@ -240,7 +240,7 @@ def _check_chaos_executes(chaos, engine: str, n_steps: int) -> None:
         )
 
 
-def _campaign_spec(plan, token: str, rates, engine_seed: int, loose_tolerances=True):
+def _campaign_spec(plan, token: str, rates, engine_seed: int):
     """The :class:`~repro.service.CampaignSpec` of one (query, trace) of a
     tuning or campaign plan — the one place plan fields become a
     campaign.  Imported lazily: validation never needs the service."""
@@ -255,7 +255,6 @@ def _campaign_spec(plan, token: str, rates, engine_seed: int, loose_tolerances=T
         tuner=plan.tuner,
         model_kind=plan.layer,
         chaos=plan.chaos,
-        loose_tolerances=loose_tolerances,
     )
 
 
@@ -379,9 +378,9 @@ class TuningPlan(_Plan):
         from repro.experiments.scale import resolve_scale
 
         # A tuning plan seeds its engine from the scale, not the plan seed
-        # (unlike campaign fleets), and fits M_f at the solver defaults.
+        # (unlike campaign fleets).
         engine_seed = resolve_scale(self.scale).seed
-        return [_campaign_spec(self, self.query, self.rates, engine_seed, loose_tolerances=False)]
+        return [_campaign_spec(self, self.query, self.rates, engine_seed)]
 
 
 @dataclass(frozen=True)

@@ -252,9 +252,9 @@ def distill_rows(
             for degree in degrees
         ]
     )
-    # One encoder pass for the whole degree grid (fuse-after-readout makes
-    # the message-passing state degree-independent).
-    probability_grid = encoder.predict_probabilities_grid(sample, p_norms)
+    # The embeddings are the readout the whole degree grid shares
+    # (fuse-after-readout makes the message-passing state degree-independent).
+    probability_grid = encoder.predict_probabilities_grid(sample, p_norms, embeddings)
     rows = PredictionDataset()
     for grid_index, p_norm in enumerate(p_norms):
         probabilities = probability_grid[grid_index]

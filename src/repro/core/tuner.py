@@ -94,7 +94,6 @@ class StreamTuneTuner(ParallelismTuner):
         probability_threshold: float | None = 0.35,
         seed: int = 17,
         caches=None,
-        loose_tolerances: bool = False,
     ) -> None:
         """``probability_threshold`` below 0.5 biases recommendations
         conservatively: an operator must be *clearly* safe before its degree
@@ -112,11 +111,9 @@ class StreamTuneTuner(ParallelismTuner):
         default) are fitted on weighted unique rows and warm-started from
         the query's previous solution (:meth:`_fit_model_weighted`); the
         xgboost / isotonic / nn ablation layers take none and are fitted
-        on the materialised row multiset (:meth:`_fit_model`).
-        ``loose_tolerances=True`` additionally runs the weighted fit's
-        solver at ``ftol 1e-7 / gtol 1e-4 / platt_tol 1e-7`` instead of
-        its defaults; that moves tuning decisions, and only the service
-        passes it (ROADMAP item 3).
+        on the materialised row multiset (:meth:`_fit_model`).  The SVM's
+        fit solves Eq. 5 exactly, so a warm start changes its cost, not
+        its solution, and every plan kind fits the same model.
         """
         super().__init__(engine)
         self.pretrained = pretrained
@@ -127,7 +124,6 @@ class StreamTuneTuner(ParallelismTuner):
         self.observed_weight = 10
         self.seed = seed
         self.caches = caches
-        self.loose_tolerances = loose_tolerances
         # Chosen by capability, not by option: see the docstring above.
         self._weighted_fit = _supports_sample_weight(
             make_prediction_model(model_kind, seed=seed)
@@ -335,11 +331,11 @@ class StreamTuneTuner(ParallelismTuner):
         the rows per iteration while minimising the same weighted objective.
         Class rebalancing becomes a fractional reweighting of the minority
         class (rather than sampled row repetition), and successive refits of
-        the same query warm-start L-BFGS from the previous solution — every
-        step is a pure function of the accumulated state, so results are
-        reproducible run-to-run and independent of campaign interleaving.
-        Only :class:`~repro.models.MonotonicSVM` takes ``sample_weight``,
-        so the model fitted here always has ``theta0``, the solver knobs
+        the same query warm-start the solve from the previous solution —
+        every step is a pure function of the accumulated state, so results
+        are reproducible run-to-run and independent of campaign
+        interleaving.  Only :class:`~repro.models.MonotonicSVM` takes
+        ``sample_weight``, so the model fitted here always has ``theta0``
         and ``solution_theta``.
         """
         index_of: dict[tuple[bytes, int], int] = {}
@@ -381,9 +377,6 @@ class StreamTuneTuner(ParallelismTuner):
         model = make_prediction_model(
             self.model_kind, seed=self.seed + stable_hash(state.job_key, 1000)
         )
-        if self.loose_tolerances:
-            model.platt_tol = 1e-7
-            model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
         fitted = model.fit(
             np.stack(rows), label_array, sample_weight=weight_array,
             theta0=state.warm_theta,

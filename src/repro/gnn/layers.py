@@ -2,15 +2,17 @@
 
 Each layer caches what its backward pass needs from the most recent
 forward call, so a training step runs forward -> loss -> backward on one
-input before the next forward.  The layers are rank-generic: an input is
-either one graph's ``(n, d)`` rows or a padded minibatch ``(B, n_max, d)``
-with a leading batch axis.  A 2-D input runs exactly the per-graph BLAS
-calls; on a batch, every product is still one matrix product per graph,
-and a weight or bias gradient sums its per-graph terms over the batch axis
-in batch order -- the order in which per-graph ``+=`` calls would have
-accumulated them -- so a batched step is byte-identical to the per-graph
-loop.  The first layer of a stack calls :meth:`Linear.accumulate`, which
-skips the input gradient nobody reads.
+input before the next forward; the backward releases the cache, so a
+trained model keeps none of its last minibatch.  The layers are
+rank-generic: an input is either one graph's ``(n, d)`` rows or a padded
+minibatch ``(B, n_max, d)`` with a leading batch axis.  A 2-D input runs
+exactly the per-graph BLAS calls; on a batch, every product is still one
+matrix product per graph, and a weight or bias gradient sums its
+per-graph terms over the batch axis in batch order -- the order in which
+per-graph ``+=`` calls would have accumulated them -- so a batched step
+is byte-identical to the per-graph loop.  The first layer of a stack
+calls :meth:`Linear.accumulate`, which skips the input gradient nobody
+reads.
 """
 
 from __future__ import annotations
@@ -77,11 +79,12 @@ class Linear:
     def accumulate(self, grad_output: np.ndarray) -> None:
         """Add the parameter gradients only; the input gradient is skipped."""
         assert self._input is not None, "backward before forward"
-        if self._sizes is None:
-            self.weight.grad += weight_gradient(self._input, grad_output)
+        x, sizes, self._input, self._sizes = self._input, self._sizes, None, None
+        if sizes is None:
+            self.weight.grad += weight_gradient(x, grad_output)
             self.bias.grad += bias_gradient(grad_output)
             return
-        for graph, grad, n in zip(self._input, grad_output, self._sizes):
+        for graph, grad, n in zip(x, grad_output, sizes):
             self.weight.grad += graph[:n].T @ grad[:n]
             self.bias.grad += grad[:n].sum(axis=0)
 
@@ -105,7 +108,8 @@ class ReLU:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._mask is not None, "backward before forward"
-        return np.where(self._mask, grad_output, 0.0)
+        mask, self._mask = self._mask, None
+        return np.where(mask, grad_output, 0.0)
 
     def parameters(self) -> list[Parameter]:
         return []

@@ -140,10 +140,6 @@ class BottleneckEncoder:
         params.extend(self.fuse_final.parameters())
         return params
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.config.hidden_dim
-
 
 class PredictionHead:
     """Two-layer MLP emitting bottleneck logits (sigmoid lives in the loss)."""
@@ -195,7 +191,7 @@ class BottleneckGNN:
         return self.encoder.forward(sample, parallelism_aware)
 
     def predict_probabilities_grid(
-        self, sample: GraphSample, parallelism_grid: np.ndarray
+        self, sample: GraphSample, parallelism_grid: np.ndarray, readout: np.ndarray
     ) -> np.ndarray:
         """Per-operator probabilities for many uniform parallelism degrees.
 
@@ -204,10 +200,11 @@ class BottleneckGNN:
         to ``parallelism_grid[i]``, byte for byte.  The grid points run as
         one batch of copies of ``sample``, none padded.  With the default
         fuse-after-readout architecture the message-passing readout is
-        independent of the degree, so the expensive encoder runs **once**
-        and only the FUSE layer and head see the batch — the distillation
-        loop's grid probe costs one encoder pass.  ``fuse_per_step``
-        models run the whole forward on the batch.
+        independent of the degree: ``readout`` is the caller's
+        ``encode(sample)``, and only the FUSE layer and head see the batch,
+        so the distillation loop's grid probe runs no encoder pass of its
+        own.  ``fuse_per_step`` models run the whole forward on the batch
+        and ignore ``readout``.
         """
         n, points = sample.n_nodes, len(parallelism_grid)
         degrees = np.repeat(np.asarray(parallelism_grid, dtype=np.float64)[:, None], n, axis=1)
@@ -217,8 +214,9 @@ class BottleneckGNN:
             pack = PaddedGraphs(*copies, degrees, np.full(points, n))
             fused = self.encoder.forward(pack, parallelism_aware=True)
         else:
-            z = self.encoder.forward(sample, parallelism_aware=False)
-            fused = self.encoder.fuse_final.forward(np.broadcast_to(z, (points,) + z.shape), degrees)
+            fused = self.encoder.fuse_final.forward(
+                np.broadcast_to(readout, (points,) + readout.shape), degrees
+            )
         # No copy is padded, so the head's products run at the graph's own
         # row count and need no per-graph slicing.
         return sigmoid(self.head.forward(fused)[..., 0])

@@ -58,6 +58,7 @@ class MessagePassingLayer:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "backward before forward"
         h, m_in, m_out, agg_in, agg_out, mask = self._cache
+        self._cache = None
         dz = np.where(mask, grad_output, 0.0)
         self.w_self.grad += weight_gradient(h, dz)
         self.w_in.grad += weight_gradient(m_in, dz)

@@ -12,38 +12,31 @@ probability).
 
 Offline substitution: scikit-learn is unavailable, so the kernel trick is
 realised with **random Fourier features** (Rahimi & Recht) approximating an
-RBF kernel on ``h``, and the primal — squared hinge, so it is smooth — is
-solved by L-BFGS-B with ``w_p <= 0`` as a box bound.  ``EPOCHS`` is the
-solver's ``maxiter``: a fit that exhausts it returns that iterate, not an
-optimum, and ``n_iterations_`` / ``stop_message_`` say which happened.
-Probabilities come from Platt-style scaling of the margin with a
-positivity-constrained slope, which preserves monotonicity in p.
+RBF kernel on ``h``.  The primal uses the squared hinge, so it is smooth,
+convex and piecewise quadratic, with one optimum; a fit solves it exactly
+(:func:`_solve`).  Probabilities come from Platt-style scaling of the
+margin with a positivity-constrained slope, which preserves monotonicity
+in p.
 
-A fit pays its fixed costs once per distinct embedding, and its result is
-byte-identical to lifting every row.  The embedding h is
-parallelism-agnostic, so most training rows repeat another row's h with a
-different p.  Standardising and lifting are row-wise (one matrix product,
-then an elementwise ``cos``), so lifting only the distinct rows and
-gathering the result yields the same bytes.  The scores ``lifted @ w_e``
-and the gradient ``coeff @ lifted`` still run over every row, in the
-original order: a matrix-vector product's rounding depends on where a row
-sits, so scoring the distinct rows and gathering would move the last bit
-of the solution.
+A fit pays its fixed costs once per distinct embedding.  The embedding h
+is parallelism-agnostic, so most training rows repeat another row's h
+with a different p: a fit lifts each distinct embedding once (``L_D``)
+and scores rows as ``(L_D @ w_e)[inverse] + w_p * p + b``.  Rows are put
+in a canonical order first, so a fit is a function of the training
+multiset: any permutation of the rows gives the same bytes.
 
-:func:`_lbfgsb` drives L-BFGS-B in place of ``scipy.optimize.minimize``.
-It runs ``_minimize_lbfgsb``'s loop over the same reverse-communication
-routine (``scipy.optimize._lbfgsb.setulb``) with the same memory (10
-corrections), line-search limit (20), ``factr = ftol / eps``, box and
-start, and it evaluates the objective at exactly the points ``setulb``
-asks for, so the solution, the iteration count and the message are
-byte-identical.  What it drops is per-fit bounds parsing (``minimize``
-converts and loops over 258 bound tuples) and per-evaluation
-``ScalarFunction``/``MemoizeJac`` bookkeeping, which ran under the GIL.
-It has no evaluation-budget check: ``minimize``'s 15000 evaluations are
-never reached, because ``EPOCHS`` iterations of at most 20 line-search
-steps each stop first.  ``setulb`` is a private symbol (its signature is
-scipy >= 1.15's), so ``tests/conftest.py::reference_svm_fit``, which
-still calls ``minimize``, checks the driver against scipy byte for byte.
+:func:`_solve` is a projected finite Newton method (Keerthi & DeCoste,
+JMLR 2005).  On the rows whose hinge is active the objective is a
+quadratic; each step is that quadratic's Newton step, followed by an
+exact line search on the piecewise-quadratic objective, capped inside
+the box ``w_p <= 0``.  With ``k`` active rows the step comes from a
+``(k+1)``-square system in the rows (Woodbury's identity with the bias
+as a border), so a warm step costs a k x k Gram matrix; above
+``DUAL_ROWS`` active rows, as on a cold start's first step, it comes
+from the primal Newton system instead.  ``w_p`` is held at 0 while the
+bound binds, and for a step that would leave the box at once.  The
+solve stops once the largest projected-gradient entry is at most
+``TOLERANCE``; ``MAX_ITERATIONS`` caps it.
 """
 
 from __future__ import annotations
@@ -59,72 +52,148 @@ from repro.utils.rng import seeded_rng
 C = 16.0
 GAMMA = 1.5
 N_FOURIER_FEATURES = 256
-#: The L-BFGS-B ``maxiter`` of one fit.
-EPOCHS = 200
-#: The solver options a fit accepts, at scipy's L-BFGS-B defaults.
-SOLVER_DEFAULTS = {"ftol": 2.2204460492503131e-09, "gtol": 1e-5}
+#: The solve stops once every projected-gradient entry is at most this.
+TOLERANCE = 1e-10
+#: Newton steps before a solve gives up and returns its iterate.
+MAX_ITERATIONS = 50
+#: Above this many active rows a Newton step solves the primal system.
+DUAL_ROWS = 200
 
 
-def _lbfgsb(objective, x: np.ndarray, ftol: float, gtol: float) -> tuple[int, str]:
-    """Minimise ``objective`` (returning value and gradient) from ``x``, in
-    place, subject to ``x[-2] <= 0``, as ``minimize(method="L-BFGS-B")``
-    does; see the module docstring.  Returns the iteration count and
-    L-BFGS-B's stop message."""
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+def _solve(problem, theta):
+    """Minimise ``lam/2 |w|^2 + sum(cost * max(0, 1 - y * score)^2)`` over
+    ``theta = (w_e, w_p, b)`` with ``w_p <= 0``, from a feasible ``theta``.
+    ``problem`` is ``(lifted, inverse, parallelism, y, cost, lam)``, where
+    ``lifted[inverse]`` are the rows' lifted embeddings.  Returns the
+    solution, the Newton steps taken and the largest projected-gradient
+    entry there."""
+    lifted, inverse, parallelism, y, cost, lam = problem
+    dim = lifted.shape[1]
+    for iteration in range(MAX_ITERATIONS + 1):
+        slack = 1.0 - y * _scores(problem, theta)
+        active = slack > 0.0
+        coeff = np.where(active, -2.0 * cost * y * slack, 0.0)
+        grad = lam * theta
+        grad[dim + 1] = 0.0                         # b is not regularised
+        grad[:dim] += np.bincount(inverse, coeff, len(lifted)) @ lifted
+        grad[dim:] += (coeff @ parallelism, coeff.sum())
+        # At the bound a negative w_p gradient points out of the box.
+        pinned = theta[dim] == 0.0 and grad[dim] <= 0.0
+        residual = float(np.abs(np.delete(grad, dim) if pinned else grad).max())
+        if residual <= TOLERANCE or iteration == MAX_ITERATIONS:
+            return theta, iteration, residual
+        step = _newton_step(problem, grad, active, pinned)
+        if theta[dim] == 0.0 and step[dim] > 0.0:
+            # The step would leave the box at once: take it with w_p held.
+            step = _newton_step(problem, grad, active, True)
+        theta = _line_search(problem, theta, step, slack)
 
-    n, m = len(x), 10
-    f, g, box, dsave = np.array(0.0), np.zeros(n), np.zeros(n), np.zeros(29)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    nbd, iwa, task, ln_task, lsave, isave = (
-        np.zeros(k, np.int32) for k in (n, 3 * n, 2, 2, 4, 44)
-    )
-    # Code 3 bounds x[-2] above by box[-2]; the zero vector serves as both
-    # bounds because code 0 (free) reads neither.
-    nbd[n - 2] = 3
-    factr, iterations = ftol / np.finfo(float).eps, 0
-    while True:
-        setulb(m, x, box, box, nbd, f, g, factr, gtol, wa, iwa, task,
-               lsave, isave, dsave, 20, ln_task)
-        if task[0] == 3:                   # FG: evaluate at x
-            f, g = objective(x)
-        elif task[0] == 1:                 # NEW_X: one iteration done
-            iterations += 1
-            if iterations >= EPOCHS:
-                task[:] = 5, 504           # STOP: iteration limit
-        else:
-            break
-    return iterations, f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+
+def _scores(problem, theta):
+    lifted, inverse, parallelism = problem[:3]
+    dim = lifted.shape[1]
+    return (lifted @ theta[:dim])[inverse] + theta[dim] * parallelism + theta[dim + 1]
+
+
+def _newton_step(problem, grad, active, pinned):
+    """The Newton step for the objective with the hinge of the ``active``
+    rows held quadratic (and ``w_p`` held when ``pinned``).  It solves
+    ``H d = -grad`` for the current gradient, so a step from a point that
+    round-off left off the optimum corrects it."""
+    lifted, inverse, parallelism, _, cost, lam = problem
+    dim = lifted.shape[1]
+    rows = np.flatnonzero(active)
+    step = np.zeros(dim + 2)
+    if len(rows) == 0:
+        # Only the regulariser is left: w goes to 0, b has no curvature.
+        step[:dim + 1] = -grad[:dim + 1] / lam
+    elif len(rows) > DUAL_ROWS:
+        # The primal Hessian, its w_e rows summed per distinct embedding.
+        curvature = np.where(active, 2.0 * cost, 0.0)
+        tail = np.stack((parallelism, np.ones(len(parallelism))))     # w_p, b
+        sums = np.stack([np.bincount(inverse, curvature * column, len(lifted)) for column in tail])
+        hessian = np.empty((dim + 2, dim + 2))
+        hessian[:dim, :dim] = (lifted.T * sums[1]) @ lifted
+        hessian[:dim, dim:] = lifted.T @ sums.T
+        hessian[dim:, :dim] = hessian[:dim, dim:].T
+        hessian[dim:, dim:] = (tail * curvature) @ tail.T
+        hessian[np.arange(dim + 1), np.arange(dim + 1)] += lam
+        free = np.arange(dim + 2) != dim if pinned else np.ones(dim + 2, bool)
+        step[free] = -np.linalg.solve(hessian[np.ix_(free, free)], grad[free])
+    else:
+        # Through the active rows: with z_i = (phi_i, p_i), D = diag(2 cost)
+        # and u = D (Z d_w + d_b), the Newton equations become
+        #     [Z Z^T + lam D^-1   1] [   u    ]   [-Z g_w]
+        #     [1^T                0] [-lam d_b] = [ -g_b ],
+        # and d_w = -(g_w + Z^T u) / lam.
+        embeddings, local = np.unique(inverse[rows], return_inverse=True)
+        sub = lifted[embeddings]
+        p = parallelism[rows] if not pinned else np.zeros(len(rows))
+        k = len(rows)
+        system = np.zeros((k + 1, k + 1))
+        system[:k, :k] = (sub @ sub.T)[np.ix_(local, local)] + np.outer(p, p)
+        system[np.arange(k), np.arange(k)] += lam / (2.0 * cost[rows])
+        system[k, :k] = system[:k, k] = 1.0
+        rhs = np.append((sub @ grad[:dim])[local] + p * grad[dim], grad[dim + 1])
+        u = np.linalg.solve(system, -rhs)
+        step[:dim] = -(grad[:dim] + np.bincount(local, u[:k], len(embeddings)) @ sub) / lam
+        step[dim] = -(grad[dim] + u[:k] @ p) / lam if not pinned else 0.0
+        step[dim + 1] = -u[k] / lam
+    return step
+
+
+def _line_search(problem, theta, step, slack):
+    """The exact minimiser of the objective on ``theta + t * step`` for
+    ``t >= 0``, cut where ``w_p`` reaches 0."""
+    lifted, _, _, y, cost, lam = problem
+    dim = lifted.shape[1]
+    limit = -theta[dim] / step[dim] if step[dim] > 0.0 else np.inf
+    # Along the step row i's slack is slack_i - t * rate_i; its hinge
+    # switches where the slack crosses 0.
+    rate = y * _scores(problem, step)
+    now = slack > 0.0
+    moving = (rate != 0.0) & (now == (rate > 0.0))
+    where = slack[moving] / rate[moving]
+    if limit >= 1.0 and not (where < 1.0).any():
+        return theta + step             # no hinge switches before the full step
+    # Between switches the derivative is slope + t * bend, with sums over
+    # the rows active there.
+    terms = np.stack((-2.0 * cost * rate * slack, 2.0 * cost * rate * rate))
+    start = lam * np.array((theta[:dim + 1] @ step[:dim + 1], step[:dim + 1] @ step[:dim + 1]))
+    start += terms[:, now].sum(axis=1)
+    order = np.argsort(where, kind="stable")
+    changes = (terms[:, moving] * np.where(now[moving], -1.0, 1.0))[:, order]
+    slope, bend = np.cumsum(np.column_stack((start, changes)), axis=1)
+    where = where[order]
+    # The derivative is continuous and non-decreasing: the minimiser lies
+    # on the first piece at whose right end it is non-negative.
+    reached = slope[:-1] + bend[:-1] * where >= 0.0
+    piece = int(np.argmax(reached)) if reached.any() else len(where)
+    ends = np.concatenate(([0.0], where, [np.inf]))
+    low, high = ends[piece], ends[piece + 1]
+    t = np.clip(-slope[piece] / bend[piece], low, high) if bend[piece] > 0.0 else low
+    theta = theta + min(t, limit) * step
+    if t >= limit:
+        theta[dim] = 0.0                # exactly on the bound
+    return theta
 
 
 class MonotonicSVM:
     """Kernelised hinge-loss classifier, monotone non-increasing in p."""
 
     def __init__(self, seed: int = 11) -> None:
-        #: ``platt_tol`` > 0 stops the Platt-scaling loop once both gradient
-        #: magnitudes fall below it (deterministic early exit); the default 0
-        #: keeps the historical fixed-iteration behaviour bit-for-bit.
-        self.platt_tol = 0.0
-        #: Optional ``ftol``/``gtol`` overriding ``SOLVER_DEFAULTS`` (e.g.
-        #: ``{"ftol": 1e-7, "gtol": 1e-4}``); any other key is rejected.  The
-        #: online tuning loop thresholds a calibrated probability at ~0.35,
-        #: so it can trade the solver's last digits of objective precision
-        #: for iterations.
-        self.solver_options: dict | None = None
         self._rng = seeded_rng(seed)
-        self._fitted = False
+        #: ``(w_e, w_p, b)`` of the last fit; ``None`` before the first.
         self.solution_theta: np.ndarray | None = None
-        #: How the last fit's solver stopped (its iteration count and
-        #: L-BFGS-B's message); ``None`` before the first fit.
+        #: How the last fit's solve ended: its Newton steps and its largest
+        #: projected-gradient entry (``None`` before the first fit).  A
+        #: residual above ``TOLERANCE`` means ``MAX_ITERATIONS`` stopped it.
         self.n_iterations_: int | None = None
-        self.stop_message_: str | None = None
+        self.projected_gradient_: float | None = None
         self._feature_mean: np.ndarray | None = None
         self._feature_scale: np.ndarray | None = None
         self._rff_weights: np.ndarray | None = None
         self._rff_offsets: np.ndarray | None = None
-        self._w_embed: np.ndarray | None = None
-        self._w_parallelism = 0.0
-        self._bias = 0.0
         self._platt_scale = 1.0
         self._platt_offset = 0.0
 
@@ -141,8 +210,12 @@ class MonotonicSVM:
         (every pair looks maximally distant), destroying generalisation.
         """
         assert self._rff_weights is not None and self._rff_offsets is not None
-        projection = embeddings @ self._rff_weights + self._rff_offsets
-        return np.sqrt(2.0 / N_FOURIER_FEATURES) * np.cos(projection)
+        # In place: one buffer the size of the lift instead of three.
+        lifted = embeddings @ self._rff_weights
+        lifted += self._rff_offsets
+        np.cos(lifted, out=lifted)
+        lifted *= np.sqrt(2.0 / N_FOURIER_FEATURES)
+        return lifted
 
     # ------------------------------------------------------------------
     # fitting
@@ -163,7 +236,7 @@ class MonotonicSVM:
         duplicated training multiset (prior replication, feedback
         replication, minority oversampling) into weighted unique rows.
 
-        ``theta0`` warm-starts L-BFGS from a previous solution in the same
+        ``theta0`` warm-starts the solve from a previous solution in the same
         random-feature space (the RFF draw depends only on the model seed,
         so successive refits of a tuning loop share the feature space); the
         online loop's refits change only a few feedback rows between fits,
@@ -174,7 +247,7 @@ class MonotonicSVM:
         """
         features, labels = validate_training_inputs(features, labels)
         dim = N_FOURIER_FEATURES
-        counts = None
+        counts = np.ones(len(labels))
         if sample_weight is not None:
             counts = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
             if len(counts) != len(labels):
@@ -190,114 +263,57 @@ class MonotonicSVM:
                 )
             if not np.isfinite(start).all():
                 raise ValueError("theta0 must be finite")
-            # Project into the feasible box so L-BFGS-B starts legal.
+            # Project into the feasible box so the solve starts legal.
             start[dim] = min(start[dim], 0.0)
-        options = {**SOLVER_DEFAULTS, **(self.solver_options or {})}
-        if options.keys() != SOLVER_DEFAULTS.keys():
-            unknown = sorted(options.keys() - SOLVER_DEFAULTS.keys())
-            raise ValueError(f"unknown solver options {unknown}; known: ftol, gtol")
-        raw_embeddings = features[:, :-1]
-        if counts is None:
-            self._feature_mean = raw_embeddings.mean(axis=0)
-            self._feature_scale = np.maximum(raw_embeddings.std(axis=0), 1e-8)
-        else:
-            total = counts.sum()
-            mean = (counts[:, None] * raw_embeddings).sum(axis=0) / total
-            var = (counts[:, None] * (raw_embeddings - mean) ** 2).sum(axis=0) / total
-            self._feature_mean = mean
-            self._feature_scale = np.maximum(np.sqrt(var), 1e-8)
+        # Group the rows by the bytes of their raw embedding and sort them
+        # by (embedding, p, label, count): the canonical order that makes a
+        # fit independent of the order of its rows.
+        n_embed = features.shape[1] - 1
+        rows = np.ascontiguousarray(features[:, :-1])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * n_embed))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.lexsort((counts, labels, features[:, -1], inverse))
+        features, labels, inverse, counts = (
+            array[order] for array in (features, labels, inverse, counts)
+        )
+        n = float(counts.sum())
+        self._feature_mean = (counts[:, None] * features[:, :-1]).sum(axis=0) / n
+        var = (counts[:, None] * (features[:, :-1] - self._feature_mean) ** 2).sum(axis=0) / n
+        self._feature_scale = np.maximum(np.sqrt(var), 1e-8)
         # Normalise the kernel bandwidth by dimensionality so gamma means
         # "per typical pairwise distance" regardless of embedding width.
-        n_embed = raw_embeddings.shape[1]
         self._rff_weights = self._rng.normal(
             0.0,
             np.sqrt(2.0 * GAMMA / n_embed),
             size=(n_embed, N_FOURIER_FEATURES),
         )
         self._rff_offsets = self._rng.uniform(0.0, 2.0 * np.pi, N_FOURIER_FEATURES)
-        # Lift each distinct embedding (grouped by its raw bytes) once and
-        # gather a row per training row; see the module docstring.
-        rows = np.ascontiguousarray(raw_embeddings)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * n_embed))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = (rows[first] - self._feature_mean) / self._feature_scale
-        lifted = self._lift(distinct)[inverse]
-        parallelism = features[:, -1]
+        lifted = self._lift((rows[first] - self._feature_mean) / self._feature_scale)
 
         y = 2.0 * labels - 1.0                      # {-1, +1}
-        n = len(y) if counts is None else float(counts.sum())
         # Class weights keep the minority class visible (bottleneck labels
         # are often rare once tuning converges).
-        if counts is None:
-            n_pos = max(1.0, float((y > 0).sum()))
-            n_neg = max(1.0, float((y < 0).sum()))
-        else:
-            n_pos = max(1.0, float(counts[y > 0].sum()))
-            n_neg = max(1.0, float(counts[y < 0].sum()))
-        weight = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-        if counts is not None:
-            weight = weight * counts
-        # The hinge gradient's -2 w y, folded once: y = +-1 only flips a
-        # sign, so (-2 w y) h rounds exactly as ((-2 w) h) y does.
-        neg2wy = -2.0 * weight * y
-        scratch = np.empty(len(y))
-
-        # Primal smooth (squared-hinge) SVM solved by L-BFGS-B; the Eq. 5
-        # sign constraint w_p <= 0 maps directly onto a box bound.  The
-        # regulariser follows the usual SVM scaling lambda = 1 / (C n).
-        lam = 1.0 / (C * n)
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            w_e = theta[:dim]
-            w_p = theta[dim]
-            # max(1 - y * score, 0), in place, in the operation order of
-            # 1.0 - y * (lifted @ w_e + w_p * parallelism + b).
-            hinge = lifted @ w_e
-            hinge += w_p * parallelism
-            hinge += theta[dim + 1]
-            hinge *= y
-            np.subtract(1.0, hinge, out=hinge)
-            np.maximum(hinge, 0.0, out=hinge)
-            loss = np.multiply(hinge, hinge, out=scratch)
-            loss *= weight
-            value = 0.5 * lam * (w_e @ w_e + w_p * w_p) + float(loss.sum() / n)
-            coeff = np.multiply(neg2wy, hinge, out=scratch)
-            coeff /= n
-            grad = np.empty_like(theta)
-            grad[:dim] = lam * w_e + coeff @ lifted
-            grad[dim] = lam * w_p + float(coeff @ parallelism)
-            grad[dim + 1] = float(coeff.sum())
-            return value, grad
-
-        self.n_iterations_, self.stop_message_ = _lbfgsb(objective, start, **options)
-        self.solution_theta = start.copy()
-        self._w_embed = start[:dim]
-        self._w_parallelism = float(min(start[dim], 0.0))
-        self._bias = float(start[dim + 1])
-        self._fitted = True
-        margins = lifted @ self._w_embed + self._w_parallelism * parallelism + self._bias
-        self._fit_platt(margins, labels, counts)
+        n_pos = max(1.0, float(counts[y > 0].sum()))
+        n_neg = max(1.0, float(counts[y < 0].sum()))
+        weight = counts * np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
+        # Primal smooth (squared-hinge) SVM; the Eq. 5 sign constraint
+        # w_p <= 0 is a box bound.  The regulariser follows the usual SVM
+        # scaling lambda = 1 / (C n).
+        problem = (lifted, inverse, features[:, -1], y, weight / n, 1.0 / (C * n))
+        theta, self.n_iterations_, self.projected_gradient_ = _solve(problem, start)
+        self.solution_theta = theta
+        self._fit_platt(_scores(problem, theta), labels, counts)
         return self
 
-    def _fit_platt(
-        self,
-        margins: np.ndarray,
-        labels: np.ndarray,
-        counts: np.ndarray | None = None,
-    ) -> None:
+    def _fit_platt(self, margins: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:
         """Fit p = sigmoid(a * margin + b0) with a >= 0 (keeps monotonicity)."""
-        n = float(len(margins)) if counts is None else float(counts.sum())
+        n = float(counts.sum())
         a, b0 = 1.0, 0.0
         for _ in range(120):
             residual = sigmoid(a * margins + b0) - labels
-            if counts is not None:
-                residual *= counts
+            residual *= counts
             grad_a = float((residual * margins).sum()) / n
             grad_b = float(residual.sum()) / n
-            if self.platt_tol > 0.0 and (
-                abs(grad_a) < self.platt_tol and abs(grad_b) < self.platt_tol
-            ):
-                break
             a -= 0.5 * grad_a
             b0 -= 0.5 * grad_b
             a = max(a, 1e-2)
@@ -308,14 +324,18 @@ class MonotonicSVM:
     # inference
     # ------------------------------------------------------------------
 
+    def _margins(self, embeddings: np.ndarray, parallelism) -> np.ndarray:
+        """f(x) for raw embedding rows and their parallelism values."""
+        if self.solution_theta is None:
+            raise RuntimeError("model is not fitted")
+        lifted = self._lift((embeddings - self._feature_mean) / self._feature_scale)
+        theta, dim = self.solution_theta, N_FOURIER_FEATURES
+        return lifted @ theta[:dim] + theta[dim] * parallelism + theta[dim + 1]
+
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Margin f(x); positive = predicted bottleneck."""
-        if not self._fitted:
-            raise RuntimeError("model is not fitted")
         features = np.asarray(features, dtype=np.float64)
-        lifted = self._lift((features[:, :-1] - self._feature_mean) / self._feature_scale)
-        assert self._w_embed is not None
-        return lifted @ self._w_embed + self._w_parallelism * features[:, -1] + self._bias
+        return self._margins(features[:, :-1], features[:, -1])
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         margins = self.decision_function(features)
@@ -335,13 +355,8 @@ class MonotonicSVM:
         one per candidate degree — the minimum-parallelism search evaluates
         ``p_max`` candidates with one cosine transform instead of ``p_max``.
         """
-        if not self._fitted:
-            raise RuntimeError("model is not fitted")
         embedding = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
-        lifted = self._lift((embedding - self._feature_mean) / self._feature_scale)
-        assert self._w_embed is not None
-        base = lifted @ self._w_embed
-        return base + self._w_parallelism * np.asarray(parallelism_values) + self._bias
+        return self._margins(embedding, np.asarray(parallelism_values))
 
     def proba_profile(
         self, embedding: np.ndarray, parallelism_values: np.ndarray

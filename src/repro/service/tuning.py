@@ -146,10 +146,6 @@ def _build_campaign_tuner(
             model_kind=spec.layer,
             seed=spec.seed,
             caches=caches,
-            # Campaign and sweep cells fit at looser solver tolerances than
-            # a tuning plan; they move decisions on some traces, so one
-            # setting for both is a separate, measured step (ROADMAP item 2).
-            loose_tolerances=spec.loose_tolerances,
         )
     from repro.api.components import TunerResources, build_tuner
 

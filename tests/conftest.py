@@ -243,95 +243,36 @@ def masked_sigmoid(z):
     return out
 
 
-def reference_svm_fit(model, features, labels, sample_weight=None, theta0=None):
-    """Fit ``model`` (a fresh :class:`repro.models.MonotonicSVM`) the
-    straightforward way: lift every row, evaluate the objective out of
-    place, run the Platt loop on :func:`masked_sigmoid`.  This is the
-    operation order the distinct-embedding fit must reproduce bit for bit.
-    Returns ``(solution_theta, platt_scale, platt_offset, n_iterations,
-    stop_message)``."""
-    from scipy.optimize import minimize
-
+def svm_projected_gradient(model, features, labels, sample_weight=None):
+    """The largest projected-gradient entry of Eq. 5's primal at a fitted
+    :class:`repro.models.MonotonicSVM`'s ``solution_theta``, computed the
+    straightforward way: every row lifted, its objective written out, the
+    ``w_p <= 0`` bound applied.  0 exactly at the optimum."""
     from repro.models import svm
-    from repro.models.base import validate_training_inputs
 
     dim = svm.N_FOURIER_FEATURES
-    features, labels = validate_training_inputs(features, labels)
-    counts = None
-    if sample_weight is not None:
-        counts = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
-    raw = features[:, :-1]
-    if counts is None:
-        mean = raw.mean(axis=0)
-        scale = np.maximum(raw.std(axis=0), 1e-8)
-    else:
-        total = counts.sum()
-        mean = (counts[:, None] * raw).sum(axis=0) / total
-        var = (counts[:, None] * (raw - mean) ** 2).sum(axis=0) / total
-        scale = np.maximum(np.sqrt(var), 1e-8)
-    embeddings, parallelism = (raw - mean) / scale, features[:, -1]
-    n_embed = embeddings.shape[1]
-    rff_weights = model._rng.normal(
-        0.0, np.sqrt(2.0 * svm.GAMMA / n_embed), size=(n_embed, dim)
+    features = np.asarray(features, dtype=np.float64)
+    counts = np.ones(len(labels)) if sample_weight is None else np.asarray(sample_weight, float)
+    lifted = model._lift((features[:, :-1] - model._feature_mean) / model._feature_scale)
+    theta = model.solution_theta
+    y = 2.0 * np.asarray(labels, float) - 1.0
+    n = counts.sum()
+    weight = counts * np.where(
+        y > 0, n / (2.0 * max(1.0, counts[y > 0].sum())),
+        n / (2.0 * max(1.0, counts[y < 0].sum())),
     )
-    rff_offsets = model._rng.uniform(0.0, 2.0 * np.pi, dim)
-    lifted = np.sqrt(2.0 / dim) * np.cos(embeddings @ rff_weights + rff_offsets)
-    y = 2.0 * labels - 1.0
-    n = len(y) if counts is None else float(counts.sum())
-    if counts is None:
-        n_pos = max(1.0, float((y > 0).sum()))
-        n_neg = max(1.0, float((y < 0).sum()))
-    else:
-        n_pos = max(1.0, float(counts[y > 0].sum()))
-        n_neg = max(1.0, float(counts[y < 0].sum()))
-    weight = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-    if counts is not None:
-        weight = weight * counts
+    scores = lifted @ theta[:dim] + theta[dim] * features[:, -1] + theta[dim + 1]
+    hinge = np.maximum(1.0 - y * scores, 0.0)
+    coeff = -2.0 * weight * hinge * y / n
     lam = 1.0 / (svm.C * n)
-
-    def objective(theta):
-        w_e, w_p, b = theta[:dim], theta[dim], theta[dim + 1]
-        scores = lifted @ w_e + w_p * parallelism + b
-        margin = 1.0 - y * scores
-        hinge = np.where(margin > 0.0, margin, 0.0)
-        value = 0.5 * lam * (w_e @ w_e + w_p * w_p) + float(
-            (weight * hinge**2).sum() / n
-        )
-        coeff = -2.0 * weight * hinge * y / n
-        grad = np.empty_like(theta)
-        grad[:dim] = lam * w_e + coeff @ lifted
-        grad[dim] = lam * w_p + float(coeff @ parallelism)
-        grad[dim + 1] = float(coeff.sum())
-        return value, grad
-
-    if theta0 is None:
-        start = np.zeros(dim + 2)
-    else:
-        start = np.asarray(theta0, dtype=np.float64).copy()
-        start[dim] = min(start[dim], 0.0)
-    options = {"maxiter": svm.EPOCHS}
-    options.update(model.solver_options or {})
-    solution = minimize(
-        objective, start, jac=True, method="L-BFGS-B",
-        bounds=[(None, None)] * dim + [(None, 0.0), (None, None)],
-        options=options,
-    )
-    w_p = float(min(solution.x[dim], 0.0))
-    margins = lifted @ solution.x[:dim] + w_p * parallelism + float(solution.x[dim + 1])
-    multiplicity = np.ones_like(margins) if counts is None else counts
-    a, b0 = 1.0, 0.0
-    for _ in range(120):
-        p = masked_sigmoid(a * margins + b0)
-        grad_a = float((multiplicity * (p - labels) * margins).sum() / n)
-        grad_b = float((multiplicity * (p - labels)).sum() / n)
-        if model.platt_tol > 0.0 and (
-            abs(grad_a) < model.platt_tol and abs(grad_b) < model.platt_tol
-        ):
-            break
-        a -= 0.5 * grad_a
-        b0 -= 0.5 * grad_b
-        a = max(a, 1e-2)
-    return solution.x.copy(), a, b0, int(solution.nit), str(solution.message)
+    grad = np.concatenate([
+        lam * theta[:dim] + coeff @ lifted,
+        [lam * theta[dim] + coeff @ features[:, -1], coeff.sum()],
+    ])
+    assert theta[dim] <= 0.0
+    if theta[dim] == 0.0:
+        grad[dim] = max(grad[dim], 0.0)
+    return float(np.abs(grad).max())
 
 
 def reference_gnn_train(samples, config=None, epochs=40, seed=7):

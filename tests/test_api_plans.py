@@ -80,23 +80,6 @@ class TestTuningPlanValidation:
         with pytest.raises(PlanError, match="zerotune.*execution history"):
             TuningPlan(query="q5", tuner="zerotune")
 
-    def test_only_a_tuning_plan_fits_at_the_solver_defaults(self):
-        import dataclasses
-
-        (spec,) = TuningPlan(query="q5", scale="smoke").specs()
-        assert spec.loose_tolerances is False
-        campaign = CampaignPlan(queries=("q1", "q5"), scale="smoke")
-        sweep = SweepPlan(
-            queries=("q1", "q5"), tuners=("streamtune", "ds2"),
-            rate_traces=((3, 7), (4, 2)), scale="smoke",
-        )
-        fleet_specs = campaign.specs() + sweep.specs()
-        assert len(fleet_specs) == 10
-        assert all(spec.loose_tolerances for spec in fleet_specs)
-        # The flag is execution data, not campaign identity.
-        loose = dataclasses.replace(spec, loose_tolerances=True)
-        assert loose.cell_key == spec.cell_key
-
     def test_ablation_tuner_bad_model_suffix_fails_at_plan_time(self):
         with pytest.raises(PlanError, match="model suffix"):
             TuningPlan(query="q1", tuner="streamtune-forest")

@@ -121,13 +121,12 @@ class TestTuningSessionCampaigns:
         class Spy(original):
             def __init__(self, *args, **kwargs):
                 captured["model_kind"] = kwargs.get("model_kind")
-                captured["loose_tolerances"] = kwargs.get("loose_tolerances")
                 super().__init__(*args, **kwargs)
 
         # The service builds every campaign's tuner, a tuning plan's too.
         monkeypatch.setattr(service_tuning, "StreamTuneTuner", Spy)
         session.run(plan)
-        assert captured == {"model_kind": "isotonic", "loose_tolerances": False}
+        assert captured == {"model_kind": "isotonic"}
 
 
 class TestCachePersistence:

@@ -1,13 +1,10 @@
 """Determinism regressions: same seed => identical tuning trajectories.
 
-Covers the tuner at its default and at the service's solver tolerances,
-and the concurrent service (per-campaign seeding must make results
+Covers the tuner and the concurrent service (per-campaign seeding must make results
 independent of worker interleaving and dispatch order).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.tuner import StreamTuneTuner
 from repro.engines import FlinkCluster
@@ -23,12 +20,10 @@ def _step_trace(result):
     ]
 
 
-def _run_once(pretrained, seed: int, loose_tolerances: bool):
+def _run_once(pretrained, seed: int):
     query = nexmark_query("q5", "flink")
     engine = FlinkCluster(seed=seed)
-    tuner = StreamTuneTuner(
-        engine, pretrained, seed=seed, loose_tolerances=loose_tolerances
-    )
+    tuner = StreamTuneTuner(engine, pretrained, seed=seed)
     tuner.prepare(query)
     deployment = engine.deploy(
         query.flow, dict.fromkeys(query.flow.operator_names, 1), query.rates_at(3)
@@ -38,18 +33,17 @@ def _run_once(pretrained, seed: int, loose_tolerances: bool):
     return [_step_trace(result) for result in results]
 
 
-@pytest.mark.parametrize("loose_tolerances", [False, True])
-def test_same_seed_reproduces_step_sequences(tiny_pretrained, loose_tolerances):
-    first = _run_once(tiny_pretrained, seed=123, loose_tolerances=loose_tolerances)
-    second = _run_once(tiny_pretrained, seed=123, loose_tolerances=loose_tolerances)
+def test_same_seed_reproduces_step_sequences(tiny_pretrained):
+    first = _run_once(tiny_pretrained, seed=123)
+    second = _run_once(tiny_pretrained, seed=123)
     assert first == second
 
 
 def test_different_engine_seeds_diverge_eventually(tiny_pretrained):
     # Sanity check that the trace actually depends on the seed (otherwise
     # the reproducibility assertion above would be vacuous).
-    first = _run_once(tiny_pretrained, seed=123, loose_tolerances=False)
-    second = _run_once(tiny_pretrained, seed=321, loose_tolerances=False)
+    first = _run_once(tiny_pretrained, seed=123)
+    second = _run_once(tiny_pretrained, seed=321)
     assert first != second
 
 

@@ -260,6 +260,28 @@ class TestTraining:
         )
         assert report.losses[-1] < report.losses[0]
 
+    @pytest.mark.parametrize("fuse_per_step", [False, True])
+    def test_trained_model_keeps_no_backward_cache(self, fuse_per_step):
+        def arrays(component, path="model"):
+            """Every array under ``component`` outside a Parameter."""
+            found = []
+            for name, value in vars(component).items():
+                children = value if isinstance(value, (list, tuple)) else (value,)
+                for child in children:
+                    if isinstance(child, np.ndarray):
+                        found.append(f"{path}.{name}")
+                    elif hasattr(child, "__dict__") and not isinstance(child, Parameter):
+                        found.extend(arrays(child, f"{path}.{name}"))
+            return found
+
+        samples = [toy_sample(seed=s) for s in range(10)]
+        config = EncoderConfig(input_dim=10, hidden_dim=8, fuse_per_step=fuse_per_step)
+        model, _ = train_bottleneck_gnn(samples, config=config, epochs=2)
+        assert arrays(model) == []
+        # The walk sees a cache when there is one.
+        model.forward(samples[0])
+        assert "model.encoder.embed._input" in arrays(model)
+
     def test_learns_separable_rule(self):
         """Bottleneck iff parallelism below 0.5: learnable via FUSE."""
         rng = np.random.default_rng(0)

@@ -59,7 +59,7 @@ class TestGridProbing:
         model, samples = encoder_setup
         sample = samples[1]
         p_norms = np.array([0.01, 0.05, 0.2, 0.6, 1.0])
-        grid = model.predict_probabilities_grid(sample, p_norms)
+        grid = model.predict_probabilities_grid(sample, p_norms, model.encode(sample))
         assert grid.shape == (len(p_norms), sample.n_nodes)
         for row, p_norm in zip(grid, p_norms):
             sample.parallelism = np.full(sample.n_nodes, p_norm)
@@ -74,7 +74,7 @@ class TestGridProbing:
         )
         model = BottleneckGNN(config)
         p_norms = np.array([0.1, 0.5])
-        grid = model.predict_probabilities_grid(sample, p_norms)
+        grid = model.predict_probabilities_grid(sample, p_norms, model.encode(sample))
         original = sample.parallelism.copy()
         for row, p_norm in zip(grid, p_norms):
             sample.parallelism = np.full(sample.n_nodes, p_norm)
@@ -111,6 +111,24 @@ class TestWarmupBatchEncode:
         np.testing.assert_array_equal(
             np.stack(batched.features), np.stack(sequential.features)
         )
+
+    def test_distill_rows_runs_the_encoder_once(self, tiny_pretrained, monkeypatch):
+        # The grid probe reuses the readout distill_rows already encoded.
+        from repro.gnn.model import BottleneckEncoder
+
+        calls = []
+        original = BottleneckEncoder.forward
+
+        def forward(self, sample, parallelism_aware=True):
+            calls.append(parallelism_aware)
+            return original(self, sample, parallelism_aware)
+
+        monkeypatch.setattr(BottleneckEncoder, "forward", forward)
+        record = tiny_pretrained.records_by_cluster[0][0]
+        distill_rows(
+            tiny_pretrained, tiny_pretrained.encoders[0], record.flow, record.source_rates
+        )
+        assert calls == [False]
 
     def test_distill_rows_unchanged_by_grid_batching(self, tiny_pretrained):
         # distill_rows now uses the one-pass grid probe; its output must be

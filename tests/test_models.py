@@ -18,7 +18,7 @@ from repro.models import gbdt, gp, mlp, svm
 from repro.models.base import validate_training_inputs
 from repro.models.gp import GaussianProcess1D
 from repro.models.search import min_feasible_parallelism
-from tests.conftest import check_monotonicity, masked_sigmoid, reference_svm_fit
+from tests.conftest import check_monotonicity, masked_sigmoid, svm_projected_gradient
 
 
 def threshold_dataset(seed=5, n=500, dim=4):
@@ -60,7 +60,7 @@ class TestMonotonicSVM:
     def test_w_p_nonpositive(self):
         X, y = threshold_dataset()
         model = MonotonicSVM(seed=1).fit(X, y)
-        assert model._w_parallelism <= 0.0
+        assert model.solution_theta[svm.N_FOURIER_FEATURES] <= 0.0
 
     def test_monotone_along_parallelism(self):
         X, y = threshold_dataset()
@@ -85,14 +85,15 @@ class TestMonotonicSVM:
     def test_reports_how_the_solver_stopped(self, monkeypatch):
         X, y = threshold_dataset()
         model = MonotonicSVM()
-        assert model.n_iterations_ is None and model.stop_message_ is None
+        assert model.n_iterations_ is None and model.projected_gradient_ is None
         model.fit(X, y)
-        assert 0 < model.n_iterations_ <= svm.EPOCHS
-        # EPOCHS is L-BFGS-B's maxiter: a starved fit says so.
-        monkeypatch.setattr(svm, "EPOCHS", 3)
+        assert 0 < model.n_iterations_ < svm.MAX_ITERATIONS
+        assert model.projected_gradient_ <= svm.TOLERANCE
+        # A solve that MAX_ITERATIONS stops reports a residual above TOLERANCE.
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", 2)
         starved = MonotonicSVM().fit(X, y)
-        assert starved.n_iterations_ == 3
-        assert "ITERATIONS REACHED LIMIT" in starved.stop_message_
+        assert starved.n_iterations_ == 2
+        assert starved.projected_gradient_ > svm.TOLERANCE
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -141,12 +142,6 @@ class TestMonotonicSVM:
         theta0[3] = np.nan
         self.assert_rejected_untouched(model, X, y, "theta0", theta0=theta0)
 
-    def test_a_misspelt_solver_option_is_rejected(self):
-        X, y = threshold_dataset()
-        model = MonotonicSVM(seed=1).fit(X, y)
-        model.solver_options = {"ftol": 1e-7, "ftl": 1e-7}
-        self.assert_rejected_untouched(model, X, y, "'ftl'")
-
 
 def repeated_embedding_dataset(n, seed=3, dim=6):
     """``n`` rows over about n / 3 distinct embeddings, each repeated at
@@ -161,31 +156,33 @@ def repeated_embedding_dataset(n, seed=3, dim=6):
 
 
 class TestFitBitIdentity:
-    """The distinct-embedding fit reproduces the row-by-row reference
-    (``tests/conftest.py::reference_svm_fit``) byte for byte."""
+    """A fit is a function of its training multiset: the rows in any order
+    give the same bytes, and the solve ends at the optimum of the full-row
+    objective (``tests/conftest.py::svm_projected_gradient``)."""
 
     @staticmethod
-    def assert_identical(n, weighted=True, theta0=None, loose=False,
-                         solver_options=None, rising=False):
-        """Fit both ways and compare; returns the reference's message."""
+    def assert_identical(n, weighted=True, theta0=None, rising=False):
+        """Fit the rows and a permutation of them; returns the solution."""
         X, y, w = repeated_embedding_dataset(n)
         if rising:
             y = (X[:, -1] > 20).astype(int)
-        kwargs = {"sample_weight": w} if weighted else {}
-        models = [MonotonicSVM(seed=n), MonotonicSVM(seed=n)]
-        for model in models:
-            model.solver_options = solver_options
-            if loose:
-                model.platt_tol = 1e-7
-                model.solver_options = {"ftol": 1e-7, "gtol": 1e-4}
-        fitted = models[0].fit(X, y, theta0=theta0, **kwargs)
-        theta, scale, offset, nit, message = reference_svm_fit(
-            models[1], X, y, theta0=theta0, **kwargs
-        )
-        assert fitted.solution_theta.tobytes() == theta.tobytes()
-        assert (fitted._platt_scale, fitted._platt_offset) == (scale, offset)
-        assert (fitted.n_iterations_, fitted.stop_message_) == (nit, message)
-        return theta, nit, message
+        shuffle = np.random.default_rng(n).permutation(n)
+        fits = [
+            MonotonicSVM(seed=n).fit(
+                X[rows], y[rows], theta0=theta0,
+                sample_weight=w[rows] if weighted else None,
+            )
+            for rows in (np.arange(n), shuffle)
+        ]
+        assert fits[0].solution_theta.tobytes() == fits[1].solution_theta.tobytes()
+        assert (fits[0]._platt_scale, fits[0]._platt_offset) == (
+            fits[1]._platt_scale, fits[1]._platt_offset)
+        assert fits[0].predict_proba(X).tobytes() == fits[1].predict_proba(X).tobytes()
+        if fits[0].n_iterations_ < svm.MAX_ITERATIONS:
+            assert fits[0].projected_gradient_ <= svm.TOLERANCE
+            assert svm_projected_gradient(
+                fits[0], X, y, w if weighted else None) <= svm.TOLERANCE
+        return fits[0]
 
     @pytest.mark.parametrize("n", range(40, 48))
     def test_weighted_repeated_embeddings_every_tail(self, n):
@@ -196,27 +193,23 @@ class TestFitBitIdentity:
         self.assert_identical(n, weighted=False)
 
     def test_warm_start(self):
+        # A warm start changes the path, not the optimum.
         theta0 = np.random.default_rng(0).normal(size=svm.N_FOURIER_FEATURES + 2)
-        self.assert_identical(120, theta0=theta0)
-
-    def test_loose_solver_options_with_platt_tol(self):
-        self.assert_identical(200, loose=True)
+        warm = self.assert_identical(120, theta0=theta0).solution_theta
+        cold = self.assert_identical(120).solution_theta
+        assert np.linalg.norm(warm - cold) <= 1e-9 * np.linalg.norm(cold)
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_iteration_limit_stop(self, monkeypatch, epochs):
-        monkeypatch.setattr(svm, "EPOCHS", epochs)
-        _, nit, message = self.assert_identical(90)
-        assert nit == epochs
-        assert message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+        monkeypatch.setattr(svm, "MAX_ITERATIONS", epochs)
+        fitted = self.assert_identical(90)
+        assert fitted.n_iterations_ == epochs
+        assert fitted.projected_gradient_ > svm.TOLERANCE
 
     def test_active_parallelism_bound(self):
         # Bottlenecks that rise with p pull w_p above 0: the bound holds it.
-        theta, _, _ = self.assert_identical(150, rising=True)
+        theta = self.assert_identical(150, rising=True).solution_theta
         assert theta[svm.N_FOURIER_FEATURES] == 0.0
-
-    def test_relative_reduction_stop(self):
-        _, _, message = self.assert_identical(150, solver_options={"ftol": 1e-2})
-        assert message == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
 
     def test_sigmoid_equals_the_masked_form(self):
         from repro.gnn.loss import sigmoid
@@ -230,6 +223,104 @@ class TestFitBitIdentity:
             assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
             assert sigmoid(z).shape == z.shape
 
+
+
+class TestNewtonSolve:
+    """The projected Newton solve's edge cases reach the same optimum."""
+
+    @staticmethod
+    def fit(X, y, w=None, theta0=None, seed=5):
+        model = MonotonicSVM(seed=seed).fit(X, y, sample_weight=w, theta0=theta0)
+        assert model.projected_gradient_ <= svm.TOLERANCE
+        assert svm_projected_gradient(model, X, y, w) <= svm.TOLERANCE
+        return model
+
+    @staticmethod
+    def assert_same_optimum(a, b):
+        scale = np.linalg.norm(a.solution_theta)
+        assert np.linalg.norm(a.solution_theta - b.solution_theta) <= 1e-9 * scale
+
+    def test_no_active_row(self):
+        # Started where every row clears its margin, the first Newton target
+        # has no active row (the bias's Schur complement is 0): w goes to 0,
+        # b stays, and the solve still ends at the cold start's optimum.
+        X, y, w = repeated_embedding_dataset(60)
+        y = (X[:, -1] < 20).astype(int)
+        theta0 = np.zeros(svm.N_FOURIER_FEATURES + 2)
+        theta0[-2:] = (-10.0, 200.0)    # score 200 - 10 p: +-10 at p = 19 / 21
+        assert 20 not in X[:, -1]
+        self.assert_same_optimum(self.fit(X, y, w), self.fit(X, y, w, theta0))
+
+    def test_no_active_row_with_one_class(self):
+        X, _, _ = repeated_embedding_dataset(30)
+        theta0 = np.zeros(svm.N_FOURIER_FEATURES + 2)
+        theta0[:4] = 0.01
+        theta0[-1] = 5.0
+        model = self.fit(X, np.ones(30, dtype=int), theta0=theta0)
+        expected = np.zeros_like(theta0)
+        expected[-1] = 5.0
+        assert model.solution_theta.tobytes() == expected.tobytes()
+        assert model.n_iterations_ == 1
+
+    @pytest.mark.parametrize("rising", [False, True])
+    def test_every_row_active_takes_the_primal_step(self, monkeypatch, rising):
+        # A cold start has every row active.  Solving every step from the
+        # primal system, or every step from the bordered row system, lands
+        # on the default solve's optimum, with w_p pinned at 0 (rising) or not.
+        X, y, w = repeated_embedding_dataset(240)
+        if rising:
+            y = (X[:, -1] > 20).astype(int)
+        default = self.fit(X, y, w)
+        assert len(y) > svm.DUAL_ROWS
+        monkeypatch.setattr(svm, "DUAL_ROWS", 0)
+        primal = self.fit(X, y, w)
+        monkeypatch.setattr(svm, "DUAL_ROWS", 10**6)
+        rows = self.fit(X, y, w)
+        for other in (primal, rows):
+            self.assert_same_optimum(default, other)
+        for model in (default, primal, rows):
+            assert (model.solution_theta[svm.N_FOURIER_FEATURES] == 0.0) == rising
+
+    def test_a_step_that_would_leave_the_box_is_taken_with_w_p_held(self):
+        # From theta = 0 the first free Newton step raises w_p above its
+        # bound; the solve takes that step with w_p held at 0 instead of
+        # stopping at the bound.
+        X, _, w = repeated_embedding_dataset(29, seed=9)
+        y = np.random.default_rng(9).integers(0, 2, 29)
+        y[:2] = (0, 1)
+        assert self.fit(X, y, w, seed=9).n_iterations_ < svm.MAX_ITERATIONS
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(5, 250),
+           noise=st.booleans(), warm=st.booleans())
+    def test_every_solve_ends_below_the_cap(self, seed, n, noise, warm):
+        # Unnormalised p (1..39), label noise and random warm starts: the
+        # solve still reaches TOLERANCE, whatever the conditioning.
+        X, y, w = repeated_embedding_dataset(n, seed=seed)
+        if noise:
+            y = np.random.default_rng(seed).integers(0, 2, n)
+        rng = np.random.default_rng(seed + 1)
+        theta0 = rng.normal(size=svm.N_FOURIER_FEATURES + 2) if warm else None
+        model = self.fit(X, y, w, theta0=theta0, seed=seed)
+        assert model.n_iterations_ < svm.MAX_ITERATIONS
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(12, 150))
+    def test_row_order_leaves_the_recommendation_unchanged(self, seed, n):
+        X, y, w = repeated_embedding_dataset(n, seed=seed)
+        order = np.random.default_rng(seed).permutation(n)
+        fits = [
+            MonotonicSVM(seed=seed).fit(X[rows], y[rows], sample_weight=w[rows])
+            for rows in (np.arange(n), order)
+        ]
+        for embedding in np.unique(X[:, :-1], axis=0):
+            degrees = {
+                min_feasible_parallelism(
+                    model, embedding, 40, float, probability_threshold=0.35
+                )
+                for model in fits
+            }
+            assert len(degrees) == 1
 
 
 class TestMonotonicGBDT:

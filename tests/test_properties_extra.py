@@ -20,7 +20,7 @@ from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.engines.flink import FlinkCluster
 from repro.engines.flow import solve_flow
 from repro.engines.perf import PerformanceModel
-from repro.models import MonotonicGBDT, MonotonicSVM, gbdt, svm
+from repro.models import MonotonicGBDT, MonotonicSVM, gbdt
 from tests.conftest import build_diamond_flow, build_linear_flow, check_monotonicity
 
 PERF = PerformanceModel()
@@ -120,8 +120,7 @@ class TestModelAdversarialMonotonicity:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(120, 3))
         y = rng.integers(0, 2, size=120)   # pure noise labels
-        with mock.patch.object(svm, "EPOCHS", 60):
-            model = MonotonicSVM(seed=seed).fit(X, y)
+        model = MonotonicSVM(seed=seed).fit(X, y)
         assert check_monotonicity(model, X[:15]).is_monotone
 
     @settings(max_examples=10, deadline=None)
