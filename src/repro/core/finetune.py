@@ -54,13 +54,6 @@ class PredictionDataset:
             raise ValueError("dataset is empty")
         return np.stack(self.features), np.asarray(self.labels, dtype=np.int64)
 
-    @property
-    def n_positive(self) -> int:
-        return int(sum(self.labels))
-
-    def has_both_classes(self) -> bool:
-        return 0 < self.n_positive < len(self.labels)
-
 
 def value_to_arrays(value) -> tuple[str, list[np.ndarray]]:
     """A cached pure value as ``(kind, arrays)``.

@@ -21,7 +21,6 @@ execution histories it extends.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from dataclasses import dataclass, field
 
@@ -39,9 +38,9 @@ from repro.core.finetune import (
 from repro.core.labeling import label_operators
 from repro.core.pretrain import PretrainedStreamTune
 from repro.engines.base import Deployment, EngineCluster
-from repro.models import make_prediction_model
+from repro.models import MonotonicSVM, make_prediction_model
 from repro.models.search import min_feasible_parallelism
-from repro.utils.rng import seeded_rng, stable_hash
+from repro.utils.rng import stable_hash
 from repro.utils.timer import Timer
 from repro.workloads.query import StreamingQuery
 
@@ -53,8 +52,8 @@ DEFAULT_WARMUP_ROWS = 300
 #: Recommend/redeploy rounds of one tuning process before it settles.
 MAX_ITERATIONS = 8
 
-#: The minority class of T is oversampled (or reweighted) to at most this
-#: many majority rows per minority row before M_f is fitted.
+#: Before M_f is fitted the minority class of T is reweighted to at most
+#: this much majority weight per unit of minority weight.
 MAX_CLASS_IMBALANCE = 3.0
 
 
@@ -75,8 +74,8 @@ class QueryTuningState:
     cluster: int
     dataset: PredictionDataset
     feedback: PredictionDataset = field(default_factory=PredictionDataset, init=False)
-    #: Previous SVM solution for this query; warm-starts the next weighted
-    #: refit (same seed => same RFF feature space).
+    #: Previous SVM solution for this query; warm-starts the next refit
+    #: (same seed => same RFF feature space).
     warm_theta: np.ndarray | None = field(default=None, init=False)
 
 
@@ -107,13 +106,12 @@ class StreamTuneTuner(ParallelismTuner):
         parallelism-agnostic embeddings, all of which are pure functions of
         their key.
 
-        Model kinds whose ``fit`` takes ``sample_weight`` (svm, the
-        default) are fitted on weighted unique rows and warm-started from
-        the query's previous solution (:meth:`_fit_model_weighted`); the
-        xgboost / isotonic / nn ablation layers take none and are fitted
-        on the materialised row multiset (:meth:`_fit_model`).  The SVM's
-        fit solves Eq. 5 exactly, so a warm start changes its cost, not
-        its solution, and every plan kind fits the same model.
+        Every layer — svm (the default) and the xgboost / isotonic / nn
+        ablation layers alike — is fitted on the same weighted unique rows
+        of T (:meth:`_fit_model`).  The SVM alone is warm-started from the
+        query's previous solution: its fit solves Eq. 5 exactly, so a warm
+        start changes its cost, not its solution, and every plan kind fits
+        the same model.
         """
         super().__init__(engine)
         self.pretrained = pretrained
@@ -124,10 +122,6 @@ class StreamTuneTuner(ParallelismTuner):
         self.observed_weight = 10
         self.seed = seed
         self.caches = caches
-        # Chosen by capability, not by option: see the docstring above.
-        self._weighted_fit = _supports_sample_weight(
-            make_prediction_model(model_kind, seed=seed)
-        )
         self._states: dict[str, QueryTuningState] = {}
         self._state_lock = threading.Lock()
 
@@ -226,18 +220,9 @@ class StreamTuneTuner(ParallelismTuner):
                     self.operating_point_weight if not feedback else
                     max(1, self.operating_point_weight // 2)
                 )
-                if self._weighted_fit:
-                    model = self._fit_model_weighted(
-                        operating_point, feedback, dataset, prior_weight, state
-                    )
-                else:
-                    training_set = PredictionDataset()
-                    for _repeat in range(prior_weight):
-                        training_set.extend(operating_point)
-                    for _repeat in range(self.observed_weight):
-                        training_set.extend(feedback)
-                    training_set.extend(dataset)
-                    model = self._fit_model(training_set, job_key=flow.name)
+                model = self._fit_model(
+                    operating_point, feedback, dataset, prior_weight, state
+                )
                 # The cached value is the embedding matrix alone (topological
                 # row order); the name mapping is recovered from the flow, so
                 # renamed-but-identical queries can share the entry.
@@ -295,24 +280,7 @@ class StreamTuneTuner(ParallelismTuner):
     # pieces of the loop
     # ------------------------------------------------------------------
 
-    def _fit_model(self, dataset: PredictionDataset, job_key: str = ""):
-        """Line 5: fit the monotone M_f to the current T.
-
-        Execution histories label far more operators 0 than 1 (most random
-        deployments over-provision most operators), so the minority class
-        is oversampled to at most ``MAX_CLASS_IMBALANCE``:1 before fitting —
-        otherwise every model family collapses to "never a bottleneck".
-        """
-        if not dataset.has_both_classes():
-            return _ConstantModel(1.0 if dataset.n_positive else 0.0)
-        features, labels = dataset.matrices()
-        features, labels = self._rebalance(features, labels, job_key)
-        model = make_prediction_model(
-            self.model_kind, seed=self.seed + stable_hash(job_key, 1000)
-        )
-        return model.fit(features, labels)
-
-    def _fit_model_weighted(
+    def _fit_model(
         self,
         operating_point: PredictionDataset,
         feedback: PredictionDataset,
@@ -320,23 +288,23 @@ class StreamTuneTuner(ParallelismTuner):
         prior_weight: int,
         state: QueryTuningState,
     ):
-        """Deduplicated fit: weighted unique rows instead of a row multiset.
+        """Line 5: fit the monotone M_f to the current T, as weighted
+        unique rows.
 
-        The training multiset duplicates rows *by construction* — the
-        distilled prior is replicated ``prior_weight`` times, feedback
-        ``observed_weight`` times, and the warm-up history repeats rows for
-        every redeployment of the same query — so accumulating multiplicity
-        weights over unique rows (hash of the raw bytes, insertion-ordered
-        and therefore deterministic) lets the optimiser touch a fraction of
-        the rows per iteration while minimising the same weighted objective.
-        Class rebalancing becomes a fractional reweighting of the minority
-        class (rather than sampled row repetition), and successive refits of
-        the same query warm-start the solve from the previous solution —
-        every step is a pure function of the accumulated state, so results
-        are reproducible run-to-run and independent of campaign
-        interleaving.  Only :class:`~repro.models.MonotonicSVM` takes
-        ``sample_weight``, so the model fitted here always has ``theta0``
-        and ``solution_theta``.
+        T is the distilled prior weighted ``prior_weight``, the job's
+        feedback weighted ``observed_weight`` and the cluster warm-up
+        weighted 1; a row that recurs (the warm-up history repeats rows for
+        every redeployment of the same query) accumulates its weights onto
+        one unique row (keyed by its raw bytes, insertion-ordered and
+        therefore deterministic).  Execution histories label far more
+        operators 0 than 1 (most random deployments over-provision most
+        operators), so the minority class is reweighted to at most
+        ``MAX_CLASS_IMBALANCE``:1 — otherwise every model family collapses
+        to "never a bottleneck" — and a single-class T gets a constant
+        model.  Successive SVM refits of the same query warm-start from the
+        previous solution.  Every step is a pure function of the
+        accumulated state, so results are reproducible run-to-run and
+        independent of campaign interleaving.
         """
         index_of: dict[tuple[bytes, int], int] = {}
         rows: list[np.ndarray] = []
@@ -364,11 +332,10 @@ class StreamTuneTuner(ParallelismTuner):
         w_pos = float(weight_array[positive].sum())
         w_neg = float(weight_array[~positive].sum())
         if w_pos == 0.0 or w_neg == 0.0:
-            # Single-class T — an empty one included — as in _fit_model.
+            # Single-class T, an empty one included.
             return _ConstantModel(1.0 if w_pos else 0.0)
-        # Fractional minority reweighting replaces the sampled oversampling
-        # of the duplicate-row path: scale the minority class up to the
-        # allowed imbalance ratio exactly (no RNG needed).
+        # Scale the minority class up to the allowed imbalance ratio
+        # exactly (no RNG needed).
         major, minor = max(w_pos, w_neg), min(w_pos, w_neg)
         if major / minor > MAX_CLASS_IMBALANCE:
             factor = (major / MAX_CLASS_IMBALANCE) / minor
@@ -377,31 +344,14 @@ class StreamTuneTuner(ParallelismTuner):
         model = make_prediction_model(
             self.model_kind, seed=self.seed + stable_hash(state.job_key, 1000)
         )
+        warm_start = isinstance(model, MonotonicSVM)
         fitted = model.fit(
             np.stack(rows), label_array, sample_weight=weight_array,
-            theta0=state.warm_theta,
+            **({"theta0": state.warm_theta} if warm_start else {}),
         )
-        state.warm_theta = fitted.solution_theta
+        if warm_start:
+            state.warm_theta = fitted.solution_theta
         return fitted
-
-    def _rebalance(self, features: np.ndarray, labels: np.ndarray, job_key: str):
-        """Deterministic minority oversampling (same rows, same model)."""
-        positive = labels == 1
-        n_pos, n_neg = int(positive.sum()), int((~positive).sum())
-        if n_pos == 0 or n_neg == 0:
-            return features, labels
-        minority = positive if n_pos < n_neg else ~positive
-        ratio = max(n_pos, n_neg) / min(n_pos, n_neg)
-        if ratio <= MAX_CLASS_IMBALANCE:
-            return features, labels
-        n_extra = int(max(n_pos, n_neg) / MAX_CLASS_IMBALANCE) - min(n_pos, n_neg)
-        pool = np.nonzero(minority)[0]
-        rng = seeded_rng(self.seed + stable_hash(job_key, 100_000))
-        picks = rng.choice(pool, size=n_extra, replace=True)
-        return (
-            np.concatenate([features, features[picks]]),
-            np.concatenate([labels, labels[picks]]),
-        )
 
     def _recommend(self, model, embeddings, order) -> dict[str, int]:
         """Lines 6-9: minimum feasible degree per operator, topologically."""
@@ -503,21 +453,11 @@ class StreamTuneTuner(ParallelismTuner):
         return bumped
 
 
-def _supports_sample_weight(model) -> bool:
-    try:
-        return "sample_weight" in inspect.signature(model.fit).parameters
-    except (TypeError, ValueError):
-        return False
-
-
 class _ConstantModel:
     """Degenerate M_f when T has a single class (trivially monotone)."""
 
     def __init__(self, probability: float) -> None:
         self._probability = probability
-
-    def fit(self, features, labels):
-        return self
 
     def predict_proba(self, features) -> np.ndarray:
         return np.full(len(features), self._probability)

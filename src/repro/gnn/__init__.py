@@ -11,7 +11,6 @@ backward passes are both simple and fast.
 from repro.gnn.data import GraphSample, build_sample
 from repro.gnn.layers import Linear, Parameter, ReLU
 from repro.gnn.model import BottleneckGNN, EncoderConfig
-from repro.gnn.loss import bce_with_logits
 from repro.gnn.optim import Adam
 from repro.gnn.train import TrainingReport, train_bottleneck_gnn
 
@@ -24,7 +23,6 @@ __all__ = [
     "Parameter",
     "ReLU",
     "TrainingReport",
-    "bce_with_logits",
     "build_sample",
     "train_bottleneck_gnn",
 ]

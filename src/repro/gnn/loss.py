@@ -24,7 +24,7 @@ class LossTarget:
 
 
 def loss_target(labels: np.ndarray, mask: np.ndarray, pos_weight: float = 1.0) -> LossTarget:
-    """Prepare the constants :func:`apply_bce` needs for one label vector.
+    """Prepare the constants :func:`bce_terms` needs for one label vector.
 
     ``pos_weight`` multiplies the loss of positive examples (bottleneck
     labels are a small minority in execution histories, and an unweighted
@@ -37,19 +37,6 @@ def loss_target(labels: np.ndarray, mask: np.ndarray, pos_weight: float = 1.0) -
     return LossTarget(index, targets, weights, float(weights.sum()), len(index))
 
 
-def apply_bce(logits: np.ndarray, target: LossTarget) -> tuple[float, np.ndarray]:
-    """Weighted mean BCE of ``logits`` against a prepared target, and its
-    gradient w.r.t. the logits (shaped like ``logits``)."""
-    flat = logits.reshape(-1)
-    grad = np.zeros_like(flat)
-    if target.n_labelled == 0:
-        return 0.0, grad.reshape(logits.shape)
-    terms, grad[target.index] = bce_terms(
-        flat[target.index], target.targets, target.weights, target.total_weight
-    )
-    return float(terms.sum() / target.total_weight), grad.reshape(logits.shape)
-
-
 def bce_terms(
     z: np.ndarray, targets: np.ndarray, weights: np.ndarray, total_weight
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -60,23 +47,6 @@ def bce_terms(
     loss_terms = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     probs = 1.0 / (1.0 + np.exp(-z))
     return weights * loss_terms, weights * (probs - targets) / total_weight
-
-
-def bce_with_logits(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Masked mean BCE and its gradient w.r.t. the logits.
-
-    ``logits`` is (n,) or (n, 1); ``labels`` in {-1, 0, 1}; only entries
-    with ``mask`` True contribute.  Returns ``(loss, grad)`` with ``grad``
-    shaped like ``logits``; when nothing is labelled the loss is 0 with a
-    zero gradient.  A caller that scores the same labels repeatedly
-    prepares them once with :func:`loss_target` and calls
-    :func:`apply_bce`.
-    """
-    return apply_bce(logits, loss_target(labels, mask))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

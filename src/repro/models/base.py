@@ -3,7 +3,8 @@
 Every model consumes feature matrices whose **last column is the
 (normalised) parallelism degree** and exposes
 
-* ``fit(X, y)`` with binary labels,
+* ``fit(X, y, sample_weight=None)`` with binary labels; a row of weight
+  ``k`` counts as ``k`` copies of that row (``None`` weighs every row 1),
 * ``predict_proba(X) -> (n,)`` bottleneck probabilities,
 * ``predict(X) -> (n,)`` hard 0/1 decisions.
 """
@@ -29,3 +30,16 @@ def validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> tuple[
     if not unique <= {0, 1}:
         raise ValueError(f"labels must be binary 0/1, got {sorted(unique)}")
     return features, labels.astype(np.float64)
+
+
+def validate_sample_weight(sample_weight, n_rows: int) -> np.ndarray:
+    """Shared weight validation: one positive, finite weight per row.
+    ``None`` weighs every row 1."""
+    if sample_weight is None:
+        return np.ones(n_rows)
+    weights = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
+    if len(weights) != n_rows:
+        raise ValueError("sample_weight and labels disagree on count")
+    if not ((weights > 0) & np.isfinite(weights)).all():
+        raise ValueError("sample_weight entries must be positive and finite")
+    return weights

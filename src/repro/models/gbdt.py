@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gnn.loss import sigmoid
-from repro.models.base import validate_training_inputs
+from repro.models.base import validate_sample_weight, validate_training_inputs
 
 _NO_GAIN = -np.inf
 #: Boosting rounds, tree depth, shrinkage, the L2 leaf penalty, the least
@@ -66,18 +66,28 @@ class MonotonicGBDT:
     # boosting
     # ------------------------------------------------------------------
 
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "MonotonicGBDT":
+    def fit(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sample_weight: np.ndarray | None = None,
+    ) -> "MonotonicGBDT":
+        """Boost on the rows; a row of weight ``k`` scales its gradient,
+        its hessian and its share of the base score by ``k``, as ``k``
+        copies of it would, so ``MIN_CHILD_WEIGHT`` bounds weighted
+        hessian mass."""
         features, labels = validate_training_inputs(features, labels)
+        weights = validate_sample_weight(sample_weight, len(labels))
         self._monotone_feature = features.shape[1] - 1
-        positive_rate = float(np.clip(labels.mean(), 1e-4, 1 - 1e-4))
+        positive_rate = float(np.clip(weights @ labels / weights.sum(), 1e-4, 1 - 1e-4))
         self._base_score = float(np.log(positive_rate / (1.0 - positive_rate)))
         self._trees = []
 
         scores = np.full(len(labels), self._base_score)
         for _ in range(N_ESTIMATORS):
             probabilities = sigmoid(scores)
-            gradients = probabilities - labels
-            hessians = np.maximum(probabilities * (1.0 - probabilities), 1e-6)
+            gradients = weights * (probabilities - labels)
+            hessians = weights * np.maximum(probabilities * (1.0 - probabilities), 1e-6)
             tree = self._build_node(
                 features, gradients, hessians, depth=0, lower=-np.inf, upper=np.inf
             )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.base import validate_sample_weight, validate_training_inputs
 from repro.utils.rng import seeded_rng
 
 #: Neighbourhood size, capped at the training-set size.
@@ -133,6 +134,7 @@ class IsotonicKNN:
         self._embeddings: np.ndarray | None = None
         self._parallelisms: np.ndarray | None = None
         self._labels: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
         self._scale: np.ndarray | None = None
         self._median_distance: float = 1.0
 
@@ -140,18 +142,21 @@ class IsotonicKNN:
     # the model contract (repro.models.base)
     # ------------------------------------------------------------------
 
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "IsotonicKNN":
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] < 2:
+    def fit(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sample_weight: np.ndarray | None = None,
+    ) -> "IsotonicKNN":
+        """Memorise the rows; a neighbour's PAV weight is its kernel
+        weight times its ``sample_weight``."""
+        features, labels = validate_training_inputs(features, labels)
+        if features.shape[1] < 2:
             raise ValueError("features must be 2-D with an embedding and a p column")
-        if len(features) != len(labels):
-            raise ValueError("features and labels disagree on length")
-        if len(features) == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        self._weights = validate_sample_weight(sample_weight, len(labels))
         self._embeddings = features[:, :-1].copy()
         self._parallelisms = features[:, -1].copy()
-        self._labels = labels.copy()
+        self._labels = labels
 
         # Per-dimension robust scale for the distance metric.
         spread = self._embeddings.std(axis=0)
@@ -193,7 +198,7 @@ class IsotonicKNN:
 
         width = BANDWIDTH * max(self._median_distance, 1e-12)
         weights = np.exp(-0.5 * (distances[neighbour_idx] / width) ** 2)
-        weights = np.maximum(weights, 1e-12)
+        weights = np.maximum(weights, 1e-12) * self._weights[neighbour_idx]
 
         # Virtual anchors encode the physics: zero parallelism cannot keep
         # up (bottleneck), the physical maximum is presumed safe.

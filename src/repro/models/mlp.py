@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gnn.layers import Linear, ReLU
-from repro.gnn.loss import bce_with_logits, sigmoid
+from repro.gnn.loss import bce_terms, sigmoid
 from repro.gnn.optim import Adam
-from repro.models.base import validate_training_inputs
+from repro.models.base import validate_sample_weight, validate_training_inputs
 from repro.utils.rng import seeded_rng
 
 #: Training epochs, the Adam learning rate and the minibatch size.
@@ -57,22 +57,30 @@ class MLPClassifier:
             grad = layer.backward(grad)
         self._fc1.accumulate(grad)
 
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "MLPClassifier":
+    def fit(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sample_weight: np.ndarray | None = None,
+    ) -> "MLPClassifier":
+        """Adam on the minibatches' BCE, each row's term weighted by its
+        ``sample_weight`` and every minibatch normalised by its weight."""
         features, labels = validate_training_inputs(features, labels)
+        weights = validate_sample_weight(sample_weight, len(labels))
         self._build(features.shape[1])
         parameters = [p for layer in self._layers for p in layer.parameters()]
         optimizer = Adam(parameters, learning_rate=LEARNING_RATE, weight_decay=1e-4)
-        mask = np.ones(len(labels), dtype=bool)
         for _ in range(EPOCHS):
             order = self._rng.permutation(len(labels))
             for start in range(0, len(order), BATCH_SIZE):
                 batch = order[start : start + BATCH_SIZE]
                 optimizer.zero_grad()
                 logits = self._forward(features[batch])
-                _, grad = bce_with_logits(
-                    logits, labels[batch].astype(np.int64), mask[batch]
+                _, grad = bce_terms(
+                    logits.reshape(-1), labels[batch], weights[batch],
+                    weights[batch].sum(),
                 )
-                self._backward(grad)
+                self._backward(grad.reshape(logits.shape))
                 optimizer.step()
         return self
 

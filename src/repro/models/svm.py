@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import validate_training_inputs
+from repro.models.base import validate_sample_weight, validate_training_inputs
 from repro.gnn.loss import sigmoid
 from repro.utils.rng import seeded_rng
 
@@ -232,9 +232,7 @@ class MonotonicSVM:
 
         A dataset with ``sample_weight=[2, 3]`` optimises the same objective
         as the expanded dataset repeating row 0 twice and row 1 three times
-        — the fine-tuning loop exploits this to collapse its heavily
-        duplicated training multiset (prior replication, feedback
-        replication, minority oversampling) into weighted unique rows.
+        (the contract of :mod:`repro.models.base`).
 
         ``theta0`` warm-starts the solve from a previous solution in the same
         random-feature space (the RFF draw depends only on the model seed,
@@ -247,13 +245,7 @@ class MonotonicSVM:
         """
         features, labels = validate_training_inputs(features, labels)
         dim = N_FOURIER_FEATURES
-        counts = np.ones(len(labels))
-        if sample_weight is not None:
-            counts = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
-            if len(counts) != len(labels):
-                raise ValueError("sample_weight and labels disagree on count")
-            if not ((counts > 0) & np.isfinite(counts)).all():
-                raise ValueError("sample_weight entries must be positive and finite")
+        counts = validate_sample_weight(sample_weight, len(labels))
         start = np.zeros(dim + 2)
         if theta0 is not None:
             start = np.array(theta0, dtype=np.float64)

@@ -20,8 +20,6 @@ The hot paths:
 
 * ``ged_assign_*`` — GED cluster assignment (Algorithm 2 line 1) with
   admissible-bound pruning vs the exhaustive per-center A*-LSa search;
-* ``svm_fit_*`` — the monotone prediction layer's fit on weighted unique
-  rows vs the materialised duplicate-row multiset;
 * ``gnn_encode_*`` — bulk operator-embedding requests through
   :mod:`repro.gnn.batch` vs one encoder pass per sample;
 * ``failpoint_fire_*`` — the failpoint plane's ``fire()`` on a spool
@@ -61,13 +59,11 @@ class Benchmark:
     repeats: int = 5
 
 
-#: Repeats for the numpy-bound fast sides (``svm_fit_weighted``) and the
-#: pair (``gnn_encode_*``) whose best-of-5 did not repeat on this shared
-#: 2-CPU host.  One quiet process times the weighted fit at 66-177 ms
-#: call to call, and a burst of neighbour load (which slows these paths
-#: 1.5-1.8x) outlasts a 20-40 ms window of 5-7 millisecond-long repeats,
-#: covering one side of a pair and none of the other: same-code runs
-#: read 13.4x against a 19.0x baseline and 1.14x against 2.00x.  25
+#: Repeats for the numpy-bound pair (``gnn_encode_*``) whose best-of-5
+#: did not repeat on a shared 2-CPU host.  A burst of neighbour load
+#: (which slows these paths 1.5-1.8x) outlasts a 20-40 ms window of 5-7
+#: millisecond-long repeats, covering one side of a pair and none of the
+#: other: same-code runs read 1.14x against a 2.00x baseline.  25
 #: repeats let the best-of statistic reach the quiet time.
 BURST_REPEATS = 25
 
@@ -94,28 +90,6 @@ def _bench_ged_assign_exhaustive(fixtures: PerfFixtures):
         distances = [cache.distance(flow, center) for center in fixtures.centers]
         assignments.append(min(range(len(distances)), key=distances.__getitem__))
     return assignments
-
-
-# ----------------------------------------------------------------------
-# weighted SVM fitting
-# ----------------------------------------------------------------------
-
-def _bench_svm_weighted(fixtures: PerfFixtures):
-    from repro.models import make_prediction_model
-
-    model = make_prediction_model("svm", seed=17)
-    return model.fit(
-        fixtures.fit_features,
-        fixtures.fit_labels,
-        sample_weight=fixtures.fit_weights,
-    )
-
-
-def _bench_svm_duplicated(fixtures: PerfFixtures):
-    from repro.models import make_prediction_model
-
-    model = make_prediction_model("svm", seed=17)
-    return model.fit(fixtures.fit_features_dup, fixtures.fit_labels_dup)
 
 
 # ----------------------------------------------------------------------
@@ -252,20 +226,6 @@ BENCHMARKS: tuple[Benchmark, ...] = (
         repeats=5,
     ),
     Benchmark(
-        name="svm_fit_weighted",
-        hot_path="svm-fit",
-        description="monotone SVM fit on weighted unique rows",
-        run=_bench_svm_weighted,
-        repeats=BURST_REPEATS,
-    ),
-    Benchmark(
-        name="svm_fit_duplicated",
-        hot_path="svm-fit",
-        description="monotone SVM fit on the materialised row multiset",
-        run=_bench_svm_duplicated,
-        repeats=5,
-    ),
-    Benchmark(
         name="gnn_encode_batched",
         hot_path="gnn-encoding",
         description="bulk embeddings through repro.gnn.batch",
@@ -326,7 +286,6 @@ BENCHMARKS: tuple[Benchmark, ...] = (
 #: >1 means the optimisation pays off.
 RATIO_DEFINITIONS: dict[str, tuple[str, str]] = {
     "ged_assign_speedup": ("ged_assign_exhaustive", "ged_assign_pruned"),
-    "svm_dedup_speedup": ("svm_fit_duplicated", "svm_fit_weighted"),
     "gnn_batch_speedup": ("gnn_encode_per_sample", "gnn_encode_batched"),
     # 1 -> N worker agents on the same spool; the paced engine's waits
     # are the parallelisable resource, so the ratio approaches the

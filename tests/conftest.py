@@ -275,13 +275,30 @@ def svm_projected_gradient(model, features, labels, sample_weight=None):
     return float(np.abs(grad).max())
 
 
+def apply_bce(logits, target):
+    """Weighted mean BCE of ``logits`` against a prepared
+    :func:`repro.gnn.loss.loss_target`, and its gradient w.r.t. the logits
+    (shaped like ``logits``): one graph's loss, as the per-graph reference
+    loop scores it."""
+    from repro.gnn.loss import bce_terms
+
+    flat = logits.reshape(-1)
+    grad = np.zeros_like(flat)
+    if target.n_labelled == 0:
+        return 0.0, grad.reshape(logits.shape)
+    terms, grad[target.index] = bce_terms(
+        flat[target.index], target.targets, target.weights, target.total_weight
+    )
+    return float(terms.sum() / target.total_weight), grad.reshape(logits.shape)
+
+
 def reference_gnn_train(samples, config=None, epochs=40, seed=7):
     """Pre-train the straightforward way: forward -> loss -> backward one
     graph at a time, each graph's gradients added by ``+=`` into the
     minibatch's buffers.  This is the operation order the padded-minibatch
     :func:`repro.gnn.train.train_bottleneck_gnn` must reproduce byte for
     byte.  Returns ``(model, report)``."""
-    from repro.gnn.loss import apply_bce, loss_target
+    from repro.gnn.loss import loss_target
     from repro.gnn.model import BottleneckGNN, EncoderConfig
     from repro.gnn.optim import Adam
     from repro.gnn.train import (

@@ -19,6 +19,7 @@ from repro.core.tuner import (
     _ConstantModel,
 )
 from repro.engines.flink import FlinkCluster
+from repro.models import make_prediction_model
 from repro.workloads.nexmark import nexmark_query
 from tests.conftest import rows_from_record
 
@@ -48,8 +49,7 @@ class TestPredictionDataset:
         b.append(np.ones(2), 0)
         a.extend(b)
         assert len(a) == 2
-        assert a.has_both_classes()
-        assert a.n_positive == 1
+        assert sorted(a.labels) == [0, 1]
 
 
 class TestWarmup:
@@ -165,26 +165,42 @@ class TestStreamTuneTuner:
 
     def test_empty_training_set_degrades_to_a_constant_model(self, setup):
         # A cluster whose sampled records carry only -1 labels leaves T
-        # empty; the weighted fit must answer like _fit_model does.
+        # empty; the fit answers with a constant model.
         _, tuner, _ = setup
         empty = PredictionDataset()
         state = QueryTuningState(job_key="job", cluster=0, dataset=empty)
-        for model in (
-            tuner._fit_model(empty, job_key="job"),
-            tuner._fit_model_weighted(empty, empty, empty, 4, state),
-        ):
-            assert isinstance(model, _ConstantModel)
-            assert list(model.predict_proba(np.zeros((2, 3)))) == [0.0, 0.0]
+        model = tuner._fit_model(empty, empty, empty, 4, state)
+        assert isinstance(model, _ConstantModel)
+        assert list(model.predict_proba(np.zeros((2, 3)))) == [0.0, 0.0]
 
-    def test_rebalance_caps_imbalance(self, setup):
-        engine, tuner, _ = setup
-        features = np.random.default_rng(0).uniform(size=(100, 3))
-        labels = np.zeros(100)
-        labels[:2] = 1
-        rebalanced_X, rebalanced_y = tuner._rebalance(features, labels, "job")
-        n_pos = int(rebalanced_y.sum())
-        n_neg = len(rebalanced_y) - n_pos
-        assert n_neg / n_pos <= MAX_CLASS_IMBALANCE + 1
+    @pytest.mark.parametrize("kind", ["svm", "xgboost", "isotonic", "nn"])
+    def test_every_layer_fits_weighted_unique_rows(self, setup, monkeypatch, kind):
+        # Recurring rows collapse onto one weighted row and the minority
+        # class is scaled up to exactly MAX_CLASS_IMBALANCE:1, whatever
+        # the layer; only the SVM is handed a warm start.
+        _, tuner, _ = setup
+        fits = []
+
+        def fit(model, features, labels, sample_weight=None, **kwargs):
+            fits.append((features, labels, sample_weight, kwargs))
+            return model
+
+        monkeypatch.setattr(tuner, "model_kind", kind)
+        monkeypatch.setattr(type(make_prediction_model(kind)), "fit", fit)
+        rows = np.random.default_rng(0).uniform(size=(12, 3))
+        warmup = PredictionDataset()
+        for index, row in enumerate(rows):
+            warmup.append(row, int(index == 0))
+            warmup.append(row, int(index == 0))       # every row twice
+        state = QueryTuningState(job_key="job", cluster=0, dataset=warmup)
+        empty = PredictionDataset()
+        tuner._fit_model(empty, empty, warmup, 4, state)
+        [(features, labels, weights, kwargs)] = fits
+        assert features.tobytes() == rows.tobytes()
+        assert list(labels) == [1] + [0] * 11
+        assert weights[0] * MAX_CLASS_IMBALANCE == pytest.approx(weights[1:].sum())
+        assert list(weights[1:]) == [2.0] * 11
+        assert kwargs == ({"theta0": None} if kind == "svm" else {})
 
 
 class TestTuningResultAccounting:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.gnn.data import GraphSample, build_sample
 from repro.gnn.layers import Linear, Parameter, ReLU, glorot
-from repro.gnn.loss import apply_bce, bce_with_logits, loss_target, sigmoid
+from repro.gnn.loss import loss_target, sigmoid
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.gnn.mpnn import FuseLayer, MessagePassingLayer, normalized_adjacency
 from repro.gnn.optim import Adam
@@ -18,6 +18,7 @@ from repro.dataflow.features import FeatureEncoder
 from repro.utils.rng import seeded_rng
 from tests.conftest import (
     ReferenceAdam,
+    apply_bce,
     build_diamond_flow,
     feature_dimension,
     reference_gnn_train,
@@ -123,12 +124,12 @@ class TestLoss:
         logits = np.array([10.0, -10.0, 999.0])
         labels = np.array([1, 0, -1])
         mask = labels >= 0
-        loss, grad = bce_with_logits(logits, labels, mask)
+        loss, grad = apply_bce(logits, loss_target(labels, mask))
         assert loss < 1e-3
         assert grad[2] == 0.0
 
     def test_empty_mask_zero(self):
-        loss, grad = bce_with_logits(np.zeros(3), np.full(3, -1), np.zeros(3, bool))
+        loss, grad = apply_bce(np.zeros(3), loss_target(np.full(3, -1), np.zeros(3, bool)))
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros(3))
 
@@ -136,7 +137,7 @@ class TestLoss:
         logits = np.zeros(2)
         labels = np.array([1, 0])
         mask = np.ones(2, bool)
-        _, grad_plain = bce_with_logits(logits, labels, mask)
+        _, grad_plain = apply_bce(logits, loss_target(labels, mask))
         _, grad_weighted = apply_bce(logits, loss_target(labels, mask, pos_weight=5.0))
         ratio = abs(grad_weighted[0] / grad_weighted[1])
         assert ratio == pytest.approx(5.0)

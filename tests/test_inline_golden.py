@@ -1,11 +1,10 @@
 """A tuning plan's decisions, pinned to committed step traces.
 
-These traces pin the decisions of the default-tolerance ``TuningPlan``
-path: one campaign on the service's ``sequential`` backend, its M_f fitted
-at the solver's default tolerances (campaign and sweep cells fit at looser
-ones).  A change of float summation order in the fit path can move a
-decision, so "same objective" proves nothing about the tuner; these traces
-do.  ``tests/data/inline_step_traces.json`` says where each came from.
+These traces pin the decisions of a ``TuningPlan``: one campaign on the
+service's ``sequential`` backend, whose M_f fits every plan kind shares.
+A change of float summation order in the fit path can move a decision,
+so "same objective" proves nothing about the tuner; these traces do.
+``tests/data/inline_step_traces.json`` says where each came from.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 from repro.api import Reconfigured, StepCompleted, TuningPlan, TuningSession
 from repro.api.components import build_engine
 from repro.core import HistoryGenerator, pretrain
-from repro.core.tuner import StreamTuneTuner
 from repro.experiments.context import corpus
 
 GOLDEN = json.loads(
@@ -84,13 +82,8 @@ def test_default_session_artifact_step_traces(query):
 
 
 @pytest.mark.parametrize("layer", ["xgboost", "isotonic", "nn"])
-def test_layers_without_sample_weight_keep_the_row_multiset_fit(layer, monkeypatch):
-    def never(self, *args, **kwargs):
-        raise AssertionError(f"{layer} takes no sample_weight")
-
-    monkeypatch.setattr(StreamTuneTuner, "_fit_model_weighted", never)
-    # Only the first rate change of the captured four: the pure-Python
-    # GBDT refits are the slowest thing in the suite.
+def test_ablation_layer_step_traces(layer):
+    # Only the first rate change: the pure-Python GBDT refits are the
+    # slowest thing in the suite.
     plan = _plan("q5", tuner=f"streamtune-{layer}", rates=RATES[:1])
-    expected = [row for row in GOLDEN["ablation_layers"][layer] if row["step_index"] == 0]
-    assert _trace(plan, TuningSession()) == expected
+    assert _trace(plan, TuningSession()) == GOLDEN["ablation_layers"][layer]

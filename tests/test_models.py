@@ -106,8 +106,6 @@ class TestMonotonicSVM:
         theta = model.solution_theta.tobytes()
         with pytest.raises(ValueError, match="theta0"):
             model.fit(X, y, theta0=np.zeros(5))
-        with pytest.raises(ValueError, match="sample_weight"):
-            model.fit(X, y, sample_weight=np.zeros(len(y)))
         assert model.predict_proba(X).tobytes() == before
         assert model.solution_theta.tobytes() == theta
         # The RFF draw did not advance either: a refit repeats a fresh one.
@@ -125,15 +123,6 @@ class TestMonotonicSVM:
         after = (model.predict_proba(X).tobytes(), model.solution_theta.tobytes())
         assert after == before
         assert model._rng.bit_generator.state == state
-
-    def test_an_infinite_sample_weight_is_rejected(self):
-        X, y = threshold_dataset()
-        model = MonotonicSVM(seed=1).fit(X, y)
-        weights = np.ones(len(y))
-        weights[7] = np.inf
-        self.assert_rejected_untouched(
-            model, X, y, "sample_weight", sample_weight=weights
-        )
 
     def test_a_nan_theta0_is_rejected(self):
         X, y = threshold_dataset()
@@ -321,6 +310,47 @@ class TestNewtonSolve:
                 for model in fits
             }
             assert len(degrees) == 1
+
+
+def bad_weight(case, n):
+    """One defect per case: a zero, an infinite or a NaN entry, or one
+    weight too few."""
+    if case == "length":
+        return np.ones(n - 1)
+    weights = np.ones(n)
+    weights[7] = {"zero": 0.0, "infinite": np.inf, "nan": np.nan}[case]
+    return weights
+
+
+class TestSampleWeight:
+    """Every layer takes ``sample_weight`` through one shared check."""
+
+    @pytest.fixture(autouse=True)
+    def short_training(self, monkeypatch):
+        monkeypatch.setattr(gbdt, "N_ESTIMATORS", 5)
+        monkeypatch.setattr(mlp, "EPOCHS", 5)
+
+    @pytest.mark.parametrize("case", ["zero", "infinite", "nan", "length"])
+    @pytest.mark.parametrize("kind", ["svm", "xgboost", "isotonic", "nn"])
+    def test_a_bad_sample_weight_is_rejected_untouched(self, kind, case):
+        X, y = threshold_dataset(n=120)
+        model = make_prediction_model(kind, seed=1).fit(X, y)
+        twin = make_prediction_model(kind, seed=1).fit(X, y)
+        before = model.predict_proba(X).tobytes()
+        with pytest.raises(ValueError, match="sample_weight"):
+            model.fit(X, y, sample_weight=bad_weight(case, len(y)))
+        assert model.predict_proba(X).tobytes() == before
+        # No RNG advanced either: a refit repeats the twin's refit.
+        assert (model.fit(X, y).predict_proba(X).tobytes()
+                == twin.fit(X, y).predict_proba(X).tobytes())
+
+    def test_gbdt_integer_weights_equal_tiled_rows(self):
+        X, y = threshold_dataset(seed=8, n=60)
+        k = np.random.default_rng(8).integers(1, 5, len(y))
+        weighted = MonotonicGBDT().fit(X, y, sample_weight=k.astype(float))
+        tiled = MonotonicGBDT().fit(np.repeat(X, k, axis=0), np.repeat(y, k))
+        grid = threshold_dataset(seed=9, n=200)[0]
+        assert np.abs(weighted.predict_proba(grid) - tiled.predict_proba(grid)).max() <= 1e-9
 
 
 class TestMonotonicGBDT:

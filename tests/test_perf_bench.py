@@ -87,7 +87,7 @@ class TestTiming:
         results = {
             "ged_assign_exhaustive": {"seconds": 2.0},
             "ged_assign_pruned": {"seconds": 0.5},
-            "svm_fit_duplicated": {"seconds": 1.0},   # partner missing
+            "gnn_encode_per_sample": {"seconds": 1.0},   # partner missing
         }
         ratios = compute_ratios(results)
         assert ratios == {"ged_assign_speedup": 4.0}
@@ -181,7 +181,7 @@ class TestPerfCli:
         # A partial baseline would hollow out the gate for every
         # unselected ratio; the combination is refused outright.
         code = main([
-            "perf", "--only", "svm_fit_weighted", "--update-baseline",
+            "perf", "--only", "ged_assign_pruned", "--update-baseline",
         ])
         assert code == 2
         assert "--only" in capsys.readouterr().err

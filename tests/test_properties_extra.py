@@ -20,7 +20,7 @@ from repro.dataflow.operators import OperatorSpec, OperatorType
 from repro.engines.flink import FlinkCluster
 from repro.engines.flow import solve_flow
 from repro.engines.perf import PerformanceModel
-from repro.models import MonotonicGBDT, MonotonicSVM, gbdt
+from repro.models import MonotonicGBDT, MonotonicSVM, gbdt, make_prediction_model
 from tests.conftest import build_diamond_flow, build_linear_flow, check_monotonicity
 
 PERF = PerformanceModel()
@@ -131,6 +131,21 @@ class TestModelAdversarialMonotonicity:
         y = rng.integers(0, 2, size=120)
         with mock.patch.object(gbdt, "N_ESTIMATORS", 20):
             model = MonotonicGBDT().fit(X, y)
+        assert check_monotonicity(model, X[:15]).is_monotone
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 500))
+    @pytest.mark.parametrize("kind", ["svm", "xgboost", "isotonic"])
+    def test_weighted_fit_monotone_on_label_noise(self, kind, seed):
+        """Random positive weights cannot break the constraint either."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(120, 3))
+        y = rng.integers(0, 2, size=120)
+        weights = rng.uniform(0.1, 10.0, size=120)
+        with mock.patch.object(gbdt, "N_ESTIMATORS", 20):
+            model = make_prediction_model(kind, seed=seed).fit(
+                X, y, sample_weight=weights
+            )
         assert check_monotonicity(model, X[:15]).is_monotone
 
     def test_svm_monotone_on_anti_monotone_data(self):
