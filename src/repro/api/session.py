@@ -25,11 +25,13 @@ accept ``resume=`` (a recorded JSONL log path or a parsed
 deterministic ``cell_key`` the log already records — bit-identical results
 without re-execution, marked by
 :class:`~repro.api.events.CampaignSkipped` events.  The completed cells'
-pure cache entries are pre-warmed into the service's
+pure cache entries are warmed into the service's
 :class:`~repro.service.cache.TuningCacheSet` before the missing cells
-execute (see :mod:`repro.service.prewarm`), so a resumed run — and the
-``cache_path`` snapshot it writes afterwards — recovers the crashed run's
-paid-for computations, not just its recorded results.  A campaign whose
+execute, each through its campaign's own tuner at the rates its
+recorded result says arrived (see :mod:`repro.service.prewarm`), so a
+resumed run — and the ``cache_path`` snapshot it writes afterwards —
+recovers the crashed run's paid-for computations, not just its recorded
+results.  A campaign whose
 worker dies surfaces as a :class:`~repro.api.events.CampaignFailed` event;
 the rest of the fleet (and, for sweeps, the remaining grid cells) still
 runs, and a :class:`~repro.service.CampaignExecutionError` carrying every

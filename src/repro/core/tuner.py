@@ -45,8 +45,8 @@ from repro.utils.timer import Timer
 from repro.workloads.query import StreamingQuery
 
 
-#: Warm-up dataset size of a default tuner; service pre-warming keys its
-#: warm-up entries with the same value, so they hit.
+#: Warm-up dataset size of a default tuner (part of its ``warmup`` cache
+#: key, so every service campaign shares one entry per cluster and seed).
 DEFAULT_WARMUP_ROWS = 300
 
 #: Recommend/redeploy rounds of one tuning process before it settles.
@@ -161,6 +161,19 @@ class StreamTuneTuner(ParallelismTuner):
     def prepare(self, query: StreamingQuery) -> None:
         self._state_for(query.flow)
 
+    def warm(self, query: StreamingQuery, multipliers) -> None:
+        """Look up every cache entry a campaign over ``query`` consults at
+        ``multipliers`` — assignment and warm-up set, then each step's
+        distilled rows and embeddings — without tuning anything.
+
+        The tuner is the one owner of those keys, so a campaign replayed
+        from a recorded result (whose multipliers are the rates that
+        arrived) warms exactly what its tuning processes looked up.
+        """
+        state = self._state_for(query.flow)
+        for multiplier in multipliers:
+            self._step_values(query.flow, state, query.rates_at(multiplier))
+
     def _state_for(self, flow) -> QueryTuningState:
         job = flow.name
         with self._state_lock:
@@ -173,6 +186,32 @@ class StreamTuneTuner(ParallelismTuner):
             # keep the first-registered state so feedback stays in one log.
             return self._states.setdefault(job, state)
 
+    def _step_values(self, flow, state: QueryTuningState, target_rates):
+        """One tuning process's rate-conditioned pure values: the distilled
+        operating point and the agnostic embeddings (topological row
+        order).
+
+        Both are keyed by the dataflow's full-fidelity structure signature
+        (not its name), so every campaign over a structurally identical
+        query shares one cached entry — the cross-query reuse of "learning
+        from the past" applied to the service's own computations.
+        """
+        encoder = self.pretrained.encoders[state.cluster]
+        key = shared_structure_key(flow, state.cluster, target_rates)
+        operating_point = self._cached(
+            "distill",
+            key,
+            lambda: distill_rows(self.pretrained, encoder, flow, target_rates),
+        )
+        embeddings = self._cached(
+            "embed",
+            key,
+            lambda: agnostic_embeddings(
+                self.pretrained, encoder, flow, target_rates
+            ),
+        )
+        return operating_point, embeddings
+
     # ------------------------------------------------------------------
     # Algorithm 2, lines 4-12 (per tuning process)
     # ------------------------------------------------------------------
@@ -180,8 +219,7 @@ class StreamTuneTuner(ParallelismTuner):
     def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
         self.engine.set_source_rates(deployment, target_rates)
         state = self._state_for(deployment.flow)
-        cluster, dataset = state.cluster, state.dataset
-        encoder = self.pretrained.encoders[cluster]
+        dataset = state.dataset
         flow = deployment.flow
         result = TuningResult(query_name=flow.name, tuner_name=self.name)
 
@@ -201,18 +239,8 @@ class StreamTuneTuner(ParallelismTuner):
                 # carries the encoder's threshold surface, the job's own
                 # Algorithm 1 feedback dominates on conflict, and the
                 # cluster warm-up acts as light regularisation.
-                # Distilled rows and embeddings are keyed by the dataflow's
-                # full-fidelity structure signature (not its name), so every
-                # campaign over a structurally identical query shares one
-                # cached entry — the cross-query reuse of "learning from the
-                # past" applied to the service's own computations.
-                shared_key = shared_structure_key(flow, cluster, target_rates)
-                operating_point = self._cached(
-                    "distill",
-                    shared_key,
-                    lambda: distill_rows(
-                        self.pretrained, encoder, flow, target_rates
-                    ),
+                operating_point, embeddings = self._step_values(
+                    flow, state, target_rates
                 )
                 # Once real feedback exists for this job it must be able to
                 # overrule the distilled prior, so the prior's weight drops.
@@ -223,17 +251,10 @@ class StreamTuneTuner(ParallelismTuner):
                 model = self._fit_model(
                     operating_point, feedback, dataset, prior_weight, state
                 )
-                # The cached value is the embedding matrix alone (topological
-                # row order); the name mapping is recovered from the flow, so
-                # renamed-but-identical queries can share the entry.
+                # The cached embeddings are the matrix alone; the name
+                # mapping is recovered from the flow, so renamed-but-identical
+                # queries can share the entry.
                 order = flow.topological_order()
-                embeddings = self._cached(
-                    "embed",
-                    shared_key,
-                    lambda: agnostic_embeddings(
-                        self.pretrained, encoder, flow, target_rates
-                    ),
-                )
                 recommendation = self._recommend(model, embeddings, order)
                 for name, floor in floors.items():
                     recommendation[name] = max(recommendation[name], floor)
@@ -392,22 +413,13 @@ class StreamTuneTuner(ParallelismTuner):
 
         The bottleneck served ``served_in`` records/s with ``p`` instances,
         so sustaining the propagated target demand needs at least
-        ``ceil(p * demand / served)`` instances.  Applied to operators
-        Algorithm 1 labelled 1 (falling back to the hottest operator when
-        the overload sits below the engine's detection threshold).
+        ``ceil(p * demand / served)`` instances.  Applied to every operator
+        :meth:`_bottlenecks` names (this runs only under backpressure).
         """
         from repro.baselines._demand import propagate_target_demand
 
         demand = propagate_target_demand(deployment, telemetry, target_rates)
-        flagged = [name for name, label in labels.items() if label == 1]
-        if not flagged:
-            flagged = [
-                max(
-                    telemetry.operators.values(),
-                    key=lambda metrics: metrics.cpu_load,
-                ).name
-            ]
-        for name in flagged:
+        for name in self._bottlenecks(labels, telemetry):
             served = telemetry[name].input_rate
             current = deployment.parallelisms[name]
             if served <= 0 or demand.get(name, 0.0) <= 0:
@@ -435,22 +447,29 @@ class StreamTuneTuner(ParallelismTuner):
         telemetry = self.engine.measure(deployment)
         labels = label_operators(deployment.flow, telemetry, self.engine.name)
         bumped = dict(recommendation)
+        for name in self._bottlenecks(labels, telemetry):
+            base = max(bumped[name], deployment.parallelisms[name])
+            bumped[name] = self.clamp(max(base + 1, int(base * 1.5)))
+        return bumped
+
+    @staticmethod
+    def _bottlenecks(labels: dict[str, int], telemetry) -> list[str]:
+        """The operators Algorithm 1 labelled 1 or, under backpressure
+        none of them explains, the hottest operator.
+
+        Mild overload below the engine's detection threshold leaves every
+        label -1; nudging the hottest operator keeps the loop from
+        livelocking on an invisible bottleneck.
+        """
         flagged = [name for name, label in labels.items() if label == 1]
         if not flagged and telemetry.has_backpressure:
-            # Mild overload below the engine's detection threshold:
-            # Algorithm 1 cannot attribute it (all labels -1), so fall back
-            # to nudging the hottest operator — otherwise the loop livelocks
-            # on an invisible bottleneck.
             flagged = [
                 max(
                     telemetry.operators.values(),
                     key=lambda metrics: metrics.cpu_load,
                 ).name
             ]
-        for name in flagged:
-            base = max(bumped[name], deployment.parallelisms[name])
-            bumped[name] = self.clamp(max(base + 1, int(base * 1.5)))
-        return bumped
+        return flagged
 
 
 class _ConstantModel:

@@ -6,9 +6,9 @@ daemon job costs) belong to ``benchmarks/e2e``:
 
 * :mod:`repro.perf.fixtures` freezes the deterministic inputs;
 * :mod:`repro.perf.runner` names the hot paths — GED cluster assignment,
-  weighted SVM fits, batched GNN encoding, shared-memory cache fan-out,
-  the failpoint fast path, spool fleet scale-out — and times each next
-  to the path it replaced or the configuration it is compared with;
+  batched GNN encoding, the failpoint fast path, spool fleet scale-out —
+  and times each next to the path it replaced or the configuration it is
+  compared with;
 * :mod:`repro.perf.report` emits the machine-readable report and
   compares its *ratios* against the committed baseline
   (``benchmarks/perf_baseline.json``, recorded on the host named in its

@@ -174,9 +174,10 @@ class ChaosSpec:
 
         Trace dropouts compound (two schedules hitting one step multiply)
         and rewrite the workload *before* tuning — so the recommendation,
-        the recorded ``result.multipliers``, the cell's events and the
-        service's cache pre-warm all agree on what actually arrived, on
-        every backend.
+        the recorded ``result.multipliers`` and the cell's events all
+        agree on what actually arrived, on every backend.  A resumed
+        cell's cache warming reads those recorded multipliers, so it
+        needs no chaos logic of its own.
         """
         for drop in self.trace_dropout:
             if drop.step == step_index:

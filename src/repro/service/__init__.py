@@ -18,15 +18,15 @@ Architecture (see each module for depth):
 * :mod:`repro.service.cache` — :class:`TuningCacheSet` routes the tuner's
   pure computations (cluster assignment, warm-up dataset construction,
   distilled operating points, operator embeddings) through bounded
-  concurrency-safe LRU caches, and persists them between service runs via
+  single-flight LRU caches — concurrent campaigns racing on one cold key
+  compute it once — and persists them between service runs via
   versioned snapshots (``TuningCacheSet.save`` / ``load``);
   :class:`SharedGEDCache` is the thread-safe pairwise-GED store
   behind cluster assignment.
-* :mod:`repro.service.prewarm` — service-level cache pre-warming: shared
-  pure entries (assignments, warm-up datasets, distilled rows,
-  embeddings) are computed once before the fleet dispatches — bulk
-  encoder requests coalescing through :mod:`repro.gnn.batch` — and
-  restored from a resume log's completed cells.
+* :mod:`repro.service.prewarm` — resume-aware warming: a resume log's
+  completed cells restore their pure entries through their own tuners
+  (:meth:`~repro.core.tuner.StreamTuneTuner.warm`, the one owner of the
+  cache keys) before the missing cells dispatch.
 * :mod:`repro.service.tuning` — :class:`TuningService` executes campaigns
   in order (``sequential``) or over a ``thread`` worker pool, both
   streaming their campaigns' events live; the multi-process executor is

@@ -2,9 +2,10 @@
 
 Three layers:
 
-* :class:`ConcurrentLRUCache` — a bounded ``get_or_compute`` LRU cache
-  safe under threads (a plain lock + ordered dict); it pickles as a
-  snapshot under a fresh lock with zeroed hit/miss counters.
+* :class:`ConcurrentLRUCache` — a bounded, single-flight
+  ``get_or_compute`` LRU cache safe under threads (a lock, a condition
+  and an ordered dict); it pickles as a snapshot under a fresh lock with
+  zeroed hit/miss counters and nothing in flight.
 * :class:`TuningCacheSet` — the kind-routed facade the tuner consults
   (``assign`` / ``warmup`` / ``distill`` / ``embed`` sections, one cache
   each) via ``get_or_compute(kind, key, builder)``.
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.finetune import value_from_arrays, value_to_arrays
+from repro.core.finetune import PredictionDataset
 from repro.ged.astar_lsa import astar_lsa_ged
 from repro.ged.bounds import combined_bound
 from repro.ged.search import BOUND_SLACK, nearest_center
@@ -44,12 +45,14 @@ class SnapshotError(ValueError):
 
 
 class ConcurrentLRUCache:
-    """A bounded, thread-safe LRU cache with ``get_or_compute`` semantics.
+    """A bounded, thread-safe LRU cache with single-flight ``get_or_compute``.
 
-    Builders run *outside* the lock: two racing workers may both compute a
-    missing entry, but builders are pure functions of the key, so both
-    compute the same value and either write is correct.  That trade keeps
-    an expensive miss from serialising every other worker's hits.
+    Builders run *outside* the lock, so an expensive miss never serialises
+    other keys' hits.  A key is built once: a miss on a key another thread
+    is building waits for that build and counts as a hit, so ``misses``
+    counts builder calls.  A builder that raises clears its in-flight mark
+    and wakes the waiters; the first of them to look again builds the key
+    itself.
     """
 
     def __init__(self, maxsize: int = 65536) -> None:
@@ -57,27 +60,33 @@ class ConcurrentLRUCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
+        self._init_sync()
         self.hits = 0
         self.misses = 0
+
+    def _init_sync(self) -> None:
+        self._lock = threading.RLock()
+        self._built = threading.Condition(self._lock)
+        self._building: set = set()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
 
-    # An RLock cannot be pickled.  A pickled cache (e.g. inside a copied
+    # A lock cannot be pickled.  A pickled cache (e.g. inside a copied
     # pretrained artifact) is a snapshot of the data under a fresh lock of
-    # its own.
+    # its own; a build in flight here is not one there.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_lock"]
+        for name in ("_lock", "_built", "_building"):
+            del state[name]
         with self._lock:
             state["_data"] = OrderedDict(self._data)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._lock = threading.RLock()
+        self._init_sync()
         # A pickled copy starts its own accounting: the copy's CacheStats
         # count only the traffic it serves.
         self.hits = 0
@@ -100,18 +109,24 @@ class ConcurrentLRUCache:
                 self._data.popitem(last=False)
 
     def get_or_compute(self, key, builder):
-        """Return the cached value for ``key``, computing it on a miss."""
+        """Return the cached value for ``key``, computing it on a miss
+        unless another thread already is (then wait for its value)."""
         with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-            else:
+            while key in self._building and key not in self._data:
+                self._built.wait()
+            if key in self._data:
                 self.hits += 1
                 self._data.move_to_end(key)
-                return value
-        value = builder()
-        self.put(key, value)
+                return self._data[key]
+            self.misses += 1
+            self._building.add(key)
+        try:
+            value = builder()
+            self.put(key, value)
+        finally:
+            with self._lock:
+                self._building.discard(key)
+                self._built.notify_all()
         return value
 
     def items_snapshot(self) -> list[tuple]:
@@ -188,31 +203,48 @@ class TuningCacheSet:
     def _encode_snapshot_value(value):
         """One cache value -> a self-describing snapshot record.
 
-        The first array of :func:`~repro.core.finetune.value_to_arrays`
-        becomes ``dtype, shape, bytes``, any further one (a dataset's
-        labels) a plain list; a ``"pickled"`` value is kept as-is (the
-        surrounding pickle handles it).
+        ``("array", dtype, shape, bytes)`` for a bare matrix (``embed``);
+        ``("dataset", dtype, shape, bytes, labels)`` for a
+        :class:`PredictionDataset` (``warmup``/``distill``): its stacked
+        feature matrix plus its labels as a list of ints; anything else —
+        a scalar, an empty or ragged dataset — is ``("pickled", value)``
+        and the surrounding pickle handles it.
         """
-        kind, arrays = value_to_arrays(value)
-        if kind == "pickled":
-            return (kind, value)
-        head = np.ascontiguousarray(arrays[0])
-        return (
-            kind,
-            str(head.dtype),
-            tuple(head.shape),
-            head.tobytes(),
-            *(extra.tolist() for extra in arrays[1:]),
-        )
+        extras: tuple = ()
+        if isinstance(value, np.ndarray):
+            kind, head = "array", value
+        elif isinstance(value, PredictionDataset) and value.labels:
+            try:
+                head, labels = value.matrices()
+            except ValueError:          # ragged rows do not stack
+                return ("pickled", value)
+            kind, extras = "dataset", (labels.tolist(),)
+        else:
+            return ("pickled", value)
+        head = np.ascontiguousarray(head)
+        return (kind, str(head.dtype), tuple(head.shape), head.tobytes(), *extras)
 
     @staticmethod
     def _decode_snapshot_value(record):
-        """Inverse of :meth:`_encode_snapshot_value`."""
+        """Inverse of :meth:`_encode_snapshot_value`.
+
+        A dataset's rows are views into its one feature matrix — cached
+        pure values are never mutated, and every row carries exactly the
+        bytes that were encoded.
+        """
         if record[0] == "pickled":
             return record[1]
         kind, dtype, shape, data, *extras = record
         head = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
-        return value_from_arrays(kind, [head, *extras])
+        if kind == "array":
+            return head
+        if kind != "dataset":
+            raise ValueError(f"unknown cache value kind {kind!r}")
+        (labels,) = extras
+        dataset = PredictionDataset()
+        dataset.features = [head[index] for index in range(len(labels))]
+        dataset.labels = [int(label) for label in labels]
+        return dataset
 
     def save(self, path: str | Path) -> None:
         """Write a versioned snapshot of every section's entries.

@@ -29,11 +29,11 @@ Execution is also **fault-tolerant** and **resumable**:
 
 * a worker that dies surfaces a typed
   :class:`~repro.api.events.CampaignFailed` carrying the traceback text —
-  the drain loop polls with a timeout and checks worker liveness, so a
-  lost sentinel can never hang the stream.  A raised exception fails only
-  its own campaign (the rest of the fleet keeps running on every
-  backend) — completed campaigns keep their results and a recorded log
-  resumes the rest;
+  every pool task posts one last item when it ends, so a task that ends
+  without its campaign's result cannot hang the stream.  A raised
+  exception fails only its own campaign (the rest of the fleet keeps
+  running on every backend) — completed campaigns keep their results and
+  a recorded log resumes the rest;
 * ``stream(specs, resume=...)`` accepts a
   :class:`~repro.api.resume.ResumeLog` (or any ``cell_key -> outcome``
   mapping): campaigns whose deterministic ``cell_key`` is already recorded
@@ -45,6 +45,7 @@ Execution is also **fault-tolerant** and **resumable**:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import queue
 import time
@@ -66,7 +67,7 @@ from repro.core.pretrain import PretrainedStreamTune
 from repro.core.tuner import StreamTuneTuner
 from repro.experiments.campaigns import CampaignResult, iter_campaign
 from repro.service.cache import SharedGEDCache, TuningCacheSet
-from repro.service.prewarm import RESUME_DEMAND, prewarm_caches
+from repro.service.prewarm import prewarm_caches
 from repro.service.scheduler import BackpressureScheduler, CampaignSpec
 
 BACKENDS = ("sequential", "thread")
@@ -114,6 +115,15 @@ class _FailurePayload:
     error_type: str
     error_message: str
     traceback: str
+
+
+#: What a task that ended without its campaign's result or an exception
+#: fails that campaign with.
+_LOST_RESULT = _FailurePayload(
+    error_type="RuntimeError",
+    error_message="worker exited without posting its result",
+    traceback="",
+)
 
 
 def _failure_payload(error: BaseException) -> _FailurePayload:
@@ -258,11 +268,24 @@ def _unit_items(spec: CampaignSpec, index: int, state: dict):
 
 
 def _run_unit(spec: CampaignSpec, index: int, relay, state: dict) -> None:
-    """A pool worker's task: relay :func:`_unit_items` as they happen.  A
-    task that dies outside the unit body posts nothing — the consumer's
-    liveness check turns its broken future into a failure."""
+    """A pool worker's task: relay :func:`_unit_items` as they happen."""
     for item in _unit_items(spec, index, state):
         relay.put(item)
+
+
+def _post_exit(relay, index: int, future) -> None:
+    """Done-callback of unit ``index``'s task: post ``("exit", index,
+    failure-or-None)``.
+
+    It runs once the task has returned — on the worker thread, or on the
+    submitting one if the task was already done — so it lands behind
+    every item the task put.  An exit that finds its campaign unresolved
+    is a task that died outside the unit body.
+    """
+    if future.cancelled():
+        return          # the stream was closed early; nobody drains
+    error = future.exception()
+    relay.put(("exit", index, None if error is None else _failure_payload(error)))
 
 
 # ----------------------------------------------------------------------
@@ -271,14 +294,6 @@ def _run_unit(spec: CampaignSpec, index: int, relay, state: dict) -> None:
 
 class TuningService:
     """Execute many tuning campaigns concurrently over shared caches."""
-
-    #: Idle-poll interval (seconds) of the stream's drain loop: how often
-    #: worker liveness is re-checked while no events are arriving.
-    poll_seconds = 0.2
-    #: How long a completed worker future may go without its queued
-    #: sentinel arriving before the sentinel is declared lost and the
-    #: campaign failed.
-    sentinel_grace = 5.0
 
     def __init__(
         self,
@@ -303,12 +318,13 @@ class TuningService:
         warm-up datasets, distilled rows and embeddings survive between
         service runs; ``None`` builds a fresh set for this service.
 
-        Before a fleet dispatches, the service pre-warms ``caches`` (see
-        :mod:`repro.service.prewarm`): entries demanded by more than one
-        campaign on the ``thread`` backend and — on every backend — the
-        entries of resume-covered campaigns.  Pre-warmed entries come from
-        the exact builders the tuner would run on a miss, so results are
-        bit-identical to a cold run.
+        Before a resumed fleet dispatches, the service warms ``caches``
+        with the entries its resume-covered campaigns consulted (see
+        :mod:`repro.service.prewarm`), through those campaigns' own
+        tuners.  Concurrent campaigns share cold keys without warming: the
+        cache is single-flight, so a key two ``thread`` workers race on is
+        computed once.  Every entry is a pure function of its key, so
+        results are bit-identical to a cold run.
         """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -317,8 +333,6 @@ class TuningService:
         self.max_workers = max_workers or min(8, (os.cpu_count() or 1) * 2)
         if pretrained is not None:
             self._install_shared_ged_cache()
-        #: Sections newly computed by the most recent stream's pre-warm.
-        self.last_prewarm: dict[str, int] = {}
         self.caches = caches if caches is not None else TuningCacheSet()
 
     def _install_shared_ged_cache(self) -> None:
@@ -449,7 +463,11 @@ class TuningService:
             # below): their completed cells' pure entries belong in this
             # service's cache set — and any snapshot taken from it — not
             # just their recorded results.
-            self._prewarm_for(specs, resumed)
+            prewarm_caches(
+                self.pretrained,
+                self.caches,
+                [(specs[index], resumed[index]) for index in sorted(resumed)],
+            )
             if units:
                 if self.backend == "sequential":
                     emitter = self._stream_sequential(specs, units)
@@ -458,33 +476,6 @@ class TuningService:
                 for event in emitter:
                     yield stamped(event)
         yield stamped(CacheStats(stats=self.cache_stats()))
-
-    # -- pre-warming ----------------------------------------------------
-
-    #: The key-demand threshold of each backend's pre-warm policy.
-    _PREWARM_MIN_DEMAND = {
-        "thread": 2,                    # only de-duplicate concurrent cold misses
-        "sequential": RESUME_DEMAND,    # resume-covered entries only
-    }
-
-    def _prewarm_for(self, specs, resumed) -> None:
-        """Populate the shared caches before the fleet dispatches.
-
-        A key's demand is the number of campaigns that will consult it;
-        campaigns a resume log already covers carry :data:`RESUME_DEMAND`
-        — their pure entries warm the missing cells and the next
-        ``cache_path`` snapshot without re-executing anything.
-        """
-        demands = [
-            RESUME_DEMAND if index in resumed else 1 for index in range(len(specs))
-        ]
-        self.last_prewarm = prewarm_caches(
-            self.pretrained,
-            self.caches,
-            specs,
-            demands=demands,
-            min_demand=self._PREWARM_MIN_DEMAND[self.backend],
-        )
 
     # -- backend-specific emitters -------------------------------------
 
@@ -511,10 +502,14 @@ class TuningService:
         relay = queue.SimpleQueue()
         state = self._worker_state()
         try:
-            futures = {
-                index: pool.submit(_run_unit, specs[index], index, relay, state)
-                for index in units
-            }
+            futures = {}
+            for index in units:
+                futures[index] = pool.submit(
+                    _run_unit, specs[index], index, relay, state
+                )
+                futures[index].add_done_callback(
+                    functools.partial(_post_exit, relay, index)
+                )
             yield from self._drain(specs, futures, relay.get)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -522,49 +517,24 @@ class TuningService:
     def _drain(self, specs, futures: dict, get_event):
         """Yield worker-relayed events until every submitted campaign resolves.
 
-        The consumer loop of the thread backend.  Blocking on the relay
-        queue is bounded (``poll_seconds``): every idle tick re-checks
-        worker liveness, so a worker that died without posting its
-        sentinel — a fatal error outside the worker body — resolves as a
-        :class:`CampaignFailed` instead of hanging the stream, and the
-        surviving workers keep streaming.
+        The consumer loop of the thread backend; it blocks on the relay
+        queue.  Each task's ``exit`` item (:func:`_post_exit`) arrives
+        after everything the task put, so one that finds its campaign
+        unresolved turns into a :class:`CampaignFailed` — the task's own
+        exception, or a lost result — instead of hanging the stream, and
+        the surviving workers keep streaming.
         """
         started: set[int] = set()
         pending: set[int] = set(futures)
-        silent_since: dict[int, float] = {}
         while pending:
-            try:
-                item = get_event(timeout=self.poll_seconds)
-            except queue.Empty:
-                for index in list(pending):
-                    future = futures[index]
-                    if not future.done():
-                        continue
-                    error = future.exception()
-                    if error is not None:
-                        payload = _failure_payload(error)
-                    else:
-                        # Future completed but its sentinel has not been
-                        # seen: the worker may have posted it after this
-                        # poll timed out, so allow a grace window before
-                        # declaring the sentinel lost.
-                        first_seen = silent_since.setdefault(index, time.monotonic())
-                        if time.monotonic() - first_seen < self.sentinel_grace:
-                            continue
-                        payload = _FailurePayload(
-                            error_type="RuntimeError",
-                            error_message="worker exited without posting its result",
-                            traceback="",
-                        )
-                    pending.discard(index)
-                    yield from self._absorb(specs, started, ("error", index, payload))
-                continue
-            kind, index, _ = item
+            kind, index, payload = get_event()
             if index not in pending:
-                continue        # late item after a synthesized failure
+                continue        # the exit of a task whose campaign resolved
+            if kind == "exit":
+                kind, payload = "error", payload or _LOST_RESULT
             if kind != "event":
                 pending.discard(index)
-            yield from self._absorb(specs, started, item)
+            yield from self._absorb(specs, started, (kind, index, payload))
 
     def _absorb(self, specs, started: set, item):
         """Turn one relayed item into stream events — the one place a

@@ -64,6 +64,111 @@ class TestConcurrentLRUCache:
             thread.join()
         assert seen == [7] * 8
 
+    @staticmethod
+    def _join(threads) -> None:
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads), "hung"
+
+    def test_racing_threads_build_a_cold_key_once(self):
+        # Eight threads hit one cold key together; the build is slow
+        # enough that the rest arrive while it is in flight.  They wait
+        # for it instead of building again, and all get the one object.
+        import time
+
+        cache = ConcurrentLRUCache()
+        calls = []
+        seen = []
+        gate = threading.Barrier(8)
+
+        def build():
+            calls.append(1)
+            time.sleep(0.2)
+            return object()
+
+        def worker():
+            gate.wait()
+            seen.append(cache.get_or_compute("key", build))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        self._join(threads)
+        assert len(calls) == 1
+        assert len(seen) == 8 and all(value is seen[0] for value in seen)
+        assert cache.stats() == {"size": 1, "hits": 7, "misses": 1}
+
+    def test_a_raising_builder_releases_its_waiters(self):
+        # The builder fails while another thread waits on its key: the
+        # waiter wakes, finds nothing in flight and builds the key itself.
+        cache = ConcurrentLRUCache()
+        entered, release = threading.Event(), threading.Event()
+        results = {}
+
+        def failing():
+            entered.set()
+            release.wait(timeout=30)
+            raise RuntimeError("builder failed")
+
+        def first():
+            try:
+                cache.get_or_compute("key", failing)
+            except RuntimeError as error:
+                results["first"] = error
+
+        def second():
+            results["second"] = cache.get_or_compute("key", lambda: 5)
+
+        threads = [threading.Thread(target=first)]
+        threads[0].start()
+        assert entered.wait(timeout=30)
+        threads.append(threading.Thread(target=second))
+        threads[1].start()
+        release.set()
+        self._join(threads)
+        assert isinstance(results["first"], RuntimeError)
+        assert results["second"] == 5
+        assert cache.stats() == {"size": 1, "hits": 0, "misses": 2}
+        assert cache.get_or_compute("key", lambda: 6) == 5
+
+    def test_a_raising_builder_leaves_no_in_flight_mark(self):
+        cache = ConcurrentLRUCache()
+
+        def failing():
+            raise KeyError("no")
+
+        with pytest.raises(KeyError):
+            cache.get_or_compute("key", failing)
+        assert cache.get_or_compute("key", lambda: 1) == 1   # no wait, no hang
+
+    def test_a_pickled_cache_carries_no_in_flight_state(self):
+        # Pickled while a key is being built: the copy holds no mark for
+        # it, so its own lookup builds at once instead of waiting for a
+        # build that will never reach it.
+        import pickle
+
+        cache = ConcurrentLRUCache()
+        cache.put("done", 0)
+        entered, release = threading.Event(), threading.Event()
+
+        def slow():
+            entered.set()
+            release.wait(timeout=30)
+            return 1
+
+        builder = threading.Thread(target=cache.get_or_compute, args=("key", slow))
+        builder.start()
+        assert entered.wait(timeout=30)
+        try:
+            copy = pickle.loads(pickle.dumps(cache))
+        finally:
+            release.set()
+            self._join([builder])
+        assert copy._building == set()
+        assert copy.get_or_compute("key", lambda: 2) == 2
+        assert copy.get("done") == 0
+        assert cache.get("key") == 1
+
     def test_clear(self):
         cache = ConcurrentLRUCache()
         cache.put("a", 1)
@@ -429,14 +534,43 @@ class TestFaultTolerance:
 
         monkeypatch.setattr(tuning, "_run_unit", leaky)
         service = TuningService(None, backend="thread", max_workers=2)
-        service.poll_seconds = 0.05
-        service.sentinel_grace = 0.2
         events = list(service.stream(self._specs()))   # must terminate
         failed = [e for e in events if isinstance(e, CampaignFailed)]
         assert [e.campaign for e in failed] == ["nexmark_q1_flink"]
         assert "without posting its result" in failed[0].error_message
         finished = [e for e in events if isinstance(e, CampaignFinished)]
         assert [e.campaign for e in finished] == ["nexmark_q5_flink"]
+
+    def test_a_task_that_raises_before_its_first_put_fails_its_campaign(
+        self, monkeypatch
+    ):
+        # The exception escapes the pool task itself, outside the unit
+        # body: the task's exit item carries it, with no timer involved.
+        from repro.api.events import CampaignFailed, CampaignFinished, CampaignStarted
+
+        import repro.service.tuning as tuning
+
+        original = tuning._run_unit
+
+        def broken(spec, unit, relay, state):
+            if spec.name == "nexmark_q1_flink":
+                raise MemoryError("task died before its first put")
+            original(spec, unit, relay, state)
+
+        monkeypatch.setattr(tuning, "_run_unit", broken)
+        service = TuningService(None, backend="thread", max_workers=2)
+        events = list(service.stream(self._specs()))
+        failed = [e for e in events if isinstance(e, CampaignFailed)]
+        assert [(e.campaign, e.error_type) for e in failed] == [
+            ("nexmark_q1_flink", "MemoryError")
+        ]
+        assert "before its first put" in failed[0].error_message
+        assert "MemoryError" in failed[0].traceback
+        started = [e.campaign for e in events if isinstance(e, CampaignStarted)]
+        assert sorted(started) == ["nexmark_q1_flink", "nexmark_q5_flink"]
+        finished = [e for e in events if isinstance(e, CampaignFinished)]
+        assert [e.campaign for e in finished] == ["nexmark_q5_flink"]
+        assert [e.seq for e in events] == list(range(len(events)))
 
     def test_streamtune_without_pretrained_fails_before_dispatch(self):
         # Spec validation stays an eager ValueError, not a CampaignFailed.

@@ -18,7 +18,6 @@ import pytest
 from repro.core.finetune import (
     PredictionDataset,
     cluster_history_signature,
-    value_to_arrays,
     warmup_cache_key,
 )
 from repro.service.cache import (
@@ -76,10 +75,10 @@ class TestSectionCodec:
         ],
     )
     def test_codec_roundtrip(self, make, kind, tmp_path):
-        # One codec (core.finetune.value_to_arrays): the cache snapshot
+        # The snapshot's codec records the value's kind and its round trip
         # returns exactly the bytes that went in.
         value = make()
-        assert value_to_arrays(value)[0] == kind
+        assert TuningCacheSet._encode_snapshot_value(value)[0] == kind
         caches = TuningCacheSet()
         caches.get_or_compute("embed", ("k",), lambda: value)
         caches.save(tmp_path / "caches.pkl")
@@ -172,6 +171,21 @@ class TestSnapshotV3:
             kind: len(entries) for kind, entries in expected.items()
         }
         assert all(section["misses"] == 0 for section in stats.values())
+
+    def test_reencoding_the_committed_snapshot_gives_its_records(self):
+        # Every record of the committed v3 file, decoded and encoded again,
+        # comes back byte for byte: the layout did not move.
+        path = Path(__file__).parent / "data" / "cache_snapshot_v3.pkl"
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        records = 0
+        for meta in payload["sections"].values():
+            for _, record in meta["entries"]:
+                value = TuningCacheSet._decode_snapshot_value(record)
+                again = TuningCacheSet._encode_snapshot_value(value)
+                assert pickle.dumps(again) == pickle.dumps(record)
+                records += 1
+        assert records == 5
 
     def _stale_snapshot(self, tmp_path, version: int) -> Path:
         stale = tmp_path / f"v{version}.pkl"
