@@ -4,6 +4,8 @@ These traces pin the decisions of a ``TuningPlan``: one campaign on the
 service's ``sequential`` backend, whose M_f fits every plan kind shares.
 A change of float summation order in the fit path can move a decision,
 so "same objective" proves nothing about the tuner; these traces do.
+The ContTune baseline's traces pin its GP the same way: a solve that
+moves the lower confidence bound by an ulp may not move a decision.
 ``tests/data/inline_step_traces.json`` says where each came from.
 """
 
@@ -87,3 +89,9 @@ def test_ablation_layer_step_traces(layer):
     # slowest thing in the suite.
     plan = _plan("q5", tuner=f"streamtune-{layer}", rates=RATES[:1])
     assert _trace(plan, TuningSession()) == GOLDEN["ablation_layers"][layer]
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_conttune_step_traces(query):
+    plan = _plan(query, tuner="conttune")
+    assert _trace(plan, TuningSession()) == GOLDEN["baselines"]["conttune"][query]
