@@ -23,11 +23,11 @@ time.  Plans may also carry a ``chaos`` schedule
 dropouts keyed to trace steps.
 
 Validation is *eager*: constructing a plan checks every name against its
-registry (engine, tuner, prediction model), every query token against the
-token grammar, every numeric field against its domain, and the
-``rates``/``queries`` shape — so a bad
-config file fails at load time with an error that says what to fix, not
-deep inside a worker pool.
+registry (engine, tuner, prediction model) and stores the registry's
+spelling, and checks every query token against the token grammar, every
+numeric field against its domain, and the ``rates``/``queries`` shape —
+so a bad config file fails at load time with an error that says what to
+fix, not deep inside a worker pool.
 """
 
 from __future__ import annotations
@@ -62,16 +62,18 @@ def _check_query_token(token: str) -> None:
         raise PlanError(str(error)) from None
 
 
-def _check_registry(kind_label: str, registry, name: str) -> None:
+def _canonical(kind_label: str, registry, name: str) -> str:
+    """``name``'s registry spelling: a plan stores that one, so every
+    spelling of a campaign gets one cell key and one cache entry."""
     try:
-        registry.entry(name)
+        return registry.entry(name).name
     except UnknownComponentError as error:
         raise PlanError(f"{kind_label}: {error}") from None
 
 
-def _check_campaign_tuner(name: str) -> None:
-    """Any registered method the service can host, accepting the
-    ``streamtune-<model>`` spelling.
+def _campaign_tuner(name: str) -> str:
+    """The registry spelling of any method the service can host, the
+    ``streamtune-<model>`` spelling lower-cased.
 
     The service builds every campaign's tuner from its spec alone, so
     methods registered with ``needs_history=True`` (their factory pulls
@@ -79,21 +81,23 @@ def _check_campaign_tuner(name: str) -> None:
     in a plan of any kind.
     """
     if name in TUNERS:
-        if TUNERS.entry(name).needs_history:
+        entry = TUNERS.entry(name)
+        if entry.needs_history:
             raise PlanError(
-                f"tuner {TUNERS.entry(name).name!r} needs an execution history "
+                f"tuner {entry.name!r} needs an execution history "
                 "at construction time, which the tuning service does not "
                 "carry, so no plan can run it; build it with "
                 "repro.experiments.context.make_tuner instead"
             )
-        return
+        return entry.name
     # The only dashed spelling is the legacy 'streamtune-<model>' ablation
     # form; its model suffix must itself resolve, so a bad config fails
     # here, not deep inside a session run.
     is_streamtune, model_suffix = streamtune_variant(name)
     if not is_streamtune or model_suffix is None:
-        _check_registry("tuner", TUNERS, name)
-    _check_registry(f"tuner {name!r} model suffix", MODELS, model_suffix)
+        _canonical("tuner", TUNERS, name)
+    model = _canonical(f"tuner {name!r} model suffix", MODELS, model_suffix)
+    return f"streamtune-{model}"
 
 
 def _check_scale(name: str | None) -> None:
@@ -260,9 +264,10 @@ def _campaign_spec(plan, token: str, rates, engine_seed: int):
 
 def _check_run_fields(plan) -> None:
     """What a tuning and a campaign plan validate alike, normalizing
-    ``rates`` / ``trace`` in place: the rate trace (a raw list, or a spec
-    that materializes into one), the engine / tuner / layer names, the
-    scale, the seed, and a ``cache_path`` only beside a tuner with caches."""
+    ``rates`` / ``trace`` and the names in place: the rate trace (a raw
+    list, or a spec that materializes into one), the engine / tuner /
+    layer names (stored in their registry spelling), the scale, the seed,
+    and a ``cache_path`` only beside a tuner with caches."""
     raw, trace = _split_rates(plan.rates, plan.trace)
     object.__setattr__(plan, "trace", trace)
     if trace is not None:
@@ -270,9 +275,9 @@ def _check_run_fields(plan) -> None:
     else:
         rates = _as_rates(raw)
     object.__setattr__(plan, "rates", rates)
-    _check_registry("engine", ENGINES, plan.engine)
-    _check_campaign_tuner(plan.tuner)
-    _check_registry("layer", MODELS, plan.layer)
+    object.__setattr__(plan, "engine", _canonical("engine", ENGINES, plan.engine))
+    object.__setattr__(plan, "tuner", _campaign_tuner(plan.tuner))
+    object.__setattr__(plan, "layer", _canonical("layer", MODELS, plan.layer))
     _check_scale(plan.scale)
     if not isinstance(plan.seed, int) or isinstance(plan.seed, bool):
         raise PlanError(f"seed must be an integer, got {plan.seed!r}")
@@ -518,6 +523,12 @@ class SweepPlan(_Plan):
             object.__setattr__(self, axis, tuple(values))
             if not getattr(self, axis):
                 raise PlanError(f"{axis} must contain at least one entry")
+        object.__setattr__(
+            self, "tuners", tuple(_campaign_tuner(tuner) for tuner in self.tuners)
+        )
+        object.__setattr__(self, "engines", tuple(
+            _canonical("engine", ENGINES, engine) for engine in self.engines
+        ))
         # Duplicate grid-axis entries would expand into indistinguishable
         # cells (same scenario label, merged metrics) — reject them here.
         for axis in ("tuners", "engines"):
@@ -529,10 +540,6 @@ class SweepPlan(_Plan):
                 )
         for token in self.queries:
             _check_query_token(token)
-        for tuner in self.tuners:
-            _check_campaign_tuner(tuner)
-        for engine in self.engines:
-            _check_registry("engine", ENGINES, engine)
         if isinstance(self.rate_traces, (str, bytes)) or not isinstance(
             self.rate_traces, (list, tuple)
         ):

@@ -1,19 +1,19 @@
-"""Per-tenant admission control and priority dispatch for the daemon.
+"""Per-tenant priority dispatch for the daemon.
 
 The control plane accepts plan submissions from many tenants but
-executes them through one long-lived session, so the queue is where
-fairness and overload policy live:
+executes them through one long-lived session.  Admission lives in
+:meth:`~repro.daemon.server.TuningDaemon.submit`, which refuses a
+submission beyond a tenant's ``max_depth`` queued jobs with
+:class:`QueueFull` (HTTP 429 upstream) and any submission once the
+daemon drains with :class:`QueueDraining` (HTTP 503 upstream).  The
+queue itself admits every job it is given — restart recovery must never
+drop a manifest-recorded job — and keeps:
 
-* **admission control** — each tenant owns a bounded slice of the queue
-  (``max_depth`` jobs); a submission beyond it is rejected *at the front
-  door* with :class:`QueueFull` (HTTP 429 upstream), so one chatty
-  tenant can slow only itself, never grow the daemon's memory without
-  bound;
 * **priority ordering** — jobs dispatch highest ``priority`` first, FIFO
   within a priority level (a stable total order: ties break on the
   submission sequence number, so two equal submissions can never swap);
-* **draining** — once :meth:`close` is called (graceful shutdown) every
-  further ``push`` raises :class:`QueueDraining` (HTTP 503 upstream) and
+* **per-tenant depths** — what admission reads;
+* **draining** — once :meth:`close` is called (graceful shutdown)
   ``pop`` returns ``None`` as soon as the queue is empty, letting the
   dispatcher thread exit cleanly while leftover jobs stay queued in the
   manifest for the next ``--resume auto`` start.
@@ -54,7 +54,11 @@ class QueueDraining(RuntimeError):
 
 
 class TenantQueue:
-    """A bounded, priority-ordered, multi-tenant job queue."""
+    """A priority-ordered, multi-tenant job queue.
+
+    ``max_depth`` is each tenant's slice, which ``TuningDaemon.submit``
+    enforces against :meth:`depth`.
+    """
 
     def __init__(self, max_depth: int = 16) -> None:
         if not isinstance(max_depth, int) or max_depth < 1:
@@ -70,21 +74,11 @@ class TenantQueue:
 
     # -- producers ------------------------------------------------------
 
-    def push(self, job, force: bool = False) -> None:
-        """Admit ``job`` (its ``tenant``/``priority`` attributes decide
-        placement) or raise :class:`QueueFull`/:class:`QueueDraining`.
-
-        ``force=True`` skips admission (depth limit and draining) — the
-        restart-recovery path, which must never drop a manifest-recorded
-        job, even when a tenant had over-subscribed before the kill.
-        """
+    def push(self, job) -> None:
+        """Queue ``job``; its ``tenant``/``priority`` attributes decide
+        placement."""
         with self._lock:
-            if self._draining and not force:
-                raise QueueDraining()
-            depth = self._depths.get(job.tenant, 0)
-            if depth >= self.max_depth and not force:
-                raise QueueFull(job.tenant, depth)
-            self._depths[job.tenant] = depth + 1
+            self._depths[job.tenant] = self._depths.get(job.tenant, 0) + 1
             heapq.heappush(self._heap, (-job.priority, next(self._seq), job))
             self._lock.notify()
 
@@ -129,14 +123,8 @@ class TenantQueue:
         with self._lock:
             return self._draining
 
-    def close(self) -> list:
-        """Start draining: refuse new pushes, return the jobs still queued.
-
-        The returned jobs are **not** removed — the dispatcher may still
-        pop them if it keeps running; callers that stop dispatching use
-        the list to mark leftovers resumable.
-        """
+    def close(self) -> None:
+        """Start draining: ``pop`` returns ``None`` once the queue is empty."""
         with self._lock:
             self._draining = True
             self._lock.notify_all()
-            return [job for _, _, job in sorted(self._heap)]

