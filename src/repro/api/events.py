@@ -514,9 +514,6 @@ class EventBus:
             except Exception as error:  # noqa: BLE001 — isolation by design
                 self.errors.append((subscriber, event, error))
 
-    def __len__(self) -> int:
-        return len(self._subscribers)
-
 
 # ----------------------------------------------------------------------
 # built-in subscribers

@@ -93,9 +93,10 @@ class ResumeLog:
 
     ``completed`` maps each campaign's deterministic ``cell_key`` to its
     recorded :class:`~repro.api.events.CampaignFinished` (result payload
-    rebuilt into a live ``CampaignOutcome``).  Pass the log as
-    ``resume=`` to :meth:`TuningSession.run`/``stream`` or
-    :meth:`TuningService.stream` — or use :meth:`outcome_for` directly.
+    rebuilt into a live ``CampaignOutcome``).  Pass the log (or its path,
+    to the session) as ``resume=`` to :meth:`TuningSession.run`/``stream``
+    or :meth:`TuningService.stream` — the one form a resume source takes
+    below the session — or use :meth:`outcome_for` directly.
     """
 
     def __init__(
@@ -155,9 +156,6 @@ class ResumeLog:
             (recorded if key in self.completed else missing).append(key)
         return recorded, missing
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __repr__(self) -> str:
         return (
             f"ResumeLog({str(self.path)!r}, {len(self.events)} events, "
@@ -165,20 +163,10 @@ class ResumeLog:
         )
 
 
-def resume_outcome(resume, cell_key: str):
+def resume_outcome(resume: "ResumeLog | None", cell_key: str):
     """The ``CampaignOutcome`` ``resume`` records for ``cell_key``, or
-    ``None`` — ``resume`` being a :class:`ResumeLog` (or any object with
-    ``outcome_for``), a ``cell_key -> outcome`` mapping, or ``None``."""
-    if resume is None:
-        return None
-    if hasattr(resume, "outcome_for"):
-        return resume.outcome_for(cell_key)
-    if isinstance(resume, dict):
-        return resume.get(cell_key)
-    raise TypeError(
-        "resume must be a ResumeLog (or any object with outcome_for) or a "
-        f"cell_key->outcome mapping, got {type(resume).__name__}"
-    )
+    ``None`` (also when there is no log to resume from)."""
+    return None if resume is None else resume.outcome_for(cell_key)
 
 
 def replay_events(campaign, index, backend, outcome, cell_key, resume):

@@ -20,10 +20,10 @@ blocking :meth:`TuningSession.run` is a thin wrapper that drains the
 stream — so observing a run can never change its results.
 
 Execution is also **resumable** and **fault-tolerant**: ``run``/``stream``
-accept ``resume=`` (a recorded JSONL log path or a parsed
-:class:`~repro.api.resume.ResumeLog`) and replay every campaign whose
-deterministic ``cell_key`` the log already records — bit-identical results
-without re-execution, marked by
+accept ``resume=`` — a recorded JSONL log path or a parsed
+:class:`~repro.api.resume.ResumeLog`, nothing else — and replay every
+campaign whose deterministic ``cell_key`` the log already records —
+bit-identical results without re-execution, marked by
 :class:`~repro.api.events.CampaignSkipped` events.  The completed cells'
 pure cache entries are warmed into the service's
 :class:`~repro.service.cache.TuningCacheSet` before the missing cells
@@ -68,25 +68,14 @@ class SessionResult:
     cache_stats: dict = field(default_factory=dict)
 
     @property
-    def results(self) -> list:
-        """The :class:`CampaignResult` per query, in plan order."""
-        return [outcome.result for outcome in self.outcomes]
-
-    @property
     def result(self):
         """The single campaign result (tuning plans / 1-query campaigns)."""
         if len(self.outcomes) != 1:
             raise ValueError(
-                f"session ran {len(self.outcomes)} campaigns; use .results"
+                f"session ran {len(self.outcomes)} campaigns; read each "
+                "one's .result from .outcomes"
             )
         return self.outcomes[0].result
-
-    def outcome(self, query_name: str):
-        for outcome in self.outcomes:
-            if outcome.spec_name == query_name:
-                return outcome
-        known = ", ".join(o.spec_name for o in self.outcomes)
-        raise KeyError(f"no campaign named {query_name!r} (have: {known})")
 
 
 @dataclass
@@ -108,13 +97,6 @@ class SweepResult:
     @property
     def n_campaigns(self) -> int:
         return sum(len(result.outcomes) for result in self.results)
-
-    def scenario(self, label: str) -> "SessionResult":
-        for cell_label, result in self.scenarios:
-            if cell_label == label:
-                return result
-        known = ", ".join(cell_label for cell_label, _ in self.scenarios)
-        raise KeyError(f"no scenario labelled {label!r} (have: {known})")
 
 
 class TuningSession:
@@ -167,7 +149,8 @@ class TuningSession:
         running it blind compute exactly the same thing.  ``bus``
         publishes every event to an :class:`~repro.api.events.EventBus`
         on the way; ``resume`` replays campaigns a recorded JSONL log
-        already covers (path or :class:`~repro.api.resume.ResumeLog`).
+        already covers (its path or the parsed
+        :class:`~repro.api.resume.ResumeLog`).
         """
         stream = self.stream(plan, bus=bus, resume=resume)
         while True:
@@ -222,8 +205,8 @@ class TuningSession:
 
     @staticmethod
     def _coerce_resume(resume) -> "ResumeLog | None":
-        """Accept a recorded log path, a parsed log, or a raw mapping."""
-        if resume is None or isinstance(resume, (ResumeLog, dict)):
+        """Accept a recorded log path or a parsed log."""
+        if resume is None or isinstance(resume, ResumeLog):
             return resume
         return ResumeLog.load(resume)
 

@@ -90,7 +90,7 @@ class StreamTuneTuner(ParallelismTuner):
         pretrained: PretrainedStreamTune,
         model_kind: str = "svm",
         warmup_rows: int = DEFAULT_WARMUP_ROWS,
-        probability_threshold: float | None = 0.35,
+        probability_threshold: float = 0.35,
         seed: int = 17,
         caches=None,
     ) -> None:
@@ -480,6 +480,3 @@ class _ConstantModel:
 
     def predict_proba(self, features) -> np.ndarray:
         return np.full(len(features), self._probability)
-
-    def predict(self, features) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)

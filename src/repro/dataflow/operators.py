@@ -200,24 +200,3 @@ class OperatorSpec:
             selectivity=data["selectivity"],
             cost_factor=data["cost_factor"],
         )
-
-
-def source(name: str, data_type: DataType = DataType.GENERIC, width: float = 64.0) -> OperatorSpec:
-    """Convenience constructor for a source operator."""
-    return OperatorSpec(
-        name=name,
-        op_type=OperatorType.SOURCE,
-        tuple_width_in=width,
-        tuple_width_out=width,
-        tuple_data_type=data_type,
-    )
-
-
-def sink(name: str) -> OperatorSpec:
-    """Convenience constructor for a sink operator of 32-byte tuples."""
-    return OperatorSpec(
-        name=name,
-        op_type=OperatorType.SINK,
-        tuple_width_in=32.0,
-        tuple_width_out=32.0,
-    )

@@ -46,9 +46,6 @@ class Deployment:
     running: bool = True
     history: list[dict[str, int]] = field(default_factory=list)
 
-    def total_parallelism(self) -> int:
-        return sum(self.parallelisms.values())
-
 
 class EngineCluster(abc.ABC):
     """Base class for simulated stream-processing clusters.

@@ -67,9 +67,6 @@ class FlowResult:
     def __getitem__(self, name: str) -> OperatorFlow:
         return self.operators[name]
 
-    def total_parallelism(self) -> int:
-        return sum(op.parallelism for op in self.operators.values())
-
 
 def solve_flow(
     flow: LogicalDataflow,

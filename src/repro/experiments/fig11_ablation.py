@@ -102,7 +102,8 @@ def run_fig11b(scale: ExperimentScale | None = None) -> list[Fig11bRow]:
 
 DEVIATIONS = {
     "fig11b/lsa-reduction>50%/20-dags": Deviation(
-        "LSa 15.9 - 21.6 % faster than direct GED over three runs (12.8 % in one parent run)",
+        "LSa 43.0 - 63.4 % faster than direct GED over eleven smoke runs (single "
+        "shots of ~0.14 s against ~0.07 s), so the verdict straddles the 50 % bound",
         since="b711015 or earlier (wall-clock; 19.8 % there)", strict=False,
     ),
 }

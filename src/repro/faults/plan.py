@@ -3,10 +3,12 @@
 A :class:`FaultPlan` is to failure injection what
 :class:`~repro.scenarios.TraceSpec` is to workloads and
 :class:`~repro.scenarios.ChaosSpec` is to engine misbehaviour: a frozen
-value object that round-trips dict/JSON/TOML, validates eagerly with
-targeted errors, and pins every run-affecting choice to a seed — so a
-fault schedule that surfaced a bug is replayable bit-for-bit, attached
-to a CI job, or handed to a colleague as one small file.
+value object that validates eagerly with targeted errors and pins every
+run-affecting choice to a seed — so a fault schedule that surfaced a bug
+is replayable bit-for-bit, attached to a CI job, or handed to a
+colleague as one small file.  A plan is only ever *loaded* (from a dict,
+or a JSON/TOML file via :func:`load_fault_plan`); nothing writes one
+back.
 
 A plan is a list of :class:`FaultRule`\\ s.  Each rule names one
 *injection site* from :data:`FAULT_SITES` — a ``fire()`` call compiled
@@ -183,31 +185,6 @@ class FaultRule:
                 f"status (1..255), got {self.exit_code}"
             )
 
-    def trigger_label(self) -> str:
-        if self.hits:
-            return "h" + ",".join(str(hit) for hit in self.hits)
-        if self.every is not None:
-            return f"e{self.every}"
-        return f"p{self.probability:g}"
-
-    def to_dict(self) -> dict:
-        data: dict = {"site": self.site, "effect": self.effect}
-        if self.hits:
-            data["hits"] = list(self.hits)
-        if self.every is not None:
-            data["every"] = self.every
-        if self.probability is not None:
-            data["probability"] = self.probability
-        if self.max_triggers is not None:
-            data["max_triggers"] = self.max_triggers
-        if self.effect == "delay":
-            data["seconds"] = self.seconds
-        if self.effect == "error":
-            data["error"] = self.error
-        if self.effect in ("crash", "torn") and self.exit_code != 137:
-            data["exit_code"] = self.exit_code
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRule":
         if not isinstance(data, dict):
@@ -248,26 +225,6 @@ class FaultPlan:
                 entries.append(FaultRule.from_dict(rule))
         object.__setattr__(self, "rules", tuple(entries))
         _check_int(self.seed, "plan seed", minimum=0)
-
-    @property
-    def is_noop(self) -> bool:
-        return not self.rules
-
-    def label(self) -> str:
-        """Compact deterministic identity, report- and filename-friendly."""
-        if self.is_noop:
-            return "none"
-        parts = [
-            f"{rule.site}!{rule.effect}@{rule.trigger_label()}"
-            for rule in self.rules
-        ]
-        return f"s{self.seed}:" + "+".join(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":

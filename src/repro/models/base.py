@@ -5,8 +5,11 @@ Every model consumes feature matrices whose **last column is the
 
 * ``fit(X, y, sample_weight=None)`` with binary labels; a row of weight
   ``k`` counts as ``k`` copies of that row (``None`` weighs every row 1),
-* ``predict_proba(X) -> (n,)`` bottleneck probabilities,
-* ``predict(X) -> (n,)`` hard 0/1 decisions.
+* ``predict_proba(X) -> (n,)`` bottleneck probabilities.
+
+Probabilities are the whole contract: the one decision made with a
+model, Algorithm 2's minimum-degree search (:mod:`repro.models.search`),
+thresholds ``predict_proba`` at a probability its caller chooses.
 """
 
 from __future__ import annotations

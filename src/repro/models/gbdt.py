@@ -213,6 +213,3 @@ class MonotonicGBDT:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(features))
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)

@@ -181,9 +181,6 @@ class IsotonicKNN:
             features = features[None, :]
         return np.asarray([self._predict_row(row) for row in features])
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

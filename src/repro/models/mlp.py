@@ -89,6 +89,3 @@ class MLPClassifier:
             raise RuntimeError("model is not fitted")
         features = np.asarray(features, dtype=np.float64)
         return sigmoid(self._forward(features).reshape(-1))
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)

@@ -3,6 +3,9 @@
 ``p_rec(v) = min { p <= p_max : M_f(h_v, p) = 0 }`` — thanks to the
 monotonic constraint the feasible region is an up-closed interval, so the
 minimum is found by binary search in O(log p_max) model evaluations.
+There is one predicate: ``M_f(h, p) = 1`` (a bottleneck) means the
+model's bottleneck probability is at or above a threshold the caller
+chooses (the tuner's 0.35; the threshold ablation sweeps it).
 
 The same routine is deliberately reused for the non-monotone NN ablation:
 on a non-monotone predictor the bisection invariant breaks and the returned
@@ -19,16 +22,15 @@ def min_feasible_parallelism(
     embedding: np.ndarray,
     p_max: int,
     normalize,
-    probability_threshold: float | None = None,
+    probability_threshold: float,
 ) -> int:
     """Smallest parallelism the model does not classify as a bottleneck.
 
     ``model`` is a fitted prediction layer over ``[h, p]``; ``normalize``
     maps an integer degree to the model's parallelism feature (usually
     :meth:`FeatureEncoder.normalize_parallelism` partially applied).
-    By default the model's own class decision (``predict``) defines
-    feasibility; pass ``probability_threshold`` to bisect the probability
-    surface at a custom level instead.  Returns ``p_max`` when even the
+    A degree is infeasible (a bottleneck) when ``predict_proba`` of its
+    row is ``>= probability_threshold``.  Returns ``p_max`` when even the
     maximum is predicted to bottleneck.
 
     Implementation note: all ``p_max`` candidate rows are evaluated in one
@@ -45,22 +47,17 @@ def min_feasible_parallelism(
         raise ValueError("p_max must be >= 1")
 
     norms = np.array([normalize(p) for p in range(1, p_max + 1)])
-    if hasattr(model, "margin_profile") and hasattr(model, "proba_profile"):
+    if hasattr(model, "proba_profile"):
         # Profile fast path: the model can sweep the parallelism axis for a
         # fixed embedding without materialising p_max duplicated rows (for
         # the kernel SVM this avoids p_max redundant feature lifts).
-        if probability_threshold is None:
-            bottleneck = model.margin_profile(embedding, norms) >= 0.0
-        else:
-            bottleneck = model.proba_profile(embedding, norms) >= probability_threshold
+        probabilities = model.proba_profile(embedding, norms)
     else:
         rows = np.empty((p_max, len(embedding) + 1))
         rows[:, :-1] = embedding
         rows[:, -1] = norms
-        if probability_threshold is None:
-            bottleneck = model.predict(rows).astype(bool)
-        else:
-            bottleneck = model.predict_proba(rows) >= probability_threshold
+        probabilities = model.predict_proba(rows)
+    bottleneck = probabilities >= probability_threshold
 
     def is_bottleneck(p: int) -> bool:
         return bool(bottleneck[p - 1])

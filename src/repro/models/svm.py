@@ -337,10 +337,11 @@ class MonotonicSVM:
     # parallelism profiles (fast path for the minimum-degree search)
     # ------------------------------------------------------------------
 
-    def margin_profile(
+    def proba_profile(
         self, embedding: np.ndarray, parallelism_values: np.ndarray
     ) -> np.ndarray:
-        """Margins of one operator embedding across many parallelism values.
+        """Platt-calibrated probabilities of one operator embedding across
+        many parallelism values.
 
         ``f(x) = w_e^T phi(h) + w_p p + b`` touches the kernel lift through
         ``h`` only, so sweeping ``p`` needs a single lifted row rather than
@@ -348,20 +349,5 @@ class MonotonicSVM:
         ``p_max`` candidates with one cosine transform instead of ``p_max``.
         """
         embedding = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
-        return self._margins(embedding, np.asarray(parallelism_values))
-
-    def proba_profile(
-        self, embedding: np.ndarray, parallelism_values: np.ndarray
-    ) -> np.ndarray:
-        """Platt-calibrated probabilities along a parallelism sweep."""
-        margins = self.margin_profile(embedding, parallelism_values)
+        margins = self._margins(embedding, np.asarray(parallelism_values))
         return sigmoid(self._platt_scale * margins + self._platt_offset)
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Hard decision on the *margin* (class-weighted hinge boundary).
-
-        Platt probabilities are calibrated to the class prior, so on
-        imbalanced data the 0.5-probability surface drifts away from the
-        max-margin separator; the class decision must use the margin.
-        """
-        return (self.decision_function(features) >= 0.0).astype(np.int64)

@@ -35,13 +35,14 @@ Architecture (see each module for depth):
   caches, and results are bit-identical across backends and dispatch
   orders because every cached value is a pure function of its key.
 
-Quick start::
+Quick start — a :class:`~repro.api.plans.CampaignPlan` runs on this
+service through the session front door::
 
-    from repro.service import CampaignSpec, TuningService
+    from repro.api import CampaignPlan, TuningSession
 
-    service = TuningService(pretrained, backend="thread", max_workers=4)
-    specs = [CampaignSpec(query=q, multipliers=(3, 7, 4, 2)) for q in queries]
-    outcomes = service.run(specs)          # input order, deterministic
+    plan = CampaignPlan(queries=("q1", "q5"), backend="thread", workers=4)
+    result = TuningSession().run(plan)     # outcomes in plan order
+    # TuningService(...).stream(specs) yields the same run as events.
 
 Benchmark: ``python benchmarks/e2e/run.py --all`` times single-query
 tuning plans, each a one-campaign sequential fleet (``tune_cold``), next

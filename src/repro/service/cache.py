@@ -4,8 +4,7 @@ Three layers:
 
 * :class:`ConcurrentLRUCache` — a bounded, single-flight
   ``get_or_compute`` LRU cache safe under threads (a lock, a condition
-  and an ordered dict); it pickles as a snapshot under a fresh lock with
-  zeroed hit/miss counters and nothing in flight.
+  and an ordered dict).
 * :class:`TuningCacheSet` — the kind-routed facade the tuner consults
   (``assign`` / ``warmup`` / ``distill`` / ``embed`` sections, one cache
   each) via ``get_or_compute(kind, key, builder)``.
@@ -60,35 +59,9 @@ class ConcurrentLRUCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
-        self._init_sync()
-        self.hits = 0
-        self.misses = 0
-
-    def _init_sync(self) -> None:
         self._lock = threading.RLock()
         self._built = threading.Condition(self._lock)
         self._building: set = set()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    # A lock cannot be pickled.  A pickled cache (e.g. inside a copied
-    # pretrained artifact) is a snapshot of the data under a fresh lock of
-    # its own; a build in flight here is not one there.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for name in ("_lock", "_built", "_building"):
-            del state[name]
-        with self._lock:
-            state["_data"] = OrderedDict(self._data)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._init_sync()
-        # A pickled copy starts its own accounting: the copy's CacheStats
-        # count only the traffic it serves.
         self.hits = 0
         self.misses = 0
 
@@ -135,12 +108,6 @@ class ConcurrentLRUCache:
         with self._lock:
             return list(self._data.items())
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
@@ -160,30 +127,20 @@ CACHE_SECTIONS: dict[str, int] = {
 
 
 class TuningCacheSet:
-    """Kind-routed cache facade shared by every campaign of a service run."""
+    """Kind-routed cache facade shared by every campaign of a service run:
+    one :class:`ConcurrentLRUCache` per :data:`CACHE_SECTIONS` entry."""
 
-    def __init__(self, sections: dict[str, int] | None = None) -> None:
-        sections = dict(CACHE_SECTIONS if sections is None else sections)
+    def __init__(self) -> None:
         self._caches = {
             kind: ConcurrentLRUCache(maxsize=size)
-            for kind, size in sections.items()
+            for kind, size in CACHE_SECTIONS.items()
         }
 
     def get_or_compute(self, kind: str, key, builder):
-        cache = self._caches.get(kind)
-        if cache is None:
-            # Unknown section: compute without caching rather than failing —
-            # the tuner may grow new sections before every deployment of the
-            # service learns about them.
-            return builder()
-        return cache.get_or_compute(key, builder)
+        return self._caches[kind].get_or_compute(key, builder)
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {kind: cache.stats() for kind, cache in self._caches.items()}
-
-    def clear(self) -> None:
-        for cache in self._caches.values():
-            cache.clear()
 
     # -- persistence ----------------------------------------------------
     #
@@ -282,7 +239,10 @@ class TuningCacheSet:
         version but :attr:`SNAPSHOT_VERSION` — a message naming *both* the
         snapshot's version and the version this build reads, checked
         before any section entry is touched so an incompatible layout
-        never fails deep in unpickling.
+        never fails deep in unpickling.  A snapshot whose sections are not
+        exactly :data:`CACHE_SECTIONS` is rejected the same way, naming the
+        missing and extra ones; section sizes are always this build's
+        constants, never the recorded ones.
 
         A v3 snapshot written before ``warmup`` keys lost their fourth
         (encoding-path) element still loads: its 4-tuple warm-up keys
@@ -315,11 +275,19 @@ class TuningCacheSet:
         # ``cache_path`` is outside input: a right-versioned file whose
         # layout is damaged (no ``sections``, a truncated array record, an
         # unhashable key) is the same one-line error, not a traceback.
-        try:
-            sections = payload["sections"]
-            caches = cls(
-                sections={kind: meta["maxsize"] for kind, meta in sections.items()}
+        # Sections are this build's, at their constant sizes: a snapshot
+        # naming other sections would lose or invent one for good.
+        sections = payload.get("sections")
+        if isinstance(sections, dict) and set(sections) != set(CACHE_SECTIONS):
+            missing = sorted(set(CACHE_SECTIONS) - set(sections))
+            extra = sorted(set(sections) - set(CACHE_SECTIONS))
+            raise SnapshotError(
+                f"{path} holds cache sections {sorted(sections)}, not this "
+                f"build's {sorted(CACHE_SECTIONS)} (missing: {missing}; "
+                f"extra: {extra}) — regenerate the cache file"
             )
+        try:
+            caches = cls()
             for kind, meta in sections.items():
                 section = caches._caches[kind]
                 for key, record in meta["entries"]:

@@ -18,12 +18,11 @@ parallelism-agnostic embeddings — flow through one shared
 Execution is **observable**: :meth:`TuningService.stream` yields typed
 :mod:`repro.api.events` as campaigns progress — live per-step on every
 backend (the sequential loop yields them as they happen; thread workers
-relay them through an in-process queue) — and :meth:`TuningService.run`
-is a thin wrapper that drains the stream and returns outcomes in input
-order, so the legacy blocking call stays bit-identical.  A campaign is
-the unit of work on every backend: Algorithm 2's fine-tuning set T
-accumulates along the rate trace, so a trace runs serially inside its
-campaign and the parallelism is across campaigns.
+relay them through an in-process queue); the blocking front door is
+:meth:`repro.api.session.TuningSession.run`, which drains it.  A
+campaign is the unit of work on every backend: Algorithm 2's fine-tuning
+set T accumulates along the rate trace, so a trace runs serially inside
+its campaign and the parallelism is across campaigns.
 
 Execution is also **fault-tolerant** and **resumable**:
 
@@ -35,9 +34,8 @@ Execution is also **fault-tolerant** and **resumable**:
   running on every backend) — completed campaigns keep their results and
   a recorded log resumes the rest;
 * ``stream(specs, resume=...)`` accepts a
-  :class:`~repro.api.resume.ResumeLog` (or any ``cell_key -> outcome``
-  mapping): campaigns whose deterministic ``cell_key`` is already recorded
-  are not re-executed — a :class:`~repro.api.events.CampaignSkipped`
+  :class:`~repro.api.resume.ResumeLog`: campaigns whose deterministic
+  ``cell_key`` is already recorded are not re-executed — a :class:`~repro.api.events.CampaignSkipped`
   marker plus the replayed :class:`~repro.api.events.CampaignFinished`
   (bit-identical recorded result) enter the stream instead.
 """
@@ -56,7 +54,6 @@ from dataclasses import dataclass
 from repro.api.events import (
     CacheStats,
     CampaignFailed,
-    CampaignFinished,
     CampaignStarted,
     Reconfigured,
     StepCompleted,
@@ -86,9 +83,8 @@ class CampaignOutcome:
 class CampaignExecutionError(RuntimeError):
     """One or more campaigns failed after the rest of the fleet finished.
 
-    Raised by the blocking wrappers (:meth:`TuningService.run`, the
-    session layer) once the stream has drained, so surviving campaigns
-    complete — and land in any ``--record`` log, ready for ``--resume`` —
+    Raised by the session layer once the stream has drained, so
+    surviving campaigns complete — and land in any ``--record`` log, ready for ``--resume`` —
     before the failure surfaces.  :attr:`failures` holds the
     :class:`~repro.api.events.CampaignFailed` events (traceback text
     included); :attr:`outcomes` the completed campaigns by spec index.
@@ -369,43 +365,6 @@ class TuningService:
         if len(set(names)) != len(names):
             raise ValueError(f"campaign names must be unique, got {sorted(names)}")
 
-    def _check_executable(self, specs: list[CampaignSpec]) -> None:
-        """Fail before the fleet spins up, not deep inside a worker."""
-        if self.pretrained is not None:
-            return
-        for spec in specs:
-            if spec.is_streamtune:
-                raise ValueError(
-                    f"campaign {spec.name!r} tunes with {spec.tuner!r} but the "
-                    "service has no pre-trained artifact (pass pretrained=...)"
-                )
-
-    def run(
-        self,
-        specs: list[CampaignSpec],
-        resume=None,
-    ) -> list[CampaignOutcome]:
-        """Execute every campaign; outcomes are returned in *input* order.
-
-        A thin wrapper that drains :meth:`stream` — dispatch order follows
-        the scheduler (backpressured queries first), which matters for
-        time-to-first-recommendation under limited workers but never
-        changes any campaign's result.  If any campaign failed, the fleet
-        still runs to completion and a :class:`CampaignExecutionError`
-        carrying every failure (plus the surviving outcomes) is raised
-        afterwards.
-        """
-        outcomes: dict[int, CampaignOutcome] = {}
-        failures: list[CampaignFailed] = []
-        for event in self.stream(specs, resume=resume):
-            if isinstance(event, CampaignFinished):
-                outcomes[event.index] = event.outcome
-            elif isinstance(event, CampaignFailed):
-                failures.append(event)
-        if failures:
-            raise CampaignExecutionError(failures, outcomes)
-        return [outcomes[index] for index in range(len(specs))]
-
     def stream(
         self,
         specs: list[CampaignSpec],
@@ -424,9 +383,8 @@ class TuningService:
         in-process queue.  ``seq`` is stamped monotonically at the
         consumer, so merged worker streams never interleave out of order.
 
-        ``resume`` (a :class:`~repro.api.resume.ResumeLog` or a
-        ``cell_key -> CampaignOutcome`` mapping) replays campaigns already
-        recorded: each yields a :class:`CampaignSkipped` marker plus the
+        ``resume`` (a :class:`~repro.api.resume.ResumeLog`) replays
+        campaigns already recorded: each yields a :class:`CampaignSkipped` marker plus the
         recorded :class:`CampaignFinished` — bit-identical result, no
         re-execution — before the remaining campaigns dispatch.
         """
@@ -439,9 +397,6 @@ class TuningService:
             for index, spec in enumerate(specs)
             if (outcome := resume_outcome(resume, spec.cell_key)) is not None
         }
-        self._check_executable(
-            [spec for index, spec in enumerate(specs) if index not in resumed]
-        )
         seq = 0
 
         def stamped(event):

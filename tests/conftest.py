@@ -149,9 +149,12 @@ class MonotonicityReport:
         return self.n_violations == 0
 
 
-def strict_min_feasible_parallelism(model, embedding, p_max, normalize):
-    """:func:`repro.models.search.min_feasible_parallelism` on the class
-    decision, after checking that decision is monotone along the
+def strict_min_feasible_parallelism(
+    model, embedding, p_max, normalize, probability_threshold
+):
+    """:func:`repro.models.search.min_feasible_parallelism` at
+    ``probability_threshold``, after checking that its bottleneck verdict
+    (probability at or above the threshold) is monotone along the
     parallelism axis: raises :class:`ValueError` when a bottleneck verdict
     reappears after a non-bottleneck one, instead of returning
     bisection's answer."""
@@ -160,13 +163,15 @@ def strict_min_feasible_parallelism(model, embedding, p_max, normalize):
     rows = np.empty((p_max, len(embedding) + 1))
     rows[:, :-1] = embedding
     rows[:, -1] = [normalize(p) for p in range(1, p_max + 1)]
-    bottleneck = model.predict(rows).astype(bool)
+    bottleneck = model.predict_proba(rows) >= probability_threshold
     if np.any(bottleneck[1:] & ~bottleneck[:-1]):
         raise ValueError(
             "model is not monotone along the parallelism axis: a bottleneck "
             "verdict reappears after a non-bottleneck one"
         )
-    return min_feasible_parallelism(model, embedding, p_max, normalize)
+    return min_feasible_parallelism(
+        model, embedding, p_max, normalize, probability_threshold
+    )
 
 
 def save_plan(plan, path) -> None:
@@ -182,6 +187,33 @@ def save_plan(plan, path) -> None:
         if value is not None
     ]
     path.write_text("\n".join(lines) + "\n")
+
+
+def run_campaigns(service, specs, resume=None) -> list:
+    """Every spec's ``CampaignOutcome``, in spec order, from
+    ``service.stream(specs, resume=resume)``; a failed campaign fails the
+    test with its traceback."""
+    events = list(service.stream(specs, resume=resume))
+    failed = [event for event in events if event.kind == "CampaignFailed"]
+    assert not failed, failed[0].traceback
+    finished = {
+        event.index: event.outcome
+        for event in events if event.kind == "CampaignFinished"
+    }
+    return [finished[index] for index in range(len(specs))]
+
+
+def resume_log_of(recorded):
+    """A :class:`~repro.api.resume.ResumeLog` holding one finished event
+    per ``(spec, outcome)`` pair — what a ``--record`` log of those
+    campaigns parses to."""
+    from repro.api.events import campaign_finished
+    from repro.api.resume import ResumeLog
+
+    return ResumeLog("recorded.jsonl", [
+        campaign_finished(spec.name, index, "sequential", outcome, spec.cell_key)
+        for index, (spec, outcome) in enumerate(recorded)
+    ])
 
 
 def cached_entry(caches, kind: str, key):

@@ -475,6 +475,7 @@ def test_step_events_are_live_mid_campaign(tiny_pretrained, backend, monkeypatch
 
 
 def test_stream_results_match_run(tiny_pretrained):
+    from repro.api import CampaignPlan, TuningSession
     from repro.service import CampaignSpec, TuningService
     from repro.workloads import nexmark_query
 
@@ -487,7 +488,11 @@ def test_stream_results_match_run(tiny_pretrained):
         )
         for name in ("q1", "q5")
     ]
-    via_run = TuningService(tiny_pretrained, backend="sequential").run(specs)
+    # The blocking front door: a session running the same fleet as a plan.
+    via_run = TuningSession(pretrained=tiny_pretrained).run(CampaignPlan(
+        queries=("q1", "q5"), rates=(3.0, 7.0), backend="sequential",
+        scale="smoke", seed=41,
+    )).outcomes
     events = TuningService(tiny_pretrained, backend="sequential").stream(specs)
     via_stream = {
         event.index: event.outcome
@@ -511,4 +516,3 @@ def test_empty_spec_list_streams_only_cache_stats(tiny_pretrained):
 
     events = list(TuningService(tiny_pretrained, backend="sequential").stream([]))
     assert len(events) == 1 and isinstance(events[0], CacheStats)
-    assert TuningService(tiny_pretrained, backend="sequential").run([]) == []

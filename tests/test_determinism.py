@@ -10,6 +10,7 @@ from repro.core.tuner import StreamTuneTuner
 from repro.engines import FlinkCluster
 from repro.service import CampaignSpec, TuningService
 from repro.workloads import nexmark_query
+from tests.conftest import run_campaigns
 
 
 def _step_trace(result):
@@ -66,18 +67,18 @@ class TestServiceDeterminism:
         ]
 
     def test_concurrent_identical_to_sequential(self, tiny_pretrained):
-        sequential = TuningService(tiny_pretrained, backend="sequential").run(
-            self._specs()
+        sequential = run_campaigns(
+            TuningService(tiny_pretrained, backend="sequential"), self._specs()
         )
-        threaded = TuningService(tiny_pretrained, backend="thread", max_workers=3).run(
-            self._specs()
+        threaded = run_campaigns(
+            TuningService(tiny_pretrained, backend="thread", max_workers=3), self._specs()
         )
         assert self._traces(threaded) == self._traces(sequential)
 
     def test_repeat_concurrent_runs_identical(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="thread", max_workers=2)
-        first = service.run(self._specs())
-        second = service.run(self._specs())
+        first = run_campaigns(service, self._specs())
+        second = run_campaigns(service, self._specs())
         assert self._traces(first) == self._traces(second)
 
     def test_dispatch_order_does_not_change_results(self, tiny_pretrained, monkeypatch):
@@ -87,6 +88,6 @@ class TestServiceDeterminism:
         order = prioritized._plan_units(self._specs())
         backwards = TuningService(tiny_pretrained, backend="thread", max_workers=2)
         monkeypatch.setattr(backwards, "_plan_units", lambda specs, skip: order[::-1])
-        assert self._traces(prioritized.run(self._specs())) == self._traces(
-            backwards.run(self._specs())
+        assert self._traces(run_campaigns(prioritized, self._specs())) == self._traces(
+            run_campaigns(backwards, self._specs())
         )

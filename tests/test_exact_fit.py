@@ -28,8 +28,8 @@ PLANS = {
 def _decisions(result) -> list:
     return [
         (step.parallelisms, step.reconfigured, step.backpressure_after)
-        for campaign in result.results
-        for process in campaign.processes
+        for outcome in result.outcomes
+        for process in outcome.result.processes
         for step in process.steps
     ]
 

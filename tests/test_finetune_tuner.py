@@ -92,10 +92,9 @@ class TestWarmup:
 
 class TestConstantModel:
     def test_constant_predictions(self):
-        model = _ConstantModel(1.0)
         rows = np.zeros((3, 4))
-        assert list(model.predict(rows)) == [1, 1, 1]
-        assert list(_ConstantModel(0.0).predict(rows)) == [0, 0, 0]
+        assert list(_ConstantModel(1.0).predict_proba(rows)) == [1.0, 1.0, 1.0]
+        assert list(_ConstantModel(0.0).predict_proba(rows)) == [0.0, 0.0, 0.0]
 
 
 class TestStreamTuneTuner:

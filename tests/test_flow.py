@@ -122,12 +122,6 @@ class TestTimeFractions:
 
 
 class TestResultHelpers:
-    def test_total_parallelism(self, linear_flow):
-        result = solve_flow(
-            linear_flow, {"src": 2, "filter": 3, "sink": 4}, {"src": 1e3}, PERF
-        )
-        assert result.total_parallelism() == 9
-
     def test_sink_throughput(self, linear_flow):
         result = solve_flow(
             linear_flow, {"src": 10, "filter": 60, "sink": 10}, {"src": 1e5}, PERF

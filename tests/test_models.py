@@ -55,7 +55,7 @@ class TestMonotonicSVM:
     def test_learns_threshold_rule(self):
         X, y = threshold_dataset()
         model = MonotonicSVM(seed=1).fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.9
+        assert ((model.decision_function(X) >= 0.0) == y).mean() > 0.9
 
     def test_w_p_nonpositive(self):
         X, y = threshold_dataset()
@@ -97,7 +97,7 @@ class TestMonotonicSVM:
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            MonotonicSVM().predict(np.ones((1, 3)))
+            MonotonicSVM().predict_proba(np.ones((1, 3)))
 
     def test_a_fit_that_raises_leaves_the_fitted_model_unchanged(self):
         X, y = threshold_dataset()
@@ -357,7 +357,7 @@ class TestMonotonicGBDT:
     def test_learns_threshold_rule(self):
         X, y = threshold_dataset()
         model = MonotonicGBDT().fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.95
+        assert ((model.predict_proba(X) >= 0.5) == y).mean() > 0.95
 
     def test_monotone_along_parallelism(self):
         X, y = threshold_dataset()
@@ -379,7 +379,7 @@ class TestMonotonicGBDT:
     def test_single_class_degenerates_gracefully(self):
         X = np.random.default_rng(0).uniform(size=(50, 3))
         model = MonotonicGBDT().fit(X, np.zeros(50))
-        assert np.all(model.predict(X) == 0)
+        assert np.all(model.predict_proba(X) < 0.5)
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -391,7 +391,7 @@ class TestMLP:
         X, y = threshold_dataset()
         monkeypatch.setattr(mlp, "EPOCHS", 80)
         model = MLPClassifier(seed=1).fit(X, y)
-        assert (model.predict(X) == y).mean() > 0.9
+        assert ((model.predict_proba(X) >= 0.5) == y).mean() > 0.9
 
     def test_no_monotonicity_guarantee_enforced(self, monkeypatch):
         """The NN trains fine but nothing constrains it (Fig. 11a point)."""
@@ -431,9 +431,6 @@ class TestMinFeasibleSearch:
         def __init__(self, cut: float) -> None:
             self.cut = cut
 
-        def predict(self, rows: np.ndarray) -> np.ndarray:
-            return (rows[:, -1] < self.cut).astype(np.int64)
-
         def predict_proba(self, rows: np.ndarray) -> np.ndarray:
             return np.where(rows[:, -1] < self.cut, 0.9, 0.1)
 
@@ -442,16 +439,16 @@ class TestMinFeasibleSearch:
         for cut in (0.0, 0.12, 0.5, 0.99):
             model = self.StepModel(cut)
             expected = next(
-                (p for p in range(1, 51) if model.predict(
-                    np.array([[0.0, normalize(p)]]))[0] == 0),
+                (p for p in range(1, 51) if model.predict_proba(
+                    np.array([[0.0, normalize(p)]]))[0] < 0.5),
                 50,
             )
-            found = min_feasible_parallelism(model, np.zeros(1), 50, normalize)
+            found = min_feasible_parallelism(model, np.zeros(1), 50, normalize, 0.5)
             assert found == expected
 
     def test_all_bottleneck_returns_p_max(self):
         model = self.StepModel(cut=2.0)
-        assert min_feasible_parallelism(model, np.zeros(1), 30, lambda p: p / 30) == 30
+        assert min_feasible_parallelism(model, np.zeros(1), 30, lambda p: p / 30, 0.5) == 30
 
     def test_probability_threshold_mode(self):
         model = self.StepModel(cut=0.5)
@@ -462,7 +459,50 @@ class TestMinFeasibleSearch:
 
     def test_invalid_p_max(self):
         with pytest.raises(ValueError):
-            min_feasible_parallelism(self.StepModel(0.5), np.zeros(1), 0, lambda p: p)
+            min_feasible_parallelism(self.StepModel(0.5), np.zeros(1), 0, lambda p: p, 0.5)
+
+
+class TestProfileFastPath:
+    """``MonotonicSVM.proba_profile`` — the one-lift sweep the tuner's
+    search takes — against the materialised ``[h, p]`` rows."""
+
+    class RowsOnly:
+        """The model behind ``predict_proba`` alone, so the search takes
+        its row path."""
+
+        def __init__(self, model) -> None:
+            self.predict_proba = model.predict_proba
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(12, 120))
+    def test_profile_agrees_with_predict_proba_on_rows(self, seed, n):
+        # Not byte-equal: the lift's matrix product rounds one row apart
+        # from forty, so the paths differ by a few ulps (at most 4.6e-15
+        # over 8 418 random fits of this dataset).  A real fault moves a
+        # probability by far more than the bound.
+        X, y, w = repeated_embedding_dataset(n, seed=seed)
+        model = MonotonicSVM(seed=seed).fit(X, y, sample_weight=w)
+        norms = np.arange(1, 41, dtype=np.float64)
+        for embedding in np.unique(X[:, :-1], axis=0):
+            rows = np.column_stack([np.tile(embedding, (len(norms), 1)), norms])
+            profile = model.proba_profile(embedding, norms)
+            assert np.abs(profile - model.predict_proba(rows)).max() <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(12, 120),
+        threshold=st.floats(0.05, 0.95),
+    )
+    def test_search_returns_the_same_degree_on_both_paths(self, seed, n, threshold):
+        X, y, w = repeated_embedding_dataset(n, seed=seed)
+        model = MonotonicSVM(seed=seed).fit(X, y, sample_weight=w)
+        for embedding in np.unique(X[:, :-1], axis=0):
+            degrees = [
+                min_feasible_parallelism(candidate, embedding, 40, float, threshold)
+                for candidate in (model, self.RowsOnly(model))
+            ]
+            assert degrees[0] == degrees[1]
 
 
 class TestGaussianProcess:

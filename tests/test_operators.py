@@ -12,8 +12,6 @@ from repro.dataflow.operators import (
     OperatorType,
     WindowPolicy,
     WindowType,
-    sink,
-    source,
 )
 
 
@@ -73,12 +71,14 @@ class TestValidation:
 
 class TestProperties:
     def test_source_flags(self):
-        spec = source("s", DataType.BID)
+        spec = make_spec(
+            name="s", op_type=OperatorType.SOURCE, tuple_data_type=DataType.BID
+        )
         assert spec.is_source and not spec.is_sink
         assert not spec.is_stateful
 
     def test_sink_flags(self):
-        spec = sink("k")
+        spec = make_spec(name="k", op_type=OperatorType.SINK)
         assert spec.is_sink and not spec.is_source
 
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from repro.service import CampaignSpec, TuningService, prewarm_caches
 from repro.service.cache import TuningCacheSet
 from repro.workloads import nexmark_query
 from tests.conftest import cached_entry
+from tests.conftest import resume_log_of, run_campaigns
 
 SECTIONS = ("assign", "warmup", "distill", "embed")
 
@@ -44,8 +45,8 @@ def _steps(outcome):
 def _recorded(pretrained, specs):
     """``(spec, outcome)`` pairs of a cold sequential run, and its caches."""
     caches = TuningCacheSet()
-    outcomes = TuningService(pretrained, backend="sequential", caches=caches).run(
-        specs
+    outcomes = run_campaigns(
+        TuningService(pretrained, backend="sequential", caches=caches), specs
     )
     return list(zip(specs, outcomes)), caches
 
@@ -81,7 +82,7 @@ class TestPrewarmCaches:
             seed=41,
             tuner="ds2",
         )
-        (outcome,) = TuningService(None, backend="sequential").run([spec])
+        (outcome,) = run_campaigns(TuningService(None, backend="sequential"), [spec])
         caches = TuningCacheSet()
         stats = prewarm_caches(tiny_pretrained, caches, [(spec, outcome)])
         assert stats == dict.fromkeys(SECTIONS, 0)
@@ -125,9 +126,7 @@ class TestPrewarmCaches:
         ]
         recorded, _ = _recorded(tiny_pretrained, specs)
         resumed = TuningService(tiny_pretrained, backend="sequential")
-        events = list(resumed.stream(
-            specs, resume={spec.cell_key: outcome for spec, outcome in recorded}
-        ))
+        events = list(resumed.stream(specs, resume=resume_log_of(recorded)))
         assert sum(isinstance(e, CampaignSkipped) for e in events) == 2
         caches = resumed.caches
         flow = specs[0].query.flow
@@ -138,7 +137,7 @@ class TestPrewarmCaches:
         )
         before = caches.stats()
         assert (before["distill"]["size"], before["embed"]["size"]) == (6, 6)
-        TuningService(tiny_pretrained, backend="sequential", caches=caches).run(specs)
+        run_campaigns(TuningService(tiny_pretrained, backend="sequential", caches=caches), specs)
         after = caches.stats()
         for kind in ("distill", "embed"):
             assert after[kind]["misses"] == before[kind]["misses"]
@@ -159,7 +158,7 @@ class TestServicePrewarmIdentity:
         warmed = prewarm_caches(tiny_pretrained, caches, recorded)
         assert warmed["warmup"] >= 1 and warmed["embed"] >= 2
         before = _misses(caches)
-        on = TuningService(tiny_pretrained, backend=backend, caches=caches).run(specs)
+        on = run_campaigns(TuningService(tiny_pretrained, backend=backend, caches=caches), specs)
         assert [_steps(a) for a in on] == [_steps(b) for b in off]
         assert _misses(caches) == before          # every lookup was warm
 
@@ -173,7 +172,7 @@ class TestServicePrewarmIdentity:
             spec, query=dataclasses.replace(spec.query, name="q1_twin")
         )
         service = TuningService(tiny_pretrained, backend="thread", max_workers=2)
-        shared = service.run([spec, twin])
+        shared = run_campaigns(service, [spec, twin])
         reference, lone = _recorded(tiny_pretrained, [spec])
         stats = service.caches.stats()
         for kind in ("warmup", "distill", "embed"):
@@ -194,7 +193,7 @@ class TestServicePrewarmIdentity:
 
         monkeypatch.setattr(tuning, "prewarm_caches", spy)
         service = TuningService(tiny_pretrained, backend="sequential")
-        service.run([_spec("q1")])
+        run_campaigns(service, [_spec("q1")])
         assert warmed == [dict.fromkeys(SECTIONS, 0)]
 
 
@@ -206,7 +205,7 @@ class TestResumeAwareWarming:
         for event in service.stream(specs):
             if isinstance(event, CampaignFinished):
                 full[event.index] = event.outcome
-        resume = {specs[0].cell_key: full[0]}
+        resume = resume_log_of([(specs[0], full[0])])
 
         resumed_service = TuningService(tiny_pretrained, backend="sequential")
         events = list(resumed_service.stream(specs, resume=resume))
@@ -248,7 +247,9 @@ class TestResumeAwareWarming:
             if isinstance(event, CampaignFinished):
                 full[event.index] = event.outcome
         resumed = TuningService(tiny_pretrained, backend="sequential")
-        events = list(resumed.stream(specs, resume={specs[0].cell_key: full[0]}))
+        events = list(
+            resumed.stream(specs, resume=resume_log_of([(specs[0], full[0])]))
+        )
         assert any(isinstance(e, CampaignSkipped) for e in events)
         stats = resumed.caches.stats()
         assert stats["warmup"]["misses"] == stats["warmup"]["size"] >= 1

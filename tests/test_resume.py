@@ -27,6 +27,7 @@ from repro.api import (
 from repro.api.events import read_event_log
 from repro.service import CampaignSpec, TuningService
 from repro.workloads import nexmark_query
+from tests.conftest import resume_log_of, run_campaigns
 
 
 def _truncate_after_first_finished(source, target):
@@ -209,8 +210,8 @@ class TestServiceResume:
                 assert isinstance(event_from_dict(data), CampaignStarted)
             lines.append(json.dumps(data))
         path.write_text("\n".join(lines) + "\n")
-        resumed = TuningService(None, backend="sequential").run(
-            specs, resume=ResumeLog.load(path)
+        resumed = run_campaigns(
+            TuningService(None, backend="sequential"), specs, resume=ResumeLog.load(path)
         )
         assert [o.result for o in resumed] == [
             outcomes[index].result for index in range(len(specs))
@@ -220,8 +221,8 @@ class TestServiceResume:
         from repro.api.events import CampaignSkipped, CampaignStarted
 
         specs = _ds2_specs()
-        reference = TuningService(None, backend="sequential").run(specs)
-        resume = {specs[0].cell_key: reference[0]}
+        reference = run_campaigns(TuningService(None, backend="sequential"), specs)
+        resume = resume_log_of([(specs[0], reference[0])])
         service = TuningService(None, backend="sequential")
         events = list(service.stream(specs, resume=resume))
         started = [e for e in events if isinstance(e, CampaignStarted)]
@@ -233,16 +234,21 @@ class TestServiceResume:
 
     def test_run_accepts_resume(self, tmp_path):
         specs = _ds2_specs()
-        reference = TuningService(None, backend="sequential").run(specs)
-        resume = {spec.cell_key: outcome
-                  for spec, outcome in zip(specs, reference)}
-        outcomes = TuningService(None, backend="sequential").run(specs, resume=resume)
+        reference = run_campaigns(TuningService(None, backend="sequential"), specs)
+        resume = resume_log_of(zip(specs, reference))
+        outcomes = run_campaigns(
+            TuningService(None, backend="sequential"), specs, resume=resume
+        )
         assert [o.result for o in outcomes] == [o.result for o in reference]
 
     def test_bad_resume_type_rejected(self):
+        # A resume source is a ResumeLog; anything else — a bare
+        # cell_key -> outcome mapping included — fails on the first
+        # lookup, before a campaign starts.
         service = TuningService(None, backend="sequential")
-        with pytest.raises(TypeError, match="resume"):
-            list(service.stream(_ds2_specs(), resume=42))
+        for resume in (42, {}):
+            with pytest.raises(AttributeError, match="outcome_for"):
+                next(service.stream(_ds2_specs(), resume=resume))
 
     def test_fully_resumed_streamtune_fleet_needs_no_pretrained(self, tmp_path,
                                                                 tiny_pretrained):
@@ -260,9 +266,9 @@ class TestServiceResume:
             for event in service.stream(specs):
                 recorder(event)
         # Every campaign is recorded: the artifact-free service replays
-        # without tripping its streamtune-needs-pretrained validation.
+        # them all and builds no StreamTune tuner.
         blind = TuningService(None, backend="sequential")
-        outcomes = blind.run(specs, resume=ResumeLog.load(path))
+        outcomes = run_campaigns(blind, specs, resume=ResumeLog.load(path))
         assert outcomes[0].result.method == "StreamTune"
 
 

@@ -23,6 +23,16 @@ def _identity_normalize(p: int) -> float:
     return float(p)
 
 
+class GradedPredictor:
+    """A predictor whose probability for degree ``p`` is ``probabilities[p - 1]``."""
+
+    def __init__(self, probabilities: np.ndarray) -> None:
+        self.probabilities = probabilities
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        return self.probabilities[features[:, -1].astype(int) - 1]
+
+
 class ArrayPredictor:
     """A predictor whose verdicts are read off a fixed boolean array.
 
@@ -40,11 +50,13 @@ class ArrayPredictor:
         degrees = features[:, -1].astype(int)
         return self.bottleneck[degrees - 1]
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self._verdicts(features).astype(np.int64)
-
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return np.where(self._verdicts(features), 0.9, 0.1)
+
+
+#: The bottleneck probability threshold every search here uses; the
+#: stub's probabilities (0.9 / 0.1) sit on either side of it.
+THRESHOLD = 0.5
 
 
 def _monotone_array(p_max: int, threshold: int) -> np.ndarray:
@@ -62,14 +74,14 @@ def test_monotone_predictor_returns_true_minimum(p_max, data):
     threshold = data.draw(st.integers(min_value=1, max_value=p_max + 1))
     model = ArrayPredictor(_monotone_array(p_max, threshold))
     result = min_feasible_parallelism(
-        model, np.zeros(3), p_max, _identity_normalize
+        model, np.zeros(3), p_max, _identity_normalize, THRESHOLD
     )
     expected = min(threshold, p_max)  # all-bottleneck arrays cap at p_max
     assert result == expected
     # the strict search accepts every monotone predicate
     assert (
         strict_min_feasible_parallelism(
-            model, np.zeros(3), p_max, _identity_normalize
+            model, np.zeros(3), p_max, _identity_normalize, THRESHOLD
         )
         == expected
     )
@@ -80,14 +92,24 @@ def test_monotone_predictor_returns_true_minimum(p_max, data):
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_probability_threshold_path_matches_predict_path(p_max, data):
-    threshold = data.draw(st.integers(min_value=1, max_value=p_max + 1))
-    model = ArrayPredictor(_monotone_array(p_max, threshold))
-    by_class = min_feasible_parallelism(model, np.zeros(3), p_max, _identity_normalize)
-    by_probability = min_feasible_parallelism(
-        model, np.zeros(3), p_max, _identity_normalize, probability_threshold=0.5
-    )
-    assert by_class == by_probability
+def test_threshold_cuts_a_graded_probability_surface(p_max, data):
+    # A probability falling with the degree: the search returns the first
+    # degree whose probability is under the threshold, and a higher
+    # threshold never asks for more parallelism.
+    probabilities = np.sort(
+        data.draw(st.lists(st.floats(0.0, 1.0), min_size=p_max, max_size=p_max))
+    )[::-1]
+    low, high = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    model = GradedPredictor(probabilities)
+    results = []
+    for threshold in (low, high):
+        result = min_feasible_parallelism(
+            model, np.zeros(3), p_max, _identity_normalize, threshold
+        )
+        below = np.flatnonzero(probabilities < threshold)
+        assert result == (int(below[0]) + 1 if len(below) else p_max)
+        results.append(result)
+    assert results[1] <= results[0]
 
 
 @given(
@@ -98,8 +120,12 @@ def test_any_predicate_is_handled_deterministically(bottleneck):
     array = np.asarray(bottleneck, dtype=bool)
     p_max = len(array)
     model = ArrayPredictor(array)
-    first = min_feasible_parallelism(model, np.zeros(2), p_max, _identity_normalize)
-    second = min_feasible_parallelism(model, np.zeros(2), p_max, _identity_normalize)
+    first = min_feasible_parallelism(
+        model, np.zeros(2), p_max, _identity_normalize, THRESHOLD
+    )
+    second = min_feasible_parallelism(
+        model, np.zeros(2), p_max, _identity_normalize, THRESHOLD
+    )
     # Deterministic and in range, monotone or not.
     assert first == second
     assert 1 <= first <= p_max
@@ -123,11 +149,11 @@ def test_strict_rejects_exactly_the_non_monotone_predicates(bottleneck):
     if rising:
         with pytest.raises(ValueError, match="not monotone"):
             strict_min_feasible_parallelism(
-                model, np.zeros(2), len(array), _identity_normalize
+                model, np.zeros(2), len(array), _identity_normalize, THRESHOLD
             )
     else:
         result = strict_min_feasible_parallelism(
-            model, np.zeros(2), len(array), _identity_normalize
+            model, np.zeros(2), len(array), _identity_normalize, THRESHOLD
         )
         assert 1 <= result <= len(array)
 
@@ -135,4 +161,4 @@ def test_strict_rejects_exactly_the_non_monotone_predicates(bottleneck):
 def test_invalid_p_max_rejected():
     model = ArrayPredictor(np.array([True]))
     with pytest.raises(ValueError):
-        min_feasible_parallelism(model, np.zeros(2), 0, _identity_normalize)
+        min_feasible_parallelism(model, np.zeros(2), 0, _identity_normalize, THRESHOLD)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import threading
 
 import pytest
@@ -14,8 +15,9 @@ from repro.service import (
     TuningCacheSet,
     TuningService,
 )
-from repro.service.cache import SharedGEDCache
+from repro.service.cache import CACHE_SECTIONS, SharedGEDCache
 from repro.workloads import nexmark_query
+from tests.conftest import run_campaigns
 
 
 # ----------------------------------------------------------------------
@@ -141,41 +143,6 @@ class TestConcurrentLRUCache:
             cache.get_or_compute("key", failing)
         assert cache.get_or_compute("key", lambda: 1) == 1   # no wait, no hang
 
-    def test_a_pickled_cache_carries_no_in_flight_state(self):
-        # Pickled while a key is being built: the copy holds no mark for
-        # it, so its own lookup builds at once instead of waiting for a
-        # build that will never reach it.
-        import pickle
-
-        cache = ConcurrentLRUCache()
-        cache.put("done", 0)
-        entered, release = threading.Event(), threading.Event()
-
-        def slow():
-            entered.set()
-            release.wait(timeout=30)
-            return 1
-
-        builder = threading.Thread(target=cache.get_or_compute, args=("key", slow))
-        builder.start()
-        assert entered.wait(timeout=30)
-        try:
-            copy = pickle.loads(pickle.dumps(cache))
-        finally:
-            release.set()
-            self._join([builder])
-        assert copy._building == set()
-        assert copy.get_or_compute("key", lambda: 2) == 2
-        assert copy.get("done") == 0
-        assert cache.get("key") == 1
-
-    def test_clear(self):
-        cache = ConcurrentLRUCache()
-        cache.put("a", 1)
-        cache.clear()
-        assert cache.get("a") is None
-        assert cache.stats()["size"] == 0
-
 
 class TestTuningCacheSet:
     def test_sections_routed_independently(self):
@@ -185,17 +152,13 @@ class TestTuningCacheSet:
         assert caches.stats()["distill"]["size"] == 1
         assert caches.stats()["embed"]["size"] == 1
 
-    def test_unknown_section_computes_without_caching(self):
+    def test_unknown_section_is_an_error(self):
+        # The sections are CACHE_SECTIONS; a kind outside them is a typo,
+        # not a section to compute around.
         caches = TuningCacheSet()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return 1
-
-        caches.get_or_compute("novel-section", "k", build)
-        caches.get_or_compute("novel-section", "k", build)
-        assert len(calls) == 2
+        with pytest.raises(KeyError, match="novel-section"):
+            caches.get_or_compute("novel-section", "k", lambda: 1)
+        assert set(caches.stats()) == set(CACHE_SECTIONS)
 
 
 # ----------------------------------------------------------------------
@@ -245,10 +208,10 @@ class TestScheduler:
             dataclasses.replace(_spec(name, 3.0), tuner="ds2") for name in ("q1", "q5")
         ]
         service = TuningService(None, backend="sequential")
-        service.run(specs[:1])
+        run_campaigns(service, specs[:1])
         assert built == [specs[0].name]                 # the campaign's own engine
         del built[:]
-        service.run(specs)
+        run_campaigns(service, specs)
         assert sorted(built) == sorted(spec.name for spec in specs * 2)  # + probes
 
 
@@ -270,7 +233,7 @@ class TestTuningService:
 
     def test_outcomes_in_input_order(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="thread", max_workers=2)
-        outcomes = service.run(self._specs())
+        outcomes = run_campaigns(service, self._specs())
         assert [o.spec_name for o in outcomes] == [
             "nexmark_q1_flink", "nexmark_q5_flink"
         ]
@@ -283,19 +246,20 @@ class TestTuningService:
         service = TuningService(tiny_pretrained, backend="sequential")
         specs = self._specs() + self._specs()[:1]
         with pytest.raises(ValueError, match="unique"):
-            service.run(specs)
+            run_campaigns(service, specs)
 
     def test_unknown_backend_rejected(self, tiny_pretrained):
         with pytest.raises(ValueError, match="backend"):
             TuningService(tiny_pretrained, backend="fibers")
 
     def test_empty_run(self, tiny_pretrained):
-        assert TuningService(tiny_pretrained, backend="sequential").run([]) == []
+        service = TuningService(tiny_pretrained, backend="sequential")
+        assert run_campaigns(service, []) == []
 
     def test_shared_ged_cache_installed_and_counted(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="sequential")
         assert isinstance(tiny_pretrained.clustering.cache, SharedGEDCache)
-        service.run(self._specs())
+        run_campaigns(service, self._specs())
         stats = service.cache_stats()
         assert "ged" in stats
         assert stats["warmup"]["misses"] >= 1
@@ -304,9 +268,9 @@ class TestTuningService:
 
     def test_cache_reuse_across_runs(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="sequential")
-        service.run(self._specs())
+        run_campaigns(service, self._specs())
         warm_misses = service.caches.stats()["warmup"]["misses"]
-        service.run(self._specs())
+        run_campaigns(service, self._specs())
         # No new warm-up datasets were built on the repeat run.
         assert service.caches.stats()["warmup"]["misses"] == warm_misses
 
@@ -323,15 +287,17 @@ class TestBaselineCampaigns:
 
     def test_ds2_campaign_runs_without_pretrained(self):
         service = TuningService(None, backend="sequential")
-        outcome = service.run([self._spec("ds2")])[0]
+        outcome = run_campaigns(service, [self._spec("ds2")])[0]
         assert outcome.result.method == "DS2"
         assert outcome.result.n_processes == 2
         assert "ged" not in service.cache_stats()
 
     def test_backend_identity_for_baselines(self):
-        sequential = TuningService(None, backend="sequential").run([self._spec("ds2")])
-        threaded = TuningService(None, backend="thread", max_workers=2).run(
-            [self._spec("ds2")]
+        sequential = run_campaigns(
+            TuningService(None, backend="sequential"), [self._spec("ds2")]
+        )
+        threaded = run_campaigns(
+            TuningService(None, backend="thread", max_workers=2), [self._spec("ds2")]
         )
         steps = lambda o: [  # noqa: E731
             [step.parallelisms for step in process.steps]
@@ -340,9 +306,13 @@ class TestBaselineCampaigns:
         assert steps(sequential[0]) == steps(threaded[0])
 
     def test_streamtune_without_pretrained_fails_clearly(self):
+        from repro.api.events import CampaignFailed
+
         service = TuningService(None, backend="sequential")
-        with pytest.raises(ValueError, match="pre-trained"):
-            service.run([self._spec("streamtune")])
+        events = list(service.stream([self._spec("streamtune")]))
+        (failed,) = [e for e in events if isinstance(e, CampaignFailed)]
+        assert failed.error_type == "ValueError"
+        assert "pre-trained" in failed.error_message
 
 
 class TestFaultTolerance:
@@ -396,12 +366,16 @@ class TestFaultTolerance:
         assert [e.seq for e in events] == list(range(len(events)))
 
     def test_run_raises_after_the_fleet_drained(self, monkeypatch):
+        from repro.api import CampaignPlan, TuningSession
         from repro.service import CampaignExecutionError
 
         self._poison(monkeypatch)
-        service = TuningService(None, backend="thread", max_workers=2)
+        plan = CampaignPlan(
+            queries=("q1", "q5"), rates=(3.0, 7.0), tuner="ds2",
+            backend="thread", workers=2, scale="smoke",
+        )
         with pytest.raises(CampaignExecutionError, match="worker exploded") as info:
-            service.run(self._specs())
+            TuningSession().run(plan)
         error = info.value
         assert [e.campaign for e in error.failures] == ["nexmark_q1_flink"]
         # the surviving campaign's outcome was not lost
@@ -572,11 +546,6 @@ class TestFaultTolerance:
         assert [e.campaign for e in finished] == ["nexmark_q5_flink"]
         assert [e.seq for e in events] == list(range(len(events)))
 
-    def test_streamtune_without_pretrained_fails_before_dispatch(self):
-        # Spec validation stays an eager ValueError, not a CampaignFailed.
-        service = TuningService(None, backend="thread", max_workers=2)
-        with pytest.raises(ValueError, match="pre-trained"):
-            list(service.stream(self._specs(tuner="streamtune")))
 
 
 class TestSnapshotErrors:
@@ -630,8 +599,8 @@ class TestSnapshotErrors:
                 id="unknown-record-kind",
             ),
             pytest.param(
-                lambda payload: payload["sections"]["embed"].pop("maxsize"),
-                id="no-maxsize",
+                lambda payload: payload["sections"]["embed"].pop("entries"),
+                id="no-entries",
             ),
             pytest.param(
                 lambda payload: payload["sections"]["embed"]["entries"].append(
@@ -661,6 +630,60 @@ class TestSnapshotErrors:
         damaged.write_bytes(pickle.dumps(payload))
         with pytest.raises(SnapshotError, match="damaged.pkl"):
             TuningCacheSet.load(damaged)
+
+    @staticmethod
+    def _resaved(tmp_path, edit):
+        """A saved snapshot of a few entries, edited by ``edit``."""
+        import pickle
+
+        caches = TuningCacheSet()
+        for index in range(3):
+            caches.get_or_compute("assign", ("sig", index), lambda: index)
+        saved = tmp_path / "edited.pkl"
+        caches.save(saved)
+        payload = pickle.loads(saved.read_bytes())
+        edit(payload["sections"])
+        saved.write_bytes(pickle.dumps(payload))
+        return saved
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda sections: sections.pop("warmup"),
+                         "missing: ['warmup']", id="missing-warmup"),
+            pytest.param(
+                lambda sections: sections.update(
+                    novel={"maxsize": 4, "entries": []}
+                ),
+                "extra: ['novel']", id="extra-section",
+            ),
+        ],
+    )
+    def test_a_snapshot_with_other_sections_is_rejected(self, tmp_path, edit, named):
+        # Loading it would leave a section uncached for the life of the
+        # process (and save would write the loss back), or keep one no
+        # lookup reads.
+        from repro.service import SnapshotError
+
+        with pytest.raises(SnapshotError, match=re.escape(named)) as info:
+            TuningCacheSet.load(self._resaved(tmp_path, edit))
+        assert "edited.pkl" in str(info.value)
+
+    def test_recorded_section_sizes_are_not_trusted(self, tmp_path):
+        # A recorded maxsize of 1 would thrash the section; every section
+        # is built at its CACHE_SECTIONS size.
+        def shrink(sections):
+            for meta in sections.values():
+                meta["maxsize"] = 1
+
+        loaded = TuningCacheSet.load(self._resaved(tmp_path, shrink))
+        for index in range(3):
+            assert loaded.get_or_compute(
+                "assign", ("sig", index), lambda: pytest.fail("evicted")
+            ) == index
+        loaded.get_or_compute("warmup", ("w",), lambda: "a")
+        loaded.get_or_compute("warmup", ("v",), lambda: "b")
+        assert loaded.stats()["warmup"]["size"] == 2
 
     def test_non_pickle_bytes_are_a_clear_error(self, tmp_path):
         from repro.service import SnapshotError

@@ -3,7 +3,7 @@
 Covers the value codec a :class:`~repro.service.cache.TuningCacheSet`
 snapshot carries (arrays, datasets and pickled values round-trip
 bit-identically), the v3 snapshot layout (older versions are rejected),
-counter isolation of a pickled cache, LRU eviction, and the warm-up
+LRU eviction, and the warm-up
 cache key's cluster history signature.
 """
 
@@ -84,21 +84,6 @@ class TestSectionCodec:
         caches.save(tmp_path / "caches.pkl")
         loaded = TuningCacheSet.load(tmp_path / "caches.pkl")
         assert _same_value(value, cached_entry(loaded, "embed", ("k",)))
-
-# ----------------------------------------------------------------------
-# S1: a pickled copy's counters start at zero
-# ----------------------------------------------------------------------
-
-class TestCounterIsolation:
-    def test_pickled_cache_zeroes_hit_miss_counters(self):
-        cache = ConcurrentLRUCache(maxsize=8)
-        cache.get_or_compute("a", lambda: 1)   # miss
-        cache.get_or_compute("a", lambda: 1)   # hit
-        assert (cache.hits, cache.misses) == (1, 1)
-        copy = pickle.loads(pickle.dumps(cache))
-        assert (copy.hits, copy.misses) == (0, 0)
-        assert copy.get("a") == 1              # data still travelled
-
 
 # ----------------------------------------------------------------------
 # S3: eviction order

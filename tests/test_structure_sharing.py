@@ -20,6 +20,7 @@ from repro.service import CampaignSpec, TuningService
 from repro.workloads import nexmark_query
 from repro.workloads.query import StreamingQuery
 from tests.conftest import build_linear_flow, build_window_flow
+from tests.conftest import run_campaigns
 
 
 class TestTuningSignature:
@@ -107,7 +108,7 @@ class TestServiceSharing:
         query = self._query()
         twin = _renamed_query(query, "q1_twin")
         service = TuningService(tiny_pretrained, backend="sequential")
-        service.run([self._spec(query), self._spec(twin)])
+        run_campaigns(service, [self._spec(query), self._spec(twin)])
         stats = service.cache_stats()
         # The twin's iterations hit the entries the first campaign built:
         # distinct job names, one cache entry per (structure, rates).
@@ -121,11 +122,11 @@ class TestServiceSharing:
         # *alone* on cold caches — a cache hit is a recomputation.
         query = self._query()
         twin = _renamed_query(query, "q1_twin")
-        alone = TuningService(tiny_pretrained, backend="sequential").run(
-            [self._spec(twin)]
+        alone = run_campaigns(
+            TuningService(tiny_pretrained, backend="sequential"), [self._spec(twin)]
         )
-        together = TuningService(tiny_pretrained, backend="sequential").run(
-            [self._spec(query), self._spec(twin)]
+        together = run_campaigns(
+            TuningService(tiny_pretrained, backend="sequential"), [self._spec(query), self._spec(twin)]
         )
         assert _steps(together[1]) == _steps(alone[0])
 
