@@ -160,34 +160,19 @@ def _build_zerotune(engine, resources: TunerResources):
     )
 
 
-def streamtune_variant(method: str) -> "tuple[bool, str | None]":
-    """Parse a tuner name's StreamTune spelling, case-insensitively.
-
-    The single source of truth for the naming convention: returns
-    ``(True, None)`` for the plain name, ``(True, '<model>')`` for the
-    legacy ``streamtune-<model>`` ablation spelling (suffix
-    lower-cased), and ``(False, None)`` for every other method — including
-    names that merely *start* with "streamtune" ("streamtune2" is not a
-    StreamTune variant).
-    """
-    base, _, suffix = method.partition("-")
-    if base.lower() != "streamtune":
-        return False, None
-    return True, (suffix.lower() or None)
-
-
 def build_tuner(method: str, engine, resources: TunerResources | None = None, **params):
     """Resolve + construct a tuning method bound to ``engine``.
 
-    ``method`` accepts the legacy ``StreamTune-<model>`` spelling for the
+    ``method`` also takes the ``StreamTune-<model>`` method label of the
     Fig. 11a prediction-layer ablation; the suffix becomes the
-    ``model_kind`` parameter.
+    ``model_kind`` parameter.  A plan never passes one: its prediction
+    layer is the ``layer`` field, so the label makes no cell key.
     """
-    key = method.lower()
-    is_streamtune, model_suffix = streamtune_variant(method)
-    if is_streamtune and model_suffix is not None:
-        params.setdefault("model_kind", model_suffix)
-        key = "streamtune"
+    key, _, model = method.lower().partition("-")
+    if key == "streamtune" and model:
+        params.setdefault("model_kind", model)
+    else:
+        key = method.lower()
     return TUNERS.create(key, engine, resources or TunerResources(), **params)
 
 

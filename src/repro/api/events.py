@@ -504,11 +504,11 @@ class EventBus:
     """
 
     def __init__(self, *subscribers) -> None:
-        self._subscribers: list = list(subscribers)
+        self._subscribers = subscribers
         self.errors: list[tuple] = []
 
     def publish(self, event: Event) -> None:
-        for subscriber in list(self._subscribers):
+        for subscriber in self._subscribers:
             try:
                 subscriber(event)
             except Exception as error:  # noqa: BLE001 — isolation by design
@@ -684,39 +684,18 @@ class JsonlRecorder:
 
 
 class MetricsAggregator:
-    """Reduce a stream into per-campaign and stream-wide counters."""
+    """Reduce a stream into the counters the daemon's ``/metrics`` serves."""
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
-        self.steps: dict[str, int] = {}
-        self.reconfigurations: dict[str, int] = {}
-        self.wall_seconds: dict[str, float] = {}
-        self.cache_stats: dict = {}
-        #: ``cell_key`` (falling back to the campaign label) of every
-        #: :class:`CampaignFailed` seen, in stream order — the exact set an
-        #: operator needs to retry via ``--resume``.
-        self.failed_cell_keys: list[str] = []
+        self.steps = 0
+        self.reconfigurations = 0
 
     def __call__(self, event: Event) -> None:
         self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
         if isinstance(event, StepCompleted):
-            key = self._key(event)
-            self.steps[key] = self.steps.get(key, 0) + 1
-            self.reconfigurations[key] = (
-                self.reconfigurations.get(key, 0) + event.reconfigurations
-            )
-        elif isinstance(event, CampaignFinished):
-            self.wall_seconds[self._key(event)] = event.wall_seconds
-        elif isinstance(event, CampaignFailed):
-            self.failed_cell_keys.append(event.cell_key or self._key(event))
-        elif isinstance(event, CacheStats):
-            self.cache_stats = dict(event.stats)
-
-    @staticmethod
-    def _key(event) -> str:
-        if event.scenario:
-            return f"{event.scenario}/{event.campaign}"
-        return event.campaign
+            self.steps += 1
+            self.reconfigurations += event.reconfigurations
 
     @property
     def n_events(self) -> int:

@@ -14,20 +14,22 @@ a code fork:
   one :class:`CampaignPlan` per cell (``repro run-plan`` on a sweep file
   and the ``repro matrix`` lifecycle).
 
-Rate traces come in two spellings everywhere a plan accepts them: a raw
-multiplier list (back-compat — cell keys stay byte-identical), or a named
-``{family, params, seed}`` spec resolved against the
+Every input has one spelling, so one campaign has one ``cell_key``.  A
+rate trace is a raw multiplier list in ``rates``, or a named
+``{family, params, seed}`` spec in ``trace`` (resolved against the
 :data:`repro.scenarios.TRACES` registry and materialized at validation
-time.  Plans may also carry a ``chaos`` schedule
-(:class:`repro.scenarios.ChaosSpec`) of operator losses and trace
-dropouts keyed to trace steps.
+time); a sweep's ``rate_traces`` entries take either.  The prediction
+layer is the ``layer`` field; ``tuner`` is a registry name.  Plans may
+also carry a ``chaos`` schedule (:class:`repro.scenarios.ChaosSpec`) of
+operator losses and trace dropouts keyed to trace steps.
 
 Validation is *eager*: constructing a plan checks every name against its
 registry (engine, tuner, prediction model) and stores the registry's
 spelling, and checks every query token against the token grammar, every
 numeric field against its domain, and the ``rates``/``queries`` shape —
 so a bad config file fails at load time with an error that says what to
-fix, not deep inside a worker pool.
+fix, not deep inside a worker pool.  A sweep whose grid holds the same
+campaign twice fails naming both cells.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.api.components import resolve_query  # noqa: F401  (re-exported)
-from repro.api.components import parse_query_token, streamtune_variant
+from repro.api.components import parse_query_token
 from repro.api.registry import ENGINES, MODELS, TUNERS, UnknownComponentError
 
 #: Worker-pool backends a campaign may request: the in-process pools of
@@ -54,12 +56,13 @@ class PlanError(ValueError):
     """A plan failed validation; the message says which field and why."""
 
 
-def _check_query_token(token: str) -> None:
+def _check_query_token(token: str) -> str:
     """Validate a query token without building the (expensive) query."""
     try:
         parse_query_token(token)
     except ValueError as error:
         raise PlanError(str(error)) from None
+    return token
 
 
 def _canonical(kind_label: str, registry, name: str) -> str:
@@ -71,33 +74,30 @@ def _canonical(kind_label: str, registry, name: str) -> str:
         raise PlanError(f"{kind_label}: {error}") from None
 
 
-def _campaign_tuner(name: str) -> str:
-    """The registry spelling of any method the service can host, the
-    ``streamtune-<model>`` spelling lower-cased.
+def _campaign_tuner(name: str, where: str = "tuner") -> str:
+    """The registry spelling of any method the service can host.
 
+    The prediction layer is the ``layer`` field, never a tuner suffix.
     The service builds every campaign's tuner from its spec alone, so
     methods registered with ``needs_history=True`` (their factory pulls
     an execution history from its resources, e.g. zerotune) cannot run
     in a plan of any kind.
     """
-    if name in TUNERS:
-        entry = TUNERS.entry(name)
-        if entry.needs_history:
-            raise PlanError(
-                f"tuner {entry.name!r} needs an execution history "
-                "at construction time, which the tuning service does not "
-                "carry, so no plan can run it; build it with "
-                "repro.experiments.context.make_tuner instead"
-            )
-        return entry.name
-    # The only dashed spelling is the legacy 'streamtune-<model>' ablation
-    # form; its model suffix must itself resolve, so a bad config fails
-    # here, not deep inside a session run.
-    is_streamtune, model_suffix = streamtune_variant(name)
-    if not is_streamtune or model_suffix is None:
-        _canonical("tuner", TUNERS, name)
-    model = _canonical(f"tuner {name!r} model suffix", MODELS, model_suffix)
-    return f"streamtune-{model}"
+    base, dash, model = name.partition("-")
+    if dash and base.lower() == "streamtune":
+        raise PlanError(
+            f"{where}: {name!r} is not a tuner name; the prediction layer is "
+            f'its own field: write tuner = "streamtune", layer = "{model.lower()}"'
+        )
+    name = _canonical(where, TUNERS, name)
+    if TUNERS.entry(name).needs_history:
+        raise PlanError(
+            f"tuner {name!r} needs an execution history "
+            "at construction time, which the tuning service does not "
+            "carry, so no plan can run it; build it with "
+            "repro.experiments.context.make_tuner instead"
+        )
+    return name
 
 
 def _check_scale(name: str | None) -> None:
@@ -112,6 +112,11 @@ def _check_scale(name: str | None) -> None:
 
 
 def _as_rates(value, field_name: str = "rates") -> tuple[float, ...]:
+    if isinstance(value, dict):
+        raise PlanError(
+            f"{field_name} takes a raw multiplier list; write a trace spec "
+            "as trace = {family, params, seed}"
+        )
     if isinstance(value, (str, bytes)):
         raise PlanError(
             f"{field_name} must be a sequence of numbers, got the string "
@@ -136,12 +141,6 @@ def _as_rates(value, field_name: str = "rates") -> tuple[float, ...]:
     return rates
 
 
-def _is_trace_spec(value) -> bool:
-    from repro.scenarios.library import TraceSpec
-
-    return isinstance(value, TraceSpec)
-
-
 def _as_trace(value, field_name: str = "trace"):
     """Normalize a trace field value to a :class:`TraceSpec` (or ``None``)."""
     if value is None:
@@ -161,22 +160,16 @@ def _as_trace(value, field_name: str = "trace"):
     )
 
 
-def _split_rates(rates, trace):
-    """Let the ``rates`` field itself carry a ``{family, ...}`` spec.
+def _as_rate_trace(value, field_name: str):
+    """A sweep's ``rate_traces`` entry: a spec table or a raw list."""
+    from repro.scenarios.library import TraceSpec
 
-    Returns ``(raw_rates_or_None, trace_spec_or_None)`` — ``None`` raw
-    rates mean "materialize the spec".
-    """
-    if isinstance(rates, dict) or _is_trace_spec(rates):
-        if trace is not None:
-            raise PlanError(
-                "pass the trace spec through either 'rates' or 'trace', not both"
-            )
-        return None, _as_trace(rates, "rates")
-    return rates, _as_trace(trace)
+    if isinstance(value, (dict, TraceSpec)):
+        return _as_trace(value, field_name)
+    return _as_rates(value, field_name)
 
 
-def _resolve_trace(raw, trace, default_rates):
+def _resolve_trace(raw, trace):
     """The concrete rate tuple of a plan whose ``trace`` spec is set."""
     from repro.scenarios.library import ScenarioError
 
@@ -184,12 +177,10 @@ def _resolve_trace(raw, trace, default_rates):
         materialized = trace.materialize()
     except ScenarioError as error:
         raise PlanError(f"trace: {error}") from None
-    if raw is None:
-        return materialized
-    rates = _as_rates(raw)
-    # An explicitly-spelled rate list must agree with the spec (the
-    # field default is treated as "omitted" — dataclasses cannot tell).
-    if rates != materialized and rates != default_rates:
+    # A rate list given beside the spec (a round-tripped plan writes
+    # both) must agree with it.
+    rates = materialized if raw is None else _as_rates(raw)
+    if rates != materialized:
         raise PlanError(
             "rates disagrees with the trace spec: the spec "
             f"materializes to {list(materialized)} but rates says "
@@ -198,24 +189,28 @@ def _resolve_trace(raw, trace, default_rates):
     return materialized
 
 
-def _as_chaos(value):
-    """Normalize a chaos field to a :class:`ChaosSpec`; no-ops to ``None``."""
-    if value is None:
-        return None
+def _parse_chaos(value, field_name: str = "chaos"):
+    """A chaos spec table as a :class:`ChaosSpec`, no-op ones included."""
     from repro.scenarios.chaos import ChaosSpec
     from repro.scenarios.library import ScenarioError
 
-    if not isinstance(value, ChaosSpec):
-        if not isinstance(value, dict):
-            raise PlanError(
-                "chaos must be a chaos spec table "
-                f"({{operator_loss, trace_dropout}}), got {value!r}"
-            )
-        try:
-            value = ChaosSpec.from_dict(value)
-        except ScenarioError as error:
-            raise PlanError(f"chaos: {error}") from None
-    return None if value.is_noop else value
+    if isinstance(value, ChaosSpec):
+        return value
+    if not isinstance(value, dict):
+        raise PlanError(
+            f"{field_name} must be a chaos spec table "
+            f"({{operator_loss, trace_dropout}}), got {value!r}"
+        )
+    try:
+        return ChaosSpec.from_dict(value)
+    except ScenarioError as error:
+        raise PlanError(f"{field_name}: {error}") from None
+
+
+def _as_chaos(value):
+    """A campaign's chaos field: a :class:`ChaosSpec`, no-ops ``None``."""
+    spec = None if value is None else _parse_chaos(value)
+    return None if spec is None or spec.is_noop else spec
 
 
 def _check_chaos_executes(chaos, engine: str, n_steps: int) -> None:
@@ -265,15 +260,16 @@ def _campaign_spec(plan, token: str, rates, engine_seed: int):
 def _check_run_fields(plan) -> None:
     """What a tuning and a campaign plan validate alike, normalizing
     ``rates`` / ``trace`` and the names in place: the rate trace (a raw
-    list, or a spec that materializes into one), the engine / tuner /
-    layer names (stored in their registry spelling), the scale, the seed,
-    and a ``cache_path`` only beside a tuner with caches."""
-    raw, trace = _split_rates(plan.rates, plan.trace)
+    list, a spec that materializes into one, or neither for the kind's
+    ``default_rates``), the engine / tuner / layer names (stored in their
+    registry spelling), the scale, the seed, and a ``cache_path`` only
+    beside a tuner with caches."""
+    trace = _as_trace(plan.trace)
     object.__setattr__(plan, "trace", trace)
     if trace is not None:
-        rates = _resolve_trace(raw, trace, type(plan).rates)
+        rates = _resolve_trace(plan.rates, trace)
     else:
-        rates = _as_rates(raw)
+        rates = _as_rates(plan.default_rates if plan.rates is None else plan.rates)
     object.__setattr__(plan, "rates", rates)
     object.__setattr__(plan, "engine", _canonical("engine", ENGINES, plan.engine))
     object.__setattr__(plan, "tuner", _campaign_tuner(plan.tuner))
@@ -281,7 +277,7 @@ def _check_run_fields(plan) -> None:
     _check_scale(plan.scale)
     if not isinstance(plan.seed, int) or isinstance(plan.seed, bool):
         raise PlanError(f"seed must be an integer, got {plan.seed!r}")
-    if plan.cache_path is not None and not streamtune_variant(plan.tuner)[0]:
+    if plan.cache_path is not None and plan.tuner != "streamtune":
         raise PlanError(
             f"cache_path only applies to the streamtune tuner (the "
             f"baselines consult no tuning cache); remove it or drop "
@@ -350,7 +346,9 @@ class TuningPlan(_Plan):
     fleet on the service's ``sequential`` backend."""
 
     query: str
-    rates: tuple[float, ...] = (3.0, 10.0, 5.0)
+    #: Raw multiplier list; ``None`` is the trace's rates, or else
+    #: ``default_rates``.
+    rates: tuple[float, ...] | None = None
     engine: str = "flink"
     tuner: str = "streamtune"
     layer: str = "svm"                 # prediction model (streamtune only)
@@ -359,13 +357,14 @@ class TuningPlan(_Plan):
     seed: int = 17
     cache_path: str | None = None      # persisted TuningCacheSet snapshot
     #: Named rate-trace spec ({family, params, seed}); materializes into
-    #: ``rates``.  Raw ``rates`` lists stay first-class (trace = None).
+    #: ``rates``.
     trace: object = None
     #: Deterministic fault / source-outage schedule (ChaosSpec table);
     #: a no-op schedule normalizes to None.
     chaos: object = None
 
     kind = "tuning"
+    default_rates = (3.0, 10.0, 5.0)
     # Not fields: a tuning plan always runs its one campaign in-process.
     backend = "sequential"
     workers = None
@@ -393,8 +392,9 @@ class CampaignPlan(_Plan):
     """A fleet of queries tuned concurrently through the service."""
 
     queries: tuple[str, ...]
-    #: The one rate trace every query of the fleet runs.
-    rates: tuple[float, ...] = (3.0, 7.0, 4.0, 2.0)
+    #: The one rate trace every query of the fleet runs (see
+    #: :attr:`TuningPlan.rates`).
+    rates: tuple[float, ...] | None = None
     engine: str = "flink"
     tuner: str = "streamtune"
     backend: str = "thread"
@@ -413,13 +413,14 @@ class CampaignPlan(_Plan):
     #: workers, and removes it).  Ignored by the in-process backends.
     spool_dir: str | None = None
     #: Named rate-trace spec ({family, params, seed}); materializes into
-    #: ``rates``.  Raw ``rates`` lists stay first-class (trace = None).
+    #: ``rates``.
     trace: object = None
     #: Deterministic fault / source-outage schedule (ChaosSpec table),
     #: applied to every campaign of the fleet; no-op normalizes to None.
     chaos: object = None
 
     kind = "campaign"
+    default_rates = (3.0, 7.0, 4.0, 2.0)
 
     def __post_init__(self) -> None:
         if isinstance(self.queries, (str, bytes)):
@@ -482,8 +483,9 @@ class SweepPlan(_Plan):
     query of ``queries`` under that cell's (engine, tuner, rate-trace)
     combination — the PDSP-Bench-style enumeration of parallelism studies
     as one config file.  Validation is eager per axis, so a bad entry
-    fails naming the axis at load time, and :meth:`expand` is
-    deterministic: engines vary slowest, rate traces fastest.
+    fails naming the axis at load time; no two cells may be the same
+    campaign; and :meth:`expand` is deterministic: engines vary slowest,
+    rate traces fastest.
     """
 
     queries: tuple[str, ...]
@@ -510,90 +512,36 @@ class SweepPlan(_Plan):
     kind = "sweep"
 
     def __post_init__(self) -> None:
-        for axis, values in (
-            ("queries", self.queries),
-            ("tuners", self.tuners),
-            ("engines", self.engines),
+        # Each axis entry parses with the helper its cells use.
+        for axis, parse in (
+            ("queries", lambda token, where: _check_query_token(token)),
+            ("tuners", lambda name, where: _campaign_tuner(name, where)),
+            ("engines", lambda name, where: _canonical(where, ENGINES, name)),
+            ("rate_traces", _as_rate_trace),
+            ("chaos", _parse_chaos),
         ):
-            if isinstance(values, (str, bytes)):
-                raise PlanError(
-                    f"{axis} must be a sequence of names, got the string "
-                    f"{values!r} (did you forget to split it?)"
-                )
-            object.__setattr__(self, axis, tuple(values))
-            if not getattr(self, axis):
-                raise PlanError(f"{axis} must contain at least one entry")
-        object.__setattr__(
-            self, "tuners", tuple(_campaign_tuner(tuner) for tuner in self.tuners)
-        )
-        object.__setattr__(self, "engines", tuple(
-            _canonical("engine", ENGINES, engine) for engine in self.engines
-        ))
-        # Duplicate grid-axis entries would expand into indistinguishable
-        # cells (same scenario label, merged metrics) — reject them here.
-        for axis in ("tuners", "engines"):
             values = getattr(self, axis)
-            if len(set(values)) != len(values):
+            if not isinstance(values, (list, tuple)):
+                hint = " (did you forget to split it?)" if isinstance(values, str) else ""
+                raise PlanError(f"{axis} must be a list, got {values!r}{hint}")
+            # An empty chaos axis means no chaos dimension at all.
+            if not values and axis != "chaos":
+                raise PlanError(f"{axis} must contain at least one entry")
+            object.__setattr__(self, axis, tuple(
+                parse(value, f"{axis}[{index}]") for index, value in enumerate(values)
+            ))
+        # A sweep is valid exactly when every expanded CampaignPlan is, and
+        # no two cells are the same campaign (they would share cell keys).
+        seen: dict = {}
+        for cell in self.expand():
+            identity = (cell.engine, cell.tuner, cell.rates, cell.chaos)
+            if identity in seen:
                 raise PlanError(
-                    f"{axis} contains duplicate entries ({', '.join(values)}); "
-                    "each grid-axis entry must be unique"
+                    f"cells {seen[identity]!r} and {self.scenario_label(cell)!r} "
+                    "are the same campaign (engine, tuner, materialized rates "
+                    "and chaos agree); each grid cell must be unique"
                 )
-        for token in self.queries:
-            _check_query_token(token)
-        if isinstance(self.rate_traces, (str, bytes)) or not isinstance(
-            self.rate_traces, (list, tuple)
-        ):
-            raise PlanError(
-                f"rate_traces must be a list of rate lists, got "
-                f"{self.rate_traces!r}"
-            )
-        if not self.rate_traces:
-            raise PlanError("rate_traces must contain at least one rate trace")
-        entries = []
-        for index, trace in enumerate(self.rate_traces):
-            if isinstance(trace, dict) or _is_trace_spec(trace):
-                entries.append(_as_trace(trace, field_name=f"rate_traces[{index}]"))
-            else:
-                entries.append(_as_rates(trace, field_name=f"rate_traces[{index}]"))
-        object.__setattr__(self, "rate_traces", tuple(entries))
-        if len(set(self.rate_traces)) != len(self.rate_traces):
-            raise PlanError(
-                "rate_traces contains duplicate traces; each grid-axis "
-                "entry must be unique"
-            )
-        if isinstance(self.chaos, (str, bytes, dict)) or not isinstance(
-            self.chaos, (list, tuple)
-        ):
-            raise PlanError(
-                f"chaos must be a list of chaos spec tables (the grid axis; "
-                f"include {{}} for a clean baseline cell), got {self.chaos!r}"
-            )
-        from repro.scenarios.chaos import ChaosSpec
-        from repro.scenarios.library import ScenarioError
-
-        axis = []
-        for index, spec in enumerate(self.chaos):
-            if isinstance(spec, ChaosSpec):
-                axis.append(spec)
-                continue
-            if not isinstance(spec, dict):
-                raise PlanError(
-                    f"chaos[{index}] must be a chaos spec table "
-                    f"({{operator_loss, trace_dropout}}), got {spec!r}"
-                )
-            try:
-                axis.append(ChaosSpec.from_dict(spec))
-            except ScenarioError as error:
-                raise PlanError(f"chaos[{index}]: {error}") from None
-        object.__setattr__(self, "chaos", tuple(axis))
-        if len(set(self.chaos)) != len(self.chaos):
-            raise PlanError(
-                "chaos contains duplicate schedules; each grid-axis entry "
-                "must be unique"
-            )
-        # Delegate the remaining field checks to the cells themselves: a
-        # SweepPlan is valid exactly when every expanded CampaignPlan is.
-        self.expand()
+            seen[identity] = self.scenario_label(cell)
 
     @property
     def n_scenarios(self) -> int:
@@ -623,24 +571,22 @@ class SweepPlan(_Plan):
             for tuner in self.tuners:
                 for trace in self.rate_traces:
                     for chaos in chaos_axis:
-                        kwargs = {
-                            "queries": self.queries,
-                            "engine": engine,
-                            "tuner": tuner,
-                            "backend": self.backend,
-                            "workers": self.workers,
-                            "layer": self.layer,
-                            "model": self.model,
-                            "scale": self.scale,
-                            "seed": self.seed,
-                            "spool_dir": self.spool_dir,
-                            "chaos": chaos,
-                        }
-                        if _is_trace_spec(trace):
-                            kwargs["trace"] = trace
-                        else:
-                            kwargs["rates"] = trace
-                        cells.append(CampaignPlan(**kwargs))
+                        spec = not isinstance(trace, tuple)
+                        cells.append(CampaignPlan(
+                            queries=self.queries,
+                            engine=engine,
+                            tuner=tuner,
+                            backend=self.backend,
+                            workers=self.workers,
+                            layer=self.layer,
+                            model=self.model,
+                            scale=self.scale,
+                            seed=self.seed,
+                            spool_dir=self.spool_dir,
+                            rates=None if spec else trace,
+                            trace=trace if spec else None,
+                            chaos=chaos,
+                        ))
         return cells
 
     def specs(self) -> list:

@@ -295,6 +295,10 @@ class JobStore:
             for event in events:
                 self._manifest_seq = max(self._manifest_seq, event.seq + 1)
                 if isinstance(event, JobSubmitted):
+                    # Reserve the id first: a job whose plan no longer
+                    # parses is dropped, but its id and ledger stay taken.
+                    if event.job.startswith("j") and event.job[1:].isdigit():
+                        self._next_id = max(self._next_id, int(event.job[1:]) + 1)
                     try:
                         plan = plan_from_dict(event.plan)
                     except Exception:  # noqa: BLE001 — foreign/stale manifest line
@@ -315,10 +319,6 @@ class JobStore:
                     self.submitted_per_tenant[job.tenant] = (
                         self.submitted_per_tenant.get(job.tenant, 0) + 1
                     )
-                    if event.job.startswith("j"):
-                        digits = event.job[1:]
-                        if digits.isdigit():
-                            self._next_id = max(self._next_id, int(digits) + 1)
                 elif isinstance(event, JobStateChanged):
                     job = self._jobs.get(event.job)
                     if job is None:

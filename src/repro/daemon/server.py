@@ -312,8 +312,8 @@ class TuningDaemon:
             "tenants_submitted": dict(self.store.submitted_per_tenant),
             "campaigns_finished": counts.get("CampaignFinished", 0),
             "campaigns_failed": counts.get("CampaignFailed", 0),
-            "steps": sum(self.metrics.steps.values()),
-            "reconfigurations": sum(self.metrics.reconfigurations.values()),
+            "steps": self.metrics.steps,
+            "reconfigurations": self.metrics.reconfigurations,
             "events": self.metrics.n_events,
             "cache_stats": self.caches.stats(),
             "uptime_seconds": (

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.registry import ParamSpec, REQUIRED, Registry, RegistryError, UnknownComponentError
+from repro.api.registry import ParamSpec, Registry, RegistryError, UnknownComponentError
 from repro.utils.rng import seeded_rng
 
 __all__ = [
@@ -76,16 +76,6 @@ _N_STEPS = ParamSpec("n_steps", int, None, help="trace length in rate changes")
 def _check_steps(n_steps: int, family: str) -> None:
     if n_steps < 1:
         raise ScenarioError(f"trace family {family!r}: n_steps must be >= 1")
-
-
-@TRACES.register(
-    "inline",
-    params=(ParamSpec("rates", tuple, REQUIRED, help="the literal multiplier list"),),
-)
-def _inline(rng, rates):
-    """A literal multiplier list wrapped as a spec (raw-list back-compat)."""
-    del rng
-    return tuple(float(rate) for rate in rates)
 
 
 @TRACES.register(
@@ -200,7 +190,10 @@ class TraceSpec:
         try:
             entry = TRACES.entry(self.family)
         except UnknownComponentError as error:
-            raise ScenarioError(str(error)) from None
+            raise ScenarioError(
+                f"{error}; a literal trace is no family: give the raw "
+                "multiplier list itself"
+            ) from None
         object.__setattr__(self, "family", entry.name)
         params = self.params
         if isinstance(params, dict):
@@ -223,11 +216,6 @@ class TraceSpec:
             not isinstance(self.seed, int) or isinstance(self.seed, bool)
         ):
             raise ScenarioError(f"trace seed must be an integer, got {self.seed!r}")
-
-    @classmethod
-    def inline(cls, rates) -> "TraceSpec":
-        """Wrap a literal multiplier list as an ``inline`` spec."""
-        return cls(family="inline", params={"rates": tuple(rates)})
 
     def materialize(self) -> tuple[float, ...]:
         """The concrete multiplier tuple (bit-identical per equal spec)."""

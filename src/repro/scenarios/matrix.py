@@ -46,6 +46,8 @@ _ROW_FIELDS = _DETERMINISTIC_ROW_FIELDS + ("wall_seconds",)
 
 
 def _trace_descriptor(cell_plan) -> dict:
+    # A raw-list row says "inline": a descriptor of schema v1, not a
+    # trace family.
     trace = getattr(cell_plan, "trace", None)
     if trace is not None:
         return trace.to_dict()

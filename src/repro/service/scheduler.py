@@ -36,7 +36,7 @@ class CampaignSpec:
     #: method that needs no execution history (ds2, conttune, oracle) is
     #: built per campaign from the registry.
     tuner: str = "streamtune"
-    #: Requested prediction layer; :attr:`layer` is what a run uses.
+    #: StreamTune's prediction layer by registry name (a plan's ``layer``).
     model_kind: str = "svm"
     #: Optional :class:`~repro.scenarios.ChaosSpec` executed alongside
     #: the campaign (``None`` = clean run).  Frozen and hashable, so it
@@ -49,21 +49,13 @@ class CampaignSpec:
 
     @property
     def is_streamtune(self) -> bool:
-        # Resolved through the shared spelling parser (imported lazily,
-        # like make_engine).
-        from repro.api.components import streamtune_variant
-
-        return streamtune_variant(self.tuner)[0]
+        return self.tuner == "streamtune"
 
     @property
     def layer(self) -> "str | None":
-        """The prediction layer this campaign tunes with: the suffix of a
-        ``streamtune-<model>`` spelling, else ``model_kind``; ``None`` for
-        the baselines, which carry no model."""
-        from repro.api.components import streamtune_variant
-
-        is_streamtune, model_suffix = streamtune_variant(self.tuner)
-        return (model_suffix or self.model_kind) if is_streamtune else None
+        """The prediction layer this campaign tunes with: ``model_kind``
+        for StreamTune, ``None`` for the baselines, which carry no model."""
+        return self.model_kind if self.is_streamtune else None
 
     @property
     def name(self) -> str:

@@ -149,7 +149,7 @@ def _build_campaign_tuner(
         return StreamTuneTuner(
             engine,
             pretrained,
-            model_kind=spec.layer,
+            model_kind=spec.model_kind,
             seed=spec.seed,
             caches=caches,
         )

@@ -68,11 +68,20 @@ class TestTuningPlanValidation:
             TuningPlan(query="q1", engine="paced-flink")
         with pytest.raises(PlanError, match="xgboost"):
             TuningPlan(query="q1", layer="gbdt")
-        with pytest.raises(PlanError, match="xgboost"):
+        with pytest.raises(PlanError, match='tuner = "streamtune"'):
             TuningPlan(query="q1", tuner="streamtune-gbdt")
 
-    def test_ablation_tuner_spelling_accepted(self):
-        assert TuningPlan(query="q1", tuner="streamtune-xgboost").tuner
+    def test_ablation_tuner_spelling_names_the_layer_field(self):
+        # The prediction layer is the layer field only, so a campaign has
+        # one cell key.
+        hint = 'write tuner = "streamtune", layer = "xgboost"'
+        for tuner in ("streamtune-xgboost", "StreamTune-XGBoost"):
+            with pytest.raises(PlanError, match=hint):
+                TuningPlan(query="q1", tuner=tuner)
+        with pytest.raises(PlanError, match=hint):
+            CampaignPlan(queries=("q1",), tuner="streamtune-xgboost", layer="nn")
+        with pytest.raises(PlanError, match=r"tuners\[1\].*layer = \"svm\""):
+            SweepPlan(queries=("q1",), tuners=("streamtune", "streamtune-svm"))
 
     def test_history_needing_tuner_rejected(self):
         # A tuning plan runs on the service too, which builds tuners from
@@ -81,15 +90,12 @@ class TestTuningPlanValidation:
             TuningPlan(query="q5", tuner="zerotune")
 
     def test_ablation_tuner_bad_model_suffix_fails_at_plan_time(self):
-        with pytest.raises(PlanError, match="model suffix"):
+        with pytest.raises(PlanError, match="layer"):
             TuningPlan(query="q1", tuner="streamtune-forest")
 
     def test_dashed_garbage_tuner_fails_at_plan_time(self):
         with pytest.raises(PlanError, match="ds2-foo"):
             TuningPlan(query="q1", tuner="ds2-foo")
-
-    def test_ablation_tuner_spelling_is_case_insensitive(self):
-        assert TuningPlan(query="q1", tuner="StreamTune-xgboost").tuner
 
     def test_every_spelling_keys_the_one_cell_of_the_registry_name(self):
         # A resume, a daemon resubmission or a pre-trained model cache
@@ -98,11 +104,11 @@ class TestTuningPlanValidation:
         assert (mixed.tuner, mixed.engine, mixed.layer) == ("streamtune", "flink", "svm")
         assert mixed.cell_keys() == TuningPlan(query="q1").cell_keys()
         assert TuningPlan(query="q1", tuner="ContTune").tuner == "conttune"
-        ablation = CampaignPlan(queries=("q1",), tuner="StreamTune-XGBoost")
-        assert ablation.tuner == "streamtune-xgboost"
-        with pytest.raises(PlanError, match="tuners.*unique"):
+        ablation = CampaignPlan(queries=("q1",), tuner="StreamTune", layer="XGBoost")
+        assert (ablation.tuner, ablation.layer) == ("streamtune", "xgboost")
+        with pytest.raises(PlanError, match="same campaign"):
             SweepPlan(queries=("q1",), tuners=("streamtune", "StreamTune"))
-        with pytest.raises(PlanError, match="engines.*unique"):
+        with pytest.raises(PlanError, match="same campaign"):
             SweepPlan(queries=("q1",), engines=("flink", "FLINK"))
 
     def test_pqp_index_out_of_range_fails_at_plan_time(self):
@@ -248,6 +254,24 @@ class TestRoundTrips:
         with pytest.raises(PlanError, match="plan.json"):
             load_plan(path)
 
+    @requires_toml
+    @pytest.mark.parametrize("plan", [
+        TuningPlan(query="q5", scale="smoke"),
+        TuningPlan(query="q5", trace={"family": "periodic", "params": {"n_steps": 3}},
+                   tuner="ds2", chaos={"trace_dropout": [{"step": 1}]}),
+        CampaignPlan(queries=("q1",), layer="xgboost", scale="smoke"),
+        CampaignPlan(queries=("q1",), trace={"family": "bursty", "seed": 3}),
+        SweepPlan(queries=("q1",), tuners=("streamtune", "ds2"),
+                  rate_traces=((3, 7), {"family": "bursty", "seed": 11}),
+                  chaos=({}, {"trace_dropout": [{"step": 1}]})),
+    ], ids=["tuning", "tuning-trace", "campaign", "campaign-trace", "sweep"])
+    def test_every_plan_kind_round_trips(self, plan, tmp_path):
+        assert plan_from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+        path = tmp_path / "plan.toml"
+        save_plan(plan, path)
+        assert load_plan(path) == plan
+        assert load_plan(path).cell_keys() == plan.cell_keys()
+
     def test_replace_revalidates(self):
         plan = self._campaign()
         assert replace(plan, backend="thread").backend == "thread"
@@ -315,12 +339,36 @@ class TestSweepPlan:
             self._sweep(rate_traces=())
 
     def test_duplicate_axis_entries_rejected(self):
-        with pytest.raises(PlanError, match="tuners.*unique"):
+        # Cases of the one identity check over the expanded cells.
+        same = "'{0}' and '{0}' are the same campaign".format
+        with pytest.raises(PlanError, match=same("streamtune@flink/x3-7")):
             self._sweep(tuners=("streamtune", "streamtune"))
-        with pytest.raises(PlanError, match="engines.*unique"):
+        with pytest.raises(PlanError, match=same("streamtune@flink/x3-7")):
             self._sweep(engines=("flink", "flink"))
-        with pytest.raises(PlanError, match="rate_traces.*unique"):
+        with pytest.raises(PlanError, match=same("streamtune@flink/x3-7")):
             self._sweep(rate_traces=((3, 7), (3.0, 7.0)))
+        with pytest.raises(PlanError, match=same(r"streamtune@flink/x3-7\+none")):
+            self._sweep(chaos=({}, {}))
+        with pytest.raises(PlanError, match="same campaign"):
+            self._sweep(chaos=({}, {"trace_dropout": []}))
+
+    def test_spec_that_materializes_to_a_listed_trace_is_rejected(self):
+        from repro.api import TraceSpec
+
+        spec = {"family": "bursty", "seed": 12, "params": {"n_steps": 2}}
+        assert TraceSpec.from_dict(spec).materialize() == (2.0, 9.0)
+        label = TraceSpec.from_dict(spec).label()
+        with pytest.raises(
+            PlanError,
+            match=f"'ds2@flink/x2-9' and 'ds2@flink/{label}' are the same campaign",
+        ):
+            self._sweep(tuners=("ds2",), rate_traces=((2, 9), spec))
+
+    def test_inline_family_fails_naming_the_raw_list(self):
+        with pytest.raises(PlanError, match=r"rate_traces\[1\].*raw multiplier list"):
+            self._sweep(rate_traces=(
+                (3, 7, 4), {"family": "inline", "params": {"rates": [3, 7, 4]}},
+            ))
 
     def test_string_axis_rejected_with_hint(self):
         with pytest.raises(PlanError, match="split"):

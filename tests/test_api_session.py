@@ -110,7 +110,7 @@ class TestTuningSessionCampaigns:
         import repro.service.tuning as service_tuning
 
         plan = TuningPlan(
-            query="q1", rates=(3,), tuner="streamtune-isotonic",
+            query="q1", rates=(3,), layer="isotonic",
             scale="smoke", seed=5,
         )
         session = TuningSession(pretrained=tiny_pretrained)
@@ -293,7 +293,7 @@ class TestSessionStreaming:
         result = TuningSession(pretrained=tiny_pretrained).run(_smoke_plan(), bus=bus)
         assert metrics.counts["CampaignStarted"] == 2
         assert metrics.counts["CampaignFinished"] == 2
-        assert sum(metrics.steps.values()) == 4
+        assert metrics.steps == 4
         assert not bus.errors
         assert len(result.outcomes) == 2
 

@@ -272,6 +272,21 @@ class TestJobStore:
         recorded, missing = requeued.resume.covers(plan.cell_keys())
         assert recorded and not missing
 
+    def test_recover_never_reissues_the_id_of_a_dropped_job(self, tmp_path):
+        # A job whose recorded plan no longer validates (a retired
+        # spelling reads as an unknown tuner) is dropped on recovery, but
+        # its id and ledger stay taken: a reissued id reopens that ledger
+        # with "wb".
+        store = JobStore(tmp_path, fsync=False)
+        stale = store.submit(_tiny_plan(), {**_tiny_plan_data(), "tuner": "ds2-legacy"})
+        stale.ledger_path.write_text("the old job's events\n")
+        store.mark(stale, "finished")
+        recovered = JobStore(tmp_path, fsync=False)
+        assert recovered.recover() == [] and recovered.get(stale.id) is None
+        fresh = recovered.submit(_tiny_plan(), _tiny_plan_data())
+        assert fresh.id == "j000002" and fresh.ledger_path != stale.ledger_path
+        assert stale.ledger_path.read_text() == "the old job's events\n"
+
     def test_recover_without_manifest_is_empty(self, tmp_path):
         assert JobStore(tmp_path / "fresh", fsync=False).recover() == []
 

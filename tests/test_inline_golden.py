@@ -51,9 +51,10 @@ def _trace(plan, session):
     return rows
 
 
-def _plan(query, tuner="streamtune", rates=RATES):
+def _plan(query, tuner="streamtune", rates=RATES, layer="svm"):
     return TuningPlan(
-        query=query, tuner=tuner, rates=rates, engine="flink", scale="smoke"
+        query=query, tuner=tuner, rates=rates, layer=layer, engine="flink",
+        scale="smoke",
     )
 
 
@@ -87,7 +88,7 @@ def test_default_session_artifact_step_traces(query):
 def test_ablation_layer_step_traces(layer):
     # Only the first rate change: the pure-Python GBDT refits are the
     # slowest thing in the suite.
-    plan = _plan("q5", tuner=f"streamtune-{layer}", rates=RATES[:1])
+    plan = _plan("q5", rates=RATES[:1], layer=layer)
     assert _trace(plan, TuningSession()) == GOLDEN["ablation_layers"][layer]
 
 

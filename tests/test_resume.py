@@ -372,11 +372,11 @@ class TestPlanResume:
         ]
         campaign = CampaignPlan(
             queries=("q1", "q5"), rates=(3, 7, 4, 2),
-            tuner="streamtune-xgboost", scale="smoke",
+            layer="xgboost", scale="smoke",
         )
         assert campaign.cell_keys() == [
-            "flink:streamtune-xgboost:nexmark_q1_flink:x3.0-7.0-4.0-2.0:lxgboost:s17:e17",
-            "flink:streamtune-xgboost:nexmark_q5_flink:x3.0-7.0-4.0-2.0:lxgboost:s17:e17",
+            "flink:streamtune:nexmark_q1_flink:x3.0-7.0-4.0-2.0:lxgboost:s17:e17",
+            "flink:streamtune:nexmark_q5_flink:x3.0-7.0-4.0-2.0:lxgboost:s17:e17",
         ]
         matrix = load_plan(
             Path(__file__).resolve().parent.parent / "examples" / "matrix_smoke.toml"

@@ -33,7 +33,7 @@ from repro.scenarios import ChaosInjector, TraceDropout
 from repro.scenarios.library import periodic_multipliers
 from tests.conftest import save_plan
 
-#: Every non-inline family with params that exercise its seeded path.
+#: Every family with params that exercise its seeded path.
 FAMILY_CASES = [
     ("periodic", {"n_permutations": 2}, 3),
     ("periodic", {"n_permutations": 3, "cycle": [2, 9, 4], "n_steps": 10}, None),
@@ -48,8 +48,8 @@ FAMILY_CASES = [
 
 class TestTraceFamilies:
     def test_registry_lists_every_family(self):
-        names = set(TRACES.names())
-        assert {"inline", "periodic", "bursty"} <= names
+        # A literal trace is a raw list, not an "inline" family.
+        assert set(TRACES.names()) == {"periodic", "bursty"}
 
     def test_periodic_family_matches_legacy_generator(self):
         spec = TraceSpec(family="periodic", seed=3)
@@ -206,13 +206,36 @@ class TestPlansWithTraces:
 
     def test_trace_spec_in_rates_materializes(self):
         plan = TuningPlan(
-            query="q1", rates={"family": "periodic", "params": {"n_steps": 4}},
+            query="q1", trace={"family": "periodic", "params": {"n_steps": 4}},
             tuner="ds2", scale="smoke",
         )
         assert plan.rates == TraceSpec(
             family="periodic", params={"n_steps": 4}
         ).materialize()
         assert plan.trace == TraceSpec(family="periodic", params={"n_steps": 4})
+
+    def test_spec_in_rates_fails_naming_the_trace_field(self):
+        with pytest.raises(PlanError, match=r"write a trace spec as trace = \{"):
+            TuningPlan(
+                query="q1", rates={"family": "periodic", "params": {"n_steps": 4}},
+                tuner="ds2",
+            )
+
+    def test_inline_family_fails_naming_the_raw_list(self):
+        with pytest.raises(PlanError, match="trace: .*raw multiplier list"):
+            CampaignPlan(
+                queries=("q1",), tuner="ds2",
+                trace={"family": "inline", "params": {"rates": [3, 7, 4]}},
+            )
+
+    def test_explicit_rates_must_agree_with_the_spec(self):
+        spec = {"family": "periodic", "params": {"n_steps": 3}}
+        # The spec's own rates pass (a round-tripped plan writes both) ...
+        assert TuningPlan(query="q1", rates=(3, 7, 4), trace=spec).rates == (3.0, 7.0, 4.0)
+        # ... and no list is taken for "omitted", the kind's default included.
+        with pytest.raises(PlanError, match="disagrees"):
+            TuningPlan(query="q1", rates=TuningPlan.default_rates, trace=spec)
+        assert TuningPlan(query="q1").rates == TuningPlan.default_rates
 
     def test_non_finite_rates_rejected(self):
         for bad in (float("inf"), float("nan"), -1.0, 0.0):
