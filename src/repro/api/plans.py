@@ -141,6 +141,14 @@ def _as_rates(value, field_name: str = "rates") -> tuple[float, ...]:
     return rates
 
 
+def _rate_label(rate: float) -> str:
+    """``rate`` as a scenario label prints it: ``%g`` when that reads
+    back as the same float, else ``repr`` — distinct traces, distinct
+    labels."""
+    text = f"{rate:g}"
+    return text if float(text) == rate else repr(rate)
+
+
 def _as_trace(value, field_name: str = "trace"):
     """Normalize a trace field value to a :class:`TraceSpec` (or ``None``)."""
     if value is None:
@@ -555,7 +563,7 @@ class SweepPlan(_Plan):
         if plan.trace is not None:
             trace = plan.trace.label()
         else:
-            trace = "x" + "-".join(f"{rate:g}" for rate in plan.rates)
+            trace = "x" + "-".join(_rate_label(rate) for rate in plan.rates)
         label = f"{plan.tuner}@{plan.engine}/{trace}"
         if self.chaos:
             chaos = plan.chaos.label() if plan.chaos is not None else "none"

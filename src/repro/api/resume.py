@@ -106,24 +106,18 @@ class ResumeLog:
         n_malformed_lines: int = 0,
     ) -> None:
         self.path = Path(path)
-        self.events = list(events)
         #: Lines that did not parse (crash-truncated tail, foreign data).
         self.n_malformed_lines = n_malformed_lines
         self.completed: dict[str, CampaignFinished] = {}
-        #: Cell keys whose latest record is a failure (retried on resume).
-        self.failed_cell_keys: set[str] = set()
-        for event in self.events:
-            key = getattr(event, "cell_key", None)
-            if not key:
-                continue
-            if isinstance(event, CampaignFinished):
-                # Only a finished event with a replayable result counts as
-                # a checkpoint; an old log without payloads re-executes.
-                if event.outcome is not None:
-                    self.completed[key] = event
-                    self.failed_cell_keys.discard(key)
-            elif event.kind == "CampaignFailed":
-                self.failed_cell_keys.add(key)
+        for event in events:
+            # Only a finished event with a replayable result counts as a
+            # checkpoint; an old log without payloads re-executes.
+            if (
+                isinstance(event, CampaignFinished)
+                and event.cell_key
+                and event.outcome is not None
+            ):
+                self.completed[event.cell_key] = event
 
     @classmethod
     def load(cls, path: str | Path) -> "ResumeLog":
@@ -158,7 +152,7 @@ class ResumeLog:
 
     def __repr__(self) -> str:
         return (
-            f"ResumeLog({str(self.path)!r}, {len(self.events)} events, "
+            f"ResumeLog({str(self.path)!r}, "
             f"{self.n_completed} completed campaign(s))"
         )
 

@@ -13,6 +13,13 @@ A session turns a declarative plan into a computation:
 * a :class:`~repro.api.plans.SweepPlan` runs its grid cells in order,
   each as a campaign, and returns one :class:`SweepResult`.
 
+Every backend shares one lifecycle: :func:`stream_sweep` is the one
+sweep loop (scenario labels, the stream-wide ``seq``,
+:class:`~repro.api.events.SweepFinished`) and :func:`fleet_result` the
+one fleet result (outcomes, failures, cache stats), whether the fleet's
+events come from the in-process service or from the ``distributed``
+coordinator, which only emits events.
+
 Execution is **streaming**: :meth:`TuningSession.stream` yields the typed
 :mod:`repro.api.events` of the run as they happen (optionally fanning
 them out through an :class:`~repro.api.events.EventBus`), and the
@@ -172,16 +179,18 @@ class TuningSession:
             isinstance(plan, (CampaignPlan, SweepPlan))
             and plan.backend == "distributed"
         ):
-            # The multi-host executor owns the whole fleet lifecycle
-            # (spool seeding, worker agents, ledger merge); it emits the
-            # same event stream, so the bus wrapper below still applies.
+            # The multi-host executor owns the spool (seeding, worker
+            # agents, ledger merge) and emits the same event stream
+            # through this module's fleet_result and stream_sweep.
             from repro.distributed import DistributedSession
 
             inner = DistributedSession().stream(plan, resume=resume)
         elif isinstance(plan, (TuningPlan, CampaignPlan)):
             inner = self._stream_campaign(plan, resume)
         elif isinstance(plan, SweepPlan):
-            inner = self._stream_sweep(plan, resume)
+            inner = stream_sweep(
+                plan, lambda position, fleet: self._stream_campaign(fleet, resume)
+            )
         else:
             raise PlanError(
                 f"cannot run a {type(plan).__name__}; expected TuningPlan, "
@@ -212,7 +221,7 @@ class TuningSession:
 
     def _stream_campaign(self, plan: "TuningPlan | CampaignPlan", resume=None):
         """The fleet lifecycle: every query a campaign on the service."""
-        from repro.service import CampaignExecutionError, TuningService
+        from repro.service import TuningService
 
         started = time.perf_counter()
         specs = plan.specs()
@@ -229,79 +238,19 @@ class TuningSession:
             resume_outcome(resume, spec.cell_key) is None for spec in specs
         )
         pretrained = self._pretrained_for(plan) if needs_model else None
-        outcomes: dict[int, object] = {}
-        failures: list = []
-        stats: dict = {}
         service = TuningService(
             pretrained,
             backend=plan.backend,
             max_workers=plan.workers,
             caches=caches,
         )
-        for event in service.stream(specs, resume=resume):
-            if isinstance(event, CampaignFinished):
-                outcomes[event.index] = event.outcome
-            elif isinstance(event, CampaignFailed):
-                failures.append(event)
-            elif isinstance(event, CacheStats):
-                stats = event.stats
-            yield event
-        if own_caches is not None:
-            own_caches.save(plan.cache_path)
-        if failures:
-            # Raised only after the stream drained: surviving campaigns
-            # completed (and were recorded), ready for a --resume retry.
-            raise CampaignExecutionError(failures, outcomes)
-        return SessionResult(
-            plan=plan,
-            outcomes=[outcomes[index] for index in range(len(specs))],
-            wall_seconds=time.perf_counter() - started,
-            backend=plan.backend,
-            cache_stats=stats,
-        )
 
-    def _stream_sweep(self, plan: SweepPlan, resume=None):
-        """Run the grid cell by cell, labelling every event with its cell.
+        def events():
+            yield from service.stream(specs, resume=resume)
+            if own_caches is not None:
+                own_caches.save(plan.cache_path)
 
-        A cell whose fleet had failures does not stop the sweep: the
-        remaining cells still run (maximising what a ``--record`` log
-        captures for ``--resume``) and one
-        :class:`~repro.service.CampaignExecutionError` aggregating every
-        failure is raised after the final cell.
-        """
-        from repro.service import CampaignExecutionError
-
-        started = time.perf_counter()
-        results = []
-        failures: list = []
-        n_campaigns = 0
-        seq = 0                 # cell streams restart their counters; the
-        for cell in plan.expand():  # sweep re-stamps one stream-wide order
-            label = plan.scenario_label(cell)
-            inner = self._stream_campaign(cell, resume)
-            while True:
-                try:
-                    event = next(inner)
-                except StopIteration as stop:
-                    results.append(stop.value)
-                    n_campaigns += len(stop.value.outcomes)
-                    break
-                except CampaignExecutionError as error:
-                    failures.extend(error.failures)
-                    n_campaigns += len(error.outcomes)
-                    break
-                yield dataclasses.replace(event, scenario=label, seq=seq)
-                seq += 1
-        wall = time.perf_counter() - started
-        yield SweepFinished(
-            n_scenarios=plan.n_scenarios,
-            n_campaigns=n_campaigns,
-            wall_seconds=wall,
-            seq=seq,
-        )
-        if failures:
-            raise CampaignExecutionError(failures)
-        return SweepResult(plan=plan, results=results, wall_seconds=wall)
+        return (yield from fleet_result(plan, len(specs), events(), started))
 
     @staticmethod
     def _load_caches(cache_path: str):
@@ -310,3 +259,87 @@ class TuningSession:
         if Path(cache_path).exists():
             return TuningCacheSet.load(cache_path)
         return TuningCacheSet()
+
+
+def fleet_result(plan, n_campaigns: int, events, started: float):
+    """Re-yield one fleet's ``events``, then return its :class:`SessionResult`.
+
+    Every backend's fleet stream ends here: ``CampaignFinished`` events
+    supply the outcomes (by their fleet ``index``), ``CampaignFailed``
+    events the failures and the last ``CacheStats`` the cache counters.
+    A fleet with failures raises one
+    :class:`~repro.service.CampaignExecutionError` only after ``events``
+    drained: the surviving campaigns completed (and were recorded), ready
+    for a ``--resume`` retry.
+    """
+    from repro.service import CampaignExecutionError
+
+    outcomes: dict[int, object] = {}
+    failures: list = []
+    stats: dict = {}
+    for event in events:
+        if isinstance(event, CampaignFinished):
+            outcomes[event.index] = event.outcome
+        elif isinstance(event, CampaignFailed):
+            failures.append(event)
+        elif isinstance(event, CacheStats):
+            stats = event.stats
+        yield event
+    if failures:
+        raise CampaignExecutionError(failures, outcomes)
+    return SessionResult(
+        plan=plan,
+        outcomes=[outcomes[index] for index in range(n_campaigns)],
+        wall_seconds=time.perf_counter() - started,
+        backend=plan.backend,
+        cache_stats=stats,
+    )
+
+
+def stream_sweep(plan: SweepPlan, run_fleet):
+    """Run the grid fleet by fleet, labelling every event with its cell.
+
+    ``run_fleet(position, fleet)`` streams the ``position``-th
+    :meth:`~repro.api.plans.SweepPlan.expand` fleet and returns its
+    :class:`SessionResult` (see :func:`fleet_result`); the backend
+    decides how the fleet executes, this loop owns the sweep.  A fleet
+    with failures does not stop the sweep: the remaining fleets still
+    run (maximising what a ``--record`` log captures for ``--resume``)
+    and one :class:`~repro.service.CampaignExecutionError` aggregating
+    every failure is raised after :class:`SweepFinished`.
+    """
+    from repro.service import CampaignExecutionError
+
+    started = time.perf_counter()
+    results = []
+    failures: list = []
+    n_campaigns = 0
+    seq = 0                 # fleet streams restart their counters; the
+    for position, fleet in enumerate(plan.expand()):   # sweep re-stamps
+        label = plan.scenario_label(fleet)              # one stream order
+        inner = run_fleet(position, fleet)
+        while True:
+            try:
+                event = next(inner)
+            except StopIteration as stop:
+                results.append(stop.value)
+                n_campaigns += len(stop.value.outcomes)
+                break
+            except CampaignExecutionError as error:
+                n_campaigns += len(error.outcomes)
+                break
+            event = dataclasses.replace(event, scenario=label, seq=seq)
+            if isinstance(event, CampaignFailed):
+                failures.append(event)      # labelled, unlike error.failures
+            yield event
+            seq += 1
+    wall = time.perf_counter() - started
+    yield SweepFinished(
+        n_scenarios=plan.n_scenarios,
+        n_campaigns=n_campaigns,
+        wall_seconds=wall,
+        seq=seq,
+    )
+    if failures:
+        raise CampaignExecutionError(failures)
+    return SweepResult(plan=plan, results=results, wall_seconds=wall)

@@ -11,12 +11,18 @@ computes: a fleet spread over N hosts produces results bit-identical to
 ``backend="sequential"`` on one.
 
 :class:`DistributedSession` mirrors
-:meth:`~repro.api.session.TuningSession.stream`: it seeds the spool,
-optionally spawns local worker agents (``repro worker`` subprocesses),
-then re-emits every cell's ledger **in plan order** as one seq-restamped
-event stream — the same typed events, the same ordering guarantees, the
-same ``StopIteration.value`` result — so recorders, progress printers,
-the daemon and ``--resume`` all work unchanged on top of a fleet.
+:meth:`~repro.api.session.TuningSession.stream`: it seeds every cell of
+the plan into the spool up front (workers never idle at a fleet
+boundary), optionally spawns local worker agents (``repro worker``
+subprocesses), then emits each fleet's cells **in plan order** — their
+replayed, ledgered or ``WorkerLost`` events restamped with the fleet
+index, the ``distributed`` backend and ``seq``, then one merged
+:class:`~repro.api.events.CacheStats`.  It only emits: the session's
+:func:`~repro.api.session.fleet_result` turns a fleet's events into its
+result and :func:`~repro.api.session.stream_sweep` runs a sweep's
+fleets, exactly as for the in-process backends — so recorders, progress
+printers, the daemon and ``--resume`` all work unchanged on top of a
+fleet.
 
 Failure model: a worker that dies mid-cell simply stops heartbeating;
 its lease expires and any surviving worker reclaims and re-runs the cell
@@ -40,12 +46,11 @@ from repro.api.events import (
     CacheStats,
     CampaignFailed,
     CampaignFinished,
-    SweepFinished,
     read_event_log,
 )
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan
 from repro.api.resume import replay_events, resume_outcome
-from repro.api.session import SessionResult, SweepResult, TuningSession
+from repro.api.session import TuningSession, fleet_result, stream_sweep
 from repro.distributed.fleet import WorkerFleet
 from repro.distributed.spool import Spool, SpoolCell
 from repro.experiments.scale import resolve_scale
@@ -90,27 +95,26 @@ def _derived_plan(plan: CampaignPlan, token: str) -> dict:
 
 
 def plan_cells(plan: "CampaignPlan | SweepPlan") -> list[SpoolCell]:
-    """Flatten ``plan`` into spool cells, in plan (emission) order."""
+    """Flatten ``plan`` into spool cells, in plan (emission) order: the
+    cells of :meth:`~repro.api.plans.SweepPlan.expand` fleet ``k`` are
+    ``cells[k * n:(k + 1) * n]`` with ``n = len(plan.queries)``."""
     if isinstance(plan, CampaignPlan):
-        fleets = [(None, plan)]
+        fleets = [plan]
     elif isinstance(plan, SweepPlan):
-        fleets = [(plan.scenario_label(cell), cell) for cell in plan.expand()]
+        fleets = plan.expand()
     else:
         raise PlanError(
             f"the distributed backend executes campaign and sweep plans, "
             f"not a {type(plan).__name__}"
         )
     cells: list[SpoolCell] = []
-    for scenario, fleet in fleets:
-        for fleet_index, (token, spec) in enumerate(zip(fleet.queries, fleet.specs())):
+    for fleet in fleets:
+        for token, spec in zip(fleet.queries, fleet.specs()):
             cells.append(SpoolCell(
                 index=len(cells),
                 cell_key=spec.cell_key,
                 campaign=spec.name,
                 plan=_derived_plan(fleet, token),
-                scenario=scenario,
-                n_steps=len(spec.multipliers),
-                fleet_index=fleet_index,
             ))
     return cells
 
@@ -161,9 +165,6 @@ class DistributedSession:
     # -- execution ------------------------------------------------------
 
     def _stream(self, plan, resume):
-        from repro.service import CampaignExecutionError
-
-        started = time.perf_counter()
         cells = plan_cells(plan)
         root = Path(plan.spool_dir or tempfile.mkdtemp(prefix="repro-spool-"))
         ephemeral = plan.spool_dir is None
@@ -172,79 +173,83 @@ class DistributedSession:
         )
         stall_seconds = STALL_TTLS * spool.ttl_seconds
 
-        seq = 0
-        def stamped(event, cell):
-            nonlocal seq
-            changes: dict = {"seq": seq}
-            if cell.scenario is not None:
-                changes["scenario"] = cell.scenario
-            if hasattr(event, "index"):
-                changes["index"] = cell.fleet_index
-            if hasattr(event, "backend"):
-                changes["backend"] = "distributed"
-            seq += 1
-            return dataclasses.replace(event, **changes)
-
         replayed = {
             cell.id: outcome
             for cell in cells
             if (outcome := resume_outcome(resume, cell.cell_key)) is not None
         }
         pending = [cell for cell in cells if cell.id not in replayed]
+        # Every fleet's cells are seeded before the first fleet streams,
+        # so workers never idle at a fleet boundary.
         spool.seed(pending)
-
-        outcomes: dict[int, object] = {}      # cell.index -> CampaignOutcome
-        failures: list = []
-        scenario_stats: dict = {}             # per-scenario cache counters
-        fleet = WorkerFleet(spool)
+        agents = WorkerFleet(spool)
         fleet_dead = False
-        try:
-            if pending:
-                fleet.spawn(self._local_worker_count(plan))
-            last_sign_of_life = time.time()
-            for position, cell in enumerate(cells):
+
+        def fleet_events(fleet_cells):
+            """One fleet's events in plan order — each cell's replayed,
+            ledgered or ``WorkerLost`` block — then its merged cache
+            stats (a fleet shares caches per worker, not per campaign)."""
+            nonlocal fleet_dead, last_sign_of_life
+            stats: dict = {}
+            seq = 0
+            for index, cell in enumerate(fleet_cells):
                 if cell.id in replayed:
-                    outcomes[cell.index] = replayed[cell.id]
-                    for event in replay_events(
-                        cell.campaign, cell.fleet_index, "distributed",
+                    events = replay_events(
+                        cell.campaign, index, "distributed",
                         replayed[cell.id], cell.cell_key, resume,
-                    ):
-                        yield stamped(event, cell)
+                    )
                 else:
                     if not fleet_dead:
                         payload, last_sign_of_life = self._await_done(
-                            spool, cell, fleet, last_sign_of_life, stall_seconds
+                            spool, cell, agents, last_sign_of_life, stall_seconds
                         )
                         fleet_dead = payload is None
                     if fleet_dead:
-                        failure = stamped(CampaignFailed(
+                        events = [CampaignFailed(
                             campaign=cell.campaign,
-                            index=cell.fleet_index,
-                            backend="distributed",
                             error_type="WorkerLost",
                             error_message=(
                                 f"no live worker on spool {root} for "
                                 f"{stall_seconds:g}s; cell never completed"
                             ),
                             cell_key=cell.cell_key,
-                        ), cell)
-                        failures.append(failure)
-                        yield failure
+                        )]
                     else:
-                        yield from self._emit_cell(
-                            stamped, spool, cell, payload, outcomes, failures,
-                            scenario_stats,
-                        )
-                # Flush this scenario's merged cache stats once its last
-                # cell has streamed (cells arrive in plan order, so the
-                # scenario changes exactly at fleet boundaries).
-                next_cell = cells[position + 1] if position + 1 < len(cells) else None
-                if next_cell is None or next_cell.scenario != cell.scenario:
-                    stats = scenario_stats.pop(cell.scenario, None)
-                    if stats is not None:
-                        yield stamped(CacheStats(stats=stats), cell)
+                        ledger = spool.ledgers_dir / payload["ledger"]
+                        events = read_event_log(ledger)[0] if ledger.exists() else []
+                for event in events:
+                    if isinstance(event, CacheStats):
+                        stats = _merge_stats(stats, event.stats)
+                        continue
+                    if isinstance(event, CampaignFinished) and event.outcome is not None:
+                        event.outcome.backend = "distributed"
+                    changes: dict = {"seq": seq}
+                    if hasattr(event, "index"):
+                        changes["index"] = index
+                    if hasattr(event, "backend"):
+                        changes["backend"] = "distributed"
+                    yield dataclasses.replace(event, **changes)
+                    seq += 1
+            if stats:
+                yield CacheStats(stats=stats, seq=seq)
+
+        n = len(plan.queries)
+
+        def run_fleet(position, fleet_plan):
+            return fleet_result(
+                fleet_plan, n, fleet_events(cells[position * n:(position + 1) * n]),
+                time.perf_counter(),
+            )
+
+        try:
+            if pending:
+                agents.spawn(self._local_worker_count(plan))
+            last_sign_of_life = time.time()
+            if isinstance(plan, SweepPlan):
+                return (yield from stream_sweep(plan, run_fleet))
+            return (yield from run_fleet(0, plan))
         finally:
-            fleet.drain(terminate=fleet_dead)
+            agents.drain(terminate=fleet_dead)
             if not fleet_dead:
                 # A worker killed between mark_done and release leaves a
                 # lease on a *done* cell — debris no claimant ever
@@ -253,47 +258,6 @@ class DistributedSession:
                 spool.sweep_done_leases()
             if ephemeral and not fleet_dead:
                 shutil.rmtree(root, ignore_errors=True)
-
-        wall = time.perf_counter() - started
-        if isinstance(plan, SweepPlan):
-            yield SweepFinished(
-                n_scenarios=plan.n_scenarios,
-                n_campaigns=len(outcomes),
-                wall_seconds=wall,
-                seq=seq,
-            )
-            if failures:
-                raise CampaignExecutionError(failures)
-            return self._sweep_result(plan, cells, outcomes, wall)
-        if failures:
-            raise CampaignExecutionError(failures, outcomes)
-        return self._campaign_result(plan, cells, outcomes, wall)
-
-    # -- per-cell emission ----------------------------------------------
-
-    def _emit_cell(
-        self, stamped, spool, cell, payload, outcomes, failures, scenario_stats
-    ):
-        """Stream the authoritative attempt's ledger, restamped."""
-        try:
-            events, _ = read_event_log(spool.ledgers_dir / payload["ledger"])
-        except FileNotFoundError:
-            events = []
-        for event in events:
-            if isinstance(event, CacheStats):
-                # Per-cell stats merge into one per-scenario report —
-                # a fleet shares caches per worker, not per campaign.
-                scenario_stats[cell.scenario] = _merge_stats(
-                    scenario_stats.get(cell.scenario) or {}, event.stats
-                )
-                continue
-            if isinstance(event, CampaignFinished) and event.outcome is not None:
-                event.outcome.backend = "distributed"
-                outcomes[cell.index] = event.outcome
-            event = stamped(event, cell)
-            if isinstance(event, CampaignFailed):
-                failures.append(event)
-            yield event
 
     # -- waiting on the fleet -------------------------------------------
 
@@ -325,29 +289,3 @@ class DistributedSession:
         # A named spool implies a standing fleet elsewhere; an ephemeral
         # spool must staff itself.
         return 0 if plan.spool_dir is not None else 2
-
-    # -- results --------------------------------------------------------
-
-    @staticmethod
-    def _campaign_result(plan, cells, outcomes, wall):
-        return SessionResult(
-            plan=plan,
-            outcomes=[outcomes[cell.index] for cell in cells],
-            wall_seconds=wall,
-            backend="distributed",
-        )
-
-    @staticmethod
-    def _sweep_result(plan, cells, outcomes, wall):
-        results = []
-        for fleet in plan.expand():
-            label = plan.scenario_label(fleet)
-            fleet_cells = [cell for cell in cells if cell.scenario == label]
-            fleet_outcomes = [outcomes[cell.index] for cell in fleet_cells]
-            results.append(SessionResult(
-                plan=fleet,
-                outcomes=fleet_outcomes,
-                wall_seconds=sum(o.wall_seconds for o in fleet_outcomes),
-                backend="distributed",
-            ))
-        return SweepResult(plan=plan, results=results, wall_seconds=wall)

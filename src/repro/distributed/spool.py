@@ -108,18 +108,18 @@ def cell_id_for(index: int, cell_key: str) -> str:
 
 @dataclass(frozen=True)
 class SpoolCell:
-    """One claimable work unit: a single-campaign plan plus identity."""
+    """One claimable work unit: a single-campaign plan plus identity.
+
+    A cell carries no sweep or fleet position: the coordinator streams
+    cells in plan order and stamps each event's scenario and fleet index
+    itself.  :meth:`from_dict` reads these keys only, so cell files that
+    still hold older keys load unchanged.
+    """
 
     index: int                      # position in the dispatched plan
     cell_key: str                   # deterministic campaign identity
     campaign: str                   # resolved query name (event labels)
     plan: dict = field(hash=False)  # derived single-campaign CampaignPlan
-    scenario: str | None = None     # sweep grid label, when any
-    n_steps: int = 0                # rate changes (progress/failure events)
-    #: Position within the cell's own fleet/scenario — what campaign
-    #: events stamp as ``index`` (sweeps restart it per scenario, while
-    #: :attr:`index` keeps growing across the whole grid).
-    fleet_index: int = 0
 
     @property
     def id(self) -> str:
@@ -131,9 +131,6 @@ class SpoolCell:
             "cell_key": self.cell_key,
             "campaign": self.campaign,
             "plan": self.plan,
-            "scenario": self.scenario,
-            "n_steps": self.n_steps,
-            "fleet_index": self.fleet_index,
         }
 
     @classmethod
@@ -143,9 +140,6 @@ class SpoolCell:
             cell_key=data["cell_key"],
             campaign=data["campaign"],
             plan=data["plan"],
-            scenario=data.get("scenario"),
-            n_steps=data.get("n_steps", 0),
-            fleet_index=data.get("fleet_index", data["index"]),
         )
 
 

@@ -319,6 +319,12 @@ class TestSweepPlan:
         labels = [plan.scenario_label(cell) for cell in plan.expand()]
         assert len(set(labels)) == len(labels)
         assert "ds2@flink/x3-7" in labels
+        # Traces %g prints alike keep apart: the rate that does not read
+        # back from %g prints as its repr.
+        plan = self._sweep(rate_traces=[[3, 7], [3.0000001, 7]])
+        labels = [plan.scenario_label(cell) for cell in plan.expand()]
+        assert len(set(labels)) == len(labels)
+        assert "ds2@flink/x3-7" in labels and "ds2@flink/x3.0000001-7" in labels
 
     def test_unknown_tuner_named(self):
         with pytest.raises(PlanError, match="tuner"):

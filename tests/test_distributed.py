@@ -480,14 +480,12 @@ class TestPlanCells:
         plan = tiny_plan()
         cells = plan_cells(plan)
         assert [cell.cell_key for cell in cells] == plan.cell_keys()
-        assert [cell.fleet_index for cell in cells] == [0, 1]
         for cell in cells:
             derived = CampaignPlan.from_dict(cell.plan)
             assert derived.backend == "sequential"
             assert derived.cell_keys() == [cell.cell_key]
-            assert cell.scenario is None
 
-    def test_sweep_cells_carry_scenarios_and_restart_fleet_index(self):
+    def test_sweep_cells_follow_the_grid_order(self):
         plan = SweepPlan(
             queries=("q1", "q2"),
             tuners=("ds2", "streamtune"),
@@ -498,11 +496,18 @@ class TestPlanCells:
         cells = plan_cells(plan)
         assert [cell.cell_key for cell in cells] == plan.cell_keys()
         assert [cell.index for cell in cells] == [0, 1, 2, 3]
-        assert [cell.fleet_index for cell in cells] == [0, 1, 0, 1]
-        labels = [plan.scenario_label(fleet) for fleet in plan.expand()]
-        assert [cell.scenario for cell in cells] == [
-            labels[0], labels[0], labels[1], labels[1],
-        ]
+        # Fleet k's cells are cells[k * n:(k + 1) * n], n = len(queries).
+        for position, fleet in enumerate(plan.expand()):
+            fleet_cells = cells[2 * position:2 * (position + 1)]
+            assert [cell.cell_key for cell in fleet_cells] == fleet.cell_keys()
+            assert [
+                CampaignPlan.from_dict(cell.plan).tuner for cell in fleet_cells
+            ] == [fleet.tuner] * 2
+
+    def test_cell_files_with_retired_keys_still_load(self):
+        (cell,) = make_cells(1)
+        data = dict(cell.to_dict(), scenario="ds2@flink/x3", n_steps=1, fleet_index=0)
+        assert SpoolCell.from_dict(data) == cell
 
     def test_rejects_tuning_plans(self):
         with pytest.raises(PlanError, match="campaign and sweep"):
@@ -618,6 +623,106 @@ class TestDistributedSession:
         assert len(failures) == 2
         assert all(f.error_type == "WorkerLost" for f in failures)
         assert all(f.backend == "distributed" for f in failures)
+
+    def test_traces_that_printed_alike_stay_separate_fleets(self):
+        plan = SweepPlan(
+            queries=("q1",),
+            tuners=("ds2",),
+            rate_traces=((3.0, 7.0), (3.0000001, 7.0)),
+            backend="distributed",
+            workers=1,
+            scale="smoke",
+        )
+        sweep = TuningSession().run(plan)
+        assert [(label, len(cell.outcomes)) for label, cell in sweep.scenarios] == [
+            ("ds2@flink/x3-7", 1), ("ds2@flink/x3.0000001-7", 1),
+        ]
+        assert [cell.outcomes[0].spec_name for cell in sweep.results] == [
+            "nexmark_q1_flink"
+        ] * 2
+
+    def test_dead_fleet_sweep_fails_every_cell_then_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        plan = SweepPlan(
+            queries=("q1", "q2"),
+            tuners=("ds2",),
+            rate_traces=((3.0, 5.0), (5.0, 3.0)),
+            backend="distributed",
+            workers=0,
+            spool_dir=str(tmp_path / "spool"),
+            scale="smoke",
+        )
+        monkeypatch.setattr(coordinator, "POLL_SECONDS", 0.02)
+        events = []
+        stream = DistributedSession(ttl_seconds=0.2).stream(plan)
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            for event in stream:
+                events.append(event)
+        assert [type(event).__name__ for event in events] == (
+            ["CampaignFailed"] * 4 + ["SweepFinished"]
+        )
+        labels = [plan.scenario_label(fleet) for fleet in plan.expand()]
+        assert [(e.scenario, e.index) for e in events[:4]] == [
+            (labels[0], 0), (labels[0], 1), (labels[1], 0), (labels[1], 1),
+        ]
+        assert [event.seq for event in events] == list(range(5))
+        assert events[-1].n_campaigns == 0
+        failures = excinfo.value.failures
+        assert failures == events[:4]
+        assert all(f.error_type == "WorkerLost" for f in failures)
+
+    def test_resumed_sweep_replays_the_first_fleet(self, tmp_path, monkeypatch):
+        from repro.api.events import EventBus, JsonlRecorder
+
+        plan = SweepPlan(
+            queries=("q1", "q2"),
+            tuners=("ds2",),
+            rate_traces=((3.0, 5.0), (5.0, 3.0)),
+            backend="sequential",
+            scale="smoke",
+        )
+        record = tmp_path / "record.jsonl"
+        recorder = JsonlRecorder(record)
+        sequential = TuningSession().run(plan, bus=EventBus(recorder))
+        recorder.close()
+        # The log as a sweep killed after its first (2-query) fleet.
+        kept, finished = [], 0
+        for line in record.read_text().splitlines(keepends=True):
+            kept.append(line)
+            finished += json.loads(line)["event"] == "CampaignFinished"
+            if finished == 2:
+                break
+        truncated = tmp_path / "truncated.jsonl"
+        truncated.write_text("".join(kept))
+
+        seeded = []
+        seed = Spool.seed
+        monkeypatch.setattr(
+            Spool, "seed",
+            lambda spool, cells: seeded.extend(cells) or seed(spool, cells),
+        )
+        events = []
+        stream = TuningSession().stream(
+            dataclasses.replace(plan, backend="distributed"), resume=truncated
+        )
+        while True:
+            try:
+                events.append(next(stream))
+            except StopIteration as stop:
+                resumed = stop.value
+                break
+        keys = plan.cell_keys()
+        assert [cell.cell_key for cell in seeded] == keys[2:]
+        skipped = [e.cell_key for e in events if isinstance(e, CampaignSkipped)]
+        assert skipped == keys[:2]
+        assert [label for label, _ in resumed.scenarios] == [
+            label for label, _ in sequential.scenarios
+        ]
+        for (_, cell_a), (_, cell_b) in zip(
+            resumed.scenarios, sequential.scenarios
+        ):
+            assert_outcomes_identical(cell_a, cell_b)
 
     def test_spool_level_resume_replays_done_cells(self, tmp_path):
         """Pre-completed spool cells replay without re-execution."""

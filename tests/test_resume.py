@@ -141,7 +141,6 @@ class TestResumeLog:
             ))
         log = ResumeLog.load(path)
         assert log.n_completed == 0
-        assert specs[0].cell_key in log.failed_cell_keys
         assert log.outcome_for(specs[0].cell_key) is None
 
     def test_finished_without_payload_is_not_a_checkpoint(self, tmp_path):
