@@ -1,6 +1,6 @@
 """Benchmark-matrix report checks (CI helper).
 
-Two subcommands over ``repro matrix`` summary reports:
+Two subcommands over ``repro run-plan --report`` summary reports:
 
 * ``validate REPORT [--min-cells N] [--expect-chaos]`` — assert the
   report matches the ``repro.matrix/v1`` schema, covers at least ``N``

@@ -11,8 +11,8 @@ a code fork:
   through the :class:`~repro.service.TuningService`.
 * :class:`SweepPlan` — a parameter grid (engines x tuners x rate traces
   x chaos schedules, each over the same query fleet) that expands into
-  one :class:`CampaignPlan` per cell (``repro run-plan`` on a sweep file
-  and the ``repro matrix`` lifecycle).
+  one :class:`CampaignPlan` per cell (``repro run-plan`` on a sweep file,
+  with ``--report`` for its benchmark-matrix summary).
 
 Every input has one spelling, so one campaign has one ``cell_key``.  A
 rate trace is a raw multiplier list in ``rates``, or a named
@@ -418,7 +418,7 @@ class CampaignPlan(_Plan):
     #: coordinator seeds cells there and worker agents on any host claim
     #: them.  ``None`` with backend="distributed" means an ephemeral
     #: local spool (the coordinator creates, populates with local
-    #: workers, and removes it).  Ignored by the in-process backends.
+    #: workers, and removes it).  The in-process backends reject it.
     spool_dir: str | None = None
     #: Named rate-trace spec ({family, params, seed}); materializes into
     #: ``rates``.
@@ -467,6 +467,11 @@ class CampaignPlan(_Plan):
             raise PlanError(
                 f"spool_dir must be a directory path string, got "
                 f"{self.spool_dir!r}"
+            )
+        if self.spool_dir is not None and self.backend != "distributed":
+            raise PlanError(
+                f"spool_dir only applies to the distributed backend, not "
+                f"{self.backend}; remove it or set backend = \"distributed\""
             )
         object.__setattr__(self, "chaos", _as_chaos(self.chaos))
         _check_chaos_executes(self.chaos, self.engine, len(self.rates))

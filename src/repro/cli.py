@@ -4,8 +4,9 @@ Every tuning run is a plan file executed by a
 :class:`~repro.api.TuningSession`: ``run-plan`` loads a
 :class:`~repro.api.TuningPlan` / :class:`~repro.api.CampaignPlan` /
 :class:`~repro.api.SweepPlan` (the plan's ``model`` field points at a
-``pretrain`` artifact), and the other subcommands are shells over the
-same session.  Component names — engines, prediction layers, queries —
+``pretrain`` artifact) and runs it on the plan's backend — the
+in-process pools or, with ``backend = "distributed"``, a spool of
+``worker`` agents.  Component names — engines, prediction layers, queries —
 resolve through the ``repro.api`` registries, so a newly registered
 component is immediately available to every subcommand.
 
@@ -16,7 +17,8 @@ Subcommands mirror the library's lifecycle::
     python -m repro.cli run-plan  tuning.toml          # one query: kind = "tuning"
     python -m repro.cli run-plan  campaign.toml --follow
     python -m repro.cli run-plan  sweep.toml --record events.jsonl
-    python -m repro.cli matrix    examples/matrix_smoke.toml --output BENCH_MATRIX.json
+    python -m repro.cli run-plan  fleet.toml --spool-dir /shared/spool --workers 0
+    python -m repro.cli run-plan  examples/matrix_smoke.toml --report BENCH_MATRIX.json
     python -m repro.cli perf
     python -m repro.cli experiments --scale smoke --output paper.json
 
@@ -24,8 +26,8 @@ Subcommands mirror the library's lifecycle::
 be built once and reused across tuning sessions (the paper's
 offline/online split).  ``run-plan`` executes through the streaming
 session: ``--follow`` prints one line per execution event as campaigns
-progress and ``--record`` writes the full typed event stream to a JSONL
-file.
+progress, ``--record`` writes the full typed event stream to a JSONL
+file and, for a sweep, ``--report`` writes its benchmark-matrix summary.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ def _event_bus(args: argparse.Namespace) -> tuple[EventBus | None, JsonlRecorder
     """The subscriber set ``--follow`` / ``--record`` asked for."""
     recorder = None
     subscribers = []
-    if getattr(args, "follow", False):
+    if args.follow:
         subscribers.append(ProgressPrinter())
-    if getattr(args, "record", None):
+    if args.record:
         recorder = JsonlRecorder(args.record)
         subscribers.append(recorder)
     if not subscribers:
@@ -213,11 +215,11 @@ def _resume_log(plan, args: argparse.Namespace) -> ResumeLog | None:
     the working directory otherwise — excluding the current run's own
     ``--record`` target.
     """
-    path = getattr(args, "resume", None)
+    path = args.resume
     if path is None:
         return None
     if path == "auto":
-        record = getattr(args, "record", None)
+        record = args.record
         directory = Path(record).parent if record else Path(".")
         path = discover_latest_log(
             directory, exclude={Path(record)} if record else frozenset()
@@ -263,62 +265,68 @@ def _run_with_events(plan, args: argparse.Namespace, session=None):
 
 
 def _apply_plan_overrides(plan, args: argparse.Namespace):
-    overrides = {}
-    if getattr(args, "backend", None) is not None:
-        if isinstance(plan, TuningPlan):
-            raise PlanError("--backend applies to campaign and sweep plans only")
-        overrides["backend"] = args.backend
-    if getattr(args, "workers", None) is not None:
-        if isinstance(plan, TuningPlan):
-            raise PlanError("--workers applies to campaign and sweep plans only")
-        overrides["workers"] = args.workers
-    if getattr(args, "scale", None) is not None:
-        overrides["scale"] = args.scale
-    if overrides:
-        plan = replace(plan, **overrides)
-    return plan
+    overrides = {
+        field: getattr(args, field)
+        for field in ("backend", "workers", "spool_dir", "scale")
+        if getattr(args, field) is not None
+    }
+    fleet_only = [field for field in overrides if field != "scale"]
+    if fleet_only and isinstance(plan, TuningPlan):
+        flag = "--" + fleet_only[0].replace("_", "-")
+        raise PlanError(f"{flag} applies to campaign and sweep plans only")
+    return replace(plan, **overrides) if overrides else plan
+
+
+def _session(plan, args: argparse.Namespace):
+    """The session ``--ttl``/``--no-fsync`` configure: both are recorded
+    in the spool a ``distributed`` plan creates, so no other backend
+    takes them."""
+    if args.ttl is None and not args.no_fsync:
+        return None
+    if plan.backend != "distributed":
+        raise PlanError(
+            f"--ttl and --no-fsync apply to the distributed backend only; "
+            f"this plan runs on {plan.backend!r}"
+        )
+    from repro.distributed import DistributedSession
+
+    return DistributedSession(
+        ttl_seconds=args.ttl, fsync=False if args.no_fsync else None
+    )
 
 
 def _cmd_run_plan(args: argparse.Namespace) -> int:
     plan = _apply_plan_overrides(load_plan(args.plan), args)
-    result = _run_with_events(plan, args)
+    if args.report is not None and not isinstance(plan, SweepPlan):
+        raise PlanError(
+            f"{args.plan} holds a {type(plan).__name__} (kind "
+            f"{plan.kind!r}); --report needs kind = \"sweep\" — a "
+            "benchmark matrix is a sweep grid with a summary report"
+        )
+    result = _run_with_events(plan, args, session=_session(plan, args))
     if isinstance(plan, TuningPlan):
         _print_tuning_result(result.outcomes[0])
     elif isinstance(plan, SweepPlan):
         _print_sweep_result(result)
     else:
         _print_campaign_outcomes(result)
-    return 0
+    if args.report is not None:
+        import json
 
+        from repro.scenarios import matrix_report
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    """Run a benchmark-matrix sweep and write its summary report."""
-    import json
-
-    from repro.scenarios import matrix_report
-
-    plan = load_plan(args.plan)
-    if not isinstance(plan, SweepPlan):
-        raise PlanError(
-            f"{args.plan} holds a {type(plan).__name__} (kind "
-            f"{plan.kind!r}); the matrix command needs kind = \"sweep\" — "
-            "a benchmark matrix is a sweep grid with a summary report"
+        report = matrix_report(result)
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(
+            f"matrix report: {report['n_scenarios']} scenario(s), "
+            f"{report['n_campaigns']} campaign cell(s) -> {args.report}"
         )
-    plan = _apply_plan_overrides(plan, args)
-    result = _run_with_events(plan, args)
-    report = matrix_report(result, backend=plan.backend)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _print_sweep_result(result)
-    print(
-        f"matrix report: {report['n_scenarios']} scenario(s), "
-        f"{report['n_campaigns']} campaign cell(s) -> {args.output}"
-    )
     return 0
 
 
 # ----------------------------------------------------------------------
-# the distributed fleet: worker agents + the dispatch coordinator
+# the distributed fleet: worker agents
 # ----------------------------------------------------------------------
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -326,12 +334,15 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     from repro.distributed import Spool, WorkerAgent
 
+    spool = Spool(args.spool)
     if args.fault_plan is not None:
         from repro.faults import activate, load_fault_plan
 
-        activate(load_fault_plan(args.fault_plan))
+        # Claims in the spool: a rule's max_triggers budget is spent once
+        # per spool, not once per (re)spawned worker.
+        activate(load_fault_plan(args.fault_plan), spool.root / "fault-claims")
     agent = WorkerAgent(
-        Spool(args.spool),
+        spool,
         worker_id=args.worker_id,
         poll_seconds=args.poll,
         exit_when_done=args.exit_when_done,
@@ -360,32 +371,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         f"cell(s){abandoned}",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_dispatch(args: argparse.Namespace) -> int:
-    from repro.distributed import DistributedSession
-
-    plan = load_plan(args.plan)
-    if isinstance(plan, TuningPlan):
-        raise PlanError(
-            "dispatch executes campaign and sweep plans; a single-query "
-            "TuningPlan gains nothing from a fleet — use run-plan"
-        )
-    overrides = {"backend": "distributed"}
-    if args.spool_dir is not None:
-        overrides["spool_dir"] = args.spool_dir
-    if args.local_workers is not None:
-        overrides["workers"] = args.local_workers
-    plan = replace(plan, **overrides)
-    session = DistributedSession(
-        ttl_seconds=args.ttl, fsync=False if args.no_fsync else None
-    )
-    result = _run_with_events(plan, args, session=session)
-    if isinstance(plan, SweepPlan):
-        _print_sweep_result(result)
-    else:
-        _print_campaign_outcomes(result)
     return 0
 
 
@@ -615,34 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--scale", default=None)
     pre.set_defaults(func=_cmd_pretrain)
 
-    def add_stream_flags(command) -> None:
-        command.add_argument(
-            "--follow", action="store_true",
-            help="print one line per execution event as campaigns progress",
-        )
-        command.add_argument(
-            "--record", default=None, metavar="PATH",
-            help="write the typed event stream to PATH as JSON lines "
-                 "(overwrites an existing file)",
-        )
-        command.add_argument(
-            "--resume", default=None, metavar="PATH",
-            help="replay campaigns already recorded in PATH (a --record "
-                 "JSONL log, possibly from an interrupted run) instead of "
-                 "re-executing them; results are bit-identical to an "
-                 "uninterrupted run.  PATH may be 'auto' to pick the most "
-                 "recent *.jsonl log in the record directory (--record's "
-                 "directory, else the working directory)",
-        )
-
-    def add_plan_flags(command) -> None:
-        command.add_argument(
-            "--backend", choices=PLAN_BACKENDS, default=None,
-            help="override the plan's worker-pool backend",
-        )
-        command.add_argument("--workers", type=int, default=None)
-        command.add_argument("--scale", default=None, help="override the plan's scale")
-
     from repro.distributed.spool import DEFAULT_TTL_SECONDS
 
     def add_spool_flags(command, *, ttl: float | None, spool_dir: str) -> None:
@@ -677,31 +634,58 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     run_plan = sub.add_parser(
-        "run-plan", help="execute a TuningPlan/CampaignPlan/SweepPlan config file"
+        "run-plan",
+        help="execute a TuningPlan/CampaignPlan/SweepPlan config file on "
+             "any backend",
     )
     run_plan.add_argument("plan", help="path to a .json or .toml plan file")
-    add_plan_flags(run_plan)
-    add_stream_flags(run_plan)
+    run_plan.add_argument(
+        "--backend", choices=PLAN_BACKENDS, default=None,
+        help="override the plan's worker-pool backend",
+    )
+    run_plan.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="override the plan's pool size; for backend=\"distributed\", "
+             "the local worker agents that staff the spool (default: 2 for "
+             "an ephemeral spool, 0 for a --spool-dir fleet)",
+    )
+    run_plan.add_argument("--scale", default=None, help="override the plan's scale")
+    add_spool_flags(
+        run_plan,
+        ttl=None,
+        spool_dir="backend=\"distributed\" only: the shared work spool a "
+                  "standing fleet of `repro worker` agents is draining "
+                  "(default: an ephemeral local spool)",
+    )
+    run_plan.add_argument(
+        "--report", default=None, metavar="PATH",
+        help="sweep plans only: write the benchmark-matrix summary report "
+             "(the format of BENCH_MATRIX.json) to PATH",
+    )
+    run_plan.add_argument(
+        "--follow", action="store_true",
+        help="print one line per execution event as campaigns progress",
+    )
+    run_plan.add_argument(
+        "--record", default=None, metavar="PATH",
+        help="write the typed event stream to PATH as JSON lines "
+             "(overwrites an existing file)",
+    )
+    run_plan.add_argument(
+        "--resume", default=None, metavar="PATH",
+        help="replay campaigns already recorded in PATH (a --record JSONL "
+             "log, possibly from an interrupted run) instead of "
+             "re-executing them; results are bit-identical to an "
+             "uninterrupted run.  PATH may be 'auto' to pick the most "
+             "recent *.jsonl log in the record directory (--record's "
+             "directory, else the working directory)",
+    )
     run_plan.set_defaults(func=_cmd_run_plan)
-
-    matrix = sub.add_parser(
-        "matrix",
-        help="run a SweepPlan benchmark grid (queries x tuners x engines x "
-             "traces x chaos) and write a machine-readable summary report",
-    )
-    matrix.add_argument("plan", help="path to a .json or .toml sweep-plan file")
-    add_plan_flags(matrix)
-    matrix.add_argument(
-        "--output", default="BENCH_MATRIX.json", metavar="PATH",
-        help="summary report target (default: %(default)s)",
-    )
-    add_stream_flags(matrix)
-    matrix.set_defaults(func=_cmd_matrix)
 
     worker = sub.add_parser(
         "worker",
         help="run a long-lived worker agent claiming campaign cells from "
-             "a shared work spool (see `dispatch`)",
+             "a shared work spool (see `run-plan --spool-dir`)",
     )
     worker.add_argument("spool", help="the spool directory to drain")
     worker.add_argument(
@@ -723,28 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_fault_plan_flag(worker)
     worker.set_defaults(func=_cmd_worker)
-
-    dispatch = sub.add_parser(
-        "dispatch",
-        help="execute a campaign/sweep plan across a fleet of worker "
-             "agents via a shared work spool (backend=distributed)",
-    )
-    dispatch.add_argument("plan", help="path to a .json or .toml plan file")
-    dispatch.add_argument(
-        "--local-workers", type=int, default=None, metavar="N",
-        help="spawn N local worker agents on this spool, as the plan's "
-             "`workers` (default: the plan's, else 2 for an ephemeral "
-             "spool, 0 for a --spool-dir fleet)",
-    )
-    add_spool_flags(
-        dispatch,
-        ttl=None,
-        spool_dir="shared work spool a standing fleet of `repro worker` agents "
-                  "is draining (default: an ephemeral local spool staffed by "
-                  "--local-workers subprocesses)",
-    )
-    add_stream_flags(dispatch)
-    dispatch.set_defaults(func=_cmd_dispatch)
 
     soak = sub.add_parser(
         "soak",

@@ -12,7 +12,7 @@ three small parts sharing nothing but a directory:
   ordinary :class:`~repro.api.session.TuningSession`, streaming typed
   events to per-attempt fsynced JSONL ledgers;
 * :class:`~repro.distributed.coordinator.DistributedSession`
-  (``repro dispatch``, or any plan with ``backend = "distributed"``) —
+  (``repro run-plan`` on any plan with ``backend = "distributed"``) —
   seeds the spool from a plan and merges the workers' ledgers back into
   one in-order event stream, bit-identical to a single-host run.
 """

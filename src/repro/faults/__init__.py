@@ -24,7 +24,6 @@ from repro.faults.plan import (
     load_fault_plan,
 )
 from repro.faults.plane import (
-    ENV_FAULT_PLAN,
     FaultPlane,
     activate,
     active_plane,
@@ -34,7 +33,6 @@ from repro.faults.plane import (
 )
 
 __all__ = [
-    "ENV_FAULT_PLAN",
     "FAULT_SITES",
     "FaultError",
     "FaultPlan",

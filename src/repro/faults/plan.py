@@ -35,6 +35,14 @@ per process).  Exactly one of ``hits`` (explicit ordinals), ``every``
 (periodic) or ``probability`` (seeded Bernoulli per hit — the RNG
 derives from the plan seed and the site name, so the same plan trips the
 same hit numbers every run) must be given.
+
+``max_triggers`` caps a rule's firings per *spool*, not per process:
+``repro worker`` activates its plan over its spool's ``fault-claims``
+directory, and each firing claims one of the rule's ``max_triggers``
+slots there.  So a ``worker.execute.crash`` rule with ``max_triggers =
+1`` crashes one worker once, not every respawned worker again, and a
+kept ``--spool-dir`` spends the budget once across episodes.  A plane
+activated without the directory counts firings per process.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ FAULT_SITES: dict[str, str] = {
         "any event is recorded",
     "coordinator.poll.delay":
         "slow the coordinator's completion-polling loop (a laggy "
-        "shared filesystem on the dispatch host)",
+        "shared filesystem on the coordinator's host)",
     "daemon.client.conn-drop":
         "drop the client's connection before the request leaves "
         "(URLError — the retryable kind)",

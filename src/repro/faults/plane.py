@@ -14,16 +14,16 @@ each matching :class:`~repro.faults.plan.FaultRule` whether this hit
 triggers; a triggered rule's effect is applied in place (sleep, raise,
 or hard process exit).
 
-Activation is explicit (:func:`activate`) or inherited: a process whose
-environment carries ``REPRO_FAULT_PLAN=<path.json|.toml>`` activates
-that plan lazily on the first ``fire``/``trip`` — which is how a
-supervisor injects faults into the ``repro worker`` subprocesses it
-spawns without touching their command line.
+A process activates a plan with :func:`activate`; ``repro worker
+--fault-plan`` does so in every worker agent a supervisor spawns.
 
 Hit counting is per process and thread-safe; the per-rule probability
 RNG derives from the plan seed and the site name, so for a given plan
 the *hit numbers* that trigger are the same every run, regardless of
-which thread happens to reach the site.
+which thread happens to reach the site.  A rule's ``max_triggers``
+budget is per process too, unless the plane is activated over a claims
+directory: then every process activated over that directory shares it
+(see :meth:`FaultPlane._claim`).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ import os
 import random
 import threading
 import time
+from pathlib import Path
 
-from repro.faults.plan import FAULT_SITES, FaultError, FaultPlan, FaultRule, load_fault_plan
+from repro.faults.plan import FAULT_SITES, FaultError, FaultPlan, FaultRule
 
 __all__ = [
-    "ENV_FAULT_PLAN",
     "FaultPlane",
     "activate",
     "active_plane",
@@ -46,10 +46,6 @@ __all__ = [
     "hard_exit",
     "trip",
 ]
-
-#: Environment variable naming a fault-plan file to activate lazily.
-ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
-
 
 def _derive_seed(seed: int, site: str) -> int:
     digest = hashlib.sha1(f"{seed}:{site}".encode()).digest()
@@ -65,8 +61,11 @@ def hard_exit(code: int) -> None:  # pragma: no cover — exits the process
 class FaultPlane:
     """One activated :class:`FaultPlan`: per-site counters and RNGs."""
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(self, plan: FaultPlan, claims_dir: "str | Path | None") -> None:
         self.plan = plan
+        self.claims_dir = None if claims_dir is None else Path(claims_dir)
+        if self.claims_dir is not None:
+            self.claims_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._hits: dict[str, int] = {}
         self._fired: dict[int, int] = {}
@@ -93,10 +92,29 @@ class FaultPlane:
                 fired = self._fired.get(index, 0)
                 if rule.max_triggers is not None and fired >= rule.max_triggers:
                     continue
-                if self._matches(rule, index, hit):
+                if self._matches(rule, index, hit) and self._claim(rule, index):
                     self._fired[index] = fired + 1
                     return rule
         return None
+
+    def _claim(self, rule: FaultRule, index: int) -> bool:
+        """May ``rule`` (plan position ``index``) fire once more?
+
+        Over a claims directory, a ``max_triggers`` rule's budget is
+        shared by every process activated over it: each firing takes one
+        of the ``rule-<index>.<n>`` files, ``n < max_triggers``, by an
+        exclusive create, and with every one taken the rule does not
+        fire.  Other rules, and a plane without the directory, do no I/O.
+        """
+        if rule.max_triggers is None or self.claims_dir is None:
+            return True
+        for n in range(rule.max_triggers):
+            try:   # O_CREAT | O_EXCL: one process wins each slot
+                (self.claims_dir / f"rule-{index}.{n}").touch(exist_ok=False)
+                return True
+            except FileExistsError:
+                continue
+        return False
 
     def _matches(self, rule: FaultRule, index: int, hit: int) -> bool:
         if rule.hits:
@@ -112,39 +130,30 @@ class FaultPlane:
 
 
 _plane: "FaultPlane | None" = None
-_env_consulted = False
 _state_lock = threading.Lock()
 
 
-def activate(plan: FaultPlan) -> FaultPlane:
-    """Install ``plan`` as this process's fault plane (replacing any)."""
-    global _plane, _env_consulted
+def activate(
+    plan: FaultPlan, claims_dir: "str | Path | None" = None
+) -> FaultPlane:
+    """Install ``plan`` as this process's fault plane (replacing any);
+    ``claims_dir`` shares its ``max_triggers`` budgets across processes."""
+    global _plane
     with _state_lock:
-        _plane = FaultPlane(plan)
-        _env_consulted = True
+        _plane = FaultPlane(plan, claims_dir)
         return _plane
 
 
 def deactivate() -> None:
-    """Remove any active plane; the environment is *not* re-consulted."""
-    global _plane, _env_consulted
+    """Remove any active plane."""
+    global _plane
     with _state_lock:
         _plane = None
-        _env_consulted = True
 
 
 def active_plane() -> "FaultPlane | None":
-    """The current plane, activating from the environment on first use."""
-    global _plane, _env_consulted
-    if _plane is not None or _env_consulted:
-        return _plane
-    with _state_lock:
-        if _plane is None and not _env_consulted:
-            _env_consulted = True
-            path = os.environ.get(ENV_FAULT_PLAN)
-            if path:
-                _plane = FaultPlane(load_fault_plan(path))
-        return _plane
+    """The current plane, if any."""
+    return _plane
 
 
 def trip(site: str) -> "FaultRule | None":

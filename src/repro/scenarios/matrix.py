@@ -59,13 +59,9 @@ def _chaos_label(cell_plan) -> str:
     return chaos.label() if chaos is not None else "none"
 
 
-def matrix_report(sweep_result, *, backend: str | None = None) -> dict:
-    """Render a finished :class:`~repro.api.session.SweepResult`.
-
-    ``backend`` overrides the recorded execution backend in the header
-    (useful when the caller dispatched the sweep itself, e.g. the
-    distributed coordinator).
-    """
+def matrix_report(sweep_result) -> dict:
+    """Render a finished :class:`~repro.api.session.SweepResult`; the
+    header names the backend its plan ran on."""
     plan = sweep_result.plan
     rows = []
     for label, cell_result in sweep_result.scenarios:
@@ -104,7 +100,7 @@ def matrix_report(sweep_result, *, backend: str | None = None) -> dict:
     chaos_axis = [spec.label() for spec in getattr(plan, "chaos", ())]
     report = {
         "schema": MATRIX_SCHEMA,
-        "backend": backend if backend is not None else plan.backend,
+        "backend": plan.backend,
         "grid": {
             "queries": list(plan.queries),
             "tuners": list(plan.tuners),

@@ -442,3 +442,14 @@ class TestCampaignPlanTunerAndShards:
                 queries=("q1",), backend="distributed", cache_path="x.pkl",
                 scale="smoke",
             )
+
+    def test_spool_dir_on_an_in_process_backend_rejected(self):
+        # Only the distributed coordinator seeds a spool: accepting the
+        # field would silently ignore it.
+        with pytest.raises(PlanError, match="spool_dir.*distributed"):
+            CampaignPlan(queries=("q1",), backend="thread", spool_dir="x")
+        with pytest.raises(PlanError, match="spool_dir.*distributed"):
+            SweepPlan(queries=("q1",), backend="sequential", spool_dir="x")
+        assert SweepPlan(
+            queries=("q1",), backend="distributed", spool_dir="x"
+        ).expand()[0].spool_dir == "x"

@@ -60,29 +60,33 @@ class TestParser:
         assert "svm" in err and "isotonic" in err
 
     def test_plan_flags_parse_identically(self):
-        """--backend/--workers/--scale are declared once for the two
-        plan-running commands."""
-        flags = ["--backend", "thread", "--workers", "3", "--scale", "smoke"]
-        parsed = [
-            build_parser().parse_args([command, "plan.toml", *flags])
-            for command in ("run-plan", "matrix")
-        ]
-        for args in parsed:
-            assert (args.backend, args.workers, args.scale) == ("thread", 3, "smoke")
-        defaults = [
-            build_parser().parse_args([command, "plan.toml"])
-            for command in ("run-plan", "matrix")
-        ]
-        for args in defaults:
-            assert (args.backend, args.workers, args.scale) == (None, None, None)
+        """run-plan is the one plan-running command on every backend; its
+        overrides and spool flags default to "the plan's"."""
+        args = build_parser().parse_args([
+            "run-plan", "plan.toml", "--backend", "thread", "--workers", "3",
+            "--scale", "smoke", "--spool-dir", "s", "--ttl", "2", "--no-fsync",
+            "--report", "m.json",
+        ])
+        assert (args.backend, args.workers, args.scale) == ("thread", 3, "smoke")
+        assert (args.spool_dir, args.ttl, args.no_fsync, args.report) == (
+            "s", 2.0, True, "m.json"
+        )
+        args = build_parser().parse_args(["run-plan", "plan.toml"])
+        assert (args.backend, args.workers, args.scale) == (None, None, None)
+        assert (args.spool_dir, args.ttl, args.no_fsync, args.report) == (
+            None, None, False, None
+        )
         for backend in ("gpu", "process"):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["matrix", "plan.toml", "--backend", backend])
+                build_parser().parse_args(["run-plan", "plan.toml", "--backend", backend])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run-plan", "plan.toml", "--local-workers", "0"])
 
     def test_legacy_subcommands_are_gone(self):
-        for command in ("tune", "serve-campaigns", "sweep"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command])
+        for command in ("tune", "serve-campaigns", "sweep", "dispatch", "matrix"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([command, "plan.toml"])
+            assert exit_info.value.code == 2
 
     def test_experiments_output_option(self, capsys):
         """``experiments`` takes the report path; the ablations run inside
@@ -236,17 +240,37 @@ class TestValidationExitCodes:
         err = self._assert_one_line_error(capsys, code)
         assert "q99" in err
 
-    def test_matrix_rejects_non_sweep_plan(self, tmp_path, capsys):
+    def test_report_rejects_non_sweep_plan(self, tmp_path, capsys):
         import json as json_module
 
         path = tmp_path / "plan.json"
         path.write_text(
             json_module.dumps({"queries": ["q1"], "scale": "smoke"})
         )
-        code = main(["matrix", str(path), "--output", str(tmp_path / "m.json")])
+        code = main(["run-plan", str(path), "--report", str(tmp_path / "m.json")])
         err = self._assert_one_line_error(capsys, code)
         assert "CampaignPlan" in err and "sweep" in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag,named", [
+        (["--ttl", "2"], "--ttl"),
+        (["--no-fsync"], "--no-fsync"),
+        (["--spool-dir", "s"], "spool_dir"),
+    ])
+    def test_spool_flags_rejected_off_the_distributed_backend(
+        self, flag, named, tmp_path, capsys, monkeypatch
+    ):
+        # Each would be a silent no-op on an in-process backend.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "queries": ["q1"], "rates": [3], "tuner": "ds2",
+            "backend": "thread", "scale": "smoke",
+        }))
+        code = main(["run-plan", str(path), *flag])
+        err = self._assert_one_line_error(capsys, code)
+        assert named in err and "distributed" in err and "thread" in err
+        assert not (tmp_path / "s").exists()
 
     def test_stale_cache_snapshot_is_one_line(self, tmp_path, capsys, monkeypatch):
         import json as json_module

@@ -897,10 +897,10 @@ class TestCliJson:
         assert parsed[1]["event"] == "CampaignStarted"
         assert parsed[-1]["state"] == "finished"
 
-    def test_dispatch_rejects_tuning_plans(self, tmp_path, capsys):
+    def test_spool_dir_rejects_tuning_plans(self, tmp_path, capsys):
         from repro.cli import main
 
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(TuningPlan(query="q1").to_dict()))
-        assert main(["dispatch", str(plan_file)]) == 2
-        assert "campaign and sweep" in capsys.readouterr().err
+        assert main(["run-plan", str(plan_file), "--spool-dir", "spool"]) == 2
+        assert "--spool-dir applies to campaign and sweep" in capsys.readouterr().err

@@ -4,22 +4,25 @@ Covers the frozen :class:`FaultPlan` config surface (validation,
 loading from dict/JSON/TOML), the process-global
 :class:`FaultPlane` trigger semantics (hit ordinals, ``every`` strides,
 seeded probability, exhaustion), the effect dispatch of ``fire()``
-(delay / error / crash-through-``hard_exit``), environment-variable
-activation, and the sites compiled into the ledger writer, the spool
-and the daemon client.
+(delay / error / crash-through-``hard_exit``), ``max_triggers`` budgets
+shared across processes through a claims directory, and the sites
+compiled into the ledger writer, the spool and the daemon client.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
+from pathlib import Path
 
 import pytest
 
 from repro.api.events import CampaignStarted, JsonlRecorder
 from repro.distributed import Spool
 from repro.faults import (
-    ENV_FAULT_PLAN,
     FAULT_SITES,
     FaultError,
     FaultPlan,
@@ -217,20 +220,38 @@ class TestFaultPlane:
         assert plane._hits == {"worker.execute.crash": 3}
         assert plane._fired == {0: 1}
 
-    def test_env_var_activates_lazily(self, tmp_path, monkeypatch):
-        plan_path = tmp_path / "env-plan.json"
+    def test_claims_directory_spends_a_budget_once_across_processes(self, tmp_path):
+        # A respawned worker activates the same plan over the same spool:
+        # a max_triggers = 1 rule must fire once in total, not once each.
+        plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"rules": [{
             "site": "worker.execute.crash", "effect": "error", "hits": [1],
-            "error": "OSError",
+            "max_triggers": 1,
         }]}), encoding="utf-8")
-        monkeypatch.setenv(ENV_FAULT_PLAN, str(plan_path))
-        # Forget the active plane and re-arm the lazy env lookup.
-        monkeypatch.setattr(plane_module, "_plane", None)
-        monkeypatch.setattr(plane_module, "_env_consulted", False)
-        with pytest.raises(OSError):
-            fire("worker.execute.crash")
-        # A second fire does not re-trigger (hits=[1] is spent).
-        fire("worker.execute.crash")
+        script = (
+            "import sys\n"
+            "from repro.faults import activate, load_fault_plan, trip\n"
+            "activate(load_fault_plan(sys.argv[1]), sys.argv[2])\n"
+            "print(trip('worker.execute.crash') is not None)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        claims = tmp_path / "fault-claims"
+        fired = [
+            subprocess.run(
+                [sys.executable, "-c", script, str(plan_path), str(claims)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for _ in range(2)
+        ]
+        assert sorted(fired) == ["False", "True"]
+        assert [path.name for path in claims.iterdir()] == ["rule-0.0"]
+
+    def test_unbudgeted_rules_claim_nothing(self, tmp_path):
+        claims = tmp_path / "fault-claims"
+        activate(FaultPlan(rules=[rule(hits=(1, 2))]), claims)
+        assert trip("worker.execute.crash") is not None
+        assert trip("worker.execute.crash") is not None
+        assert list(claims.iterdir()) == []
 
 
 class TestWiredSites:

@@ -1,7 +1,7 @@
 """Tests for the benchmark matrix: report schema, backend determinism,
 chaos execution through the stream, and chaos-enabled resume.
 
-The acceptance contract: ``repro matrix`` expands a sweep grid (traces x
+The acceptance contract: ``repro run-plan --report`` expands a sweep grid (traces x
 tuners x engines x chaos) into a ``repro.matrix/v1`` report whose
 deterministic view is bit-identical on every backend, and a chaos-enabled
 campaign resumes from a recorded log exactly like a clean one.
@@ -61,7 +61,7 @@ def sequential_run():
 
 class TestMatrixReport:
     def test_schema_and_shape(self, sequential_run):
-        report = matrix_report(sequential_run, backend="sequential")
+        report = matrix_report(sequential_run)
         validate_matrix_report(report)
         assert report["schema"] == MATRIX_SCHEMA
         assert report["n_scenarios"] == 4
@@ -90,14 +90,14 @@ class TestMatrixReport:
     def test_thread_backend_matches_sequential_bit_identically(self, sequential_run):
         thread_run = TuningSession().run(_grid_plan(backend="thread"))
         seq_view = matrix_determinism_view(
-            matrix_report(sequential_run, backend="sequential")
+            matrix_report(sequential_run)
         )
         thread_view = matrix_determinism_view(
-            matrix_report(thread_run, backend="thread")
+            matrix_report(thread_run)
         )
         assert seq_view == thread_view
         # The full report intentionally differs: it says who ran it.
-        assert matrix_report(thread_run, backend="thread")["backend"] == "thread"
+        assert matrix_report(thread_run)["backend"] == "thread"
 
 
 class TestChaosThroughTheStream:
