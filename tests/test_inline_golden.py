@@ -4,8 +4,12 @@ These traces pin the decisions of a ``TuningPlan``: one campaign on the
 service's ``sequential`` backend, whose M_f fits every plan kind shares.
 A change of float summation order in the fit path can move a decision,
 so "same objective" proves nothing about the tuner; these traces do.
-The ContTune baseline's traces pin its GP the same way: a solve that
-moves the lower confidence bound by an ulp may not move a decision.
+The baselines' traces pin their decisions the same way: a GP solve that
+moves ContTune's lower confidence bound by an ulp may not move a
+decision, and a change to the tuning-process loop they all share may not
+move any method's.  ZeroTune needs an execution history no plan can
+carry, so its traces come from :func:`run_campaign` at smoke scale and
+pass through the same event translation a session applies.
 ``tests/data/inline_step_traces.json`` says where each came from.
 """
 
@@ -17,9 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.api import Reconfigured, StepCompleted, TuningPlan, TuningSession
-from repro.api.components import build_engine
+from repro.api.components import build_engine, resolve_query
 from repro.core import HistoryGenerator, pretrain
+from repro.experiments import context
+from repro.experiments.campaigns import run_campaign
 from repro.experiments.context import corpus
+from repro.experiments.scale import SMOKE
+from repro.service.tuning import _step_events
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "inline_step_traces.json").read_text()
@@ -29,8 +37,12 @@ QUERIES = ("q5", "linear/0", "2-way-join/0")
 
 
 def _trace(plan, session):
+    return _rows(session.stream(plan))
+
+
+def _rows(events):
     rows = []
-    for event in session.stream(plan):
+    for event in events:
         if isinstance(event, Reconfigured):
             rows.append({
                 "type": "reconfigured",
@@ -92,7 +104,24 @@ def test_ablation_layer_step_traces(layer):
     assert _trace(plan, TuningSession()) == GOLDEN["ablation_layers"][layer]
 
 
+def _zerotune_trace(query):
+    engine = context.make_engine("flink", SMOKE)
+    tuner = context.make_tuner("ZeroTune", engine, SMOKE)
+    result = run_campaign(engine, tuner, resolve_query(query), list(RATES))
+    return _rows(
+        event
+        for index, (multiplier, process) in enumerate(
+            zip(result.multipliers, result.processes)
+        )
+        for event in _step_events(query, len(RATES), index, multiplier, process)
+    )
+
+
+@pytest.mark.parametrize("tuner", ["conttune", "ds2", "oracle", "zerotune"])
 @pytest.mark.parametrize("query", QUERIES)
-def test_conttune_step_traces(query):
-    plan = _plan(query, tuner="conttune")
-    assert _trace(plan, TuningSession()) == GOLDEN["baselines"]["conttune"][query]
+def test_baseline_step_traces(tuner, query):
+    if tuner == "zerotune":
+        trace = _zerotune_trace(query)
+    else:
+        trace = _trace(_plan(query, tuner=tuner), TuningSession())
+    assert trace == GOLDEN["baselines"][tuner][query]
