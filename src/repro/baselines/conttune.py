@@ -23,12 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines._demand import propagate_target_demand
-from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
+from repro.baselines.api import ParallelismTuner, TuningProcess
 from repro.core.labeling import label_operators
 from repro.engines.base import Deployment, EngineCluster
 from repro.engines.metrics import JobTelemetry
 from repro.models.gp import GaussianProcess1D
-from repro.utils.timer import Timer
 
 #: Safety padding of the Big jump over the plain linear estimate.
 BIG_STEP_PADDING = 1.25
@@ -39,14 +38,13 @@ ALPHA = 3.0
 #: Observations an operator's GP needs before its posterior is trusted.
 MIN_OBSERVATIONS = 2
 
-#: Measure-and-recommend rounds per tuning process.
-MAX_ITERATIONS = 6
-
 
 class ContTuneTuner(ParallelismTuner):
     """Per-operator GP surrogate + Big-Small tuning."""
 
     name = "ContTune"
+    max_rounds = 6
+    measure_first = True
 
     def __init__(self, engine: EngineCluster) -> None:
         super().__init__(engine)
@@ -59,55 +57,26 @@ class ContTuneTuner(ParallelismTuner):
         for key in stale:
             del self._history[key]
 
-    def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
-        self.engine.set_source_rates(deployment, target_rates)
-        result = TuningResult(query_name=deployment.flow.name, tuner_name=self.name)
+    def begin(self, process: TuningProcess) -> None:
+        self._record_observations(process.deployment, process.telemetry)
 
+    def learn(self, process: TuningProcess) -> None:
+        deployment, telemetry = process.deployment, process.telemetry
+        self._record_observations(deployment, telemetry)
+        if not telemetry.has_backpressure:
+            return
         # Conservative memory for this tuning process: once a degree has
         # demonstrably backpressured under the *current* demand, never
         # recommend that operator at or below it again (the Big-Small
         # algorithm shrinks carefully, it does not re-test failures).
-        floors: dict[str, int] = {}
-
-        telemetry = self.engine.measure(deployment)
-        self._record_observations(deployment, telemetry)
-        for _ in range(MAX_ITERATIONS):
-            with Timer() as timer:
-                recommendation = self._recommend(deployment, telemetry, target_rates)
-                for name, floor in floors.items():
-                    recommendation[name] = max(recommendation[name], floor)
-                recommendation = self.stabilize(
-                    recommendation,
-                    deployment.parallelisms,
-                    telemetry.has_backpressure,
+        labels = label_operators(deployment.flow, telemetry, self.engine.name)
+        for name, label in labels.items():
+            if label == 1:
+                current = deployment.parallelisms[name]
+                process.floors[name] = max(
+                    process.floors.get(name, 1),
+                    min(current + 1, self.engine.max_parallelism),
                 )
-            changed = self.apply(deployment, recommendation)
-            telemetry = self.engine.measure(deployment)
-            self._record_observations(deployment, telemetry)
-            if telemetry.has_backpressure:
-                labels = label_operators(
-                    deployment.flow, telemetry, self.engine.name
-                )
-                for name, label in labels.items():
-                    if label == 1:
-                        current = deployment.parallelisms[name]
-                        floors[name] = max(
-                            floors.get(name, 1),
-                            min(current + 1, self.engine.max_parallelism),
-                        )
-            result.steps.append(
-                TuningStep(
-                    parallelisms=dict(deployment.parallelisms),
-                    reconfigured=changed,
-                    backpressure_after=telemetry.has_backpressure,
-                    recommendation_seconds=timer.elapsed,
-                    mean_cpu_utilisation=self.observe_cpu(telemetry),
-                )
-            )
-            if not changed and not telemetry.has_backpressure:
-                result.converged = True
-                break
-        return result
 
     # ------------------------------------------------------------------
     # surrogate bookkeeping
@@ -127,14 +96,10 @@ class ContTuneTuner(ParallelismTuner):
     # Big-Small recommendation
     # ------------------------------------------------------------------
 
-    def _recommend(
-        self,
-        deployment: Deployment,
-        telemetry: JobTelemetry,
-        target_rates: dict[str, float],
-    ) -> dict[str, int]:
+    def decide(self, process: TuningProcess) -> dict[str, int]:
+        deployment, telemetry = process.deployment, process.telemetry
         job = deployment.flow.name
-        demand = propagate_target_demand(deployment, telemetry, target_rates)
+        demand = propagate_target_demand(deployment, telemetry, process.target_rates)
         recommendation: dict[str, int] = {}
         for name in deployment.flow.topological_order():
             current_p = deployment.parallelisms[name]

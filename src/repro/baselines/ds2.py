@@ -21,69 +21,27 @@ channel, not from this code:
 from __future__ import annotations
 
 from repro.baselines._demand import propagate_target_demand
-from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
-from repro.engines.base import Deployment
-from repro.engines.metrics import JobTelemetry
-from repro.utils.timer import Timer
-
-#: Measure-and-rescale rounds per tuning process.
-MAX_ITERATIONS = 6
+from repro.baselines.api import ParallelismTuner, TuningProcess
 
 
 class DS2Tuner(ParallelismTuner):
     """Measure -> estimate true rates -> rescale linearly -> repeat."""
 
     name = "DS2"
+    max_rounds = 6
+    measure_first = True
+    # The controller applies its recommendation as computed; useful-time
+    # noise keeps perturbing the estimate between measurements, which is
+    # why DS2 averages several reconfigurations per rate change in the
+    # paper (Fig. 7a).  The only damping is DS2's own convergence check: a
+    # change within measurement accuracy (+-1 instance) of the current
+    # degree is considered converged, not re-deployed.
+    deadband_fraction = 0.0
 
-    def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
-        self.engine.set_source_rates(deployment, target_rates)
-        result = TuningResult(query_name=deployment.flow.name, tuner_name=self.name)
-
-        telemetry = self.engine.measure(deployment)
-        for _ in range(MAX_ITERATIONS):
-            with Timer() as timer:
-                # The controller applies its recommendation as computed;
-                # useful-time noise keeps perturbing the estimate between
-                # measurements, which is why DS2 averages several
-                # reconfigurations per rate change in the paper (Fig. 7a).
-                # The only damping is DS2's own convergence check: a change
-                # within measurement accuracy (+-1 instance) of the current
-                # degree is considered converged, not re-deployed.
-                recommendation = self._recommend(deployment, telemetry, target_rates)
-                recommendation = self.stabilize(
-                    recommendation,
-                    deployment.parallelisms,
-                    telemetry.has_backpressure,
-                    deadband_fraction=0.0,
-                )
-            changed = self.apply(deployment, recommendation)
-            telemetry = self.engine.measure(deployment)
-            result.steps.append(
-                TuningStep(
-                    parallelisms=dict(deployment.parallelisms),
-                    reconfigured=changed,
-                    backpressure_after=telemetry.has_backpressure,
-                    recommendation_seconds=timer.elapsed,
-                    mean_cpu_utilisation=self.observe_cpu(telemetry),
-                )
-            )
-            if not changed and not telemetry.has_backpressure:
-                result.converged = True
-                break
-        return result
-
-    # ------------------------------------------------------------------
-    # the DS2 policy
-    # ------------------------------------------------------------------
-
-    def _recommend(
-        self,
-        deployment: Deployment,
-        telemetry: JobTelemetry,
-        target_rates: dict[str, float],
-    ) -> dict[str, int]:
+    def decide(self, process: TuningProcess) -> dict[str, int]:
+        deployment, telemetry = process.deployment, process.telemetry
         flow = deployment.flow
-        demand = propagate_target_demand(deployment, telemetry, target_rates)
+        demand = propagate_target_demand(deployment, telemetry, process.target_rates)
         recommendation: dict[str, int] = {}
         for name in flow.topological_order():
             metrics = telemetry[name]

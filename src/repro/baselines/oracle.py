@@ -8,10 +8,9 @@ should beat it, and a good tuner should approach it.
 
 from __future__ import annotations
 
-from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
+from repro.baselines.api import ParallelismTuner, TuningProcess
 from repro.engines.base import Deployment
 from repro.engines.flow import solve_flow
-from repro.utils.timer import Timer
 
 
 class OracleTuner(ParallelismTuner):
@@ -19,24 +18,8 @@ class OracleTuner(ParallelismTuner):
 
     name = "Oracle"
 
-    def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
-        self.engine.set_source_rates(deployment, target_rates)
-        result = TuningResult(query_name=deployment.flow.name, tuner_name=self.name)
-        with Timer() as timer:
-            recommendation = self.optimal_parallelisms(deployment, target_rates)
-        changed = self.apply(deployment, recommendation)
-        telemetry = self.engine.measure(deployment)
-        result.steps.append(
-            TuningStep(
-                parallelisms=dict(deployment.parallelisms),
-                reconfigured=changed,
-                backpressure_after=telemetry.has_backpressure,
-                recommendation_seconds=timer.elapsed,
-                mean_cpu_utilisation=self.observe_cpu(telemetry),
-            )
-        )
-        result.converged = not telemetry.has_backpressure
-        return result
+    def decide(self, process: TuningProcess) -> dict[str, int]:
+        return self.optimal_parallelisms(process.deployment, process.target_rates)
 
     def optimal_parallelisms(
         self, deployment: Deployment, target_rates: dict[str, float]

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
+from repro.baselines.api import ParallelismTuner, TuningProcess
 from repro.dataflow.features import FeatureEncoder
-from repro.engines.base import Deployment, EngineCluster
+from repro.engines.base import EngineCluster
 from repro.gnn.data import GraphSample, build_sample
 from repro.gnn.layers import Linear, ReLU
 from repro.gnn.model import BottleneckEncoder, EncoderConfig
 from repro.gnn.optim import Adam
 from repro.utils.rng import seeded_rng
-from repro.utils.timer import Timer
 
 
 class PooledRegressionGNN:
@@ -142,40 +141,18 @@ class ZeroTuneTuner(ParallelismTuner):
             targets.append(np.log1p(record.job_latency_seconds))
         return samples, np.asarray(targets)
 
-    def prepare(self, query) -> None:
-        self.fit()
-
     # ------------------------------------------------------------------
     # online recommendation: sample configs, pick the cheapest
     # ------------------------------------------------------------------
 
-    def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
+    def begin(self, process: TuningProcess) -> None:
         self.fit()
-        self.engine.set_source_rates(deployment, target_rates)
-        result = TuningResult(query_name=deployment.flow.name, tuner_name=self.name)
-        with Timer() as timer:
-            recommendation = self._recommend(deployment, target_rates)
-        changed = self.apply(deployment, recommendation)
-        telemetry = self.engine.measure(deployment)
-        result.steps.append(
-            TuningStep(
-                parallelisms=dict(deployment.parallelisms),
-                reconfigured=changed,
-                backpressure_after=telemetry.has_backpressure,
-                recommendation_seconds=timer.elapsed,
-                mean_cpu_utilisation=self.observe_cpu(telemetry),
-            )
-        )
-        result.converged = not telemetry.has_backpressure
-        return result
 
-    def _recommend(
-        self, deployment: Deployment, target_rates: dict[str, float]
-    ) -> dict[str, int]:
+    def decide(self, process: TuningProcess) -> dict[str, int]:
         assert self._model is not None
-        flow = deployment.flow
+        flow = process.deployment.flow
         names = flow.operator_names
-        best_config = dict(deployment.parallelisms)
+        best_config = dict(process.deployment.parallelisms)
         best_cost = np.inf
         for _ in range(N_CANDIDATES):
             candidate = {
@@ -184,7 +161,7 @@ class ZeroTuneTuner(ParallelismTuner):
             }
             sample = build_sample(
                 flow,
-                target_rates,
+                process.target_rates,
                 candidate,
                 labels={},
                 encoder=self.feature_encoder,

@@ -12,11 +12,34 @@ Per tuning process (one source-rate change):
 4. stop when no backpressure is observed and the recommendation no longer
    changes.
 
-Only M_f is refit between iterations — the GNN encoder never moves, which
-is the paper's "model updates restricted to a lightweight prediction
-layer".  T persists across rate changes of the same query, so feedback
-keeps accumulating over a tuning campaign exactly like the dataflow
-execution histories it extends.
+Step 3's loop is :meth:`ParallelismTuner.tune`, the one every method
+runs; this module supplies the policy: ``decide`` (M_f's recommendation),
+``learn`` (ΔT and the floors) and ``escalate``.  Only M_f is refit
+between iterations — the GNN encoder never moves, which is the paper's
+"model updates restricted to a lightweight prediction layer".  T persists
+across rate changes of the same query, so feedback keeps accumulating
+over a tuning campaign exactly like the dataflow execution histories it
+extends.
+
+Three mechanisms are not in Algorithm 2.  Each was priced by disabling it
+on a 7-query × 2-trace grid (133 tuning processes on ``flink``, default
+scale; as shipped: median final-parallelism ratio to the oracle 1.115,
+28 backpressure events, 120 reconfigurations, 0 SLA misses):
+
+* the feasibility floors (:meth:`StreamTuneTuner._raise_floors`): a
+  backpressured measurement bounds what the bottleneck can serve, so
+  later decisions of the process stay at or above ``ceil(p * demand /
+  served)``.  Algorithm 1's labels cannot carry that.  Without them the
+  reconfigurations nearly double (226) and 17 processes miss their SLA;
+* the ``stabilize`` deadband of :mod:`repro.baselines.api`, shared with
+  DS2 and ContTune: without backpressure, a change within
+  ``max(1, 8 % of p)`` is not applied.  Without it: 41 backpressure
+  events and 154 reconfigurations, for a ratio of 1.088;
+* :meth:`StreamTuneTuner.escalate`: when M_f repeats its previous
+  recommendation, raise the operators still labelled 1.  It measures the
+  job again to find them, and that ``measure()`` is no step.  Without it
+  the grid reads 1.103, 29 and 121, but the e2e benchmark's
+  ``fleet_thread`` means move past their bounds, so it stays.
 """
 
 from __future__ import annotations
@@ -26,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
+from repro.baselines._demand import propagate_target_demand
+from repro.baselines.api import ParallelismTuner, TuningProcess, TuningResult
 from repro.core.finetune import (
     PredictionDataset,
     agnostic_embeddings,
@@ -41,16 +65,12 @@ from repro.engines.base import Deployment, EngineCluster
 from repro.models import MonotonicSVM, make_prediction_model
 from repro.models.search import min_feasible_parallelism
 from repro.utils.rng import stable_hash
-from repro.utils.timer import Timer
 from repro.workloads.query import StreamingQuery
 
 
 #: Warm-up dataset size of a default tuner (part of its ``warmup`` cache
 #: key, so every service campaign shares one entry per cluster and seed).
 DEFAULT_WARMUP_ROWS = 300
-
-#: Recommend/redeploy rounds of one tuning process before it settles.
-MAX_ITERATIONS = 8
 
 #: Before M_f is fitted the minority class of T is reweighted to at most
 #: this much majority weight per unit of minority weight.
@@ -83,6 +103,7 @@ class StreamTuneTuner(ParallelismTuner):
     """The paper's system: pre-trained encoder + monotone fine-tuned layer."""
 
     name = "StreamTune"
+    max_rounds = 8
 
     def __init__(
         self,
@@ -217,85 +238,85 @@ class StreamTuneTuner(ParallelismTuner):
     # ------------------------------------------------------------------
 
     def tune(self, deployment: Deployment, target_rates: dict[str, float]) -> TuningResult:
-        self.engine.set_source_rates(deployment, target_rates)
-        state = self._state_for(deployment.flow)
-        dataset = state.dataset
-        flow = deployment.flow
-        result = TuningResult(query_name=flow.name, tuner_name=self.name)
+        # Only delegates: benchmarks/e2e/tracing.py wraps this class's own
+        # ``tune`` to time tuning processes.
+        return super().tune(deployment, target_rates)
 
-        feedback = state.feedback
-        # Per-process feasibility floors: when a redeployment backpressures,
-        # the measured served rate bounds the bottleneck's true per-instance
-        # ability, so degrees below ceil(p * demand/served) are provably
-        # infeasible for this demand — recommending them again would only
-        # replay the backpressure (the paper's loop assumes the refit model
-        # moves enough; with small T the floor guarantees it).
-        floors: dict[str, int] = {}
-        previous_recommendation: dict[str, int] | None = None
-        for _ in range(MAX_ITERATIONS):
-            with Timer() as timer:
-                # M_f = the GNN's knowledge, monotonized and locally
-                # corrected: per-operator distillation at the target rates
-                # carries the encoder's threshold surface, the job's own
-                # Algorithm 1 feedback dominates on conflict, and the
-                # cluster warm-up acts as light regularisation.
-                operating_point, embeddings = self._step_values(
-                    flow, state, target_rates
-                )
-                # Once real feedback exists for this job it must be able to
-                # overrule the distilled prior, so the prior's weight drops.
-                prior_weight = (
-                    self.operating_point_weight if not feedback else
-                    max(1, self.operating_point_weight // 2)
-                )
-                model = self._fit_model(
-                    operating_point, feedback, dataset, prior_weight, state
-                )
-                # The cached embeddings are the matrix alone; the name
-                # mapping is recovered from the flow, so renamed-but-identical
-                # queries can share the entry.
-                order = flow.topological_order()
-                recommendation = self._recommend(model, embeddings, order)
-                for name, floor in floors.items():
-                    recommendation[name] = max(recommendation[name], floor)
-                recommendation = self.stabilize(
-                    recommendation,
-                    deployment.parallelisms,
-                    has_backpressure=previous_recommendation is None
-                    or result.steps[-1].backpressure_after,
-                )
-            if (
-                previous_recommendation is not None
-                and recommendation == previous_recommendation
-            ):
-                # The model did not move despite the new feedback; escalate
-                # the operators still labelled as bottlenecks so the loop
-                # cannot stall under persistent backpressure.
-                recommendation = self._escalate(recommendation, dataset, deployment)
-            changed = self.apply(deployment, recommendation)
-            telemetry = self.engine.measure(deployment)
-            labels = label_operators(flow, telemetry, self.engine.name)
-            self._absorb_feedback(
-                feedback, embeddings, order, deployment.parallelisms, labels
+    def begin(self, process: TuningProcess) -> None:
+        # (query state, this round's embeddings, their row order)
+        process.state = (self._state_for(process.deployment.flow), None, None)
+
+    def decide(self, process: TuningProcess) -> dict[str, int]:
+        state = process.state[0]
+        flow = process.deployment.flow
+        # M_f = the GNN's knowledge, monotonized and locally corrected:
+        # per-operator distillation at the target rates carries the
+        # encoder's threshold surface, the job's own Algorithm 1 feedback
+        # dominates on conflict, and the cluster warm-up acts as light
+        # regularisation.
+        operating_point, embeddings = self._step_values(
+            flow, state, process.target_rates
+        )
+        # Once real feedback exists for this job it must be able to
+        # overrule the distilled prior, so the prior's weight drops.
+        prior_weight = (
+            self.operating_point_weight if not state.feedback else
+            max(1, self.operating_point_weight // 2)
+        )
+        model = self._fit_model(
+            operating_point, state.feedback, state.dataset, prior_weight, state
+        )
+        # The cached embeddings are the matrix alone; the name mapping is
+        # recovered from the flow, so renamed-but-identical queries can
+        # share the entry.
+        order = flow.topological_order()
+        process.state = (state, embeddings, order)
+        return self._recommend(model, embeddings, order)
+
+    def escalate(
+        self, process: TuningProcess, recommendation: dict[str, int]
+    ) -> dict[str, int]:
+        """Stall-breaker: bump degrees of operators still labelled 1.
+
+        The paper's loop relies on the refit M_f moving after ΔT; with very
+        small T the model can be inert, so operators whose most recent
+        feedback was "bottleneck at the recommended degree" get a
+        multiplicative raise instead of an identical re-recommendation.
+        The extra measurement it takes is not a step.
+        """
+        deployment = process.deployment
+        telemetry = self.engine.measure(deployment)
+        labels = label_operators(deployment.flow, telemetry, self.engine.name)
+        bumped = dict(recommendation)
+        for name in self._bottlenecks(labels, telemetry):
+            base = max(bumped[name], deployment.parallelisms[name])
+            bumped[name] = self.clamp(max(base + 1, int(base * 1.5)))
+        return bumped
+
+    def learn(self, process: TuningProcess) -> None:
+        """Lines 10-11: ΔT from the redeployed job's labels, plus the
+        feasibility floors a backpressured measurement proves.
+
+        When a redeployment backpressures, the measured served rate bounds
+        the bottleneck's true per-instance ability, so degrees below
+        ``ceil(p * demand / served)`` are provably infeasible for this
+        demand — recommending them again would only replay the
+        backpressure (the paper's loop assumes the refit model moves
+        enough; with small T the floor guarantees it).
+        """
+        state, embeddings, order = process.state
+        deployment, telemetry = process.deployment, process.telemetry
+        labels = label_operators(deployment.flow, telemetry, self.engine.name)
+        for index, name in enumerate(order):
+            label = labels.get(name, -1)
+            if label < 0:
+                continue
+            p_norm = self.pretrained.feature_encoder.normalize_parallelism(
+                deployment.parallelisms[name], self.pretrained.max_parallelism
             )
-            if telemetry.has_backpressure:
-                self._raise_floors(floors, deployment, telemetry, labels, target_rates)
-            result.steps.append(
-                TuningStep(
-                    parallelisms=dict(deployment.parallelisms),
-                    reconfigured=changed,
-                    backpressure_after=telemetry.has_backpressure,
-                    recommendation_seconds=timer.elapsed,
-                    mean_cpu_utilisation=self.observe_cpu(telemetry),
-                )
-            )
-            if not telemetry.has_backpressure and (
-                not changed or recommendation == previous_recommendation
-            ):
-                result.converged = True
-                break
-            previous_recommendation = recommendation
-        return result
+            state.feedback.append(np.concatenate([embeddings[index], [p_norm]]), label)
+        if telemetry.has_backpressure:
+            self._raise_floors(process, labels)
 
     # ------------------------------------------------------------------
     # pieces of the loop
@@ -390,25 +411,7 @@ class StreamTuneTuner(ParallelismTuner):
             )
         return recommendation
 
-    def _absorb_feedback(self, dataset, embeddings, order, parallelisms, labels) -> None:
-        """Lines 10-11: ΔT from the redeployed job's labels."""
-        for index, name in enumerate(order):
-            label = labels.get(name, -1)
-            if label < 0:
-                continue
-            p_norm = self.pretrained.feature_encoder.normalize_parallelism(
-                parallelisms[name], self.pretrained.max_parallelism
-            )
-            dataset.append(np.concatenate([embeddings[index], [p_norm]]), label)
-
-    def _raise_floors(
-        self,
-        floors: dict[str, int],
-        deployment: Deployment,
-        telemetry,
-        labels: dict[str, int],
-        target_rates: dict[str, float],
-    ) -> None:
+    def _raise_floors(self, process: TuningProcess, labels: dict[str, int]) -> None:
         """Convert an observed backpressure into per-operator lower bounds.
 
         The bottleneck served ``served_in`` records/s with ``p`` instances,
@@ -416,9 +419,8 @@ class StreamTuneTuner(ParallelismTuner):
         ``ceil(p * demand / served)`` instances.  Applied to every operator
         :meth:`_bottlenecks` names (this runs only under backpressure).
         """
-        from repro.baselines._demand import propagate_target_demand
-
-        demand = propagate_target_demand(deployment, telemetry, target_rates)
+        deployment, telemetry, floors = process.deployment, process.telemetry, process.floors
+        demand = propagate_target_demand(deployment, telemetry, process.target_rates)
         for name in self._bottlenecks(labels, telemetry):
             served = telemetry[name].input_rate
             current = deployment.parallelisms[name]
@@ -430,27 +432,6 @@ class StreamTuneTuner(ParallelismTuner):
                     int(np.ceil(current * demand[name] / served)),
                 )
             floors[name] = max(floors.get(name, 1), self.clamp(bound))
-
-    def _escalate(
-        self,
-        recommendation: dict[str, int],
-        dataset: PredictionDataset,
-        deployment: Deployment,
-    ) -> dict[str, int]:
-        """Stall-breaker: bump degrees of operators still labelled 1.
-
-        The paper's loop relies on the refit M_f moving after ΔT; with very
-        small T the model can be inert, so operators whose most recent
-        feedback was "bottleneck at the recommended degree" get a
-        multiplicative raise instead of an identical re-recommendation.
-        """
-        telemetry = self.engine.measure(deployment)
-        labels = label_operators(deployment.flow, telemetry, self.engine.name)
-        bumped = dict(recommendation)
-        for name in self._bottlenecks(labels, telemetry):
-            base = max(bumped[name], deployment.parallelisms[name])
-            bumped[name] = self.clamp(max(base + 1, int(base * 1.5)))
-        return bumped
 
     @staticmethod
     def _bottlenecks(labels: dict[str, int], telemetry) -> list[str]:

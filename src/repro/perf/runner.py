@@ -307,13 +307,13 @@ def benchmark_names() -> list[str]:
     return [bench.name for bench in BENCHMARKS]
 
 
-def time_benchmark(bench: Benchmark, fixtures: PerfFixtures) -> dict:
-    """Run ``bench`` for its configured repeats and report the timings."""
-    times: list[float] = []
-    for _ in range(bench.repeats):
-        started = time.perf_counter()
-        bench.run(fixtures)
-        times.append(time.perf_counter() - started)
+def _timed(bench: Benchmark, fixtures: PerfFixtures) -> float:
+    started = time.perf_counter()
+    bench.run(fixtures)
+    return time.perf_counter() - started
+
+
+def _summary(bench: Benchmark, times: list[float]) -> dict:
     return {
         "hot_path": bench.hot_path,
         "description": bench.description,
@@ -324,12 +324,34 @@ def time_benchmark(bench: Benchmark, fixtures: PerfFixtures) -> dict:
     }
 
 
+def time_benchmark(bench: Benchmark, fixtures: PerfFixtures) -> dict:
+    """Run ``bench`` for its configured repeats and report the timings."""
+    return _summary(bench, [_timed(bench, fixtures) for _ in range(bench.repeats)])
+
+
+def _time_pair(first: Benchmark, second: Benchmark, fixtures: PerfFixtures) -> dict:
+    """Time a ratio's two sides one repeat at a time, alternating which
+    side goes first, so a slow spell of the host falls on both sides of
+    the ratio instead of on one; each side keeps its own repeat count."""
+    times: dict[str, list[float]] = {first.name: [], second.name: []}
+    for repeat in range(max(first.repeats, second.repeats)):
+        for bench in (first, second) if repeat % 2 == 0 else (second, first):
+            if repeat < bench.repeats:
+                times[bench.name].append(_timed(bench, fixtures))
+    return {bench.name: _summary(bench, times[bench.name]) for bench in (first, second)}
+
+
 def run_benchmarks(
     fixtures: PerfFixtures,
     only: "list[str] | None" = None,
     echo=None,
 ) -> dict:
-    """Time every (selected) benchmark; returns ``name -> result``."""
+    """Time every (selected) benchmark; returns ``name -> result``.
+
+    The two sides of a :data:`RATIO_DEFINITIONS` pair that are both
+    selected are timed together (:func:`_time_pair`); a side selected
+    alone runs all its repeats at once.
+    """
     selected = list(BENCHMARKS)
     if only is not None:
         known = {bench.name for bench in BENCHMARKS}
@@ -341,15 +363,26 @@ def run_benchmarks(
             )
         wanted = set(only)
         selected = [bench for bench in BENCHMARKS if bench.name in wanted]
+    by_name = {bench.name: bench for bench in selected}
+    partner = {}
+    for slow, fast in RATIO_DEFINITIONS.values():
+        partner[slow], partner[fast] = by_name.get(fast), by_name.get(slow)
     results: dict = {}
     for bench in selected:
-        result = time_benchmark(bench, fixtures)
-        results[bench.name] = result
+        if bench.name in results:
+            continue
+        other = partner.get(bench.name)
+        timed = (
+            _time_pair(bench, other, fixtures) if other is not None
+            else {bench.name: time_benchmark(bench, fixtures)}
+        )
+        results.update(timed)
         if echo is not None:
-            echo(
-                f"  {bench.name:<30} {result['seconds'] * 1000:9.1f} ms "
-                f"(x{result['repeats']})"
-            )
+            for name, result in timed.items():
+                echo(
+                    f"  {name:<30} {result['seconds'] * 1000:9.1f} ms "
+                    f"(x{result['repeats']})"
+                )
     return results
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines import ContTuneTuner, DS2Tuner, OracleTuner, ZeroTuneTuner
 from repro.baselines._demand import propagate_target_demand
-from repro.baselines.api import TuningResult, TuningStep
+from repro.baselines.api import ParallelismTuner, TuningResult, TuningStep
 from repro.engines.flink import FlinkCluster
 from repro.engines.timely import TimelyCluster
 from repro.workloads.nexmark import nexmark_query
@@ -271,3 +271,130 @@ class TestResultInvariants:
         jump = {"a": 15, "b": 2}
         assert tuner.stabilize(jump, current, has_backpressure=False) == jump
         assert tuner.stabilize(proposal, current, has_backpressure=True) == proposal
+
+
+class _StubPolicy(ParallelismTuner):
+    """A policy whose decisions the test scripts: ``decide`` calls
+    ``plan(process)``, ``escalate`` measures the job once (as StreamTune's
+    does) and is counted."""
+
+    name = "stub"
+
+    def __init__(self, engine, plan, *, max_rounds=4, measure_first=False):
+        super().__init__(engine)
+        self.plan = plan
+        self.max_rounds = max_rounds
+        self.measure_first = measure_first
+        self.escalations = 0
+
+    def decide(self, process):
+        return self.plan(process)
+
+    def escalate(self, process, recommendation):
+        self.escalations += 1
+        self.engine.measure(process.deployment)
+        return recommendation
+
+
+class TestTuningProcessLoop:
+    """The contract of :meth:`ParallelismTuner.tune`, the one loop every
+    method runs, checked with a stub policy on a real engine."""
+
+    @staticmethod
+    def _counted(engine, monkeypatch, sleep=0.0):
+        import time
+
+        calls: list = []
+        measure = engine.measure
+
+        def counting(deployment):
+            calls.append(dict(deployment.parallelisms))
+            time.sleep(sleep)
+            return measure(deployment)
+
+        monkeypatch.setattr(engine, "measure", counting)
+        return calls
+
+    def test_a_process_stops_at_the_round_budget(self, q2):
+        engine = FlinkCluster(seed=21)
+        # Every round jumps past the deadband, so no round settles.
+        tuner = _StubPolicy(engine, lambda process: {
+            name: p + 5 for name, p in process.deployment.parallelisms.items()
+        })
+        result = tuner.tune(cold_deployment(engine, q2), q2.rates_at(10))
+        assert len(result.steps) == tuner.max_rounds
+        assert all(step.reconfigured for step in result.steps)
+        assert not result.converged
+
+    def test_an_unchanged_round_without_backpressure_converges(self, q2, noiseless):
+        engine = FlinkCluster(seed=21)
+        deployment = cold_deployment(engine, q2)
+        generous = {
+            name: 2 * p for name, p in OracleTuner(engine).optimal_parallelisms(
+                deployment, q2.rates_at(5)
+            ).items()
+        }
+        engine.reconfigure(deployment, generous)
+        tuner = _StubPolicy(engine, lambda process: dict(generous))
+        result = tuner.tune(deployment, q2.rates_at(5))
+        assert len(result.steps) == 1
+        assert not result.steps[0].reconfigured
+        assert result.converged
+
+    def test_a_repeat_under_backpressure_escalates_and_never_converges(self, q2):
+        engine = FlinkCluster(seed=21)
+        deployment = cold_deployment(engine, q2)
+        stuck = dict(deployment.parallelisms)
+        tuner = _StubPolicy(engine, lambda process: dict(stuck))
+        result = tuner.tune(deployment, q2.rates_at(10))
+        assert all(step.backpressure_after for step in result.steps)
+        assert len(result.steps) == tuner.max_rounds
+        assert not any(step.reconfigured for step in result.steps)
+        assert not result.converged
+        # Every round after the first repeats its predecessor.
+        assert tuner.escalations == tuner.max_rounds - 1
+
+    @pytest.mark.parametrize("multiplier, converged", [(5, True), (10, False)])
+    def test_a_one_round_method_converges_on_its_only_round(
+        self, q2, noiseless, multiplier, converged
+    ):
+        """A one-round method converges when its one redeployment leaves no
+        backpressure, although that round changed the map."""
+        engine = FlinkCluster(seed=21)
+        deployment = cold_deployment(engine, q2)
+        feasible_at_5 = OracleTuner(engine).optimal_parallelisms(
+            deployment, q2.rates_at(5)
+        )
+        tuner = _StubPolicy(engine, lambda process: dict(feasible_at_5), max_rounds=1)
+        result = tuner.tune(deployment, q2.rates_at(multiplier))
+        assert len(result.steps) == 1
+        assert result.steps[0].reconfigured
+        assert result.converged is converged
+
+    @pytest.mark.parametrize("measure_first", [False, True])
+    def test_one_measurement_per_round_plus_one_for_measure_first(
+        self, q2, monkeypatch, measure_first
+    ):
+        engine = FlinkCluster(seed=21)
+        calls = self._counted(engine, monkeypatch)
+        tuner = _StubPolicy(engine, lambda process: {
+            name: p + 5 for name, p in process.deployment.parallelisms.items()
+        }, measure_first=measure_first)
+        result = tuner.tune(cold_deployment(engine, q2), q2.rates_at(10))
+        assert len(calls) == len(result.steps) + measure_first
+        # Each round measures the map it just deployed.
+        assert calls[measure_first:] == [step.parallelisms for step in result.steps]
+
+    def test_recommendation_seconds_leaves_measurements_out(self, q2, monkeypatch):
+        sleep = 0.05
+        engine = FlinkCluster(seed=21)
+        calls = self._counted(engine, monkeypatch, sleep=sleep)
+        deployment = cold_deployment(engine, q2)
+        stuck = dict(deployment.parallelisms)
+        # Measure-first, one measurement per round and one per escalation:
+        # every one of them sleeps, and no step's clock may see it.
+        tuner = _StubPolicy(engine, lambda process: dict(stuck), measure_first=True)
+        result = tuner.tune(deployment, q2.rates_at(10))
+        assert tuner.escalations == len(result.steps) - 1 > 0
+        assert len(calls) == 1 + len(result.steps) + tuner.escalations
+        assert all(step.recommendation_seconds < sleep for step in result.steps)

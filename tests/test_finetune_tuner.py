@@ -11,7 +11,6 @@ from repro.core.finetune import (
     build_warmup_dataset,
     distill_rows,
 )
-from repro.core import tuner as tuner_module
 from repro.core.tuner import (
     MAX_CLASS_IMBALANCE,
     QueryTuningState,
@@ -100,7 +99,7 @@ class TestConstantModel:
 class TestStreamTuneTuner:
     @pytest.fixture
     def setup(self, tiny_pretrained, monkeypatch):
-        monkeypatch.setattr(tuner_module, "MAX_ITERATIONS", 6)
+        monkeypatch.setattr(StreamTuneTuner, "max_rounds", 6)
         engine = FlinkCluster(seed=31)
         tuner = StreamTuneTuner(engine, tiny_pretrained, seed=32)
         query = nexmark_query("q2", "flink")

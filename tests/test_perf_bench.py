@@ -83,6 +83,29 @@ class TestTiming:
         assert 0 <= result["min_seconds"] <= result["seconds"] <= result["max_seconds"]
         assert result["hot_path"] == "test"
 
+    def test_a_pair_is_timed_one_repeat_at_a_time_alternating(self, monkeypatch):
+        from repro.perf import runner
+
+        calls: list = []
+
+        def bench(name, repeats):
+            return Benchmark(
+                name=name, hot_path="test", description=name,
+                run=lambda fixtures: calls.append(name), repeats=repeats,
+            )
+
+        monkeypatch.setattr(runner, "BENCHMARKS", (
+            bench("fast", 3), bench("slow", 3), bench("alone", 2),
+        ))
+        monkeypatch.setattr(runner, "RATIO_DEFINITIONS", {"x": ("slow", "fast")})
+        results = runner.run_benchmarks("fx")
+        assert calls == ["fast", "slow", "slow", "fast", "fast", "slow", "alone", "alone"]
+        assert [results[name]["repeats"] for name in ("fast", "slow", "alone")] == [3, 3, 2]
+        # A side selected on its own runs all its repeats, as before.
+        calls.clear()
+        assert set(runner.run_benchmarks("fx", only=["slow"])) == {"slow"}
+        assert calls == ["slow"] * 3
+
     def test_compute_ratios_skips_incomplete_pairs(self):
         results = {
             "ged_assign_exhaustive": {"seconds": 2.0},
