@@ -34,13 +34,14 @@ def main() -> None:
     print(f"clusters: {pretrained.n_clusters}; centers: "
           f"{[g.name for g in pretrained.clustering.center_graphs]}")
 
-    tuner = StreamTuneTuner(engine, pretrained, seed=17)
     oracle = OracleTuner(engine)
     targets = pqp_query_set()["3-way-join"][:3]
 
     rows = []
     for query in targets:
         cluster = pretrained.assign_cluster(query.flow)
+        # A tuner serves one query: T accumulates that query's feedback.
+        tuner = StreamTuneTuner(engine, pretrained, seed=17)
         tuner.prepare(query)
         deployment = engine.deploy(
             query.flow,

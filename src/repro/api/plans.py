@@ -251,7 +251,7 @@ def _campaign_spec(plan, token: str, rates, engine_seed: int):
     """The :class:`~repro.service.CampaignSpec` of one (query, trace) of a
     tuning or campaign plan — the one place plan fields become a
     campaign.  Imported lazily: validation never needs the service."""
-    from repro.service.scheduler import CampaignSpec
+    from repro.service.tuning import CampaignSpec
 
     return CampaignSpec(
         query=resolve_query(token, plan.engine),

@@ -25,9 +25,9 @@ and ContTune's measure-and-rescale):
 
 A method is a policy: ``decide`` is required, the other hooks default to
 doing nothing.  Everything a hook keeps for one process lives on the
-:class:`TuningProcess`, which is local to the ``tune`` call, so a tuner
-whose cross-process state is per query (StreamTune's
-``QueryTuningState``) can tune different queries from several threads.
+:class:`TuningProcess`, which is local to the ``tune`` call; what a
+method keeps across processes (StreamTune's ``QueryTuningState``,
+ContTune's GP history) belongs to the one campaign its tuner serves.
 ``recommendation_seconds`` times the decision and its floors and
 deadband, never a ``measure()``: ``escalate`` runs outside the clock
 because StreamTune's measures the job again.

@@ -25,7 +25,7 @@ import numpy as np
 from repro.baselines._demand import propagate_target_demand
 from repro.baselines.api import ParallelismTuner, TuningProcess
 from repro.core.labeling import label_operators
-from repro.engines.base import Deployment, EngineCluster
+from repro.engines.base import EngineCluster
 from repro.engines.metrics import JobTelemetry
 from repro.models.gp import GaussianProcess1D
 
@@ -48,21 +48,20 @@ class ContTuneTuner(ParallelismTuner):
 
     def __init__(self, engine: EngineCluster) -> None:
         super().__init__(engine)
-        # (job name, operator name) -> list of (parallelism, per-instance rate)
-        self._history: dict[tuple[str, str], list[tuple[int, float]]] = {}
+        # The job's own history (a tuner serves one campaign):
+        # operator name -> list of (parallelism, per-instance rate)
+        self._history: dict[str, list[tuple[int, float]]] = {}
 
     def prepare(self, query) -> None:
-        """ContTune starts every *job* from scratch (local history only)."""
-        stale = [key for key in self._history if key[0] == query.flow.name]
-        for key in stale:
-            del self._history[key]
+        """ContTune starts every job from scratch (local history only)."""
+        self._history.clear()
 
     def begin(self, process: TuningProcess) -> None:
-        self._record_observations(process.deployment, process.telemetry)
+        self._record_observations(process.telemetry)
 
     def learn(self, process: TuningProcess) -> None:
         deployment, telemetry = process.deployment, process.telemetry
-        self._record_observations(deployment, telemetry)
+        self._record_observations(telemetry)
         if not telemetry.has_backpressure:
             return
         # Conservative memory for this tuning process: once a degree has
@@ -82,13 +81,12 @@ class ContTuneTuner(ParallelismTuner):
     # surrogate bookkeeping
     # ------------------------------------------------------------------
 
-    def _record_observations(self, deployment: Deployment, telemetry: JobTelemetry) -> None:
-        job = deployment.flow.name
+    def _record_observations(self, telemetry: JobTelemetry) -> None:
         for name, metrics in telemetry.operators.items():
             if metrics.true_processing_rate <= 0:
                 continue
             rate_per_instance = metrics.true_processing_rate / metrics.parallelism
-            self._history.setdefault((job, name), []).append(
+            self._history.setdefault(name, []).append(
                 (metrics.parallelism, rate_per_instance)
             )
 
@@ -98,12 +96,11 @@ class ContTuneTuner(ParallelismTuner):
 
     def decide(self, process: TuningProcess) -> dict[str, int]:
         deployment, telemetry = process.deployment, process.telemetry
-        job = deployment.flow.name
         demand = propagate_target_demand(deployment, telemetry, process.target_rates)
         recommendation: dict[str, int] = {}
         for name in deployment.flow.topological_order():
             current_p = deployment.parallelisms[name]
-            observations = self._history.get((job, name), [])
+            observations = self._history.get(name, [])
             recommendation[name] = self._tune_operator(
                 demand[name], current_p, observations, telemetry[name]
             )

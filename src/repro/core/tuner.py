@@ -44,7 +44,6 @@ scale; as shipped: median final-parallelism ratio to the oracle 1.115,
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,15 +78,12 @@ MAX_CLASS_IMBALANCE = 3.0
 
 @dataclass
 class QueryTuningState:
-    """Everything the tuner accumulates for one query.
+    """Everything a tuner accumulates for its one query: the cluster, the
+    warm-up set, the feedback ΔT that grows across the query's rate
+    changes, and the SVM warm start.
 
-    Grouping the per-query mutable state into one object (instead of three
-    parallel instance dictionaries) is what makes :meth:`StreamTuneTuner.tune`
-    reentrant: a tuning process touches only its own state record plus local
-    variables, so one tuner instance can drive interleaved campaigns for
-    *different* queries from multiple threads.  Concurrent processes for the
-    *same* query still require external serialisation (feedback is an
-    append-log shared across that query's rate changes by design).
+    A tuner serves one campaign (the service builds one per campaign), so
+    this record has one owner and one thread.
     """
 
     job_key: str
@@ -143,8 +139,9 @@ class StreamTuneTuner(ParallelismTuner):
         self.observed_weight = 10
         self.seed = seed
         self.caches = caches
-        self._states: dict[str, QueryTuningState] = {}
-        self._state_lock = threading.Lock()
+        #: The one query this tuner serves: built by :meth:`prepare`, or
+        #: by the first :meth:`decide` of an unprepared tuner.
+        self._state: QueryTuningState | None = None
 
     def _cached(self, kind: str, key: tuple, builder):
         if self.caches is None:
@@ -196,16 +193,16 @@ class StreamTuneTuner(ParallelismTuner):
             self._step_values(query.flow, state, query.rates_at(multiplier))
 
     def _state_for(self, flow) -> QueryTuningState:
-        job = flow.name
-        with self._state_lock:
-            state = self._states.get(job)
-        if state is not None:
-            return state
-        state = self._build_state(flow)
-        with self._state_lock:
-            # Another thread may have prepared the same query concurrently;
-            # keep the first-registered state so feedback stays in one log.
-            return self._states.setdefault(job, state)
+        """The state of the one query this tuner serves; any other query
+        is refused, since its T would be another campaign's."""
+        if self._state is None:
+            self._state = self._build_state(flow)
+        elif self._state.job_key != flow.name:
+            raise ValueError(
+                f"this tuner serves {self._state.job_key!r}, not {flow.name!r}: "
+                "build one tuner per query"
+            )
+        return self._state
 
     def _step_values(self, flow, state: QueryTuningState, target_rates):
         """One tuning process's rate-conditioned pure values: the distilled
@@ -242,21 +239,26 @@ class StreamTuneTuner(ParallelismTuner):
         # ``tune`` to time tuning processes.
         return super().tune(deployment, target_rates)
 
-    def begin(self, process: TuningProcess) -> None:
-        # (query state, this round's embeddings, their row order)
-        process.state = (self._state_for(process.deployment.flow), None, None)
-
     def decide(self, process: TuningProcess) -> dict[str, int]:
-        state = process.state[0]
-        flow = process.deployment.flow
         # M_f = the GNN's knowledge, monotonized and locally corrected:
         # per-operator distillation at the target rates carries the
         # encoder's threshold surface, the job's own Algorithm 1 feedback
         # dominates on conflict, and the cluster warm-up acts as light
         # regularisation.
-        operating_point, embeddings = self._step_values(
-            flow, state, process.target_rates
-        )
+        if process.state is None:
+            # A process's target rates are fixed, so its distilled rows,
+            # embeddings and their row order are looked up once, on its
+            # first round.  The cached embeddings are the matrix alone; the
+            # name mapping is recovered from the flow, so renamed-but-
+            # identical queries can share the entry.
+            flow = process.deployment.flow
+            state = self._state_for(flow)
+            process.state = (
+                state,
+                *self._step_values(flow, state, process.target_rates),
+                flow.topological_order(),
+            )
+        state, operating_point, embeddings, order = process.state
         # Once real feedback exists for this job it must be able to
         # overrule the distilled prior, so the prior's weight drops.
         prior_weight = (
@@ -266,11 +268,6 @@ class StreamTuneTuner(ParallelismTuner):
         model = self._fit_model(
             operating_point, state.feedback, state.dataset, prior_weight, state
         )
-        # The cached embeddings are the matrix alone; the name mapping is
-        # recovered from the flow, so renamed-but-identical queries can
-        # share the entry.
-        order = flow.topological_order()
-        process.state = (state, embeddings, order)
         return self._recommend(model, embeddings, order)
 
     def escalate(
@@ -304,7 +301,7 @@ class StreamTuneTuner(ParallelismTuner):
         backpressure (the paper's loop assumes the refit model moves
         enough; with small T the floor guarantees it).
         """
-        state, embeddings, order = process.state
+        state, _, embeddings, order = process.state
         deployment, telemetry = process.deployment, process.telemetry
         labels = label_operators(deployment.flow, telemetry, self.engine.name)
         for index, name in enumerate(order):

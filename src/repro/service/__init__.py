@@ -10,11 +10,6 @@ and makes sure no piece of pure work is ever computed twice.
 
 Architecture (see each module for depth):
 
-* :mod:`repro.service.scheduler` — :class:`CampaignSpec` describes one
-  ``(query, rate-trace)`` campaign; :class:`BackpressureScheduler` probes
-  every campaign's starting deployment and dispatches queries currently
-  showing backpressure first (hottest leading), so scarce workers buy the
-  most SLO.
 * :mod:`repro.service.cache` — :class:`TuningCacheSet` routes the tuner's
   pure computations (cluster assignment, warm-up dataset construction,
   distilled operating points, operator embeddings) through bounded
@@ -27,13 +22,15 @@ Architecture (see each module for depth):
   completed cells restore their pure entries through their own tuners
   (:meth:`~repro.core.tuner.StreamTuneTuner.warm`, the one owner of the
   cache keys) before the missing cells dispatch.
-* :mod:`repro.service.tuning` — :class:`TuningService` executes campaigns
-  in order (``sequential``) or over a ``thread`` worker pool, both
-  streaming their campaigns' events live; the multi-process executor is
-  the spool fleet of :mod:`repro.distributed`.  Every
-  campaign owns its engine and tuner (per-campaign seeding), all share the
-  caches, and results are bit-identical across backends and dispatch
-  orders because every cached value is a pure function of its key.
+* :mod:`repro.service.tuning` — :class:`CampaignSpec` describes one
+  ``(query, rate-trace)`` campaign; :class:`TuningService` dispatches
+  campaigns in plan order, one after another (``sequential``) or over a
+  ``thread`` worker pool, both streaming their campaigns' events live;
+  the multi-process executor is the spool fleet of
+  :mod:`repro.distributed`.  Every campaign owns its engine and a tuner
+  that serves it alone (per-campaign seeding), all share the caches, and
+  results are bit-identical across backends and dispatch orders because
+  every cached value is a pure function of its key.
 
 Quick start — a :class:`~repro.api.plans.CampaignPlan` runs on this
 service through the session front door::
@@ -59,25 +56,19 @@ from repro.service.cache import (
     TuningCacheSet,
 )
 from repro.service.prewarm import prewarm_caches
-from repro.service.scheduler import (
-    BackpressureScheduler,
-    CampaignPriority,
-    CampaignSpec,
-)
 from repro.service.tuning import (
     BACKENDS,
     CampaignExecutionError,
     CampaignOutcome,
+    CampaignSpec,
     TuningService,
     execute_campaign,
 )
 
 __all__ = [
     "BACKENDS",
-    "BackpressureScheduler",
     "CampaignExecutionError",
     "CampaignOutcome",
-    "CampaignPriority",
     "CampaignSpec",
     "ConcurrentLRUCache",
     "SharedGEDCache",

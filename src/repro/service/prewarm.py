@@ -30,7 +30,7 @@ def prewarm_caches(pretrained, caches, resumed) -> dict[str, int]:
     """Warm ``caches`` with every entry the ``resumed`` campaigns consulted.
 
     ``resumed`` holds ``(spec, outcome)`` pairs: a campaign's
-    :class:`~repro.service.scheduler.CampaignSpec` and its recorded
+    :class:`~repro.service.tuning.CampaignSpec` and its recorded
     :class:`~repro.service.tuning.CampaignOutcome`.  History-free
     campaigns consult no cache and are skipped.  Returns the number of
     *newly computed* entries per section (its miss delta).

@@ -1,19 +1,22 @@
 """The concurrent multi-query tuning service (see package docstring).
 
 ``TuningService`` accepts many :class:`CampaignSpec` objects and executes
-them through a worker pool.  Every campaign owns its engine and its
-tuner (the reentrancy unit), while the expensive pure computations —
-cluster assignment GEDs, warm-up datasets, distilled operating points,
-parallelism-agnostic embeddings — flow through one shared
-:class:`TuningCacheSet`.  Campaign results are therefore
+them in plan order, one after another or through a worker pool.  Every
+campaign owns its engine and its tuner, which serves that one campaign,
+while the expensive pure computations — cluster assignment GEDs,
+warm-up datasets, distilled operating points, parallelism-agnostic
+embeddings — flow through one shared :class:`TuningCacheSet`.  Campaign
+results are therefore
 
 * **identical across backends**: ``sequential`` and ``thread`` runs of
   the same specs produce bit-identical ``TuningResult`` step sequences
   (cache hits return exactly what a recomputation would), and the
   multi-process executor — the spool fleet of :mod:`repro.distributed` —
   reproduces them too; and
-* **independent of scheduling**: the backpressure scheduler only decides
-  *when* a campaign runs, never what it computes.
+* **independent of dispatch order**: campaigns dispatch in plan order,
+  the order the distributed coordinator emits its cells in, and thread
+  workers interleave them freely; neither changes what a campaign
+  computes.
 
 Execution is **observable**: :meth:`TuningService.stream` yields typed
 :mod:`repro.api.events` as campaigns progress — live per-step on every
@@ -57,17 +60,83 @@ from repro.api.events import (
     CampaignStarted,
     Reconfigured,
     StepCompleted,
+    campaign_cell_key,
     campaign_finished,
 )
 from repro.api.resume import replay_events, resume_outcome
 from repro.core.pretrain import PretrainedStreamTune
 from repro.core.tuner import StreamTuneTuner
+from repro.engines.base import EngineCluster
 from repro.experiments.campaigns import CampaignResult, iter_campaign
 from repro.service.cache import SharedGEDCache, TuningCacheSet
 from repro.service.prewarm import prewarm_caches
-from repro.service.scheduler import BackpressureScheduler, CampaignSpec
+from repro.workloads.query import StreamingQuery
 
 BACKENDS = ("sequential", "thread")
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """One tuning campaign: a query driven through a source-rate trace."""
+
+    query: StreamingQuery
+    multipliers: tuple[float, ...]
+    engine: str = "flink"
+    engine_seed: int = 20250711
+    seed: int = 17
+    #: Tuning method by registry name.  ``streamtune`` (the default) runs
+    #: the paper's system through the shared caches; any other registered
+    #: method that needs no execution history (ds2, conttune, oracle) is
+    #: built per campaign from the registry.
+    tuner: str = "streamtune"
+    #: StreamTune's prediction layer by registry name (a plan's ``layer``).
+    model_kind: str = "svm"
+    #: Optional :class:`~repro.scenarios.ChaosSpec` executed alongside
+    #: the campaign (``None`` = clean run).  Frozen and hashable, so it
+    #: participates in spec identity.
+    chaos: object = None
+
+    def __post_init__(self) -> None:
+        if not self.multipliers:
+            raise ValueError(f"{self.query.name}: campaign needs >= 1 multiplier")
+
+    @property
+    def is_streamtune(self) -> bool:
+        return self.tuner == "streamtune"
+
+    @property
+    def layer(self) -> "str | None":
+        """The prediction layer this campaign tunes with: ``model_kind``
+        for StreamTune, ``None`` for the baselines, which carry no model."""
+        return self.model_kind if self.is_streamtune else None
+
+    @property
+    def name(self) -> str:
+        return self.query.name
+
+    @property
+    def cell_key(self) -> str:
+        """Deterministic campaign identity stamped on this campaign's
+        events; a resumed run matches recorded campaigns by this key."""
+        return campaign_cell_key(
+            self.query.name,
+            self.engine,
+            self.tuner,
+            self.multipliers,
+            self.seed,
+            # The prediction layer changes streamtune results, so it is
+            # part of their identity; baseline keys stay layer-free.
+            layer=self.layer,
+            engine_seed=self.engine_seed,
+            chaos=self.chaos.label() if self.chaos is not None else None,
+        )
+
+    def make_engine(self) -> EngineCluster:
+        # Resolved through the engine registry (imported lazily: the
+        # registry population should happen on first use, not at import).
+        from repro.api.components import build_engine
+
+        return build_engine(self.engine, seed=self.engine_seed)
 
 
 @dataclass
@@ -345,20 +414,6 @@ class TuningService:
 
     # -- execution ------------------------------------------------------
 
-    def _plan_units(
-        self, specs: list[CampaignSpec], skip: frozenset | set = frozenset()
-    ) -> list[int]:
-        """Spec indices in dispatch order: backpressured campaigns first.
-        ``skip`` holds the indices a resume log already covers — they are
-        neither probed nor planned; fewer than two pending campaigns have
-        no order to find, so nothing is probed for them either.
-        """
-        active = [index for index in range(len(specs)) if index not in skip]
-        if len(active) < 2:
-            return active
-        order = BackpressureScheduler().order([specs[index] for index in active])
-        return [active[position] for position in order]
-
     @staticmethod
     def _check_specs(specs: list[CampaignSpec]) -> None:
         names = [spec.name for spec in specs]
@@ -413,7 +468,8 @@ class TuningService:
                     spec.cell_key, resume,
                 ):
                     yield stamped(event)
-            units = self._plan_units(specs, skip=set(resumed))
+            # The campaigns left to run, dispatched in plan order.
+            units = [index for index in range(len(specs)) if index not in resumed]
             # Resumed-only fleets still warm (no pool spins up for them
             # below): their completed cells' pure entries belong in this
             # service's cache set — and any snapshot taken from it — not

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import CampaignPlan, TuningSession
 from repro.core.finetune import (
     DISTILLATION_GRID,
     PredictionDataset,
@@ -140,16 +141,47 @@ class TestStreamTuneTuner:
             query.rates_at(3),
         )
         tuner.tune(deployment, query.rates_at(3))
-        first = len(tuner._states[query.flow.name].feedback)
+        first = len(tuner._state.feedback)
         tuner.tune(deployment, query.rates_at(7))
-        assert len(tuner._states[query.flow.name].feedback) > first
+        assert len(tuner._state.feedback) > first
 
     def test_prepare_idempotent(self, setup):
         engine, tuner, query = setup
         tuner.prepare(query)
-        dataset = tuner._states[query.flow.name].dataset
+        dataset = tuner._state.dataset
         tuner.prepare(query)
-        assert tuner._states[query.flow.name].dataset is dataset
+        assert tuner._state.dataset is dataset
+
+    def test_a_prepared_tuner_refuses_another_query(self, setup):
+        # A tuner serves one campaign: another query's T is not its own.
+        engine, tuner, query = setup
+        tuner.prepare(query)
+        other = nexmark_query("q5", "flink")
+        deployment = engine.deploy(
+            other.flow, dict.fromkeys(other.flow.operator_names, 1),
+            other.rates_at(3),
+        )
+        with pytest.raises(ValueError, match="one tuner per query"):
+            tuner.tune(deployment, other.rates_at(3))
+        with pytest.raises(ValueError, match="one tuner per query"):
+            tuner.prepare(other)
+
+    def test_distill_and_embed_are_looked_up_once_per_process(self, tiny_pretrained):
+        # A process's target rates are fixed, so its distilled rows and
+        # embeddings are looked up on its first round only.
+        plan = CampaignPlan(
+            queries=("q2", "q5"), rates=(3.0, 7.0, 4.0),
+            backend="sequential", scale="smoke", seed=41,
+        )
+        result = TuningSession(pretrained=tiny_pretrained).run(plan)
+        processes = [
+            process for outcome in result.outcomes
+            for process in outcome.result.processes
+        ]
+        assert sum(len(process.steps) for process in processes) > len(processes)
+        for kind in ("distill", "embed"):
+            stats = result.cache_stats[kind]
+            assert stats["hits"] + stats["misses"] == len(processes), kind
 
     def test_unprepared_query_lazily_initialised(self, setup, tiny_pretrained):
         engine, _, query = setup

@@ -1,15 +1,14 @@
-"""Tests for the concurrent tuning service: caches, scheduler, service."""
+"""Tests for the concurrent tuning service: caches, dispatch order, service."""
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import threading
 
 import pytest
 
+from repro.api import CampaignPlan, TuningSession
 from repro.service import (
-    BackpressureScheduler,
     CampaignSpec,
     ConcurrentLRUCache,
     TuningCacheSet,
@@ -162,57 +161,27 @@ class TestTuningCacheSet:
 
 
 # ----------------------------------------------------------------------
-# scheduler
+# dispatch order
 # ----------------------------------------------------------------------
 
-def _spec(name: str, multiplier: float, seed: int = 7) -> CampaignSpec:
-    return CampaignSpec(
-        query=nexmark_query(name, "flink"),
-        multipliers=(multiplier,),
-        engine_seed=seed,
-        seed=seed,
-    )
-
-
 class TestScheduler:
-    def test_backpressured_campaigns_dispatch_first(self):
-        # At parallelism 1, a 10x-Wu rate backpressures while a tiny
-        # fraction of one rate unit cannot.
-        hot = _spec("q5", 10.0)
-        cold = _spec("q1", 0.01)
-        scheduler = BackpressureScheduler()
-        assert scheduler.probe(hot).backpressured
-        assert not scheduler.probe(cold).backpressured
-        order = scheduler.order([cold, hot])
-        assert order[0] == 1
-
-    def test_order_is_deterministic(self):
-        specs = [_spec("q1", 3.0), _spec("q2", 3.0), _spec("q5", 3.0)]
-        scheduler = BackpressureScheduler()
-        assert scheduler.order(specs) == scheduler.order(specs)
+    @pytest.mark.parametrize("backend, workers", [("sequential", None), ("thread", 1)])
+    def test_campaigns_start_in_plan_order(self, backend, workers):
+        # At parallelism 1, q5 backpressures at 3x Wu and q1 does not;
+        # that urgency does not reorder the plan.
+        plan = CampaignPlan(
+            queries=("q1", "q5"), rates=(3.0, 7.0), tuner="ds2",
+            backend=backend, workers=workers,
+        )
+        started = [
+            event.campaign for event in TuningSession().stream(plan)
+            if event.kind == "CampaignStarted"
+        ]
+        assert started == ["nexmark_q1_flink", "nexmark_q5_flink"]
 
     def test_empty_multipliers_rejected(self):
         with pytest.raises(ValueError):
             CampaignSpec(query=nexmark_query("q1", "flink"), multipliers=())
-
-    def test_one_pending_campaign_is_not_probed(self, monkeypatch):
-        # A spool cell is a one-campaign plan: an ordering of one needs no
-        # second engine, deployment and measurement.
-        built = []
-        make_engine = CampaignSpec.make_engine
-        monkeypatch.setattr(
-            CampaignSpec, "make_engine",
-            lambda spec: built.append(spec.name) or make_engine(spec),
-        )
-        specs = [
-            dataclasses.replace(_spec(name, 3.0), tuner="ds2") for name in ("q1", "q5")
-        ]
-        service = TuningService(None, backend="sequential")
-        run_campaigns(service, specs[:1])
-        assert built == [specs[0].name]                 # the campaign's own engine
-        del built[:]
-        run_campaigns(service, specs)
-        assert sorted(built) == sorted(spec.name for spec in specs * 2)  # + probes
 
 
 # ----------------------------------------------------------------------
