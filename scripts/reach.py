@@ -33,6 +33,18 @@ the readers.  Names match by identifier and are not resolved, so a
 same-named read anywhere reaches a definition: the audit can miss dead
 code but never flags live code.
 
+*Properties* (``@property`` and ``@cached_property`` getters of a
+top-level class, private ones included) are audited with a narrower
+read: an ``Attribute`` load (not a store) or a string constant passed to
+a call (``getattr(obj, "name")``; not a dict key).  A load whose
+receiver has a known class is not a read of another class's property
+when that class binds the name itself — as a method, a class-level or
+dataclass field, or a ``self.<name> = ...`` assignment — and is neither
+the property's class nor derived from it.  A receiver's class is known
+for ``self`` (the enclosing class), for a parameter annotated with a
+class, and for ``self.<attr>`` assigned such a parameter in the
+enclosing class.
+
 *Parameters.*  Audited is every parameter with a default (positional or
 keyword-only) of a top-level function or of a method of a top-level
 class (``__init__`` and ``__call__`` included), and every defaulted
@@ -205,15 +217,74 @@ def _registration(node: ast.AST) -> str | None:
     return None
 
 
+def _is_property(node: ast.AST) -> bool:
+    return any(
+        _identifier(d) in {"property", "cached_property"}
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _annotated(function) -> dict[str, str]:
+    """Each parameter annotated with a plain class name -> that name."""
+    found = {}
+    args = function.args
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        annotation = arg.annotation
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            try:
+                annotation = ast.parse(annotation.value, mode="eval").body
+            except SyntaxError:
+                continue
+        if isinstance(annotation, (ast.Name, ast.Attribute)):
+            found[arg.arg] = _identifier(annotation)
+    return found
+
+
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _binds(node: ast.ClassDef) -> tuple[frozenset, dict[str, str]]:
+    """The names a class gives its instances itself — its methods and
+    properties, its class-level and dataclass fields, every
+    ``self.<name> = ...`` in its body — and the class of each
+    ``self.<name>`` assigned an annotated parameter."""
+    found, types = set(), {}
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(item.name)
+            annotated = _annotated(item)
+            for sub in ast.walk(item):
+                if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name):
+                    types.update(
+                        (t.attr, annotated[sub.value.id]) for t in sub.targets
+                        if isinstance(t, ast.Attribute) and _is_self(t.value)
+                        and sub.value.id in annotated
+                    )
+        targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+        found.update(t.id for t in targets if isinstance(t, ast.Name))
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and _is_self(sub.value):
+            if not isinstance(sub.ctx, ast.Load):
+                found.add(sub.attr)
+    return frozenset(found), types
+
+
 class _Reads(ast.NodeVisitor):
     """One file's reads, each with the audited definitions (node ids) it
-    sits inside; a string also with the registration call it sits in."""
+    sits inside; a string also with the registration call it sits in; an
+    attribute load also with the class whose own binding it reads, if it
+    has a known class (the property audit's rules)."""
 
     def __init__(self, audited: set[int], counts_imports: bool) -> None:
         self.audited = audited
         self.counts_imports = counts_imports
         self.names: list[tuple[str, frozenset]] = []       # Name loads, imports
         self.attributes: list[tuple[str, frozenset]] = []
+        self.loads: list[tuple[str, frozenset, str | None]] = []
+        self.call_strings: list[tuple[str, frozenset]] = []
+        self._classes: list[tuple[str, dict[str, str]]] = []
+        self._parameters: list[dict[str, str]] = [{}]
         self.strings: list[tuple[str, frozenset, int | None]] = []
         self._inside: frozenset = frozenset()
         self._call: int | None = None
@@ -228,7 +299,29 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
         self._inside = saved
 
-    visit_Module = visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+    visit_Module = _scoped
+
+    def visit_FunctionDef(self, node) -> None:
+        self._parameters.append(_annotated(node))
+        self._scoped(node)
+        self._parameters.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._classes.append((node.name, _binds(node)[1]))
+        self._scoped(node)
+        self._classes.pop()
+
+    def _receiver(self, node: ast.expr) -> str | None:
+        """The class of an attribute's receiver, when it is known."""
+        if _is_self(node):
+            return self._classes[-1][0] if self._classes else None
+        if isinstance(node, ast.Name):
+            return self._parameters[-1].get(node.id)
+        if isinstance(node, ast.Attribute) and _is_self(node.value) and self._classes:
+            return self._classes[-1][1].get(node.attr)
+        return None
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if _is_all(node):
@@ -236,6 +329,10 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
+        self.call_strings.extend(
+            (arg.value, self._inside) for arg in (*node.args, *(k.value for k in node.keywords))
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        )
         saved = self._call
         if _registration(node) is not None:
             self._call = id(node)
@@ -248,6 +345,8 @@ class _Reads(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self.attributes.append((node.attr, self._inside))
+        if isinstance(node.ctx, ast.Load):
+            self.loads.append((node.attr, self._inside, self._receiver(node.value)))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -311,7 +410,7 @@ def unread(package_dir: Path) -> list[str]:
                     (f"{module}.{node.name}.{item.name}", item.name, item, (node, module))
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not item.name.startswith("_")
+                    and (not item.name.startswith("_") or _is_property(item))
                 )
             if _is_all(node):
                 exported.extend(
@@ -354,6 +453,8 @@ def unread(package_dir: Path) -> list[str]:
     audited = {id(node) for _, _, node, _ in definitions}
     names: dict[str, list[frozenset]] = {}
     attributes: dict[str, list[frozenset]] = {}
+    loads: dict[str, list[tuple[frozenset, str | None]]] = {}
+    call_strings: dict[str, list[frozenset]] = {}
     strings: dict[str, list[tuple[frozenset, int | None]]] = {}
     package_inits = {path.resolve() for path in modules.values() if path.name == "__init__.py"}
     own = {path.resolve(): module for module, path in modules.items()}
@@ -375,6 +476,10 @@ def unread(package_dir: Path) -> list[str]:
             names.setdefault(name, []).append(inside)
         for name, inside in reads.attributes:
             attributes.setdefault(name, []).append(inside)
+        for name, inside, receiver in reads.loads:
+            loads.setdefault(name, []).append((inside, receiver))
+        for value, inside in reads.call_strings:
+            call_strings.setdefault(value, []).append(inside)
         for value, inside, call in reads.strings:
             strings.setdefault(value, []).append((inside, call))
             if value.lower() != value:
@@ -384,6 +489,26 @@ def unread(package_dir: Path) -> list[str]:
         """Where ``name`` is read; ``bare`` adds ``Name`` loads and imports."""
         found = [*attributes.get(name, []), *(inside for inside, _ in strings.get(name, []))]
         return [*found, *names.get(name, [])] if bare else found
+
+    binds = {}                      # class name -> what every class so named binds
+    for name, defined_as in classes.items():
+        binds[name] = frozenset.intersection(*(_binds(node)[0] for node, _ in defined_as))
+
+    def derives(name: str, base: str, seen: frozenset = frozenset()) -> bool:
+        return name == base or any(
+            derives(_identifier(parent), base, seen | {name})
+            for node, _ in classes.get(name, ()) if name not in seen
+            for parent in node.bases if isinstance(parent, (ast.Name, ast.Attribute))
+        )
+
+    def property_reads(name: str, owner: str) -> list[frozenset]:
+        """Where property ``owner.name`` may be read (see the docstring)."""
+        found = [
+            inside for inside, receiver in loads.get(name, [])
+            if receiver is None or name not in binds.get(receiver, ())
+            or derives(receiver, owner)
+        ]
+        return [*found, *call_strings.get(name, [])]
 
     missing = []
     for label, name, node, owner in definitions:
@@ -395,7 +520,11 @@ def unread(package_dir: Path) -> list[str]:
             overridden = inherited(*owner, frozenset({owner[0].name}))
             if name in overridden or "*" in overridden:
                 continue
-        if all(id(node) in inside for inside in reads_of(name, bare=owner is None)):
+        if owner is not None and _is_property(node):
+            found = property_reads(name, owner[0].name)
+        else:
+            found = reads_of(name, bare=owner is None)
+        if all(id(node) in inside for inside in found):
             missing.append(label)
     for label, name in exported:
         if all(defined.get(name, set()) & inside for inside in reads_of(name, bare=True)):

@@ -62,6 +62,7 @@ from repro.core.labeling import label_operators
 from repro.core.pretrain import PretrainedStreamTune
 from repro.engines.base import Deployment, EngineCluster
 from repro.models import MonotonicSVM, make_prediction_model
+from repro.models.base import row_keys
 from repro.models.search import min_feasible_parallelism
 from repro.utils.rng import stable_hash
 from repro.workloads.query import StreamingQuery
@@ -139,6 +140,10 @@ class StreamTuneTuner(ParallelismTuner):
         self.observed_weight = 10
         self.seed = seed
         self.caches = caches
+        #: M_f's parallelism feature of every degree the engine deploys:
+        #: ``_norms[p - 1]`` for degree ``p``.
+        self._norms = np.array([pretrained.feature_encoder.normalize_parallelism(
+            p, pretrained.max_parallelism) for p in range(1, engine.max_parallelism + 1)])
         #: The one query this tuner serves: built by :meth:`prepare`, or
         #: by the first :meth:`decide` of an unprepared tuner.
         self._state: QueryTuningState | None = None
@@ -308,9 +313,7 @@ class StreamTuneTuner(ParallelismTuner):
             label = labels.get(name, -1)
             if label < 0:
                 continue
-            p_norm = self.pretrained.feature_encoder.normalize_parallelism(
-                deployment.parallelisms[name], self.pretrained.max_parallelism
-            )
+            p_norm = self._norms[deployment.parallelisms[name] - 1]
             state.feedback.append(np.concatenate([embeddings[index], [p_norm]]), label)
         if telemetry.has_backpressure:
             self._raise_floors(process, labels)
@@ -334,8 +337,12 @@ class StreamTuneTuner(ParallelismTuner):
         feedback weighted ``observed_weight`` and the cluster warm-up
         weighted 1; a row that recurs (the warm-up history repeats rows for
         every redeployment of the same query) accumulates its weights onto
-        one unique row (keyed by its raw bytes, insertion-ordered and
-        therefore deterministic).  Execution histories label far more
+        one unique ``(row bytes, label)`` pair, in first-occurrence order:
+        prior, then feedback, then the warm-up rows neither holds.  The
+        warm-up's pairs are found once per cached warm-up set
+        (kept on it as ``_pairs``), so a refit merges only the prior and
+        the feedback into them; every weight is an integer, so the sums
+        are exact in any order.  Execution histories label far more
         operators 0 than 1 (most random deployments over-provision most
         operators), so the minority class is reweighted to at most
         ``MAX_CLASS_IMBALANCE``:1 — otherwise every model family collapses
@@ -345,28 +352,26 @@ class StreamTuneTuner(ParallelismTuner):
         accumulated state, so results are reproducible run-to-run and
         independent of campaign interleaving.
         """
-        index_of: dict[tuple[bytes, int], int] = {}
-        rows: list[np.ndarray] = []
-        labels: list[int] = []
-        weights: list[float] = []
-
-        def absorb(dataset: PredictionDataset, multiplicity: float) -> None:
-            for row, label in zip(dataset.features, dataset.labels):
-                key = (row.tobytes(), label)
-                position = index_of.get(key)
-                if position is None:
-                    index_of[key] = len(rows)
-                    rows.append(row)
-                    labels.append(label)
-                    weights.append(multiplicity)
-                else:
-                    weights[position] += multiplicity
-
-        absorb(operating_point, float(prior_weight))
-        absorb(feedback, float(self.observed_weight))
-        absorb(warmup, 1.0)
-        label_array = np.asarray(labels, dtype=np.int64)
-        weight_array = np.asarray(weights, dtype=np.float64)
+        rows, labels, weights, _ = _pairs(
+            (operating_point, feedback), (prior_weight, self.observed_weight)
+        )
+        if not hasattr(warmup, "_pairs"):
+            # Once per cached warm-up set: every campaign shares it unmutated.
+            warmup._pairs = _pairs((warmup,), (1.0,))
+        base_rows, base_labels, base_weights, sorter = warmup._pairs
+        rest = np.ones(len(base_labels), dtype=bool)
+        if len(labels) and len(rest):
+            # A row's pairs sit side by side in ``sorter``, label 0 first,
+            # so a row sorting between ``lo`` and ``hi`` is in the warm-up.
+            keys, base_keys = row_keys(rows), row_keys(base_rows)
+            lo = np.searchsorted(base_keys, keys, side="left", sorter=sorter)
+            hi = np.searchsorted(base_keys, keys, side="right", sorter=sorter)
+            match = sorter[np.clip(np.where(labels == 1, hi - 1, lo), 0, len(rest) - 1)]
+            hit = (lo < hi) & (base_labels[match] == labels)
+            weights[hit] += base_weights[match[hit]]
+            rest[match[hit]] = False
+        label_array = np.concatenate((labels, base_labels[rest]))
+        weight_array = np.concatenate((weights, base_weights[rest]))
         positive = label_array == 1
         w_pos = float(weight_array[positive].sum())
         w_neg = float(weight_array[~positive].sum())
@@ -384,8 +389,9 @@ class StreamTuneTuner(ParallelismTuner):
             self.model_kind, seed=self.seed + stable_hash(state.job_key, 1000)
         )
         warm_start = isinstance(model, MonotonicSVM)
+        features = np.concatenate([block for block in (rows, base_rows[rest]) if len(block)])
         fitted = model.fit(
-            np.stack(rows), label_array, sample_weight=weight_array,
+            features, label_array, sample_weight=weight_array,
             **({"theta0": state.warm_theta} if warm_start else {}),
         )
         if warm_start:
@@ -394,19 +400,12 @@ class StreamTuneTuner(ParallelismTuner):
 
     def _recommend(self, model, embeddings, order) -> dict[str, int]:
         """Lines 6-9: minimum feasible degree per operator, topologically."""
-        normalize = lambda p: self.pretrained.feature_encoder.normalize_parallelism(  # noqa: E731
-            p, self.pretrained.max_parallelism
-        )
-        recommendation: dict[str, int] = {}
-        for index, name in enumerate(order):
-            recommendation[name] = min_feasible_parallelism(
-                model,
-                embeddings[index],
-                self.engine.max_parallelism,
-                normalize,
-                probability_threshold=self.probability_threshold,
+        return {
+            name: min_feasible_parallelism(
+                model, embeddings[index], self._norms, self.probability_threshold
             )
-        return recommendation
+            for index, name in enumerate(order)
+        }
 
     def _raise_floors(self, process: TuningProcess, labels: dict[str, int]) -> None:
         """Convert an observed backpressure into per-operator lower bounds.
@@ -448,6 +447,23 @@ class StreamTuneTuner(ParallelismTuner):
                 ).name
             ]
         return flagged
+
+
+def _pairs(datasets, weights) -> tuple:
+    """The distinct ``(row bytes, label)`` pairs of ``datasets``, a row of
+    ``datasets[i]`` weighing ``weights[i]``: their rows, labels and summed
+    weights in first-occurrence order, and the order that sorts them by
+    row bytes, then label."""
+    labels = np.array([label for dataset in datasets for label in dataset.labels], np.int64)
+    if not len(labels):
+        return np.empty((0, 0)), labels, np.empty(0), labels
+    rows = np.stack([row for dataset in datasets for row in dataset.features])
+    weight = np.repeat(np.asarray(weights, np.float64), [len(dataset) for dataset in datasets])
+    _, row_id = np.unique(row_keys(rows), return_inverse=True)
+    _, first, pair_id = np.unique(2 * row_id + labels, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    kept = first[rank]
+    return rows[kept], labels[kept], np.bincount(pair_id, weight)[rank], np.argsort(rank)
 
 
 class _ConstantModel:

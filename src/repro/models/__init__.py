@@ -12,14 +12,12 @@ from repro.models.svm import MonotonicSVM
 from repro.models.gbdt import MonotonicGBDT
 from repro.models.isotonic import IsotonicKNN
 from repro.models.mlp import MLPClassifier
-from repro.models.search import min_feasible_parallelism
 
 __all__ = [
     "IsotonicKNN",
     "MLPClassifier",
     "MonotonicGBDT",
     "MonotonicSVM",
-    "min_feasible_parallelism",
 ]
 
 

@@ -35,6 +35,13 @@ def validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> tuple[
     return features, labels.astype(np.float64)
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a float matrix, equal iff the rows' bytes
+    are (so ``-0.0`` and ``0.0`` differ); ``np.unique`` groups by them."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def validate_sample_weight(sample_weight, n_rows: int) -> np.ndarray:
     """Shared weight validation: one positive, finite weight per row.
     ``None`` weighs every row 1."""

@@ -96,9 +96,10 @@ class MonotonicGBDT:
         self._fitted = True
         return self
 
-    def _leaf_value(self, grad_sum: float, hess_sum: float, lower: float, upper: float) -> float:
-        raw = -grad_sum / (hess_sum + REG_LAMBDA)
-        return float(np.clip(raw, lower, upper))
+    @staticmethod
+    def _leaf_value(grad_sum, hess_sum, lower: float, upper: float):
+        """The clipped leaf value; elementwise for arrays of candidate sums."""
+        return np.clip(-grad_sum / (hess_sum + REG_LAMBDA), lower, upper)
 
     def _build_node(
         self,
@@ -111,7 +112,7 @@ class MonotonicGBDT:
     ) -> _Node:
         grad_sum = float(gradients.sum())
         hess_sum = float(hessians.sum())
-        value = self._leaf_value(grad_sum, hess_sum, lower, upper)
+        value = float(self._leaf_value(grad_sum, hess_sum, lower, upper))
         if depth >= MAX_DEPTH or len(gradients) < 2:
             return _Node(value)
 
@@ -119,8 +120,7 @@ class MonotonicGBDT:
         if best is None:
             return _Node(value)
 
-        feature, threshold, gain = best
-        del gain
+        feature, threshold, _ = best
         go_left = features[:, feature] <= threshold
         if feature == self._monotone_feature:
             # Decreasing constraint: left (small p) >= mid >= right (large p).
@@ -161,37 +161,34 @@ class MonotonicGBDT:
         lower: float,
         upper: float,
     ) -> tuple[int, float, float] | None:
+        """The first split of largest gain in (feature, threshold) order,
+        if one beats ``MIN_GAIN``: the prefix sums of each feature's sorted
+        column score every threshold between two distinct values at once."""
         parent_score = grad_sum * grad_sum / (hess_sum + REG_LAMBDA)
-        best_gain = MIN_GAIN
-        best: tuple[int, float, float] | None = None
+        best_gain, best = MIN_GAIN, None
         for feature in range(features.shape[1]):
-            column = features[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_values = column[order]
-            grad_prefix = np.cumsum(gradients[order])
-            hess_prefix = np.cumsum(hessians[order])
-            for i in range(len(sorted_values) - 1):
-                if sorted_values[i] == sorted_values[i + 1]:
-                    continue
-                left_grad, left_hess = float(grad_prefix[i]), float(hess_prefix[i])
-                right_grad = grad_sum - left_grad
-                right_hess = hess_sum - left_hess
-                if left_hess < MIN_CHILD_WEIGHT or right_hess < MIN_CHILD_WEIGHT:
-                    continue
-                gain = (
-                    left_grad * left_grad / (left_hess + REG_LAMBDA)
-                    + right_grad * right_grad / (right_hess + REG_LAMBDA)
-                    - parent_score
-                )
-                if feature == self._monotone_feature:
-                    left_value = self._leaf_value(left_grad, left_hess, lower, upper)
-                    right_value = self._leaf_value(right_grad, right_hess, lower, upper)
-                    if left_value < right_value:
-                        gain = _NO_GAIN    # violates the decreasing constraint
-                if gain > best_gain:
-                    best_gain = gain
-                    threshold = 0.5 * (sorted_values[i] + sorted_values[i + 1])
-                    best = (feature, float(threshold), float(gain))
+            order = np.argsort(features[:, feature], kind="stable")
+            sorted_values = features[order, feature]
+            left_grad = np.cumsum(gradients[order])[:-1]
+            left_hess = np.cumsum(hessians[order])[:-1]
+            right_grad = grad_sum - left_grad
+            right_hess = hess_sum - left_hess
+            gain = (
+                left_grad * left_grad / (left_hess + REG_LAMBDA)
+                + right_grad * right_grad / (right_hess + REG_LAMBDA)
+                - parent_score
+            )
+            if feature == self._monotone_feature:
+                # Children that violate the decreasing constraint.
+                left_value = self._leaf_value(left_grad, left_hess, lower, upper)
+                right_value = self._leaf_value(right_grad, right_hess, lower, upper)
+                gain[left_value < right_value] = _NO_GAIN
+            light = (left_hess < MIN_CHILD_WEIGHT) | (right_hess < MIN_CHILD_WEIGHT)
+            gain[light | (sorted_values[:-1] == sorted_values[1:])] = _NO_GAIN
+            i = int(np.argmax(gain))        # the first of the largest
+            if gain[i] > best_gain:
+                best_gain = gain[i]
+                best = (feature, float(0.5 * (sorted_values[i] + sorted_values[i + 1])), best_gain)
         return best
 
     # ------------------------------------------------------------------

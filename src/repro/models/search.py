@@ -20,18 +20,18 @@ import numpy as np
 def min_feasible_parallelism(
     model,
     embedding: np.ndarray,
-    p_max: int,
-    normalize,
+    norms: np.ndarray,
     probability_threshold: float,
 ) -> int:
     """Smallest parallelism the model does not classify as a bottleneck.
 
-    ``model`` is a fitted prediction layer over ``[h, p]``; ``normalize``
-    maps an integer degree to the model's parallelism feature (usually
-    :meth:`FeatureEncoder.normalize_parallelism` partially applied).
-    A degree is infeasible (a bottleneck) when ``predict_proba`` of its
-    row is ``>= probability_threshold``.  Returns ``p_max`` when even the
-    maximum is predicted to bottleneck.
+    ``model`` is a fitted prediction layer over ``[h, p]``; ``norms[p - 1]``
+    is the model's parallelism feature of degree ``p`` (usually
+    :meth:`FeatureEncoder.normalize_parallelism`), so ``p_max`` is
+    ``len(norms)``: a caller that searches many operators normalises the
+    degrees once.  A degree is infeasible (a bottleneck) when
+    ``predict_proba`` of its row is ``>= probability_threshold``.  Returns
+    ``p_max`` when even the maximum is predicted to bottleneck.
 
     Implementation note: all ``p_max`` candidate rows are evaluated in one
     batched model call (models are vectorised; per-probe calls dominate
@@ -43,31 +43,25 @@ def min_feasible_parallelism(
     function of the model's predictions: repeated calls with identical
     inputs return identical degrees even for non-monotone models.
     """
+    p_max = len(norms)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
 
-    norms = np.array([normalize(p) for p in range(1, p_max + 1)])
     if hasattr(model, "proba_profile"):
         # Profile fast path: the model can sweep the parallelism axis for a
         # fixed embedding without materialising p_max duplicated rows (for
         # the kernel SVM this avoids p_max redundant feature lifts).
         probabilities = model.proba_profile(embedding, norms)
     else:
-        rows = np.empty((p_max, len(embedding) + 1))
-        rows[:, :-1] = embedding
-        rows[:, -1] = norms
+        rows = np.column_stack((np.tile(embedding, (p_max, 1)), norms))
         probabilities = model.predict_proba(rows)
-    bottleneck = probabilities >= probability_threshold
-
-    def is_bottleneck(p: int) -> bool:
-        return bool(bottleneck[p - 1])
-
-    if is_bottleneck(p_max):
+    bottleneck = probabilities >= probability_threshold      # degree p at [p - 1]
+    if bottleneck[-1]:
         return p_max
     low, high = 1, p_max
     while low < high:
         mid = (low + high) // 2
-        if is_bottleneck(mid):
+        if bottleneck[mid - 1]:
             low = mid + 1
         else:
             high = mid

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import validate_sample_weight, validate_training_inputs
+from repro.models.base import row_keys, validate_sample_weight, validate_training_inputs
 from repro.gnn.loss import sigmoid
 from repro.utils.rng import seeded_rng
 
@@ -64,7 +64,8 @@ def _solve(problem, theta):
     """Minimise ``lam/2 |w|^2 + sum(cost * max(0, 1 - y * score)^2)`` over
     ``theta = (w_e, w_p, b)`` with ``w_p <= 0``, from a feasible ``theta``.
     ``problem`` is ``(lifted, inverse, parallelism, y, cost, lam)``, where
-    ``lifted[inverse]`` are the rows' lifted embeddings.  Returns the
+    ``lifted[inverse]`` are the rows' lifted embeddings and ``inverse`` is
+    non-decreasing (rows sorted by embedding).  Returns the
     solution, the Newton steps taken and the largest projected-gradient
     entry there."""
     lifted, inverse, parallelism, y, cost, lam = problem
@@ -126,8 +127,11 @@ def _newton_step(problem, grad, active, pinned):
         #     [Z Z^T + lam D^-1   1] [   u    ]   [-Z g_w]
         #     [1^T                0] [-lam d_b] = [ -g_b ],
         # and d_w = -(g_w + Z^T u) / lam.
-        embeddings, local = np.unique(inverse[rows], return_inverse=True)
-        sub = lifted[embeddings]
+        # ``inverse`` is sorted, so each embedding's active rows are one run.
+        grouped = inverse[rows]
+        first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+        local = np.cumsum(first) - 1
+        sub = lifted[grouped[first]]
         p = parallelism[rows] if not pinned else np.zeros(len(rows))
         k = len(rows)
         system = np.zeros((k + 1, k + 1))
@@ -136,7 +140,7 @@ def _newton_step(problem, grad, active, pinned):
         system[k, :k] = system[:k, k] = 1.0
         rhs = np.append((sub @ grad[:dim])[local] + p * grad[dim], grad[dim + 1])
         u = np.linalg.solve(system, -rhs)
-        step[:dim] = -(grad[:dim] + np.bincount(local, u[:k], len(embeddings)) @ sub) / lam
+        step[:dim] = -(grad[:dim] + np.bincount(local, u[:k], len(sub)) @ sub) / lam
         step[dim] = -(grad[dim] + u[:k] @ p) / lam if not pinned else 0.0
         step[dim + 1] = -u[k] / lam
     return step
@@ -261,9 +265,8 @@ class MonotonicSVM:
         # by (embedding, p, label, count): the canonical order that makes a
         # fit independent of the order of its rows.
         n_embed = features.shape[1] - 1
-        rows = np.ascontiguousarray(features[:, :-1])
-        keys = rows.view(np.dtype((np.void, rows.itemsize * n_embed))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rows = features[:, :-1]
+        _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
         order = np.lexsort((counts, labels, features[:, -1], inverse))
         features, labels, inverse, counts = (
             array[order] for array in (features, labels, inverse, counts)
@@ -298,14 +301,25 @@ class MonotonicSVM:
         return self
 
     def _fit_platt(self, margins: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:
-        """Fit p = sigmoid(a * margin + b0) with a >= 0 (keeps monotonicity)."""
+        """Fit p = sigmoid(a * margin + b0) with a >= 0 (keeps monotonicity).
+
+        The steps reuse four buffers and do :func:`sigmoid`'s IEEE
+        operations in its order: ``where(z >= 0, 1, e) / d`` divides
+        exactly as the selected ``1 / d`` or ``e / d`` does."""
         n = float(counts.sum())
         a, b0 = 1.0, 0.0
+        z, e, d = np.empty((3, len(margins)))
+        nonnegative = np.empty(len(margins), dtype=bool)
         for _ in range(120):
-            residual = sigmoid(a * margins + b0) - labels
-            residual *= counts
-            grad_a = float((residual * margins).sum()) / n
-            grad_b = float(residual.sum()) / n
+            np.add(np.multiply(margins, a, out=z), b0, out=z)
+            np.exp(np.minimum(z, np.negative(z, out=e), out=e), out=e)
+            np.add(e, 1.0, out=d)
+            np.copyto(e, 1.0, where=np.greater_equal(z, 0, out=nonnegative))
+            e /= d                                  # sigmoid(z)
+            e -= labels
+            e *= counts                             # the weighted residual
+            grad_a = float(np.multiply(e, margins, out=d).sum()) / n
+            grad_b = float(e.sum()) / n
             a -= 0.5 * grad_a
             b0 -= 0.5 * grad_b
             a = max(a, 1e-2)

@@ -149,9 +149,7 @@ class MonotonicityReport:
         return self.n_violations == 0
 
 
-def strict_min_feasible_parallelism(
-    model, embedding, p_max, normalize, probability_threshold
-):
+def strict_min_feasible_parallelism(model, embedding, norms, probability_threshold):
     """:func:`repro.models.search.min_feasible_parallelism` at
     ``probability_threshold``, after checking that its bottleneck verdict
     (probability at or above the threshold) is monotone along the
@@ -160,18 +158,16 @@ def strict_min_feasible_parallelism(
     bisection's answer."""
     from repro.models.search import min_feasible_parallelism
 
-    rows = np.empty((p_max, len(embedding) + 1))
+    rows = np.empty((len(norms), len(embedding) + 1))
     rows[:, :-1] = embedding
-    rows[:, -1] = [normalize(p) for p in range(1, p_max + 1)]
+    rows[:, -1] = norms
     bottleneck = model.predict_proba(rows) >= probability_threshold
     if np.any(bottleneck[1:] & ~bottleneck[:-1]):
         raise ValueError(
             "model is not monotone along the parallelism axis: a bottleneck "
             "verdict reappears after a non-bottleneck one"
         )
-    return min_feasible_parallelism(
-        model, embedding, p_max, normalize, probability_threshold
-    )
+    return min_feasible_parallelism(model, embedding, norms, probability_threshold)
 
 
 def save_plan(plan, path) -> None:
@@ -305,6 +301,145 @@ def svm_projected_gradient(model, features, labels, sample_weight=None):
     if theta[dim] == 0.0:
         grad[dim] = max(grad[dim], 0.0)
     return float(np.abs(grad).max())
+
+
+def reference_fit_platt(self, margins, labels, counts):
+    """``MonotonicSVM._fit_platt`` as one allocating expression per step,
+    through :func:`repro.gnn.loss.sigmoid`: the arithmetic the buffered
+    loop must reproduce byte for byte."""
+    from repro.gnn.loss import sigmoid
+
+    n = float(counts.sum())
+    a, b0 = 1.0, 0.0
+    for _ in range(120):
+        residual = sigmoid(a * margins + b0) - labels
+        residual *= counts
+        grad_a = float((residual * margins).sum()) / n
+        grad_b = float(residual.sum()) / n
+        a -= 0.5 * grad_a
+        b0 -= 0.5 * grad_b
+        a = max(a, 1e-2)
+    self._platt_scale = a
+    self._platt_offset = b0
+
+
+def reference_newton_step(problem, grad, active, pinned):
+    """``models.svm._newton_step`` grouping the active rows by embedding
+    with ``np.unique`` instead of a run-boundary ``cumsum``; the same step
+    byte for byte."""
+    from repro.models import svm
+
+    lifted, inverse, parallelism, _, cost, lam = problem
+    dim = lifted.shape[1]
+    rows = np.flatnonzero(active)
+    step = np.zeros(dim + 2)
+    if len(rows) == 0:
+        step[:dim + 1] = -grad[:dim + 1] / lam
+    elif len(rows) > svm.DUAL_ROWS:
+        curvature = np.where(active, 2.0 * cost, 0.0)
+        tail = np.stack((parallelism, np.ones(len(parallelism))))
+        sums = np.stack([np.bincount(inverse, curvature * column, len(lifted)) for column in tail])
+        hessian = np.empty((dim + 2, dim + 2))
+        hessian[:dim, :dim] = (lifted.T * sums[1]) @ lifted
+        hessian[:dim, dim:] = lifted.T @ sums.T
+        hessian[dim:, :dim] = hessian[:dim, dim:].T
+        hessian[dim:, dim:] = (tail * curvature) @ tail.T
+        hessian[np.arange(dim + 1), np.arange(dim + 1)] += lam
+        free = np.arange(dim + 2) != dim if pinned else np.ones(dim + 2, bool)
+        step[free] = -np.linalg.solve(hessian[np.ix_(free, free)], grad[free])
+    else:
+        embeddings, local = np.unique(inverse[rows], return_inverse=True)
+        sub = lifted[embeddings]
+        p = parallelism[rows] if not pinned else np.zeros(len(rows))
+        k = len(rows)
+        system = np.zeros((k + 1, k + 1))
+        system[:k, :k] = (sub @ sub.T)[np.ix_(local, local)] + np.outer(p, p)
+        system[np.arange(k), np.arange(k)] += lam / (2.0 * cost[rows])
+        system[k, :k] = system[:k, k] = 1.0
+        rhs = np.append((sub @ grad[:dim])[local] + p * grad[dim], grad[dim + 1])
+        u = np.linalg.solve(system, -rhs)
+        step[:dim] = -(grad[:dim] + np.bincount(local, u[:k], len(embeddings)) @ sub) / lam
+        step[dim] = -(grad[dim] + u[:k] @ p) / lam if not pinned else 0.0
+        step[dim + 1] = -u[k] / lam
+    return step
+
+
+def reference_t_assembly(operating_point, feedback, warmup, prior_weight, observed_weight):
+    """The tuner's T as weighted unique rows, assembled one row at a time
+    through a dict keyed by ``(row bytes, label)`` in insertion order
+    (prior, feedback, warm-up), then reweighted to at most
+    ``MAX_CLASS_IMBALANCE``:1: ``(rows, labels, weights)``, or ``None``
+    for a single-class T."""
+    from repro.core.tuner import MAX_CLASS_IMBALANCE
+
+    index_of, rows, labels, weights = {}, [], [], []
+    for dataset, multiplicity in (
+        (operating_point, float(prior_weight)),
+        (feedback, float(observed_weight)),
+        (warmup, 1.0),
+    ):
+        for row, label in zip(dataset.features, dataset.labels):
+            key = (row.tobytes(), label)
+            if key not in index_of:
+                index_of[key] = len(rows)
+                rows.append(row)
+                labels.append(label)
+                weights.append(multiplicity)
+            else:
+                weights[index_of[key]] += multiplicity
+    label_array = np.asarray(labels, dtype=np.int64)
+    weight_array = np.asarray(weights, dtype=np.float64)
+    positive = label_array == 1
+    w_pos = float(weight_array[positive].sum())
+    w_neg = float(weight_array[~positive].sum())
+    if w_pos == 0.0 or w_neg == 0.0:
+        return None
+    major, minor = max(w_pos, w_neg), min(w_pos, w_neg)
+    if major / minor > MAX_CLASS_IMBALANCE:
+        factor = (major / MAX_CLASS_IMBALANCE) / minor
+        minority = positive if w_pos < w_neg else ~positive
+        weight_array = np.where(minority, weight_array * factor, weight_array)
+    return np.stack(rows), label_array, weight_array
+
+
+def reference_find_best_split(
+    self, features, gradients, hessians, grad_sum, hess_sum, lower, upper
+):
+    """``MonotonicGBDT._find_best_split`` as a loop over every threshold of
+    every feature, keeping a split only when its gain is strictly larger:
+    the choice the vectorised scan must reproduce."""
+    from repro.models import gbdt
+
+    parent_score = grad_sum * grad_sum / (hess_sum + gbdt.REG_LAMBDA)
+    best_gain, best = gbdt.MIN_GAIN, None
+    for feature in range(features.shape[1]):
+        column = features[:, feature]
+        order = np.argsort(column, kind="stable")
+        sorted_values = column[order]
+        grad_prefix = np.cumsum(gradients[order])
+        hess_prefix = np.cumsum(hessians[order])
+        for i in range(len(sorted_values) - 1):
+            if sorted_values[i] == sorted_values[i + 1]:
+                continue
+            left_grad, left_hess = float(grad_prefix[i]), float(hess_prefix[i])
+            right_grad, right_hess = grad_sum - left_grad, hess_sum - left_hess
+            if left_hess < gbdt.MIN_CHILD_WEIGHT or right_hess < gbdt.MIN_CHILD_WEIGHT:
+                continue
+            gain = (
+                left_grad * left_grad / (left_hess + gbdt.REG_LAMBDA)
+                + right_grad * right_grad / (right_hess + gbdt.REG_LAMBDA)
+                - parent_score
+            )
+            if feature == self._monotone_feature:
+                left_value = np.clip(-left_grad / (left_hess + gbdt.REG_LAMBDA), lower, upper)
+                right_value = np.clip(-right_grad / (right_hess + gbdt.REG_LAMBDA), lower, upper)
+                if left_value < right_value:
+                    gain = -np.inf
+            if gain > best_gain:
+                best_gain = gain
+                threshold = 0.5 * (sorted_values[i] + sorted_values[i + 1])
+                best = (feature, float(threshold), float(gain))
+    return best
 
 
 def apply_bce(logits, target):

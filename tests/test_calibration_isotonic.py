@@ -161,8 +161,7 @@ class TestIsotonicKNN:
         features, labels = threshold_dataset(seed=11)
         model = IsotonicKNN(seed=2).fit(features, labels)
         embedding = features[0, :-1]
-        normalize = lambda p: p / 100.0   # noqa: E731
-        degree = min_feasible_parallelism(model, embedding, 100, normalize, 0.35)
+        degree = min_feasible_parallelism(model, embedding, np.arange(1, 101) / 100.0, 0.35)
         assert 1 <= degree <= 100
 
 

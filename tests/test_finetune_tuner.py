@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import CampaignPlan, TuningSession
 from repro.core.finetune import (
@@ -21,7 +25,8 @@ from repro.core.tuner import (
 from repro.engines.flink import FlinkCluster
 from repro.models import make_prediction_model
 from repro.workloads.nexmark import nexmark_query
-from tests.conftest import rows_from_record
+from repro.core import tuner as tuner_module
+from tests.conftest import reference_t_assembly, rows_from_record
 
 
 class TestPredictionDataset:
@@ -231,6 +236,58 @@ class TestStreamTuneTuner:
         assert weights[0] * MAX_CLASS_IMBALANCE == pytest.approx(weights[1:].sum())
         assert list(weights[1:]) == [2.0] * 11
         assert kwargs == ({"theta0": None} if kind == "svm" else {})
+
+
+#: Rows the T-assembly property draws from: two differ only in the sign
+#: of a zero (equal as floats, distinct as bytes) and two only in p.
+POOL = np.array([
+    [0.0, 1.0, 0.25], [-0.0, 1.0, 0.25], [0.5, 2.0, 0.25], [0.5, 2.0, 0.5], [3.0, 1.0, 1.0],
+])
+PAIRS = st.lists(
+    st.tuples(st.integers(0, len(POOL) - 1), st.integers(0, 1)), min_size=1, max_size=10
+)
+
+
+class _Recorder:
+    """A prediction layer that keeps what it is fitted on."""
+
+    def fit(self, features, labels, sample_weight=None):
+        self.fitted = (features, labels, sample_weight)
+        return self
+
+
+def _pairs_dataset(pairs) -> PredictionDataset:
+    dataset = PredictionDataset()
+    for index, label in pairs:
+        dataset.append(POOL[index].copy(), label)
+    return dataset
+
+
+@settings(max_examples=150, deadline=None)
+@given(prior=PAIRS, observed=PAIRS, warm=PAIRS, prior_weight=st.integers(1, 4))
+def test_t_equals_the_dict_assembly(prior, observed, warm, prior_weight):
+    # Every set repeats its first pair, and the warm-up also holds the
+    # first prior pair and the first feedback pair.
+    prior, observed = prior + prior[:1], observed + observed[:1]
+    warm = warm + warm[:1] + prior[:1] + observed[:1]
+    operating_point, feedback, warmup = map(_pairs_dataset, (prior, observed, warm))
+    expected = reference_t_assembly(operating_point, feedback, warmup, prior_weight, 10)
+    fake = SimpleNamespace(observed_weight=10, model_kind="svm", seed=0)
+    state = QueryTuningState(job_key="job", cluster=0, dataset=warmup)
+    with mock.patch.object(tuner_module, "make_prediction_model", lambda *_, **__: _Recorder()):
+        # The second refit reads the warm-up pairs the first one kept.
+        for _ in range(2):
+            model = StreamTuneTuner._fit_model(
+                fake, operating_point, feedback, warmup, prior_weight, state
+            )
+            if expected is None:
+                assert isinstance(model, _ConstantModel)
+                continue
+            features, labels, weights = model.fitted
+            assert features.shape == expected[0].shape
+            assert features.tobytes() == expected[0].tobytes()
+            assert labels.tolist() == expected[1].tolist()
+            assert weights.tobytes() == expected[2].tobytes()
 
 
 class TestTuningResultAccounting:

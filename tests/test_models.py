@@ -18,7 +18,14 @@ from repro.models import gbdt, gp, mlp, svm
 from repro.models.base import validate_training_inputs
 from repro.models.gp import GaussianProcess1D
 from repro.models.search import min_feasible_parallelism
-from tests.conftest import check_monotonicity, masked_sigmoid, svm_projected_gradient
+from tests.conftest import (
+    check_monotonicity,
+    masked_sigmoid,
+    reference_find_best_split,
+    reference_fit_platt,
+    reference_newton_step,
+    svm_projected_gradient,
+)
 
 
 def threshold_dataset(seed=5, n=500, dim=4):
@@ -214,6 +221,29 @@ class TestFitBitIdentity:
 
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(12, 260), warm=st.booleans())
+def test_fit_equals_the_allocating_reference(seed, n, warm):
+    # The buffered Platt loop and the run-boundary grouping of the Newton
+    # step against their allocating forms in tests/conftest.py, cold and
+    # warm-started from a fit on half the rows.
+    X, y, w = repeated_embedding_dataset(n, seed=seed)
+    theta0 = None
+    if warm:
+        half = max(2, n // 2)
+        theta0 = MonotonicSVM(seed=seed).fit(X[:half], y[:half], sample_weight=w[:half])
+        theta0 = theta0.solution_theta
+    fits = [MonotonicSVM(seed=seed).fit(X, y, sample_weight=w, theta0=theta0)]
+    with mock.patch.object(svm, "_newton_step", reference_newton_step), \
+            mock.patch.object(MonotonicSVM, "_fit_platt", reference_fit_platt):
+        fits.append(MonotonicSVM(seed=seed).fit(X, y, sample_weight=w, theta0=theta0))
+    lean, reference = fits
+    assert lean.solution_theta.tobytes() == reference.solution_theta.tobytes()
+    assert np.float64(lean._platt_scale).tobytes() == np.float64(reference._platt_scale).tobytes()
+    assert np.float64(lean._platt_offset).tobytes() == np.float64(reference._platt_offset).tobytes()
+    assert lean.predict_proba(X).tobytes() == reference.predict_proba(X).tobytes()
+
+
 class TestNewtonSolve:
     """The projected Newton solve's edge cases reach the same optimum."""
 
@@ -305,7 +335,7 @@ class TestNewtonSolve:
         for embedding in np.unique(X[:, :-1], axis=0):
             degrees = {
                 min_feasible_parallelism(
-                    model, embedding, 40, float, probability_threshold=0.35
+                    model, embedding, np.arange(1.0, 41.0), probability_threshold=0.35
                 )
                 for model in fits
             }
@@ -376,6 +406,24 @@ class TestMonotonicGBDT:
         )
         assert report.is_monotone
 
+    def test_split_scan_equals_the_threshold_loop(self):
+        # Tied values in three columns (p among them), so the scan must
+        # skip the thresholds between equal values as the loop does; the
+        # second column repeats the first, so their best gains tie and the
+        # first feature must keep the split.
+        rng = np.random.default_rng(4)
+        first = rng.integers(0, 4, 240)
+        X = np.column_stack([first, first, rng.uniform(size=240), rng.integers(1, 9, 240) / 8.0])
+        # Label noise makes some splits on p rise, so the veto has work.
+        y = ((X[:, -1] < 0.2 + 0.15 * X[:, 0]) ^ (rng.uniform(size=240) < 0.25)).astype(int)
+        w = rng.uniform(0.2, 4.0, 240)
+        with mock.patch.object(gbdt, "N_ESTIMATORS", 12):
+            scan = MonotonicGBDT().fit(X, y, sample_weight=w)
+            with mock.patch.object(MonotonicGBDT, "_find_best_split", reference_find_best_split):
+                loop = MonotonicGBDT().fit(X, y, sample_weight=w)
+        assert repr(scan._trees) == repr(loop._trees)
+        assert scan.predict_proba(X).tobytes() == loop.predict_proba(X).tobytes()
+
     def test_single_class_degenerates_gracefully(self):
         X = np.random.default_rng(0).uniform(size=(50, 3))
         model = MonotonicGBDT().fit(X, np.zeros(50))
@@ -443,23 +491,25 @@ class TestMinFeasibleSearch:
                     np.array([[0.0, normalize(p)]]))[0] < 0.5),
                 50,
             )
-            found = min_feasible_parallelism(model, np.zeros(1), 50, normalize, 0.5)
+            norms = np.array([normalize(p) for p in range(1, 51)])
+            found = min_feasible_parallelism(model, np.zeros(1), norms, 0.5)
             assert found == expected
 
     def test_all_bottleneck_returns_p_max(self):
         model = self.StepModel(cut=2.0)
-        assert min_feasible_parallelism(model, np.zeros(1), 30, lambda p: p / 30, 0.5) == 30
+        norms = np.arange(1, 31) / 30
+        assert min_feasible_parallelism(model, np.zeros(1), norms, 0.5) == 30
 
     def test_probability_threshold_mode(self):
         model = self.StepModel(cut=0.5)
         found = min_feasible_parallelism(
-            model, np.zeros(1), 50, lambda p: p / 50, probability_threshold=0.95
+            model, np.zeros(1), np.arange(1, 51) / 50, probability_threshold=0.95
         )
         assert found == 1    # 0.9 < 0.95 everywhere -> never "bottleneck"
 
     def test_invalid_p_max(self):
         with pytest.raises(ValueError):
-            min_feasible_parallelism(self.StepModel(0.5), np.zeros(1), 0, lambda p: p, 0.5)
+            min_feasible_parallelism(self.StepModel(0.5), np.zeros(1), np.empty(0), 0.5)
 
 
 class TestProfileFastPath:
@@ -499,7 +549,7 @@ class TestProfileFastPath:
         model = MonotonicSVM(seed=seed).fit(X, y, sample_weight=w)
         for embedding in np.unique(X[:, :-1], axis=0):
             degrees = [
-                min_feasible_parallelism(candidate, embedding, 40, float, threshold)
+                min_feasible_parallelism(candidate, embedding, np.arange(1.0, 41.0), threshold)
                 for candidate in (model, self.RowsOnly(model))
             ]
             assert degrees[0] == degrees[1]

@@ -19,8 +19,9 @@ from repro.models.search import min_feasible_parallelism
 from tests.conftest import strict_min_feasible_parallelism
 
 
-def _identity_normalize(p: int) -> float:
-    return float(p)
+def _degrees(p_max: int) -> np.ndarray:
+    """The search's grid when degree ``p``'s feature is ``p`` itself."""
+    return np.arange(1, p_max + 1, dtype=np.float64)
 
 
 class GradedPredictor:
@@ -74,14 +75,14 @@ def test_monotone_predictor_returns_true_minimum(p_max, data):
     threshold = data.draw(st.integers(min_value=1, max_value=p_max + 1))
     model = ArrayPredictor(_monotone_array(p_max, threshold))
     result = min_feasible_parallelism(
-        model, np.zeros(3), p_max, _identity_normalize, THRESHOLD
+        model, np.zeros(3), _degrees(p_max), THRESHOLD
     )
     expected = min(threshold, p_max)  # all-bottleneck arrays cap at p_max
     assert result == expected
     # the strict search accepts every monotone predicate
     assert (
         strict_min_feasible_parallelism(
-            model, np.zeros(3), p_max, _identity_normalize, THRESHOLD
+            model, np.zeros(3), _degrees(p_max), THRESHOLD
         )
         == expected
     )
@@ -104,7 +105,7 @@ def test_threshold_cuts_a_graded_probability_surface(p_max, data):
     results = []
     for threshold in (low, high):
         result = min_feasible_parallelism(
-            model, np.zeros(3), p_max, _identity_normalize, threshold
+            model, np.zeros(3), _degrees(p_max), threshold
         )
         below = np.flatnonzero(probabilities < threshold)
         assert result == (int(below[0]) + 1 if len(below) else p_max)
@@ -121,10 +122,10 @@ def test_any_predicate_is_handled_deterministically(bottleneck):
     p_max = len(array)
     model = ArrayPredictor(array)
     first = min_feasible_parallelism(
-        model, np.zeros(2), p_max, _identity_normalize, THRESHOLD
+        model, np.zeros(2), _degrees(p_max), THRESHOLD
     )
     second = min_feasible_parallelism(
-        model, np.zeros(2), p_max, _identity_normalize, THRESHOLD
+        model, np.zeros(2), _degrees(p_max), THRESHOLD
     )
     # Deterministic and in range, monotone or not.
     assert first == second
@@ -149,11 +150,11 @@ def test_strict_rejects_exactly_the_non_monotone_predicates(bottleneck):
     if rising:
         with pytest.raises(ValueError, match="not monotone"):
             strict_min_feasible_parallelism(
-                model, np.zeros(2), len(array), _identity_normalize, THRESHOLD
+                model, np.zeros(2), _degrees(len(array)), THRESHOLD
             )
     else:
         result = strict_min_feasible_parallelism(
-            model, np.zeros(2), len(array), _identity_normalize, THRESHOLD
+            model, np.zeros(2), _degrees(len(array)), THRESHOLD
         )
         assert 1 <= result <= len(array)
 
@@ -161,4 +162,4 @@ def test_strict_rejects_exactly_the_non_monotone_predicates(bottleneck):
 def test_invalid_p_max_rejected():
     model = ArrayPredictor(np.array([True]))
     with pytest.raises(ValueError):
-        min_feasible_parallelism(model, np.zeros(2), 0, _identity_normalize, THRESHOLD)
+        min_feasible_parallelism(model, np.zeros(2), _degrees(0), THRESHOLD)

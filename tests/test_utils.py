@@ -232,6 +232,34 @@ class TestReach:
         # like any other: only its own body reads ``Sub.size``.
         assert reach.unread(root) == ["pkg.core.Sub.size"]
 
+    def test_a_property_read_only_as_another_class_binding_is_flagged(self, reach, tmp_path):
+        root = self._package(tmp_path, {
+            "core.py": (
+                "from dataclasses import dataclass\n\n\n"
+                "@dataclass\n"
+                "class Config:\n    width: int = 3\n\n"
+                "    def wide(self):\n        return self.width > 2\n\n\n"
+                "class Model:\n"
+                "    def __init__(self, config: Config):\n        self.config = config\n\n"
+                "    def grow(self, other: 'Config'):\n"
+                "        return self.config.width + other.width\n\n"
+                "    @property\n    def width(self):\n        return self.config.width\n\n"
+                "    @property\n    def depth(self):\n        return 1\n\n"
+                "    @property\n    def _size(self):\n        return 2\n"
+            ),
+            "cli.py": (
+                "from pkg.core import Config, Model\n"
+                "model = Model(Config())\nmodel.grow(Config())\nConfig().wide()\n"
+                "print(getattr(model, 'depth'), {'_size': 1})\n"
+            ),
+        })
+        # Every ``.width`` load has a receiver of class Config, which binds
+        # the name itself; a dict key is no read, a getattr string is.
+        assert reach.unread(root) == ["pkg.core.Model._size", "pkg.core.Model.width"]
+        with open(root / "cli.py", "a") as handle:
+            handle.write("\n\ndef show(anything):\n    return anything.width\n\n\nshow(model)\n")
+        assert reach.unread(root) == ["pkg.core.Model._size"]
+
     def test_a_registered_string_only_a_test_names_is_flagged(self, reach, tmp_path):
         root = self._package(tmp_path, {
             "registry.py": (
