@@ -10,7 +10,8 @@ apply changes at runtime".
 This example runs the same StreamTune tuning campaign twice — once on a
 stock Flink cluster (stop-and-restart) and once on a live-reconfiguration
 variant — and compares the *downtime budget* each spends across a cycle
-of source-rate changes.  The recommendations are identical; only the
+of source-rate changes.  The tuner is the same: the engine picks the wait
+of each ``reconfigure``.  The recommendations are identical; only the
 settling accounting differs.
 
 Run:  python examples/live_rescale.py
@@ -29,18 +30,6 @@ class LiveFlinkCluster(FlinkCluster):
     supports_live_reconfigure = True
 
 
-class LiveStreamTuneTuner(StreamTuneTuner):
-    """StreamTune issuing live rescales when the engine supports them."""
-
-    name = "StreamTune-live"
-
-    def apply(self, deployment, parallelisms) -> bool:
-        if parallelisms == deployment.parallelisms:
-            return False
-        self.engine.live_reconfigure(deployment, parallelisms)
-        return True
-
-
 def build_pretrained(engine, seed: int = 7):
     corpus = nexmark_queries("flink") + [
         q for qs in pqp_query_set().values() for q in qs
@@ -52,9 +41,9 @@ def build_pretrained(engine, seed: int = 7):
     )
 
 
-def run_campaign(engine, tuner_cls, pretrained, multipliers):
+def run_campaign(engine, pretrained, multipliers):
     query = nexmark_query("q5", "flink")
-    tuner = tuner_cls(engine, pretrained, model_kind="svm", seed=17)
+    tuner = StreamTuneTuner(engine, pretrained, model_kind="svm", seed=17)
     tuner.prepare(query)
     deployment = engine.deploy(
         query.flow,
@@ -76,7 +65,7 @@ def main() -> None:
 
     stock = FlinkCluster(seed=42)
     pretrained = build_pretrained(stock)
-    reconfigs, downtime = run_campaign(stock, StreamTuneTuner, pretrained, multipliers)
+    reconfigs, downtime = run_campaign(stock, pretrained, multipliers)
     print(
         f"stop-and-restart: {reconfigs} reconfigurations x "
         f"{STABILIZATION_MINUTES:.0f} min wait = {downtime:.0f} simulated minutes"
@@ -84,9 +73,7 @@ def main() -> None:
 
     live = LiveFlinkCluster(seed=42)
     live_pretrained = build_pretrained(live)
-    live_reconfigs, live_downtime = run_campaign(
-        live, LiveStreamTuneTuner, live_pretrained, multipliers
-    )
+    live_reconfigs, live_downtime = run_campaign(live, live_pretrained, multipliers)
     print(
         f"live rescale:     {live_reconfigs} reconfigurations x "
         f"{LIVE_SETTLING_MINUTES:.0f} min settle = {live_downtime:.0f} simulated minutes"

@@ -2,7 +2,8 @@
 
 A *tuning process* (paper terminology) is one invocation of
 :meth:`ParallelismTuner.tune` in response to a source-rate change; it may
-perform several *reconfigurations* (stop-and-restart redeployments).  The
+perform several *reconfigurations* (redeployments through
+``engine.reconfigure``; the engine picks their wait).  The
 records here carry everything the experiment harness aggregates: per-step
 parallelism maps, recommendation wall time, backpressure observations after
 each reconfiguration, and simulated stabilisation time.
@@ -26,8 +27,9 @@ and ContTune's measure-and-rescale):
 A method is a policy: ``decide`` is required, the other hooks default to
 doing nothing.  Everything a hook keeps for one process lives on the
 :class:`TuningProcess`, which is local to the ``tune`` call; what a
-method keeps across processes (StreamTune's ``QueryTuningState``,
-ContTune's GP history) belongs to the one campaign its tuner serves.
+method keeps across processes (StreamTune's warm-up set, feedback and
+SVM warm start, ContTune's GP history) belongs to the one campaign its
+tuner serves.
 ``recommendation_seconds`` times the decision and its floors and
 deadband, never a ``measure()``: ``escalate`` runs outside the clock
 because StreamTune's measures the job again.
@@ -50,7 +52,7 @@ class TuningStep:
     """One iteration of a tuning process."""
 
     parallelisms: dict[str, int]
-    reconfigured: bool                 # did this step stop-and-restart the job
+    reconfigured: bool                 # did this step redeploy the job
     backpressure_after: bool           # observed after (re)deployment
     recommendation_seconds: float      # wall time spent deciding
     mean_cpu_utilisation: float        # capacity-weighted busy share

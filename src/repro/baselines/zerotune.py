@@ -28,40 +28,35 @@ from repro.baselines.api import ParallelismTuner, TuningProcess
 from repro.dataflow.features import FeatureEncoder
 from repro.engines.base import EngineCluster
 from repro.gnn.data import GraphSample, build_sample
-from repro.gnn.layers import Linear, ReLU
-from repro.gnn.model import BottleneckEncoder, EncoderConfig
+from repro.gnn.model import BottleneckEncoder, EncoderConfig, PredictionHead
 from repro.gnn.optim import Adam
 from repro.utils.rng import seeded_rng
 
 
 class PooledRegressionGNN:
-    """Encoder + mean-pool + MLP regressor for a job-level metric."""
+    """Encoder + mean-pool + the bottleneck model's MLP head, regressing a
+    job-level metric."""
 
     def __init__(self, config: EncoderConfig) -> None:
-        rng = seeded_rng(config.seed + 2)
         self.encoder = BottleneckEncoder(config)
-        self.fc1 = Linear(rng, config.embedding_dim, config.head_hidden_dim)
-        self.act = ReLU()
-        self.fc2 = Linear(rng, config.head_hidden_dim, 1)
+        self.head = PredictionHead(
+            seeded_rng(config.seed + 2), config.embedding_dim, config.head_hidden_dim
+        )
 
     def forward(self, sample: GraphSample) -> float:
         h = self.encoder.forward(sample, parallelism_aware=True)
         pooled = h.mean(axis=0, keepdims=True)
         self._n_nodes = h.shape[0]
-        return float(self.fc2.forward(self.act.forward(self.fc1.forward(pooled)))[0, 0])
+        return float(self.head.forward(pooled)[0, 0])
 
     def backward(self, grad_output: float) -> None:
         grad = np.array([[grad_output]])
-        grad_pooled = self.fc1.backward(self.act.backward(self.fc2.backward(grad)))
+        grad_pooled = self.head.backward(grad)
         grad_h = np.repeat(grad_pooled / self._n_nodes, self._n_nodes, axis=0)
         self.encoder.backward(grad_h)
 
     def parameters(self):
-        return (
-            self.encoder.parameters()
-            + self.fc1.parameters()
-            + self.fc2.parameters()
-        )
+        return self.encoder.parameters() + self.head.parameters()
 
 
 #: Hidden width of the cost model's encoder.

@@ -44,8 +44,6 @@ scale; as shipped: median final-parallelism ratio to the oracle 1.115,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.baselines._demand import propagate_target_demand
@@ -75,25 +73,6 @@ DEFAULT_WARMUP_ROWS = 300
 #: Before M_f is fitted the minority class of T is reweighted to at most
 #: this much majority weight per unit of minority weight.
 MAX_CLASS_IMBALANCE = 3.0
-
-
-@dataclass
-class QueryTuningState:
-    """Everything a tuner accumulates for its one query: the cluster, the
-    warm-up set, the feedback ΔT that grows across the query's rate
-    changes, and the SVM warm start.
-
-    A tuner serves one campaign (the service builds one per campaign), so
-    this record has one owner and one thread.
-    """
-
-    job_key: str
-    cluster: int
-    dataset: PredictionDataset
-    feedback: PredictionDataset = field(default_factory=PredictionDataset, init=False)
-    #: Previous SVM solution for this query; warm-starts the next refit
-    #: (same seed => same RFF feature space).
-    warm_theta: np.ndarray | None = field(default=None, init=False)
 
 
 class StreamTuneTuner(ParallelismTuner):
@@ -144,45 +123,28 @@ class StreamTuneTuner(ParallelismTuner):
         #: ``_norms[p - 1]`` for degree ``p``.
         self._norms = np.array([pretrained.feature_encoder.normalize_parallelism(
             p, pretrained.max_parallelism) for p in range(1, engine.max_parallelism + 1)])
-        #: The one query this tuner serves: built by :meth:`prepare`, or
-        #: by the first :meth:`decide` of an unprepared tuner.
-        self._state: QueryTuningState | None = None
+        #: The one query this tuner serves, set by :meth:`prepare` or by
+        #: the first :meth:`decide` of an unprepared tuner (:meth:`_serve`):
+        #: its name, its cluster and warm-up set, the feedback ΔT that grows
+        #: across its rate changes, and the previous SVM solution, which
+        #: warm-starts the next refit (same seed => same RFF feature space).
+        self._query: str | None = None
+        self._cluster: int | None = None
+        self._warmup: PredictionDataset | None = None
+        self._feedback = PredictionDataset()
+        self._warm_theta: np.ndarray | None = None
 
     def _cached(self, kind: str, key: tuple, builder):
         if self.caches is None:
             return builder()
         return self.caches.get_or_compute(kind, key, builder)
 
-    def _build_state(self, flow) -> QueryTuningState:
-        cluster = self._cached(
-            "assign",
-            (flow.structural_signature(),),
-            lambda: self.pretrained.assign_cluster(flow),
-        )
-        # Warm-up datasets are keyed by the cluster's history signature
-        # (not its pretrain-run-local id), so any run over the same
-        # histories — including one warmed from a snapshot — shares the
-        # entry, the same cross-run contract distill/embed keys carry.
-        dataset = self._cached(
-            "warmup",
-            warmup_cache_key(
-                self.pretrained, cluster, self.warmup_rows, self.seed
-            ),
-            lambda: build_warmup_dataset(
-                self.pretrained,
-                cluster,
-                max_rows=self.warmup_rows,
-                seed=self.seed,
-            ),
-        )
-        return QueryTuningState(job_key=flow.name, cluster=cluster, dataset=dataset)
-
     # ------------------------------------------------------------------
     # Algorithm 2, lines 1-3 (per query)
     # ------------------------------------------------------------------
 
     def prepare(self, query: StreamingQuery) -> None:
-        self._state_for(query.flow)
+        self._serve(query.flow)
 
     def warm(self, query: StreamingQuery, multipliers) -> None:
         """Look up every cache entry a campaign over ``query`` consults at
@@ -193,23 +155,38 @@ class StreamTuneTuner(ParallelismTuner):
         from a recorded result (whose multipliers are the rates that
         arrived) warms exactly what its tuning processes looked up.
         """
-        state = self._state_for(query.flow)
+        self._serve(query.flow)
         for multiplier in multipliers:
-            self._step_values(query.flow, state, query.rates_at(multiplier))
+            self._step_values(query.flow, query.rates_at(multiplier))
 
-    def _state_for(self, flow) -> QueryTuningState:
-        """The state of the one query this tuner serves; any other query
-        is refused, since its T would be another campaign's."""
-        if self._state is None:
-            self._state = self._build_state(flow)
-        elif self._state.job_key != flow.name:
+    def _serve(self, flow) -> None:
+        """Make ``flow``'s query the one this tuner serves, assigning its
+        cluster and looking up its warm-up set on first use; any other
+        query is refused, since its T would be another campaign's."""
+        if self._query is None:
+            self._cluster = self._cached(
+                "assign", (flow.structural_signature(),),
+                lambda: self.pretrained.assign_cluster(flow),
+            )
+            # Warm-up datasets are keyed by the cluster's history signature
+            # (not its pretrain-run-local id), so any run over the same
+            # histories — including one warmed from a snapshot — shares the
+            # entry, the same cross-run contract distill/embed keys carry.
+            self._warmup = self._cached(
+                "warmup",
+                warmup_cache_key(self.pretrained, self._cluster, self.warmup_rows, self.seed),
+                lambda: build_warmup_dataset(
+                    self.pretrained, self._cluster, max_rows=self.warmup_rows, seed=self.seed
+                ),
+            )
+            self._query = flow.name
+        elif self._query != flow.name:
             raise ValueError(
-                f"this tuner serves {self._state.job_key!r}, not {flow.name!r}: "
+                f"this tuner serves {self._query!r}, not {flow.name!r}: "
                 "build one tuner per query"
             )
-        return self._state
 
-    def _step_values(self, flow, state: QueryTuningState, target_rates):
+    def _step_values(self, flow, target_rates):
         """One tuning process's rate-conditioned pure values: the distilled
         operating point and the agnostic embeddings (topological row
         order).
@@ -219,8 +196,8 @@ class StreamTuneTuner(ParallelismTuner):
         query shares one cached entry — the cross-query reuse of "learning
         from the past" applied to the service's own computations.
         """
-        encoder = self.pretrained.encoders[state.cluster]
-        key = shared_structure_key(flow, state.cluster, target_rates)
+        encoder = self.pretrained.encoders[self._cluster]
+        key = shared_structure_key(flow, self._cluster, target_rates)
         operating_point = self._cached(
             "distill",
             key,
@@ -257,21 +234,20 @@ class StreamTuneTuner(ParallelismTuner):
             # name mapping is recovered from the flow, so renamed-but-
             # identical queries can share the entry.
             flow = process.deployment.flow
-            state = self._state_for(flow)
+            self._serve(flow)
             process.state = (
-                state,
-                *self._step_values(flow, state, process.target_rates),
+                *self._step_values(flow, process.target_rates),
                 flow.topological_order(),
             )
-        state, operating_point, embeddings, order = process.state
+        operating_point, embeddings, order = process.state
         # Once real feedback exists for this job it must be able to
         # overrule the distilled prior, so the prior's weight drops.
         prior_weight = (
-            self.operating_point_weight if not state.feedback else
+            self.operating_point_weight if not self._feedback else
             max(1, self.operating_point_weight // 2)
         )
         model = self._fit_model(
-            operating_point, state.feedback, state.dataset, prior_weight, state
+            operating_point, self._feedback, self._warmup, prior_weight
         )
         return self._recommend(model, embeddings, order)
 
@@ -306,7 +282,7 @@ class StreamTuneTuner(ParallelismTuner):
         backpressure (the paper's loop assumes the refit model moves
         enough; with small T the floor guarantees it).
         """
-        state, _, embeddings, order = process.state
+        _, embeddings, order = process.state
         deployment, telemetry = process.deployment, process.telemetry
         labels = label_operators(deployment.flow, telemetry, self.engine.name)
         for index, name in enumerate(order):
@@ -314,7 +290,7 @@ class StreamTuneTuner(ParallelismTuner):
             if label < 0:
                 continue
             p_norm = self._norms[deployment.parallelisms[name] - 1]
-            state.feedback.append(np.concatenate([embeddings[index], [p_norm]]), label)
+            self._feedback.append(np.concatenate([embeddings[index], [p_norm]]), label)
         if telemetry.has_backpressure:
             self._raise_floors(process, labels)
 
@@ -328,7 +304,6 @@ class StreamTuneTuner(ParallelismTuner):
         feedback: PredictionDataset,
         warmup: PredictionDataset,
         prior_weight: int,
-        state: QueryTuningState,
     ):
         """Line 5: fit the monotone M_f to the current T, as weighted
         unique rows.
@@ -386,16 +361,16 @@ class StreamTuneTuner(ParallelismTuner):
             minority = positive if w_pos < w_neg else ~positive
             weight_array = np.where(minority, weight_array * factor, weight_array)
         model = make_prediction_model(
-            self.model_kind, seed=self.seed + stable_hash(state.job_key, 1000)
+            self.model_kind, seed=self.seed + stable_hash(self._query, 1000)
         )
         warm_start = isinstance(model, MonotonicSVM)
         features = np.concatenate([block for block in (rows, base_rows[rest]) if len(block)])
         fitted = model.fit(
             features, label_array, sample_weight=weight_array,
-            **({"theta0": state.warm_theta} if warm_start else {}),
+            **({"theta0": self._warm_theta} if warm_start else {}),
         )
         if warm_start:
-            state.warm_theta = fitted.solution_theta
+            self._warm_theta = fitted.solution_theta
         return fitted
 
     def _recommend(self, model, embeddings, order) -> dict[str, int]:

@@ -3,8 +3,9 @@
 A cluster deploys a logical dataflow with per-operator parallelism, serves
 measurements through the noisy observation channel, and reconfigures by
 stop-and-restart (the paper's §V-A "Reconfiguration Mechanism", following
-DS2).  Reconfiguration accounting — counts and simulated stabilisation
-minutes — feeds the Fig. 7 experiments directly.
+DS2) or, on an engine that supports it, live (§VII).  Reconfiguration
+accounting — counts and simulated stabilisation minutes — feeds the Fig. 7
+experiments directly.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class Deployment:
     n_reconfigurations: int = field(default=0, init=False)
     sim_minutes: float = field(default=0.0, init=False)
     running: bool = True
-    history: list[dict[str, int]] = field(default_factory=list)
 
 
 class EngineCluster(abc.ABC):
@@ -54,10 +54,12 @@ class EngineCluster(abc.ABC):
     behaviour, and its operator-level backpressure rule.
     """
 
-    #: §VII "Live Reconfiguration": engines supporting runtime parallelism
-    #: changes (operator-level RESTful APIs, as deployed at ByteDance) skip
-    #: the stop-and-restart stabilisation wait.  Disabled by default — the
-    #: paper's evaluation uses stop-and-restart throughout.
+    #: §VII "Live Reconfiguration": the engine picks the wait of every
+    #: :meth:`reconfigure`.  One that supports runtime parallelism changes
+    #: (operator-level RESTful APIs, as deployed at ByteDance) settles in
+    #: ``LIVE_SETTLING_MINUTES`` instead of the stop-and-restart
+    #: ``STABILIZATION_MINUTES``.  Disabled by default — the paper's
+    #: evaluation uses stop-and-restart throughout.
     supports_live_reconfigure: bool = False
 
     #: Human-readable engine name.
@@ -99,42 +101,26 @@ class EngineCluster(abc.ABC):
             parallelisms=dict(parallelisms),
             source_rates=dict(source_rates),
         )
-        deployment.history.append(dict(parallelisms))
         self._deployments[deployment.job_id] = deployment
         return deployment
 
     def reconfigure(self, deployment: Deployment, parallelisms: dict[str, int]) -> None:
-        """Stop-and-restart the job with new parallelism degrees.
+        """Redeploy the job with new parallelism degrees.
 
-        Counts one reconfiguration and advances simulated time by the
-        stabilisation wait, even when the map is unchanged (the engine
-        cannot know a restart was a no-op in advance).
+        The engine picks the wait: a live rescale settles in
+        ``LIVE_SETTLING_MINUTES`` when ``supports_live_reconfigure`` is set,
+        a stop-and-restart waits ``STABILIZATION_MINUTES`` otherwise.
+        Counts one reconfiguration and advances simulated time by that
+        wait, even when the map is unchanged (the engine cannot know a
+        change was a no-op in advance).
         """
         self._require_running(deployment)
         self._check_parallelisms(deployment.flow, parallelisms)
         deployment.parallelisms = dict(parallelisms)
-        deployment.history.append(dict(parallelisms))
         deployment.n_reconfigurations += 1
-        deployment.sim_minutes += STABILIZATION_MINUTES
-
-    def live_reconfigure(self, deployment: Deployment, parallelisms: dict[str, int]) -> None:
-        """Adjust parallelism at runtime without a restart (§VII).
-
-        Only counts a short settling period (the JobManager applies the
-        change to a running topology).  Raises on engines that do not
-        support live reconfiguration.
-        """
-        if not self.supports_live_reconfigure:
-            raise EngineError(
-                f"{self.name} does not support live reconfiguration; "
-                "use reconfigure() (stop-and-restart)"
-            )
-        self._require_running(deployment)
-        self._check_parallelisms(deployment.flow, parallelisms)
-        deployment.parallelisms = dict(parallelisms)
-        deployment.history.append(dict(parallelisms))
-        deployment.n_reconfigurations += 1
-        deployment.sim_minutes += LIVE_SETTLING_MINUTES
+        deployment.sim_minutes += (
+            LIVE_SETTLING_MINUTES if self.supports_live_reconfigure else STABILIZATION_MINUTES
+        )
 
     def set_source_rates(self, deployment: Deployment, source_rates: dict[str, float]) -> None:
         """Apply an external source-rate change (does not count as reconfig)."""

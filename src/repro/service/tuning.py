@@ -173,34 +173,6 @@ class CampaignExecutionError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class _FailurePayload:
-    """A worker failure flattened to data that crosses the relay queue."""
-
-    error_type: str
-    error_message: str
-    traceback: str
-
-
-#: What a task that ended without its campaign's result or an exception
-#: fails that campaign with.
-_LOST_RESULT = _FailurePayload(
-    error_type="RuntimeError",
-    error_message="worker exited without posting its result",
-    traceback="",
-)
-
-
-def _failure_payload(error: BaseException) -> _FailurePayload:
-    return _FailurePayload(
-        error_type=type(error).__name__,
-        error_message=str(error),
-        traceback="".join(
-            traceback_module.format_exception(type(error), error, error.__traceback__)
-        ),
-    )
-
-
 def _build_campaign_tuner(
     spec: CampaignSpec,
     engine,
@@ -304,43 +276,43 @@ def _started_event_for(spec: CampaignSpec, index: int, backend: str) -> Campaign
     )
 
 
-def _unit_items(spec: CampaignSpec, index: int, state: dict):
+def _unit_items(spec: CampaignSpec, index: int, service: TuningService):
     """Campaign ``index``'s lifecycle as relay items, live.
 
     The one unit-runner of every backend: the sequential loop and a
-    thread worker hand over the service's ``state`` (model, caches,
-    backend).  Every terminal state is data: ``("event", index, event)``
-    for the campaign's :class:`CampaignStarted` and each of its events as
-    it happens, then ``("done", index, outcome)`` on success or
-    ``("error", index, payload)`` on a raised exception.
+    thread worker hand over the ``service`` (model, caches, backend).
+    Every terminal state is data: ``("event", index, event)`` for the
+    campaign's :class:`CampaignStarted` and each of its events as it
+    happens, then ``("done", index, outcome)`` on success or
+    ``("error", index, exception)`` on a raised exception.
     """
-    yield ("event", index, _started_event_for(spec, index, state["backend"]))
+    yield ("event", index, _started_event_for(spec, index, service.backend))
     events = None
     while True:
         try:
             if events is None:  # inside the try: whatever stands in for it may raise
-                events = execute_campaign(spec, state["pretrained"], state["caches"])
+                events = execute_campaign(spec, service.pretrained, service.caches)
             event = next(events)
         except StopIteration as stop:
             yield ("done", index, stop.value)
             return
         except BaseException as error:  # noqa: BLE001 — relayed as data
-            if state["backend"] == "sequential" and not isinstance(error, Exception):
+            if service.backend == "sequential" and not isinstance(error, Exception):
                 raise           # no pool border here: Ctrl-C / SystemExit stop the run
-            yield ("error", index, _failure_payload(error))
+            yield ("error", index, error)
             return
         yield ("event", index, event)
 
 
-def _run_unit(spec: CampaignSpec, index: int, relay, state: dict) -> None:
+def _run_unit(spec: CampaignSpec, index: int, relay, service: TuningService) -> None:
     """A pool worker's task: relay :func:`_unit_items` as they happen."""
-    for item in _unit_items(spec, index, state):
+    for item in _unit_items(spec, index, service):
         relay.put(item)
 
 
 def _post_exit(relay, index: int, future) -> None:
     """Done-callback of unit ``index``'s task: post ``("exit", index,
-    failure-or-None)``.
+    exception-or-None)``.
 
     It runs once the task has returned — on the worker thread, or on the
     submitting one if the task was already done — so it lands behind
@@ -349,8 +321,7 @@ def _post_exit(relay, index: int, future) -> None:
     """
     if future.cancelled():
         return          # the stream was closed early; nobody drains
-    error = future.exception()
-    relay.put(("exit", index, None if error is None else _failure_payload(error)))
+    relay.put(("exit", index, future.exception()))
 
 
 # ----------------------------------------------------------------------
@@ -490,19 +461,10 @@ class TuningService:
 
     # -- backend-specific emitters -------------------------------------
 
-    def _worker_state(self) -> dict:
-        """What :func:`_run_unit` needs when it runs in this process."""
-        return {
-            "pretrained": self.pretrained,
-            "caches": self.caches,
-            "backend": self.backend,
-        }
-
     def _stream_sequential(self, specs, units):
-        state = self._worker_state()
         started: set[int] = set()
         for index in units:
-            for item in _unit_items(specs[index], index, state):
+            for item in _unit_items(specs[index], index, self):
                 yield from self._absorb(specs, started, item)
 
     def _stream_threaded(self, specs, units):
@@ -511,12 +473,11 @@ class TuningService:
         ends."""
         pool = ThreadPoolExecutor(max_workers=self.max_workers)
         relay = queue.SimpleQueue()
-        state = self._worker_state()
         try:
             futures = {}
             for index in units:
                 futures[index] = pool.submit(
-                    _run_unit, specs[index], index, relay, state
+                    _run_unit, specs[index], index, relay, self
                 )
                 futures[index].add_done_callback(
                     functools.partial(_post_exit, relay, index)
@@ -542,7 +503,9 @@ class TuningService:
             if index not in pending:
                 continue        # the exit of a task whose campaign resolved
             if kind == "exit":
-                kind, payload = "error", payload or _LOST_RESULT
+                kind, payload = "error", payload or RuntimeError(
+                    "worker exited without posting its result"
+                )
             if kind != "event":
                 pending.discard(index)
             yield from self._absorb(specs, started, (kind, index, payload))
@@ -569,9 +532,10 @@ class TuningService:
                 campaign=spec.name,
                 index=index,
                 backend=self.backend,
-                error_type=payload.error_type,
-                error_message=payload.error_message,
-                traceback=payload.traceback,
+                error_type=type(payload).__name__,
+                error_message=str(payload),
+                traceback="".join(traceback_module.format_exception(payload))
+                if payload.__traceback__ else "",
                 cell_key=spec.cell_key,
             )
 

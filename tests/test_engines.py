@@ -44,7 +44,6 @@ class TestLifecycle:
         flink.reconfigure(deployment, {"src": 1, "filter": 4, "sink": 1})
         assert deployment.n_reconfigurations == 2
         assert deployment.sim_minutes == pytest.approx(2 * STABILIZATION_MINUTES)
-        assert len(deployment.history) == 3
 
     def test_set_source_rates_validates_names(self, flink, linear_flow):
         deployment = flink.deploy(

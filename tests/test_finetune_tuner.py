@@ -18,7 +18,6 @@ from repro.core.finetune import (
 )
 from repro.core.tuner import (
     MAX_CLASS_IMBALANCE,
-    QueryTuningState,
     StreamTuneTuner,
     _ConstantModel,
 )
@@ -146,16 +145,16 @@ class TestStreamTuneTuner:
             query.rates_at(3),
         )
         tuner.tune(deployment, query.rates_at(3))
-        first = len(tuner._state.feedback)
+        first = len(tuner._feedback)
         tuner.tune(deployment, query.rates_at(7))
-        assert len(tuner._state.feedback) > first
+        assert len(tuner._feedback) > first
 
     def test_prepare_idempotent(self, setup):
         engine, tuner, query = setup
         tuner.prepare(query)
-        dataset = tuner._state.dataset
+        dataset = tuner._warmup
         tuner.prepare(query)
-        assert tuner._state.dataset is dataset
+        assert tuner._warmup is dataset
 
     def test_a_prepared_tuner_refuses_another_query(self, setup):
         # A tuner serves one campaign: another query's T is not its own.
@@ -203,8 +202,7 @@ class TestStreamTuneTuner:
         # empty; the fit answers with a constant model.
         _, tuner, _ = setup
         empty = PredictionDataset()
-        state = QueryTuningState(job_key="job", cluster=0, dataset=empty)
-        model = tuner._fit_model(empty, empty, empty, 4, state)
+        model = tuner._fit_model(empty, empty, empty, 4)
         assert isinstance(model, _ConstantModel)
         assert list(model.predict_proba(np.zeros((2, 3)))) == [0.0, 0.0]
 
@@ -227,9 +225,9 @@ class TestStreamTuneTuner:
         for index, row in enumerate(rows):
             warmup.append(row, int(index == 0))
             warmup.append(row, int(index == 0))       # every row twice
-        state = QueryTuningState(job_key="job", cluster=0, dataset=warmup)
+        monkeypatch.setattr(tuner, "_query", "job")
         empty = PredictionDataset()
-        tuner._fit_model(empty, empty, warmup, 4, state)
+        tuner._fit_model(empty, empty, warmup, 4)
         [(features, labels, weights, kwargs)] = fits
         assert features.tobytes() == rows.tobytes()
         assert list(labels) == [1] + [0] * 11
@@ -272,13 +270,14 @@ def test_t_equals_the_dict_assembly(prior, observed, warm, prior_weight):
     warm = warm + warm[:1] + prior[:1] + observed[:1]
     operating_point, feedback, warmup = map(_pairs_dataset, (prior, observed, warm))
     expected = reference_t_assembly(operating_point, feedback, warmup, prior_weight, 10)
-    fake = SimpleNamespace(observed_weight=10, model_kind="svm", seed=0)
-    state = QueryTuningState(job_key="job", cluster=0, dataset=warmup)
+    fake = SimpleNamespace(
+        observed_weight=10, model_kind="svm", seed=0, _query="job", _warm_theta=None
+    )
     with mock.patch.object(tuner_module, "make_prediction_model", lambda *_, **__: _Recorder()):
         # The second refit reads the warm-up pairs the first one kept.
         for _ in range(2):
             model = StreamTuneTuner._fit_model(
-                fake, operating_point, feedback, warmup, prior_weight, state
+                fake, operating_point, feedback, warmup, prior_weight
             )
             if expected is None:
                 assert isinstance(model, _ConstantModel)
