@@ -649,13 +649,20 @@ def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
     )
 
 
-def _toml_loads():
+def toml_loads(error, source: str):
     """``loads`` of the available TOML parser: stdlib ``tomllib`` (3.11+)
-    or ``tomli``; :class:`ModuleNotFoundError` when there is neither."""
+    or ``tomli``; an ``error`` naming ``source`` when there is neither —
+    the one decoder plan files, fault plans and daemon bodies share."""
     try:
         import tomllib
     except ModuleNotFoundError:
-        import tomli as tomllib
+        try:
+            import tomli as tomllib
+        except ModuleNotFoundError:
+            raise error(
+                f"reading {source} as TOML needs Python 3.11+ (tomllib) or "
+                "the 'tomli' package; on this interpreter write it as JSON"
+            ) from None
     return tomllib.loads
 
 
@@ -671,13 +678,7 @@ def read_config(path: str | Path, error=PlanError, what: str = "plan") -> dict:
     if suffix == ".json":
         loads, syntax = json.loads, "JSON"
     elif suffix == ".toml":
-        try:
-            loads, syntax = _toml_loads(), "TOML"
-        except ModuleNotFoundError:
-            raise error(
-                f"reading a TOML {what} needs Python 3.11+ (tomllib) or the "
-                f"'tomli' package; on this interpreter write {path} as JSON"
-            ) from None
+        loads, syntax = toml_loads(error, f"{what} file {path}"), "TOML"
     else:
         raise error(
             f"unsupported {what} file suffix {suffix!r} for {path} "

@@ -246,9 +246,7 @@ class StreamTuneTuner(ParallelismTuner):
             self.operating_point_weight if not self._feedback else
             max(1, self.operating_point_weight // 2)
         )
-        model = self._fit_model(
-            operating_point, self._feedback, self._warmup, prior_weight
-        )
+        model = self._fit_model(operating_point, prior_weight)
         return self._recommend(model, embeddings, order)
 
     def escalate(
@@ -298,38 +296,32 @@ class StreamTuneTuner(ParallelismTuner):
     # pieces of the loop
     # ------------------------------------------------------------------
 
-    def _fit_model(
-        self,
-        operating_point: PredictionDataset,
-        feedback: PredictionDataset,
-        warmup: PredictionDataset,
-        prior_weight: int,
-    ):
+    def _fit_model(self, operating_point: PredictionDataset, prior_weight: int):
         """Line 5: fit the monotone M_f to the current T, as weighted
         unique rows.
 
-        T is the distilled prior weighted ``prior_weight``, the job's
-        feedback weighted ``observed_weight`` and the cluster warm-up
-        weighted 1; a row that recurs (the warm-up history repeats rows for
-        every redeployment of the same query) accumulates its weights onto
-        one unique ``(row bytes, label)`` pair, in first-occurrence order:
+        T is the distilled prior weighted ``prior_weight``, the job's feedback
+        ``_feedback`` weighted ``observed_weight`` and the cluster warm-up
+        ``_warmup`` weighted 1; a row that recurs (the warm-up history repeats
+        rows for every redeployment of the same query) accumulates its weights
+        onto one unique ``(row bytes, label)`` pair, in first-occurrence order:
         prior, then feedback, then the warm-up rows neither holds.  The
-        warm-up's pairs are found once per cached warm-up set
-        (kept on it as ``_pairs``), so a refit merges only the prior and
-        the feedback into them; every weight is an integer, so the sums
-        are exact in any order.  Execution histories label far more
-        operators 0 than 1 (most random deployments over-provision most
-        operators), so the minority class is reweighted to at most
-        ``MAX_CLASS_IMBALANCE``:1 — otherwise every model family collapses
-        to "never a bottleneck" — and a single-class T gets a constant
-        model.  Successive SVM refits of the same query warm-start from the
-        previous solution.  Every step is a pure function of the
+        warm-up's pairs are found once per cached warm-up set (kept on it as
+        ``_pairs``), so a refit merges only the prior and the feedback into
+        them; every weight is an integer, so the sums are exact in any order.
+        Execution histories label far more operators 0 than 1 (most random
+        deployments over-provision most operators), so the minority class is
+        reweighted to at most ``MAX_CLASS_IMBALANCE``:1 — otherwise every model
+        family collapses to "never a bottleneck" — and a single-class T gets a
+        constant model.  Successive SVM refits of the same query warm-start
+        from the previous solution.  Every step is a pure function of the
         accumulated state, so results are reproducible run-to-run and
         independent of campaign interleaving.
         """
         rows, labels, weights, _ = _pairs(
-            (operating_point, feedback), (prior_weight, self.observed_weight)
+            (operating_point, self._feedback), (prior_weight, self.observed_weight)
         )
+        warmup = self._warmup
         if not hasattr(warmup, "_pairs"):
             # Once per cached warm-up set: every campaign shares it unmutated.
             warmup._pairs = _pairs((warmup,), (1.0,))

@@ -52,7 +52,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.events import EventBus, JsonlRecorder, MetricsAggregator
-from repro.api.plans import PlanError, plan_from_dict
+from repro.api.plans import PlanError, plan_from_dict, toml_loads
 from repro.daemon.jobs import JOB_STATES, JobStore
 from repro.daemon.metrics_endpoint import render_metrics
 from repro.daemon.queue import QueueDraining, QueueFull, TenantQueue
@@ -447,9 +447,7 @@ def _make_handler(daemon: TuningDaemon):
             content_type = (self.headers.get("Content-Type") or "").lower()
             try:
                 if "toml" in content_type:
-                    import tomllib
-
-                    data = tomllib.loads(body.decode())
+                    data = toml_loads(PlanError, "the plan body")(body.decode())
                 else:
                     data = json.loads(body.decode())
             except Exception as error:  # noqa: BLE001 — operator input

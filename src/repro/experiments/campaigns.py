@@ -167,21 +167,20 @@ def campaign(
     Returns one :class:`CampaignResult` per query in the group (PQP groups
     evaluate ``scale.queries_per_template`` queries; Nexmark groups one).
     """
-    key = ("campaign", engine_name, method, group, scale.name)
-    if key in context._CACHE:
-        return context._CACHE[key]
 
-    queries = context.evaluation_queries(engine_name, scale)[group]
-    multipliers = periodic_multipliers(
-        n_permutations=scale.n_permutations, seed=scale.seed
-    )[: scale.n_rate_changes]
-    results = []
-    for query in queries:
-        engine = context.make_engine(engine_name, scale)
-        tuner = context.make_tuner(method, engine, scale)
-        results.append(run_campaign(engine, tuner, query, multipliers))
-    context._CACHE[key] = results
-    return results
+    def build() -> list[CampaignResult]:
+        queries = context.evaluation_queries(engine_name, scale)[group]
+        multipliers = periodic_multipliers(
+            n_permutations=scale.n_permutations, seed=scale.seed
+        )[: scale.n_rate_changes]
+        results = []
+        for query in queries:
+            engine = context.make_engine(engine_name, scale)
+            tuner = context.make_tuner(method, engine, scale)
+            results.append(run_campaign(engine, tuner, query, multipliers))
+        return results
+
+    return context._cached(("campaign", engine_name, method, group, scale.name), build)
 
 
 def average_reconfigurations(results: list[CampaignResult]) -> float:

@@ -1,25 +1,27 @@
-"""Standing post-episode invariants for fault-injected fleet runs.
+"""Standing invariants of recorded runs and fault-injected fleet runs.
 
 Every soak episode — however many workers were SIGKILLed, however many
-leases were reclaimed — must end in exactly the same place a calm run
-does.  This module states that contract as small pure checks returning
-human-readable violation strings (empty list = invariant holds), so the
-:class:`~repro.faults.supervisor.FleetSupervisor`, the CI soak job and
-ad-hoc scripts all assert the same thing:
+leases were reclaimed — and every resumed or distributed run must end
+in exactly the same place a calm single-host run does.  This module
+states that contract as small pure checks returning human-readable
+violation strings (empty list = invariant holds); the
+:class:`~repro.faults.supervisor.FleetSupervisor` and
+``scripts/stream_check.py`` both call them:
 
 * **exactly-once** — every spooled cell carries exactly one completion
   marker, the marker's status is ``ok``, and the attempt ledger it
   names exists (:func:`check_spool`);
 * **no stale leases** — after sweeping done-cell debris, no lease
   outlives its TTL (:func:`check_spool`);
-* **bit-identity** — the merged distributed event stream equals the
-  sequential reference, wall-clock fields aside
-  (:func:`compare_event_streams`).
+* **bit-identity** — a recorded event stream equals the reference
+  run's, wall-clock fields aside, and executed every campaign it did
+  not replay from a resume log (:func:`compare_event_streams`).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 __all__ = [
@@ -51,7 +53,7 @@ def _deterministic_result(record: dict) -> dict:
     return result
 
 
-def _results_by_key(records: list[dict]) -> dict[str, dict]:
+def _campaign_results(records: list[dict]) -> dict[str, dict]:
     results = {}
     for record in records:
         if record["event"] == "CampaignFinished":
@@ -67,34 +69,40 @@ def compare_event_streams(
     reference: list[dict],
     candidate: list[dict],
     *,
-    backend: str = "distributed",
+    backend: str,
+    skipped: int = 0,
 ) -> list[str]:
     """Violations of stream equivalence between two recorded runs.
 
-    ``reference`` is the sequential single-host log; ``candidate`` the
-    fleet log under test.  Checks: no failures, every campaign event
-    stamped with ``backend``, strictly increasing unique ``seq``, the
-    same campaign set, and per-campaign result payloads bit-identical
-    once wall-clock fields are stripped.
+    ``reference`` is an uninterrupted run's log; ``candidate`` the log
+    under test, run on ``backend`` and resumed past ``skipped`` of the
+    reference's campaigns.  Checks: no failures, every campaign event
+    stamped with ``backend``, strictly increasing unique ``seq``,
+    exactly ``skipped`` campaigns replayed and every other one started,
+    the same campaign set, and per-campaign result payloads
+    bit-identical once wall-clock fields are stripped.
     """
+    counts = Counter(r["event"] for r in candidate)
+    expected, actual = _campaign_results(reference), _campaign_results(candidate)
     failures = []
-    if any(r["event"] == "CampaignFailed" for r in candidate):
+    if counts["CampaignFailed"]:
         failures.append(f"{backend} run recorded CampaignFailed event(s)")
-    campaign_events = [r for r in candidate if r["event"].startswith("Campaign")]
     off_backend = sorted({
-        r["backend"] for r in campaign_events
-        if r.get("backend") not in (None, backend)
+        r["backend"] for r in candidate
+        if r["event"].startswith("Campaign") and r.get("backend") not in (None, backend)
     })
     if off_backend:
-        failures.append(
-            f"campaign events carry non-{backend} backend(s): {off_backend}"
-        )
+        failures.append(f"campaign events carry non-{backend} backend(s): {off_backend}")
     seqs = [r["seq"] for r in candidate]
     if seqs != sorted(seqs) or len(set(seqs)) != len(seqs):
         failures.append(f"{backend} event seq is not strictly increasing")
-
-    expected = _results_by_key(reference)
-    actual = _results_by_key(candidate)
+    if counts["CampaignSkipped"] != skipped:
+        failures.append(f"expected {skipped} CampaignSkipped, got {counts['CampaignSkipped']}")
+    if counts["CampaignStarted"] != len(expected) - skipped:
+        failures.append(
+            f"{backend} run executed {counts['CampaignStarted']} campaign(s), "
+            f"expected {len(expected) - skipped} of {len(expected)}"
+        )
     if set(expected) != set(actual):
         failures.append(
             "campaign sets differ: "

@@ -127,7 +127,14 @@ class ChurnSpec:
 
 @dataclass
 class SoakReport:
-    """Everything one soak episode observed, plus its verdict."""
+    """Everything one soak episode observed, plus its verdict.
+
+    :attr:`ok` is the one soak verdict (``repro soak`` exits 1 without
+    it): no error, no invariant or stream violation, every cell ``ok``,
+    and the kills executed exactly as scheduled — which, since
+    :meth:`ChurnSpec.schedule` gives every slot ``kills_per_worker``
+    triggers, also kills every worker that many times.
+    """
 
     n_cells: int
     workers: int
@@ -152,7 +159,7 @@ class SoakReport:
             self.error is None
             and not self.invariant_failures
             and not self.stream_failures
-            and len(self.kills) == len(self.schedule)
+            and self.kills == self.schedule
             and all(status == "ok" for status in self.statuses.values())
         )
 
@@ -348,7 +355,8 @@ class FleetSupervisor:
         finally:
             recorder.close()
         return compare_event_streams(
-            load_event_log(reference_path), load_event_log(record_path)
+            load_event_log(reference_path), load_event_log(record_path),
+            backend="distributed",
         )
 
     # -- restarts -------------------------------------------------------

@@ -211,6 +211,21 @@ class TestSubmitFollowFinish:
         list(client.follow(job["job"]))
         assert client.job(job["job"])["state"] == "finished"
 
+    def test_toml_submission_through_tomli(self, daemon, tmp_path, monkeypatch):
+        # Python 3.10 has no tomllib; the daemon decodes through the plan
+        # loader's parser, which falls back to tomli.
+        try:
+            import tomllib as parser
+        except ModuleNotFoundError:
+            parser = pytest.importorskip("tomli")
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        monkeypatch.setitem(sys.modules, "tomli", parser)
+        plan_file = tmp_path / "plan.toml"
+        plan_file.write_text('kind = "tuning"\nquery = "q1"\nrates = [3.0]\n'
+                             'tuner = "ds2"\nscale = "smoke"\n')
+        job = _client(daemon).submit_plan(plan_file)
+        assert job["plan_kind"] == "tuning"
+
     def test_metrics_scrape(self, daemon):
         client = _client(daemon)
         job = client.submit_plan(TINY_PLAN, tenant="alice")

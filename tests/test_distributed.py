@@ -56,7 +56,8 @@ def tiny_plan(**overrides) -> CampaignPlan:
 
 def deterministic_result(outcome) -> dict:
     """An outcome's result with host-timing fields removed (the repo's
-    bit-identity convention, mirroring scripts/resume_check.py)."""
+    bit-identity convention, as in
+    :func:`repro.faults.invariants.compare_event_streams`)."""
     result = dataclasses.asdict(outcome.result)
     for process in result["processes"]:
         for step in process["steps"]:

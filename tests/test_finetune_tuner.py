@@ -202,7 +202,8 @@ class TestStreamTuneTuner:
         # empty; the fit answers with a constant model.
         _, tuner, _ = setup
         empty = PredictionDataset()
-        model = tuner._fit_model(empty, empty, empty, 4)
+        tuner._feedback, tuner._warmup = empty, empty
+        model = tuner._fit_model(empty, 4)
         assert isinstance(model, _ConstantModel)
         assert list(model.predict_proba(np.zeros((2, 3)))) == [0.0, 0.0]
 
@@ -227,7 +228,8 @@ class TestStreamTuneTuner:
             warmup.append(row, int(index == 0))       # every row twice
         monkeypatch.setattr(tuner, "_query", "job")
         empty = PredictionDataset()
-        tuner._fit_model(empty, empty, warmup, 4)
+        tuner._feedback, tuner._warmup = empty, warmup
+        tuner._fit_model(empty, 4)
         [(features, labels, weights, kwargs)] = fits
         assert features.tobytes() == rows.tobytes()
         assert list(labels) == [1] + [0] * 11
@@ -271,14 +273,13 @@ def test_t_equals_the_dict_assembly(prior, observed, warm, prior_weight):
     operating_point, feedback, warmup = map(_pairs_dataset, (prior, observed, warm))
     expected = reference_t_assembly(operating_point, feedback, warmup, prior_weight, 10)
     fake = SimpleNamespace(
-        observed_weight=10, model_kind="svm", seed=0, _query="job", _warm_theta=None
+        observed_weight=10, model_kind="svm", seed=0, _query="job", _warm_theta=None,
+        _feedback=feedback, _warmup=warmup,
     )
     with mock.patch.object(tuner_module, "make_prediction_model", lambda *_, **__: _Recorder()):
         # The second refit reads the warm-up pairs the first one kept.
         for _ in range(2):
-            model = StreamTuneTuner._fit_model(
-                fake, operating_point, feedback, warmup, prior_weight
-            )
+            model = StreamTuneTuner._fit_model(fake, operating_point, prior_weight)
             if expected is None:
                 assert isinstance(model, _ConstantModel)
                 continue

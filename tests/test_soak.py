@@ -122,6 +122,10 @@ class TestSoakReport:
         # No reference run (None) is fine; recorded mismatches are not.
         assert self.report(stream_failures=None).ok
         assert not self.report(stream_failures=["payload differs"]).ok
+        # As many kills as scheduled is not enough: another slot, or the
+        # same slot at another threshold, is not the schedule's kill.
+        assert not self.report(kills=(KillTrigger(after_done=1, slot=1),)).ok
+        assert not self.report(kills=(KillTrigger(after_done=2, slot=0),)).ok
 
     def test_deterministic_view_excludes_host_noise(self):
         report = self.report(restarts={0: 3}, unplanned_respawns=2,
@@ -190,6 +194,10 @@ class TestCheckSpool:
 
 
 class TestCompareEventStreams:
+    def marker(self, event: str, campaign: str, seq: int, backend: str) -> dict:
+        return {"event": event, "seq": seq, "campaign": campaign,
+                "backend": backend}
+
     def finished(self, campaign: str, seq: int, backend: str,
                  value: float = 1.0) -> dict:
         return {
@@ -200,32 +208,83 @@ class TestCompareEventStreams:
             ]}]},
         }
 
+    def run(self, backend: str, *campaigns: str) -> list:
+        """A calm log: each campaign started, then finished."""
+        records = []
+        for campaign in campaigns:
+            records.append(self.marker("CampaignStarted", campaign, len(records), backend))
+            records.append(self.finished(campaign, len(records), backend))
+        return records
+
     def test_identical_streams_pass(self):
-        reference = [self.finished("q1", 0, "sequential")]
-        candidate = [self.finished("q1", 5, "distributed")]
+        reference = self.run("sequential", "q1")
+        candidate = [self.marker("CampaignStarted", "q1", 4, "distributed"),
+                     self.finished("q1", 5, "distributed")]
         # recommendation_seconds differs (seq-derived) — a wall-clock
         # field, stripped before comparison.
-        assert compare_event_streams(reference, candidate) == []
+        assert compare_event_streams(
+            reference, candidate, backend="distributed"
+        ) == []
 
     def test_each_violation_is_reported(self):
-        reference = [self.finished("q1", 0, "sequential"),
-                     self.finished("q2", 1, "sequential")]
+        reference = self.run("sequential", "q1", "q2")
         candidate = [
+            self.marker("CampaignStarted", "q1", 2, "distributed"),
             self.finished("q1", 3, "distributed", value=2.0),
+            self.marker("CampaignStarted", "q2", 4, "distributed"),
             {"event": "CampaignFailed", "seq": 3, "campaign": "q2",
              "backend": "sequential"},
         ]
-        failures = "\n".join(compare_event_streams(reference, candidate))
+        failures = "\n".join(
+            compare_event_streams(reference, candidate, backend="distributed")
+        )
         assert "CampaignFailed" in failures
         assert "non-distributed backend" in failures
         assert "seq is not strictly increasing" in failures
         assert "campaign sets differ" in failures
 
     def test_payload_differences_are_caught(self):
-        reference = [self.finished("q1", 0, "sequential")]
-        candidate = [self.finished("q1", 1, "distributed", value=2.0)]
-        failures = compare_event_streams(reference, candidate)
+        reference = self.run("sequential", "q1")
+        candidate = [self.marker("CampaignStarted", "q1", 0, "distributed"),
+                     self.finished("q1", 1, "distributed", value=2.0)]
+        failures = compare_event_streams(
+            reference, candidate, backend="distributed"
+        )
         assert failures == ["result payload differs for /q1"]
+
+    def test_resumed_stream_replays_the_skipped_campaigns(self):
+        reference = self.run("thread", "q1", "q2")
+        resumed = [self.marker("CampaignSkipped", "q1", 0, "thread"),
+                   self.finished("q1", 1, "thread"),
+                   self.marker("CampaignStarted", "q2", 2, "thread"),
+                   self.finished("q2", 3, "thread")]
+        assert compare_event_streams(
+            reference, resumed, backend="thread", skipped=1
+        ) == []
+
+    def test_a_resumed_stream_without_a_skip_is_flagged(self):
+        reference = self.run("thread", "q1", "q2")
+        failures = compare_event_streams(
+            reference, self.run("thread", "q1", "q2"),
+            backend="thread", skipped=1,
+        )
+        assert "expected 1 CampaignSkipped, got 0" in failures
+        assert any("executed 2 campaign(s), expected 1" in failure
+                   for failure in failures)
+
+    def test_a_re_executed_skipped_campaign_is_flagged(self):
+        reference = self.run("thread", "q1", "q2")
+        resumed = [self.marker("CampaignSkipped", "q1", 0, "thread"),
+                   self.finished("q1", 1, "thread"),
+                   *self.run("thread", "q1", "q2")]
+        for index, record in enumerate(resumed):
+            record["seq"] = index
+        failures = compare_event_streams(
+            reference, resumed, backend="thread", skipped=1
+        )
+        assert failures == [
+            "thread run executed 2 campaign(s), expected 1 of 2"
+        ]
 
 
 # ----------------------------------------------------------------------
