@@ -19,7 +19,6 @@ from repro.clustering.kmeans import ClusteringResult, GEDKMeans
 from repro.core.history import ExecutionRecord
 from repro.dataflow.features import FeatureEncoder
 from repro.dataflow.graph import LogicalDataflow
-from repro.ged.search import GEDCache
 from repro.gnn.data import GraphSample, build_sample
 from repro.gnn.model import BottleneckGNN, EncoderConfig
 from repro.gnn.train import TrainingReport, train_bottleneck_gnn
@@ -88,15 +87,12 @@ def pretrain(
     feature_encoder = feature_encoder or FeatureEncoder()
 
     flows = [record.flow for record in records]
-    # One cache from the elbow to the artifact: the final fit repeats the
-    # elbow's fit for the chosen k, so it finds every distance and
-    # threshold verdict already computed.
-    cache = GEDCache()
     if n_clusters is None:
-        n_clusters, _ = choose_k_elbow(
-            flows, k_max=K_MAX, seed=seed, cache=cache
-        )
-    clustering = GEDKMeans(n_clusters, seed=seed, cache=cache).fit(flows)
+        # The elbow has already fitted the chosen k with this seed.
+        n_clusters, fits = choose_k_elbow(flows, k_max=K_MAX, seed=seed)
+        clustering = fits[n_clusters - 1]
+    else:
+        clustering = GEDKMeans(n_clusters, seed=seed).fit(flows)
 
     encoders: list[BottleneckGNN] = []
     reports: list[TrainingReport] = []

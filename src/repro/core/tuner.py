@@ -60,7 +60,7 @@ from repro.core.labeling import label_operators
 from repro.core.pretrain import PretrainedStreamTune
 from repro.engines.base import Deployment, EngineCluster
 from repro.models import MonotonicSVM, make_prediction_model
-from repro.models.base import row_keys
+from repro.models.base import group_rows, row_keys
 from repro.models.search import min_feasible_parallelism
 from repro.utils.rng import stable_hash
 from repro.workloads.query import StreamingQuery
@@ -426,7 +426,7 @@ def _pairs(datasets, weights) -> tuple:
         return np.empty((0, 0)), labels, np.empty(0), labels
     rows = np.stack([row for dataset in datasets for row in dataset.features])
     weight = np.repeat(np.asarray(weights, np.float64), [len(dataset) for dataset in datasets])
-    _, row_id = np.unique(row_keys(rows), return_inverse=True)
+    _, row_id = group_rows(rows)
     _, first, pair_id = np.unique(2 * row_id + labels, return_index=True, return_inverse=True)
     rank = np.argsort(first)
     kept = first[rank]

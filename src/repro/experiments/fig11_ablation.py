@@ -43,6 +43,13 @@ CENTER_SIZES = {"smoke": (20, 40), "default": (50, 100, 150, 200), "paper": (100
 #: Similarity-search threshold (paper §V-A: tau = 5).
 TAU = 5.0
 
+#: Fig. 11b times each method as its fastest of ``SHOTS`` runs, the two
+#: methods' runs interleaved so that host load falls on both; a method
+#: whose fastest run takes ``REPEAT_BELOW_SECONDS`` is not run again.  A
+#: single shot of a few hundredths of a second mostly measures the host.
+SHOTS = 7
+REPEAT_BELOW_SECONDS = 0.5
+
 
 @dataclass(frozen=True)
 class Fig11bRow:
@@ -80,30 +87,35 @@ def _center_dataset(n_graphs: int, seed: int) -> list:
     return [graphs[i] for i in order]
 
 
+def _fastest(graphs) -> list[float]:
+    """The fastest direct and LSa computations of the center, in seconds."""
+    seconds = [np.inf, np.inf]
+    centers = set()
+    for shot in range(SHOTS):
+        for index, use_lsa in enumerate((False, True)):
+            if shot == 0 or seconds[index] < REPEAT_BELOW_SECONDS:
+                with Timer() as timer:
+                    centers.add(similarity_center(graphs, tau=TAU, use_lsa=use_lsa))
+                seconds[index] = min(seconds[index], timer.elapsed)
+    assert len(centers) == 1, "methods must agree on the center"
+    return seconds
+
+
 def run_fig11b(scale: ExperimentScale | None = None) -> list[Fig11bRow]:
     scale = scale or resolve_scale()
     rows = []
     for n_graphs in CENTER_SIZES[scale.name]:
         graphs = _center_dataset(n_graphs, seed=scale.seed + 11)
-        with Timer() as direct_timer:
-            direct_center = similarity_center(graphs, tau=TAU, use_lsa=False)
-        with Timer() as lsa_timer:
-            lsa_center = similarity_center(graphs, tau=TAU, use_lsa=True)
-        assert direct_center == lsa_center, "methods must agree on the center"
-        rows.append(
-            Fig11bRow(
-                n_graphs=n_graphs,
-                direct_seconds=direct_timer.elapsed,
-                lsa_seconds=lsa_timer.elapsed,
-            )
-        )
+        rows.append(Fig11bRow(n_graphs, *_fastest(graphs)))
     return rows
 
 
 DEVIATIONS = {
     "fig11b/lsa-reduction>50%/20-dags": Deviation(
-        "LSa 43.0 - 63.4 % faster than direct GED over eleven smoke runs (single "
-        "shots of ~0.14 s against ~0.07 s), so the verdict straddles the 50 % bound",
+        "LSa is 47.7 % faster than direct GED at 20 DAGs, the median of eight smoke "
+        "runs of each method's fastest of 7 shots (~0.07 s against ~0.035 s; range "
+        "44.8 - 56.1 %, single shots 33.9 - 67.7 %), and 88 - 94 % at 40 DAGs: the "
+        "saving grows with the cluster, and 20 DAGs is too small to reach 50 %",
         since="b711015 or earlier (wall-clock; 19.8 % there)", strict=False,
     ),
 }

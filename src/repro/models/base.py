@@ -29,17 +29,32 @@ def validate_training_inputs(features: np.ndarray, labels: np.ndarray) -> tuple[
         raise ValueError("cannot fit on an empty dataset")
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
-    unique = set(np.unique(labels).tolist())
-    if not unique <= {0, 1}:
-        raise ValueError(f"labels must be binary 0/1, got {sorted(unique)}")
+    if not ((labels == 0) | (labels == 1)).all():
+        unique = sorted(set(np.unique(labels).tolist()))
+        raise ValueError(f"labels must be binary 0/1, got {unique}")
     return features, labels.astype(np.float64)
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque key per row of a float matrix, equal iff the rows' bytes
-    are (so ``-0.0`` and ``0.0`` differ); ``np.unique`` groups by them."""
+    are (so ``-0.0`` and ``0.0`` differ); they sort by those bytes."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of ``np.unique(row_keys(rows), return_index=True,
+    return_inverse=True)`` for a float64 matrix, byte for byte: the first
+    index of each distinct row, in row-byte order, and each row's group.
+    One stable sort of the keys, then neighbours compared as 64-bit words
+    (comparing void keys costs several times the sort)."""
+    order = np.argsort(row_keys(rows), kind="stable")
+    words = rows.view(np.uint64)[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def validate_sample_weight(sample_weight, n_rows: int) -> np.ndarray:

@@ -12,11 +12,13 @@ probability).
 
 Offline substitution: scikit-learn is unavailable, so the kernel trick is
 realised with **random Fourier features** (Rahimi & Recht) approximating an
-RBF kernel on ``h``.  The primal uses the squared hinge, so it is smooth,
-convex and piecewise quadratic, with one optimum; a fit solves it exactly
-(:func:`_solve`).  Probabilities come from Platt-style scaling of the
-margin with a positivity-constrained slope, which preserves monotonicity
-in p.
+RBF kernel on ``h``.  The draw is a function of the model seed and the
+embedding width alone (:func:`_random_features`), so every fit with one
+seed, on one model or many, lifts into the same feature space.  The
+primal uses the squared hinge, so it is smooth, convex and piecewise
+quadratic, with one optimum; a fit solves it exactly (:func:`_solve`).
+Probabilities come from Platt-style scaling of the margin with a
+positivity-constrained slope, which preserves monotonicity in p.
 
 A fit pays its fixed costs once per distinct embedding.  The embedding h
 is parallelism-agnostic, so most training rows repeat another row's h
@@ -41,9 +43,11 @@ solve stops once the largest projected-gradient entry is at most
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.models.base import row_keys, validate_sample_weight, validate_training_inputs
+from repro.models.base import group_rows, validate_sample_weight, validate_training_inputs
 from repro.gnn.loss import sigmoid
 from repro.utils.rng import seeded_rng
 
@@ -58,6 +62,20 @@ TOLERANCE = 1e-10
 MAX_ITERATIONS = 50
 #: Above this many active rows a Newton step solves the primal system.
 DUAL_ROWS = 200
+
+
+@lru_cache(maxsize=8)
+def _random_features(seed: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random Fourier weights and offsets for ``width``-column
+    embeddings: the first draws of a fresh ``seeded_rng(seed)``, read-only
+    because fits share them."""
+    rng = seeded_rng(seed)
+    # Normalise the kernel bandwidth by dimensionality so gamma means
+    # "per typical pairwise distance" regardless of embedding width.
+    weights = rng.normal(0.0, np.sqrt(2.0 * GAMMA / width), size=(width, N_FOURIER_FEATURES))
+    offsets = rng.uniform(0.0, 2.0 * np.pi, N_FOURIER_FEATURES)
+    weights.flags.writeable = offsets.flags.writeable = False
+    return weights, offsets
 
 
 def _solve(problem, theta):
@@ -186,7 +204,7 @@ class MonotonicSVM:
     """Kernelised hinge-loss classifier, monotone non-increasing in p."""
 
     def __init__(self, seed: int = 11) -> None:
-        self._rng = seeded_rng(seed)
+        self.seed = seed
         #: ``(w_e, w_p, b)`` of the last fit; ``None`` before the first.
         self.solution_theta: np.ndarray | None = None
         #: How the last fit's solve ended: its Newton steps and its largest
@@ -239,8 +257,9 @@ class MonotonicSVM:
         (the contract of :mod:`repro.models.base`).
 
         ``theta0`` warm-starts the solve from a previous solution in the same
-        random-feature space (the RFF draw depends only on the model seed,
-        so successive refits of a tuning loop share the feature space); the
+        random-feature space (the RFF draw is a function of the model seed
+        and the embedding width, so every refit of a tuning loop, and every
+        refit of one model, lifts into the same space); the
         online loop's refits change only a few feedback rows between fits,
         which makes the previous optimum an excellent starting point.
 
@@ -264,9 +283,8 @@ class MonotonicSVM:
         # Group the rows by the bytes of their raw embedding and sort them
         # by (embedding, p, label, count): the canonical order that makes a
         # fit independent of the order of its rows.
-        n_embed = features.shape[1] - 1
         rows = features[:, :-1]
-        _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
+        first, inverse = group_rows(rows)
         order = np.lexsort((counts, labels, features[:, -1], inverse))
         features, labels, inverse, counts = (
             array[order] for array in (features, labels, inverse, counts)
@@ -275,14 +293,7 @@ class MonotonicSVM:
         self._feature_mean = (counts[:, None] * features[:, :-1]).sum(axis=0) / n
         var = (counts[:, None] * (features[:, :-1] - self._feature_mean) ** 2).sum(axis=0) / n
         self._feature_scale = np.maximum(np.sqrt(var), 1e-8)
-        # Normalise the kernel bandwidth by dimensionality so gamma means
-        # "per typical pairwise distance" regardless of embedding width.
-        self._rff_weights = self._rng.normal(
-            0.0,
-            np.sqrt(2.0 * GAMMA / n_embed),
-            size=(n_embed, N_FOURIER_FEATURES),
-        )
-        self._rff_offsets = self._rng.uniform(0.0, 2.0 * np.pi, N_FOURIER_FEATURES)
+        self._rff_weights, self._rff_offsets = _random_features(self.seed, rows.shape[1])
         lifted = self._lift((rows[first] - self._feature_mean) / self._feature_scale)
 
         y = 2.0 * labels - 1.0                      # {-1, +1}

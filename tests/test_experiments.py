@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from repro.experiments import context, fig4_processing_ability as fig4
+from repro.experiments import fig11_ablation as fig11
 from repro.experiments.__main__ import EXPERIMENTS, main as run_experiments
 from repro.experiments.campaigns import CampaignResult, run_campaign
 from repro.experiments.claims import PAPER_SCHEMA, Claim, Deviation, judge
@@ -148,6 +149,28 @@ class TestFigureModules:
 
     def test_fig5_paper_distribution_sums_to_100(self):
         assert sum(PAPER_DISTRIBUTION.values()) == pytest.approx(100.0, abs=0.1)
+
+    def test_fig11b_repeats_only_the_short_shots(self, monkeypatch):
+        calls = []
+
+        def center(graphs, tau, use_lsa):
+            calls.append(use_lsa)
+            return 0
+
+        monkeypatch.setattr(fig11, "similarity_center", center)
+        seconds = fig11._fastest([])
+        assert calls == [False, True] * fig11.SHOTS
+        assert all(0.0 <= value < fig11.REPEAT_BELOW_SECONDS for value in seconds)
+        # A method whose fastest run reaches the bound runs once.
+        calls.clear()
+        monkeypatch.setattr(fig11, "REPEAT_BELOW_SECONDS", 0.0)
+        fig11._fastest([])
+        assert calls == [False, True]
+
+    def test_fig11b_methods_must_agree_on_the_center(self, monkeypatch):
+        monkeypatch.setattr(fig11, "similarity_center", lambda graphs, tau, use_lsa: int(use_lsa))
+        with pytest.raises(AssertionError, match="agree"):
+            fig11._fastest([])
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

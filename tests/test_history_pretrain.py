@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -105,25 +103,21 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain([], max_parallelism=100)
 
-    def test_final_fit_reuses_the_elbow_cache(self, tiny_history, monkeypatch):
-        """The elbow already ran the final fit's k-means on the same cache:
-        the final fit computes no GED, and clusters as a cold-cache fit."""
-        # ``repro.core`` re-exports the function under the module's name.
-        pretrain_module = importlib.import_module("repro.core.pretrain")
-        misses = []
+    def test_the_artifact_keeps_the_elbow_fit_for_k(self, tiny_history, monkeypatch):
+        """The elbow fits every k once and the artifact keeps its fit for the
+        chosen k, which clusters as a fresh cold-cache fit does."""
+        fitted = []
+        fit = GEDKMeans.fit
 
-        class RecordingKMeans(GEDKMeans):
-            def fit(self, graphs):
-                before = self.cache.misses
-                result = super().fit(graphs)
-                misses.append((before, self.cache.misses))
-                return result
+        def recording_fit(self, graphs):
+            fitted.append(self.n_clusters)
+            return fit(self, graphs)
 
-        monkeypatch.setattr(pretrain_module, "GEDKMeans", RecordingKMeans)
+        monkeypatch.setattr(GEDKMeans, "fit", recording_fit)
         records = tiny_history[:120]
         artifact = pretrain(records, max_parallelism=100, epochs=1, seed=3)
-        [(before, after)] = misses
-        assert before > 0 and after == before
+        assert fitted == list(range(1, len(fitted) + 1))
+        assert artifact.n_clusters in fitted
 
         cold = GEDKMeans(artifact.n_clusters, seed=3).fit([r.flow for r in records])
         warm = artifact.clustering

@@ -15,7 +15,7 @@ from repro.models import (
     make_prediction_model,
 )
 from repro.models import gbdt, gp, mlp, svm
-from repro.models.base import validate_training_inputs
+from repro.models.base import group_rows, row_keys, validate_training_inputs
 from repro.models.gp import GaussianProcess1D
 from repro.models.search import min_feasible_parallelism
 from tests.conftest import (
@@ -50,12 +50,55 @@ class TestValidation:
     def test_label_checks(self):
         with pytest.raises(ValueError, match="binary"):
             validate_training_inputs(np.ones((2, 2)), np.array([0, 2]))
+        with pytest.raises(ValueError, match=r"got \[0\.0, 1\.0, nan\]"):
+            validate_training_inputs(np.ones((3, 2)), np.array([1.0, np.nan, 0.0]))
+        _, labels = validate_training_inputs(np.ones((2, 2)), np.array([True, False]))
+        assert labels.tolist() == [1.0, 0.0]
 
     def test_nan_rejected(self):
         bad = np.ones((2, 2))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             validate_training_inputs(bad, np.array([0, 1]))
+
+
+#: 64-bit patterns that compare equal as floats but differ as bytes, or
+#: not at all as floats: 0.0, -0.0, 1.0 and NaNs with several payloads.
+SPECIAL_BITS = (0, 1 << 63, 0x3FF0000000000000, 0x7FF8000000000000,
+                0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000)
+
+
+@st.composite
+def repeated_rows(draw):
+    """A float64 matrix (possibly zero columns wide) whose rows are drawn
+    with repetition from a few distinct ones."""
+    width = draw(st.integers(0, 4))
+    bits = st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)
+    pool = draw(st.lists(st.lists(bits, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    rows = np.array([pool[i] for i in picks], dtype=np.uint64).reshape(len(picks), width)
+    return rows.view(np.float64)
+
+
+class TestGroupRows:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_rows())
+    def test_matches_unique_over_row_keys(self, rows):
+        reference = np.unique(row_keys(rows), return_index=True, return_inverse=True)[1:]
+        # A fit passes a column slice, which is not contiguous.
+        padded = np.column_stack([rows, np.ones(len(rows))])
+        for grouped in (group_rows(rows), group_rows(padded[:, :-1])):
+            for got, want in zip(grouped, reference):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_and_nan_payloads_are_distinct_rows(self):
+        bits = np.array([[0], [1 << 63], [0x7FF8000000000000], [0x7FF8000000000001], [0]],
+                        dtype=np.uint64)
+        first, inverse = group_rows(bits.view(np.float64))
+        assert first.tolist() == [0, 1, 2, 3]
+        assert inverse.tolist() == [0, 1, 2, 3, 0]
 
 
 class TestMonotonicSVM:
@@ -122,14 +165,34 @@ class TestMonotonicSVM:
         assert refit.tobytes() == fresh.fit(X, y).solution_theta.tobytes()
 
     @staticmethod
-    def assert_rejected_untouched(model, X, y, match, **kwargs):
-        before = (model.predict_proba(X).tobytes(), model.solution_theta.tobytes())
-        state = model._rng.bit_generator.state
+    def random_features(model):
+        return model._rff_weights.tobytes() + model._rff_offsets.tobytes()
+
+    @classmethod
+    def assert_rejected_untouched(cls, model, X, y, match, **kwargs):
+        def state():
+            return (model.predict_proba(X).tobytes(), model.solution_theta.tobytes(),
+                    cls.random_features(model))
+
+        before = state()
         with pytest.raises(ValueError, match=match):
             model.fit(X, y, **kwargs)
-        after = (model.predict_proba(X).tobytes(), model.solution_theta.tobytes())
-        assert after == before
-        assert model._rng.bit_generator.state == state
+        assert state() == before
+        # Nothing was drawn: the next fit lifts into a fresh model's features.
+        fresh = MonotonicSVM(seed=model.seed).fit(X, y)
+        assert cls.random_features(model.fit(X, y)) == cls.random_features(fresh)
+
+    def test_the_random_features_are_a_function_of_seed_and_width(self):
+        X, y = threshold_dataset()
+        model = MonotonicSVM(seed=1)
+        first = self.random_features(model.fit(X, y))
+        assert self.random_features(model.fit(X[::-1], y[::-1])) == first
+        assert self.random_features(MonotonicSVM(seed=1).fit(X, y)) == first
+        assert self.random_features(MonotonicSVM(seed=2).fit(X, y)) != first
+        wider = np.column_stack([X[:, :1], X])
+        assert model.fit(wider, y)._rff_weights.shape == (5, svm.N_FOURIER_FEATURES)
+        # Fits share the draw, so none of them may write to it.
+        assert not (model._rff_weights.flags.writeable or model._rff_offsets.flags.writeable)
 
     def test_a_nan_theta0_is_rejected(self):
         X, y = threshold_dataset()
