@@ -51,7 +51,7 @@ def main() -> None:
     session = TuningSession(pretrained=pretrained)
     plan = TuningPlan(query="q2", rates=(3, 10, 5), engine="flink", seed=17)
     result = session.run(plan)
-    campaign = result.result
+    campaign = result.outcomes[0]
     for multiplier, process in zip(campaign.multipliers, campaign.processes):
         print(
             f"rate {multiplier:>4g} x Wu: parallelisms={process.final_parallelisms} "
@@ -62,11 +62,11 @@ def main() -> None:
     # -- 4. the same API drives a concurrent fleet ----------------------
     fleet = CampaignPlan(queries=("q1", "q5"), rates=(3, 7), backend="thread")
     fleet_result = session.run(fleet)
-    for outcome in fleet_result.outcomes:
+    for member in fleet_result.outcomes:
         print(
-            f"fleet {outcome.spec_name}: "
-            f"avg reconfigs {outcome.result.average_reconfigurations:.2f} "
-            f"({outcome.wall_seconds:.1f}s)"
+            f"fleet {member.query_name}: "
+            f"avg reconfigs {member.average_reconfigurations:.2f} "
+            f"({member.wall_seconds:.1f}s)"
         )
 
     # -- 5. sanity: how close to the hidden optimum? --------------------

@@ -25,8 +25,8 @@ Quick start::
     plan = CampaignPlan(queries=("q1", "q5"), rates=(3, 7, 4, 2),
                         backend="thread", scale="smoke")
     result = TuningSession().run(plan)
-    for outcome in result.outcomes:
-        print(outcome.spec_name, outcome.result.average_reconfigurations)
+    for campaign in result.outcomes:      # one CampaignResult per query
+        print(campaign.query_name, campaign.average_reconfigurations)
 
 or, from a config file (JSON or TOML)::
 

@@ -226,42 +226,40 @@ class CampaignFinished(Event):
     n_steps: int = 0
     converged_steps: int = 0
     wall_seconds: float = 0.0
-    #: The full :class:`~repro.service.CampaignOutcome`; carried for
-    #: programmatic consumers, omitted from the field walk in ``to_dict``
-    #: (serialised instead as the derived ``result`` payload below).
-    outcome: object = field(default=None, repr=False, compare=False,
-                            metadata={"serialise": False})
+    #: The campaign's :class:`~repro.experiments.campaigns.CampaignResult`;
+    #: carried for programmatic consumers, omitted from the field walk in
+    #: ``to_dict`` (serialised instead as the ``result`` payload below).
+    result: object = field(default=None, repr=False, compare=False,
+                           metadata={"serialise": False})
 
     def to_dict(self) -> dict:
         """The JSON view, including the campaign's full ``result``.
 
         The result payload (multipliers plus every tuning process's step
         records) is what lets a recorded log stand in for re-execution on
-        ``--resume``: :func:`event_from_dict` rebuilds the outcome from it
+        ``--resume``: :func:`event_from_dict` rebuilds the result from it
         bit-identically.
         """
         data = super().to_dict()
-        payload = _result_payload(self.outcome)
+        payload = _result_payload(self.result)
         if payload is not None:
             data["result"] = payload
         return data
 
 
 def campaign_finished(
-    campaign: str, index: int, backend: str, outcome, cell_key: str | None
+    campaign: str, index: int, backend: str, result, cell_key: str | None
 ) -> CampaignFinished:
-    """The :class:`CampaignFinished` of ``outcome`` as emitted by ``backend``
-    (live or replayed; the outcome is re-labelled with that backend)."""
-    outcome.backend = backend
-    processes = outcome.result.processes
+    """The :class:`CampaignFinished` of ``result`` as emitted by ``backend``
+    (live or replayed)."""
     return CampaignFinished(
         campaign=campaign,
         index=index,
         backend=backend,
-        n_steps=len(processes),
-        converged_steps=sum(1 for process in processes if process.converged),
-        wall_seconds=outcome.wall_seconds,
-        outcome=outcome,
+        n_steps=result.n_processes,
+        converged_steps=result.converged_steps,
+        wall_seconds=result.wall_seconds,
+        result=result,
         cell_key=cell_key,
     )
 
@@ -354,9 +352,9 @@ class JobStateChanged(Event):
 # JSON round-trip: to_dict() output -> an equal event
 # ----------------------------------------------------------------------
 
-def _result_payload(outcome) -> dict | None:
-    """Serialise a ``CampaignOutcome``'s result as plain JSON data."""
-    result = getattr(outcome, "result", None)
+def _result_payload(result) -> dict | None:
+    """Serialise a ``CampaignResult`` as plain JSON data (its
+    ``wall_seconds`` is the event's own field)."""
     if result is None:
         return None
     return {
@@ -375,9 +373,8 @@ def _result_payload(outcome) -> dict | None:
     }
 
 
-def _outcome_from_payload(payload: dict, campaign: str, backend: str,
-                          wall_seconds: float):
-    """Rebuild a ``CampaignOutcome`` from :func:`_result_payload` output.
+def _result_from_payload(payload: dict, wall_seconds: float):
+    """Rebuild a ``CampaignResult`` from :func:`_result_payload` output.
 
     Floats survive JSON exactly (``repr`` round-trip), so the rebuilt
     result is bit-identical to the recorded one — the property resume
@@ -386,12 +383,13 @@ def _outcome_from_payload(payload: dict, campaign: str, backend: str,
     """
     from repro.baselines.api import TuningResult, TuningStep
     from repro.experiments.campaigns import CampaignResult
-    from repro.service.tuning import CampaignOutcome
 
     result = CampaignResult(
-        query_name=payload["query_name"], method=payload["method"]
+        query_name=payload["query_name"],
+        method=payload["method"],
+        multipliers=list(payload["multipliers"]),
+        wall_seconds=wall_seconds,
     )
-    result.multipliers = list(payload["multipliers"])
     for process in payload["processes"]:
         result.processes.append(
             TuningResult(
@@ -401,12 +399,7 @@ def _outcome_from_payload(payload: dict, campaign: str, backend: str,
                 steps=[TuningStep(**step) for step in process["steps"]],
             )
         )
-    return CampaignOutcome(
-        spec_name=campaign,
-        result=result,
-        wall_seconds=wall_seconds,
-        backend=backend,
-    )
+    return result
 
 
 #: Every concrete event class, keyed by its ``kind`` — the dispatch table
@@ -433,7 +426,7 @@ def event_from_dict(data: dict) -> Event:
     """Restore an event from its :meth:`Event.to_dict` output.
 
     The inverse of recording: for every event class,
-    ``event_from_dict(event.to_dict()) == event`` (the ``outcome`` object
+    ``event_from_dict(event.to_dict()) == event`` (the ``result`` object
     is excluded from equality but is itself rebuilt from the ``result``
     payload when one was recorded).  Raises ``ValueError`` for missing or
     unknown kinds, and for a record (or ``result`` payload) of a known
@@ -459,11 +452,8 @@ def event_from_dict(data: dict) -> Event:
     kwargs = {key: value for key, value in data.items() if key in known}
     try:
         if cls is CampaignFinished and isinstance(data.get("result"), dict):
-            kwargs["outcome"] = _outcome_from_payload(
-                data["result"],
-                campaign=kwargs.get("campaign", ""),
-                backend=kwargs.get("backend", "sequential"),
-                wall_seconds=kwargs.get("wall_seconds", 0.0),
+            kwargs["result"] = _result_from_payload(
+                data["result"], wall_seconds=kwargs.get("wall_seconds", 0.0)
             )
         return cls(**kwargs)
     except (KeyError, TypeError, AttributeError) as error:

@@ -65,9 +65,18 @@ def _check_query_token(token: str) -> str:
     return token
 
 
+def _check_string(where: str, value, *, optional: bool = False):
+    """``value`` when it is a string (or, if ``optional``, ``None``): a
+    name or a path from a config file is never a number, list or null."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise PlanError(f"{where} must be a string, got {value!r}")
+
+
 def _canonical(kind_label: str, registry, name: str) -> str:
     """``name``'s registry spelling: a plan stores that one, so every
     spelling of a campaign gets one cell key and one cache entry."""
+    _check_string(kind_label, name)
     try:
         return registry.entry(name).name
     except UnknownComponentError as error:
@@ -83,7 +92,7 @@ def _campaign_tuner(name: str, where: str = "tuner") -> str:
     an execution history from its resources, e.g. zerotune) cannot run
     in a plan of any kind.
     """
-    base, dash, model = name.partition("-")
+    base, dash, model = _check_string(where, name).partition("-")
     if dash and base.lower() == "streamtune":
         raise PlanError(
             f"{where}: {name!r} is not a tuner name; the prediction layer is "
@@ -101,7 +110,7 @@ def _campaign_tuner(name: str, where: str = "tuner") -> str:
 
 
 def _check_scale(name: str | None) -> None:
-    if name is None:
+    if _check_string("scale", name, optional=True) is None:
         return
     from repro.experiments.scale import resolve_scale
 
@@ -283,6 +292,8 @@ def _check_run_fields(plan) -> None:
     object.__setattr__(plan, "tuner", _campaign_tuner(plan.tuner))
     object.__setattr__(plan, "layer", _canonical("layer", MODELS, plan.layer))
     _check_scale(plan.scale)
+    _check_string("model", plan.model, optional=True)
+    _check_string("cache_path", plan.cache_path, optional=True)
     if not isinstance(plan.seed, int) or isinstance(plan.seed, bool):
         raise PlanError(f"seed must be an integer, got {plan.seed!r}")
     if plan.cache_path is not None and plan.tuner != "streamtune":
@@ -407,7 +418,8 @@ class CampaignPlan(_Plan):
     tuner: str = "streamtune"
     backend: str = "thread"
     #: Pool size; for the ``distributed`` backend, the local worker
-    #: agents that staff the spool (0: a standing fleet drains it).
+    #: agents that staff the spool (0: a standing fleet drains the
+    #: ``spool_dir``, which must then be named).
     workers: int | None = None
     layer: str = "svm"
     model: str | None = None
@@ -431,11 +443,9 @@ class CampaignPlan(_Plan):
     default_rates = (3.0, 7.0, 4.0, 2.0)
 
     def __post_init__(self) -> None:
-        if isinstance(self.queries, (str, bytes)):
-            raise PlanError(
-                "queries must be a sequence of query tokens, got the string "
-                f"{self.queries!r} (did you forget to split it?)"
-            )
+        if not isinstance(self.queries, (list, tuple)):
+            hint = " (did you forget to split it?)" if isinstance(self.queries, str) else ""
+            raise PlanError(f"queries must be a list of query tokens, got {self.queries!r}{hint}")
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries:
             raise PlanError("queries must contain at least one query token")
@@ -463,16 +473,15 @@ class CampaignPlan(_Plan):
                 "agents keep their own caches; the coordinator neither loads "
                 "nor saves a snapshot); remove it or pick an in-process backend"
             )
-        if self.spool_dir is not None and not isinstance(self.spool_dir, str):
-            raise PlanError(
-                f"spool_dir must be a directory path string, got "
-                f"{self.spool_dir!r}"
-            )
+        _check_string("spool_dir", self.spool_dir, optional=True)
         if self.spool_dir is not None and self.backend != "distributed":
             raise PlanError(
                 f"spool_dir only applies to the distributed backend, not "
                 f"{self.backend}; remove it or set backend = \"distributed\""
             )
+        if self.workers == 0 and self.spool_dir is None:
+            raise PlanError("workers = 0 needs the spool_dir that standing "
+                            "worker agents watch; none can find an ephemeral one")
         object.__setattr__(self, "chaos", _as_chaos(self.chaos))
         _check_chaos_executes(self.chaos, self.engine, len(self.rates))
 

@@ -8,7 +8,7 @@ runs*.  A :class:`~repro.api.events.JsonlRecorder` log written by
 payload and a deterministic ``cell_key``
 (:func:`~repro.api.events.campaign_cell_key`).  :class:`ResumeLog` parses
 such a log — tolerating the truncated final line a crash leaves behind —
-and hands the recorded outcomes to the execution layer, which skips every
+and hands the recorded results to the execution layer, which skips every
 matching campaign, emits a :class:`~repro.api.events.CampaignSkipped`
 marker plus the replayed finished event, and executes only what is
 missing.  A resumed sweep therefore computes results bit-identical to an
@@ -35,7 +35,7 @@ __all__ = [
     "ResumeLog",
     "discover_latest_log",
     "replay_events",
-    "resume_outcome",
+    "resume_result",
 ]
 
 
@@ -93,10 +93,12 @@ class ResumeLog:
 
     ``completed`` maps each campaign's deterministic ``cell_key`` to its
     recorded :class:`~repro.api.events.CampaignFinished` (result payload
-    rebuilt into a live ``CampaignOutcome``).  Pass the log (or its path,
-    to the session) as ``resume=`` to :meth:`TuningSession.run`/``stream``
-    or :meth:`TuningService.stream` — the one form a resume source takes
-    below the session — or use :meth:`outcome_for` directly.
+    rebuilt into a live
+    :class:`~repro.experiments.campaigns.CampaignResult`).  Pass the log
+    (or its path, to the session) as ``resume=`` to
+    :meth:`TuningSession.run`/``stream`` or :meth:`TuningService.stream` —
+    the one form a resume source takes below the session — or use
+    :meth:`result_for` directly.
     """
 
     def __init__(
@@ -115,7 +117,7 @@ class ResumeLog:
             if (
                 isinstance(event, CampaignFinished)
                 and event.cell_key
-                and event.outcome is not None
+                and event.result is not None
             ):
                 self.completed[event.cell_key] = event
 
@@ -138,10 +140,10 @@ class ResumeLog:
     def n_completed(self) -> int:
         return len(self.completed)
 
-    def outcome_for(self, cell_key: str):
-        """The recorded ``CampaignOutcome`` for ``cell_key``, or ``None``."""
+    def result_for(self, cell_key: str):
+        """The recorded ``CampaignResult`` for ``cell_key``, or ``None``."""
         event = self.completed.get(cell_key)
-        return None if event is None else event.outcome
+        return None if event is None else event.result
 
     def covers(self, cell_keys) -> "tuple[list[str], list[str]]":
         """Split ``cell_keys`` into (recorded, missing), preserving order."""
@@ -157,22 +159,22 @@ class ResumeLog:
         )
 
 
-def resume_outcome(resume: "ResumeLog | None", cell_key: str):
-    """The ``CampaignOutcome`` ``resume`` records for ``cell_key``, or
+def resume_result(resume: "ResumeLog | None", cell_key: str):
+    """The ``CampaignResult`` ``resume`` records for ``cell_key``, or
     ``None`` (also when there is no log to resume from)."""
-    return None if resume is None else resume.outcome_for(cell_key)
+    return None if resume is None else resume.result_for(cell_key)
 
 
-def replay_events(campaign, index, backend, outcome, cell_key, resume):
+def replay_events(campaign, index, backend, result, cell_key, resume):
     """The event block that stands in for re-executing a recorded campaign:
     a :class:`~repro.api.events.CampaignSkipped` marker, then the replayed
-    :class:`~repro.api.events.CampaignFinished` carrying ``outcome``."""
+    :class:`~repro.api.events.CampaignFinished` carrying ``result``."""
     yield CampaignSkipped(
         campaign=campaign,
         index=index,
         backend=backend,
-        n_steps=len(outcome.result.processes),
+        n_steps=result.n_processes,
         resumed_from=str(getattr(resume, "path", "") or ""),
         cell_key=cell_key,
     )
-    yield campaign_finished(campaign, index, backend, outcome, cell_key)
+    yield campaign_finished(campaign, index, backend, result, cell_key)

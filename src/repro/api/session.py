@@ -16,9 +16,9 @@ A session turns a declarative plan into a computation:
 Every backend shares one lifecycle: :func:`stream_sweep` is the one
 sweep loop (scenario labels, the stream-wide ``seq``,
 :class:`~repro.api.events.SweepFinished`) and :func:`fleet_result` the
-one fleet result (outcomes, failures, cache stats), whether the fleet's
-events come from the in-process service or from the ``distributed``
-coordinator, which only emits events.
+one fleet result (campaign results, failures, cache stats), whether the
+fleet's events come from the in-process service or from the
+``distributed`` coordinator, which only emits events.
 
 Execution is **streaming**: :meth:`TuningSession.stream` yields the typed
 :mod:`repro.api.events` of the run as they happen (optionally fanning
@@ -61,7 +61,7 @@ from pathlib import Path
 
 from repro.api.events import CacheStats, CampaignFailed, CampaignFinished, SweepFinished
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan, TuningPlan
-from repro.api.resume import ResumeLog, resume_outcome
+from repro.api.resume import ResumeLog, resume_result
 
 
 @dataclass
@@ -69,20 +69,9 @@ class SessionResult:
     """Everything one :meth:`TuningSession.run` produced."""
 
     plan: "TuningPlan | CampaignPlan"
-    outcomes: list                      # list[CampaignOutcome], plan order
+    outcomes: list                      # list[CampaignResult], plan order
     wall_seconds: float
-    backend: str
     cache_stats: dict = field(default_factory=dict)
-
-    @property
-    def result(self):
-        """The single campaign result (tuning plans / 1-query campaigns)."""
-        if len(self.outcomes) != 1:
-            raise ValueError(
-                f"session ran {len(self.outcomes)} campaigns; read each "
-                "one's .result from .outcomes"
-            )
-        return self.outcomes[0].result
 
 
 @dataclass
@@ -235,7 +224,7 @@ class TuningSession:
         # does not need the pre-trained artifact (baseline fleets never
         # do): a recorded 30-cell sweep replays without training a model.
         needs_model = specs[0].is_streamtune and any(
-            resume_outcome(resume, spec.cell_key) is None for spec in specs
+            resume_result(resume, spec.cell_key) is None for spec in specs
         )
         pretrained = self._pretrained_for(plan) if needs_model else None
         service = TuningService(
@@ -265,8 +254,9 @@ def fleet_result(plan, n_campaigns: int, events, started: float):
     """Re-yield one fleet's ``events``, then return its :class:`SessionResult`.
 
     Every backend's fleet stream ends here: ``CampaignFinished`` events
-    supply the outcomes (by their fleet ``index``), ``CampaignFailed``
-    events the failures and the last ``CacheStats`` the cache counters.
+    supply the campaign results (by their fleet ``index``),
+    ``CampaignFailed`` events the failures and the last ``CacheStats`` the
+    cache counters.
     A fleet with failures raises one
     :class:`~repro.service.CampaignExecutionError` only after ``events``
     drained: the surviving campaigns completed (and were recorded), ready
@@ -279,7 +269,7 @@ def fleet_result(plan, n_campaigns: int, events, started: float):
     stats: dict = {}
     for event in events:
         if isinstance(event, CampaignFinished):
-            outcomes[event.index] = event.outcome
+            outcomes[event.index] = event.result
         elif isinstance(event, CampaignFailed):
             failures.append(event)
         elif isinstance(event, CacheStats):
@@ -291,7 +281,6 @@ def fleet_result(plan, n_campaigns: int, events, started: float):
         plan=plan,
         outcomes=[outcomes[index] for index in range(n_campaigns)],
         wall_seconds=time.perf_counter() - started,
-        backend=plan.backend,
         cache_stats=stats,
     )
 

@@ -45,6 +45,7 @@ from repro.api import (
     ResumeError,
     ResumeLog,
     SweepPlan,
+    SweepResult,
     TuningPlan,
     TuningSession,
     UnknownComponentError,
@@ -112,8 +113,7 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
 # online lifecycle: run a plan file
 # ----------------------------------------------------------------------
 
-def _print_tuning_result(outcome) -> None:
-    result = outcome.result
+def _print_tuning_result(result) -> None:
     rows = [
         (
             f"{multiplier:g}",
@@ -128,34 +128,38 @@ def _print_tuning_result(outcome) -> None:
         format_table(
             ["rate (xWu)", "total parallelism", "reconfigs", "bp events", "converged"],
             rows,
-            title=f"{result.method} tuning {outcome.spec_name}",
+            title=f"{result.method} tuning {result.query_name}",
         )
     )
 
 
-def _print_campaign_outcomes(session_result) -> None:
-    rows = []
-    for outcome in session_result.outcomes:
-        result = outcome.result
-        rows.append(
-            (
-                outcome.spec_name,
-                result.n_processes,
-                f"{result.average_reconfigurations:.2f}",
-                result.total_backpressure_events,
-                sum(p.final_total_parallelism for p in result.processes),
-                f"{outcome.wall_seconds:.2f}s",
-            )
+def _print_campaigns(result) -> None:
+    """One row per campaign of a campaign plan's or a sweep's result; a
+    sweep's rows lead with their scenario."""
+    if isinstance(result, SweepResult):
+        cells, headers, stats = result.scenarios, ["scenario"], {}
+        title = (
+            f"sweep: {result.plan.n_scenarios} scenario(s), "
+            f"{result.n_campaigns} campaign(s) in {result.wall_seconds:.2f}s"
         )
-    print(
-        format_table(
-            ["query", "processes", "avg reconfigs", "bp events",
-             "sum final parallelism", "wall"],
-            rows,
-            title=f"tuning service ({session_result.backend})",
+    else:
+        cells, headers, stats = [(None, result)], [], result.cache_stats
+        title = f"tuning service ({result.plan.backend})"
+    headers += ["query", "processes", "avg reconfigs", "bp events",
+                "mean final parallelism", "wall"]
+    rows = [
+        ((label,) if label is not None else ()) + (
+            campaign.query_name,
+            campaign.n_processes,
+            f"{campaign.average_reconfigurations:.2f}",
+            campaign.total_backpressure_events,
+            f"{campaign.mean_final_parallelism:.2f}",
+            f"{campaign.wall_seconds:.2f}s",
         )
-    )
-    stats = session_result.cache_stats
+        for label, cell in cells
+        for campaign in cell.outcomes
+    ]
+    print(format_table(headers, rows, title=title))
     if stats:
         summary = ", ".join(
             f"{kind}: {values.get('hits', 0)}h/{values.get('misses', 0)}m"
@@ -176,35 +180,6 @@ def _event_bus(args: argparse.Namespace) -> tuple[EventBus | None, JsonlRecorder
     if not subscribers:
         return None, None
     return EventBus(*subscribers), recorder
-
-
-def _print_sweep_result(sweep_result) -> None:
-    rows = []
-    for label, cell in sweep_result.scenarios:
-        for outcome in cell.outcomes:
-            result = outcome.result
-            rows.append(
-                (
-                    label,
-                    outcome.spec_name,
-                    f"{result.average_reconfigurations:.2f}",
-                    result.total_backpressure_events,
-                    sum(p.final_total_parallelism for p in result.processes),
-                    f"{outcome.wall_seconds:.2f}s",
-                )
-            )
-    print(
-        format_table(
-            ["scenario", "query", "avg reconfigs", "bp events",
-             "sum final parallelism", "wall"],
-            rows,
-            title=(
-                f"sweep: {sweep_result.plan.n_scenarios} scenario(s), "
-                f"{sweep_result.n_campaigns} campaign(s) in "
-                f"{sweep_result.wall_seconds:.2f}s"
-            ),
-        )
-    )
 
 
 def _resume_log(plan, args: argparse.Namespace) -> ResumeLog | None:
@@ -306,10 +281,8 @@ def _cmd_run_plan(args: argparse.Namespace) -> int:
     result = _run_with_events(plan, args, session=_session(plan, args))
     if isinstance(plan, TuningPlan):
         _print_tuning_result(result.outcomes[0])
-    elif isinstance(plan, SweepPlan):
-        _print_sweep_result(result)
     else:
-        _print_campaign_outcomes(result)
+        _print_campaigns(result)
     if args.report is not None:
         import json
 

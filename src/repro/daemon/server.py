@@ -41,7 +41,6 @@ given.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import signal
 import socket
@@ -283,15 +282,17 @@ class TuningDaemon:
         :class:`~repro.daemon.queue.QueueFull` (tenant over its slice) or
         :class:`~repro.daemon.queue.QueueDraining` (shutting down).
         """
-        plan = plan_from_dict(plan_data)
         if (
             self.spool_dir is not None
-            and getattr(plan, "backend", None) == "distributed"
-            and getattr(plan, "spool_dir", None) is None
+            and plan_data.get("backend") == "distributed"
+            and plan_data.get("spool_dir") is None
         ):
             # Distributed jobs without a spool of their own execute on
-            # the daemon's standing fleet.
-            plan = dataclasses.replace(plan, spool_dir=self.spool_dir)
+            # the daemon's standing fleet.  The plan validates with it,
+            # and the manifest records it, so a restarted daemon resumes
+            # the job on that fleet too.
+            plan_data = {**plan_data, "spool_dir": self.spool_dir}
+        plan = plan_from_dict(plan_data)
         with self._admission:
             if self.queue.draining or self._stop.is_set():
                 raise QueueDraining()

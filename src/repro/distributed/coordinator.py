@@ -45,11 +45,10 @@ from pathlib import Path
 from repro.api.events import (
     CacheStats,
     CampaignFailed,
-    CampaignFinished,
     read_event_log,
 )
 from repro.api.plans import CampaignPlan, PlanError, SweepPlan
-from repro.api.resume import replay_events, resume_outcome
+from repro.api.resume import replay_events, resume_result
 from repro.api.session import TuningSession, fleet_result, stream_sweep
 from repro.distributed.fleet import WorkerFleet
 from repro.distributed.spool import Spool, SpoolCell
@@ -174,9 +173,9 @@ class DistributedSession:
         stall_seconds = STALL_TTLS * spool.ttl_seconds
 
         replayed = {
-            cell.id: outcome
+            cell.id: result
             for cell in cells
-            if (outcome := resume_outcome(resume, cell.cell_key)) is not None
+            if (result := resume_result(resume, cell.cell_key)) is not None
         }
         pending = [cell for cell in cells if cell.id not in replayed]
         # Every fleet's cells are seeded before the first fleet streams,
@@ -221,8 +220,6 @@ class DistributedSession:
                     if isinstance(event, CacheStats):
                         stats = _merge_stats(stats, event.stats)
                         continue
-                    if isinstance(event, CampaignFinished) and event.outcome is not None:
-                        event.outcome.backend = "distributed"
                     changes: dict = {"seq": seq}
                     if hasattr(event, "index"):
                         changes["index"] = index

@@ -22,16 +22,49 @@ from repro.workloads.query import StreamingQuery
 
 @dataclass
 class CampaignResult:
-    """All tuning processes of one (query, method) campaign."""
+    """All tuning processes of one (query, method) campaign.
+
+    The one per-campaign record: what a plan's session returns, what a
+    :class:`~repro.api.events.CampaignFinished` carries and a resume log
+    replays, and what each matrix report row is read from.  Its totals
+    are the properties below, computed here and nowhere else.
+    """
 
     query_name: str
     method: str
-    multipliers: list[int] = field(default_factory=list)
+    multipliers: list[float] = field(default_factory=list)
     processes: list[TuningResult] = field(default_factory=list)
+    #: Wall-clock of the campaign's execution (recorded, and replayed on
+    #: resume); a timing, so not part of the record's equality.
+    wall_seconds: float = field(default=0.0, compare=False)
 
     @property
     def n_processes(self) -> int:
         return len(self.processes)
+
+    @property
+    def converged_steps(self) -> int:
+        return sum(1 for process in self.processes if process.converged)
+
+    @property
+    def sla_violations(self) -> int:
+        """Tuning processes that never converged."""
+        return self.n_processes - self.converged_steps
+
+    @property
+    def total_reconfigurations(self) -> int:
+        return sum(process.n_reconfigurations for process in self.processes)
+
+    @property
+    def final_parallelism(self) -> int:
+        """Total parallelism the last tuning process left deployed."""
+        return self.processes[-1].final_total_parallelism if self.processes else 0
+
+    @property
+    def mean_final_parallelism(self) -> float:
+        """Mean over processes of each one's final total parallelism."""
+        finals = [process.final_total_parallelism for process in self.processes]
+        return sum(finals) / len(finals) if finals else 0.0
 
     @property
     def average_reconfigurations(self) -> float:
@@ -92,7 +125,7 @@ def iter_campaign(
     engine,
     tuner,
     query: StreamingQuery,
-    multipliers: list[int],
+    multipliers: list[float],
     *,
     chaos=None,
     chaos_sink=None,

@@ -187,6 +187,10 @@ class TraceSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, str):
+            raise ScenarioError(
+                f"a trace family is a name string, got {self.family!r}"
+            )
         try:
             entry = TRACES.entry(self.family)
         except UnknownComponentError as error:

@@ -67,35 +67,24 @@ def matrix_report(sweep_result) -> dict:
     for label, cell_result in sweep_result.scenarios:
         cell_plan = cell_result.plan
         cell_keys = cell_plan.cell_keys()
-        for index, outcome in enumerate(cell_result.outcomes):
-            campaign = outcome.result
-            processes = campaign.processes
-            finals = [process.final_total_parallelism for process in processes]
+        for index, campaign in enumerate(cell_result.outcomes):
             rows.append({
                 "scenario": label,
                 "engine": cell_plan.engine,
                 "tuner": cell_plan.tuner,
-                "query": outcome.spec_name,
+                "query": campaign.query_name,
                 "cell_key": cell_keys[index],
                 "trace": _trace_descriptor(cell_plan),
                 "chaos": _chaos_label(cell_plan),
                 "rates": [float(rate) for rate in cell_plan.rates],
-                "n_steps": len(processes),
-                "final_parallelism": finals[-1] if finals else 0,
-                "mean_final_parallelism": (
-                    round(sum(finals) / len(finals), 6) if finals else 0.0
-                ),
-                "reconfigurations": sum(
-                    process.n_reconfigurations for process in processes
-                ),
+                "n_steps": campaign.n_processes,
+                "final_parallelism": campaign.final_parallelism,
+                "mean_final_parallelism": round(campaign.mean_final_parallelism, 6),
+                "reconfigurations": campaign.total_reconfigurations,
                 "backpressure_events": campaign.total_backpressure_events,
-                "sla_violations": sum(
-                    1 for process in processes if not process.converged
-                ),
-                "converged_steps": sum(
-                    1 for process in processes if process.converged
-                ),
-                "wall_seconds": round(outcome.wall_seconds, 6),
+                "sla_violations": campaign.sla_violations,
+                "converged_steps": campaign.converged_steps,
+                "wall_seconds": round(campaign.wall_seconds, 6),
             })
     chaos_axis = [spec.label() for spec in getattr(plan, "chaos", ())]
     report = {

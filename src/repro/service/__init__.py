@@ -38,7 +38,7 @@ service through the session front door::
     from repro.api import CampaignPlan, TuningSession
 
     plan = CampaignPlan(queries=("q1", "q5"), backend="thread", workers=4)
-    result = TuningSession().run(plan)     # outcomes in plan order
+    result = TuningSession().run(plan)     # CampaignResults in plan order
     # TuningService(...).stream(specs) yields the same run as events.
 
 Benchmark: ``python benchmarks/e2e/run.py --all`` times single-query
@@ -59,7 +59,6 @@ from repro.service.prewarm import prewarm_caches
 from repro.service.tuning import (
     BACKENDS,
     CampaignExecutionError,
-    CampaignOutcome,
     CampaignSpec,
     TuningService,
     execute_campaign,
@@ -68,7 +67,6 @@ from repro.service.tuning import (
 __all__ = [
     "BACKENDS",
     "CampaignExecutionError",
-    "CampaignOutcome",
     "CampaignSpec",
     "ConcurrentLRUCache",
     "SharedGEDCache",

@@ -29,9 +29,9 @@ from repro.core.finetune import (  # noqa: F401
 def prewarm_caches(pretrained, caches, resumed) -> dict[str, int]:
     """Warm ``caches`` with every entry the ``resumed`` campaigns consulted.
 
-    ``resumed`` holds ``(spec, outcome)`` pairs: a campaign's
+    ``resumed`` holds ``(spec, result)`` pairs: a campaign's
     :class:`~repro.service.tuning.CampaignSpec` and its recorded
-    :class:`~repro.service.tuning.CampaignOutcome`.  History-free
+    :class:`~repro.experiments.campaigns.CampaignResult`.  History-free
     campaigns consult no cache and are skipped.  Returns the number of
     *newly computed* entries per section (its miss delta).
     """
@@ -39,12 +39,12 @@ def prewarm_caches(pretrained, caches, resumed) -> dict[str, int]:
 
     before = caches.stats()
     if pretrained is not None:
-        for spec, outcome in resumed:
+        for spec, result in resumed:
             if spec.is_streamtune:
                 tuner = _build_campaign_tuner(
                     spec, spec.make_engine(), pretrained, caches
                 )
-                tuner.warm(spec.query, outcome.result.multipliers)
+                tuner.warm(spec.query, result.multipliers)
     after = caches.stats()
     return {
         kind: after[kind]["misses"] - before[kind]["misses"] for kind in after

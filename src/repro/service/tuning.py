@@ -63,11 +63,11 @@ from repro.api.events import (
     campaign_cell_key,
     campaign_finished,
 )
-from repro.api.resume import replay_events, resume_outcome
+from repro.api.resume import replay_events, resume_result
 from repro.core.pretrain import PretrainedStreamTune
 from repro.core.tuner import StreamTuneTuner
 from repro.engines.base import EngineCluster
-from repro.experiments.campaigns import CampaignResult, iter_campaign
+from repro.experiments.campaigns import iter_campaign
 from repro.service.cache import SharedGEDCache, TuningCacheSet
 from repro.service.prewarm import prewarm_caches
 from repro.workloads.query import StreamingQuery
@@ -139,16 +139,6 @@ class CampaignSpec:
         return build_engine(self.engine, seed=self.engine_seed)
 
 
-@dataclass
-class CampaignOutcome:
-    """One campaign's result plus service-side accounting."""
-
-    spec_name: str
-    result: CampaignResult
-    wall_seconds: float
-    backend: str
-
-
 class CampaignExecutionError(RuntimeError):
     """One or more campaigns failed after the rest of the fleet finished.
 
@@ -156,7 +146,8 @@ class CampaignExecutionError(RuntimeError):
     surviving campaigns complete — and land in any ``--record`` log, ready for ``--resume`` —
     before the failure surfaces.  :attr:`failures` holds the
     :class:`~repro.api.events.CampaignFailed` events (traceback text
-    included); :attr:`outcomes` the completed campaigns by spec index.
+    included); :attr:`outcomes` the completed campaigns'
+    :class:`~repro.experiments.campaigns.CampaignResult` by spec index.
     """
 
     def __init__(self, failures: list, outcomes: dict | None = None) -> None:
@@ -234,9 +225,10 @@ def execute_campaign(
     happens: after each source-rate change the step's
     :class:`~repro.api.events.ChaosInjected` events (stamped with the
     spec's ``cell_key``), then its :class:`Reconfigured` /
-    :class:`StepCompleted` block.  Returns the :class:`CampaignOutcome`
-    (``StopIteration.value``).  Event construction never touches the
-    tuner, so observing a campaign cannot change its results.
+    :class:`StepCompleted` block.  Returns the
+    :class:`~repro.experiments.campaigns.CampaignResult`, stamped with
+    its wall-clock (``StopIteration.value``).  Event construction never
+    touches the tuner, so observing a campaign cannot change its results.
     """
     started = time.perf_counter()
     engine = spec.make_engine()
@@ -250,11 +242,8 @@ def execute_campaign(
         try:
             index, multiplier, process = next(iterator)
         except StopIteration as stop:
-            return CampaignOutcome(
-                spec_name=spec.name,
-                result=stop.value,
-                wall_seconds=time.perf_counter() - started,
-                backend="worker",
+            return dataclasses.replace(
+                stop.value, wall_seconds=time.perf_counter() - started
             )
         for event in injected:
             yield dataclasses.replace(event, cell_key=spec.cell_key)
@@ -283,7 +272,7 @@ def _unit_items(spec: CampaignSpec, index: int, service: TuningService):
     thread worker hand over the ``service`` (model, caches, backend).
     Every terminal state is data: ``("event", index, event)`` for the
     campaign's :class:`CampaignStarted` and each of its events as it
-    happens, then ``("done", index, outcome)`` on success or
+    happens, then ``("done", index, result)`` on success or
     ``("error", index, exception)`` on a raised exception.
     """
     yield ("event", index, _started_event_for(spec, index, service.backend))
@@ -417,11 +406,11 @@ class TuningService:
         specs = list(specs)
         self._check_specs(specs)
         # Spec indices the resume source already covers, with their
-        # recorded outcomes (matched by deterministic ``cell_key``).
+        # recorded results (matched by deterministic ``cell_key``).
         resumed = {
-            index: outcome
+            index: result
             for index, spec in enumerate(specs)
-            if (outcome := resume_outcome(resume, spec.cell_key)) is not None
+            if (result := resume_result(resume, spec.cell_key)) is not None
         }
         seq = 0
 

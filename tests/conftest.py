@@ -186,14 +186,14 @@ def save_plan(plan, path) -> None:
 
 
 def run_campaigns(service, specs, resume=None) -> list:
-    """Every spec's ``CampaignOutcome``, in spec order, from
+    """Every spec's ``CampaignResult``, in spec order, from
     ``service.stream(specs, resume=resume)``; a failed campaign fails the
     test with its traceback."""
     events = list(service.stream(specs, resume=resume))
     failed = [event for event in events if event.kind == "CampaignFailed"]
     assert not failed, failed[0].traceback
     finished = {
-        event.index: event.outcome
+        event.index: event.result
         for event in events if event.kind == "CampaignFinished"
     }
     return [finished[index] for index in range(len(specs))]

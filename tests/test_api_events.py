@@ -46,9 +46,15 @@ class TestEventRecords:
         assert json.loads(json.dumps(data)) == data
 
     def test_finished_outcome_not_serialised(self):
-        event = CampaignFinished(campaign="c", outcome=object())
-        assert "outcome" not in event.to_dict()
-        assert event.outcome is not None
+        # The live record goes out only as its result payload.
+        from repro.experiments.campaigns import CampaignResult
+
+        result = CampaignResult(query_name="c", method="DS2", wall_seconds=2.0)
+        event = CampaignFinished(campaign="c", result=result)
+        assert event.to_dict()["result"] == {
+            "query_name": "c", "method": "DS2", "multipliers": [], "processes": [],
+        }
+        assert event.result is result
 
     def test_step_total_parallelism(self):
         event = StepCompleted(parallelisms={"a": 2, "b": 3})
@@ -173,9 +179,8 @@ class TestEventRoundTrip:
     def test_finished_result_payload_round_trips(self, steps, multipliers, converged):
         from repro.baselines.api import TuningResult, TuningStep
         from repro.experiments.campaigns import CampaignResult
-        from repro.service.tuning import CampaignOutcome
 
-        result = CampaignResult(query_name="q", method="DS2")
+        result = CampaignResult(query_name="q", method="DS2", wall_seconds=1.25)
         result.multipliers = list(multipliers)
         result.processes = [
             TuningResult(
@@ -185,25 +190,22 @@ class TestEventRoundTrip:
                 steps=[TuningStep(**step) for step in steps],
             )
         ]
-        outcome = CampaignOutcome(
-            spec_name="q", result=result, wall_seconds=1.25, backend="thread"
-        )
         event = CampaignFinished(
             campaign="q", index=0, backend="thread", n_steps=1,
-            wall_seconds=1.25, outcome=outcome, seq=3, cell_key="k",
+            wall_seconds=1.25, result=result, seq=3, cell_key="k",
         )
         data = json.loads(json.dumps(event.to_dict(), sort_keys=True))
         restored = event_from_dict(data)
         assert restored == event
-        assert restored.outcome.result == result
-        assert restored.outcome.spec_name == "q"
-        assert restored.outcome.wall_seconds == 1.25
+        assert restored.result == result
+        assert restored.result.query_name == "q"
+        assert restored.result.wall_seconds == 1.25
         assert restored.to_dict() == event.to_dict()
 
     def test_finished_without_outcome_has_no_result_payload(self):
         event = CampaignFinished(campaign="c")
         assert "result" not in event.to_dict()
-        assert event_from_dict(event.to_dict()).outcome is None
+        assert event_from_dict(event.to_dict()).result is None
 
     def test_unknown_kind_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown event kind"):
@@ -398,7 +400,7 @@ def test_service_stream_contract(tiny_pretrained, backend):
     started, finished = _contract(events, names, expected_steps=2)
     assert all(event.backend == backend for event in started + finished)
     # every finished event carries the outcome run() would have returned
-    assert {event.outcome.spec_name for event in finished} == set(names)
+    assert {event.result.query_name for event in finished} == set(names)
     # campaign-scoped events carry the deterministic resume identity
     assert all(event.cell_key == spec.cell_key
                for spec, event in zip(specs, sorted(started, key=lambda e: e.index)))
@@ -486,19 +488,19 @@ def test_stream_results_match_run(tiny_pretrained):
     )).outcomes
     events = TuningService(tiny_pretrained, backend="sequential").stream(specs)
     via_stream = {
-        event.index: event.outcome
+        event.index: event.result
         for event in events
         if isinstance(event, CampaignFinished)
     }
     for index, outcome in enumerate(via_run):
         streamed = via_stream[index]
-        assert streamed.spec_name == outcome.spec_name
+        assert streamed.query_name == outcome.query_name
         assert [
             [step.parallelisms for step in process.steps]
-            for process in streamed.result.processes
+            for process in streamed.processes
         ] == [
             [step.parallelisms for step in process.steps]
-            for process in outcome.result.processes
+            for process in outcome.processes
         ]
 
 

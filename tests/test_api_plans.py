@@ -166,6 +166,34 @@ class TestCampaignPlanValidation:
             CampaignPlan(queries=("q1",), workers=0)
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"query": "q5", "engine": 5}, "engine"),
+        ({"query": "q5", "tuner": None}, "tuner"),
+        ({"query": "q5", "layer": 5}, "layer"),
+        ({"query": "q5", "scale": 5}, "scale"),
+        ({"query": "q5", "model": 5}, "model"),
+        ({"query": "q5", "cache_path": ["a"]}, "cache_path"),
+        ({"query": "q5", "trace": {"family": None}}, "trace"),
+        ({"queries": ["q5"], "engine": None}, "engine"),
+        ({"queries": 5}, "queries"),
+        ({"queries": ["q5"], "tuners": [5]}, r"tuners\[0\]"),
+        ({"queries": ["q5"], "engines": [None]}, r"engines\[0\]"),
+        ({"queries": ["q5"], "rate_traces": [{"family": 5}]}, r"rate_traces\[0\]"),
+    ],
+    ids=[
+        "engine", "tuner", "layer", "scale", "model", "cache_path", "trace-family",
+        "campaign-engine", "campaign-queries", "sweep-tuners", "sweep-engines", "sweep-trace-family",
+    ],
+)
+def test_wrong_typed_names_raise_plan_error(data, field):
+    # A number or null where a config file wants a name or a path is a
+    # PlanError naming the field, never an AttributeError from deep inside.
+    with pytest.raises(PlanError, match=field):
+        plan_from_dict(data)
+
+
 class TestRoundTrips:
     def _campaign(self) -> CampaignPlan:
         return CampaignPlan(

@@ -35,7 +35,7 @@ def _steps(result: SessionResult) -> list:
     return [
         _canonical(step)
         for outcome in result.outcomes
-        for process in outcome.result.processes
+        for process in outcome.processes
         for step in process.steps
     ]
 
@@ -56,13 +56,13 @@ class TestTuningSessionCampaigns:
     def test_smoke_campaign_runs(self, tiny_pretrained):
         session = TuningSession(pretrained=tiny_pretrained)
         result = session.run(_smoke_plan())
-        assert [o.spec_name for o in result.outcomes] == [
+        assert [o.query_name for o in result.outcomes] == [
             "nexmark_q1_flink", "nexmark_q5_flink"
         ]
-        assert result.backend == "sequential"
+        assert result.plan.backend == "sequential"
         for outcome in result.outcomes:
-            assert outcome.result.n_processes == 2
-            assert outcome.result.method == "StreamTune"
+            assert outcome.n_processes == 2
+            assert outcome.method == "StreamTune"
         assert result.cache_stats["warmup"]["misses"] >= 1
 
     def test_matches_pre_redesign_service_invocation(self, tiny_pretrained):
@@ -87,9 +87,9 @@ class TestTuningSessionCampaigns:
         legacy = run_campaigns(service, specs)
 
         for ours, theirs in zip(session_result.outcomes, legacy):
-            assert ours.spec_name == theirs.spec_name
-            assert ours.result.multipliers == theirs.result.multipliers
-            for mine, reference in zip(ours.result.processes, theirs.result.processes):
+            assert ours.query_name == theirs.query_name
+            assert ours.multipliers == theirs.multipliers
+            for mine, reference in zip(ours.processes, theirs.processes):
                 assert list(map(_canonical, mine.steps)) == list(
                     map(_canonical, reference.steps)
                 )
@@ -283,7 +283,7 @@ class TestSessionStreaming:
         assert _steps(streamed_result) == _steps(
             TuningSession(pretrained=tiny_pretrained).run(_smoke_plan())
         )
-        assert [o.spec_name for o in streamed_result.outcomes] == list(names)
+        assert [o.query_name for o in streamed_result.outcomes] == list(names)
 
     def test_run_publishes_to_bus(self, tiny_pretrained):
         from repro.api import EventBus, MetricsAggregator
@@ -309,7 +309,7 @@ class TestSessionStreaming:
         assert [e.step_index for e in steps] == [0, 1]
         assert [e for e in events if isinstance(e, CampaignStarted)][0].backend == "sequential"
         finished = [e for e in events if isinstance(e, CampaignFinished)]
-        assert len(finished) == 1 and finished[0].outcome is not None
+        assert len(finished) == 1 and finished[0].result is not None
 
     def test_tuning_plan_is_a_one_campaign_sequential_fleet(self, tiny_pretrained):
         import dataclasses
@@ -327,9 +327,9 @@ class TestSessionStreaming:
 
         def steps(events):
             return [
-                (event.outcome.backend, [
+                (event.backend, [
                     _canonical(step)
-                    for process in event.outcome.result.processes
+                    for process in event.result.processes
                     for step in process.steps
                 ])
                 for event in events if isinstance(event, CampaignFinished)
@@ -352,7 +352,7 @@ class TestSessionStreaming:
         assert session_events[-1].kind == "CacheStats"
         assert session_events[-1].stats["warmup"]["misses"] >= 1
         result = TuningSession(pretrained=artifact()).run(plan)
-        assert result.backend == "sequential"
+        assert result.plan.backend == "sequential"
 
 
 class TestSweepExecution:
@@ -379,8 +379,8 @@ class TestSweepExecution:
         labels = [label for label, _ in result.scenarios]
         assert labels == ["streamtune@flink/x3-7", "ds2@flink/x3-7"]
         cells = dict(result.scenarios)
-        assert cells["streamtune@flink/x3-7"].outcomes[0].result.method == "StreamTune"
-        assert cells["ds2@flink/x3-7"].outcomes[0].result.method == "DS2"
+        assert cells["streamtune@flink/x3-7"].outcomes[0].method == "StreamTune"
+        assert cells["ds2@flink/x3-7"].outcomes[0].method == "DS2"
 
     def test_sweep_events_are_scenario_labelled(self, tiny_pretrained):
         from repro.api import SweepFinished

@@ -291,6 +291,23 @@ class TestJobStore:
         assert JobStore(tmp_path / "fresh", fsync=False).recover() == []
 
 
+def test_standing_spool_dir_applies_before_validation(tmp_path):
+    # A distributed plan staffed by no local worker is valid only on a
+    # named spool: the daemon's standing one, which the manifest records
+    # so that a restarted daemon resumes the job on the same fleet.
+    from repro.daemon import TuningDaemon
+
+    spool = str(tmp_path / "spool")
+    daemon = TuningDaemon(port=0, ledger_dir=tmp_path / "ledger", spool_dir=spool)
+    job = daemon.submit({
+        "kind": "campaign", "queries": ["q1"], "tuner": "ds2",
+        "backend": "distributed", "workers": 0, "scale": "smoke",
+    })
+    assert job.plan.spool_dir == spool
+    (recovered,) = JobStore(tmp_path / "ledger").recover()
+    assert recovered.plan.spool_dir == spool
+
+
 # ----------------------------------------------------------------------
 # JsonlRecorder durability (fsync per block)
 # ----------------------------------------------------------------------

@@ -365,6 +365,14 @@ class TestHttpErrors:
             client.submit_plan({"no": "kind"})
         assert excinfo.value.status == 400
 
+    def test_wrong_typed_name_is_400(self, daemon):
+        with pytest.raises(DaemonClientError) as excinfo:
+            _client(daemon).submit_plan(
+                {"kind": "tuning", "query": "q1", "engine": 5, "tuner": "ds2"}
+            )
+        assert excinfo.value.status == 400
+        assert "engine must be a string" in str(excinfo.value)
+
     def test_unparseable_body_is_400(self, daemon):
         with pytest.raises(DaemonClientError) as excinfo:
             _client(daemon)._request(

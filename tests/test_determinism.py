@@ -62,7 +62,7 @@ class TestServiceDeterminism:
 
     def _traces(self, outcomes):
         return [
-            [_step_trace(process) for process in outcome.result.processes]
+            [_step_trace(process) for process in outcome.processes]
             for outcome in outcomes
         ]
 

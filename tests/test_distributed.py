@@ -55,10 +55,11 @@ def tiny_plan(**overrides) -> CampaignPlan:
 
 
 def deterministic_result(outcome) -> dict:
-    """An outcome's result with host-timing fields removed (the repo's
+    """A campaign result with host-timing fields removed (the repo's
     bit-identity convention, as in
     :func:`repro.faults.invariants.compare_event_streams`)."""
-    result = dataclasses.asdict(outcome.result)
+    result = dataclasses.asdict(outcome)
+    result.pop("wall_seconds")
     for process in result["processes"]:
         for step in process["steps"]:
             step.pop("recommendation_seconds", None)
@@ -68,7 +69,7 @@ def deterministic_result(outcome) -> dict:
 def assert_outcomes_identical(left, right) -> None:
     assert len(left.outcomes) == len(right.outcomes)
     for a, b in zip(left.outcomes, right.outcomes):
-        assert a.spec_name == b.spec_name
+        assert a.query_name == b.query_name
         assert deterministic_result(a) == deterministic_result(b)
 
 
@@ -521,10 +522,24 @@ class TestPlanCells:
         assert round_tripped.spool_dir == "/tmp/spool"
         with pytest.raises(PlanError, match="spool_dir"):
             tiny_plan(spool_dir=7)
-        # No local workers: a standing fleet drains the spool.
-        assert tiny_plan(backend="distributed", workers=0).workers == 0
+        # No local workers: a standing fleet drains the named spool.
+        assert tiny_plan(
+            backend="distributed", workers=0, spool_dir="/tmp/spool"
+        ).workers == 0
         with pytest.raises(PlanError, match="workers"):
             tiny_plan(workers=0)
+
+    @pytest.mark.parametrize("kind", ["campaign", "sweep"])
+    def test_no_workers_and_no_spool_dir_is_rejected(self, kind):
+        # No agent can find an ephemeral spool, so the plan would only
+        # stall into WorkerLost and leave its temp directory behind.
+        from repro.api.plans import plan_from_dict
+
+        with pytest.raises(PlanError, match="spool_dir"):
+            plan_from_dict({
+                "kind": kind, "queries": ["q1"], "backend": "distributed",
+                "workers": 0,
+            })
 
     def test_cells_pin_the_coordinators_scale(self, monkeypatch):
         # A worker on another host must not resolve REPRO_SCALE itself.
@@ -544,7 +559,7 @@ class TestDistributedSession:
         sequential = TuningSession().run(
             dataclasses.replace(plan, backend="sequential")
         )
-        assert distributed.backend == "distributed"
+        assert distributed.plan.backend == "distributed"
         assert_outcomes_identical(distributed, sequential)
 
     def test_sweep_bit_identical_and_events_in_plan_order(self, tmp_path):
@@ -638,7 +653,7 @@ class TestDistributedSession:
         assert [(label, len(cell.outcomes)) for label, cell in sweep.scenarios] == [
             ("ds2@flink/x3-7", 1), ("ds2@flink/x3.0000001-7", 1),
         ]
-        assert [cell.outcomes[0].spec_name for cell in sweep.results] == [
+        assert [cell.outcomes[0].query_name for cell in sweep.results] == [
             "nexmark_q1_flink"
         ] * 2
 

@@ -29,7 +29,7 @@ def _decisions(result) -> list:
     return [
         (step.parallelisms, step.reconfigured, step.backpressure_after)
         for outcome in result.outcomes
-        for process in outcome.result.processes
+        for process in outcome.processes
         for step in process.steps
     ]
 

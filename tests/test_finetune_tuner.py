@@ -180,7 +180,7 @@ class TestStreamTuneTuner:
         result = TuningSession(pretrained=tiny_pretrained).run(plan)
         processes = [
             process for outcome in result.outcomes
-            for process in outcome.result.processes
+            for process in outcome.processes
         ]
         assert sum(len(process.steps) for process in processes) > len(processes)
         for kind in ("distill", "embed"):

@@ -50,7 +50,7 @@ def _grid_plan(backend="sequential"):
 def _step_maps(outcome):
     return [
         [step.parallelisms for step in process.steps]
-        for process in outcome.result.processes
+        for process in outcome.processes
     ]
 
 

@@ -38,7 +38,7 @@ def _spec(name: str, multipliers=(3, 7), seed: int = 41) -> CampaignSpec:
 def _steps(outcome):
     return [
         [step.parallelisms for step in process.steps]
-        for process in outcome.result.processes
+        for process in outcome.processes
     ]
 
 
@@ -204,7 +204,7 @@ class TestResumeAwareWarming:
         service = TuningService(tiny_pretrained, backend="sequential")
         for event in service.stream(specs):
             if isinstance(event, CampaignFinished):
-                full[event.index] = event.outcome
+                full[event.index] = event.result
         resume = resume_log_of([(specs[0], full[0])])
 
         resumed_service = TuningService(tiny_pretrained, backend="sequential")
@@ -231,7 +231,7 @@ class TestResumeAwareWarming:
 
         # ...and the missing campaign's results are bit-identical.
         finished = {
-            e.index: e.outcome for e in events if isinstance(e, CampaignFinished)
+            e.index: e.result for e in events if isinstance(e, CampaignFinished)
         }
         assert _steps(finished[1]) == _steps(full[1])
 
@@ -245,7 +245,7 @@ class TestResumeAwareWarming:
         full = {}
         for event in service.stream(specs):
             if isinstance(event, CampaignFinished):
-                full[event.index] = event.outcome
+                full[event.index] = event.result
         resumed = TuningService(tiny_pretrained, backend="sequential")
         events = list(
             resumed.stream(specs, resume=resume_log_of([(specs[0], full[0])]))

@@ -45,7 +45,7 @@ def _truncate_after_first_finished(source, target):
 def _step_maps(outcome):
     return [
         [step.parallelisms for step in process.steps]
-        for process in outcome.result.processes
+        for process in outcome.processes
     ]
 
 
@@ -91,10 +91,10 @@ class TestResumeLog:
         assert log.n_completed == 2
         assert log.n_malformed_lines == 0
         for spec in specs:
-            outcome = log.outcome_for(spec.cell_key)
+            outcome = log.result_for(spec.cell_key)
             assert outcome is not None
-            assert outcome.spec_name == spec.name
-        assert log.outcome_for("flink:ds2:other:x3:s41") is None
+            assert outcome.query_name == spec.name
+        assert log.result_for("flink:ds2:other:x3:s41") is None
         recorded, missing = log.covers(
             [specs[0].cell_key, "unknown", specs[1].cell_key]
         )
@@ -141,7 +141,7 @@ class TestResumeLog:
             ))
         log = ResumeLog.load(path)
         assert log.n_completed == 0
-        assert log.outcome_for(specs[0].cell_key) is None
+        assert log.result_for(specs[0].cell_key) is None
 
     def test_finished_without_payload_is_not_a_checkpoint(self, tmp_path):
         # Logs predating result payloads must re-execute, not crash.
@@ -171,7 +171,7 @@ class TestServiceResume:
             for event in service.stream(specs):
                 recorder(event)
                 if event.kind == "CampaignFinished":
-                    outcomes[event.index] = event.outcome
+                    outcomes[event.index] = event.result
         log = ResumeLog.load(path)
         resumed_service = TuningService(None, backend="thread", max_workers=2)
         events = list(resumed_service.stream(specs, resume=log))
@@ -180,11 +180,11 @@ class TestServiceResume:
         assert [e.campaign for e in skipped] == [spec.name for spec in specs]
         assert all(e.resumed_from == str(path) for e in skipped)
         replayed = {
-            e.index: e.outcome for e in events if e.kind == "CampaignFinished"
+            e.index: e.result for e in events if e.kind == "CampaignFinished"
         }
         for index, original in outcomes.items():
             # replay is exact — including the recorded wall-clock fields
-            assert replayed[index].result == original.result
+            assert replayed[index] == original
             assert replayed[index].wall_seconds == original.wall_seconds
 
     def test_log_recorded_before_shards_was_dropped_still_resumes(self, tmp_path):
@@ -200,7 +200,7 @@ class TestServiceResume:
             for event in TuningService(None, backend="sequential").stream(specs):
                 recorder(event)
                 if event.kind == "CampaignFinished":
-                    outcomes[event.index] = event.outcome
+                    outcomes[event.index] = event.result
         lines = []
         for line in path.read_text().splitlines():
             data = json.loads(line)
@@ -212,9 +212,7 @@ class TestServiceResume:
         resumed = run_campaigns(
             TuningService(None, backend="sequential"), specs, resume=ResumeLog.load(path)
         )
-        assert [o.result for o in resumed] == [
-            outcomes[index].result for index in range(len(specs))
-        ]
+        assert resumed == [outcomes[index] for index in range(len(specs))]
 
     def test_partial_resume_executes_only_the_missing_campaign(self, tmp_path):
         from repro.api.events import CampaignSkipped, CampaignStarted
@@ -228,7 +226,7 @@ class TestServiceResume:
         skipped = [e for e in events if isinstance(e, CampaignSkipped)]
         assert [e.campaign for e in skipped] == [specs[0].name]
         assert [e.campaign for e in started] == [specs[1].name]
-        outcomes = {e.index: e.outcome for e in events if e.kind == "CampaignFinished"}
+        outcomes = {e.index: e.result for e in events if e.kind == "CampaignFinished"}
         assert _step_maps(outcomes[1]) == _step_maps(reference[1])
 
     def test_run_accepts_resume(self, tmp_path):
@@ -238,7 +236,7 @@ class TestServiceResume:
         outcomes = run_campaigns(
             TuningService(None, backend="sequential"), specs, resume=resume
         )
-        assert [o.result for o in outcomes] == [o.result for o in reference]
+        assert outcomes == reference
 
     def test_bad_resume_type_rejected(self):
         # A resume source is a ResumeLog; anything else — a bare
@@ -246,7 +244,7 @@ class TestServiceResume:
         # lookup, before a campaign starts.
         service = TuningService(None, backend="sequential")
         for resume in (42, {}):
-            with pytest.raises(AttributeError, match="outcome_for"):
+            with pytest.raises(AttributeError, match="result_for"):
                 next(service.stream(_ds2_specs(), resume=resume))
 
     def test_fully_resumed_streamtune_fleet_needs_no_pretrained(self, tmp_path,
@@ -268,7 +266,7 @@ class TestServiceResume:
         # them all and builds no StreamTune tuner.
         blind = TuningService(None, backend="sequential")
         outcomes = run_campaigns(blind, specs, resume=ResumeLog.load(path))
-        assert outcomes[0].result.method == "StreamTune"
+        assert outcomes[0].method == "StreamTune"
 
 
 # ----------------------------------------------------------------------
@@ -318,11 +316,11 @@ class TestSweepResume:
             full.scenarios, resumed.scenarios
         ):
             for ours, theirs in zip(full_cell.outcomes, resumed_cell.outcomes):
-                assert ours.spec_name == theirs.spec_name
-                assert ours.result.multipliers == theirs.result.multipliers
+                assert ours.query_name == theirs.query_name
+                assert ours.multipliers == theirs.multipliers
                 assert _step_maps(ours) == _step_maps(theirs)
-                assert [p.converged for p in ours.result.processes] == [
-                    p.converged for p in theirs.result.processes
+                assert [p.converged for p in ours.processes] == [
+                    p.converged for p in theirs.processes
                 ]
 
     def test_fully_recorded_sweep_replays_without_execution(self, tiny_pretrained,
@@ -350,8 +348,8 @@ class TestSweepResume:
             "CampaignSkipped", "CampaignFinished"
         ]
         assert (
-            resumed.results[0].outcomes[0].result
-            == full.results[0].outcomes[0].result
+            resumed.results[0].outcomes[0]
+            == full.results[0].outcomes[0]
         )
 
 
@@ -423,7 +421,7 @@ class TestPlanResume:
             "CampaignSkipped", "CampaignFinished", "CacheStats"
         ]
         # exact replay, recorded wall-clock fields included
-        assert resumed.result == first.result
+        assert resumed.outcomes == first.outcomes
         assert resumed.outcomes[0].wall_seconds == first.outcomes[0].wall_seconds
 
     def test_cross_plan_resume_is_conservative(self, tmp_path):
@@ -619,3 +617,47 @@ class TestDiscoverLatestLog:
 
         with pytest.raises(ResumeError, match="not a directory"):
             discover_latest_log(tmp_path / "missing")
+
+
+def _timeless(result) -> dict:
+    """A campaign result without its host-timing fields."""
+    import dataclasses
+
+    data = dataclasses.asdict(result)
+    data.pop("wall_seconds")
+    for process in data["processes"]:
+        for step in process["steps"]:
+            step.pop("recommendation_seconds")
+    return data
+
+
+def test_a_log_recorded_by_an_earlier_revision_still_resumes():
+    # `tests/data/ds2_fleet_record.jsonl` was written by `repro run-plan
+    # --record` on this plan when a finished campaign was still a
+    # `CampaignOutcome` wrapping its `CampaignResult`.  It guards the
+    # ledger format the way `cache_snapshot_v3.pkl` guards snapshots.
+    plan = CampaignPlan(
+        queries=("q1", "q5"), rates=(3, 7, 4), tuner="ds2",
+        backend="sequential", scale="smoke", seed=17,
+    )
+    log = Path(__file__).parent / "data" / "ds2_fleet_record.jsonl"
+    events = []
+    stream = TuningSession().stream(plan, resume=log)
+    while True:
+        try:
+            events.append(next(stream))
+        except StopIteration as stop:
+            resumed = stop.value
+            break
+    assert [e.kind for e in events if e.kind.startswith("Campaign")] == [
+        "CampaignSkipped", "CampaignFinished"
+    ] * 2
+    fresh = TuningSession().run(plan)
+    assert [_timeless(r) for r in resumed.outcomes] == [
+        _timeless(r) for r in fresh.outcomes
+    ]
+    assert [r.wall_seconds for r in resumed.outcomes] == [
+        json.loads(line)["wall_seconds"]
+        for line in log.read_text().splitlines()
+        if json.loads(line)["event"] == "CampaignFinished"
+    ]

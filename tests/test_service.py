@@ -203,12 +203,11 @@ class TestTuningService:
     def test_outcomes_in_input_order(self, tiny_pretrained):
         service = TuningService(tiny_pretrained, backend="thread", max_workers=2)
         outcomes = run_campaigns(service, self._specs())
-        assert [o.spec_name for o in outcomes] == [
+        assert [o.query_name for o in outcomes] == [
             "nexmark_q1_flink", "nexmark_q5_flink"
         ]
         for outcome in outcomes:
-            assert outcome.backend == "thread"
-            assert outcome.result.n_processes == 2
+            assert outcome.n_processes == 2
             assert outcome.wall_seconds > 0
 
     def test_duplicate_names_rejected(self, tiny_pretrained):
@@ -257,8 +256,8 @@ class TestBaselineCampaigns:
     def test_ds2_campaign_runs_without_pretrained(self):
         service = TuningService(None, backend="sequential")
         outcome = run_campaigns(service, [self._spec("ds2")])[0]
-        assert outcome.result.method == "DS2"
-        assert outcome.result.n_processes == 2
+        assert outcome.method == "DS2"
+        assert outcome.n_processes == 2
         assert "ged" not in service.cache_stats()
 
     def test_backend_identity_for_baselines(self):
@@ -270,7 +269,7 @@ class TestBaselineCampaigns:
         )
         steps = lambda o: [  # noqa: E731
             [step.parallelisms for step in process.steps]
-            for process in o.result.processes
+            for process in o.processes
         ]
         assert steps(sequential[0]) == steps(threaded[0])
 
@@ -348,7 +347,7 @@ class TestFaultTolerance:
         error = info.value
         assert [e.campaign for e in error.failures] == ["nexmark_q1_flink"]
         # the surviving campaign's outcome was not lost
-        assert [o.spec_name for o in error.outcomes.values()] == ["nexmark_q5_flink"]
+        assert [o.query_name for o in error.outcomes.values()] == ["nexmark_q5_flink"]
 
     def _poison_step(self, monkeypatch, step, victim="nexmark_q1_flink"):
         """The victim's tuner raises inside its ``step``-th tuning process."""

@@ -89,7 +89,7 @@ def _renamed_query(query: StreamingQuery, name: str) -> StreamingQuery:
 def _steps(outcome):
     return [
         [step.parallelisms for step in process.steps]
-        for process in outcome.result.processes
+        for process in outcome.processes
     ]
 
 
