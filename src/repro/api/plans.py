@@ -30,12 +30,15 @@ numeric field against its domain, and the ``rates``/``queries`` shape —
 so a bad config file fails at load time with an error that says what to
 fix, not deep inside a worker pool.  A sweep whose grid holds the same
 campaign twice fails naming both cells.
+
+How a file or a request body becomes a table, and a table a plan (the
+unknown- and missing-field checks, the int / float / name rules), lives
+in :mod:`repro.utils.config`; this module owns what the fields mean.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -43,6 +46,14 @@ from pathlib import Path
 from repro.api.components import resolve_query  # noqa: F401  (re-exported)
 from repro.api.components import parse_query_token
 from repro.api.registry import ENGINES, MODELS, TUNERS, UnknownComponentError
+from repro.utils.config import (
+    check_float,
+    check_int,
+    check_name,
+    decode_table,
+    fits,
+    read_config,
+)
 
 #: Worker-pool backends a campaign may request: the in-process pools of
 #: :data:`repro.service.tuning.BACKENDS` plus the multi-process,
@@ -65,18 +76,10 @@ def _check_query_token(token: str) -> str:
     return token
 
 
-def _check_string(where: str, value, *, optional: bool = False):
-    """``value`` when it is a string (or, if ``optional``, ``None``): a
-    name or a path from a config file is never a number, list or null."""
-    if isinstance(value, str) or (optional and value is None):
-        return value
-    raise PlanError(f"{where} must be a string, got {value!r}")
-
-
 def _canonical(kind_label: str, registry, name: str) -> str:
     """``name``'s registry spelling: a plan stores that one, so every
     spelling of a campaign gets one cell key and one cache entry."""
-    _check_string(kind_label, name)
+    check_name(name, PlanError, kind_label)
     try:
         return registry.entry(name).name
     except UnknownComponentError as error:
@@ -92,7 +95,7 @@ def _campaign_tuner(name: str, where: str = "tuner") -> str:
     an execution history from its resources, e.g. zerotune) cannot run
     in a plan of any kind.
     """
-    base, dash, model = _check_string(where, name).partition("-")
+    base, dash, model = check_name(name, PlanError, where).partition("-")
     if dash and base.lower() == "streamtune":
         raise PlanError(
             f"{where}: {name!r} is not a tuner name; the prediction layer is "
@@ -110,7 +113,7 @@ def _campaign_tuner(name: str, where: str = "tuner") -> str:
 
 
 def _check_scale(name: str | None) -> None:
-    if _check_string("scale", name, optional=True) is None:
+    if check_name(name, PlanError, "scale", optional=True) is None:
         return
     from repro.experiments.scale import resolve_scale
 
@@ -131,12 +134,11 @@ def _as_rates(value, field_name: str = "rates") -> tuple[float, ...]:
             f"{field_name} must be a sequence of numbers, got the string "
             f"{value!r} (did you forget to split it?)"
         )
-    try:
-        rates = tuple(float(rate) for rate in value)
-    except (TypeError, ValueError):
+    if not isinstance(value, (list, tuple)) or not all(fits(rate, float) for rate in value):
         raise PlanError(
             f"{field_name} must be a sequence of numbers, got {value!r}"
-        ) from None
+        )
+    rates = tuple(check_float(rate, PlanError, field_name) for rate in value)
     if not rates:
         raise PlanError(f"{field_name} must contain at least one multiplier")
     for rate in rates:
@@ -166,15 +168,10 @@ def _as_trace(value, field_name: str = "trace"):
 
     if isinstance(value, TraceSpec):
         return value
-    if isinstance(value, dict):
-        try:
-            return TraceSpec.from_dict(value)
-        except ScenarioError as error:
-            raise PlanError(f"{field_name}: {error}") from None
-    raise PlanError(
-        f"{field_name} must be a trace spec table ({{family, params, seed}}), "
-        f"got {value!r}"
-    )
+    try:
+        return TraceSpec.from_dict(value)
+    except ScenarioError as error:
+        raise PlanError(f"{field_name}: {error}") from None
 
 
 def _as_rate_trace(value, field_name: str):
@@ -213,11 +210,6 @@ def _parse_chaos(value, field_name: str = "chaos"):
 
     if isinstance(value, ChaosSpec):
         return value
-    if not isinstance(value, dict):
-        raise PlanError(
-            f"{field_name} must be a chaos spec table "
-            f"({{operator_loss, trace_dropout}}), got {value!r}"
-        )
     try:
         return ChaosSpec.from_dict(value)
     except ScenarioError as error:
@@ -292,10 +284,9 @@ def _check_run_fields(plan) -> None:
     object.__setattr__(plan, "tuner", _campaign_tuner(plan.tuner))
     object.__setattr__(plan, "layer", _canonical("layer", MODELS, plan.layer))
     _check_scale(plan.scale)
-    _check_string("model", plan.model, optional=True)
-    _check_string("cache_path", plan.cache_path, optional=True)
-    if not isinstance(plan.seed, int) or isinstance(plan.seed, bool):
-        raise PlanError(f"seed must be an integer, got {plan.seed!r}")
+    check_name(plan.model, PlanError, "model", optional=True)
+    check_name(plan.cache_path, PlanError, "cache_path", optional=True)
+    check_int(plan.seed, PlanError, "seed")
     if plan.cache_path is not None and plan.tuner != "streamtune":
         raise PlanError(
             f"cache_path only applies to the streamtune tuner (the "
@@ -333,26 +324,15 @@ class _Plan:
 
     @classmethod
     def from_dict(cls, data: dict):
-        if not isinstance(data, dict):
-            raise PlanError(
-                f"a {cls.__name__} must be a mapping, got {type(data).__name__}"
-            )
-        data = dict(data)
-        declared_kind = data.pop("kind", None)
-        if declared_kind is not None and declared_kind != cls.kind:
-            raise PlanError(
-                f"this document declares kind {declared_kind!r} but was loaded as "
-                f"a {cls.__name__} (kind {cls.kind!r})"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise PlanError(
-                f"{cls.__name__} does not understand field(s) "
-                f"{', '.join(map(repr, unknown))} (valid fields: "
-                f"{', '.join(sorted(known))})"
-            )
-        return cls(**data)
+        if isinstance(data, dict) and "kind" in data:
+            data = dict(data)
+            declared_kind = data.pop("kind")
+            if declared_kind is not None and declared_kind != cls.kind:
+                raise PlanError(
+                    f"this document declares kind {declared_kind!r} but was "
+                    f"loaded as a {cls.__name__} (kind {cls.kind!r})"
+                )
+        return decode_table(cls, data, PlanError, cls.__name__)
 
 
 # ----------------------------------------------------------------------
@@ -459,13 +439,10 @@ class CampaignPlan(_Plan):
             )
         # Distributed workers are local agents, and a spool a standing
         # fleet drains needs none.
-        least = 0 if self.backend == "distributed" else 1
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < least
-        ):
-            raise PlanError(
-                f"workers must be an integer >= {least} for the "
-                f"{self.backend} backend, got {self.workers!r}"
+        if self.workers is not None:
+            check_int(
+                self.workers, PlanError, f"workers for the {self.backend} backend",
+                minimum=0 if self.backend == "distributed" else 1,
             )
         if self.cache_path is not None and self.backend == "distributed":
             raise PlanError(
@@ -473,7 +450,7 @@ class CampaignPlan(_Plan):
                 "agents keep their own caches; the coordinator neither loads "
                 "nor saves a snapshot); remove it or pick an in-process backend"
             )
-        _check_string("spool_dir", self.spool_dir, optional=True)
+        check_name(self.spool_dir, PlanError, "spool_dir", optional=True)
         if self.spool_dir is not None and self.backend != "distributed":
             raise PlanError(
                 f"spool_dir only applies to the distributed backend, not "
@@ -620,8 +597,8 @@ class SweepPlan(_Plan):
 # dict / file round-tripping
 # ----------------------------------------------------------------------
 
-def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
-    """Build any plan type from a dict, inferring the kind.
+def plan_type(data) -> type:
+    """The plan class a table decodes to, inferring the kind.
 
     An explicit ``kind`` key wins; otherwise a sweep-only axis
     (``tuners`` / ``engines`` / ``rate_traces``) selects a sweep,
@@ -630,27 +607,24 @@ def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
     if not isinstance(data, dict):
         raise PlanError(f"a plan must be a mapping, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "tuning":
-        return TuningPlan.from_dict(data)
-    if kind == "campaign":
-        return CampaignPlan.from_dict(data)
-    if kind == "sweep":
-        return SweepPlan.from_dict(data)
+    for cls in (TuningPlan, CampaignPlan, SweepPlan):
+        if kind == cls.kind:
+            return cls
     if kind is not None:
         raise PlanError(
             f"unknown plan kind {kind!r} (expected 'tuning', 'campaign' or "
             "'sweep')"
         )
     if any(axis in data for axis in ("tuners", "engines", "rate_traces")):
-        return SweepPlan.from_dict(data)
+        return SweepPlan
     if isinstance(data.get("chaos"), (list, tuple)):
         # A chaos *list* is the sweep grid axis (campaign/tuning plans
         # carry a single chaos table).
-        return SweepPlan.from_dict(data)
+        return SweepPlan
     if "queries" in data:
-        return CampaignPlan.from_dict(data)
+        return CampaignPlan
     if "query" in data:
-        return TuningPlan.from_dict(data)
+        return TuningPlan
     raise PlanError(
         "cannot infer the plan kind: provide 'kind', a 'query' (tuning plan), "
         "a 'queries' list (campaign plan) or a grid axis like 'tuners' "
@@ -658,50 +632,23 @@ def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
     )
 
 
-def toml_loads(error, source: str):
-    """``loads`` of the available TOML parser: stdlib ``tomllib`` (3.11+)
-    or ``tomli``; an ``error`` naming ``source`` when there is neither —
-    the one decoder plan files, fault plans and daemon bodies share."""
-    try:
-        import tomllib
-    except ModuleNotFoundError:
-        try:
-            import tomli as tomllib
-        except ModuleNotFoundError:
-            raise error(
-                f"reading {source} as TOML needs Python 3.11+ (tomllib) or "
-                "the 'tomli' package; on this interpreter write it as JSON"
-            ) from None
-    return tomllib.loads
+def plan_from_dict(data: dict) -> "TuningPlan | CampaignPlan | SweepPlan":
+    """Build any plan type from a dict (its class is :func:`plan_type`'s)."""
+    return plan_type(data).from_dict(data)
 
 
-def read_config(path: str | Path, error=PlanError, what: str = "plan") -> dict:
-    """Decode a ``.json`` or ``.toml`` file a user handed us — plans here,
-    fault plans in :func:`repro.faults.load_fault_plan`.  A missing file,
-    an unknown suffix, undecodable text and a missing TOML parser are all
-    an ``error`` naming the file, never a traceback."""
-    path = Path(path)
-    if not path.exists():
-        raise error(f"{what} file {path} does not exist")
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        loads, syntax = json.loads, "JSON"
-    elif suffix == ".toml":
-        loads, syntax = toml_loads(error, f"{what} file {path}"), "TOML"
-    else:
-        raise error(
-            f"unsupported {what} file suffix {suffix!r} for {path} "
-            "(expected .json or .toml)"
-        )
-    try:
-        return loads(path.read_text(encoding="utf-8"))
-    except ValueError as decode_error:  # JSONDecodeError, TOMLDecodeError, bad UTF-8
-        raise error(f"{path} is not valid {syntax}: {decode_error}") from None
+def load_plan(
+    path: str | Path, overrides: dict | None = None
+) -> "TuningPlan | CampaignPlan | SweepPlan":
+    """Load a plan from a ``.json`` or ``.toml`` file.
 
-
-def load_plan(path: str | Path) -> "TuningPlan | CampaignPlan | SweepPlan":
-    """Load a plan from a ``.json`` or ``.toml`` file."""
-    data = read_config(path)
+    ``overrides`` (a command line's ``--backend``, ``--workers``, ...)
+    replace the file's fields before its one validation, so a file that
+    is valid only with them loads.
+    """
+    data = read_config(path, PlanError, "plan")
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
     try:
         return plan_from_dict(data)
     except PlanError as error:

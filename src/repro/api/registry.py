@@ -8,7 +8,8 @@ resolves it through :meth:`Registry.create`, which validates arguments
 *before* construction and turns an unknown name into an error that lists
 the alternatives.  A row exists only for a parameter some caller sets;
 the same machinery type-checks the ``params`` table a plan file hands a
-trace family (:data:`repro.scenarios.TRACES`).
+trace family (:data:`repro.scenarios.TRACES`), by the scalar rules of
+:mod:`repro.utils.config` (a bool is no int, an int may stand for a float).
 
 Built-in components are registered by :mod:`repro.api.components`, which
 ``repro.api`` imports eagerly — ``from repro.api import ENGINES`` always
@@ -24,6 +25,8 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from repro.utils.config import check_float, fits
 
 #: Sentinel for "parameter has no default" (``None`` is a valid default).
 REQUIRED = object()
@@ -75,17 +78,18 @@ class ParamSpec:
 
     def validate(self, value, kind: str, component: str):
         """Coerce ``value`` to the spec; raise an actionable error if unfit."""
-        if value is None and not self.required:
-            # None is always accepted for optional parameters (meaning
-            # "use the component's internal default").
+        if value is None and self.default is None:
+            # None means "use the component's internal default" where the
+            # declared default is None; elsewhere the component would be
+            # handed a None it never expects.
             return value
-        if self.annotation is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if self.annotation is not Any and not isinstance(value, self.annotation):
+        if self.annotation is not Any and not fits(value, self.annotation):
             raise RegistryError(
                 f"{kind} {component!r}: parameter {self.name!r} expects "
                 f"{self.annotation.__name__}, got {type(value).__name__} ({value!r})"
             )
+        if self.annotation is float:
+            return check_float(value, RegistryError, self.name)
         return value
 
 

@@ -52,9 +52,8 @@ from repro.api import (
     build_engine,
     discover_latest_log,
     load_plan,
-    replace,
 )
-from repro.api.plans import PLAN_BACKENDS
+from repro.api.plans import PLAN_BACKENDS, plan_type
 from repro.service import CampaignExecutionError
 from repro.service.cache import SnapshotError
 from repro.core.history import HistoryGenerator
@@ -62,6 +61,7 @@ from repro.core.persistence import load_history, save_history, save_pretrained
 from repro.core.pretrain import pretrain
 from repro.experiments.context import corpus
 from repro.experiments.scale import resolve_scale
+from repro.utils.config import read_config
 from repro.utils.tables import format_table
 
 
@@ -239,17 +239,19 @@ def _run_with_events(plan, args: argparse.Namespace, session=None):
     return result
 
 
-def _apply_plan_overrides(plan, args: argparse.Namespace):
-    overrides = {
-        field: getattr(args, field)
-        for field in ("backend", "workers", "spool_dir", "scale")
-        if getattr(args, field) is not None
-    }
-    fleet_only = [field for field in overrides if field != "scale"]
-    if fleet_only and isinstance(plan, TuningPlan):
-        flag = "--" + fleet_only[0].replace("_", "-")
-        raise PlanError(f"{flag} applies to campaign and sweep plans only")
-    return replace(plan, **overrides) if overrides else plan
+def _load_plan(path: str, overrides: dict, tuning_error: str | None):
+    """The plan file with the command line's ``overrides`` merged into its
+    table, validated once — so a file that is valid only with them loads.
+    A tuning plan takes no fleet settings: with ``tuning_error`` given,
+    one fails with it."""
+    if tuning_error is not None:
+        try:
+            tuning = plan_type(read_config(path, PlanError, "plan")) is TuningPlan
+        except PlanError:
+            tuning = False      # load_plan reports it, naming the file
+        if tuning:
+            raise PlanError(tuning_error)
+    return load_plan(path, overrides)
 
 
 def _session(plan, args: argparse.Namespace):
@@ -271,7 +273,17 @@ def _session(plan, args: argparse.Namespace):
 
 
 def _cmd_run_plan(args: argparse.Namespace) -> int:
-    plan = _apply_plan_overrides(load_plan(args.plan), args)
+    overrides = {
+        field: getattr(args, field)
+        for field in ("backend", "workers", "spool_dir", "scale")
+        if getattr(args, field) is not None
+    }
+    fleet_only = [field for field in overrides if field != "scale"]
+    tuning_error = None
+    if fleet_only:
+        flag = "--" + fleet_only[0].replace("_", "-")
+        tuning_error = f"{flag} applies to campaign and sweep plans only"
+    plan = _load_plan(args.plan, overrides, tuning_error)
     if args.report is not None and not isinstance(plan, SweepPlan):
         raise PlanError(
             f"{args.plan} holds a {type(plan).__name__} (kind "
@@ -356,13 +368,14 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     from repro.faults.supervisor import ChurnSpec, FleetSupervisor
 
-    plan = load_plan(args.plan)
-    if isinstance(plan, TuningPlan):
-        raise PlanError(
-            "soak churns a worker fleet over campaign and sweep plans; a "
-            "single-query TuningPlan has no fleet to churn — use run-plan"
-        )
-    plan = replace(plan, backend="distributed")
+    overrides = {"backend": "distributed", "workers": args.workers}
+    if args.spool_dir is not None:
+        overrides["spool_dir"] = args.spool_dir
+    plan = _load_plan(
+        args.plan, overrides,
+        "soak churns a worker fleet over campaign and sweep plans; a "
+        "single-query TuningPlan has no fleet to churn — use run-plan",
+    )
     supervisor = FleetSupervisor(
         plan,
         workers=args.workers,

@@ -51,11 +51,12 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.events import EventBus, JsonlRecorder, MetricsAggregator
-from repro.api.plans import PlanError, plan_from_dict, toml_loads
+from repro.api.plans import PlanError, plan_from_dict
 from repro.daemon.jobs import JOB_STATES, JobStore
 from repro.daemon.metrics_endpoint import render_metrics
 from repro.daemon.queue import QueueDraining, QueueFull, TenantQueue
 from repro.faults.plane import fire as _fire
+from repro.utils.config import decode_text
 
 __all__ = ["TuningDaemon"]
 
@@ -284,6 +285,7 @@ class TuningDaemon:
         """
         if (
             self.spool_dir is not None
+            and isinstance(plan_data, dict)
             and plan_data.get("backend") == "distributed"
             and plan_data.get("spool_dir") is None
         ):
@@ -446,18 +448,9 @@ def _make_handler(daemon: TuningDaemon):
                 self._error(400, "priority must be an integer")
                 return
             content_type = (self.headers.get("Content-Type") or "").lower()
+            syntax = "TOML" if "toml" in content_type else "JSON"
             try:
-                if "toml" in content_type:
-                    data = toml_loads(PlanError, "the plan body")(body.decode())
-                else:
-                    data = json.loads(body.decode())
-            except Exception as error:  # noqa: BLE001 — operator input
-                self._error(400, f"unparseable plan body: {error}")
-                return
-            if not isinstance(data, dict):
-                self._error(400, "plan body must be a JSON/TOML object")
-                return
-            try:
+                data = decode_text(body, syntax, PlanError, "the plan body")
                 job = daemon.submit(data, tenant=tenant, priority=priority)
             except PlanError as error:
                 self._error(400, str(error))

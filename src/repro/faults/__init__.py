@@ -8,9 +8,10 @@ writer, the coordinator and the daemon client/server; a frozen, seeded
 :class:`~repro.scenarios.TraceSpec` workload or a
 :class:`~repro.scenarios.ChaosSpec` engine-chaos schedule.
 
-This package root stays dependency-free (plan + plane only, stdlib
-imports) so :mod:`repro.api.events` and the spool can mark their sites
-without import cycles.  The heavier pieces live one level down:
+This package root stays dependency-free (plan + plane only, importing
+the stdlib and the stdlib-only :mod:`repro.utils.config` that decodes
+plan files) so :mod:`repro.api.events` and the spool can mark their
+sites without import cycles.  The heavier pieces live one level down:
 :mod:`repro.faults.supervisor` (the ``repro soak`` fleet supervisor and
 churn schedules) and :mod:`repro.faults.invariants` (the standing
 post-episode assertions).

@@ -43,12 +43,26 @@ slots there.  So a ``worker.execute.crash`` rule with ``max_triggers =
 1`` crashes one worker once, not every respawned worker again, and a
 kept ``--spool-dir`` spends the budget once across episodes.  A plane
 activated without the directory counts firings per process.
+
+A plan file decodes through :mod:`repro.utils.config` (the text, the
+unknown- and missing-field checks, the list of rule tables, the int /
+float / name rules); the classes here check what a rule means.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.utils.config import (
+    check_float,
+    check_int,
+    check_name,
+    decode_table,
+    decode_tables,
+    read_config,
+)
 
 __all__ = [
     "FAULT_SITES",
@@ -98,13 +112,6 @@ _EFFECTS = ("delay", "error", "crash", "torn")
 _ERRORS = ("OSError", "URLError", "ConnectionResetError", "TimeoutError")
 
 
-def _check_int(value, what: str, *, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise FaultError(
-            f"fault rule: {what} must be an integer >= {minimum}, got {value!r}"
-        )
-
-
 @dataclass(frozen=True)
 class FaultRule:
     """One site, one trigger, one effect."""
@@ -128,7 +135,7 @@ class FaultRule:
     exit_code: int = 137
 
     def __post_init__(self) -> None:
-        if self.site not in FAULT_SITES:
+        if check_name(self.site, FaultError, "fault rule: site") not in FAULT_SITES:
             raise FaultError(
                 f"unknown failpoint site {self.site!r} (known: "
                 f"{', '.join(sorted(FAULT_SITES))})"
@@ -148,7 +155,7 @@ class FaultRule:
                 f"hit ordinals, got {self.hits!r}"
             )
         for hit in hits:
-            _check_int(hit, "every hits entry", minimum=1)
+            check_int(hit, FaultError, "fault rule: every hits entry", minimum=1)
         triggers = sum(
             1 for given in (hits or None, self.every, self.probability)
             if given is not None
@@ -159,34 +166,32 @@ class FaultRule:
                 f"every, probability must be set (got {triggers})"
             )
         if self.every is not None:
-            _check_int(self.every, "every", minimum=1)
+            check_int(self.every, FaultError, "fault rule: every", minimum=1)
         if self.probability is not None:
-            probability = self.probability
-            if isinstance(probability, int) and not isinstance(probability, bool):
-                probability = float(probability)
-                object.__setattr__(self, "probability", probability)
-            if not isinstance(probability, float) or not 0.0 < probability <= 1.0:
+            probability = check_float(
+                self.probability, FaultError, f"fault rule at {self.site}: probability"
+            )
+            if not 0.0 < probability <= 1.0:
                 raise FaultError(
                     f"fault rule at {self.site}: probability must be in "
                     f"(0, 1], got {self.probability!r}"
                 )
+            object.__setattr__(self, "probability", probability)
         if self.max_triggers is not None:
-            _check_int(self.max_triggers, "max_triggers", minimum=1)
-        seconds = self.seconds
-        if isinstance(seconds, int) and not isinstance(seconds, bool):
-            seconds = float(seconds)
-            object.__setattr__(self, "seconds", seconds)
-        if not isinstance(seconds, float) or seconds < 0:
+            check_int(self.max_triggers, FaultError, "fault rule: max_triggers", minimum=1)
+        seconds = check_float(self.seconds, FaultError, f"fault rule at {self.site}: seconds")
+        if not (math.isfinite(seconds) and seconds >= 0):   # time.sleep takes neither
             raise FaultError(
                 f"fault rule at {self.site}: seconds must be a non-negative "
-                f"number, got {self.seconds!r}"
+                f"finite number, got {self.seconds!r}"
             )
+        object.__setattr__(self, "seconds", seconds)
         if self.error not in _ERRORS:
             raise FaultError(
                 f"fault rule at {self.site}: error must be one of "
                 f"{', '.join(_ERRORS)}, got {self.error!r}"
             )
-        _check_int(self.exit_code, "exit_code", minimum=1)
+        check_int(self.exit_code, FaultError, "fault rule: exit_code", minimum=1)
         if self.exit_code > 255:
             raise FaultError(
                 f"fault rule at {self.site}: exit_code must fit a process "
@@ -195,21 +200,7 @@ class FaultRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRule":
-        if not isinstance(data, dict):
-            raise FaultError(
-                f"a fault rule must be a mapping, got {type(data).__name__}"
-            )
-        known = {spec.name for spec in cls.__dataclass_fields__.values()}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise FaultError(
-                f"fault rule does not understand field(s) "
-                f"{', '.join(map(repr, unknown))} (valid: "
-                f"{', '.join(sorted(known))})"
-            )
-        if "site" not in data:
-            raise FaultError("every fault rule needs a 'site'")
-        return cls(**data)
+        return decode_table(cls, data, FaultError, "fault rule")
 
 
 @dataclass(frozen=True)
@@ -220,39 +211,15 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        rules = self.rules
-        if isinstance(rules, (str, bytes)) or not isinstance(rules, (list, tuple)):
-            raise FaultError(
-                f"fault plan rules must be a list of rule tables, got {rules!r}"
-            )
-        entries = []
-        for rule in rules:
-            if isinstance(rule, FaultRule):
-                entries.append(rule)
-            else:
-                entries.append(FaultRule.from_dict(rule))
-        object.__setattr__(self, "rules", tuple(entries))
-        _check_int(self.seed, "plan seed", minimum=0)
+        rules = decode_tables(FaultRule, self.rules, FaultError, "fault plan rules", "rule")
+        object.__setattr__(self, "rules", rules)
+        check_int(self.seed, FaultError, "fault plan seed", minimum=0)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise FaultError(
-                f"a fault plan must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"seed", "rules"})
-        if unknown:
-            raise FaultError(
-                f"fault plan does not understand field(s) "
-                f"{', '.join(map(repr, unknown))} (valid: rules, seed)"
-            )
-        return cls(rules=data.get("rules", ()), seed=data.get("seed", 0))
+        return decode_table(cls, data, FaultError, "fault plan")
 
 
 def load_fault_plan(path: "str | Path") -> FaultPlan:
     """Load a :class:`FaultPlan` from a ``.json`` or ``.toml`` file."""
-    # Imported here: this package's root imports the stdlib only, so that
-    # repro.api.events and the spool can mark their sites without a cycle.
-    from repro.api.plans import read_config
-
     return FaultPlan.from_dict(read_config(path, FaultError, "fault plan"))

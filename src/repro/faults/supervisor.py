@@ -38,7 +38,8 @@ from repro.faults.invariants import (
     compare_event_streams,
     load_event_log,
 )
-from repro.faults.plan import FaultError
+from repro.faults.plan import FaultError, load_fault_plan
+from repro.utils.config import check_int
 
 __all__ = [
     "ChurnSpec",
@@ -85,13 +86,8 @@ class ChurnSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        kills = self.kills_per_worker
-        if not isinstance(kills, int) or isinstance(kills, bool) or kills < 0:
-            raise FaultError(
-                f"churn kills_per_worker must be an integer >= 0, got {kills!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise FaultError(f"churn seed must be an integer, got {self.seed!r}")
+        check_int(self.kills_per_worker, FaultError, "churn kills_per_worker", minimum=0)
+        check_int(self.seed, FaultError, "churn seed")
 
     def schedule(self, n_workers: int, n_cells: int) -> tuple:
         """The episode's kill triggers, sorted by done-count threshold.
@@ -211,6 +207,9 @@ class FleetSupervisor:
     ) -> None:
         if workers < 1:
             raise FaultError(f"a soak fleet needs >= 1 worker, got {workers}")
+        if fault_plan is not None:
+            # A malformed file fails here, once, not in every spawned worker.
+            load_fault_plan(fault_plan)
         self.plan = plan
         self.workers = workers
         self.churn = churn if churn is not None else ChurnSpec()

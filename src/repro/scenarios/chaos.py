@@ -23,12 +23,15 @@ Injections are surfaced as typed
 ordinary event stream, and the chaos schedule participates in the
 campaign's ``cell_key`` — a chaos run can never be confused with (or
 resumed from) a clean one.
+
+A chaos table and its entry lists decode through
+:mod:`repro.utils.config` (unknown and missing fields, the list-of-tables
+shape, the int / float / name rules); the classes here check ranges.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 
 __all__ = [
     "ChaosInjector",
@@ -38,13 +41,7 @@ __all__ = [
 ]
 
 from repro.scenarios.library import ScenarioError
-
-
-def _check_step(step, what: str) -> None:
-    if not isinstance(step, int) or isinstance(step, bool) or step < 0:
-        raise ScenarioError(
-            f"chaos {what}: step must be a non-negative trace index, got {step!r}"
-        )
+from repro.utils.config import check_float, check_int, check_name, decode_table, decode_tables
 
 
 @dataclass(frozen=True)
@@ -59,17 +56,9 @@ class OperatorLoss:
     operator: str = ""
 
     def __post_init__(self) -> None:
-        _check_step(self.step, "operator_loss")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
-            raise ScenarioError(
-                f"chaos operator_loss: count must be a positive integer, "
-                f"got {self.count!r}"
-            )
-        if not isinstance(self.operator, str):
-            raise ScenarioError(
-                f"chaos operator_loss: operator must be a name string, "
-                f"got {self.operator!r}"
-            )
+        check_int(self.step, ScenarioError, "chaos operator_loss: step", minimum=0)
+        check_int(self.count, ScenarioError, "chaos operator_loss: count", minimum=1)
+        check_name(self.operator, ScenarioError, "chaos operator_loss: operator")
 
     def to_dict(self) -> dict:
         data = {"step": self.step, "count": self.count}
@@ -86,57 +75,17 @@ class TraceDropout:
     factor: float = 0.25
 
     def __post_init__(self) -> None:
-        _check_step(self.step, "trace_dropout")
-        factor = self.factor
-        if isinstance(factor, int) and not isinstance(factor, bool):
-            factor = float(factor)
-            object.__setattr__(self, "factor", factor)
-        if not isinstance(factor, float) or not (
-            math.isfinite(factor) and 0.0 < factor < 1.0
-        ):
+        check_int(self.step, ScenarioError, "chaos trace_dropout: step", minimum=0)
+        factor = check_float(self.factor, ScenarioError, "chaos trace_dropout: factor")
+        if not 0.0 < factor < 1.0:      # NaN fails too
             raise ScenarioError(
                 f"chaos trace_dropout: factor must be a fraction in (0, 1), "
                 f"got {self.factor!r}"
             )
+        object.__setattr__(self, "factor", factor)
 
     def to_dict(self) -> dict:
         return {"step": self.step, "factor": self.factor}
-
-
-def _entries(value, cls, what: str) -> tuple:
-    if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
-        raise ScenarioError(
-            f"chaos {what} must be a list of tables, got {value!r}"
-        )
-    entries = []
-    for item in value:
-        if isinstance(item, cls):
-            entries.append(item)
-        elif isinstance(item, dict):
-            known = {spec.name for spec in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-            unknown = sorted(set(item) - known)
-            if unknown:
-                raise ScenarioError(
-                    f"chaos {what} does not understand field(s) "
-                    f"{', '.join(map(repr, unknown))} (valid: "
-                    f"{', '.join(sorted(known))})"
-                )
-            required = [
-                spec.name
-                for spec in dataclass_fields(cls)
-                if spec.default is MISSING and spec.default_factory is MISSING
-            ]
-            missing = [name for name in required if name not in item]
-            if missing:
-                raise ScenarioError(
-                    f"chaos {what}: every entry needs a {missing[0]!r}"
-                )
-            entries.append(cls(**item))
-        else:
-            raise ScenarioError(
-                f"chaos {what} entries must be tables, got {item!r}"
-            )
-    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -147,16 +96,11 @@ class ChaosSpec:
     trace_dropout: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "operator_loss",
-            _entries(self.operator_loss, OperatorLoss, "operator_loss"),
-        )
-        object.__setattr__(
-            self,
-            "trace_dropout",
-            _entries(self.trace_dropout, TraceDropout, "trace_dropout"),
-        )
+        for name, cls in (("operator_loss", OperatorLoss), ("trace_dropout", TraceDropout)):
+            entries = decode_tables(
+                cls, getattr(self, name), ScenarioError, f"chaos {name}", name
+            )
+            object.__setattr__(self, name, entries)
 
     @property
     def is_noop(self) -> bool:
@@ -210,21 +154,7 @@ class ChaosSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosSpec":
-        if not isinstance(data, dict):
-            raise ScenarioError(
-                f"a chaos spec must be a mapping, got {type(data).__name__}"
-            )
-        valid = ("operator_loss", "trace_dropout")
-        unknown = sorted(set(data) - set(valid))
-        if unknown:
-            raise ScenarioError(
-                f"chaos spec does not understand field(s) "
-                f"{', '.join(map(repr, unknown))} (valid: {', '.join(valid)})"
-            )
-        return cls(
-            operator_loss=data.get("operator_loss", ()),
-            trace_dropout=data.get("trace_dropout", ()),
-        )
+        return decode_table(cls, data, ScenarioError, "chaos spec")
 
 
 class ChaosInjector:

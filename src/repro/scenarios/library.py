@@ -17,6 +17,10 @@ Every family emits multipliers in units of Wu (the Table II rate units),
 finite and strictly positive, typically in the paper's 1..10 band.  All
 randomness flows through one :func:`~repro.utils.rng.seeded_rng`
 generator derived from the spec's seed, so a spec *is* its trace.
+
+A spec table decodes through :mod:`repro.utils.config` (unknown and
+missing fields, the int / float / name rules); its ``params`` are typed
+by the family's :class:`ParamSpec` rows, whose scalar rules are the same.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.registry import ParamSpec, Registry, RegistryError, UnknownComponentError
+from repro.utils.config import check_float, check_int, check_name, decode_table
 from repro.utils.rng import seeded_rng
 
 __all__ = [
@@ -91,6 +96,9 @@ def _periodic_family(rng, n_permutations=6, cycle=None, n_steps=None):
     if n_permutations < 1:
         raise ScenarioError("trace family 'periodic': n_permutations must be >= 1")
     cycle = list(cycle) if cycle is not None else list(BASIC_CYCLE)
+    where = "trace family 'periodic': cycle entry"
+    if not all(math.isfinite(check_float(value, ScenarioError, where)) for value in cycle):
+        raise ScenarioError(f"{where} must be finite, got {cycle!r}")
     sequence: list[int] = []
     for index in range(n_permutations):
         if index == 0:
@@ -187,10 +195,7 @@ class TraceSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, str):
-            raise ScenarioError(
-                f"a trace family is a name string, got {self.family!r}"
-            )
+        check_name(self.family, ScenarioError, "trace family")
         try:
             entry = TRACES.entry(self.family)
         except UnknownComponentError as error:
@@ -216,10 +221,9 @@ class TraceSpec:
         object.__setattr__(
             self, "params", tuple(sorted((k, _freeze(v)) for k, v in validated.items()))
         )
-        if self.seed is not None and (
-            not isinstance(self.seed, int) or isinstance(self.seed, bool)
-        ):
-            raise ScenarioError(f"trace seed must be an integer, got {self.seed!r}")
+        if self.seed is not None:
+            # The generator takes no negative seed.
+            check_int(self.seed, ScenarioError, "trace seed", minimum=0)
 
     def materialize(self) -> tuple[float, ...]:
         """The concrete multiplier tuple (bit-identical per equal spec)."""
@@ -262,20 +266,4 @@ class TraceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceSpec":
-        if not isinstance(data, dict):
-            raise ScenarioError(
-                f"a trace spec must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"family", "params", "seed"})
-        if unknown:
-            raise ScenarioError(
-                f"trace spec does not understand field(s) "
-                f"{', '.join(map(repr, unknown))} (valid: family, params, seed)"
-            )
-        if "family" not in data:
-            raise ScenarioError("a trace spec needs a 'family' name")
-        return cls(
-            family=data["family"],
-            params=data.get("params", {}),
-            seed=data.get("seed"),
-        )
+        return decode_table(cls, data, ScenarioError, "trace spec")

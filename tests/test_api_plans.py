@@ -194,6 +194,33 @@ def test_wrong_typed_names_raise_plan_error(data, field):
         plan_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"queries": ["q1"], "tuner": "ds2", "workers": True}, "workers"),
+        ({"query": "q1", "tuner": "ds2", "rates": [1, True]}, "rates"),
+        (
+            {"query": "q1", "tuner": "ds2",
+             "trace": {"family": "periodic", "params": {"n_steps": True}}},
+            "n_steps",
+        ),
+        ({"query": "q1", "tuner": "ds2", "seed": False}, "seed"),
+    ],
+    ids=["workers", "rates", "trace-n_steps", "seed"],
+)
+def test_a_bool_is_no_number(data, field):
+    # JSON's `true` is a Python int; where a plan wants a count or a rate
+    # it is a PlanError, not a one-worker pool or a one-step trace.
+    with pytest.raises(PlanError, match=field):
+        plan_from_dict(data)
+
+
+@pytest.mark.parametrize("kind, field", [("tuning", "query"), ("campaign", "queries")])
+def test_a_missing_required_field_is_a_plan_error(kind, field):
+    with pytest.raises(PlanError, match=f"needs the field\\(s\\) '{field}'"):
+        plan_from_dict({"kind": kind})
+
+
 class TestRoundTrips:
     def _campaign(self) -> CampaignPlan:
         return CampaignPlan(

@@ -380,6 +380,79 @@ class TestValidationExitCodes:
         err = self._assert_one_line_error(capsys, main(argv))
         assert expected in err
 
+    @pytest.mark.parametrize("command", ["worker", "soak"])
+    def test_fault_plan_with_a_list_site_exits_2(self, command, tmp_path, capsys):
+        faults = tmp_path / "f.json"
+        faults.write_text(json.dumps(
+            {"rules": [{"site": ["worker.execute.crash"], "hits": [1]}]}
+        ))
+        if command == "worker":
+            argv = ["worker", str(tmp_path / "spool")]
+        else:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(
+                {"queries": ["q1"], "tuner": "ds2", "scale": "smoke"}
+            ))
+            # Refused before any worker spawns, not once per worker.
+            argv = ["soak", str(plan), "--workers", "1", "--no-reference"]
+        err = self._assert_one_line_error(capsys, main(argv + ["--fault-plan", str(faults)]))
+        assert "site must be a string" in err
+
+
+class TestOverridesBeforeValidation:
+    """Command-line settings join the plan file's table before its one
+    validation, so a file that is valid only with them runs."""
+
+    STANDING_FLEET = (
+        'kind = "campaign"\nqueries = ["q1"]\ntuner = "ds2"\n'
+        'backend = "distributed"\nworkers = 0\nscale = "smoke"\n'
+    )
+
+    class Ran(Exception):
+        pass
+
+    def test_run_plan_spool_dir_staffs_a_workerless_file(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        path = tmp_path / "plan.toml"
+        path.write_text(self.STANDING_FLEET)
+        seen = []
+
+        def run(plan, args, session=None):
+            seen.append(plan)
+            raise self.Ran
+
+        monkeypatch.setattr(cli, "_run_with_events", run)
+        spool = str(tmp_path / "spool")
+        with pytest.raises(self.Ran):
+            main(["run-plan", str(path), "--spool-dir", spool, "--workers", "1"])
+        (plan,) = seen
+        assert (plan.backend, plan.workers, plan.spool_dir) == ("distributed", 1, spool)
+
+    def test_soak_spool_dir_staffs_a_workerless_file(self, tmp_path, monkeypatch):
+        import repro.faults.supervisor as supervisor
+
+        path = tmp_path / "plan.toml"
+        path.write_text(self.STANDING_FLEET)
+        seen = []
+
+        class Supervisor:
+            def __init__(self, plan, **settings):
+                seen.append(plan)
+                raise TestOverridesBeforeValidation.Ran
+
+        monkeypatch.setattr(supervisor, "FleetSupervisor", Supervisor)
+        spool = str(tmp_path / "spool")
+        with pytest.raises(self.Ran):
+            main(["soak", str(path), "--spool-dir", spool, "--workers", "2"])
+        (plan,) = seen
+        assert (plan.backend, plan.workers, plan.spool_dir) == ("distributed", 2, spool)
+
+    def test_soak_refuses_a_tuning_plan(self, tmp_path, capsys):
+        path = _tuning_plan_file(tmp_path, query="q1")
+        assert main(["soak", str(path)]) == 2
+        assert "no fleet to churn" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def _sweep_file(self, tmp_path):

@@ -141,6 +141,27 @@ class TestFaultPlan:
         for site, description in FAULT_SITES.items():
             assert description, f"site {site} lacks a description"
 
+    @pytest.mark.parametrize("site", [["worker.execute.crash"], {"a": 1}, 5, None])
+    def test_a_site_that_is_no_string_is_a_fault_error(self, site):
+        # An unhashable site once reached `site not in FAULT_SITES` and
+        # died with a TypeError.
+        with pytest.raises(FaultError, match="site must be a string"):
+            FaultPlan.from_dict({"rules": [{"site": site, "hits": [1]}]})
+
+    def test_a_bool_seed_names_the_plan(self):
+        with pytest.raises(FaultError, match="^fault plan seed must be an integer"):
+            FaultPlan(seed=True)
+
+    def test_a_rule_needs_a_site(self):
+        with pytest.raises(FaultError, match=r"rules\[0\] needs the field\(s\) 'site'"):
+            FaultPlan.from_dict({"rules": [{"hits": [1]}]})
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), True])
+    def test_delay_seconds_must_be_a_finite_number(self, seconds):
+        # time.sleep refuses NaN and infinity: a rule must not load with them.
+        with pytest.raises(FaultError, match="seconds"):
+            rule(effect="delay", seconds=seconds)
+
 
 class TestFaultPlane:
     def test_hits_trigger_on_exact_ordinals(self):
