@@ -1,16 +1,20 @@
 """Checks over recorded ``--record`` JSONL event logs (CI helper).
 
-Two subcommands:
+Both subcommands read a log through
+:func:`repro.api.events.read_event_log`, the reader behind resume logs,
+spool ledgers and the daemon's manifest:
 
 * ``truncate SRC DST`` — keep the prefix of ``SRC`` up to and including
   its first ``CampaignFinished`` line (what a fleet killed after its
-  first completed campaign leaves behind) and write it to ``DST``.
+  first completed campaign leaves behind) and write it to ``DST``, each
+  event as the recorder writes it.
 * ``compare REF CAND --backend B [--expect-skipped K]`` — assert the
   run recorded in ``CAND`` on backend ``B`` is the run recorded in
-  ``REF``: no failures, every campaign event stamped ``B``, exactly
-  ``K`` campaigns replayed from a resume log and the rest executed, and
-  every campaign's result payload bit-identical (wall-clock fields
-  excluded: per-step ``recommendation_seconds`` measures the host, not
+  ``REF``: no malformed line in either log, no failures, every campaign
+  event stamped ``B``, exactly ``K`` campaigns replayed from a resume
+  log and the rest executed, and every campaign's result equal to the
+  reference's (a result's ``==`` leaves out its timings: per-step
+  ``recommendation_seconds`` and ``wall_seconds`` measure the host, not
   the tuner).  The contract is
   :func:`repro.faults.invariants.compare_event_streams`, the one the
   soak supervisor asserts after every churn episode.
@@ -27,40 +31,42 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.faults.invariants import (  # noqa: E402 — after the path bootstrap
-    compare_event_streams,
-    load_event_log,
-)
+from repro.api.events import read_event_log  # noqa: E402 — after the path bootstrap
+from repro.faults.invariants import compare_event_streams  # noqa: E402
 
 
 def _truncate(args: argparse.Namespace) -> int:
+    events, n_malformed = read_event_log(args.source)
+    if n_malformed:
+        print(f"{args.source}: {n_malformed} malformed line(s)", file=sys.stderr)
+        return 1
     kept = []
-    for record in load_event_log(args.source):
-        kept.append(record)
-        if record["event"] == "CampaignFinished":
+    for event in events:
+        kept.append(event)
+        if event.kind == "CampaignFinished":
             break
     else:
         print(f"{args.source}: no CampaignFinished line to truncate after",
               file=sys.stderr)
         return 1
     with open(args.target, "w", encoding="utf-8") as handle:
-        for record in kept:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        for event in kept:
+            handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     print(f"kept {len(kept)} line(s) of {args.source} -> {args.target}")
     return 0
 
 
 def _compare(args: argparse.Namespace) -> int:
-    candidate = load_event_log(args.candidate)
+    candidate = read_event_log(args.candidate)
     failures = compare_event_streams(
-        load_event_log(args.reference), candidate,
+        read_event_log(args.reference), candidate,
         backend=args.backend, skipped=args.expect_skipped,
     )
     if failures:
         for failure in failures:
             print(f"stream check FAILED: {failure}", file=sys.stderr)
         return 1
-    finished = sum(1 for r in candidate if r["event"] == "CampaignFinished")
+    finished = sum(1 for event in candidate[0] if event.kind == "CampaignFinished")
     print(
         f"stream check ok: {finished} campaign(s) on {args.backend} "
         f"bit-identical to the reference, {args.expect_skipped} skipped"

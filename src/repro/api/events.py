@@ -428,16 +428,16 @@ def event_from_dict(data: dict) -> Event:
     The inverse of recording: for every event class,
     ``event_from_dict(event.to_dict()) == event`` (the ``result`` object
     is excluded from equality but is itself rebuilt from the ``result``
-    payload when one was recorded).  Raises ``ValueError`` for missing or
-    unknown kinds, and for a record (or ``result`` payload) of a known
-    kind that does not rebuild — a resume log with foreign lines should
-    fail loudly.
+    payload when one was recorded).  Raises ``ValueError`` for a missing,
+    non-string or unknown kind, and for a record (or ``result`` payload)
+    of a known kind that does not rebuild — a resume log with foreign
+    lines should fail loudly.
     """
     if not isinstance(data, dict):
         raise ValueError(f"an event record must be a mapping, got {type(data).__name__}")
     kind = data.get("event")
-    if kind is None:
-        raise ValueError("event record has no 'event' kind field")
+    if not isinstance(kind, str):
+        raise ValueError(f"event record has no 'event' kind name, got {kind!r}")
     cls = EVENT_TYPES.get(kind)
     if cls is None:
         raise ValueError(
@@ -467,19 +467,20 @@ def read_event_log(path: str | Path) -> tuple[list, int]:
     The one reader behind resume logs, spool ledgers and the daemon's
     manifest: a crash can truncate the final line mid-write, and a
     readable prefix is exactly what recovery is for, so lines that do
-    not decode or do not describe a known event are counted, not fatal.
+    not decode (bad UTF-8 or JSON, or nested past the recursion limit)
+    or do not describe a known event are counted, not fatal.
     Raises ``FileNotFoundError`` when there is no log at all.
     """
     events = []
     n_malformed = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
                 events.append(event_from_dict(json.loads(line)))
-            except ValueError:
+            except (ValueError, RecursionError):
                 n_malformed += 1
     return events, n_malformed
 

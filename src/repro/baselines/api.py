@@ -49,12 +49,18 @@ from repro.workloads.query import StreamingQuery
 
 @dataclass(frozen=True)
 class TuningStep:
-    """One iteration of a tuning process."""
+    """One iteration of a tuning process.
+
+    ``recommendation_seconds`` measures the host, not the decision, so it
+    is no part of the step's identity: two steps that decided alike are
+    equal whatever their timings.  It is still recorded (``asdict``, a
+    ledger's result payload) and replayed byte for byte.
+    """
 
     parallelisms: dict[str, int]
     reconfigured: bool                 # did this step redeploy the job
     backpressure_after: bool           # observed after (re)deployment
-    recommendation_seconds: float      # wall time spent deciding
+    recommendation_seconds: float = field(compare=False)   # wall time spent deciding
     mean_cpu_utilisation: float        # capacity-weighted busy share
 
     @property

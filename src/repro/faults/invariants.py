@@ -13,87 +13,67 @@ violation strings (empty list = invariant holds); the
   names exists (:func:`check_spool`);
 * **no stale leases** — after sweeping done-cell debris, no lease
   outlives its TTL (:func:`check_spool`);
-* **bit-identity** — a recorded event stream equals the reference
-  run's, wall-clock fields aside, and executed every campaign it did
-  not replay from a resume log (:func:`compare_event_streams`).
+* **bit-identity** — a recorded event stream holds every line it
+  wrote, its campaigns' results equal the reference run's (a
+  :class:`~repro.experiments.campaigns.CampaignResult`'s ``==`` leaves
+  its timings out), and it executed every campaign it did not replay
+  from a resume log (:func:`compare_event_streams`).
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from pathlib import Path
 
 __all__ = [
     "check_spool",
     "compare_event_streams",
-    "load_event_log",
 ]
 
-#: Payload fields that measure the host, not the computation.
-_WALL_CLOCK_STEP_FIELDS = ("recommendation_seconds",)
 
-
-def load_event_log(path: "str | Path") -> list[dict]:
-    """Parse one ``--record`` JSONL event log into plain dicts."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
-
-
-def _deterministic_result(record: dict) -> dict:
-    result = json.loads(json.dumps(record["result"]))   # deep copy
-    for process in result["processes"]:
-        for step in process["steps"]:
-            for field in _WALL_CLOCK_STEP_FIELDS:
-                step.pop(field, None)
-    return result
-
-
-def _campaign_results(records: list[dict]) -> dict[str, dict]:
-    results = {}
-    for record in records:
-        if record["event"] == "CampaignFinished":
-            key = (
-                f"{record.get('scenario') or ''}/"
-                f"{record.get('cell_key') or record['campaign']}"
-            )
-            results[key] = _deterministic_result(record)
-    return results
+def _campaign_results(events: list) -> dict:
+    return {
+        f"{event.scenario or ''}/{event.cell_key or event.campaign}": event.result
+        for event in events
+        if event.kind == "CampaignFinished"
+    }
 
 
 def compare_event_streams(
-    reference: list[dict],
-    candidate: list[dict],
+    reference: tuple[list, int],
+    candidate: tuple[list, int],
     *,
     backend: str,
     skipped: int = 0,
 ) -> list[str]:
     """Violations of stream equivalence between two recorded runs.
 
+    Each side is what :func:`~repro.api.events.read_event_log` returns
+    for its log: the typed events and the count of malformed lines.
     ``reference`` is an uninterrupted run's log; ``candidate`` the log
     under test, run on ``backend`` and resumed past ``skipped`` of the
-    reference's campaigns.  Checks: no failures, every campaign event
-    stamped with ``backend``, strictly increasing unique ``seq``,
-    exactly ``skipped`` campaigns replayed and every other one started,
-    the same campaign set, and per-campaign result payloads
-    bit-identical once wall-clock fields are stripped.
+    reference's campaigns.  Checks: no malformed line on either side, no
+    failures, every campaign event stamped with ``backend``, strictly
+    increasing unique ``seq``, exactly ``skipped`` campaigns replayed and
+    every other one started, the same campaign set, and equal results
+    per campaign.
     """
-    counts = Counter(r["event"] for r in candidate)
+    (reference, ref_malformed), (candidate, malformed) = reference, candidate
+    counts = Counter(event.kind for event in candidate)
     expected, actual = _campaign_results(reference), _campaign_results(candidate)
     failures = []
+    if ref_malformed:
+        failures.append(f"reference log has {ref_malformed} malformed line(s)")
+    if malformed:
+        failures.append(f"{backend} log has {malformed} malformed line(s)")
     if counts["CampaignFailed"]:
         failures.append(f"{backend} run recorded CampaignFailed event(s)")
     off_backend = sorted({
-        r["backend"] for r in candidate
-        if r["event"].startswith("Campaign") and r.get("backend") not in (None, backend)
+        event.backend for event in candidate
+        if event.kind.startswith("Campaign") and event.backend != backend
     })
     if off_backend:
         failures.append(f"campaign events carry non-{backend} backend(s): {off_backend}")
-    seqs = [r["seq"] for r in candidate]
+    seqs = [event.seq for event in candidate]
     if seqs != sorted(seqs) or len(set(seqs)) != len(seqs):
         failures.append(f"{backend} event seq is not strictly increasing")
     if counts["CampaignSkipped"] != skipped:

@@ -33,11 +33,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.faults.invariants import (
-    check_spool,
-    compare_event_streams,
-    load_event_log,
-)
+from repro.faults.invariants import check_spool, compare_event_streams
 from repro.faults.plan import FaultError, load_fault_plan
 from repro.utils.config import check_int
 
@@ -335,7 +331,7 @@ class FleetSupervisor:
 
     def _compare_to_reference(self, record_path, report, say) -> list:
         """Re-run the plan in-process on ``sequential``; diff the streams."""
-        from repro.api.events import EventBus, JsonlRecorder
+        from repro.api.events import EventBus, JsonlRecorder, read_event_log
         from repro.api.session import TuningSession
 
         say("soak: running the in-process sequential reference")
@@ -354,7 +350,7 @@ class FleetSupervisor:
         finally:
             recorder.close()
         return compare_event_streams(
-            load_event_log(reference_path), load_event_log(record_path),
+            read_event_log(reference_path), read_event_log(record_path),
             backend="distributed",
         )
 

@@ -53,6 +53,13 @@ BASIC_CYCLE: tuple[int, ...] = (3, 7, 4, 2, 1, 10, 8, 5, 6, 9)
 #: The registry of named trace families.
 TRACES = Registry("trace family")
 
+#: The most rate changes a family may generate.  The paper's longest
+#: trace is 120 changes (§V-A); a trace spec arrives from a plan file or
+#: a ``POST /v1/plans`` body and is materialised while it is decoded, so
+#: an unbounded count would hold the decoder for minutes and allocate
+#: gigabytes.  10 000 leaves two orders of magnitude above the paper.
+MAX_TRACE_STEPS = 10_000
+
 
 def periodic_multipliers(
     n_permutations: int = 6,
@@ -78,9 +85,12 @@ def periodic_multipliers(
 _N_STEPS = ParamSpec("n_steps", int, None, help="trace length in rate changes")
 
 
-def _check_steps(n_steps: int, family: str) -> None:
-    if n_steps < 1:
-        raise ScenarioError(f"trace family {family!r}: n_steps must be >= 1")
+def _check_steps(n_steps: int, family: str, name: str = "n_steps") -> None:
+    if not 1 <= n_steps <= MAX_TRACE_STEPS:
+        raise ScenarioError(
+            f"trace family {family!r}: {name} must be in 1..{MAX_TRACE_STEPS}, "
+            f"got {n_steps}"
+        )
 
 
 @TRACES.register(
@@ -99,6 +109,12 @@ def _periodic_family(rng, n_permutations=6, cycle=None, n_steps=None):
     where = "trace family 'periodic': cycle entry"
     if not all(math.isfinite(check_float(value, ScenarioError, where)) for value in cycle):
         raise ScenarioError(f"{where} must be finite, got {cycle!r}")
+    if not cycle:
+        raise ScenarioError("trace family 'periodic': cycle must not be empty")
+    _check_steps(n_permutations * 2 * len(cycle), "periodic",
+                 "n_permutations * 2 * len(cycle)")
+    if n_steps is not None:
+        _check_steps(n_steps, "periodic")
     sequence: list[int] = []
     for index in range(n_permutations):
         if index == 0:
@@ -107,7 +123,6 @@ def _periodic_family(rng, n_permutations=6, cycle=None, n_steps=None):
             perm = [int(x) for x in rng.permutation(np.asarray(cycle))]
         sequence.extend(perm + perm)
     if n_steps is not None:
-        _check_steps(n_steps, "periodic")
         sequence = sequence[:n_steps]
     return sequence
 

@@ -26,6 +26,7 @@ from repro.api.events import (
     SweepFinished,
     campaign_cell_key,
     event_from_dict,
+    read_event_log,
 )
 
 
@@ -214,6 +215,30 @@ class TestEventRoundTrip:
             event_from_dict({"campaign": "c"})
         with pytest.raises(ValueError, match="mapping"):
             event_from_dict(["CampaignStarted"])
+        for kind in (["x"], {"x": 1}, 3, None):
+            with pytest.raises(ValueError, match="no 'event' kind name"):
+                event_from_dict({"event": kind})
+
+    def test_a_damaged_line_is_counted_never_fatal(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        good = CampaignStarted(campaign="c", seq=0)
+        path.write_bytes(b"\n".join([
+            b"[" * 200_000,                   # nested past the recursion limit
+            b'{"event": ["x"]}',              # a kind that is no name
+            b'{"event": "CampaignStarted", "campaign": "\xff"}',   # not UTF-8
+            json.dumps(good.to_dict()).encode(),
+            b"   ",
+        ]) + b"\n")
+        assert read_event_log(path) == ([good], 3)
+
+    def test_a_step_s_timing_is_no_part_of_its_identity(self):
+        from repro.baselines.api import TuningStep
+
+        step = TuningStep({"op": 2}, True, False, 0.25, 0.5)
+        slower = dataclasses.replace(step, recommendation_seconds=0.75)
+        assert step == slower
+        assert dataclasses.asdict(step) != dataclasses.asdict(slower)
+        assert step != dataclasses.replace(step, mean_cpu_utilisation=0.6)
 
     def test_jsonl_recorder_lines_round_trip(self, tmp_path):
         path = tmp_path / "events.jsonl"

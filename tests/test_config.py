@@ -5,6 +5,7 @@ its module's own error, never a ``TypeError``, ``KeyError`` or
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 
 import pytest
@@ -12,9 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import CampaignPlan, PlanError, SweepPlan, TuningPlan, plan_from_dict
+from repro.api.events import EVENT_TYPES, CampaignStarted, Event, event_from_dict, read_event_log
+from repro.baselines.api import TuningStep
 from repro.faults import FaultError, FaultPlan, FaultRule
 from repro.scenarios import TRACES, ChaosSpec, ScenarioError, TraceSpec
 from repro.scenarios.chaos import OperatorLoss, TraceDropout
+from repro.scenarios.library import MAX_TRACE_STEPS
 from repro.utils.config import (
     check_float,
     check_int,
@@ -90,10 +94,11 @@ _WORDS = (
     "crash", "torn", "OSError", "",
 )
 _names = st.sampled_from(_NAMES) | st.text(max_size=3)
-# Counts stay small: a trace family generates its steps one by one, so an
-# astronomical n_steps would run the example for ever.
+# Counts reach past MAX_TRACE_STEPS: a trace family checks its length
+# before it generates a step.
 _scalars = (
     st.none() | st.booleans() | st.integers(-3, 40)
+    | st.sampled_from((MAX_TRACE_STEPS, MAX_TRACE_STEPS + 1, 10**9, 10**30))
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from(_WORDS) | st.text(max_size=4)
 )
@@ -184,3 +189,97 @@ def test_every_edge_decodes_or_raises_its_own_error(daemon, data, edge):
         call(value)
     except own_error:
         pass
+
+
+# ----------------------------------------------------------------------
+# the event-log edge: resume logs, spool ledgers, the daemon's manifest
+# ----------------------------------------------------------------------
+
+_EVENT_NAMES = sorted(
+    {spec.name for cls in EVENT_TYPES.values() for spec in fields(cls)}
+    | {spec.name for spec in fields(TuningStep)}
+    | {"event", "result", "query_name", "method", "multipliers", "processes",
+       "tuner_name", "converged", "steps"}
+)
+_event_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_EVENT_NAMES) | st.text(max_size=3), inner, max_size=4
+    ),
+    max_leaves=10,
+)
+
+
+def _event_table(names) -> st.SearchStrategy:
+    """Tables that hold every named field (one may be a wrong type), so
+    the draws reach a result payload's rebuild, not only its key checks."""
+    return st.fixed_dictionaries({name: _event_values for name in names})
+
+
+_steps = st.lists(_event_table([spec.name for spec in fields(TuningStep)]), max_size=2)
+_processes = st.lists(
+    st.fixed_dictionaries({
+        "query_name": _event_values, "tuner_name": _event_values,
+        "converged": _event_values, "steps": _steps | _event_values,
+    }),
+    max_size=2,
+)
+_payloads = st.fixed_dictionaries({
+    "query_name": _event_values, "method": _event_values,
+    "multipliers": st.lists(_event_values, max_size=3) | _event_values,
+    "processes": _processes | _event_values,
+})
+_event_fields = st.dictionaries(
+    st.sampled_from(_EVENT_NAMES) | st.text(max_size=3), _event_values, max_size=5
+)
+_event_tables = st.builds(
+    lambda table, kind, result: {**table, "event": kind, **result},
+    _event_fields,
+    st.sampled_from(sorted(EVENT_TYPES)) | _event_values,
+    st.fixed_dictionaries({}, optional={"result": _payloads | _event_values}),
+) | st.builds(
+    lambda table, result: {**table, "event": "CampaignFinished", "result": result},
+    _event_fields, _payloads,
+) | _event_fields
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table=_event_tables)
+def test_an_event_table_decodes_or_raises_value_error(table):
+    try:
+        event = event_from_dict(table)
+    except ValueError:
+        return
+    assert isinstance(event, Event)
+
+
+_good_lines = st.builds(
+    CampaignStarted, campaign=st.text(max_size=4), seq=st.integers(0, 99)
+)
+_lines = st.lists(
+    _good_lines.map(lambda event: (event, json.dumps(event.to_dict()).encode()))
+    | _event_tables.map(lambda table: (None, json.dumps(table).encode()))
+    | st.binary(max_size=24).map(lambda raw: (None, raw.replace(b"\n", b"")))
+    | st.sampled_from((b"[" * 200_000, b'{"event": ["x"]}')).map(lambda raw: (None, raw)),
+    max_size=8,
+)
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("log") / "events.jsonl"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_lines)
+def test_an_event_log_reads_whatever_its_lines_hold(log_path, lines):
+    log_path.write_bytes(b"".join(raw + b"\n" for _, raw in lines))
+    events, n_malformed = read_event_log(log_path)
+    assert all(isinstance(event, Event) for event in events)
+    assert len(events) + n_malformed == sum(1 for _, raw in lines if raw.strip())
+    # Every well-formed line comes back, in order.
+    remaining = iter(events)
+    assert all(
+        any(event == read for read in remaining)
+        for event, _ in lines if event is not None
+    )

@@ -250,6 +250,20 @@ class TestJobStore:
         to_requeue = recovered.recover()
         assert [j.id for j in to_requeue] == [job.id]
 
+    @pytest.mark.parametrize(
+        "line", ["[" * 200_000, '{"event": ["x"]}'], ids=["too-deep", "kind-no-name"]
+    )
+    def test_recover_skips_a_damaged_manifest_line(self, tmp_path, line):
+        # A line nested past the recursion limit, or one whose kind is no
+        # name, is malformed like a torn tail: the jobs around it recover.
+        store = JobStore(tmp_path, fsync=False)
+        first = store.submit(_tiny_plan(), _tiny_plan_data())
+        with open(store.manifest_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        second = store.submit(_tiny_plan(), _tiny_plan_data())
+        recovered = JobStore(tmp_path, fsync=False)
+        assert [j.id for j in recovered.recover()] == [first.id, second.id]
+
     def test_recover_loads_partial_ledger_as_resume(self, tmp_path):
         from repro.api.session import TuningSession
 

@@ -373,6 +373,15 @@ class TestHttpErrors:
         assert excinfo.value.status == 400
         assert "engine must be a string" in str(excinfo.value)
 
+    def test_an_unbounded_trace_is_400(self, daemon):
+        with pytest.raises(DaemonClientError) as excinfo:
+            _client(daemon).submit_plan({
+                "kind": "tuning", "query": "q1", "tuner": "ds2",
+                "trace": {"family": "bursty", "params": {"n_steps": 10**9}},
+            })
+        assert excinfo.value.status == 400
+        assert "n_steps must be in 1..10000" in str(excinfo.value)
+
     def test_unparseable_body_is_400(self, daemon):
         with pytest.raises(DaemonClientError) as excinfo:
             _client(daemon)._request(

@@ -54,25 +54,6 @@ def tiny_plan(**overrides) -> CampaignPlan:
     return CampaignPlan(**settings)
 
 
-def deterministic_result(outcome) -> dict:
-    """A campaign result with host-timing fields removed (the repo's
-    bit-identity convention, as in
-    :func:`repro.faults.invariants.compare_event_streams`)."""
-    result = dataclasses.asdict(outcome)
-    result.pop("wall_seconds")
-    for process in result["processes"]:
-        for step in process["steps"]:
-            step.pop("recommendation_seconds", None)
-    return result
-
-
-def assert_outcomes_identical(left, right) -> None:
-    assert len(left.outcomes) == len(right.outcomes)
-    for a, b in zip(left.outcomes, right.outcomes):
-        assert a.query_name == b.query_name
-        assert deterministic_result(a) == deterministic_result(b)
-
-
 # ----------------------------------------------------------------------
 # the spool protocol
 # ----------------------------------------------------------------------
@@ -560,7 +541,7 @@ class TestDistributedSession:
             dataclasses.replace(plan, backend="sequential")
         )
         assert distributed.plan.backend == "distributed"
-        assert_outcomes_identical(distributed, sequential)
+        assert distributed.outcomes == sequential.outcomes
 
     def test_sweep_bit_identical_and_events_in_plan_order(self, tmp_path):
         from repro.api.events import EventBus, JsonlRecorder
@@ -583,7 +564,7 @@ class TestDistributedSession:
             distributed.scenarios, sequential.scenarios
         ):
             assert label_a == label_b
-            assert_outcomes_identical(cell_a, cell_b)
+            assert cell_a.outcomes == cell_b.outcomes
         events = [
             json.loads(line) for line in record.read_text().splitlines()
         ]
@@ -623,7 +604,7 @@ class TestDistributedSession:
         assert [type(e).__name__ for e in events if isinstance(
             e, (CampaignSkipped, CampaignFinished)
         )] == ["CampaignSkipped", "CampaignFinished"] * 2
-        assert_outcomes_identical(replayed, first)
+        assert replayed.outcomes == first.outcomes
 
     def test_dead_fleet_fails_instead_of_hanging(self, tmp_path, monkeypatch):
         plan = tiny_plan(
@@ -738,7 +719,7 @@ class TestDistributedSession:
         for (_, cell_a), (_, cell_b) in zip(
             resumed.scenarios, sequential.scenarios
         ):
-            assert_outcomes_identical(cell_a, cell_b)
+            assert cell_a.outcomes == cell_b.outcomes
 
     def test_spool_level_resume_replays_done_cells(self, tmp_path):
         """Pre-completed spool cells replay without re-execution."""
@@ -752,7 +733,7 @@ class TestDistributedSession:
         sequential = TuningSession().run(
             dataclasses.replace(plan, backend="sequential", spool_dir=None)
         )
-        assert_outcomes_identical(result, sequential)
+        assert result.outcomes == sequential.outcomes
 
 
 # ----------------------------------------------------------------------
@@ -773,9 +754,7 @@ class TestPacedEngine:
         paced = TuningSession().run(
             dataclasses.replace(plan, engine="flink-paced")
         )
-        assert deterministic_result(paced.outcomes[0]) == deterministic_result(
-            plain.outcomes[0]
-        )
+        assert paced.outcomes == plain.outcomes
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,30 @@ class TestTraceFamilies:
         with pytest.raises(ScenarioError, match=match):
             spec.materialize()
 
+    def test_trace_length_is_bounded_before_any_step_is_generated(self):
+        import time
+
+        from repro.scenarios.library import MAX_TRACE_STEPS
+
+        assert len(TraceSpec("bursty", {"n_steps": MAX_TRACE_STEPS}).materialize()) == (
+            MAX_TRACE_STEPS
+        )
+        assert len(TraceSpec(
+            "periodic", {"n_permutations": MAX_TRACE_STEPS // 20}
+        ).materialize()) == MAX_TRACE_STEPS
+        for family, params, match in (
+            ("bursty", {"n_steps": 10**9}, r"n_steps must be in 1\.\.10000"),
+            ("bursty", {"n_steps": MAX_TRACE_STEPS + 1}, "n_steps"),
+            ("periodic", {"n_steps": 10**9}, "n_steps"),
+            ("periodic", {"n_permutations": 10**9}, r"n_permutations \* 2 \* len"),
+            ("periodic", {"n_permutations": 10**9, "cycle": []}, "cycle must not be empty"),
+        ):
+            started = time.perf_counter()
+            with pytest.raises(PlanError, match=match):
+                plan_from_dict({"query": "q1", "tuner": "ds2",
+                                "trace": {"family": family, "params": params}})
+            assert time.perf_counter() - started < 1.0
+
 
 class TestTraceSpecRoundTrip:
     @pytest.mark.parametrize("family,params,seed", FAMILY_CASES)

@@ -30,11 +30,16 @@ from hypothesis import strategies as st
 
 from repro.distributed import Spool, SpoolError, WorkerAgent
 from repro.distributed import worker as distributed_worker
-from repro.faults.invariants import (
-    check_spool,
-    compare_event_streams,
-    load_event_log,
+from repro.api.events import (
+    CampaignFailed,
+    CampaignFinished,
+    CampaignSkipped,
+    CampaignStarted,
+    read_event_log,
 )
+from repro.baselines.api import TuningResult, TuningStep
+from repro.experiments.campaigns import CampaignResult
+from repro.faults.invariants import check_spool, compare_event_streams
 from repro.faults.plan import FaultError
 from repro.faults.supervisor import (
     WARMUP_CELLS,
@@ -194,50 +199,52 @@ class TestCheckSpool:
 
 
 class TestCompareEventStreams:
-    def marker(self, event: str, campaign: str, seq: int, backend: str) -> dict:
-        return {"event": event, "seq": seq, "campaign": campaign,
-                "backend": backend}
-
     def finished(self, campaign: str, seq: int, backend: str,
-                 value: float = 1.0) -> dict:
-        return {
-            "event": "CampaignFinished", "seq": seq, "campaign": campaign,
-            "backend": backend, "scenario": None, "cell_key": campaign,
-            "result": {"processes": [{"steps": [
-                {"multiplier": value, "recommendation_seconds": seq * 0.1},
-            ]}]},
-        }
+                 value: float = 1.0) -> CampaignFinished:
+        step = TuningStep(
+            parallelisms={"op": 1}, reconfigured=True, backpressure_after=False,
+            recommendation_seconds=seq * 0.1, mean_cpu_utilisation=value,
+        )
+        result = CampaignResult(
+            query_name=campaign, method="DS2", multipliers=[3.0],
+            processes=[TuningResult(campaign, "DS2", [step], converged=True)],
+            wall_seconds=seq * 0.5,
+        )
+        return CampaignFinished(
+            campaign=campaign, backend=backend, result=result, seq=seq,
+            cell_key=campaign,
+        )
 
     def run(self, backend: str, *campaigns: str) -> list:
         """A calm log: each campaign started, then finished."""
-        records = []
+        events = []
         for campaign in campaigns:
-            records.append(self.marker("CampaignStarted", campaign, len(records), backend))
-            records.append(self.finished(campaign, len(records), backend))
-        return records
+            events.append(CampaignStarted(campaign=campaign, backend=backend,
+                                          seq=len(events)))
+            events.append(self.finished(campaign, len(events), backend))
+        return events
 
     def test_identical_streams_pass(self):
         reference = self.run("sequential", "q1")
-        candidate = [self.marker("CampaignStarted", "q1", 4, "distributed"),
+        candidate = [CampaignStarted(campaign="q1", backend="distributed", seq=4),
                      self.finished("q1", 5, "distributed")]
-        # recommendation_seconds differs (seq-derived) — a wall-clock
-        # field, stripped before comparison.
+        # The timings differ (seq-derived); they are no part of a
+        # result's identity.
         assert compare_event_streams(
-            reference, candidate, backend="distributed"
+            (reference, 0), (candidate, 0), backend="distributed"
         ) == []
 
     def test_each_violation_is_reported(self):
         reference = self.run("sequential", "q1", "q2")
         candidate = [
-            self.marker("CampaignStarted", "q1", 2, "distributed"),
+            CampaignStarted(campaign="q1", backend="distributed", seq=2),
             self.finished("q1", 3, "distributed", value=2.0),
-            self.marker("CampaignStarted", "q2", 4, "distributed"),
-            {"event": "CampaignFailed", "seq": 3, "campaign": "q2",
-             "backend": "sequential"},
+            CampaignStarted(campaign="q2", backend="distributed", seq=4),
+            CampaignFailed(campaign="q2", backend="sequential", seq=3),
         ]
-        failures = "\n".join(
-            compare_event_streams(reference, candidate, backend="distributed")
-        )
+        failures = "\n".join(compare_event_streams(
+            (reference, 0), (candidate, 0), backend="distributed"
+        ))
         assert "CampaignFailed" in failures
         assert "non-distributed backend" in failures
         assert "seq is not strictly increasing" in failures
@@ -245,27 +252,37 @@ class TestCompareEventStreams:
 
     def test_payload_differences_are_caught(self):
         reference = self.run("sequential", "q1")
-        candidate = [self.marker("CampaignStarted", "q1", 0, "distributed"),
+        candidate = [CampaignStarted(campaign="q1", backend="distributed", seq=0),
                      self.finished("q1", 1, "distributed", value=2.0)]
         failures = compare_event_streams(
-            reference, candidate, backend="distributed"
+            (reference, 0), (candidate, 0), backend="distributed"
         )
         assert failures == ["result payload differs for /q1"]
 
+    def test_malformed_lines_are_named(self):
+        reference = self.run("sequential", "q1")
+        candidate = self.run("distributed", "q1")
+        assert compare_event_streams(
+            (reference, 1), (candidate, 2), backend="distributed"
+        ) == [
+            "reference log has 1 malformed line(s)",
+            "distributed log has 2 malformed line(s)",
+        ]
+
     def test_resumed_stream_replays_the_skipped_campaigns(self):
         reference = self.run("thread", "q1", "q2")
-        resumed = [self.marker("CampaignSkipped", "q1", 0, "thread"),
+        resumed = [CampaignSkipped(campaign="q1", backend="thread", seq=0),
                    self.finished("q1", 1, "thread"),
-                   self.marker("CampaignStarted", "q2", 2, "thread"),
+                   CampaignStarted(campaign="q2", backend="thread", seq=2),
                    self.finished("q2", 3, "thread")]
         assert compare_event_streams(
-            reference, resumed, backend="thread", skipped=1
+            (reference, 0), (resumed, 0), backend="thread", skipped=1
         ) == []
 
     def test_a_resumed_stream_without_a_skip_is_flagged(self):
         reference = self.run("thread", "q1", "q2")
         failures = compare_event_streams(
-            reference, self.run("thread", "q1", "q2"),
+            (reference, 0), (self.run("thread", "q1", "q2"), 0),
             backend="thread", skipped=1,
         )
         assert "expected 1 CampaignSkipped, got 0" in failures
@@ -274,13 +291,13 @@ class TestCompareEventStreams:
 
     def test_a_re_executed_skipped_campaign_is_flagged(self):
         reference = self.run("thread", "q1", "q2")
-        resumed = [self.marker("CampaignSkipped", "q1", 0, "thread"),
+        resumed = [CampaignSkipped(campaign="q1", backend="thread"),
                    self.finished("q1", 1, "thread"),
                    *self.run("thread", "q1", "q2")]
-        for index, record in enumerate(resumed):
-            record["seq"] = index
+        resumed = [dataclasses.replace(event, seq=index)
+                   for index, event in enumerate(resumed)]
         failures = compare_event_streams(
-            reference, resumed, backend="thread", skipped=1
+            (reference, 0), (resumed, 0), backend="thread", skipped=1
         )
         assert failures == [
             "thread run executed 2 campaign(s), expected 1 of 2"
@@ -526,9 +543,9 @@ class TestFleetSupervisor:
         assert len(first.statuses) == 4
         # The record really is a parseable event log with one finish per
         # campaign.
-        records = load_event_log(first.record_path)
-        finished = [r for r in records if r["event"] == "CampaignFinished"]
-        assert len(finished) == 4
+        events, n_malformed = read_event_log(first.record_path)
+        finished = [e for e in events if e.kind == "CampaignFinished"]
+        assert n_malformed == 0 and len(finished) == 4
 
         second = episode("b")
         assert second.ok, second.to_dict()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -106,6 +107,56 @@ class TestSlocRatchet:
     def test_ceiling_must_be_a_number(self, sloc, capsys):
         assert sloc.main(["--max", "src"]) == 2
         assert sloc.main(["--max"]) == 2
+
+
+class TestStreamCheck:
+    """``scripts/stream_check.py``: ``truncate`` and ``compare`` over
+    recorded logs, read as typed events."""
+
+    @pytest.fixture()
+    def stream_check(self):
+        return _load_script("stream_check")
+
+    @pytest.fixture()
+    def log(self, tmp_path):
+        from repro.api.events import (
+            CacheStats, CampaignFinished, CampaignStarted, JsonlRecorder, StepCompleted,
+        )
+        from repro.baselines.api import TuningResult, TuningStep
+        from repro.experiments.campaigns import CampaignResult
+
+        step = TuningStep({"op": 2}, True, False, 0.125, 0.5)
+        result = CampaignResult(
+            "q1", "DS2", [3.0], [TuningResult("q1", "DS2", [step], True)], 0.25,
+        )
+        path = tmp_path / "events.jsonl"
+        with JsonlRecorder(path) as recorder:
+            for seq, event in enumerate((
+                CampaignStarted(campaign="q1", cell_key="k1"),
+                StepCompleted(campaign="q1", cell_key="k1", parallelisms={"op": 2}),
+                CampaignFinished(campaign="q1", cell_key="k1", result=result,
+                                 wall_seconds=0.25),
+                CacheStats(stats={}),
+            )):
+                recorder(dataclasses.replace(event, seq=seq))
+        return path
+
+    def test_truncate_keeps_the_recorder_s_lines(self, stream_check, log, tmp_path):
+        target = tmp_path / "truncated.jsonl"
+        assert stream_check.main(["truncate", str(log), str(target)]) == 0
+        kept = "".join(log.read_text().splitlines(keepends=True)[:3])
+        assert target.read_text() == kept
+
+    def test_compare_names_malformed_lines(self, stream_check, log, tmp_path, capsys):
+        assert stream_check.main(
+            ["compare", str(log), str(log), "--backend", "sequential"]
+        ) == 0
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(log.read_text() + '{"event": "CampaignSta\n')
+        assert stream_check.main(
+            ["compare", str(log), str(torn), "--backend", "sequential"]
+        ) == 1
+        assert "sequential log has 1 malformed line(s)" in capsys.readouterr().err
 
 
 class TestReach:
